@@ -23,7 +23,12 @@ early-training deltas carry more entropy.
 
 Bit-identity of the lossless codecs (raw, delta) against serial is the
 hard gate (non-zero exit on divergence); the quantized codec is lossy by
-design and reports its weight drift instead.
+design and reports its weight drift instead.  A converged run
+(``--warmup-rounds`` >= 50 with both ``raw`` and ``delta``) additionally
+fails unless delta cuts steady-state bytes/round by >= 30%.  With
+``delta`` among the codecs the report ends with the payload broken down
+by byte plane (mode, bytes, encode ms): which planes were elided,
+stored or deflated, and what each cost.
 
 Usage::
 
@@ -131,18 +136,26 @@ def bench_backend(
     return elapsed / rounds, global_weights, wire
 
 
-def bench_delta_levels(
+#: A converged run (``--warmup-rounds`` at least this long) must show the
+#: delta codec cutting steady-state bytes/round by DELTA_MIN_SAVING vs
+#: raw, or the benchmark exits non-zero: the codec's reason to exist.
+CONVERGED_WARMUP_ROUNDS = 50
+DELTA_MIN_SAVING = 0.30
+
+
+def bench_delta_planes(
     num_clients, samples_per_client, seed, rounds, warmup_rounds, training
 ):
-    """Encode-time vs bytes/round for every zlib level of the delta codec.
+    """Per byte plane of the delta payload: mode, bytes, encode ms.
 
     Runs one serial federation, snapshots the global weights after every
-    round, then encodes each consecutive (baseline, weights) pair at
-    levels 0-9 -- the same payloads the distributed BROADCAST hot path
-    would ship.  Decode is level-agnostic, so every level is also
+    round, then splits each consecutive steady-state (baseline, weights)
+    pair into the 8 byte planes of its zigzag ULP distances -- the same
+    payloads the distributed BROADCAST hot path would ship -- and encodes
+    every plane on its own.  The whole-vector encode is also timed and
     round-trip-checked against the raw vector.
     """
-    from repro.codec import DeltaCodec
+    from repro.codec import PLANE_MODES, DeltaCodec
 
     clients, model = build_federation(num_clients, samples_per_client, seed)
     pool = {c.client_id: c for c in clients}
@@ -164,35 +177,44 @@ def bench_delta_levels(
     # Steady-state pairs only: skip the warmup transitions, like the
     # distributed bytes/round measurement does.
     pairs = list(zip(snapshots[warmup_rounds:-1], snapshots[warmup_rounds + 1:]))
-    sweep = {}
-    for level in range(10):
-        codec = DeltaCodec(level=level)
-        total_bytes = 0
-        start = time.perf_counter()
-        payloads = [codec.encode(w, baseline=base) for base, w in pairs]
-        encode_s = time.perf_counter() - start
-        total_bytes = sum(len(p) for p in payloads)
-        roundtrip = all(
-            np.array_equal(codec.decode(p, w.size, baseline=base), w)
+    codec = DeltaCodec()
+    planes = [{"modes": {}, "bytes": 0.0, "encode_ms": 0.0} for _ in range(8)]
+    for base, w in pairs:
+        word_bytes = codec.planes(w, baseline=base)
+        for j, row in enumerate(planes):
+            plane = np.ascontiguousarray(word_bytes[:, j])
+            start = time.perf_counter()
+            mode, body = codec.encode_plane(plane)
+            row["encode_ms"] += 1e3 * (time.perf_counter() - start) / len(pairs)
+            row["bytes"] += len(body) / len(pairs)
+            name = PLANE_MODES[mode]
+            row["modes"][name] = row["modes"].get(name, 0) + 1
+    start = time.perf_counter()
+    payloads = [codec.encode(w, baseline=base) for base, w in pairs]
+    encode_s = time.perf_counter() - start
+    report = {
+        "planes": planes,
+        "bytes_per_round": sum(len(p) for p in payloads) / len(pairs),
+        "encode_s_per_round": encode_s / len(pairs),
+        "lossless_roundtrip": all(
+            codec.decode(p, w.size, baseline=base).tobytes() == w.tobytes()
             for (base, w), p in zip(pairs, payloads)
-        )
-        sweep[level] = {
-            "bytes_per_round": total_bytes / len(pairs),
-            "encode_s_per_round": encode_s / len(pairs),
-            "lossless_roundtrip": roundtrip,
-        }
+        ),
+    }
     raw_bytes = pairs[0][1].nbytes
-    print(f"\ndelta codec zlib-level sweep ({len(pairs)} steady-state "
-          f"round(s), raw weights {raw_bytes / 1e6:.2f} MB):")
-    print(f"{'level':>5} {'bytes/round':>12} {'vs raw':>8} {'encode ms':>10}")
-    for level, row in sweep.items():
-        marker = " (default)" if level == DeltaCodec.COMPRESSION_LEVEL else ""
-        print(
-            f"{level:>5} {row['bytes_per_round'] / 1e6:>9.3f} MB "
-            f"{100 * (1 - row['bytes_per_round'] / raw_bytes):>+7.1f}% "
-            f"{1e3 * row['encode_s_per_round']:>10.2f}{marker}"
-        )
-    return sweep
+    print(f"\ndelta payload by byte plane ({len(pairs)} steady-state "
+          f"round(s), raw weights {raw_bytes / 1e6:.2f} MB, "
+          f"{raw_bytes // 8} bytes per plane):")
+    print(f"{'plane':>5} {'mode':<22} {'bytes':>9} {'encode ms':>10}")
+    for j, row in enumerate(planes):
+        modes = ", ".join(f"{m} x{c}" for m, c in sorted(row["modes"].items()))
+        print(f"{j:>5} {modes:<22} {row['bytes']:>9.0f} {row['encode_ms']:>10.3f}")
+    print(
+        f"whole vector: {report['bytes_per_round'] / 1e6:.3f} MB "
+        f"({100 * (1 - report['bytes_per_round'] / raw_bytes):+.1f}% vs raw), "
+        f"{1e3 * report['encode_s_per_round']:.2f} ms/encode"
+    )
+    return report
 
 
 def _fl_executor_factory(backend, workers):
@@ -331,13 +353,26 @@ def main(argv=None) -> int:
         print(f"{label} max |w - serial| = {diff:.3e} (lossy codec, by design)")
     print(f"bit-identical across lossless runs: {identical}")
 
-    delta_sweep = None
+    delta_planes = None
     if "delta" in args.codecs:
-        delta_sweep = bench_delta_levels(
+        delta_planes = bench_delta_planes(
             args.clients, args.samples_per_client, args.seed,
             args.rounds, args.warmup_rounds, training,
         )
-        identical &= all(row["lossless_roundtrip"] for row in delta_sweep.values())
+        identical &= delta_planes["lossless_roundtrip"]
+
+    # The codec's reason to exist, as a hard gate on converged runs.
+    delta_pays = True
+    wire_delta = results.get("distributed[delta]", (0, 0, None, 0))[2]
+    if raw_bytes and wire_delta and args.warmup_rounds >= CONVERGED_WARMUP_ROUNDS:
+        saving = 1 - wire_delta["bytes_per_round"] / raw_bytes
+        delta_pays = saving >= DELTA_MIN_SAVING
+        print(
+            f"delta steady-state byte cut vs raw: {100 * saving:.1f}% "
+            f"(gate: >= {100 * DELTA_MIN_SAVING:.0f}% after "
+            f">= {CONVERGED_WARMUP_ROUNDS} warm-up rounds) -- "
+            f"{'ok' if delta_pays else 'FAILED'}"
+        )
 
     pipeline_results = {}
     if args.pipeline:
@@ -404,7 +439,8 @@ def main(argv=None) -> int:
                 for label, (secs, _, wire, codec) in results.items()
             },
             "pipeline": pipeline_results or None,
-            "delta_level_sweep": delta_sweep,
+            "delta_planes": delta_planes,
+            "delta_saving_gate_passed": delta_pays,
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -416,7 +452,7 @@ def main(argv=None) -> int:
     if args.trace_out:
         print(f"wrote trace {args.trace_out}")
 
-    return 0 if identical else 1
+    return 0 if identical and delta_pays else 1
 
 
 if __name__ == "__main__":

@@ -176,12 +176,6 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                         "serial; delta cuts steady-state bytes/round ~30%% "
                         "on a converging run; quantized is float16 -- "
                         "lossy, opt-in).  In-process executors ignore it")
-    p.add_argument("--codec-level", type=int, default=None, metavar="0-9",
-                   help="compression level for codecs that have one "
-                        "(delta's zlib level; default keeps the codec's "
-                        "registered default, 6).  Encoder-local: the "
-                        "decoded bits never change, so peers need not "
-                        "agree on it")
     p.add_argument("--reconnect-grace", type=float, default=0.0,
                    metavar="SECONDS",
                    help="let a worker whose TCP connection drops resume "
@@ -226,17 +220,11 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
         test_size=args.test_size,
         model=args.model,
     )
-    # --codec/--codec-level thread through TrainingConfig (what the
-    # executors read); commands without executor flags (estimate/privacy)
-    # have no codec.
+    # --codec threads through TrainingConfig (what the executors read);
+    # commands without executor flags (estimate/privacy) have no codec.
     codec = getattr(args, "codec", "raw")
-    level = getattr(args, "codec_level", None)
-    if codec != "raw" or level is not None:
-        cfg = cfg.with_(
-            training=cfg.resolved_training().with_(
-                codec=codec, codec_level=level
-            )
-        )
+    if codec != "raw":
+        cfg = cfg.with_(training=cfg.resolved_training().with_(codec=codec))
     return cfg
 
 

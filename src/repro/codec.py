@@ -15,13 +15,13 @@ encodes it through a :class:`WeightCodec`.  Three codecs ship:
   distance is zigzag-encoded.  Every step is a bijection, so the decode
   is bit-identical by construction (NaN payloads, signed zeros and
   subnormals included) -- a float subtract/add pair could never promise
-  that.  On a converging run consecutive weight vectors are a few ULPs
-  apart relative to their magnitude, so the high-order bytes of every
-  encoded distance are zero; a byte-shuffle (all first bytes of every
-  word, then all second bytes, ...) turns those into long runs that zlib
-  squeezes to within ~1% of the planes' empirical entropy.  This is what
-  cuts the steady-state bytes-per-round on the wire (>= 30% on a
-  converged loopback run; see ``benchmarks/bench_distributed_loopback``).
+  that.  The distances travel *plane-wise* (:class:`DeltaCodec` has the
+  layout): each of their 8 byte planes is elided when all zero, stored
+  when it is mantissa noise and deflated only when it is structured.
+  This is what cuts the steady-state bytes-per-round on the wire
+  (>= 30% on a converged loopback run; see
+  ``benchmarks/bench_distributed_loopback``) without paying a deflate
+  pass over bytes that cannot compress.
 * ``quantized`` -- **lossy**, opt-in, never the default: float16
   truncation (4x smaller on the wire).  Excluded from every bit-identity
   gate; covered by accuracy-tolerance tests instead.  Needs no baseline.
@@ -42,8 +42,9 @@ bit-identity gates.
 
 from __future__ import annotations
 
+import struct
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +63,7 @@ __all__ = [
     "codec_for_id",
     "codec_names",
     "CODEC_NAMES",
+    "PLANE_MODES",
 ]
 
 
@@ -167,20 +169,6 @@ class WeightCodec:
             )
         return base
 
-    def with_level(self, level: Optional[int]) -> "WeightCodec":
-        """A codec configured for compression ``level`` (``None`` = self).
-
-        Codecs without a compression knob accept only ``None``; the
-        delta codec returns a level-configured twin (same name and wire
-        id -- the level is an encoder-local choice, decode is
-        level-agnostic, so peers never need to agree on it).
-        """
-        if level is None:
-            return self
-        raise ValueError(
-            f"codec {self.name!r} has no compression level to configure"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r} id={self.codec_id}>"
 
@@ -212,6 +200,8 @@ class RawCodec(WeightCodec):
 
 #: Sign bit of the IEEE-754 bit pattern (the total-order map's pivot).
 _SIGN_BIT = np.uint64(1) << np.uint64(63)
+_SHIFT_63 = np.int64(63)
+_ONE = np.uint64(1)
 
 
 def _total_order_key(bits: np.ndarray) -> np.ndarray:
@@ -219,28 +209,102 @@ def _total_order_key(bits: np.ndarray) -> np.ndarray:
 
     Negative floats map below positive ones and every distinct bit
     pattern (NaN payloads included) keeps a distinct key, so ULP
-    distances between nearby values are small integers.
+    distances between nearby values are small integers.  Negative
+    patterns are complemented and positive ones get the sign bit set --
+    one XOR with a mask built from the arithmetic sign shift.  Returns a
+    fresh array; ``bits`` is never written.
     """
-    negative = (bits >> np.uint64(63)).astype(bool)
-    return np.where(negative, ~bits, bits | _SIGN_BIT)
+    mask = (bits.view(np.int64) >> _SHIFT_63).view(np.uint64)
+    mask |= _SIGN_BIT
+    mask ^= bits
+    return mask
 
 
 def _total_order_unkey(keys: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_total_order_key`."""
-    positive = (keys >> np.uint64(63)).astype(bool)
-    return np.where(positive, keys & ~_SIGN_BIT, ~keys)
+    """Inverse of :func:`_total_order_key`; returns a fresh array."""
+    mask = ((~keys).view(np.int64) >> _SHIFT_63).view(np.uint64)
+    mask |= _SIGN_BIT
+    mask ^= keys
+    return mask
+
+
+#: Plane modes of the delta payload's table (one byte each on the wire).
+_PLANE_ZERO = 0  # every byte of the plane is zero; no body travels
+_PLANE_STORED = 1  # body is the plane verbatim (exactly n bytes)
+_PLANE_DEFLATE = 2  # body is one zlib stream inflating to exactly n bytes
+PLANE_MODES = {
+    _PLANE_ZERO: "zero",
+    _PLANE_STORED: "stored",
+    _PLANE_DEFLATE: "deflate",
+}
+#: The payload opens with 8 ``(mode: u8, body length: u32)`` entries, one
+#: per byte plane, least-significant plane first; bodies follow in order.
+_PLANE_TABLE = struct.Struct("!" + "BI" * 8)
+#: A plane whose order-0 byte entropy reaches this many bits per byte is
+#: stored: no entropy coder can take more than 1 - 7.5/8 (about 6%) off
+#: it, and on ULP deltas such planes are mantissa noise that deflate
+#: *grows*.  Measured planes are bimodal (>= 7.99 or <= 7.4), so the
+#: exact value is not a tuning point.
+_STORE_ENTROPY_BITS = 7.5
+#: The probe histograms about this many evenly strided bytes of a plane;
+#: enough that uniform noise reads >= 7.9 bits.
+_PROBE_BYTES = 4096
+
+
+def _looks_incompressible(plane: np.ndarray) -> bool:
+    """Order-0 entropy probe over a strided sample of one byte plane."""
+    sample = plane[:: max(1, plane.size // _PROBE_BYTES)]
+    counts = np.bincount(sample)
+    counts = counts[counts > 0].astype(np.float64)
+    entropy = np.log2(sample.size) - float(
+        (counts * np.log2(counts)).sum()
+    ) / sample.size
+    return entropy >= _STORE_ENTROPY_BITS
+
+
+def _deflate_plane(plane: np.ndarray) -> bytes:
+    """Deflate one structured plane: fastest level, run-length strategy.
+
+    ULP-delta planes carry no LZ77 back-reference structure beyond runs
+    of one byte (zeros, mostly), so ``Z_RLE`` + Huffman is both faster
+    and *smaller* here than the default strategy at any level.
+    """
+    deflater = zlib.compressobj(1, zlib.DEFLATED, zlib.MAX_WBITS, 9, zlib.Z_RLE)
+    return deflater.compress(plane) + deflater.flush()
 
 
 class DeltaCodec(WeightCodec):
-    """Lossless ULP-delta against a shared baseline, byte-shuffled + zlib.
+    """Lossless ULP-delta against a shared baseline, coded plane by plane.
 
     ``encode(w, baseline)`` maps both vectors through the total-order
     bijection, subtracts the keys modulo 2^64, zigzag-encodes the signed
-    distances, regroups the 8 bytes of every word by byte *position* (so
-    the zero high-order bytes of a converging delta form long contiguous
-    runs) and deflates the result.  ``decode`` reverses each step; every
-    step is a bijection, so the round trip is bit-identical by
-    construction, whatever the values (NaNs and signed zeros included).
+    distances and regroups the 8 little-endian bytes of every word by
+    byte *position* into 8 planes of ``n`` bytes.  Payload layout::
+
+        table   8 x (mode: u8, length: u32)      plane 0 (LSB) .. plane 7
+        bodies  concatenated in plane order, ``length`` bytes each
+
+    with, per plane, ``mode`` one of
+
+    * ``zero`` (0): the plane is all zero -- length 0, nothing travels
+      (the high-order planes of a converging delta; all 8 when the vector
+      equals its baseline);
+    * ``stored`` (1): the body is the plane verbatim, length ``n`` --
+      chosen when the plane's byte histogram is near-uniform
+      (:func:`_looks_incompressible`; the low-order planes are mantissa
+      noise), or when deflating it did not make it smaller;
+    * ``deflate`` (2): the body is one zlib stream that inflates to
+      exactly ``n`` bytes -- only structured planes pay for a deflate.
+
+    The stored-vs-deflate choice is a property the encoder observes in
+    its input, not an option: the decoder reads the mode from the table,
+    so peers never need to agree on anything.  ``decode`` validates the
+    table against the payload length before touching a body, inflates
+    each deflate plane under an ``n``-byte bound (a corrupt or malicious
+    payload can never allocate more than the ``8 * n`` bytes the header
+    promised) and reverses each bijection, so the round trip is
+    bit-identical by construction, whatever the values (NaNs and signed
+    zeros included).
     """
 
     name = "delta"
@@ -248,44 +312,119 @@ class DeltaCodec(WeightCodec):
     lossless = True
     requires_baseline = True
 
-    #: zlib level 6 sits within ~1% of the byte planes' empirical entropy
-    #: on converged training deltas; higher levels buy nothing measurable.
-    #: The default is deliberately unchanged -- ``level`` (or
-    #: ``TrainingConfig.codec_level``) trades encode CPU against wire
-    #: bytes per deployment; the encode-time-vs-bytes sweep lives in
-    #: ``benchmarks/bench_distributed_loopback``.
-    COMPRESSION_LEVEL = 6
+    def planes(
+        self, flat: np.ndarray, baseline: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The zigzag ULP distances as an ``(n, 8)`` byte array.
 
-    def __init__(self, level: Optional[int] = None) -> None:
-        if level is None:
-            level = self.COMPRESSION_LEVEL
-        if not 0 <= int(level) <= 9:
-            raise ValueError(
-                f"delta compression level must be in [0, 9], got {level}"
-            )
-        self.level = int(level)
+        Column ``j`` is byte plane ``j`` (least significant first).
+        First half of :meth:`encode`; public so the loopback benchmark
+        can report each plane's mode, size and cost.
+        """
+        arr = _as_flat_f64(flat, "flat weights")
+        base = self._check_baseline(baseline, arr.size)
+        distance = _total_order_key(arr.view("<u8"))
+        distance -= _total_order_key(base.view("<u8"))  # mod-2^64 wrap
+        signed = distance.view(np.int64)
+        zigzag = signed << 1
+        zigzag ^= signed >> _SHIFT_63
+        zigzag = zigzag.view(np.uint64).astype("<u8", copy=False)
+        return zigzag.view(np.uint8).reshape(arr.size, 8)
 
-    def with_level(self, level: Optional[int]) -> "WeightCodec":
-        if level is None or int(level) == self.level:
-            return self
-        return DeltaCodec(level=level)
+    @staticmethod
+    def encode_plane(plane: np.ndarray) -> Tuple[int, bytes]:
+        """``(mode, body)`` for one contiguous byte plane."""
+        if not plane.any():
+            return _PLANE_ZERO, b""
+        if not _looks_incompressible(plane):
+            body = _deflate_plane(plane)
+            if len(body) < plane.size:
+                return _PLANE_DEFLATE, body
+        return _PLANE_STORED, plane.tobytes()
 
     def encode(
         self, flat: np.ndarray, baseline: Optional[np.ndarray] = None
     ) -> bytes:
-        arr = _as_flat_f64(flat, "flat weights")
-        base = self._check_baseline(baseline, arr.size)
-        keys = _total_order_key(arr.view("<u8"))
-        base_keys = _total_order_key(base.view("<u8"))
-        distance = (keys - base_keys).view(np.int64)  # mod-2^64 wrap
-        zigzag = ((distance << 1) ^ (distance >> 63)).view(np.uint64)
-        # Byte-shuffle: (n, 8) little-endian word bytes -> (8, n), so the
-        # near-always-zero high-order bytes of a converging delta are
-        # contiguous runs.
-        shuffled = np.ascontiguousarray(
-            zigzag.view(np.uint8).reshape(-1, 8).T
-        ).tobytes()
-        return zlib.compress(shuffled, self.level)
+        word_bytes = self.planes(flat, baseline)
+        table: List[int] = []
+        bodies: List[bytes] = []
+        for j in range(8):
+            mode, body = self.encode_plane(
+                np.ascontiguousarray(word_bytes[:, j])
+            )
+            table += (mode, len(body))
+            bodies.append(body)
+        return _PLANE_TABLE.pack(*table) + b"".join(bodies)
+
+    @staticmethod
+    def _parse_table(payload: bytes, n: int) -> List[Tuple[int, int, int]]:
+        """Validate the plane table; returns ``(mode, offset, length)`` x 8.
+
+        Every structural lie is caught here, before any body is read:
+        a short table, an unknown mode, a zero plane with a body, a
+        stored plane that is not ``n`` bytes, and lengths that do not
+        sum to exactly the payload (truncation or trailing bytes).
+        """
+        if len(payload) < _PLANE_TABLE.size:
+            raise CodecError(
+                f"delta payload of {len(payload)} bytes is shorter than "
+                f"its {_PLANE_TABLE.size}-byte plane table"
+            )
+        fields = _PLANE_TABLE.unpack_from(payload)
+        planes = []
+        offset = _PLANE_TABLE.size
+        for j, (mode, length) in enumerate(zip(fields[0::2], fields[1::2])):
+            if mode not in PLANE_MODES:
+                raise CodecError(
+                    f"delta plane {j} has unknown mode byte {mode} "
+                    f"(known: {sorted(PLANE_MODES)})"
+                )
+            if mode == _PLANE_ZERO and length != 0:
+                raise CodecError(
+                    f"delta plane {j} is marked zero but carries a "
+                    f"{length}-byte body"
+                )
+            if mode == _PLANE_STORED and length != n:
+                raise CodecError(
+                    f"delta plane {j} is stored as {length} bytes, "
+                    f"expected {n}"
+                )
+            planes.append((mode, offset, length))
+            offset += length
+        if offset != len(payload):
+            raise CodecError(
+                f"delta plane table accounts for {offset} bytes but the "
+                f"payload has {len(payload)} (truncated or trailing bytes)"
+            )
+        return planes
+
+    @staticmethod
+    def _inflate_plane(body: bytes, n: int, j: int) -> bytes:
+        """Inflate one plane body under an ``n``-byte bound."""
+        inflater = zlib.decompressobj()
+        try:
+            # zlib reads max_length=0 as "unbounded": hold an empty
+            # vector's plane to one byte, which the length check rejects.
+            raw = inflater.decompress(body, max(n, 1))
+        except zlib.error as exc:
+            raise CodecError(
+                f"delta plane {j} does not inflate: {exc}"
+            ) from exc
+        if inflater.unconsumed_tail or not inflater.eof:
+            raise CodecError(
+                f"delta plane {j} inflates past the expected {n} bytes "
+                "(corrupt frame?)"
+            )
+        if len(raw) != n:
+            raise CodecError(
+                f"delta plane {j} inflated to {len(raw)} bytes, expected {n}"
+            )
+        if inflater.unused_data:
+            raise CodecError(
+                f"delta plane {j} has {len(inflater.unused_data)} bytes "
+                "after the end of its zlib stream"
+            )
+        return raw
 
     def decode(
         self,
@@ -294,41 +433,25 @@ class DeltaCodec(WeightCodec):
         baseline: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         base = self._check_baseline(baseline, expected_size)
-        expected_bytes = expected_size * 8
-        # Bounded decompression: a corrupt or malicious payload must not
-        # be allowed to inflate past the size the header promised.
-        inflater = zlib.decompressobj()
-        try:
-            raw = inflater.decompress(payload, expected_bytes)
-        except zlib.error as exc:
-            raise CodecError(f"delta payload does not inflate: {exc}") from exc
-        if inflater.unconsumed_tail or not inflater.eof:
-            raise CodecError(
-                f"delta payload inflates past the expected {expected_bytes} "
-                "bytes (corrupt frame?)"
-            )
-        if len(raw) != expected_bytes:
-            raise CodecError(
-                f"delta payload inflated to {len(raw)} bytes, expected "
-                f"{expected_bytes}"
-            )
-        if expected_size == 0:
-            return np.empty(0, dtype=np.float64)
-        zigzag = (
-            np.ascontiguousarray(
-                np.frombuffer(raw, dtype=np.uint8).reshape(8, -1).T
-            )
-            .reshape(-1)
-            .view("<u8")
-            .astype(np.uint64)
-        )
-        distance = (zigzag >> np.uint64(1)).view(np.int64) ^ -(
-            zigzag & np.uint64(1)
-        ).view(np.int64)
-        base_keys = _total_order_key(base.view("<u8"))
-        keys = base_keys + distance.view(np.uint64)  # mod-2^64 wrap
-        out = _total_order_unkey(keys).view("<f8")
-        return out.astype(np.float64, copy=True)
+        n = expected_size
+        planes = self._parse_table(payload, n)
+        word_bytes = np.empty((n, 8), dtype=np.uint8)
+        for j, (mode, offset, length) in enumerate(planes):
+            if mode == _PLANE_ZERO:
+                word_bytes[:, j] = 0
+            elif mode == _PLANE_STORED:
+                word_bytes[:, j] = np.frombuffer(payload, np.uint8, n, offset)
+            else:
+                raw = self._inflate_plane(
+                    payload[offset : offset + length], n, j
+                )
+                word_bytes[:, j] = np.frombuffer(raw, np.uint8)
+        zigzag = word_bytes.reshape(-1).view("<u8").astype(np.uint64, copy=False)
+        keys = zigzag >> _ONE
+        zigzag &= _ONE
+        keys ^= (-zigzag.view(np.int64)).view(np.uint64)  # un-zigzag
+        keys += _total_order_key(base.view("<u8"))  # mod-2^64 wrap
+        return _total_order_unkey(keys).view("<f8").astype(np.float64, copy=False)
 
 
 class QuantizedCodec(WeightCodec):
@@ -398,13 +521,8 @@ def register_codec(codec: WeightCodec) -> WeightCodec:
     return codec
 
 
-def get_codec(name: str, level: Optional[int] = None) -> WeightCodec:
-    """Look a codec up by name; raises ``ValueError`` for unknown names.
-
-    ``level`` configures the codec's compression level when it has one
-    (today: ``delta``'s zlib level); ``None`` keeps the registered
-    default, and passing a level to a codec without the knob raises.
-    """
+def get_codec(name: str) -> WeightCodec:
+    """Look a codec up by name; raises ``ValueError`` for unknown names."""
     try:
         codec = _BY_NAME[name]
     except KeyError:
@@ -413,7 +531,7 @@ def get_codec(name: str, level: Optional[int] = None) -> WeightCodec:
         ) from None
     if telemetry.enabled():
         telemetry.count("codec.registry_lookups", 1, codec=codec.name)
-    return codec.with_level(level)
+    return codec
 
 
 def codec_for_id(codec_id: int) -> WeightCodec:

@@ -82,12 +82,6 @@ class TrainingConfig:
         bit-identical to in-process execution; ``quantized`` (float16)
         is lossy and strictly opt-in.  In-process backends pass weights
         by reference or shared memory and ignore the codec.
-    codec_level:
-        Optional compression level for codecs that have one (today:
-        ``delta``'s zlib level, 0-9).  ``None`` keeps the codec's
-        registered default (6 for ``delta``); the knob is encoder-local
-        and never changes the decoded bits, so peers need not agree on
-        it.  Setting it for a codec without the knob is a config error.
     pipeline:
         Default for the servers' round pipelining (overlap round ``r``'s
         evaluation with round ``r+1``'s training; see
@@ -106,7 +100,6 @@ class TrainingConfig:
     workers: int = 1
     endpoint: Optional[str] = None
     codec: str = "raw"
-    codec_level: Optional[int] = None
     pipeline: bool = False
 
     def __post_init__(self) -> None:
@@ -130,16 +123,12 @@ class TrainingConfig:
         # Lazily validated against the codec registry (the single source
         # of truth, which custom codecs may extend) -- config stays a
         # leaf module with no import-time dependency on the codec layer.
-        from repro.codec import codec_names, get_codec
+        from repro.codec import codec_names
 
         if self.codec not in codec_names():
             raise ValueError(
                 f"codec must be one of {codec_names()}, got {self.codec!r}"
             )
-        if self.codec_level is not None:
-            # Delegates range/support checks to the codec itself (raises
-            # for out-of-range levels and for codecs without the knob).
-            get_codec(self.codec, level=self.codec_level)
         if self.endpoint is not None:
             parse_endpoint(self.endpoint)
         if self.lr <= 0:

@@ -11,8 +11,10 @@
   capacity-weighted worker cycle -- the same scheme as
   :class:`repro.execution.process.ProcessExecutor`, so every client's
   training RNG stream advances in exactly one address space.
-* **Rounds.**  The global flat weight vector is broadcast once per
-  participating worker per round; jobs are dispatched per worker;
+* **Rounds.**  The global flat weight vector reaches each participating
+  worker once per round -- encoded once and fanned out, or not sent at
+  all when the worker already holds it (see below); jobs are
+  dispatched per worker;
   updates stream back in completion order and are reordered into
   request order before the server sees them.  Every update carries the
   client's advanced RNG state, which is applied to the coordinator's
@@ -27,6 +29,18 @@
   baseline exists -- first broadcast on a connection, or right after a
   reconnect -- the coordinator falls back to ``raw`` for that frame;
   the codec id in the header keeps every frame self-describing.
+* **Encode once, alias when resident (v7).**  Each cohort seq holds one
+  read-only copy of its weight vector, shared by every per-worker
+  mirror.  A BROADCAST frame is encoded once per ``(seq, codec,
+  baseline_seq)`` and the same bytes go to every worker whose mirror
+  names that baseline; a worker whose mirror lags (it sat out a round)
+  gets its own encode.  When the vector is bit-identical to the newest
+  one a worker retains -- the training broadcast that follows a global
+  evaluation of the same weights -- the coordinator sends a header-only
+  *alias* frame instead, for any codec: no payload, no codec call on
+  either side.  The always-on ``wire.broadcast_encodes`` /
+  ``wire.broadcast_frames_reused`` / ``wire.broadcast_aliases``
+  counters say which path each broadcast took.
 * **Population sharding (v6).**  When the bound pool is the lazy
   :class:`~repro.simcluster.population.PopulationClients` view over a
   :class:`~repro.simcluster.population.PopulationStore`, pinning ships
@@ -132,8 +146,10 @@ class _WorkerHandle:
     final.  ``gen`` counts connections (bumped per resume) so events
     from a stale reader thread can be told from live ones.
     ``baselines`` mirrors the worker's retained-BROADCAST cache for the
-    *current* connection -- the delta codec's shared state -- and is
-    cleared on every resume (the worker is resynced raw).
+    *current* connection -- what a delta frame may name as its baseline
+    and what an alias frame may name at all -- and is cleared on every
+    resume (the worker is resynced raw).  Its values are the per-seq
+    read-only vectors of :class:`_InFlight`, shared across workers.
     """
 
     def __init__(
@@ -154,8 +170,8 @@ class _WorkerHandle:
         self.ping_sent_at: Optional[float] = None
         #: The worker's TELEMETRY summary (arrives during shutdown).
         self.summary: Optional[Dict[str, object]] = None
-        # Serialises baseline-cache mutation with the frame send/decode
-        # that must agree with it (train and eval drivers share a handle).
+        # Serialises baseline-cache mutation with the frame send that
+        # must agree with it (train and eval drivers share a handle).
         self.lock = threading.Lock()
         self.baselines: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
@@ -173,6 +189,13 @@ class _InFlight:
     records the connection generation each worker's jobs were last sent
     on, so a resume re-dispatches exactly when the jobs were sent to a
     connection that no longer exists.
+
+    ``weights`` is this seq's one immutable copy of the vector: every
+    worker's baseline mirror and every encode read the same array.
+    ``frames`` caches the encoded BROADCAST per ``(codec_id,
+    baseline_seq)``; a seq names one vector, so the key identifies the
+    bytes, and a resumed worker's empty mirror selects ``(raw, 0)`` --
+    the raw resync can never be served a stale delta frame.
     """
 
     def __init__(
@@ -180,7 +203,9 @@ class _InFlight:
     ) -> None:
         self.seq = seq
         self.round_idx = round_idx
-        self.weights = np.ascontiguousarray(np.asarray(weights, np.float64))
+        self.weights = np.array(weights, dtype=np.float64, order="C")
+        self.weights.setflags(write=False)
+        self.frames: Dict[Tuple[int, int], bytes] = {}
         self.kind = kind  # "train" | "eval" | "eval_model"
         self.pending: Dict[int, List[_Job]] = {}
         self.broadcasted: Set[int] = set()
@@ -283,6 +308,11 @@ class DistributedExecutor(ClientExecutor):
         # worker_id -> the summary its TELEMETRY frame carried.
         self._worker_summaries: Dict[int, Dict[str, object]] = {}
         self._eval_shipped = False
+        # How each BROADCAST left: a fresh encode, a cached frame fanned
+        # out again, or a header-only alias.  Always on (plain ints);
+        # bumped from both collector threads, hence the lock.
+        self._broadcast_stats = {"encodes": 0, "frames_reused": 0, "aliases": 0}
+        self._broadcast_stats_lock = threading.Lock()
         self._accept_thread: Optional[threading.Thread] = None
         # Serialises seq allocation across concurrent train/eval drivers.
         self._submit_lock = threading.Lock()
@@ -377,6 +407,18 @@ class DistributedExecutor(ClientExecutor):
         return self._by_type(
             self._closed_bytes_received_by_type, "bytes_received_by_type"
         )
+
+    @property
+    def broadcast_stats(self) -> Dict[str, int]:
+        """BROADCASTs by how they left: ``encodes`` (a codec ran),
+        ``frames_reused`` (a cached frame fanned out to another worker),
+        ``aliases`` (header-only, the worker already held the vector)."""
+        with self._broadcast_stats_lock:
+            return dict(self._broadcast_stats)
+
+    def _count_broadcast(self, how: str) -> None:
+        with self._broadcast_stats_lock:
+            self._broadcast_stats[how] += 1
 
     @property
     def worker_summaries(self) -> Dict[int, Dict[str, object]]:
@@ -950,49 +992,81 @@ class DistributedExecutor(ClientExecutor):
     # ------------------------------------------------------------------
     # codec-aware broadcast + dispatch
     # ------------------------------------------------------------------
-    def _send_broadcast(self, handle: _WorkerHandle, seq: int,
-                        weights: np.ndarray) -> None:
-        """Send one worker this seq's weights through the bound codec.
+    def _broadcast_frame(
+        self, handle: _WorkerHandle, state: _InFlight
+    ) -> Tuple[bytes, np.ndarray]:
+        """The cheapest BROADCAST frame that gets ``state``'s weights to
+        one worker, and the array its mirror should retain for the seq.
 
-        For the delta codec the baseline is the most recent entry of the
-        per-connection mirror of the worker's retained-BROADCAST cache;
-        with no shared baseline (first send on a connection, post-resume
-        resync) the frame falls back to raw.  Mirror maintenance is the
-        invariant that makes delta safe: both caches see the same
-        insertions in the same order with the same retention bound, so
-        any baseline the encoder picks is still retained by the decoder.
-
-        Caller must hold ``handle.lock`` (``_dispatch_to`` does): the
-        baseline mirror and the wire must observe sends in one order.
+        * The worker's newest retained vector is bit-identical (the
+          evaluation broadcast of a moment ago): a header-only **alias**
+          frame, whatever the codec.  Compared as bytes, not floats, so
+          NaN payloads and ``-0.0`` are honoured; the retained array
+          then serves both seqs.
+        * Otherwise one frame per ``(codec, baseline_seq)`` is encoded
+          and cached on ``state``; every worker whose mirror names the
+          same baseline receives the same bytes.  For the delta codec
+          the baseline is the mirror's newest entry; with an empty
+          mirror (first send on a connection, post-resume resync) the
+          frame falls back to raw.
         """
+        mirror = handle.baselines
+        weights = state.weights
+        newest_seq = next(reversed(mirror), 0)  # 0 = nothing retained
+        newest = mirror.get(newest_seq)
+        if newest is not None and (
+            newest is weights
+            or np.array_equal(newest.view(np.uint64), weights.view(np.uint64))
+        ):
+            self._count_broadcast("aliases")
+            frame = proto.encode_broadcast_alias(
+                state.seq, weights.size, newest_seq
+            )
+            return frame, newest
         codec = self.codec
-        use = codec
-        baseline: Optional[np.ndarray] = None
-        baseline_seq = 0
-        if codec.requires_baseline:
-            if handle.baselines:
-                baseline_seq = next(reversed(handle.baselines))
-                baseline = handle.baselines[baseline_seq]
-            else:
-                use = get_codec("raw")
+        if codec.requires_baseline and newest is None:
+            codec = get_codec("raw")
+        baseline_seq = newest_seq if codec.requires_baseline else 0
+        key = (codec.codec_id, baseline_seq)
+        frame = state.frames.get(key)
+        if frame is not None:
+            self._count_broadcast("frames_reused")
+            return frame, weights
         collect = telemetry.enabled()
         t0 = time.perf_counter() if collect else 0.0
         frame = proto.encode_broadcast(
-            seq, weights, codec=use, baseline=baseline,
+            state.seq,
+            weights,
+            codec=codec,
+            baseline=newest if codec.requires_baseline else None,
             baseline_seq=baseline_seq,
         )
         if collect:
             telemetry.observe(
-                "codec.encode_s", time.perf_counter() - t0, codec=use.name
+                "codec.encode_s", time.perf_counter() - t0, codec=codec.name
             )
+        state.frames[key] = frame
+        self._count_broadcast("encodes")
+        return frame, weights
+
+    def _send_broadcast(self, handle: _WorkerHandle, state: _InFlight) -> None:
+        """Send one worker this seq's weights and mirror what it retains.
+
+        Mirror maintenance is the invariant that makes delta and alias
+        frames safe: mirror and worker cache see the same insertions in
+        the same order with the same retention bound, so any seq the
+        coordinator names is still retained by the worker.
+
+        Caller must hold ``handle.lock`` (``_dispatch_to`` does): the
+        baseline mirror and the wire must observe sends in one order.
+        """
+        frame, retained = self._broadcast_frame(handle, state)
         handle.conn.send(proto.MsgType.BROADCAST, frame)
-        if codec.requires_baseline:
-            handle.baselines[seq] = np.array(
-                weights, dtype=np.float64, copy=True
-            )
-            handle.baselines.move_to_end(seq)
-            while len(handle.baselines) > BROADCAST_RETAIN:
-                handle.baselines.popitem(last=False)
+        mirror = handle.baselines
+        mirror[state.seq] = retained
+        mirror.move_to_end(state.seq)
+        while len(mirror) > BROADCAST_RETAIN:
+            mirror.popitem(last=False)
 
     def _dispatch_to(
         self, handle: _WorkerHandle, state: _InFlight, jobs: List[_Job]
@@ -1008,7 +1082,7 @@ class DistributedExecutor(ClientExecutor):
         with handle.lock:
             gen = handle.gen
             if handle.id not in state.broadcasted:
-                self._send_broadcast(handle, state.seq, state.weights)
+                self._send_broadcast(handle, state)
                 state.broadcasted.add(handle.id)
             if state.kind == "train":
                 handle.conn.send(
@@ -1187,22 +1261,29 @@ class DistributedExecutor(ClientExecutor):
         return dead
 
     def _decode_update_frame(self, wid: int, payload: bytes, state: _InFlight):
-        """Decode an UPDATE against the worker's baseline mirror.
+        """Decode an UPDATE of the in-flight training cohort.
 
-        Returns the decoded tuple, or ``None`` when the frame was stale
-        (an abandoned cohort's update whose delta baseline may already
-        be gone) or fatally malformed (the worker is then retired).
+        A worker's delta UPDATE names the broadcast it trained from
+        (``baseline_seq == seq``), which is ``state.weights`` whichever
+        connection carried it -- so the decode needs no per-worker
+        mirror, and an UPDATE read off a connection that has since been
+        resumed (its mirror cleared) still decodes.  Returns the decoded
+        tuple, or ``None`` when the frame was stale (an abandoned
+        cohort's update: dropped undecoded) or fatally malformed (the
+        worker is then retired).
         """
-        handle = self._handles[wid]
         collect = telemetry.enabled()
         try:
+            if proto.update_seq(payload) != state.seq:
+                # Stale result from an abandoned cohort (see the
+                # equivalent note in ProcessExecutor.train_cohort).
+                return None
             t0 = time.perf_counter() if collect else 0.0
-            with handle.lock:
-                decoded = proto.decode_update(
-                    payload,
-                    baselines=handle.baselines,
-                    expected_size=self._num_params,
-                )
+            decoded = proto.decode_update(
+                payload,
+                baselines={state.seq: state.weights},
+                expected_size=self._num_params,
+            )
             if collect:
                 telemetry.observe(
                     "codec.decode_s",
@@ -1211,12 +1292,6 @@ class DistributedExecutor(ClientExecutor):
                 )
             return decoded
         except proto.ProtocolError as exc:
-            try:
-                stale = proto.update_seq(payload) != state.seq
-            except proto.ProtocolError:
-                stale = False
-            if stale:
-                return None
             self._handle_worker_death(wid, state, f"malformed UPDATE: {exc}")
             return None
 
@@ -1305,11 +1380,7 @@ class DistributedExecutor(ClientExecutor):
                 decoded = self._decode_update_frame(wid, payload, state)
                 if decoded is None:
                     continue
-                msg_seq, cid, n_samples, rng_state, w = decoded
-                if msg_seq != seq:
-                    # Stale result from an abandoned cohort (see the
-                    # equivalent note in ProcessExecutor.train_cohort).
-                    continue
+                _seq, cid, n_samples, rng_state, w = decoded
                 # Clear the job from *every* worker's pending list: a dead
                 # worker's in-flight update can land after its job was
                 # already reassigned, and the replica's copy must not keep
@@ -1616,6 +1687,8 @@ class DistributedExecutor(ClientExecutor):
                 except ValueError:
                     label = str(key)
                 telemetry.count(name, value, msg_type=label)
+        for how, value in self.broadcast_stats.items():
+            telemetry.count(f"wire.broadcast_{how}", value)
         for wid, summary in sorted(self._worker_summaries.items()):
             busy = summary.get("busy_s")
             if isinstance(busy, (int, float)):

@@ -17,7 +17,9 @@ The conversation:
       |                                      |
       |<-- BROADCAST {seq, codec,            |   per round; weights travel
       |       baseline_seq, weights} --------|   through a repro.codec
-      |<-- TRAIN {seq, round, jobs} ---------|   weight-transport codec
+      |    (or header-only alias: codec 0,   |   weight-transport codec, or
+      |       baseline_seq = retained seq)   |   name a vector already held
+      |<-- TRAIN {seq, round, jobs} ---------|
       | -- UPDATE {seq, cid, n, codec,       |   one per client, carries
       |       baseline_seq, rng, w} -------->|   the advanced RNG state
       | -- TRAINFAIL {seq, cid, tb} -------->|
@@ -147,6 +149,40 @@ Version history (every entry is a wire-incompatible break: it bumps
   A v5 worker would choke on the unknown ASSIGN_SHARD frame, so the
   handshake REJECTs the mismatch naming both versions ("worker speaks
   v5, coordinator requires v6").
+* **v6 -> v7**: the delta codec pays for itself -- its payload and the
+  BROADCAST frame both changed shape.
+
+  ============  =====================================================
+  frame         v7 contract
+  ============  =====================================================
+  BROADCAST     gains a header-only **alias** form: ``codec_id`` 0
+                (never a registered codec) with ``baseline_seq``
+                naming a BROADCAST the worker still retains and *no
+                payload*.  The worker files the retained vector under
+                the new ``seq`` as well -- no bytes, no codec call on
+                either side.  The coordinator sends it, whatever the
+                configured codec (``raw`` included), when the vector
+                is bit-identical to the newest one the worker holds:
+                every round's training broadcast after the global
+                evaluation shipped the same weights a moment earlier.
+                An alias naming an evicted or unknown seq is a
+                :class:`ProtocolError` naming the retained seqs.
+  BROADCAST,    a ``delta`` payload is now *plane-wise*: an 8-entry
+  UPDATE        ``(mode, length)`` table, then one body per byte plane
+                of the zigzag ULP distances -- elided when all zero,
+                stored when near-uniform, deflated only when
+                structured (:class:`repro.codec.DeltaCodec` has the
+                layout).  It replaces the v4 "byte-shuffle everything,
+                zlib everything" payload; there is no second format
+                and no compression-level option any more
+                (``TrainingConfig.codec_level`` is gone from the
+                pickled ASSIGN config as well).
+  all others    byte-identical to v6.
+  ============  =====================================================
+
+  A v6 worker would feed the plane table to zlib and has no alias
+  form, so the handshake REJECTs the mismatch naming both versions
+  ("worker speaks v6, coordinator requires v7").
 
 Control messages are JSON (small, debuggable); client shipping uses
 pickle (the payload *is* Python objects: datasets, RNG streams); weight
@@ -191,6 +227,8 @@ __all__ = [
     "encode_assign_shard",
     "decode_assign_shard",
     "encode_broadcast",
+    "encode_broadcast_alias",
+    "broadcast_is_alias",
     "decode_broadcast",
     "encode_train",
     "decode_train",
@@ -221,9 +259,11 @@ __all__ = [
 #: quantized weight transport) and session tokens for worker
 #: reconnect-and-resume; v5 added the worker's end-of-session TELEMETRY
 #: summary frame; v6 added ASSIGN_SHARD (population store shards ship
-#: as column slices, O(cohort) steady-state wire cost).  Older peers
-#: are REJECTed at the handshake with a reason naming both versions.
-PROTOCOL_VERSION = 6
+#: as column slices, O(cohort) steady-state wire cost); v7 made the
+#: delta payload plane-wise (stored/deflate per byte plane, no level
+#: option) and added the header-only alias BROADCAST.  Older peers are
+#: REJECTed at the handshake with a reason naming both versions.
+PROTOCOL_VERSION = 7
 
 #: Hard cap on the parameter count a BROADCAST/UPDATE header may claim.
 #: Guards the decode path the same way the transport's frame-payload
@@ -689,6 +729,10 @@ _BROADCAST_HEADER = struct.Struct("!IQBI")
 # (seq, client_id, num_samples, rng_len, codec_id, baseline_seq)
 _UPDATE_HEADER = struct.Struct("!IIQIBI")
 
+#: ``codec_id`` of the header-only alias BROADCAST (v7): no registered
+#: codec can take 0, so the id doubles as the frame-form discriminator.
+_ALIAS_CODEC_ID = 0
+
 _RAW = get_codec("raw")
 
 
@@ -755,21 +799,62 @@ def encode_broadcast(
     )
 
 
+def encode_broadcast_alias(seq: int, num_params: int, alias_of: int) -> bytes:
+    """Header-only BROADCAST: cohort ``seq`` trains/evaluates on the very
+    vector the receiver retains under ``alias_of`` (v7).
+
+    No payload and no codec call on either side; the sender must know
+    the two vectors are bit-identical and that ``alias_of`` is still
+    retained (the coordinator's per-worker mirror answers both).
+    """
+    return _BROADCAST_HEADER.pack(
+        int(seq), int(num_params), _ALIAS_CODEC_ID, int(alias_of)
+    )
+
+
+def broadcast_is_alias(payload: bytes) -> bool:
+    """Whether a BROADCAST frame is the alias form, from the header alone."""
+    if len(payload) < _BROADCAST_HEADER.size:
+        raise ProtocolError("truncated BROADCAST payload")
+    return _BROADCAST_HEADER.unpack_from(payload)[2] == _ALIAS_CODEC_ID
+
+
 def decode_broadcast(
     payload: bytes,
     baselines: Optional[Mapping[int, np.ndarray]] = None,
 ) -> Tuple[int, np.ndarray]:
-    """Inverse of :func:`encode_broadcast`.
+    """Inverse of :func:`encode_broadcast` / :func:`encode_broadcast_alias`.
 
     ``baselines`` maps retained BROADCAST seqs to their weight vectors
-    (what a v4 worker keeps); it is only consulted for codecs that need
-    a baseline, and a missing one raises :class:`ProtocolError` naming
-    the seqs actually retained.
+    (what a worker keeps); it is consulted for codecs that need a
+    baseline and for the alias form, and a missing seq raises
+    :class:`ProtocolError` naming the seqs actually retained.  An alias
+    resolves to the *retained array itself*, not a copy: retained
+    vectors are never written.
     """
     if len(payload) < _BROADCAST_HEADER.size:
         raise ProtocolError("truncated BROADCAST payload")
     seq, count, codec_id, baseline_seq = _BROADCAST_HEADER.unpack_from(payload)
     _check_count(count, "BROADCAST")
+    if codec_id == _ALIAS_CODEC_ID:
+        if len(payload) != _BROADCAST_HEADER.size:
+            raise ProtocolError(
+                f"alias BROADCAST carries a "
+                f"{len(payload) - _BROADCAST_HEADER.size}-byte payload"
+            )
+        if baselines is None or baseline_seq not in baselines:
+            have = sorted(baselines) if baselines else []
+            raise ProtocolError(
+                f"alias BROADCAST names seq {baseline_seq} but the "
+                f"retained BROADCASTs are {have}"
+            )
+        weights = baselines[baseline_seq]
+        if weights.size != count:
+            raise ProtocolError(
+                f"alias BROADCAST claims {count} weight values but the "
+                f"retained seq {baseline_seq} holds {weights.size}"
+            )
+        return int(seq), weights
     try:
         codec = codec_for_id(codec_id)
     except ValueError as exc:

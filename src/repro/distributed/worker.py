@@ -31,7 +31,9 @@ Weight transport is codec-pluggable (v4): broadcasts decode through the
 codec named in their header (delta frames resolve against the retained
 BROADCAST cache), and UPDATEs are encoded with ``TrainingConfig.codec``
 -- for ``delta``, against the broadcast the client just trained from,
-which both peers hold by construction.
+which both peers hold by construction.  A header-only *alias* BROADCAST
+(v7) names a retained seq instead of carrying weights: the retained
+vector is filed under the new seq too, with no codec call at all.
 
 Telemetry (v5): the agent keeps plain always-on counters (requests
 served, codec encode/decode seconds, busy seconds, reconnects) -- not
@@ -151,6 +153,7 @@ class WorkerAgent:
             "eval_requests": 0,
             "eval_model_requests": 0,
             "broadcasts_received": 0,
+            "broadcast_aliases": 0,
             "shards_received": 0,
             "reconnects": 0,
             "codec_encode_s": 0.0,
@@ -338,13 +341,23 @@ class WorkerAgent:
 
     def _store_broadcast(self, payload: bytes) -> None:
         # The retained broadcasts double as the delta-codec baseline
-        # cache; a re-broadcast of a seq (post-resume raw resync)
-        # overwrites in place without disturbing retention order.
+        # cache and as what an alias frame resolves against; a
+        # re-broadcast of a seq (post-resume raw resync) moves it to the
+        # young end, exactly as the coordinator's mirror does.
+        alias = proto.broadcast_is_alias(payload)
         t0 = time.perf_counter()
         seq, weights = proto.decode_broadcast(payload, baselines=self._broadcasts)
-        self._stats["codec_decode_s"] += time.perf_counter() - t0
+        if alias:
+            # No codec ran: the retained vector now serves both seqs.
+            self._stats["broadcast_aliases"] += 1
+        else:
+            self._stats["codec_decode_s"] += time.perf_counter() - t0
+            # Retained vectors are shared between seqs and read by every
+            # later delta decode/encode: never written.
+            weights.setflags(write=False)
         self._stats["broadcasts_received"] += 1
         self._broadcasts[seq] = weights
+        self._broadcasts.move_to_end(seq)
         while len(self._broadcasts) > BROADCAST_RETAIN:
             self._broadcasts.popitem(last=False)
 
@@ -380,9 +393,7 @@ class WorkerAgent:
         # Updates travel through the configured codec; for delta the
         # baseline is the broadcast this cohort trains from -- both
         # peers hold it by construction, first round included.
-        codec = get_codec(
-            self._training.codec, level=self._training.codec_level
-        )
+        codec = get_codec(self._training.codec)
         baseline = global_flat if codec.requires_baseline else None
         baseline_seq = seq if codec.requires_baseline else 0
         self._stats["train_requests"] += 1

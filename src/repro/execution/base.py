@@ -317,7 +317,7 @@ class ClientExecutor:
 
         if self._training is None:
             return get_codec("raw")
-        return get_codec(self._training.codec, level=self._training.codec_level)
+        return get_codec(self._training.codec)
 
     # ------------------------------------------------------------------
     def train_cohort(

@@ -20,8 +20,8 @@ comparison can be reproduced:
 
 No synchronous barrier means no straggler bound -- but stale updates from
 slow clients drag accuracy, which is exactly the trade-off the paper's
-argument rests on.  ``benchmarks/bench_ablation_async.py`` compares this
-server against synchronous vanilla and TiFL.
+argument rests on.  ``benchmarks/bench_ablation_baselines.py`` compares
+this server against synchronous vanilla and TiFL.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ first -- a malformed file is an error, never a half-summary) and prints:
 * per-phase/per-span latency: count, total, p50, p95 (exact
   nearest-rank percentiles over the recorded span durations);
 * wire traffic by frame type: frames and bytes in each direction, plus
-  bytes/round when round spans are present;
+  bytes/round when round spans are present, and how the BROADCAST
+  frames left (freshly encoded / cached frame reused / header-only
+  alias);
 * a worker table: per-worker busy seconds, utilization against the
   trace's wall-clock extent, and lifecycle counts (lost / resumed /
   retired).
@@ -61,6 +63,7 @@ def summarize_trace(path: str) -> Dict[str, Any]:
     for m in metrics:
         latest[(m["name"], tuple(sorted(m["labels"].items())))] = m["value"]
     wire: Dict[str, Dict[str, float]] = {}
+    broadcast_forms: Dict[str, float] = {}
     other_counters: Dict[str, float] = {}
     worker_busy: Dict[str, float] = {}
     for (name, labels), value in sorted(latest.items()):
@@ -80,6 +83,8 @@ def summarize_trace(path: str) -> Dict[str, Any]:
                 },
             )
             entry[name.split(".", 1)[1]] = float(value)
+        elif name.startswith("wire.broadcast_"):
+            broadcast_forms[name[len("wire.broadcast_"):]] = float(value)
         elif name == "distributed.worker.busy_s":
             worker_busy[str(label_map.get("worker", "?"))] = float(value)
         elif isinstance(value, (int, float)):
@@ -119,6 +124,7 @@ def summarize_trace(path: str) -> Dict[str, Any]:
         "meta": meta,
         "phases": phases,
         "wire": wire,
+        "broadcast_forms": broadcast_forms,
         "bytes_per_round": bytes_per_round,
         "workers": workers,
         "counters": other_counters,
@@ -209,6 +215,14 @@ def render_report(summary: Dict[str, Any]) -> str:
                 rows,
             )
         )
+        forms = summary["broadcast_forms"]
+        if forms:
+            out.append(
+                "  BROADCAST by form: "
+                f"{forms.get('encodes', 0):.0f} encoded, "
+                f"{forms.get('frames_reused', 0):.0f} cached frame reused, "
+                f"{forms.get('aliases', 0):.0f} header-only alias"
+            )
 
     if summary["workers"]:
         out.append("")

@@ -65,12 +65,13 @@ class TestEvalCodecs:
 
 
 class TestVersioning:
-    def test_protocol_version_is_6(self):
-        """v6 added the ASSIGN_SHARD frame (v5 added the worker
+    def test_protocol_version_is_7(self):
+        """v7 made the delta payload plane-wise and added the alias
+        BROADCAST (v6 added the ASSIGN_SHARD frame; v5 the worker
         TELEMETRY frame; v4 widened the BROADCAST/UPDATE headers and
         added resumable sessions); regressing the constant would let
-        shard-unaware workers join and then choke on their pin frame."""
-        assert proto.PROTOCOL_VERSION == 6
+        workers join that feed the plane table to zlib."""
+        assert proto.PROTOCOL_VERSION == 7
         assert proto.MsgType.EVAL == 13
         assert proto.MsgType.EVAL_RESULT == 14
         assert proto.MsgType.BIND_EVAL == 15
@@ -97,6 +98,22 @@ class TestVersioning:
         assert "version mismatch" in reason
         assert f"worker speaks v{stale_version}" in reason
         assert f"coordinator requires v{proto.PROTOCOL_VERSION}" in reason
+        worker_side.close()
+        ex.close()
+
+    def test_v6_worker_is_rejected_naming_6_and_7(self):
+        """The worker one release behind: it would inflate a plane table
+        as zlib and has no alias form, so it never gets past HELLO."""
+        ex = DistributedExecutor(workers=1)
+        a, b = socket.socketpair()
+        coord_side, worker_side = Connection(a), Connection(b)
+        worker_side.send(proto.MsgType.HELLO, proto.encode_hello(6, 1, 123))
+        assert ex._handshake(coord_side) is None
+        msg_type, payload = worker_side.recv(timeout=5.0)
+        assert msg_type == proto.MsgType.REJECT
+        reason = proto.decode_reject(payload)
+        assert "worker speaks v6" in reason
+        assert "coordinator requires v7" in reason
         worker_side.close()
         ex.close()
 

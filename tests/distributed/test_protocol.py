@@ -145,7 +145,6 @@ class TestCodecs:
 
     def test_assign_shard_round_trip(self):
         """v6: ASSIGN_SHARD carries an opaque shard blob + signature."""
-        assert proto.PROTOCOL_VERSION == 6
         blob = b"PSH1\x00\x00\x00\x02{}"
         payload = proto.encode_assign_shard(blob, None, "sig-abc", model=None)
         out = proto.decode_assign_shard(payload)
@@ -194,6 +193,57 @@ class TestCodecs:
             proto.decode_broadcast(blob, baselines={7: baseline})
         with pytest.raises(proto.ProtocolError, match="retained"):
             proto.decode_broadcast(blob)  # no baselines at all
+
+    def test_broadcast_alias_resolves_to_the_retained_array(self):
+        """v7: a header-only BROADCAST names a retained seq; the decoder
+        hands back that very array (no payload, no codec, no copy)."""
+        retained = np.array([np.nan, -0.0, 1.5])
+        blob = proto.encode_broadcast_alias(9, retained.size, 8)
+        assert len(blob) == proto._BROADCAST_HEADER.size
+        assert proto.broadcast_is_alias(blob)
+        assert not proto.broadcast_is_alias(proto.encode_broadcast(9, retained))
+        seq, back = proto.decode_broadcast(blob, baselines={8: retained})
+        assert seq == 9 and back is retained
+
+    def test_broadcast_alias_of_unknown_seq_names_retained_seqs(self):
+        blob = proto.encode_broadcast_alias(9, 3, 8)
+        with pytest.raises(proto.ProtocolError, match=r"retained .* \[5, 7\]"):
+            proto.decode_broadcast(blob, baselines={7: np.zeros(3), 5: np.zeros(3)})
+        with pytest.raises(proto.ProtocolError, match=r"retained .* \[\]"):
+            proto.decode_broadcast(blob)  # nothing retained at all
+
+    def test_broadcast_alias_must_be_header_only_and_size_consistent(self):
+        retained = np.zeros(3)
+        blob = proto.encode_broadcast_alias(9, 3, 8)
+        with pytest.raises(proto.ProtocolError, match="carries a 2-byte payload"):
+            proto.decode_broadcast(blob + b"xx", baselines={8: retained})
+        wrong_size = proto.encode_broadcast_alias(9, 4, 8)
+        with pytest.raises(proto.ProtocolError, match="claims 4"):
+            proto.decode_broadcast(wrong_size, baselines={8: retained})
+        with pytest.raises(proto.ProtocolError, match="truncated"):
+            proto.broadcast_is_alias(blob[:-1])
+
+    def test_corrupt_delta_payload_is_a_protocol_error(self):
+        """Codec-level corruption surfaces as ProtocolError on both
+        weight frames -- the only exception a frame handler catches."""
+        baseline = np.linspace(-1, 1, 32)
+        good = proto.encode_broadcast(
+            6, baseline + 1e-9, codec="delta", baseline=baseline, baseline_seq=5
+        )
+        header = proto._BROADCAST_HEADER.size
+        unknown_mode = bytearray(good)
+        unknown_mode[header] = 9  # plane 0's mode byte
+        for bad in (bytes(unknown_mode), good + b"\x00", good[:-1], good[: header + 7]):
+            with pytest.raises(proto.ProtocolError, match="malformed BROADCAST"):
+                proto.decode_broadcast(bad, baselines={5: baseline})
+        update = proto.encode_update(
+            5, 2, 30, None, baseline + 1e-9, codec="delta",
+            baseline=baseline, baseline_seq=5,
+        )
+        with pytest.raises(proto.ProtocolError, match="malformed UPDATE"):
+            proto.decode_update(
+                update + b"\x00", baselines={5: baseline}, expected_size=32
+            )
 
     def test_broadcast_unknown_codec_id_rejected(self):
         blob = bytearray(proto.encode_broadcast(1, np.zeros(2)))

@@ -134,6 +134,38 @@ class TestResumeMidRound:
         assert workers_up == 2
         assert np.array_equal(serial_reference(), g)
 
+    @pytest.mark.parametrize("codec", ["raw", "delta"])
+    def test_resume_resyncs_raw_never_alias_or_cached_delta(self, codec):
+        """v7: the resume clears the worker's baseline mirror, so the
+        re-broadcast of the in-flight seq must carry the vector raw --
+        never an alias (nothing is retained on the new connection) and
+        never the delta frame cached for that seq."""
+        sent = []  # (worker gen, mirror was empty, alias?, codec id)
+
+        class Recording(DropConnOnUpdate):
+            def _broadcast_frame(self, handle, state):
+                empty = not handle.baselines
+                frame, retained = super()._broadcast_frame(handle, state)
+                sent.append((
+                    handle.gen,
+                    empty,
+                    proto.broadcast_is_alias(frame),
+                    proto._BROADCAST_HEADER.unpack_from(frame)[2],
+                ))
+                return frame, retained
+
+        g, workers_up, codes, ex = run_distributed(
+            Recording, reconnect_grace=30.0, codec=codec
+        )
+        assert ex.dropped and workers_up == 2
+        assert np.array_equal(serial_reference(), g)
+        raw_id = 1
+        resyncs = [rec for rec in sent if rec[0] >= 1 and rec[1]]
+        assert resyncs, "no broadcast was sent on the resumed connection"
+        for _gen, empty, alias, codec_id in sent:
+            if empty:
+                assert not alias and codec_id == raw_id
+
     def test_connection_drop_between_rounds_resumes(self):
         """A drop after a round completes: the resume happens with no
         collector in flight, and the stale resume event must not make

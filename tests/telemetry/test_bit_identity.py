@@ -28,15 +28,18 @@ from tests.conftest import make_test_client, make_tiny_dataset
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
 
-def run_training(executor, workers=2, rounds=3, seed=7, pipeline=False):
+def run_training(
+    executor, workers=2, rounds=3, seed=7, pipeline=False,
+    training=TRAIN, test_size=30,
+):
     clients = [make_test_client(client_id=i, seed=seed) for i in range(6)]
     model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=seed)
     with FLServer(
         clients=clients,
         model=model,
         selector=RandomSelector(3, rng=seed),
-        test_data=make_tiny_dataset(n=30, seed=999),
-        training=TRAIN,
+        test_data=make_tiny_dataset(n=test_size, seed=999),
+        training=training,
         rng=seed,
         executor=executor,
         workers=workers,
@@ -133,6 +136,70 @@ class TestTracingIsBitInvisible:
             if k.startswith("distributed.worker.busy_s")
         ]
         assert len(busy) == 2, "expected one busy gauge per worker"
+
+    @pytest.mark.parametrize("codec", ["raw", "delta"])
+    def test_distributed_reused_frame_and_alias_paths(self, codec, tmp_path):
+        """A 600-sample eval set makes every round's global evaluation a
+        sharded BROADCAST to both workers (one encode, one reused frame)
+        and the next training broadcast an alias.  Tracing on vs off
+        stays bit-invisible across both paths, and ``codec.encode_s``
+        holds one sample per encode that actually ran -- reused frames
+        and aliases record none."""
+        kwargs = dict(training=TRAIN.with_(codec=codec), test_size=600)
+        telemetry.reset()
+        ref_weights, ref_history = run_training("serial", workers=1, **kwargs)
+
+        def run_distributed():
+            ex = DistributedExecutor(
+                workers=2, accept_timeout=60.0, result_timeout=90.0
+            )
+            procs = spawn_local_workers(ex.listen(), 2)
+            try:
+                weights, history = run_training(ex, **kwargs)
+            finally:
+                ex.close()
+                codes = terminate_workers(procs)
+            assert codes == [0, 0]
+            return weights, history, ex
+
+        untraced_weights, untraced_history, untraced_ex = run_distributed()
+        assert not telemetry.enabled()
+
+        trace = str(tmp_path / f"fanout-{codec}.jsonl")
+        telemetry.configure(enabled=True, trace_path=trace)
+        try:
+            weights, history, ex = run_distributed()
+        finally:
+            telemetry.flush()
+            telemetry.shutdown()
+
+        for w, h in ((untraced_weights, untraced_history), (weights, history)):
+            assert np.array_equal(ref_weights, w)
+            assert fingerprint(ref_history) == fingerprint(h)
+        # Tracing changes no decision: same forms, traced or not.
+        stats = ex.broadcast_stats
+        assert stats == untraced_ex.broadcast_stats
+        assert stats["aliases"] > 0 and stats["frames_reused"] > 0
+        telemetry.validate_trace_file(trace)
+        snap = telemetry.snapshot()
+        for how, value in stats.items():
+            assert snap["counters"][f"wire.broadcast_{how}"] == value
+        encode_samples = sum(
+            h["count"]
+            for key, h in snap["histograms"].items()
+            if key.startswith("codec.encode_s")
+        )
+        assert encode_samples == stats["encodes"]
+        for summary in ex.worker_summaries.values():
+            assert summary["broadcast_aliases"] > 0
+        # ... and `cli report` shows the split under its wire table.
+        from repro.telemetry.report import report_main
+
+        assert (
+            f"BROADCAST by form: {stats['encodes']} encoded, "
+            f"{stats['frames_reused']} cached frame reused, "
+            f"{stats['aliases']} header-only alias"
+        ) in report_main(trace)
 
     def test_sharded_population_path(self, tmp_path):
         """The shard ship/re-deal instrumentation (wire.shard_*) must be

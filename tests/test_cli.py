@@ -85,25 +85,6 @@ class TestParser:
             ["estimate", "--population"]
         ).population
 
-    def test_codec_level_threads_into_training_config(self):
-        from repro.cli import _scenario_config
-
-        args = build_parser().parse_args(
-            ["run", "--codec", "delta", "--codec-level", "1"]
-        )
-        training = _scenario_config(args).resolved_training()
-        assert training.codec == "delta" and training.codec_level == 1
-        # Default: no level override recorded.
-        args = build_parser().parse_args(["run", "--codec", "delta"])
-        assert _scenario_config(args).resolved_training().codec_level is None
-
-    def test_codec_level_without_levelled_codec_rejected(self):
-        from repro.cli import _scenario_config
-
-        args = build_parser().parse_args(["run", "--codec-level", "3"])
-        with pytest.raises(ValueError, match="no compression level"):
-            _scenario_config(args)
-
     def test_scale_subcommand_parses(self):
         args = build_parser().parse_args(
             ["scale", "--num-clients", "50000", "--diurnal-period", "3600"]

@@ -53,15 +53,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="codec"):
             TrainingConfig(codec="zstd")
 
-    def test_codec_level_validated_against_codec(self):
-        assert TrainingConfig().codec_level is None
-        assert TrainingConfig(codec="delta", codec_level=1).codec_level == 1
-        assert TrainingConfig(codec="delta", codec_level=9).codec_level == 9
-        with pytest.raises(ValueError, match="level"):
-            TrainingConfig(codec="delta", codec_level=10)
-        with pytest.raises(ValueError, match="no compression level"):
-            TrainingConfig(codec="raw", codec_level=5)
-
 
 class TestSchedule:
     def test_lr_at(self):
