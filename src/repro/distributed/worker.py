@@ -63,7 +63,7 @@ from repro.codec import get_codec
 from repro.config import TrainingConfig
 from repro.distributed import protocol as proto
 from repro.distributed.transport import Connection, ConnectionClosed, FrameError
-from repro.execution.base import EVAL_BATCH
+from repro.execution.base import EVAL_BATCH, evaluate_holdouts
 from repro.nn.model import Sequential
 from repro.serialization import shard_from_bytes
 from repro.simcluster.population import PopulationStore, ShardClients
@@ -440,20 +440,16 @@ class WorkerAgent:
                 f"EVAL for clients {unknown} this worker does not own"
             )
         self._stats["eval_requests"] += 1
+        # One weight load per EVAL frame; the wire stays one EVAL_RESULT
+        # frame per client (v7), sent once the whole share is scored.
+        accs, failures = evaluate_holdouts(self._workspace, self._clients, client_ids, global_flat)
         for client_id in client_ids:
-            try:
-                acc = self._clients[client_id].evaluate(self._workspace, global_flat)
-                conn.send(
-                    proto.MsgType.EVAL_RESULT,
-                    proto.encode_eval_result(seq, client_id, float(acc)),
-                )
-            except Exception:
-                conn.send(
-                    proto.MsgType.EVAL_RESULT,
-                    proto.encode_eval_result(
-                        seq, client_id, None, traceback.format_exc()
-                    ),
-                )
+            conn.send(
+                proto.MsgType.EVAL_RESULT,
+                proto.encode_eval_result(
+                    seq, client_id, accs.get(client_id), failures.get(client_id)
+                ),
+            )
 
     def _handle_eval_model(self, conn: Connection, payload: bytes) -> None:
         """Count correct predictions over shards of the resident eval set."""
@@ -466,6 +462,7 @@ class WorkerAgent:
         x, y = self._eval_data
         n = int(x.shape[0])
         self._stats["eval_model_requests"] += 1
+        loaded = False
         for a, b in shards:
             if b > n:
                 raise proto.ProtocolError(
@@ -473,7 +470,9 @@ class WorkerAgent:
                     f"eval set of {n} samples"
                 )
             try:
-                self._workspace.set_flat_weights(eval_flat)
+                if not loaded:  # once per frame; a failed load fails each shard
+                    self._workspace.set_flat_weights(eval_flat)
+                    loaded = True
                 preds = self._workspace.predict(x[a:b], batch_size=EVAL_BATCH)
                 correct = int(np.count_nonzero(preds == y[a:b]))
                 conn.send(

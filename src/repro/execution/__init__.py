@@ -36,6 +36,7 @@ from repro.execution.base import (
     EvalRequest,
     ExecutorError,
     TrainRequest,
+    evaluate_holdouts,
     order_updates,
 )
 from repro.execution.batched import BatchedExecutor
@@ -48,6 +49,7 @@ __all__ = [
     "ExecutorError",
     "TrainRequest",
     "EvalRequest",
+    "evaluate_holdouts",
     "order_updates",
     "SerialExecutor",
     "ThreadExecutor",

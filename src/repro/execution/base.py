@@ -37,12 +37,24 @@ tests in ``tests/execution/test_batched_executor.py`` instead.
 
 Batched evaluation
 ------------------
-Evaluation parallelises exactly like training: :meth:`ClientExecutor.
-evaluate_cohort` takes a batch of :class:`EvalRequest` and returns every
-requested client's holdout accuracy, keyed by client id in request
-order.  Per-client holdout evaluation is pure (no RNG advances, no
-state mutates), so every backend is trivially bit-identical -- enforced
-by ``tests/execution/test_eval_executors.py`` all the same.  Server-held
+The cohort, not the client, is the unit of evaluation work.
+:meth:`ClientExecutor.evaluate_cohort` takes a batch of
+:class:`EvalRequest` and returns every requested client's holdout
+accuracy, keyed by client id in request order.  The contract: **an
+evaluation loads the model once per worker and replies once per worker;
+accuracies are per client and bit-identical to**
+:meth:`SimClient.evaluate <repro.simcluster.client.SimClient.evaluate>`.
+Every backend runs the one per-client loop in :func:`evaluate_holdouts`
+-- serial and batched over the whole cohort in the bound model shell,
+thread over one contiguous chunk per replica check-out, a process
+worker over its pinned share of the cohort (one queue reply per
+``(worker, seq)``), a distributed worker over one EVAL frame -- so a
+holdout is scored by the same kernels on the same batch shapes
+everywhere; per-client evaluation is pure (no RNG advances, no state
+mutates), and ``tests/execution/test_eval_executors.py`` enforces the
+bit-identity all the same.  A per-client failure (an empty holdout) is
+captured, every other client is still scored, and the call then raises
+:class:`ExecutorError` naming the failed clients.  Server-held
 datasets (the global test set) go through :meth:`ClientExecutor.
 evaluate_model`; backends whose workers hold local model replicas may
 shard that pass, provided the result stays bit-identical to one serial
@@ -86,9 +98,10 @@ could observe the later weights.
 from __future__ import annotations
 
 import threading
+import traceback
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,6 +118,7 @@ __all__ = [
     "order_updates",
     "EVAL_BATCH",
     "eval_shard_bounds",
+    "evaluate_holdouts",
 ]
 
 #: Must match the ``batch_size`` default of :meth:`Sequential.evaluate`:
@@ -140,6 +154,40 @@ def eval_shard_bounds(
         for s in range(shards)
     ]
     return [(a, b) for a, b in bounds if a < b]
+
+
+def evaluate_holdouts(
+    workspace: Sequential,
+    clients: Mapping[int, SimClient],
+    client_ids: Iterable[int],
+    flat_weights: np.ndarray,
+) -> Tuple[Dict[int, float], Dict[int, str]]:
+    """Score ``flat_weights`` on each listed client's holdout: one load.
+
+    The only per-client holdout-evaluation loop in the package; every
+    backend calls it on whatever share of a cohort one workspace serves.
+    ``flat_weights`` is copied into ``workspace`` **once**, then each
+    holdout is scored by :meth:`SimClient.score_holdout` -- the second
+    half of :meth:`SimClient.evaluate`, so every accuracy is the float
+    the one-client form returns.  Returns ``(accuracies, failures)``,
+    both keyed by client id in ``client_ids`` order: a client that
+    cannot be scored (empty holdout, failed materialisation) lands in
+    ``failures`` with its traceback and the rest are still scored; a
+    failed load fails every client alike.
+    """
+    accuracies: Dict[int, float] = {}
+    failures: Dict[int, str] = {}
+    try:
+        workspace.set_flat_weights(flat_weights)
+    except Exception:
+        tb = traceback.format_exc()
+        return accuracies, {cid: tb for cid in client_ids}
+    for cid in client_ids:
+        try:
+            accuracies[cid] = clients[cid].score_holdout(workspace)
+        except Exception:
+            failures[cid] = traceback.format_exc()
+    return accuracies, failures
 
 
 class ExecutorError(RuntimeError):
@@ -345,9 +393,28 @@ class ClientExecutor:
         Returns ``{client_id: accuracy}`` with keys inserted in request
         order.  Evaluation is pure (no client state advances), so the
         result is bit-identical across every backend; a per-client
-        failure (e.g. an empty holdout) raises :class:`ExecutorError`.
+        failure (e.g. an empty holdout) raises :class:`ExecutorError`
+        naming the client, after every other client was scored.
+
+        Default: the whole cohort in the calling process on the bound
+        model shell (serial and batched); backends with worker replicas
+        override it, each worker running the same
+        :func:`evaluate_holdouts` over its share.
         """
-        raise NotImplementedError
+        clients = self._check_requests(requests)
+        ids = [req.client_id for req in requests]
+        with telemetry.span("executor.eval_cohort", backend=self.name, clients=len(ids)):
+            accuracies, failures = evaluate_holdouts(self._model, clients, ids, flat_weights)
+        self._raise_eval_failures(failures)
+        return accuracies
+
+    @staticmethod
+    def _raise_eval_failures(failures: Mapping[int, str]) -> None:
+        if failures:
+            raise ExecutorError(
+                "client evaluation failed:\n"
+                + "\n".join(f"client {cid}:\n{tb}" for cid, tb in failures.items())
+            )
 
     def evaluate_model(
         self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray

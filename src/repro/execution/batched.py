@@ -49,7 +49,6 @@ import numpy as np
 from repro import telemetry
 from repro.execution.base import (
     ClientExecutor,
-    EvalRequest,
     ExecutorError,
     TrainRequest,
 )
@@ -81,9 +80,11 @@ class BatchedExecutor(ClientExecutor):
 
     Single-process and thread-free: the parallelism is inside BLAS, not
     the OS, so ``workers`` is ignored (accepted for interface symmetry).
-    Evaluation runs on the ordinary per-client kernels against the bound
-    workspace model and may overlap training (the stacked program and
-    the workspace are disjoint models), so async eval is supported.
+    Evaluation is the base class's in-server pass on the ordinary
+    per-client kernels (holdout sizes vary per client, so stacking buys
+    little) against the bound workspace model; it may overlap training
+    (the stacked program and the workspace are disjoint models), so
+    async eval is supported.
     """
 
     name = "batched"
@@ -231,35 +232,6 @@ class BatchedExecutor(ClientExecutor):
                         backend=self.name,
                     )
         return [by_id[req.client_id] for req in requests]
-
-    # ------------------------------------------------------------------
-    def evaluate_cohort(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> Dict[int, float]:
-        """Per-client holdout eval on the ordinary (unstacked) kernels.
-
-        Holdout sizes vary per client and eval is ~20x cheaper than
-        training here, so stacking buys little; running the serial eval
-        path keeps this backend's eval results bit-identical to every
-        v1 backend given equal weights.
-        """
-        clients = self._check_requests(requests)
-        out: Dict[int, float] = {}
-        with telemetry.span(
-            "executor.eval_cohort", backend=self.name, clients=len(requests)
-        ):
-            for req in requests:
-                try:
-                    out[req.client_id] = clients[req.client_id].evaluate(
-                        self._model, flat_weights
-                    )
-                except Exception as exc:
-                    raise ExecutorError(
-                        f"client {req.client_id} evaluation failed: {exc}"
-                    ) from exc
-        return out
 
     def close(self) -> None:
         super().close()

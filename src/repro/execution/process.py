@@ -61,10 +61,14 @@ Design (the memory / determinism contract):
   bit-identical to one serial pass.  Data bound *after* the workers
   started cannot be mapped into them and falls back to the in-server
   serial pass.
-* **Batched evaluation.**  ``evaluate_cohort`` broadcasts through the
-  eval segment: workers evaluate their pinned clients' holdouts against
-  the shared weights and return bare floats over a dedicated eval result
-  queue (no shared slot needed -- accuracies are scalars).  Training and
+* **Cohort-granular evaluation.**  ``evaluate_cohort`` broadcasts
+  through the eval segment; each tasked worker loads the shared weights
+  into its replica **once**, scores its pinned share of the cohort with
+  :func:`repro.execution.base.evaluate_holdouts` and answers with
+  **one** reply per ``(worker, seq)`` carrying every accuracy and every
+  per-client traceback (``evaluate_model`` shards answer the same way:
+  one load, one summed count).  The parent drains one reply per tasked
+  worker and discards a reply from an abandoned seq whole.  Training and
   evaluation results travel on *separate* queues, so an async eval
   collector can never steal a training message and vice versa.
 * **Deterministic merge.**  Results arrive in completion order and are
@@ -95,6 +99,7 @@ from repro.execution.base import (
     ExecutorError,
     TrainRequest,
     eval_shard_bounds,
+    evaluate_holdouts,
     order_updates,
 )
 from repro.nn.model import Sequential
@@ -161,9 +166,10 @@ def _worker_main(
         eval_x = np.frombuffer(x_buf, dtype=x_dtype).reshape(x_shape)
         eval_y = np.frombuffer(y_buf, dtype=y_dtype).reshape(y_shape)
     while True:
-        msg = task_q.get()
-        if msg is None:
+        blob = task_q.get()
+        if blob is None:
             break
+        msg = pickle.loads(blob)
         kind = msg[0]
         if kind == "train":
             _, seq, round_idx, jobs = msg
@@ -193,46 +199,48 @@ def _worker_main(
                     # this acquire can never deadlock a live parent.
                     slot_free.acquire()
                     slot_view[: w.size] = w
-                    result_q.put(
+                    _ship(
+                        result_q,
                         ("ok", seq, worker_id, client_id,
-                         client.num_train_samples, state)
+                         client.num_train_samples, state),
                     )
                 except Exception:
                     # Exception, not BaseException: a Ctrl-C delivered to
                     # the process group must kill the worker loop (the
                     # parent then reports dead workers), not be reported
                     # as a per-client training failure.
-                    result_q.put(
-                        ("err", seq, worker_id, client_id, traceback.format_exc())
+                    _ship(
+                        result_q,
+                        ("err", seq, worker_id, client_id, traceback.format_exc()),
                     )
         elif kind == "eval":
             _, seq, client_ids = msg
-            for client_id in client_ids:
-                try:
-                    acc = clients[client_id].evaluate(workspace, eval_flat)
-                    eval_result_q.put(
-                        ("eval_ok", seq, worker_id, client_id, float(acc))
-                    )
-                except Exception:
-                    eval_result_q.put(
-                        ("eval_err", seq, worker_id, client_id,
-                         traceback.format_exc())
-                    )
+            accs, failed = evaluate_holdouts(workspace, clients, client_ids, eval_flat)
+            failures = [f"client {cid}:\n{tb}" for cid, tb in failed.items()]
+            _ship(eval_result_q, (seq, accs, failures))
         elif kind == "eval_model":
             _, seq, bounds = msg
-            for a, b in bounds:
-                try:
-                    workspace.set_flat_weights(eval_flat)
+            correct, failures = 0, []
+            try:
+                workspace.set_flat_weights(eval_flat)
+                for a, b in bounds:
                     preds = workspace.predict(eval_x[a:b], batch_size=EVAL_BATCH)
-                    correct = int(np.count_nonzero(preds == eval_y[a:b]))
-                    eval_result_q.put(
-                        ("emodel_ok", seq, worker_id, a, b, correct)
-                    )
-                except Exception:
-                    eval_result_q.put(
-                        ("emodel_err", seq, worker_id, a, b,
-                         traceback.format_exc())
-                    )
+                    correct += int(np.count_nonzero(preds == eval_y[a:b]))
+            except Exception:
+                failures.append(f"shards {bounds}:\n{traceback.format_exc()}")
+            _ship(eval_result_q, (seq, correct, failures))
+
+
+def _ship(q, msg) -> int:
+    """Post a task or result as the bytes the accounting counts.
+
+    Pickled here, once: the queue then moves an opaque ``bytes`` object,
+    so the receiver reads its length (returned to a counting sender)
+    instead of re-serialising the message it just un-pickled.
+    """
+    blob = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+    q.put(blob)
+    return len(blob)
 
 
 class ProcessExecutor(ClientExecutor):
@@ -271,9 +279,8 @@ class ProcessExecutor(ClientExecutor):
         self._seq = 0  # cohort sequence number; guards against stale results
         # IPC accounting: what the equivalent of "bytes on the wire" is
         # for this backend.  _ipc_bytes counts the recurring per-round
-        # payloads (task/result messages as pickled size, plus one
-        # float64 weight copy per segment write and per slot copy-out);
-        # _shard_bytes counts the one-time start-up shipping (shard
+        # payloads (``bytes_shipped`` says how); _shard_bytes counts
+        # the one-time start-up shipping (shard
         # columns + metadata for store pools, pickled clients
         # otherwise).  The population-scale bench gates on _ipc_bytes
         # staying flat in the population size at fixed cohort.
@@ -307,7 +314,14 @@ class ProcessExecutor(ClientExecutor):
 
     @property
     def bytes_shipped(self) -> int:
-        """Cumulative recurring IPC bytes (excludes one-time shard ship)."""
+        """Cumulative recurring IPC bytes (excludes one-time shard ship).
+
+        Counted where the bytes are made, never by serialising twice:
+        each task and each worker result is pickled once by its sender
+        and counted as the length of those bytes (the queue moves them
+        as an opaque ``bytes`` object); each shared-segment write and
+        each return-slot copy-out counts one float64 weight vector.
+        """
         return self._ipc_bytes
 
     @property
@@ -462,8 +476,7 @@ class ProcessExecutor(ClientExecutor):
 
     def _put_task(self, wid: int, msg) -> None:
         """Queue a task message, counting its pickled size as IPC bytes."""
-        self._ipc_bytes += len(pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL))
-        self._task_qs[wid].put(msg)
+        self._ipc_bytes += _ship(self._task_qs[wid], msg)
 
     def _write_segment(self, segment, flat_weights: np.ndarray) -> None:
         """One write into a shared segment, visible to every worker
@@ -493,17 +506,15 @@ class ProcessExecutor(ClientExecutor):
         collect = telemetry.enabled()
         t0 = time.perf_counter() if collect else 0.0
         try:
-            msg = result_q.get(timeout=poll)
+            blob = result_q.get(timeout=poll)
             if collect:
                 telemetry.observe(
                     "executor.queue_wait_s",
                     time.perf_counter() - t0,
                     backend=self.name,
                 )
-            self._ipc_bytes += len(
-                pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            return msg
+            self._ipc_bytes += len(blob)
+            return pickle.loads(blob)
         except queue_mod.Empty:
             # Short poll interval so a dead worker (OOM-kill, factory
             # error escaping the per-client try) fails the round in
@@ -643,30 +654,34 @@ class ProcessExecutor(ClientExecutor):
                 self._put_task(wid, ("eval", seq, cids))
 
         accs: Dict[int, float] = {}
+        for worker_accs in self._drain_eval(seq, len(per_worker), "client"):
+            accs.update(worker_accs)
+        return {req.client_id: accs[req.client_id] for req in requests}
+
+    def _drain_eval(self, seq: int, expected: int, what: str) -> List:
+        """Collect the one reply each of ``expected`` tasked workers owes
+        evaluation ``seq``; returns their payloads in arrival order.
+
+        A reply from another seq belongs to an abandoned (timed-out)
+        evaluation and is discarded whole.  Failures are raised only
+        after every reply is in, so the queue is left empty for the next
+        call.
+        """
+        payloads: List = []
         failures: List[str] = []
-        received = 0
         waited = [0.0]
-        while received < len(requests):
+        while len(payloads) < expected:
             msg = self._next_result(waited, self._eval_result_q)
-            if msg is None:
+            if msg is None or msg[0] != seq:
                 continue
-            kind, msg_seq = msg[0], msg[1]
-            if msg_seq != seq:
-                # Stale result from an abandoned (timed-out) evaluation.
-                continue
-            if kind == "eval_ok":
-                _, _, wid, cid, acc = msg
-                received += 1
-                accs[cid] = acc
-            elif kind == "eval_err":
-                _, _, wid, cid, tb = msg
-                received += 1
-                failures.append(f"client {cid}:\n{tb}")
+            _, payload, worker_failures = msg
+            payloads.append(payload)
+            failures += worker_failures
         if failures:
             raise ExecutorError(
-                "client evaluation failed in worker process:\n" + "\n".join(failures)
+                f"{what} evaluation failed in worker process:\n" + "\n".join(failures)
             )
-        return {req.client_id: accs[req.client_id] for req in requests}
+        return payloads
 
     # ------------------------------------------------------------------
     def evaluate_model(
@@ -713,30 +728,7 @@ class ProcessExecutor(ClientExecutor):
             for wid, shard in per_worker.items():
                 self._put_task(wid, ("eval_model", seq, shard))
 
-        correct = 0
-        failures: List[str] = []
-        received = 0
-        waited = [0.0]
-        while received < len(bounds):
-            msg = self._next_result(waited, self._eval_result_q)
-            if msg is None:
-                continue
-            kind, msg_seq = msg[0], msg[1]
-            if msg_seq != seq:
-                continue
-            if kind == "emodel_ok":
-                _, _, wid, a, b, shard_correct = msg
-                received += 1
-                correct += shard_correct
-            elif kind == "emodel_err":
-                _, _, wid, a, b, tb = msg
-                received += 1
-                failures.append(f"shard [{a}:{b}]:\n{tb}")
-        if failures:
-            raise ExecutorError(
-                "global evaluation failed in worker process:\n"
-                + "\n".join(failures)
-            )
+        correct = sum(self._drain_eval(seq, len(per_worker), "global"))
         # Same float as `np.mean(preds == y)` over the full pass: the
         # boolean sum is exact in float64 and the division identical.
         return float(correct / n)

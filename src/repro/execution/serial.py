@@ -3,23 +3,19 @@
 Clients train one after another inside the server's own model shell, so
 memory stays at exactly one model and behaviour is bit-for-bit the
 pre-executor code path.  This is the default backend and the reference
-the parallel backends are tested against.
+the parallel backends are tested against.  Holdout evaluation is the
+base class's in-server pass (one weight load per cohort).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro import telemetry
-from repro.execution.base import (
-    ClientExecutor,
-    EvalRequest,
-    ExecutorError,
-    TrainRequest,
-)
+from repro.execution.base import ClientExecutor, TrainRequest
 from repro.simcluster.client import ClientUpdate
 
 __all__ = ["SerialExecutor"]
@@ -70,24 +66,3 @@ class SerialExecutor(ClientExecutor):
                     )
                 )
         return updates
-
-    def evaluate_cohort(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> Dict[int, float]:
-        clients = self._check_requests(requests)
-        out: Dict[int, float] = {}
-        with telemetry.span(
-            "executor.eval_cohort", backend=self.name, clients=len(requests)
-        ):
-            for req in requests:
-                try:
-                    out[req.client_id] = clients[req.client_id].evaluate(
-                        self._model, flat_weights
-                    )
-                except Exception as exc:
-                    raise ExecutorError(
-                        f"client {req.client_id} evaluation failed: {exc}"
-                    ) from exc
-        return out

@@ -35,6 +35,7 @@ from repro.execution.base import (
     ExecutorError,
     TrainRequest,
     eval_shard_bounds,
+    evaluate_holdouts,
     order_updates,
 )
 from repro.nn.model import Sequential
@@ -184,11 +185,10 @@ class ThreadExecutor(ClientExecutor):
             return order_updates(updates, requests)
 
     # ------------------------------------------------------------------
-    def _eval_one(self, req: EvalRequest, flat_weights: np.ndarray):
-        client = self._clients[req.client_id]
+    def _eval_chunk(self, client_ids: List[int], flat_weights: np.ndarray):
         replica = self._acquire_replica()
         try:
-            return req.client_id, client.evaluate(replica, flat_weights)
+            return evaluate_holdouts(replica, self._clients, client_ids, flat_weights)
         finally:
             self._release_replica(replica)
 
@@ -197,35 +197,28 @@ class ThreadExecutor(ClientExecutor):
         requests: Sequence[EvalRequest],
         flat_weights: np.ndarray,
     ) -> Dict[int, float]:
+        """One contiguous chunk of the cohort per worker thread: one
+        replica check-out and one weight load per chunk."""
         self._check_requests(requests)
         if not requests:
             return {}
         self._ensure_pool()
-        with telemetry.span(
-            "executor.eval_cohort", backend=self.name, clients=len(requests)
-        ):
-            return self._evaluate_cohort_pooled(requests, flat_weights)
-
-    def _evaluate_cohort_pooled(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> Dict[int, float]:
-        futures = [
-            self._pool.submit(self._eval_one, req, flat_weights) for req in requests
-        ]
-        accs: Dict[int, float] = {}
-        error: Optional[Exception] = None
-        for fut in as_completed(futures):
-            try:
-                cid, acc = fut.result()
-                accs[cid] = acc
-            except Exception as exc:
-                error = error or exc
-        if error is not None:
-            raise ExecutorError(f"client evaluation failed: {error}") from error
-        # Completion order varied; re-key into request order.
-        return {req.client_id: accs[req.client_id] for req in requests}
+        ids = [req.client_id for req in requests]
+        size = -(-len(ids) // self.workers)  # ceil
+        with telemetry.span("executor.eval_cohort", backend=self.name, clients=len(ids)):
+            futures = [
+                self._pool.submit(self._eval_chunk, ids[a : a + size], flat_weights)
+                for a in range(0, len(ids), size)
+            ]
+            accs: Dict[int, float] = {}
+            failures: Dict[int, str] = {}
+            # Chunk order is request order, so the merge needs no re-keying.
+            for fut in futures:
+                chunk_accs, chunk_failures = fut.result()
+                accs.update(chunk_accs)
+                failures.update(chunk_failures)
+        self._raise_eval_failures(failures)
+        return accs
 
     def evaluate_model(
         self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray

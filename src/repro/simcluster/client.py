@@ -197,13 +197,19 @@ class SimClient:
 
         This is the per-client signal pooled into the per-tier accuracy
         ``A_t^r`` of Alg. 2 -- it never exposes raw data to the server.
+        The one-client form of :func:`repro.execution.base.
+        evaluate_holdouts`, which loads once and scores a whole cohort.
         """
+        workspace.set_flat_weights(flat_weights)
+        return self.score_holdout(workspace)
+
+    def score_holdout(self, workspace: Sequential) -> float:
+        """Holdout accuracy of the weights ``workspace`` already holds."""
         if len(self.holdout) == 0:
             raise RuntimeError(
                 f"client {self.client_id} has no holdout data; construct it "
                 "with holdout_fraction > 0 to use per-tier evaluation"
             )
-        workspace.set_flat_weights(flat_weights)
         return workspace.evaluate(self.holdout.x, self.holdout.y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

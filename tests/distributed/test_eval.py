@@ -23,7 +23,8 @@ from repro.distributed.transport import Connection
 from repro.execution import EvalRequest, SerialExecutor, TrainRequest
 from repro.fl.aggregator import fedavg
 from repro.nn import build_mlp
-from tests.conftest import make_test_client
+from tests.conftest import make_test_client, make_tiny_dataset
+from tests.distributed.test_broadcast_fanout import _RecordingConn
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 FAST_TIMEOUTS = dict(accept_timeout=60.0, result_timeout=90.0)
@@ -151,6 +152,66 @@ class TestVersioning:
         assert "rejected by coordinator" in out
         assert "worker speaks v2" in out
         assert "coordinator requires v3" in out
+
+
+class TestWorkerLoadsOncePerFrame:
+    """The worker half of cohort-granular evaluation, driven in-process
+    so the counting patch sees the agent's calls."""
+
+    @pytest.fixture
+    def agent(self, monkeypatch):
+        from repro.distributed.worker import WorkerAgent
+        from repro.nn.model import Sequential
+
+        agent = WorkerAgent("unused", 1)
+        agent._workspace = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        agent._clients = {
+            i: make_test_client(client_id=i, seed=7) for i in range(4)
+        }
+        agent._clients[4] = make_test_client(  # one sample: no holdout
+            client_id=4, seed=7, n=1, holdout_fraction=0.0
+        )
+        self.weights = agent._workspace.get_flat_weights()
+        agent._store_broadcast(proto.encode_broadcast(3, self.weights))
+        self.loads = []
+        real = Sequential.set_flat_weights
+        monkeypatch.setattr(
+            Sequential,
+            "set_flat_weights",
+            lambda model, flat: (self.loads.append(1), real(model, flat))[1],
+        )
+        return agent
+
+    def test_eval_frame_loads_once_and_answers_per_client(self, agent):
+        conn = _RecordingConn()
+        agent._handle_eval(conn, proto.encode_eval(3, [2, 4, 0, 3, 1]))
+        assert len(self.loads) == 1
+        assert [t for t, _ in conn.sent] == [proto.MsgType.EVAL_RESULT] * 5
+        results = [proto.decode_eval_result(p) for _, p in conn.sent]
+        assert [(seq, cid) for seq, cid, _, _ in results] == [
+            (3, 2), (3, 4), (3, 0), (3, 3), (3, 1)
+        ]
+        scratch = build_mlp((4, 4, 1), 3, hidden=(8,), rng=1)
+        for _, cid, acc, err in results:
+            if cid == 4:  # the empty holdout fails alone, by traceback
+                assert acc is None and "no holdout" in err
+            else:
+                assert err is None
+                assert acc == agent._clients[cid].evaluate(scratch, self.weights)
+
+    def test_eval_model_frame_loads_once_across_shards(self, agent):
+        test = make_tiny_dataset(n=600, seed=5)
+        agent._eval_data = (test.x, test.y)
+        conn = _RecordingConn()
+        shards = [(0, 256), (256, 512), (512, 600)]
+        agent._handle_eval_model(conn, proto.encode_eval_model(3, shards))
+        assert len(self.loads) == 1
+        counts = [proto.decode_eval_model_result(p) for _, p in conn.sent]
+        assert [c[:3] for c in counts] == [(3, a, b) for a, b in shards]
+        assert all(c[4] is None for c in counts)
+        agent._workspace.set_flat_weights(self.weights)
+        direct = agent._workspace.evaluate(test.x, test.y)
+        assert sum(c[3] for c in counts) / 600 == direct
 
 
 class TestLoopbackEvalEquivalence:

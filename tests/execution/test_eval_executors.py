@@ -9,6 +9,8 @@ evaluation built on top keeps its denominator semantics.
 """
 
 import logging
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -17,13 +19,16 @@ from repro.config import TrainingConfig
 from repro.execution import (
     EvalRequest,
     ExecutorError,
+    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     TrainRequest,
     create_executor,
+    evaluate_holdouts,
 )
 from repro.fl.aggregator import fedavg
 from repro.nn import build_mlp
+from repro.nn.model import Sequential
 from repro.tifl.server import TiFLServer
 from tests.conftest import make_test_client, make_tiny_dataset
 
@@ -162,6 +167,126 @@ class TestEvalContract:
                     ex.evaluate_cohort(
                         [EvalRequest(0)], model.get_flat_weights()
                     )
+
+
+@pytest.fixture
+def weight_loads(monkeypatch):
+    """Count ``Sequential.set_flat_weights`` calls in this process *and*
+    in forked executor workers (the patch and the shared counter are
+    inherited at fork)."""
+    counter = multiprocessing.get_context("fork").Value("i", 0)
+    real = Sequential.set_flat_weights
+
+    def counting(model, flat):
+        with counter.get_lock():
+            counter.value += 1
+        return real(model, flat)
+
+    monkeypatch.setattr(Sequential, "set_flat_weights", counting)
+    return counter
+
+
+class TestCohortGranularEval:
+    """The cohort is the unit of evaluation work: one weight load per
+    workspace per call, accuracies unchanged."""
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_in_server_backends_load_once_per_cohort(self, backend, weight_loads):
+        pool = make_pool(num_clients=7)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        flat = model.get_flat_weights()
+        with create_executor(backend) as ex:
+            ex.bind(pool, model, TRAIN)
+            for calls in (1, 2):
+                ex.evaluate_cohort([EvalRequest(c) for c in sorted(pool)], flat)
+                assert weight_loads.value == calls
+
+    def test_thread_loads_once_per_contiguous_chunk(self, weight_loads):
+        pool = make_pool(num_clients=7)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        flat = model.get_flat_weights()
+        requests = [EvalRequest(c) for c in (5, 0, 3, 6, 1, 4, 2)]
+        with SerialExecutor() as serial:
+            serial.bind(pool, model, TRAIN)
+            ref = serial.evaluate_cohort(requests, flat)
+        weight_loads.value = 0
+        with ThreadExecutor(workers=3) as ex:
+            ex.bind(pool, model, TRAIN)
+            got = ex.evaluate_cohort(requests, flat)
+            assert weight_loads.value == 3  # ceil(7 / 3) = 3 per chunk
+            ex.evaluate_cohort(requests[:2], flat)  # one chunk of one each
+            assert weight_loads.value == 5
+        assert got == ref and list(got) == [5, 0, 3, 6, 1, 4, 2]
+
+    def test_process_loads_once_per_worker_per_task(self, weight_loads):
+        pool = make_pool(num_clients=6)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        flat = model.get_flat_weights()
+        test = make_tiny_dataset(n=1100, seed=5)  # 5 eval batches
+        with ProcessExecutor(workers=2, start_method="fork") as ex:
+            ex.bind(pool, model, TRAIN)
+            ex.bind_eval_data(test.x, test.y)
+            ex.evaluate_cohort([EvalRequest(c) for c in sorted(pool)], flat)
+            assert weight_loads.value == 2
+            one_worker = [c for c in sorted(pool) if ex.owner_of(c) == 0]
+            ex.evaluate_cohort([EvalRequest(c) for c in one_worker], flat)
+            assert weight_loads.value == 3
+            ex.evaluate_model(flat, test.x, test.y)  # sharded: one load each
+            assert weight_loads.value == 5
+
+    def test_single_client_api_returns_the_helpers_float(self):
+        pool = make_pool(num_clients=4)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        flat = model.get_flat_weights()
+        accs, failures = evaluate_holdouts(model, pool, sorted(pool), flat)
+        assert failures == {} and list(accs) == sorted(pool)
+        for cid, client in pool.items():
+            assert client.evaluate(model, flat) == accs[cid]
+
+    @pytest.mark.parametrize(
+        "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
+    )
+    def test_one_empty_holdout_fails_the_batch_by_name(self, backend, workers):
+        """The bad client is named, every other client was still scored
+        (nothing left queued), and the executor keeps working."""
+        pool = make_pool(num_clients=5)
+        pool[5] = make_holdoutless_client(5)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        flat = model.get_flat_weights()
+        good = [EvalRequest(c) for c in range(5)]
+        with SerialExecutor() as serial:
+            serial.bind(dict(pool), model, TRAIN)
+            ref = serial.evaluate_cohort(good, flat)
+        with create_executor(backend, workers=workers) as ex:
+            ex.bind(pool, model, TRAIN)
+            with pytest.raises(ExecutorError, match="client 5:") as excinfo:
+                ex.evaluate_cohort(good[:3] + [EvalRequest(5)] + good[3:], flat)
+            assert "no holdout" in str(excinfo.value)
+            assert "client 4:" not in str(excinfo.value)
+            if backend == "process":
+                assert ex._eval_result_q.empty()
+            assert ex.evaluate_cohort(good, flat) == ref
+
+    def test_process_discards_a_stale_batch_reply_whole(self):
+        """A reply for an abandoned seq carries many clients' results;
+        none of them may leak into the evaluation that follows."""
+        from repro.execution.process import _ship
+
+        pool = make_pool(num_clients=6)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        flat = model.get_flat_weights()
+        requests = [EvalRequest(c) for c in sorted(pool)]
+        with ProcessExecutor(workers=2, result_timeout=30.0) as ex:
+            ex.bind(pool, model, TRAIN)
+            ref = ex.evaluate_cohort(requests, flat)
+            stale = {cid: -1.0 for cid in pool}
+            _ship(ex._eval_result_q, (ex._seq, stale, ["client 0:\nstale"]))
+            deadline = time.monotonic() + 10.0
+            while ex._eval_result_q.empty():  # until the feeder flushed it
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert ex.evaluate_cohort(requests, flat) == ref
+            assert ex._eval_result_q.empty()
 
 
 def make_tifl(backend, workers, tier_eval_every=1):
