@@ -8,17 +8,24 @@
   completed the versioned handshake.  Each worker advertises a
   ``capacity`` used as its weight when clients are pinned.
 * **Pinning.**  The sorted client-id list is dealt round-robin over a
-  capacity-weighted worker cycle -- the same scheme as
-  :class:`repro.execution.process.ProcessExecutor`, so every client's
-  training RNG stream advances in exactly one address space.
+  capacity-weighted worker cycle by :func:`repro.execution.pool.deal`
+  -- the function the ``process`` backend pins with, so every client's
+  training RNG stream advances in exactly one address space.  Cohorts,
+  eval shards and a dead worker's jobs are bucketed per owner by
+  :func:`repro.execution.pool.group_by_owner`.
 * **Rounds.**  The global flat weight vector reaches each participating
   worker once per round -- encoded once and fanned out, or not sent at
   all when the worker already holds it (see below); jobs are
   dispatched per worker;
   updates stream back in completion order and are reordered into
   request order before the server sees them.  Every update carries the
-  client's advanced RNG state, which is applied to the coordinator's
-  authoritative client pool immediately.
+  client's advanced RNG state, which
+  :func:`repro.execution.pool.absorb_rng_state` applies to the
+  coordinator's authoritative client pool immediately.
+* **One collector.**  A training cohort, an evaluation cohort and a
+  sharded model evaluation each open an :class:`_InFlight` batch and
+  drive it with :meth:`DistributedExecutor._collect`, the one event
+  loop; only the result handler differs.
 * **Codec-pluggable weight transport (v4).**  BROADCAST and UPDATE
   payloads travel through the :mod:`repro.codec` codec named by
   ``TrainingConfig.codec``: ``raw`` (bit-exact float64, the default),
@@ -108,7 +115,8 @@ import socket
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -122,20 +130,31 @@ from repro.execution.base import (
     EvalRequest,
     ExecutorError,
     TrainRequest,
-    eval_shard_bounds,
     order_updates,
 )
+from repro.execution.pool import absorb_rng_state, deal, group_by_owner, owned_by
 from repro.serialization import shard_to_bytes
 from repro.simcluster.client import ClientUpdate
 
 __all__ = ["DistributedExecutor"]
 
-_Job = Tuple[int, int]  # (client_id, epochs) -- or (start, end) eval shards
+#: A train job is ``(client_id, epochs)``, an eval job a client id, an
+#: eval-model job a ``(start, end)`` shard.
+_Job = Hashable
 
 #: Synthetic event-queue marker: a parked worker's connection resumed
 #: (cannot collide with ``MsgType`` values, which are >= 1, or with
 #: ``None``, which marks a lost connection).
 _EVT_RESUMED = -1
+
+#: The result frames that may settle a job of each :class:`_InFlight`
+#: kind; any other result frame carrying the live seq is a protocol
+#: violation by its sender.
+_RESULT_FRAMES = {
+    "train": (proto.MsgType.UPDATE, proto.MsgType.TRAINFAIL),
+    "eval": (proto.MsgType.EVAL_RESULT,),
+    "eval_model": (proto.MsgType.EVAL_MODEL_RESULT,),
+}
 
 
 class _WorkerHandle:
@@ -196,6 +215,9 @@ class _InFlight:
     baseline_seq)``; a seq names one vector, so the key identifies the
     bytes, and a resumed worker's empty mirror selects ``(raw, 0)`` --
     the raw resync can never be served a stale delta frame.
+
+    ``done`` holds the keys already merged -- a client id, or an eval
+    shard's ``(start, end)`` -- which :meth:`settle` dedupes through.
     """
 
     def __init__(
@@ -210,9 +232,32 @@ class _InFlight:
         self.pending: Dict[int, List[_Job]] = {}
         self.broadcasted: Set[int] = set()
         self.dispatch_gen: Dict[int, int] = {}
+        self.done: Set[Hashable] = set()
+
+    def key_of(self, job: _Job) -> Hashable:
+        """What a result names a job by: its client, else the job itself."""
+        return job[0] if self.kind == "train" else job
 
     def outstanding(self) -> int:
         return sum(len(jobs) for jobs in self.pending.values())
+
+    def settle(self, key: Hashable) -> bool:
+        """Record the result for ``key``; ``True`` when it is the first.
+
+        Clears the job from *every* worker's pending list: a dead
+        worker's in-flight result can land after its job was already
+        reassigned, and the replica's copy must not keep the batch open.
+        A second result for the same key is a duplicate from such a
+        reassignment race -- both workers computed from the same pinned
+        state, so the copies are bit-identical -- and only the first is
+        merged.
+        """
+        for wid, jobs in self.pending.items():
+            self.pending[wid] = [j for j in jobs if self.key_of(j) != key]
+        if key in self.done:
+            return False
+        self.done.add(key)
+        return True
 
 
 class DistributedExecutor(ClientExecutor):
@@ -229,7 +274,11 @@ class DistributedExecutor(ClientExecutor):
     accept_timeout:
         Seconds to wait for all workers to register.
     result_timeout:
-        Per-cohort ceiling on waiting for updates.
+        Per-cohort ceiling on waiting for results: a *wall-clock
+        deadline* for the whole batch, fixed when it is dispatched, so a
+        cohort still making progress when it passes fails.
+        (``ProcessExecutor.result_timeout`` instead counts only
+        accumulated idle poll time.)
     heartbeat_interval / heartbeat_misses:
         A worker silent for ``interval`` seconds is PINGed; silent for
         ``interval * misses`` seconds it is declared dead and its clients
@@ -622,15 +671,10 @@ class DistributedExecutor(ClientExecutor):
                         self._num_params, handle.token,
                     ),
                 )
-                owned_ids = sorted(
-                    cid
-                    for cid, owner in self._owner.items()
-                    if owner == wid
-                )
                 # RNG replay: the coordinator pool/store ledger is
                 # authoritative (synced on every merged UPDATE), so this
                 # overwrites whatever half-trained state the worker kept.
-                self._send_assignment(conn, owned_ids)
+                self._send_assignment(conn, owned_by(self._owner, wid))
                 if self._eval_shipped and self._eval_data is not None:
                     conn.send(
                         proto.MsgType.BIND_EVAL,
@@ -668,10 +712,6 @@ class DistributedExecutor(ClientExecutor):
     # ------------------------------------------------------------------
     # assignment shipping: client pickles or store shards (v6)
     # ------------------------------------------------------------------
-    def _population_store(self):
-        """The bound pool's backing store, or ``None`` for eager pools."""
-        return getattr(self._clients, "store", None)
-
     def _send_assignment(
         self,
         conn: Connection,
@@ -690,7 +730,7 @@ class DistributedExecutor(ClientExecutor):
         merged UPDATE keeps authoritative -- the property that makes a
         re-dealt slice replay bit-identically.
         """
-        store = self._population_store()
+        store = getattr(self._clients, "store", None)
         if store is not None:
             blob = shard_to_bytes(store.shard(owned_ids))
             telemetry.count("wire.shard_ships", 1)
@@ -755,12 +795,9 @@ class DistributedExecutor(ClientExecutor):
         self.listen()
         self._accept_workers()
 
-        cycle = self._worker_cycle(sorted(self._handles))
         ids = sorted(clients)
-        self._owner = {cid: cycle[i % len(cycle)] for i, cid in enumerate(ids)}
-        owned_ids: Dict[int, List[int]] = {wid: [] for wid in self._handles}
-        for cid in ids:
-            owned_ids[self._owner[cid]].append(cid)
+        self._owner = deal(ids, self._worker_cycle(sorted(self._handles)))
+        owned_ids = group_by_owner(ids, self._owner)
         eval_blob = (
             proto.encode_bind_eval(*self._eval_data)
             if self._eval_data is not None
@@ -768,7 +805,7 @@ class DistributedExecutor(ClientExecutor):
         )
         for wid, handle in sorted(self._handles.items()):
             self._send_assignment(
-                handle.conn, owned_ids[wid], model=self._model
+                handle.conn, owned_ids.get(wid, []), model=self._model
             )
             if eval_blob is not None:
                 handle.conn.send(proto.MsgType.BIND_EVAL, eval_blob)
@@ -950,22 +987,16 @@ class DistributedExecutor(ClientExecutor):
                     f"all distributed workers are gone (last failure: worker "
                     f"{wid}: {reason})"
                 )
-            orphans = sorted(
-                cid for cid, owner in self._owner.items() if owner == wid
-            )
+            orphans = owned_by(self._owner, wid)
             if not orphans:
                 return
-            cycle = self._worker_cycle(survivors)
-            for i, cid in enumerate(orphans):
-                self._owner[cid] = cycle[i % len(cycle)]
+            self._owner.update(deal(orphans, self._worker_cycle(survivors)))
             # Re-ship every orphaned client (future rounds need the
             # pinning); model shells already live on the survivors.  For
             # store-backed pools only the dead worker's id range travels
             # -- one ASSIGN_SHARD slice per inheritor, with the ledger's
             # authoritative RNG snapshots.
-            by_target: Dict[int, List[int]] = {}
-            for cid in orphans:
-                by_target.setdefault(self._owner[cid], []).append(cid)
+            by_target = group_by_owner(orphans, self._owner)
             for target in sorted(by_target):
                 handle = self._handles[target]
                 if not handle.alive:
@@ -1092,7 +1123,7 @@ class DistributedExecutor(ClientExecutor):
             elif state.kind == "eval":
                 handle.conn.send(
                     proto.MsgType.EVAL,
-                    proto.encode_eval(state.seq, [cid for cid, _ in jobs]),
+                    proto.encode_eval(state.seq, jobs),
                 )
             else:
                 handle.conn.send(
@@ -1101,8 +1132,11 @@ class DistributedExecutor(ClientExecutor):
                 )
             state.dispatch_gen[handle.id] = gen
 
-    def _initial_dispatch(self, state: _InFlight) -> None:
-        """First dispatch of a collector's jobs to their pinned workers.
+    def _initial_dispatch(
+        self, kind: str, round_idx: int, weights: np.ndarray, pending: Dict[int, List[_Job]]
+    ) -> _InFlight:
+        """Open a batch: allocate its seq and dispatch ``pending`` (worker
+        id -> jobs) to the pinned workers.
 
         Dispatches from a snapshot: a death during this loop reassigns
         the dead worker's jobs into ``state.pending`` (and dispatches
@@ -1110,26 +1144,39 @@ class DistributedExecutor(ClientExecutor):
         a second time -- the duplicate result would be discarded, but a
         training replica's local RNG streams would advance twice and
         every later round would silently diverge from the serial
-        schedule.  Workers currently parked ``lost`` are skipped: their
-        jobs stay pending and are dispatched by the resume event (or
-        reassigned when the grace window expires).
+        schedule.
         """
-        initial = {wid: list(jobs) for wid, jobs in state.pending.items()}
+        with self._submit_lock:
+            self._seq += 1
+            seq = self._seq
+        state = _InFlight(seq, round_idx, weights, kind)
+        state.pending = pending
+        initial = {wid: list(jobs) for wid, jobs in pending.items()}
         for wid in sorted(initial):
-            handle = self._handles[wid]
-            if not handle.alive:
-                # Retired by an earlier iteration's death handling (its
-                # whole pending list was already reassigned and
-                # dispatched) or parked lost (the resume/grace path
-                # owns these jobs now).
-                continue
-            gen = handle.gen
-            try:
-                self._dispatch_to(handle, state, initial[wid])
-            except OSError as exc:
-                if self._grace_lost(wid, gen):
-                    continue  # parked: jobs stay pending for the resume
-                self._handle_worker_death(wid, state, f"send failed: {exc}")
+            self._dispatch_or_fail_over(wid, state, initial[wid])
+        return state
+
+    def _dispatch_or_fail_over(
+        self, wid: int, state: _InFlight, jobs: List[_Job], when: str = ""
+    ) -> None:
+        """Dispatch ``jobs`` to worker ``wid`` unless it is not ``up``.
+
+        Not ``up`` means retired by an earlier death handling (its whole
+        pending list was already reassigned and dispatched) or parked
+        lost: its resume -- or its grace expiry through the heartbeat
+        check -- owns these jobs, which stay pending.  A failed send
+        parks the worker the same way, or retires it (grace disabled)
+        and moves the jobs on.
+        """
+        handle = self._handles[wid]
+        if not handle.alive:
+            return
+        gen = handle.gen
+        try:
+            self._dispatch_to(handle, state, jobs)
+        except OSError as exc:
+            if not self._grace_lost(wid, gen):
+                self._handle_worker_death(wid, state, f"send failed{when}: {exc}")
 
     def _handle_worker_death(
         self, wid: int, state: _InFlight, reason: str
@@ -1157,35 +1204,15 @@ class DistributedExecutor(ClientExecutor):
                 f"all distributed workers are gone (last failure: worker "
                 f"{wid}: {reason})"
             )
-        by_target: Dict[int, List[_Job]] = {}
-        if state.kind == "eval_model":
-            for i, shard in enumerate(outstanding):
-                by_target.setdefault(
-                    candidates[i % len(candidates)], []
-                ).append(shard)
-        else:
-            for cid, epochs in outstanding:
-                by_target.setdefault(self._owner[cid], []).append((cid, epochs))
+        owner = deal(outstanding, candidates) if state.kind == "eval_model" else self._owner
+        by_target = group_by_owner(outstanding, owner, key=state.key_of)
         for target in sorted(by_target):
             jobs = by_target[target]
             # Recorded in `pending` BEFORE the send: if the send fails,
             # the recursion below pops the target's whole pending list
             # (these jobs included) and moves it on -- nothing is lost.
             state.pending.setdefault(target, []).extend(jobs)
-            target_handle = self._handles[target]
-            if not target_handle.alive:
-                # A lost reassignment candidate: jobs wait for its resume
-                # (or its grace expiry through the heartbeat check).
-                continue
-            gen = target_handle.gen
-            try:
-                self._dispatch_to(target_handle, state, jobs)
-            except OSError as exc:
-                if self._grace_lost(target, gen):
-                    continue  # parked: the moved jobs await its resume
-                self._handle_worker_death(
-                    target, state, f"send failed during reassignment: {exc}"
-                )
+            self._dispatch_or_fail_over(target, state, jobs, " during reassignment")
 
     def _redispatch_after_resume(self, wid: int, state: _InFlight) -> None:
         """Re-send a resumed worker its outstanding jobs for this batch.
@@ -1207,15 +1234,7 @@ class DistributedExecutor(ClientExecutor):
         if state.dispatch_gen.get(wid) == handle.gen:
             return
         state.broadcasted.discard(wid)
-        gen = handle.gen
-        try:
-            self._dispatch_to(handle, state, list(jobs))
-        except OSError as exc:
-            if self._grace_lost(wid, gen):
-                return  # dropped again already: park for the next resume
-            self._handle_worker_death(
-                wid, state, f"send failed after resume: {exc}"
-            )
+        self._dispatch_or_fail_over(wid, state, list(jobs), " after resume")
 
     def _check_heartbeats(self, state: _InFlight) -> List[Tuple[int, str]]:
         """PING quiet busy workers; return those past their limit.
@@ -1276,7 +1295,7 @@ class DistributedExecutor(ClientExecutor):
         try:
             if proto.update_seq(payload) != state.seq:
                 # Stale result from an abandoned cohort (see the
-                # equivalent note in ProcessExecutor.train_cohort).
+                # equivalent note in ProcessExecutor._train_cohort).
                 return None
             t0 = time.perf_counter() if collect else 0.0
             decoded = proto.decode_update(
@@ -1301,59 +1320,32 @@ class DistributedExecutor(ClientExecutor):
     def _on_update_received(self, worker_id: int, client_id: int) -> None:
         """Test hook: called after each merged update (no-op)."""
 
-    def train_cohort(
-        self,
-        round_idx: int,
-        requests: Sequence[TrainRequest],
-        global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]] = None,
-    ) -> List[ClientUpdate]:
-        self._check_requests(requests)
-        if not requests:
-            return []
-        self._ensure_started()
-        with telemetry.span(
-            "executor.train_cohort",
-            backend=self.name,
-            round=round_idx,
-            clients=len(requests),
-        ):
-            return self._train_cohort_started(
-                round_idx, requests, global_weights, latencies
-            )
+    def _collect(
+        self, state: _InFlight, what: str, on_result: Callable[[int, int, tuple], None]
+    ) -> None:
+        """Drive ``state`` until no job is outstanding: the one event loop.
 
-    def _train_cohort_started(
-        self,
-        round_idx: int,
-        requests: Sequence[TrainRequest],
-        global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]],
-    ) -> List[ClientUpdate]:
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
-        state = _InFlight(seq, round_idx, global_weights, "train")
-        for req in requests:
-            state.pending.setdefault(self._owner[req.client_id], []).append(
-                (req.client_id, req.epochs)
-            )
-        self._initial_dispatch(state)
-
-        updates: List[ClientUpdate] = []
-        failures: List[str] = []
-        done: Set[int] = set()
+        Owns the ``result_timeout`` deadline (its message names the
+        outstanding ``what``), the heartbeat poll, resume, loss and its
+        grace window, ``BYE`` and ``REJECT``, and decodes each result
+        frame once.  A result frame for another seq is a straggler from
+        an abandoned batch: dropped, settling nothing.  One for the live
+        seq reaches ``on_result(worker_id, msg_type, decoded)`` if its
+        type may settle this kind of batch; otherwise -- like any
+        unknown frame -- it retires its sender as a protocol violation.
+        Training and evaluation results arrive on separate queues, so a
+        pipelined evaluation collects beside the next round's training.
+        """
+        events = self._events if state.kind == "train" else self._eval_events
         deadline = time.monotonic() + self.result_timeout
-
         while state.outstanding() > 0:
             if time.monotonic() > deadline:
                 raise ExecutorError(
                     f"timed out after {self.result_timeout:.0f}s waiting for "
-                    f"{state.outstanding()} client update(s)"
+                    f"{state.outstanding()} {what}"
                 )
             try:
-                wid, msg_type, payload = self._events.get(
-                    timeout=self.heartbeat_interval
-                )
+                wid, msg_type, payload = events.get(timeout=self.heartbeat_interval)
             except queue_mod.Empty:
                 for dead_wid, reason in self._check_heartbeats(state):
                     self._handle_worker_death(dead_wid, state, reason)
@@ -1363,9 +1355,8 @@ class DistributedExecutor(ClientExecutor):
                 self._redispatch_after_resume(wid, state)
                 continue
             if msg_type is None:
-                if self._grace_lost(wid, payload):
-                    continue
-                self._handle_worker_death(wid, state, "connection lost")
+                if not self._grace_lost(wid, payload):
+                    self._handle_worker_death(wid, state, "connection lost")
                 continue
             if msg_type == proto.MsgType.BYE:
                 self._handle_worker_death(wid, state, "worker exited")
@@ -1376,68 +1367,56 @@ class DistributedExecutor(ClientExecutor):
                     wid, state, f"worker refused to continue: {reason}"
                 )
                 continue
+            unexpected = f"unexpected message type {msg_type}"
             if msg_type == proto.MsgType.UPDATE:
                 decoded = self._decode_update_frame(wid, payload, state)
-                if decoded is None:
-                    continue
-                _seq, cid, n_samples, rng_state, w = decoded
-                # Clear the job from *every* worker's pending list: a dead
-                # worker's in-flight update can land after its job was
-                # already reassigned, and the replica's copy must not keep
-                # the round open.
-                for owner_wid in state.pending:
-                    state.pending[owner_wid] = [
-                        j for j in state.pending[owner_wid] if j[0] != cid
-                    ]
-                if cid in done:
-                    # Duplicate from a reassignment race: both the dead
-                    # worker and its replacement trained the same pinned
-                    # RNG state, so the copies are bit-identical -- merge
-                    # only the first.
-                    continue
-                done.add(cid)
-                if rng_state is not None:
-                    store = self._population_store()
-                    if store is not None:
-                        # Absorb into the store ledger without
-                        # materialising the client: the coordinator's
-                        # pool stays authoritative at O(cohort) resident
-                        # objects, and the next shard (re-)ship carries
-                        # this position.
-                        store.restore_rng_state(cid, train_state=rng_state)
-                    else:
-                        rng = getattr(self._clients[cid], "_train_rng", None)
-                        if rng is not None:
-                            rng.bit_generator.state = rng_state
-                updates.append(self._stamp(cid, w, n_samples, latencies))
-                self._on_update_received(wid, cid)
+            elif msg_type == proto.MsgType.TRAINFAIL:
+                decoded = proto.decode_trainfail(payload)
+            elif msg_type == proto.MsgType.EVAL_RESULT:
+                decoded = proto.decode_eval_result(payload)
+            elif msg_type == proto.MsgType.EVAL_MODEL_RESULT:
+                decoded = proto.decode_eval_model_result(payload)
+            else:
+                self._handle_worker_death(wid, state, unexpected)
                 continue
-            if msg_type == proto.MsgType.TRAINFAIL:
-                msg_seq, cid, tb = proto.decode_trainfail(payload)
-                if msg_seq != seq:
-                    continue
-                for owner_wid in state.pending:
-                    state.pending[owner_wid] = [
-                        j for j in state.pending[owner_wid] if j[0] != cid
-                    ]
-                if cid in done:
-                    continue
-                done.add(cid)
-                failures.append(f"client {cid} (worker {wid}):\n{tb}")
+            if decoded is None or decoded[0] != state.seq:
                 continue
-            # Unknown frame from a registered worker: protocol violation
-            # (eval results travel on their own queue and never land here).
-            self._handle_worker_death(
-                wid, state, f"unexpected message type {msg_type}"
-            )
+            if msg_type in _RESULT_FRAMES[state.kind]:
+                on_result(wid, msg_type, decoded)
+            else:
+                self._handle_worker_death(wid, state, unexpected)
 
-        if failures:
-            raise ExecutorError(
-                "client training failed on worker agent(s):\n" + "\n".join(failures)
-            )
+    def _train_cohort(
+        self,
+        round_idx: int,
+        requests: Sequence[TrainRequest],
+        global_weights: np.ndarray,
+        latencies: Optional[Mapping[int, float]],
+    ) -> List[ClientUpdate]:
+        jobs = [(req.client_id, req.epochs) for req in requests]
+        state = self._initial_dispatch(
+            "train", round_idx, global_weights, group_by_owner(jobs, self._owner, itemgetter(0))
+        )
+        updates: List[ClientUpdate] = []
+        failures: List[str] = []
+
+        def on_result(wid: int, msg_type: int, decoded: tuple) -> None:
+            cid = decoded[1]
+            if not state.settle(cid):
+                return
+            if msg_type == proto.MsgType.TRAINFAIL:
+                failures.append(f"client {cid} (worker {wid}):\n{decoded[2]}")
+                return
+            _seq, _cid, n_samples, rng_state, w = decoded
+            absorb_rng_state(self._clients, cid, rng_state)
+            updates.append(self._stamp(cid, w, n_samples, latencies))
+            self._on_update_received(wid, cid)
+
+        self._collect(state, "client update(s)", on_result)
+        self._raise_failures("client training failed on worker agent(s)", failures)
         return order_updates(updates, requests)
 
-    def evaluate_cohort(
+    def _evaluate_cohort(
         self,
         requests: Sequence[EvalRequest],
         flat_weights: np.ndarray,
@@ -1451,223 +1430,58 @@ class DistributedExecutor(ClientExecutor):
         whoever inherits its clients -- no RNG state replay is needed
         and duplicates are merged first-wins (copies are bit-identical).
         """
-        self._check_requests(requests)
-        if not requests:
-            return {}
-        self._ensure_started()
-        with telemetry.span(
-            "executor.eval_cohort", backend=self.name, clients=len(requests)
-        ):
-            return self._evaluate_cohort_started(requests, flat_weights)
-
-    def _evaluate_cohort_started(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> Dict[int, float]:
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
-        # Eval jobs reuse the (client_id, epochs) job shape with epochs=0
-        # so death-handling can share the training path's bookkeeping.
-        state = _InFlight(seq, 0, flat_weights, "eval")
-        for req in requests:
-            state.pending.setdefault(self._owner[req.client_id], []).append(
-                (req.client_id, 0)
-            )
-        self._initial_dispatch(state)
-
+        ids = [req.client_id for req in requests]
+        state = self._initial_dispatch("eval", 0, flat_weights, group_by_owner(ids, self._owner))
         accs: Dict[int, float] = {}
         failures: List[str] = []
-        done: Set[int] = set()
-        deadline = time.monotonic() + self.result_timeout
 
-        while state.outstanding() > 0:
-            if time.monotonic() > deadline:
-                raise ExecutorError(
-                    f"timed out after {self.result_timeout:.0f}s waiting for "
-                    f"{state.outstanding()} evaluation result(s)"
-                )
-            try:
-                wid, msg_type, payload = self._eval_events.get(
-                    timeout=self.heartbeat_interval
-                )
-            except queue_mod.Empty:
-                for dead_wid, reason in self._check_heartbeats(state):
-                    self._handle_worker_death(dead_wid, state, reason)
-                continue
+        def on_result(wid: int, _msg_type: int, decoded: tuple) -> None:
+            _seq, cid, acc, err = decoded
+            if not state.settle(cid):
+                return
+            if err is not None:
+                failures.append(f"client {cid} (worker {wid}):\n{err}")
+            else:
+                accs[cid] = acc
 
-            if msg_type == _EVT_RESUMED:
-                self._redispatch_after_resume(wid, state)
-                continue
-            if msg_type is None:
-                if self._grace_lost(wid, payload):
-                    continue
-                self._handle_worker_death(wid, state, "connection lost")
-                continue
-            if msg_type == proto.MsgType.BYE:
-                self._handle_worker_death(wid, state, "worker exited")
-                continue
-            if msg_type == proto.MsgType.REJECT:
-                reason = proto.decode_reject(payload)
-                self._handle_worker_death(
-                    wid, state, f"worker refused to continue: {reason}"
-                )
-                continue
-            if msg_type == proto.MsgType.EVAL_RESULT:
-                msg_seq, cid, acc, err = proto.decode_eval_result(payload)
-                if msg_seq != seq:
-                    continue
-                for owner_wid in state.pending:
-                    state.pending[owner_wid] = [
-                        j for j in state.pending[owner_wid] if j[0] != cid
-                    ]
-                if cid in done:
-                    continue
-                done.add(cid)
-                if err is not None:
-                    failures.append(f"client {cid} (worker {wid}):\n{err}")
-                else:
-                    accs[cid] = acc
-                continue
-            if msg_type == proto.MsgType.EVAL_MODEL_RESULT:
-                # Straggler from an abandoned evaluate_model; this
-                # cohort's seq is fresh, so theirs can never match.
-                msg_seq = proto.decode_eval_model_result(payload)[0]
-                if msg_seq != seq:
-                    continue
-            self._handle_worker_death(
-                wid, state, f"unexpected message type {msg_type}"
-            )
-
-        if failures:
-            raise ExecutorError(
-                "client evaluation failed on worker agent(s):\n"
-                + "\n".join(failures)
-            )
-        return {req.client_id: accs[req.client_id] for req in requests}
+        self._collect(state, "evaluation result(s)", on_result)
+        self._raise_failures("client evaluation failed on worker agent(s)", failures)
+        return {cid: accs[cid] for cid in ids}
 
     # ------------------------------------------------------------------
-    def evaluate_model(
-        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> float:
-        """Shard over the workers' resident eval set; bit-exact.
-
-        Requires the dataset to have been shipped via
+    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
+        """Every live worker, when this dataset was shipped via
         :meth:`bind_eval_data` (one BIND_EVAL frame per worker);
-        anything else -- unbound data, or fewer than two shardable
-        batches -- evaluates serially in the coordinator process.  A
-        worker lost mid-pass has its shards re-dealt over the survivors
-        (shard counting is pure, so replays merge first-wins).
-        """
-        self._require_bound()
+        anything else evaluates serially in the coordinator process."""
         if not self._bound_eval_data_matches(x, y):
-            return super().evaluate_model(flat_weights, x, y)
+            return 0
         self._ensure_started()
-        if not self._eval_shipped:
-            return super().evaluate_model(flat_weights, x, y)
-        n = int(x.shape[0])
-        live = self._live_ids()
-        bounds = eval_shard_bounds(n, len(live))
-        if bounds is None:
-            return super().evaluate_model(flat_weights, x, y)
-        with telemetry.span(
-            "executor.eval_model",
-            backend=self.name,
-            samples=n,
-            shards=len(bounds),
-        ):
-            return self._evaluate_model_sharded(flat_weights, live, bounds, n)
+        return len(self._live_ids()) if self._eval_shipped else 0
 
-    def _evaluate_model_sharded(
-        self,
-        flat_weights: np.ndarray,
-        live: List[int],
-        bounds: List[Tuple[int, int]],
-        n: int,
-    ) -> float:
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
-        state = _InFlight(seq, 0, flat_weights, "eval_model")
-        for i, bd in enumerate(bounds):
-            state.pending.setdefault(live[i % len(live)], []).append(bd)
-        self._initial_dispatch(state)
-
-        correct = 0
+    def _count_sharded(
+        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
+    ) -> int:
+        """Shard over the workers' resident eval set.  A worker lost
+        mid-pass has its shards re-dealt over the survivors (shard
+        counting is pure, so replays merge first-wins)."""
+        state = self._initial_dispatch(
+            "eval_model", 0, flat_weights, group_by_owner(bounds, deal(bounds, self._live_ids()))
+        )
+        counts: List[int] = []
         failures: List[str] = []
-        done: Set[Tuple[int, int]] = set()
-        deadline = time.monotonic() + self.result_timeout
 
-        while state.outstanding() > 0:
-            if time.monotonic() > deadline:
-                raise ExecutorError(
-                    f"timed out after {self.result_timeout:.0f}s waiting for "
-                    f"{state.outstanding()} evaluation shard(s)"
-                )
-            try:
-                wid, msg_type, payload = self._eval_events.get(
-                    timeout=self.heartbeat_interval
-                )
-            except queue_mod.Empty:
-                for dead_wid, reason in self._check_heartbeats(state):
-                    self._handle_worker_death(dead_wid, state, reason)
-                continue
+        def on_result(wid: int, _msg_type: int, decoded: tuple) -> None:
+            _seq, a, b, shard_correct, err = decoded
+            if not state.settle((a, b)):
+                return
+            if err is not None:
+                failures.append(f"shard [{a}:{b}] (worker {wid}):\n{err}")
+            else:
+                counts.append(shard_correct)
 
-            if msg_type == _EVT_RESUMED:
-                self._redispatch_after_resume(wid, state)
-                continue
-            if msg_type is None:
-                if self._grace_lost(wid, payload):
-                    continue
-                self._handle_worker_death(wid, state, "connection lost")
-                continue
-            if msg_type == proto.MsgType.BYE:
-                self._handle_worker_death(wid, state, "worker exited")
-                continue
-            if msg_type == proto.MsgType.REJECT:
-                reason = proto.decode_reject(payload)
-                self._handle_worker_death(
-                    wid, state, f"worker refused to continue: {reason}"
-                )
-                continue
-            if msg_type == proto.MsgType.EVAL_MODEL_RESULT:
-                msg_seq, a, b, shard_correct, err = (
-                    proto.decode_eval_model_result(payload)
-                )
-                if msg_seq != seq:
-                    continue
-                for owner_wid in state.pending:
-                    state.pending[owner_wid] = [
-                        s for s in state.pending[owner_wid] if s != (a, b)
-                    ]
-                if (a, b) in done:
-                    # Duplicate from a redistribution race: shard counts
-                    # are pure, copies are identical -- merge the first.
-                    continue
-                done.add((a, b))
-                if err is not None:
-                    failures.append(f"shard [{a}:{b}] (worker {wid}):\n{err}")
-                else:
-                    correct += shard_correct
-                continue
-            if msg_type == proto.MsgType.EVAL_RESULT:
-                # Straggler from an abandoned evaluate_cohort.
-                msg_seq = proto.decode_eval_result(payload)[0]
-                if msg_seq != seq:
-                    continue
-            self._handle_worker_death(
-                wid, state, f"unexpected message type {msg_type}"
-            )
-
-        if failures:
-            raise ExecutorError(
-                "global evaluation failed on worker agent(s):\n"
-                + "\n".join(failures)
-            )
-        # Same float as `np.mean(preds == y)` over the full pass: the
-        # boolean sum is exact in float64 and the division identical.
-        return float(correct / n)
+        self._collect(state, "evaluation shard(s)", on_result)
+        self._raise_failures("global evaluation failed on worker agent(s)", failures)
+        return sum(counts)
 
     # ------------------------------------------------------------------
     def _emit_wire_metrics(self) -> None:
@@ -1706,16 +1520,12 @@ class DistributedExecutor(ClientExecutor):
                 handle.conn.send(proto.MsgType.SHUTDOWN)
             except OSError:
                 pass
-        # Give workers a moment to BYE so their exit is clean, then drop.
+        # Give workers a moment to BYE so their exit is clean, then drop:
+        # a reader thread returns on its worker's BYE (or on EOF).
         deadline = time.monotonic() + 5.0
-        waiting = {h.id for h in live}
-        while waiting and time.monotonic() < deadline:
-            try:
-                wid, msg_type, _ = self._events.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
-            if msg_type is None or msg_type == proto.MsgType.BYE:
-                waiting.discard(wid)
+        for handle in live:
+            if handle.reader is not None:
+                handle.reader.join(timeout=max(0.0, deadline - time.monotonic()))
         for handle in self._handles.values():
             self._retire(handle.id)
         if telemetry.enabled():

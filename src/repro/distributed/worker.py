@@ -6,11 +6,14 @@ of its own -- everything (clients, model shell, training hyperparameters)
 arrives over the wire, so a fleet of identical agents can serve any
 federation.
 
-Determinism mirrors :func:`repro.execution.process._worker_main`: each
-TRAIN message builds one optimizer factory for the round, clients train
-sequentially in dispatch order inside the single workspace model, and
-every UPDATE ships the client's advanced training-RNG state back so the
-coordinator's pool remains the single source of truth.
+Determinism mirrors :func:`repro.execution.process._worker_main` because
+both run the same worker ops (:func:`repro.execution.pool.train_client`,
+:func:`repro.execution.base.evaluate_holdouts`,
+:func:`repro.execution.base.count_correct`): each TRAIN message builds
+one optimizer factory for the round, clients train sequentially in
+dispatch order inside the single workspace model, and every UPDATE ships
+the client's advanced training-RNG state back so the coordinator's pool
+remains the single source of truth.
 
 A dedicated reader thread answers PING with PONG even while a long
 local pass is running, so a busy worker is never mistaken for a dead
@@ -63,7 +66,8 @@ from repro.codec import get_codec
 from repro.config import TrainingConfig
 from repro.distributed import protocol as proto
 from repro.distributed.transport import Connection, ConnectionClosed, FrameError
-from repro.execution.base import EVAL_BATCH, evaluate_holdouts
+from repro.execution.base import count_correct, evaluate_holdouts
+from repro.execution.pool import train_client
 from repro.nn.model import Sequential
 from repro.serialization import shard_from_bytes
 from repro.simcluster.population import PopulationStore, ShardClients
@@ -361,12 +365,20 @@ class WorkerAgent:
         while len(self._broadcasts) > BROADCAST_RETAIN:
             self._broadcasts.popitem(last=False)
 
-    def _weights_for(self, seq: int, what: str):
-        """The BROADCAST weights a work order references, or a protocol error."""
+    def _weights_for(self, seq: int, what: str, client_ids=()):
+        """The BROADCAST weights a work order references, once the order is
+        known to be servable: weights retained, ASSIGN seen, clients owned."""
         if seq not in self._broadcasts:
             have = sorted(self._broadcasts)
             raise proto.ProtocolError(
                 f"{what} for seq {seq} but the retained BROADCASTs are {have}"
+            )
+        if self._workspace is None:  # ASSIGN sets it together with _training
+            raise proto.ProtocolError(f"{what} before ASSIGN")
+        unknown = [cid for cid in client_ids if cid not in self._clients]
+        if unknown:
+            raise proto.ProtocolError(
+                f"{what} for clients {unknown} this worker does not own"
             )
         return self._broadcasts[seq]
 
@@ -381,14 +393,7 @@ class WorkerAgent:
 
     def _handle_train(self, conn: Connection, payload: bytes) -> None:
         seq, round_idx, jobs = proto.decode_train(payload)
-        global_flat = self._weights_for(seq, "TRAIN")
-        if self._training is None or self._workspace is None:
-            raise proto.ProtocolError("TRAIN before ASSIGN")
-        unknown = [cid for cid, _ in jobs if cid not in self._clients]
-        if unknown:
-            raise proto.ProtocolError(
-                f"TRAIN for clients {unknown} this worker does not own"
-            )
+        global_flat = self._weights_for(seq, "TRAIN", [cid for cid, _ in jobs])
         factory = self._training.optimizer_factory(round_idx)
         # Updates travel through the configured codec; for delta the
         # baseline is the broadcast this cohort trains from -- both
@@ -399,20 +404,17 @@ class WorkerAgent:
         self._stats["train_requests"] += 1
         for client_id, epochs in jobs:
             try:
-                client = self._clients[client_id]
-                w = client.train(
+                w, num_samples, state = train_client(
+                    self._clients[client_id],
                     self._workspace,
                     global_flat,
                     factory,
-                    batch_size=self._training.batch_size,
-                    epochs=epochs,
-                    prox_mu=self._training.prox_mu,
+                    self._training,
+                    epochs,
                 )
-                rng = getattr(client, "_train_rng", None)
-                state = rng.bit_generator.state if rng is not None else None
                 t0 = time.perf_counter()
                 frame = proto.encode_update(
-                    seq, client_id, client.num_train_samples, state, w,
+                    seq, client_id, num_samples, state, w,
                     codec=codec, baseline=baseline,
                     baseline_seq=baseline_seq,
                 )
@@ -431,14 +433,7 @@ class WorkerAgent:
     def _handle_eval(self, conn: Connection, payload: bytes) -> None:
         """Evaluate owned clients' holdouts against the matching BROADCAST."""
         seq, client_ids = proto.decode_eval(payload)
-        global_flat = self._weights_for(seq, "EVAL")
-        if self._workspace is None:
-            raise proto.ProtocolError("EVAL before ASSIGN")
-        unknown = [cid for cid in client_ids if cid not in self._clients]
-        if unknown:
-            raise proto.ProtocolError(
-                f"EVAL for clients {unknown} this worker does not own"
-            )
+        global_flat = self._weights_for(seq, "EVAL", client_ids)
         self._stats["eval_requests"] += 1
         # One weight load per EVAL frame; the wire stays one EVAL_RESULT
         # frame per client (v7), sent once the whole share is scored.
@@ -455,37 +450,29 @@ class WorkerAgent:
         """Count correct predictions over shards of the resident eval set."""
         seq, shards = proto.decode_eval_model(payload)
         eval_flat = self._weights_for(seq, "EVAL_MODEL")
-        if self._workspace is None:
-            raise proto.ProtocolError("EVAL_MODEL before ASSIGN")
         if self._eval_data is None:
             raise proto.ProtocolError("EVAL_MODEL before BIND_EVAL")
         x, y = self._eval_data
         n = int(x.shape[0])
         self._stats["eval_model_requests"] += 1
-        loaded = False
         for a, b in shards:
             if b > n:
                 raise proto.ProtocolError(
                     f"EVAL_MODEL shard [{a}, {b}) exceeds the resident "
                     f"eval set of {n} samples"
                 )
-            try:
-                if not loaded:  # once per frame; a failed load fails each shard
-                    self._workspace.set_flat_weights(eval_flat)
-                    loaded = True
-                preds = self._workspace.predict(x[a:b], batch_size=EVAL_BATCH)
-                correct = int(np.count_nonzero(preds == y[a:b]))
-                conn.send(
-                    proto.MsgType.EVAL_MODEL_RESULT,
-                    proto.encode_eval_model_result(seq, a, b, correct),
-                )
-            except Exception:
-                conn.send(
-                    proto.MsgType.EVAL_MODEL_RESULT,
-                    proto.encode_eval_model_result(
-                        seq, a, b, None, traceback.format_exc()
-                    ),
-                )
+        # One weight load per EVAL_MODEL frame, one result frame per shard
+        # (a failure fails the frame's shards together).
+        error = None
+        try:
+            counts = count_correct(self._workspace, x, y, shards, eval_flat)
+        except Exception:
+            counts, error = [None] * len(shards), traceback.format_exc()
+        for (a, b), correct in zip(shards, counts):
+            conn.send(
+                proto.MsgType.EVAL_MODEL_RESULT,
+                proto.encode_eval_model_result(seq, a, b, correct, error),
+            )
 
     # ------------------------------------------------------------------
     # telemetry summary

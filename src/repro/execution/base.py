@@ -98,6 +98,7 @@ could observe the later weights.
 from __future__ import annotations
 
 import threading
+import time
 import traceback
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -107,6 +108,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.config import TrainingConfig
+from repro.execution.pool import train_client
 from repro.nn.model import Sequential
 from repro.simcluster.client import ClientUpdate, SimClient
 
@@ -119,6 +121,7 @@ __all__ = [
     "EVAL_BATCH",
     "eval_shard_bounds",
     "evaluate_holdouts",
+    "count_correct",
 ]
 
 #: Must match the ``batch_size`` default of :meth:`Sequential.evaluate`:
@@ -190,6 +193,30 @@ def evaluate_holdouts(
     return accuracies, failures
 
 
+def count_correct(
+    workspace: Sequential,
+    x: np.ndarray,
+    y: np.ndarray,
+    bounds: Iterable[Tuple[int, int]],
+    flat_weights: np.ndarray,
+) -> List[int]:
+    """Correct predictions of ``flat_weights`` on each ``[a, b)`` shard of
+    ``(x, y)``: one load, one count per bound.
+
+    The server-held-dataset twin of :func:`evaluate_holdouts` and the
+    only shard-scoring loop in the package: a thread replica, a
+    ``process`` worker's ``"eval_model"`` task and a distributed worker's
+    EVAL_MODEL frame all run it on shards :func:`eval_shard_bounds` cut.
+    Raises whatever the load or a forward pass raises; one worker's
+    shards share a model and a dataset, so they fail together.
+    """
+    workspace.set_flat_weights(flat_weights)
+    return [
+        int(np.count_nonzero(workspace.predict(x[a:b], batch_size=EVAL_BATCH) == y[a:b]))
+        for a, b in bounds
+    ]
+
+
 class ExecutorError(RuntimeError):
     """A backend failed to produce an update for a requested client."""
 
@@ -243,12 +270,16 @@ def order_updates(
 
 
 class ClientExecutor:
-    """Abstract pluggable backend that trains a cohort of clients.
+    """Pluggable backend that trains a cohort of clients.
 
     Lifecycle: the server calls :meth:`bind` once with its client pool,
     model and training config, then :meth:`train_cohort` every round, and
     finally :meth:`close`.  Backends allocate their worker resources
     lazily on the first cohort, so constructing an executor is free.
+    Every operation defaults to the in-server serial pass; a backend with
+    workers overrides the ``_train_cohort`` / ``_evaluate_cohort`` /
+    ``_eval_shard_workers`` + ``_count_sharded`` hooks behind the public
+    entry points.
     """
 
     name: str = "abstract"
@@ -352,6 +383,9 @@ class ClientExecutor:
         """Whether worker resources have been allocated (backend hook)."""
         return False
 
+    def _ensure_started(self) -> None:
+        """Allocate worker resources on the first cohort (backend hook)."""
+
     @property
     def codec(self):
         """The bound :class:`repro.codec.WeightCodec` weight vectors use
@@ -380,8 +414,66 @@ class ClientExecutor:
         Returns updates in request order (see module docstring).
         ``latencies`` optionally stamps each update with the simulated
         response latency the server already measured.
+
+        The one cohort entry path: precondition check, empty-cohort
+        return, lazy start and the ``executor.train_cohort`` span happen
+        here; backends with workers implement :meth:`_train_cohort`.
         """
-        raise NotImplementedError
+        self._check_requests(requests)
+        if not requests:
+            return []
+        self._ensure_started()
+        with telemetry.span(
+            "executor.train_cohort",
+            backend=self.name,
+            round=round_idx,
+            clients=len(requests),
+        ):
+            return self._train_cohort(round_idx, requests, global_weights, latencies)
+
+    def _train_cohort(
+        self,
+        round_idx: int,
+        requests: Sequence[TrainRequest],
+        global_weights: np.ndarray,
+        latencies: Optional[Mapping[int, float]],
+    ) -> List[ClientUpdate]:
+        """Backend hook: train a checked, non-empty cohort.  Default: the
+        serial schedule -- one client after another in the bound model
+        shell, the reference every backend with workers is tested against."""
+        factory = self._training.optimizer_factory(round_idx)
+        return [
+            self._train_request(req, self._model, global_weights, factory, latencies)
+            for req in requests
+        ]
+
+    def _train_request(
+        self,
+        req: TrainRequest,
+        workspace: Sequential,
+        global_weights: np.ndarray,
+        factory: Callable,
+        latencies: Optional[Mapping[int, float]],
+    ) -> ClientUpdate:
+        """Train one request in a ``workspace`` of this process (the
+        serial and thread backends), timed as ``executor.client_train_s``."""
+        collect = telemetry.enabled()
+        t0 = time.perf_counter() if collect else 0.0
+        w, num_samples, _ = train_client(
+            self._clients[req.client_id],
+            workspace,
+            global_weights,
+            factory,
+            self._training,
+            req.epochs,
+        )
+        if collect:
+            telemetry.observe(
+                "executor.client_train_s",
+                time.perf_counter() - t0,
+                backend=self.name,
+            )
+        return self._stamp(req.client_id, w, num_samples, latencies)
 
     def evaluate_cohort(
         self,
@@ -396,25 +488,40 @@ class ClientExecutor:
         failure (e.g. an empty holdout) raises :class:`ExecutorError`
         naming the client, after every other client was scored.
 
-        Default: the whole cohort in the calling process on the bound
-        model shell (serial and batched); backends with worker replicas
-        override it, each worker running the same
-        :func:`evaluate_holdouts` over its share.
+        Same entry path as :meth:`train_cohort`, under the
+        ``executor.eval_cohort`` span; backends with worker replicas
+        implement :meth:`_evaluate_cohort`.
         """
-        clients = self._check_requests(requests)
+        self._check_requests(requests)
+        if not requests:
+            return {}
+        self._ensure_started()
+        with telemetry.span("executor.eval_cohort", backend=self.name, clients=len(requests)):
+            return self._evaluate_cohort(requests, flat_weights)
+
+    def _evaluate_cohort(
+        self, requests: Sequence[EvalRequest], flat_weights: np.ndarray
+    ) -> Dict[int, float]:
+        """Backend hook; default: the whole cohort in the calling process
+        on the bound model shell (serial and batched), through the same
+        :func:`evaluate_holdouts` every worker runs over its share."""
         ids = [req.client_id for req in requests]
-        with telemetry.span("executor.eval_cohort", backend=self.name, clients=len(ids)):
-            accuracies, failures = evaluate_holdouts(self._model, clients, ids, flat_weights)
+        accuracies, failures = evaluate_holdouts(self._model, self._clients, ids, flat_weights)
         self._raise_eval_failures(failures)
         return accuracies
 
     @staticmethod
-    def _raise_eval_failures(failures: Mapping[int, str]) -> None:
+    def _raise_failures(what: str, failures: Sequence[str]) -> None:
+        """The assemble step's error path: every captured per-client /
+        per-shard failure in one :class:`ExecutorError` (no-op when none)."""
         if failures:
-            raise ExecutorError(
-                "client evaluation failed:\n"
-                + "\n".join(f"client {cid}:\n{tb}" for cid, tb in failures.items())
-            )
+            raise ExecutorError(f"{what}:\n" + "\n".join(failures))
+
+    @classmethod
+    def _raise_eval_failures(cls, failures: Mapping[int, str]) -> None:
+        cls._raise_failures(
+            "client evaluation failed", [f"client {cid}:\n{tb}" for cid, tb in failures.items()]
+        )
 
     def evaluate_model(
         self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -422,18 +529,41 @@ class ClientExecutor:
         """Accuracy of ``flat_weights`` on a server-held dataset.
 
         Default: one serial pass in the calling process on the bound
-        model shell (exactly the pre-executor behaviour).  Backends
-        holding local replicas may override with a sharded pass, but
-        must stay bit-identical to the serial result; the process and
-        distributed backends shard only over data previously shipped via
-        :meth:`bind_eval_data` (anything else never leaves the server).
+        model shell (exactly the pre-executor behaviour).  A backend
+        holding local replicas names how many may share the pass
+        (:meth:`_eval_shard_workers`); the dataset is then cut by
+        :func:`eval_shard_bounds`, the backend counts correct
+        predictions per shard (:meth:`_count_sharded`) and the sum is
+        divided once, which stays bit-identical to the serial result.
+        The process and distributed backends shard only over data
+        previously shipped via :meth:`bind_eval_data` (anything else
+        never leaves the server).
         """
         self._require_bound()
+        n = int(x.shape[0])
+        bounds = eval_shard_bounds(n, self._eval_shard_workers(x, y))
+        if bounds is None:
+            with telemetry.span("executor.eval_model", backend=self.name, samples=n):
+                self._model.set_flat_weights(flat_weights)
+                return self._model.evaluate(x, y)
         with telemetry.span(
-            "executor.eval_model", backend=self.name, samples=int(x.shape[0])
+            "executor.eval_model", backend=self.name, samples=n, shards=len(bounds)
         ):
-            self._model.set_flat_weights(flat_weights)
-            return self._model.evaluate(x, y)
+            correct = self._count_sharded(flat_weights, x, y, bounds)
+        # Same float as `np.mean(preds == y)` over the full pass: the
+        # boolean sum is exact in float64 and the division identical.
+        return float(correct / n)
+
+    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
+        """Backend hook: how many workers can share a pass over ``(x, y)``
+        (fewer than two: the serial pass)."""
+        return 0
+
+    def _count_sharded(
+        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
+    ) -> int:
+        """Backend hook: total correct predictions over ``bounds``."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def bind_eval_data(self, x: np.ndarray, y: np.ndarray) -> None:

@@ -3,14 +3,18 @@
 Design (the memory / determinism contract):
 
 * **Pinned clients.**  The sorted client-id list is dealt round-robin
-  over ``workers`` persistent processes at start-up.  A client always
+  over ``workers`` persistent processes at start-up by
+  :func:`repro.execution.pool.deal` (the capacity-1 cycle of the
+  function the distributed coordinator pins with).  A client always
   trains in its owning worker, so its ``_train_rng`` shuffle stream
   advances in exactly one address space, exactly as it would under the
   serial schedule -- the property that makes the process backend
   bit-identical to :class:`repro.execution.serial.SerialExecutor`.  Each
-  update ships the advanced RNG state back to the parent's client object,
-  so the parent pool remains the single source of truth and can later be
-  reused with any backend or a fresh executor.
+  update ships the advanced RNG state back
+  (:func:`repro.execution.pool.train_client` reads it,
+  :func:`repro.execution.pool.absorb_rng_state` writes it into the
+  parent's pool), so the parent pool remains the single source of truth
+  and can later be reused with any backend or a fresh executor.
 * **Population sharding.**  When the bound pool is a
   :class:`repro.simcluster.population.PopulationStore` view (it exposes
   ``.store``), workers never receive pickled
@@ -86,6 +90,7 @@ import queue as queue_mod
 import threading
 import time
 import traceback
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,15 +98,15 @@ import numpy as np
 from repro import telemetry
 from repro.config import TrainingConfig
 from repro.execution.base import (
-    EVAL_BATCH,
     ClientExecutor,
     EvalRequest,
     ExecutorError,
     TrainRequest,
-    eval_shard_bounds,
+    count_correct,
     evaluate_holdouts,
     order_updates,
 )
+from repro.execution.pool import absorb_rng_state, deal, group_by_owner, train_client
 from repro.nn.model import Sequential
 from repro.simcluster.client import ClientUpdate, SimClient
 from repro.simcluster.population import (
@@ -176,22 +181,11 @@ def _worker_main(
             factory = training.optimizer_factory(round_idx)
             for client_id, epochs in jobs:
                 try:
-                    client = clients[client_id]
-                    w = client.train(
-                        workspace,
-                        global_flat,
-                        factory,
-                        batch_size=training.batch_size,
-                        epochs=epochs,
-                        prox_mu=training.prox_mu,
+                    # The advanced training-RNG state ships home with the
+                    # update (see ``train_client``).
+                    w, num_samples, state = train_client(
+                        clients[client_id], workspace, global_flat, factory, training, epochs
                     )
-                    # Ship the advanced training-RNG state home with the
-                    # update: the parent pool stays the single source of
-                    # truth, so the same clients can later be reused with
-                    # any backend (or a fresh executor) without replaying
-                    # streams.
-                    rng = getattr(client, "_train_rng", None)
-                    state = rng.bit_generator.state if rng is not None else None
                     # Shared-memory return: wait until the parent freed
                     # this worker's slot, write the weights, then post
                     # metadata only.  The parent releases the slot for
@@ -201,8 +195,7 @@ def _worker_main(
                     slot_view[: w.size] = w
                     _ship(
                         result_q,
-                        ("ok", seq, worker_id, client_id,
-                         client.num_train_samples, state),
+                        ("ok", seq, worker_id, client_id, num_samples, state),
                     )
                 except Exception:
                     # Exception, not BaseException: a Ctrl-C delivered to
@@ -222,10 +215,7 @@ def _worker_main(
             _, seq, bounds = msg
             correct, failures = 0, []
             try:
-                workspace.set_flat_weights(eval_flat)
-                for a, b in bounds:
-                    preds = workspace.predict(eval_x[a:b], batch_size=EVAL_BATCH)
-                    correct += int(np.count_nonzero(preds == eval_y[a:b]))
+                correct = sum(count_correct(workspace, eval_x, eval_y, bounds, eval_flat))
             except Exception:
                 failures.append(f"shards {bounds}:\n{traceback.format_exc()}")
             _ship(eval_result_q, (seq, correct, failures))
@@ -244,7 +234,15 @@ def _ship(q, msg) -> int:
 
 
 class ProcessExecutor(ClientExecutor):
-    """Train the cohort across persistent, client-pinned worker processes."""
+    """Train the cohort across persistent, client-pinned worker processes.
+
+    ``result_timeout`` bounds *accumulated idle poll time*: only the
+    seconds the parent spent blocked on an empty result queue while
+    collecting one cohort count (:meth:`_next_result`), so workers that
+    keep delivering never time out, however long the cohort runs.  The
+    distributed coordinator's parameter of the same name is instead a
+    wall-clock deadline for the whole cohort.
+    """
 
     name = "process"
     supports_async_eval = True
@@ -364,7 +362,8 @@ class ProcessExecutor(ClientExecutor):
         clients = self._require_bound()
         n_workers = min(self.workers, len(clients))
         ids = sorted(clients)
-        self._owner = {cid: i % n_workers for i, cid in enumerate(ids)}
+        self._owner = deal(ids, range(n_workers))
+        owned_ids = group_by_owner(ids, self._owner)
         num_params = self._model.num_params()
         self._num_params = num_params
         self._shared = self._ctx.RawArray("d", max(num_params, 1))
@@ -391,14 +390,13 @@ class ProcessExecutor(ClientExecutor):
         store = getattr(clients, "store", None)
         procs, task_qs, return_slots, slot_free_sems = [], [], [], []
         for wid in range(n_workers):
-            owned_ids = [cid for cid in ids if self._owner[cid] == wid]
             if store is not None:
                 # Store pool: ship the column slice, never SimClient
                 # pickles.  The parent materialises nothing here.
-                owned = self._make_shard_spec(store, owned_ids)
+                owned = self._make_shard_spec(store, owned_ids[wid])
                 self._shard_specs.append(owned)
             else:
-                owned = {cid: clients[cid] for cid in owned_ids}
+                owned = {cid: clients[cid] for cid in owned_ids[wid]}
                 self._shard_bytes += len(
                     pickle.dumps(owned, protocol=pickle.HIGHEST_PROTOCOL)
                 )
@@ -474,10 +472,6 @@ class ProcessExecutor(ClientExecutor):
         telemetry.count("wire.shard_bytes", shipped)
         return (columns, meta)
 
-    def _put_task(self, wid: int, msg) -> None:
-        """Queue a task message, counting its pickled size as IPC bytes."""
-        self._ipc_bytes += _ship(self._task_qs[wid], msg)
-
     def _write_segment(self, segment, flat_weights: np.ndarray) -> None:
         """One write into a shared segment, visible to every worker
         before its task message arrives (queue send orders it)."""
@@ -527,46 +521,28 @@ class ProcessExecutor(ClientExecutor):
                 raise ExecutorError("timed out waiting for client results")
             return None
 
-    # ------------------------------------------------------------------
-    def train_cohort(
-        self,
-        round_idx: int,
-        requests: Sequence[TrainRequest],
-        global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]] = None,
-    ) -> List[ClientUpdate]:
-        self._check_requests(requests)
-        if not requests:
-            return []
-        self._ensure_started()
-        with telemetry.span(
-            "executor.train_cohort",
-            backend=self.name,
-            round=round_idx,
-            clients=len(requests),
-        ):
-            return self._train_cohort_started(
-                round_idx, requests, global_weights, latencies
-            )
-
-    def _train_cohort_started(
-        self,
-        round_idx: int,
-        requests: Sequence[TrainRequest],
-        global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]] = None,
-    ) -> List[ClientUpdate]:
-        per_worker: Dict[int, List[_Job]] = {}
-        for req in requests:
-            per_worker.setdefault(self._owner[req.client_id], []).append(
-                (req.client_id, req.epochs)
-            )
+    def _submit(self, segment, flat_weights: np.ndarray, kind: str, per_worker, *head) -> int:
+        """Allocate a seq, publish the weights and task each worker with
+        ``(kind, seq, *head, its share)``; returns the seq to drain."""
         with self._submit_lock:
             self._seq += 1
             seq = self._seq
-            self._write_segment(self._shared, global_weights)
-            for wid, jobs in per_worker.items():
-                self._put_task(wid, ("train", seq, round_idx, jobs))
+            self._write_segment(segment, flat_weights)
+            for wid, share in per_worker.items():
+                self._ipc_bytes += _ship(self._task_qs[wid], (kind, seq, *head, share))
+        return seq
+
+    # ------------------------------------------------------------------
+    def _train_cohort(
+        self,
+        round_idx: int,
+        requests: Sequence[TrainRequest],
+        global_weights: np.ndarray,
+        latencies: Optional[Mapping[int, float]],
+    ) -> List[ClientUpdate]:
+        jobs: List[_Job] = [(req.client_id, req.epochs) for req in requests]
+        per_worker = group_by_owner(jobs, self._owner, key=itemgetter(0))
+        seq = self._submit(self._shared, global_weights, "train", per_worker, round_idx)
 
         updates: List[ClientUpdate] = []
         failures: List[str] = []
@@ -594,16 +570,7 @@ class ProcessExecutor(ClientExecutor):
                     # testbed re-running a client.
                     continue
                 received += 1
-                if rng_state is not None:
-                    store = getattr(self._clients, "store", None)
-                    if store is not None:
-                        # Ledger write: authoritative without forcing the
-                        # parent to materialise the client.
-                        store.restore_rng_state(cid, train_state=rng_state)
-                    else:
-                        rng = getattr(self._clients[cid], "_train_rng", None)
-                        if rng is not None:
-                            rng.bit_generator.state = rng_state
+                absorb_rng_state(self._clients, cid, rng_state)
                 updates.append(self._stamp(cid, w, n_samples, latencies))
             elif kind == "err":
                 _, _, wid, cid, tb = msg
@@ -615,48 +582,22 @@ class ProcessExecutor(ClientExecutor):
                 # Unknown kinds cannot appear on the training queue (eval
                 # traffic has its own queue); skip defensively.
                 continue
-        if failures:
-            raise ExecutorError(
-                "client training failed in worker process:\n" + "\n".join(failures)
-            )
+        self._raise_failures("client training failed in worker process", failures)
         return order_updates(updates, requests)
 
     # ------------------------------------------------------------------
-    def evaluate_cohort(
+    def _evaluate_cohort(
         self,
         requests: Sequence[EvalRequest],
         flat_weights: np.ndarray,
     ) -> Dict[int, float]:
-        self._check_requests(requests)
-        if not requests:
-            return {}
-        self._ensure_started()
-        with telemetry.span(
-            "executor.eval_cohort", backend=self.name, clients=len(requests)
-        ):
-            return self._evaluate_cohort_started(requests, flat_weights)
-
-    def _evaluate_cohort_started(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> Dict[int, float]:
-        per_worker: Dict[int, List[int]] = {}
-        for req in requests:
-            per_worker.setdefault(self._owner[req.client_id], []).append(
-                req.client_id
-            )
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
-            self._write_segment(self._eval_shared, flat_weights)
-            for wid, cids in per_worker.items():
-                self._put_task(wid, ("eval", seq, cids))
-
+        ids = [req.client_id for req in requests]
+        per_worker = group_by_owner(ids, self._owner)
+        seq = self._submit(self._eval_shared, flat_weights, "eval", per_worker)
         accs: Dict[int, float] = {}
         for worker_accs in self._drain_eval(seq, len(per_worker), "client"):
             accs.update(worker_accs)
-        return {req.client_id: accs[req.client_id] for req in requests}
+        return {cid: accs[cid] for cid in ids}
 
     def _drain_eval(self, seq: int, expected: int, what: str) -> List:
         """Collect the one reply each of ``expected`` tasked workers owes
@@ -677,61 +618,26 @@ class ProcessExecutor(ClientExecutor):
             _, payload, worker_failures = msg
             payloads.append(payload)
             failures += worker_failures
-        if failures:
-            raise ExecutorError(
-                f"{what} evaluation failed in worker process:\n" + "\n".join(failures)
-            )
+        self._raise_failures(f"{what} evaluation failed in worker process", failures)
         return payloads
 
     # ------------------------------------------------------------------
-    def evaluate_model(
-        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> float:
-        """Shard over the workers' resident eval shards; bit-exact.
-
-        Requires the dataset to have been shipped by
-        :meth:`bind_eval_data` before the workers started; anything else
-        (unbound data, post-start binding, fewer than two shardable
-        batches) takes the serial in-server path.
-        """
-        self._require_bound()
+    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
+        """Every worker, when it maps exactly this dataset: shipped by
+        :meth:`bind_eval_data` before the workers started.  Anything
+        else (unbound data, post-start binding) takes the serial
+        in-server path."""
         if not self._bound_eval_data_matches(x, y):
-            return super().evaluate_model(flat_weights, x, y)
+            return 0
         self._ensure_started()
-        if self._eval_arrays is None:
-            return super().evaluate_model(flat_weights, x, y)
-        n = int(x.shape[0])
-        bounds = eval_shard_bounds(n, len(self._procs))
-        if bounds is None:
-            return super().evaluate_model(flat_weights, x, y)
-        with telemetry.span(
-            "executor.eval_model",
-            backend=self.name,
-            samples=n,
-            shards=len(bounds),
-        ):
-            return self._evaluate_model_sharded(flat_weights, bounds, n)
+        return len(self._procs) if self._eval_arrays is not None else 0
 
-    def _evaluate_model_sharded(
-        self,
-        flat_weights: np.ndarray,
-        bounds: List[Tuple[int, int]],
-        n: int,
-    ) -> float:
-        per_worker: Dict[int, List[Tuple[int, int]]] = {}
-        for i, bd in enumerate(bounds):
-            per_worker.setdefault(i % len(self._procs), []).append(bd)
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
-            self._write_segment(self._eval_shared, flat_weights)
-            for wid, shard in per_worker.items():
-                self._put_task(wid, ("eval_model", seq, shard))
-
-        correct = sum(self._drain_eval(seq, len(per_worker), "global"))
-        # Same float as `np.mean(preds == y)` over the full pass: the
-        # boolean sum is exact in float64 and the division identical.
-        return float(correct / n)
+    def _count_sharded(
+        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
+    ) -> int:
+        per_worker = group_by_owner(bounds, deal(bounds, range(len(self._procs))))
+        seq = self._submit(self._eval_shared, flat_weights, "eval_model", per_worker)
+        return sum(self._drain_eval(seq, len(per_worker), "global"))
 
     # ------------------------------------------------------------------
     def close(self) -> None:

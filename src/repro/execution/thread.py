@@ -22,19 +22,18 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from typing import Dict, List, Mapping, Optional, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.execution.base import (
-    EVAL_BATCH,
     ClientExecutor,
     EvalRequest,
     ExecutorError,
     TrainRequest,
-    eval_shard_bounds,
+    count_correct,
     evaluate_holdouts,
     order_updates,
 )
@@ -112,31 +111,14 @@ class ThreadExecutor(ClientExecutor):
         global_weights: np.ndarray,
         latencies: Optional[Mapping[int, float]],
     ) -> ClientUpdate:
-        client = self._clients[req.client_id]
         replica = self._acquire_replica()
-        collect = telemetry.enabled()
         try:
             factory = self._training.optimizer_factory(round_idx)
-            t0 = time.perf_counter() if collect else 0.0
-            w = client.train(
-                replica,
-                global_weights,
-                factory,
-                batch_size=self._training.batch_size,
-                epochs=req.epochs,
-                prox_mu=self._training.prox_mu,
-            )
-            if collect:
-                telemetry.observe(
-                    "executor.client_train_s",
-                    time.perf_counter() - t0,
-                    backend=self.name,
-                )
+            return self._train_request(req, replica, global_weights, factory, latencies)
         finally:
             self._release_replica(replica)
-        return self._stamp(req.client_id, w, client.num_train_samples, latencies)
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def _ensure_started(self) -> None:
         # Locked: an async eval submission can race the training path to
         # the first cohort, and two pools must never exist.
         with self._lock:
@@ -144,45 +126,36 @@ class ThreadExecutor(ClientExecutor):
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="repro-exec"
                 )
-        return self._pool
 
-    def train_cohort(
+    def _train_cohort(
         self,
         round_idx: int,
         requests: Sequence[TrainRequest],
         global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]] = None,
+        latencies: Optional[Mapping[int, float]],
     ) -> List[ClientUpdate]:
-        self._check_requests(requests)
-        if not requests:
-            return []
-        self._ensure_pool()
-        with telemetry.span(
-            "executor.train_cohort",
-            backend=self.name,
-            round=round_idx,
-            clients=len(requests),
-        ):
-            futures = [
-                self._pool.submit(
-                    self._train_one, req, round_idx, global_weights, latencies
-                )
-                for req in requests
-            ]
-            updates: List[ClientUpdate] = []
-            error: Optional[Exception] = None
-            for fut in as_completed(futures):
-                try:
-                    updates.append(fut.result())
-                except Exception as exc:  # keep draining so the pool
-                    # settles; KeyboardInterrupt/SystemExit propagate as
-                    # interrupts instead of masquerading as a failure
-                    error = error or exc
-            if error is not None:
-                raise ExecutorError(
-                    f"client training failed: {error}"
-                ) from error
-            return order_updates(updates, requests)
+        futures = [
+            self._pool.submit(self._train_one, req, round_idx, global_weights, latencies)
+            for req in requests
+        ]
+        return order_updates(self._gather(futures, "client training"), requests)
+
+    @staticmethod
+    def _gather(futures: List[Future], what: str) -> list:
+        """Every future's result, in completion order; the first failure
+        is raised as ``what failed`` once all of them have settled."""
+        results = []
+        error: Optional[Exception] = None
+        for fut in as_completed(futures):
+            try:
+                results.append(fut.result())
+            except Exception as exc:  # keep draining so the pool
+                # settles; KeyboardInterrupt/SystemExit propagate as
+                # interrupts instead of masquerading as a failure
+                error = error or exc
+        if error is not None:
+            raise ExecutorError(f"{what} failed: {error}") from error
+        return results
 
     # ------------------------------------------------------------------
     def _eval_chunk(self, client_ids: List[int], flat_weights: np.ndarray):
@@ -192,62 +165,46 @@ class ThreadExecutor(ClientExecutor):
         finally:
             self._release_replica(replica)
 
-    def evaluate_cohort(
+    def _evaluate_cohort(
         self,
         requests: Sequence[EvalRequest],
         flat_weights: np.ndarray,
     ) -> Dict[int, float]:
         """One contiguous chunk of the cohort per worker thread: one
         replica check-out and one weight load per chunk."""
-        self._check_requests(requests)
-        if not requests:
-            return {}
-        self._ensure_pool()
         ids = [req.client_id for req in requests]
         size = -(-len(ids) // self.workers)  # ceil
-        with telemetry.span("executor.eval_cohort", backend=self.name, clients=len(ids)):
-            futures = [
-                self._pool.submit(self._eval_chunk, ids[a : a + size], flat_weights)
-                for a in range(0, len(ids), size)
-            ]
-            accs: Dict[int, float] = {}
-            failures: Dict[int, str] = {}
-            # Chunk order is request order, so the merge needs no re-keying.
-            for fut in futures:
-                chunk_accs, chunk_failures = fut.result()
-                accs.update(chunk_accs)
-                failures.update(chunk_failures)
+        futures = [
+            self._pool.submit(self._eval_chunk, ids[a : a + size], flat_weights)
+            for a in range(0, len(ids), size)
+        ]
+        accs: Dict[int, float] = {}
+        failures: Dict[int, str] = {}
+        # Chunk order is request order, so the merge needs no re-keying.
+        for fut in futures:
+            chunk_accs, chunk_failures = fut.result()
+            accs.update(chunk_accs)
+            failures.update(chunk_failures)
         self._raise_eval_failures(failures)
         return accs
 
-    def evaluate_model(
-        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> float:
-        """Shard the dataset over replicas; bit-identical to one pass.
+    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
+        return self.workers
 
-        Shard boundaries fall on multiples of the serial eval batch size,
-        so each sample's logits come from exactly the forward batch the
-        serial pass would have placed it in, and correct-counts sum
-        exactly -- the combined accuracy equals ``float(np.mean(...))``
-        of the full pass bit-for-bit.  Small inputs (fewer batches than
-        workers would meaningfully split) take the serial path.
-        """
-        self._require_bound()
-        n = int(x.shape[0])
-        bounds = eval_shard_bounds(n, self.workers)
-        if bounds is None:
-            return super().evaluate_model(flat_weights, x, y)
-        self._ensure_pool()
+    def _count_sharded(
+        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
+    ) -> int:
+        """One shard per replica check-out; small inputs (fewer batches
+        than workers would meaningfully split) took the serial path."""
+        self._ensure_started()
         y_arr = np.asarray(y)
-
         collect = telemetry.enabled()
 
-        def _count_correct(a: int, b: int) -> int:
+        def _count_shard(bound: Tuple[int, int]) -> int:
             replica = self._acquire_replica()
             t0 = time.perf_counter() if collect else 0.0
             try:
-                replica.set_flat_weights(flat_weights)
-                preds = replica.predict(x[a:b], batch_size=EVAL_BATCH)
+                correct = count_correct(replica, x, y_arr, [bound], flat_weights)[0]
             finally:
                 self._release_replica(replica)
             if collect:
@@ -256,29 +213,10 @@ class ThreadExecutor(ClientExecutor):
                     time.perf_counter() - t0,
                     backend=self.name,
                 )
-            return int(np.count_nonzero(preds == y_arr[a:b]))
+            return correct
 
-        with telemetry.span(
-            "executor.eval_model",
-            backend=self.name,
-            samples=n,
-            shards=len(bounds),
-        ):
-            futures = [
-                self._pool.submit(_count_correct, a, b) for a, b in bounds
-            ]
-            correct = 0
-            error: Optional[Exception] = None
-            for fut in as_completed(futures):
-                try:
-                    correct += fut.result()
-                except Exception as exc:
-                    error = error or exc
-            if error is not None:
-                raise ExecutorError(
-                    f"global evaluation failed: {error}"
-                ) from error
-            return float(correct / n)
+        futures = [self._pool.submit(_count_shard, bound) for bound in bounds]
+        return sum(self._gather(futures, "global evaluation"))
 
     def close(self) -> None:
         super().close()
