@@ -217,20 +217,6 @@ def bench_delta_planes(
     return report
 
 
-def _fl_executor_factory(backend, workers):
-    """``make_executor`` for the shared pipeline harness: distributed
-    gets real worker subprocesses on loopback, torn down after the run."""
-
-    def make_executor():
-        if backend == "distributed":
-            executor = DistributedExecutor(workers=workers)
-            procs = spawn_local_workers(executor.listen(), workers)
-            return executor, (lambda: terminate_workers(procs))
-        return create_executor(backend, workers=workers), (lambda: None)
-
-    return make_executor
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--clients", type=int, default=50)
@@ -250,11 +236,6 @@ def main(argv=None) -> int:
         choices=["raw", "delta", "quantized"],
         help="weight-transport codecs to benchmark on the distributed "
              "backend (one full run each)",
-    )
-    ap.add_argument(
-        "--pipeline", action="store_true",
-        help="also run full pipelined FLServer rounds per backend and "
-             "hold them bit-identical to the staged serial reference",
     )
     ap.add_argument(
         "--json", metavar="PATH", default="BENCH_distributed_loopback.json",
@@ -374,46 +355,6 @@ def main(argv=None) -> int:
             f"{'ok' if delta_pays else 'FAILED'}"
         )
 
-    pipeline_results = {}
-    if args.pipeline:
-        from pipeline_harness import run_fl_rounds
-
-        # One staged serial run is the bit-identity reference for every
-        # backend and every mode; each backend's overlap column compares
-        # that backend's OWN staged time against its pipelined time, so
-        # transport overhead never masquerades as (anti-)pipelining gain.
-        harness_args = (
-            args.clients, args.samples_per_client, args.seed, args.rounds,
-            training,
-        )
-        _, ref_fp = run_fl_rounds(
-            _fl_executor_factory("serial", 1), *harness_args, pipeline=False
-        )
-        print(f"\n{'backend':<14} {'staged s/rd':>12} {'pipelined':>10} "
-              f"{'overlap':>8}  bit-identity (vs staged serial)")
-        for backend in args.backends:
-            workers = 1 if backend == "serial" else args.workers
-            factory = _fl_executor_factory(backend, workers)
-            staged_s, staged_fp = run_fl_rounds(
-                factory, *harness_args, pipeline=False
-            )
-            pipelined_s, pipelined_fp = run_fl_rounds(
-                factory, *harness_args, pipeline=True
-            )
-            same = staged_fp == ref_fp and pipelined_fp == ref_fp
-            identical &= same
-            overlap = staged_s / pipelined_s if pipelined_s > 0 else float("inf")
-            pipeline_results[backend] = {
-                "staged_s_per_round": staged_s,
-                "pipelined_s_per_round": pipelined_s,
-                "bit_identical": same,
-            }
-            print(
-                f"{backend:<14} {staged_s:>12.3f} {pipelined_s:>10.3f} "
-                f"{overlap:>7.2f}x  "
-                f"{'bit-identical' if same else 'DIVERGED'}"
-            )
-
     if args.json:
         payload = {
             "benchmark": "distributed_loopback",
@@ -438,7 +379,6 @@ def main(argv=None) -> int:
                 }
                 for label, (secs, _, wire, codec) in results.items()
             },
-            "pipeline": pipeline_results or None,
             "delta_planes": delta_planes,
             "delta_saving_gate_passed": delta_pays,
         }

@@ -12,18 +12,14 @@ optimised, and this benchmark measures all three on the current hardware:
 3. **Latency-sampling throughput**: v1 per-client ``response_latency``
    loops vs the v2 cohort stream's two vectorised draws
    (:class:`repro.simcluster.latency.CohortLatencySampler`).
-4. **Staged vs pipelined s/round** per backend: a full ``FLServer`` run
-   (eval every round) through the staged loop and through the
-   :class:`repro.fl.engine.RoundPipeline` overlap, with bit-identity of
-   the two histories as the hard gate.
-5. **Weight-codec encode/decode cost** (:mod:`repro.codec`): per codec,
+4. **Weight-codec encode/decode cost** (:mod:`repro.codec`): per codec,
    the CPU time to encode + decode one realistic post-round weight
    vector and the bytes it travels as, so the codec CPU cost the
    distributed backend pays per frame can be weighed against its wire
    savings.  Lossless codecs (raw, delta) must round-trip bit-exactly
    -- a violation exits non-zero like any other bit-identity break.
 
-6. **Cohort-batched training** (``--executor batched``): the stacked
+5. **Cohort-batched training** (``--executor batched``): the stacked
    tensor-program backend rides the same train/eval table, reported as a
    train-phase speedup over serial.
 
@@ -122,34 +118,6 @@ def bench_backend(backend, workers, clients, model, training, rounds):
             accs = executor.evaluate_cohort(eval_requests, global_weights)
         eval_elapsed = _span_total("executor.eval_cohort")
     return train_elapsed / rounds, eval_elapsed / rounds, global_weights, accs
-
-
-def bench_pipeline(backend, workers, clients_n, samples, seed, rounds, training):
-    """Staged vs pipelined FLServer s/round for one in-process backend.
-
-    One shared harness (``pipeline_harness.run_fl_rounds``) does the
-    timing and history fingerprinting for this benchmark AND the
-    distributed loopback one, so the bit-identity gates cannot drift.
-    """
-    from pipeline_harness import run_fl_rounds
-
-    def make_executor():
-        return create_executor(backend, workers=workers), (lambda: None)
-
-    staged_s, staged_h = run_fl_rounds(
-        make_executor, clients_n, samples, seed, rounds, training,
-        pipeline=False,
-    )
-    pipelined_s, pipelined_h = run_fl_rounds(
-        make_executor, clients_n, samples, seed, rounds, training,
-        pipeline=True,
-    )
-    return {
-        "staged_s_per_round": staged_s,
-        "pipelined_s_per_round": pipelined_s,
-        "speedup": staged_s / pipelined_s if pipelined_s > 0 else float("inf"),
-        "bit_identical": staged_h == pipelined_h,
-    }
 
 
 def bench_codecs(clients, model, training, reps=5):
@@ -373,24 +341,6 @@ def main(argv=None) -> int:
         f"({latency['speedup']:.1f}x)"
     )
 
-    pipeline_results = {}
-    pipeline_identical = True
-    print(f"\n  {'backend':8s} {'staged s/rd':>12s} {'pipelined':>10s} "
-          f"{'overlap x':>10s}  bit-identity")
-    for backend in args.backends:
-        workers = 1 if backend == "serial" else args.workers
-        res = bench_pipeline(
-            backend, workers, args.clients, args.samples_per_client,
-            args.seed, args.rounds, training,
-        )
-        pipeline_results[backend] = res
-        pipeline_identical &= res["bit_identical"]
-        print(
-            f"  {backend:8s} {res['staged_s_per_round']:12.3f} "
-            f"{res['pipelined_s_per_round']:10.3f} {res['speedup']:9.2f}x  "
-            f"{'bit-identical' if res['bit_identical'] else 'DIVERGED'}"
-        )
-
     config = {
         "clients": args.clients,
         "samples_per_client": args.samples_per_client,
@@ -416,7 +366,6 @@ def main(argv=None) -> int:
         },
         "latency_sampling": latency,
         "codecs": codec_stats,
-        "pipeline": pipeline_results,
     }
     if args.json:
         with open(args.json, "w") as fh:
@@ -429,10 +378,6 @@ def main(argv=None) -> int:
         return 1
     if batched_tolerance is not None and not batched_tolerance["within_tolerance"]:
         print("\n  FAIL: batched stream exceeded its accuracy tolerance",
-              file=sys.stderr)
-        return 1
-    if not pipeline_identical:
-        print("\n  FAIL: pipelined histories diverged from staged",
               file=sys.stderr)
         return 1
     if not codecs_lossless_ok:

@@ -182,10 +182,6 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                         "its session within this window instead of being "
                         "retired (0 = retire immediately, the default; "
                         "distributed executor only)")
-    p.add_argument("--pipeline", action="store_true",
-                   help="overlap each round's evaluation with the next "
-                        "round's training (bit-identical history; pays off "
-                        "on the thread/process/distributed backends)")
 
 
 def _make_executor(args: argparse.Namespace):
@@ -253,7 +249,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = run_policy(
             cfg, args.policy, rounds=args.rounds, seed=args.seed,
             executor=_make_executor(args), workers=args.workers,
-            pipeline=True if args.pipeline else None,
             population=args.population,
         )
     finally:
@@ -286,7 +281,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cfg, args.policies, rounds=args.rounds, seed=args.seed,
             repeats=args.repeats, executor=args.executor,
             workers=args.workers,
-            pipeline=True if args.pipeline else None,
             population=args.population,
         )
     finally:

@@ -82,11 +82,6 @@ class TrainingConfig:
         bit-identical to in-process execution; ``quantized`` (float16)
         is lossy and strictly opt-in.  In-process backends pass weights
         by reference or shared memory and ignore the codec.
-    pipeline:
-        Default for the servers' round pipelining (overlap round ``r``'s
-        evaluation with round ``r+1``'s training; see
-        :mod:`repro.fl.engine`).  Bit-identical to the staged path --
-        only wall-clock time changes -- but staged remains the default.
     """
 
     optimizer: str = "rmsprop"
@@ -100,7 +95,6 @@ class TrainingConfig:
     workers: int = 1
     endpoint: Optional[str] = None
     codec: str = "raw"
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
         if self.optimizer not in ("rmsprop", "sgd"):

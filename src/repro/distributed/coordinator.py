@@ -22,10 +22,13 @@
   client's advanced RNG state, which
   :func:`repro.execution.pool.absorb_rng_state` applies to the
   coordinator's authoritative client pool immediately.
-* **One collector.**  A training cohort, an evaluation cohort and a
-  sharded model evaluation each open an :class:`_InFlight` batch and
-  drive it with :meth:`DistributedExecutor._collect`, the one event
-  loop; only the result handler differs.
+* **One collector, one queue.**  A training cohort, an evaluation
+  cohort and a sharded model evaluation each open an :class:`_InFlight`
+  batch and drive it with :meth:`DistributedExecutor._collect`, the one
+  event loop; only the result handler differs.  The executor has one
+  batch in flight, so the per-worker reader threads post every result
+  frame and every loss / resume / ``BYE`` / ``REJECT`` event once, onto
+  the one event queue that loop drains.
 * **Codec-pluggable weight transport (v4).**  BROADCAST and UPDATE
   payloads travel through the :mod:`repro.codec` codec named by
   ``TrainingConfig.codec``: ``raw`` (bit-exact float64, the default),
@@ -67,8 +70,8 @@
   advances when its UPDATE has been merged, replayed work is bit-identical
   to the serial schedule -- the worker-kill equivalence test in
   ``tests/distributed`` enforces this.  Retire-and-re-pin is idempotent
-  and serialised by a lock, so a concurrent training and evaluation
-  collector can both observe the same death without double-shipping.
+  and serialised by a lock against a resume arriving on the accept
+  thread, so a death observed twice never double-ships.
 * **Reconnect-and-resume (v4).**  With ``reconnect_grace > 0`` a lost
   *connection* is not a lost worker: the handle is parked in a ``lost``
   state and the worker may re-dial within the grace window, presenting
@@ -95,16 +98,10 @@
   turned into ``distributed.worker.busy_s`` gauges.  All of it is
   observational: with telemetry disabled no extra clock reads or
   branches touch the dispatch path.
-* **Pipelined evaluation (v3).**  Training results (UPDATE / TRAINFAIL)
-  and evaluation results (EVAL_RESULT / EVAL_MODEL_RESULT) are routed to
-  *separate* event queues by the per-worker reader threads, so an async
-  evaluation driver (:meth:`ClientExecutor.submit_cohort_evaluation`)
-  can collect round ``r``'s evaluation while the main thread collects
-  round ``r+1``'s updates.  Death and resume events fan out to both
-  queues.  The server-held eval set ships once per worker (BIND_EVAL),
-  after which :meth:`DistributedExecutor.evaluate_model` shards across
-  workers on the same 256-sample boundaries as the thread backend --
-  bit-exact.
+* **Resident eval set (v3).**  The server-held eval set ships once per
+  worker (BIND_EVAL), after which
+  :meth:`DistributedExecutor.evaluate_model` shards across workers on
+  the same 256-sample boundaries as the thread backend -- bit-exact.
 """
 
 from __future__ import annotations
@@ -190,7 +187,8 @@ class _WorkerHandle:
         #: The worker's TELEMETRY summary (arrives during shutdown).
         self.summary: Optional[Dict[str, object]] = None
         # Serialises baseline-cache mutation with the frame send that
-        # must agree with it (train and eval drivers share a handle).
+        # must agree with it (a resume on the accept thread swaps the
+        # connection and clears the cache).
         self.lock = threading.Lock()
         self.baselines: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
@@ -294,7 +292,6 @@ class DistributedExecutor(ClientExecutor):
     """
 
     name = "distributed"
-    supports_async_eval = True
 
     def __init__(
         self,
@@ -332,16 +329,11 @@ class DistributedExecutor(ClientExecutor):
         self._bound_endpoint: Optional[str] = None
         self._handles: Dict[int, _WorkerHandle] = {}
         self._owner: Dict[int, int] = {}  # client_id -> worker_id
-        # Training results and control events (UPDATE/TRAINFAIL/deaths).
+        # Every result frame and every loss/resume event, from every
+        # reader thread: ``(worker_id, msg_type, payload)``.
         self._events: "queue_mod.Queue[Tuple[int, Optional[int], object]]" = (
             queue_mod.Queue()
         )
-        # Evaluation results (EVAL_RESULT/EVAL_MODEL_RESULT) plus a copy
-        # of every death/resume event, so an async eval collector never
-        # races the training collector for a message.
-        self._eval_events: (
-            "queue_mod.Queue[Tuple[int, Optional[int], object]]"
-        ) = queue_mod.Queue()
         self._seq = 0
         self._assigned = False
         self._signature: Optional[str] = None
@@ -358,13 +350,9 @@ class DistributedExecutor(ClientExecutor):
         self._worker_summaries: Dict[int, Dict[str, object]] = {}
         self._eval_shipped = False
         # How each BROADCAST left: a fresh encode, a cached frame fanned
-        # out again, or a header-only alias.  Always on (plain ints);
-        # bumped from both collector threads, hence the lock.
+        # out again, or a header-only alias.  Always on (plain ints).
         self._broadcast_stats = {"encodes": 0, "frames_reused": 0, "aliases": 0}
-        self._broadcast_stats_lock = threading.Lock()
         self._accept_thread: Optional[threading.Thread] = None
-        # Serialises seq allocation across concurrent train/eval drivers.
-        self._submit_lock = threading.Lock()
         # Serialises retire-and-re-pin and resume; RLock because a failed
         # re-ship recurses onto the next survivor.
         self._death_lock = threading.RLock()
@@ -462,12 +450,7 @@ class DistributedExecutor(ClientExecutor):
         """BROADCASTs by how they left: ``encodes`` (a codec ran),
         ``frames_reused`` (a cached frame fanned out to another worker),
         ``aliases`` (header-only, the worker already held the vector)."""
-        with self._broadcast_stats_lock:
-            return dict(self._broadcast_stats)
-
-    def _count_broadcast(self, how: str) -> None:
-        with self._broadcast_stats_lock:
-            self._broadcast_stats[how] += 1
+        return dict(self._broadcast_stats)
 
     @property
     def worker_summaries(self) -> Dict[int, Dict[str, object]]:
@@ -619,7 +602,7 @@ class DistributedExecutor(ClientExecutor):
         authoritative RNG state (the replay that keeps a re-trained job
         bit-identical), the resident eval set is re-shipped, the delta
         baseline mirror is cleared (next broadcast resyncs raw) and a
-        resume event wakes both collectors to re-dispatch outstanding
+        resume event wakes the collector to re-dispatch outstanding
         jobs.
         """
         wid = int(resume["worker_id"])  # type: ignore[arg-type]
@@ -700,7 +683,6 @@ class DistributedExecutor(ClientExecutor):
             handle.reader.start()
         telemetry.count("distributed.worker_resumed", 1)
         self._events.put((wid, _EVT_RESUMED, None))
-        self._eval_events.put((wid, _EVT_RESUMED, None))
 
     def _worker_cycle(self, worker_ids: Sequence[int]) -> List[int]:
         """Capacity-weighted deal cycle (a capacity-2 worker appears twice)."""
@@ -782,7 +764,7 @@ class DistributedExecutor(ClientExecutor):
                 self._handles[wid].conn.send(proto.MsgType.BIND_EVAL, blob)
             except OSError:
                 # The worker is dying; the death event surfaces through
-                # the collectors.  Survivors still hold the data.
+                # the collector.  Survivors still hold the data.
                 pass
         self._eval_shipped = True
 
@@ -824,14 +806,12 @@ class DistributedExecutor(ClientExecutor):
         self._assigned = True
 
     def _reader(self, handle: _WorkerHandle, gen: int) -> None:
-        """Per-connection receive loop routing frames to the event queues.
+        """Per-connection receive loop posting frames to the event queue.
 
-        Evaluation results go to the eval queue, training results to the
-        training queue; death-class events (EOF, REJECT, BYE) fan out to
-        *both*, because whichever collectors are running must all learn
-        of the loss (the retire path itself is idempotent).  Loss events
-        carry this connection's ``gen`` so a stale reader (superseded by
-        a resume) can never park the replacement connection.
+        Every result frame and every death-class event (EOF, REJECT,
+        BYE) is posted exactly once.  Loss events carry this
+        connection's ``gen`` so a stale reader (superseded by a resume)
+        can never park the replacement connection.
         """
         conn = handle.conn
         while True:
@@ -841,7 +821,6 @@ class DistributedExecutor(ClientExecutor):
                 # A corrupt stream (FrameError) is as dead as a closed one:
                 # report the loss so the round reassigns, never hang.
                 self._events.put((handle.id, None, gen))
-                self._eval_events.put((handle.id, None, gen))
                 return
             handle.last_seen = time.monotonic()
             if msg_type == proto.MsgType.PONG:
@@ -862,13 +841,6 @@ class DistributedExecutor(ClientExecutor):
                 handle.summary = summary
                 self._worker_summaries[wid] = summary
                 continue
-            if msg_type in (
-                proto.MsgType.EVAL_RESULT, proto.MsgType.EVAL_MODEL_RESULT,
-            ):
-                self._eval_events.put((handle.id, msg_type, payload))
-                continue
-            if msg_type in (proto.MsgType.REJECT, proto.MsgType.BYE):
-                self._eval_events.put((handle.id, msg_type, payload))
             self._events.put((handle.id, msg_type, payload))
             if msg_type == proto.MsgType.BYE:
                 return
@@ -945,10 +917,11 @@ class DistributedExecutor(ClientExecutor):
             if handle is None:
                 return True
             if handle.state == "retired":
-                # Another collector already retired it, but THIS
-                # collector may still hold pending jobs for it: let the
-                # death handler run (retire is idempotent, and it
-                # redistributes this collector's outstanding work).
+                # Already retired (a protocol violation, say, whose
+                # connection close then surfaces here), but the batch
+                # may still hold pending jobs for it: let the death
+                # handler run (retire is idempotent, and it
+                # redistributes the outstanding work).
                 return False
             if isinstance(gen, int) and gen != handle.gen:
                 return True  # stale reader of a superseded connection
@@ -968,9 +941,9 @@ class DistributedExecutor(ClientExecutor):
         The coordinator pool's RNG states are authoritative (synced on
         every merged UPDATE), so re-shipping a client replays exactly the
         stream position the serial schedule would be at.  Serialised by
-        ``_death_lock`` so the training and evaluation collectors can
-        both observe the same death: the second caller is a no-op, and
-        every owner-map mutation happens under the lock.  Raises when no
+        ``_death_lock`` against a resume on the accept thread; a death
+        observed twice makes the second call a no-op, and every
+        owner-map mutation happens under the lock.  Raises when no
         survivors remain.
         """
         with self._death_lock:
@@ -1049,7 +1022,7 @@ class DistributedExecutor(ClientExecutor):
             newest is weights
             or np.array_equal(newest.view(np.uint64), weights.view(np.uint64))
         ):
-            self._count_broadcast("aliases")
+            self._broadcast_stats["aliases"] += 1
             frame = proto.encode_broadcast_alias(
                 state.seq, weights.size, newest_seq
             )
@@ -1061,7 +1034,7 @@ class DistributedExecutor(ClientExecutor):
         key = (codec.codec_id, baseline_seq)
         frame = state.frames.get(key)
         if frame is not None:
-            self._count_broadcast("frames_reused")
+            self._broadcast_stats["frames_reused"] += 1
             return frame, weights
         collect = telemetry.enabled()
         t0 = time.perf_counter() if collect else 0.0
@@ -1077,7 +1050,7 @@ class DistributedExecutor(ClientExecutor):
                 "codec.encode_s", time.perf_counter() - t0, codec=codec.name
             )
         state.frames[key] = frame
-        self._count_broadcast("encodes")
+        self._broadcast_stats["encodes"] += 1
         return frame, weights
 
     def _send_broadcast(self, handle: _WorkerHandle, state: _InFlight) -> None:
@@ -1146,10 +1119,8 @@ class DistributedExecutor(ClientExecutor):
         every later round would silently diverge from the serial
         schedule.
         """
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
-        state = _InFlight(seq, round_idx, weights, kind)
+        self._seq += 1
+        state = _InFlight(self._seq, round_idx, weights, kind)
         state.pending = pending
         initial = {wid: list(jobs) for wid, jobs in pending.items()}
         for wid in sorted(initial):
@@ -1328,15 +1299,13 @@ class DistributedExecutor(ClientExecutor):
         Owns the ``result_timeout`` deadline (its message names the
         outstanding ``what``), the heartbeat poll, resume, loss and its
         grace window, ``BYE`` and ``REJECT``, and decodes each result
-        frame once.  A result frame for another seq is a straggler from
-        an abandoned batch: dropped, settling nothing.  One for the live
+        frame once.  A result frame for another seq -- of any kind, the
+        queue is shared -- is a straggler from an abandoned batch:
+        dropped, settling nothing, its sender untouched.  One for the live
         seq reaches ``on_result(worker_id, msg_type, decoded)`` if its
         type may settle this kind of batch; otherwise -- like any
         unknown frame -- it retires its sender as a protocol violation.
-        Training and evaluation results arrive on separate queues, so a
-        pipelined evaluation collects beside the next round's training.
         """
-        events = self._events if state.kind == "train" else self._eval_events
         deadline = time.monotonic() + self.result_timeout
         while state.outstanding() > 0:
             if time.monotonic() > deadline:
@@ -1345,7 +1314,7 @@ class DistributedExecutor(ClientExecutor):
                     f"{state.outstanding()} {what}"
                 )
             try:
-                wid, msg_type, payload = events.get(timeout=self.heartbeat_interval)
+                wid, msg_type, payload = self._events.get(timeout=self.heartbeat_interval)
             except queue_mod.Empty:
                 for dead_wid, reason in self._check_heartbeats(state):
                     self._handle_worker_death(dead_wid, state, reason)

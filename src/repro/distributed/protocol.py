@@ -58,11 +58,13 @@ Version history (every entry is a wire-incompatible break: it bumps
 * **v1 -> v2**: added EVAL / EVAL_RESULT (batched holdout evaluation).
   A v1 worker would silently ignore-or-choke on an EVAL frame.
 * **v2 -> v3**: added BIND_EVAL / EVAL_MODEL / EVAL_MODEL_RESULT for
-  round-pipelined, worker-sharded global evaluation, and workers now
-  retain the *last few* BROADCASTs keyed by ``seq`` instead of only the
-  latest (a pipelined coordinator interleaves an eval broadcast with the
-  next round's training broadcast on the same connection).  **Ship-once
-  invariant**: BIND_EVAL carries the full server-held eval set and is
+  worker-sharded global evaluation, and workers began retaining the
+  *last few* BROADCASTs keyed by ``seq`` instead of only the latest
+  (introduced for the round pipeline, cut in PR 16, which interleaved an
+  eval broadcast with the next round's training broadcast on one
+  connection; delta baselines and redispatch races still rely on the
+  retention).  **Ship-once invariant**: BIND_EVAL carries the full
+  server-held eval set and is
   sent exactly once per worker -- right after ASSIGN at start-up, or
   immediately if the server binds eval data after registration; every
   later EVAL_MODEL names only ``[start, end)`` shard bounds over that

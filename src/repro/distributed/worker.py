@@ -75,11 +75,11 @@ from repro.telemetry.log import stream_logger
 
 __all__ = ["WorkerAgent"]
 
-#: How many BROADCASTs a worker retains, keyed by seq.  A pipelined
-#: coordinator keeps at most one evaluation in flight alongside one
-#: training cohort, so two live broadcasts is the steady state; the
-#: extra slack absorbs redispatch races and keeps delta baselines
-#: resolvable for slow in-flight updates without unbounded memory.  The
+#: How many BROADCASTs a worker retains, keyed by seq.  The coordinator
+#: has one batch in flight, so the newest entry is the live one; the
+#: slack keeps an abandoned (timed-out) batch's weights resolvable for a
+#: worker still serving it, absorbs redispatch races, and keeps delta
+#: baselines and alias targets resolvable without unbounded memory.  The
 #: coordinator mirrors this constant for its per-worker baseline caches;
 #: the two retention policies must match or delta frames could name an
 #: evicted baseline.
@@ -175,11 +175,9 @@ class WorkerAgent:
         self._clients: Union[Dict[int, object], ShardClients] = {}
         self._workspace: Optional[Sequential] = None
         self._training: Optional[TrainingConfig] = None
-        # seq -> weights; a pipelined coordinator interleaves an eval
-        # broadcast with the next round's training broadcast, so the
-        # last few are retained (v3 semantics) instead of only the last.
-        # Doubles as the baseline cache for decoding delta broadcasts
-        # and encoding delta updates (v4).
+        # seq -> weights, the last BROADCAST_RETAIN of them.  Doubles as
+        # the baseline cache for decoding delta broadcasts and encoding
+        # delta updates (v4).
         self._broadcasts: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._eval_data: Optional[Tuple[np.ndarray, np.ndarray]] = None
 

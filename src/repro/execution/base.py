@@ -77,30 +77,12 @@ silently break their bit-identity contract).  The lossless codecs
 (``raw``, ``delta``) keep the distributed backend inside the
 determinism contract above; ``quantized`` is lossy and explicitly
 opts the run out of bit-identity.
-
-Asynchronous evaluation
------------------------
-The pipelined round driver (:class:`repro.fl.engine.RoundPipeline`)
-overlaps round ``r``'s evaluation with round ``r+1``'s training through
-:meth:`ClientExecutor.submit_cohort_evaluation` /
-:meth:`ClientExecutor.submit_model_evaluation`, which return
-:class:`concurrent.futures.Future` objects.  Backends that can evaluate
-concurrently with training set :attr:`ClientExecutor.supports_async_eval`
-and run the evaluation on a driver thread; the default resolves the
-future synchronously, so callers get one uniform code path and the
-overlap simply degenerates to staged execution on the serial backend.
-Callers must keep **at most one evaluation in flight per executor** (the
-pipeline is one round deep by construction): backends reuse a single
-eval-weights channel per executor, so a second concurrent submission
-could observe the later weights.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -283,12 +265,6 @@ class ClientExecutor:
     """
 
     name: str = "abstract"
-
-    #: Whether evaluation may run concurrently with training.  Backends
-    #: that set this run submitted evaluations on a driver thread; the
-    #: default resolves submissions synchronously (still correct -- the
-    #: pipeline then degenerates to staged execution).
-    supports_async_eval: bool = False
 
     def __init__(self) -> None:
         self._clients: Optional[Mapping[int, SimClient]] = None
@@ -587,64 +563,6 @@ class ClientExecutor:
             and self._eval_data[0] is x
             and self._eval_data[1] is y
         )
-
-    # ------------------------------------------------------------------
-    def submit_cohort_evaluation(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> "Future[Dict[int, float]]":
-        """Asynchronous :meth:`evaluate_cohort`; returns a ``Future``.
-
-        ``flat_weights`` must be a stable snapshot: the caller promises
-        not to mutate it while the evaluation is in flight (the round
-        pipeline passes the post-round aggregate, which is never written
-        in place).  At most one evaluation may be in flight per executor.
-        """
-        return self._submit_eval(
-            lambda: self.evaluate_cohort(requests, flat_weights)
-        )
-
-    def submit_model_evaluation(
-        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> "Future[float]":
-        """Asynchronous :meth:`evaluate_model`; same contract as above."""
-        return self._submit_eval(lambda: self.evaluate_model(flat_weights, x, y))
-
-    def submit_evaluation(self, fn: Callable[[], object]) -> Future:
-        """Run a composite evaluation closure asynchronously.
-
-        ``fn`` may chain several ``evaluate_model`` / ``evaluate_cohort``
-        calls on THIS executor; they execute sequentially on one driver
-        thread, which is how a round with several evaluation products
-        (global accuracy + TiFL's tier accuracies) honours the
-        one-evaluation-in-flight contract: one submission, one future,
-        no concurrent readers of the backend's eval result channel.
-        """
-        return self._submit_eval(fn)
-
-    def _submit_eval(self, fn: Callable[[], object]) -> Future:
-        fut: Future = Future()
-        fut.set_running_or_notify_cancel()
-        if not self.supports_async_eval:
-            # Synchronous resolution: exceptions are captured so callers
-            # handle sync and async backends identically.
-            try:
-                fut.set_result(fn())
-            except Exception as exc:
-                fut.set_exception(exc)
-            return fut
-
-        def _run() -> None:
-            try:
-                fut.set_result(fn())
-            except BaseException as exc:  # the future is the only channel
-                fut.set_exception(exc)
-
-        threading.Thread(
-            target=_run, daemon=True, name=f"repro-eval-{self.name}"
-        ).start()
-        return fut
 
     def close(self) -> None:
         """Release worker resources; the executor is unusable afterwards.

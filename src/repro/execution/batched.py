@@ -82,13 +82,10 @@ class BatchedExecutor(ClientExecutor):
     the OS, so ``workers`` is ignored (accepted for interface symmetry).
     Evaluation is the base class's in-server pass on the ordinary
     per-client kernels (holdout sizes vary per client, so stacking buys
-    little) against the bound workspace model; it may overlap training
-    (the stacked program and the workspace are disjoint models), so
-    async eval is supported.
+    little) against the bound workspace model.
     """
 
     name = "batched"
-    supports_async_eval = True
 
     def __init__(self, workers: int = 1) -> None:
         super().__init__()

@@ -38,10 +38,10 @@ Design (the memory / determinism contract):
   once per round into an anonymous shared array
   (``multiprocessing.RawArray``); workers map it as a read-only numpy
   view, so broadcasting costs O(1) copies regardless of cohort size.
-  Evaluation weights travel through a **separate** shared segment, so a
-  pipelined evaluation (round ``r``'s weights) can be in flight while
-  round ``r+1``'s training weights occupy the training segment.
-  The segments always hold **raw float64**, whatever
+  Training and evaluation weights travel through the **same** segment:
+  the executor has one call in flight, so a batch's weights stay put
+  until its last result is drained.
+  The segment always holds **raw float64**, whatever
   ``TrainingConfig.codec`` says: the :mod:`repro.codec` weight codecs
   exist to cut *bytes on a wire*, and shared memory has no wire -- the
   one ``memcpy`` into the segment is already cheaper than any
@@ -66,15 +66,17 @@ Design (the memory / determinism contract):
   started cannot be mapped into them and falls back to the in-server
   serial pass.
 * **Cohort-granular evaluation.**  ``evaluate_cohort`` broadcasts
-  through the eval segment; each tasked worker loads the shared weights
+  through the shared segment; each tasked worker loads the weights
   into its replica **once**, scores its pinned share of the cohort with
   :func:`repro.execution.base.evaluate_holdouts` and answers with
   **one** reply per ``(worker, seq)`` carrying every accuracy and every
   per-client traceback (``evaluate_model`` shards answer the same way:
   one load, one summed count).  The parent drains one reply per tasked
-  worker and discards a reply from an abandoned seq whole.  Training and
-  evaluation results travel on *separate* queues, so an async eval
-  collector can never steal a training message and vice versa.
+  worker and discards a reply from an abandoned seq whole.
+* **One result queue.**  Training results and evaluation replies share
+  one queue and one drain (:meth:`ProcessExecutor._drain`): a message
+  from an abandoned (timed-out) seq of *any* kind is dropped, and every
+  ``"ok"`` -- stale ones included -- still frees its return slot.
 * **Deterministic merge.**  Results arrive in completion order and are
   reordered into request order before the server ever sees them.
 
@@ -87,7 +89,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import queue as queue_mod
-import threading
 import time
 import traceback
 from operator import itemgetter
@@ -149,21 +150,18 @@ def _worker_main(
     workspace: Sequential,
     training: TrainingConfig,
     shared_weights,
-    eval_weights,
     return_slot,
     slot_free,
     num_params: int,
     eval_data,
     task_q,
     result_q,
-    eval_result_q,
 ) -> None:
     """Worker loop: train/evaluate pinned clients against shared weights."""
     if isinstance(clients, tuple):
         # Sharded pool: shared-memory columns in, lazy local store out.
         clients = _shard_pool_from_spec(clients)
     global_flat = np.frombuffer(shared_weights, dtype=np.float64, count=num_params)
-    eval_flat = np.frombuffer(eval_weights, dtype=np.float64, count=num_params)
     slot_view = np.frombuffer(return_slot, dtype=np.float64, count=num_params)
     eval_x = eval_y = None
     if eval_data is not None:
@@ -208,17 +206,17 @@ def _worker_main(
                     )
         elif kind == "eval":
             _, seq, client_ids = msg
-            accs, failed = evaluate_holdouts(workspace, clients, client_ids, eval_flat)
+            accs, failed = evaluate_holdouts(workspace, clients, client_ids, global_flat)
             failures = [f"client {cid}:\n{tb}" for cid, tb in failed.items()]
-            _ship(eval_result_q, (seq, accs, failures))
+            _ship(result_q, (seq, accs, failures))
         elif kind == "eval_model":
             _, seq, bounds = msg
             correct, failures = 0, []
             try:
-                correct = sum(count_correct(workspace, eval_x, eval_y, bounds, eval_flat))
+                correct = sum(count_correct(workspace, eval_x, eval_y, bounds, global_flat))
             except Exception:
                 failures.append(f"shards {bounds}:\n{traceback.format_exc()}")
-            _ship(eval_result_q, (seq, correct, failures))
+            _ship(result_q, (seq, correct, failures))
 
 
 def _ship(q, msg) -> int:
@@ -245,7 +243,6 @@ class ProcessExecutor(ClientExecutor):
     """
 
     name = "process"
-    supports_async_eval = True
 
     def __init__(
         self,
@@ -266,9 +263,7 @@ class ProcessExecutor(ClientExecutor):
         self._procs: List[mp.process.BaseProcess] = []
         self._task_qs: List = []
         self._result_q = None
-        self._eval_result_q = None
         self._shared = None
-        self._eval_shared = None
         self._eval_arrays = None  # shared-memory copy of the bound eval set
         self._return_slots: List = []
         self._slot_free: List = []
@@ -291,10 +286,6 @@ class ProcessExecutor(ClientExecutor):
         # next allocation would overwrite memory a forked worker still
         # maps (same reason _eval_arrays and _return_slots are pinned).
         self._shard_specs: List = []
-        # Serialises seq allocation + shared-segment writes + task puts,
-        # so a pipelined eval submission can never interleave with a
-        # training dispatch half-way through.
-        self._submit_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _started(self) -> bool:
@@ -351,11 +342,7 @@ class ProcessExecutor(ClientExecutor):
         super().bind_eval_data(x, y)
 
     def _ensure_started(self) -> None:
-        if self._procs:
-            return
-        with self._submit_lock:
-            if self._procs:
-                return
+        if not self._procs:
             self._start_workers()
 
     def _start_workers(self) -> None:
@@ -367,9 +354,7 @@ class ProcessExecutor(ClientExecutor):
         num_params = self._model.num_params()
         self._num_params = num_params
         self._shared = self._ctx.RawArray("d", max(num_params, 1))
-        self._eval_shared = self._ctx.RawArray("d", max(num_params, 1))
         self._result_q = self._ctx.Queue()
-        self._eval_result_q = self._ctx.Queue()
         eval_blob = None
         if self._eval_data is not None:
             # Ship-once: one shared copy, mapped by every worker at fork.
@@ -412,14 +397,12 @@ class ProcessExecutor(ClientExecutor):
                     self._model,
                     self._training,
                     self._shared,
-                    self._eval_shared,
                     return_slot,
                     slot_free,
                     num_params,
                     eval_blob,
                     task_q,
                     self._result_q,
-                    self._eval_result_q,
                 ),
                 daemon=True,
                 name=f"repro-exec-{wid}",
@@ -432,7 +415,6 @@ class ProcessExecutor(ClientExecutor):
         self._task_qs = task_qs
         self._return_slots = return_slots
         self._slot_free = slot_free_sems
-        # Committed last: _ensure_started's unlocked fast path keys on it.
         self._procs = procs
 
     def _make_shard_spec(self, store, owned_ids):
@@ -472,11 +454,11 @@ class ProcessExecutor(ClientExecutor):
         telemetry.count("wire.shard_bytes", shipped)
         return (columns, meta)
 
-    def _write_segment(self, segment, flat_weights: np.ndarray) -> None:
-        """One write into a shared segment, visible to every worker
+    def _write_segment(self, flat_weights: np.ndarray) -> None:
+        """One write into the shared segment, visible to every worker
         before its task message arrives (queue send orders it)."""
         flat = np.asarray(flat_weights, dtype=np.float64).ravel()
-        view = np.frombuffer(segment, dtype=np.float64, count=flat.size)
+        view = np.frombuffer(self._shared, dtype=np.float64, count=flat.size)
         view[:] = flat
         self._ipc_bytes += int(flat.nbytes)
 
@@ -489,7 +471,7 @@ class ProcessExecutor(ClientExecutor):
         self._ipc_bytes += int(w.nbytes)
         return w
 
-    def _next_result(self, waited_box: List[float], result_q):
+    def _next_result(self, waited_box: List[float]):
         """One result-queue read with dead-worker and timeout checks.
 
         With telemetry on, the blocking ``get`` is observed as this
@@ -500,7 +482,7 @@ class ProcessExecutor(ClientExecutor):
         collect = telemetry.enabled()
         t0 = time.perf_counter() if collect else 0.0
         try:
-            blob = result_q.get(timeout=poll)
+            blob = self._result_q.get(timeout=poll)
             if collect:
                 telemetry.observe(
                     "executor.queue_wait_s",
@@ -521,16 +503,39 @@ class ProcessExecutor(ClientExecutor):
                 raise ExecutorError("timed out waiting for client results")
             return None
 
-    def _submit(self, segment, flat_weights: np.ndarray, kind: str, per_worker, *head) -> int:
+    def _submit(self, flat_weights: np.ndarray, kind: str, per_worker, *head) -> int:
         """Allocate a seq, publish the weights and task each worker with
         ``(kind, seq, *head, its share)``; returns the seq to drain."""
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
-            self._write_segment(segment, flat_weights)
-            for wid, share in per_worker.items():
-                self._ipc_bytes += _ship(self._task_qs[wid], (kind, seq, *head, share))
-        return seq
+        self._seq += 1
+        self._write_segment(flat_weights)
+        for wid, share in per_worker.items():
+            self._ipc_bytes += _ship(self._task_qs[wid], (kind, self._seq, *head, share))
+        return self._seq
+
+    def _drain(self, seq: int, expected: int):
+        """Yield ``(msg, weights)`` for the ``expected`` results batch
+        ``seq`` is owed, in arrival order (``weights`` is the copied-out
+        return slot of an ``"ok"``, else ``None``).
+
+        The queue carries every task kind, so anything may precede the
+        live batch's results: a message from another seq belongs to an
+        abandoned (timed-out) batch -- a worker was slow, not dead -- and
+        is dropped whole.  The slot is copied out and released for
+        *every* ``"ok"``, stale ones included, or the worker that
+        produced it deadlocks on its next acquire.
+        """
+        waited = [0.0]
+        while expected:
+            msg = self._next_result(waited)
+            if msg is None:
+                continue
+            # Train results lead with their kind, eval replies with seq.
+            trained = isinstance(msg[0], str)
+            weights = self._copy_out_slot(msg[2]) if msg[0] == "ok" else None
+            if (msg[1] if trained else msg[0]) != seq:
+                continue
+            expected -= 1
+            yield msg, weights
 
     # ------------------------------------------------------------------
     def _train_cohort(
@@ -542,46 +547,23 @@ class ProcessExecutor(ClientExecutor):
     ) -> List[ClientUpdate]:
         jobs: List[_Job] = [(req.client_id, req.epochs) for req in requests]
         per_worker = group_by_owner(jobs, self._owner, key=itemgetter(0))
-        seq = self._submit(self._shared, global_weights, "train", per_worker, round_idx)
+        seq = self._submit(global_weights, "train", per_worker, round_idx)
 
         updates: List[ClientUpdate] = []
         failures: List[str] = []
-        received = 0
-        waited = [0.0]
-        while received < len(requests):
-            msg = self._next_result(waited, self._result_q)
-            if msg is None:
-                continue
-            kind, msg_seq = msg[0], msg[1]
-            if kind == "ok":
-                _, _, wid, cid, n_samples, rng_state = msg
-                # The slot must be copied (or discarded) and released for
-                # *every* "ok", stale ones included, or the worker that
-                # produced it deadlocks on its next acquire.
-                w = self._copy_out_slot(wid)
-                if msg_seq != seq:
-                    # Stale result from a cohort that previously timed
-                    # out -- a worker was slow, not dead.  Discard it so
-                    # it is never merged.  NOTE: that client's pinned
-                    # training RNG still advanced for the abandoned pass,
-                    # so a timeout-retry is *correct* (right weights
-                    # merged, right order) but not bit-identical to an
-                    # untimed-out serial run -- same as a physical
-                    # testbed re-running a client.
-                    continue
-                received += 1
+        # NOTE: a client whose "ok" was dropped as stale still advanced
+        # its pinned training RNG for the abandoned pass, so a
+        # timeout-retry is *correct* (right weights merged, right order)
+        # but not bit-identical to an untimed-out serial run -- same as a
+        # physical testbed re-running a client.
+        for msg, w in self._drain(seq, len(requests)):
+            if msg[0] == "ok":
+                _, _, _, cid, n_samples, rng_state = msg
                 absorb_rng_state(self._clients, cid, rng_state)
                 updates.append(self._stamp(cid, w, n_samples, latencies))
-            elif kind == "err":
-                _, _, wid, cid, tb = msg
-                if msg_seq != seq:
-                    continue
-                received += 1
-                failures.append(f"client {cid}:\n{tb}")
             else:
-                # Unknown kinds cannot appear on the training queue (eval
-                # traffic has its own queue); skip defensively.
-                continue
+                _, _, _, cid, tb = msg
+                failures.append(f"client {cid}:\n{tb}")
         self._raise_failures("client training failed in worker process", failures)
         return order_updates(updates, requests)
 
@@ -593,7 +575,7 @@ class ProcessExecutor(ClientExecutor):
     ) -> Dict[int, float]:
         ids = [req.client_id for req in requests]
         per_worker = group_by_owner(ids, self._owner)
-        seq = self._submit(self._eval_shared, flat_weights, "eval", per_worker)
+        seq = self._submit(flat_weights, "eval", per_worker)
         accs: Dict[int, float] = {}
         for worker_accs in self._drain_eval(seq, len(per_worker), "client"):
             accs.update(worker_accs)
@@ -603,19 +585,12 @@ class ProcessExecutor(ClientExecutor):
         """Collect the one reply each of ``expected`` tasked workers owes
         evaluation ``seq``; returns their payloads in arrival order.
 
-        A reply from another seq belongs to an abandoned (timed-out)
-        evaluation and is discarded whole.  Failures are raised only
-        after every reply is in, so the queue is left empty for the next
-        call.
+        Failures are raised only after every reply is in, so the queue
+        is left empty for the next call.
         """
         payloads: List = []
         failures: List[str] = []
-        waited = [0.0]
-        while len(payloads) < expected:
-            msg = self._next_result(waited, self._eval_result_q)
-            if msg is None or msg[0] != seq:
-                continue
-            _, payload, worker_failures = msg
+        for (_, payload, worker_failures), _ in self._drain(seq, expected):
             payloads.append(payload)
             failures += worker_failures
         self._raise_failures(f"{what} evaluation failed in worker process", failures)
@@ -636,7 +611,7 @@ class ProcessExecutor(ClientExecutor):
         self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
     ) -> int:
         per_worker = group_by_owner(bounds, deal(bounds, range(len(self._procs))))
-        seq = self._submit(self._eval_shared, flat_weights, "eval_model", per_worker)
+        seq = self._submit(flat_weights, "eval_model", per_worker)
         return sum(self._drain_eval(seq, len(per_worker), "global"))
 
     # ------------------------------------------------------------------
@@ -661,15 +636,12 @@ class ProcessExecutor(ClientExecutor):
                 proc.join(timeout=5.0)
         for task_q in self._task_qs:
             task_q.close()
-        for q in (self._result_q, self._eval_result_q):
-            if q is not None:
-                q.close()
+        if self._result_q is not None:
+            self._result_q.close()
         self._result_q = None
-        self._eval_result_q = None
         self._procs = []
         self._task_qs = []
         self._shared = None
-        self._eval_shared = None
         self._eval_arrays = None
         self._return_slots = []
         self._slot_free = []

@@ -44,15 +44,9 @@ __all__ = ["ThreadExecutor"]
 
 
 class ThreadExecutor(ClientExecutor):
-    """Train the cohort on a thread pool with replica checkout.
-
-    Evaluation is safe to run concurrently with training (replica
-    checkout isolates every task), so this backend supports the round
-    pipeline's async eval submission.
-    """
+    """Train the cohort on a thread pool with replica checkout."""
 
     name = "thread"
-    supports_async_eval = True
 
     def __init__(self, workers: int = 2) -> None:
         super().__init__()
@@ -119,13 +113,10 @@ class ThreadExecutor(ClientExecutor):
             self._release_replica(replica)
 
     def _ensure_started(self) -> None:
-        # Locked: an async eval submission can race the training path to
-        # the first cohort, and two pools must never exist.
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-exec"
-                )
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-exec"
+            )
 
     def _train_cohort(
         self,

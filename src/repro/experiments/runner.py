@@ -71,7 +71,6 @@ def run_policy(
     server_kwargs: Optional[dict] = None,
     executor: Union[str, "ClientExecutor", None] = None,
     workers: Optional[int] = None,
-    pipeline: Optional[bool] = None,
     population: bool = False,
 ) -> ExperimentResult:
     """Train ``rounds`` rounds under ``policy`` on the scenario ``cfg``.
@@ -89,9 +88,7 @@ def run_policy(
     so parallel execution never perturbs a comparison.  ``executor`` may
     also be a ready :class:`~repro.execution.ClientExecutor` instance
     (e.g. a listening distributed coordinator), in which case ``workers``
-    is ignored.  ``pipeline`` opts the server into the round-pipelined
-    driver (:mod:`repro.fl.engine`) -- bit-identical history, overlapped
-    wall-clock.  ``population`` builds the federation as a columnar
+    is ignored.  ``population`` builds the federation as a columnar
     :class:`~repro.simcluster.population.PopulationStore` with lazy
     client materialisation instead of an eager list -- bit-identical
     histories, O(cohort) steady-state memory.
@@ -108,8 +105,6 @@ def run_policy(
         kwargs.setdefault("executor", executor)
     if workers is not None:
         kwargs.setdefault("workers", workers)
-    if pipeline is not None:
-        kwargs.setdefault("pipeline", pipeline)
 
     if isinstance(policy, str) and policy in _UNTIERED:
         if policy == "vanilla":

@@ -10,7 +10,7 @@ Section 4.6 differential-privacy bookkeeping.
 
 from repro.fl.aggregator import HierarchicalAggregator, fedavg, fedavg_dicts
 from repro.fl.async_server import AsyncFLServer, polynomial_staleness_discount
-from repro.fl.engine import RoundContext, RoundPipeline
+from repro.fl.engine import RoundContext
 from repro.fl.fedprox import make_fedprox_server
 from repro.fl.secure_agg import PairwiseMasker, SecureAggregator
 from repro.fl.history import RoundRecord, TrainingHistory
@@ -39,7 +39,6 @@ __all__ = [
     "SelectionPlan",
     "FLServer",
     "RoundContext",
-    "RoundPipeline",
     "RoundRecord",
     "TrainingHistory",
     "make_fedprox_server",

@@ -63,14 +63,6 @@ class AsyncFLServer:
         Mixing weight ``a`` for a fresh (staleness-0) update.
     staleness_power:
         Exponent of the polynomial staleness discount (0 disables it).
-    pipeline:
-        Overlap update ``k``'s evaluation with update ``k+1``'s training
-        (the async analogue of the round pipeline).  Always safe here:
-        dispatch, mixing and replacement selection never read the
-        evaluated accuracy, and mixing produces a fresh weight vector
-        each update, so the evaluated snapshot is stable.  Histories are
-        bit-identical to the staged default.  ``None`` defers to
-        ``training.pipeline``.
     """
 
     def __init__(
@@ -86,7 +78,6 @@ class AsyncFLServer:
         rng: RngLike = None,
         executor: Union[str, ClientExecutor, None] = None,
         workers: Optional[int] = None,
-        pipeline: Optional[bool] = None,
     ) -> None:
         if not clients:
             raise ValueError("the client pool must be non-empty")
@@ -113,9 +104,6 @@ class AsyncFLServer:
         self.history = TrainingHistory()
         self.updates_applied = 0
         self.staleness_log: List[int] = []
-        self.pipeline: bool = (
-            training.pipeline if pipeline is None else bool(pipeline)
-        )
         self.executor: ClientExecutor = resolve_executor(
             executor if executor is not None else training.executor,
             workers if workers is not None else training.workers,
@@ -168,35 +156,6 @@ class AsyncFLServer:
         for _ in range(self.concurrency):
             self._dispatch(idle.pop(), now, heap)
 
-        # Pipelined mode keeps at most one evaluation in flight: update
-        # k's record is appended (future resolved) before update k+1's
-        # evaluation is submitted, so history order never changes.
-        self._pending = None  # (record, eval future or None)
-        try:
-            self._run_updates(num_updates, heap, idle)
-        except BaseException:
-            # A failed update must not swallow the completed previous
-            # one: its record (eval already resolved or resolving) is
-            # appended exactly as the staged path would have appended it
-            # before the failing update began.
-            if self._pending is not None:
-                try:
-                    self._flush_pending()
-                except Exception:
-                    pass
-            raise
-        if self._pending is not None:
-            self._flush_pending()
-        return self.history
-
-    def _flush_pending(self) -> None:
-        record, fut = self._pending
-        self._pending = None
-        if fut is not None:
-            record.accuracy = fut.result()
-        self.history.append(record)
-
-    def _run_updates(self, num_updates: int, heap: list, idle: list) -> None:
         while self.updates_applied < num_updates:
             now, client_id, base_version, base_weights = heapq.heappop(heap)
             # The event loop applies one update at a time, but routing the
@@ -211,8 +170,6 @@ class AsyncFLServer:
             staleness = self.updates_applied - base_version
             self.staleness_log.append(staleness)
             a = self._mixing_weight(staleness)
-            # A fresh vector every update: the previous one (a possibly
-            # still-evaluating snapshot) is never written in place.
             self.global_weights = (1.0 - a) * self.global_weights + a * new_weights
             self.updates_applied += 1
 
@@ -223,25 +180,13 @@ class AsyncFLServer:
                 accuracy=None,
                 selected=(client_id,),
             )
-            eval_due = (self.updates_applied - 1) % self.eval_every == 0
-            if self.pipeline:
-                if self._pending is not None:
-                    self._flush_pending()
-                fut = None
-                if eval_due:
-                    # Same batched entry point as the synchronous servers
-                    # (the thread backend shards, bit-identically); the
-                    # evaluation overlaps the next update's training.
-                    fut = self.executor.submit_model_evaluation(
-                        self.global_weights, self.test_data.x, self.test_data.y
-                    )
-                self._pending = (record, fut)
-            else:
-                if eval_due:
-                    record.accuracy = self.executor.evaluate_model(
-                        self.global_weights, self.test_data.x, self.test_data.y
-                    )
-                self.history.append(record)
+            if (self.updates_applied - 1) % self.eval_every == 0:
+                # Same batched entry point as the synchronous servers
+                # (the thread backend shards, bit-identically).
+                record.accuracy = self.executor.evaluate_model(
+                    self.global_weights, self.test_data.x, self.test_data.y
+                )
+            self.history.append(record)
 
             # keep `concurrency` clients busy: redraw uniformly from the
             # currently idle pool (the finished client becomes idle)
@@ -249,6 +194,7 @@ class AsyncFLServer:
             pick = int(self._rng.integers(0, len(idle)))
             idle[pick], idle[-1] = idle[-1], idle[pick]
             self._dispatch(idle.pop(), now, heap)
+        return self.history
 
     def mean_staleness(self) -> float:
         """Average staleness of applied updates (a health diagnostic)."""

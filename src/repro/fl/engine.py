@@ -1,4 +1,4 @@
-"""The staged round engine: explicit phases and the pipelined driver.
+"""The staged round engine: the six phases of a round and their contract.
 
 A synchronous FL round decomposes into six phases with a declared data
 contract (who writes which :class:`RoundContext` field):
@@ -16,64 +16,30 @@ phase                 contract
                       frame on the wire).
 ``train``             ``updates`` -- one :class:`ClientUpdate` per kept
                       client, in request order (the executor contract).
-``aggregate``         ``eval_weights`` (the post-round global weights --
+``aggregate``         ``eval_weights`` (the post-round global weights;
                       aggregation produces a fresh vector, never an
-                      in-place write, so this reference is a stable
-                      snapshot), ``sim_time`` (the clock advances here, in
-                      round order).
+                      in-place write), ``sim_time`` (the clock advances
+                      here, in round order).
 ``eval``              ``accuracy`` and subclass extras (TiFL's per-tier
-                      accuracies) -- always computed against
-                      ``eval_weights``, i.e. the post-round-``r`` snapshot,
-                      never the live ``global_weights`` a later round may
-                      have replaced.
+                      accuracies), computed against ``eval_weights``.
 ``record``            ``record`` -- the :class:`RoundRecord`; selector
                       feedback (``observe`` / tier-accuracy recording) and
                       the history append happen here, in round order.
 ====================  =====================================================
-
-:class:`RoundPipeline` drives the same phases but overlaps round ``r``'s
-*eval* with round ``r+1``'s *select/train/aggregate* whenever the
-executor exposes async submission
-(:attr:`repro.execution.ClientExecutor.supports_async_eval`).  Three
-invariants make the pipelined history bit-identical to the staged one:
-
-1. **Snapshot evaluation.**  Eval always runs against ``eval_weights``,
-   snapshotted in the aggregate phase before round ``r+1`` replaces the
-   global vector.
-2. **Depth one.**  At most one round's evaluation is in flight: round
-   ``r``'s eval is resolved (and its record appended) before round
-   ``r+1``'s eval is submitted.  Records therefore append in round
-   order, and backends need exactly one eval-weights channel.
-3. **Feedback gating.**  A selector whose *next* selection depends on
-   eval results (:attr:`ClientSelector.uses_eval_feedback`, e.g. TiFL's
-   adaptive policy) forces the pipeline to drain before selecting --
-   the overlap silently degenerates to staged order, trading the
-   speed-up for unconditional bit-identity.  Feedback-free selectors
-   (vanilla random, over-selection, static tier policies) declare
-   themselves safe and get the overlap.
-
-The equivalence suite (``tests/fl/test_round_engine.py`` and
-``tests/distributed/test_pipeline.py``) holds both paths to bit-equal
-weights, accuracies and histories on all four execution backends.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import telemetry
-from repro.fl.history import RoundRecord, TrainingHistory
+from repro.fl.history import RoundRecord
 from repro.fl.selection import SelectionPlan
 from repro.simcluster.client import ClientUpdate
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.fl.server import FLServer
-
-__all__ = ["RoundContext", "RoundPipeline"]
+__all__ = ["RoundContext"]
 
 
 @dataclass
@@ -81,9 +47,7 @@ class RoundContext:
     """Mutable carrier of one round's state as it moves through phases.
 
     Fields are written by exactly one phase each (see the module
-    docstring's contract table) and read only by later phases, so a
-    context can safely outlive its round while the next round is already
-    training -- the property the pipelined driver relies on.
+    docstring's contract table) and read only by later phases.
     """
 
     round_idx: int
@@ -103,83 +67,5 @@ class RoundContext:
     # -- eval ----------------------------------------------------------
     accuracy: Optional[float] = None
     tier_accuracies: Optional[Dict[int, float]] = None
-    #: ONE future per round carrying every eval result (see
-    #: FLServer._eval_thunks: sequential execution keeps the executor's
-    #: one-evaluation-in-flight contract); ``eval_fields`` names the
-    #: context fields its list-result resolves into, in order.
-    eval_future: Optional[Future] = None
-    eval_fields: List[str] = field(default_factory=list)
     # -- record --------------------------------------------------------
     record: Optional[RoundRecord] = None
-
-
-class RoundPipeline:
-    """Drive a server's staged phases with eval/train overlap.
-
-    One pipeline serves one server.  ``run`` produces a
-    :class:`TrainingHistory` bit-identical to the staged
-    ``server.run_round`` loop -- the overlap only changes wall-clock
-    time (see the module docstring for the invariants).
-    """
-
-    def __init__(self, server: "FLServer") -> None:
-        self.server = server
-
-    def run(self, num_rounds: int, start_round: int = 0) -> TrainingHistory:
-        """Run ``num_rounds`` pipelined rounds; returns the history."""
-        if num_rounds <= 0:
-            raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-        s = self.server
-        pending: Optional[RoundContext] = None
-        try:
-            for r in range(start_round, start_round + num_rounds):
-                if pending is not None and s.selector_uses_eval_feedback:
-                    # The next selection reads eval feedback: drain first
-                    # (degenerates to staged order, stays bit-identical).
-                    pending = self._finish(pending)
-                with telemetry.span("fl.select", round=r, engine="pipelined"):
-                    ctx = s._stage_select(r)
-                with telemetry.span(
-                    "fl.broadcast", round=r, engine="pipelined"
-                ):
-                    s._stage_broadcast(ctx)
-                with telemetry.span("fl.train", round=r, engine="pipelined"):
-                    s._stage_train(ctx)
-                with telemetry.span(
-                    "fl.aggregate", round=r, engine="pipelined"
-                ):
-                    s._stage_aggregate(ctx)
-                if pending is not None:
-                    # Round r-1's eval had all of round r's training to
-                    # complete; resolving it here (before submitting round
-                    # r's eval) keeps the pipeline one round deep.
-                    pending = self._finish(pending)
-                s._stage_eval_submit(ctx)
-                pending = ctx
-            pending = self._finish(pending)
-        except BaseException:
-            if pending is not None:
-                # A failed round must not swallow the completed previous
-                # round: finish its record if its eval still resolves.
-                try:
-                    self._finish(pending)
-                except Exception:
-                    pass
-            raise
-        return s.history
-
-    def _finish(self, ctx: RoundContext) -> None:
-        """Resolve a round's in-flight eval and commit its record.
-
-        The eval *work* span (``fl.eval``) is recorded by the submitted
-        closure on the eval thread (see ``FLServer._stage_eval_submit``),
-        so the trace shows it overlapping the next round's train span;
-        ``fl.eval_wait`` measures only the driver's blocking remainder.
-        """
-        s = self.server
-        r = ctx.round_idx
-        with telemetry.span("fl.eval_wait", round=r, engine="pipelined"):
-            s._stage_eval_resolve(ctx)
-        with telemetry.span("fl.record", round=r, engine="pipelined"):
-            s._stage_record(ctx)
-        return None

@@ -61,15 +61,6 @@ class SelectionPlan:
 class ClientSelector:
     """Base selector: choose the round's cohort from the available pool."""
 
-    #: Whether :meth:`select` depends on post-round evaluation feedback
-    #: (:meth:`observe` accuracies / recorded tier accuracies).  The
-    #: pipelined round driver (:class:`repro.fl.engine.RoundPipeline`)
-    #: drains before every selection when this is True, so the overlap
-    #: can never reorder a feedback-driven decision.  Conservative
-    #: default: custom selectors must explicitly declare themselves
-    #: feedback-free to earn the eval/train overlap.
-    uses_eval_feedback: bool = True
-
     def select(self, round_idx: int, available: Sequence[int]) -> SelectionPlan:
         raise NotImplementedError
 
@@ -85,8 +76,6 @@ class ClientSelector:
 
 class RandomSelector(ClientSelector):
     """Uniform random selection of ``clients_per_round`` from the pool."""
-
-    uses_eval_feedback = False  # selection reads only its own RNG stream
 
     def __init__(self, clients_per_round: int, rng: RngLike = None) -> None:
         if clients_per_round <= 0:
@@ -114,8 +103,6 @@ class OverSelector(ClientSelector):
     ``target`` -- a ~30% straggler tolerance at the cost of discarding the
     slowest clients' data every round.
     """
-
-    uses_eval_feedback = False  # selection reads only its own RNG stream
 
     def __init__(
         self, target: int, over_factor: float = 1.3, rng: RngLike = None

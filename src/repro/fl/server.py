@@ -18,13 +18,6 @@ maximum response latency rather than the sum.  TiFL's server
 (:class:`repro.tifl.server.TiFLServer`) subclasses this loop, swapping in
 the tier scheduler and adding per-tier evaluation -- by design the loop is
 selection-agnostic (the paper's "non-intrusive" claim).
-
-With ``pipeline=True`` the staged loop is driven by
-:class:`repro.fl.engine.RoundPipeline`, which overlaps round ``r``'s
-evaluation with round ``r+1``'s training whenever the executor exposes
-async submission -- bit-identical to the staged path by construction
-(eval always runs against the post-round-``r`` snapshot, records append
-in round order, and feedback-driven selectors force a drain).
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from repro.config import PAPER_SYNTHETIC_TRAINING, TrainingConfig
 from repro.data.datasets import Dataset
 from repro.execution import ClientExecutor, TrainRequest, resolve_executor
 from repro.fl.aggregator import HierarchicalAggregator, fedavg
-from repro.fl.engine import RoundContext, RoundPipeline
+from repro.fl.engine import RoundContext
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ClientSelector, SelectionPlan
 from repro.nn.model import Sequential
@@ -105,12 +98,6 @@ class FLServer:
         cohort's latencies in two vectorised draws.  v2 changes every
         sampled latency relative to v1 (a versioned break, not a bug);
         each version is internally deterministic and regression-pinned.
-    pipeline:
-        Drive rounds through :class:`repro.fl.engine.RoundPipeline`,
-        overlapping round ``r``'s evaluation with round ``r+1``'s
-        training (bit-identical to the staged default -- only wall-clock
-        time changes).  ``None`` defers to ``training.pipeline``; the
-        staged path remains the default.
     """
 
     def __init__(
@@ -130,7 +117,6 @@ class FLServer:
         executor: Union[str, ClientExecutor, None] = None,
         workers: Optional[int] = None,
         latency_stream: Union[str, CohortLatencySampler, None] = None,
-        pipeline: Optional[bool] = None,
     ) -> None:
         if isinstance(clients, PopulationStore):
             has_clients = len(clients) > 0
@@ -175,9 +161,6 @@ class FLServer:
         self.global_weights = model.get_flat_weights()
         self.history = TrainingHistory()
         self.excluded: set = set()  # permanently excluded (profiler dropouts)
-        self.pipeline: bool = (
-            training.pipeline if pipeline is None else bool(pipeline)
-        )
         self.executor: ClientExecutor = resolve_executor(
             executor if executor is not None else training.executor,
             workers if workers is not None else training.workers,
@@ -280,13 +263,6 @@ class FLServer:
     # ------------------------------------------------------------------
     # the staged round engine (see repro.fl.engine for the contract)
     # ------------------------------------------------------------------
-    @property
-    def selector_uses_eval_feedback(self) -> bool:
-        """Whether the next selection may read eval results (gates the
-        pipelined driver's overlap; conservative True for selectors that
-        do not declare themselves)."""
-        return getattr(self.selector, "uses_eval_feedback", True)
-
     def _stage_select(self, round_idx: int) -> RoundContext:
         """Select phase: cohort, simulated latencies, dropout semantics."""
         ctx = RoundContext(round_idx=round_idx)
@@ -305,8 +281,7 @@ class FLServer:
 
         The executor performs the physical transport (shared memory /
         BROADCAST frame) inside ``train_cohort``; this stage pins the
-        contract that round ``r`` trains from the pre-round vector, no
-        matter what a pipelined eval of round ``r-1`` is doing.
+        contract that round ``r`` trains from the pre-round vector.
         """
         ctx.broadcast_weights = self.global_weights
 
@@ -326,11 +301,10 @@ class FLServer:
     def _stage_aggregate(self, ctx: RoundContext) -> None:
         """Aggregate phase: FedAvg (line 8) + the Eq. 1 clock advance.
 
-        ``ctx.eval_weights`` snapshots the post-round global vector for
-        the eval phase: aggregation always produces a *fresh* array (and
-        a fully-dropped round carries the previous, never-mutated vector
-        over), so the reference stays stable even while round ``r+1``
-        replaces ``self.global_weights``.
+        ``ctx.eval_weights`` is the post-round global vector the eval
+        phase scores: aggregation always produces a *fresh* array (and a
+        fully-dropped round carries the previous, never-mutated vector
+        over).
         """
         new_weights: List[np.ndarray] = [u.flat_weights for u in ctx.updates]
         sizes: List[float] = [float(u.num_samples) for u in ctx.updates]
@@ -348,73 +322,13 @@ class FLServer:
     def _eval_due(self, round_idx: int) -> bool:
         return round_idx % self.eval_every == 0
 
-    def _eval_thunks(self, ctx: RoundContext):
-        """The round's evaluation work: ``[(ctx_field, thunk), ...]``.
-
-        Each thunk makes exactly one executor evaluation call against the
-        ``ctx.eval_weights`` snapshot; its result lands in the named
-        :class:`RoundContext` field.  Subclasses append their extras
-        (TiFL's per-tier accuracies).  Both eval paths run the *same*
-        thunks -- staged executes them inline, pipelined ships the whole
-        list as ONE submitted future executed sequentially, so the
-        executor never sees two concurrent evaluations (the one-in-flight
-        contract of :mod:`repro.execution.base`).
-        """
-        thunks = []
-        if self._eval_due(ctx.round_idx):
-            weights = ctx.eval_weights
-            thunks.append(
-                (
-                    "accuracy",
-                    lambda: self.executor.evaluate_model(
-                        weights, self.test_data.x, self.test_data.y
-                    ),
-                )
-            )
-        return thunks
-
     def _stage_eval(self, ctx: RoundContext) -> None:
-        """Eval phase (staged, synchronous): accuracy of the snapshot."""
-        for field_name, thunk in self._eval_thunks(ctx):
-            setattr(ctx, field_name, thunk())
-
-    def _stage_eval_submit(self, ctx: RoundContext) -> None:
-        """Eval phase, async half: submit against the snapshot weights.
-
-        Used by the pipelined driver; backends without async support
-        resolve the future synchronously, so this pair of methods is
-        exactly :meth:`_stage_eval` there.
-        """
-        thunks = self._eval_thunks(ctx)
-        if not thunks:
-            return
-        ctx.eval_fields = [field_name for field_name, _ in thunks]
-        fns = [thunk for _, thunk in thunks]
-        if telemetry.enabled():
-            # The span wraps the submitted closure, so on async backends
-            # it runs on the eval thread and shows up on the trace
-            # timeline *overlapping* the next round's train spans.
-            round_idx = ctx.round_idx
-
-            def work():
-                with telemetry.span(
-                    "fl.eval", round=round_idx, engine="pipelined"
-                ):
-                    return [fn() for fn in fns]
-
-        else:
-
-            def work():
-                return [fn() for fn in fns]
-
-        ctx.eval_future = self.executor.submit_evaluation(work)
-
-    def _stage_eval_resolve(self, ctx: RoundContext) -> None:
-        """Eval phase, async half: wait for the submitted results."""
-        if ctx.eval_future is None:
-            return
-        for field_name, value in zip(ctx.eval_fields, ctx.eval_future.result()):
-            setattr(ctx, field_name, value)
+        """Eval phase: accuracy of the post-round weights.  Subclasses
+        extend it with their extras (TiFL's per-tier accuracies)."""
+        if self._eval_due(ctx.round_idx):
+            ctx.accuracy = self.executor.evaluate_model(
+                ctx.eval_weights, self.test_data.x, self.test_data.y
+            )
 
     def _stage_record(self, ctx: RoundContext) -> RoundRecord:
         """Record phase: commit the round to history + selector feedback."""
@@ -440,25 +354,25 @@ class FLServer:
         """Subclass hook: attach eval extras to the record (TiFL)."""
 
     def run_round(self, round_idx: int) -> RoundRecord:
-        """Execute one synchronous global round (the staged path).
+        """Execute one synchronous global round.
 
         Each phase runs inside a telemetry span (``fl.select`` ..
-        ``fl.record``, attrs ``round``/``engine``) -- no-ops unless
-        collection is on, and never touching RNG either way.
+        ``fl.record``, attr ``round``) -- no-ops unless collection is
+        on, and never touching RNG either way.
         """
         r = round_idx
-        with telemetry.span("fl.round", round=r, engine="staged"):
-            with telemetry.span("fl.select", round=r, engine="staged"):
+        with telemetry.span("fl.round", round=r):
+            with telemetry.span("fl.select", round=r):
                 ctx = self._stage_select(round_idx)
-            with telemetry.span("fl.broadcast", round=r, engine="staged"):
+            with telemetry.span("fl.broadcast", round=r):
                 self._stage_broadcast(ctx)
-            with telemetry.span("fl.train", round=r, engine="staged"):
+            with telemetry.span("fl.train", round=r):
                 self._stage_train(ctx)
-            with telemetry.span("fl.aggregate", round=r, engine="staged"):
+            with telemetry.span("fl.aggregate", round=r):
                 self._stage_aggregate(ctx)
-            with telemetry.span("fl.eval", round=r, engine="staged"):
+            with telemetry.span("fl.eval", round=r):
                 self._stage_eval(ctx)
-            with telemetry.span("fl.record", round=r, engine="staged"):
+            with telemetry.span("fl.record", round=r):
                 return self._stage_record(ctx)
 
     def _post_round(self, record: RoundRecord) -> None:
@@ -466,27 +380,17 @@ class FLServer:
         selector observes and the history appends."""
 
     def run(self, num_rounds: int, start_round: int = 0) -> TrainingHistory:
-        """Run ``num_rounds`` rounds; returns the accumulated history.
-
-        With ``pipeline=True`` the rounds are driven by
-        :class:`repro.fl.engine.RoundPipeline` (bit-identical history,
-        overlapped wall-clock); otherwise the staged loop runs.
-        """
+        """Run ``num_rounds`` rounds; returns the accumulated history."""
         if num_rounds <= 0:
             raise ValueError(f"num_rounds must be positive, got {num_rounds}")
-        engine = "pipelined" if self.pipeline else "staged"
-        with telemetry.span("fl.run", engine=engine, rounds=num_rounds):
-            if self.pipeline:
-                history = RoundPipeline(self).run(num_rounds, start_round)
-            else:
-                for r in range(start_round, start_round + num_rounds):
-                    self.run_round(r)
-                history = self.history
+        with telemetry.span("fl.run", rounds=num_rounds):
+            for r in range(start_round, start_round + num_rounds):
+                self.run_round(r)
         if telemetry.enabled():
             # Observability payload only -- nothing that feeds a
             # fingerprint or an equality gate reads this field.
-            history.telemetry = telemetry.snapshot()
-        return history
+            self.history.telemetry = telemetry.snapshot()
+        return self.history
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -17,7 +17,7 @@ benchmarks read their timings from instead of keeping private
 stopwatches.
 
 Thread-safety: one process-wide lock guards registry mutation; spans
-may close from any thread (the pipelined driver's eval thread, the
+may close from any thread (the thread executor's pool threads, the
 coordinator's reader threads).  Fork-safety: a forked child inherits
 the registry but the trace writer drops its writes (see
 :class:`~repro.telemetry.trace.TraceWriter`).

@@ -11,8 +11,8 @@ kind        payload
             (git sha, config digest, UTC timestamp -- see
             :func:`run_metadata`).
 ``span``    one closed span: ``name``, ``dur`` (seconds), ``pid``,
-            ``tid`` and an ``attrs`` dict (``round``, ``engine``,
-            ``backend``, ...).  ``ts`` is the span's *start*.
+            ``tid`` and an ``attrs`` dict (``round``, ``backend``,
+            ...).  ``ts`` is the span's *start*.
 ``metric``  one metric at flush time: ``metric`` (``counter`` /
             ``gauge`` / ``histogram``), ``name``, ``labels`` and
             ``value`` (a number, or for histograms a dict with

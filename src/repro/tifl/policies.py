@@ -106,10 +106,6 @@ def resize_probs(probs: Sequence[float], num_tiers: int) -> np.ndarray:
 class StaticTierPolicy(TierPolicy):
     """Fixed tier-selection probabilities (the straw-man of Section 4.3)."""
 
-    # A fixed probability vector never reads tier accuracies, so the
-    # pipelined round driver may overlap eval with the next round.
-    uses_eval_feedback = False
-
     def __init__(self, probs: Sequence[float], name: Optional[str] = None) -> None:
         self.probs = validate_probs(probs)
         self.name = name or "static"

@@ -28,12 +28,6 @@ class TierPolicy:
     (Algorithm 2).
     """
 
-    #: Whether :meth:`choose_tier` depends on recorded tier accuracies.
-    #: Conservative default True; static policies (fixed probability
-    #: vectors) override to False so the pipelined round driver may
-    #: overlap eval with the next round's training.
-    uses_eval_feedback: bool = True
-
     def choose_tier(
         self,
         round_idx: int,
@@ -103,12 +97,6 @@ class TierScheduler(ClientSelector):
         self._id_bound = 1 + int(
             max(int(m.max()) for m in self._members if m.size)
         )
-
-    @property
-    def uses_eval_feedback(self) -> bool:
-        """Delegated to the policy: adaptive tier selection reads the
-        recorded tier accuracies, static probability vectors do not."""
-        return getattr(self.policy, "uses_eval_feedback", True)
 
     def _avail_mask(self, available: Sequence[int]) -> np.ndarray:
         """Boolean availability mask over ``[0, id_bound)``.

@@ -262,8 +262,7 @@ class TiFLServer(FLServer):
         """Per-tier accuracy ``A_t^r``: mean holdout accuracy over members.
 
         Each client evaluates ``flat_weights`` (default: the current
-        global weights; the pipelined round engine passes the post-round
-        snapshot) on its *local* holdout -- no raw data leaves the
+        global weights) on its *local* holdout -- no raw data leaves the
         client, preserving the privacy property.  All eligible members
         across every tier are batched into **one**
         :meth:`~repro.execution.ClientExecutor.evaluate_cohort` call, so
@@ -281,29 +280,10 @@ class TiFLServer(FLServer):
     def _tier_eval_due(self, round_idx: int) -> bool:
         return bool(self.tier_eval_every) and round_idx % self.tier_eval_every == 0
 
-    def _eval_thunks(self, ctx):
-        """Append the per-tier evaluation to the round's eval work.
-
-        Joins the base thunk list so the pipelined driver ships global
-        accuracy AND tier accuracies as ONE sequential submission -- two
-        concurrent evaluations on one executor would race each other for
-        the backend's eval result channel.
-        """
-        thunks = super()._eval_thunks(ctx)
+    def _stage_eval(self, ctx) -> None:
+        super()._stage_eval(ctx)
         if self._tier_eval_due(ctx.round_idx):
-            requests = [
-                EvalRequest(cid) for cid in self._eligible_tier_members()
-            ]
-            weights = ctx.eval_weights
-            thunks.append(
-                (
-                    "tier_accuracies",
-                    lambda: self._tier_means(
-                        self.executor.evaluate_cohort(requests, weights)
-                    ),
-                )
-            )
-        return thunks
+            ctx.tier_accuracies = self.evaluate_tiers(ctx.eval_weights)
 
     def _record_extras(self, ctx, record: RoundRecord) -> None:
         if ctx.tier_accuracies is not None:

@@ -7,8 +7,9 @@ peers are in-process ``WorkerAgent`` objects (the fixtures of
 ``test_broadcast_fanout.py``): a frame the coordinator "sends" is served
 synchronously and the replies land on the collector's queue the way a
 reader thread would put them -- wrapped, per reply, in a straggler from
-another seq and a tampered duplicate -- so every rule is asserted on
-the frames a real worker produces.
+another seq, stragglers of every *other* kind (all batches share the one
+queue) and a tampered duplicate -- so every rule is asserted on the
+frames a real worker produces.
 """
 
 import io
@@ -29,20 +30,29 @@ from tests.distributed.test_broadcast_fanout import TRAIN, _RecordingConn
 MT = proto.MsgType
 TEST_SET = make_tiny_dataset(n=600, seed=5)
 
+#: A result frame of each kind, for a seq of the caller's choosing.
+RESULTS = {
+    "train": lambda seq: (MT.UPDATE, proto.encode_update(seq, 0, 1, None, np.zeros(3))),
+    "eval": lambda seq: (MT.EVAL_RESULT, proto.encode_eval_result(seq, 0, 0.5)),
+    "eval_model": lambda seq: (
+        MT.EVAL_MODEL_RESULT, proto.encode_eval_model_result(seq, 0, 512, 1)
+    ),
+}
+
 #: Per kind: the work-order frame, the agent method serving it, the unit
 #: a timeout names, and a result frame of another kind.
 KINDS = {
     "train": (
         MT.TRAIN, "_handle_train", "4 client update(s)",
-        lambda seq: (MT.EVAL_RESULT, proto.encode_eval_result(seq, 0, 0.5)),
+        RESULTS["eval"],
     ),
     "eval": (
         MT.EVAL, "_handle_eval", "4 evaluation result(s)",
-        lambda seq: (MT.EVAL_MODEL_RESULT, proto.encode_eval_model_result(seq, 0, 512, 1)),
+        RESULTS["eval_model"],
     ),
     "eval_model": (
         MT.EVAL_MODEL, "_handle_eval_model", "2 evaluation shard(s)",
-        lambda seq: (MT.EVAL_RESULT, proto.encode_eval_result(seq, 0, 0.5)),
+        RESULTS["eval"],
     ),
 }
 
@@ -99,7 +109,6 @@ class _Harness:
         ex._signature = proto.model_signature(self.model)
         ex._num_params = self.model.num_params()
         ex._owner = deal(sorted(self.pool), [0, 1])
-        self.events = ex._events if kind == "train" else ex._eval_events
         self.agents = {}
         for wid in (0, 1):
             agent = self.agents[wid] = WorkerAgent("unused", 1, log=io.StringIO())
@@ -121,7 +130,7 @@ class _Harness:
             answered = _RecordingConn()
             getattr(agent, self.handler)(answered, payload)
             for event in replies(self.ex, wid, answered.sent):
-                self.events.put((wid, *event))
+                self.ex._events.put((wid, *event))
 
     def orders_sent_to(self, wid):
         return [p for t, p in self.ex._handles[wid].conn.sent if t == self.order]
@@ -154,7 +163,9 @@ class TestCollectorContract:
                 # Worker 1 never answers its order: it breaks protocol with
                 # a result frame of another kind for the live seq.
                 return [harness.wrong_kind(ex._seq)]
-            events = []
+            # Stragglers of the other kinds, from a batch abandoned before
+            # this one opened: dropped, and worker 0 is not retired.
+            events = [RESULTS[other](ex._seq - 1) for other in RESULTS if other != kind]
             for msg_type, payload in frames:
                 events += [
                     (msg_type, _retagged(msg_type, payload, ex._seq + 100)),  # straggler
@@ -173,6 +184,7 @@ class TestCollectorContract:
             # The wrong-kind frame retired its sender; worker 0 inherited
             # the clients and was sent the outstanding jobs as a second order.
             assert ex._handles[1].state == "retired"
+            assert ex._handles[0].state == "up"
             assert set(ex._owner.values()) == {0}
             assert len(harness.orders_sent_to(0)) == 2
             assert len(harness.orders_sent_to(1)) == 1
@@ -193,6 +205,30 @@ class TestCollectorContract:
             assert str(excinfo.value) == f"timed out after 0s waiting for {harness.unit}"
         finally:
             harness.ex.close()
+
+
+class TestReaderPostsOnce:
+    def test_each_frame_and_the_connection_loss_reach_the_queue_once(self):
+        """One queue: a result frame of any kind is posted once, and one
+        connection loss yields exactly one loss event."""
+        from repro.distributed.transport import ConnectionClosed
+
+        frames = [RESULTS[kind](4) for kind in sorted(RESULTS)]
+
+        class Conn(_RecordingConn):
+            def recv(self):
+                if not frames:
+                    raise ConnectionClosed("peer went away")
+                return frames.pop(0)
+
+        expected = [(5, *frame) for frame in frames] + [(5, None, 0)]
+        ex = DistributedExecutor(workers=1)
+        try:
+            ex._reader(_WorkerHandle(5, Conn(), 1, 0), 0)
+            posted = [ex._events.get_nowait() for _ in range(ex._events.qsize())]
+            assert posted == expected
+        finally:
+            ex.close()
 
 
 class TestInFlightSettle:

@@ -7,6 +7,8 @@ bar the in-process backends clear: ``evaluate_cohort`` through real
 worker subprocesses on 127.0.0.1 is bit-identical to serial.
 """
 
+import os
+import signal
 import socket
 
 import numpy as np
@@ -22,6 +24,8 @@ from repro.distributed import protocol as proto
 from repro.distributed.transport import Connection
 from repro.execution import EvalRequest, SerialExecutor, TrainRequest
 from repro.fl.aggregator import fedavg
+from repro.fl.selection import RandomSelector
+from repro.fl.server import FLServer
 from repro.nn import build_mlp
 from tests.conftest import make_test_client, make_tiny_dataset
 from tests.distributed.test_broadcast_fanout import _RecordingConn
@@ -214,6 +218,28 @@ class TestWorkerLoadsOncePerFrame:
         assert sum(c[3] for c in counts) / 600 == direct
 
 
+def run_server(executor):
+    """A full FLServer run whose 600-sample test set makes every round's
+    global evaluation a sharded ``evaluate_model``."""
+    clients = [make_test_client(client_id=i, seed=7) for i in range(6)]
+    model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+    with FLServer(
+        clients=clients,
+        model=model,
+        selector=RandomSelector(3, rng=7),
+        test_data=make_tiny_dataset(n=600, seed=999),
+        training=TRAIN,
+        rng=7,
+        executor=executor,
+    ) as server:
+        history = server.run(4)
+        records = [
+            (r.round_idx, r.round_latency, r.sim_time, r.accuracy, r.selected, r.dropped)
+            for r in history.records
+        ]
+        return server.global_weights.copy(), records
+
+
 class TestLoopbackEvalEquivalence:
     def test_distributed_eval_bit_identical_to_serial(self):
         """Train two rounds then evaluate every holdout -- through real
@@ -283,3 +309,81 @@ class TestLoopbackEvalEquivalence:
             ex.close()
             terminate_workers(procs)
         assert got == ref
+
+    def test_staged_distributed_matches_too(self):
+        """The staged path over the v3 protocol (BIND_EVAL + sharded
+        evaluate_model) stays bit-identical as well."""
+        ref_w, ref_h = run_server("serial")
+        ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
+        procs = spawn_local_workers(ex.listen(), 2)
+        try:
+            w, h = run_server(ex)
+        finally:
+            ex.close()
+            terminate_workers(procs)
+        assert np.array_equal(ref_w, w)
+        assert h == ref_h
+
+
+class TestDistributedShardedEvalModel:
+    def test_bit_identical_after_single_bind_eval_ship(self):
+        pool = {
+            c.client_id: c
+            for c in [make_test_client(client_id=i, seed=7) for i in range(6)]
+        }
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        test = make_tiny_dataset(n=1100, seed=5)
+        flat = model.get_flat_weights()
+
+        with SerialExecutor() as serial:
+            serial.bind(pool, model, TRAIN)
+            direct = serial.evaluate_model(flat, test.x, test.y)
+
+        ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
+        ex.bind(pool, model, TRAIN)
+        ex.bind_eval_data(test.x, test.y)
+        procs = spawn_local_workers(ex.listen(), 2)
+        try:
+            first = ex.evaluate_model(flat, test.x, test.y)
+            shipped_after_first = ex.bytes_sent
+            second = ex.evaluate_model(flat, test.x, test.y)
+            resend = ex.bytes_sent - shipped_after_first
+        finally:
+            ex.close()
+            terminate_workers(procs)
+        assert first == direct and second == direct
+        # Ship-once: the second pass moves only weights + shard bounds,
+        # never the dataset again (weights blob ~ num_params * 8 bytes).
+        assert resend < test.x.nbytes, (
+            f"second evaluate_model resent {resend} bytes -- the eval "
+            f"set ({test.x.nbytes} bytes) must ship exactly once"
+        )
+
+    def test_worker_loss_mid_sharded_eval_redistributes(self):
+        pool = {
+            c.client_id: c
+            for c in [make_test_client(client_id=i, seed=7) for i in range(6)]
+        }
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        test = make_tiny_dataset(n=1100, seed=5)
+        flat = model.get_flat_weights()
+        with SerialExecutor() as serial:
+            serial.bind(pool, model, TRAIN)
+            direct = serial.evaluate_model(flat, test.x, test.y)
+
+        ex = DistributedExecutor(
+            workers=2, heartbeat_interval=0.5, **FAST_TIMEOUTS
+        )
+        ex.bind(pool, model, TRAIN)
+        ex.bind_eval_data(test.x, test.y)
+        procs = spawn_local_workers(ex.listen(), 2)
+        try:
+            assert ex.evaluate_model(flat, test.x, test.y) == direct
+            os.kill(ex.worker_pid(0), signal.SIGKILL)
+            # The survivor inherits the dead worker's shards; the result
+            # must not move a bit.
+            assert ex.evaluate_model(flat, test.x, test.y) == direct
+            assert ex.num_workers_started == 1
+        finally:
+            ex.close()
+            terminate_workers(procs)

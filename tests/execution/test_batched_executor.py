@@ -97,7 +97,6 @@ class TestFactory:
         with create_executor("batched", workers=4) as ex:
             assert isinstance(ex, BatchedExecutor)
             assert ex.name == "batched"
-            assert ex.supports_async_eval
 
     def test_config_accepts_batched(self):
         assert TrainingConfig(executor="batched").executor == "batched"
@@ -322,7 +321,7 @@ class TestRngAlignment:
 
 
 # ----------------------------------------------------------------------
-# evaluation: bit-identical to serial, async-capable
+# evaluation: bit-identical to serial
 # ----------------------------------------------------------------------
 class TestEval:
     def test_eval_bit_identical_to_serial(self):
@@ -337,17 +336,6 @@ class TestEval:
                     model.get_flat_weights(),
                 )
         assert results["batched"] == results["serial"]
-
-    def test_async_eval_future(self):
-        pool = make_pool()
-        model = make_model()
-        with create_executor("batched") as ex:
-            ex.bind(pool, model, TRAIN)
-            requests = [EvalRequest(cid) for cid in sorted(pool)]
-            weights = model.get_flat_weights()
-            sync = ex.evaluate_cohort(requests, weights)
-            fut = ex.submit_cohort_evaluation(requests, weights)
-            assert fut.result(timeout=30) == sync
 
     def test_eval_error_wrapped(self):
         from tests.execution.test_eval_executors import make_holdoutless_client

@@ -26,6 +26,7 @@ from repro.execution import (
     create_executor,
     evaluate_holdouts,
 )
+from repro.execution.base import EVAL_BATCH, eval_shard_bounds
 from repro.fl.aggregator import fedavg
 from repro.nn import build_mlp
 from repro.nn.model import Sequential
@@ -264,7 +265,7 @@ class TestCohortGranularEval:
             assert "no holdout" in str(excinfo.value)
             assert "client 4:" not in str(excinfo.value)
             if backend == "process":
-                assert ex._eval_result_q.empty()
+                assert ex._result_q.empty()
             assert ex.evaluate_cohort(good, flat) == ref
 
     def test_process_discards_a_stale_batch_reply_whole(self):
@@ -280,13 +281,124 @@ class TestCohortGranularEval:
             ex.bind(pool, model, TRAIN)
             ref = ex.evaluate_cohort(requests, flat)
             stale = {cid: -1.0 for cid in pool}
-            _ship(ex._eval_result_q, (ex._seq, stale, ["client 0:\nstale"]))
+            _ship(ex._result_q, (ex._seq, stale, ["client 0:\nstale"]))
             deadline = time.monotonic() + 10.0
-            while ex._eval_result_q.empty():  # until the feeder flushed it
+            while ex._result_q.empty():  # until the feeder flushed it
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             assert ex.evaluate_cohort(requests, flat) == ref
-            assert ex._eval_result_q.empty()
+            assert ex._result_q.empty()
+
+
+class TestProcessSharedResultQueue:
+    def test_eval_after_an_abandoned_train_cohort_drops_its_stale_oks(self, monkeypatch):
+        """Train results and eval replies share one queue.  A cohort
+        abandoned mid-drain (idle timeout) leaves "ok"s behind a slow
+        worker; the evaluation that follows must drop them *and* free
+        their return slots -- worker 1 cannot reach its eval task until
+        client 3's slot is released for client 5 -- and score exactly
+        what serial scores.  Training afterwards must not deadlock."""
+        import repro.execution.process as process_mod
+
+        gate = multiprocessing.get_context("fork").Event()
+        real = process_mod.train_client
+
+        def gated(client, *args):
+            if client.client_id == 3:
+                gate.wait(30.0)
+            return real(client, *args)
+
+        monkeypatch.setattr(process_mod, "train_client", gated)
+        pool = make_pool(num_clients=6)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        flat = model.get_flat_weights()
+        train = [TrainRequest(c) for c in sorted(pool)]
+        evals = [EvalRequest(c) for c in sorted(pool)]
+        with SerialExecutor() as serial:
+            serial.bind(make_pool(num_clients=6), model, TRAIN)
+            ref = serial.evaluate_cohort(evals, flat)
+        with ProcessExecutor(workers=2, start_method="fork", result_timeout=0.5) as ex:
+            ex.bind(pool, model, TRAIN)
+            with pytest.raises(ExecutorError, match="timed out"):
+                ex.train_cohort(0, train, flat)  # 0, 2, 4 and 1 drained; 3 and 5 not
+            ex.result_timeout = 30.0
+            gate.set()
+            assert ex.evaluate_cohort(evals, flat) == ref
+            assert ex._result_q.empty()
+            updates = ex.train_cohort(1, train, flat)
+            assert [u.client_id for u in updates] == sorted(pool)
+
+
+class TestEvalShardBounds:
+    def test_small_inputs_take_serial_path(self):
+        assert eval_shard_bounds(EVAL_BATCH, 4) is None  # one batch
+        assert eval_shard_bounds(10 * EVAL_BATCH, 1) is None  # one worker
+
+    def test_bounds_cover_range_without_overlap(self):
+        n = 5 * EVAL_BATCH + 17
+        bounds = eval_shard_bounds(n, 3)
+        assert bounds is not None
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        for (a1, b1), (a2, b2) in zip(bounds, bounds[1:]):
+            assert b1 == a2
+        for a, b in bounds[:-1]:
+            assert a % EVAL_BATCH == 0 and b % EVAL_BATCH == 0
+
+    def test_never_more_shards_than_batches(self):
+        bounds = eval_shard_bounds(2 * EVAL_BATCH, 8)
+        assert bounds is not None and len(bounds) <= 2
+
+
+class TestProcessShardedEvalModel:
+    def test_bit_identical_after_single_bind(self):
+        pool = {
+            c.client_id: c
+            for c in [make_test_client(client_id=i, seed=7) for i in range(6)]
+        }
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        test = make_tiny_dataset(n=1100, seed=5)  # 5 shardable batches
+        flat = model.get_flat_weights()
+        model.set_flat_weights(flat)
+        direct = model.evaluate(test.x, test.y)
+        with create_executor("process", workers=3) as ex:
+            ex.bind(pool, model, TRAIN)
+            ex.bind_eval_data(test.x, test.y)
+            assert ex.evaluate_model(flat, test.x, test.y) == direct
+            # A second call re-uses the resident copy (no re-ship path
+            # exists; this simply must stay correct and bit-exact).
+            assert ex.evaluate_model(flat, test.x, test.y) == direct
+
+    def test_unbound_data_falls_back_to_serial_pass(self):
+        pool = {
+            c.client_id: c
+            for c in [make_test_client(client_id=i, seed=7) for i in range(4)]
+        }
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        bound = make_tiny_dataset(n=600, seed=5)
+        other = make_tiny_dataset(n=600, seed=6)
+        flat = model.get_flat_weights()
+        model.set_flat_weights(flat)
+        direct_other = model.evaluate(other.x, other.y)
+        with create_executor("process", workers=2) as ex:
+            ex.bind(pool, model, TRAIN)
+            ex.bind_eval_data(bound.x, bound.y)
+            assert ex.evaluate_model(flat, other.x, other.y) == direct_other
+
+    def test_rebinding_different_data_after_ship_raises(self):
+        pool = {
+            c.client_id: c
+            for c in [make_test_client(client_id=i, seed=7) for i in range(4)]
+        }
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        test = make_tiny_dataset(n=600, seed=5)
+        other = make_tiny_dataset(n=600, seed=6)
+        with create_executor("process", workers=2) as ex:
+            ex.bind(pool, model, TRAIN)
+            ex.bind_eval_data(test.x, test.y)
+            ex.evaluate_model(model.get_flat_weights(), test.x, test.y)
+            ex.bind_eval_data(test.x, test.y)  # same arrays: no-op
+            with pytest.raises(ExecutorError, match="fresh executor"):
+                ex.bind_eval_data(other.x, other.y)
 
 
 def make_tifl(backend, workers, tier_eval_every=1):

@@ -29,8 +29,7 @@ TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
 
 def run_training(
-    executor, workers=2, rounds=3, seed=7, pipeline=False,
-    training=TRAIN, test_size=30,
+    executor, workers=2, rounds=3, seed=7, training=TRAIN, test_size=30,
 ):
     clients = [make_test_client(client_id=i, seed=seed) for i in range(6)]
     model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=seed)
@@ -43,7 +42,6 @@ def run_training(
         rng=seed,
         executor=executor,
         workers=workers,
-        pipeline=pipeline,
     ) as server:
         history = server.run(rounds)
         return server.global_weights.copy(), history
@@ -57,11 +55,9 @@ def fingerprint(history):
     ]
 
 
-def assert_traced_run_matches(backend, tmp_path, workers=2, pipeline=False):
+def assert_traced_run_matches(backend, tmp_path, workers=2):
     telemetry.reset()
-    ref_weights, ref_history = run_training(
-        backend, workers=workers, pipeline=pipeline
-    )
+    ref_weights, ref_history = run_training(backend, workers=workers)
     assert not telemetry.enabled()
 
     trace = str(tmp_path / f"{backend}.jsonl")
@@ -69,9 +65,7 @@ def assert_traced_run_matches(backend, tmp_path, workers=2, pipeline=False):
         enabled=True, trace_path=trace, meta=telemetry.run_metadata()
     )
     try:
-        weights, history = run_training(
-            backend, workers=workers, pipeline=pipeline
-        )
+        weights, history = run_training(backend, workers=workers)
     finally:
         telemetry.flush()
         telemetry.shutdown()
@@ -82,25 +76,15 @@ def assert_traced_run_matches(backend, tmp_path, workers=2, pipeline=False):
     assert fingerprint(ref_history) == fingerprint(history)
     counts = telemetry.validate_trace_file(trace)
     assert counts["span"] > 0
-    # the traced run actually recorded the engine phases (the pipelined
-    # engine has no containing fl.round span -- its phases overlap)
+    # the traced run actually recorded the engine phases
     names = {s.name for s in telemetry.span_records()}
-    expected = (
-        {"fl.run", "fl.select", "fl.train", "fl.eval_wait", "fl.record"}
-        if pipeline
-        else {"fl.run", "fl.round", "fl.train", "fl.aggregate"}
-    )
-    assert expected <= names
+    assert {"fl.run", "fl.round", "fl.train", "fl.aggregate"} <= names
 
 
 class TestTracingIsBitInvisible:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_in_process_backends(self, backend, tmp_path):
         assert_traced_run_matches(backend, tmp_path)
-
-    def test_pipelined_engine(self, tmp_path):
-        assert_traced_run_matches("serial", tmp_path, workers=1,
-                                  pipeline=True)
 
     def test_distributed_backend(self, tmp_path):
         telemetry.reset()
