@@ -1,10 +1,13 @@
 """Tests for the experiment runner."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.experiments.runner import run_policies, run_policy
-from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.scenarios import ScenarioConfig, build_leaf_scenario
+from repro.fl.server import FLServer
 
 
 def cfg(**kw):
@@ -56,37 +59,122 @@ class TestRunPolicy:
             run_policy(cfg(), "vanilla", rounds=0)
 
 
+def history_digest(records, weights) -> str:
+    """``perf/child.py::_hash_prefix``'s rule: every RoundRecord field,
+    floats as exact hex, then the final global weights."""
+
+    def fhex(value):
+        return None if value is None else float(value).hex()
+
+    sha = hashlib.sha256()
+    for rec in records:
+        tiers = rec.tier_accuracies
+        sha.update(repr((
+            rec.round_idx, fhex(rec.round_latency), fhex(rec.sim_time),
+            fhex(rec.accuracy), tuple(int(c) for c in rec.selected),
+            rec.tier, tuple(int(c) for c in rec.dropped),
+            None if tiers is None
+            else sorted((int(t), fhex(a)) for t, a in tiers.items()),
+        )).encode())
+    sha.update(weights.tobytes())
+    return sha.hexdigest()
+
+
+@pytest.fixture
+def final_weights(monkeypatch):
+    """Global weights of every server ``run_policy`` closes, in order."""
+    captured = []
+    close = FLServer.close
+
+    def capturing_close(self):
+        captured.append(self.global_weights.copy())
+        close(self)
+
+    monkeypatch.setattr(FLServer, "close", capturing_close)
+    return captured
+
+
+#: Results of the *eager* ``List[SimClient]`` builders, recorded at
+#: 009f3b0 -- the last tree that had them -- with the scenarios below.
+#: The store-backed builders must keep reproducing them bit for bit.
+PINNED_EAGER_DIGEST = {
+    "vanilla": "559282609b0870e109075a44658ab487263e5af858e55e101cfad7474a86afae",
+    "overselect": "73d9e6f8d1e1f3ad7cc7936851d250532a1b1b8b68f671f9cbcd19c5caf6c448",
+    "uniform": "890f08373c6859482cc1dade154a3c58d755e26b94952b54e410cd968d650f7c",
+    "adaptive": "7309ce5f56cb75e3d82486c3e68dd3798088840d9000ee8e06a765029c1e5de9",
+    "thread": "af7553880a97e2eba6b0f46c8995edd1d1dc7ee8e493f96cc4e30b5a9812168b",
+    "leaf": "05b269d9d42aca747232aaf9d5c7bf6fb36d2280efee3e507dd8a603d5c3129c",
+}
+PINNED_EAGER_TIER_LATENCIES = [
+    0.31286904946403554, 0.369459193342371, 0.4769032570799422,
+    0.7053435542124048, 2.6009913277085994,
+]
+PINNED_EAGER_TIER_SIZES = [2, 2, 2, 2, 2]
+PINNED_EAGER_LEAF_TIER_LATENCIES = [
+    0.29795599152326674, 0.4119047620814882, 0.5255457326298021,
+    1.008770650057294, 1.4966238653361807,
+]
+PINNED_EAGER_LEAF_TIER_SIZES = [3, 2, 2, 2, 3]
+PINNED_EAGER_LEAF_GROUPS = [4, 0, 2, 4, 1, 1, 3, 0, 2, 3, 4, 4]
+
+
+@pytest.mark.parametrize("population", [False, True])
 class TestPopulationEquivalence:
-    """``population=True`` is a memory-layout change, not a numerics one:
-    the store-backed run's history must be *equal* to the eager run's,
-    including the full TiFL profile -> tier -> schedule chain."""
+    """The columnar store is a memory-layout change, not a numerics one:
+    a run's history and final weights must equal what the eager client
+    list produced, including the full TiFL profile -> tier -> schedule
+    chain."""
 
     @pytest.mark.parametrize(
         "policy", ["vanilla", "overselect", "uniform", "adaptive"]
     )
-    def test_store_history_matches_eager(self, policy):
+    def test_store_history_matches_eager(self, policy, population, final_weights):
         kw = dict(rounds=3, seed=4)
         if policy == "adaptive":
             kw["adaptive_interval"] = 2
-        eager = run_policy(cfg(), policy, **kw)
-        store = run_policy(cfg(), policy, population=True, **kw)
-        assert store.history.records == eager.history.records
-        assert store.final_accuracy == eager.final_accuracy
-        if eager.tier_latencies is not None:
+        res = run_policy(cfg(), policy, population=population, **kw)
+        assert (
+            history_digest(res.history.records, final_weights.pop())
+            == PINNED_EAGER_DIGEST[policy]
+        )
+        if policy in ("uniform", "adaptive"):
             np.testing.assert_array_equal(
-                store.tier_latencies, eager.tier_latencies
+                res.tier_latencies, PINNED_EAGER_TIER_LATENCIES
             )
-            np.testing.assert_array_equal(store.tier_sizes, eager.tier_sizes)
+            np.testing.assert_array_equal(res.tier_sizes, PINNED_EAGER_TIER_SIZES)
 
-    def test_store_matches_eager_on_thread_executor(self):
-        eager = run_policy(
-            cfg(), "vanilla", rounds=2, seed=4, executor="thread", workers=2
-        )
-        store = run_policy(
+    def test_store_matches_eager_on_thread_executor(self, population, final_weights):
+        res = run_policy(
             cfg(), "vanilla", rounds=2, seed=4, executor="thread", workers=2,
-            population=True,
+            population=population,
         )
-        assert store.history.records == eager.history.records
+        assert (
+            history_digest(res.history.records, final_weights.pop())
+            == PINNED_EAGER_DIGEST["thread"]
+        )
+
+
+def test_leaf_history_matches_eager(final_weights):
+    """``build_leaf_scenario`` draws its ``shuffle=True`` permutation from
+    the client seed generator *before* the per-client spawn; value draws
+    leave the spawn counter alone, so a ``SeedAddress`` captured after
+    them must address the same children -- shown here, not assumed."""
+    scn = build_leaf_scenario(
+        num_clients=12, clients_per_round=2, sample_scale=0.1, seed=4
+    )
+    assert [scn.group_of(c) for c in range(12)] == PINNED_EAGER_LEAF_GROUPS
+    res = run_policy(
+        scn.config, "adaptive", rounds=3, seed=4, adaptive_interval=2,
+        scenario=scn,
+    )
+    assert (
+        history_digest(res.history.records, final_weights.pop())
+        == PINNED_EAGER_DIGEST["leaf"]
+    )
+    np.testing.assert_array_equal(
+        res.tier_latencies, PINNED_EAGER_LEAF_TIER_LATENCIES
+    )
+    np.testing.assert_array_equal(res.tier_sizes, PINNED_EAGER_LEAF_TIER_SIZES)
 
 
 class TestRunPolicies:
