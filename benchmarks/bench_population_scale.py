@@ -11,9 +11,11 @@ columns, never one object per client.
 Each population size runs in its own subprocess so peak-RSS readings
 (``VmHWM``) never inherit a previous size's high-water mark.
 
-A second hard gate re-checks bit-identity at small N: the store-backed
-federation must produce *exactly* the history the eager list builder
-produces, across the serial, thread, process and distributed executors.
+A second hard gate re-checks bit-identity at small N: a
+``build_scenario`` federation must produce *exactly* the serial
+executor's history on the thread, process and distributed executors.
+(That history equals the retired eager list builder's; the literals are
+pinned in ``tests/experiments/test_runner.py``.)
 
 A third hard gate checks the population-sharding claim for the
 multi-process backends (``process`` and ``distributed``): with a fixed
@@ -205,7 +207,7 @@ def run_sharded(backend: str, num_clients: int, rounds: int, cohort: int,
 
 
 def check_bit_identity(seed: int) -> dict:
-    """Store-backed vs eager histories at small N, per executor backend."""
+    """Every backend's history vs the serial run's, at small N."""
     from repro.distributed import (
         DistributedExecutor, spawn_local_workers, terminate_workers,
     )
@@ -217,7 +219,7 @@ def check_bit_identity(seed: int) -> dict:
         train_size=400, test_size=60,
     )
 
-    def one(backend, population):
+    def one(backend):
         workers = 1 if backend == "serial" else 2
         if backend == "distributed":
             # Bind-once executors cannot be reused across pools; spin a
@@ -228,23 +230,21 @@ def check_bit_identity(seed: int) -> dict:
             procs = spawn_local_workers(ex.listen(), workers)
             try:
                 return run_policy(
-                    cfg, "vanilla", rounds=2, seed=seed,
-                    executor=ex, population=population,
+                    cfg, "vanilla", rounds=2, seed=seed, executor=ex
                 )
             finally:
                 ex.close()
                 terminate_workers(procs)
         return run_policy(
             cfg, "vanilla", rounds=2, seed=seed,
-            executor=backend, workers=workers, population=population,
+            executor=backend, workers=workers,
         )
 
-    out = {}
-    for backend in ("serial", "thread", "process", "distributed"):
-        eager = one(backend, False)
-        store = one(backend, True)
-        out[backend] = eager.history.records == store.history.records
-    return out
+    serial = one("serial").history.records
+    return {
+        backend: one(backend).history.records == serial
+        for backend in ("serial", "thread", "process", "distributed")
+    }
 
 
 def main(argv=None) -> int:
@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     identity = check_bit_identity(args.seed)
     identical = all(identity.values())
     for backend, same in identity.items():
-        print(f"store-vs-eager bit-identity [{backend}]: "
+        print(f"backend-vs-serial bit-identity [{backend}]: "
               f"{'PASS' if same else 'FAIL'}")
 
     # ---- sharding gate: worker-side shards keep shipped bytes/round

@@ -41,7 +41,7 @@ def build():
 
 def main() -> None:
     scn = build()
-    sizes = np.array([len(c.train_data) for c in scn.clients])
+    sizes = scn.clients.num_train_samples
     print(
         f"LEAF federation: {len(scn.clients)} writers, "
         f"{sizes.sum()} samples, per-writer sizes "

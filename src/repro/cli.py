@@ -68,13 +68,11 @@ frame type, worker utilization)::
     python -m repro.cli report trace.jsonl
 
 Population-scale federations (see
-:mod:`repro.simcluster.population`): ``--population`` builds the
-scenario as a columnar :class:`PopulationStore` with lazy client
-materialisation -- bit-identical histories, O(cohort) steady-state
-memory -- and ``scale`` runs a synthetic heavy-tailed federation with
-diurnal availability churn at sizes the eager builder cannot reach::
+:mod:`repro.simcluster.population`): every scenario keeps its clients
+in a columnar :class:`PopulationStore` and materialises them lazily;
+``scale`` runs a synthetic heavy-tailed federation with diurnal
+availability churn at sizes a per-client dataset split cannot reach::
 
-    python -m repro.cli run --population --rounds 20
     python -m repro.cli scale --num-clients 100000 --rounds 5
 """
 
@@ -130,11 +128,6 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test-size", type=int, default=400)
     p.add_argument("--model", default="linear")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--population", action="store_true",
-                   help="build the federation as a columnar population "
-                        "store with lazy client materialisation (bit-"
-                        "identical results, O(cohort) steady-state memory; "
-                        "see repro.simcluster.population)")
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
@@ -249,7 +242,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = run_policy(
             cfg, args.policy, rounds=args.rounds, seed=args.seed,
             executor=_make_executor(args), workers=args.workers,
-            population=args.population,
         )
     finally:
         if tracing:
@@ -281,7 +273,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             cfg, args.policies, rounds=args.rounds, seed=args.seed,
             repeats=args.repeats, executor=args.executor,
             workers=args.workers,
-            population=args.population,
         )
     finally:
         if tracing:
@@ -305,7 +296,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _scenario_config(args)
-    scenario = build_scenario(cfg, seed=args.seed, population=args.population)
+    scenario = build_scenario(cfg, seed=args.seed)
     profiling = profile_clients(
         scenario.clients, scenario.model.num_params(), sync_rounds=args.sync_rounds
     )
@@ -361,8 +352,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
         heavy_tailed=not args.homogeneous,
         seed=args.seed,
     )
-    store = scn.population
-    assert store is not None
+    store = scn.clients
     print(
         f"[scale] {store.num_clients} clients as columns; "
         f"cache capacity {store.cache_size} materialised clients",

@@ -51,10 +51,10 @@
   either side.  The always-on ``wire.broadcast_encodes`` /
   ``wire.broadcast_frames_reused`` / ``wire.broadcast_aliases``
   counters say which path each broadcast took.
-* **Population sharding (v6).**  When the bound pool is the lazy
-  :class:`~repro.simcluster.population.PopulationClients` view over a
-  :class:`~repro.simcluster.population.PopulationStore`, pinning ships
-  each worker an ASSIGN_SHARD *column slice*
+* **Population sharding (v6).**  When the bound pool is a
+  :class:`~repro.simcluster.population.PopulationStore` (every pool a
+  server binds), pinning ships each worker an ASSIGN_SHARD *column
+  slice*
   (:func:`repro.serialization.shard_to_bytes`: numpy buffers +
   ``SeedAddress`` coordinates + authoritative RNG snapshots -- never
   pickled ``SimClient`` graphs) instead of a pickled client dict.
@@ -132,6 +132,7 @@ from repro.execution.base import (
 from repro.execution.pool import absorb_rng_state, deal, group_by_owner, owned_by
 from repro.serialization import shard_to_bytes
 from repro.simcluster.client import ClientUpdate
+from repro.simcluster.population import PopulationStore
 
 __all__ = ["DistributedExecutor"]
 
@@ -703,18 +704,17 @@ class DistributedExecutor(ClientExecutor):
     ) -> None:
         """Ship ownership of ``owned_ids`` over ``conn``.
 
-        Store-backed pools ship one compact ASSIGN_SHARD column slice
-        (O(shard) bytes, no ``SimClient`` pickles); eager pools keep the
-        pickled-dict ASSIGN.  ``redeal=True`` marks re-ships triggered by
-        a peer's retirement, counted separately so ``cli report``
-        distinguishes steady-state pinning from churn.  The shard's
+        A population store ships one compact ASSIGN_SHARD column slice
+        (O(shard) bytes, no ``SimClient`` pickles); hand-built dict
+        pools keep the pickled-dict ASSIGN.  ``redeal=True`` marks
+        re-ships triggered by a peer's retirement, counted separately so
+        ``cli report`` distinguishes steady-state pinning from churn.  The shard's
         ``rng_states`` come straight from the store ledger, which every
         merged UPDATE keeps authoritative -- the property that makes a
         re-dealt slice replay bit-identically.
         """
-        store = getattr(self._clients, "store", None)
-        if store is not None:
-            blob = shard_to_bytes(store.shard(owned_ids))
+        if isinstance(self._clients, PopulationStore):
+            blob = shard_to_bytes(self._clients.shard(owned_ids))
             telemetry.count("wire.shard_ships", 1)
             telemetry.count("wire.shard_bytes", len(blob))
             if redeal:

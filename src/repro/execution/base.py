@@ -268,7 +268,7 @@ class ClientExecutor:
 
     def __init__(self) -> None:
         self._clients: Optional[Mapping[int, SimClient]] = None
-        # The mapping object the caller originally bound: eager pools are
+        # The mapping object the caller originally bound: dict pools are
         # stored as a defensive dict copy, so rebinding the same object
         # needs this reference to be recognised in O(1) instead of via an
         # O(population) dict comparison.
@@ -292,9 +292,9 @@ class ClientExecutor:
         serves one federation (sharing it across servers would train the
         wrong clients' data).
 
-        A mapping that declares itself ``lazy`` (the population store's
-        client view) is held **by reference** instead of being copied
-        into a dict: copying would materialise the whole population,
+        A mapping that declares itself ``lazy`` (the population store, a
+        worker's shard pool) is held **by reference** instead of being
+        copied into a dict: copying would materialise the whole population,
         which is exactly what the store exists to avoid.  Lazy rebinds
         compare by identity for the same reason.  Backends that look
         clients up per cohort (serial, thread, batched) therefore stay

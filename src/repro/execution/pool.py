@@ -28,6 +28,7 @@ import numpy as np
 from repro.config import TrainingConfig
 from repro.nn.model import Sequential
 from repro.simcluster.client import SimClient
+from repro.simcluster.population import PopulationStore
 
 __all__ = ["train_client", "deal", "group_by_owner", "owned_by", "absorb_rng_state"]
 
@@ -99,16 +100,15 @@ def absorb_rng_state(
 ) -> None:
     """Make a shipped-back training-RNG ``state`` authoritative.
 
-    A store-backed pool takes it into the store's ledger without
-    materialising the client (the parent stays at O(cohort) resident
-    objects, and the next shard (re-)ship carries this position); an
-    eager pool writes it into the live client object.
+    A population store takes it into its ledger without materialising
+    the client (the parent stays at O(cohort) resident objects, and the
+    next shard (re-)ship carries this position); a hand-built dict pool
+    writes it into the live client object.
     """
     if state is None:
         return
-    store = getattr(clients, "store", None)
-    if store is not None:
-        store.restore_rng_state(client_id, train_state=state)
+    if isinstance(clients, PopulationStore):
+        clients.restore_rng_state(client_id, train_state=state)
         return
     rng = getattr(clients[client_id], "_train_rng", None)
     if rng is not None:

@@ -16,9 +16,9 @@ Design (the memory / determinism contract):
   parent's pool), so the parent pool remains the single source of truth
   and can later be reused with any backend or a fresh executor.
 * **Population sharding.**  When the bound pool is a
-  :class:`repro.simcluster.population.PopulationStore` view (it exposes
-  ``.store``), workers never receive pickled
-  :class:`~repro.simcluster.client.SimClient` objects.  Instead each
+  :class:`repro.simcluster.population.PopulationStore` (every pool a
+  server binds; hand-built dict pools are pickled per worker), workers
+  never receive pickled ``SimClient`` objects.  Instead each
   worker's column slice (``PopulationStore.shard``) is written into
   anonymous shared-memory segments mapped at fork; the worker rebuilds
   a local shard store (``PopulationStore.from_columns``) and
@@ -372,13 +372,12 @@ class ProcessExecutor(ClientExecutor):
                 x_buf, str(x.dtype), x.shape, y_buf, str(y.dtype), y.shape,
             )
             self._eval_arrays = eval_blob
-        store = getattr(clients, "store", None)
         procs, task_qs, return_slots, slot_free_sems = [], [], [], []
         for wid in range(n_workers):
-            if store is not None:
+            if isinstance(clients, PopulationStore):
                 # Store pool: ship the column slice, never SimClient
                 # pickles.  The parent materialises nothing here.
-                owned = self._make_shard_spec(store, owned_ids[wid])
+                owned = self._make_shard_spec(clients, owned_ids[wid])
                 self._shard_specs.append(owned)
             else:
                 owned = {cid: clients[cid] for cid in owned_ids[wid]}

@@ -71,7 +71,6 @@ def run_policy(
     server_kwargs: Optional[dict] = None,
     executor: Union[str, "ClientExecutor", None] = None,
     workers: Optional[int] = None,
-    population: bool = False,
 ) -> ExperimentResult:
     """Train ``rounds`` rounds under ``policy`` on the scenario ``cfg``.
 
@@ -88,14 +87,11 @@ def run_policy(
     so parallel execution never perturbs a comparison.  ``executor`` may
     also be a ready :class:`~repro.execution.ClientExecutor` instance
     (e.g. a listening distributed coordinator), in which case ``workers``
-    is ignored.  ``population`` builds the federation as a columnar
-    :class:`~repro.simcluster.population.PopulationStore` with lazy
-    client materialisation instead of an eager list -- bit-identical
-    histories, O(cohort) steady-state memory.
+    is ignored.
     """
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
-    scn = scenario or build_scenario(cfg, seed=seed, population=population)
+    scn = scenario or build_scenario(cfg, seed=seed)
     family = policy_family or (
         "mnist" if cfg.dataset in ("mnist", "fmnist") else "cifar"
     )

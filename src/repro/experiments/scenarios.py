@@ -1,7 +1,8 @@
 """Scenario builders for the paper's evaluation settings (Section 5.1).
 
 A :class:`ScenarioConfig` names a dataset, a resource profile and a data
-distribution; :func:`build_scenario` turns it into concrete simulated
+distribution; :func:`build_scenario` turns it into a
+:class:`~repro.simcluster.population.PopulationStore` of simulated
 clients, a model, and test data.  Everything is reproducible from
 ``(config, seed)`` -- the runner rebuilds a fresh scenario per policy so
 competing policies see *identical* clients, data, and latency statistics.
@@ -15,7 +16,7 @@ paper-scale values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from repro.simcluster import (
     LatencyModel,
     MNIST_CPU_GROUPS,
     ResourceSpec,
-    SimClient,
     assign_resource_groups,
 )
 from repro.simcluster.population import (
@@ -187,16 +187,15 @@ class ScenarioConfig:
 class Scenario:
     """One evaluation setting, ready to hand to a server.
 
-    ``clients`` is either the eager list of :class:`SimClient` objects
-    (the small-N default) or a lazy
-    :class:`~repro.simcluster.population.PopulationStore` when built
-    with ``population=True`` -- servers accept both.  ``fed`` is
+    ``clients`` is the lazy
+    :class:`~repro.simcluster.population.PopulationStore` servers take
+    (``clients[cid]`` materialises a :class:`SimClient`).  ``fed`` is
     ``None`` for pool-backed population scenarios, which carry their
     shared test set in ``test`` instead.
     """
 
     config: ScenarioConfig
-    clients: Union[List[SimClient], PopulationStore]
+    clients: PopulationStore
     model: Sequential
     fed: Optional[FederatedData]
     training: TrainingConfig
@@ -215,15 +214,12 @@ class Scenario:
         return self.config.clients_per_round
 
     @property
-    def population(self) -> Optional[PopulationStore]:
-        """The columnar store when this scenario is store-backed."""
-        return self.clients if isinstance(self.clients, PopulationStore) else None
+    def population(self) -> PopulationStore:
+        """Alias of ``clients``."""
+        return self.clients
 
     def group_of(self, client_id: int) -> int:
-        pop = self.population
-        if pop is not None:
-            return int(pop.group[client_id])
-        return self.clients[client_id].spec.group
+        return int(self.clients.group[client_id])
 
 
 def _partition(
@@ -262,19 +258,8 @@ def _partition(
     return out
 
 
-def build_scenario(
-    cfg: ScenarioConfig, seed: RngLike = None, population: bool = False
-) -> Scenario:
-    """Materialise a scenario: dataset -> partition -> clients -> model.
-
-    With ``population=True`` the per-client objects are not built:
-    client metadata goes into a columnar
-    :class:`~repro.simcluster.population.PopulationStore` whose
-    ``materialize(cid)`` is bit-identical to the eager list built here
-    (same SeedSequence spawn-key addressing, same holdout draws) --
-    gated by the equivalence tests in
-    ``tests/simcluster/test_population.py``.
-    """
+def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
+    """Build a scenario: dataset -> partition -> client store -> model."""
     base = make_rng(seed)
     data_rng, part_rng, model_rng, client_seed_rng = spawn(base, 4)
 
@@ -318,37 +303,22 @@ def build_scenario(
         noise_sigma=cfg.noise_sigma,
     )
     comm_model = CommModel()
-
-    clients: Union[List[SimClient], PopulationStore]
-    if population:
-        # Capture the spawn coordinates instead of spawning N children:
-        # store.materialize(cid) seeds from the identical child sequence
-        # the eager branch below hands to client cid.
-        clients = PopulationStore(
-            num_samples=fed.client_sizes(),
-            cpu_fraction=[s.cpu_fraction for s in specs],
-            bandwidth_mbps=[s.bandwidth_mbps for s in specs],
-            group=[s.group for s in specs],
-            dataset_for=fed.client_dataset,
-            latency_model=latency_model,
-            comm_model=comm_model,
-            holdout_fraction=cfg.holdout_fraction,
-            seed_rng=client_seed_rng,
-        )
-    else:
-        client_rngs = spawn(client_seed_rng, cfg.num_clients)
-        clients = [
-            SimClient(
-                client_id=cid,
-                data=fed.client_dataset(cid),
-                spec=specs[cid],
-                latency_model=latency_model,
-                comm_model=comm_model,
-                holdout_fraction=cfg.holdout_fraction,
-                rng=client_rngs[cid],
-            )
-            for cid in range(cfg.num_clients)
-        ]
+    # The store captures client_seed_rng's spawn coordinates: clients[cid]
+    # seeds from the child spawn(client_seed_rng, N)[cid] would get.  Its
+    # cache holds a whole paper-shape federation, so v1 profiling and the
+    # thread backend never see an eviction.
+    clients = PopulationStore(
+        num_samples=fed.client_sizes(),
+        cpu_fraction=[s.cpu_fraction for s in specs],
+        bandwidth_mbps=[s.bandwidth_mbps for s in specs],
+        group=[s.group for s in specs],
+        dataset_for=fed.client_dataset,
+        latency_model=latency_model,
+        comm_model=comm_model,
+        holdout_fraction=cfg.holdout_fraction,
+        seed_rng=client_seed_rng,
+        cache_size=max(DEFAULT_CACHE_SIZE, cfg.num_clients),
+    )
     return Scenario(
         config=cfg,
         clients=clients,
@@ -422,19 +392,20 @@ def build_leaf_scenario(
         noise_sigma=noise_sigma,
     )
     comm_model = CommModel()
-    client_rngs = spawn(client_seed_rng, num_clients)
-    clients = [
-        SimClient(
-            client_id=cid,
-            data=fed.client_dataset(cid),
-            spec=specs[cid],
-            latency_model=latency_model,
-            comm_model=comm_model,
-            holdout_fraction=holdout_fraction,
-            rng=client_rngs[cid],
-        )
-        for cid in range(num_clients)
-    ]
+    # Seeded and sized as in build_scenario; the shuffle above drew
+    # values only, so the spawn coordinates captured here are unmoved.
+    clients = PopulationStore(
+        num_samples=fed.client_sizes(),
+        cpu_fraction=[s.cpu_fraction for s in specs],
+        bandwidth_mbps=[s.bandwidth_mbps for s in specs],
+        group=[s.group for s in specs],
+        dataset_for=fed.client_dataset,
+        latency_model=latency_model,
+        comm_model=comm_model,
+        holdout_fraction=holdout_fraction,
+        seed_rng=client_seed_rng,
+        cache_size=max(DEFAULT_CACHE_SIZE, num_clients),
+    )
     cfg = ScenarioConfig(
         dataset="femnist",
         num_clients=num_clients,
@@ -515,7 +486,7 @@ def build_population_scenario(
     and buckets them into ``num_groups`` capacity quantiles (group 0 =
     fastest, mirroring the paper's ordering).  Pair with
     :class:`~repro.simcluster.population.DiurnalSchedule` via
-    ``scenario.population.attach_diurnal(clock, schedule)`` for
+    ``scenario.clients.attach_diurnal(clock, schedule)`` for
     availability churn.
     """
     lo, hi = int(samples_range[0]), int(samples_range[1])

@@ -27,7 +27,7 @@ this server against synchronous vanilla and TiFL.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.execution import ClientExecutor, TrainRequest, resolve_executor
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.nn.model import Sequential
 from repro.rng import RngLike, make_rng
-from repro.simcluster.client import SimClient
+from repro.simcluster.population import PopulationStore
 
 __all__ = ["AsyncFLServer", "polynomial_staleness_discount"]
 
@@ -67,7 +67,7 @@ class AsyncFLServer:
 
     def __init__(
         self,
-        clients: Sequence[SimClient],
+        clients: PopulationStore,
         model: Sequential,
         test_data: Dataset,
         concurrency: int = 5,
@@ -79,8 +79,6 @@ class AsyncFLServer:
         executor: Union[str, ClientExecutor, None] = None,
         workers: Optional[int] = None,
     ) -> None:
-        if not clients:
-            raise ValueError("the client pool must be non-empty")
         if not 1 <= concurrency <= len(clients):
             raise ValueError(
                 f"concurrency must be in [1, {len(clients)}], got {concurrency}"
@@ -89,9 +87,7 @@ class AsyncFLServer:
             raise ValueError(f"base_mixing must be in (0, 1], got {base_mixing}")
         if eval_every <= 0:
             raise ValueError(f"eval_every must be positive, got {eval_every}")
-        self.clients: Dict[int, SimClient] = {c.client_id: c for c in clients}
-        if len(self.clients) != len(clients):
-            raise ValueError("duplicate client ids in the pool")
+        self.clients = clients
         self.model = model
         self.test_data = test_data
         self.concurrency = concurrency

@@ -17,21 +17,19 @@ comparison.  :func:`make_fedprox_server` wires both pieces into a standard
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.config import TrainingConfig
 from repro.data.datasets import Dataset
 from repro.fl.selection import ClientSelector
 from repro.fl.server import FLServer
 from repro.nn.model import Sequential
 from repro.rng import RngLike
-from repro.simcluster.client import SimClient
+from repro.simcluster.population import PopulationStore
 
 __all__ = ["make_fedprox_server", "partial_work_epochs"]
 
 
 def partial_work_epochs(
-    clients: Sequence[SimClient],
+    clients: PopulationStore,
     num_params: int,
     full_epochs: int,
     straggler_quantile: float = 0.5,
@@ -51,9 +49,10 @@ def partial_work_epochs(
         raise ValueError(f"full_epochs must be positive, got {full_epochs}")
     import numpy as np
 
+    # A small-N baseline: walking the store materialises every client.
     means = {
-        c.client_id: c.mean_response_latency(num_params, epochs=full_epochs)
-        for c in clients
+        cid: clients[cid].mean_response_latency(num_params, epochs=full_epochs)
+        for cid in clients
     }
     threshold = float(np.quantile(list(means.values()), straggler_quantile))
 
@@ -64,7 +63,7 @@ def partial_work_epochs(
 
 
 def make_fedprox_server(
-    clients: Sequence[SimClient],
+    clients: PopulationStore,
     model: Sequential,
     selector: ClientSelector,
     test_data: Dataset,

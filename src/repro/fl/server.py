@@ -36,7 +36,6 @@ from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ClientSelector, SelectionPlan
 from repro.nn.model import Sequential
 from repro.rng import RngLike, make_rng
-from repro.simcluster.client import SimClient
 from repro.simcluster.clock import SimulatedClock
 from repro.simcluster.faults import FaultInjector
 from repro.simcluster.latency import CohortLatencySampler, resolve_latency_stream
@@ -53,12 +52,11 @@ class FLServer:
     Parameters
     ----------
     clients:
-        The full client pool ``K``: either a sequence of materialised
-        :class:`SimClient` objects (the small-N default) or a
-        :class:`~repro.simcluster.population.PopulationStore`, in which
-        case clients materialise lazily on selection and the round loop
-        runs population-free (vectorised availability / selection off
-        the store's columns).
+        The full client pool ``K``, a
+        :class:`~repro.simcluster.population.PopulationStore` (what every
+        scenario builder returns): clients materialise lazily on
+        selection and the round loop runs population-free (vectorised
+        availability / selection off the store's columns).
     model:
         The global model; also used as the shared training/eval workspace.
     selector:
@@ -102,7 +100,7 @@ class FLServer:
 
     def __init__(
         self,
-        clients: Union[Sequence[SimClient], PopulationStore],
+        clients: PopulationStore,
         model: Sequential,
         selector: ClientSelector,
         test_data: Dataset,
@@ -118,30 +116,18 @@ class FLServer:
         workers: Optional[int] = None,
         latency_stream: Union[str, CohortLatencySampler, None] = None,
     ) -> None:
-        if isinstance(clients, PopulationStore):
-            has_clients = len(clients) > 0
-        else:
-            has_clients = bool(clients)
-        if not has_clients:
-            raise ValueError("the client pool must be non-empty")
+        if not hasattr(clients, "available_ids"):
+            raise TypeError(
+                "clients must be a PopulationStore (build_scenario returns "
+                f"one as Scenario.clients), got {type(clients).__name__}"
+            )
         if eval_every <= 0:
             raise ValueError(f"eval_every must be positive, got {eval_every}")
         if dropout_timeout is not None and dropout_timeout <= 0:
             raise ValueError(
                 f"dropout_timeout must be positive, got {dropout_timeout}"
             )
-        self.population: Optional[PopulationStore] = None
-        if isinstance(clients, PopulationStore):
-            # Store-backed pool: the lazy Mapping view materialises a
-            # client on first lookup; nothing below iterates it eagerly.
-            self.population = clients
-            self.clients: Dict[int, SimClient] = clients.clients
-        else:
-            self.clients = {}
-            for c in clients:
-                if c.client_id in self.clients:
-                    raise ValueError(f"duplicate client id {c.client_id}")
-                self.clients[c.client_id] = c
+        self.clients = clients
         self.model = model
         self.selector = selector
         self.test_data = test_data
@@ -150,8 +136,11 @@ class FLServer:
         self.fault = fault
         self.dropout_timeout = dropout_timeout
         self.eval_every = eval_every
+        # The default closes over the config, not ``self``: a reference
+        # cycle would keep a finished federation's data alive until a
+        # full cyclic collection.
         self.epochs_for: EpochsFor = epochs_for or (
-            lambda cid, r: self.training.epochs
+            lambda cid, r: training.epochs
         )
         self.clock = clock or SimulatedClock()
         self._rng = make_rng(rng)
@@ -179,14 +168,10 @@ class FLServer:
     def available_clients(self) -> Sequence[int]:
         """Ids eligible for selection (pool minus permanent exclusions).
 
-        Ascending either way; the store-backed path returns an int64
-        array straight off the availability column (one vectorised scan,
-        no per-client objects), over which selector draws are
-        bit-identical to the eager list.
+        An ascending int64 array straight off the availability column:
+        one vectorised scan, no per-client objects.
         """
-        if self.population is not None:
-            return self.population.available_ids(self.excluded)
-        return [cid for cid in sorted(self.clients) if cid not in self.excluded]
+        return self.clients.available_ids(self.excluded)
 
     def exclude_clients(self, client_ids: Sequence[int]) -> None:
         """Permanently remove clients (profiling dropouts, Sec. 4.2)."""
@@ -343,7 +328,6 @@ class FLServer:
         )
         ctx.record = record
         self._record_extras(ctx, record)
-        self._post_round(record)
         self.selector.observe(
             ctx.round_idx, ctx.plan, ctx.round_latency, ctx.accuracy
         )
@@ -374,10 +358,6 @@ class FLServer:
                 self._stage_eval(ctx)
             with telemetry.span("fl.record", round=r):
                 return self._stage_record(ctx)
-
-    def _post_round(self, record: RoundRecord) -> None:
-        """Legacy subclass hook invoked in the record phase, before the
-        selector observes and the history appends."""
 
     def run(self, num_rounds: int, start_round: int = 0) -> TrainingHistory:
         """Run ``num_rounds`` rounds; returns the accumulated history."""

@@ -28,7 +28,6 @@ from repro.simcluster.latency import LatencyModel
 from repro.simcluster.network import CommModel
 from repro.simcluster.population import (
     DiurnalSchedule,
-    PopulationClients,
     PopulationStore,
     SeedAddress,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "SimClient",
     "ClientUpdate",
     "PopulationStore",
-    "PopulationClients",
     "DiurnalSchedule",
     "SeedAddress",
     "FaultInjector",

@@ -57,14 +57,14 @@ class ClientUpdate:
 class SimClient:
     """One simulated cross-device FL client.
 
-    Instances are built either eagerly (the small-N scenario builders
-    return a plain list) or lazily by the canonical population container,
+    Scenarios build instances lazily through the population container,
     :class:`~repro.simcluster.population.PopulationStore`, which
     materialises a client on first selection and may evict and later
-    rebuild it with both RNG streams restored.  Code must therefore key
-    clients by ``client_id``, never by object identity: the "same"
-    client can be a different ``SimClient`` instance across rounds while
-    remaining bit-identical in behaviour.
+    rebuild it with both RNG streams restored (hand-built instances
+    exist only in dict pools bound straight to an executor).  Code must
+    therefore key clients by ``client_id``, never by object identity: the
+    "same" client can be a different ``SimClient`` instance across rounds
+    while remaining bit-identical in behaviour.
     """
 
     def __init__(

@@ -10,7 +10,7 @@ simulation: callbacks scheduled at future simulated times (availability
 churn windows, diurnal on/off edges) fire *during* :meth:`advance`, in
 chronological order, with ``now`` set to each event's timestamp.  A
 clock with no scheduled events behaves exactly as before -- the queue
-is free when unused, so eager small-N runs stay bit-identical.
+is free when unused, so small-N runs without churn stay bit-identical.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Columnar population store: a million clients without a million objects.
 
-The eager builder keeps one Python :class:`SimClient` per client -- its
-own dataset split, RNG pair, and resource spec -- which caps honest
-experiments at ~10^3 clients and makes every round cost O(population)
-even when the cohort is 20.  :class:`PopulationStore` keeps all
+One Python :class:`SimClient` per client -- its own dataset split, RNG
+pair, and resource spec -- caps honest experiments at ~10^3 clients and
+makes every round cost O(population) even when the cohort is 20.
+:class:`PopulationStore` keeps all
 *metadata* (sample counts, holdout bounds, resource-spec fields, tier
 membership, TiFL credits, availability) as numpy structure-of-arrays and
 creates the heavy object only on demand:
 
-``materialize(client_id)`` rebuilds that client's :class:`SimClient`
-**bit-identically** to the eager loop.  The trick is SeedSequence
+``materialize(client_id)`` builds that client's :class:`SimClient`
+**bit-identically** to a ``spawn(rng, N)`` construction loop (the
+reference ``tests/simcluster/test_population.py`` keeps).  The trick is
+SeedSequence
 spawn-key addressing: ``spawn(parent, N)[cid]`` hands client ``cid`` the
 child sequence ``SeedSequence(entropy, spawn_key=parent_key + (base +
 cid,))``, and NumPy derives that child *arithmetically* -- it does not
@@ -17,7 +19,7 @@ consume parent draws.  :class:`SeedAddress` records ``(entropy,
 spawn_key, pool_size, base)`` once at store construction and
 reconstructs any client's seed on demand, so the store never allocates
 N generators up front.  The rebuilt client re-draws its holdout split
-from stream position zero, exactly as the eager constructor did.
+from stream position zero, exactly as a first construction does.
 
 Materialised clients live in a bounded LRU so steady-state memory is
 O(cohort), not O(population).  Eviction snapshots both private RNG
@@ -65,7 +67,6 @@ __all__ = [
     "SeedAddress",
     "PopulationStore",
     "PopulationShard",
-    "PopulationClients",
     "ShardClients",
     "DiurnalSchedule",
 ]
@@ -122,7 +123,7 @@ def _holdout_sizes(
     Mirrors ``max(min_holdout, int(round(n * fraction)))`` then
     ``min(. , n - 1)`` (0 when ``n <= 1``); NumPy's ``round`` and
     Python's ``round`` both round half to even, so the columns agree
-    with the eager constructor bit for bit.
+    with the constructor bit for bit.
     """
     n = np.asarray(num_samples, dtype=np.int64)
     hs = np.maximum(
@@ -132,56 +133,20 @@ def _holdout_sizes(
     return np.where(n > 1, np.minimum(hs, n - 1), 0)
 
 
-class PopulationClients(Mapping):
-    """Lazy ``Mapping[int, SimClient]`` view over a :class:`PopulationStore`.
+class PopulationStore(Mapping):
+    """Structure-of-arrays client store with lazy materialisation.
 
-    ``clients[cid]`` materialises on demand; membership, length, and
-    iteration are O(1) per step straight off the store's arrays.  The
+    The store is itself the lazy ``Mapping[int, SimClient]`` servers and
+    executors hold: ``store[cid]`` materialises on demand, while
+    membership, length and iteration come straight off the columns.  The
     ``lazy`` marker tells :meth:`repro.execution.base.ClientExecutor.bind`
-    to hold this view by reference instead of eagerly ``dict()``-ing the
-    whole population.
+    to hold it by reference instead of ``dict()``-ing the population.
     """
 
     lazy = True
-
-    def __init__(self, store: "PopulationStore") -> None:
-        self._store = store
-
-    @property
-    def store(self) -> "PopulationStore":
-        return self._store
-
-    def __getitem__(self, client_id: int) -> SimClient:
-        if not self._valid(client_id):
-            raise KeyError(client_id)
-        return self._store.materialize(int(client_id))
-
-    def __contains__(self, client_id: object) -> bool:
-        return self._valid(client_id)
-
-    def __len__(self) -> int:
-        return self._store.num_clients
-
-    def __iter__(self) -> Iterator[int]:
-        store = self._store
-        if store._row_of is None:
-            return iter(range(store.num_clients))
-        return (int(cid) for cid in store.client_ids)
-
-    def _valid(self, client_id: object) -> bool:
-        if not isinstance(client_id, (int, np.integer)):
-            return False
-        store = self._store
-        if store._row_of is None:
-            return 0 <= int(client_id) < store.num_clients
-        return int(client_id) in store._row_of
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PopulationClients(n={len(self)}, store={self._store!r})"
-
-
-class PopulationStore:
-    """Structure-of-arrays client store with lazy materialisation."""
+    # Mapping's value equality would materialise both populations.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -264,7 +229,6 @@ class PopulationStore:
         self._saved_states: Dict[int, Tuple[dict, dict]] = {}
         self._materialize_count = 0
         self._phase_index: List[np.ndarray] = []
-        self.clients = PopulationClients(self)
 
     # ------------------------------------------------------------------
     # sizes & specs
@@ -275,6 +239,21 @@ class PopulationStore:
 
     def __len__(self) -> int:
         return self.num_clients
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.client_ids.tolist())
+
+    def __contains__(self, client_id: object) -> bool:
+        if not isinstance(client_id, (int, np.integer)):
+            return False
+        if self._row_of is None:
+            return 0 <= client_id < self.num_clients
+        return int(client_id) in self._row_of
+
+    def __getitem__(self, client_id: int) -> SimClient:
+        if not isinstance(client_id, (int, np.integer)):
+            raise KeyError(client_id)
+        return self.materialize(client_id)
 
     @property
     def cache_size(self) -> int:
@@ -317,7 +296,7 @@ class PopulationStore:
     def materialize(self, client_id: int) -> SimClient:
         """The :class:`SimClient` for ``client_id``, built on first touch.
 
-        Bit-identical to the eager builder: the client receives the
+        Bit-identical to a ``spawn(rng, N)`` loop: the client receives the
         generator seeded by :meth:`SeedAddress.child`, re-draws its
         holdout permutation from position zero, and -- if it was evicted
         earlier -- has both private RNG streams restored to where they
@@ -357,9 +336,6 @@ class PopulationStore:
                 old._latency_rng.bit_generator.state,
             )
         return client
-
-    def materialize_many(self, client_ids: Iterable[int]) -> List[SimClient]:
-        return [self.materialize(cid) for cid in client_ids]
 
     def evict_all(self) -> None:
         """Flush the cache, snapshotting every resident RNG state."""
@@ -504,8 +480,8 @@ class PopulationStore:
     ) -> np.ndarray:
         """Ascending int64 ids of available, non-excluded clients.
 
-        Same ordering contract as the eager server's sorted-dict scan,
-        so selector draws over this pool are bit-identical.
+        The ascending order is part of the contract: selector draws
+        over this pool depend on it.
         """
         mask = self.available
         if excluded:

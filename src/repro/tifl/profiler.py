@@ -17,11 +17,10 @@ exposes :meth:`~repro.tifl.server.TiFLServer.reprofile` for exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.simcluster.client import SimClient
 from repro.simcluster.faults import FaultInjector
 from repro.simcluster.latency import CohortLatencySampler
 from repro.simcluster.population import PopulationStore
@@ -59,7 +58,7 @@ class ProfilingResult:
 
 
 def profile_clients(
-    clients: Union[Sequence[SimClient], PopulationStore],
+    clients: PopulationStore,
     num_params: int,
     sync_rounds: int = 5,
     tmax: Optional[float] = None,
@@ -74,14 +73,14 @@ def profile_clients(
     Parameters
     ----------
     clients:
-        Either an eager list of :class:`SimClient` or a columnar
-        :class:`~repro.simcluster.population.PopulationStore`.  With a
-        store and the v2 cohort stream the whole campaign is vectorised
-        off the metadata columns
+        The columnar
+        :class:`~repro.simcluster.population.PopulationStore`.  With the
+        v2 cohort stream the whole campaign is vectorised off the
+        metadata columns
         (:meth:`~repro.simcluster.latency.CohortLatencySampler.sample_population`)
-        and never materialises a single client; with a store but the v1
-        per-client stream, clients are materialised on demand (O(N) --
-        documented, bit-identical via the store's RNG-state ledger).
+        and never materialises a single client; with the v1 per-client
+        stream, clients are materialised on demand (O(N); the store's
+        RNG-state ledger keeps the draws exact when N exceeds the cache).
     num_params:
         Model size, for the communication component of the latency.
     tmax:
@@ -100,7 +99,7 @@ def profile_clients(
         Optional v2 cohort latency stream
         (:class:`~repro.simcluster.latency.CohortLatencySampler`).  When
         given, each profiling round's latencies come from one vectorised
-        cohort draw addressed as round ``-1 - r`` (the same negative
+        population draw addressed as round ``-1 - r`` (the same negative
         round indices the per-client path uses), instead of per-client
         ``_latency_rng`` streams.
     round_offset:
@@ -109,22 +108,15 @@ def profile_clients(
         campaign never re-addresses (and, under the cohort stream,
         never re-draws) an earlier campaign's noise.
     client_ids:
-        Store-only subset: profile these ids instead of the whole
-        population (re-profiling passes the non-excluded ids).  Must be
-        ``None`` for an eager client list -- filter the list instead.
+        Profile these ids instead of the whole population
+        (re-profiling passes the non-excluded ids).
     """
-    store = clients if isinstance(clients, PopulationStore) else None
-    if store is None and client_ids is not None:
-        raise ValueError("client_ids is only supported for a PopulationStore")
-    if store is not None:
-        ids = (
-            np.arange(store.num_clients, dtype=np.int64)
-            if client_ids is None
-            else np.asarray(client_ids, dtype=np.int64)
-        )
-        if ids.size == 0:
-            raise ValueError("cannot profile an empty client pool")
-    elif not clients:
+    ids = (
+        clients.client_ids
+        if client_ids is None
+        else np.asarray(client_ids, dtype=np.int64)
+    )
+    if ids.size == 0:
         raise ValueError("cannot profile an empty client pool")
     if sync_rounds <= 0:
         raise ValueError(f"sync_rounds must be positive, got {sync_rounds}")
@@ -132,43 +124,28 @@ def profile_clients(
         raise ValueError(f"tmax must be positive, got {tmax}")
 
     deadline = float("inf") if tmax is None else float(tmax)
-    if store is not None:
-        raw: Dict[int, List[float]] = {int(cid): [] for cid in ids}
-    else:
-        raw = {c.client_id: [] for c in clients}
+    raw: Dict[int, List[float]] = {int(cid): [] for cid in ids}
     profiling_time = 0.0
     for r in range(sync_rounds):
         round_idx = -1 - int(round_offset) - r
-        if store is not None:
-            if latency_sampler is not None:
-                observed = latency_sampler.sample_population(
-                    store,
-                    num_params,
-                    epochs=epochs,
-                    round_idx=round_idx,
-                    fault=fault,
-                    client_ids=ids,
-                )
-            else:
-                # v1 per-client streams live on the materialised objects;
-                # the LRU's state ledger keeps the draws bit-identical to
-                # an eager pool even when N exceeds the cache.
-                observed = {
-                    int(cid): store.materialize(int(cid)).response_latency(
-                        num_params, epochs=epochs, round_idx=round_idx, fault=fault
-                    )
-                    for cid in ids
-                }
-        elif latency_sampler is not None:
-            observed = latency_sampler.sample_cohort(
-                clients, num_params, epochs=epochs, round_idx=round_idx, fault=fault
+        if latency_sampler is not None:
+            observed = latency_sampler.sample_population(
+                clients,
+                num_params,
+                epochs=epochs,
+                round_idx=round_idx,
+                fault=fault,
+                client_ids=ids,
             )
         else:
+            # v1 per-client streams live on the materialised objects; the
+            # LRU's state ledger keeps every stream's position exact even
+            # when N exceeds the cache.
             observed = {
-                c.client_id: c.response_latency(
+                int(cid): clients.materialize(int(cid)).response_latency(
                     num_params, epochs=epochs, round_idx=round_idx, fault=fault
                 )
-                for c in clients
+                for cid in ids
             }
         for cid, lat in observed.items():
             raw[cid].append(min(lat, deadline))

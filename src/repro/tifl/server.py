@@ -10,7 +10,7 @@ evaluated on every tier's held-out data after each round to maintain the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.fl.history import RoundRecord
 from repro.fl.server import FLServer
 from repro.nn.model import Sequential
 from repro.rng import RngLike, make_rng, spawn
-from repro.simcluster.client import SimClient
 from repro.simcluster.faults import FaultInjector
 from repro.simcluster.latency import CohortLatencySampler, resolve_latency_stream
 from repro.simcluster.population import PopulationStore
@@ -70,7 +69,7 @@ class TiFLServer(FLServer):
 
     def __init__(
         self,
-        clients: Union[Sequence[SimClient], PopulationStore],
+        clients: PopulationStore,
         model: Sequential,
         test_data: Dataset,
         clients_per_round: int,
@@ -118,8 +117,7 @@ class TiFLServer(FLServer):
             num_tiers=num_tiers,
             method=tiering_method,
         )
-        if isinstance(clients, PopulationStore):
-            clients.set_tier_assignment(self.assignment)
+        clients.set_tier_assignment(self.assignment)
 
         # --- Step 2: resolve the tier policy ------------------------------
         realised = self.assignment.num_tiers
@@ -213,29 +211,16 @@ class TiFLServer(FLServer):
         """
         eligible: List[int] = []
         no_holdout: List[int] = []
-        if self.population is not None:
-            # Columnar path: read the precomputed holdout-size column
-            # instead of materialising every tier member.  Per-tier
-            # member order is preserved, so the eval request order (and
-            # hence any executor-side batching) matches the eager path.
-            excl_mask = np.zeros(self.population.num_clients, dtype=bool)
-            if self.excluded:
-                excl_mask[np.fromiter(self.excluded, dtype=np.int64)] = True
-            for tier in self.assignment.tiers:
-                members = np.asarray(tier.client_ids, dtype=np.int64)
-                members = members[~excl_mask[members]]
-                has_holdout = self.population.holdout_size[members] > 0
-                eligible.extend(int(c) for c in members[has_holdout])
-                no_holdout.extend(int(c) for c in members[~has_holdout])
-        else:
-            for tier in self.assignment.tiers:
-                for cid in tier.client_ids:
-                    if cid in self.excluded:
-                        continue
-                    if len(self.clients[cid].holdout) == 0:
-                        no_holdout.append(cid)
-                    else:
-                        eligible.append(cid)
+        # Read the precomputed holdout-size column instead of
+        # materialising every tier member.  Per-tier member order is the
+        # eval request order (and hence any executor-side batching).
+        excluded = np.fromiter(self.excluded, dtype=np.int64)
+        for tier in self.assignment.tiers:
+            members = np.asarray(tier.client_ids, dtype=np.int64)
+            members = members[~np.isin(members, excluded)]
+            has_holdout = self.clients.holdout_size[members] > 0
+            eligible.extend(int(c) for c in members[has_holdout])
+            no_holdout.extend(int(c) for c in members[~has_holdout])
         if no_holdout and not self._warned_empty_holdouts:
             self._warned_empty_holdouts = True
             logger.warning(
@@ -307,38 +292,20 @@ class TiFLServer(FLServer):
         # the seed's round indices (-1..-sync_rounds every campaign):
         # round-windowed fault injectors are calibrated against them.
         offset = self._profiled_rounds if self.latency_sampler else 0
-        if self.population is not None:
-            mask = np.ones(self.population.num_clients, dtype=bool)
-            if self.excluded:
-                mask[np.fromiter(self.excluded, dtype=np.int64)] = False
-            self.profiling = profile_clients(
-                self.population,
-                num_params=self.num_params,
-                sync_rounds=sync_rounds or self.profiling.sync_rounds,
-                tmax=tmax,
-                epochs=self.training.epochs,
-                fault=self.fault,
-                latency_sampler=self.latency_sampler,
-                round_offset=offset,
-                # Ascending ids, matching the eager sorted-items scan.
-                client_ids=np.flatnonzero(mask),
-            )
-        else:
-            active = [
-                c
-                for cid, c in sorted(self.clients.items())
-                if cid not in self.excluded
-            ]
-            self.profiling = profile_clients(
-                active,
-                num_params=self.num_params,
-                sync_rounds=sync_rounds or self.profiling.sync_rounds,
-                tmax=tmax,
-                epochs=self.training.epochs,
-                fault=self.fault,
-                latency_sampler=self.latency_sampler,
-                round_offset=offset,
-            )
+        self.profiling = profile_clients(
+            self.clients,
+            num_params=self.num_params,
+            sync_rounds=sync_rounds or self.profiling.sync_rounds,
+            tmax=tmax,
+            epochs=self.training.epochs,
+            fault=self.fault,
+            latency_sampler=self.latency_sampler,
+            round_offset=offset,
+            client_ids=np.setdiff1d(  # ascending
+                self.clients.client_ids,
+                np.fromiter(self.excluded, dtype=np.int64),
+            ),
+        )
         self._profiled_rounds += self.profiling.sync_rounds
         new_assignment = build_tiers(
             self.profiling.mean_latencies,
@@ -357,8 +324,7 @@ class TiFLServer(FLServer):
         else:
             policy = self._resolve_policy(self._policy_spec, new_assignment.num_tiers)
         self.assignment = new_assignment
-        if self.population is not None:
-            self.population.set_tier_assignment(new_assignment)
+        self.clients.set_tier_assignment(new_assignment)
         self.selector = TierScheduler(
             new_assignment,
             policy,

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import Dataset
+from repro.data.partition import FederatedData
 from repro.data.synthetic import SyntheticSpec, generate_synthetic
 from repro.simcluster.client import SimClient
 from repro.simcluster.latency import LatencyModel
 from repro.simcluster.network import CommModel
+from repro.simcluster.population import PopulationStore
 from repro.simcluster.resources import ResourceSpec
 
 
@@ -66,6 +68,64 @@ def make_test_client(
         comm_model=CommModel(rtt=0.01, jitter_sigma=0.0),
         holdout_fraction=holdout_fraction,
         rng=seed + client_id,
+    )
+
+
+def make_test_population(
+    num_clients: int,
+    cpus=None,
+    n=30,
+    seed: int = 0,
+    noise_sigma: float = 0.0,
+    holdout_fraction: float = 0.2,
+    cost_per_sample: float = 0.01,
+    base_overhead: float = 0.1,
+) -> PopulationStore:
+    """The pool servers take: ``make_test_client``'s clients ``0..N-1`` as a store.
+
+    Client ``cid`` holds the same ``make_tiny_dataset(seed=seed + 1000 *
+    cid)`` samples and the same latency/comm models as
+    ``make_test_client(cid, ...)``; ``cpus`` and ``n`` may be per-client
+    sequences (``n=1`` makes a client without a holdout).  Only the
+    per-client RNG seeds differ (``SeedAddress.child(cid)`` in place of
+    ``seed + cid``).  The dataset provider is a bound method of a
+    :class:`FederatedData` over the concatenated samples, so ``process``
+    and ``distributed`` workers can unpickle a shard of it without
+    importing ``tests``.
+    """
+    sizes = [n] * num_clients if isinstance(n, int) else list(n)
+    parts = [
+        make_tiny_dataset(n=size, seed=seed + 1000 * cid)
+        for cid, size in enumerate(sizes)
+    ]
+    pool = Dataset(
+        np.concatenate([d.x for d in parts]),
+        np.concatenate([d.y for d in parts]),
+        parts[0].num_classes,
+        name="tiny",
+    )
+    bounds = np.cumsum([0] + sizes)
+    fed = FederatedData(
+        train=pool,
+        test=pool,
+        client_indices=[
+            np.arange(bounds[cid], bounds[cid + 1]) for cid in range(num_clients)
+        ],
+    )
+    return PopulationStore(
+        num_samples=sizes,
+        cpu_fraction=[1.0] * num_clients if cpus is None else list(cpus),
+        bandwidth_mbps=[ResourceSpec(1.0).bandwidth_mbps] * num_clients,
+        group=[0] * num_clients,
+        dataset_for=fed.client_dataset,
+        latency_model=LatencyModel(
+            cost_per_sample=cost_per_sample,
+            base_overhead=base_overhead,
+            noise_sigma=noise_sigma,
+        ),
+        comm_model=CommModel(rtt=0.01, jitter_sigma=0.0),
+        holdout_fraction=holdout_fraction,
+        seed_rng=seed,
     )
 
 

@@ -23,7 +23,7 @@ from repro.fl.aggregator import fedavg
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -49,7 +49,7 @@ def start_distributed(pool, model, num_workers, capacities=None, **kwargs):
 
 
 def run_server(executor, rounds=4, seed=7, num_clients=6, per_round=3):
-    clients = list(make_pool(num_clients=num_clients, seed=seed).values())
+    clients = make_test_population(num_clients, seed=seed)
     model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=seed)
     with FLServer(
         clients=clients,

@@ -27,7 +27,7 @@ from repro.fl.aggregator import fedavg
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
 from tests.distributed.test_broadcast_fanout import _RecordingConn
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
@@ -221,7 +221,7 @@ class TestWorkerLoadsOncePerFrame:
 def run_server(executor):
     """A full FLServer run whose 600-sample test set makes every round's
     global evaluation a sharded ``evaluate_model``."""
-    clients = [make_test_client(client_id=i, seed=7) for i in range(6)]
+    clients = make_test_population(6, seed=7)
     model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
     with FLServer(
         clients=clients,

@@ -30,7 +30,7 @@ from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -69,7 +69,7 @@ def train_once(backend, pool=None, requests=None, seed=7, **bind_kwargs):
 
 
 def run_server(backend, rounds=4, seed=7, per_round=3):
-    clients = list(make_pool(seed=seed).values())
+    clients = make_test_population(6, seed=seed)
     model = make_model(seed=seed)
     with FLServer(
         clients=clients,
@@ -158,7 +158,7 @@ class TestSerialTolerance:
     def test_tifl_server_stays_within_tolerance(self):
         results = {}
         for backend in ("serial", "batched"):
-            clients = list(make_pool(seed=5).values())
+            clients = make_test_population(6, seed=5)
             with TiFLServer(
                 clients=clients,
                 model=make_model(seed=5),
@@ -381,9 +381,13 @@ class TestGoldenValues:
         np.testing.assert_allclose(accs, GOLDEN_ACCURACIES, rtol=1e-9)
 
 
+# Re-pinned once when the fixture moved from a ``make_test_client`` list
+# to ``make_test_population`` (client RNG seeds changed, the batched
+# stream did not: ``test_vanilla_server_stays_within_tolerance`` holds
+# on the same fixture; see docs/numerics.md).
 GOLDEN_WEIGHT_STATS = {
-    "mean": 0.08447098830464694,
-    "l2": 7.254616961892859,
-    "absmax": 1.6223523480060702,
+    "mean": 0.06928321897499085,
+    "l2": 7.022337618464804,
+    "absmax": 1.6215755552324513,
 }
-GOLDEN_ACCURACIES = [0.5666666666666667, 0.9666666666666667, 0.9666666666666667]
+GOLDEN_ACCURACIES = [0.9333333333333333, 0.9666666666666667, 1.0]

@@ -31,7 +31,7 @@ from repro.fl.aggregator import fedavg
 from repro.nn import build_mlp
 from repro.nn.model import Sequential
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -402,9 +402,9 @@ class TestProcessShardedEvalModel:
 
 
 def make_tifl(backend, workers, tier_eval_every=1):
-    clients = [
-        make_test_client(client_id=i, seed=3, cpu=1.0 / (1 + i)) for i in range(8)
-    ]
+    clients = make_test_population(
+        8, cpus=[1.0 / (1 + i) for i in range(8)], seed=3
+    )
     return TiFLServer(
         clients=clients,
         model=build_mlp((4, 4, 1), 3, hidden=(6,), rng=3),
@@ -438,14 +438,13 @@ class TestTiFLTierEvalThroughExecutor:
         absent from the result (not a crash, not a zero), the remaining
         tiers' denominators only count contributing members, and the
         exclusion is logged exactly once per run."""
-        fast = [
-            make_holdoutless_client(i, seed=3, cpu=4.0) for i in range(4)
-        ]
-        slow = [
-            make_test_client(client_id=4 + i, seed=3, cpu=0.25) for i in range(4)
-        ]
+        # clients 0-3: fast, one sample each and hence no holdout
+        clients = make_test_population(
+            8, cpus=[4.0] * 4 + [0.25] * 4, n=[1] * 4 + [30] * 4, seed=3
+        )
+        assert not clients.holdout_size[:4].any()
         with TiFLServer(
-            clients=fast + slow,
+            clients=clients,
             model=build_mlp((4, 4, 1), 3, hidden=(6,), rng=3),
             test_data=make_tiny_dataset(n=20, seed=997),
             clients_per_round=2,
@@ -458,7 +457,7 @@ class TestTiFLTierEvalThroughExecutor:
             # the fast tier is exactly the holdout-less clients
             fast_tier = server.assignment.tier_of(0)
             assert all(
-                server.assignment.tier_of(c.client_id) == fast_tier for c in fast
+                server.assignment.tier_of(cid) == fast_tier for cid in range(4)
             )
             with caplog.at_level(logging.WARNING, logger="repro.tifl.server"):
                 accs1 = server.evaluate_tiers()
@@ -471,10 +470,9 @@ class TestTiFLTierEvalThroughExecutor:
             assert len(warnings) == 1, "empty-holdout warning must fire once"
 
     def test_all_tiers_empty_holdout_yields_empty_result(self, caplog):
-        clients = [
-            make_holdoutless_client(i, seed=3, cpu=1.0 / (1 + i))
-            for i in range(6)
-        ]
+        clients = make_test_population(
+            6, cpus=[1.0 / (1 + i) for i in range(6)], n=1, seed=3
+        )
         with TiFLServer(
             clients=clients,
             model=build_mlp((4, 4, 1), 3, hidden=(6,), rng=3),

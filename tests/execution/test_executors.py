@@ -30,7 +30,7 @@ from repro.fl.server import FLServer
 from repro.nn import build_mlp
 from repro.simcluster.client import ClientUpdate
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -40,7 +40,7 @@ def make_pool(num_clients=6, seed=7):
 
 
 def make_server(executor, workers, seed=7, num_clients=6, per_round=3):
-    clients = make_pool(num_clients=num_clients, seed=seed)
+    clients = make_test_population(num_clients, seed=seed)
     model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=seed)
     test = make_tiny_dataset(n=30, seed=999)
     return FLServer(
@@ -93,7 +93,7 @@ class TestBackendEquivalence:
 
         results = {}
         for backend, workers in [("serial", 1), ("process", 3)]:
-            clients = make_pool(num_clients=5, seed=11)
+            clients = make_test_population(5, seed=11)
             model = build_mlp((4, 4, 1), 3, hidden=(6,), rng=11)
             with FLServer(
                 clients=clients,
@@ -114,10 +114,9 @@ class TestBackendEquivalence:
         results = {}
         for backend in ["serial", "thread"]:
             # spread of cpu fractions so quantile tiering yields 2 tiers
-            clients = [
-                make_test_client(client_id=i, seed=3, cpu=1.0 / (1 + i))
-                for i in range(8)
-            ]
+            clients = make_test_population(
+                8, cpus=[1.0 / (1 + i) for i in range(8)], seed=3
+            )
             model = build_mlp((4, 4, 1), 3, hidden=(6,), rng=3)
             with TiFLServer(
                 clients=clients,
@@ -139,7 +138,7 @@ class TestBackendEquivalence:
     def test_async_server_with_executor(self):
         results = {}
         for backend in ["serial", "thread"]:
-            clients = make_pool(num_clients=5, seed=2)
+            clients = make_test_population(5, seed=2)
             model = build_mlp((4, 4, 1), 3, hidden=(6,), rng=2)
             with AsyncFLServer(
                 clients=clients,
@@ -371,7 +370,7 @@ class TestFactoryAndConfig:
         server = make_server(None, None)
         assert isinstance(server.executor, SerialExecutor)
         server.close()
-        clients = make_pool(num_clients=3, seed=0)
+        clients = make_test_population(3, seed=0)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=0)
         with FLServer(
             clients=clients,

@@ -94,8 +94,8 @@ class TestWorkerOpAndDirectory:
         donor.epoch_shuffle()
         state = donor._train_rng.bit_generator.state
         before = store.materialize_count
-        absorb_rng_state(store.clients, 3, state)
-        absorb_rng_state(store.clients, 4, None)  # nothing shipped: a no-op
+        absorb_rng_state(store, 3, state)
+        absorb_rng_state(store, 4, None)  # nothing shipped: a no-op
         assert store.materialize_count == before
         assert store.rng_state_of(3) == (state, None)
         assert store.rng_state_of(4) == (None, None)

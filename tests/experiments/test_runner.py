@@ -58,6 +58,10 @@ class TestRunPolicy:
         with pytest.raises(ValueError):
             run_policy(cfg(), "vanilla", rounds=0)
 
+    def test_population_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            run_policy(cfg(), "vanilla", rounds=1, population=True)
+
 
 def history_digest(records, weights) -> str:
     """``perf/child.py::_hash_prefix``'s rule: every RoundRecord field,
@@ -118,7 +122,6 @@ PINNED_EAGER_LEAF_TIER_SIZES = [3, 2, 2, 2, 3]
 PINNED_EAGER_LEAF_GROUPS = [4, 0, 2, 4, 1, 1, 3, 0, 2, 3, 4, 4]
 
 
-@pytest.mark.parametrize("population", [False, True])
 class TestPopulationEquivalence:
     """The columnar store is a memory-layout change, not a numerics one:
     a run's history and final weights must equal what the eager client
@@ -128,11 +131,11 @@ class TestPopulationEquivalence:
     @pytest.mark.parametrize(
         "policy", ["vanilla", "overselect", "uniform", "adaptive"]
     )
-    def test_store_history_matches_eager(self, policy, population, final_weights):
+    def test_store_history_matches_eager(self, policy, final_weights):
         kw = dict(rounds=3, seed=4)
         if policy == "adaptive":
             kw["adaptive_interval"] = 2
-        res = run_policy(cfg(), policy, population=population, **kw)
+        res = run_policy(cfg(), policy, **kw)
         assert (
             history_digest(res.history.records, final_weights.pop())
             == PINNED_EAGER_DIGEST[policy]
@@ -143,10 +146,9 @@ class TestPopulationEquivalence:
             )
             np.testing.assert_array_equal(res.tier_sizes, PINNED_EAGER_TIER_SIZES)
 
-    def test_store_matches_eager_on_thread_executor(self, population, final_weights):
+    def test_store_matches_eager_on_thread_executor(self, final_weights):
         res = run_policy(
-            cfg(), "vanilla", rounds=2, seed=4, executor="thread", workers=2,
-            population=population,
+            cfg(), "vanilla", rounds=2, seed=4, executor="thread", workers=2
         )
         assert (
             history_digest(res.history.records, final_weights.pop())

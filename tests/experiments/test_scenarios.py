@@ -55,15 +55,16 @@ class TestBuildScenario:
     def test_partition_valid_all_distributions(self):
         for dist in ("iid", "noniid", "shards", "quantity"):
             scn = build_scenario(small(data_distribution=dist), seed=1)
-            total = sum(len(c.train_data) + len(c.holdout) for c in scn.clients)
+            clients = list(scn.clients.values())
+            total = sum(len(c.train_data) + len(c.holdout) for c in clients)
             assert total == 400
+            assert scn.clients.num_samples.sum() == 400
 
     def test_quantity_noniid_partial_cover(self):
         scn = build_scenario(
             small(data_distribution="quantity_noniid", noniid_classes=5), seed=1
         )
-        total = sum(len(c.train_data) + len(c.holdout) for c in scn.clients)
-        assert 0 < total <= 400
+        assert 0 < scn.clients.num_samples.sum() <= 400
 
     def test_noniid_limits_classes(self):
         cfg = small(data_distribution="noniid", noniid_classes=2, train_size=600)
@@ -75,24 +76,34 @@ class TestBuildScenario:
 
     def test_resource_groups_assigned(self):
         scn = build_scenario(small(resource_profile="heterogeneous"), seed=0)
-        groups = {c.spec.group for c in scn.clients}
-        assert groups == {0, 1, 2, 3, 4}
-        cpus = {c.spec.cpu_fraction for c in scn.clients}
-        assert cpus == {4.0, 2.0, 1.0, 0.5, 0.1}
+        assert set(scn.clients.group) == {0, 1, 2, 3, 4}
+        assert set(scn.clients.cpu_fraction) == {4.0, 2.0, 1.0, 0.5, 0.1}
+        assert scn.clients[3].spec.group == scn.group_of(3)
 
     def test_homogeneous_resources(self):
         scn = build_scenario(small(resource_profile="homogeneous"), seed=0)
-        assert {c.spec.cpu_fraction for c in scn.clients} == {2.0}
+        assert set(scn.clients.cpu_fraction) == {2.0}
 
     def test_mnist_cpu_groups(self):
         scn = build_scenario(small(dataset="mnist"), seed=0)
-        assert {c.spec.cpu_fraction for c in scn.clients} == {2.0, 1.0, 0.75, 0.5, 0.25}
+        assert set(scn.clients.cpu_fraction) == {2.0, 1.0, 0.75, 0.5, 0.25}
 
     def test_deterministic(self):
         a = build_scenario(small(), seed=5)
         b = build_scenario(small(), seed=5)
         np.testing.assert_array_equal(a.fed.train.x, b.fed.train.x)
-        assert [c.spec.group for c in a.clients] == [c.spec.group for c in b.clients]
+        np.testing.assert_array_equal(a.clients.group, b.clients.group)
+
+    def test_population_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            build_scenario(small(), seed=0, population=True)
+
+    def test_cache_holds_a_paper_shape_federation(self):
+        """Derived from the input, not settable: v1 profiling and the
+        ``thread`` backend never see an eviction at scenario sizes."""
+        assert build_scenario(small(), seed=0).clients.cache_size == 256
+        big = build_scenario(small(num_clients=300, train_size=600), seed=0)
+        assert big.clients.cache_size == 300
 
     def test_model_choices(self):
         assert build_scenario(small(model="linear"), seed=0).model.num_params() == 170
@@ -108,8 +119,7 @@ class TestLeafScenario:
         assert len(scn.clients) == 27
         assert scn.model.output_shape == (62,)
         # 27 = 5*5 + 2 remainder -> remainder joins the slowest group
-        groups = [c.spec.group for c in scn.clients]
-        assert groups.count(4) == 5 + 2
+        assert (scn.clients.group == 4).sum() == 5 + 2
 
     def test_femnist_training_defaults(self):
         scn = build_leaf_scenario(num_clients=10, sample_scale=0.1, seed=0)
@@ -118,5 +128,6 @@ class TestLeafScenario:
 
     def test_quantity_skew_inherent(self):
         scn = build_leaf_scenario(num_clients=30, sample_scale=0.3, seed=1)
-        sizes = np.array([len(c.train_data) for c in scn.clients])
-        assert sizes.std() > 0
+        assert scn.clients.num_train_samples.std() > 0
+        client = scn.clients[0]
+        assert len(client.train_data) == scn.clients.num_train_samples[0]

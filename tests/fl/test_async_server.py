@@ -6,17 +6,15 @@ import pytest
 from repro.config import TrainingConfig
 from repro.fl.async_server import AsyncFLServer, polynomial_staleness_discount
 from repro.nn import build_linear
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0)
 
 
 def make_async(num_clients=6, concurrency=3, cpus=None, seed=0, **kwargs):
-    cpus = cpus or [1.0] * num_clients
-    clients = [
-        make_test_client(client_id=i, cpu=cpus[i], seed=seed, noise_sigma=0.01)
-        for i in range(num_clients)
-    ]
+    clients = make_test_population(
+        num_clients, cpus=cpus, seed=seed, noise_sigma=0.01
+    )
     return AsyncFLServer(
         clients=clients,
         model=build_linear((4, 4, 1), 3, rng=seed),

@@ -7,14 +7,11 @@ from repro.config import TrainingConfig
 from repro.fl.fedprox import make_fedprox_server, partial_work_epochs
 from repro.fl.selection import RandomSelector
 from repro.nn import build_linear
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_population, make_tiny_dataset
 
 
 def make_clients(cpus):
-    return [
-        make_test_client(client_id=i, cpu=c, noise_sigma=0.0)
-        for i, c in enumerate(cpus)
-    ]
+    return make_test_population(len(cpus), cpus=cpus)
 
 
 class TestPartialWork:

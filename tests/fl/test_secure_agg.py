@@ -94,9 +94,9 @@ class TestSecureAggregator:
         from repro.fl.selection import RandomSelector
         from repro.fl.server import FLServer
         from repro.nn import build_linear
-        from tests.conftest import make_test_client, make_tiny_dataset
+        from tests.conftest import make_test_population, make_tiny_dataset
 
-        clients = [make_test_client(client_id=i) for i in range(4)]
+        clients = make_test_population(4)
         server = FLServer(
             clients=clients,
             model=build_linear((4, 4, 1), 3, rng=0),

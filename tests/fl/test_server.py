@@ -1,15 +1,20 @@
 """Tests for the synchronous FedAvg server (Alg. 1)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
+from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.fl.aggregator import HierarchicalAggregator
 from repro.fl.selection import OverSelector, RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_linear
 from repro.simcluster.faults import DropoutInjector
-from tests.conftest import make_test_client, make_tiny_dataset
+from repro.tifl.server import TiFLServer
+from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
 
 
 def make_server(
@@ -23,11 +28,7 @@ def make_server(
     eval_every=1,
     training=None,
 ):
-    cpus = cpus or [1.0] * num_clients
-    clients = [
-        make_test_client(client_id=i, cpu=cpus[i], seed=seed, noise_sigma=0.0)
-        for i in range(num_clients)
-    ]
+    clients = make_test_population(num_clients, cpus=cpus, seed=seed)
     model = build_linear((4, 4, 1), 3, rng=seed)
     test = make_tiny_dataset(n=30, seed=999)
     return FLServer(
@@ -141,10 +142,7 @@ class TestOverSelection:
     def test_keep_fastest(self):
         """With over-selection the round is bounded by the keep-th fastest."""
         cpus = [4.0, 4.0, 4.0, 4.0, 0.05, 0.05]
-        clients = [
-            make_test_client(client_id=i, cpu=cpus[i], noise_sigma=0.0)
-            for i in range(6)
-        ]
+        clients = make_test_population(6, cpus=cpus)
         model = build_linear((4, 4, 1), 3, rng=0)
         server = FLServer(
             clients=clients,
@@ -173,6 +171,59 @@ class TestExclusion:
         server = make_server()
         with pytest.raises(ValueError, match="empty"):
             server.exclude_clients(range(6))
+
+
+class TestClientPoolType:
+    def test_client_list_is_rejected_before_any_round(self):
+        """Servers take a PopulationStore and nothing else."""
+        with pytest.raises(TypeError, match="build_scenario"):
+            FLServer(
+                clients=[make_test_client(client_id=i) for i in range(3)],
+                model=build_linear((4, 4, 1), 3, rng=0),
+                selector=RandomSelector(2, rng=0),
+                test_data=make_tiny_dataset(n=20, seed=1),
+            )
+
+
+class TestFederationLifetime:
+    """A finished federation is freed by refcounting alone: no reference
+    cycle may tie server, store and training set together until a
+    gen-2 collection (back-to-back federations otherwise stack their
+    datasets in RSS)."""
+
+    @pytest.mark.parametrize("policy", ["vanilla", "uniform"])
+    def test_closed_server_is_freed_without_cyclic_gc(self, policy):
+        cfg = ScenarioConfig(
+            num_clients=10, clients_per_round=2, train_size=300,
+            test_size=60, shape=(4, 4, 1),
+            training=TrainingConfig(optimizer="sgd", lr=0.1, epochs=2),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            scn = build_scenario(cfg, seed=0)
+            if policy == "vanilla":
+                server = FLServer(
+                    scn.clients, scn.model, RandomSelector(2, rng=0),
+                    scn.test_data, training=scn.training, rng=0,
+                )
+            else:
+                server = TiFLServer(
+                    scn.clients, scn.model, scn.test_data, 2, policy=policy,
+                    training=scn.training, rng=0,
+                )
+            assert server.epochs_for(0, 0) == 2  # TrainingConfig.epochs
+            server.run(2)
+            server.close()
+            refs = [
+                weakref.ref(server),
+                weakref.ref(scn.clients),
+                weakref.ref(scn.fed.train),
+            ]
+            del server, scn
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestLrSchedule:

@@ -14,16 +14,15 @@ from repro.fl.aggregator import HierarchicalAggregator
 from repro.fl.secure_agg import SecureAggregator
 from repro.nn import build_linear
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0)
 
 
 def make_server(aggregator, policy="uniform", seed=0, rounds_hint=20):
-    clients = [
-        make_test_client(client_id=i, cpu=[4.0, 1.0, 0.25][i % 3], seed=seed)
-        for i in range(12)
-    ]
+    clients = make_test_population(
+        12, cpus=[[4.0, 1.0, 0.25][i % 3] for i in range(12)], seed=seed
+    )
     return TiFLServer(
         clients=clients,
         model=build_linear((4, 4, 1), 3, rng=seed),

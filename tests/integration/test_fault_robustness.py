@@ -13,20 +13,19 @@ from repro.config import TrainingConfig
 from repro.nn import build_linear
 from repro.simcluster.faults import DropoutInjector, SlowdownInjector
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0)
 
 
 def make_server(fault=None, num_clients=12, per_round=2, seed=0, **kwargs):
     bases = [4.0, 1.0, 0.25]
-    clients = [
-        make_test_client(
-            client_id=i, cpu=bases[i * 3 // num_clients], seed=seed,
-            noise_sigma=0.01,
-        )
-        for i in range(num_clients)
-    ]
+    clients = make_test_population(
+        num_clients,
+        cpus=[bases[i * 3 // num_clients] for i in range(num_clients)],
+        seed=seed,
+        noise_sigma=0.01,
+    )
     return TiFLServer(
         clients=clients,
         model=build_linear((4, 4, 1), 3, rng=seed),

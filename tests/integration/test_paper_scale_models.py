@@ -15,7 +15,7 @@ from repro.config import TrainingConfig
 from repro.data.datasets import Dataset
 from repro.data.synthetic import SyntheticSpec, class_prototypes, generate_synthetic
 from repro.nn import build_mnist_cnn
-from repro.simcluster import CommModel, LatencyModel, ResourceSpec, SimClient
+from repro.simcluster import CommModel, LatencyModel, PopulationStore
 from repro.tifl.server import TiFLServer
 
 
@@ -25,23 +25,23 @@ def make_cnn_clients(num_clients=4, samples=24, seed=0):
     latency = LatencyModel(cost_per_sample=0.01, base_overhead=0.1, noise_sigma=0.0)
     comm = CommModel(rtt=0.01, jitter_sigma=0.0)
     cpus = [4.0, 2.0, 1.0, 0.5][:num_clients]
-    clients = []
+    datasets = []
     for cid in range(num_clients):
         labels = np.arange(samples) % 10
         x, y = generate_synthetic(
             spec, samples, rng=seed + cid + 1, prototypes=protos, labels=labels
         )
-        data = Dataset(x, y, 10, name=f"cnn-client{cid}")
-        clients.append(
-            SimClient(
-                client_id=cid,
-                data=data,
-                spec=ResourceSpec(cpu_fraction=cpus[cid], group=cid),
-                latency_model=latency,
-                comm_model=comm,
-                rng=seed + cid,
-            )
-        )
+        datasets.append(Dataset(x, y, 10, name=f"cnn-client{cid}"))
+    clients = PopulationStore(
+        num_samples=[samples] * num_clients,
+        cpu_fraction=cpus,
+        bandwidth_mbps=[100.0] * num_clients,
+        group=list(range(num_clients)),
+        dataset_for=datasets.__getitem__,
+        latency_model=latency,
+        comm_model=comm,
+        seed_rng=seed,
+    )
     xte, yte = generate_synthetic(
         spec, 40, rng=seed + 100, prototypes=protos,
         labels=np.arange(40) % 10,

@@ -30,7 +30,7 @@ from repro.simcluster.latency import (
 from repro.simcluster.network import CommModel
 from repro.simcluster.resources import ResourceSpec
 from repro.tifl.profiler import profile_clients
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -199,7 +199,7 @@ class TestFaultsAndServers:
 
     def test_fl_server_cohort_stream_is_deterministic(self):
         def run():
-            clients = [make_test_client(client_id=i, seed=7) for i in range(6)]
+            clients = make_test_population(6, seed=7)
             model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
             with FLServer(
                 clients=clients,
@@ -227,7 +227,7 @@ class TestFaultsAndServers:
         *only* about noise draw order, never the deterministic part."""
 
         def run(stream):
-            clients = [make_test_client(client_id=i, seed=7) for i in range(6)]
+            clients = make_test_population(6, seed=7)
             model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
             with FLServer(
                 clients=clients,
@@ -246,7 +246,7 @@ class TestFaultsAndServers:
         assert run(None) == run("cohort")
 
     def test_profiler_through_sampler_deterministic(self):
-        clients = make_cohort(n=6)
+        clients = make_test_population(6, noise_sigma=0.05)
         sampler = CohortLatencySampler(seed=21)
         a = profile_clients(clients, num_params=500, sync_rounds=3,
                             latency_sampler=sampler)
@@ -257,7 +257,7 @@ class TestFaultsAndServers:
         # the round-addressed sampler replays identically by design.
 
     def test_profiler_round_offset_changes_draws(self):
-        clients = make_cohort(n=4)
+        clients = make_test_population(4, noise_sigma=0.05)
         sampler = CohortLatencySampler(seed=21)
         first = profile_clients(clients, num_params=500, sync_rounds=2,
                                 latency_sampler=sampler)
@@ -273,10 +273,9 @@ class TestFaultsAndServers:
         from repro.simcluster.faults import SlowdownInjector
         from repro.tifl.server import TiFLServer
 
-        clients = [
-            make_test_client(client_id=i, seed=3, cpu=1.0 / (1 + i))
-            for i in range(8)
-        ]
+        clients = make_test_population(
+            8, cpus=[1.0 / (1 + i) for i in range(8)], seed=3
+        )
         # windowed exactly to the profiler's labels for sync_rounds=2
         fault = SlowdownInjector(factor=100.0, slow_clients={0}, start_round=-2)
         with TiFLServer(
@@ -299,7 +298,7 @@ class TestFaultsAndServers:
             assert new_asg.tier_of(0) == new_asg.num_tiers - 1
 
     def test_profiler_sampler_dropouts(self):
-        clients = make_cohort(n=3)
+        clients = make_test_population(3, noise_sigma=0.05)
         fault = DropoutInjector(always_drop={2}, rng=0)
         sampler = CohortLatencySampler(seed=2)
         result = profile_clients(

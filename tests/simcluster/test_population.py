@@ -2,13 +2,17 @@
 
 The two properties the architecture doc leans on live here:
 
-* ``PopulationStore.materialize`` is **bit-identical** to the eager
-  ``build_scenario`` client list for *any* subset and order of ids --
-  data splits, resource specs, and both private RNG states all match.
+* ``PopulationStore.materialize`` is **bit-identical** to an eager
+  per-client construction loop (``spawn(rng, N)`` + the ``SimClient``
+  constructor, kept here as the reference) for *any* subset and order
+  of ids -- data splits, resource specs, and both private RNG states
+  all match.
 * LRU eviction never changes RNG stream *positions*: a client trained,
   evicted, and re-materialised continues its streams exactly where a
   never-evicted twin would.
 """
+
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.rng import make_rng, spawn
 from repro.serialization import shard_from_bytes, shard_to_bytes
+from repro.simcluster.client import SimClient
 from repro.simcluster.clock import SimulatedClock
 from repro.simcluster.population import (
     DiurnalSchedule,
@@ -25,6 +30,7 @@ from repro.simcluster.population import (
     SeedAddress,
     ShardClients,
 )
+from repro.simcluster.resources import MNIST_CPU_GROUPS, assign_resource_groups
 from repro.tifl.tiering import Tier, TierAssignment
 
 NUM_CLIENTS = 20  # divisible by the 5 resource groups
@@ -39,21 +45,39 @@ SMALL_CFG = ScenarioConfig(
 
 
 @pytest.fixture(scope="module")
-def eager_scenario():
+def store_scenario():
     return build_scenario(SMALL_CFG, seed=7)
 
 
 @pytest.fixture(scope="module")
-def store_scenario():
-    return build_scenario(SMALL_CFG, seed=7, population=True)
+def eager_clients(store_scenario):
+    """The reference ``materialize`` is checked against: one eagerly
+    constructed ``SimClient`` per client, seeded by actually spawning
+    ``build_scenario``'s client seed generator (child 3 of the scenario
+    seed) N times."""
+    client_seed_rng = spawn(make_rng(7), 4)[3]
+    client_rngs = spawn(client_seed_rng, NUM_CLIENTS)
+    specs = assign_resource_groups(NUM_CLIENTS, MNIST_CPU_GROUPS)
+    return [
+        SimClient(
+            client_id=cid,
+            data=store_scenario.fed.client_dataset(cid),
+            spec=specs[cid],
+            latency_model=store_scenario.latency_model,
+            comm_model=store_scenario.comm_model,
+            holdout_fraction=SMALL_CFG.holdout_fraction,
+            rng=client_rngs[cid],
+        )
+        for cid in range(NUM_CLIENTS)
+    ]
 
 
 def fresh_store(template: PopulationStore, cache_size: int) -> PopulationStore:
     """A pristine store over the same population (empty cache/ledger).
 
     Rebuilding via the captured :class:`SeedAddress` is exactly what a
-    fresh ``build_scenario(..., population=True)`` would do, without
-    re-generating the dataset.
+    fresh ``build_scenario`` would do, without re-generating the
+    dataset.
     """
     return PopulationStore(
         num_samples=template.num_samples,
@@ -119,7 +143,7 @@ class TestSeedAddress:
 
 
 class TestMaterializeBitIdentity:
-    """materialize(cid) == the eager builder's client, any subset/order."""
+    """materialize(cid) == the eager reference client, any subset/order."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -131,31 +155,29 @@ class TestMaterializeBitIdentity:
         cache_size=st.integers(min_value=1, max_value=NUM_CLIENTS),
     )
     def test_any_subset_any_order(
-        self, eager_scenario, store_scenario, ids, cache_size
+        self, eager_clients, store_scenario, ids, cache_size
     ):
-        store = fresh_store(store_scenario.population, cache_size)
+        store = fresh_store(store_scenario.clients, cache_size)
         for cid in ids:
-            assert_clients_identical(
-                store.materialize(cid), eager_scenario.clients[cid]
-            )
+            assert_clients_identical(store.materialize(cid), eager_clients[cid])
 
     def test_columns_match_eager_holdout_arithmetic(
-        self, eager_scenario, store_scenario
+        self, eager_clients, store_scenario
     ):
-        store = store_scenario.population
-        for cid, client in enumerate(eager_scenario.clients):
+        store = store_scenario.clients
+        for cid, client in enumerate(eager_clients):
             assert store.holdout_size[cid] == len(client.holdout)
             assert store.num_train_samples[cid] == client.num_train_samples
             assert store.spec_of(cid) == client.spec
 
     def test_cache_hit_returns_same_object(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=4)
+        store = fresh_store(store_scenario.clients, cache_size=4)
         a = store.materialize(3)
         assert store.materialize(3) is a
         assert store.materialize_count == 1
 
     def test_unknown_client_raises(self, store_scenario):
-        store = store_scenario.population
+        store = store_scenario.clients
         with pytest.raises(KeyError):
             store.materialize(NUM_CLIENTS)
 
@@ -175,8 +197,8 @@ class TestLRUEviction:
         )
     )
     def test_tiny_cache_matches_unbounded_cache(self, store_scenario, steps):
-        tiny = fresh_store(store_scenario.population, cache_size=2)
-        roomy = fresh_store(store_scenario.population, cache_size=NUM_CLIENTS)
+        tiny = fresh_store(store_scenario.clients, cache_size=2)
+        roomy = fresh_store(store_scenario.clients, cache_size=NUM_CLIENTS)
         for cid, advance in steps:
             a, b = tiny.materialize(cid), roomy.materialize(cid)
             if advance:
@@ -186,7 +208,7 @@ class TestLRUEviction:
             assert_clients_identical(tiny.materialize(cid), roomy.materialize(cid))
 
     def test_evict_all_snapshots_states(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=8)
+        store = fresh_store(store_scenario.clients, cache_size=8)
         client = store.materialize(0)
         first = client.epoch_shuffle()
         state = client._train_rng.bit_generator.state
@@ -199,7 +221,7 @@ class TestLRUEviction:
         assert not np.array_equal(again.epoch_shuffle(), first)
 
     def test_cache_bound_is_respected(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=3)
+        store = fresh_store(store_scenario.clients, cache_size=3)
         for cid in range(10):
             store.materialize(cid)
         assert store.resident == 3
@@ -207,7 +229,8 @@ class TestLRUEviction:
 
 class TestLazyMapping:
     def test_mapping_protocol(self, store_scenario):
-        clients = store_scenario.population.clients
+        clients = store_scenario.clients
+        assert isinstance(clients, Mapping)
         assert clients.lazy is True
         assert len(clients) == NUM_CLIENTS
         assert 0 in clients and NUM_CLIENTS not in clients
@@ -216,11 +239,16 @@ class TestLazyMapping:
         assert clients[2].client_id == 2
         with pytest.raises(KeyError):
             clients[NUM_CLIENTS]
+        # Equality is identity: Mapping's value comparison would
+        # materialise both populations.
+        before = clients.materialize_count
+        assert clients != fresh_store(clients, cache_size=4)
+        assert clients.materialize_count == before
 
 
 class TestAvailability:
     def test_available_ids_ascending_with_exclusions(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=4)
+        store = fresh_store(store_scenario.clients, cache_size=4)
         assert np.array_equal(store.available_ids(), np.arange(NUM_CLIENTS))
         store.set_available([3, 5], False)
         ids = store.available_ids(excluded=[0, 7])
@@ -231,7 +259,7 @@ class TestAvailability:
         assert store.availability_fraction() == (NUM_CLIENTS - 2) / NUM_CLIENTS
 
     def test_set_tier_assignment_fills_column(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=4)
+        store = fresh_store(store_scenario.clients, cache_size=4)
         assignment = TierAssignment(
             tiers=[
                 Tier(0, tuple(range(0, 10)), 1.0, 0.5, 1.5),
@@ -246,7 +274,7 @@ class TestAvailability:
 
 class TestDiurnal:
     def test_initial_window_and_edge_flips(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=4)
+        store = fresh_store(store_scenario.clients, cache_size=4)
         clock = SimulatedClock()
         # 4 phases over 100 s, 50% duty: phase p is on in
         # [25p, 25p + 50) mod 100.
@@ -264,7 +292,7 @@ class TestDiurnal:
         assert np.array_equal(store.available, np.isin(phase, (0, 3)))
 
     def test_full_duty_cycle_schedules_no_events(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=4)
+        store = fresh_store(store_scenario.clients, cache_size=4)
         clock = SimulatedClock()
         store.attach_diurnal(
             clock, DiurnalSchedule(period=60.0, duty_cycle=1.0, num_phases=3)
@@ -283,7 +311,7 @@ class TestDiurnal:
 
 class TestStoreConstruction:
     def test_empty_population_rejected(self, store_scenario):
-        tpl = store_scenario.population
+        tpl = store_scenario.clients
         with pytest.raises(ValueError, match="empty"):
             PopulationStore(
                 num_samples=[],
@@ -296,7 +324,7 @@ class TestStoreConstruction:
             )
 
     def test_mismatched_column_rejected(self, store_scenario):
-        tpl = store_scenario.population
+        tpl = store_scenario.clients
         with pytest.raises(ValueError, match="cpu_fraction"):
             PopulationStore(
                 num_samples=[10, 10],
@@ -309,7 +337,7 @@ class TestStoreConstruction:
             )
 
     def test_needs_seed_source(self, store_scenario):
-        tpl = store_scenario.population
+        tpl = store_scenario.clients
         with pytest.raises(ValueError, match="seed_address or seed_rng"):
             PopulationStore(
                 num_samples=[10],
@@ -324,20 +352,16 @@ class TestStoreConstruction:
 class TestSharding:
     """Worker-side shards: column slices that rebuild bit-identical stores."""
 
-    def test_shard_rebuild_is_bit_identical(
-        self, eager_scenario, store_scenario
-    ):
-        store = fresh_store(store_scenario.population, cache_size=8)
+    def test_shard_rebuild_is_bit_identical(self, eager_clients, store_scenario):
+        store = fresh_store(store_scenario.clients, cache_size=8)
         ids = [1, 4, 7, 13, 19]
         local = PopulationStore.from_columns(store.shard(ids))
         assert local.num_clients == len(ids)
         for cid in ids:
-            assert_clients_identical(
-                local.materialize(cid), eager_scenario.clients[cid]
-            )
+            assert_clients_identical(local.materialize(cid), eager_clients[cid])
 
     def test_shard_rows_reject_foreign_ids(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=8)
+        store = fresh_store(store_scenario.clients, cache_size=8)
         local = PopulationStore.from_columns(store.shard([2, 6, 10]))
         with pytest.raises(KeyError):
             local.materialize(3)  # not in this slice
@@ -347,7 +371,7 @@ class TestSharding:
             store.shard([])
 
     def test_shard_carries_advanced_rng_states(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=8)
+        store = fresh_store(store_scenario.clients, cache_size=8)
         trained = store.materialize(5)
         shuffle = trained.epoch_shuffle()  # advance the train stream
         expected = trained._train_rng.bit_generator.state
@@ -360,12 +384,12 @@ class TestSharding:
         # An untouched member starts at position zero.
         assert_clients_identical(
             local.materialize(6), fresh_store(
-                store_scenario.population, cache_size=2
+                store_scenario.clients, cache_size=2
             ).materialize(6),
         )
 
-    def test_codec_roundtrip(self, eager_scenario, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=8)
+    def test_codec_roundtrip(self, eager_clients, store_scenario):
+        store = fresh_store(store_scenario.clients, cache_size=8)
         store.materialize(3).epoch_shuffle()  # non-trivial ledger entry
         blob = shard_to_bytes(store.shard([0, 3, 11]))
         assert isinstance(blob, bytes)
@@ -374,9 +398,7 @@ class TestSharding:
         local = PopulationStore.from_columns(shard)
         # Untouched members are bit-identical to the eager builder...
         for cid in (0, 11):
-            assert_clients_identical(
-                local.materialize(cid), eager_scenario.clients[cid]
-            )
+            assert_clients_identical(local.materialize(cid), eager_clients[cid])
         # ...and the advanced stream shipped with the slice.
         assert (
             local.materialize(3)._train_rng.bit_generator.state
@@ -388,9 +410,9 @@ class TestSharding:
             shard_from_bytes(b"not a shard")
 
     def test_rng_ledger_without_materialisation(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=4)
+        store = fresh_store(store_scenario.clients, cache_size=4)
         assert store.rng_state_of(2) == (None, None)
-        donor = fresh_store(store_scenario.population, cache_size=4)
+        donor = fresh_store(store_scenario.clients, cache_size=4)
         d = donor.materialize(2)
         d.epoch_shuffle()
         state = d._train_rng.bit_generator.state
@@ -403,7 +425,7 @@ class TestSharding:
         )
 
     def test_shard_clients_mapping_and_redeal(self, store_scenario):
-        store = fresh_store(store_scenario.population, cache_size=8)
+        store = fresh_store(store_scenario.clients, cache_size=8)
         pool = ShardClients()
         pool.add(PopulationStore.from_columns(store.shard([0, 2, 4])))
         assert pool.lazy is True
@@ -416,7 +438,7 @@ class TestSharding:
 
         # A re-dealt slice owns overlapping ids: its (fresher) RNG
         # snapshots win, exactly the worker-loss re-ship semantics.
-        donor = fresh_store(store_scenario.population, cache_size=8)
+        donor = fresh_store(store_scenario.clients, cache_size=8)
         d = donor.materialize(4)
         d.epoch_shuffle()
         advanced = d._train_rng.bit_generator.state

@@ -23,7 +23,7 @@ from repro.distributed import (
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -31,7 +31,7 @@ TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 def run_training(
     executor, workers=2, rounds=3, seed=7, training=TRAIN, test_size=30,
 ):
-    clients = [make_test_client(client_id=i, seed=seed) for i in range(6)]
+    clients = make_test_population(6, seed=seed)
     model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=seed)
     with FLServer(
         clients=clients,
@@ -199,7 +199,7 @@ class TestTracingIsBitInvisible:
                 num_clients=40, clients_per_round=4, seed=seed
             )
             with FLServer(
-                clients=scn.population,
+                clients=scn.clients,
                 model=scn.model,
                 selector=RandomSelector(4, rng=derive(seed, 101)),
                 test_data=scn.test_data,

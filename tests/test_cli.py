@@ -78,12 +78,12 @@ class TestParser:
         )
         assert args.reconnect_grace == 0.0
 
-    def test_population_flag_parses(self):
-        assert build_parser().parse_args(["run"]).population is False
-        assert build_parser().parse_args(["run", "--population"]).population
-        assert build_parser().parse_args(
-            ["estimate", "--population"]
-        ).population
+    def test_population_flag_is_rejected(self):
+        """Every scenario is store-backed; the flag that used to pick the
+        representation is an unknown argument like any other."""
+        for command in ("run", "compare", "estimate"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--population"])
 
     def test_scale_subcommand_parses(self):
         args = build_parser().parse_args(

@@ -5,14 +5,13 @@ import pytest
 
 from repro.simcluster.faults import DropoutInjector, SlowdownInjector
 from repro.tifl.profiler import profile_clients
-from tests.conftest import make_test_client
+from tests.conftest import make_test_population
 
 
 def make_pool(cpus, noise=0.0, seed=0):
-    return [
-        make_test_client(client_id=i, cpu=c, seed=seed, noise_sigma=noise)
-        for i, c in enumerate(cpus)
-    ]
+    return make_test_population(
+        len(cpus), cpus=cpus, seed=seed, noise_sigma=noise
+    )
 
 
 class TestBasicProfiling:
@@ -48,7 +47,7 @@ class TestBasicProfiling:
     def test_invalid_args(self):
         clients = make_pool([1.0])
         with pytest.raises(ValueError):
-            profile_clients([], 100)
+            profile_clients(clients, 100, client_ids=[])
         with pytest.raises(ValueError):
             profile_clients(clients, 100, sync_rounds=0)
         with pytest.raises(ValueError):
