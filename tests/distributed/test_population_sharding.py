@@ -32,8 +32,13 @@ COHORT = 10
 ROUNDS = 3
 
 
-def run_population(executor, seed=11, rounds=ROUNDS, num_clients=NUM_CLIENTS):
-    """A store-backed federation through FLServer; returns (history, store)."""
+def run_population(
+    executor, seed=11, rounds=ROUNDS, num_clients=NUM_CLIENTS, round_done=None
+):
+    """A store-backed federation through FLServer; returns (history, store).
+
+    ``round_done()`` is called after every round, while the executor is
+    still open (for reading its byte counters at round boundaries)."""
     scn = build_population_scenario(
         num_clients=num_clients, clients_per_round=COHORT, seed=seed
     )
@@ -47,8 +52,11 @@ def run_population(executor, seed=11, rounds=ROUNDS, num_clients=NUM_CLIENTS):
         rng=derive(seed, 202),
         executor=executor,
     ) as server:
-        history = server.run(rounds)
-    return history, store
+        for r in range(rounds):
+            server.run_round(r)
+            if round_done is not None:
+                round_done()
+    return server.history, store
 
 
 def fingerprint(history):
@@ -88,20 +96,32 @@ class TestShardShipping:
     def test_shard_blob_scales_with_slice_not_population(self):
         """Recurring bytes reference ids only; the one-time shard blob is
         columns + provider, far below pickled-client size."""
-        ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
-        procs = spawn_local_workers(ex.listen(), 2)
-        try:
-            run_population(ex, rounds=2)
-            shard_bytes = ex.bytes_sent_by_type.get(
-                int(proto.MsgType.ASSIGN_SHARD), 0
-            )
-        finally:
-            ex.close()
-            terminate_workers(procs)
-        assert shard_bytes > 0
+        shard_bytes, steady_bytes_per_round = {}, {}
+        for num_clients in (NUM_CLIENTS, 10 * NUM_CLIENTS):
+            ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
+            procs = spawn_local_workers(ex.listen(), 2)
+            wire = []  # cumulative bytes on the wire after each round
+            try:
+                run_population(
+                    ex,
+                    num_clients=num_clients,
+                    round_done=lambda: wire.append(ex.bytes_sent + ex.bytes_received),
+                )
+                shard_bytes[num_clients] = ex.bytes_sent_by_type.get(
+                    int(proto.MsgType.ASSIGN_SHARD), 0
+                )
+            finally:
+                ex.close()
+                terminate_workers(procs)
+            # Round 0 carries the shard ship; the rest is the steady state.
+            steady_bytes_per_round[num_clients] = (wire[-1] - wire[0]) / (ROUNDS - 1)
+        assert shard_bytes[NUM_CLIENTS] > 0
         # ~40 B/client of columns per member + the fixed pool payload;
         # 200 pickled SimClients with datasets would be far larger.
-        assert shard_bytes < 10 * 1024 * 1024
+        assert shard_bytes[NUM_CLIENTS] < 10 * 1024 * 1024
+        assert steady_bytes_per_round[10 * NUM_CLIENTS] == pytest.approx(
+            steady_bytes_per_round[NUM_CLIENTS], rel=0.01
+        )
 
 
 class TestWorkerLossUnderSharding:

@@ -24,10 +24,12 @@ from repro.execution import (
     order_updates,
     resolve_executor,
 )
+from repro.experiments.scenarios import build_population_scenario
 from repro.fl.async_server import AsyncFLServer
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
+from repro.rng import derive
 from repro.simcluster.client import ClientUpdate
 from repro.tifl.server import TiFLServer
 from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
@@ -292,6 +294,47 @@ class TestProcessBackend:
             )
 
         assert np.array_equal(two_phase("serial"), two_phase("process"))
+
+    def test_recurring_bytes_per_round_do_not_depend_on_population_size(self):
+        """Workers hold column shards, so a round's tasks and results name
+        client ids only: at a fixed 20-client cohort the recurring IPC
+        bytes per round are the same at 10^3 and 10^5 clients (only the
+        pickled width of larger ids differs), the history equals the
+        serial store run's at each size, and the parent materialises the
+        cohort (for its latency draws), never the population."""
+        cohort, rounds = 20, 3
+
+        def run(executor, num_clients, seed=0):
+            scn = build_population_scenario(
+                num_clients=num_clients, clients_per_round=cohort, seed=seed
+            )
+            shipped = []
+            with FLServer(
+                clients=scn.population,
+                model=scn.model,
+                selector=RandomSelector(cohort, rng=derive(seed, 101)),
+                test_data=scn.test_data,
+                training=scn.training,
+                rng=derive(seed, 202),
+                executor=executor,
+            ) as server:
+                for r in range(rounds):
+                    server.run_round(r)
+                    shipped.append(getattr(server.executor, "bytes_shipped", 0))
+            # Round 0 absorbs worker start-up; the rest is the steady state.
+            steady = (shipped[-1] - shipped[0]) / (rounds - 1)
+            return server.history.records, steady, scn.population.materialize_count
+
+        per_round = {}
+        for num_clients in (1_000, 100_000):
+            serial_records, _, _ = run("serial", num_clients)
+            records, per_round[num_clients], materialized = run(
+                ProcessExecutor(workers=2), num_clients
+            )
+            assert records == serial_records, num_clients
+            assert materialized <= cohort * rounds
+        assert per_round[1_000] > 0
+        assert per_round[100_000] == pytest.approx(per_round[1_000], rel=0.01)
 
     def test_closed_executor_refuses_further_work(self):
         clients = make_pool(num_clients=2, seed=1)
