@@ -19,8 +19,8 @@ encodes it through a :class:`WeightCodec`.  Three codecs ship:
   layout): each of their 8 byte planes is elided when all zero, stored
   when it is mantissa noise and deflated only when it is structured.
   This is what cuts the steady-state bytes-per-round on the wire
-  (>= 30% on a converged loopback run; see
-  ``benchmarks/bench_distributed_loopback``) without paying a deflate
+  (>= 30% on a converged run; gated in
+  ``tests/distributed/test_codec.py``) without paying a deflate
   pass over bytes that cannot compress.
 * ``quantized`` -- **lossy**, opt-in, never the default: float16
   truncation (4x smaller on the wire).  Excluded from every bit-identity
@@ -318,8 +318,8 @@ class DeltaCodec(WeightCodec):
         """The zigzag ULP distances as an ``(n, 8)`` byte array.
 
         Column ``j`` is byte plane ``j`` (least significant first).
-        First half of :meth:`encode`; public so the loopback benchmark
-        can report each plane's mode, size and cost.
+        First half of :meth:`encode`; public so a plane's mode, size
+        and cost can be examined on its own.
         """
         arr = _as_flat_f64(flat, "flat weights")
         base = self._check_baseline(baseline, arr.size)

@@ -80,7 +80,9 @@
   authoritative RNG state (an ASSIGN), re-ships the resident eval set,
   clears the delta-baseline mirror (the next broadcast is a raw
   resync), and wakes any in-flight collector to re-dispatch the
-  worker's outstanding jobs.  A window that expires -- or an unknown /
+  worker's outstanding jobs -- including any whose result was read off
+  the old connection but not merged before the re-ship was built (the
+  collector drops those).  A window that expires -- or an unknown /
   mismatched token -- falls back to the retire path above, exactly the
   pre-v4 behaviour.  ``reconnect_grace=0`` (default) disables parking.
 * **Liveness.**  The coordinator PINGs quiet workers while waiting;
@@ -331,8 +333,9 @@ class DistributedExecutor(ClientExecutor):
         self._handles: Dict[int, _WorkerHandle] = {}
         self._owner: Dict[int, int] = {}  # client_id -> worker_id
         # Every result frame and every loss/resume event, from every
-        # reader thread: ``(worker_id, msg_type, payload)``.
-        self._events: "queue_mod.Queue[Tuple[int, Optional[int], object]]" = (
+        # reader thread: ``(worker_id, gen, msg_type, payload)``, ``gen``
+        # being the connection generation the event was observed on.
+        self._events: "queue_mod.Queue[Tuple[int, int, Optional[int], object]]" = (
             queue_mod.Queue()
         )
         self._seq = 0
@@ -403,7 +406,7 @@ class DistributedExecutor(ClientExecutor):
         return self._handles[worker_id].pid
 
     # ------------------------------------------------------------------
-    # byte accounting (reported by the loopback benchmark)
+    # byte accounting (closed connections' totals + every live one's)
     # ------------------------------------------------------------------
     @property
     def bytes_sent(self) -> int:
@@ -683,7 +686,7 @@ class DistributedExecutor(ClientExecutor):
             )
             handle.reader.start()
         telemetry.count("distributed.worker_resumed", 1)
-        self._events.put((wid, _EVT_RESUMED, None))
+        self._events.put((wid, handle.gen, _EVT_RESUMED, None))
 
     def _worker_cycle(self, worker_ids: Sequence[int]) -> List[int]:
         """Capacity-weighted deal cycle (a capacity-2 worker appears twice)."""
@@ -809,9 +812,10 @@ class DistributedExecutor(ClientExecutor):
         """Per-connection receive loop posting frames to the event queue.
 
         Every result frame and every death-class event (EOF, REJECT,
-        BYE) is posted exactly once.  Loss events carry this
-        connection's ``gen`` so a stale reader (superseded by a resume)
-        can never park the replacement connection.
+        BYE) is posted exactly once, tagged with this connection's
+        ``gen``: a stale reader (superseded by a resume) can never park
+        the replacement connection, nor have a result merged that the
+        resume's re-ship did not account for (see :meth:`_collect`).
         """
         conn = handle.conn
         while True:
@@ -820,7 +824,7 @@ class DistributedExecutor(ClientExecutor):
             except (ConnectionClosed, OSError, FrameError):
                 # A corrupt stream (FrameError) is as dead as a closed one:
                 # report the loss so the round reassigns, never hang.
-                self._events.put((handle.id, None, gen))
+                self._events.put((handle.id, gen, None, None))
                 return
             handle.last_seen = time.monotonic()
             if msg_type == proto.MsgType.PONG:
@@ -841,7 +845,7 @@ class DistributedExecutor(ClientExecutor):
                 handle.summary = summary
                 self._worker_summaries[wid] = summary
                 continue
-            self._events.put((handle.id, msg_type, payload))
+            self._events.put((handle.id, gen, msg_type, payload))
             if msg_type == proto.MsgType.BYE:
                 return
 
@@ -1256,11 +1260,9 @@ class DistributedExecutor(ClientExecutor):
         A worker's delta UPDATE names the broadcast it trained from
         (``baseline_seq == seq``), which is ``state.weights`` whichever
         connection carried it -- so the decode needs no per-worker
-        mirror, and an UPDATE read off a connection that has since been
-        resumed (its mirror cleared) still decodes.  Returns the decoded
-        tuple, or ``None`` when the frame was stale (an abandoned
-        cohort's update: dropped undecoded) or fatally malformed (the
-        worker is then retired).
+        mirror.  Returns the decoded tuple, or ``None`` when the frame
+        was stale (an abandoned cohort's update: dropped undecoded) or
+        fatally malformed (the worker is then retired).
         """
         collect = telemetry.enabled()
         try:
@@ -1300,11 +1302,13 @@ class DistributedExecutor(ClientExecutor):
         outstanding ``what``), the heartbeat poll, resume, loss and its
         grace window, ``BYE`` and ``REJECT``, and decodes each result
         frame once.  A result frame for another seq -- of any kind, the
-        queue is shared -- is a straggler from an abandoned batch:
-        dropped, settling nothing, its sender untouched.  One for the live
-        seq reaches ``on_result(worker_id, msg_type, decoded)`` if its
-        type may settle this kind of batch; otherwise -- like any
-        unknown frame -- it retires its sender as a protocol violation.
+        queue is shared -- is a straggler from an abandoned batch, and
+        one read off a connection that a resume has since replaced is a
+        straggler from a forgotten pass: dropped, settling nothing, its
+        sender untouched.  One for the live seq reaches
+        ``on_result(worker_id, msg_type, decoded)`` if its type may
+        settle this kind of batch; otherwise -- like any unknown frame
+        -- it retires its sender as a protocol violation.
         """
         deadline = time.monotonic() + self.result_timeout
         while state.outstanding() > 0:
@@ -1314,7 +1318,7 @@ class DistributedExecutor(ClientExecutor):
                     f"{state.outstanding()} {what}"
                 )
             try:
-                wid, msg_type, payload = self._events.get(timeout=self.heartbeat_interval)
+                wid, gen, msg_type, payload = self._events.get(timeout=self.heartbeat_interval)
             except queue_mod.Empty:
                 for dead_wid, reason in self._check_heartbeats(state):
                     self._handle_worker_death(dead_wid, state, reason)
@@ -1324,7 +1328,7 @@ class DistributedExecutor(ClientExecutor):
                 self._redispatch_after_resume(wid, state)
                 continue
             if msg_type is None:
-                if not self._grace_lost(wid, payload):
+                if not self._grace_lost(wid, gen):
                     self._handle_worker_death(wid, state, "connection lost")
                 continue
             if msg_type == proto.MsgType.BYE:
@@ -1337,23 +1341,32 @@ class DistributedExecutor(ClientExecutor):
                 )
                 continue
             unexpected = f"unexpected message type {msg_type}"
-            if msg_type == proto.MsgType.UPDATE:
-                decoded = self._decode_update_frame(wid, payload, state)
-            elif msg_type == proto.MsgType.TRAINFAIL:
-                decoded = proto.decode_trainfail(payload)
-            elif msg_type == proto.MsgType.EVAL_RESULT:
-                decoded = proto.decode_eval_result(payload)
-            elif msg_type == proto.MsgType.EVAL_MODEL_RESULT:
-                decoded = proto.decode_eval_model_result(payload)
-            else:
-                self._handle_worker_death(wid, state, unexpected)
-                continue
-            if decoded is None or decoded[0] != state.seq:
-                continue
-            if msg_type in _RESULT_FRAMES[state.kind]:
-                on_result(wid, msg_type, decoded)
-            else:
-                self._handle_worker_death(wid, state, unexpected)
+            # Merged under the lock a resume holds, and only while the
+            # connection the frame was read off is still the worker's: a
+            # resume re-ships the worker's clients from the RNG ledger as
+            # merged *so far*, so a result it overtook in this queue is
+            # training the worker was just told to forget.  Dropped, its
+            # job stays pending and the resume event re-dispatches it.
+            with self._death_lock:
+                if gen != self._handles[wid].gen:
+                    continue
+                if msg_type == proto.MsgType.UPDATE:
+                    decoded = self._decode_update_frame(wid, payload, state)
+                elif msg_type == proto.MsgType.TRAINFAIL:
+                    decoded = proto.decode_trainfail(payload)
+                elif msg_type == proto.MsgType.EVAL_RESULT:
+                    decoded = proto.decode_eval_result(payload)
+                elif msg_type == proto.MsgType.EVAL_MODEL_RESULT:
+                    decoded = proto.decode_eval_model_result(payload)
+                else:
+                    self._handle_worker_death(wid, state, unexpected)
+                    continue
+                if decoded is None or decoded[0] != state.seq:
+                    continue
+                if msg_type in _RESULT_FRAMES[state.kind]:
+                    on_result(wid, msg_type, decoded)
+                else:
+                    self._handle_worker_death(wid, state, unexpected)
 
     def _train_cohort(
         self,

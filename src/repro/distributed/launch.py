@@ -3,7 +3,7 @@
 Production deployments start ``python -m repro.cli worker`` on each node
 themselves; these helpers cover the *loopback* topology -- real worker
 processes, real TCP sockets, one machine -- used by the equivalence
-tests and ``benchmarks/bench_distributed_loopback.py``.
+tests and the ``loopback_*`` workloads of ``perf/``.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ sends (the worker's heartbeat-responder thread and its training loop
 share one socket) and per-connection byte counters -- totals plus
 always-on per-frame-type frame and byte tallies (one dict update per
 frame, no telemetry branching on the hot path) -- which the coordinator
-aggregates into the bytes-on-wire numbers reported by
-``benchmarks/bench_distributed_loopback.py`` and into the telemetry
+aggregates into its ``bytes_sent`` / ``bytes_received`` totals (what
+``perf/`` reports as ``wire_bytes_per_round``) and into the telemetry
 ``wire.*`` metrics.
 """
 

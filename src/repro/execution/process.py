@@ -271,15 +271,11 @@ class ProcessExecutor(ClientExecutor):
         self._owner: Dict[int, int] = {}  # client_id -> worker index
         self._seq = 0  # cohort sequence number; guards against stale results
         # IPC accounting: what the equivalent of "bytes on the wire" is
-        # for this backend.  _ipc_bytes counts the recurring per-round
-        # payloads (``bytes_shipped`` says how); _shard_bytes counts
-        # the one-time start-up shipping (shard
-        # columns + metadata for store pools, pickled clients
-        # otherwise).  The population-scale bench gates on _ipc_bytes
-        # staying flat in the population size at fixed cohort.
+        # for this backend -- the recurring per-round payloads
+        # (``bytes_shipped`` says how), which at a fixed cohort must not
+        # grow with the population (gated in
+        # tests/execution/test_executors.py::TestProcessBackend).
         self._ipc_bytes = 0
-        self._shard_bytes = 0
-        self._shard_ships = 0
         # Shard-spec RawArrays must stay referenced for the workers'
         # lifetime: Process.start() drops its args in the parent, and a
         # garbage-collected block returns to the shared mp heap where the
@@ -312,16 +308,6 @@ class ProcessExecutor(ClientExecutor):
         each return-slot copy-out counts one float64 weight vector.
         """
         return self._ipc_bytes
-
-    @property
-    def shard_bytes(self) -> int:
-        """One-time start-up shipping cost (shard columns or pickled pool)."""
-        return self._shard_bytes
-
-    @property
-    def shard_ships(self) -> int:
-        """Number of shard (or eager pool) shipments performed at start."""
-        return self._shard_ships
 
     def bind_eval_data(self, x: np.ndarray, y: np.ndarray) -> None:
         """Map the eval set into shared memory for the (future) workers.
@@ -381,10 +367,6 @@ class ProcessExecutor(ClientExecutor):
                 self._shard_specs.append(owned)
             else:
                 owned = {cid: clients[cid] for cid in owned_ids[wid]}
-                self._shard_bytes += len(
-                    pickle.dumps(owned, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                self._shard_ships += 1
             task_q = self._ctx.Queue()
             return_slot = self._ctx.RawArray("d", max(num_params, 1))
             slot_free = self._ctx.Semaphore(1)
@@ -421,19 +403,14 @@ class ProcessExecutor(ClientExecutor):
 
         Returns the ``(columns, meta)`` spec that
         :func:`_shard_pool_from_spec` rebuilds on the worker side.
-        Counted against ``shard_bytes`` (one-time cost) and the
-        ``wire.shard_*`` telemetry family, mirroring the distributed
-        coordinator's ASSIGN_SHARD accounting.
         """
         shard = store.shard(owned_ids)
         columns = []
-        column_bytes = 0
         for name in _SHARD_COLUMNS:
             arr = np.ascontiguousarray(getattr(shard, name))
             buf = self._ctx.RawArray("b", max(arr.nbytes, 1))
             np.frombuffer(buf, dtype=arr.dtype, count=arr.size)[...] = arr
             columns.append((name, buf, str(arr.dtype), int(arr.size)))
-            column_bytes += int(arr.nbytes)
         meta = dict(
             holdout_fraction=shard.holdout_fraction,
             min_holdout=shard.min_holdout,
@@ -444,13 +421,6 @@ class ProcessExecutor(ClientExecutor):
             rng_states=shard.rng_states,
             cache_size=shard.cache_size,
         )
-        shipped = column_bytes + len(
-            pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        self._shard_bytes += shipped
-        self._shard_ships += 1
-        telemetry.count("wire.shard_ships", 1)
-        telemetry.count("wire.shard_bytes", shipped)
         return (columns, meta)
 
     def _write_segment(self, flat_weights: np.ndarray) -> None:

@@ -285,7 +285,7 @@ def load_trace(
 
 
 # ----------------------------------------------------------------------
-# run metadata (BENCH_*.json and trace meta lines share this block)
+# run metadata (the meta block of a trace)
 # ----------------------------------------------------------------------
 def _git_sha() -> str:
     try:
@@ -311,12 +311,13 @@ def config_digest(config: Any) -> str:
 
 
 def run_metadata(config: Any = None) -> Dict[str, Any]:
-    """The identity block every BENCH_*.json and trace meta line carries.
+    """The identity block a trace's meta line carries (``cli run
+    --trace-out`` is the caller).
 
-    ``git_sha`` + ``config_digest`` make a committed artifact
-    attributable to one commit and one exact configuration;
-    ``schema_version`` lets downstream tooling reject blocks it does not
-    understand; ``timestamp_utc`` orders a trajectory of artifacts.
+    ``git_sha`` + ``config_digest`` make a trace attributable to one
+    commit and one exact configuration; ``schema_version`` lets
+    downstream tooling reject blocks it does not understand;
+    ``timestamp_utc`` orders a trajectory of traces.
     """
     return {
         "schema_version": SCHEMA_VERSION,

@@ -111,16 +111,6 @@ class TierScheduler(ClientSelector):
             mask[avail[avail < self._id_bound]] = True
         return mask
 
-    def _eligible_mask(self, available: Sequence[int]) -> np.ndarray:
-        mask = self._avail_mask(available)
-        return np.array(
-            [
-                int(np.count_nonzero(mask[m])) >= self.clients_per_round
-                for m in self._members
-            ],
-            dtype=bool,
-        )
-
     def select(self, round_idx: int, available: Sequence[int]) -> SelectionPlan:
         mask = self._avail_mask(available)
         eligible = np.array(

@@ -137,16 +137,15 @@ class TestDeltaEquivalence:
                 )
                 trajectory.append(weights)
 
+        assert weights.size == 50_890
         codec = DeltaCodec()
-        encoded = raw = 0
+        encoded = 0
         for baseline, values in zip(trajectory[warmup:-1], trajectory[warmup + 1 :]):
             blob = codec.encode(values, baseline=baseline)
             back = codec.decode(blob, values.size, baseline=baseline)
             assert back.tobytes() == values.tobytes()
             encoded += len(blob)
-            raw += values.nbytes
-        assert raw == measured * 50_890 * 8
-        assert encoded <= 0.70 * raw
+        assert encoded <= 0.70 * measured * weights.nbytes
 
 
 class TestQuantizedTolerance:

@@ -130,7 +130,7 @@ class _Harness:
             answered = _RecordingConn()
             getattr(agent, self.handler)(answered, payload)
             for event in replies(self.ex, wid, answered.sent):
-                self.ex._events.put((wid, *event))
+                self.ex._events.put((wid, 0, *event))
 
     def orders_sent_to(self, wid):
         return [p for t, p in self.ex._handles[wid].conn.sent if t == self.order]
@@ -221,7 +221,7 @@ class TestReaderPostsOnce:
                     raise ConnectionClosed("peer went away")
                 return frames.pop(0)
 
-        expected = [(5, *frame) for frame in frames] + [(5, None, 0)]
+        expected = [(5, 0, *frame) for frame in frames] + [(5, 0, None, None)]
         ex = DistributedExecutor(workers=1)
         try:
             ex._reader(_WorkerHandle(5, Conn(), 1, 0), 0)

@@ -96,7 +96,7 @@ class TestShardShipping:
     def test_shard_blob_scales_with_slice_not_population(self):
         """Recurring bytes reference ids only; the one-time shard blob is
         columns + provider, far below pickled-client size."""
-        shard_bytes, steady_bytes_per_round = {}, {}
+        steady_bytes_per_round = {}
         for num_clients in (NUM_CLIENTS, 10 * NUM_CLIENTS):
             ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
             procs = spawn_local_workers(ex.listen(), 2)
@@ -107,18 +107,17 @@ class TestShardShipping:
                     num_clients=num_clients,
                     round_done=lambda: wire.append(ex.bytes_sent + ex.bytes_received),
                 )
-                shard_bytes[num_clients] = ex.bytes_sent_by_type.get(
+                shard_bytes = ex.bytes_sent_by_type.get(
                     int(proto.MsgType.ASSIGN_SHARD), 0
                 )
             finally:
                 ex.close()
                 terminate_workers(procs)
+            # ~40 B/client of columns per member + the fixed pool payload;
+            # 200 pickled SimClients with datasets would be far larger.
+            assert 0 < shard_bytes < 10 * 1024 * 1024
             # Round 0 carries the shard ship; the rest is the steady state.
             steady_bytes_per_round[num_clients] = (wire[-1] - wire[0]) / (ROUNDS - 1)
-        assert shard_bytes[NUM_CLIENTS] > 0
-        # ~40 B/client of columns per member + the fixed pool payload;
-        # 200 pickled SimClients with datasets would be far larger.
-        assert shard_bytes[NUM_CLIENTS] < 10 * 1024 * 1024
         assert steady_bytes_per_round[10 * NUM_CLIENTS] == pytest.approx(
             steady_bytes_per_round[NUM_CLIENTS], rel=0.01
         )

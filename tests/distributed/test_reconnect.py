@@ -12,8 +12,10 @@ REJECTed.
 """
 
 import os
+import queue
 import signal
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -108,6 +110,50 @@ class DropConnOnUpdate(DistributedExecutor):
             self._handles[worker_id].conn.close()
 
 
+def _wait_until(condition, what):
+    deadline = time.monotonic() + 30.0
+    while not condition():
+        assert time.monotonic() < deadline, f"forced schedule stuck: {what}"
+        time.sleep(0.01)
+
+
+class _GatedQueue(queue.Queue):
+    """The coordinator's event queue with one forced pause: once
+    ``ready`` is set, the next ``get`` -- which the collector makes
+    holding no lock -- first waits until ``ready()`` is true."""
+
+    ready = None
+
+    def get(self, block=True, timeout=None):
+        ready, self.ready = self.ready, None
+        if ready is not None:
+            _wait_until(ready, "the severed worker never resumed")
+        return super().get(block, timeout)
+
+
+class ResumeBeforeQueuedUpdatesMerge(DropConnOnUpdate):
+    """The resume race as a forced schedule: the first UPDATE is merged,
+    the other five of the cohort are left *queued* (read off the wire,
+    not yet merged), the first worker's connection is severed, and the
+    collector does not look at the queue again until that worker has
+    resumed -- so the resume re-ships its clients while two of their
+    results sit un-merged behind it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._events = _GatedQueue()
+
+    def _on_update_received(self, worker_id, client_id):
+        if self.dropped:
+            return
+        _wait_until(
+            lambda: self._events.qsize() >= 5, "the cohort's other results never queued"
+        )
+        handle = self._handles[worker_id]
+        self._events.ready = lambda: handle.gen == 1
+        super()._on_update_received(worker_id, client_id)
+
+
 class TestResumeMidRound:
     def test_connection_drop_mid_round_resumes_bit_identical(self):
         """The acceptance bar: kill the TCP connection mid-round; the
@@ -165,6 +211,23 @@ class TestResumeMidRound:
         for _gen, empty, alias, codec_id in sent:
             if empty:
                 assert not alias and codec_id == raw_id
+
+    @pytest.mark.parametrize("codec", ["raw", "delta"])
+    def test_resume_before_queued_updates_are_merged(self, codec):
+        """A result read off a connection that a resume has since
+        replaced must not be merged: the resumed worker was just handed
+        the *pre-training* RNG state of that client, so merging the old
+        result (and advancing the ledger) would make it re-draw this
+        round's shuffles in the next one.  The job stays pending and the
+        resume re-dispatches it."""
+        g, workers_up, codes, ex = run_distributed(
+            ResumeBeforeQueuedUpdatesMerge, reconnect_grace=30.0, codec=codec
+        )
+        assert ex.dropped and workers_up == 2
+        assert codes == [0, 0]
+        assert np.array_equal(serial_reference(), g), (
+            "a result from the replaced connection was merged after the resume"
+        )
 
     def test_connection_drop_between_rounds_resumes(self):
         """A drop after a round completes: the resume happens with no

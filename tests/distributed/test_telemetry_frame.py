@@ -122,7 +122,7 @@ class TestEndToEndCollection:
             worker_side.send(proto.MsgType.TELEMETRY, valid)
             worker_side.send(proto.MsgType.BYE)
             # BYE must still route to the event queue despite the bad frame
-            wid, msg_type, _ = ex._events.get(timeout=5.0)
+            wid, _gen, msg_type, _ = ex._events.get(timeout=5.0)
             assert (wid, msg_type) == (0, proto.MsgType.BYE)
             t.join(timeout=5.0)
             # the bad frame was dropped; the good one right after it stuck
