@@ -3,11 +3,16 @@
 Every layer implements ``forward(x, training)`` and ``backward(grad)``;
 ``backward`` must be called with the upstream gradient of the *most recent*
 forward pass and returns the gradient w.r.t. the layer input while
-populating ``layer.grads`` (keyed like ``layer.params``).
+filling ``layer.grads`` (keyed like ``layer.params``) **in place**.
 
-Parameters live in a plain ``dict[str, np.ndarray]`` so the federated
-aggregator can flatten, average and restore them without knowing anything
-about layer internals.
+``build`` allocates each parameter as an array of its own; a model then
+moves them into its arena (:func:`repro.nn.model.bind_arena`), after
+which ``params[name]`` and ``grads[name]`` are views of the one weight
+vector the aggregator averages and of its gradient twin.  ``backward``
+therefore writes through ``grads[name]`` and never re-binds it -- the
+optimizer reads the arena, not the dict.  A layer used without a model
+has no views to write through and allocates its gradient buffers on its
+first ``backward`` (:meth:`Layer._grad`).
 
 Stacked (leading client-axis) mode
 ----------------------------------
@@ -22,8 +27,17 @@ layers map onto numpy's batched ``matmul``, whose reduction order may
 differ from the per-client GEMMs -- that reassociation is why the
 ``batched`` executor is its own versioned numerics stream (see
 ``docs/numerics.md``).  A stacked layer instance stores its stacked
-parameters in the same ``params``/``grads`` dicts; the two modes are
-never mixed on one instance.
+parameters in the same ``params``/``grads`` dicts (views of a ``(C, P)``
+arena); the two modes are never mixed on one instance.
+
+Discarded input gradients
+-------------------------
+``backward`` / ``backward_stacked`` of a parameterised layer take
+``input_grad=False``: fill ``grads`` and return ``None`` without
+computing the input-gradient term (a GEMM, plus ``col2im`` for a conv).
+A model's train step passes it to its bottom-most parameterised layer
+only -- nothing below that layer learns, so nothing reads the value --
+which is why parameter-free layers do not take the flag.
 """
 
 from __future__ import annotations
@@ -75,6 +89,21 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _grad(self, name: str) -> np.ndarray:
+        """The buffer ``backward`` writes ``grads[name]`` into: the arena
+        view a model bound, or -- for a layer used on its own -- one
+        allocated on first use."""
+        out = self.grads.get(name)
+        if out is None:
+            out = self.grads[name] = np.empty_like(self.params[name])
+        return out
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Gradients are scratch the next backward refills (and, under a
+        # model, views that would each pickle as a full array): a copied
+        # or shipped layer starts without them.
+        return {**self.__dict__, "grads": {}}
+
     # -- stacked compute ----------------------------------------------
     def forward_stacked(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Cohort-batched forward: ``x`` is ``(C, batch, ...)``.
@@ -92,17 +121,6 @@ class Layer:
         raise NotImplementedError(
             f"{type(self).__name__} does not support stacked execution"
         )
-
-    def backward_stacked_no_input_grad(self, grad: np.ndarray) -> None:
-        """Stacked backward for a layer whose input gradient is discarded.
-
-        Called for the bottom-most parameterised layer of a stacked
-        program: nothing below it trains, so the (often GEMM-sized)
-        input-gradient computation is pure waste.  Default falls back
-        to the full backward; layers with an expensive input-gradient
-        term override it.
-        """
-        self.backward_stacked(grad)
 
     # -- introspection ------------------------------------------------
     @property
@@ -147,27 +165,28 @@ class Dense(Layer):
         self._x = x if training else None
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
-        self.grads["W"] = self._x.T @ grad
-        self.grads["b"] = grad.sum(axis=0)
-        return grad @ self.params["W"].T
+        np.matmul(self._x.T, grad, out=self._grad("W"))
+        np.sum(grad, axis=0, out=self._grad("b"))
+        return grad @ self.params["W"].T if input_grad else None
 
     def forward_stacked(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # x (C, n, in) @ W (C, in, units): one batched GEMM for the cohort.
         self._x = x if training else None
         return x @ self.params["W"] + self.params["b"][:, None, :]
 
-    def backward_stacked(self, grad: np.ndarray) -> np.ndarray:
-        self.backward_stacked_no_input_grad(grad)
-        return grad @ self.params["W"].transpose(0, 2, 1)
-
-    def backward_stacked_no_input_grad(self, grad: np.ndarray) -> None:
+    def backward_stacked(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
-        self.grads["W"] = np.matmul(self._x.transpose(0, 2, 1), grad)
-        self.grads["b"] = grad.sum(axis=1)
+        np.matmul(self._x.transpose(0, 2, 1), grad, out=self._grad("W"))
+        np.sum(grad, axis=1, out=self._grad("b"))
+        return grad @ self.params["W"].transpose(0, 2, 1) if input_grad else None
 
 
 class ReLU(Layer):
@@ -250,14 +269,18 @@ class Conv2D(Layer):
         self._cache = (cols, x.shape) if training else None
         return out.reshape(x.shape[0], oh, ow, self.filters)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         cols, x_shape = self._cache
         n, oh, ow, f = grad.shape
         g = grad.reshape(n * oh * ow, f)
-        self.grads["W"] = (cols.T @ g).reshape(self.params["W"].shape)
-        self.grads["b"] = g.sum(axis=0)
+        np.matmul(cols.T, g, out=self._grad("W").reshape(-1, f))
+        np.sum(g, axis=0, out=self._grad("b"))
+        if not input_grad:
+            return None
         dcols = g @ self.params["W"].reshape(-1, f).T
         return T.col2im(dcols, x_shape, self.k, self.k, self.stride, self._pad_amount())
 
@@ -272,26 +295,22 @@ class Conv2D(Layer):
         self._cache = (cols, x.shape) if training else None
         return out.reshape(c, x.shape[1], oh, ow, self.filters)
 
-    def backward_stacked(self, grad: np.ndarray) -> np.ndarray:
-        self.backward_stacked_no_input_grad(grad)
+    def backward_stacked(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        if self._cache is None:
+            raise RuntimeError("backward called without a training forward pass")
         cols, x_shape = self._cache
         c, n, oh, ow, f = grad.shape
         g = grad.reshape(c, n * oh * ow, f)
+        np.matmul(cols.transpose(0, 2, 1), g, out=self._grad("W").reshape(c, -1, f))
+        np.sum(g, axis=1, out=self._grad("b"))
+        if not input_grad:
+            return None
         dcols = g @ self.params["W"].reshape(c, -1, f).transpose(0, 2, 1)
         return T.stacked_col2im(
             dcols, x_shape, self.k, self.k, self.stride, self._pad_amount()
         )
-
-    def backward_stacked_no_input_grad(self, grad: np.ndarray) -> None:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training forward pass")
-        cols, _ = self._cache
-        c, n, oh, ow, f = grad.shape
-        g = grad.reshape(c, n * oh * ow, f)
-        self.grads["W"] = np.matmul(cols.transpose(0, 2, 1), g).reshape(
-            self.params["W"].shape
-        )
-        self.grads["b"] = g.sum(axis=1)
 
 
 class MaxPool2D(Layer):

@@ -11,7 +11,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.nn.tensor_ops import log_softmax, one_hot, softmax, stacked_one_hot
+from repro.nn.tensor_ops import one_hot, stacked_one_hot
 
 __all__ = [
     "softmax_cross_entropy",
@@ -19,6 +19,20 @@ __all__ = [
     "l2_penalty",
     "proximal_penalty",
 ]
+
+
+def _log_softmax_and_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Both over the last axis, from one ``shifted`` / ``exp`` / row sum.
+
+    :func:`~repro.nn.tensor_ops.log_softmax` and
+    :func:`~repro.nn.tensor_ops.softmax` each compute those three on the
+    same operands; sharing them applies the same operations to the same
+    values, so both results keep their bits.
+    """
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.sum(e, axis=-1, keepdims=True)
+    return shifted - np.log(total), e / total
 
 
 def softmax_cross_entropy(
@@ -45,9 +59,9 @@ def softmax_cross_entropy(
     if n == 0:
         raise ValueError("cannot compute a loss over an empty batch")
     y = one_hot(labels, k)
-    lsm = log_softmax(logits)
+    lsm, sm = _log_softmax_and_softmax(logits)
     loss = float(-np.sum(y * lsm) / n)
-    grad = (softmax(logits) - y) / n
+    grad = (sm - y) / n
     return loss, grad
 
 
@@ -86,9 +100,9 @@ def stacked_softmax_cross_entropy(
             f"stacked labels must have shape {(c, n)}, got {labels.shape}"
         )
     y = stacked_one_hot(labels, k)
-    lsm = log_softmax(logits)
+    lsm, sm = _log_softmax_and_softmax(logits)
     losses = -np.sum(y * lsm, axis=(1, 2)) / n
-    grad = (softmax(logits) - y) / n
+    grad = (sm - y) / n
     return losses, grad
 
 

@@ -10,6 +10,16 @@ weight interface used by every aggregator in :mod:`repro.fl`:
   what :func:`repro.fl.aggregator.fedavg` averages),
 * :meth:`Sequential.num_params` -- payload size used by the communication
   model to compute transfer latencies.
+
+The flat vector is not assembled on demand: it *is* the model's storage.
+:func:`bind_arena` moves every parameter into one contiguous array (the
+arena), with a gradient array beside it, and re-points each layer's
+``params[name]`` / ``grads[name]`` at reshaped views of the two.  Layers
+write gradients into their views in place, the optimizer runs once per
+step over the whole arena, and the flat weight interface is one copy in
+and one copy out.  Nothing may re-bind ``layer.params[name]`` or
+``layer.grads[name]`` afterwards -- the arena would silently stop seeing
+that tensor; write through the view (``np.copyto``, ``out=``, ``+=``).
 """
 
 from __future__ import annotations
@@ -23,7 +33,44 @@ from repro.nn.losses import proximal_penalty, softmax_cross_entropy
 from repro.nn.optimizers import Optimizer
 from repro.rng import RngLike, make_rng
 
-__all__ = ["Sequential"]
+__all__ = ["Sequential", "bind_arena"]
+
+#: The one optimizer-state key of a model: its whole arena.
+ARENA_KEY = ("arena", "flat")
+
+
+def bind_arena(
+    layers: Sequence[Layer], lead: Tuple[int, ...] = ()
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Move ``layers``' parameters into one array; returns it and its gradient twin.
+
+    Both are ``lead + (P,)`` float64, parameters laid out in
+    ``get_weights()`` order along the last axis.  Each ``params[name]``
+    (shape ``s`` going in) is replaced by a ``lead + s`` view holding its
+    values -- broadcast over ``lead``, which is how a stacked cohort
+    starts as ``C`` copies of its template -- and ``grads[name]`` by the
+    matching view of the zeroed gradient array.  Splitting the last axis
+    of a slice never copies, so every view aliases its arena.
+    """
+    slots = [(layer, name) for layer in layers for name in sorted(layer.params)]
+    total = sum(layer.params[name].size for layer, name in slots)
+    flat = np.empty(lead + (total,), dtype=np.float64)
+    gflat = np.zeros_like(flat)
+    offset = 0
+    for layer, name in slots:
+        value = layer.params[name]
+        stop = offset + value.size
+        shape = lead + value.shape
+        layer.params[name] = flat[..., offset:stop].reshape(shape)
+        np.copyto(layer.params[name], value)
+        layer.grads[name] = gflat[..., offset:stop].reshape(shape)
+        offset = stop
+    return flat, gflat
+
+
+def first_param_index(layers: Sequence[Layer]) -> int:
+    """Index of the bottom-most parameterised layer, ``-1`` if there is none."""
+    return next((i for i, layer in enumerate(layers) if layer.params), -1)
 
 
 class Sequential:
@@ -50,12 +97,31 @@ class Sequential:
         self.layers: List[Layer] = list(layers)
         self.input_shape = tuple(int(s) for s in input_shape)
         self.output_shape = self._build(make_rng(rng))
+        self._bind()
 
     def _build(self, rng: np.random.Generator) -> Tuple[int, ...]:
         shape = self.input_shape
         for layer in self.layers:
             shape = layer.build(shape, rng)
         return shape
+
+    def _bind(self) -> None:
+        self._flat, self._gflat = bind_arena(self.layers)
+        self._first_param_idx = first_param_index(self.layers)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Each parameter is pickled once, through its layer's view (a
+        # view pickles as an independent array); the arenas would only
+        # repeat them, and the index is derived.
+        state = self.__dict__.copy()
+        del state["_flat"], state["_gflat"], state["_first_param_idx"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # pickle and deepcopy hand back layers whose params are
+        # independent arrays again: move them into a fresh arena.
+        self.__dict__.update(state)
+        self._bind()
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -73,11 +139,26 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Propagate ``grad`` (w.r.t. logits) back through the stack."""
-        for layer in reversed(self.layers):
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Propagate ``grad`` (w.r.t. logits) back through the stack.
+
+        Fills every ``layer.grads`` and returns the gradient w.r.t. the
+        model input.  With ``input_grad=False`` -- what :meth:`train_step`
+        asks for -- backprop stops at the bottom-most parameterised layer
+        and skips that layer's input-gradient term (a GEMM, plus
+        ``col2im`` for a conv): nothing below it learns, so nothing
+        reads the value.  ``grads`` come out the same; the return value
+        is ``None``.
+        """
+        first = -1 if input_grad else self._first_param_idx
+        for layer in reversed(self.layers[first + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        if first < 0:
+            return grad
+        self.layers[first].backward(grad, input_grad=False)
+        return None
 
     # ------------------------------------------------------------------
     # training
@@ -97,7 +178,7 @@ class Sequential:
         """
         logits = self.forward(x, training=True)
         loss, grad = softmax_cross_entropy(logits, y)
-        self.backward(grad)
+        self.backward(grad, input_grad=False)
         if prox_mu > 0.0:
             if prox_anchor is None:
                 raise ValueError("prox_mu > 0 requires prox_anchor weights")
@@ -106,10 +187,8 @@ class Sequential:
                 ploss, pgrads = proximal_penalty(layer.params, anchors[li], prox_mu)
                 loss += ploss
                 for name, g in pgrads.items():
-                    layer.grads[name] = layer.grads[name] + g
-        for li, layer in enumerate(self.layers):
-            for name, param in layer.params.items():
-                optimizer.update((li, name), param, layer.grads[name])
+                    layer.grads[name] += g
+        optimizer.update(ARENA_KEY, self._flat, self._gflat)
         return loss
 
     def fit_epoch(
@@ -182,7 +261,8 @@ class Sequential:
         return out
 
     def get_weights(self) -> List[np.ndarray]:
-        """Copies of all parameter tensors in deterministic order."""
+        """Copies of all parameter tensors in deterministic order -- the
+        order they occupy in the arena (layer by layer, names sorted)."""
         out: List[np.ndarray] = []
         for layer in self.layers:
             for name in sorted(layer.params):
@@ -190,7 +270,8 @@ class Sequential:
         return out
 
     def set_weights(self, weights: Iterable[np.ndarray]) -> None:
-        """Load tensors produced by :meth:`get_weights` (shape-checked)."""
+        """Load tensors produced by :meth:`get_weights` (shape-checked),
+        writing each through its layer's view into the arena."""
         weights = list(weights)
         slots = [
             (layer, name) for layer in self.layers for name in sorted(layer.params)
@@ -205,36 +286,29 @@ class Sequential:
                     f"shape mismatch for {type(layer).__name__}.{name}: "
                     f"{layer.params[name].shape} vs {w.shape}"
                 )
-            layer.params[name] = np.array(w, dtype=np.float64, copy=True)
+            np.copyto(layer.params[name], w)
 
     def get_flat_weights(self) -> np.ndarray:
-        """All parameters concatenated into one 1-D float64 vector."""
-        ws = self.get_weights()
-        if not ws:
-            return np.empty((0,), dtype=np.float64)
-        return np.concatenate([w.ravel() for w in ws])
+        """All parameters as one 1-D float64 vector: a copy of the arena.
+
+        It has to be a copy -- the serial executor trains the next client
+        in this same workspace while the previous client's returned
+        vector is still held.
+        """
+        return self._flat.copy()
 
     def set_flat_weights(self, flat: np.ndarray) -> None:
-        """Inverse of :meth:`get_flat_weights`."""
+        """Inverse of :meth:`get_flat_weights`: one copy into the arena."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.ndim != 1:
             raise ValueError(f"flat weights must be 1-D, got shape {flat.shape}")
-        total = self.num_params()
-        if flat.size != total:
-            raise ValueError(f"expected {total} values, got {flat.size}")
-        out: List[np.ndarray] = []
-        offset = 0
-        for layer in self.layers:
-            for name in sorted(layer.params):
-                shape = layer.params[name].shape
-                size = int(np.prod(shape))
-                out.append(flat[offset : offset + size].reshape(shape))
-                offset += size
-        self.set_weights(out)
+        if flat.size != self._flat.size:
+            raise ValueError(f"expected {self._flat.size} values, got {flat.size}")
+        np.copyto(self._flat, flat)
 
     def num_params(self) -> int:
         """Total scalar parameter count (communication payload size)."""
-        return int(sum(layer.num_params for layer in self.layers))
+        return self._flat.size
 
     def clone_architecture(self, rng: RngLike = None) -> "Sequential":
         """Fresh model with the same topology and new random weights.

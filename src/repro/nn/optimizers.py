@@ -2,25 +2,32 @@
 
 The paper trains the synthetic benchmarks with **RMSprop** (initial lr 0.01,
 multiplicative decay 0.995 per round) and FEMNIST with **SGD** (lr 0.004);
-both are implemented here.  Optimizer state is keyed by ``(layer_idx,
-param_name)`` so it survives weight swaps performed by the federated server
-between rounds.
+both are implemented here.  A model calls :meth:`Optimizer.update` once
+per step, on its whole parameter arena and the gradient arena beside it
+(:func:`repro.nn.model.bind_arena`), under one key -- so the state an
+optimizer holds for a model is one array shaped like the arena.  State
+lives in the optimizer, keyed, not in the model, so it survives the
+weight swaps the federated server performs between rounds; ``update``
+serves any ``(key, param, grad)`` triple, contiguous or not.
 
-Stacked cohorts (leading client axis)
--------------------------------------
-The same optimizer classes drive :class:`repro.nn.stacked.
-StackedSequential`, where parameters (and therefore gradients and state
-arrays) carry a leading client axis ``(C,) + shape``.  This works
-without a stacked variant because every update rule here is strictly
-**elementwise**: SGD velocity, RMSprop's squared-gradient average and
-the parameter updates themselves never reduce across any axis, so slice
-``c`` of a stacked state array evolves bit-identically to the state a
-private per-client optimizer would hold -- ``C`` independent optimizers
-in one instance.  Keep it that way: an update rule that mixed elements
-(e.g. a global-norm clip) would silently couple clients in stacked mode
-and must grow an explicit per-client-axis reduction first.  The
-independence property is hypothesis-tested in
-``tests/nn/test_stacked.py``.
+One calling convention, two arena shapes
+----------------------------------------
+:class:`~repro.nn.model.Sequential` passes a ``(P,)`` arena,
+:class:`repro.nn.stacked.StackedSequential` a ``(C, P)`` one, a row per
+client.  Neither needs a variant of its own because every update rule
+here is strictly **elementwise**: SGD velocity, RMSprop's
+squared-gradient average and the parameter updates themselves never
+reduce across any axis.  An element's result therefore depends on
+nothing but its own history -- not on which key it is filed under, how
+the array around it is shaped, or where a block boundary falls -- so the
+arena pass is bit-identical to per-tensor updates, and row ``c`` of a
+stacked state array evolves bit-identically to the state a private
+per-client optimizer would hold (``C`` independent optimizers in one
+instance).  Keep it that way: an update rule that mixed elements (e.g. a
+global-norm clip) would silently couple layers, and clients in stacked
+mode, and must grow an explicit reduction first.  The independence
+property is hypothesis-tested in ``tests/nn/test_stacked.py``; the arena
+pass against per-tensor updates in ``tests/nn/test_model.py``.
 """
 
 from __future__ import annotations
@@ -75,10 +82,10 @@ class SGD(Optimizer):
         self._scratch: Dict[ParamKey, np.ndarray] = {}
 
     def update(self, key: ParamKey, param: np.ndarray, grad: np.ndarray) -> None:
-        # In-place ufuncs with a per-key scratch buffer: the stacked
-        # cohort path updates (C,)+shape arrays many times per epoch, and
-        # allocating fresh multi-MB temporaries each call costs more than
-        # the arithmetic.  Operand order matches the textbook
+        # In-place ufuncs with a per-key scratch buffer: an arena is
+        # updated every step, and allocating a fresh temporary of its
+        # size each call costs more than the arithmetic (multi-MB for a
+        # stacked cohort).  Operand order matches the textbook
         # ``v = momentum * v - lr * grad; param += v`` exactly (only
         # commutative swaps), so results stay bit-identical to it.
         tmp = self._scratch.get(key)
@@ -127,12 +134,16 @@ class RMSprop(Optimizer):
         self._scratch: Dict[ParamKey, Tuple[np.ndarray, np.ndarray]] = {}
 
     #: Elements per update block.  The nine ufunc passes below run
-    #: block by block so the two scratch slices stay L2-resident on the
-    #: multi-MB stacked-cohort arrays instead of streaming the whole
-    #: array through the cache hierarchy nine times.  Per element the
-    #: op sequence is unchanged, so blocking never changes a result;
-    #: ordinary per-client parameters fit in one block.
-    BLOCK = 131_072
+    #: block by block so the five slices a block touches (parameter,
+    #: gradient, squared average and two scratch: 640 KB here) stay
+    #: L2-resident instead of streaming the whole arena through the
+    #: cache hierarchy nine times -- even a small model's arena is
+    #: several blocks (the 99 722-parameter MLP: 4 MB over the five).
+    #: Per element the op sequence is unchanged, so blocking never
+    #: changes a result.  Chosen by a sweep inside real train steps
+    #: (CHANGES.md, PR 19): 16 384 and 32 768 tie, 8 192 and 65 536 are
+    #: ~10 % slower, one unblocked pass ~12-40 %.
+    BLOCK = 16_384
 
     def update(self, key: ParamKey, param: np.ndarray, grad: np.ndarray) -> None:
         # In-place ufuncs with per-key scratch, for the same reason as

@@ -10,6 +10,11 @@ whole cohort as one tensor program" lever the round hot-path benchmark
 exposes: same-tier TiFL cohorts are homogeneous by construction, which is
 exactly what lets their per-client matmuls fuse.
 
+Storage is the template's layout with a leading client axis: one
+``(C, P)`` arena and its gradient twin (:func:`repro.nn.model.bind_arena`),
+row ``c`` being client ``c``'s flat weight vector and every layer tensor a
+view across the rows.
+
 Numerics
 --------
 The stacked program performs the *same* floating-point operations as
@@ -39,7 +44,7 @@ import numpy as np
 
 from repro.nn.layers import Dropout, Layer
 from repro.nn.losses import stacked_softmax_cross_entropy
-from repro.nn.model import Sequential
+from repro.nn.model import ARENA_KEY, Sequential, bind_arena, first_param_index
 from repro.nn.optimizers import Optimizer
 from repro.rng import RngLike, make_rng
 
@@ -85,12 +90,9 @@ class StackedSequential:
         self.layers: List[Layer] = []
         for layer in template.layers:
             stacked = copy.copy(layer)
-            stacked.params = {
-                name: np.broadcast_to(
-                    p, (self.num_clients,) + p.shape
-                ).copy()
-                for name, p in layer.params.items()
-            }
+            # The template's tensors, for bind_arena to broadcast into
+            # the stack's own arena (the dict itself must not be shared).
+            stacked.params = dict(layer.params)
             stacked.grads = {}
             if isinstance(stacked, Dropout):
                 # Private mask stream per stacked program (never shared
@@ -99,25 +101,18 @@ class StackedSequential:
                     base.integers(0, 2**63 - 1)
                 )
             self.layers.append(stacked)
-        self._slots: List[Tuple[Layer, str, Tuple[int, ...]]] = [
-            (layer, name, template_layer.params[name].shape)
-            for layer, template_layer in zip(self.layers, template.layers)
-            for name in sorted(template_layer.params)
+        self._flat, self._gflat = bind_arena(self.layers, (self.num_clients,))
+        self._slots: List[Tuple[Layer, str]] = [
+            (layer, name) for layer in self.layers for name in sorted(layer.params)
         ]
-        self._num_params = template.num_params()
-        # Bottom-most parameterised layer: training never needs its
-        # input gradient (nothing below it learns), so train_step stops
-        # backprop there via backward_stacked_no_input_grad.
-        self._first_param_idx = next(
-            (i for i, layer in enumerate(self.layers) if layer.params), -1
-        )
+        self._first_param_idx = first_param_index(self.layers)
 
     # ------------------------------------------------------------------
     # weight interface
     # ------------------------------------------------------------------
     def num_params(self) -> int:
         """Per-client flat parameter count (matches the template)."""
-        return self._num_params
+        return self._flat.shape[1]
 
     def set_flat_weights(self, flat: np.ndarray) -> None:
         """Load per-client flat vectors ``(C, P)`` -- or one ``(P,)``
@@ -125,32 +120,16 @@ class StackedSequential:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.ndim == 1:
             flat = np.broadcast_to(flat, (self.num_clients, flat.size))
-        if flat.shape != (self.num_clients, self._num_params):
+        if flat.shape != self._flat.shape:
             raise ValueError(
                 f"expected flat weights of shape "
-                f"{(self.num_clients, self._num_params)}, got {flat.shape}"
+                f"{self._flat.shape}, got {flat.shape}"
             )
-        offset = 0
-        for layer, name, shape in self._slots:
-            size = int(np.prod(shape))
-            layer.params[name] = (
-                flat[:, offset : offset + size]
-                .reshape((self.num_clients,) + shape)
-                .copy()
-            )
-            offset += size
+        np.copyto(self._flat, flat)
 
     def get_flat_weights(self) -> np.ndarray:
-        """Per-client flat weight vectors, shape ``(C, P)``."""
-        out = np.empty((self.num_clients, self._num_params), dtype=np.float64)
-        offset = 0
-        for layer, name, shape in self._slots:
-            size = int(np.prod(shape))
-            out[:, offset : offset + size] = layer.params[name].reshape(
-                self.num_clients, size
-            )
-            offset += size
-        return out
+        """Per-client flat weight vectors, shape ``(C, P)`` (a copy)."""
+        return self._flat.copy()
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -171,11 +150,22 @@ class StackedSequential:
             out = layer.forward_stacked(out, training=training)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Propagate stacked logits-gradients back through the stack."""
-        for layer in reversed(self.layers):
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Propagate stacked logits-gradients back through the stack.
+
+        ``input_grad=False`` truncates exactly as
+        :meth:`Sequential.backward` does: stop at the bottom-most
+        parameterised layer and skip its input-gradient GEMM.
+        """
+        first = -1 if input_grad else self._first_param_idx
+        for layer in reversed(self.layers[first + 1 :]):
             grad = layer.backward_stacked(grad)
-        return grad
+        if first < 0:
+            return grad
+        self.layers[first].backward_stacked(grad, input_grad=False)
+        return None
 
     # ------------------------------------------------------------------
     # training
@@ -190,25 +180,16 @@ class StackedSequential:
     ) -> np.ndarray:
         """One cohort-wide mini-batch step; returns per-client losses ``(C,)``.
 
-        ``optimizer`` is one optimizer instance whose state arrays carry
-        the leading client axis: every update rule in
-        :mod:`repro.nn.optimizers` is elementwise, so the slices stay
+        ``optimizer`` is one optimizer instance whose state is one
+        ``(C, P)`` array beside the arena: every update rule in
+        :mod:`repro.nn.optimizers` is elementwise, so the rows stay
         independent (no cross-client mixing).  ``prox_anchor`` takes the
         template-shaped global weights (same anchor for every client,
         exactly the FedProx broadcast semantics).
         """
         logits = self.forward(x, training=True)
         losses, grad = stacked_softmax_cross_entropy(logits, y)
-        first = self._first_param_idx
-        if first < 0:
-            self.backward(grad)
-        else:
-            # Truncated backprop: stop at the bottom-most parameterised
-            # layer and skip its input-gradient GEMM (its dx -- and the
-            # parameterless layers below -- feed nothing that trains).
-            for i in range(len(self.layers) - 1, first, -1):
-                grad = self.layers[i].backward_stacked(grad)
-            self.layers[first].backward_stacked_no_input_grad(grad)
+        self.backward(grad, input_grad=False)
         if prox_mu > 0.0:
             if prox_anchor is None:
                 raise ValueError("prox_mu > 0 requires prox_anchor weights")
@@ -218,15 +199,13 @@ class StackedSequential:
                     f"expected {len(self._slots)} anchor tensors, "
                     f"got {len(anchors)}"
                 )
-            for (layer, name, _), a in zip(self._slots, anchors):
+            for (layer, name), a in zip(self._slots, anchors):
                 diff = layer.params[name] - a  # (C,)+shape minus shape
                 losses = losses + 0.5 * prox_mu * np.sum(
                     diff.reshape(self.num_clients, -1) ** 2, axis=1
                 )
-                layer.grads[name] = layer.grads[name] + prox_mu * diff
-        for li, layer in enumerate(self.layers):
-            for name, param in layer.params.items():
-                optimizer.update((li, name), param, layer.grads[name])
+                layer.grads[name] += prox_mu * diff
+        optimizer.update(ARENA_KEY, self._flat, self._gflat)
         return losses
 
     def fit_epoch(

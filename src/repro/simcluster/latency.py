@@ -51,7 +51,7 @@ the draws are pinned by regression tests
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -348,7 +348,7 @@ class CohortLatencySampler:
             )
         return out
 
-    def sample_population(
+    def sample_population_columns(
         self,
         store,
         num_params: int,
@@ -356,23 +356,24 @@ class CohortLatencySampler:
         round_idx: int = 0,
         fault: Optional["FaultInjector"] = None,
         client_ids: Optional[np.ndarray] = None,
-    ) -> Dict[int, float]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`sample_cohort` straight off a population store's columns.
 
         ``store`` is a :class:`~repro.simcluster.population.PopulationStore`
         (duck-typed to avoid an import cycle); ``client_ids`` restricts
-        and orders the cohort (default: every client, ascending).  The
-        store holds one shared latency/comm model for the whole
-        population, so the draw is always the vectorised two-block path
-        -- bit-identical to materialising those clients and calling
-        :meth:`sample_cohort`, without building a single object.
+        and orders the cohort (default: every client, ascending).
+        Returns ``(ids, latencies)`` as two aligned arrays.  The store
+        holds one shared latency/comm model for the whole population, so
+        the draw is always the vectorised two-block path -- bit-identical
+        to materialising those clients and calling :meth:`sample_cohort`,
+        without building a single object.
         """
         if client_ids is None:
             ids = np.arange(store.num_clients, dtype=np.int64)
         else:
             ids = np.asarray(client_ids, dtype=np.int64)
         if ids.size == 0:
-            return {}
+            return ids, np.empty(0, dtype=np.float64)
         rng = self.stream_for(round_idx)
         if isinstance(epochs, Mapping):
             eps = np.asarray(
@@ -390,15 +391,32 @@ class CohortLatencySampler:
             num_params, store.bandwidth_mbps[ids], rng=rng
         )
         total = compute + comm
-        out: Dict[int, float] = {}
-        if fault is None:
-            for cid, latency in zip(ids, total):
-                out[int(cid)] = float(latency)
-        else:
+        if fault is not None:
             # Same per-client tail as SimClient.finalize_latency.
-            for cid, latency in zip(ids, total):
-                out[int(cid)] = fault.apply(int(cid), round_idx, float(latency))
-        return out
+            total = np.asarray(
+                [
+                    fault.apply(cid, round_idx, latency)
+                    for cid, latency in zip(ids.tolist(), total.tolist())
+                ],
+                dtype=np.float64,
+            )
+        return ids, total
+
+    def sample_population(
+        self,
+        store,
+        num_params: int,
+        epochs: Union[int, Mapping[int, int]] = 1,
+        round_idx: int = 0,
+        fault: Optional["FaultInjector"] = None,
+        client_ids: Optional[np.ndarray] = None,
+    ) -> Dict[int, float]:
+        """:meth:`sample_population_columns` in :meth:`sample_cohort`'s
+        return form: ``{client_id: latency_seconds}`` in cohort order."""
+        ids, total = self.sample_population_columns(
+            store, num_params, epochs, round_idx, fault, client_ids
+        )
+        return dict(zip(ids.tolist(), total.tolist()))
 
 
 def resolve_latency_stream(

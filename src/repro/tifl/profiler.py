@@ -77,10 +77,17 @@ def profile_clients(
         :class:`~repro.simcluster.population.PopulationStore`.  With the
         v2 cohort stream the whole campaign is vectorised off the
         metadata columns
-        (:meth:`~repro.simcluster.latency.CohortLatencySampler.sample_population`)
+        (:meth:`~repro.simcluster.latency.CohortLatencySampler.sample_population_columns`)
         and never materialises a single client; with the v1 per-client
         stream, clients are materialised on demand (O(N); the store's
         RNG-state ledger keeps the draws exact when N exceeds the cache).
+        Either way the campaign is held as one C-contiguous
+        ``(clients, rounds)`` matrix and reduced column-wise.  The
+        layout is part of the numerics: a row-wise mean over it sums
+        each row exactly as that client's own 1-D ``.mean()`` would,
+        while the transposed ``(rounds, clients)`` / ``axis=0`` form
+        does not from 8 rounds up (pairwise summation) -- pinned in
+        ``tests/tifl/test_profiler.py``.
     num_params:
         Model size, for the communication component of the latency.
     tmax:
@@ -124,12 +131,11 @@ def profile_clients(
         raise ValueError(f"tmax must be positive, got {tmax}")
 
     deadline = float("inf") if tmax is None else float(tmax)
-    raw: Dict[int, List[float]] = {int(cid): [] for cid in ids}
-    profiling_time = 0.0
+    observed = np.empty((ids.size, sync_rounds), dtype=np.float64)
     for r in range(sync_rounds):
         round_idx = -1 - int(round_offset) - r
         if latency_sampler is not None:
-            observed = latency_sampler.sample_population(
+            _, observed[:, r] = latency_sampler.sample_population_columns(
                 clients,
                 num_params,
                 epochs=epochs,
@@ -141,40 +147,37 @@ def profile_clients(
             # v1 per-client streams live on the materialised objects; the
             # LRU's state ledger keeps every stream's position exact even
             # when N exceeds the cache.
-            observed = {
-                int(cid): clients.materialize(int(cid)).response_latency(
+            observed[:, r] = [
+                clients.materialize(cid).response_latency(
                     num_params, epochs=epochs, round_idx=round_idx, fault=fault
                 )
-                for cid in ids
-            }
-        for cid, lat in observed.items():
-            raw[cid].append(min(lat, deadline))
-        finite = [
-            min(v, deadline)
-            for v in observed.values()
-            if np.isfinite(min(v, deadline))
-        ]
-        if finite:
-            profiling_time += max(finite)
+                for cid in ids.tolist()
+            ]
+    capped = np.minimum(observed, deadline)
+    finite = np.isfinite(capped)
+    # Each profiling round waits for its slowest responder.
+    profiling_time = 0.0
+    for r in range(sync_rounds):
+        responded = capped[finite[:, r], r]
+        if responded.size:
+            profiling_time += float(responded.max())
 
     # Dropout rule (Sec. 4.2): a client is excluded when every profiling
     # round hit the deadline -- i.e. its accumulated RT equals
-    # sync_rounds * Tmax.  With no deadline that degenerates to "never
-    # produced a finite response".
-    dropouts: List[int] = []
-    mean_latencies: Dict[int, float] = {}
-    for cid, lats in raw.items():
-        arr = np.asarray(lats, dtype=np.float64)
-        finite_mask = np.isfinite(arr)
-        timed_out = ~finite_mask | (arr >= deadline)
-        if timed_out.all():
-            dropouts.append(cid)
-            continue
-        # Timed-out rounds contribute Tmax to the mean, per the paper.
-        charged = np.where(finite_mask, np.minimum(arr, deadline), deadline)
-        charged = charged[np.isfinite(charged)]
-        mean_latencies[cid] = float(charged.mean())
-    dropouts.sort()
+    # sync_rounds * Tmax -- and kept when some round beat it.  With no
+    # deadline that degenerates to "produced a finite response once".
+    kept = (finite & (capped < deadline)).any(axis=1)
+    # Timed-out rounds contribute Tmax to the mean, per the paper.
+    charged = np.where(finite, capped, deadline)
+    means = charged.mean(axis=1)
+    # With no deadline a round without a response has nothing to charge
+    # and leaves the mean: those rows (rare -- dropouts and faulted
+    # clients) are averaged one by one over what is left.
+    chargeable = np.isfinite(charged)
+    for i in np.flatnonzero(kept & ~chargeable.all(axis=1)):
+        means[i] = charged[i][chargeable[i]].mean()
+    mean_latencies = dict(zip(ids[kept].tolist(), means[kept].tolist()))
+    dropouts = sorted(ids[~kept].tolist())
     if not mean_latencies:
         raise RuntimeError("every client was classified as a dropout")
     return ProfilingResult(
@@ -183,5 +186,5 @@ def profile_clients(
         sync_rounds=sync_rounds,
         tmax=deadline,
         profiling_time=profiling_time,
-        raw_latencies=raw,
+        raw_latencies=dict(zip(ids.tolist(), capped.tolist())),
     )

@@ -306,3 +306,39 @@ class TestFaultsAndServers:
             latency_sampler=sampler, fault=fault,
         )
         assert result.dropouts == [2]
+
+
+class TestPopulationColumns:
+    @pytest.mark.parametrize("with_fault", [False, True])
+    def test_columns_dict_and_materialised_cohort_agree(self, with_fault):
+        """One population draw in its three forms: aligned columns, the
+        ``{id: latency}`` dict over them, and ``sample_cohort`` over the
+        same clients materialised -- same order, same bits."""
+        store = make_test_population(8, cpus=[1.0, 0.5] * 4, noise_sigma=0.2)
+        ids = np.array([6, 1, 3, 0])
+        sampler = CohortLatencySampler(seed=13)
+
+        def fault():
+            return DropoutInjector(always_drop={3}, drop_prob=0.3, rng=4) if with_fault else None
+
+        kw = dict(epochs={6: 1, 1: 2, 3: 1, 0: 3}, round_idx=-2)
+        got_ids, latencies = sampler.sample_population_columns(
+            store, 500, fault=fault(), client_ids=ids, **kw
+        )
+        np.testing.assert_array_equal(got_ids, ids)
+        assert latencies.dtype == np.float64 and latencies.shape == ids.shape
+        as_dict = sampler.sample_population(store, 500, fault=fault(), client_ids=ids, **kw)
+        assert list(as_dict.items()) == list(zip(ids.tolist(), latencies.tolist()))
+        cohort = [store.materialize(int(c)) for c in ids]
+        assert as_dict == sampler.sample_cohort(cohort, 500, fault=fault(), **kw)
+        assert list(as_dict) == [c.client_id for c in cohort]
+        if with_fault:
+            assert as_dict[3] == float("inf")
+
+    def test_empty_selection(self):
+        store = make_test_population(2)
+        ids, latencies = CohortLatencySampler(seed=1).sample_population_columns(
+            store, 10, client_ids=np.empty(0, dtype=np.int64)
+        )
+        assert ids.size == 0 and latencies.size == 0
+        assert CohortLatencySampler(seed=1).sample_population(store, 10, client_ids=[]) == {}
