@@ -36,7 +36,6 @@ from repro.execution import (
     ClientExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
 )
 from repro.fl import FLServer, RandomSelector, TrainingHistory, fedavg
@@ -71,7 +70,6 @@ __all__ = [
     "PAPER_FEMNIST_TRAINING",
     "ClientExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "DistributedExecutor",
     "WorkerAgent",

@@ -149,16 +149,16 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     """
     p.add_argument("--executor", default="serial",
                    choices=list(EXECUTOR_BACKENDS),
-                   help="client-training backend.  serial/thread/process/"
+                   help="client-training backend.  serial, process and "
                         "distributed are bit-identical to each other "
-                        "(thread/process add concurrency, distributed "
+                        "(process adds concurrency, distributed "
                         "spans machines); batched fuses each homogeneous "
                         "cohort group into one stacked tensor program -- "
                         "fastest on one core, but a separate numerics "
                         "stream (accuracy-equivalent, not bit-identical; "
                         "see docs/numerics.md)")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker count for the thread/process executor, or "
+                   help="worker count for the process executor, or "
                         "how many agents must join a distributed run")
     p.add_argument("--connect", default=None, metavar="HOST:PORT",
                    help="distributed executor endpoint: the coordinator "

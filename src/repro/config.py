@@ -15,11 +15,17 @@ from typing import Callable, Optional
 from repro.nn.optimizers import SGD, Optimizer, RMSprop
 
 __all__ = [
+    "EXECUTOR_BACKENDS",
     "TrainingConfig",
     "PAPER_SYNTHETIC_TRAINING",
     "PAPER_FEMNIST_TRAINING",
     "parse_endpoint",
 ]
+
+#: Every client-execution backend, by name.  Defined in this leaf module
+#: because :class:`TrainingConfig` validates against it at import time;
+#: :mod:`repro.execution` re-exports the same object and builds them.
+EXECUTOR_BACKENDS = ("serial", "process", "distributed", "batched")
 
 
 def parse_endpoint(endpoint: str) -> "tuple[str, int]":
@@ -60,11 +66,11 @@ class TrainingConfig:
         FedProx proximal coefficient; 0 disables the proximal term
         (plain FedAvg).
     executor / workers:
-        Default client-execution backend (``"serial" | "thread" |
-        "process" | "distributed" | "batched"``, see
-        :mod:`repro.execution`) and its worker count.  Servers use these
-        unless an explicit executor is passed to them.  The first four
-        are bit-identical to each other; ``batched`` trains each
+        Default client-execution backend (one of
+        :data:`EXECUTOR_BACKENDS`, see :mod:`repro.execution`) and its
+        worker count.  Servers use these unless an explicit executor is
+        passed to them.  ``serial``, ``process`` and ``distributed`` are
+        bit-identical to each other; ``batched`` trains each
         homogeneous cohort group as one stacked tensor program and is a
         separate versioned numerics stream (accuracy-equivalent, not
         bit-identical -- see ``docs/numerics.md``).  ``workers`` is
@@ -101,16 +107,9 @@ class TrainingConfig:
             raise ValueError(
                 f"optimizer must be 'rmsprop' or 'sgd', got {self.optimizer!r}"
             )
-        if self.executor not in (
-            "serial",
-            "thread",
-            "process",
-            "distributed",
-            "batched",
-        ):
+        if self.executor not in EXECUTOR_BACKENDS:
             raise ValueError(
-                "executor must be 'serial', 'thread', 'process', "
-                f"'distributed' or 'batched', got {self.executor!r}"
+                f"executor must be one of {EXECUTOR_BACKENDS}, got {self.executor!r}"
             )
         if self.workers <= 0:
             raise ValueError(f"workers must be positive, got {self.workers}")

@@ -11,8 +11,8 @@ length-prefixed binary protocol
 
 The determinism contract over the network
 -----------------------------------------
-The distributed backend promises the same thing PR 1's thread/process
-backends promise: **bit-identical training to the serial schedule**.
+The distributed backend promises the same thing the ``process``
+backend promises: **bit-identical training to the serial schedule**.
 Three mechanisms carry that promise across machine boundaries:
 
 1. *Exact weights on the wire.*  Flat weight vectors travel through a

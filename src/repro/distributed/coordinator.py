@@ -103,7 +103,7 @@
 * **Resident eval set (v3).**  The server-held eval set ships once per
   worker (BIND_EVAL), after which
   :meth:`DistributedExecutor.evaluate_model` shards across workers on
-  the same 256-sample boundaries as the thread backend -- bit-exact.
+  the same 256-sample boundaries as the process backend -- bit-exact.
 """
 
 from __future__ import annotations

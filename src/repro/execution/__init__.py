@@ -9,7 +9,7 @@ directly:
 >>> from repro.execution import create_executor
 >>> executor = create_executor("process", workers=4)
 
-The v1 backends (serial / thread / process / distributed) satisfy the
+The v1 backends (serial / process / distributed) satisfy the
 determinism contract documented in :mod:`repro.execution.base`: given
 the same cohort and global weights they produce bit-identical updates in
 the same deterministic order, so switching between them never changes a
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.config import EXECUTOR_BACKENDS
 from repro.execution.base import (
     ClientExecutor,
     EvalRequest,
@@ -42,7 +43,6 @@ from repro.execution.base import (
 from repro.execution.batched import BatchedExecutor
 from repro.execution.process import ProcessExecutor
 from repro.execution.serial import SerialExecutor
-from repro.execution.thread import ThreadExecutor
 
 __all__ = [
     "ClientExecutor",
@@ -52,7 +52,6 @@ __all__ = [
     "evaluate_holdouts",
     "order_updates",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "BatchedExecutor",
     "EXECUTOR_BACKENDS",
@@ -61,13 +60,11 @@ __all__ = [
     "resolve_executor",
 ]
 
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "distributed", "batched")
-
 #: The v1 numerics stream: backends whose trained weights are
 #: bit-identical to serial by contract (the CI hard gate).  ``batched``
 #: is deliberately absent -- it is a separate versioned numerics stream
 #: gated by accuracy tolerance instead (see docs/numerics.md).
-BIT_IDENTICAL_BACKENDS = ("serial", "thread", "process", "distributed")
+BIT_IDENTICAL_BACKENDS = ("serial", "process", "distributed")
 
 
 def create_executor(
@@ -82,8 +79,6 @@ def create_executor(
     """
     if backend == "serial":
         return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(workers=workers)
     if backend == "process":
         return ProcessExecutor(workers=workers)
     if backend == "batched":

@@ -29,7 +29,7 @@ matmuls may reduce in a different order than per-client GEMMs, and
 float64 addition is not associative, so trained weights equal the serial
 reference only to rounding (typically ~1e-12 relative per step).
 Following the latency-v2 precedent, ``batched`` is pinned as a separate
-versioned numerics stream: serial/thread/process/distributed remain
+versioned numerics stream: serial/process/distributed remain
 default and bit-identical to each other, while this backend is gated by
 golden-value pins and stacked-vs-serial accuracy-tolerance tests
 (``tests/execution/test_batched_executor.py``) and excluded from the

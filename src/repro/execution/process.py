@@ -18,11 +18,12 @@ Design (the memory / determinism contract):
 * **Population sharding.**  When the bound pool is a
   :class:`repro.simcluster.population.PopulationStore` (every pool a
   server binds; hand-built dict pools are pickled per worker), workers
-  never receive pickled ``SimClient`` objects.  Instead each
-  worker's column slice (``PopulationStore.shard``) is written into
-  anonymous shared-memory segments mapped at fork; the worker rebuilds
-  a local shard store (``PopulationStore.from_columns``) and
-  materialises its pinned clients lazily under its own bounded LRU.
+  never receive pickled ``SimClient`` objects.  Instead each worker's
+  column slice (``PopulationStore.shard``) is handed over as its
+  ``Process`` argument -- inherited at ``fork``, pickled as columns
+  under ``spawn``; the worker rebuilds a local shard store
+  (``PopulationStore.from_columns``) and materialises its pinned
+  clients lazily under its own bounded LRU.
   Start-up shipping is therefore O(shard ids), per-round traffic is
   O(cohort) metadata + one weight copy each way, and neither the parent
   nor any worker ever holds the full materialised population.  Advanced
@@ -60,11 +61,10 @@ Design (the memory / determinism contract):
 * **Resident eval data.**  :meth:`ProcessExecutor.bind_eval_data` maps
   the server-held eval set into shared memory before the workers fork,
   so it ships exactly once; ``evaluate_model`` on those arrays then
-  shards across workers on the same 256-sample batch boundaries the
-  thread backend uses (``repro.execution.base.eval_shard_bounds``),
-  bit-identical to one serial pass.  Data bound *after* the workers
-  started cannot be mapped into them and falls back to the in-server
-  serial pass.
+  shards across workers on the 256-sample batch boundaries of a serial
+  pass (``repro.execution.base.eval_shard_bounds``), bit-identical to
+  it.  Data bound *after* the workers started cannot be mapped into
+  them and falls back to the in-server serial pass.
 * **Cohort-granular evaluation.**  ``evaluate_cohort`` broadcasts
   through the shared segment; each tasked worker loads the weights
   into its replica **once**, scores its pinned share of the cohort with
@@ -120,29 +120,6 @@ __all__ = ["ProcessExecutor"]
 
 _Job = Tuple[int, int]  # (client_id, epochs)
 
-# Columns shipped through shared memory for a sharded (store-backed) pool.
-_SHARD_COLUMNS = ("client_ids", "num_samples", "cpu_fraction", "bandwidth_mbps", "group")
-
-
-def _shard_pool_from_spec(spec) -> ShardClients:
-    """Rebuild a worker-local lazy client pool from a shard spec.
-
-    ``spec`` is ``(columns, meta)``: ``columns`` maps shared-memory
-    buffers back to the numeric shard columns, ``meta`` carries the
-    non-column :class:`PopulationShard` fields (seed coordinates,
-    models, dataset provider, RNG ledger).  The rebuilt store
-    materialises clients on demand under its own bounded LRU.
-    """
-    columns, meta = spec
-    arrays = {
-        name: np.frombuffer(buf, dtype=dtype, count=count).copy()
-        for name, buf, dtype, count in columns
-    }
-    shard = PopulationShard(**arrays, **meta)
-    pool = ShardClients()
-    pool.add(PopulationStore.from_columns(shard))
-    return pool
-
 
 def _worker_main(
     worker_id: int,
@@ -158,9 +135,11 @@ def _worker_main(
     result_q,
 ) -> None:
     """Worker loop: train/evaluate pinned clients against shared weights."""
-    if isinstance(clients, tuple):
-        # Sharded pool: shared-memory columns in, lazy local store out.
-        clients = _shard_pool_from_spec(clients)
+    if isinstance(clients, PopulationShard):
+        # Sharded pool: column slice in, lazy local store out.
+        pool = ShardClients()
+        pool.add(PopulationStore.from_columns(clients))
+        clients = pool
     global_flat = np.frombuffer(shared_weights, dtype=np.float64, count=num_params)
     slot_view = np.frombuffer(return_slot, dtype=np.float64, count=num_params)
     eval_x = eval_y = None
@@ -276,12 +255,6 @@ class ProcessExecutor(ClientExecutor):
         # grow with the population (gated in
         # tests/execution/test_executors.py::TestProcessBackend).
         self._ipc_bytes = 0
-        # Shard-spec RawArrays must stay referenced for the workers'
-        # lifetime: Process.start() drops its args in the parent, and a
-        # garbage-collected block returns to the shared mp heap where the
-        # next allocation would overwrite memory a forked worker still
-        # maps (same reason _eval_arrays and _return_slots are pinned).
-        self._shard_specs: List = []
 
     # ------------------------------------------------------------------
     def _started(self) -> bool:
@@ -363,8 +336,7 @@ class ProcessExecutor(ClientExecutor):
             if isinstance(clients, PopulationStore):
                 # Store pool: ship the column slice, never SimClient
                 # pickles.  The parent materialises nothing here.
-                owned = self._make_shard_spec(clients, owned_ids[wid])
-                self._shard_specs.append(owned)
+                owned = clients.shard(owned_ids[wid])
             else:
                 owned = {cid: clients[cid] for cid in owned_ids[wid]}
             task_q = self._ctx.Queue()
@@ -397,31 +369,6 @@ class ProcessExecutor(ClientExecutor):
         self._return_slots = return_slots
         self._slot_free = slot_free_sems
         self._procs = procs
-
-    def _make_shard_spec(self, store, owned_ids):
-        """Copy one worker's shard columns into shared-memory segments.
-
-        Returns the ``(columns, meta)`` spec that
-        :func:`_shard_pool_from_spec` rebuilds on the worker side.
-        """
-        shard = store.shard(owned_ids)
-        columns = []
-        for name in _SHARD_COLUMNS:
-            arr = np.ascontiguousarray(getattr(shard, name))
-            buf = self._ctx.RawArray("b", max(arr.nbytes, 1))
-            np.frombuffer(buf, dtype=arr.dtype, count=arr.size)[...] = arr
-            columns.append((name, buf, str(arr.dtype), int(arr.size)))
-        meta = dict(
-            holdout_fraction=shard.holdout_fraction,
-            min_holdout=shard.min_holdout,
-            seed_address=shard.seed_address,
-            latency_model=shard.latency_model,
-            comm_model=shard.comm_model,
-            dataset_for=shard.dataset_for,
-            rng_states=shard.rng_states,
-            cache_size=shard.cache_size,
-        )
-        return (columns, meta)
 
     def _write_segment(self, flat_weights: np.ndarray) -> None:
         """One write into the shared segment, visible to every worker
@@ -614,7 +561,6 @@ class ProcessExecutor(ClientExecutor):
         self._eval_arrays = None
         self._return_slots = []
         self._slot_free = []
-        self._shard_specs = []
         self._owner = {}
 
     def __del__(self) -> None:  # pragma: no cover - safety net

@@ -305,8 +305,8 @@ def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
     comm_model = CommModel()
     # The store captures client_seed_rng's spawn coordinates: clients[cid]
     # seeds from the child spawn(client_seed_rng, N)[cid] would get.  Its
-    # cache holds a whole paper-shape federation, so v1 profiling and the
-    # thread backend never see an eviction.
+    # cache holds a whole paper-shape federation, so v1 profiling never
+    # sees an eviction.
     clients = PopulationStore(
         num_samples=fed.client_sizes(),
         cpu_fraction=[s.cpu_fraction for s in specs],

@@ -177,8 +177,7 @@ class AsyncFLServer:
                 selected=(client_id,),
             )
             if (self.updates_applied - 1) % self.eval_every == 0:
-                # Same batched entry point as the synchronous servers
-                # (the thread backend shards, bit-identically).
+                # Same batched entry point as the synchronous servers.
                 record.accuracy = self.executor.evaluate_model(
                     self.global_weights, self.test_data.x, self.test_data.y
                 )

@@ -81,11 +81,12 @@ class FLServer:
     eval_every:
         Evaluate global accuracy every this many rounds (1 = every round).
     executor / workers:
-        Client-execution backend (``"serial" | "thread" | "process"`` or a
-        ready :class:`~repro.execution.ClientExecutor`) and worker count.
+        Client-execution backend (a name from
+        :data:`~repro.execution.EXECUTOR_BACKENDS` or a ready
+        :class:`~repro.execution.ClientExecutor`) and worker count.
         ``None`` defers to ``training.executor`` / ``training.workers``.
-        All backends are bit-identical (see :mod:`repro.execution`); the
-        parallel ones only change wall-clock time.  Call :meth:`close`
+        The v1 backends are bit-identical (see :mod:`repro.execution`);
+        the parallel ones only change wall-clock time.  Call :meth:`close`
         (or use the server as a context manager) to release workers.
     latency_stream:
         Versioned latency-RNG design (see :mod:`repro.simcluster.latency`).
@@ -184,9 +185,9 @@ class FLServer:
 
         Routed through the executor's :meth:`~repro.execution.ClientExecutor.
         evaluate_model` entry point so evaluation uses the same batched
-        machinery as training (the thread backend shards the test set
-        across replicas, bit-identically; backends whose workers do not
-        hold the server's test data evaluate in the server process).
+        machinery as training (backends whose workers hold the bound
+        test set shard it, bit-identically; the rest evaluate in the
+        server process).
         """
         return self.executor.evaluate_model(
             self.global_weights, self.test_data.x, self.test_data.y

@@ -430,7 +430,7 @@ class Dropout(Layer):
     # Elementwise with the layer's own mask stream; in stacked mode one
     # draw covers the whole (C, batch, ...) tensor.  Mask streams are
     # therefore stacked-stream-specific (see docs/numerics.md) -- like
-    # the per-replica streams of the thread backend, they are not
-    # bit-aligned with the serial workspace's draws.
+    # the per-worker workspaces of the process / distributed backends,
+    # they are not bit-aligned with the serial workspace's draws.
     forward_stacked = forward
     backward_stacked = backward

@@ -17,10 +17,9 @@ benchmarks read their timings from instead of keeping private
 stopwatches.
 
 Thread-safety: one process-wide lock guards registry mutation; spans
-may close from any thread (the thread executor's pool threads, the
-coordinator's reader threads).  Fork-safety: a forked child inherits
-the registry but the trace writer drops its writes (see
-:class:`~repro.telemetry.trace.TraceWriter`).
+may close from any thread (the coordinator's reader threads).
+Fork-safety: a forked child inherits the registry but the trace writer
+drops its writes (see :class:`~repro.telemetry.trace.TraceWriter`).
 """
 
 from __future__ import annotations

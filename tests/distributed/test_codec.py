@@ -74,14 +74,14 @@ def _run_distributed(codec, seed=21, workers=2):
 class TestDeltaEquivalence:
     def test_delta_bit_identical_across_all_four_backends(self):
         """A multi-round run under ``codec='delta'`` produces the exact
-        serial-raw weights on every backend: serial/thread/process
+        serial-raw weights on every v1 backend: serial and process
         ignore the codec (weights never hit a wire), the distributed
         backend encodes every BROADCAST/UPDATE through it and must
         decode bit-exactly."""
         with create_executor("serial") as ref_ex:
             reference = _run_rounds(ref_ex, _train_config("raw"))
 
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             with create_executor(backend, workers=2) as ex:
                 weights = _run_rounds(ex, _train_config("delta"))
             assert np.array_equal(reference, weights), (

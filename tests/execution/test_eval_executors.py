@@ -1,8 +1,8 @@
 """Tests for batched evaluation through the execution backends.
 
 The acceptance bar of the eval overhaul: ``evaluate_cohort`` /
-``evaluate_model`` produce **bit-identical** accuracies on serial,
-thread and process backends (the distributed backend clears the same
+``evaluate_model`` produce **bit-identical** accuracies on the serial
+and process backends (the distributed backend clears the same
 bar in ``tests/distributed/test_eval.py``), interleaving eval with
 training never perturbs the training trajectory, and the TiFL tier
 evaluation built on top keeps its denominator semantics.
@@ -21,7 +21,6 @@ from repro.execution import (
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     TrainRequest,
     create_executor,
     evaluate_holdouts,
@@ -65,7 +64,7 @@ def make_holdoutless_client(client_id, seed=3, cpu=1.0):
 class TestEvalEquivalence:
     def test_eval_bit_identical_across_backends(self):
         results = {}
-        for backend, workers in [("serial", 1), ("thread", 3), ("process", 2)]:
+        for backend, workers in [("serial", 1), ("process", 2)]:
             pool = make_pool()
             model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
             with create_executor(backend, workers=workers) as ex:
@@ -74,7 +73,7 @@ class TestEvalEquivalence:
                     [EvalRequest(cid) for cid in sorted(pool)],
                     model.get_flat_weights(),
                 )
-        assert results["serial"] == results["thread"] == results["process"]
+        assert results["serial"] == results["process"]
         assert list(results["serial"]) == sorted(make_pool())  # request order
         assert all(0.0 <= a <= 1.0 for a in results["serial"].values())
 
@@ -103,7 +102,7 @@ class TestEvalEquivalence:
             return g
 
         ref = run("serial", 1, with_eval=False)
-        for backend, workers in [("serial", 1), ("thread", 2), ("process", 2)]:
+        for backend, workers in [("serial", 1), ("process", 2)]:
             assert np.array_equal(ref, run(backend, workers, with_eval=True)), (
                 f"{backend} training diverged when interleaved with eval"
             )
@@ -115,29 +114,17 @@ class TestEvalEquivalence:
         flat = model.get_flat_weights()
         model.set_flat_weights(flat)
         direct = model.evaluate(test.x, test.y)
-        for backend, workers in [("serial", 1), ("thread", 3), ("process", 2)]:
+        for backend, workers in [("serial", 1), ("process", 2)]:
             with create_executor(backend, workers=workers) as ex:
                 ex.bind(pool, model, TRAIN)
                 assert ex.evaluate_model(flat, test.x, test.y) == direct
-
-    def test_thread_sharded_evaluate_model_bit_identical(self):
-        """Force the sharded path (n >> eval batch) and compare exactly."""
-        pool = make_pool()
-        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=1)
-        test = make_tiny_dataset(n=1100, seed=5)  # 5 batches of 256
-        flat = model.get_flat_weights()
-        model.set_flat_weights(flat)
-        direct = model.evaluate(test.x, test.y)
-        with ThreadExecutor(workers=3) as ex:
-            ex.bind(pool, model, TRAIN)
-            assert ex.evaluate_model(flat, test.x, test.y) == direct
 
 
 class TestEvalContract:
     def test_unknown_and_duplicate_eval_requests_rejected(self):
         pool = make_pool(num_clients=2)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ThreadExecutor(1)):
+        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
             with make() as ex:
                 ex.bind(pool, model, TRAIN)
                 with pytest.raises(ExecutorError, match="unknown"):
@@ -161,7 +148,7 @@ class TestEvalContract:
     def test_empty_holdout_surfaces_as_executor_error(self):
         pool = {i: make_holdoutless_client(i) for i in range(2)}
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ThreadExecutor(1)):
+        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
             with make() as ex:
                 ex.bind(pool, model, TRAIN)
                 with pytest.raises(ExecutorError, match="no holdout"):
@@ -202,23 +189,6 @@ class TestCohortGranularEval:
                 ex.evaluate_cohort([EvalRequest(c) for c in sorted(pool)], flat)
                 assert weight_loads.value == calls
 
-    def test_thread_loads_once_per_contiguous_chunk(self, weight_loads):
-        pool = make_pool(num_clients=7)
-        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
-        flat = model.get_flat_weights()
-        requests = [EvalRequest(c) for c in (5, 0, 3, 6, 1, 4, 2)]
-        with SerialExecutor() as serial:
-            serial.bind(pool, model, TRAIN)
-            ref = serial.evaluate_cohort(requests, flat)
-        weight_loads.value = 0
-        with ThreadExecutor(workers=3) as ex:
-            ex.bind(pool, model, TRAIN)
-            got = ex.evaluate_cohort(requests, flat)
-            assert weight_loads.value == 3  # ceil(7 / 3) = 3 per chunk
-            ex.evaluate_cohort(requests[:2], flat)  # one chunk of one each
-            assert weight_loads.value == 5
-        assert got == ref and list(got) == [5, 0, 3, 6, 1, 4, 2]
-
     def test_process_loads_once_per_worker_per_task(self, weight_loads):
         pool = make_pool(num_clients=6)
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
@@ -245,7 +215,7 @@ class TestCohortGranularEval:
             assert client.evaluate(model, flat) == accs[cid]
 
     @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
+        "backend,workers", [("serial", 1), ("process", 2)]
     )
     def test_one_empty_holdout_fails_the_batch_by_name(self, backend, workers):
         """The bad client is named, every other client was still scored
@@ -424,13 +394,13 @@ def make_tifl(backend, workers, tier_eval_every=1):
 class TestTiFLTierEvalThroughExecutor:
     def test_tier_accuracies_bit_identical_across_backends(self):
         results = {}
-        for backend, workers in [("serial", 1), ("thread", 2), ("process", 2)]:
+        for backend, workers in [("serial", 1), ("process", 2)]:
             with make_tifl(backend, workers) as server:
                 server.run(2)
                 results[backend] = [
                     r.tier_accuracies for r in server.history.records
                 ]
-        assert results["serial"] == results["thread"] == results["process"]
+        assert results["serial"] == results["process"]
         assert all(accs for accs in results["serial"])
 
     def test_empty_holdout_tier_excluded_and_logged_once(self, caplog):

@@ -1,10 +1,11 @@
 """Tests for the pluggable client-execution backends.
 
-The load-bearing guarantee: serial, thread and process backends produce
+The load-bearing guarantee: the serial and process backends produce
 **bit-identical** global weights and training histories, so choosing a
-backend is purely a wall-clock decision.  Plus unit tests for the
-worker-replica pool, client pinning, deterministic merge order under
-shuffled completion, and failure propagation out of worker processes.
+backend is purely a wall-clock decision.  Plus unit tests for client
+pinning, deterministic merge order under shuffled completion, failure
+propagation out of worker processes, and the removal of the ``thread``
+backend (PR 20).
 """
 
 import time
@@ -15,10 +16,11 @@ import pytest
 from repro.config import TrainingConfig
 from repro.fl.aggregator import fedavg
 from repro.execution import (
+    BIT_IDENTICAL_BACKENDS,
+    EXECUTOR_BACKENDS,
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     TrainRequest,
     create_executor,
     order_updates,
@@ -29,6 +31,8 @@ from repro.fl.async_server import AsyncFLServer
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
+from repro.nn.layers import Dense, Dropout, Flatten, ReLU
+from repro.nn.model import Sequential
 from repro.rng import derive
 from repro.simcluster.client import ClientUpdate
 from repro.tifl.server import TiFLServer
@@ -75,16 +79,13 @@ def assert_histories_identical(a, b, backend):
 
 
 class TestBackendEquivalence:
-    """Serial, thread and process runs must be bit-for-bit identical."""
+    """Serial and process runs must be bit-for-bit identical."""
 
     def test_all_backends_bit_identical(self):
         ref_weights, ref_history = run_training("serial", 1)
-        for backend, workers in [("thread", 3), ("process", 2)]:
-            weights, history = run_training(backend, workers)
-            assert np.array_equal(ref_weights, weights), (
-                f"{backend} backend diverged from serial"
-            )
-            assert_histories_identical(ref_history, history, backend)
+        weights, history = run_training("process", 2)
+        assert np.array_equal(ref_weights, weights), "process backend diverged from serial"
+        assert_histories_identical(ref_history, history, "process")
 
     def test_process_backend_multi_epoch_and_shuffles(self):
         """Worker-pinned RNG streams must track the serial schedule even
@@ -112,9 +113,9 @@ class TestBackendEquivalence:
                 results[backend] = server.global_weights.copy()
         assert np.array_equal(results["serial"], results["process"])
 
-    def test_tifl_server_with_thread_backend(self):
+    def test_tifl_server_with_process_backend(self):
         results = {}
-        for backend in ["serial", "thread"]:
+        for backend in ["serial", "process"]:
             # spread of cpu fractions so quantile tiering yields 2 tiers
             clients = make_test_population(
                 8, cpus=[1.0 / (1 + i) for i in range(8)], seed=3
@@ -135,11 +136,11 @@ class TestBackendEquivalence:
             ) as server:
                 server.run(3)
                 results[backend] = server.global_weights.copy()
-        assert np.array_equal(results["serial"], results["thread"])
+        assert np.array_equal(results["serial"], results["process"])
 
     def test_async_server_with_executor(self):
         results = {}
-        for backend in ["serial", "thread"]:
+        for backend in ["serial", "process"]:
             clients = make_test_population(5, seed=2)
             model = build_mlp((4, 4, 1), 3, hidden=(6,), rng=2)
             with AsyncFLServer(
@@ -154,7 +155,50 @@ class TestBackendEquivalence:
             ) as server:
                 server.run(6)
                 results[backend] = server.global_weights.copy()
-        assert np.array_equal(results["serial"], results["thread"])
+        assert np.array_equal(results["serial"], results["process"])
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [
+        0.0,
+        pytest.param(
+            0.25,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="Dropout's mask stream lives in the workspace, so each process "
+                "worker advances its own copy (docs/numerics.md; ROADMAP open item 8)",
+            ),
+        ),
+    ],
+)
+def test_dropout_model_process_vs_serial(rate):
+    """The scope of the bit-identity invariant.  All four clients train
+    every round, two per worker: worker 1's first client re-draws the
+    masks serial gave its first client, so an active Dropout diverges
+    deterministically; the same layers at rate 0 draw nothing and match.
+    The day the mask stream moves into the client the strict xfail turns
+    red and the docs that state the exception must follow."""
+    results = {}
+    for backend, workers in [("serial", 1), ("process", 2)]:
+        model = Sequential(
+            [Flatten(), Dense(8), ReLU(), Dropout(rate), Dense(3)],
+            input_shape=(4, 4, 1),
+            rng=13,
+        )
+        with FLServer(
+            clients=make_test_population(4, seed=13),
+            model=model,
+            selector=RandomSelector(4, rng=13),
+            test_data=make_tiny_dataset(n=20, seed=994),
+            training=TRAIN,
+            rng=13,
+            executor=backend,
+            workers=workers,
+        ) as server:
+            server.run(2)
+            results[backend] = server.global_weights.copy()
+    assert np.array_equal(results["serial"], results["process"])
 
 
 class _SlowFakeClient:
@@ -205,37 +249,32 @@ class TestMergeOrder:
                 requests,
             )
 
-    def test_thread_backend_returns_request_order_under_reversed_completion(self):
+    def test_process_backend_returns_request_order_under_reversed_completion(self):
+        """One slow client per worker, the first-requested the slowest:
+        results reach the parent's queue last-requested first."""
         n = 4
         clients = {
-            cid: _SlowFakeClient(cid, delay=0.02 * (n - cid)) for cid in range(n)
+            cid: _SlowFakeClient(cid, delay=0.05 * (n - cid)) for cid in range(n)
         }
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=0)
-        with ThreadExecutor(workers=n) as ex:
+        arrived = []
+        with ProcessExecutor(workers=n) as ex:
             ex.bind(clients, model, TRAIN)
+            drain = ex._drain
+
+            def recording_drain(seq, expected):
+                for msg, w in drain(seq, expected):
+                    arrived.append(msg[3])
+                    yield msg, w
+
+            ex._drain = recording_drain
             requests = [TrainRequest(cid) for cid in range(n)]
-            weights = np.zeros(3)
+            weights = np.zeros(model.num_params())
             updates = ex.train_cohort(0, requests, weights)
+        assert arrived != sorted(arrived)  # completion order was not request order
         assert [u.client_id for u in updates] == [r.client_id for r in requests]
         for u in updates:
             np.testing.assert_array_equal(u.flat_weights, weights + u.client_id)
-
-
-class TestThreadReplicaPool:
-    def test_replicas_capped_at_workers_and_reused(self):
-        clients = make_pool(num_clients=8, seed=1)
-        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        with ThreadExecutor(workers=2) as ex:
-            ex.bind({c.client_id: c for c in clients}, model, TRAIN)
-            g = model.get_flat_weights()
-            for r in range(3):  # 24 tasks over 3 rounds, still only 2 replicas
-                ex.train_cohort(r, [TrainRequest(c.client_id) for c in clients], g)
-            assert 1 <= ex.replicas_created <= 2
-
-    def test_lazy_start(self):
-        ex = ThreadExecutor(workers=2)
-        assert not ex._started()
-        ex.close()
 
 
 class TestProcessBackend:
@@ -339,11 +378,7 @@ class TestProcessBackend:
     def test_closed_executor_refuses_further_work(self):
         clients = make_pool(num_clients=2, seed=1)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (
-            SerialExecutor,
-            lambda: ThreadExecutor(1),
-            lambda: ProcessExecutor(1),
-        ):
+        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
             ex = make()
             ex.bind({c.client_id: c for c in clients}, model, TRAIN)
             ex.train_cohort(0, [TrainRequest(0)], model.get_flat_weights())
@@ -354,11 +389,7 @@ class TestProcessBackend:
     def test_unknown_client_rejected_by_every_backend(self):
         clients = make_pool(num_clients=2, seed=1)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (
-            SerialExecutor,
-            lambda: ThreadExecutor(1),
-            lambda: ProcessExecutor(1),
-        ):
+        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
             with make() as ex:
                 ex.bind({c.client_id: c for c in clients}, model, TRAIN)
                 with pytest.raises(ExecutorError, match="unknown"):
@@ -368,19 +399,50 @@ class TestProcessBackend:
 class TestFactoryAndConfig:
     def test_create_executor_names(self):
         assert isinstance(create_executor("serial"), SerialExecutor)
-        assert isinstance(create_executor("thread", workers=3), ThreadExecutor)
         assert isinstance(create_executor("process", workers=3), ProcessExecutor)
         with pytest.raises(ValueError, match="unknown executor"):
             create_executor("gpu")
         with pytest.raises(ValueError, match="workers"):
-            create_executor("thread", workers=0)
+            create_executor("process", workers=0)
         with pytest.raises(ValueError, match="workers"):
             create_executor("process", workers=-4)
+
+    def test_one_spelling_of_the_backend_list(self):
+        """``TrainingConfig`` and ``create_executor`` accept exactly the
+        members of the one ``EXECUTOR_BACKENDS`` tuple (config.py owns
+        it, the execution package re-exports the same object)."""
+        import repro.config
+
+        assert EXECUTOR_BACKENDS is repro.config.EXECUTOR_BACKENDS
+        assert len(EXECUTOR_BACKENDS) == 4
+        assert BIT_IDENTICAL_BACKENDS == ("serial", "process", "distributed")
+        for backend in EXECUTOR_BACKENDS + ("thread", "gpu", ""):
+            known = backend in EXECUTOR_BACKENDS
+            try:
+                TrainingConfig(executor=backend)
+                create_executor(backend, workers=2).close()
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == known, backend
+
+    def test_thread_backend_is_gone(self):
+        """PR 20 removed it with no shim: each way in names the four
+        backends that are left (the CLI's is in tests/test_cli.py)."""
+        for construct in (
+            lambda: TrainingConfig(executor="thread"),
+            lambda: create_executor("thread"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                construct()
+            assert all(name in str(excinfo.value) for name in EXECUTOR_BACKENDS)
+        with pytest.raises(ImportError):
+            from repro import ThreadExecutor  # noqa: F401
 
     def test_duplicate_requests_rejected_by_every_backend(self):
         clients = make_pool(num_clients=2, seed=1)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ThreadExecutor(1)):
+        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
             with make() as ex:
                 ex.bind({c.client_id: c for c in clients}, model, TRAIN)
                 with pytest.raises(ExecutorError, match="duplicate clients"):
@@ -394,7 +456,7 @@ class TestFactoryAndConfig:
         clients = make_pool(num_clients=2, seed=1)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
         pool = {c.client_id: c for c in clients}
-        with ThreadExecutor(workers=1) as ex:
+        with ProcessExecutor(workers=1) as ex:
             ex.bind(pool, model, TRAIN)
             ex.bind(pool, model, TRAIN.with_(lr=0.5))  # fine before start
             ex.train_cohort(0, [TrainRequest(0)], model.get_flat_weights())
@@ -402,14 +464,14 @@ class TestFactoryAndConfig:
                 ex.bind(pool, model, TRAIN.with_(lr=0.9))
 
     def test_resolve_executor_passthrough_and_default(self):
-        ex = ThreadExecutor(workers=2)
+        ex = ProcessExecutor(workers=2)
         assert resolve_executor(ex) is ex
         assert isinstance(resolve_executor(None), SerialExecutor)
         with pytest.raises(TypeError):
             resolve_executor(3.14)
 
     def test_training_config_carries_executor_defaults(self):
-        cfg = TrainingConfig(executor="thread", workers=4)
+        cfg = TrainingConfig(executor="process", workers=4)
         server = make_server(None, None)
         assert isinstance(server.executor, SerialExecutor)
         server.close()
@@ -423,7 +485,7 @@ class TestFactoryAndConfig:
             training=cfg,
             rng=0,
         ) as server:
-            assert isinstance(server.executor, ThreadExecutor)
+            assert isinstance(server.executor, ProcessExecutor)
             assert server.executor.workers == 4
 
     def test_training_config_validates_executor(self):
@@ -441,7 +503,7 @@ class TestFactoryAndConfig:
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
         pool = {c.client_id: c for c in clients}
         other = make_pool(num_clients=1, seed=9)
-        with ThreadExecutor(workers=1) as ex:
+        with ProcessExecutor(workers=1) as ex:
             ex.bind(pool, model, TRAIN)
             # sharing one executor across federations is rejected even
             # before any worker has started (it would train wrong data)
@@ -477,7 +539,7 @@ class TestFactoryAndConfig:
         clients = make_pool(num_clients=4, seed=1)
         pool = CountingPool({c.client_id: c for c in clients})
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        with ThreadExecutor(workers=1) as ex:
+        with SerialExecutor() as ex:
             ex.bind(pool, model, TRAIN)
             first_cost = pool.iterations  # the one defensive dict copy
             for _ in range(5):

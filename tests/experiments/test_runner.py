@@ -106,7 +106,6 @@ PINNED_EAGER_DIGEST = {
     "overselect": "73d9e6f8d1e1f3ad7cc7936851d250532a1b1b8b68f671f9cbcd19c5caf6c448",
     "uniform": "890f08373c6859482cc1dade154a3c58d755e26b94952b54e410cd968d650f7c",
     "adaptive": "7309ce5f56cb75e3d82486c3e68dd3798088840d9000ee8e06a765029c1e5de9",
-    "thread": "af7553880a97e2eba6b0f46c8995edd1d1dc7ee8e493f96cc4e30b5a9812168b",
     "leaf": "05b269d9d42aca747232aaf9d5c7bf6fb36d2280efee3e507dd8a603d5c3129c",
 }
 PINNED_EAGER_TIER_LATENCIES = [
@@ -145,15 +144,6 @@ class TestPopulationEquivalence:
                 res.tier_latencies, PINNED_EAGER_TIER_LATENCIES
             )
             np.testing.assert_array_equal(res.tier_sizes, PINNED_EAGER_TIER_SIZES)
-
-    def test_store_matches_eager_on_thread_executor(self, final_weights):
-        res = run_policy(
-            cfg(), "vanilla", rounds=2, seed=4, executor="thread", workers=2
-        )
-        assert (
-            history_digest(res.history.records, final_weights.pop())
-            == PINNED_EAGER_DIGEST["thread"]
-        )
 
 
 def test_leaf_history_matches_eager(final_weights):

@@ -99,8 +99,8 @@ class TestBuildScenario:
             build_scenario(small(), seed=0, population=True)
 
     def test_cache_holds_a_paper_shape_federation(self):
-        """Derived from the input, not settable: v1 profiling and the
-        ``thread`` backend never see an eviction at scenario sizes."""
+        """Derived from the input, not settable: v1 profiling never
+        sees an eviction at scenario sizes."""
         assert build_scenario(small(), seed=0).clients.cache_size == 256
         big = build_scenario(small(num_clients=300, train_size=600), seed=0)
         assert big.clients.cache_size == 300

@@ -82,7 +82,7 @@ def assert_traced_run_matches(backend, tmp_path, workers=2):
 
 
 class TestTracingIsBitInvisible:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_in_process_backends(self, backend, tmp_path):
         assert_traced_run_matches(backend, tmp_path)
 

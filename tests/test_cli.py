@@ -34,6 +34,15 @@ class TestParser:
         assert args.executor == "distributed"
         assert args.connect == "127.0.0.1:7777"
 
+    def test_removed_thread_executor_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        for backend in ("serial", "process", "distributed", "batched"):
+            assert backend in err
+
     def test_estimate_does_not_register_executor_flags(self):
         """`estimate` never trains, so accepting --executor/--workers there
         would be a silently-ignored lie."""

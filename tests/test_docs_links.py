@@ -6,7 +6,8 @@ markdown links, inline-code path references and the paths handed to
 not exist.  This is the CI docs gate: renaming or deleting a module,
 test file or script without updating the documents -- or the workflow
 steps -- that name it breaks here, not in a reader's browser or on the
-runner.
+runner.  The same goes for a removed backend: every name a recipe hands
+to ``--executor`` must still be one.
 """
 
 import re
@@ -36,6 +37,9 @@ CODE_PATH = re.compile(rf"`({_REPO_PATH})`")
 #: ``for f in examples/*.py; do python "$f"``).
 COMMAND_LINE = re.compile(r"\b(?:python[\d.]*|pytest)\b")
 COMMAND_PATH = re.compile(_REPO_PATH)
+#: ``--executor process`` / ``--executor batched|process|distributed``;
+#: an upper-case placeholder (``--executor E``) names nothing.
+EXECUTOR_FLAG = re.compile(r"--executor[ =]([a-z_]+(?:\|[a-z_]+)*)")
 
 
 def iter_targets(doc: Path):
@@ -85,3 +89,16 @@ def test_readme_links_the_docs_tree():
     text = (REPO_ROOT / "README.md").read_text()
     for name in ("architecture", "numerics", "benchmarks"):
         assert f"docs/{name}.md" in text, f"README does not link docs/{name}.md"
+
+
+def test_executor_flags_name_real_backends():
+    from repro.execution import EXECUTOR_BACKENDS
+
+    stale = [
+        f"{doc.name}: --executor {name}"
+        for doc in DOC_FILES
+        for match in EXECUTOR_FLAG.finditer(doc.read_text())
+        for name in match.group(1).split("|")
+        if name not in EXECUTOR_BACKENDS
+    ]
+    assert not stale, "docs name backends that do not exist:\n" + "\n".join(stale)
