@@ -45,9 +45,9 @@ def make_pool(num_clients=6, seed=7):
     return [make_test_client(client_id=i, seed=seed) for i in range(num_clients)]
 
 
-def make_server(executor, workers, seed=7, num_clients=6, per_round=3):
+def make_server(executor, workers, seed=7, num_clients=6, per_round=3, model=None):
     clients = make_test_population(num_clients, seed=seed)
-    model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=seed)
+    model = model or build_mlp((4, 4, 1), 3, hidden=(8,), rng=seed)
     test = make_tiny_dataset(n=30, seed=999)
     return FLServer(
         clients=clients,
@@ -186,16 +186,7 @@ def test_dropout_model_process_vs_serial(rate):
             input_shape=(4, 4, 1),
             rng=13,
         )
-        with FLServer(
-            clients=make_test_population(4, seed=13),
-            model=model,
-            selector=RandomSelector(4, rng=13),
-            test_data=make_tiny_dataset(n=20, seed=994),
-            training=TRAIN,
-            rng=13,
-            executor=backend,
-            workers=workers,
-        ) as server:
+        with make_server(backend, workers, num_clients=4, per_round=4, model=model) as server:
             server.run(2)
             results[backend] = server.global_weights.copy()
     assert np.array_equal(results["serial"], results["process"])
@@ -249,25 +240,25 @@ class TestMergeOrder:
                 requests,
             )
 
-    def test_process_backend_returns_request_order_under_reversed_completion(self):
+    def test_process_request_order_under_reversed_completion(self, monkeypatch):
         """One slow client per worker, the first-requested the slowest:
         results reach the parent's queue last-requested first."""
+        import repro.execution.process as process_mod
+
+        arrived = []
+
+        def recording_order_updates(updates, requests):
+            arrived.extend(u.client_id for u in updates)
+            return order_updates(updates, requests)
+
+        monkeypatch.setattr(process_mod, "order_updates", recording_order_updates)
         n = 4
         clients = {
             cid: _SlowFakeClient(cid, delay=0.05 * (n - cid)) for cid in range(n)
         }
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=0)
-        arrived = []
         with ProcessExecutor(workers=n) as ex:
             ex.bind(clients, model, TRAIN)
-            drain = ex._drain
-
-            def recording_drain(seq, expected):
-                for msg, w in drain(seq, expected):
-                    arrived.append(msg[3])
-                    yield msg, w
-
-            ex._drain = recording_drain
             requests = [TrainRequest(cid) for cid in range(n)]
             weights = np.zeros(model.num_params())
             updates = ex.train_cohort(0, requests, weights)
@@ -416,15 +407,14 @@ class TestFactoryAndConfig:
         assert EXECUTOR_BACKENDS is repro.config.EXECUTOR_BACKENDS
         assert len(EXECUTOR_BACKENDS) == 4
         assert BIT_IDENTICAL_BACKENDS == ("serial", "process", "distributed")
-        for backend in EXECUTOR_BACKENDS + ("thread", "gpu", ""):
-            known = backend in EXECUTOR_BACKENDS
-            try:
+        for backend in EXECUTOR_BACKENDS:
+            assert TrainingConfig(executor=backend).executor == backend
+            create_executor(backend, workers=2).close()
+        for backend in ("Serial", ""):
+            with pytest.raises(ValueError, match="executor"):
                 TrainingConfig(executor=backend)
-                create_executor(backend, workers=2).close()
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == known, backend
+            with pytest.raises(ValueError, match="executor"):
+                create_executor(backend)
 
     def test_thread_backend_is_gone(self):
         """PR 20 removed it with no shim: each way in names the four

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.execution import EXECUTOR_BACKENDS
 
 FAST_SCENARIO = [
     "--num-clients", "10",
@@ -40,8 +41,7 @@ class TestParser:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'thread'" in err
-        for backend in ("serial", "process", "distributed", "batched"):
-            assert backend in err
+        assert all(backend in err for backend in EXECUTOR_BACKENDS)
 
     def test_estimate_does_not_register_executor_flags(self):
         """`estimate` never trains, so accepting --executor/--workers there
