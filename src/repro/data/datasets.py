@@ -65,14 +65,10 @@ class Dataset:
         return tuple(self.x.shape[1:])
 
     def subset(self, indices: np.ndarray, name: Optional[str] = None) -> "Dataset":
-        """View of the rows at ``indices`` (copies, to keep clients isolated)."""
+        """The rows at ``indices``, gathered into fresh buffers (an
+        integer-array index always copies, so clients stay isolated)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.x[idx].copy(),
-            self.y[idx].copy(),
-            self.num_classes,
-            name or self.name,
-        )
+        return Dataset(self.x[idx], self.y[idx], self.num_classes, name or self.name)
 
     def split(
         self, first_size: int, rng: RngLike = None

@@ -19,7 +19,7 @@ within range, and cover the requested fraction of the dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +68,12 @@ class FederatedData:
         return self.train.subset(
             self.client_indices[cid], name=f"{self.train.name}/client{cid}"
         )
+
+    def client_rows(self, cid: int) -> Tuple[Dataset, np.ndarray]:
+        """``(train, client_indices[cid])``: the shared pool and client
+        ``cid``'s rows in it -- the provider a
+        :class:`~repro.simcluster.population.PopulationStore` takes."""
+        return self.train, self.client_indices[cid]
 
     def client_sizes(self) -> np.ndarray:
         """Per-client sample counts (the ``s_c`` weights of Alg. 1)."""

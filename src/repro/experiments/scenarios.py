@@ -312,7 +312,7 @@ def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
         cpu_fraction=[s.cpu_fraction for s in specs],
         bandwidth_mbps=[s.bandwidth_mbps for s in specs],
         group=[s.group for s in specs],
-        dataset_for=fed.client_dataset,
+        dataset_for=fed.client_rows,
         latency_model=latency_model,
         comm_model=comm_model,
         holdout_fraction=cfg.holdout_fraction,
@@ -399,7 +399,7 @@ def build_leaf_scenario(
         cpu_fraction=[s.cpu_fraction for s in specs],
         bandwidth_mbps=[s.bandwidth_mbps for s in specs],
         group=[s.group for s in specs],
-        dataset_for=fed.client_dataset,
+        dataset_for=fed.client_rows,
         latency_model=latency_model,
         comm_model=comm_model,
         holdout_fraction=holdout_fraction,
@@ -442,14 +442,10 @@ class PooledDatasetProvider:
     data_address: SeedAddress
     pool_size: int
 
-    def __call__(self, cid: int) -> Dataset:
+    def __call__(self, cid: int) -> Tuple[Dataset, np.ndarray]:
         r = make_rng(self.data_address.child(cid))
-        idx = np.sort(
-            r.choice(
-                self.pool_size, size=int(self.num_samples[cid]), replace=False
-            )
-        )
-        return self.pool.subset(idx, name=f"{self.pool.name}/client{cid}")
+        size = int(self.num_samples[cid])
+        return self.pool, np.sort(r.choice(self.pool_size, size=size, replace=False))
 
 
 def build_population_scenario(

@@ -27,12 +27,16 @@ def _log_softmax_and_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     :func:`~repro.nn.tensor_ops.log_softmax` and
     :func:`~repro.nn.tensor_ops.softmax` each compute those three on the
     same operands; sharing them applies the same operations to the same
-    values, so both results keep their bits.
+    values, so both results keep their bits.  Both are fresh buffers
+    the caller may finish in place; ``logits`` is only read.  ndarray
+    methods, not ``np.*`` wrappers: on 10-sample batches dispatch dominates.
     """
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = np.sum(e, axis=-1, keepdims=True)
-    return shifted - np.log(total), e / total
+    total = e.sum(axis=-1, keepdims=True)
+    shifted -= np.log(total)
+    e /= total
+    return shifted, e
 
 
 def softmax_cross_entropy(
@@ -59,9 +63,11 @@ def softmax_cross_entropy(
     if n == 0:
         raise ValueError("cannot compute a loss over an empty batch")
     y = one_hot(labels, k)
-    lsm, sm = _log_softmax_and_softmax(logits)
-    loss = float(-np.sum(y * lsm) / n)
-    grad = (sm - y) / n
+    lsm, grad = _log_softmax_and_softmax(logits)
+    lsm *= y
+    loss = float(-lsm.sum() / n)
+    grad -= y
+    grad /= n
     return loss, grad
 
 
@@ -100,9 +106,11 @@ def stacked_softmax_cross_entropy(
             f"stacked labels must have shape {(c, n)}, got {labels.shape}"
         )
     y = stacked_one_hot(labels, k)
-    lsm, sm = _log_softmax_and_softmax(logits)
-    losses = -np.sum(y * lsm, axis=(1, 2)) / n
-    grad = (sm - y) / n
+    lsm, grad = _log_softmax_and_softmax(logits)
+    lsm *= y
+    losses = -lsm.sum(axis=(1, 2)) / n
+    grad -= y
+    grad /= n
     return losses, grad
 
 

@@ -18,14 +18,15 @@ checked by an equivalence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer
-from repro.rng import RngLike, make_rng, spawn
+from repro.rng import RngLike, make_rng
 from repro.simcluster.faults import FaultInjector
 from repro.simcluster.latency import LatencyModel
 from repro.simcluster.network import CommModel
@@ -77,8 +78,12 @@ class SimClient:
         holdout_fraction: float = 0.2,
         min_holdout: int = 1,
         rng: RngLike = None,
+        indices: Optional[np.ndarray] = None,
     ) -> None:
-        if len(data) == 0:
+        # With ``indices`` the local dataset is rows ``indices`` of ``data``,
+        # never built whole: the split gathers each half from ``data`` once.
+        n = len(data) if indices is None else len(indices)
+        if n == 0:
             raise ValueError(f"client {client_id} cannot be created with no data")
         if not 0.0 <= holdout_fraction < 1.0:
             raise ValueError(
@@ -88,17 +93,47 @@ class SimClient:
         self.spec = spec
         self.latency_model = latency_model
         self.comm_model = comm_model or CommModel()
-        base = make_rng(rng)
         # Independent streams: shuffling must not perturb latency noise.
-        self._train_rng, self._latency_rng = spawn(base, 2)
+        # Spawning is arithmetic on the seed sequence's key; the v1 latency
+        # generator is built on first use -- cohort-stream runs never do.
+        if not isinstance(rng, np.random.SeedSequence):
+            rng = make_rng(rng).bit_generator.seed_seq
+        train_seed, self._latency_seed = rng.spawn(2)
+        self._train_rng = np.random.default_rng(train_seed)
 
-        holdout_size = max(min_holdout, int(round(len(data) * holdout_fraction)))
-        holdout_size = min(holdout_size, len(data) - 1) if len(data) > 1 else 0
+        name = data.name if indices is None else f"{data.name}/client{self.client_id}"
+        holdout_size = max(min_holdout, int(round(n * holdout_fraction)))
+        holdout_size = min(holdout_size, n - 1) if n > 1 else 0
         if holdout_size > 0:
-            self.holdout, self.train_data = data.split(holdout_size, self._train_rng)
+            rows = self._train_rng.permutation(n)
+            if indices is not None:
+                rows = indices[rows]
+            self.holdout = data.subset(rows[:holdout_size], name)
+            self.train_data = data.subset(rows[holdout_size:], name)
         else:
-            self.holdout = data.subset(np.empty(0, dtype=np.int64))
-            self.train_data = data
+            self.holdout = data.subset(np.empty(0, dtype=np.int64), name)
+            self.train_data = data if indices is None else data.subset(indices, name)
+
+    @cached_property
+    def _latency_rng(self) -> np.random.Generator:
+        """The v1 per-client latency stream, built when first drawn."""
+        return np.random.default_rng(self._latency_seed)
+
+    def rng_states(self) -> Tuple[dict, Optional[dict]]:
+        """``(train, latency)`` stream positions; latency ``None`` while undrawn."""
+        latency = self.__dict__.get("_latency_rng")
+        return self._train_rng.bit_generator.state, (
+            None if latency is None else latency.bit_generator.state
+        )
+
+    def restore_rng_states(
+        self, train_state: Optional[dict], latency_state: Optional[dict]
+    ) -> None:
+        """Set stream positions; ``None`` leaves that stream where it is."""
+        if train_state is not None:
+            self._train_rng.bit_generator.state = train_state
+        if latency_state is not None:
+            self._latency_rng.bit_generator.state = latency_state
 
     # ------------------------------------------------------------------
     @property

@@ -23,7 +23,7 @@ reproducibility, so the switch is explicit and versioned:
 
 * **v1, "per-client" (the seed behaviour, default).**  Every
   :class:`~repro.simcluster.client.SimClient` owns a private
-  ``_latency_rng`` spawned at construction; each
+  ``_latency_rng`` (seeded at construction, built when first drawn); each
   ``response_latency`` call draws compute noise then comm jitter from
   that stream.  Draw positions depend on how often *that client* has
   been asked, so a whole cohort costs one Python-level RNG round-trip

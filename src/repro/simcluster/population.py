@@ -22,10 +22,11 @@ N generators up front.  The rebuilt client re-draws its holdout split
 from stream position zero, exactly as a first construction does.
 
 Materialised clients live in a bounded LRU so steady-state memory is
-O(cohort), not O(population).  Eviction snapshots both private RNG
-states (``_train_rng`` / ``_latency_rng``); re-materialisation rebuilds
-the client fresh (holdout indices re-draw identically) and then restores
-the snapshots, so stream *positions* survive eviction -- a client
+O(cohort), not O(population).  Eviction snapshots the private RNG
+states (``_train_rng``, and ``_latency_rng`` once it has been drawn);
+re-materialisation rebuilds the client fresh -- one gather per split
+from the provider's ``(pool, indices)``, the holdout re-drawn identically
+-- and restores the snapshots, so stream *positions* survive: a client
 trained in round 3, evicted, and re-selected in round 90 shuffles its
 data exactly as if it had stayed resident.  The state ledger is
 O(touched clients) small dicts, never whole clients.
@@ -71,7 +72,10 @@ __all__ = [
     "DiurnalSchedule",
 ]
 
-DatasetProvider = Callable[[int], Dataset]
+# ``cid -> (pool, indices)``: a client's local data is rows ``indices``
+# (int64) of a ``Dataset`` all clients share.  Nobody builds that subset:
+# materialisation gathers the holdout and train splits from the pool.
+DatasetProvider = Callable[[int], Tuple[Dataset, np.ndarray]]
 
 # Default LRU capacity: generous for any realistic cohort (paper cohorts
 # are tens of clients) while keeping resident memory O(cohort).
@@ -216,7 +220,10 @@ class PopulationStore(Mapping):
         # credits, written back by the server after profiling/tiering.
         self.tier = np.full(n, -1, dtype=np.int64)
         self.credits = np.zeros(n, dtype=np.float64)
-        self.available = np.ones(n, dtype=bool)
+        # Written only by _set_available, which drops the memoised id list.
+        self._available = np.ones(n, dtype=bool)
+        self._available_ids: Optional[np.ndarray] = None
+        self.availability_scans = 0  # O(population) scans of the column so far
 
         self.holdout_fraction = float(holdout_fraction)
         self.min_holdout = int(min_holdout)
@@ -281,6 +288,15 @@ class PopulationStore(Mapping):
             raise KeyError(f"client {cid} is not in this population")
         return row
 
+    def _rows(self, client_ids: Iterable[int]) -> np.ndarray:
+        """Column rows of *global* client ids (KeyError when foreign)."""
+        ids = np.fromiter(client_ids, dtype=np.int64)
+        if self._row_of is not None:
+            return np.array([self._row(cid) for cid in ids], dtype=np.int64)
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.num_clients:
+            raise KeyError("client ids outside this population")
+        return ids
+
     def spec_of(self, client_id: int) -> ResourceSpec:
         """Rebuild the frozen :class:`ResourceSpec` from the columns."""
         row = self._row(client_id)
@@ -308,43 +324,35 @@ class PopulationStore(Mapping):
             self._cache.move_to_end(cid)
             return cached
         self._row(cid)  # membership check (KeyError on foreign ids)
+        pool, indices = self._dataset_for(cid)
         client = SimClient(
             cid,
-            self._dataset_for(cid),
+            pool,
             self.spec_of(cid),
             self.latency_model,
             self.comm_model,
             holdout_fraction=self.holdout_fraction,
             min_holdout=self.min_holdout,
-            rng=make_rng(self.seed_address.child(cid)),
+            rng=self.seed_address.child(cid),
+            indices=indices,
         )
         self._materialize_count += 1
         saved = self._saved_states.pop(cid, None)
         if saved is not None:
-            # Ledger entries may be partial: a shipped shard snapshot
-            # carries only the streams that actually advanced remotely
-            # (train), leaving the other at its rebuilt position-zero.
-            if saved[0] is not None:
-                client._train_rng.bit_generator.state = saved[0]
-            if saved[1] is not None:
-                client._latency_rng.bit_generator.state = saved[1]
+            # Entries may be partial: None = that stream never advanced
+            # (or the shipped snapshot left it out) and stays at zero.
+            client.restore_rng_states(*saved)
         self._cache[cid] = client
         while len(self._cache) > self._cache_size:
             old_cid, old = self._cache.popitem(last=False)
-            self._saved_states[old_cid] = (
-                old._train_rng.bit_generator.state,
-                old._latency_rng.bit_generator.state,
-            )
+            self._saved_states[old_cid] = old.rng_states()
         return client
 
     def evict_all(self) -> None:
         """Flush the cache, snapshotting every resident RNG state."""
         while self._cache:
             cid, client = self._cache.popitem(last=False)
-            self._saved_states[cid] = (
-                client._train_rng.bit_generator.state,
-                client._latency_rng.bit_generator.state,
-            )
+            self._saved_states[cid] = client.rng_states()
 
     # ------------------------------------------------------------------
     # RNG-state ledger (authoritative stream positions, no clients)
@@ -355,17 +363,14 @@ class PopulationStore(Mapping):
         """Authoritative ``(train, latency)`` RNG states for a client.
 
         Resident clients answer from their live generators, evicted ones
-        from the eviction/ship ledger; a never-touched client returns
-        ``(None, None)`` (its streams are still at position zero, which
-        :meth:`materialize` reproduces from the seed address alone).
+        from the eviction/ship ledger; ``None`` in either slot means that
+        stream is still at position zero, which :meth:`materialize`
+        reproduces from the seed address alone (never-touched: both).
         """
         cid = int(client_id)
         client = self._cache.get(cid)
         if client is not None:
-            return (
-                client._train_rng.bit_generator.state,
-                client._latency_rng.bit_generator.state,
-            )
+            return client.rng_states()
         return self._saved_states.get(cid, (None, None))
 
     def restore_rng_state(
@@ -386,10 +391,7 @@ class PopulationStore(Mapping):
         self._row(cid)  # membership check
         client = self._cache.get(cid)
         if client is not None:
-            if train_state is not None:
-                client._train_rng.bit_generator.state = train_state
-            if latency_state is not None:
-                client._latency_rng.bit_generator.state = latency_state
+            client.restore_rng_states(train_state, latency_state)
             return
         prev = self._saved_states.get(cid, (None, None))
         self._saved_states[cid] = (
@@ -414,12 +416,7 @@ class PopulationStore(Mapping):
         ids = np.sort(np.asarray(list(client_ids), dtype=np.int64))
         if ids.size == 0:
             raise ValueError("a shard needs at least one client id")
-        if self._row_of is None:
-            if ids[0] < 0 or ids[-1] >= self.num_clients:
-                raise KeyError("shard ids outside this population")
-            rows = ids
-        else:
-            rows = np.array([self._row(cid) for cid in ids], dtype=np.int64)
+        rows = self._rows(ids)
         rng_states: Dict[int, Tuple[Optional[dict], Optional[dict]]] = {}
         for cid in ids.tolist():
             states = self.rng_state_of(cid)
@@ -475,31 +472,48 @@ class PopulationStore(Mapping):
     # ------------------------------------------------------------------
     # availability
     # ------------------------------------------------------------------
+    @property
+    def available(self) -> np.ndarray:
+        """The availability column, read-only (write via :meth:`set_available`)."""
+        view = self._available.view()
+        view.flags.writeable = False
+        return view
+
     def available_ids(
         self, excluded: Optional[Iterable[int]] = None
     ) -> np.ndarray:
         """Ascending int64 ids of available, non-excluded clients.
 
         The ascending order is part of the contract: selector draws
-        over this pool depend on it.
+        over this pool depend on it.  With nothing excluded the column
+        is scanned once per *change* and the same **read-only** array is
+        handed out until the next one, so a caller holding a reference may
+        read ``result is previous`` as "nothing changed".
         """
-        mask = self.available
         if excluded:
-            mask = mask.copy()
-            rows = np.fromiter(excluded, dtype=np.int64)
-            if self._row_of is not None:
-                rows = np.array(
-                    [self._row(cid) for cid in rows], dtype=np.int64
-                )
-            mask[rows] = False
+            mask = self._available.copy()
+            mask[self._rows(excluded)] = False
+            return self._ids_where(mask)
+        if self._available_ids is None:
+            self._available_ids = self._ids_where(self._available)
+            self._available_ids.flags.writeable = False
+        return self._available_ids
+
+    def _ids_where(self, mask: np.ndarray) -> np.ndarray:
+        self.availability_scans += 1
         on = np.flatnonzero(mask)
         return on if self._row_of is None else self.client_ids[on]
 
+    def _set_available(self, rows: np.ndarray, value) -> None:
+        """The one write to the availability column."""
+        self._available[rows] = value
+        self._available_ids = None
+
     def set_available(self, client_ids: Sequence[int], value: bool) -> None:
-        self.available[np.asarray(client_ids, dtype=np.int64)] = bool(value)
+        self._set_available(self._rows(client_ids), bool(value))
 
     def availability_fraction(self) -> float:
-        return float(np.mean(self.available))
+        return float(np.mean(self._available))
 
     # ------------------------------------------------------------------
     # tiering
@@ -508,7 +522,7 @@ class PopulationStore(Mapping):
         """Write a :class:`~repro.tifl.tiering.TierAssignment` into the column."""
         self.tier.fill(-1)
         for t in assignment.tiers:
-            self.tier[np.asarray(t.client_ids, dtype=np.int64)] = t.index
+            self.tier[self._rows(t.client_ids)] = t.index
 
     # ------------------------------------------------------------------
     # availability churn
@@ -525,8 +539,7 @@ class PopulationStore(Mapping):
         costs O(due events), never O(population) scans.
         """
         schedule.validate()
-        n = self.num_clients
-        phase = np.arange(n, dtype=np.int64) % schedule.num_phases
+        phase = self.client_ids % schedule.num_phases
         order = np.argsort(phase, kind="stable")
         bounds = np.searchsorted(phase[order], np.arange(schedule.num_phases + 1))
         self._phase_index = [
@@ -540,7 +553,7 @@ class PopulationStore(Mapping):
 
         def _edge(p: int, value: bool):
             def fire(clk) -> None:
-                self.available[self._phase_index[p]] = value
+                self._set_available(self._phase_index[p], value)
                 clk.schedule(clk.now + period, fire)
 
             return fire
@@ -548,7 +561,7 @@ class PopulationStore(Mapping):
         for p in range(schedule.num_phases):
             on_start = p * spacing
             tau = (now - on_start) % period
-            self.available[self._phase_index[p]] = tau < on_len
+            self._set_available(self._phase_index[p], tau < on_len)
             if on_len >= period:  # duty_cycle == 1: always on, no events
                 continue
             next_on = now + ((on_start - now) % period or period)

@@ -9,7 +9,7 @@ untouched (the paper's "non-intrusive, pluggable" design claim).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,15 +88,17 @@ class TierScheduler(ClientSelector):
         self._rng = make_rng(rng)
         # Per-tier member arrays, fixed for this scheduler's lifetime
         # (re-tiering builds a new scheduler).  Selection then runs off
-        # one boolean availability mask: O(pool) vectorised work per
-        # round instead of O(pool) Python set/loop work, which is what
-        # keeps tier selection flat when the population hits 10^6.
+        # one boolean availability mask: O(pool) vectorised work per pool
+        # change instead of O(pool) Python set/loop work per round, which
+        # is what keeps tier selection flat when the population hits 10^6.
         self._members = [
             np.asarray(t.client_ids, dtype=np.int64) for t in assignment.tiers
         ]
         self._id_bound = 1 + int(
             max(int(m.max()) for m in self._members if m.size)
         )
+        # Last read-only pool, its per-tier members, eligibility (_tier_pools).
+        self._pools_of: tuple = (None, None, None)
 
     def _avail_mask(self, available: Sequence[int]) -> np.ndarray:
         """Boolean availability mask over ``[0, id_bound)``.
@@ -108,18 +110,31 @@ class TierScheduler(ClientSelector):
         avail = np.asarray(available, dtype=np.int64)
         mask = np.zeros(self._id_bound, dtype=bool)
         if avail.size:
-            mask[avail[avail < self._id_bound]] = True
+            mask[avail[(avail >= 0) & (avail < self._id_bound)]] = True
         return mask
 
-    def select(self, round_idx: int, available: Sequence[int]) -> SelectionPlan:
+    def _tier_pools(self, available: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Per-tier available members (member order) and which tiers can
+        field a full cohort.
+
+        Kept for as long as the caller hands in *that same* read-only
+        array (``PopulationStore.available_ids()`` does, until
+        availability changes): the reference is held, so the identity
+        cannot be recycled.  Lists and writable arrays are rescanned.
+        """
+        held, pools, eligible = self._pools_of
+        if available is held:
+            return pools, eligible
         mask = self._avail_mask(available)
-        eligible = np.array(
-            [
-                int(np.count_nonzero(mask[m])) >= self.clients_per_round
-                for m in self._members
-            ],
-            dtype=bool,
-        )
+        pools = [m[mask[m]] for m in self._members]  # member order: draws depend on it
+        eligible = np.array([p.size >= self.clients_per_round for p in pools], dtype=bool)
+        if isinstance(available, np.ndarray) and not available.flags.writeable:
+            eligible.flags.writeable = False
+            self._pools_of = (available, pools, eligible)
+        return pools, eligible
+
+    def select(self, round_idx: int, available: Sequence[int]) -> SelectionPlan:
+        pools, eligible = self._tier_pools(available)
         if not eligible.any():
             raise RuntimeError(
                 "no tier can field a full cohort from the available clients"
@@ -132,12 +147,7 @@ class TierScheduler(ClientSelector):
                 f"policy chose ineligible tier {tier} "
                 f"(eligible: {np.flatnonzero(eligible).tolist()})"
             )
-        # Member-order pool + the no-copy ndarray path through
-        # choice_without_replacement: draws are bit-identical to the old
-        # list-comprehension pool.
-        members = self._members[tier]
-        pool = members[mask[members]]
-        chosen = choice_without_replacement(self._rng, pool, self.clients_per_round)
+        chosen = choice_without_replacement(self._rng, pools[tier], self.clients_per_round)
         return SelectionPlan(
             clients=[int(c) for c in chosen], tier=tier
         )

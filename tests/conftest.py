@@ -117,7 +117,7 @@ def make_test_population(
         cpu_fraction=[1.0] * num_clients if cpus is None else list(cpus),
         bandwidth_mbps=[ResourceSpec(1.0).bandwidth_mbps] * num_clients,
         group=[0] * num_clients,
-        dataset_for=fed.client_dataset,
+        dataset_for=fed.client_rows,
         latency_model=LatencyModel(
             cost_per_sample=cost_per_sample,
             base_overhead=base_overhead,

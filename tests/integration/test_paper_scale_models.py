@@ -25,19 +25,29 @@ def make_cnn_clients(num_clients=4, samples=24, seed=0):
     latency = LatencyModel(cost_per_sample=0.01, base_overhead=0.1, noise_sigma=0.0)
     comm = CommModel(rtt=0.01, jitter_sigma=0.0)
     cpus = [4.0, 2.0, 1.0, 0.5][:num_clients]
-    datasets = []
+    parts = []
     for cid in range(num_clients):
         labels = np.arange(samples) % 10
-        x, y = generate_synthetic(
-            spec, samples, rng=seed + cid + 1, prototypes=protos, labels=labels
+        parts.append(
+            generate_synthetic(
+                spec, samples, rng=seed + cid + 1, prototypes=protos, labels=labels
+            )
         )
-        datasets.append(Dataset(x, y, 10, name=f"cnn-client{cid}"))
+    pool = Dataset(
+        np.concatenate([x for x, _ in parts]),
+        np.concatenate([y for _, y in parts]),
+        10,
+        name="cnn-clients",
+    )
     clients = PopulationStore(
         num_samples=[samples] * num_clients,
         cpu_fraction=cpus,
         bandwidth_mbps=[100.0] * num_clients,
         group=list(range(num_clients)),
-        dataset_for=datasets.__getitem__,
+        dataset_for=lambda cid: (
+            pool,
+            np.arange(cid * samples, (cid + 1) * samples),
+        ),
         latency_model=latency,
         comm_model=comm,
         seed_rng=seed,

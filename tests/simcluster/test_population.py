@@ -32,6 +32,7 @@ from repro.simcluster.population import (
 )
 from repro.simcluster.resources import MNIST_CPU_GROUPS, assign_resource_groups
 from repro.tifl.tiering import Tier, TierAssignment
+from tests.conftest import make_test_population
 
 NUM_CLIENTS = 20  # divisible by the 5 resource groups
 
@@ -258,6 +259,32 @@ class TestAvailability:
         # Exclusion is per-call: the column itself is untouched.
         assert store.availability_fraction() == (NUM_CLIENTS - 2) / NUM_CLIENTS
 
+    def test_column_and_id_list_are_read_only(self, store_scenario):
+        """A write that bypassed the store would leave the memoised id
+        list stale, so both handles refuse it."""
+        store = fresh_store(store_scenario.clients, cache_size=4)
+        with pytest.raises(ValueError, match="read-only"):
+            store.available[0] = False
+        with pytest.raises(ValueError, match="read-only"):
+            store.available_ids()[0] = 5
+        assert store.availability_fraction() == 1.0
+
+    def test_id_list_is_rescanned_on_change_only(self, store_scenario):
+        store = fresh_store(store_scenario.clients, cache_size=4)
+        first = store.available_ids()
+        assert store.available_ids() is first
+        assert store.available_ids(excluded=set()) is first
+        # Exclusions are per-call scans and leave the memo alone.
+        assert 4 not in store.available_ids(excluded={4}).tolist()
+        assert store.available_ids() is first
+        assert store.availability_scans == 2
+        store.set_available([4], False)
+        second = store.available_ids()
+        assert second is not first and 4 not in second.tolist()
+        assert 4 in first.tolist()  # the old answer is a value, not a view
+        assert store.available_ids() is second
+        assert store.availability_scans == 3
+
     def test_set_tier_assignment_fills_column(self, store_scenario):
         store = fresh_store(store_scenario.clients, cache_size=4)
         assignment = TierAssignment(
@@ -270,6 +297,63 @@ class TestAvailability:
         assert np.all(store.tier[:10] == 0)
         assert np.all(store.tier[10:18] == 1)
         assert np.all(store.tier[18:] == -1)  # unassigned stays -1
+
+
+class TestShardStoreWrites:
+    """Availability and tier writes take *global* ids on a shard store too
+    (they used to index rows: ``set_available([2], False)`` over ids
+    ``[1, 2, 3, 50]`` switched off client 3, over ``[10, 20, 30]`` raised
+    ``IndexError``).  Every answer is checked against the full store's."""
+
+    IDS = [10, 20, 30]
+
+    @pytest.fixture
+    def pair(self):
+        full = make_test_population(40)
+        return full, PopulationStore.from_columns(full.shard(self.IDS))
+
+    def test_set_available(self, pair):
+        full, shard = pair
+        for store in pair:
+            store.set_available([20], False)
+        assert shard.available_ids().tolist() == [10, 30]
+        assert np.array_equal(shard.available, full.available[self.IDS])
+        with pytest.raises(KeyError):
+            shard.set_available([2], False)
+
+        full = make_test_population(51)
+        shard = PopulationStore.from_columns(full.shard([1, 2, 3, 50]))
+        shard.set_available([2], False)
+        assert shard.available_ids().tolist() == [1, 3, 50]
+
+    def test_set_tier_assignment(self, pair):
+        full, shard = pair
+        assignment = TierAssignment(
+            tiers=[
+                Tier(0, (10, 30), 1.0, 0.5, 1.5),
+                Tier(1, (20,), 2.0, 1.5, 2.5),
+            ]
+        )
+        for store in pair:
+            store.set_tier_assignment(assignment)
+        assert shard.tier.tolist() == [0, 1, 0]
+        assert np.array_equal(shard.tier, full.tier[self.IDS])
+
+    def test_diurnal_phase_follows_the_client_id(self, pair):
+        full, shard = pair
+        schedule = DiurnalSchedule(period=100.0, duty_cycle=0.5, num_phases=4)
+        clocks = [SimulatedClock(), SimulatedClock()]
+        for store, clock in zip(pair, clocks):
+            store.attach_diurnal(clock, schedule)
+        for _ in range(9):
+            # ids 10 and 30 share phase 2, id 20 is phase 0; rows 0, 1, 2
+            # would have been three different phases.
+            assert np.array_equal(shard.available, full.available[self.IDS])
+            assert shard.available_ids().tolist() == [
+                cid for cid in self.IDS if full.available[cid]
+            ]
+            for clock in clocks:
+                clock.advance(12.5)
 
 
 class TestDiurnal:

@@ -1,11 +1,20 @@
 """Tests for the tier scheduler."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.scenarios import build_population_scenario
+from repro.simcluster.clock import SimulatedClock
+from repro.simcluster.population import DiurnalSchedule
 from repro.tifl.policies import StaticTierPolicy
 from repro.tifl.scheduler import TierScheduler
+from repro.tifl.server import TiFLServer
 from repro.tifl.tiering import build_tiers
+from tests.conftest import make_test_population
 
 
 def make_assignment(per_tier=6, tiers=3):
@@ -71,6 +80,135 @@ class TestSelect:
         asg = make_assignment()
         with pytest.raises(ValueError):
             TierScheduler(asg, StaticTierPolicy([1 / 3] * 3), 0)
+
+
+    def test_negative_ids_are_ignored_not_wrapped(self):
+        """``mask[[-1]] = True`` used to mark client ``id_bound - 1``
+        available; out-of-range ids are ignored on both sides."""
+        asg = make_assignment(per_tier=4, tiers=2)
+        sched = TierScheduler(asg, StaticTierPolicy([0.5, 0.5]), 2, rng=0)
+        mask = sched._avail_mask([-1, 3, 8, 99])
+        assert np.flatnonzero(mask).tolist() == [3]
+
+
+def plan_or_error(scheduler, round_idx, available):
+    try:
+        plan = scheduler.select(round_idx, available)
+    except RuntimeError as exc:
+        return str(exc)
+    return plan.tier, plan.clients
+
+
+class TestPoolMemo:
+    """``select`` rescans the pool only when handed a different array."""
+
+    def test_kept_for_the_same_read_only_array_only(self):
+        asg = make_assignment(per_tier=6, tiers=2)
+        sched = TierScheduler(asg, StaticTierPolicy([0.5, 0.5]), 3, rng=0)
+        scans = []
+        real = sched._avail_mask
+        sched._avail_mask = lambda available: scans.append(1) or real(available)
+
+        frozen = np.arange(12)
+        frozen.flags.writeable = False
+        for r in range(4):
+            sched.select(r, frozen)
+        assert len(scans) == 1
+        twin = frozen.copy()  # equal values, another object
+        twin.flags.writeable = False
+        sched.select(4, twin)
+        sched.select(5, frozen)
+        assert len(scans) == 3
+        writable = np.arange(12)
+        sched.select(6, writable)
+        writable[:] = np.arange(12, 24) % 12  # may change underneath
+        sched.select(7, writable)
+        sched.select(8, list(range(12)))
+        sched.select(9, list(range(12)))
+        assert len(scans) == 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("set"),
+                    st.lists(st.integers(0, 23), max_size=12),
+                    st.booleans(),
+                ),
+                st.tuples(st.just("advance"), st.floats(0.0, 5.0)),
+                st.tuples(st.just("exclude"), st.integers(0, 23)),
+                st.tuples(st.just("round")),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_memoised_pair_agrees_with_a_rescan_after_every_step(self, steps):
+        store = make_test_population(24)
+        clock = SimulatedClock()
+        store.attach_diurnal(
+            clock, DiurnalSchedule(period=8.0, duty_cycle=0.5, num_phases=4)
+        )
+        asg = build_tiers({cid: 1.0 + cid % 3 for cid in range(24)}, num_tiers=3)
+        policy = StaticTierPolicy([0.5, 0.3, 0.2])
+        memoised = TierScheduler(asg, policy, 3, rng=7)
+        excluded = set()
+        for round_idx, step in enumerate(steps):
+            if step[0] == "set":
+                store.set_available(step[1], step[2])
+            elif step[0] == "advance":
+                clock.advance(step[1])  # fires the due diurnal edges
+            elif step[0] == "exclude":
+                excluded.add(step[1])
+            ids = store.available_ids(excluded)
+            rescan = [
+                cid
+                for cid in range(24)
+                if store.available[cid] and cid not in excluded
+            ]
+            assert ids.tolist() == rescan
+            twin = TierScheduler(
+                asg, policy, 3, rng=copy.deepcopy(memoised._rng)
+            )
+            assert plan_or_error(memoised, round_idx, ids) == plan_or_error(
+                twin, round_idx, rescan
+            )
+
+    def test_population_is_scanned_once_per_availability_change(self):
+        """60 rounds of a 5 000-client TiFL server under diurnal churn:
+        the store scans its column once up front and once per round that
+        follows a window edge -- never once per round."""
+        edge_every = 5.0  # period / num_phases; on_len is a multiple too
+        scn = build_population_scenario(
+            num_clients=5000, clients_per_round=10, seed=3
+        )
+        clock = SimulatedClock()
+        scn.clients.attach_diurnal(
+            clock, DiurnalSchedule(period=40.0, duty_cycle=0.5, num_phases=8)
+        )
+        server = TiFLServer(
+            clients=scn.clients,
+            model=scn.model,
+            test_data=scn.test_data,
+            clients_per_round=10,
+            policy="uniform",
+            training=scn.training,
+            latency_stream="cohort",
+            clock=clock,
+            rng=3,
+        )
+        assert scn.clients.availability_scans == 0
+        started = clock.now
+        server.run(60)
+        # Round r selects at the time round r - 1 ended.
+        select_times = [started] + list(clock.marks[:-1])
+        edges = sum(
+            later // edge_every > earlier // edge_every
+            for earlier, later in zip(select_times, select_times[1:])
+        )
+        assert 5 <= edges < 59
+        assert scn.clients.availability_scans == edges + 1
 
 
 class TestFeedback:
