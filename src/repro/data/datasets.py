@@ -71,14 +71,19 @@ class Dataset:
         return Dataset(self.x[idx], self.y[idx], self.num_classes, name or self.name)
 
     def split(
-        self, first_size: int, rng: RngLike = None
+        self, first_size: int, rng: RngLike = None,
+        rows: Optional[np.ndarray] = None, name: Optional[str] = None,
     ) -> Tuple["Dataset", "Dataset"]:
-        """Random disjoint split into (first_size, rest)."""
-        n = len(self)
+        """Random disjoint split into (first_size, rest) -- of ``rows``
+        (int64) when given, composed with the permutation so each half is
+        one gather from ``self`` and ``subset(rows)`` is never built."""
+        n = len(self) if rows is None else len(rows)
         if not 0 <= first_size <= n:
             raise ValueError(f"first_size must be in [0, {n}], got {first_size}")
         order = make_rng(rng).permutation(n)
-        return self.subset(order[:first_size]), self.subset(order[first_size:])
+        if rows is not None:
+            order = rows[order]
+        return self.subset(order[:first_size], name), self.subset(order[first_size:], name)
 
     def class_counts(self) -> np.ndarray:
         """Histogram of labels of length ``num_classes``."""

@@ -70,9 +70,8 @@ class FederatedData:
         )
 
     def client_rows(self, cid: int) -> Tuple[Dataset, np.ndarray]:
-        """``(train, client_indices[cid])``: the shared pool and client
-        ``cid``'s rows in it -- the provider a
-        :class:`~repro.simcluster.population.PopulationStore` takes."""
+        """``(train, client_indices[cid])``: the shared pool and client ``cid``'s
+        rows in it -- the provider shape ``PopulationStore(dataset_for=)`` takes."""
         return self.train, self.client_indices[cid]
 
     def client_sizes(self) -> np.ndarray:

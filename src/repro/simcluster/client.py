@@ -81,7 +81,7 @@ class SimClient:
         indices: Optional[np.ndarray] = None,
     ) -> None:
         # With ``indices`` the local dataset is rows ``indices`` of ``data``,
-        # never built whole: the split gathers each half from ``data`` once.
+        # never built whole: ``Dataset.split`` gathers each half from ``data``.
         n = len(data) if indices is None else len(indices)
         if n == 0:
             raise ValueError(f"client {client_id} cannot be created with no data")
@@ -105,11 +105,7 @@ class SimClient:
         holdout_size = max(min_holdout, int(round(n * holdout_fraction)))
         holdout_size = min(holdout_size, n - 1) if n > 1 else 0
         if holdout_size > 0:
-            rows = self._train_rng.permutation(n)
-            if indices is not None:
-                rows = indices[rows]
-            self.holdout = data.subset(rows[:holdout_size], name)
-            self.train_data = data.subset(rows[holdout_size:], name)
+            self.holdout, self.train_data = data.split(holdout_size, self._train_rng, indices, name)
         else:
             self.holdout = data.subset(np.empty(0, dtype=np.int64), name)
             self.train_data = data if indices is None else data.subset(indices, name)
@@ -121,7 +117,7 @@ class SimClient:
 
     def rng_states(self) -> Tuple[dict, Optional[dict]]:
         """``(train, latency)`` stream positions; latency ``None`` while undrawn."""
-        latency = self.__dict__.get("_latency_rng")
+        latency = self.__dict__.get("_latency_rng")  # cached_property: set once built
         return self._train_rng.bit_generator.state, (
             None if latency is None else latency.bit_generator.state
         )

@@ -41,6 +41,20 @@ class TestDataset:
         combined = np.sort(np.concatenate([a.x.ravel(), b.x.ravel()]))
         np.testing.assert_array_equal(combined, np.arange(20))
 
+    def test_split_of_rows_equals_split_of_their_subset(self, rng):
+        """Composing ``rows`` with the permutation gathers the same
+        samples, in the same order, as splitting ``subset(rows)``."""
+        d = Dataset(rng.standard_normal((20, 3)), rng.integers(0, 4, size=20), 4)
+        rows = np.array([17, 3, 4, 11, 0, 9, 12])
+        a, b = d.split(3, rng=5, rows=rows, name="mine")
+        ref_a, ref_b = d.subset(rows).split(3, rng=5)
+        for got, ref in ((a, ref_a), (b, ref_b)):
+            np.testing.assert_array_equal(got.x, ref.x)
+            np.testing.assert_array_equal(got.y, ref.y)
+            assert got.name == "mine" and not np.shares_memory(got.x, d.x)
+        with pytest.raises(ValueError):
+            d.split(8, rows=rows)
+
     def test_split_bounds(self, rng):
         d = Dataset(rng.standard_normal((5, 2)), np.zeros(5, dtype=int), 2)
         with pytest.raises(ValueError):
