@@ -57,7 +57,9 @@ _LAZY_DISTRIBUTED = ("DistributedExecutor", "WorkerAgent")
 def __getattr__(name: str):
     # The networking stack loads only when actually asked for, so plain
     # `import repro` stays cheap for in-process users (the same reason
-    # repro.execution.create_executor imports the backend lazily).
+    # repro.execution.create_executor imports the backend lazily, and
+    # repro.tifl.planner imports scipy inside the functions that solve).
+    # tests/test_import_set.py holds both.
     if name in _LAZY_DISTRIBUTED:
         import repro.distributed
 

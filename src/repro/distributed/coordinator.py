@@ -291,7 +291,9 @@ class DistributedExecutor(ClientExecutor):
         the first loss, the pre-v4 behaviour.
     max_frame_payload:
         Optional cap on incoming frame payloads (rejects corrupt length
-        headers early; see :mod:`repro.distributed.transport`).
+        headers early; see :mod:`repro.distributed.transport`).  It
+        applies once a peer has been welcomed; until then a connection
+        accepts :data:`~repro.distributed.protocol.HANDSHAKE_MAX_PAYLOAD`.
     """
 
     name = "distributed"
@@ -518,6 +520,18 @@ class DistributedExecutor(ClientExecutor):
             return None
         return hello
 
+    def _welcome(self, conn: Connection, handle: _WorkerHandle) -> None:
+        """Send WELCOME: the handshake has succeeded, so the connection
+        leaves the pre-handshake frame cap for ``max_frame_payload``."""
+        conn.send(
+            proto.MsgType.WELCOME,
+            proto.encode_welcome(
+                proto.PROTOCOL_VERSION, handle.id, self._signature,
+                self._num_params, handle.token,
+            ),
+        )
+        conn.max_payload = self.max_frame_payload
+
     def _reject(self, conn: Connection, reason: str) -> None:
         try:
             conn.send(proto.MsgType.REJECT, proto.encode_reject(reason))
@@ -541,7 +555,7 @@ class DistributedExecutor(ClientExecutor):
                 sock, _addr = self._listener.accept()
             except socket.timeout:
                 continue
-            conn = Connection(sock, max_payload=self.max_frame_payload)
+            conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
             hello = self._handshake(conn)
             if hello is None:
                 continue
@@ -551,13 +565,7 @@ class DistributedExecutor(ClientExecutor):
             wid = len(self._handles)
             handle = _WorkerHandle(wid, conn, hello["capacity"], hello["pid"])
             try:
-                conn.send(
-                    proto.MsgType.WELCOME,
-                    proto.encode_welcome(
-                        proto.PROTOCOL_VERSION, wid, self._signature,
-                        self._num_params, handle.token,
-                    ),
-                )
+                self._welcome(conn, handle)
             except OSError:
                 # Peer vanished between HELLO and WELCOME: skip it and
                 # keep accepting -- one flaky connection must not abort
@@ -583,7 +591,7 @@ class DistributedExecutor(ClientExecutor):
                 continue
             except OSError:
                 return  # listener closed under us: shutting down
-            conn = Connection(sock, max_payload=self.max_frame_payload)
+            conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
             hello = self._handshake(conn)
             if hello is None:
                 continue
@@ -651,13 +659,7 @@ class DistributedExecutor(ClientExecutor):
                 # events from its reader are gen-filtered.
                 self._fold_and_close(handle)
             try:
-                conn.send(
-                    proto.MsgType.WELCOME,
-                    proto.encode_welcome(
-                        proto.PROTOCOL_VERSION, wid, self._signature,
-                        self._num_params, handle.token,
-                    ),
-                )
+                self._welcome(conn, handle)
                 # RNG replay: the coordinator pool/store ledger is
                 # authoritative (synced on every merged UPDATE), so this
                 # overwrites whatever half-trained state the worker kept.

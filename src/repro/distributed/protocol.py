@@ -214,6 +214,7 @@ from repro.nn.model import Sequential
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "HANDSHAKE_MAX_PAYLOAD",
     "MsgType",
     "ProtocolError",
     "model_signature",
@@ -266,6 +267,14 @@ __all__ = [
 #: option) and added the header-only alias BROADCAST.  Older peers are
 #: REJECTed at the handshake with a reason naming both versions.
 PROTOCOL_VERSION = 7
+
+#: Largest payload a connection accepts until HELLO/WELCOME has
+#: succeeded (both peers).  The receiver allocates a frame's buffer when
+#: its header announces the length, so a stranger's first header -- a
+#: port scanner's garbage reads as an arbitrary u32 -- must not be able
+#: to reserve ``max_frame_payload`` (1 GiB by default).  HELLO, WELCOME
+#: and a handshake REJECT are each well under 1 KiB.
+HANDSHAKE_MAX_PAYLOAD = 4096
 
 #: Hard cap on the parameter count a BROADCAST/UPDATE header may claim.
 #: Guards the decode path the same way the transport's frame-payload
@@ -863,8 +872,11 @@ def decode_broadcast(
         raise ProtocolError(f"BROADCAST: {exc}") from exc
     baseline = _lookup_baseline(codec, baseline_seq, baselines, "BROADCAST")
     try:
+        # A view, not a slice: the codec reads the frame's own buffer.
         weights = codec.decode(
-            payload[_BROADCAST_HEADER.size :], count, baseline=baseline
+            memoryview(payload)[_BROADCAST_HEADER.size :],
+            count,
+            baseline=baseline,
         )
     except (CodecError, ValueError) as exc:
         raise ProtocolError(f"malformed BROADCAST payload: {exc}") from exc
@@ -949,8 +961,9 @@ def decode_update(
         count = remaining // 8
     _check_count(count, "UPDATE")
     try:
-        rng_state = pickle.loads(payload[_UPDATE_HEADER.size : rng_end])
-        weights = codec.decode(payload[rng_end:], count, baseline=baseline)
+        view = memoryview(payload)
+        rng_state = pickle.loads(view[_UPDATE_HEADER.size : rng_end])
+        weights = codec.decode(view[rng_end:], count, baseline=baseline)
     except ProtocolError:
         raise
     except Exception as exc:

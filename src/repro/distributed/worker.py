@@ -115,7 +115,9 @@ class WorkerAgent:
         its own grace window; a worker that outlives it is REJECTed.
     max_frame_payload:
         Optional cap on incoming frame payloads (see
-        :mod:`repro.distributed.transport`).
+        :mod:`repro.distributed.transport`), in force once WELCOME has
+        arrived; the handshake reply itself is held to
+        :data:`~repro.distributed.protocol.HANDSHAKE_MAX_PAYLOAD`.
     """
 
     def __init__(
@@ -199,7 +201,7 @@ class WorkerAgent:
                     (self.host, self.port), timeout=window
                 )
                 sock.settimeout(None)
-                return Connection(sock, max_payload=self.max_frame_payload)
+                return Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
             except OSError as exc:
                 last_err = exc
                 time.sleep(self.retry_interval)
@@ -226,7 +228,12 @@ class WorkerAgent:
                 resume=resume_info,
             ),
         )
-        msg_type, payload = conn.recv(timeout=self.connect_timeout)
+        try:
+            msg_type, payload = conn.recv(timeout=self.connect_timeout)
+        except FrameError as exc:
+            # Whatever listens there does not speak the protocol.
+            self._log(f"handshake reply is not a protocol frame: {exc}")
+            return EXIT_PROTOCOL_ERROR
         if msg_type == proto.MsgType.REJECT:
             self._log(f"rejected by coordinator: {proto.decode_reject(payload)}")
             return EXIT_REJECTED
@@ -250,6 +257,7 @@ class WorkerAgent:
         self._session_token = welcome["session_token"] or None
         self._expected_signature = welcome["model_signature"]
         self._expected_num_params = welcome["num_params"]
+        conn.max_payload = self.max_frame_payload  # handshake done
         if resume:
             self._stats["reconnects"] += 1
             self._log("session resumed with coordinator")

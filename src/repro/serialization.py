@@ -138,12 +138,18 @@ def shard_to_bytes(shard: PopulationShard) -> bytes:
 
 
 def shard_from_bytes(payload: bytes) -> PopulationShard:
-    """Inverse of :func:`shard_to_bytes`."""
-    if payload[:4] != _SHARD_MAGIC:
+    """Inverse of :func:`shard_to_bytes` (any bytes-like ``payload``).
+
+    Every part is read through one view of ``payload``: the pickled tail
+    is most of the blob (the dataset provider), and slicing it out would
+    copy it.
+    """
+    view = memoryview(payload)
+    if view[:4] != _SHARD_MAGIC:
         raise ValueError("not a population-shard payload (bad magic)")
-    (header_len,) = struct.unpack_from("!I", payload, 4)
+    (header_len,) = struct.unpack_from("!I", view, 4)
     offset = 8
-    header = json.loads(payload[offset : offset + header_len].decode("utf-8"))
+    header = json.loads(bytes(view[offset : offset + header_len]))
     offset += header_len
     columns = {}
     for name, dtype_str, count in header["columns"]:
@@ -152,13 +158,13 @@ def shard_from_bytes(payload: bytes) -> PopulationShard:
         # .copy(): frombuffer views are read-only; the rebuilt store
         # owns its columns.
         columns[name] = np.frombuffer(
-            payload, dtype=dtype, count=count, offset=offset
+            view, dtype=dtype, count=count, offset=offset
         ).copy()
         offset = end
     missing = set(_SHARD_COLUMNS) - set(columns)
     if missing:
         raise ValueError(f"shard payload missing columns: {sorted(missing)}")
-    tail = pickle.loads(payload[offset:])
+    tail = pickle.loads(view[offset:])
     addr = header["seed_address"]
     return PopulationShard(
         client_ids=columns["client_ids"],

@@ -5,7 +5,8 @@ The paper's training-time model (Eq. 6) lets users *evaluate* a policy's
 expected cost; this module closes the loop and *solves* for policies --
 the "navigate the training time-accuracy trade-off" workflow the paper
 motivates, made concrete as two linear programs over the probability
-simplex (solved with :func:`scipy.optimize.linprog`):
+simplex (solved with :func:`scipy.optimize.linprog`; scipy is the
+``plan`` extra and loads on the first call, not with the package):
 
 * :func:`plan_fairest_probs` -- among all policies meeting a total time
   budget, find the one that maximises the *minimum* tier probability
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.tifl.estimator import estimate_training_time
 
@@ -43,6 +43,23 @@ class PlanResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
+
+
+def _linprog():
+    """``scipy.optimize.linprog``, imported on first use.
+
+    The planner is the package's only scipy user and nothing on a
+    federation's path calls it, so the import (~0.5 s, ~40 MB) stays off
+    ``import repro`` and off every worker's start.
+    """
+    try:
+        from scipy.optimize import linprog
+    except ImportError as exc:
+        raise ImportError(
+            "the tier-probability planner needs scipy, which is the "
+            "optional 'plan' extra: pip install 'tifl-repro[plan]'"
+        ) from exc
+    return linprog
 
 
 def _validate(latencies: Sequence[float], rounds: int) -> np.ndarray:
@@ -108,7 +125,7 @@ def plan_fairest_probs(
     b_eq = np.array([1.0])
     bounds = [(0.0, 1.0)] * m + [(0.0, 1.0)]
 
-    res = linprog(
+    res = _linprog()(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
         method="highs",
     )
@@ -155,7 +172,7 @@ def min_budget_for_fairness(
     a_eq = np.ones((1, m))
     b_eq = np.array([1.0])
     bounds = [(min_tier_prob, 1.0)] * m
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = _linprog()(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:  # pragma: no cover - always feasible by validation
         raise RuntimeError(f"planning LP failed: {res.message}")
     probs = np.clip(res.x, 0.0, None)

@@ -7,6 +7,9 @@ mismatches are *rejected*, never silently tolerated.
 """
 
 import socket
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,22 +20,53 @@ from repro.config import TrainingConfig
 from repro.distributed import protocol as proto
 from repro.distributed.coordinator import DistributedExecutor
 from repro.distributed.transport import (
+    FRAME_HEADER,
     MAX_FRAME_PAYLOAD,
     Connection,
     ConnectionClosed,
-    FrameDecoder,
     FrameError,
-    encode_frame,
 )
-from repro.distributed.worker import WorkerAgent
+from repro.distributed.worker import EXIT_PROTOCOL_ERROR, WorkerAgent
 from repro.nn import build_mlp
 from repro.serialization import flat_weights_from_bytes, flat_weights_to_bytes
 from tests.conftest import make_test_client
 
 
 # ----------------------------------------------------------------------
-# framing
+# framing: Connection is the only frame parser, so it is tested at the
+# socket -- raw bytes go in one end of a socketpair, frames come out of
+# the Connection on the other.
 # ----------------------------------------------------------------------
+def _frame(msg_type, payload=b""):
+    """The wire form of one frame, built without Connection.send."""
+    return FRAME_HEADER.pack(len(payload), int(msg_type)) + payload
+
+
+def _drain(conn):
+    """Every frame readable right now (non-blocking), checking the byte
+    counters at each frame boundary."""
+    out = []
+    while True:
+        try:
+            msg_type, payload = conn.recv(timeout=0)
+        except BlockingIOError:
+            return out
+        assert conn.bytes_received == sum(conn.bytes_received_by_type.values())
+        out.append((msg_type, bytes(payload)))
+
+
+def _deliver(stream, chunk):
+    """Write ``stream`` to a socketpair ``chunk`` bytes at a time, reading
+    after every write: the frames out, and the receiving Connection."""
+    raw, peer = socket.socketpair()
+    out = []
+    with raw, Connection(peer) as conn:
+        for start in range(0, len(stream), chunk):
+            raw.sendall(stream[start : start + chunk])
+            out.extend(_drain(conn))
+        return out, conn
+
+
 class TestFraming:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -47,45 +81,88 @@ class TestFraming:
     )
     def test_round_trip_survives_any_chunking(self, frames, chunk):
         """Frames always decode intact no matter how TCP fragments them."""
-        stream = b"".join(encode_frame(t, p) for t, p in frames)
-        decoder = FrameDecoder()
-        out = []
-        for start in range(0, len(stream), chunk):
-            out.extend(decoder.feed(stream[start : start + chunk]))
+        stream = b"".join(_frame(t, p) for t, p in frames)
+        out, conn = _deliver(stream, chunk)
         assert out == frames
-        assert decoder.pending_bytes == 0
+        assert conn.bytes_received == len(stream)
+        assert sum(conn.frames_received.values()) == len(frames)
+
+    def test_byte_at_a_time_delivery(self):
+        frames = [(7, b"abcdef"), (9, b""), (255, bytes(range(256)))]
+        stream = b"".join(_frame(t, p) for t, p in frames)
+        out, conn = _deliver(stream, 1)
+        assert out == frames
+        assert conn.frames_received == {7: 1, 9: 1, 255: 1}
 
     @settings(max_examples=30, deadline=None)
     @given(t=st.integers(0, 255), payload=st.binary(max_size=512))
     def test_single_frame_identity(self, t, payload):
-        decoder = FrameDecoder()
-        frames = decoder.feed(encode_frame(t, payload))
-        assert frames == [(t, payload)]
+        a, b = socket.socketpair()
+        with Connection(a) as ca, Connection(b) as cb:
+            ca.send(t, payload)
+            assert cb.recv(timeout=5.0) == (t, payload)
 
     def test_partial_frame_is_buffered_not_lost(self):
-        frame = encode_frame(proto.MsgType.PING, b"abcdef")
-        decoder = FrameDecoder()
-        assert decoder.feed(frame[:3]) == []
-        assert decoder.pending_bytes == 3
-        assert decoder.feed(frame[3:]) == [(proto.MsgType.PING, b"abcdef")]
+        """A ``socket.timeout`` mid-header, then another mid-payload,
+        loses nothing: the next ``recv`` resumes the same frame."""
+        frame = _frame(proto.MsgType.PING, b"abcdef")
+        cuts = (3, FRAME_HEADER.size + 2)
+        raw, peer = socket.socketpair()
+        with raw, Connection(peer) as conn:
+            for start, cut in zip((0,) + cuts, cuts):
+                raw.sendall(frame[start:cut])
+                with pytest.raises(socket.timeout):
+                    conn.recv(timeout=0.05)
+                assert conn.bytes_received == cut
+                assert conn.frames_received == {}
+            raw.sendall(frame[cut:] + _frame(proto.MsgType.PONG))
+            assert conn.recv(timeout=5.0) == (proto.MsgType.PING, b"abcdef")
+            assert conn.recv(timeout=5.0) == (proto.MsgType.PONG, b"")
+            assert conn.bytes_received == sum(
+                conn.bytes_received_by_type.values()
+            )
+
+    @pytest.mark.parametrize("cut", [2, FRAME_HEADER.size, FRAME_HEADER.size + 3])
+    def test_eof_mid_frame_raises_connection_closed(self, cut):
+        frame = _frame(proto.MsgType.PING, b"abcdef")
+        raw, peer = socket.socketpair()
+        with Connection(peer) as conn:
+            raw.sendall(frame[:cut])
+            raw.close()
+            with pytest.raises(ConnectionClosed):
+                conn.recv(timeout=5.0)
 
     def test_oversize_announcement_rejected(self):
-        bad = (MAX_FRAME_PAYLOAD + 1).to_bytes(4, "big") + b"\x01"
-        with pytest.raises(FrameError, match="frame limit"):
-            FrameDecoder().feed(bad)
+        """Over the cap by one byte, header only: refused before a single
+        payload byte arrives -- and before a payload buffer exists."""
+        raw, peer = socket.socketpair()
+        with raw, Connection(peer) as conn:
+            assert conn.max_payload == MAX_FRAME_PAYLOAD
+            raw.sendall(FRAME_HEADER.pack(MAX_FRAME_PAYLOAD + 1, 1))
+            tracemalloc.start()
+            try:
+                with pytest.raises(FrameError, match="frame limit"):
+                    conn.recv(timeout=5.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, f"{peak} bytes allocated for a refused frame"
 
     def test_max_payload_is_configurable(self):
         """A deployment that knows its largest legitimate frame can
         reject an absurd ``!IB`` length announcement long before the
         default 1 GiB bound -- and before a single payload byte lands."""
-        decoder = FrameDecoder(max_payload=64)
-        ok = encode_frame(proto.MsgType.PING, b"x" * 64)
-        assert decoder.feed(ok) == [(proto.MsgType.PING, b"x" * 64)]
-        bad = (65).to_bytes(4, "big") + b"\x01"  # header only, no payload
-        with pytest.raises(FrameError, match="64-byte frame limit"):
-            decoder.feed(bad)
-        with pytest.raises(ValueError, match="positive"):
-            FrameDecoder(max_payload=0)
+        raw, peer = socket.socketpair()
+        with raw, Connection(peer, max_payload=64) as conn:
+            raw.sendall(_frame(proto.MsgType.PING, b"x" * 64))
+            assert conn.recv(timeout=5.0) == (proto.MsgType.PING, b"x" * 64)
+            raw.sendall(FRAME_HEADER.pack(65, 1))  # header only, no payload
+            with pytest.raises(FrameError, match="64-byte frame limit"):
+                conn.recv(timeout=5.0)
+            with pytest.raises(ValueError, match="positive"):
+                conn.max_payload = 0
+            conn.max_payload = None
+            assert conn.max_payload == MAX_FRAME_PAYLOAD
 
     def test_connection_honours_max_payload(self):
         a, b = socket.socketpair()
@@ -95,8 +172,11 @@ class TestFraming:
                 cb.recv(timeout=5.0)
 
     def test_encode_rejects_bad_type(self):
-        with pytest.raises(FrameError, match="one byte"):
-            encode_frame(300, b"")
+        a, b = socket.socketpair()
+        with Connection(a) as ca, Connection(b):
+            with pytest.raises(FrameError, match="one byte"):
+                ca.send(300, b"")
+            assert ca.bytes_sent == 0
 
     def test_connection_over_socketpair(self):
         a, b = socket.socketpair()
@@ -111,6 +191,40 @@ class TestFraming:
             a.close()
             with pytest.raises(ConnectionClosed):
                 cb.recv(timeout=5.0)
+
+    def test_concurrent_large_sends_stay_whole(self):
+        """Frames far larger than the socket buffer, from two threads, on
+        a socket with a timeout (so the gathered write comes back short
+        and the remainder path runs): every frame arrives intact, on the
+        wire exactly as ``header + payload``."""
+        a, b = socket.socketpair()
+        a.settimeout(30.0)
+        size, per_thread = 1 << 20, 6
+        with Connection(a) as ca, Connection(b) as cb:
+
+            def sender(tag):
+                for i in range(per_thread):
+                    ca.send(tag, bytes([tag, i]) * (size // 2))
+
+            threads = [
+                threading.Thread(target=sender, args=(tag,), daemon=True)
+                for tag in (1, 2)
+            ]
+            for thread in threads:
+                thread.start()
+            seen = {1: [], 2: []}
+            for _ in range(2 * per_thread):
+                tag, payload = cb.recv(timeout=30.0)
+                assert len(payload) == size
+                assert payload == bytes(payload[:2]) * (size // 2)
+                assert payload[0] == tag
+                seen[tag].append(payload[1])
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert seen == {1: list(range(per_thread)), 2: list(range(per_thread))}
+            framed = 2 * per_thread * (FRAME_HEADER.size + size)
+            assert ca.bytes_sent == cb.bytes_received == framed
 
 
 # ----------------------------------------------------------------------
@@ -382,6 +496,69 @@ class TestHandshakeRejection:
         coord_side.close()
         worker_side.close()
         ex.close()
+
+    def test_oversize_announcement_before_hello_is_refused_at_once(self):
+        """The receiver allocates at the announcement, so a stranger's
+        first header is held to the handshake cap, not to
+        ``max_frame_payload``: a port scanner announcing 1 GiB gets
+        REJECT + close immediately (not a reserved gigabyte and a 10 s
+        wait for bytes that never come) and the registration window
+        keeps accepting."""
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        ex = DistributedExecutor(workers=1, accept_timeout=30.0)
+        ex.bind({0: make_test_client(client_id=0, seed=7)}, model, TrainingConfig())
+        host, port = proto.parse_endpoint(ex.listen())
+        # Queued in the listener's backlog ahead of the real worker.
+        scanner = socket.create_connection((host, port), timeout=10.0)
+        scanner.sendall(FRAME_HEADER.pack(1 << 30, proto.MsgType.HELLO))
+        agent = threading.Thread(
+            target=WorkerAgent(host, port, reconnect_grace=0.0).run, daemon=True
+        )
+        agent.start()
+        try:
+            t0 = time.monotonic()
+            ex._ensure_started()
+            assert time.monotonic() - t0 < 8.0, "the scanner stalled registration"
+            assert ex.num_workers_started == 1
+            with Connection(scanner) as conn:
+                msg_type, payload = conn.recv(timeout=5.0)
+                assert msg_type == proto.MsgType.REJECT
+                assert (
+                    f"{proto.HANDSHAKE_MAX_PAYLOAD}-byte frame limit"
+                    in proto.decode_reject(payload)
+                )
+                with pytest.raises(ConnectionClosed):
+                    conn.recv(timeout=5.0)
+            # Registered, so the worker's connection left the handshake cap.
+            assert ex._handles[0].conn.max_payload == MAX_FRAME_PAYLOAD
+        finally:
+            ex.close()
+            agent.join(timeout=10.0)
+        assert not agent.is_alive()
+
+    def test_worker_holds_the_reply_to_the_handshake_cap(self):
+        """The same cap on the dialling side: whatever answers HELLO with
+        an oversize announcement is not a coordinator."""
+        a, b = socket.socketpair()
+        agent = WorkerAgent("127.0.0.1", 1, connect_timeout=5.0)
+        with b, Connection(a, max_payload=proto.HANDSHAKE_MAX_PAYLOAD) as conn:
+            b.sendall(FRAME_HEADER.pack(1 << 30, proto.MsgType.WELCOME))
+            assert agent._handshake(conn) == EXIT_PROTOCOL_ERROR
+
+    def test_worker_raises_the_cap_once_welcomed(self):
+        a, b = socket.socketpair()
+        agent = WorkerAgent(
+            "127.0.0.1", 1, connect_timeout=5.0, max_frame_payload=1 << 22
+        )
+        conn = Connection(a, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
+        with conn, Connection(b) as coordinator:
+            coordinator.send(
+                proto.MsgType.WELCOME,
+                proto.encode_welcome(proto.PROTOCOL_VERSION, 0, "sig", 163, "token"),
+            )
+            assert agent._handshake(conn) is None
+            assert conn.max_payload == 1 << 22
+            assert coordinator.recv(timeout=5.0)[0] == proto.MsgType.HELLO
 
     def test_worker_refuses_signature_mismatch(self):
         agent = WorkerAgent("127.0.0.1", 1, capacity=1)

@@ -1,5 +1,7 @@
 """Tests for the LP-based tier-probability planner."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,3 +113,20 @@ def test_planner_feasibility_property(lats, scale, seed):
     np.testing.assert_allclose(plan.probs.sum(), 1.0, atol=1e-6)
     if plan.feasible:
         assert plan.expected_time <= budget * (1 + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: plan_fairest_probs(LATS, ROUNDS, 1e6),
+        lambda: min_budget_for_fairness(LATS, ROUNDS, 0.05),
+    ],
+    ids=["plan_fairest_probs", "min_budget_for_fairness"],
+)
+def test_missing_scipy_names_the_extra(monkeypatch, call):
+    """scipy is optional (the ``plan`` extra) and imported on first use;
+    without it the planner says what to install, not just what is missing."""
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    with pytest.raises(ImportError, match=r"tifl-repro\[plan\]"):
+        call()
