@@ -34,10 +34,9 @@ coordinator, then one worker agent per node::
 
 Weight-transport codec (``--codec``, see :mod:`repro.codec`): how weight
 vectors travel on the distributed wire.  ``raw`` (default) and ``delta``
-are lossless -- training stays bit-identical to serial -- with ``delta``
-cutting the steady-state bytes per round by ~30% on a converging run;
-``quantized`` (float16) quarters the weight bytes but is lossy and
-strictly opt-in.  In-process executors ignore the flag (no wire)::
+are both lossless -- training stays bit-identical to serial -- with
+``delta`` cutting the steady-state bytes per round by ~30% on a
+converging run.  In-process executors ignore the flag (no wire)::
 
     python -m repro.cli run --executor distributed --workers 2 \\
         --connect 0.0.0.0:7777 --codec delta --rounds 60
@@ -165,10 +164,9 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                         "listens here and workers connect to it")
     p.add_argument("--codec", default="raw", choices=list(CODEC_NAMES),
                    help="weight-transport codec on the distributed wire "
-                        "(raw/delta are lossless and bit-identical to "
-                        "serial; delta cuts steady-state bytes/round ~30%% "
-                        "on a converging run; quantized is float16 -- "
-                        "lossy, opt-in).  In-process executors ignore it")
+                        "(both lossless and bit-identical to serial; delta "
+                        "cuts steady-state bytes/round ~30%% on a "
+                        "converging run).  In-process executors ignore it")
     p.add_argument("--reconnect-grace", type=float, default=0.0,
                    metavar="SECONDS",
                    help="let a worker whose TCP connection drops resume "

@@ -1,13 +1,14 @@
-"""Pluggable weight-transport codecs: raw, delta, quantized.
+"""Weight-transport codecs: two lossless codecs, fixed wire ids.
 
 Every layer that moves a flat weight vector across an address-space or
 machine boundary (the distributed BROADCAST/UPDATE hot path above all)
-encodes it through a :class:`WeightCodec`.  Three codecs ship:
+encodes it through a :class:`WeightCodec`.  Two codecs ship, and both
+are lossless, so every codec takes part in the bit-identity gates:
 
-* ``raw`` -- the default and the bit-exact baseline: little-endian
+* ``raw`` (id 1) -- the default and the bit-exact baseline: little-endian
   float64 via :func:`repro.serialization.flat_weights_to_bytes`.  Never
   needs a baseline, always decodable.
-* ``delta`` -- **lossless** differential coding against a baseline
+* ``delta`` (id 2) -- differential coding against a baseline
   vector both peers already hold (the last broadcast retained on the
   other side).  The element-wise difference is taken in *ULP space*: each
   float64 is mapped through the IEEE-754 total-order bijection to a
@@ -22,9 +23,6 @@ encodes it through a :class:`WeightCodec`.  Three codecs ship:
   (>= 30% on a converged run; gated in
   ``tests/distributed/test_codec.py``) without paying a deflate
   pass over bytes that cannot compress.
-* ``quantized`` -- **lossy**, opt-in, never the default: float16
-  truncation (4x smaller on the wire).  Excluded from every bit-identity
-  gate; covered by accuracy-tolerance tests instead.  Needs no baseline.
 
 The codec layer deliberately handles *payloads only*.  Who chose the
 codec, which baseline sequence number it refers to, and how baselines
@@ -35,9 +33,8 @@ arrays by reference or shared memory and never encode at all -- see
 :mod:`repro.execution.base`).
 
 Registry: :func:`get_codec` by name, :func:`codec_for_id` by the wire
-id.  Custom codecs may be added with :func:`register_codec`; ids and
-names must be unique, and only *lossless* codecs may ever take part in
-bit-identity gates.
+id, :data:`CODEC_NAMES` for the choices a config or flag accepts.  The
+set is fixed; wire id 3 is retired and never reused.
 """
 
 from __future__ import annotations
@@ -56,12 +53,9 @@ __all__ = [
     "WeightCodec",
     "RawCodec",
     "DeltaCodec",
-    "QuantizedCodec",
     "CodecError",
-    "register_codec",
     "get_codec",
     "codec_for_id",
-    "codec_names",
     "CODEC_NAMES",
     "PLANE_MODES",
 ]
@@ -117,14 +111,12 @@ def _as_flat_f64(arr, what: str) -> np.ndarray:
 class WeightCodec:
     """One way of turning a flat float64 weight vector into wire bytes.
 
+    ``decode(encode(w)) == w`` bit for bit, for every codec.
+
     Attributes
     ----------
     name / codec_id:
         Registry key and the one-byte id that travels in frame headers.
-    lossless:
-        Whether ``decode(encode(w)) == w`` bit-for-bit.  Only lossless
-        codecs participate in the bit-identity gates; lossy codecs are
-        opt-in and tested against accuracy tolerances instead.
     requires_baseline:
         Whether :meth:`encode` / :meth:`decode` need a baseline vector
         both peers hold.  Callers that have no shared baseline (first
@@ -134,7 +126,6 @@ class WeightCodec:
 
     name: str = "abstract"
     codec_id: int = 0
-    lossless: bool = True
     requires_baseline: bool = False
 
     def encode(
@@ -178,7 +169,6 @@ class RawCodec(WeightCodec):
 
     name = "raw"
     codec_id = 1
-    lossless = True
     requires_baseline = False
 
     def encode(
@@ -309,7 +299,6 @@ class DeltaCodec(WeightCodec):
 
     name = "delta"
     codec_id = 2
-    lossless = True
     requires_baseline = True
 
     def planes(
@@ -454,71 +443,17 @@ class DeltaCodec(WeightCodec):
         return _total_order_unkey(keys).view("<f8").astype(np.float64, copy=False)
 
 
-class QuantizedCodec(WeightCodec):
-    """Lossy float16 truncation: 4x fewer bytes, ~3 decimal digits kept.
-
-    Strictly opt-in: it breaks the bit-identity contract by design
-    (weights outside float16 range saturate to +-inf, small values lose
-    mantissa bits), so it is excluded from every bit-identity gate and
-    covered by accuracy-tolerance tests instead.  Needs no baseline, so
-    it is always decodable -- including on a freshly (re)connected peer.
-    """
-
-    name = "quantized"
-    codec_id = 3
-    lossless = False
-    requires_baseline = False
-
-    def encode(
-        self, flat: np.ndarray, baseline: Optional[np.ndarray] = None
-    ) -> bytes:
-        arr = _as_flat_f64(flat, "flat weights")
-        return arr.astype("<f2").tobytes()
-
-    def decode(
-        self,
-        payload: bytes,
-        expected_size: int,
-        baseline: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        if len(payload) % 2 != 0:
-            raise CodecError(
-                f"quantized payload of {len(payload)} bytes is not a whole "
-                "number of float16 values"
-            )
-        arr = np.frombuffer(payload, dtype="<f2").astype(np.float64)
-        if arr.size != expected_size:
-            raise CodecError(
-                f"expected {expected_size} weight values, got {arr.size}"
-            )
-        return arr
-
-
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_BY_NAME: Dict[str, WeightCodec] = {}
-_BY_ID: Dict[int, WeightCodec] = {}
-
-
-def register_codec(codec: WeightCodec) -> WeightCodec:
-    """Add a codec to the registry; names and wire ids must be unique."""
-    if not 1 <= int(codec.codec_id) <= 255:
-        raise ValueError(
-            f"codec_id must fit in one byte (1-255), got {codec.codec_id}"
-        )
-    existing = _BY_NAME.get(codec.name)
-    if existing is not None and existing is not codec:
-        raise ValueError(f"codec name {codec.name!r} is already registered")
-    existing = _BY_ID.get(codec.codec_id)
-    if existing is not None and existing is not codec:
-        raise ValueError(
-            f"codec id {codec.codec_id} is already registered "
-            f"(to {existing.name!r})"
-        )
-    _BY_NAME[codec.name] = codec
-    _BY_ID[codec.codec_id] = codec
-    return codec
+#: Every codec, keyed both ways.  Wire ids 1 and 2 are taken; id 3 is
+#: retired and never reused.
+_CODECS = (RawCodec(), DeltaCodec())
+_BY_NAME: Dict[str, WeightCodec] = {c.name: c for c in _CODECS}
+_BY_ID: Dict[int, WeightCodec] = {c.codec_id: c for c in _CODECS}
+#: The codec names, ``raw`` first: it is the default everywhere a codec
+#: is chosen.
+CODEC_NAMES = tuple(_BY_NAME)
 
 
 def get_codec(name: str) -> WeightCodec:
@@ -527,7 +462,7 @@ def get_codec(name: str) -> WeightCodec:
         codec = _BY_NAME[name]
     except KeyError:
         raise ValueError(
-            f"unknown weight codec {name!r}; registered: {codec_names()}"
+            f"unknown weight codec {name!r}; known: {CODEC_NAMES}"
         ) from None
     if telemetry.enabled():
         telemetry.count("codec.registry_lookups", 1, codec=codec.name)
@@ -540,23 +475,9 @@ def codec_for_id(codec_id: int) -> WeightCodec:
         codec = _BY_ID[int(codec_id)]
     except KeyError:
         raise ValueError(
-            f"unknown weight codec id {codec_id}; registered ids: "
+            f"unknown weight codec id {codec_id}; known ids: "
             f"{sorted(_BY_ID)}"
         ) from None
     if telemetry.enabled():
         telemetry.count("codec.registry_lookups", 1, codec=codec.name)
     return codec
-
-
-def codec_names() -> Tuple[str, ...]:
-    """Registered codec names (registration order)."""
-    return tuple(_BY_NAME)
-
-
-register_codec(RawCodec())
-register_codec(DeltaCodec())
-register_codec(QuantizedCodec())
-
-#: The built-in codec names, in registration order (``raw`` first: it is
-#: the default everywhere a codec is chosen).
-CODEC_NAMES = codec_names()

@@ -81,13 +81,12 @@ class TrainingConfig:
         ``None`` lets the coordinator default to a loopback ephemeral
         port.
     codec:
-        Weight-transport codec (``"raw" | "delta" | "quantized"``, see
+        Weight-transport codec (``"raw" | "delta"``, see
         :mod:`repro.codec`) used wherever weight vectors cross a machine
         boundary -- today the distributed backend's BROADCAST/UPDATE
-        frames.  ``raw`` (default) and ``delta`` are lossless and
-        bit-identical to in-process execution; ``quantized`` (float16)
-        is lossy and strictly opt-in.  In-process backends pass weights
-        by reference or shared memory and ignore the codec.
+        frames.  Both are lossless and bit-identical to in-process
+        execution.  In-process backends pass weights by reference or
+        shared memory and ignore the codec.
     """
 
     optimizer: str = "rmsprop"
@@ -113,14 +112,13 @@ class TrainingConfig:
             )
         if self.workers <= 0:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        # Lazily validated against the codec registry (the single source
-        # of truth, which custom codecs may extend) -- config stays a
-        # leaf module with no import-time dependency on the codec layer.
-        from repro.codec import codec_names
+        # Imported here so config stays a leaf module with no
+        # import-time dependency on the codec layer.
+        from repro.codec import CODEC_NAMES
 
-        if self.codec not in codec_names():
+        if self.codec not in CODEC_NAMES:
             raise ValueError(
-                f"codec must be one of {codec_names()}, got {self.codec!r}"
+                f"codec must be one of {CODEC_NAMES}, got {self.codec!r}"
             )
         if self.endpoint is not None:
             parse_endpoint(self.endpoint)

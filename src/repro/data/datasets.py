@@ -60,10 +60,6 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.x.shape[0])
 
-    @property
-    def sample_shape(self) -> Tuple[int, ...]:
-        return tuple(self.x.shape[1:])
-
     def subset(self, indices: np.ndarray, name: Optional[str] = None) -> "Dataset":
         """The rows at ``indices``, gathered into fresh buffers (an
         integer-array index always copies, so clients stay isolated)."""
@@ -84,10 +80,6 @@ class Dataset:
         if rows is not None:
             order = rows[order]
         return self.subset(order[:first_size], name), self.subset(order[first_size:], name)
-
-    def class_counts(self) -> np.ndarray:
-        """Histogram of labels of length ``num_classes``."""
-        return np.bincount(self.y, minlength=self.num_classes)
 
 
 def make_dataset(

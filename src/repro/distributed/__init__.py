@@ -21,9 +21,7 @@ Three mechanisms carry that promise across machine boundaries:
    (ULP-delta against the retained last broadcast, bit-identical by
    construction, ~30% fewer steady-state bytes on a converging run);
    no text round-trip, no precision loss, so a broadcast weight vector
-   is bit-equal to one passed by reference.  The ``quantized`` codec
-   (float16) deliberately steps outside this contract: lossy, opt-in
-   via ``TrainingConfig(codec="quantized")``, never the default.
+   is bit-equal to one passed by reference.
 2. *Pinned RNG streams.*  Every client is pinned to one worker
    (capacity-weighted round-robin over sorted client ids), so its
    training RNG stream advances in exactly one address space, in the

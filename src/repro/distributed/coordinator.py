@@ -35,7 +35,7 @@
   ``delta`` (lossless ULP-delta against the last broadcast the worker
   retains -- the coordinator mirrors each worker's retained-BROADCAST
   cache per connection, so encoder and decoder always agree on the
-  baseline) or ``quantized`` (lossy float16, opt-in).  When no shared
+  baseline).  When no shared
   baseline exists -- first broadcast on a connection, or right after a
   reconnect -- the coordinator falls back to ``raw`` for that frame;
   the codec id in the header keeps every frame self-describing.
@@ -155,6 +155,7 @@ _RESULT_FRAMES = {
     "eval": (proto.MsgType.EVAL_RESULT,),
     "eval_model": (proto.MsgType.EVAL_MODEL_RESULT,),
 }
+_RESULT_TYPES = frozenset(t for types in _RESULT_FRAMES.values() for t in types)
 
 
 class _WorkerHandle:
@@ -1256,38 +1257,40 @@ class DistributedExecutor(ClientExecutor):
                         dead.append((wid, f"ping failed: {exc}"))
         return dead
 
-    def _decode_update_frame(self, wid: int, payload: bytes, state: _InFlight):
-        """Decode an UPDATE of the in-flight training cohort.
+    def _decode_result(
+        self, msg_type: int, payload: bytes, state: _InFlight
+    ) -> Optional[tuple]:
+        """Decode one result frame; raises :class:`proto.ProtocolError`
+        when it is malformed.
 
         A worker's delta UPDATE names the broadcast it trained from
         (``baseline_seq == seq``), which is ``state.weights`` whichever
         connection carried it -- so the decode needs no per-worker
-        mirror.  Returns the decoded tuple, or ``None`` when the frame
-        was stale (an abandoned cohort's update: dropped undecoded) or
-        fatally malformed (the worker is then retired).
+        mirror.  ``None`` means a stale UPDATE (an abandoned cohort's,
+        whose baseline may be gone): dropped undecoded.
         """
-        collect = telemetry.enabled()
-        try:
-            if proto.update_seq(payload) != state.seq:
-                # Stale result from an abandoned cohort (see the
-                # equivalent note in ProcessExecutor._train_cohort).
-                return None
-            t0 = time.perf_counter() if collect else 0.0
-            decoded = proto.decode_update(
-                payload,
-                baselines={state.seq: state.weights},
-                expected_size=self._num_params,
-            )
-            if collect:
-                telemetry.observe(
-                    "codec.decode_s",
-                    time.perf_counter() - t0,
-                    codec=self.codec.name,
-                )
-            return decoded
-        except proto.ProtocolError as exc:
-            self._handle_worker_death(wid, state, f"malformed UPDATE: {exc}")
+        if msg_type == proto.MsgType.TRAINFAIL:
+            return proto.decode_trainfail(payload)
+        if msg_type == proto.MsgType.EVAL_RESULT:
+            return proto.decode_eval_result(payload)
+        if msg_type == proto.MsgType.EVAL_MODEL_RESULT:
+            return proto.decode_eval_model_result(payload)
+        if proto.update_seq(payload) != state.seq:
+            # Stale result from an abandoned cohort (see the equivalent
+            # note in ProcessExecutor._train_cohort).
             return None
+        collect = telemetry.enabled()
+        t0 = time.perf_counter() if collect else 0.0
+        decoded = proto.decode_update(
+            payload,
+            baselines={state.seq: state.weights},
+            expected_size=self._num_params,
+        )
+        if collect:
+            telemetry.observe(
+                "codec.decode_s", time.perf_counter() - t0, codec=self.codec.name
+            )
+        return decoded
 
     # ------------------------------------------------------------------
     # the round
@@ -1309,8 +1312,10 @@ class DistributedExecutor(ClientExecutor):
         straggler from a forgotten pass: dropped, settling nothing, its
         sender untouched.  One for the live seq reaches
         ``on_result(worker_id, msg_type, decoded)`` if its type may
-        settle this kind of batch; otherwise -- like any unknown frame
-        -- it retires its sender as a protocol violation.
+        settle this kind of batch; otherwise -- like any unknown frame,
+        and any result or ``REJECT`` frame that does not decode -- it
+        retires its sender as a protocol violation, and the sender's jobs
+        are re-dispatched.
         """
         deadline = time.monotonic() + self.result_timeout
         while state.outstanding() > 0:
@@ -1337,10 +1342,11 @@ class DistributedExecutor(ClientExecutor):
                 self._handle_worker_death(wid, state, "worker exited")
                 continue
             if msg_type == proto.MsgType.REJECT:
-                reason = proto.decode_reject(payload)
-                self._handle_worker_death(
-                    wid, state, f"worker refused to continue: {reason}"
-                )
+                try:
+                    reason = f"worker refused to continue: {proto.decode_reject(payload)}"
+                except proto.ProtocolError as exc:
+                    reason = f"malformed REJECT: {exc}"
+                self._handle_worker_death(wid, state, reason)
                 continue
             unexpected = f"unexpected message type {msg_type}"
             # Merged under the lock a resume holds, and only while the
@@ -1352,16 +1358,15 @@ class DistributedExecutor(ClientExecutor):
             with self._death_lock:
                 if gen != self._handles[wid].gen:
                     continue
-                if msg_type == proto.MsgType.UPDATE:
-                    decoded = self._decode_update_frame(wid, payload, state)
-                elif msg_type == proto.MsgType.TRAINFAIL:
-                    decoded = proto.decode_trainfail(payload)
-                elif msg_type == proto.MsgType.EVAL_RESULT:
-                    decoded = proto.decode_eval_result(payload)
-                elif msg_type == proto.MsgType.EVAL_MODEL_RESULT:
-                    decoded = proto.decode_eval_model_result(payload)
-                else:
+                if msg_type not in _RESULT_TYPES:
                     self._handle_worker_death(wid, state, unexpected)
+                    continue
+                try:
+                    decoded = self._decode_result(msg_type, payload, state)
+                except proto.ProtocolError as exc:
+                    self._handle_worker_death(
+                        wid, state, f"malformed {proto.MsgType(msg_type).name}: {exc}"
+                    )
                     continue
                 if decoded is None or decoded[0] != state.seq:
                     continue

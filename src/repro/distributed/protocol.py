@@ -77,13 +77,16 @@ Version history (every entry is a wire-incompatible break: it bumps
 
   - BROADCAST and UPDATE headers now carry a ``codec_id`` plus a
     ``baseline_seq`` (0 = none), so weight vectors may travel through
-    any registered :class:`repro.codec.WeightCodec`: ``raw`` (the v3
-    format's payload, still the default), ``delta`` (lossless
+    a :class:`repro.codec.WeightCodec`: ``raw`` (id 1, the v3 format's
+    payload, still the default) or ``delta`` (id 2, lossless
     ULP-XOR-delta against the retained BROADCAST named by
-    ``baseline_seq``) or ``quantized`` (lossy float16, opt-in).  The
-    weights evaluation uses travel through the same BROADCAST frames, so
-    EVAL / EVAL_MODEL orders inherit the codec via the ``seq`` they
-    reference.  A v3 peer would misparse the widened headers.
+    ``baseline_seq``).  The weights evaluation uses travel through the
+    same BROADCAST frames, so EVAL / EVAL_MODEL orders inherit the codec
+    via the ``seq`` they reference.  A v3 peer would misparse the
+    widened headers.  Id 3 was a lossy float16 ``quantized`` codec; it
+    was cut at v7 without a version bump (raw and delta frames did not
+    change), and the id is retired, never reused: a frame naming it
+    fails as an unknown codec id.
   - WELCOME gained a per-worker ``session_token``; HELLO gained an
     optional ``resume`` object (``{worker_id, token}``).  A worker whose
     TCP connection drops may reconnect and present its token within the
@@ -158,7 +161,7 @@ Version history (every entry is a wire-incompatible break: it bumps
   frame         v7 contract
   ============  =====================================================
   BROADCAST     gains a header-only **alias** form: ``codec_id`` 0
-                (never a registered codec) with ``baseline_seq``
+                (never a codec's id) with ``baseline_seq``
                 naming a BROADCAST the worker still retains and *no
                 payload*.  The worker files the retained vector under
                 the new ``seq`` as well -- no bytes, no codec call on
@@ -196,6 +199,7 @@ pickle overhead on the per-round hot path).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pickle
@@ -258,8 +262,8 @@ __all__ = [
 #: See the version history in the module docstring: v2 added EVAL /
 #: EVAL_RESULT; v3 added BIND_EVAL / EVAL_MODEL / EVAL_MODEL_RESULT and
 #: multi-broadcast retention for round pipelining; v4 added codec id +
-#: baseline seq to the BROADCAST/UPDATE headers (pluggable raw / delta /
-#: quantized weight transport) and session tokens for worker
+#: baseline seq to the BROADCAST/UPDATE headers (pluggable weight
+#: transport) and session tokens for worker
 #: reconnect-and-resume; v5 added the worker's end-of-session TELEMETRY
 #: summary frame; v6 added ASSIGN_SHARD (population store shards ship
 #: as column slices, O(cohort) steady-state wire cost); v7 made the
@@ -342,11 +346,31 @@ def model_signature(model: Sequential) -> str:
 # ----------------------------------------------------------------------
 # JSON control messages
 # ----------------------------------------------------------------------
+def _json_frame(decode):
+    """Decorate a JSON frame decoder: bytes that are not JSON, and a
+    field of the wrong type, fail as :class:`ProtocolError` naming the
+    frame.
+
+    The decoders cast with bare ``int()`` / ``float()`` / tuple
+    unpacking, so well-formed JSON with a wrong-typed field (a string
+    version, a list capacity, ``1e400``) would otherwise raise
+    ``ValueError`` / ``TypeError`` / ``OverflowError`` -- which no
+    reader or accept loop expects from a peer's bytes.
+    """
+    what = decode.__name__[len("decode_"):].upper()
+
+    @functools.wraps(decode)
+    def checked(payload):
+        try:
+            return decode(payload)
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise ProtocolError(f"malformed {what} payload: {exc}") from exc
+
+    return checked
+
+
 def _decode_json(payload: bytes, required: Sequence[str], what: str) -> Dict[str, Any]:
-    try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed {what} payload: {exc}") from exc
+    obj = json.loads(payload.decode("utf-8"))  # under @_json_frame
     if not isinstance(obj, dict):
         raise ProtocolError(f"{what} payload must be a JSON object")
     missing = [k for k in required if k not in obj]
@@ -380,6 +404,7 @@ def encode_hello(
     return json.dumps(obj).encode("utf-8")
 
 
+@_json_frame
 def decode_hello(payload: bytes) -> Dict[str, Any]:
     obj = _decode_json(payload, ("version", "capacity", "pid"), "HELLO")
     out: Dict[str, Any] = {k: int(obj[k]) for k in ("version", "capacity", "pid")}
@@ -420,6 +445,7 @@ def encode_welcome(
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_welcome(payload: bytes) -> Dict[str, Any]:
     obj = _decode_json(
         payload, ("version", "worker_id", "model_signature", "num_params"), "WELCOME"
@@ -437,6 +463,7 @@ def encode_reject(reason: str) -> bytes:
     return json.dumps({"reason": str(reason)}).encode("utf-8")
 
 
+@_json_frame
 def decode_reject(payload: bytes) -> str:
     return str(_decode_json(payload, ("reason",), "REJECT")["reason"])
 
@@ -451,6 +478,7 @@ def encode_train(seq: int, round_idx: int, jobs: Sequence[Tuple[int, int]]) -> b
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_train(payload: bytes) -> Tuple[int, int, List[Tuple[int, int]]]:
     obj = _decode_json(payload, ("seq", "round_idx", "jobs"), "TRAIN")
     jobs = [(int(cid), int(epochs)) for cid, epochs in obj["jobs"]]
@@ -463,6 +491,7 @@ def encode_trainfail(seq: int, client_id: int, tb: str) -> bytes:
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_trainfail(payload: bytes) -> Tuple[int, int, str]:
     obj = _decode_json(payload, ("seq", "client_id", "traceback"), "TRAINFAIL")
     return int(obj["seq"]), int(obj["client_id"]), str(obj["traceback"])
@@ -474,6 +503,7 @@ def encode_eval(seq: int, client_ids: Sequence[int]) -> bytes:
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_eval(payload: bytes) -> Tuple[int, List[int]]:
     obj = _decode_json(payload, ("seq", "clients"), "EVAL")
     return int(obj["seq"]), [int(cid) for cid in obj["clients"]]
@@ -501,6 +531,7 @@ def encode_eval_result(
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_eval_result(
     payload: bytes,
 ) -> Tuple[int, int, Optional[float], Optional[str]]:
@@ -534,6 +565,7 @@ def encode_eval_model(seq: int, shards: Sequence[Tuple[int, int]]) -> bytes:
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_eval_model(payload: bytes) -> Tuple[int, List[Tuple[int, int]]]:
     obj = _decode_json(payload, ("seq", "shards"), "EVAL_MODEL")
     shards = [(int(a), int(b)) for a, b in obj["shards"]]
@@ -568,6 +600,7 @@ def encode_eval_model_result(
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_eval_model_result(
     payload: bytes,
 ) -> Tuple[int, int, int, Optional[int], Optional[str]]:
@@ -609,6 +642,7 @@ def encode_telemetry(worker_id: int, summary: Mapping[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
+@_json_frame
 def decode_telemetry(payload: bytes) -> Tuple[int, Dict[str, Any]]:
     obj = _decode_json(payload, ("worker_id", "summary"), "TELEMETRY")
     summary = obj["summary"]
@@ -740,8 +774,8 @@ _BROADCAST_HEADER = struct.Struct("!IQBI")
 # (seq, client_id, num_samples, rng_len, codec_id, baseline_seq)
 _UPDATE_HEADER = struct.Struct("!IIQIBI")
 
-#: ``codec_id`` of the header-only alias BROADCAST (v7): no registered
-#: codec can take 0, so the id doubles as the frame-form discriminator.
+#: ``codec_id`` of the header-only alias BROADCAST (v7): no codec has
+#: id 0, so the id doubles as the frame-form discriminator.
 _ALIAS_CODEC_ID = 0
 
 _RAW = get_codec("raw")

@@ -42,7 +42,7 @@ holds for models whose ``Dropout`` layers are absent or at rate 0, which
 is what every equivalence test uses.  The strict ``xfail``
 ``test_dropout_model_process_vs_serial`` in
 ``tests/execution/test_executors.py`` pins the divergence until the mask
-stream moves into the client (a ROADMAP open item).
+stream moves into the client (ROADMAP open item 3).
 
 The ``batched`` backend honours the same request-order and
 RNG-consumption contract but is bit-equal only within its own stream; it
@@ -85,11 +85,9 @@ bound codec is exposed to backends as :attr:`ClientExecutor.codec`.
 Only the distributed backend actually encodes: serial passes
 arrays by reference, and the process backend moves them through shared
 memory -- in-process transports have no wire, so encoding them would
-add CPU without removing a single copy (and a lossy codec would
-silently break their bit-identity contract).  The lossless codecs
-(``raw``, ``delta``) keep the distributed backend inside the
-determinism contract above; ``quantized`` is lossy and explicitly
-opts the run out of bit-identity.
+add CPU without removing a single copy.  Both codecs (``raw``,
+``delta``) are lossless, so the distributed backend stays inside the
+determinism contract above whichever one a run names.
 """
 
 from __future__ import annotations

@@ -46,9 +46,8 @@ Design (the memory / determinism contract):
   ``TrainingConfig.codec`` says: the :mod:`repro.codec` weight codecs
   exist to cut *bytes on a wire*, and shared memory has no wire -- the
   one ``memcpy`` into the segment is already cheaper than any
-  encode+decode pair, a delta codec would *add* a baseline copy per
-  round without removing one, and a lossy codec would silently break
-  this backend's bit-identity contract.  Only the distributed backend
+  encode+decode pair, and a delta codec would *add* a baseline copy per
+  round without removing one.  Only the distributed backend
   encodes (its BROADCAST/UPDATE frames actually cross machines).
 * **Shared-memory returns.**  Updated weight vectors come back the same
   way: each worker owns a private return segment (the mirror of the

@@ -218,9 +218,6 @@ class Scenario:
         """Alias of ``clients``."""
         return self.clients
 
-    def group_of(self, client_id: int) -> int:
-        return int(self.clients.group[client_id])
-
 
 def _partition(
     cfg: ScenarioConfig, labels: np.ndarray, rng: np.random.Generator

@@ -8,7 +8,7 @@ straggler mitigations (over-selection with discard; FedProx), and the
 Section 4.6 differential-privacy bookkeeping.
 """
 
-from repro.fl.aggregator import HierarchicalAggregator, fedavg, fedavg_dicts
+from repro.fl.aggregator import HierarchicalAggregator, fedavg
 from repro.fl.async_server import AsyncFLServer, polynomial_staleness_discount
 from repro.fl.engine import RoundContext
 from repro.fl.fedprox import make_fedprox_server
@@ -31,7 +31,6 @@ from repro.fl.server import FLServer
 
 __all__ = [
     "fedavg",
-    "fedavg_dicts",
     "HierarchicalAggregator",
     "ClientSelector",
     "RandomSelector",

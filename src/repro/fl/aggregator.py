@@ -17,7 +17,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["fedavg", "fedavg_dicts", "HierarchicalAggregator"]
+__all__ = ["fedavg", "HierarchicalAggregator"]
 
 
 def fedavg(
@@ -48,26 +48,6 @@ def fedavg(
     if total <= 0:
         raise ValueError("total sample count must be positive")
     return (s[:, None] * w).sum(axis=0) / total
-
-
-def fedavg_dicts(
-    param_dicts: Sequence[dict], sizes: Sequence[float]
-) -> dict:
-    """FedAvg over ``{name: array}`` parameter dicts (layer-keyed variant)."""
-    if not param_dicts:
-        raise ValueError("fedavg needs at least one client update")
-    keys = set(param_dicts[0])
-    for d in param_dicts[1:]:
-        if set(d) != keys:
-            raise KeyError("parameter dicts have mismatched keys")
-    s = np.asarray(sizes, dtype=np.float64)
-    if s.sum() <= 0:
-        raise ValueError("total sample count must be positive")
-    out = {}
-    for k in keys:
-        stack = np.stack([d[k] for d in param_dicts])
-        out[k] = np.tensordot(s, stack, axes=1) / s.sum()
-    return out
 
 
 class HierarchicalAggregator:

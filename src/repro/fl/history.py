@@ -105,12 +105,6 @@ class TrainingHistory:
                 return float(r.accuracy)
         raise ValueError("no accuracy was recorded in this history")
 
-    def best_accuracy(self) -> float:
-        accs = [r.accuracy for r in self.records if r.accuracy is not None]
-        if not accs:
-            raise ValueError("no accuracy was recorded in this history")
-        return float(max(accs))
-
     def accuracy_at_time(self, budget: float) -> float:
         """Best accuracy achieved within a wall-clock budget (Fig. 3e reading)."""
         accs = [
@@ -121,26 +115,6 @@ class TrainingHistory:
         if not accs:
             return 0.0
         return float(max(accs))
-
-    def rounds_within_time(self, budget: float) -> int:
-        """How many rounds complete within ``budget`` seconds."""
-        return int(np.sum(self.times <= budget))
-
-    def tier_selection_counts(self) -> Dict[int, int]:
-        """How often each tier was selected (None key = tier-agnostic rounds)."""
-        counts: Dict[int, int] = {}
-        for r in self.records:
-            key = -1 if r.tier is None else r.tier
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def selection_counts(self) -> Dict[int, int]:
-        """Per-client participation counts over the run."""
-        counts: Dict[int, int] = {}
-        for r in self.records:
-            for c in r.selected:
-                counts[c] = counts.get(c, 0) + 1
-        return counts
 
     def summary(self) -> str:
         """One-line run summary for logs and tables."""

@@ -302,7 +302,6 @@ class FLServer:
         # else: fully-dropped round -- weights carry over unchanged
         ctx.eval_weights = self.global_weights
         self.clock.advance(ctx.round_latency)
-        self.clock.mark()
         ctx.sim_time = self.clock.now
 
     def _eval_due(self, round_idx: int) -> bool:

@@ -11,7 +11,7 @@ numpy -- convolutions go through im2col/col2im so the hot loop is a single
 GEMM; no per-sample Python loops appear anywhere on the training path.
 """
 
-from repro.nn.initializers import glorot_uniform, he_normal, zeros_init
+from repro.nn.initializers import glorot_uniform, zeros_init
 from repro.nn.layers import (
     Conv2D,
     Dense,
@@ -22,11 +22,10 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.losses import (
-    l2_penalty,
     proximal_penalty,
     softmax_cross_entropy,
 )
-from repro.nn.metrics import accuracy, top_k_accuracy
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Optimizer, RMSprop
 from repro.nn.stacked import StackedSequential
@@ -50,15 +49,12 @@ __all__ = [
     "Sequential",
     "StackedSequential",
     "softmax_cross_entropy",
-    "l2_penalty",
     "proximal_penalty",
     "accuracy",
-    "top_k_accuracy",
     "Optimizer",
     "SGD",
     "RMSprop",
     "glorot_uniform",
-    "he_normal",
     "zeros_init",
     "build_mnist_cnn",
     "build_cifar10_cnn",

@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_normal", "zeros_init", "fan_in_out"]
+__all__ = ["glorot_uniform", "zeros_init", "fan_in_out"]
 
 
 def fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -33,13 +33,6 @@ def glorot_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarr
     fin, fout = fan_in_out(shape)
     limit = np.sqrt(6.0 / (fin + fout))
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def he_normal(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """He normal: N(0, sqrt(2/fan_in)); the right scale for ReLU stacks."""
-    fin, _ = fan_in_out(shape)
-    std = np.sqrt(2.0 / fin)
-    return (rng.standard_normal(size=shape) * std).astype(np.float64)
 
 
 def zeros_init(_rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:

@@ -16,7 +16,6 @@ from repro.nn.tensor_ops import one_hot, stacked_one_hot
 __all__ = [
     "softmax_cross_entropy",
     "stacked_softmax_cross_entropy",
-    "l2_penalty",
     "proximal_penalty",
 ]
 
@@ -112,20 +111,6 @@ def stacked_softmax_cross_entropy(
     grad -= y
     grad /= n
     return losses, grad
-
-
-def l2_penalty(
-    params: Dict[str, np.ndarray], lam: float
-) -> Tuple[float, Dict[str, np.ndarray]]:
-    """``lam/2 * ||w||^2`` over every tensor in ``params``; returns grads too."""
-    if lam < 0:
-        raise ValueError(f"l2 coefficient must be non-negative, got {lam}")
-    loss = 0.0
-    grads: Dict[str, np.ndarray] = {}
-    for name, w in params.items():
-        loss += 0.5 * lam * float(np.sum(w * w))
-        grads[name] = lam * w
-    return loss, grads
 
 
 def proximal_penalty(

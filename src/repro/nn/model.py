@@ -310,23 +310,6 @@ class Sequential:
         """Total scalar parameter count (communication payload size)."""
         return self._flat.size
 
-    def clone_architecture(self, rng: RngLike = None) -> "Sequential":
-        """Fresh model with the same topology and new random weights.
-
-        Used to stamp out per-client replicas; call :meth:`set_weights`
-        afterwards to sync them to the global model.
-        """
-        import copy
-
-        new_layers = []
-        for layer in self.layers:
-            blank = copy.copy(layer)
-            blank.params = {}
-            blank.grads = {}
-            blank.built = False
-            new_layers.append(blank)
-        return Sequential(new_layers, self.input_shape, rng=rng)
-
     def summary(self) -> str:
         """Human-readable layer table."""
         lines = [f"Sequential(input={self.input_shape}, output={self.output_shape})"]

@@ -58,16 +58,9 @@ class Optimizer:
         """Current learning rate under multiplicative decay."""
         return self.base_lr * (self.decay**self.steps)
 
-    def step_schedule(self) -> None:
-        """Advance the decay schedule by one unit (one round, per the paper)."""
-        self.steps += 1
-
     def update(self, key: ParamKey, param: np.ndarray, grad: np.ndarray) -> None:
         """Apply one in-place update to ``param`` given ``grad``."""
         raise NotImplementedError
-
-    def reset_state(self) -> None:
-        """Drop accumulated moments (used when a client re-syncs weights)."""
 
 
 class SGD(Optimizer):
@@ -103,10 +96,6 @@ class SGD(Optimizer):
         v *= self.momentum
         v -= tmp
         param += v
-
-    def reset_state(self) -> None:
-        self._velocity.clear()
-        self._scratch.clear()
 
 
 class RMSprop(Optimizer):
@@ -191,7 +180,3 @@ class RMSprop(Optimizer):
             np.multiply(gb, self.lr, out=tb)
             tb /= db
             pb -= tb
-
-    def reset_state(self) -> None:
-        self._sq_avg.clear()
-        self._scratch.clear()

@@ -15,11 +15,11 @@ draws seen by another (a property the test-suite checks).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "spawn_many", "derive", "RngLike"]
+__all__ = ["make_rng", "spawn", "derive", "RngLike"]
 
 RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
@@ -52,11 +52,6 @@ def spawn(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
     return [np.random.default_rng(s) for s in seeds]
 
 
-def spawn_many(seed: RngLike, n: int) -> List[np.random.Generator]:
-    """Convenience: :func:`make_rng` then :func:`spawn`."""
-    return spawn(make_rng(seed), n)
-
-
 def derive(seed: RngLike, *keys: int) -> np.random.Generator:
     """Derive a generator from ``seed`` and an integer key path.
 
@@ -67,12 +62,6 @@ def derive(seed: RngLike, *keys: int) -> np.random.Generator:
     base = seed if isinstance(seed, int) else 0
     ss = np.random.SeedSequence(entropy=base, spawn_key=tuple(int(k) for k in keys))
     return np.random.default_rng(ss)
-
-
-def stream_iter(rng: np.random.Generator) -> Iterator[np.random.Generator]:
-    """Infinite iterator of fresh child streams from ``rng``."""
-    while True:
-        yield spawn(rng, 1)[0]
 
 
 def choice_without_replacement(

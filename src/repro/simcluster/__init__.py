@@ -23,7 +23,7 @@ only the *passage of time* is simulated.
 
 from repro.simcluster.client import ClientUpdate, SimClient
 from repro.simcluster.clock import SimulatedClock
-from repro.simcluster.faults import DropoutInjector, FaultInjector, SlowdownInjector
+from repro.simcluster.faults import FaultInjector, SlowdownInjector
 from repro.simcluster.latency import LatencyModel
 from repro.simcluster.network import CommModel
 from repro.simcluster.population import (
@@ -54,6 +54,5 @@ __all__ = [
     "DiurnalSchedule",
     "SeedAddress",
     "FaultInjector",
-    "DropoutInjector",
     "SlowdownInjector",
 ]

@@ -16,7 +16,7 @@ is free when unused, so small-N runs without churn stay bit-identical.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 __all__ = ["SimulatedClock"]
 
@@ -30,8 +30,6 @@ class SimulatedClock:
         if start < 0:
             raise ValueError(f"start time must be non-negative, got {start}")
         self._now = float(start)
-        self._marks: List[float] = []
-        self._marks_view: Optional[Tuple[float, ...]] = None
         self._events: List[Tuple[float, int, ClockCallback]] = []
         self._event_seq = 0
 
@@ -69,41 +67,7 @@ class SimulatedClock:
         heapq.heappush(self._events, (when, self._event_seq, callback))
         self._event_seq += 1
 
-    @property
-    def events_pending(self) -> int:
-        """How many scheduled events have not fired yet."""
-        return len(self._events)
-
-    def mark(self) -> None:
-        """Record the current time (one mark per completed round)."""
-        self._marks.append(self._now)
-        self._marks_view = None
-
-    @property
-    def marks(self) -> Tuple[float, ...]:
-        """Times recorded by :meth:`mark`, oldest first.
-
-        Cached: repeated reads between marks return the same tuple
-        instead of copying an O(rounds) list on every access.
-        """
-        if self._marks_view is None:
-            self._marks_view = tuple(self._marks)
-        return self._marks_view
-
-    @property
-    def num_marks(self) -> int:
-        """Mark count without materialising the tuple."""
-        return len(self._marks)
-
-    def reset(self) -> None:
-        """Zero the clock and clear marks and pending events."""
-        self._now = 0.0
-        self._marks.clear()
-        self._marks_view = None
-        self._events.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SimulatedClock(now={self._now:.3f}s, marks={len(self._marks)}, "
-            f"events={len(self._events)})"
+            f"SimulatedClock(now={self._now:.3f}s, events={len(self._events)})"
         )

@@ -1,9 +1,10 @@
-"""Fault injection: dropouts and slowdowns.
+"""Fault injection: a client's sampled latency, degraded.
 
 Section 4.2 of the paper handles clients that repeatedly time out during
 profiling (they are excluded as dropouts), and real deployments see
-transient stragglers.  These injectors wrap a client's sampled latency so
-both behaviours can be reproduced in tests and robustness studies.
+transient stragglers.  A :class:`FaultInjector` wraps a client's sampled
+latency (``inf`` = never responds) so both behaviours can be reproduced;
+:class:`SlowdownInjector` is the straggler the examples drive.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Set
 
-
-from repro.rng import RngLike, make_rng
-
-__all__ = ["FaultInjector", "DropoutInjector", "SlowdownInjector"]
+__all__ = ["FaultInjector", "SlowdownInjector"]
 
 
 class FaultInjector:
@@ -25,29 +23,6 @@ class FaultInjector:
 
         ``float('inf')`` means the client never responds this round.
         """
-        return latency
-
-
-@dataclass
-class DropoutInjector(FaultInjector):
-    """Clients in ``always_drop`` never respond; others drop i.i.d. with
-    probability ``drop_prob`` per round."""
-
-    drop_prob: float = 0.0
-    always_drop: Optional[Set[int]] = None
-    rng: RngLike = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
-        self._rng = make_rng(self.rng)
-        self.always_drop = set(self.always_drop or ())
-
-    def apply(self, client_id: int, round_idx: int, latency: float) -> float:
-        if client_id in self.always_drop:
-            return float("inf")
-        if self.drop_prob > 0.0 and self._rng.random() < self.drop_prob:
-            return float("inf")
         return latency
 
 

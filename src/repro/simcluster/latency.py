@@ -224,31 +224,6 @@ class LatencyModel:
         )
         return work * factors
 
-    @classmethod
-    def for_model_size(
-        cls,
-        num_params: int,
-        flops_per_param: float = 6.0,
-        effective_flops: float = 2.0e9,
-        base_overhead: float = 0.5,
-        noise_sigma: float = 0.05,
-    ) -> "LatencyModel":
-        """Calibrate ``cost_per_sample`` from a parameter count.
-
-        A forward+backward pass costs roughly ``flops_per_param`` FLOPs per
-        parameter per sample; ``effective_flops`` is the throughput of one
-        CPU.  The absolute scale is a free knob -- only ratios across
-        models/CPU groups matter for the reproduced figures.
-        """
-        if num_params <= 0:
-            raise ValueError(f"num_params must be positive, got {num_params}")
-        cost = num_params * flops_per_param / effective_flops
-        return cls(
-            cost_per_sample=cost,
-            base_overhead=base_overhead,
-            noise_sigma=noise_sigma,
-        )
-
 
 class CohortLatencySampler:
     """The v2 cohort-level latency stream (see module docstring).
@@ -401,22 +376,6 @@ class CohortLatencySampler:
                 dtype=np.float64,
             )
         return ids, total
-
-    def sample_population(
-        self,
-        store,
-        num_params: int,
-        epochs: Union[int, Mapping[int, int]] = 1,
-        round_idx: int = 0,
-        fault: Optional["FaultInjector"] = None,
-        client_ids: Optional[np.ndarray] = None,
-    ) -> Dict[int, float]:
-        """:meth:`sample_population_columns` in :meth:`sample_cohort`'s
-        return form: ``{client_id: latency_seconds}`` in cohort order."""
-        ids, total = self.sample_population_columns(
-            store, num_params, epochs, round_idx, fault, client_ids
-        )
-        return dict(zip(ids.tolist(), total.tolist()))
 
 
 def resolve_latency_stream(

@@ -243,9 +243,6 @@ class _NoopSpan:
     def __exit__(self, *exc: Any) -> bool:
         return False
 
-    def annotate(self, **attrs: Any) -> None:
-        pass
-
 
 _NOOP_METRIC = _NoopMetric()
 _NOOP_SPAN = _NoopSpan()
@@ -278,10 +275,6 @@ class Span:
         self.attrs = attrs
         self._ts = 0.0
         self._start = 0.0
-
-    def annotate(self, **attrs: Any) -> None:
-        """Attach attributes discovered mid-span (e.g. bytes moved)."""
-        self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
         self._ts = time.time()

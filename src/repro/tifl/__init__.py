@@ -16,7 +16,6 @@ from repro.tifl.credits import allocate_credits
 from repro.tifl.estimator import estimate_training_time, mape
 from repro.tifl.planner import (
     PlanResult,
-    min_budget_for_fairness,
     plan_fairest_probs,
 )
 from repro.tifl.policies import (
@@ -49,6 +48,5 @@ __all__ = [
     "mape",
     "PlanResult",
     "plan_fairest_probs",
-    "min_budget_for_fairness",
     "TiFLServer",
 ]

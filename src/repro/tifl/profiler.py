@@ -52,10 +52,6 @@ class ProfilingResult:
     profiling_time: float = 0.0
     raw_latencies: Dict[int, List[float]] = field(default_factory=dict)
 
-    @property
-    def responsive_clients(self) -> List[int]:
-        return sorted(self.mean_latencies)
-
 
 def profile_clients(
     clients: PopulationStore,

@@ -332,7 +332,3 @@ class TiFLServer(FLServer):
             rng=self._rng,
         )
         return new_assignment
-
-    def expected_tier_latencies(self) -> np.ndarray:
-        """Profiled per-tier mean latencies (input to Eq. 6)."""
-        return self.assignment.mean_latencies

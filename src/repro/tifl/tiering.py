@@ -88,9 +88,6 @@ class TierAssignment:
     def members(self, tier_index: int) -> Tuple[int, ...]:
         return self.tiers[tier_index].client_ids
 
-    def all_clients(self) -> List[int]:
-        return sorted(self._client_tier)
-
     def describe(self) -> str:
         """Human-readable tier table (used by examples and logs)."""
         lines = [f"{'tier':>4} {'size':>5} {'mean lat [s]':>13} {'range [s]':>19}"]

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional, Set
+
 import numpy as np
 import pytest
 
 from repro.data.datasets import Dataset
 from repro.data.partition import FederatedData
 from repro.data.synthetic import SyntheticSpec, generate_synthetic
+from repro.rng import RngLike, make_rng
 from repro.simcluster.client import SimClient
+from repro.simcluster.faults import FaultInjector
 from repro.simcluster.latency import LatencyModel
 from repro.simcluster.network import CommModel
 from repro.simcluster.population import PopulationStore
@@ -127,6 +132,29 @@ def make_test_population(
         holdout_fraction=holdout_fraction,
         seed_rng=seed,
     )
+
+
+@dataclass
+class DropoutInjector(FaultInjector):
+    """Clients in ``always_drop`` never respond; others drop i.i.d. with
+    probability ``drop_prob`` per round (a latency of ``inf``)."""
+
+    drop_prob: float = 0.0
+    always_drop: Optional[Set[int]] = None
+    rng: RngLike = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.drop_prob <= 1.0:
+            raise ValueError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+        self._rng = make_rng(self.rng)
+        self.always_drop = set(self.always_drop or ())
+
+    def apply(self, client_id: int, round_idx: int, latency: float) -> float:
+        if client_id in self.always_drop:
+            return float("inf")
+        if self.drop_prob > 0.0 and self._rng.random() < self.drop_prob:
+            return float("inf")
+        return latency
 
 
 def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

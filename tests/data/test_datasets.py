@@ -16,7 +16,7 @@ class TestDataset:
     def test_length_and_shape(self, rng):
         d = Dataset(rng.standard_normal((10, 4, 4, 1)), rng.integers(0, 3, 10), 3)
         assert len(d) == 10
-        assert d.sample_shape == (4, 4, 1)
+        assert d.x.shape[1:] == (4, 4, 1)
 
     def test_mismatched_lengths_raise(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
@@ -60,10 +60,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.split(6)
 
-    def test_class_counts(self):
-        d = Dataset(np.zeros((4, 1)), np.array([0, 0, 2, 2]), 4)
-        np.testing.assert_array_equal(d.class_counts(), [2, 0, 2, 0])
-
 
 @pytest.mark.parametrize(
     "factory,classes,shape",
@@ -77,7 +73,7 @@ class TestDataset:
 class TestFactories:
     def test_default_shapes(self, factory, classes, shape):
         train, test = factory(train_size=classes * 4, test_size=classes * 2, rng=0)
-        assert train.sample_shape == shape
+        assert train.x.shape[1:] == shape
         assert train.num_classes == classes
         assert len(train) == classes * 4 and len(test) == classes * 2
 
@@ -85,11 +81,11 @@ class TestFactories:
         train, _ = factory(
             train_size=classes * 2, test_size=classes, shape=(6, 6, 1), rng=0
         )
-        assert train.sample_shape == (6, 6, 1)
+        assert train.x.shape[1:] == (6, 6, 1)
 
     def test_balanced_labels(self, factory, classes, shape):
         train, _ = factory(train_size=classes * 10, test_size=classes, rng=0)
-        counts = train.class_counts()
+        counts = np.bincount(train.y, minlength=train.num_classes)
         assert counts.min() >= 9  # near-perfect balance by construction
 
     def test_deterministic(self, factory, classes, shape):

@@ -24,7 +24,7 @@ class TestStructure:
         check_partition(leaf.client_indices, len(leaf.train))
 
     def test_shapes(self, leaf):
-        assert leaf.train.sample_shape == (28, 28, 1)
+        assert leaf.train.x.shape[1:] == (28, 28, 1)
         assert leaf.train.num_classes == 62
         assert len(leaf.test) == 200
 
@@ -43,8 +43,8 @@ class TestSkew:
         """Per-writer class distributions differ (Dirichlet skew)."""
         tables = []
         for cid in range(10):
-            d = leaf.client_dataset(cid)
-            tables.append(d.class_counts() / len(d))
+            y = leaf.train.y[leaf.client_indices[cid]]
+            tables.append(np.bincount(y, minlength=leaf.train.num_classes) / y.size)
         tables = np.stack(tables)
         assert tables.std(axis=0).max() > 0.005
 
@@ -53,7 +53,7 @@ class TestSkew:
         leaf = make_femnist_leaf(
             num_clients=4, scale=0.2, writer_style_scale=1.0, test_size=50, rng=3
         )
-        means = [leaf.client_dataset(c).x.mean(axis=0).ravel() for c in range(4)]
+        means = [leaf.train.x[leaf.client_indices[c]].mean(axis=0).ravel() for c in range(4)]
         dists = [np.linalg.norm(means[0] - m) for m in means[1:]]
         assert min(dists) > 0.0
 

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.codec import DeltaCodec, RawCodec, get_codec
+from repro.codec import CODEC_NAMES, DeltaCodec, RawCodec, get_codec
 from repro.config import TrainingConfig
 from repro.distributed import DistributedExecutor
 from repro.distributed import protocol as proto
@@ -165,7 +165,7 @@ class TestEncodeOnceFanOut:
         assert ex.broadcast_stats["frames_reused"] == 1
         ex.close()
 
-    @pytest.mark.parametrize("codec", ["raw", "delta", "quantized"])
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
     def test_resident_vector_is_aliased_for_every_codec(self, codec, codec_calls):
         ex, (a, _b), w0 = _bound_executor(codec)
         _send(ex, a, _InFlight(1, 0, w0, "eval_model"))

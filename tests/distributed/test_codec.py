@@ -1,12 +1,10 @@
-"""Codec equivalence over the wire: delta bit-identity, quantized drift.
+"""Codec equivalence over the wire: delta bit-identity.
 
 The delta codec promises bit-identical training to raw/serial *by
 contract* -- these tests hold a multi-round loopback run (real worker
 subprocesses, real TCP) to it, and pin the reason to use it at all: the
-delta run ships fewer bytes than the raw run.  The quantized codec is
-lossy and opt-in; its test bounds the damage (training completes, the
-final model's accuracy lands near serial) rather than demanding
-identity.  In-process backends ignore the codec (no wire) -- the
+delta run ships fewer bytes than the raw run.  In-process backends
+ignore the codec (no wire) -- the
 all-backends sweep proves a ``codec="delta"`` config changes nothing
 for them.
 """
@@ -146,55 +144,3 @@ class TestDeltaEquivalence:
             assert back.tobytes() == values.tobytes()
             encoded += len(blob)
         assert encoded <= 0.70 * measured * weights.nbytes
-
-
-class TestQuantizedTolerance:
-    def test_quantized_trains_within_accuracy_tolerance(self):
-        """float16 transport is lossy, so weights drift -- but a short
-        run must stay a *working* model: its holdout accuracies land
-        within a loose tolerance of the serial run's."""
-        from repro.execution import EvalRequest
-
-        def run(executor_factory, codec):
-            pool = {i: make_test_client(client_id=i, seed=23) for i in range(6)}
-            model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=23)
-            ex, cleanup = executor_factory()
-            try:
-                ex.bind(pool, model, _train_config(codec))
-                g = model.get_flat_weights()
-                requests = [TrainRequest(cid) for cid in sorted(pool)]
-                for r in range(ROUNDS):
-                    updates = ex.train_cohort(r, requests, g)
-                    g = fedavg(
-                        [u.flat_weights for u in updates],
-                        [float(u.num_samples) for u in updates],
-                    )
-                accs = ex.evaluate_cohort(
-                    [EvalRequest(cid) for cid in sorted(pool)], g
-                )
-            finally:
-                ex.close()
-                cleanup()
-            return g, accs
-
-        def serial_factory():
-            return create_executor("serial"), (lambda: None)
-
-        def distributed_factory():
-            ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
-            procs = spawn_local_workers(ex.listen(), 2)
-            return ex, (lambda: terminate_workers(procs))
-
-        ref_w, ref_accs = run(serial_factory, "raw")
-        q_w, q_accs = run(distributed_factory, "quantized")
-
-        # Lossy by design: the weights must drift (otherwise the codec
-        # silently fell back to a lossless path)...
-        assert not np.array_equal(ref_w, q_w)
-        # ...but boundedly: float16 keeps ~3 decimal digits per hop.
-        assert float(np.max(np.abs(ref_w - q_w))) < 0.25
-        for cid, ref_acc in ref_accs.items():
-            assert abs(q_accs[cid] - ref_acc) <= 0.25, (
-                f"client {cid}: quantized accuracy {q_accs[cid]:.3f} too far "
-                f"from serial {ref_acc:.3f}"
-            )

@@ -8,8 +8,9 @@ peers are in-process ``WorkerAgent`` objects (the fixtures of
 synchronously and the replies land on the collector's queue the way a
 reader thread would put them -- wrapped, per reply, in a straggler from
 another seq, stragglers of every *other* kind (all batches share the one
-queue) and a tampered duplicate -- so every rule is asserted on the
-frames a real worker produces.
+queue) and a tampered duplicate, or replaced by a frame that does not
+decode -- so every rule is asserted on the frames a real worker
+produces.
 """
 
 import io
@@ -54,6 +55,16 @@ KINDS = {
         MT.EVAL_MODEL, "_handle_eval_model", "2 evaluation shard(s)",
         RESULTS["eval"],
     ),
+}
+
+#: Per kind: a frame of the order's own result type whose fields do not
+#: decode (a string seq, a list client id, not JSON at all).
+GARBLED = {
+    "train": (MT.TRAINFAIL, b'{"seq": "x", "client_id": 0, "traceback": ""}'),
+    "eval": (
+        MT.EVAL_RESULT, b'{"seq": 1, "client_id": [0], "accuracy": 0.5, "error": null}'
+    ),
+    "eval_model": (MT.EVAL_MODEL_RESULT, b"not json"),
 }
 
 
@@ -192,6 +203,26 @@ class TestCollectorContract:
             assert sorted(harness.merged) == (
                 sorted(harness.pool) if kind == "train" else []
             )
+        finally:
+            ex.close()
+
+    @pytest.mark.parametrize("garbled", ["result", "reject"])
+    def test_a_frame_that_does_not_decode_retires_its_sender(self, kind, garbled):
+        """Worker 1 answers its order with a result frame of the right
+        type whose fields do not decode -- or with an undecodable REJECT:
+        it is retired like any protocol violation, worker 0 inherits its
+        jobs, and the result still equals serial bit for bit."""
+        frame = GARBLED[kind] if garbled == "result" else (MT.REJECT, b'{"reason": ')
+        harness = _Harness(
+            kind, lambda ex, wid, frames: [frame] if wid == 1 else frames,
+            result_timeout=30.0,
+        )
+        ex = harness.ex
+        try:
+            assert harness.run() == harness.serial_reference()
+            assert ex._handles[1].state == "retired"
+            assert ex._handles[0].state == "up"
+            assert len(harness.orders_sent_to(0)) == 2
         finally:
             ex.close()
 

@@ -6,6 +6,7 @@ round-trips; the handshake tests check that version and model-signature
 mismatches are *rejected*, never silently tolerated.
 """
 
+import json
 import socket
 import threading
 import time
@@ -230,6 +231,35 @@ class TestFraming:
 # ----------------------------------------------------------------------
 # codecs
 # ----------------------------------------------------------------------
+#: Every JSON frame decoder, and the keys its payload carries (HELLO's
+#: optional ``resume`` and WELCOME's ``session_token`` included).
+JSON_DECODERS = {
+    proto.decode_hello: ("version", "capacity", "pid", "resume"),
+    proto.decode_welcome: (
+        "version", "worker_id", "model_signature", "num_params", "session_token",
+    ),
+    proto.decode_reject: ("reason",),
+    proto.decode_train: ("seq", "round_idx", "jobs"),
+    proto.decode_trainfail: ("seq", "client_id", "traceback"),
+    proto.decode_eval: ("seq", "clients"),
+    proto.decode_eval_result: ("seq", "client_id", "accuracy", "error"),
+    proto.decode_eval_model: ("seq", "shards"),
+    proto.decode_eval_model_result: ("seq", "start", "end", "correct", "error"),
+    proto.decode_telemetry: ("worker_id", "summary"),
+}
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+#: A ``resume`` that has the right keys, so its values get cast too.
+KEY_VALUES = {
+    "resume": st.fixed_dictionaries({"worker_id": json_values, "token": json_values})
+    | json_values,
+}
+
+
 class TestCodecs:
     def test_hello_welcome_reject_round_trip(self):
         hello = proto.decode_hello(proto.encode_hello(1, 3, 4242))
@@ -250,6 +280,63 @@ class TestCodecs:
             proto.decode_hello(b"\xff\xfe not json")
         with pytest.raises(proto.ProtocolError, match="missing"):
             proto.decode_hello(b'{"version": 1}')
+
+    @pytest.mark.parametrize(
+        "decode,payload",
+        [
+            (proto.decode_hello, b'{"version": "x", "capacity": 1, "pid": 1}'),
+            (proto.decode_hello, b'{"version": 7, "capacity": [1], "pid": 1}'),
+            (proto.decode_hello, b'{"version": 1e400, "capacity": 1, "pid": 1}'),
+            (
+                proto.decode_hello,
+                b'{"version": 7, "capacity": 1, "pid": 1,'
+                b' "resume": {"worker_id": "a", "token": "t"}}',
+            ),
+            (
+                proto.decode_welcome,
+                b'{"version": 7, "worker_id": {}, "model_signature": "s", "num_params": 1}',
+            ),
+            (proto.decode_train, b'{"seq": 1, "round_idx": 0, "jobs": 5}'),
+            (proto.decode_train, b'{"seq": 1, "round_idx": 0, "jobs": [[1]]}'),
+            (proto.decode_eval, b'{"seq": 1, "clients": ["a"]}'),
+            (proto.decode_eval_model, b'{"seq": 1, "shards": [[0, null]]}'),
+            (
+                proto.decode_eval_result,
+                b'{"seq": 1, "client_id": 0, "accuracy": "high", "error": null}',
+            ),
+            (
+                proto.decode_eval_model_result,
+                b'{"seq": 1, "start": 0, "end": 2, "correct": [], "error": null}',
+            ),
+            (proto.decode_telemetry, b'{"worker_id": null, "summary": {}}'),
+            (proto.decode_trainfail, b'{"seq": 1e400, "client_id": 0, "traceback": ""}'),
+        ],
+    )
+    def test_wrong_typed_field_is_a_protocol_error_naming_the_frame(
+        self, decode, payload
+    ):
+        frame = decode.__name__[len("decode_"):].upper()
+        with pytest.raises(proto.ProtocolError, match=f"malformed {frame} payload"):
+            decode(payload)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "decode", sorted(JSON_DECODERS, key=lambda f: f.__name__),
+        ids=lambda f: f.__name__,
+    )
+    def test_json_decoders_return_or_raise_protocol_error(self, decode, data):
+        """Well-formed JSON whose keys hold arbitrary JSON values: the
+        decoder returns, or raises ``ProtocolError`` -- nothing else a
+        reader thread or the accept loop would not catch."""
+        obj = {
+            key: data.draw(KEY_VALUES.get(key, json_values), label=key)
+            for key in JSON_DECODERS[decode]
+        }
+        try:
+            decode(json.dumps(obj).encode("utf-8"))
+        except proto.ProtocolError:
+            pass
 
     def test_train_round_trip(self):
         seq, rnd, jobs = proto.decode_train(
@@ -403,13 +490,17 @@ class TestCodecs:
             proto.decode_update(payload, baselines={}, expected_size=9)
 
     def test_update_non_raw_requires_expected_size(self):
+        baseline = np.zeros(4)
         payload = proto.encode_update(
-            1, 0, 5, None, np.zeros(4), codec="quantized"
+            1, 0, 5, None, np.ones(4), codec="delta", baseline=baseline,
+            baseline_seq=1,
         )
         with pytest.raises(proto.ProtocolError, match="expected weight count"):
-            proto.decode_update(payload)
-        _, _, _, _, back = proto.decode_update(payload, expected_size=4)
-        assert back.size == 4
+            proto.decode_update(payload, baselines={1: baseline})
+        _, _, _, _, back = proto.decode_update(
+            payload, baselines={1: baseline}, expected_size=4
+        )
+        assert back.tobytes() == np.ones(4).tobytes()
 
     def test_assign_round_trip_ships_clients_and_config(self):
         client = make_test_client(client_id=4, seed=1)

@@ -89,6 +89,17 @@ def run_distributed(executor_cls, rounds=4, seed=31, codec="raw", **kwargs):
     return g, workers_up, codes, ex
 
 
+def _handshake_reply(endpoint, hello_payload):
+    """Open a raw connection, send one HELLO frame, return the reply."""
+    host, port = proto.parse_endpoint(endpoint)
+    conn = Connection(socket.create_connection((host, port), timeout=10.0))
+    try:
+        conn.send(proto.MsgType.HELLO, hello_payload)
+        return conn.recv(timeout=10.0)
+    finally:
+        conn.close()
+
+
 class DropConnOnUpdate(DistributedExecutor):
     """Severs one worker's TCP connection (NOT its process) the moment
     its ``drop_at``-th update arrives -- i.e. mid-round, with that
@@ -289,20 +300,12 @@ class TestResumeHandshakeRejection:
         return ex, procs
 
     def _resume_hello(self, endpoint, worker_id, token):
-        host, port = proto.parse_endpoint(endpoint)
-        conn = Connection(socket.create_connection((host, port), timeout=10.0))
-        try:
-            conn.send(
-                proto.MsgType.HELLO,
-                proto.encode_hello(
-                    proto.PROTOCOL_VERSION, 1, 999,
-                    resume=(worker_id, token),
-                ),
-            )
-            msg_type, payload = conn.recv(timeout=10.0)
-        finally:
-            conn.close()
-        return msg_type, payload
+        return _handshake_reply(
+            endpoint,
+            proto.encode_hello(
+                proto.PROTOCOL_VERSION, 1, 999, resume=(worker_id, token)
+            ),
+        )
 
     def test_bad_token_is_rejected(self):
         ex, procs = self._register_one_worker(reconnect_grace=30.0)
@@ -344,23 +347,36 @@ class TestResumeHandshakeRejection:
         worker knocking after start-up is refused, not half-adopted."""
         ex, procs = self._register_one_worker(reconnect_grace=30.0)
         try:
-            host, port = proto.parse_endpoint(ex.endpoint)
-            conn = Connection(
-                socket.create_connection((host, port), timeout=10.0)
+            msg_type, payload = _handshake_reply(
+                ex.endpoint, proto.encode_hello(proto.PROTOCOL_VERSION, 1, 999)
             )
-            try:
-                conn.send(
-                    proto.MsgType.HELLO,
-                    proto.encode_hello(proto.PROTOCOL_VERSION, 1, 999),
-                )
-                msg_type, payload = conn.recv(timeout=10.0)
-            finally:
-                conn.close()
             assert msg_type == proto.MsgType.REJECT
             assert "already running" in proto.decode_reject(payload)
         finally:
             ex.close()
             terminate_workers(procs)
+
+    def test_wrong_typed_hello_is_rejected_and_resume_still_works(self):
+        """A HELLO whose fields have the wrong type gets a REJECT, like
+        any bad handshake, and leaves the accept thread alive: a worker
+        whose connection is severed afterwards still resumes, and the
+        run stays bit-identical to serial."""
+        replies = []
+
+        class ProbeThenDrop(DropConnOnUpdate):
+            def _on_update_received(self, worker_id, client_id):
+                if not self.dropped:
+                    replies.append(_handshake_reply(
+                        self.endpoint, b'{"version": "x", "capacity": 1, "pid": 1}'
+                    ))
+                super()._on_update_received(worker_id, client_id)
+
+        g, workers_up, codes, ex = run_distributed(ProbeThenDrop, reconnect_grace=30.0)
+        [(msg_type, payload)] = replies
+        assert msg_type == proto.MsgType.REJECT
+        assert "malformed HELLO" in proto.decode_reject(payload)
+        assert ex.dropped and workers_up == 2, "the severed worker did not resume"
+        assert np.array_equal(serial_reference(), g)
 
 
 class TestReassignCandidates:

@@ -167,7 +167,7 @@ class TestBackendEquivalence:
             marks=pytest.mark.xfail(
                 strict=True,
                 reason="Dropout's mask stream lives in the workspace, so each process "
-                "worker advances its own copy (docs/numerics.md; ROADMAP open item 8)",
+                "worker advances its own copy (docs/numerics.md; ROADMAP open item 3)",
             ),
         ),
     ],

@@ -154,7 +154,7 @@ def test_leaf_history_matches_eager(final_weights):
     scn = build_leaf_scenario(
         num_clients=12, clients_per_round=2, sample_scale=0.1, seed=4
     )
-    assert [scn.group_of(c) for c in range(12)] == PINNED_EAGER_LEAF_GROUPS
+    assert scn.clients.group[:12].tolist() == PINNED_EAGER_LEAF_GROUPS
     res = run_policy(
         scn.config, "adaptive", rounds=3, seed=4, adaptive_interval=2,
         scenario=scn,

@@ -78,7 +78,7 @@ class TestBuildScenario:
         scn = build_scenario(small(resource_profile="heterogeneous"), seed=0)
         assert set(scn.clients.group) == {0, 1, 2, 3, 4}
         assert set(scn.clients.cpu_fraction) == {4.0, 2.0, 1.0, 0.5, 0.1}
-        assert scn.clients[3].spec.group == scn.group_of(3)
+        assert scn.clients[3].spec.group == scn.clients.group[3]
 
     def test_homogeneous_resources(self):
         scn = build_scenario(small(resource_profile="homogeneous"), seed=0)

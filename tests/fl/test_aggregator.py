@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregator import HierarchicalAggregator, fedavg, fedavg_dicts
+from repro.fl.aggregator import HierarchicalAggregator, fedavg
 
 
 class TestFedAvg:
@@ -44,23 +44,6 @@ class TestFedAvg:
     def test_negative_size_raises(self, rng):
         with pytest.raises(ValueError, match="non-negative"):
             fedavg([rng.standard_normal(3), rng.standard_normal(3)], [1, -1])
-
-
-class TestFedAvgDicts:
-    def test_matches_flat(self, rng):
-        dicts = [
-            {"W": rng.standard_normal((2, 2)), "b": rng.standard_normal(2)}
-            for _ in range(3)
-        ]
-        sizes = [1.0, 2.0, 3.0]
-        out = fedavg_dicts(dicts, sizes)
-        for k in ("W", "b"):
-            flat = fedavg([d[k].ravel() for d in dicts], sizes)
-            np.testing.assert_allclose(out[k].ravel(), flat)
-
-    def test_key_mismatch(self):
-        with pytest.raises(KeyError):
-            fedavg_dicts([{"a": np.zeros(1)}, {"b": np.zeros(1)}], [1, 1])
 
 
 class TestHierarchical:

@@ -1,5 +1,7 @@
 """Tests for the asynchronous FL baseline."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -92,9 +94,9 @@ class TestAsyncLoop:
         cpus = [8.0, 8.0, 8.0, 0.05, 0.05, 0.05]
         server = make_async(cpus=cpus, concurrency=6)
         history = server.run(30)
-        counts = history.selection_counts()
-        fast_total = sum(counts.get(c, 0) for c in (0, 1, 2))
-        slow_total = sum(counts.get(c, 0) for c in (3, 4, 5))
+        counts = Counter(c for rec in history.records for c in rec.selected)
+        fast_total = sum(counts[c] for c in (0, 1, 2))
+        slow_total = sum(counts[c] for c in (3, 4, 5))
         assert fast_total > slow_total
 
     def test_validation(self):

@@ -12,9 +12,13 @@ from repro.fl.aggregator import HierarchicalAggregator
 from repro.fl.selection import OverSelector, RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_linear
-from repro.simcluster.faults import DropoutInjector
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
+from tests.conftest import (
+    DropoutInjector,
+    make_test_client,
+    make_test_population,
+    make_tiny_dataset,
+)
 
 
 def make_server(

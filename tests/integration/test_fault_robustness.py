@@ -11,9 +11,9 @@ import pytest
 
 from repro.config import TrainingConfig
 from repro.nn import build_linear
-from repro.simcluster.faults import DropoutInjector, SlowdownInjector
+from repro.simcluster.faults import SlowdownInjector
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_population, make_tiny_dataset
+from tests.conftest import DropoutInjector, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import fan_in_out, glorot_uniform, he_normal, zeros_init
+from repro.nn.initializers import fan_in_out, glorot_uniform, zeros_init
 
 
 class TestFanInOut:
@@ -28,16 +28,6 @@ class TestGlorot:
         w = glorot_uniform(rng, (400, 400))
         expected_var = (2 * np.sqrt(6.0 / 800)) ** 2 / 12
         np.testing.assert_allclose(w.var(), expected_var, rtol=0.1)
-
-
-class TestHe:
-    def test_std_scale(self, rng):
-        w = he_normal(rng, (500, 100))
-        np.testing.assert_allclose(w.std(), np.sqrt(2.0 / 500), rtol=0.1)
-
-    def test_conv_shape(self, rng):
-        w = he_normal(rng, (3, 3, 4, 8))
-        assert w.shape == (3, 3, 4, 8)
 
 
 def test_zeros(rng):

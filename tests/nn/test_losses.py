@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.nn.losses import (
-    l2_penalty,
     proximal_penalty,
     softmax_cross_entropy,
     stacked_softmax_cross_entropy,
@@ -133,23 +132,6 @@ class TestLossPins:
         observed = tuple(float(v).hex() for v in losses) + (grad_digest(grad),)
         assert observed == self.STACKED
         np.testing.assert_array_equal(logits, before)
-
-
-class TestL2Penalty:
-    def test_value_and_grad(self):
-        params = {"W": np.array([3.0, 4.0])}
-        loss, grads = l2_penalty(params, 0.1)
-        np.testing.assert_allclose(loss, 0.5 * 0.1 * 25.0)
-        np.testing.assert_allclose(grads["W"], 0.1 * params["W"])
-
-    def test_zero_lambda(self):
-        loss, grads = l2_penalty({"W": np.ones(3)}, 0.0)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grads["W"], 0.0)
-
-    def test_negative_lambda_raises(self):
-        with pytest.raises(ValueError):
-            l2_penalty({}, -1.0)
 
 
 class TestProximalPenalty:

@@ -102,20 +102,11 @@ class TestWeightInterface:
         with pytest.raises(ValueError, match="values"):
             m.set_flat_weights(np.zeros(m.num_params() + 1))
 
-    def test_clone_architecture(self, rng):
-        m = tiny_model()
-        clone = m.clone_architecture(rng=5)
-        assert clone.num_params() == m.num_params()
-        assert not np.array_equal(clone.get_flat_weights(), m.get_flat_weights())
-        clone.set_flat_weights(m.get_flat_weights())
-        x = rng.standard_normal((2, 16))
-        np.testing.assert_allclose(clone.forward(x), m.forward(x))
-
 
 class TestTraining:
     def test_loss_decreases(self):
         data = make_tiny_dataset(n=60, num_classes=3)
-        m = build_mlp(data.sample_shape, 3, hidden=(16,), rng=0)
+        m = build_mlp(data.x.shape[1:], 3, hidden=(16,), rng=0)
         opt = RMSprop(lr=0.01, decay=1.0)
         first = m.fit_epoch(data.x, data.y, opt, batch_size=10, rng=0)
         last = first
@@ -125,7 +116,7 @@ class TestTraining:
 
     def test_learns_separable_task(self):
         data = make_tiny_dataset(n=90, num_classes=3, difficulty=0.1)
-        m = build_mlp(data.sample_shape, 3, hidden=(16,), rng=0)
+        m = build_mlp(data.x.shape[1:], 3, hidden=(16,), rng=0)
         opt = SGD(lr=0.5)
         for e in range(30):
             m.fit_epoch(data.x, data.y, opt, batch_size=10, rng=e)
@@ -140,8 +131,8 @@ class TestTraining:
 
     def test_prox_term_pulls_towards_anchor(self, rng):
         data = make_tiny_dataset(n=40, num_classes=3)
-        m_free = build_mlp(data.sample_shape, 3, hidden=(8,), rng=0)
-        m_prox = build_mlp(data.sample_shape, 3, hidden=(8,), rng=0)
+        m_free = build_mlp(data.x.shape[1:], 3, hidden=(8,), rng=0)
+        m_prox = build_mlp(data.x.shape[1:], 3, hidden=(8,), rng=0)
         anchor_flat = m_free.get_flat_weights()
         anchor = m_prox.get_weights()
         for e in range(5):
@@ -169,8 +160,8 @@ class TestTraining:
 
     def test_shuffle_deterministic_given_seed(self):
         data = make_tiny_dataset(n=40)
-        m1 = build_mlp(data.sample_shape, 3, hidden=(8,), rng=0)
-        m2 = build_mlp(data.sample_shape, 3, hidden=(8,), rng=0)
+        m1 = build_mlp(data.x.shape[1:], 3, hidden=(8,), rng=0)
+        m2 = build_mlp(data.x.shape[1:], 3, hidden=(8,), rng=0)
         m1.fit_epoch(data.x, data.y, SGD(lr=0.1), 8, rng=3)
         m2.fit_epoch(data.x, data.y, SGD(lr=0.1), 8, rng=3)
         np.testing.assert_array_equal(m1.get_flat_weights(), m2.get_flat_weights())
@@ -243,7 +234,7 @@ class TestArena:
                 assert np.shares_memory(layer.grads[n], m._gflat)
         np.testing.assert_array_equal(params_through_layers(m), m.get_flat_weights())
 
-    @pytest.mark.parametrize("how", ["pickle", "deepcopy", "clone_architecture"])
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
     @pytest.mark.parametrize("name", ["mnist_cnn", "mlp"])
     def test_copies_get_an_arena_of_their_own(self, name, how, rng):
         # pickle / deepcopy turn views into independent arrays; this is
@@ -252,12 +243,9 @@ class TestArena:
         original = m.get_flat_weights()
         if how == "pickle":
             c = pickle.loads(pickle.dumps(m))
-        elif how == "deepcopy":
-            c = copy.deepcopy(m)
         else:
-            c = m.clone_architecture(rng=9)
-        if how != "clone_architecture":
-            np.testing.assert_array_equal(c.get_flat_weights(), original)
+            c = copy.deepcopy(m)
+        np.testing.assert_array_equal(c.get_flat_weights(), original)
         v = rng.standard_normal(m.num_params())
         c.set_flat_weights(v)
         np.testing.assert_array_equal(params_through_layers(c), v)

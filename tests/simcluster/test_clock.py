@@ -23,54 +23,9 @@ class TestClock:
         with pytest.raises(ValueError, match="backwards"):
             SimulatedClock().advance(-1.0)
 
-    def test_marks(self):
-        c = SimulatedClock()
-        c.advance(1.0)
-        c.mark()
-        c.advance(2.0)
-        c.mark()
-        assert c.marks == (1.0, 3.0)
-
-    def test_reset(self):
-        c = SimulatedClock(start=5.0)
-        c.advance(1.0)
-        c.mark()
-        c.reset()
-        assert c.now == 0.0 and c.marks == ()
-
     def test_negative_start_raises(self):
         with pytest.raises(ValueError):
             SimulatedClock(start=-1.0)
-
-    def test_marks_view_is_cached_until_next_mark(self):
-        # Regression: `marks` used to copy the list on every access,
-        # making an O(1)-looking property O(rounds) inside round loops.
-        c = SimulatedClock()
-        c.advance(1.0)
-        c.mark()
-        first = c.marks
-        assert c.marks is first  # cached tuple, no per-access copy
-        c.advance(1.0)
-        c.mark()
-        second = c.marks
-        assert second is not first and second == (1.0, 2.0)
-        assert c.marks is second
-
-    def test_num_marks(self):
-        c = SimulatedClock()
-        assert c.num_marks == 0
-        c.mark()
-        c.advance(1.0)
-        c.mark()
-        assert c.num_marks == 2
-        c.reset()
-        assert c.num_marks == 0
-
-    def test_marks_are_immutable(self):
-        c = SimulatedClock()
-        c.mark()
-        with pytest.raises(TypeError):
-            c.marks[0] = 99.0
 
 
 class TestEventQueue:
@@ -88,9 +43,9 @@ class TestEventQueue:
         fired = []
         c.schedule(5.0, lambda clk: fired.append(clk.now))
         c.advance(4.0)
-        assert fired == [] and c.events_pending == 1
+        assert fired == []
         c.advance(1.0)
-        assert fired == [5.0] and c.events_pending == 0
+        assert fired == [5.0]
 
     def test_callbacks_may_reschedule(self):
         c = SimulatedClock()
@@ -117,9 +72,3 @@ class TestEventQueue:
         c.schedule(1.0, lambda clk: fired.append("second"))
         c.advance(1.0)
         assert fired == ["first", "second"]
-
-    def test_reset_clears_events(self):
-        c = SimulatedClock()
-        c.schedule(1.0, lambda clk: None)
-        c.reset()
-        assert c.events_pending == 0

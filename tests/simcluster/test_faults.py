@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.simcluster.faults import DropoutInjector, FaultInjector, SlowdownInjector
+from repro.simcluster.faults import FaultInjector, SlowdownInjector
+from tests.conftest import DropoutInjector
 
 
 class TestBase:

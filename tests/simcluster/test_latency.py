@@ -75,18 +75,6 @@ class TestSampling:
 
 
 class TestCalibration:
-    def test_for_model_size_scales_with_params(self):
-        small = LatencyModel.for_model_size(10_000)
-        large = LatencyModel.for_model_size(1_000_000)
-        assert large.cost_per_sample > small.cost_per_sample
-        np.testing.assert_allclose(
-            large.cost_per_sample / small.cost_per_sample, 100.0
-        )
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            LatencyModel.for_model_size(0)
-
     def test_model_validation(self):
         with pytest.raises(ValueError):
             LatencyModel(cost_per_sample=0.0)

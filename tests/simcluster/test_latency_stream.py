@@ -21,7 +21,6 @@ from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
 from repro.simcluster.client import SimClient
-from repro.simcluster.faults import DropoutInjector
 from repro.simcluster.latency import (
     CohortLatencySampler,
     LatencyModel,
@@ -30,7 +29,7 @@ from repro.simcluster.latency import (
 from repro.simcluster.network import CommModel
 from repro.simcluster.resources import ResourceSpec
 from repro.tifl.profiler import profile_clients
-from tests.conftest import make_test_population, make_tiny_dataset
+from tests.conftest import DropoutInjector, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -311,9 +310,9 @@ class TestFaultsAndServers:
 class TestPopulationColumns:
     @pytest.mark.parametrize("with_fault", [False, True])
     def test_columns_dict_and_materialised_cohort_agree(self, with_fault):
-        """One population draw in its three forms: aligned columns, the
-        ``{id: latency}`` dict over them, and ``sample_cohort`` over the
-        same clients materialised -- same order, same bits."""
+        """One population draw in its two forms: aligned columns, and
+        ``sample_cohort`` over the same clients materialised -- same
+        order, same bits."""
         store = make_test_population(8, cpus=[1.0, 0.5] * 4, noise_sigma=0.2)
         ids = np.array([6, 1, 3, 0])
         sampler = CohortLatencySampler(seed=13)
@@ -327,8 +326,7 @@ class TestPopulationColumns:
         )
         np.testing.assert_array_equal(got_ids, ids)
         assert latencies.dtype == np.float64 and latencies.shape == ids.shape
-        as_dict = sampler.sample_population(store, 500, fault=fault(), client_ids=ids, **kw)
-        assert list(as_dict.items()) == list(zip(ids.tolist(), latencies.tolist()))
+        as_dict = dict(zip(ids.tolist(), latencies.tolist()))
         cohort = [store.materialize(int(c)) for c in ids]
         assert as_dict == sampler.sample_cohort(cohort, 500, fault=fault(), **kw)
         assert list(as_dict) == [c.client_id for c in cohort]
@@ -341,4 +339,3 @@ class TestPopulationColumns:
             store, 10, client_ids=np.empty(0, dtype=np.int64)
         )
         assert ids.size == 0 and latencies.size == 0
-        assert CohortLatencySampler(seed=1).sample_population(store, 10, client_ids=[]) == {}

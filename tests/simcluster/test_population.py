@@ -62,7 +62,7 @@ def eager_clients(store_scenario):
     return [
         SimClient(
             client_id=cid,
-            data=store_scenario.fed.client_dataset(cid),
+            data=store_scenario.fed.train.subset(store_scenario.fed.client_indices[cid]),
             spec=specs[cid],
             latency_model=store_scenario.latency_model,
             comm_model=store_scenario.comm_model,
@@ -382,7 +382,7 @@ class TestDiurnal:
             clock, DiurnalSchedule(period=60.0, duty_cycle=1.0, num_phases=3)
         )
         assert bool(np.all(store.available))
-        assert clock.events_pending == 0
+        assert not clock._events
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="period"):

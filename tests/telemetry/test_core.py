@@ -35,10 +35,6 @@ class TestDisabledIsFree:
         assert snap["spans"] == {}
         assert telemetry.span_records() == []
 
-    def test_noop_span_supports_annotate(self):
-        with telemetry.span("s") as s:
-            s.annotate(bytes=10)  # must not raise
-
 
 class TestRegistry:
     def test_counter_accumulates_and_labels_partition(self):
@@ -123,12 +119,6 @@ class TestSpans:
         # metrics survive clear_spans
         telemetry.count("kept", 1)
         assert telemetry.snapshot()["counters"]["kept"] == 1
-
-    def test_annotate_lands_in_record(self):
-        telemetry.configure(enabled=True)
-        with telemetry.span("s") as s:
-            s.annotate(bytes=123)
-        assert telemetry.span_records("s")[0].attrs["bytes"] == 123
 
     def test_snapshot_rolls_spans_up_per_name(self):
         telemetry.configure(enabled=True)

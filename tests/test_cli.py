@@ -68,6 +68,8 @@ class TestParser:
         assert args.codec == "delta"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--codec", "zstd"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--codec", "quantized"])
 
     def test_codec_threads_into_training_config(self):
         """--codec must reach TrainingConfig (what executors read) --

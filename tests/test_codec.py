@@ -1,10 +1,9 @@
 """Property tests for the pluggable weight-transport codecs.
 
-The lossless codecs (raw, delta) must round-trip ANY float64 vector
+Both codecs (raw, delta) must round-trip ANY float64 vector
 bit-for-bit -- NaN payloads, signed zeros, infinities and subnormals
 included -- because the distributed backend's bit-identity contract
-rides on them.  The quantized codec is lossy by design and is held to a
-tolerance instead.  Corrupt payloads must raise, never return garbage.
+rides on them.  Corrupt payloads must raise, never return garbage.
 """
 
 import struct
@@ -21,12 +20,9 @@ from repro.codec import (
     PLANE_MODES,
     CodecError,
     DeltaCodec,
-    QuantizedCodec,
     RawCodec,
-    WeightCodec,
     codec_for_id,
     get_codec,
-    register_codec,
 )
 
 f64_vectors = st.lists(
@@ -58,8 +54,9 @@ def plane_modes(payload):
 
 class TestRegistry:
     def test_builtins_registered_raw_first(self):
-        assert CODEC_NAMES[0] == "raw"
-        assert set(CODEC_NAMES) == {"raw", "delta", "quantized"}
+        assert CODEC_NAMES == ("raw", "delta")
+        assert get_codec("delta").requires_baseline
+        assert not get_codec("raw").requires_baseline
 
     def test_lookup_by_name_and_id_agree(self):
         for name in CODEC_NAMES:
@@ -72,27 +69,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown weight codec id"):
             codec_for_id(200)
 
-    def test_duplicate_registration_rejected(self):
-        class Clash(WeightCodec):
-            name = "raw"
-            codec_id = 77
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_codec(Clash())
-
-        class IdClash(WeightCodec):
-            name = "unique-name"
-            codec_id = 1  # raw's wire id
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_codec(IdClash())
-
-    def test_lossless_flags(self):
-        assert get_codec("raw").lossless
-        assert get_codec("delta").lossless
-        assert not get_codec("quantized").lossless
-        assert get_codec("delta").requires_baseline
-        assert not get_codec("raw").requires_baseline
+    def test_retired_id_3_is_unknown(self):
+        """Wire id 3 belonged to a lossy float16 codec; it is retired."""
+        assert sorted(get_codec(name).codec_id for name in CODEC_NAMES) == [1, 2]
+        with pytest.raises(ValueError, match="unknown weight codec id 3"):
+            codec_for_id(3)
 
 
 class TestRawCodec:
@@ -423,34 +404,8 @@ class TestDeltaCorruption:
         assert out.shape == (self.N,) and out.dtype == np.float64
 
 
-class TestQuantizedCodec:
-    def test_within_float16_tolerance(self):
-        codec = QuantizedCodec()
-        rng = np.random.default_rng(1)
-        values = rng.standard_normal(10_000)
-        back = codec.decode(codec.encode(values), values.size)
-        # float16 keeps ~3 decimal digits; relative error < 2^-10.
-        np.testing.assert_allclose(back, values, rtol=1e-3, atol=1e-6)
-
-    def test_quarter_the_bytes(self):
-        codec = QuantizedCodec()
-        values = np.zeros(1000)
-        assert len(codec.encode(values)) == values.size * 2
-
-    def test_size_mismatch_raises(self):
-        codec = QuantizedCodec()
-        blob = codec.encode(np.zeros(8))
-        with pytest.raises(CodecError):
-            codec.decode(blob, 9)
-        with pytest.raises(CodecError, match="float16"):
-            codec.decode(blob[:-1], 8)
-
-    def test_no_baseline_needed(self):
-        assert not QuantizedCodec().requires_baseline
-
-
 class TestShapeValidation:
-    @pytest.mark.parametrize("name", ["raw", "delta", "quantized"])
+    @pytest.mark.parametrize("name", CODEC_NAMES)
     def test_non_1d_rejected(self, name):
         codec = get_codec(name)
         with pytest.raises(ValueError, match="1-D"):

@@ -6,10 +6,20 @@ markdown links, inline-code path references and the paths handed to
 not exist.  This is the CI docs gate: renaming or deleting a module,
 test file or script without updating the documents -- or the workflow
 steps -- that name it breaks here, not in a reader's browser or on the
-runner.  The same goes for a removed backend: every name a recipe hands
-to ``--executor`` must still be one.
+runner.  The same goes for a removed backend or codec: every name a
+recipe hands to ``--executor`` or ``--codec`` must still be one.
+
+The same file holds the census of public names: every public
+module-level ``def`` / ``class`` and every public method under
+``src/repro`` must be *used* -- loaded as a name or an attribute outside
+its own definition -- somewhere in ``src/``, ``benchmarks/``,
+``examples/`` or ``perf/`` (where a wrap-target string such as
+``"repro.fl.server:fedavg"`` counts), or sit on :data:`CENSUS_ALLOWLIST`
+with its reason.  Tests are not users: a name only tests call is dead
+code with a test attached.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -40,6 +50,10 @@ COMMAND_PATH = re.compile(_REPO_PATH)
 #: ``--executor process`` / ``--executor batched|process|distributed``;
 #: an upper-case placeholder (``--executor E``) names nothing.
 EXECUTOR_FLAG = re.compile(r"--executor[ =]([a-z_]+(?:\|[a-z_]+)*)")
+#: README's flag-table row for ``--codec`` (its choices cell) and the
+#: verify skill's ``--codec {raw,delta}`` spelling.
+CODEC_ROW = re.compile(r"^\| `--codec` \|([^|]*)\|", re.M)
+CODEC_CHOICES = re.compile(r"--codec \{([a-z_,]+)\}")
 
 
 def iter_targets(doc: Path):
@@ -102,3 +116,123 @@ def test_executor_flags_name_real_backends():
         if name not in EXECUTOR_BACKENDS
     ]
     assert not stale, "docs name backends that do not exist:\n" + "\n".join(stale)
+
+
+def test_codec_flags_name_real_codecs():
+    from repro.codec import CODEC_NAMES
+
+    rows = CODEC_ROW.findall((REPO_ROOT / "README.md").read_text())
+    assert len(rows) == 1, "README must have one `--codec` flag row"
+    assert tuple(re.findall(r"`([a-z_]+)`", rows[0])) == CODEC_NAMES
+    skill = (REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md").read_text()
+    spelled = CODEC_CHOICES.findall(skill)
+    assert spelled, "the verify skill no longer spells out the --codec choices"
+    assert all(tuple(choices.split(",")) == CODEC_NAMES for choices in spelled)
+
+
+#: Where a public name may find its user.
+CENSUS_ROOTS = ("src", "benchmarks", "examples", "perf")
+#: A ``perf/`` string naming what it wraps: ``"module:attr.path"`` or a
+#: bare attribute handed to ``getattr``.
+WRAP_TARGET = re.compile(r"[A-Za-z_][\w.]*(?::[\w.]+)?")
+#: ``path:qualname`` -> why a name only tests use stays public.
+CENSUS_ALLOWLIST = {
+    "src/repro/distributed/coordinator.py:DistributedExecutor.owner_of":
+        "test hook: which worker a client is pinned to",
+    "src/repro/distributed/coordinator.py:DistributedExecutor.worker_pid":
+        "test hook: the worker process a SIGKILL test kills",
+    "src/repro/execution/process.py:ProcessExecutor.owner_of":
+        "test hook: which worker a client is pinned to",
+    "src/repro/nn/tensor_ops.py:softmax":
+        "reference the softmax cross-entropy gradient is tested against",
+    "src/repro/nn/tensor_ops.py:log_softmax":
+        "reference the softmax cross-entropy loss is tested against",
+    "src/repro/simcluster/population.py:PopulationStore.evict_all":
+        "test hook: forces cold re-materialisation under the pins",
+    "src/repro/simcluster/population.py:PopulationStore.set_available":
+        "the one public writer behind the read-only availability column",
+    "src/repro/telemetry/core.py:reset":
+        "test hook: a clean registry for each telemetry test",
+    "src/repro/telemetry/core.py:span_records":
+        "test hook: the recorded spans a telemetry test reads",
+    "src/repro/telemetry/core.py:clear_spans":
+        "test hook: drops recorded spans between telemetry checks",
+}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(tree):
+    """``(qualname, node)``: public module-level defs / classes and public
+    methods (of any class)."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, _DEFS[:2]) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _uses(tree, wrap_targets):
+    """``(name, definitions enclosing the use)`` of every loaded name and
+    attribute; with ``wrap_targets``, of every part of a wrap-target
+    string too.  Imports and ``__all__`` are neither, so they do not
+    count."""
+    found = []
+
+    def walk(node, inside):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, inside))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, inside))
+        elif (
+            wrap_targets
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and WRAP_TARGET.fullmatch(node.value)
+        ):
+            found.extend((part, inside) for part in re.split("[:.]", node.value))
+        if isinstance(node, _DEFS):
+            inside = inside | {node}
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return found
+
+
+def unused_public_names():
+    """``path:qualname`` of every public definition under ``src/repro``
+    with no use outside itself in :data:`CENSUS_ROOTS`."""
+    trees = {
+        path: ast.parse(path.read_text())
+        for root in CENSUS_ROOTS
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+    }
+    uses = {}
+    for path, tree in trees.items():
+        in_perf = path.is_relative_to(REPO_ROOT / "perf")
+        for name, inside in _uses(tree, wrap_targets=in_perf):
+            uses.setdefault(name, []).append(inside)
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{qualname}"
+        for path, tree in trees.items()
+        if path.is_relative_to(REPO_ROOT / "src" / "repro")
+        for qualname, node in _public_definitions(tree)
+        if all(node in inside for inside in uses.get(node.name, ()))
+    ]
+
+
+def test_every_public_name_has_a_user():
+    unused = set(unused_public_names())
+    unexplained = sorted(unused - set(CENSUS_ALLOWLIST))
+    assert not unexplained, (
+        "public names nothing outside tests uses -- delete them (and the "
+        "tests that only exercise them) or allowlist them with a reason:\n"
+        + "\n".join(unexplained)
+    )
+    stale = sorted(set(CENSUS_ALLOWLIST) - unused)
+    assert not stale, "allowlisted names that now have a user:\n" + "\n".join(stale)
+    assert len(CENSUS_ALLOWLIST) <= 15

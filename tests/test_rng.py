@@ -8,8 +8,6 @@ from repro.rng import (
     derive,
     make_rng,
     spawn,
-    spawn_many,
-    stream_iter,
 )
 
 
@@ -57,11 +55,6 @@ class TestSpawn:
             kids1[0].random(5), kids2[0].random(5)
         )
 
-    def test_spawn_many(self):
-        a = spawn_many(9, 3)
-        b = spawn_many(9, 3)
-        assert a[2].random() == b[2].random()
-
 
 class TestDerive:
     def test_addressable_and_order_free(self):
@@ -75,13 +68,6 @@ class TestDerive:
 
     def test_distinct_seeds_distinct_streams(self):
         assert derive(1, 0).random() != derive(2, 0).random()
-
-
-class TestStreamIter:
-    def test_yields_fresh_generators(self):
-        it = stream_iter(make_rng(0))
-        a, b = next(it), next(it)
-        assert a.random() != b.random()
 
 
 class TestChoice:

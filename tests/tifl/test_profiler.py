@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.simcluster.faults import DropoutInjector, SlowdownInjector
+from repro.simcluster.faults import SlowdownInjector
 from repro.tifl.profiler import profile_clients
-from tests.conftest import make_test_population
+from tests.conftest import DropoutInjector, make_test_population
 
 
 def make_pool(cpus, noise=0.0, seed=0):
@@ -181,7 +181,8 @@ class TestColumnarCampaign:
         for r in range(sync_rounds):
             kw = dict(epochs=1, round_idx=-1 - 4 - r, fault=inj)
             if sampler is not None:
-                rounds.append(sampler.sample_population(pool, 100, client_ids=ids, **kw))
+                got, lats = sampler.sample_population_columns(pool, 100, client_ids=ids, **kw)
+                rounds.append(dict(zip(got.tolist(), lats.tolist())))
             else:
                 rounds.append(
                     {int(c): pool.materialize(int(c)).response_latency(100, **kw) for c in ids}

@@ -27,12 +27,16 @@ def make_assignment(per_tier=6, tiers=3):
     return build_tiers(lats, num_tiers=tiers)
 
 
+def all_clients(assignment):
+    return sorted(c for t in range(assignment.num_tiers) for c in assignment.members(t))
+
+
 class TestSelect:
     def test_cohort_from_single_tier(self):
         asg = make_assignment()
         sched = TierScheduler(asg, StaticTierPolicy([1 / 3] * 3), 4, rng=0)
         for r in range(20):
-            plan = sched.select(r, asg.all_clients())
+            plan = sched.select(r, all_clients(asg))
             assert plan.tier is not None
             members = set(asg.members(plan.tier))
             assert set(plan.clients) <= members
@@ -43,7 +47,7 @@ class TestSelect:
         sched = TierScheduler(asg, StaticTierPolicy([1.0, 0.0]), 2, rng=0)
         counts = np.zeros(8)
         for r in range(3000):
-            for c in sched.select(r, asg.all_clients()).clients:
+            for c in sched.select(r, all_clients(asg)).clients:
                 counts[c] += 1
         expected = 3000 * 2 / 8
         assert np.all(np.abs(counts - expected) < expected * 0.2)
@@ -51,7 +55,7 @@ class TestSelect:
     def test_respects_available_subset(self):
         asg = make_assignment(per_tier=6, tiers=2)
         sched = TierScheduler(asg, StaticTierPolicy([0.5, 0.5]), 3, rng=0)
-        available = [c for c in asg.all_clients() if c != 0]
+        available = [c for c in all_clients(asg) if c != 0]
         for r in range(30):
             plan = sched.select(r, available)
             assert 0 not in plan.clients
@@ -200,9 +204,9 @@ class TestPoolMemo:
         )
         assert scn.clients.availability_scans == 0
         started = clock.now
-        server.run(60)
+        history = server.run(60)
         # Round r selects at the time round r - 1 ended.
-        select_times = [started] + list(clock.marks[:-1])
+        select_times = [started] + [rec.sim_time for rec in history.records[:-1]]
         edges = sum(
             later // edge_every > earlier // edge_every
             for earlier, later in zip(select_times, select_times[1:])

@@ -5,10 +5,10 @@ import pytest
 
 from repro.config import TrainingConfig
 from repro.nn import build_linear
-from repro.simcluster.faults import DropoutInjector, SlowdownInjector
+from repro.simcluster.faults import SlowdownInjector
 from repro.tifl.adaptive import AdaptiveTierPolicy
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_population, make_tiny_dataset
+from tests.conftest import DropoutInjector, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0)
 
@@ -177,7 +177,7 @@ class TestEstimatorIntegration:
 
         server = make_tifl(policy="uniform", seed=9)
         probs = server.tier_policy.tier_probs(0)
-        lats = server.expected_tier_latencies()
+        lats = server.assignment.mean_latencies
         rounds = 60
         est = estimate_training_time(lats, probs, rounds)
         actual = server.run(rounds).total_time
