@@ -13,7 +13,7 @@ On the combined-heterogeneity federation (the paper's hardest case):
 
 
 from repro.experiments import ScenarioConfig, format_table, save_artifact
-from repro.experiments.analysis import auc_accuracy_over_time
+from repro.experiments.analysis import auc_accuracy_over_time, tier_utilisation
 from repro.experiments.runner import run_policy
 
 SEED = 67
@@ -69,12 +69,15 @@ def test_ablation_credit_strategy(benchmark):
     results = benchmark.pedantic(run_credit_ablation, rounds=1, iterations=1)
 
     rows = [
-        [s, r.total_time, r.final_accuracy] for s, r in results.items()
+        [s, r.total_time, r.final_accuracy,
+         tier_utilisation(r.history, len(r.tier_sizes))[-1]]
+        for s, r in results.items()
     ]
     save_artifact(
         "ablation_credit_strategy",
         format_table(
-            ["credit strategy", f"time {ROUNDS}r [s]", "final accuracy"],
+            ["credit strategy", f"time {ROUNDS}r [s]", "final accuracy",
+             "slowest-tier share"],
             rows,
             title="Ablation: Alg. 2 credit allocation",
         ),

@@ -18,6 +18,8 @@ from repro.experiments import (
     save_artifact,
     speedup_table,
 )
+from repro.experiments.analysis import rounds_to_accuracy, time_to_accuracy
+from repro.experiments.figures import accuracy_curves, accuracy_time_curves, time_bars
 from repro.experiments.tables import series_preview
 
 POLICIES = ("vanilla", "slow", "uniform", "random", "fast")
@@ -30,23 +32,28 @@ def run_column(cfg):
 
 
 def render(results, name, title):
-    times = {p: r.total_time for p, r in results.items()}
+    times = time_bars(results)
     lines = [speedup_table(times, title=f"{title}: training time for {ROUNDS} rounds")]
     lines.append("")
     lines.append(f"{title}: accuracy over rounds")
-    for p, r in results.items():
-        rr, aa = r.history.accuracy_series()
+    for p, (rr, aa) in accuracy_curves(results).items():
         lines.append(series_preview(rr, aa, label=f"{p:8s}"))
     lines.append("")
     lines.append(f"{title}: accuracy over wall-clock time")
-    for p, r in results.items():
-        tt, aa = r.history.accuracy_over_time()
+    for p, (tt, aa) in accuracy_time_curves(results).items():
         lines.append(series_preview(tt, aa, label=f"{p:8s}"))
     lines.append("")
+    # panels (e)/(f) as time-to-accuracy, for a target every policy reaches
+    target = 0.9 * min(r.final_accuracy for r in results.values())
     lines.append(
         format_table(
-            ["policy", "final accuracy"],
-            [[p, r.final_accuracy] for p, r in results.items()],
+            ["policy", "final accuracy", f"rounds to {target:.3f}",
+             f"time to {target:.3f} [s]"],
+            [
+                [p, r.final_accuracy, rounds_to_accuracy(r.history, target),
+                 time_to_accuracy(r.history, target)]
+                for p, r in results.items()
+            ],
         )
     )
     save_artifact(name, "\n".join(lines))
@@ -87,6 +94,10 @@ def test_fig3_resource_heterogeneity(benchmark):
     budget = times["fast"] * 1.5
     assert results["fast"].history.accuracy_at_time(budget) >= (
         results["vanilla"].history.accuracy_at_time(budget)
+    )
+    # ... because it fits several times more rounds into that budget
+    assert results["fast"].history.rounds_within_time(budget) > 2 * (
+        results["vanilla"].history.rounds_within_time(budget)
     )
 
 

@@ -14,11 +14,14 @@ from repro.experiments import (
     save_artifact,
     speedup_table,
 )
+from repro.experiments.analysis import selection_fairness
+from repro.experiments.figures import accuracy_curves, time_bars
 from repro.experiments.tables import series_preview
 
 POLICIES = ("vanilla", "uniform", "fast1", "fast2", "fast3")
 ROUNDS = 70
 SEED = 29
+NUM_CLIENTS = 50
 
 
 def make_cfg(dataset):
@@ -26,7 +29,7 @@ def make_cfg(dataset):
         dataset=dataset,
         resource_profile="heterogeneous",  # 2 / 1 / 0.75 / 0.5 / 0.25 CPUs
         data_distribution="quantity",
-        num_clients=50,
+        num_clients=NUM_CLIENTS,
         clients_per_round=5,
         train_size=2500,
         test_size=400,
@@ -42,7 +45,7 @@ def run_dataset(dataset):
 
 
 def _render(results, dataset):
-    times = {p: r.total_time for p, r in results.items()}
+    times = time_bars(results)
     lines = [
         speedup_table(
             times, title=f"Fig 5 ({dataset}): training time for {ROUNDS} rounds"
@@ -50,14 +53,18 @@ def _render(results, dataset):
         "",
         f"Fig 5 ({dataset}): accuracy over rounds",
     ]
-    for p, r in results.items():
-        rr, aa = r.history.accuracy_series()
+    for p, (rr, aa) in accuracy_curves(results).items():
         lines.append(series_preview(rr, aa, label=f"{p:8s}"))
     lines.append("")
+    # how evenly each policy spreads participation over the pool (Jain's
+    # index of every client's selection count; starved clients count as 0)
     lines.append(
         format_table(
-            ["policy", "final accuracy"],
-            [[p, r.final_accuracy] for p, r in results.items()],
+            ["policy", "final accuracy", "selection fairness"],
+            [
+                [p, r.final_accuracy, selection_fairness(r.history, NUM_CLIENTS)]
+                for p, r in results.items()
+            ],
         )
     )
     save_artifact(f"fig5_{dataset}", "\n".join(lines))
@@ -74,6 +81,7 @@ def _assert_shape(results, times):
     for p in ("uniform", "fast1", "fast2"):
         assert results[p].final_accuracy > vanilla_acc - 0.12, p
     # fast3 ignores tier 5 entirely: it must not beat the unbiased policies
+    assert 4 not in results["fast3"].history.tier_selection_counts()
     assert results["fast3"].final_accuracy <= (
         max(results["uniform"].final_accuracy, vanilla_acc) + 0.02
     )

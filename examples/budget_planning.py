@@ -5,8 +5,9 @@ loop).
 The paper's Eq. 6 estimates a policy's training time; this example uses
 the repo's LP planner to go the other way: given a profiled federation
 and a time budget, find the *fairest* tier-probability vector (maximum
-minimum tier probability) whose Eq. 6 cost fits the budget -- then
-validate the plan by actually training with it.
+minimum tier probability) whose Eq. 6 cost fits the budget, answer the
+dual question (the smallest budget that keeps every tier above a
+probability floor) -- then validate a plan by actually training with it.
 
 Run:  python examples/budget_planning.py
 """
@@ -19,6 +20,7 @@ from repro.tifl import (
     StaticTierPolicy,
     build_tiers,
     estimate_training_time,
+    min_budget_for_fairness,
     plan_fairest_probs,
     profile_clients,
 )
@@ -65,6 +67,21 @@ def main() -> None:
              "Eq. 6 cost [s]"],
             rows,
             title="Max-min-fair plans under shrinking budgets",
+        )
+    )
+
+    floor_rows = []
+    for floor in (0.0, 0.05, 0.1, 0.2):
+        plan = min_budget_for_fairness(lats, ROUNDS, floor)
+        floor_rows.append(
+            [floor, str(np.round(plan.probs, 3).tolist()), plan.expected_time]
+        )
+    print()
+    print(
+        format_table(
+            ["min tier prob", "cheapest tier probs", "Eq. 6 cost [s]"],
+            floor_rows,
+            title="Smallest budget that keeps every tier above a floor",
         )
     )
 

@@ -4,10 +4,15 @@
 Builds the 182-writer FEMNIST federation (LEAF sampling fraction 0.05)
 with inherent quantity/class/feature skew plus the five hardware groups,
 and compares vanilla FedAvg against TiFL uniform and adaptive with
-|C| = 10 clients per round.
+|C| = 10 clients per round (top-1 and, over FEMNIST's 62 classes, top-5
+accuracy).  The adaptive run's global model and history are then
+checkpointed and reloaded.
 
 Run:  python examples/leaf_femnist.py
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -16,7 +21,9 @@ from repro.experiments import format_table
 from repro.experiments.scenarios import build_leaf_scenario
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
+from repro.nn.metrics import top_k_accuracy
 from repro.rng import derive
+from repro.serialization import load_history, load_weights, save_history, save_weights
 from repro.tifl.server import TiFLServer
 
 ROUNDS = 80
@@ -78,7 +85,9 @@ def main() -> None:
                 rng=derive(SEED, 3),
             )
         history = server.run(ROUNDS)
-        rows.append([policy, history.total_time, history.final_accuracy])
+        test = scn.test_data
+        top5 = top_k_accuracy(server.model.forward(test.x), test.y, k=5)
+        rows.append([policy, history.total_time, history.final_accuracy, top5])
         if policy == "adaptive":
             pol = server.tier_policy
             print(
@@ -89,10 +98,23 @@ def main() -> None:
 
     print(
         format_table(
-            ["policy", f"time for {ROUNDS} rounds [s]", "final accuracy"],
+            ["policy", f"time for {ROUNDS} rounds [s]", "final accuracy",
+             "top-5 accuracy"],
             rows,
             title="FEMNIST (LEAF, 182 clients): vanilla vs TiFL",
         )
+    )
+
+    # checkpoint the adaptive run, then reload it into a fresh model
+    with tempfile.TemporaryDirectory() as tmp:
+        weights_path = save_weights(server.model, Path(tmp) / "adaptive")
+        history_path = save_history(history, Path(tmp) / "adaptive.json")
+        restored = load_weights(build().model, weights_path)
+        reloaded = load_history(history_path)
+    print(
+        f"\ncheckpoint round trip: {len(reloaded)} rounds reloaded, restored "
+        f"model accuracy {restored.evaluate(test.x, test.y):.3f} "
+        f"(final accuracy {reloaded.final_accuracy:.3f})"
     )
 
 

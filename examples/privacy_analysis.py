@@ -54,11 +54,13 @@ def main() -> None:
                 q_max,
                 amp.eps,
                 f"{amp.delta:.2e}",
+                "yes" if amp.stronger_than(BASE) else "no",
             ]
         )
     print(
         format_table(
-            ["policy", "per-tier q_j", "q_max", "eps/round", "delta/round"],
+            ["policy", "per-tier q_j", "q_max", "eps/round", "delta/round",
+             "stronger than base"],
             rows,
             title="Tiered sampling amplification (Table 1 policies)",
             float_fmt="{:.4f}",

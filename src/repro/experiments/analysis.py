@@ -1,14 +1,98 @@
-"""Post-hoc analysis of training histories: the accuracy-over-time area
-the ablation benchmarks rank policies by.
+"""Post-hoc analysis of training histories.
+
+Metrics the paper reasons about but does not always plot directly:
+
+* **time-to-accuracy** -- wall-clock (or rounds) needed to first reach a
+  target accuracy; the operational currency of Figs. 3(e)/6(f),
+* **selection fairness** -- Jain's fairness index over per-client
+  participation counts; quantifies the bias that static fast-leaning
+  policies introduce and that Alg. 2's credits are meant to bound,
+* **tier utilisation** -- how the round budget was spent across tiers,
+* **speedup/accuracy summaries** used by the ablation benchmarks.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.fl.history import TrainingHistory
 
-__all__ = ["auc_accuracy_over_time"]
+__all__ = [
+    "time_to_accuracy",
+    "rounds_to_accuracy",
+    "jain_fairness",
+    "selection_fairness",
+    "tier_utilisation",
+    "auc_accuracy_over_time",
+]
+
+
+def time_to_accuracy(history: TrainingHistory, target: float) -> Optional[float]:
+    """Simulated seconds until accuracy first reaches ``target``.
+
+    Returns ``None`` when the run never got there.
+    """
+    if not 0.0 <= target <= 1.0:
+        raise ValueError(f"target accuracy must be in [0, 1], got {target}")
+    for rec in history.records:
+        if rec.accuracy is not None and rec.accuracy >= target:
+            return float(rec.sim_time)
+    return None
+
+
+def rounds_to_accuracy(history: TrainingHistory, target: float) -> Optional[int]:
+    """Rounds until accuracy first reaches ``target`` (or ``None``)."""
+    if not 0.0 <= target <= 1.0:
+        raise ValueError(f"target accuracy must be in [0, 1], got {target}")
+    for rec in history.records:
+        if rec.accuracy is not None and rec.accuracy >= target:
+            return int(rec.round_idx)
+    return None
+
+
+def jain_fairness(counts: Sequence[float]) -> float:
+    """Jain's index: ``(sum x)^2 / (n * sum x^2)`` in (0, 1]; 1 = equal."""
+    x = np.asarray(counts, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("fairness of an empty vector is undefined")
+    if np.any(x < 0):
+        raise ValueError("participation counts must be non-negative")
+    total_sq = float(x.sum()) ** 2
+    if total_sq == 0:
+        return 1.0  # nobody participated: vacuously equal
+    return total_sq / (x.size * float((x * x).sum()))
+
+
+def selection_fairness(history: TrainingHistory, pool_size: int) -> float:
+    """Jain's index over every pool member's participation count.
+
+    Clients never selected count as zeros, so starving part of the pool
+    (e.g. the ``fast`` policy) is visible in the index.
+    """
+    if pool_size <= 0:
+        raise ValueError(f"pool_size must be positive, got {pool_size}")
+    counts = np.zeros(pool_size)
+    for cid, n in history.selection_counts().items():
+        if not 0 <= cid < pool_size:
+            raise ValueError(f"client id {cid} outside pool of size {pool_size}")
+        counts[cid] = n
+    return jain_fairness(counts)
+
+
+def tier_utilisation(history: TrainingHistory, num_tiers: int) -> np.ndarray:
+    """Fraction of rounds spent in each tier (ignores tier-less rounds)."""
+    if num_tiers <= 0:
+        raise ValueError(f"num_tiers must be positive, got {num_tiers}")
+    counts = np.zeros(num_tiers)
+    for rec in history.records:
+        if rec.tier is not None:
+            if not 0 <= rec.tier < num_tiers:
+                raise ValueError(f"tier {rec.tier} outside [0, {num_tiers})")
+            counts[rec.tier] += 1
+    total = counts.sum()
+    return counts / total if total > 0 else counts
 
 
 def auc_accuracy_over_time(history: TrainingHistory, horizon: float) -> float:

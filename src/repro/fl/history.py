@@ -116,6 +116,26 @@ class TrainingHistory:
             return 0.0
         return float(max(accs))
 
+    def rounds_within_time(self, budget: float) -> int:
+        """How many rounds complete within ``budget`` seconds."""
+        return int(np.sum(self.times <= budget))
+
+    def tier_selection_counts(self) -> Dict[int, int]:
+        """How often each tier was selected (None key = tier-agnostic rounds)."""
+        counts: Dict[int, int] = {}
+        for r in self.records:
+            key = -1 if r.tier is None else r.tier
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def selection_counts(self) -> Dict[int, int]:
+        """Per-client participation counts over the run."""
+        counts: Dict[int, int] = {}
+        for r in self.records:
+            for c in r.selected:
+                counts[c] = counts.get(c, 0) + 1
+        return counts
+
     def summary(self) -> str:
         """One-line run summary for logs and tables."""
         acc = f"{self.final_accuracy:.4f}" if any(

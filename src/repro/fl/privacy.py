@@ -53,6 +53,10 @@ class PrivacyGuarantee:
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
 
+    def stronger_than(self, other: "PrivacyGuarantee") -> bool:
+        """Component-wise comparison (smaller is stronger)."""
+        return self.eps <= other.eps and self.delta <= other.delta
+
 
 def amplify_by_sampling(base: PrivacyGuarantee, q: float) -> PrivacyGuarantee:
     """Subsampling amplification: (eps, delta) -> (~q*eps, q*delta).

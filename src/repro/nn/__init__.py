@@ -25,7 +25,7 @@ from repro.nn.losses import (
     proximal_penalty,
     softmax_cross_entropy,
 )
-from repro.nn.metrics import accuracy
+from repro.nn.metrics import accuracy, top_k_accuracy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Optimizer, RMSprop
 from repro.nn.stacked import StackedSequential
@@ -51,6 +51,7 @@ __all__ = [
     "softmax_cross_entropy",
     "proximal_penalty",
     "accuracy",
+    "top_k_accuracy",
     "Optimizer",
     "SGD",
     "RMSprop",

@@ -1,5 +1,12 @@
-"""Byte formats: flat weight vectors and population store shards.
+"""Persistence: model checkpoints and training-history export.
 
+A downstream user of the library needs to checkpoint global models
+between FL sessions and archive run histories for later analysis; this
+module provides both with plain, dependency-free formats:
+
+* model weights -> ``.npz`` (one array per parameter tensor, order
+  preserved via zero-padded keys),
+* :class:`~repro.fl.history.TrainingHistory` -> JSON (and back),
 * flat weight vectors -> raw little-endian float64 bytes (the ``raw``
   wire codec of :mod:`repro.distributed` -- bit-exact both ways, so a
   weight vector broadcast over TCP is *identical* to one passed by
@@ -24,6 +31,8 @@ from __future__ import annotations
 import json
 import pickle
 import struct
+from pathlib import Path
+from typing import Union
 
 import numpy as np
 
@@ -31,14 +40,43 @@ import numpy as np
 # config layer may import without cycles) and is re-exported here, its
 # historical home, so existing imports keep working.
 from repro.codec import flat_weights_from_bytes, flat_weights_to_bytes
+from repro.fl.history import RoundRecord, TrainingHistory
+from repro.nn.model import Sequential
 from repro.simcluster.population import PopulationShard, SeedAddress
 
 __all__ = [
+    "save_weights",
+    "load_weights",
     "flat_weights_to_bytes",
     "flat_weights_from_bytes",
     "shard_to_bytes",
     "shard_from_bytes",
+    "history_to_dict",
+    "history_from_dict",
+    "save_history",
+    "load_history",
 ]
+
+PathLike = Union[str, Path]
+
+
+def save_weights(model: Sequential, path: PathLike) -> Path:
+    """Save a model's parameter tensors to ``path`` (``.npz``)."""
+    path = Path(path)
+    weights = model.get_weights()
+    width = len(str(max(len(weights) - 1, 0)))
+    arrays = {f"param_{i:0{width}d}": w for i, w in enumerate(weights)}
+    np.savez(path, **arrays)
+    # np.savez appends .npz when missing; normalise the reported path
+    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+
+
+def load_weights(model: Sequential, path: PathLike) -> Sequential:
+    """Load ``.npz`` weights into ``model`` (shape-checked); returns it."""
+    with np.load(Path(path)) as data:
+        weights = [data[k] for k in sorted(data.files)]
+    model.set_weights(weights)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -148,3 +186,65 @@ def shard_from_bytes(payload: bytes) -> PopulationShard:
         rng_states=tail["rng_states"],
         cache_size=int(header["cache_size"]),
     )
+
+
+def history_to_dict(history: TrainingHistory) -> dict:
+    """JSON-safe representation of a training history."""
+    return {
+        "records": [
+            {
+                "round_idx": r.round_idx,
+                "round_latency": r.round_latency,
+                "sim_time": r.sim_time,
+                "accuracy": r.accuracy,
+                "selected": list(r.selected),
+                "tier": r.tier,
+                "dropped": list(r.dropped),
+                "tier_accuracies": (
+                    None
+                    if r.tier_accuracies is None
+                    else {str(k): v for k, v in r.tier_accuracies.items()}
+                ),
+            }
+            for r in history.records
+        ]
+    }
+
+
+def history_from_dict(payload: dict) -> TrainingHistory:
+    """Inverse of :func:`history_to_dict`."""
+    if "records" not in payload:
+        raise KeyError("payload has no 'records' key")
+    history = TrainingHistory()
+    for rec in payload["records"]:
+        history.append(
+            RoundRecord(
+                round_idx=int(rec["round_idx"]),
+                round_latency=float(rec["round_latency"]),
+                sim_time=float(rec["sim_time"]),
+                accuracy=(
+                    None if rec.get("accuracy") is None else float(rec["accuracy"])
+                ),
+                selected=tuple(int(c) for c in rec["selected"]),
+                tier=None if rec.get("tier") is None else int(rec["tier"]),
+                dropped=tuple(int(c) for c in rec.get("dropped", ())),
+                tier_accuracies=(
+                    None
+                    if rec.get("tier_accuracies") is None
+                    else {int(k): float(v) for k, v in rec["tier_accuracies"].items()}
+                ),
+            )
+        )
+    return history
+
+
+def save_history(history: TrainingHistory, path: PathLike) -> Path:
+    """Write a history to a JSON file."""
+    path = Path(path)
+    path.write_text(json.dumps(history_to_dict(history), indent=2), encoding="utf-8")
+    return path
+
+
+def load_history(path: PathLike) -> TrainingHistory:
+    """Read a history written by :func:`save_history`."""
+    return history_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -16,6 +16,7 @@ from repro.tifl.credits import allocate_credits
 from repro.tifl.estimator import estimate_training_time, mape
 from repro.tifl.planner import (
     PlanResult,
+    min_budget_for_fairness,
     plan_fairest_probs,
 )
 from repro.tifl.policies import (
@@ -48,5 +49,6 @@ __all__ = [
     "mape",
     "PlanResult",
     "plan_fairest_probs",
+    "min_budget_for_fairness",
     "TiFLServer",
 ]

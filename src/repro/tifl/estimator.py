@@ -17,9 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.fl.history import TrainingHistory
+
 __all__ = [
     "estimate_training_time",
+    "estimate_schedule_time",
     "mape",
+    "mape_from_history",
 ]
 
 
@@ -46,6 +50,31 @@ def estimate_training_time(
     return float((lats * probs).sum() * rounds)
 
 
+def estimate_schedule_time(
+    tier_latencies: Sequence[float],
+    prob_schedule: Sequence[Sequence[float]],
+    rounds_per_segment: Sequence[int],
+) -> float:
+    """Eq. 6 generalised to piecewise-constant probabilities.
+
+    The adaptive policy changes probabilities every interval ``I``; summing
+    Eq. 6 over the segments estimates adaptive runs too.
+    """
+    if len(prob_schedule) != len(rounds_per_segment):
+        raise ValueError(
+            f"schedule length mismatch: {len(prob_schedule)} prob vectors vs "
+            f"{len(rounds_per_segment)} segment lengths"
+        )
+    if not prob_schedule:
+        raise ValueError("the probability schedule must be non-empty")
+    return float(
+        sum(
+            estimate_training_time(tier_latencies, probs, r)
+            for probs, r in zip(prob_schedule, rounds_per_segment)
+        )
+    )
+
+
 def mape(estimated: float, actual: float) -> float:
     """Eq. 7: mean absolute percentage error, in percent."""
     if actual <= 0:
@@ -53,3 +82,15 @@ def mape(estimated: float, actual: float) -> float:
     if estimated < 0:
         raise ValueError(f"estimated time must be non-negative, got {estimated}")
     return abs(estimated - actual) / actual * 100.0
+
+
+def mape_from_history(
+    tier_latencies: Sequence[float],
+    tier_probs: Sequence[float],
+    history: TrainingHistory,
+) -> float:
+    """Convenience: MAPE of Eq. 6 against a measured training history."""
+    if len(history) == 0:
+        raise ValueError("history is empty")
+    est = estimate_training_time(tier_latencies, tier_probs, len(history))
+    return mape(est, history.total_time)

@@ -4,14 +4,20 @@ Section 4.5).
 The paper's training-time model (Eq. 6) lets users *evaluate* a policy's
 expected cost; this module closes the loop and *solves* for policies --
 the "navigate the training time-accuracy trade-off" workflow the paper
-motivates, made concrete as a linear program over the probability
+motivates, made concrete as two linear programs over the probability
 simplex (solved with :func:`scipy.optimize.linprog`; scipy is the
 ``plan`` extra and loads on the first call, not with the package):
-:func:`plan_fairest_probs` -- among all policies meeting a total time
-budget, find the one that maximises the *minimum* tier probability
-(max-min fairness).  Diverse tier participation is the paper's proxy
-for unbiased data coverage, so this is "as unbiased as the budget
-allows".  It is an LP because Eq. 6 is linear in the probabilities.
+
+* :func:`plan_fairest_probs` -- among all policies meeting a total time
+  budget, find the one that maximises the *minimum* tier probability
+  (max-min fairness).  Diverse tier participation is the paper's proxy
+  for unbiased data coverage, so this is "as unbiased as the budget
+  allows".
+* :func:`min_budget_for_fairness` -- the dual question: the smallest
+  budget under which every tier can keep at least a given probability
+  floor.
+
+Both reduce to LPs because Eq. 6 is linear in the probabilities.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from repro.tifl.estimator import estimate_training_time
 
-__all__ = ["PlanResult", "plan_fairest_probs"]
+__all__ = ["PlanResult", "plan_fairest_probs", "min_budget_for_fairness"]
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,45 @@ def plan_fairest_probs(
             feasible=False,
         )
     probs = np.clip(res.x[:m], 0.0, None)
+    probs = probs / probs.sum()
+    return PlanResult(
+        probs=probs,
+        expected_time=estimate_training_time(lats, probs, rounds),
+        min_tier_prob=float(probs.min()),
+        feasible=True,
+    )
+
+
+def min_budget_for_fairness(
+    tier_latencies: Sequence[float],
+    rounds: int,
+    min_tier_prob: float,
+) -> PlanResult:
+    """Smallest Eq. 6 budget keeping every tier above a probability floor.
+
+    Solves::
+
+        minimise   rounds * sum_i L_i p_i
+        subject to p_i >= min_tier_prob, sum_i p_i == 1
+
+    The optimum floors every tier at ``min_tier_prob`` and dumps the
+    remaining mass on the fastest tier.
+    """
+    lats = _validate(tier_latencies, rounds)
+    m = lats.size
+    if not 0.0 <= min_tier_prob <= 1.0 / m + 1e-12:
+        raise ValueError(
+            f"min_tier_prob must be in [0, 1/m] = [0, {1.0 / m:.4f}], "
+            f"got {min_tier_prob}"
+        )
+    c = rounds * lats
+    a_eq = np.ones((1, m))
+    b_eq = np.array([1.0])
+    bounds = [(min_tier_prob, 1.0)] * m
+    res = _linprog()(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    if not res.success:  # pragma: no cover - always feasible by validation
+        raise RuntimeError(f"planning LP failed: {res.message}")
+    probs = np.clip(res.x, 0.0, None)
     probs = probs / probs.sum()
     return PlanResult(
         probs=probs,

@@ -204,3 +204,65 @@ def test_quantity_skew_invariants(per_group, seed, fractions):
     np.testing.assert_allclose(
         totals / labels.size, fr, atol=2 / labels.size * per_group + 0.02
     )
+
+
+class TestDirichlet:
+    def test_valid_partition(self):
+        from repro.data.partition import partition_dirichlet
+
+        labels = balanced_labels(1000, 10)
+        parts = partition_dirichlet(labels, 20, alpha=0.5, rng=0)
+        check_partition(parts, 1000, allow_empty_clients=True)
+
+    def test_small_alpha_concentrates_classes(self):
+        from repro.data.partition import partition_dirichlet
+
+        labels = balanced_labels(2000, 10)
+        skewed = partition_dirichlet(labels, 20, alpha=0.05, rng=1)
+        near_iid = partition_dirichlet(labels, 20, alpha=100.0, rng=1)
+        cpc_skewed = classes_per_client(labels, skewed, 10)
+        cpc_iid = classes_per_client(labels, near_iid, 10)
+        assert cpc_skewed.mean() < cpc_iid.mean()
+        assert cpc_iid.mean() > 9.0  # alpha -> inf approaches IID
+
+    def test_min_samples_topup(self):
+        from repro.data.partition import partition_dirichlet
+
+        labels = balanced_labels(500, 5)
+        parts = partition_dirichlet(labels, 25, alpha=0.05, min_samples=3, rng=2)
+        assert min(p.size for p in parts) >= 3
+        check_partition(parts, 500, allow_empty_clients=True)
+
+    def test_deterministic(self):
+        from repro.data.partition import partition_dirichlet
+
+        labels = balanced_labels(300, 5)
+        a = partition_dirichlet(labels, 10, rng=7)
+        b = partition_dirichlet(labels, 10, rng=7)
+        for pa, pb in zip(a, b):
+            np.testing.assert_array_equal(pa, pb)
+
+    def test_validation(self):
+        from repro.data.partition import partition_dirichlet
+
+        labels = balanced_labels(100, 5)
+        with pytest.raises(ValueError):
+            partition_dirichlet(labels, 10, alpha=0.0)
+        with pytest.raises(ValueError):
+            partition_dirichlet(labels, 10, min_samples=-1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_clients=st.integers(2, 15),
+    alpha=st.floats(0.05, 10.0),
+    seed=st.integers(0, 500),
+)
+def test_dirichlet_partition_invariants(num_clients, alpha, seed):
+    from repro.data.partition import partition_dirichlet
+
+    labels = balanced_labels(num_clients * 30, 5, seed)
+    parts = partition_dirichlet(labels, num_clients, alpha=alpha, rng=seed)
+    check_partition(
+        parts, labels.size, require_cover=True, allow_empty_clients=True
+    )

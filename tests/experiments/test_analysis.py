@@ -2,37 +2,86 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.experiments.analysis import auc_accuracy_over_time
+from repro.experiments.analysis import (
+    auc_accuracy_over_time,
+    jain_fairness,
+    rounds_to_accuracy,
+    selection_fairness,
+    tier_utilisation,
+    time_to_accuracy,
+)
 from repro.fl.history import RoundRecord, TrainingHistory
 
 
-def history_with(accs):
+def history_with(accs, tiers=None, selected=None):
     h = TrainingHistory()
+    t = 0.0
     for r, acc in enumerate(accs):
+        t += 2.0
         h.append(
             RoundRecord(
                 round_idx=r,
                 round_latency=2.0,
-                sim_time=2.0 * (r + 1),
+                sim_time=t,
                 accuracy=acc,
-                selected=(r % 3,),
+                selected=selected[r] if selected else (r % 3,),
+                tier=tiers[r] if tiers else None,
             )
         )
     return h
 
 
-class TestSelectionFairness:
-    def test_uniform_policy_fairer_than_fast(self):
-        """Uniform tier selection spreads participation over the pool
-        more evenly than the fast-only policy (Jain's index)."""
-        from repro.experiments import ScenarioConfig, run_policy
+class TestTimeToAccuracy:
+    def test_first_crossing(self):
+        h = history_with([0.2, 0.5, 0.7, 0.6])
+        assert time_to_accuracy(h, 0.6) == pytest.approx(6.0)
+        assert rounds_to_accuracy(h, 0.6) == 2
 
-        def jain(history, pool_size):
-            counts = np.zeros(pool_size)
-            for rec in history.records:
-                counts[list(rec.selected)] += 1
-            return counts.sum() ** 2 / (pool_size * (counts**2).sum())
+    def test_never_reached(self):
+        h = history_with([0.1, 0.2])
+        assert time_to_accuracy(h, 0.9) is None
+        assert rounds_to_accuracy(h, 0.9) is None
+
+    def test_skips_unevaluated(self):
+        h = history_with([None, 0.8])
+        assert rounds_to_accuracy(h, 0.5) == 1
+
+    def test_validation(self):
+        h = history_with([0.5])
+        with pytest.raises(ValueError):
+            time_to_accuracy(h, 1.5)
+
+
+class TestJain:
+    def test_equal_is_one(self):
+        assert jain_fairness([5, 5, 5, 5]) == pytest.approx(1.0)
+
+    def test_single_winner(self):
+        # one client takes everything: index = 1/n
+        assert jain_fairness([10, 0, 0, 0]) == pytest.approx(0.25)
+
+    def test_all_zero_is_one(self):
+        assert jain_fairness([0, 0]) == 1.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            jain_fairness([])
+        with pytest.raises(ValueError):
+            jain_fairness([1, -1])
+
+
+class TestSelectionFairness:
+    def test_counts_missing_clients_as_zero(self):
+        h = history_with([0.5] * 4, selected=[(0,), (0,), (1,), (0,)])
+        # pool of 4: counts (3, 1, 0, 0)
+        expected = jain_fairness([3, 1, 0, 0])
+        assert selection_fairness(h, 4) == pytest.approx(expected)
+
+    def test_uniform_policy_fairer_than_fast(self):
+        from repro.experiments import ScenarioConfig, run_policy
 
         cfg = ScenarioConfig(
             num_clients=20, clients_per_round=2, train_size=600,
@@ -40,7 +89,31 @@ class TestSelectionFairness:
         )
         uni = run_policy(cfg, "uniform", rounds=30, seed=0, eval_every=30)
         fast = run_policy(cfg, "fast", rounds=30, seed=0, eval_every=30)
-        assert jain(uni.history, 20) > jain(fast.history, 20)
+        assert selection_fairness(uni.history, 20) > selection_fairness(
+            fast.history, 20
+        )
+
+    def test_validation(self):
+        h = history_with([0.5], selected=[(7,)])
+        with pytest.raises(ValueError):
+            selection_fairness(h, 3)
+
+
+class TestTierUtilisation:
+    def test_fractions(self):
+        h = history_with([0.5] * 4, tiers=[0, 0, 1, 2])
+        util = tier_utilisation(h, 3)
+        np.testing.assert_allclose(util, [0.5, 0.25, 0.25])
+
+    def test_tierless_rounds_ignored(self):
+        h = history_with([0.5] * 3, tiers=[None, 1, 1])
+        util = tier_utilisation(h, 2)
+        np.testing.assert_allclose(util, [0.0, 1.0])
+
+    def test_out_of_range_tier(self):
+        h = history_with([0.5], tiers=[5])
+        with pytest.raises(ValueError):
+            tier_utilisation(h, 2)
 
 
 class TestAUC:
@@ -75,3 +148,11 @@ class TestAUC:
         empty = TrainingHistory()
         with pytest.raises(ValueError):
             auc_accuracy_over_time(empty, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(0, 100), min_size=1, max_size=30))
+def test_jain_bounds_property(counts):
+    v = jain_fairness(counts)
+    n = len(counts)
+    assert 1.0 / n - 1e-12 <= v <= 1.0 + 1e-12

@@ -1,9 +1,10 @@
-"""Extended runner tests: custom policies, summaries."""
+"""Extended runner tests: custom policies, repeats averaging, summaries."""
 
 import numpy as np
 import pytest
 
-from repro.experiments import ScenarioConfig, run_policy
+from repro.experiments import ScenarioConfig, run_policies, run_policy
+from repro.experiments.figures import mean_curves
 from repro.tifl.policies import StaticTierPolicy
 
 
@@ -40,6 +41,12 @@ class TestCustomPolicies:
 
 
 class TestRepeatAveraging:
+    def test_mean_curves_over_repeats(self):
+        out = run_policies(cfg(), ["uniform"], rounds=5, seed=0, repeats=3)
+        rounds, accs = mean_curves(out["uniform"])
+        assert rounds.size == 5
+        assert np.all((0.0 <= accs) & (accs <= 1.0))
+
     def test_summary_strings(self):
         res = run_policy(cfg(), "vanilla", rounds=3, seed=0)
         text = res.history.summary()

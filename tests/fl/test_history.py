@@ -77,8 +77,24 @@ class TestSeries:
         assert h.accuracy_at_time(6.0) == pytest.approx(0.3)
         assert h.accuracy_at_time(0.5) == 0.0
 
+    def test_rounds_within_time(self):
+        assert sample_history().rounds_within_time(6.0) == 3
+
 
 class TestCounts:
+    def test_tier_counts(self):
+        h = sample_history()
+        assert h.tier_selection_counts() == {0: 3, 1: 2}
+
+    def test_tierless_uses_sentinel(self):
+        h = TrainingHistory()
+        h.append(record(0, tier=None))
+        assert h.tier_selection_counts() == {-1: 1}
+
+    def test_selection_counts(self):
+        h = sample_history()
+        assert h.selection_counts() == {0: 5, 1: 5}
+
     def test_summary_readable(self):
         s = sample_history().summary()
         assert "5 rounds" in s and "final_acc=0.5000" in s

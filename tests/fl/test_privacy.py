@@ -21,6 +21,12 @@ class TestGuarantee:
         with pytest.raises(ValueError):
             PrivacyGuarantee(eps=1.0, delta=1.5)
 
+    def test_stronger_than(self):
+        a = PrivacyGuarantee(0.5, 1e-6)
+        b = PrivacyGuarantee(1.0, 1e-5)
+        assert a.stronger_than(b)
+        assert not b.stronger_than(a)
+
 
 class TestAmplification:
     def test_q_one_is_identity(self):
@@ -38,7 +44,7 @@ class TestAmplification:
     def test_amplification_strengthens(self):
         base = PrivacyGuarantee(1.0, 1e-5)
         out = amplify_by_sampling(base, 0.2)
-        assert out.eps <= base.eps and out.delta <= base.delta
+        assert out.stronger_than(base)
 
     def test_monotone_in_q(self):
         base = PrivacyGuarantee(1.0, 1e-5)
@@ -87,7 +93,7 @@ class TestTiered:
         base = PrivacyGuarantee(0.05, 1e-5)
         q_max, amp = tiered_guarantee(base, [0.2] * 5, [10] * 5, 5)
         assert q_max < 1.0
-        assert amp.eps <= base.eps and amp.delta <= base.delta
+        assert amp.stronger_than(base)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="distribution"):

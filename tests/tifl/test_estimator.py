@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tifl.estimator import estimate_training_time, mape
+from repro.fl.history import RoundRecord, TrainingHistory
+from repro.tifl.estimator import (
+    estimate_schedule_time,
+    estimate_training_time,
+    mape,
+    mape_from_history,
+)
 
 
 class TestEq6:
@@ -35,6 +41,29 @@ class TestEq6:
             estimate_training_time([1.0], [1.0], 0)
 
 
+class TestScheduleEstimate:
+    def test_piecewise_sums(self):
+        lats = [1.0, 2.0]
+        est = estimate_schedule_time(
+            lats, [[1.0, 0.0], [0.0, 1.0]], [10, 5]
+        )
+        assert est == pytest.approx(10 * 1.0 + 5 * 2.0)
+
+    def test_single_segment_matches_eq6(self):
+        lats = [1.0, 4.0]
+        probs = [0.25, 0.75]
+        np.testing.assert_allclose(
+            estimate_schedule_time(lats, [probs], [20]),
+            estimate_training_time(lats, probs, 20),
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="length"):
+            estimate_schedule_time([1.0], [[1.0]], [1, 2])
+        with pytest.raises(ValueError, match="non-empty"):
+            estimate_schedule_time([1.0], [], [])
+
+
 class TestMape:
     def test_exact_is_zero(self):
         assert mape(100.0, 100.0) == 0.0
@@ -48,6 +77,30 @@ class TestMape:
             mape(10.0, 0.0)
         with pytest.raises(ValueError):
             mape(-1.0, 10.0)
+
+
+class TestMapeFromHistory:
+    def test_deterministic_history_gives_zero(self):
+        """A run whose rounds cost exactly the expected latency has MAPE 0."""
+        lats = [2.0, 4.0]
+        probs = [0.5, 0.5]
+        h = TrainingHistory()
+        t = 0.0
+        for r in range(10):
+            # alternate tiers deterministically at the expected frequency
+            lat = lats[r % 2]
+            t += lat
+            h.append(
+                RoundRecord(
+                    round_idx=r, round_latency=lat, sim_time=t,
+                    accuracy=None, selected=(0,),
+                )
+            )
+        assert mape_from_history(lats, probs, h) == pytest.approx(0.0, abs=1e-9)
+
+    def test_empty_history_raises(self):
+        with pytest.raises(ValueError):
+            mape_from_history([1.0], [1.0], TrainingHistory())
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tifl.estimator import estimate_training_time
-from repro.tifl.planner import plan_fairest_probs
+from repro.tifl.planner import min_budget_for_fairness, plan_fairest_probs
 
 LATS = [0.3, 0.5, 0.9, 1.7, 8.0]
 ROUNDS = 100
@@ -63,6 +63,40 @@ class TestPlanFairest:
             plan_fairest_probs([1.0, -1.0], ROUNDS, 10.0)
 
 
+class TestMinBudget:
+    def test_floor_respected(self):
+        plan = min_budget_for_fairness(LATS, ROUNDS, min_tier_prob=0.05)
+        assert plan.probs.min() >= 0.05 - 1e-9
+        np.testing.assert_allclose(plan.probs.sum(), 1.0)
+
+    def test_residual_mass_on_fastest(self):
+        plan = min_budget_for_fairness(LATS, ROUNDS, min_tier_prob=0.05)
+        assert plan.probs.argmax() == 0
+        np.testing.assert_allclose(plan.probs[1:], 0.05, atol=1e-9)
+
+    def test_uniform_floor_is_uniform(self):
+        plan = min_budget_for_fairness(LATS, ROUNDS, min_tier_prob=0.2)
+        np.testing.assert_allclose(plan.probs, 0.2, atol=1e-9)
+
+    def test_zero_floor_is_fastest_only(self):
+        plan = min_budget_for_fairness(LATS, ROUNDS, min_tier_prob=0.0)
+        assert plan.probs[0] == pytest.approx(1.0)
+        assert plan.expected_time == pytest.approx(ROUNDS * LATS[0])
+
+    def test_floor_bounds_checked(self):
+        with pytest.raises(ValueError):
+            min_budget_for_fairness(LATS, ROUNDS, min_tier_prob=0.5)
+
+
+class TestDuality:
+    def test_round_trip_consistency(self):
+        """plan(budget(floor)) recovers at least the floor."""
+        floor = 0.08
+        budget_plan = min_budget_for_fairness(LATS, ROUNDS, floor)
+        fair_plan = plan_fairest_probs(LATS, ROUNDS, budget_plan.expected_time * 1.001)
+        assert fair_plan.min_tier_prob >= floor - 1e-6
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     lats=st.lists(st.floats(0.1, 50.0), min_size=2, max_size=8),
@@ -85,8 +119,9 @@ def test_planner_feasibility_property(lats, scale, seed):
     "call",
     [
         lambda: plan_fairest_probs(LATS, ROUNDS, 1e6),
+        lambda: min_budget_for_fairness(LATS, ROUNDS, 0.05),
     ],
-    ids=["plan_fairest_probs"],
+    ids=["plan_fairest_probs", "min_budget_for_fairness"],
 )
 def test_missing_scipy_names_the_extra(monkeypatch, call):
     """scipy is optional (the ``plan`` extra) and imported on first use;
