@@ -10,6 +10,11 @@ literal pin.  Like the golden values of
 ``tests/execution/test_batched_executor.py`` the literals are those of
 this image's BLAS; a train-step rewrite has to reproduce them bit for
 bit (``docs/numerics.md``, "Why the arena is bit-identical").
+
+The eval-mode logits of the three paper CNNs and one ``MaxPool2D`` /
+``ReLU`` forward and backward on a tensor full of ties and signed zeros
+are pinned the same way, recorded at ``3324ace`` -- the last tree whose
+ReLU was ``np.where`` and whose pool was ``argmax`` + ``np.add.at``.
 """
 
 import hashlib
@@ -17,7 +22,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.nn import SGD, RMSprop, build_linear, build_mlp, build_mnist_cnn
+from repro.nn import (
+    SGD,
+    RMSprop,
+    build_cifar10_cnn,
+    build_femnist_cnn,
+    build_linear,
+    build_mlp,
+    build_mnist_cnn,
+)
+from repro.nn.layers import MaxPool2D, ReLU
 from repro.rng import make_rng
 from tests.conftest import make_test_client, make_tiny_dataset
 
@@ -132,3 +146,114 @@ def test_train_step_numerics_are_pinned(name):
     model, losses = SCHEDULES[name]()
     digest = hashlib.sha256(model.get_flat_weights().tobytes()).hexdigest()
     assert (digest, [float(v).hex() for v in losses]) == PINNED[name]
+
+
+#: name -> (builder, input shape, classes, batch, seed).  ``mnist_cnn``
+#: is ``cnn_serial``'s model and evaluation batch; ``cifar10_cnn`` and
+#: ``femnist_cnn`` add ``"same"`` padding and 5x5 kernels, at small inputs.
+EVAL_CASES = {
+    "mnist_cnn": (build_mnist_cnn, (12, 12, 1), 10, 128, 31),
+    "cifar10_cnn": (build_cifar10_cnn, (12, 12, 3), 10, 32, 32),
+    "femnist_cnn": (build_femnist_cnn, (8, 8, 1), 62, 32, 33),
+}
+
+#: name -> sha256 of the eval-mode logits, recorded at 3324ace.
+EVAL_PINNED = {
+    "mnist_cnn": "193bca094e3228edaf4c78231e8c835b9d5cd9414bd0da0d3b54b3c7ac5c4c1c",
+    "cifar10_cnn": "4a186689336f5416a66fb9b3fa0e5c28d9ee2f57d818f13b856c94fd92b30bee",
+    "femnist_cnn": "ba16ecb8f2ae28de0bb55b0868412dd9ed275c0985615454b21fa79ff052291d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES))
+def test_eval_logits_are_pinned(name):
+    builder, shape, classes, n, seed = EVAL_CASES[name]
+    model = builder(input_shape=shape, num_classes=classes, rng=seed)
+    # Perturb every weight so the biases are non-zero and the bias adds
+    # are real additions.
+    w = model.get_flat_weights()
+    model.set_flat_weights(w + 0.05 * make_rng(seed).standard_normal(w.size))
+    x = make_tiny_dataset(n=n, num_classes=classes, shape=shape, seed=seed).x
+    logits = model.forward(x, training=False)
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == EVAL_PINNED[name]
+
+
+def nhwc(*channels):
+    """One ``(1, h, w, c)`` tensor from ``c`` literal ``h x w`` grids."""
+    return np.array(channels, dtype=np.float64).transpose(1, 2, 0)[None]
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+# Every 2x2 window holds a tie: +-0 maxima in either order, a repeated
+# 2.0 / 3.0, an all -1.0 window.  The fifth row lies outside every
+# window, so its gradient stays zero.
+TIES = nhwc(
+    [
+        [-0.0, 0.0, 2.0, 2.0],
+        [0.0, -0.0, -1.0, 2.0],
+        [-1.0, -1.0, 0.0, -0.0],
+        [-1.0, -1.0, -0.0, 0.0],
+        [7.0, -0.0, 7.0, 0.0],
+    ],
+    [
+        [-1.0, -0.0, -1.0, -1.0],
+        [0.0, -0.0, -1.0, 2.0],
+        [0.0, -1.0, 3.0, 3.0],
+        [-1.0, -0.0, -0.0, 3.0],
+        [0.0, 7.0, -0.0, 7.0],
+    ],
+)
+
+
+def test_max_pool_forward_backward_are_pinned():
+    layer = MaxPool2D(2)
+    layer.build(TIES.shape[1:], np.random.default_rng(0))
+    out = layer.forward(TIES, training=True)
+    # The first maximum in window raster order wins, sign of zero included.
+    assert_bits_equal(out, nhwc([[-0.0, 2.0], [-1.0, 0.0]], [[-0.0, 2.0], [0.0, 3.0]]))
+    grad = nhwc([[0.5, -1.5], [3.0, -0.0]], [[-2.0, 0.25], [4.0, -3.5]])
+    expected = nhwc(
+        [
+            [0.5, 0.0, -1.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [3.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+        [
+            [0.0, -2.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.25],
+            [4.0, 0.0, -3.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+    )
+    assert_bits_equal(layer.backward(grad), expected)
+
+
+def test_relu_forward_backward_are_pinned():
+    layer = ReLU()
+    out = layer.forward(TIES, training=True)
+    # Every zero comes out +0.0, whatever the input's sign of zero.
+    expected = nhwc(
+        [[0, 0, 2, 2], [0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0], [7, 0, 7, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 3], [0, 0, 0, 3], [0, 7, 0, 7]],
+    )
+    assert_bits_equal(out, expected)
+    # grad * mask: a negative gradient at a dead unit comes back -0.0.
+    back = layer.backward(nhwc(np.ones((5, 4)), -np.ones((5, 4))))
+    expected = nhwc(
+        [[0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 0]],
+        [
+            [-0.0, -0.0, -0.0, -0.0],
+            [-0.0, -0.0, -0.0, -1.0],
+            [-0.0, -0.0, -1.0, -1.0],
+            [-0.0, -0.0, -0.0, -1.0],
+            [-0.0, -1.0, -0.0, -1.0],
+        ],
+    )
+    assert_bits_equal(back, expected)
