@@ -163,7 +163,9 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x = x if training else None
-        return x @ self.params["W"] + self.params["b"]
+        out = x @ self.params["W"]
+        out += self.params["b"]
+        return out
 
     def backward(
         self, grad: np.ndarray, input_grad: bool = True
@@ -190,16 +192,20 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    """Elementwise rectifier."""
+    """Elementwise rectifier.
+
+    Every zero it returns is ``+0.0``: ``np.maximum`` returns its second
+    operand when the two compare equal, so ``-0.0`` maps to ``0.0``.  A
+    NaN input propagates (``np.maximum`` is NaN-propagating).
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = x > 0
-        self._mask = mask if training else None
-        return np.where(mask, x, 0.0)
+        self._mask = x > 0 if training else None
+        return np.maximum(x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -215,7 +221,8 @@ class Conv2D(Layer):
     """2-D convolution over NHWC tensors via im2col + GEMM.
 
     ``padding`` is either ``"valid"`` (no padding) or ``"same"`` (output
-    spatial size equals input size for stride 1).
+    spatial size equals input size for stride 1; the kernel must be odd,
+    since an even one cannot be padded symmetrically).
     """
 
     def __init__(
@@ -232,6 +239,10 @@ class Conv2D(Layer):
             raise ValueError("filters, kernel_size and stride must be positive")
         if padding not in ("valid", "same"):
             raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
+        if padding == "same" and kernel_size % 2 == 0:
+            raise ValueError(
+                f"padding='same' needs an odd kernel_size, got kernel_size={kernel_size}"
+            )
         self.filters = filters
         self.k = kernel_size
         self.stride = stride
@@ -264,8 +275,8 @@ class Conv2D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         pad = self._pad_amount()
         cols, (oh, ow) = T.im2col(x, self.k, self.k, self.stride, pad)
-        w_mat = self.params["W"].reshape(-1, self.filters)
-        out = cols @ w_mat + self.params["b"]
+        out = cols @ self.params["W"].reshape(-1, self.filters)
+        out += self.params["b"]
         self._cache = (cols, x.shape) if training else None
         return out.reshape(x.shape[0], oh, ow, self.filters)
 
@@ -320,6 +331,8 @@ class MaxPool2D(Layer):
         super().__init__()
         if pool_size <= 0:
             raise ValueError(f"pool_size must be positive, got {pool_size}")
+        if stride is not None and stride <= 0:
+            raise ValueError(f"stride must be positive, got {stride}")
         self.k = pool_size
         self.stride = stride if stride is not None else pool_size
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
@@ -334,8 +347,11 @@ class MaxPool2D(Layer):
         return (oh, ow, c)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if not training:
+            self._cache = None
+            return T.pool2d_max(x, self.k, self.k, self.stride)
         out, arg = T.pool2d_forward(x, self.k, self.k, self.stride)
-        self._cache = (arg, x.shape) if training else None
+        self._cache = (arg, x.shape)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

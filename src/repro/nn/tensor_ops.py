@@ -22,7 +22,7 @@ are the same, but matmul reduction order may differ, which is why the
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "conv_out_size",
     "im2col",
     "col2im",
+    "pool2d_max",
     "pool2d_forward",
     "pool2d_backward",
     "stacked_one_hot",
@@ -158,19 +159,56 @@ def col2im(
     return out[:, pad:-pad, pad:-pad, :]
 
 
+def _window_offsets(
+    shape: Tuple[int, ...], kh: int, kw: int, stride: int
+) -> List[Tuple[slice, slice]]:
+    """The ``kh * kw`` strided ``(rows, cols)`` slices of an NHWC tensor of
+    ``shape`` that hold each window's element at one offset, in window
+    raster order: offset ``k = i * kw + j`` is the ``k``-th element of
+    every window."""
+    oh = (shape[1] - kh) // stride + 1
+    ow = (shape[2] - kw) // stride + 1
+    return [
+        (slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
+def pool2d_max(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Max-pool an NHWC tensor: the first maximum in window raster order,
+    as ``np.argmax`` picks it.
+
+    One ``np.maximum`` pass per window offset, folded last offset first:
+    ``np.maximum`` returns its second operand when the two compare equal
+    (``+-0.0``), so on a tie the earlier offset's value -- sign of zero
+    included -- replaces the later one's.
+    """
+    offsets = _window_offsets(x.shape, kh, kw, stride)
+    out = x[:, offsets[-1][0], offsets[-1][1], :].copy()
+    for rows, cols in reversed(offsets[:-1]):
+        np.maximum(out, x[:, rows, cols, :], out=out)
+    return out
+
+
 def pool2d_forward(
     x: np.ndarray, kh: int, kw: int, stride: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Max-pool an NHWC tensor.
+    """Max-pool an NHWC tensor, recording where each maximum came from.
 
-    Returns ``(out, argmax)`` where ``argmax`` holds flat within-window
-    indices used by :func:`pool2d_backward`.
+    Returns ``(out, argmax)``: ``out`` is :func:`pool2d_max`, and
+    ``argmax`` holds the flat within-window index ``i * kw + j`` of the
+    first maximum in window raster order, as ``np.argmax`` picks it --
+    what :func:`pool2d_backward` routes the gradient to.
     """
-    view = _window_view(x, kh, kw, stride)  # (n, oh, ow, kh, kw, c)
-    n, oh, ow, _, _, c = view.shape
-    flat = view.reshape(n, oh, ow, kh * kw, c)
-    arg = np.argmax(flat, axis=3)  # (n, oh, ow, c)
-    out = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3).squeeze(3)
+    out = pool2d_max(x, kh, kw, stride)
+    # The first match's index is the number of offsets before it that
+    # all missed the maximum; the last offset needs no comparison.
+    arg = np.zeros(out.shape, dtype=np.intp)
+    missed = np.ones(out.shape, dtype=bool)
+    for rows, cols in _window_offsets(x.shape, kh, kw, stride)[:-1]:
+        missed &= x[:, rows, cols, :] != out
+        arg += missed
     return out, arg
 
 
@@ -182,19 +220,17 @@ def pool2d_backward(
     kw: int,
     stride: int,
 ) -> np.ndarray:
-    """Route ``grad`` back through the max locations recorded by the fwd pass."""
-    n, h, w, c = x_shape
-    oh, ow = grad.shape[1], grad.shape[2]
+    """Route ``grad`` back through the maxima :func:`pool2d_forward`
+    recorded (the first maximum in window raster order, as ``np.argmax``).
+
+    One strided ``+=`` per window offset, as :func:`col2im` folds its
+    patches.  With ``stride >= kernel`` every input element receives at
+    most one gradient, so the result is exact; overlapping windows sum
+    in offset order.
+    """
     dx = np.zeros(x_shape, dtype=grad.dtype)
-    ki, kj = np.divmod(arg, kw)  # window-local coordinates, each (n, oh, ow, c)
-    oi = np.arange(oh)[None, :, None, None]
-    oj = np.arange(ow)[None, None, :, None]
-    rows = oi * stride + ki
-    cols = oj * stride + kj
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, None, None, :]
-    # Windows can overlap when stride < kernel, so accumulate with np.add.at.
-    np.add.at(dx, (ni, rows, cols, ci), grad)
+    for k, (rows, cols) in enumerate(_window_offsets(x_shape, kh, kw, stride)):
+        dx[:, rows, cols, :] += np.where(arg == k, grad, 0.0)
     return dx
 
 

@@ -158,6 +158,13 @@ class TestConv2D:
         with pytest.raises(ValueError, match="padding"):
             Conv2D(2, 3, padding="full")
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_same_padding_rejects_an_even_kernel(self, k):
+        # (k - 1) // 2 rows of padding each side cannot keep the size:
+        # Conv2D(4, 2, padding="same") used to build (6, 6, 1) -> (5, 5, 4).
+        with pytest.raises(ValueError, match=f"padding='same'.*kernel_size={k}"):
+            Conv2D(4, k, padding="same")
+
 
 class TestMaxPool2D:
     def test_forward_shape(self, rng):
@@ -174,6 +181,12 @@ class TestMaxPool2D:
     def test_custom_stride(self, rng):
         layer = MaxPool2D(3, stride=1)
         assert layer.build((5, 5, 1), rng) == (3, 3, 1)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_stride_rejected(self, stride):
+        # 0 used to reach a ZeroDivisionError in build, -1 a nonsense shape.
+        with pytest.raises(ValueError, match="stride must be positive"):
+            MaxPool2D(2, stride=stride)
 
 
 class TestFlatten:

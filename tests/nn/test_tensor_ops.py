@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.nn import tensor_ops as T
+from repro.nn.layers import ReLU
 
 
 class TestOneHot:
@@ -233,3 +235,102 @@ def test_one_hot_round_trip_property(num_classes, seed, n):
         corrupted[0] = bad
         with pytest.raises(ValueError, match="out of range"):
             T.one_hot(corrupted, num_classes)
+
+
+# ----------------------------------------------------------------------
+# the pool and ReLU kernels against the spellings they replaced
+# ----------------------------------------------------------------------
+def reference_pool2d_forward(x, kh, kw, stride):
+    """``argmax`` + ``take_along_axis`` over the window view."""
+    view = T._window_view(x, kh, kw, stride)
+    n, oh, ow, _, _, c = view.shape
+    flat = view.reshape(n, oh, ow, kh * kw, c)
+    arg = np.argmax(flat, axis=3)
+    out = np.take_along_axis(flat, arg[:, :, :, None, :], axis=3).squeeze(3)
+    return out, arg
+
+
+def reference_pool2d_backward(grad, arg, x_shape, kh, kw, stride):
+    """``np.add.at`` scatter into the recorded max locations."""
+    n, h, w, c = x_shape
+    oh, ow = grad.shape[1], grad.shape[2]
+    dx = np.zeros(x_shape, dtype=grad.dtype)
+    ki, kj = np.divmod(arg, kw)
+    rows = np.arange(oh)[None, :, None, None] * stride + ki
+    cols = np.arange(ow)[None, None, :, None] * stride + kj
+    ni = np.arange(n)[:, None, None, None]
+    ci = np.arange(c)[None, None, None, :]
+    np.add.at(dx, (ni, rows, cols, ci), grad)
+    return dx
+
+
+def reference_relu(x):
+    return np.where(x > 0, x, 0.0)
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+#: A small value set, so windows hold repeated maxima and +-0 ties.
+TIE_VALUES = (-1.0, -0.0, 0.0, 2.0)
+
+#: Overlapping windows sum at most k*k <= 16 gradients per input element,
+#: in another order than the reference; reordering m float64 addends
+#: moves the sum by at most (m - 1) * eps * (sum of their magnitudes).
+OVERLAP_RTOL = 16 * np.finfo(np.float64).eps
+
+
+@st.composite
+def pool_cases(draw):
+    n, h, w, c, k = (draw(st.integers(1, 4)) for _ in range(5))
+    stride = draw(st.integers(1, 4))
+    assume(k <= h and k <= w)
+    x = draw(arrays(np.float64, (n, h, w, c), elements=st.sampled_from(TIE_VALUES)))
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    finite = st.floats(-4.0, 4.0, allow_nan=False)
+    grad = draw(arrays(np.float64, (n, oh, ow, c), elements=finite))
+    return x, k, stride, grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pool_cases())
+def test_pool2d_matches_reference_spelling(case):
+    """Bitwise: the max, its first-in-raster-order index and -- without
+    overlap -- the routed gradient; with overlap, within OVERLAP_RTOL."""
+    x, k, stride, grad = case
+    out_ref, arg_ref = reference_pool2d_forward(x, k, k, stride)
+    assert_bits_equal(T.pool2d_max(x, k, k, stride), out_ref)
+    out, arg = T.pool2d_forward(x, k, k, stride)
+    assert_bits_equal(out, out_ref)
+    assert_bits_equal(arg, arg_ref)
+    dx = T.pool2d_backward(grad, arg, x.shape, k, k, stride)
+    dx_ref = reference_pool2d_backward(grad, arg_ref, x.shape, k, k, stride)
+    if stride >= k:
+        assert_bits_equal(dx, dx_ref)
+    else:
+        magnitude = reference_pool2d_backward(np.abs(grad), arg_ref, x.shape, k, k, stride)
+        assert np.all(np.abs(dx - dx_ref) <= OVERLAP_RTOL * magnitude)
+
+
+def test_relu_matches_reference_with_negative_zero_at_every_position():
+    """Lengths 1..67 cover every vector-width tail of np.maximum's loop."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 68):
+        base = rng.choice(TIE_VALUES, size=n)
+        for pos in range(n):
+            x = base.copy()
+            x[pos] = -0.0
+            assert_bits_equal(ReLU().forward(x, training=True), reference_relu(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 67), elements=st.floats(allow_nan=False)))
+def test_relu_matches_reference_on_finite_inputs(x):
+    assert_bits_equal(ReLU().forward(x), reference_relu(x))
+
+
+def test_relu_propagates_nan():
+    out = ReLU().forward(np.array([np.nan, -1.0, 2.0]))
+    assert np.isnan(out[0]) and out[1:].tolist() == [0.0, 2.0]
