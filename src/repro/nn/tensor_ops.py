@@ -129,6 +129,23 @@ def im2col(
     return np.ascontiguousarray(cols), (oh, ow)
 
 
+def _window_slices(
+    shape: Tuple[int, ...], kh: int, kw: int, stride: int
+) -> List[Tuple[slice, ...]]:
+    """Index tuples into an NHWC tensor of ``shape``, one per window
+    offset in window raster order: the ``k``-th, ``k = i * kw + j``,
+    selects every window's ``(i, j)`` element as an ``(n, oh, ow, c)``
+    strided view."""
+    oh = (shape[1] - kh) // stride + 1
+    ow = (shape[2] - kw) // stride + 1
+    every = slice(None)
+    return [
+        (every, slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride), every)
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -145,34 +162,15 @@ def col2im(
     hp, wp = h + 2 * pad, w + 2 * pad
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    patches = cols.reshape(n, oh, ow, kh, kw, c)
+    patches = cols.reshape(n, oh, ow, kh * kw, c)
     out = np.zeros((n, hp, wp, c), dtype=cols.dtype)
     # kh*kw additions of full (n, oh, ow, c) blocks: loop extent is the
     # kernel size (small constant), not the batch or image size.
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            out[:, i:i_max:stride, j:j_max:stride, :] += patches[:, :, :, i, j, :]
+    for k, window in enumerate(_window_slices(out.shape, kh, kw, stride)):
+        out[window] += patches[:, :, :, k, :]
     if pad == 0:
         return out
     return out[:, pad:-pad, pad:-pad, :]
-
-
-def _window_offsets(
-    shape: Tuple[int, ...], kh: int, kw: int, stride: int
-) -> List[Tuple[slice, slice]]:
-    """The ``kh * kw`` strided ``(rows, cols)`` slices of an NHWC tensor of
-    ``shape`` that hold each window's element at one offset, in window
-    raster order: offset ``k = i * kw + j`` is the ``k``-th element of
-    every window."""
-    oh = (shape[1] - kh) // stride + 1
-    ow = (shape[2] - kw) // stride + 1
-    return [
-        (slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
-        for i in range(kh)
-        for j in range(kw)
-    ]
 
 
 def pool2d_max(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -184,10 +182,10 @@ def pool2d_max(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     (``+-0.0``), so on a tie the earlier offset's value -- sign of zero
     included -- replaces the later one's.
     """
-    offsets = _window_offsets(x.shape, kh, kw, stride)
-    out = x[:, offsets[-1][0], offsets[-1][1], :].copy()
-    for rows, cols in reversed(offsets[:-1]):
-        np.maximum(out, x[:, rows, cols, :], out=out)
+    windows = _window_slices(x.shape, kh, kw, stride)
+    out = x[windows[-1]].copy()
+    for window in reversed(windows[:-1]):
+        np.maximum(out, x[window], out=out)
     return out
 
 
@@ -206,8 +204,8 @@ def pool2d_forward(
     # all missed the maximum; the last offset needs no comparison.
     arg = np.zeros(out.shape, dtype=np.intp)
     missed = np.ones(out.shape, dtype=bool)
-    for rows, cols in _window_offsets(x.shape, kh, kw, stride)[:-1]:
-        missed &= x[:, rows, cols, :] != out
+    for window in _window_slices(x.shape, kh, kw, stride)[:-1]:
+        missed &= x[window] != out
         arg += missed
     return out, arg
 
@@ -229,8 +227,8 @@ def pool2d_backward(
     in offset order.
     """
     dx = np.zeros(x_shape, dtype=grad.dtype)
-    for k, (rows, cols) in enumerate(_window_offsets(x_shape, kh, kw, stride)):
-        dx[:, rows, cols, :] += np.where(arg == k, grad, 0.0)
+    for k, window in enumerate(_window_slices(x_shape, kh, kw, stride)):
+        dx[window] += np.where(arg == k, grad, 0.0)
     return dx
 
 

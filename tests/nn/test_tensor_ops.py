@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.nn import tensor_ops as T
 from repro.nn.layers import ReLU
+from tests.nn.test_train_step_pins import assert_bits_equal
 
 
 class TestOneHot:
@@ -266,11 +267,6 @@ def reference_pool2d_backward(grad, arg, x_shape, kh, kw, stride):
 
 def reference_relu(x):
     return np.where(x > 0, x, 0.0)
-
-
-def assert_bits_equal(actual, expected):
-    assert actual.dtype == expected.dtype and actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes(), (actual, expected)
 
 
 #: A small value set, so windows hold repeated maxima and +-0 ties.
