@@ -160,8 +160,8 @@ class TestConv2D:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_same_padding_rejects_an_even_kernel(self, k):
-        # (k - 1) // 2 rows of padding each side cannot keep the size:
-        # Conv2D(4, 2, padding="same") used to build (6, 6, 1) -> (5, 5, 4).
+        # (k - 1) // 2 rows of padding a side cannot keep an even kernel's
+        # size: k = 2 would map (6, 6, 1) to (5, 5, 4).
         with pytest.raises(ValueError, match=f"padding='same'.*kernel_size={k}"):
             Conv2D(4, k, padding="same")
 
@@ -184,7 +184,7 @@ class TestMaxPool2D:
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_non_positive_stride_rejected(self, stride):
-        # 0 used to reach a ZeroDivisionError in build, -1 a nonsense shape.
+        # 0 would divide by zero in build, -1 build a negative shape.
         with pytest.raises(ValueError, match="stride must be positive"):
             MaxPool2D(2, stride=stride)
 

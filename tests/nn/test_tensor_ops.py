@@ -323,7 +323,7 @@ def test_relu_matches_reference_with_negative_zero_at_every_position():
 
 @settings(max_examples=100, deadline=None)
 @given(x=arrays(np.float64, st.integers(1, 67), elements=st.floats(allow_nan=False)))
-def test_relu_matches_reference_on_finite_inputs(x):
+def test_relu_matches_reference_on_every_non_nan_input(x):
     assert_bits_equal(ReLU().forward(x), reference_relu(x))
 
 
