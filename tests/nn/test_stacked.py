@@ -14,12 +14,20 @@ Dropout: stacked mask streams are stacked-stream-specific, so only
 deterministic layers admit a serial reference.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import StackedSequential, build_mlp
+from repro.nn import (
+    StackedSequential,
+    build_cifar10_cnn,
+    build_femnist_cnn,
+    build_mlp,
+    build_mnist_cnn,
+)
 from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
 from repro.nn.losses import softmax_cross_entropy, stacked_softmax_cross_entropy
 from repro.nn.model import Sequential
@@ -479,3 +487,90 @@ class TestStackedDropout:
         np.testing.assert_array_equal(
             s1.forward(x, training=True), s2.forward(x, training=True)
         )
+
+
+# ----------------------------------------------------------------------
+# literal pins of the stacked stream
+# ----------------------------------------------------------------------
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+#: name -> (builder, input shape, classes, seed): the three paper CNNs at
+#: small inputs; ``cifar10_cnn`` and ``femnist_cnn`` add ``"same"`` padding.
+STACK_PIN_CASES = {
+    "mnist_cnn": (build_mnist_cnn, (12, 12, 1), 10, 41),
+    "cifar10_cnn": (build_cifar10_cnn, (12, 12, 3), 10, 42),
+    "femnist_cnn": (build_femnist_cnn, (8, 8, 1), 62, 43),
+}
+
+
+def run_stacked_pin(name):
+    """Eval logits, 3 RMSprop steps (Dropout active) and one SGD epoch
+    of a 3-client stack with perturbed per-client weights."""
+    builder, shape, classes, seed = STACK_PIN_CASES[name]
+    g = np.random.default_rng(seed)
+    template = builder(input_shape=shape, num_classes=classes, rng=seed)
+    c, n = 3, 6
+    base = template.get_flat_weights()
+    weights = base + 0.05 * g.standard_normal((c, base.size))
+    x = g.standard_normal((c, n) + shape)
+    y = g.integers(0, classes, size=(c, n))
+    stack = StackedSequential(template, c, rng=seed)
+    stack.set_flat_weights(weights)
+    out = {"eval": sha(stack.forward(x, training=False))}
+    opt = RMSprop(lr=0.01)
+    losses = [stack.train_step(x, y, opt) for _ in range(3)]
+    out["rmsprop"] = sha(stack.get_flat_weights(), *losses)
+    stack.set_flat_weights(weights)
+    orders = np.stack([g.permutation(n) for _ in range(c)])
+    losses = stack.fit_epoch(x, y, SGD(lr=0.05), batch_size=4, orders=orders)
+    out["sgd_epoch"] = sha(stack.get_flat_weights(), losses)
+    return out
+
+
+def run_stacked_fedprox_pin():
+    g = np.random.default_rng(44)
+    template = make_mlp(seed=13)
+    anchor = template.get_weights()
+    stack = StackedSequential(template, 3)
+    stack.set_flat_weights(per_client_weights(template, 3, g))
+    x, y = make_batch(g, 3, 6, template.input_shape)
+    losses = stack.train_step(x, y, SGD(lr=0.05), prox_anchor=anchor, prox_mu=0.1)
+    return sha(stack.get_flat_weights(), losses)
+
+
+class TestStackedPins:
+    """sha256 literals of the stacked stream, recorded at ``4dc8b9d`` --
+    the last tree whose layers carried hand-written ``forward_stacked`` /
+    ``backward_stacked`` twins.  ``STACK_RTOL`` cannot tell a rewrite that
+    keeps the bits from one that moves them; these can."""
+
+    PINNED = {
+        "mnist_cnn": {
+            "eval": "c3097ae5971bb843da7609cede8dd3d40c3a6d735693d516bfb2bf0675766406",
+            "rmsprop": "68337aa1c82cf4ffafac9843be19b22fc7fdf660795f5f9bfeae50579112d066",
+            "sgd_epoch": "1a541b19c1c0729de01dd66ffd5cf8df67c98c146def11e750e9654fc1b713b0",
+        },
+        "cifar10_cnn": {
+            "eval": "f94fa64a820cfd2ff91ca1327b281905f3be0a4b7d164bf2376e8db112143a87",
+            "rmsprop": "26fdb7177990ae86307ada7993b11bf722830c406088cf1160adf397950d5887",
+            "sgd_epoch": "f0abe6f8a21fa16fcbb834b42d4a5c5791de1bebc6b0e45aaee1a9d4f1f0541d",
+        },
+        "femnist_cnn": {
+            "eval": "558e56d20c6b95de524b293c9094c6625135c3a1390c02e656361bd1703afab1",
+            "rmsprop": "c49c4afe7a6b4cd937ae758491b7da74dc4f196a678a8118316df3a05e4a5905",
+            "sgd_epoch": "37aa745406dce24e4a78e88bbea5bb2ca9f923ab112456b3f6ec1a957301e301",
+        },
+    }
+    FEDPROX = "2479e2fbc966d1a234bdcdf8a8454a7e76718f85d0494c78bf7caed805af9ae0"
+
+    @pytest.mark.parametrize("name", sorted(STACK_PIN_CASES))
+    def test_cnn_stream_is_pinned(self, name):
+        assert run_stacked_pin(name) == self.PINNED[name]
+
+    def test_fedprox_step_is_pinned(self):
+        assert run_stacked_fedprox_pin() == self.FEDPROX
