@@ -14,25 +14,26 @@ optimizer reads the arena, not the dict.  A layer used without a model
 has no views to write through and allocates its gradient buffers on its
 first ``backward`` (:meth:`Layer._grad`).
 
-Stacked (leading client-axis) mode
-----------------------------------
-Every layer additionally implements ``forward_stacked`` /
-``backward_stacked``, the cohort-batched twins used by
-:class:`repro.nn.stacked.StackedSequential`: activations carry a leading
-client axis (``(C, batch, ...)``) and parameters, where the layer has
-any, carry the same leading axis (``(C,) + param.shape``) so ``C``
-independent per-client layers advance in one call.  Parameter-free
-layers fold the client axis into the batch axis (exact); parameterised
-layers map onto numpy's batched ``matmul``, whose reduction order may
-differ from the per-client GEMMs -- that reassociation is why the
+Stacked mode: leading client axes
+---------------------------------
+Each layer has one ``forward`` / ``backward``, and it reads any leading
+axes in front of the batch axis from its input.  That is how
+:class:`repro.nn.stacked.StackedSequential` runs a cohort of ``C``
+clients as one program: activations are ``(C, batch, ...)`` and the
+parameters of a stacked instance carry the same leading axis
+(``(C,) + param.shape``, views of a ``(C, P)`` arena), so ``C``
+independent per-client layers advance in one call.  ``Conv2D`` and
+``MaxPool2D`` fold the leading axes into the NHWC batch around the
+per-sample ``im2col`` / ``col2im`` / pool kernels, and ``ReLU`` /
+``Dropout`` are elementwise, so all of those are exact per client.
+``Dense`` and the conv GEMM map onto numpy's batched ``matmul``, whose
+reduction order may differ from ``C`` per-client GEMMs -- why the
 ``batched`` executor is its own versioned numerics stream (see
-``docs/numerics.md``).  A stacked layer instance stores its stacked
-parameters in the same ``params``/``grads`` dicts (views of a ``(C, P)``
-arena); the two modes are never mixed on one instance.
+``docs/numerics.md``).
 
 Discarded input gradients
 -------------------------
-``backward`` / ``backward_stacked`` of a parameterised layer take
+``backward`` of a parameterised layer takes
 ``input_grad=False``: fill ``grads`` and return ``None`` without
 computing the input-gradient term (a GEMM, plus ``col2im`` for a conv).
 A model's train step passes it to its bottom-most parameterised layer
@@ -42,6 +43,7 @@ which is why parameter-free layers do not take the flag.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -60,6 +62,14 @@ __all__ = [
 ]
 
 Initializer = Callable[[np.random.Generator, Tuple[int, ...]], np.ndarray]
+
+
+def _nhwc(shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    """``shape`` with its leading axes -- the batch and any client axes
+    in front of it -- merged into one NHWC batch axis.  The spatial
+    kernels act per sample, so running them on the merged batch is
+    exactly running them per client."""
+    return (math.prod(shape[:-3]),) + shape[-3:]
 
 
 class Layer:
@@ -104,24 +114,6 @@ class Layer:
         # or shipped layer starts without them.
         return {**self.__dict__, "grads": {}}
 
-    # -- stacked compute ----------------------------------------------
-    def forward_stacked(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Cohort-batched forward: ``x`` is ``(C, batch, ...)``.
-
-        Layers with parameters read them with a leading client axis
-        (``(C,) + shape``); parameter-free layers treat every client
-        slice exactly as :meth:`forward` would.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support stacked execution"
-        )
-
-    def backward_stacked(self, grad: np.ndarray) -> np.ndarray:
-        """Cohort-batched backward for the most recent stacked forward."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support stacked execution"
-        )
-
     # -- introspection ------------------------------------------------
     @property
     def num_params(self) -> int:
@@ -162,9 +154,10 @@ class Dense(Layer):
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        # Stacked: x (C, n, in) @ W (C, in, units), one batched GEMM.
         self._x = x if training else None
         out = x @ self.params["W"]
-        out += self.params["b"]
+        out += self.params["b"][..., None, :]
         return out
 
     def backward(
@@ -172,23 +165,9 @@ class Dense(Layer):
     ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
-        np.matmul(self._x.T, grad, out=self._grad("W"))
-        np.sum(grad, axis=0, out=self._grad("b"))
-        return grad @ self.params["W"].T if input_grad else None
-
-    def forward_stacked(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # x (C, n, in) @ W (C, in, units): one batched GEMM for the cohort.
-        self._x = x if training else None
-        return x @ self.params["W"] + self.params["b"][:, None, :]
-
-    def backward_stacked(
-        self, grad: np.ndarray, input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        if self._x is None:
-            raise RuntimeError("backward called without a training forward pass")
-        np.matmul(self._x.transpose(0, 2, 1), grad, out=self._grad("W"))
-        np.sum(grad, axis=1, out=self._grad("b"))
-        return grad @ self.params["W"].transpose(0, 2, 1) if input_grad else None
+        np.matmul(self._x.swapaxes(-1, -2), grad, out=self._grad("W"))
+        np.sum(grad, axis=-2, out=self._grad("b"))
+        return grad @ self.params["W"].swapaxes(-1, -2) if input_grad else None
 
 
 class ReLU(Layer):
@@ -211,10 +190,6 @@ class ReLU(Layer):
         if self._mask is None:
             raise RuntimeError("backward called without a training forward pass")
         return grad * self._mask
-
-    # Elementwise: the client axis is just another batch dim.
-    forward_stacked = forward
-    backward_stacked = backward
 
 
 class Conv2D(Layer):
@@ -273,12 +248,17 @@ class Conv2D(Layer):
         return (oh, ow, self.filters)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        pad = self._pad_amount()
-        cols, (oh, ow) = T.im2col(x, self.k, self.k, self.stride, pad)
-        out = cols @ self.params["W"].reshape(-1, self.filters)
-        out += self.params["b"]
+        # Stacked: each client's (n * oh * ow, K) patch rows against its
+        # own (K, filters) kernel, one batched GEMM.
+        lead, f = x.shape[:-4], self.filters
+        cols, (oh, ow) = T.im2col(
+            x.reshape(_nhwc(x.shape)), self.k, self.k, self.stride, self._pad_amount()
+        )
+        cols = cols.reshape(lead + (-1, cols.shape[-1]))
+        out = cols @ self.params["W"].reshape(lead + (-1, f))
+        out += self.params["b"][..., None, :]
         self._cache = (cols, x.shape) if training else None
-        return out.reshape(x.shape[0], oh, ow, self.filters)
+        return out.reshape(x.shape[:-3] + (oh, ow, f))
 
     def backward(
         self, grad: np.ndarray, input_grad: bool = True
@@ -286,42 +266,22 @@ class Conv2D(Layer):
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         cols, x_shape = self._cache
-        n, oh, ow, f = grad.shape
-        g = grad.reshape(n * oh * ow, f)
-        np.matmul(cols.T, g, out=self._grad("W").reshape(-1, f))
-        np.sum(g, axis=0, out=self._grad("b"))
+        mat = x_shape[:-4] + (-1, self.filters)
+        g = grad.reshape(mat)
+        np.matmul(cols.swapaxes(-1, -2), g, out=self._grad("W").reshape(mat))
+        np.sum(g, axis=-2, out=self._grad("b"))
         if not input_grad:
             return None
-        dcols = g @ self.params["W"].reshape(-1, f).T
-        return T.col2im(dcols, x_shape, self.k, self.k, self.stride, self._pad_amount())
-
-    def forward_stacked(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # x (C, n, h, w, ch); per-client patch matrices against per-client
-        # kernels via one batched GEMM.
-        pad = self._pad_amount()
-        cols, (oh, ow) = T.stacked_im2col(x, self.k, self.k, self.stride, pad)
-        c = x.shape[0]
-        w_mat = self.params["W"].reshape(c, -1, self.filters)
-        out = cols @ w_mat + self.params["b"][:, None, :]
-        self._cache = (cols, x.shape) if training else None
-        return out.reshape(c, x.shape[1], oh, ow, self.filters)
-
-    def backward_stacked(
-        self, grad: np.ndarray, input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training forward pass")
-        cols, x_shape = self._cache
-        c, n, oh, ow, f = grad.shape
-        g = grad.reshape(c, n * oh * ow, f)
-        np.matmul(cols.transpose(0, 2, 1), g, out=self._grad("W").reshape(c, -1, f))
-        np.sum(g, axis=1, out=self._grad("b"))
-        if not input_grad:
-            return None
-        dcols = g @ self.params["W"].reshape(c, -1, f).transpose(0, 2, 1)
-        return T.stacked_col2im(
-            dcols, x_shape, self.k, self.k, self.stride, self._pad_amount()
+        dcols = g @ self.params["W"].reshape(mat).swapaxes(-1, -2)
+        dx = T.col2im(
+            dcols.reshape(-1, dcols.shape[-1]),
+            _nhwc(x_shape),
+            self.k,
+            self.k,
+            self.stride,
+            self._pad_amount(),
         )
+        return dx.reshape(x_shape)
 
 
 class MaxPool2D(Layer):
@@ -340,6 +300,8 @@ class MaxPool2D(Layer):
     def build(
         self, input_shape: Tuple[int, ...], rng: np.random.Generator
     ) -> Tuple[int, ...]:
+        if len(input_shape) != 3:
+            raise ValueError(f"MaxPool2D expects (h, w, c) input, got {input_shape}")
         h, w, c = input_shape
         oh = T.conv_out_size(h, self.k, self.stride, 0)
         ow = T.conv_out_size(w, self.k, self.stride, 0)
@@ -347,60 +309,48 @@ class MaxPool2D(Layer):
         return (oh, ow, c)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training:
+        xf = x.reshape(_nhwc(x.shape))
+        if training:
+            out, arg = T.pool2d_forward(xf, self.k, self.k, self.stride)
+            self._cache = (arg, x.shape)
+        else:
+            out = T.pool2d_max(xf, self.k, self.k, self.stride)
             self._cache = None
-            return T.pool2d_max(x, self.k, self.k, self.stride)
-        out, arg = T.pool2d_forward(x, self.k, self.k, self.stride)
-        self._cache = (arg, x.shape)
-        return out
+        return out.reshape(x.shape[:-3] + out.shape[1:])
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         arg, x_shape = self._cache
-        return T.pool2d_backward(grad, arg, x_shape, self.k, self.k, self.stride)
-
-    def forward_stacked(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out, arg = T.stacked_pool2d_forward(x, self.k, self.k, self.stride)
-        self._cache = (arg, x.shape) if training else None
-        return out
-
-    def backward_stacked(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called without a training forward pass")
-        arg, x_shape = self._cache
-        return T.stacked_pool2d_backward(
-            grad, arg, x_shape, self.k, self.k, self.stride
+        dx = T.pool2d_backward(
+            grad.reshape(arg.shape), arg, _nhwc(x_shape), self.k, self.k, self.stride
         )
+        return dx.reshape(x_shape)
 
 
 class Flatten(Layer):
-    """Collapse all non-batch dims."""
+    """Collapse the sample dims it was built for into one; any axes in
+    front of them (the batch, and a stack's client axis) are kept."""
 
     def __init__(self) -> None:
         super().__init__()
+        self._sample_ndim: Optional[int] = None
         self._shape: Optional[Tuple[int, ...]] = None
 
     def build(
         self, input_shape: Tuple[int, ...], rng: np.random.Generator
     ) -> Tuple[int, ...]:
+        self._sample_ndim = len(input_shape)
         self.built = True
         return (int(np.prod(input_shape)),)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if self._sample_ndim is None:
+            raise RuntimeError("Flatten used before build()")
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[: x.ndim - self._sample_ndim] + (-1,))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called without a forward pass")
-        return grad.reshape(self._shape)
-
-    def forward_stacked(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], x.shape[1], -1)
-
-    def backward_stacked(self, grad: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called without a forward pass")
         return grad.reshape(self._shape)
@@ -410,7 +360,10 @@ class Dropout(Layer):
     """Inverted dropout: active only when ``training=True``.
 
     The mask stream comes from the generator supplied at build time (one
-    child stream per layer), keeping runs reproducible.
+    child stream per layer), keeping runs reproducible.  A mask is one
+    draw of the input's shape, so a stacked layer draws one mask for the
+    whole ``(C, batch, ...)`` tensor from its own stream: stacked masks
+    are not bit-aligned with per-client draws (``docs/numerics.md``).
     """
 
     def __init__(self, rate: float) -> None:
@@ -442,11 +395,3 @@ class Dropout(Layer):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-    # Elementwise with the layer's own mask stream; in stacked mode one
-    # draw covers the whole (C, batch, ...) tensor.  Mask streams are
-    # therefore stacked-stream-specific (see docs/numerics.md) -- like
-    # the per-worker workspaces of the process / distributed backends,
-    # they are not bit-aligned with the serial workspace's draws.
-    forward_stacked = forward
-    backward_stacked = backward

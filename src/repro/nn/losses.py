@@ -7,15 +7,14 @@ FedProx local objective used as a baseline in the related-work comparison.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from repro.nn.tensor_ops import one_hot, stacked_one_hot
+from repro.nn.tensor_ops import one_hot
 
 __all__ = [
     "softmax_cross_entropy",
-    "stacked_softmax_cross_entropy",
     "proximal_penalty",
 ]
 
@@ -40,77 +39,44 @@ def _log_softmax_and_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
-) -> Tuple[float, np.ndarray]:
+) -> Tuple[Union[float, np.ndarray], np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. ``logits``.
 
     Parameters
     ----------
     logits:
-        ``(n, num_classes)`` raw scores.
+        ``(..., n, num_classes)`` raw scores: a batch of ``n``, behind
+        any leading axes (a stack's client axis).
     labels:
-        ``(n,)`` integer class labels.
+        ``(..., n)`` integer class labels, ``logits``' shape minus the
+        class axis.
 
     Returns
     -------
     (loss, grad):
-        Scalar mean loss and ``(n, num_classes)`` gradient.
+        The mean loss over each batch -- a scalar for ``(n, k)`` logits,
+        one per leading index otherwise, so the clients of a stack never
+        mix -- and the ``(p - y) / n`` gradient, shaped like ``logits``.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
-    n, k = logits.shape
+    if logits.ndim < 2:
+        raise ValueError(f"logits must be at least 2-D, got shape {logits.shape}")
+    labels = np.asarray(labels)
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(
+            f"labels of shape {labels.shape} do not match logits of shape "
+            f"{logits.shape}: expected labels of shape {logits.shape[:-1]}"
+        )
+    n, k = logits.shape[-2:]
     if n == 0:
         raise ValueError("cannot compute a loss over an empty batch")
-    y = one_hot(labels, k)
+    y = one_hot(labels.reshape(-1), k).reshape(logits.shape)
     lsm, grad = _log_softmax_and_softmax(logits)
     lsm *= y
-    loss = float(-lsm.sum() / n)
+    loss = -lsm.sum(axis=(-2, -1)) / n
     grad -= y
     grad /= n
     return loss, grad
-
-
-def stacked_softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-client softmax cross-entropy over a stacked cohort.
-
-    The leading-axis twin of :func:`softmax_cross_entropy`: every client
-    in the stack gets its *own* mean loss and its own ``(p - y) / n``
-    gradient -- losses never mix across the client axis, which is what
-    keeps stacked local objectives independent.
-
-    Parameters
-    ----------
-    logits:
-        ``(C, n, num_classes)`` raw scores, one slice per client.
-    labels:
-        ``(C, n)`` integer class labels.
-
-    Returns
-    -------
-    (losses, grad):
-        ``(C,)`` per-client mean losses and the ``(C, n, num_classes)``
-        gradient w.r.t. ``logits``.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 3:
-        raise ValueError(f"stacked logits must be 3-D, got shape {logits.shape}")
-    c, n, k = logits.shape
-    if n == 0:
-        raise ValueError("cannot compute a loss over an empty batch")
-    labels = np.asarray(labels)
-    if labels.shape != (c, n):
-        raise ValueError(
-            f"stacked labels must have shape {(c, n)}, got {labels.shape}"
-        )
-    y = stacked_one_hot(labels, k)
-    lsm, grad = _log_softmax_and_softmax(logits)
-    lsm *= y
-    losses = -lsm.sum(axis=(1, 2)) / n
-    grad -= y
-    grad /= n
-    return losses, grad
 
 
 def proximal_penalty(

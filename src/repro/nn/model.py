@@ -178,6 +178,7 @@ class Sequential:
         """
         logits = self.forward(x, training=True)
         loss, grad = softmax_cross_entropy(logits, y)
+        loss = float(loss)
         self.backward(grad, input_grad=False)
         if prox_mu > 0.0:
             if prox_anchor is None:
@@ -238,8 +239,13 @@ class Sequential:
         """Top-1 accuracy on ``(x, y)``."""
         if x.shape[0] == 0:
             raise ValueError("cannot evaluate on an empty dataset")
+        y = np.asarray(y)
+        if y.shape != x.shape[:1]:
+            raise ValueError(
+                f"labels of shape {y.shape} do not match inputs of shape {x.shape}"
+            )
         preds = self.predict(x, batch_size=batch_size)
-        return float(np.mean(preds == np.asarray(y)))
+        return float(np.mean(preds == y))
 
     # ------------------------------------------------------------------
     # federated weight interface

@@ -10,10 +10,16 @@ whole cohort as one tensor program" lever the round hot-path benchmark
 exposes: same-tier TiFL cohorts are homogeneous by construction, which is
 exactly what lets their per-client matmuls fuse.
 
-Storage is the template's layout with a leading client axis: one
-``(C, P)`` arena and its gradient twin (:func:`repro.nn.model.bind_arena`),
-row ``c`` being client ``c``'s flat weight vector and every layer tensor a
-view across the rows.
+There is no second set of kernels: the stack holds copies of the
+template's layers and calls the same ``forward`` / ``backward`` and the
+same loss :class:`~repro.nn.model.Sequential` does, which read the client
+axis from their input (:mod:`repro.nn.layers`, "Stacked mode").  What is
+the stack's own is what is specific to a cohort: storage, the template's
+layout with a leading client axis -- one ``(C, P)`` arena and its
+gradient twin (:func:`repro.nn.model.bind_arena`), row ``c`` being client
+``c``'s flat weight vector and every layer tensor a view across the rows
+-- the broadcast of one global vector to every row, the per-client
+FedProx terms, and the per-client shuffle orders.
 
 Numerics
 --------
@@ -27,12 +33,12 @@ and accuracy-tolerance tests instead (see ``docs/numerics.md``).
 
 Per-client independence
 -----------------------
-Nothing in the stack mixes clients: losses are per-slice
-(:func:`~repro.nn.losses.stacked_softmax_cross_entropy` divides by each
-client's own batch), parameterised layers contract only within a slice
-(batched GEMM), and optimizer updates are elementwise, so optimizer
-state along the leading axis is exactly ``C`` independent optimizers --
-property-tested in ``tests/nn/test_stacked.py``.
+Nothing in the stack mixes clients: the loss
+(:func:`~repro.nn.losses.softmax_cross_entropy`) returns one mean per
+client, divided by that client's own batch, parameterised layers
+contract only within a slice (batched GEMM), and optimizer updates are
+elementwise, so optimizer state along the leading axis is exactly ``C``
+independent optimizers -- property-tested in ``tests/nn/test_stacked.py``.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.layers import Dropout, Layer
-from repro.nn.losses import stacked_softmax_cross_entropy
+from repro.nn.losses import softmax_cross_entropy
 from repro.nn.model import ARENA_KEY, Sequential, bind_arena, first_param_index
 from repro.nn.optimizers import Optimizer
 from repro.rng import RngLike, make_rng
@@ -74,16 +80,6 @@ class StackedSequential:
     ) -> None:
         if num_clients <= 0:
             raise ValueError(f"num_clients must be positive, got {num_clients}")
-        unsupported = [
-            type(layer).__name__
-            for layer in template.layers
-            if type(layer).forward_stacked is Layer.forward_stacked
-        ]
-        if unsupported:
-            raise ValueError(
-                f"layers without stacked kernels: {unsupported}; the batched "
-                "executor supports Dense/ReLU/Conv2D/MaxPool2D/Flatten/Dropout"
-            )
         self.num_clients = int(num_clients)
         self.input_shape = template.input_shape
         base = make_rng(rng)
@@ -147,25 +143,13 @@ class StackedSequential:
                 f"({self.num_clients}, batch, *{self.input_shape})"
             )
         for layer in self.layers:
-            out = layer.forward_stacked(out, training=training)
+            out = layer.forward(out, training=training)
         return out
 
-    def backward(
-        self, grad: np.ndarray, input_grad: bool = True
-    ) -> Optional[np.ndarray]:
-        """Propagate stacked logits-gradients back through the stack.
-
-        ``input_grad=False`` truncates exactly as
-        :meth:`Sequential.backward` does: stop at the bottom-most
-        parameterised layer and skip its input-gradient GEMM.
-        """
-        first = -1 if input_grad else self._first_param_idx
-        for layer in reversed(self.layers[first + 1 :]):
-            grad = layer.backward_stacked(grad)
-        if first < 0:
-            return grad
-        self.layers[first].backward_stacked(grad, input_grad=False)
-        return None
+    # The backward loop is Sequential's: every layer reads the client
+    # axis from the gradient, and ``input_grad=False`` truncates at the
+    # bottom-most parameterised layer the same way.
+    backward = Sequential.backward
 
     # ------------------------------------------------------------------
     # training
@@ -188,7 +172,7 @@ class StackedSequential:
         exactly the FedProx broadcast semantics).
         """
         logits = self.forward(x, training=True)
-        losses, grad = stacked_softmax_cross_entropy(logits, y)
+        losses, grad = softmax_cross_entropy(logits, y)
         self.backward(grad, input_grad=False)
         if prox_mu > 0.0:
             if prox_anchor is None:

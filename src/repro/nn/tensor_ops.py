@@ -7,17 +7,14 @@ for conv nets in pure numpy (one matmul instead of a quadruple Python
 loop).  Shapes follow the NHWC convention used throughout the package:
 ``(batch, height, width, channels)``.
 
-Stacked (leading client-axis) kernels
--------------------------------------
-The ``stacked_*`` functions back the cohort-batched training program of
-:class:`repro.nn.stacked.StackedSequential`: a whole cohort of ``C``
-clients carries its tensors as ``(C, batch, ...)`` and each kernel folds
-the client axis into the sample axis (spatial ops are per-sample, so the
-fold is exact) or maps onto numpy's batched ``matmul``.  One stacked
-call replaces ``C`` per-client calls; the floating-point *operations*
-are the same, but matmul reduction order may differ, which is why the
-``batched`` executor is a separate versioned numerics stream (see
-``docs/numerics.md``) rather than part of the bit-identity family.
+Stacked kernels
+---------------
+There are none: the cohort-batched program of
+:class:`repro.nn.stacked.StackedSequential` runs these same kernels.
+Its layers read the leading client axis from their input and fold it
+into the NHWC batch before calling ``im2col`` / ``col2im`` / the pool
+kernels (which act per sample, so the fold is exact), and the loss
+one-hot encodes the flattened labels (:mod:`repro.nn.layers`).
 """
 
 from __future__ import annotations
@@ -37,11 +34,6 @@ __all__ = [
     "pool2d_max",
     "pool2d_forward",
     "pool2d_backward",
-    "stacked_one_hot",
-    "stacked_im2col",
-    "stacked_col2im",
-    "stacked_pool2d_forward",
-    "stacked_pool2d_backward",
 ]
 
 
@@ -230,104 +222,3 @@ def pool2d_backward(
     for k, window in enumerate(_window_slices(x_shape, kh, kw, stride)):
         dx[window] += np.where(arg == k, grad, 0.0)
     return dx
-
-
-# ----------------------------------------------------------------------
-# stacked (leading client-axis) kernels
-# ----------------------------------------------------------------------
-def stacked_one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Encode ``(C, n)`` integer labels as ``(C, n, num_classes)``.
-
-    Per-slice identical to :func:`one_hot` on each client's row.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValueError(f"stacked labels must be 2-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels out of range [0, {num_classes}): "
-            f"min={labels.min()}, max={labels.max()}"
-        )
-    c, n = labels.shape
-    out = np.zeros((c, n, num_classes), dtype=np.float64)
-    ci = np.arange(c)[:, None]
-    ni = np.arange(n)[None, :]
-    out[ci, ni, labels] = 1.0
-    return out
-
-
-def _fold_clients(x: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    """Merge ``(C, n, ...)`` into ``(C * n, ...)``; returns (folded, C, n).
-
-    Spatial kernels act per sample, so folding the client axis into the
-    sample axis is exact -- the folded call runs the same per-sample
-    arithmetic the per-client calls would.
-    """
-    if x.ndim < 3:
-        raise ValueError(f"stacked tensor must be >= 3-D, got shape {x.shape}")
-    c, n = x.shape[0], x.shape[1]
-    return x.reshape((c * n,) + x.shape[2:]), c, n
-
-
-def stacked_im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold a stacked ``(C, n, h, w, ch)`` tensor into per-client patch
-    matrices of shape ``(C, n * oh * ow, kh * kw * ch)``.
-
-    Each client's slice equals what :func:`im2col` produces for that
-    client's ``(n, h, w, ch)`` batch, so a batched matmul against
-    per-client kernels reproduces ``C`` independent convolutions.
-    """
-    folded, c, n = _fold_clients(x)
-    cols, (oh, ow) = im2col(folded, kh, kw, stride, pad)
-    return cols.reshape(c, n * oh * ow, -1), (oh, ow)
-
-
-def stacked_col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """Adjoint of :func:`stacked_im2col`; returns ``(C, n, h, w, ch)``."""
-    c, n, h, w, ch = x_shape
-    folded = col2im(
-        cols.reshape(-1, cols.shape[-1]), (c * n, h, w, ch), kh, kw, stride, pad
-    )
-    return folded.reshape(c, n, h, w, ch)
-
-
-def stacked_pool2d_forward(
-    x: np.ndarray, kh: int, kw: int, stride: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Max-pool a stacked ``(C, n, h, w, ch)`` tensor.
-
-    Returns ``(out, argmax)`` shaped ``(C, n, oh, ow, ch)`` /
-    ``(C, n, oh, ow, ch)``; per-client slices match
-    :func:`pool2d_forward` exactly (max and argmax are per-window).
-    """
-    folded, c, n = _fold_clients(x)
-    out, arg = pool2d_forward(folded, kh, kw, stride)
-    return (
-        out.reshape((c, n) + out.shape[1:]),
-        arg.reshape((c, n) + arg.shape[1:]),
-    )
-
-
-def stacked_pool2d_backward(
-    grad: np.ndarray,
-    arg: np.ndarray,
-    x_shape: Tuple[int, int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-) -> np.ndarray:
-    """Route stacked pooling gradients back through the recorded argmaxes."""
-    c, n, h, w, ch = x_shape
-    gf, _, _ = _fold_clients(grad)
-    af, _, _ = _fold_clients(arg)
-    dx = pool2d_backward(gf, af, (c * n, h, w, ch), kh, kw, stride)
-    return dx.reshape(c, n, h, w, ch)

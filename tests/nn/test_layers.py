@@ -188,6 +188,11 @@ class TestMaxPool2D:
         with pytest.raises(ValueError, match="stride must be positive"):
             MaxPool2D(2, stride=stride)
 
+    def test_build_rejects_flat_input(self, rng):
+        # A flat shape used to fail unpacking it into h, w, c.
+        with pytest.raises(ValueError, match=r"MaxPool2D expects \(h, w, c\).*\(8,\)"):
+            MaxPool2D(2).build((8,), rng)
+
 
 class TestFlatten:
     def test_round_trip(self, rng):

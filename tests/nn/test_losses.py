@@ -5,11 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.nn.losses import (
-    proximal_penalty,
-    softmax_cross_entropy,
-    stacked_softmax_cross_entropy,
-)
+from repro.nn.losses import proximal_penalty, softmax_cross_entropy
 from tests.conftest import numeric_gradient
 
 
@@ -45,6 +41,11 @@ class TestSoftmaxCrossEntropy:
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError, match="empty"):
             softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    def test_labels_that_do_not_match_the_batch_raise(self):
+        # One label for four rows used to broadcast: log 3, no error.
+        with pytest.raises(ValueError, match=r"\(1,\).*\(4, 3\)"):
+            softmax_cross_entropy(np.zeros((4, 3)), [1])
 
     def test_wrong_ndim_raises(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -127,7 +128,7 @@ class TestLossPins:
             [cases["n7"][1], cases["logits_pm700"][1], np.full(7, 9)]
         )
         before = logits.copy()
-        losses, grad = stacked_softmax_cross_entropy(logits, labels)
+        losses, grad = softmax_cross_entropy(logits, labels)
         assert losses.shape == (3,) and grad.shape == logits.shape
         observed = tuple(float(v).hex() for v in losses) + (grad_digest(grad),)
         assert observed == self.STACKED

@@ -153,6 +153,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="anchor"):
             m.train_step(x, y, SGD(lr=0.1), prox_mu=0.1)
 
+    def test_train_step_rejects_labels_that_do_not_match_the_batch(self, rng):
+        # One label for six samples used to broadcast and train.
+        m = tiny_model()
+        before = m.get_flat_weights()
+        with pytest.raises(ValueError, match=r"\(1,\).*\(6, 3\)"):
+            m.train_step(rng.standard_normal((6, 16)), np.array([1]), SGD(lr=0.1))
+        np.testing.assert_array_equal(m.get_flat_weights(), before)
+
     def test_empty_dataset_raises(self):
         m = tiny_model()
         with pytest.raises(ValueError, match="empty"):
@@ -183,6 +191,12 @@ class TestEvaluate:
         m = tiny_model()
         acc = m.evaluate(rng.standard_normal((20, 16)), rng.integers(0, 3, 20))
         assert 0.0 <= acc <= 1.0
+
+    def test_labels_that_do_not_match_the_inputs_raise(self, rng):
+        # One label for six samples used to broadcast: an accuracy, no error.
+        m = tiny_model()
+        with pytest.raises(ValueError, match=r"\(1,\).*\(6, 16\)"):
+            m.evaluate(rng.standard_normal((6, 16)), [1])
 
 
 @settings(max_examples=20, deadline=None)

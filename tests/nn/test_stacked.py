@@ -28,8 +28,8 @@ from repro.nn import (
     build_mlp,
     build_mnist_cnn,
 )
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
-from repro.nn.losses import softmax_cross_entropy, stacked_softmax_cross_entropy
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.losses import softmax_cross_entropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import RMSprop, SGD
 
@@ -101,7 +101,7 @@ class TestForwardBackwardEquivalence:
         x, y = make_batch(rng, c, 5, template.input_shape)
 
         logits = stack.forward(x, training=True)
-        stacked_losses, grad = stacked_softmax_cross_entropy(logits, y)
+        stacked_losses, grad = softmax_cross_entropy(logits, y)
         stacked_dx = stack.backward(grad)
 
         for ci in range(c):
@@ -122,6 +122,45 @@ class TestForwardBackwardEquivalence:
             stack.forward(rng.standard_normal((2, 5) + INPUT_SHAPE))
         with pytest.raises(ValueError, match="does not match"):
             stack.forward(rng.standard_normal((3, 5, 2, 2, 1)))
+
+
+# Few distinct values, both zeros among them: most pool windows hold a tie.
+TIE_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestParameterFreeFold:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 4),
+        n=st.integers(1, 4),
+        h=st.integers(1, 4),
+        w=st.integers(1, 4),
+        ch=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_client_axis_equals_per_client_calls(self, c, n, h, w, ch, data):
+        # One (C, n, ...) call of a parameter-free layer is C per-client
+        # calls, byte for byte, forward (train and eval) and backward;
+        # MaxPool2D includes overlapping windows (stride < k).
+        k = data.draw(st.integers(1, min(h, w)), label="k")
+        stride = data.draw(st.integers(1, 4), label="stride")
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = g.choice(TIE_VALUES, size=(c, n, h, w, ch))
+        for layer in (ReLU(), MaxPool2D(k, stride), Flatten(), Dropout(0.0)):
+            layer.build((h, w, ch), g)
+            evaluated = layer.forward(x, training=False)
+            out = layer.forward(x, training=True)
+            grad = g.choice(TIE_VALUES, size=out.shape)
+            dx = layer.backward(grad)
+            for ci in range(c):
+                assert_bits_equal(layer.forward(x[ci], training=False), evaluated[ci])
+                assert_bits_equal(layer.forward(x[ci], training=True), out[ci])
+                assert_bits_equal(layer.backward(grad[ci]), dx[ci])
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +271,7 @@ class TestTrainingEquivalence:
         full = StackedSequential(template, c)
         full.set_flat_weights(weights)
         logits = full.forward(x, training=True)
-        _, grad = stacked_softmax_cross_entropy(logits, y)
+        _, grad = softmax_cross_entropy(logits, y)
         full.backward(grad)
         opt = SGD(lr=0.05)
         for li, layer in enumerate(full.layers):
@@ -311,18 +350,6 @@ class TestWeightInterface:
     def test_num_clients_must_be_positive(self):
         with pytest.raises(ValueError, match="num_clients"):
             StackedSequential(make_mlp(), 0)
-
-    def test_unsupported_layer_is_rejected_eagerly(self):
-        class Exotic(Layer):
-            def forward(self, x, training=False):
-                return x
-
-            def backward(self, grad):
-                return grad
-
-        model = Sequential([Dense(4), Exotic()], input_shape=(4,), rng=0)
-        with pytest.raises(ValueError, match="Exotic"):
-            StackedSequential(model, 2)
 
 
 # ----------------------------------------------------------------------
