@@ -171,3 +171,9 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * eps)
     return grad
+
+
+def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Same dtype, shape and bytes: ``-0.0`` differs from ``0.0`` here."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)

@@ -1,13 +1,15 @@
 """Tests for the cohort-stacked tensor program (:class:`StackedSequential`).
 
-The stacked kernels are the engine of the ``batched`` executor, so the
+The stacked program is the engine of the ``batched`` executor, so the
 load-bearing guarantees live here: every stacked forward/backward/train
 result must match ``C`` independent serial passes to floating-point
 rounding (the batched numerics stream is tolerance-gated, not
-bit-gated -- see ``docs/numerics.md``), truncated backprop and the
-blocked RMSprop update must be *bit-identical* to their straightforward
-forms, and optimizer state along the leading client axis must behave as
-``C`` fully independent optimizers (property-tested with hypothesis).
+bit-gated -- see ``docs/numerics.md``), and byte for byte for the
+parameter-free layers; truncated backprop and the blocked RMSprop
+update must be *bit-identical* to their straightforward forms;
+optimizer state along the leading client axis must behave as ``C``
+fully independent optimizers (property-tested with hypothesis); and
+the stream itself is pinned as sha256 literals.
 
 Models here are dropout-free unless a test is specifically about
 Dropout: stacked mask streams are stacked-stream-specific, so only
@@ -32,6 +34,7 @@ from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import RMSprop, SGD
+from tests.conftest import assert_bits_equal
 
 # Stacked matmul may reassociate float64 sums relative to per-client
 # GEMMs; this is the documented tolerance of the batched stream.  (On
@@ -48,7 +51,7 @@ def make_mlp(seed=0):
 
 
 def make_cnn(seed=0):
-    """Tiny dropout-free CNN exercising Conv2D/MaxPool2D stacked kernels."""
+    """Tiny dropout-free CNN exercising Conv2D/MaxPool2D on a client axis."""
     return Sequential(
         [Conv2D(4, 3), ReLU(), MaxPool2D(2), Flatten(), Dense(NUM_CLASSES)],
         input_shape=(6, 6, 1),
@@ -126,11 +129,6 @@ class TestForwardBackwardEquivalence:
 
 # Few distinct values, both zeros among them: most pool windows hold a tie.
 TIE_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
-
-
-def assert_bits_equal(actual, expected):
-    assert actual.dtype == expected.dtype and actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes()
 
 
 class TestParameterFreeFold:

@@ -33,7 +33,7 @@ from repro.nn import (
 )
 from repro.nn.layers import MaxPool2D, ReLU
 from repro.rng import make_rng
-from tests.conftest import make_test_client, make_tiny_dataset
+from tests.conftest import assert_bits_equal, make_test_client, make_tiny_dataset
 
 
 def fit_schedule(model, data, optimizer, batch_size, epochs, shuffle_seed, **prox):
@@ -181,11 +181,6 @@ def test_eval_logits_are_pinned(name):
 def nhwc(*channels):
     """One ``(1, h, w, c)`` tensor from ``c`` literal ``h x w`` grids."""
     return np.array(channels, dtype=np.float64).transpose(1, 2, 0)[None]
-
-
-def assert_bits_equal(actual, expected):
-    assert actual.dtype == expected.dtype and actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes(), (actual, expected)
 
 
 # Every 2x2 window holds a tie: +-0 maxima in either order, a repeated
