@@ -9,8 +9,9 @@ Samples are built as ``class_prototype * signal + writer_shift + noise``:
 * an optional *writer* id adds a per-writer affine feature shift, the
   mechanism :mod:`repro.data.leaf` uses for FEMNIST-style feature skew.
 
-All generation is vectorised: one gaussian draw per dataset, no per-sample
-Python loops.
+All generation is vectorised: the gaussian noise is drawn in row blocks
+and added in place, with no per-sample Python loops and no second
+dataset-sized buffer.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ import numpy as np
 from repro.rng import RngLike, make_rng
 
 __all__ = ["SyntheticSpec", "generate_synthetic", "class_prototypes"]
+
+#: Rows of noise drawn per ``standard_normal`` call in
+#: :func:`generate_synthetic` (the pins in
+#: ``tests/data/test_synthetic_pins.py`` straddle it).
+_NOISE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -136,15 +142,29 @@ def generate_synthetic(
         if n and (labels.min() < 0 or labels.max() >= spec.num_classes):
             raise ValueError("labels out of class range")
 
-    signal = 1.0 - spec.difficulty
-    noise_scale = 0.25 + spec.difficulty
-    x = prototypes[labels] * signal
-    x = x + g.standard_normal((n, spec.dim)) * noise_scale / np.sqrt(spec.dim)
+    shift = None
     if writer_shift is not None:
         shift = np.asarray(writer_shift, dtype=np.float64).ravel()
         if shift.size != spec.dim:
             raise ValueError(
                 f"writer_shift must have {spec.dim} entries, got {shift.size}"
             )
-        x = x + shift
+
+    signal = 1.0 - spec.difficulty
+    noise_scale = 0.25 + spec.difficulty
+    root_dim = np.sqrt(spec.dim)
+    x = np.asarray(prototypes, dtype=np.float64)[labels]  # a fresh buffer
+    x *= signal
+    # The noise is drawn and added a row block at a time: the generator
+    # yields the same values in blocks as in one (n, dim) call, and the
+    # arithmetic is the same per element, so the output is identical
+    # without a second dataset-sized buffer.
+    for start in range(0, n, _NOISE_BLOCK_ROWS):
+        rows = x[start : start + _NOISE_BLOCK_ROWS]
+        noise = g.standard_normal(rows.shape)
+        noise *= noise_scale
+        noise /= root_dim
+        rows += noise
+    if shift is not None:
+        x += shift
     return x.reshape((n,) + tuple(spec.shape)), labels.astype(np.int64)
