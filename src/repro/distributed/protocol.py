@@ -737,7 +737,9 @@ def encode_assign_shard(
     advanced.  That last part is what makes a re-deal after worker loss
     bit-identical -- the coordinator's store ledger absorbs every
     UPDATE's shipped-back ``_train_rng`` state, so the slice it re-deals
-    resumes each client exactly where the serial schedule says.
+    resumes each client exactly where the serial schedule says.  The
+    dataset provider rides the blob's tail -- as its pool's recipe and
+    digest where it has one, so the frame carries no sample pool.
     """
     return pickle.dumps(
         {

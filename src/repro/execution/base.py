@@ -431,6 +431,11 @@ class ClientExecutor:
         (each pass timed as ``executor.client_train_s``)."""
         factory = self._training.optimizer_factory(round_idx)
         collect = telemetry.enabled()
+        # Materialise the whole cohort before the first pass, so the train
+        # loop finds every client resident: building each one between two
+        # passes measured slower on the 10^5-client store.
+        for req in requests:
+            self._clients[req.client_id]
         updates = []
         for req in requests:
             t0 = time.perf_counter() if collect else 0.0

@@ -15,6 +15,8 @@ paper-scale values.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,16 +30,13 @@ from repro.config import (
 from repro.data import (
     Dataset,
     FederatedData,
-    cifar10_like,
-    femnist_like,
-    fmnist_like,
     make_femnist_leaf,
-    mnist_like,
     partition_iid,
     partition_noniid_classes,
     partition_quantity_skew,
     partition_shards,
 )
+from repro.data.datasets import DATASET_FACTORIES, PoolRecipe, dataset_digest
 from repro.data.validation import check_partition
 from repro.nn import Sequential, build_linear, build_mlp, build_model
 from repro.rng import RngLike, make_rng, spawn
@@ -64,13 +63,6 @@ __all__ = [
     "build_population_scenario",
     "PooledDatasetProvider",
 ]
-
-_DATASETS = {
-    "mnist": mnist_like,
-    "fmnist": fmnist_like,
-    "cifar10": cifar10_like,
-    "femnist": femnist_like,
-}
 
 #: Latency calibration per dataset: single-CPU seconds per sample, chosen so
 #: the simulated CPU-group spread reproduces the paper's speedup magnitudes
@@ -149,9 +141,9 @@ class ScenarioConfig:
     shuffle_resources: bool = False
 
     def __post_init__(self) -> None:
-        if self.dataset not in _DATASETS:
+        if self.dataset not in DATASET_FACTORIES:
             raise ValueError(
-                f"unknown dataset {self.dataset!r}; use one of {sorted(_DATASETS)}"
+                f"unknown dataset {self.dataset!r}; use one of {sorted(DATASET_FACTORIES)}"
             )
         if self.data_distribution not in (
             "iid",
@@ -260,7 +252,7 @@ def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
     base = make_rng(seed)
     data_rng, part_rng, model_rng, client_seed_rng = spawn(base, 4)
 
-    factory = _DATASETS[cfg.dataset]
+    factory = DATASET_FACTORIES[cfg.dataset]
     train, test = factory(
         train_size=cfg.train_size,
         test_size=cfg.test_size,
@@ -430,19 +422,75 @@ class PooledDatasetProvider:
     sorted, seed-addressed sample of the shared pool" -- as a frozen
     dataclass instead of a closure, so a :class:`PopulationStore` shard
     can carry it across a process boundary (``ASSIGN_SHARD`` /
-    fork-time shared memory) and a worker materialises the exact same
+    ``Process`` arguments) and a worker materialises the exact same
     datasets the coordinator would.
+
+    The pool travels as its :class:`~repro.data.datasets.PoolRecipe`,
+    not as data: the provider pickles to ``(recipe, sha256 of the
+    pool)`` plus its columns, and unpickling re-derives the pool once per
+    process (see :func:`_provider_from_recipe`).
     """
 
     pool: Dataset
     num_samples: np.ndarray
     data_address: SeedAddress
-    pool_size: int
+    recipe: PoolRecipe
 
     def __call__(self, cid: int) -> Tuple[Dataset, np.ndarray]:
         r = make_rng(self.data_address.child(cid))
         size = int(self.num_samples[cid])
-        return self.pool, np.sort(r.choice(self.pool_size, size=size, replace=False))
+        return self.pool, np.sort(r.choice(self.recipe.size, size=size, replace=False))
+
+    @functools.cached_property
+    def pool_digest(self) -> str:
+        return dataset_digest(self.pool)
+
+    def __reduce__(self):
+        return (
+            _provider_from_recipe,
+            (self.recipe, self.pool_digest, self.num_samples, self.data_address),
+        )
+
+
+#: Pools re-derived in this process, by ``(recipe, digest)``: every shard
+#: unpickled here -- the first pin, a re-deal, a resumed session -- shares
+#: one pool, which lives as long as some provider holds it.
+_DERIVED_POOLS: "weakref.WeakValueDictionary[Tuple[PoolRecipe, str], Dataset]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _provider_from_recipe(
+    recipe: PoolRecipe, digest: str, num_samples: np.ndarray, data_address: SeedAddress
+) -> PooledDatasetProvider:
+    """Unpickle a :class:`PooledDatasetProvider`: re-derive its pool.
+
+    Pickled bytes come from a peer, so a recipe whose pool would not fit
+    in one frame (``MAX_FRAME_PAYLOAD``) is refused before anything is
+    allocated, and a pool whose bytes do not hash to ``digest`` is
+    refused after the draw.  Both raise ``ValueError``, which a worker
+    reports as a ``ProtocolError``.
+    """
+    from repro.distributed.transport import MAX_FRAME_PAYLOAD
+
+    if recipe.nbytes > MAX_FRAME_PAYLOAD:
+        raise ValueError(
+            f"pool recipe describes {recipe.nbytes} bytes, more than one "
+            f"frame carries ({MAX_FRAME_PAYLOAD})"
+        )
+    key = (recipe, digest)
+    pool = _DERIVED_POOLS.get(key)
+    if pool is None:
+        pool, _ = recipe.draw()
+        if dataset_digest(pool) != digest:
+            raise ValueError(
+                f"pool digest mismatch: recipe {recipe} does not derive the "
+                f"pool with sha256 {digest}"
+            )
+        _DERIVED_POOLS[key] = pool
+    provider = PooledDatasetProvider(pool, num_samples, data_address, recipe)
+    provider.__dict__["pool_digest"] = digest  # verified above
+    return provider
 
 
 def build_population_scenario(
@@ -491,9 +539,10 @@ def build_population_scenario(
     base = make_rng(seed)
     data_rng, model_rng, client_seed_rng = spawn(base, 3)
 
-    pool, test = mnist_like(
-        train_size=pool_size, test_size=test_size, shape=shape, rng=data_rng
-    )
+    # The pool is built from its recipe, which is how it travels: a
+    # worker re-derives these exact bytes instead of receiving them.
+    recipe = PoolRecipe.capture("mnist", shape, pool_size, data_rng)
+    pool, test = recipe.draw(test_size)
     num_classes = pool.num_classes
     if model == "linear":
         net = build_linear(shape, num_classes, rng=model_rng)
@@ -536,7 +585,7 @@ def build_population_scenario(
         pool=pool,
         num_samples=num_samples,
         data_address=data_address,
-        pool_size=pool_size,
+        recipe=recipe,
     )
 
     latency_model = LatencyModel(

@@ -18,7 +18,9 @@ module provides both with plain, dependency-free formats:
   format is what it does **not** contain -- no per-client
   :class:`~repro.simcluster.client.SimClient` pickles, so shipping a
   100k-client slice costs a handful of numpy buffers, not 100k object
-  graphs.
+  graphs, and no sample pool that can be re-derived: a
+  :class:`~repro.experiments.scenarios.PooledDatasetProvider` pickles as
+  its pool's recipe and digest.
 
 The raw byte pair below is the *identity* codec of the weight-transport
 layer in :mod:`repro.codec` (``raw`` / ``delta``); the frame headers
@@ -101,7 +103,11 @@ def shard_to_bytes(shard: PopulationShard) -> bytes:
     coordinates), the five raw contiguous column buffers in declared
     order, then a pickled tail holding the dataset provider, the
     latency/comm models, and the authoritative RNG snapshots.  Columns
-    dominate the size: ~40 bytes/client regardless of dataset size.
+    dominate the size: ~40 bytes/client regardless of dataset size.  A
+    provider with a recipe (the population scenario's pool) pickles as
+    that recipe plus a sha256 of the pool, and the reader re-derives the
+    pool; one without (``FederatedData.client_rows``) carries its
+    arrays.
     """
     cols = [
         np.ascontiguousarray(getattr(shard, name)) for name in _SHARD_COLUMNS
@@ -140,9 +146,11 @@ def shard_to_bytes(shard: PopulationShard) -> bytes:
 def shard_from_bytes(payload: bytes) -> PopulationShard:
     """Inverse of :func:`shard_to_bytes` (any bytes-like ``payload``).
 
-    Every part is read through one view of ``payload``: the pickled tail
-    is most of the blob (the dataset provider), and slicing it out would
-    copy it.
+    Every part is read through one view of ``payload``: slicing the
+    pickled tail out would copy it, and for a provider without a recipe
+    it is most of the blob.  Unpickling a recipe provider re-derives its
+    pool (once per process) and raises ``ValueError`` when the recipe is
+    larger than a frame or its pool does not match the digest.
     """
     view = memoryview(payload)
     if view[:4] != _SHARD_MAGIC:

@@ -336,19 +336,23 @@ class CohortLatencySampler:
 
         ``store`` is a :class:`~repro.simcluster.population.PopulationStore`
         (duck-typed to avoid an import cycle); ``client_ids`` restricts
-        and orders the cohort (default: every client, ascending).
+        and orders the cohort (default: every client, in row order).
         Returns ``(ids, latencies)`` as two aligned arrays.  The store
         holds one shared latency/comm model for the whole population, so
         the draw is always the vectorised two-block path -- bit-identical
         to materialising those clients and calling :meth:`sample_cohort`,
-        without building a single object.
+        without building a single object.  Ids are *global*: they reach
+        the columns through the store's rows, so a shard store reads its
+        own clients, and an id the store does not hold raises
+        ``KeyError``.
         """
         if client_ids is None:
-            ids = np.arange(store.num_clients, dtype=np.int64)
+            ids = store.client_ids
         else:
             ids = np.asarray(client_ids, dtype=np.int64)
         if ids.size == 0:
             return ids, np.empty(0, dtype=np.float64)
+        rows = store._rows(ids)
         rng = self.stream_for(round_idx)
         if isinstance(epochs, Mapping):
             eps = np.asarray(
@@ -357,13 +361,13 @@ class CohortLatencySampler:
         else:
             eps = int(epochs)
         compute = store.latency_model.sample_compute_cohort_columns(
-            store.num_train_samples[ids],
-            store.cpu_fraction[ids],
+            store.num_train_samples[rows],
+            store.cpu_fraction[rows],
             epochs=eps,
             rng=rng,
         )
         comm = store.comm_model.sample_round_trip_cohort_columns(
-            num_params, store.bandwidth_mbps[ids], rng=rng
+            num_params, store.bandwidth_mbps[rows], rng=rng
         )
         total = compute + comm
         if fault is not None:

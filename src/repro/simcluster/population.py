@@ -290,7 +290,10 @@ class PopulationStore(Mapping):
 
     def _rows(self, client_ids: Iterable[int]) -> np.ndarray:
         """Column rows of *global* client ids (KeyError when foreign)."""
-        ids = np.fromiter(client_ids, dtype=np.int64)
+        if isinstance(client_ids, np.ndarray):
+            ids = client_ids.astype(np.int64, copy=False)
+        else:
+            ids = np.fromiter(client_ids, dtype=np.int64)
         if self._row_of is not None:
             return np.array([self._row(cid) for cid in ids], dtype=np.int64)
         if ids.size and not 0 <= ids.min() <= ids.max() < self.num_clients:

@@ -1,29 +1,38 @@
 """Population sharding over the distributed backend (protocol v6).
 
 The tentpole contract under test: the coordinator ships *store shards*
-(ASSIGN_SHARD column slices), never pickled clients; per-round frames
-reference client ids only; the coordinator never materialises more than
-the cohort; and a worker killed mid-round has its slice re-dealt with
-authoritative RNG snapshots, keeping the history bit-identical to the
-serial store path.
+(ASSIGN_SHARD column slices), never pickled clients, and the pool inside
+them as its recipe, never its arrays; per-round frames reference client
+ids only; on the cohort latency stream the coordinator never
+materialises a client; and a worker killed mid-round has its slice
+re-dealt with authoritative RNG snapshots, keeping the history
+bit-identical to the serial store path.
 """
 
+import dataclasses
+import io
 import os
+import pickle
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.distributed import (
     DistributedExecutor,
+    WorkerAgent,
     spawn_local_workers,
     terminate_workers,
 )
 from repro.distributed import protocol as proto
+from repro.distributed import transport
 from repro.experiments.scenarios import build_population_scenario
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.rng import derive
+from repro.serialization import shard_from_bytes, shard_to_bytes
+from tests.conftest import assert_bits_equal
 
 FAST_TIMEOUTS = dict(accept_timeout=60.0, result_timeout=90.0)
 
@@ -51,6 +60,7 @@ def run_population(
         training=scn.training,
         rng=derive(seed, 202),
         executor=executor,
+        latency_stream="cohort",
     ) as server:
         for r in range(rounds):
             server.run_round(r)
@@ -69,8 +79,8 @@ def fingerprint(history):
 
 class TestShardShipping:
     def test_sharded_run_matches_serial_and_ships_no_clients(self):
-        """ASSIGN_SHARD only on the wire, O(cohort) coordinator
-        materialisations, history bit-identical to the serial store."""
+        """ASSIGN_SHARD only on the wire, no coordinator materialisation,
+        history bit-identical to the serial store."""
         ref_history, _ = run_population("serial")
 
         ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
@@ -88,14 +98,12 @@ class TestShardShipping:
         assert fingerprint(history) == fingerprint(ref_history)
         assert shard_frames == 2, "expected exactly one shard per worker"
         assert eager_frames == 0, "a store pool must never ship ASSIGN"
-        # The acceptance hook: the coordinator materialises the cohort
-        # (for latency draws), never the population.
-        assert store.materialize_count <= COHORT * ROUNDS
-        assert store.materialize_count < NUM_CLIENTS
+        # The acceptance hook: the coordinator materialises no client.
+        assert store.materialize_count == 0
 
     def test_shard_blob_scales_with_slice_not_population(self):
         """Recurring bytes reference ids only; the one-time shard blob is
-        columns + provider, far below pickled-client size."""
+        columns + the provider's recipe, far below pickled-client size."""
         steady_bytes_per_round = {}
         for num_clients in (NUM_CLIENTS, 10 * NUM_CLIENTS):
             ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
@@ -113,9 +121,9 @@ class TestShardShipping:
             finally:
                 ex.close()
                 terminate_workers(procs)
-            # ~40 B/client of columns per member + the fixed pool payload;
-            # 200 pickled SimClients with datasets would be far larger.
-            assert 0 < shard_bytes < 10 * 1024 * 1024
+            # ~40 B/client of columns per member + the provider (its
+            # recipe, digest and sample counts), never the pool itself.
+            assert 0 < shard_bytes < 1024 * 1024
             # Round 0 carries the shard ship; the rest is the steady state.
             steady_bytes_per_round[num_clients] = (wire[-1] - wire[0]) / (ROUNDS - 1)
         assert steady_bytes_per_round[10 * NUM_CLIENTS] == pytest.approx(
@@ -160,7 +168,8 @@ class TestWorkerLossUnderSharding:
         # 2 initial shards + at least 1 re-dealt slice to the survivor.
         assert shard_frames >= 3
         assert fingerprint(history) == fingerprint(ref_history)
-        assert store.materialize_count < NUM_CLIENTS
+        # A re-deal is cut from the columns and the ledger: still no client.
+        assert store.materialize_count == 0
 
     def test_kill_between_rounds_redeals_shard_bit_identically(self):
         """SIGKILL between rounds: retire-and-re-pin re-ships only the
@@ -183,6 +192,7 @@ class TestWorkerLossUnderSharding:
                 training=scn.training,
                 rng=derive(17, 202),
                 executor=ex,
+                latency_stream="cohort",
             ) as server:
                 history = server.run(1)
                 os.kill(ex.worker_pid(0), signal.SIGKILL)
@@ -194,3 +204,75 @@ class TestWorkerLossUnderSharding:
 
         assert survivors == 1
         assert fingerprint(history) == fingerprint(ref_history)
+
+
+def small_store(seed):
+    """A population over a 786 KB pool: large next to its recipe."""
+    return build_population_scenario(
+        num_clients=300, clients_per_round=COHORT, pool_size=4096, shape=(8, 8, 3), seed=seed
+    )
+
+
+class TestPoolRecipe:
+    """The pool travels as its recipe and is re-derived on the far side."""
+
+    def test_provider_pickles_to_its_recipe(self):
+        provider = small_store(seed=3).population._dataset_for
+        assert provider.pool.x.nbytes > 12 * 64 * 1024
+        assert len(pickle.dumps(provider, protocol=pickle.HIGHEST_PROTOCOL)) < 64 * 1024
+
+    def test_rederived_pool_is_byte_equal_to_the_coordinators(self):
+        store = small_store(seed=3).population
+        pool = store._dataset_for.pool
+        far = shard_from_bytes(shard_to_bytes(store.shard([9, 2, 5]))).dataset_for.pool
+        assert far is not pool
+        assert_bits_equal(far.x, pool.x)
+        assert_bits_equal(far.y, pool.y)
+        assert far.num_classes == pool.num_classes
+
+    def test_shards_unpickled_in_one_process_share_one_pool(self):
+        """The first pin and a later re-deal re-derive the pool once."""
+        store = small_store(seed=4).population
+        first = shard_from_bytes(shard_to_bytes(store.shard([0, 1, 2])))
+        redealt = shard_from_bytes(shard_to_bytes(store.shard([7, 8])))
+        assert first.dataset_for.pool is redealt.dataset_for.pool
+
+    def test_tampered_digest_is_a_protocol_error(self):
+        scn = small_store(seed=5)
+        store = scn.population
+        digest = store._dataset_for.pool_digest.encode()
+        blob = shard_to_bytes(store.shard([0, 1, 2]))
+        assert blob.count(digest) == 1
+        agent = WorkerAgent("unused", 1, log=io.StringIO())
+        agent._expected_signature = proto.model_signature(scn.model)
+
+        def assign(shard_blob):
+            agent._handle_assign_shard(
+                proto.encode_assign_shard(
+                    shard_blob, scn.training, agent._expected_signature, model=scn.model
+                )
+            )
+
+        with pytest.raises(proto.ProtocolError, match="digest mismatch"):
+            assign(blob.replace(digest, b"0" * len(digest)))
+        assign(blob)
+        assert list(agent._clients) == [0, 1, 2]
+
+    def test_oversized_recipe_is_refused_before_it_allocates(self, monkeypatch):
+        provider = small_store(seed=6).population._dataset_for
+        blob = pickle.dumps(provider)
+        monkeypatch.setattr(transport, "MAX_FRAME_PAYLOAD", provider.recipe.nbytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than one frame"):
+                pickle.loads(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < provider.recipe.nbytes // 10
+        monkeypatch.undo()
+        huge = dataclasses.replace(
+            provider, recipe=dataclasses.replace(provider.recipe, size=10**12)
+        )
+        with pytest.raises(ValueError, match="more than one frame"):
+            pickle.loads(pickle.dumps(huge))

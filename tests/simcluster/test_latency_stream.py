@@ -27,6 +27,7 @@ from repro.simcluster.latency import (
     resolve_latency_stream,
 )
 from repro.simcluster.network import CommModel
+from repro.simcluster.population import PopulationStore
 from repro.simcluster.resources import ResourceSpec
 from repro.tifl.profiler import profile_clients
 from tests.conftest import DropoutInjector, make_test_population, make_tiny_dataset
@@ -220,6 +221,41 @@ class TestFaultsAndServers:
         assert np.array_equal(w1, w2)
         assert lat1 == lat2
 
+    def test_fl_server_draws_cohort_latencies_off_the_columns(self):
+        """The select stage builds no client: its latencies equal
+        ``sample_cohort`` over the same cohort materialised from a twin
+        store, in cohort order, faults included."""
+        kw = dict(cpus=[1.0, 0.5] * 4, noise_sigma=0.2)
+        clients, twin = make_test_population(8, **kw), make_test_population(8, **kw)
+        sampler = CohortLatencySampler(seed=5)
+
+        def fault():
+            return DropoutInjector(always_drop={3}, drop_prob=0.2, rng=1)
+
+        twin_fault = fault()
+        with FLServer(
+            clients=clients,
+            model=build_mlp((4, 4, 1), 3, hidden=(8,), rng=7),
+            selector=RandomSelector(4, rng=7),
+            test_data=make_tiny_dataset(n=30, seed=999),
+            training=TRAIN,
+            fault=fault(),
+            rng=7,
+            latency_stream=sampler,
+        ) as server:
+            for r in range(4):
+                ctx = server._stage_select(r)
+                cohort = [twin.materialize(int(c)) for c in ctx.plan.clients]
+                assert ctx.latencies == sampler.sample_cohort(
+                    cohort,
+                    server.num_params,
+                    epochs=TRAIN.epochs,
+                    round_idx=r,
+                    fault=twin_fault,
+                )
+                assert list(ctx.latencies) == [int(c) for c in ctx.plan.clients]
+        assert clients.materialize_count == 0
+
     def test_zero_noise_latencies_identical_across_versions(self):
         """With noise_sigma = jitter = 0 there is nothing to draw, so the
         two stream versions agree exactly -- the versioned break is
@@ -339,3 +375,27 @@ class TestPopulationColumns:
             store, 10, client_ids=np.empty(0, dtype=np.int64)
         )
         assert ids.size == 0 and latencies.size == 0
+
+    def test_shard_store_reads_its_own_clients_rows(self):
+        """Ids reach the columns through the store's rows: a shard store
+        (rows 0..2 hold clients 2, 5, 9) draws what the full store draws
+        for the same ids, and an id it does not hold -- a negative one
+        included -- raises instead of reading another client's row."""
+        full = make_test_population(
+            12, cpus=[1.0, 0.5, 0.25] * 4, n=[20, 40, 60] * 4, noise_sigma=0.1
+        )
+        shard = PopulationStore.from_columns(full.shard([9, 2, 5]))
+        sampler = CohortLatencySampler(seed=3)
+        ids = np.array([9, 2, 5])
+        _, expected = sampler.sample_population_columns(full, 500, client_ids=ids)
+        got_ids, got = sampler.sample_population_columns(shard, 500, client_ids=ids)
+        np.testing.assert_array_equal(got_ids, ids)
+        assert got.tolist() == expected.tolist()
+        cohort = [full.materialize(int(c)) for c in ids]
+        assert dict(zip(ids.tolist(), got.tolist())) == sampler.sample_cohort(cohort, 500)
+        # The default cohort is the shard's own clients, in row order.
+        default_ids, _ = sampler.sample_population_columns(shard, 500)
+        np.testing.assert_array_equal(default_ids, [2, 5, 9])
+        for foreign in ([1], [-1]):
+            with pytest.raises(KeyError):
+                sampler.sample_population_columns(shard, 500, client_ids=foreign)
