@@ -8,8 +8,6 @@ Sizes default to paper scale but every harness in this repo passes smaller
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -25,9 +23,6 @@ __all__ = [
     "fmnist_like",
     "cifar10_like",
     "femnist_like",
-    "DATASET_FACTORIES",
-    "PoolRecipe",
-    "dataset_digest",
 ]
 
 
@@ -151,69 +146,3 @@ mnist_like = _factory("mnist", (28, 28, 1), 10, difficulty=0.25)
 fmnist_like = _factory("fmnist", (28, 28, 1), 10, difficulty=0.35)
 cifar10_like = _factory("cifar10", (32, 32, 3), 10, difficulty=0.55)
 femnist_like = _factory("femnist", (28, 28, 1), 62, difficulty=0.40)
-
-#: The named factories, by the name scenarios and recipes use.
-DATASET_FACTORIES = {
-    "mnist": mnist_like,
-    "fmnist": fmnist_like,
-    "cifar10": cifar10_like,
-    "femnist": femnist_like,
-}
-
-
-@dataclass(frozen=True)
-class PoolRecipe:
-    """A synthetic ``(pool, test)`` draw as a frozen, hashable value.
-
-    A named factory's output is a pure function of its name, the sample
-    ``shape``, the pool ``size`` and the :class:`numpy.random.SeedSequence`
-    coordinates of the fresh generator it draws from, so the recipe
-    records exactly those and :meth:`draw` makes the same bytes in any
-    process.  The pool is drawn before the test set, so it does not
-    depend on ``test_size``: a process that needs only the pool draws it
-    with none.
-    """
-
-    dataset: str
-    shape: Tuple[int, ...]
-    size: int
-    entropy: int
-    spawn_key: Tuple[int, ...]
-    seed_pool_size: int
-
-    @classmethod
-    def capture(
-        cls, dataset: str, shape: Tuple[int, ...], size: int, rng: np.random.Generator
-    ) -> "PoolRecipe":
-        """The recipe of drawing from ``rng``, which must not have drawn yet."""
-        ss = rng.bit_generator.seed_seq  # type: ignore[attr-defined]
-        return cls(
-            dataset=dataset,
-            shape=tuple(int(s) for s in shape),
-            size=int(size),
-            entropy=ss.entropy,
-            spawn_key=tuple(int(k) for k in ss.spawn_key),
-            seed_pool_size=int(ss.pool_size),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the pool's arrays: float64 samples and int64 labels."""
-        return 8 * self.size * (math.prod(self.shape) + 1)
-
-    def draw(self, test_size: int = 0) -> Tuple[Dataset, Dataset]:
-        """The ``(pool, test)`` pair the recipe describes."""
-        seq = np.random.SeedSequence(
-            self.entropy, spawn_key=self.spawn_key, pool_size=self.seed_pool_size
-        )
-        return DATASET_FACTORIES[self.dataset](
-            train_size=self.size, test_size=test_size, shape=self.shape, rng=seq
-        )
-
-
-def dataset_digest(data: Dataset) -> str:
-    """sha256 over a dataset's sample and label bytes."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(data.x))
-    h.update(np.ascontiguousarray(data.y))
-    return h.hexdigest()

@@ -16,6 +16,8 @@ paper-scale values.
 from __future__ import annotations
 
 import functools
+import hashlib
+import math
 import weakref
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -30,13 +32,16 @@ from repro.config import (
 from repro.data import (
     Dataset,
     FederatedData,
+    cifar10_like,
+    femnist_like,
+    fmnist_like,
     make_femnist_leaf,
+    mnist_like,
     partition_iid,
     partition_noniid_classes,
     partition_quantity_skew,
     partition_shards,
 )
-from repro.data.datasets import DATASET_FACTORIES, PoolRecipe, dataset_digest
 from repro.data.validation import check_partition
 from repro.nn import Sequential, build_linear, build_mlp, build_model
 from repro.rng import RngLike, make_rng, spawn
@@ -62,7 +67,15 @@ __all__ = [
     "build_leaf_scenario",
     "build_population_scenario",
     "PooledDatasetProvider",
+    "PoolRecipe",
 ]
+
+_DATASETS = {
+    "mnist": mnist_like,
+    "fmnist": fmnist_like,
+    "cifar10": cifar10_like,
+    "femnist": femnist_like,
+}
 
 #: Latency calibration per dataset: single-CPU seconds per sample, chosen so
 #: the simulated CPU-group spread reproduces the paper's speedup magnitudes
@@ -141,9 +154,9 @@ class ScenarioConfig:
     shuffle_resources: bool = False
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASET_FACTORIES:
+        if self.dataset not in _DATASETS:
             raise ValueError(
-                f"unknown dataset {self.dataset!r}; use one of {sorted(DATASET_FACTORIES)}"
+                f"unknown dataset {self.dataset!r}; use one of {sorted(_DATASETS)}"
             )
         if self.data_distribution not in (
             "iid",
@@ -252,7 +265,7 @@ def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
     base = make_rng(seed)
     data_rng, part_rng, model_rng, client_seed_rng = spawn(base, 4)
 
-    factory = DATASET_FACTORIES[cfg.dataset]
+    factory = _DATASETS[cfg.dataset]
     train, test = factory(
         train_size=cfg.train_size,
         test_size=cfg.test_size,
@@ -415,6 +428,47 @@ def build_leaf_scenario(
 
 
 @dataclass(frozen=True)
+class PoolRecipe:
+    """A synthetic ``(pool, test)`` draw as a frozen, hashable value.
+
+    A named factory's output is a pure function of its name, the sample
+    ``shape``, the pool ``size`` and the seed sequence of the fresh
+    generator it draws from, so the recipe records exactly those (the
+    sequence as its :class:`SeedAddress`) and :meth:`draw` makes the same
+    bytes in any process.  The pool is drawn before the test set, so it
+    does not depend on ``test_size``: a process that needs only the pool
+    draws it with none.
+    """
+
+    dataset: str
+    shape: Tuple[int, ...]
+    size: int
+    seed: SeedAddress
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the pool's arrays: float64 samples and int64 labels."""
+        return 8 * self.size * (math.prod(self.shape) + 1)
+
+    def draw(self, test_size: int = 0) -> Tuple[Dataset, Dataset]:
+        """The ``(pool, test)`` pair the recipe describes."""
+        return _DATASETS[self.dataset](
+            train_size=self.size,
+            test_size=test_size,
+            shape=self.shape,
+            rng=self.seed.sequence(),
+        )
+
+
+def _dataset_digest(data: Dataset) -> str:
+    """sha256 over a dataset's sample and label bytes."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(data.x))
+    h.update(np.ascontiguousarray(data.y))
+    return h.hexdigest()
+
+
+@dataclass(frozen=True)
 class PooledDatasetProvider:
     """Picklable per-client dataset provider over a shared sample pool.
 
@@ -425,7 +479,7 @@ class PooledDatasetProvider:
     ``Process`` arguments) and a worker materialises the exact same
     datasets the coordinator would.
 
-    The pool travels as its :class:`~repro.data.datasets.PoolRecipe`,
+    The pool travels as its :class:`PoolRecipe`,
     not as data: the provider pickles to ``(recipe, sha256 of the
     pool)`` plus its columns, and unpickling re-derives the pool once per
     process (see :func:`_provider_from_recipe`).
@@ -443,7 +497,7 @@ class PooledDatasetProvider:
 
     @functools.cached_property
     def pool_digest(self) -> str:
-        return dataset_digest(self.pool)
+        return _dataset_digest(self.pool)
 
     def __reduce__(self):
         return (
@@ -482,7 +536,7 @@ def _provider_from_recipe(
     pool = _DERIVED_POOLS.get(key)
     if pool is None:
         pool, _ = recipe.draw()
-        if dataset_digest(pool) != digest:
+        if _dataset_digest(pool) != digest:
             raise ValueError(
                 f"pool digest mismatch: recipe {recipe} does not derive the "
                 f"pool with sha256 {digest}"
@@ -541,7 +595,9 @@ def build_population_scenario(
 
     # The pool is built from its recipe, which is how it travels: a
     # worker re-derives these exact bytes instead of receiving them.
-    recipe = PoolRecipe.capture("mnist", shape, pool_size, data_rng)
+    recipe = PoolRecipe(
+        "mnist", tuple(int(s) for s in shape), int(pool_size), SeedAddress.capture(data_rng)
+    )
     pool, test = recipe.draw(test_size)
     num_classes = pool.num_classes
     if model == "linear":

@@ -53,6 +53,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -92,12 +93,21 @@ class SeedAddress:
     do not advance its spawn counter, so capture order relative to them
     is immaterial -- only prior ``spawn`` calls matter, and ``base``
     records them.
+
+    ``entropy`` is an ``int``, or a tuple of ints for a sequence seeded
+    from a list or array (``SeedSequence`` accepts both), so an address
+    is hashable whatever seed it was captured from.
     """
 
-    entropy: int
+    entropy: Union[int, Tuple[int, ...]]
     spawn_key: Tuple[int, ...]
     pool_size: int
     base: int
+
+    def __post_init__(self) -> None:
+        e = self.entropy
+        entropy = int(e) if np.ndim(e) == 0 else tuple(int(x) for x in np.ravel(e))
+        object.__setattr__(self, "entropy", entropy)
 
     @classmethod
     def capture(cls, rng: np.random.Generator) -> "SeedAddress":
@@ -108,6 +118,15 @@ class SeedAddress:
             spawn_key=tuple(int(k) for k in ss.spawn_key),
             pool_size=int(ss.pool_size),
             base=int(ss.n_children_spawned),
+        )
+
+    def sequence(self) -> np.random.SeedSequence:
+        """The captured seed sequence itself, spawn counter included."""
+        return np.random.SeedSequence(
+            entropy=self.entropy,
+            spawn_key=self.spawn_key,
+            pool_size=self.pool_size,
+            n_children_spawned=self.base,
         )
 
     def child(self, index: int) -> np.random.SeedSequence:
@@ -290,6 +309,9 @@ class PopulationStore(Mapping):
 
     def _rows(self, client_ids: Iterable[int]) -> np.ndarray:
         """Column rows of *global* client ids (KeyError when foreign)."""
+        # An id array skips fromiter's per-element walk: the profiler's
+        # column draws pass the whole population, and the walk showed in
+        # scale_1e5's setup_s (docs/benchmarks.md).
         if isinstance(client_ids, np.ndarray):
             ids = client_ids.astype(np.int64, copy=False)
         else:

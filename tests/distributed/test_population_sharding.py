@@ -3,8 +3,9 @@
 The tentpole contract under test: the coordinator ships *store shards*
 (ASSIGN_SHARD column slices), never pickled clients, and the pool inside
 them as its recipe, never its arrays; per-round frames reference client
-ids only; on the cohort latency stream the coordinator never
-materialises a client; and a worker killed mid-round has its slice
+ids only; the coordinator materialises no client on the cohort latency
+stream and at most the cohorts on the per-client one; and a worker
+killed mid-round or between rounds has its slice
 re-dealt with authoritative RNG snapshots, keeping the history
 bit-identical to the serial store path.
 """
@@ -41,8 +42,27 @@ COHORT = 10
 ROUNDS = 3
 
 
+#: Both latency streams: the coordinator's client builds differ between them.
+STREAMS = pytest.mark.parametrize("latency_stream", ["per-client", "cohort"])
+
+
+def assert_coordinator_builds(store, latency_stream):
+    """On the cohort stream the coordinator draws latencies off the
+    columns and builds no client; on the per-client stream each client
+    owns its latency RNG, so it builds the cohorts, never the population."""
+    if latency_stream == "cohort":
+        assert store.materialize_count == 0
+    else:
+        assert store.materialize_count <= COHORT * ROUNDS
+
+
 def run_population(
-    executor, seed=11, rounds=ROUNDS, num_clients=NUM_CLIENTS, round_done=None
+    executor,
+    seed=11,
+    rounds=ROUNDS,
+    num_clients=NUM_CLIENTS,
+    round_done=None,
+    latency_stream=None,
 ):
     """A store-backed federation through FLServer; returns (history, store).
 
@@ -60,7 +80,7 @@ def run_population(
         training=scn.training,
         rng=derive(seed, 202),
         executor=executor,
-        latency_stream="cohort",
+        latency_stream=latency_stream,
     ) as server:
         for r in range(rounds):
             server.run_round(r)
@@ -78,15 +98,16 @@ def fingerprint(history):
 
 
 class TestShardShipping:
-    def test_sharded_run_matches_serial_and_ships_no_clients(self):
-        """ASSIGN_SHARD only on the wire, no coordinator materialisation,
-        history bit-identical to the serial store."""
-        ref_history, _ = run_population("serial")
+    @STREAMS
+    def test_sharded_run_matches_serial_and_ships_no_clients(self, latency_stream):
+        """ASSIGN_SHARD only on the wire, coordinator builds bounded by
+        the stream, history bit-identical to the serial store."""
+        ref_history, _ = run_population("serial", latency_stream=latency_stream)
 
         ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
         procs = spawn_local_workers(ex.listen(), 2)
         try:
-            history, store = run_population(ex)
+            history, store = run_population(ex, latency_stream=latency_stream)
             sent = ex.frames_sent_by_type
             shard_frames = sent.get(int(proto.MsgType.ASSIGN_SHARD), 0)
             eager_frames = sent.get(int(proto.MsgType.ASSIGN), 0)
@@ -98,8 +119,7 @@ class TestShardShipping:
         assert fingerprint(history) == fingerprint(ref_history)
         assert shard_frames == 2, "expected exactly one shard per worker"
         assert eager_frames == 0, "a store pool must never ship ASSIGN"
-        # The acceptance hook: the coordinator materialises no client.
-        assert store.materialize_count == 0
+        assert_coordinator_builds(store, latency_stream)
 
     def test_shard_blob_scales_with_slice_not_population(self):
         """Recurring bytes reference ids only; the one-time shard blob is
@@ -132,7 +152,8 @@ class TestShardShipping:
 
 
 class TestWorkerLossUnderSharding:
-    def test_kill_mid_round_redeals_shard_bit_identically(self):
+    @STREAMS
+    def test_kill_mid_round_redeals_shard_bit_identically(self, latency_stream):
         """SIGKILL a worker the moment its first update lands: the dead
         worker's id range is re-dealt as a fresh shard (with the
         authoritative RNG snapshots) and the history still matches the
@@ -148,13 +169,13 @@ class TestWorkerLossUnderSharding:
                     self.killed = True
                     os.kill(self.worker_pid(worker_id), signal.SIGKILL)
 
-        ref_history, _ = run_population("serial", seed=13)
+        ref_history, _ = run_population("serial", seed=13, latency_stream=latency_stream)
 
         ex = KillOnFirstUpdate(workers=2, heartbeat_interval=0.5,
                                **FAST_TIMEOUTS)
         procs = spawn_local_workers(ex.listen(), 2)
         try:
-            history, store = run_population(ex, seed=13)
+            history, store = run_population(ex, seed=13, latency_stream=latency_stream)
             shard_frames = ex.frames_sent_by_type.get(
                 int(proto.MsgType.ASSIGN_SHARD), 0
             )
@@ -168,13 +189,14 @@ class TestWorkerLossUnderSharding:
         # 2 initial shards + at least 1 re-dealt slice to the survivor.
         assert shard_frames >= 3
         assert fingerprint(history) == fingerprint(ref_history)
-        # A re-deal is cut from the columns and the ledger: still no client.
-        assert store.materialize_count == 0
+        # A re-deal is cut from the columns and the ledger: no extra client.
+        assert_coordinator_builds(store, latency_stream)
 
-    def test_kill_between_rounds_redeals_shard_bit_identically(self):
+    @STREAMS
+    def test_kill_between_rounds_redeals_shard_bit_identically(self, latency_stream):
         """SIGKILL between rounds: retire-and-re-pin re-ships only the
         dead worker's slice; replayed streams keep bit-identity."""
-        ref_history, _ = run_population("serial", seed=17)
+        ref_history, _ = run_population("serial", seed=17, latency_stream=latency_stream)
 
         ex = DistributedExecutor(workers=2, heartbeat_interval=0.5,
                                  **FAST_TIMEOUTS)
@@ -192,7 +214,7 @@ class TestWorkerLossUnderSharding:
                 training=scn.training,
                 rng=derive(17, 202),
                 executor=ex,
-                latency_stream="cohort",
+                latency_stream=latency_stream,
             ) as server:
                 history = server.run(1)
                 os.kill(ex.worker_pid(0), signal.SIGKILL)
@@ -204,6 +226,7 @@ class TestWorkerLossUnderSharding:
 
         assert survivors == 1
         assert fingerprint(history) == fingerprint(ref_history)
+        assert_coordinator_builds(store, latency_stream)
 
 
 def small_store(seed):
@@ -221,14 +244,26 @@ class TestPoolRecipe:
         assert provider.pool.x.nbytes > 12 * 64 * 1024
         assert len(pickle.dumps(provider, protocol=pickle.HIGHEST_PROTOCOL)) < 64 * 1024
 
-    def test_rederived_pool_is_byte_equal_to_the_coordinators(self):
-        store = small_store(seed=3).population
+    @pytest.mark.parametrize(
+        "make_seed",
+        [
+            lambda: 3,
+            lambda: np.random.SeedSequence([1, 2]),
+            lambda: np.random.default_rng(np.array([3, 4])),
+        ],
+        ids=["int", "list-seeded", "array-seeded"],
+    )
+    def test_rederived_pool_is_byte_equal_to_the_coordinators(self, make_seed):
+        """Whatever the seed -- a list or array one leaves a sequence
+        entropy in the recipe -- the shard ships and re-derives the pool."""
+        store = small_store(seed=make_seed()).population
         pool = store._dataset_for.pool
-        far = shard_from_bytes(shard_to_bytes(store.shard([9, 2, 5]))).dataset_for.pool
-        assert far is not pool
-        assert_bits_equal(far.x, pool.x)
-        assert_bits_equal(far.y, pool.y)
-        assert far.num_classes == pool.num_classes
+        far = shard_from_bytes(shard_to_bytes(store.shard([9, 2, 5])))
+        assert far.dataset_for.pool is not pool
+        assert_bits_equal(far.dataset_for.pool.x, pool.x)
+        assert_bits_equal(far.dataset_for.pool.y, pool.y)
+        assert far.dataset_for.pool.num_classes == pool.num_classes
+        assert far.seed_address == store.seed_address
 
     def test_shards_unpickled_in_one_process_share_one_pool(self):
         """The first pin and a later re-deal re-derive the pool once."""

@@ -325,14 +325,18 @@ class TestProcessBackend:
 
         assert np.array_equal(two_phase("serial"), two_phase("process"))
 
-    def test_recurring_bytes_per_round_do_not_depend_on_population_size(self):
+    @pytest.mark.parametrize("latency_stream", ["per-client", "cohort"])
+    def test_recurring_bytes_per_round_do_not_depend_on_population_size(
+        self, latency_stream
+    ):
         """Workers hold column shards, so a round's tasks and results name
         client ids only: at a fixed 20-client cohort the recurring IPC
         bytes per round are the same at 10^3 and 10^5 clients (only the
         pickled width of larger ids differs), the history equals the
-        serial store run's at each size, and the parent -- drawing the
-        cohort stream's latencies off the columns -- materialises no
-        client at all."""
+        serial store run's at each size, and the parent materialises the
+        cohorts on the per-client stream (each client owns its latency
+        RNG), never the population, and no client at all on the cohort
+        stream, whose latencies it draws off the columns."""
         cohort, rounds = 20, 3
 
         def run(executor, num_clients, seed=0):
@@ -348,7 +352,7 @@ class TestProcessBackend:
                 training=scn.training,
                 rng=derive(seed, 202),
                 executor=executor,
-                latency_stream="cohort",
+                latency_stream=latency_stream,
             ) as server:
                 for r in range(rounds):
                     server.run_round(r)
@@ -364,7 +368,10 @@ class TestProcessBackend:
                 ProcessExecutor(workers=2), num_clients
             )
             assert records == serial_records, num_clients
-            assert materialized == 0
+            if latency_stream == "cohort":
+                assert materialized == 0
+            else:
+                assert materialized <= cohort * rounds
         assert per_round[1_000] > 0
         assert per_round[100_000] == pytest.approx(per_round[1_000], rel=0.01)
 

@@ -114,9 +114,18 @@ def assert_clients_identical(lazy, eager):
 
 
 class TestSeedAddress:
-    def test_child_matches_spawn(self):
-        addr = SeedAddress.capture(make_rng(42))
-        spawned = spawn(make_rng(42), 8)
+    @pytest.mark.parametrize(
+        "entropy", [42, [1, 2], np.array([3, 4])], ids=["int", "list", "array"]
+    )
+    def test_child_matches_spawn(self, entropy):
+        """Also for a list- or array-seeded sequence, whose entropy the
+        address keeps as a tuple: it hashes and replays the sequence."""
+        rng = make_rng(np.random.SeedSequence(entropy))
+        addr = SeedAddress.capture(rng)
+        assert hash(addr) == hash(SeedAddress.capture(rng))
+        seq = rng.bit_generator.seed_seq
+        assert addr.sequence().generate_state(4).tolist() == seq.generate_state(4).tolist()
+        spawned = spawn(make_rng(np.random.SeedSequence(entropy)), 8)
         for i, child_rng in enumerate(spawned):
             rebuilt = make_rng(addr.child(i))
             assert (
@@ -141,6 +150,7 @@ class TestSeedAddress:
             make_rng(addr.child(0)).bit_generator.state
             == nxt.bit_generator.state
         )
+        assert addr.sequence().n_children_spawned == 3
 
 
 class TestMaterializeBitIdentity:
