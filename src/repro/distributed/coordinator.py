@@ -841,12 +841,16 @@ class DistributedExecutor(ClientExecutor):
                     )
                 continue
             if msg_type == proto.MsgType.TELEMETRY:
+                # Observability only: a summary that does not decode, or
+                # that claims another worker's id, is dropped and never
+                # fails a shutdown.  It is filed under this connection.
                 try:
                     wid, summary = proto.decode_telemetry(payload)
                 except proto.ProtocolError:
-                    continue  # observability only: never fail a shutdown
-                handle.summary = summary
-                self._worker_summaries[wid] = summary
+                    continue
+                if wid == handle.id:
+                    handle.summary = summary
+                    self._worker_summaries[handle.id] = summary
                 continue
             self._events.put((handle.id, gen, msg_type, payload))
             if msg_type == proto.MsgType.BYE:

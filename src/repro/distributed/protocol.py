@@ -1,290 +1,39 @@
 """Message types and codecs of the coordinator/worker wire protocol.
 
-One protocol message = one frame (:mod:`repro.distributed.transport`).
-The conversation:
-
-.. code-block:: text
-
-    worker                        coordinator
-      | -- HELLO {version, capacity, pid,    |   handshake; `resume` only
-      |           resume?} ----------------->|   on a reconnect attempt
-      |<-- WELCOME {version, worker_id,      |
-      |            model_signature,          |
-      |            num_params,               |
-      |            session_token} -----------|   (or REJECT {reason})
-      |<-- ASSIGN {clients, model, training, |   pinning: the worker now
-      |           signature} ----------------|   owns these clients
-      |                                      |
-      |<-- BROADCAST {seq, codec,            |   per round; weights travel
-      |       baseline_seq, weights} --------|   through a repro.codec
-      |    (or header-only alias: codec 0,   |   weight-transport codec, or
-      |       baseline_seq = retained seq)   |   name a vector already held
-      |<-- TRAIN {seq, round, jobs} ---------|
-      | -- UPDATE {seq, cid, n, codec,       |   one per client, carries
-      |       baseline_seq, rng, w} -------->|   the advanced RNG state
-      | -- TRAINFAIL {seq, cid, tb} -------->|
-      |                                      |
-      |<-- BIND_EVAL {x, y} -----------------|   ship-once: the server-held
-      |                                      |   eval set becomes resident
-      |                                      |   in every worker (v3)
-      |<-- EVAL {seq, clients} --------------|   batched holdout eval
-      | -- EVAL_RESULT {seq, cid,            |   against the matching
-      |      accuracy | error} ------------->|   BROADCAST; one per client
-      |                                      |
-      |<-- EVAL_MODEL {seq, shards} ---------|   sharded pass over the
-      | -- EVAL_MODEL_RESULT {seq, a, b,     |   resident eval set; one
-      |      correct | error} -------------->|   result per [a, b) shard
-      |                                      |
-      |<-- PING -----------------------------|   liveness (answered by a
-      | -- PONG ---------------------------->|   dedicated worker thread)
-      |<-- SHUTDOWN -------------------------|   clean teardown
-      | -- TELEMETRY {worker_id, summary} -->|   compact per-worker metrics
-      | -- BYE ----------------------------->|   summary, then goodbye (v5)
-
-Versioning and safety checks:
-
-* ``HELLO.version`` must equal :data:`PROTOCOL_VERSION` or the
-  coordinator answers ``REJECT`` and drops the connection -- a worker
-  from a different release can never silently join.  The REJECT reason
-  names both peers ("worker speaks v2, coordinator requires v3") and the
-  worker logs it before exiting.
-* ``WELCOME.model_signature`` commits the coordinator to one
-  architecture; the worker recomputes the signature of the model it
-  receives in ``ASSIGN`` and refuses to train on a mismatch.
-
-Version history (every entry is a wire-incompatible break: it bumps
-:data:`PROTOCOL_VERSION` and the handshake REJECTs older peers):
-
-* **v1 -> v2**: added EVAL / EVAL_RESULT (batched holdout evaluation).
-  A v1 worker would silently ignore-or-choke on an EVAL frame.
-* **v2 -> v3**: added BIND_EVAL / EVAL_MODEL / EVAL_MODEL_RESULT for
-  worker-sharded global evaluation, and workers began retaining the
-  *last few* BROADCASTs keyed by ``seq`` instead of only the latest
-  (introduced for the round pipeline, cut in PR 16, which interleaved an
-  eval broadcast with the next round's training broadcast on one
-  connection; delta baselines and redispatch races still rely on the
-  retention).  **Ship-once invariant**: BIND_EVAL carries the full
-  server-held eval set and is
-  sent exactly once per worker -- right after ASSIGN at start-up, or
-  immediately if the server binds eval data after registration; every
-  later EVAL_MODEL names only ``[start, end)`` shard bounds over that
-  resident copy, so a round's sharded evaluation costs one weight
-  broadcast plus a few bytes of bounds, never a dataset re-ship.  A v2
-  worker would choke on BIND_EVAL and assumes single-broadcast
-  semantics, so v2 peers are REJECTed at the handshake.
-* **v3 -> v4**: the weight-transport hot path became codec-pluggable and
-  connections became resumable.
-
-  - BROADCAST and UPDATE headers now carry a ``codec_id`` plus a
-    ``baseline_seq`` (0 = none), so weight vectors may travel through
-    a :class:`repro.codec.WeightCodec`: ``raw`` (id 1, the v3 format's
-    payload, still the default) or ``delta`` (id 2, lossless
-    ULP-XOR-delta against the retained BROADCAST named by
-    ``baseline_seq``).  The weights evaluation uses travel through the
-    same BROADCAST frames, so EVAL / EVAL_MODEL orders inherit the codec
-    via the ``seq`` they reference.  A v3 peer would misparse the
-    widened headers.  Id 3 was a lossy float16 ``quantized`` codec; it
-    was cut at v7 without a version bump (raw and delta frames did not
-    change), and the id is retired, never reused: a frame naming it
-    fails as an unknown codec id.
-  - WELCOME gained a per-worker ``session_token``; HELLO gained an
-    optional ``resume`` object (``{worker_id, token}``).  A worker whose
-    TCP connection drops may reconnect and present its token within the
-    coordinator's grace window: the coordinator re-pins its clients,
-    replays their authoritative RNG state via a fresh ASSIGN, resyncs
-    weights with a **raw** BROADCAST (delta baselines never survive a
-    reconnect) and re-dispatches the round's outstanding jobs, instead
-    of permanently retiring the worker.  Expired or unknown resume
-    attempts are REJECTed and fall back to the v3 retire path.
-* **v4 -> v5**: added the TELEMETRY frame -- observability joined the
-  wire contract.  The frame-by-frame obligations:
-
-  ============  =====================================================
-  frame         v5 contract
-  ============  =====================================================
-  TELEMETRY     worker -> coordinator, JSON ``{worker_id, summary}``.
-                Sent exactly once, after SHUTDOWN is received and
-                *before* BYE, so the coordinator's close() -- which
-                already waits for BYE -- collects every summary
-                without a new synchronization point.  ``summary`` is
-                a flat JSON object of counters/durations the worker
-                accumulated (frames and bytes by type, train/eval
-                requests served, codec encode/decode seconds, busy
-                seconds, reconnects); unknown keys must be preserved
-                by the coordinator, so the summary can grow without
-                another version bump.
-  SHUTDOWN      unchanged on the wire; now additionally promises the
-                coordinator will keep reading until BYE (it always
-                did), which is what makes the TELEMETRY reply safe.
-  all others    byte-identical to v4.
-  ============  =====================================================
-
-  A v4 worker never sends TELEMETRY and a v4 coordinator would treat
-  it as an unknown frame mid-teardown, so the handshake REJECTs the
-  mismatch with the established stale-worker message ("worker speaks
-  v4, coordinator requires v5").
-* **v5 -> v6**: added ASSIGN_SHARD -- population-scale federations ship
-  *store shards*, not clients.
-
-  ============  =====================================================
-  frame         v6 contract
-  ============  =====================================================
-  ASSIGN_SHARD  coordinator -> worker; replaces ASSIGN when the bound
-                pool is a lazy
-                :class:`~repro.simcluster.population.PopulationStore`.
-                Carries one compact column slice
-                (:func:`repro.serialization.shard_to_bytes`: raw numpy
-                buffers + ``SeedAddress`` coordinates + authoritative
-                RNG snapshots -- never pickled ``SimClient`` graphs)
-                plus the training config / signature / optional model
-                shell, sent **once at pin time**.  The worker rebuilds
-                a local store shard and materialises clients lazily
-                under its own bounded LRU; per-round TRAIN / EVAL
-                frames keep referencing client ids only, so the
-                steady-state wire cost is O(cohort) regardless of
-                population size.  On worker loss the retire-and-re-pin
-                path re-deals only the dead worker's id range as fresh
-                ASSIGN_SHARD frames whose snapshots restore every
-                advanced RNG stream (bit-identity under SIGKILL, same
-                guarantee ASSIGN re-ships gave eager pools).
-  ASSIGN        unchanged; still used for eager (materialised) pools.
-  all others    byte-identical to v5.
-  ============  =====================================================
-
-  A v5 worker would choke on the unknown ASSIGN_SHARD frame, so the
-  handshake REJECTs the mismatch naming both versions ("worker speaks
-  v5, coordinator requires v6").
-* **v6 -> v7**: the delta codec pays for itself -- its payload and the
-  BROADCAST frame both changed shape.
-
-  ============  =====================================================
-  frame         v7 contract
-  ============  =====================================================
-  BROADCAST     gains a header-only **alias** form: ``codec_id`` 0
-                (never a codec's id) with ``baseline_seq``
-                naming a BROADCAST the worker still retains and *no
-                payload*.  The worker files the retained vector under
-                the new ``seq`` as well -- no bytes, no codec call on
-                either side.  The coordinator sends it, whatever the
-                configured codec (``raw`` included), when the vector
-                is bit-identical to the newest one the worker holds:
-                every round's training broadcast after the global
-                evaluation shipped the same weights a moment earlier.
-                An alias naming an evicted or unknown seq is a
-                :class:`ProtocolError` naming the retained seqs.
-  BROADCAST,    a ``delta`` payload is now *plane-wise*: an 8-entry
-  UPDATE        ``(mode, length)`` table, then one body per byte plane
-                of the zigzag ULP distances -- elided when all zero,
-                stored when near-uniform, deflated only when
-                structured (:class:`repro.codec.DeltaCodec` has the
-                layout).  It replaces the v4 "byte-shuffle everything,
-                zlib everything" payload; there is no second format
-                and no compression-level option any more
-                (``TrainingConfig.codec_level`` is gone from the
-                pickled ASSIGN config as well).
-  all others    byte-identical to v6.
-  ============  =====================================================
-
-  A v6 worker would feed the plane table to zlib and has no alias
-  form, so the handshake REJECTs the mismatch naming both versions
-  ("worker speaks v6, coordinator requires v7").
-
-Control messages are JSON (small, debuggable); client shipping uses
-pickle (the payload *is* Python objects: datasets, RNG streams); weight
-vectors travel through the :mod:`repro.codec` weight-transport codecs
-(default ``raw``: little-endian float64 via
-:func:`repro.serialization.flat_weights_to_bytes` -- bit-exact, no
-pickle overhead on the per-round hot path).
+Every frame type is one row of :data:`FRAMES`, the normative reference:
+one JSON and one pickle interpreter encode and decode the ``json`` /
+``pickle`` rows; the ``struct`` rows' hand-written codec tails follow
+the headers their rows hold.  ``docs/architecture.md`` renders the rows
+and carries the conversation and the version history.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import pickle
 import struct
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Union
 
 import numpy as np
 
 from repro.codec import CodecError, WeightCodec, codec_for_id, get_codec
-
-# parse_endpoint is canonically defined next to TrainingConfig (which
-# validates its endpoint field with it) and re-exported here.
-from repro.config import TrainingConfig, parse_endpoint
+from repro.config import TrainingConfig, parse_endpoint  # noqa: F401 (re-exported)
 from repro.nn.model import Sequential
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "HANDSHAKE_MAX_PAYLOAD",
-    "MsgType",
-    "ProtocolError",
-    "model_signature",
-    "parse_endpoint",
-    "encode_hello",
-    "decode_hello",
-    "encode_welcome",
-    "decode_welcome",
-    "encode_reject",
-    "decode_reject",
-    "encode_assign",
-    "decode_assign",
-    "encode_assign_shard",
-    "decode_assign_shard",
-    "encode_broadcast",
-    "encode_broadcast_alias",
-    "broadcast_is_alias",
-    "decode_broadcast",
-    "encode_train",
-    "decode_train",
-    "encode_update",
-    "decode_update",
-    "update_seq",
-    "encode_trainfail",
-    "decode_trainfail",
-    "encode_eval",
-    "decode_eval",
-    "encode_eval_result",
-    "decode_eval_result",
-    "encode_bind_eval",
-    "decode_bind_eval",
-    "encode_eval_model",
-    "decode_eval_model",
-    "encode_eval_model_result",
-    "decode_eval_model_result",
-    "encode_telemetry",
-    "decode_telemetry",
-]
-
-#: Bump on any wire-incompatible change; checked in the handshake.
-#: See the version history in the module docstring: v2 added EVAL /
-#: EVAL_RESULT; v3 added BIND_EVAL / EVAL_MODEL / EVAL_MODEL_RESULT and
-#: multi-broadcast retention for round pipelining; v4 added codec id +
-#: baseline seq to the BROADCAST/UPDATE headers (pluggable weight
-#: transport) and session tokens for worker
-#: reconnect-and-resume; v5 added the worker's end-of-session TELEMETRY
-#: summary frame; v6 added ASSIGN_SHARD (population store shards ship
-#: as column slices, O(cohort) steady-state wire cost); v7 made the
-#: delta payload plane-wise (stored/deflate per byte plane, no level
-#: option) and added the header-only alias BROADCAST.  Older peers are
-#: REJECTed at the handshake with a reason naming both versions.
+#: Bump on any wire-incompatible change: the handshake REJECTs a peer of
+#: another version by name (history: ``docs/architecture.md``).
 PROTOCOL_VERSION = 7
 
-#: Largest payload a connection accepts until HELLO/WELCOME has
-#: succeeded (both peers).  The receiver allocates a frame's buffer when
-#: its header announces the length, so a stranger's first header -- a
-#: port scanner's garbage reads as an arbitrary u32 -- must not be able
-#: to reserve ``max_frame_payload`` (1 GiB by default).  HELLO, WELCOME
-#: and a handshake REJECT are each well under 1 KiB.
+#: Largest payload a connection accepts until HELLO/WELCOME has succeeded
+#: (both peers): the receiver allocates at the header's announcement, so
+#: a stranger's first header must not reserve ``max_frame_payload``.
 HANDSHAKE_MAX_PAYLOAD = 4096
 
-#: Hard cap on the parameter count a BROADCAST/UPDATE header may claim.
-#: Guards the decode path the same way the transport's frame-payload
-#: limit guards the framing layer: an absurd ``num_params`` is rejected
-#: with :class:`ProtocolError` before any allocation is attempted.
-#: Configurable (module attribute) for deployments with bigger models.
+#: Cap on the weight count a BROADCAST/UPDATE header may claim, checked before allocating.
 MAX_WEIGHT_COUNT = (1 << 30) // 8
 
 
@@ -316,18 +65,10 @@ class ProtocolError(RuntimeError):
     """A peer sent something the protocol does not allow."""
 
 
-# ----------------------------------------------------------------------
-# endpoint + signature helpers
-# ----------------------------------------------------------------------
 def model_signature(model: Sequential) -> str:
-    """Architecture fingerprint checked across the coordinator/worker pair.
-
-    Covers input shape, the ordered layer classes, every parameter
-    tensor's name and shape, and the total parameter count -- everything
-    that determines whether a flat weight vector from one process means
-    the same thing in another.  Weight *values* are deliberately
-    excluded: they change every round.
-    """
+    """Architecture fingerprint checked across the coordinator/worker pair:
+    input shape, layer classes, parameter names and shapes, and the total
+    count -- never the weight values, which change every round."""
     desc = {
         "input_shape": list(model.input_shape),
         "layers": [
@@ -343,452 +84,373 @@ def model_signature(model: Sequential) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# ----------------------------------------------------------------------
-# JSON control messages
-# ----------------------------------------------------------------------
-def _json_frame(decode):
-    """Decorate a JSON frame decoder: bytes that are not JSON, and a
-    field of the wrong type, fail as :class:`ProtocolError` naming the
-    frame.
+# --- field kinds -------------------------------------------------------
+class _Kind(NamedTuple):
+    """``cast`` is the encoder's coercion (numpy ints encode), ``valid``
+    the decoder's exact type test (a bool is not an int, a float is not
+    an int, a str is not a number), ``read`` shapes the decoded value;
+    an ``optional`` field is left out when None."""
 
-    The decoders cast with bare ``int()`` / ``float()`` / tuple
-    unpacking, so well-formed JSON with a wrong-typed field (a string
-    version, a list capacity, ``1e400``) would otherwise raise
-    ``ValueError`` / ``TypeError`` / ``OverflowError`` -- which no
-    reader or accept loop expects from a peer's bytes.
-    """
-    what = decode.__name__[len("decode_"):].upper()
-
-    @functools.wraps(decode)
-    def checked(payload):
-        try:
-            return decode(payload)
-        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-            raise ProtocolError(f"malformed {what} payload: {exc}") from exc
-
-    return checked
+    cast: Callable[[Any], Any]
+    valid: Callable[[Any], bool]
+    read: Callable[[Any], Any] = lambda value: value
+    optional: bool = False
 
 
-def _decode_json(payload: bytes, required: Sequence[str], what: str) -> Dict[str, Any]:
-    obj = json.loads(payload.decode("utf-8"))  # under @_json_frame
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"{what} payload must be a JSON object")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ProtocolError(f"{what} payload missing keys {missing}")
+def _or_none(of: type) -> _Kind:
+    return _Kind(lambda v: None if v is None else of(v), lambda v: v is None or type(v) is of)
+
+
+def _ints(value: Any) -> bool:
+    return type(value) is list and all(type(x) is int for x in value)
+
+
+def _mapping(value: Any) -> dict:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"expected a mapping, got {type(value).__name__}")
+    return dict(value)
+
+
+_DICT = _Kind(_mapping, lambda v: type(v) is dict)
+#: The closed set of field kinds; the last four travel in pickle rows only.
+_KINDS: Dict[str, _Kind] = {
+    "int": _Kind(int, lambda v: type(v) is int),
+    "str": _Kind(str, lambda v: type(v) is str),
+    "float?": _or_none(float),
+    "int?": _or_none(int),
+    "str?": _or_none(str),
+    "[int]": _Kind(lambda v: [int(x) for x in v], _ints),
+    "[[int, int]]": _Kind(
+        lambda v: [[int(a), int(b)] for a, b in v],
+        lambda v: type(v) is list and all(_ints(p) and len(p) == 2 for p in v),
+        lambda v: [(a, b) for a, b in v],
+    ),
+    "JSON object": _DICT,
+    "{worker_id, token}?": _Kind(  # HELLO's `resume`, sent on a reconnect
+        lambda v: {"worker_id": int(v[0]), "token": str(v[1])},
+        lambda v: (
+            type(v) is dict and [type(v.get(k)) for k in ("worker_id", "token")] == [int, str]
+        ),
+        lambda v: {"worker_id": v["worker_id"], "token": v["token"]},
+        optional=True,
+    ),
+    "bytes": _Kind(bytes, lambda v: type(v) is bytes),
+    "ndarray": _Kind(np.ascontiguousarray, lambda v: type(v) is np.ndarray),
+    "dict": _DICT,
+    "any": _Kind(lambda v: v, lambda v: True),
+}
+
+
+# --- the frame table ---------------------------------------------------
+@dataclass(frozen=True)
+class FrameSpec:
+    """One frame type.  ``layout`` is ``empty``, ``json`` / ``pickle`` (an
+    object of the ``(name, kind)`` ``fields``, in order) or ``struct`` (a
+    big-endian header of ``(name, struct code)`` ``fields``, then the
+    ``(name, encoding)`` ``tail``).  ``defaults`` fill keys a decoder may
+    find absent; ``check``, the cross-field rule, holds on both sides."""
+
+    type: MsgType
+    direction: str
+    layout: str
+    fields: Tuple[Tuple[str, str], ...]
+    purpose: str
+    tail: Tuple[Tuple[str, str], ...] = ()
+    defaults: Tuple[Tuple[str, Any], ...] = ()
+    check: Optional[Callable[[Dict[str, Any]], Optional[str]]] = None
+
+    @property
+    def header(self) -> struct.Struct:
+        return struct.Struct("!" + "".join(code for _, code in self.fields))
+
+
+def _one_of(a: str, b: str) -> Callable[[Dict[str, Any]], Optional[str]]:
+    return lambda v: (
+        f"exactly one of {a} / {b} must be given" if (v[a] is None) == (v[b] is None) else None
+    )
+
+
+_CONFIG = (("training", "any"), ("signature", "str"), ("model", "any"))
+
+#: Every frame type of protocol v7, in type-byte order.
+# fmt: off
+FRAMES: Tuple[FrameSpec, ...] = (
+    FrameSpec(
+        MsgType.HELLO, "w→c", "json",
+        (("version", "int"), ("capacity", "int"), ("pid", "int"),
+         ("resume", "{worker_id, token}?")),
+        "opens a connection; `resume` names the session a reconnecting worker continues",
+        check=lambda v: None if v["capacity"] >= 1 else (
+            f"capacity must be >= 1, got {v['capacity']}")),
+    FrameSpec(
+        MsgType.WELCOME, "c→w", "json",
+        (("version", "int"), ("worker_id", "int"), ("model_signature", "str"),
+         ("num_params", "int"), ("session_token", "str")),
+        "accepts a worker: its id, the model it commits to, the token a resume presents",
+        defaults=(("session_token", ""),)),
+    FrameSpec(
+        MsgType.REJECT, "c↔w", "json", (("reason", "str"),),
+        "refuses a peer, or a frame it cannot serve, and closes the connection"),
+    FrameSpec(
+        MsgType.ASSIGN, "c→w", "pickle", (("clients", "dict"),) + _CONFIG,
+        "pins pickled clients (data and RNG state); hand-built dict pools only"),
+    FrameSpec(
+        MsgType.BROADCAST, "c→w", "struct",
+        (("seq", "I"), ("num_params", "Q"), ("codec_id", "B"), ("baseline_seq", "I")),
+        "weights for cohort `seq`; `codec_id` 0 is the alias of retained seq `baseline_seq`",
+        tail=(("weights", "codec"),)),
+    FrameSpec(
+        MsgType.TRAIN, "c→w", "json",
+        (("seq", "int"), ("round_idx", "int"), ("jobs", "[[int, int]]")),
+        "train `(client, epochs)` jobs on the weights of BROADCAST `seq`"),
+    FrameSpec(
+        MsgType.UPDATE, "w→c", "struct",
+        (("seq", "I"), ("client_id", "I"), ("num_samples", "Q"), ("rng_len", "I"),
+         ("codec_id", "B"), ("baseline_seq", "I")),
+        "one trained client's weights, with its advanced RNG state",
+        tail=(("rng_state", "pickle"), ("weights", "codec"))),
+    FrameSpec(
+        MsgType.TRAINFAIL, "w→c", "json",
+        (("seq", "int"), ("client_id", "int"), ("traceback", "str")),
+        "one client's training failed, with its traceback"),
+    FrameSpec(MsgType.PING, "c→w", "empty", (), "liveness probe, answered by a worker thread"),
+    FrameSpec(MsgType.PONG, "w→c", "empty", (), "answers PING"),
+    FrameSpec(MsgType.SHUTDOWN, "c→w", "empty", (), "teardown; read on until BYE"),
+    FrameSpec(MsgType.BYE, "w→c", "empty", (), "the worker's last frame"),
+    FrameSpec(
+        MsgType.EVAL, "c→w", "json", (("seq", "int"), ("clients", "[int]")),
+        "evaluate these clients' holdouts on the weights of BROADCAST `seq`"),
+    FrameSpec(
+        MsgType.EVAL_RESULT, "w→c", "json",
+        (("seq", "int"), ("client_id", "int"), ("accuracy", "float?"), ("error", "str?")),
+        "one client's holdout accuracy, or its traceback",
+        check=_one_of("accuracy", "error")),
+    FrameSpec(
+        MsgType.BIND_EVAL, "c→w", "pickle", (("x", "ndarray"), ("y", "ndarray")),
+        "the server-held eval set, shipped once per worker"),
+    FrameSpec(
+        MsgType.EVAL_MODEL, "c→w", "json", (("seq", "int"), ("shards", "[[int, int]]")),
+        "evaluate BROADCAST `seq` on `[start, end)` row ranges of the resident eval set",
+        check=lambda v: next((f"shard bounds invalid: [{a}, {b})"
+                              for a, b in v["shards"] if not 0 <= a < b), None)),
+    FrameSpec(
+        MsgType.EVAL_MODEL_RESULT, "w→c", "json",
+        (("seq", "int"), ("start", "int"), ("end", "int"), ("correct", "int?"),
+         ("error", "str?")),
+        "one shard's correct-prediction count, or its traceback",
+        check=_one_of("correct", "error")),
+    FrameSpec(
+        MsgType.TELEMETRY, "w→c", "json", (("worker_id", "int"), ("summary", "JSON object")),
+        "the worker's metrics summary, once before BYE; unknown keys are kept"),
+    FrameSpec(
+        MsgType.ASSIGN_SHARD, "c→w", "pickle", (("shard", "bytes"),) + _CONFIG,
+        "pins a population-store column slice (a PSH1 blob with RNG snapshots)"),
+)
+# fmt: on
+
+_SPEC: Dict[MsgType, FrameSpec] = {spec.type: spec for spec in FRAMES}
+
+
+def _fields_out(msg_type: MsgType, values: Sequence[Any]) -> Dict[str, Any]:
+    """A row's payload object from its field values, cast and checked."""
+    spec = _SPEC[msg_type]
+    obj: Dict[str, Any] = {}
+    for (name, kind), value in zip(spec.fields, values):
+        how = _KINDS[kind]
+        if value is not None or not how.optional:
+            obj[name] = how.cast(value)
+    problem = spec.check and spec.check(obj)
+    if problem:
+        raise ValueError(problem)
     return obj
 
 
-def encode_hello(
-    version: int,
-    capacity: int,
-    pid: int,
-    resume: Optional[Tuple[int, str]] = None,
-) -> bytes:
-    """The worker's opening frame.
-
-    ``resume`` (v4) is ``(worker_id, session_token)`` when the worker is
-    reconnecting after a dropped connection: the coordinator resumes the
-    session in place of registering a fresh worker.
-    """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    obj: Dict[str, Any] = {
-        "version": int(version),
-        "capacity": int(capacity),
-        "pid": int(pid),
-    }
-    if resume is not None:
-        worker_id, token = resume
-        obj["resume"] = {"worker_id": int(worker_id), "token": str(token)}
-    return json.dumps(obj).encode("utf-8")
-
-
-@_json_frame
-def decode_hello(payload: bytes) -> Dict[str, Any]:
-    obj = _decode_json(payload, ("version", "capacity", "pid"), "HELLO")
-    out: Dict[str, Any] = {k: int(obj[k]) for k in ("version", "capacity", "pid")}
-    if out["capacity"] < 1:
-        raise ProtocolError(f"HELLO capacity must be >= 1, got {out['capacity']}")
-    resume = obj.get("resume")
-    if resume is not None:
-        if not isinstance(resume, dict) or not {"worker_id", "token"} <= set(
-            resume
-        ):
-            raise ProtocolError(
-                "HELLO resume must carry {worker_id, token}"
-            )
-        out["resume"] = {
-            "worker_id": int(resume["worker_id"]),
-            "token": str(resume["token"]),
-        }
+def _fields_in(msg_type: MsgType, obj: Any) -> Dict[str, Any]:
+    """A row's fields from a decoded payload object, type-checked exactly."""
+    spec = _SPEC[msg_type]
+    what = f"malformed {msg_type.name} payload"
+    if type(obj) is not dict:
+        raise ProtocolError(f"{what}: {type(obj).__name__}, not an object")
+    for name, value in spec.defaults:
+        obj.setdefault(name, value)
+    missing = [n for n, kind in spec.fields if n not in obj and not _KINDS[kind].optional]
+    if missing:
+        raise ProtocolError(f"{what}: missing keys {missing}")
+    out: Dict[str, Any] = {}
+    for name, kind in spec.fields:
+        how, value = _KINDS[kind], obj.get(name)
+        if value is None and how.optional:
+            continue
+        if not how.valid(value):
+            raise ProtocolError(f"{what}: {name} is {type(value).__name__}, not {kind}")
+        out[name] = how.read(value)
+    problem = spec.check and spec.check(out)
+    if problem:
+        raise ProtocolError(f"{what}: {problem}")
     return out
 
 
-def encode_welcome(
-    version: int,
-    worker_id: int,
-    model_sig: str,
-    num_params: int,
-    session_token: str = "",
+def _encode_json(msg_type: MsgType, *values: Any) -> bytes:
+    return json.dumps(_fields_out(msg_type, values)).encode("utf-8")
+
+
+def _decode_json(msg_type: MsgType, payload: bytes) -> Dict[str, Any]:
+    try:
+        obj = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"malformed {msg_type.name} payload: {exc}") from exc
+    return _fields_in(msg_type, obj)
+
+
+def _encode_pickle(msg_type: MsgType, *values: Any) -> bytes:
+    return pickle.dumps(_fields_out(msg_type, values), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _decode_pickle(msg_type: MsgType, payload: bytes) -> Dict[str, Any]:
+    try:
+        obj = pickle.loads(payload)
+    except Exception as exc:
+        raise ProtocolError(f"malformed {msg_type.name} payload: {exc}") from exc
+    return _fields_in(msg_type, obj)
+
+
+# --- JSON and pickle entry points: one call into the table each -------
+def encode_hello(
+    version: int, capacity: int, pid: int, resume: Optional[Tuple[int, str]] = None
 ) -> bytes:
-    """The coordinator's acceptance; ``session_token`` (v4) is the secret
-    the worker must present to resume after a dropped connection."""
-    return json.dumps(
-        {
-            "version": int(version),
-            "worker_id": int(worker_id),
-            "model_signature": str(model_sig),
-            "num_params": int(num_params),
-            "session_token": str(session_token),
-        }
-    ).encode("utf-8")
+    return _encode_json(MsgType.HELLO, version, capacity, pid, resume)
 
 
-@_json_frame
+def decode_hello(payload: bytes) -> Dict[str, Any]:
+    return _decode_json(MsgType.HELLO, payload)
+
+
+def encode_welcome(
+    version: int, worker_id: int, model_sig: str, num_params: int, session_token: str = ""
+) -> bytes:
+    return _encode_json(MsgType.WELCOME, version, worker_id, model_sig, num_params, session_token)
+
+
 def decode_welcome(payload: bytes) -> Dict[str, Any]:
-    obj = _decode_json(
-        payload, ("version", "worker_id", "model_signature", "num_params"), "WELCOME"
-    )
-    return {
-        "version": int(obj["version"]),
-        "worker_id": int(obj["worker_id"]),
-        "model_signature": str(obj["model_signature"]),
-        "num_params": int(obj["num_params"]),
-        "session_token": str(obj.get("session_token", "")),
-    }
+    return _decode_json(MsgType.WELCOME, payload)
 
 
 def encode_reject(reason: str) -> bytes:
-    return json.dumps({"reason": str(reason)}).encode("utf-8")
+    return _encode_json(MsgType.REJECT, reason)
 
 
-@_json_frame
 def decode_reject(payload: bytes) -> str:
-    return str(_decode_json(payload, ("reason",), "REJECT")["reason"])
+    return _decode_json(MsgType.REJECT, payload)["reason"]
 
 
 def encode_train(seq: int, round_idx: int, jobs: Sequence[Tuple[int, int]]) -> bytes:
-    return json.dumps(
-        {
-            "seq": int(seq),
-            "round_idx": int(round_idx),
-            "jobs": [[int(cid), int(epochs)] for cid, epochs in jobs],
-        }
-    ).encode("utf-8")
+    return _encode_json(MsgType.TRAIN, seq, round_idx, jobs)
 
 
-@_json_frame
 def decode_train(payload: bytes) -> Tuple[int, int, List[Tuple[int, int]]]:
-    obj = _decode_json(payload, ("seq", "round_idx", "jobs"), "TRAIN")
-    jobs = [(int(cid), int(epochs)) for cid, epochs in obj["jobs"]]
-    return int(obj["seq"]), int(obj["round_idx"]), jobs
+    return tuple(_decode_json(MsgType.TRAIN, payload).values())
 
 
 def encode_trainfail(seq: int, client_id: int, tb: str) -> bytes:
-    return json.dumps(
-        {"seq": int(seq), "client_id": int(client_id), "traceback": str(tb)}
-    ).encode("utf-8")
+    return _encode_json(MsgType.TRAINFAIL, seq, client_id, tb)
 
 
-@_json_frame
 def decode_trainfail(payload: bytes) -> Tuple[int, int, str]:
-    obj = _decode_json(payload, ("seq", "client_id", "traceback"), "TRAINFAIL")
-    return int(obj["seq"]), int(obj["client_id"]), str(obj["traceback"])
+    return tuple(_decode_json(MsgType.TRAINFAIL, payload).values())
 
 
 def encode_eval(seq: int, client_ids: Sequence[int]) -> bytes:
-    return json.dumps(
-        {"seq": int(seq), "clients": [int(cid) for cid in client_ids]}
-    ).encode("utf-8")
+    return _encode_json(MsgType.EVAL, seq, client_ids)
 
 
-@_json_frame
 def decode_eval(payload: bytes) -> Tuple[int, List[int]]:
-    obj = _decode_json(payload, ("seq", "clients"), "EVAL")
-    return int(obj["seq"]), [int(cid) for cid in obj["clients"]]
+    return tuple(_decode_json(MsgType.EVAL, payload).values())
 
 
 def encode_eval_result(
     seq: int, client_id: int, accuracy: Optional[float], error: Optional[str] = None
 ) -> bytes:
-    """One client's holdout accuracy -- or its failure traceback.
-
-    Exactly one of ``accuracy`` / ``error`` must be set.  The accuracy
-    travels as a JSON number: Python's float repr round-trips binary64
-    exactly, so the coordinator reads back the bit-identical value the
-    worker computed.
-    """
-    if (accuracy is None) == (error is None):
-        raise ValueError("exactly one of accuracy / error must be given")
-    return json.dumps(
-        {
-            "seq": int(seq),
-            "client_id": int(client_id),
-            "accuracy": None if accuracy is None else float(accuracy),
-            "error": None if error is None else str(error),
-        }
-    ).encode("utf-8")
+    """A float's repr round-trips binary64, so the accuracy arrives bit-identical."""
+    return _encode_json(MsgType.EVAL_RESULT, seq, client_id, accuracy, error)
 
 
-@_json_frame
-def decode_eval_result(
-    payload: bytes,
-) -> Tuple[int, int, Optional[float], Optional[str]]:
-    obj = _decode_json(
-        payload, ("seq", "client_id", "accuracy", "error"), "EVAL_RESULT"
-    )
-    accuracy = obj["accuracy"]
-    error = obj["error"]
-    if (accuracy is None) == (error is None):
-        raise ProtocolError(
-            "EVAL_RESULT must carry exactly one of accuracy / error"
-        )
-    return (
-        int(obj["seq"]),
-        int(obj["client_id"]),
-        None if accuracy is None else float(accuracy),
-        None if error is None else str(error),
-    )
+def decode_eval_result(payload: bytes) -> Tuple[int, int, Optional[float], Optional[str]]:
+    return tuple(_decode_json(MsgType.EVAL_RESULT, payload).values())
 
 
 def encode_eval_model(seq: int, shards: Sequence[Tuple[int, int]]) -> bytes:
-    """Sharded evaluation order over the worker's resident eval set.
-
-    Each ``(start, end)`` pair names a half-open row range of the
-    BIND_EVAL dataset; the worker answers one EVAL_MODEL_RESULT per
-    shard.  Only bounds travel -- the data already lives in the worker
-    (the ship-once invariant).
-    """
-    return json.dumps(
-        {"seq": int(seq), "shards": [[int(a), int(b)] for a, b in shards]}
-    ).encode("utf-8")
+    return _encode_json(MsgType.EVAL_MODEL, seq, shards)
 
 
-@_json_frame
 def decode_eval_model(payload: bytes) -> Tuple[int, List[Tuple[int, int]]]:
-    obj = _decode_json(payload, ("seq", "shards"), "EVAL_MODEL")
-    shards = [(int(a), int(b)) for a, b in obj["shards"]]
-    for a, b in shards:
-        if not 0 <= a < b:
-            raise ProtocolError(f"EVAL_MODEL shard bounds invalid: [{a}, {b})")
-    return int(obj["seq"]), shards
+    return tuple(_decode_json(MsgType.EVAL_MODEL, payload).values())
 
 
 def encode_eval_model_result(
-    seq: int,
-    start: int,
-    end: int,
-    correct: Optional[int] = None,
-    error: Optional[str] = None,
+    seq: int, start: int, end: int, correct: Optional[int] = None, error: Optional[str] = None
 ) -> bytes:
-    """One shard's correct-prediction count -- or its failure traceback.
-
-    Counts (not accuracies) travel so the coordinator can sum shards and
-    divide once, reproducing the serial ``float(correct / n)`` bit-exactly.
-    """
-    if (correct is None) == (error is None):
-        raise ValueError("exactly one of correct / error must be given")
-    return json.dumps(
-        {
-            "seq": int(seq),
-            "start": int(start),
-            "end": int(end),
-            "correct": None if correct is None else int(correct),
-            "error": None if error is None else str(error),
-        }
-    ).encode("utf-8")
+    """Counts travel, so the coordinator sums shards and divides once, as serial does."""
+    return _encode_json(MsgType.EVAL_MODEL_RESULT, seq, start, end, correct, error)
 
 
-@_json_frame
-def decode_eval_model_result(
-    payload: bytes,
-) -> Tuple[int, int, int, Optional[int], Optional[str]]:
-    obj = _decode_json(
-        payload, ("seq", "start", "end", "correct", "error"), "EVAL_MODEL_RESULT"
-    )
-    correct = obj["correct"]
-    error = obj["error"]
-    if (correct is None) == (error is None):
-        raise ProtocolError(
-            "EVAL_MODEL_RESULT must carry exactly one of correct / error"
-        )
-    return (
-        int(obj["seq"]),
-        int(obj["start"]),
-        int(obj["end"]),
-        None if correct is None else int(correct),
-        None if error is None else str(error),
-    )
+def decode_eval_model_result(payload: bytes) -> Tuple[int, int, int, Optional[int], Optional[str]]:
+    return tuple(_decode_json(MsgType.EVAL_MODEL_RESULT, payload).values())
 
 
-# ----------------------------------------------------------------------
-# TELEMETRY: the worker's end-of-session metrics summary (v5)
-# ----------------------------------------------------------------------
 def encode_telemetry(worker_id: int, summary: Mapping[str, Any]) -> bytes:
-    """The worker's compact telemetry summary, sent once before BYE.
-
-    ``summary`` is a flat JSON object (frames/bytes by type, requests
-    served, codec seconds, busy seconds, reconnects -- see
-    ``repro.distributed.worker``); coordinators must preserve keys they
-    do not recognise, so the summary can grow without a version bump.
-    """
-    if not isinstance(summary, Mapping):
-        raise ValueError(
-            f"telemetry summary must be a mapping, got {type(summary).__name__}"
-        )
-    return json.dumps(
-        {"worker_id": int(worker_id), "summary": dict(summary)}
-    ).encode("utf-8")
+    return _encode_json(MsgType.TELEMETRY, worker_id, summary)
 
 
-@_json_frame
 def decode_telemetry(payload: bytes) -> Tuple[int, Dict[str, Any]]:
-    obj = _decode_json(payload, ("worker_id", "summary"), "TELEMETRY")
-    summary = obj["summary"]
-    if not isinstance(summary, dict):
-        raise ProtocolError("TELEMETRY summary must be a JSON object")
-    return int(obj["worker_id"]), summary
+    return tuple(_decode_json(MsgType.TELEMETRY, payload).values())
 
 
-# ----------------------------------------------------------------------
-# BIND_EVAL: the ship-once eval dataset
-# ----------------------------------------------------------------------
 def encode_bind_eval(x: np.ndarray, y: np.ndarray) -> bytes:
-    """Ship the server-held eval set to a worker, exactly once.
-
-    Pickle, like ASSIGN: this frame travels once per worker per
-    federation, so codec simplicity beats squeezing bytes.  The per-round
-    hot path (BROADCAST / EVAL_MODEL) never re-ships the data.
-    """
-    return pickle.dumps(
-        {"x": np.ascontiguousarray(x), "y": np.ascontiguousarray(y)},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    return _encode_pickle(MsgType.BIND_EVAL, x, y)
 
 
 def decode_bind_eval(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    try:
-        obj = pickle.loads(payload)
-    except Exception as exc:
-        raise ProtocolError(f"malformed BIND_EVAL payload: {exc}") from exc
-    if not isinstance(obj, dict) or not {"x", "y"} <= set(obj):
-        raise ProtocolError("BIND_EVAL payload missing required keys")
-    return obj["x"], obj["y"]
+    return tuple(_decode_pickle(MsgType.BIND_EVAL, payload).values())
 
 
-# ----------------------------------------------------------------------
-# ASSIGN: pickled client shipment
-# ----------------------------------------------------------------------
 def encode_assign(
-    clients: Dict[int, Any],
-    training: TrainingConfig,
-    signature: str,
-    model: Optional[Sequential] = None,
+    clients: Dict[int, Any], training: TrainingConfig, signature: str, model: Any = None
 ) -> bytes:
-    """Ship pinned clients (and, on first assignment, the model shell).
-
-    The pickled client objects carry their private datasets *and* the
-    current state of their RNG streams -- which is exactly what makes
-    mid-round reassignment after a worker loss bit-identical: the
-    coordinator's pool is kept in sync by every UPDATE, so a reshipped
-    client resumes precisely where the serial schedule says it should.
-    """
-    return pickle.dumps(
-        {
-            "clients": dict(clients),
-            "training": training,
-            "signature": str(signature),
-            "model": model,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    """Each client carries its data and current RNG state, so a re-ship resumes it exactly."""
+    return _encode_pickle(MsgType.ASSIGN, clients, training, signature, model)
 
 
 def decode_assign(payload: bytes) -> Dict[str, Any]:
-    try:
-        obj = pickle.loads(payload)
-    except Exception as exc:
-        raise ProtocolError(f"malformed ASSIGN payload: {exc}") from exc
-    if not isinstance(obj, dict) or not {
-        "clients",
-        "training",
-        "signature",
-        "model",
-    } <= set(obj):
-        raise ProtocolError("ASSIGN payload missing required keys")
-    return obj
+    return _decode_pickle(MsgType.ASSIGN, payload)
 
 
-# ----------------------------------------------------------------------
-# ASSIGN_SHARD: population store slices, no client pickles (v6)
-# ----------------------------------------------------------------------
 def encode_assign_shard(
-    shard_blob: bytes,
-    training: TrainingConfig,
-    signature: str,
-    model: Optional[Sequential] = None,
+    shard_blob: bytes, training: TrainingConfig, signature: str, model: Any = None
 ) -> bytes:
-    """Ship a population store slice (and, at start-up, the model shell).
-
-    ``shard_blob`` is a :func:`repro.serialization.shard_to_bytes`
-    payload: raw column buffers, seed-address coordinates, and the
-    authoritative RNG snapshots of any member whose streams have
-    advanced.  That last part is what makes a re-deal after worker loss
-    bit-identical -- the coordinator's store ledger absorbs every
-    UPDATE's shipped-back ``_train_rng`` state, so the slice it re-deals
-    resumes each client exactly where the serial schedule says.  The
-    dataset provider rides the blob's tail -- as its pool's recipe and
-    digest where it has one, so the frame carries no sample pool.
-    """
-    return pickle.dumps(
-        {
-            "shard": bytes(shard_blob),
-            "training": training,
-            "signature": str(signature),
-            "model": model,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+    """``shard_blob`` is a :func:`repro.serialization.shard_to_bytes` payload."""
+    return _encode_pickle(MsgType.ASSIGN_SHARD, shard_blob, training, signature, model)
 
 
 def decode_assign_shard(payload: bytes) -> Dict[str, Any]:
-    try:
-        obj = pickle.loads(payload)
-    except Exception as exc:
-        raise ProtocolError(f"malformed ASSIGN_SHARD payload: {exc}") from exc
-    if not isinstance(obj, dict) or not {
-        "shard",
-        "training",
-        "signature",
-        "model",
-    } <= set(obj):
-        raise ProtocolError("ASSIGN_SHARD payload missing required keys")
-    return obj
+    return _decode_pickle(MsgType.ASSIGN_SHARD, payload)
 
 
-# ----------------------------------------------------------------------
-# BROADCAST / UPDATE: the binary hot path (codec-pluggable since v4)
-# ----------------------------------------------------------------------
-# (seq, num_params, codec_id, baseline_seq); baseline_seq 0 = none
-# (cohort seqs start at 1).
-_BROADCAST_HEADER = struct.Struct("!IQBI")
-# (seq, client_id, num_samples, rng_len, codec_id, baseline_seq)
-_UPDATE_HEADER = struct.Struct("!IIQIBI")
-
-#: ``codec_id`` of the header-only alias BROADCAST (v7): no codec has
-#: id 0, so the id doubles as the frame-form discriminator.
+# --- BROADCAST / UPDATE: the binary hot path ---------------------------
+_BROADCAST_HEADER = _SPEC[MsgType.BROADCAST].header
+_UPDATE_HEADER = _SPEC[MsgType.UPDATE].header
+#: No codec has id 0, so it marks the header-only alias BROADCAST (v7).
 _ALIAS_CODEC_ID = 0
-
 _RAW = get_codec("raw")
 
 
 def _resolve_codec(codec: Union[str, WeightCodec, None]) -> WeightCodec:
-    if codec is None:
-        return _RAW
-    if isinstance(codec, str):
-        return get_codec(codec)
-    return codec
+    return _RAW if codec is None else get_codec(codec) if isinstance(codec, str) else codec
+
+
+def _unpack(header: struct.Struct, payload: bytes, what: str) -> tuple:
+    if len(payload) < header.size:
+        raise ProtocolError(f"truncated {what} payload")
+    return header.unpack_from(payload)
 
 
 def _check_count(count: int, what: str) -> None:
@@ -799,26 +461,21 @@ def _check_count(count: int, what: str) -> None:
         )
 
 
+def _retained(baselines: Optional[Mapping[int, np.ndarray]], seq: int, what: str) -> np.ndarray:
+    if baselines is None or seq not in baselines:
+        have = sorted(baselines) if baselines else []
+        raise ProtocolError(f"{what} seq {seq} but the retained BROADCASTs are {have}")
+    return baselines[seq]
+
+
 def _lookup_baseline(
-    codec: WeightCodec,
-    baseline_seq: int,
-    baselines: Optional[Mapping[int, np.ndarray]],
-    what: str,
+    codec: WeightCodec, baseline_seq: int, baselines: Optional[Mapping[int, np.ndarray]], what: str
 ) -> Optional[np.ndarray]:
-    """The retained-BROADCAST baseline a delta frame references."""
     if not codec.requires_baseline:
         return None
     if baseline_seq == 0:
-        raise ProtocolError(
-            f"{what} uses the {codec.name} codec but names no baseline seq"
-        )
-    if baselines is None or baseline_seq not in baselines:
-        have = sorted(baselines) if baselines else []
-        raise ProtocolError(
-            f"{what} references baseline seq {baseline_seq} but the "
-            f"retained baselines are {have}"
-        )
-    return baselines[baseline_seq]
+        raise ProtocolError(f"{what} uses the {codec.name} codec but names no baseline seq")
+    return _retained(baselines, baseline_seq, f"{what} references baseline")
 
 
 def encode_broadcast(
@@ -828,74 +485,39 @@ def encode_broadcast(
     baseline: Optional[np.ndarray] = None,
     baseline_seq: int = 0,
 ) -> bytes:
-    """Weights for cohort ``seq``, encoded through a weight codec.
-
-    ``codec`` defaults to ``raw`` (bit-exact, always decodable).  A
-    baseline-requiring codec (``delta``) must be given the ``baseline``
-    vector and the ``baseline_seq`` of the retained BROADCAST it was
-    taken from -- the decoder looks the same seq up on its side.
-    """
+    """Weights for cohort ``seq`` through a weight codec (default ``raw``).
+    A ``delta`` frame names the ``baseline_seq`` of the retained
+    BROADCAST ``baseline`` is; the decoder looks the same seq up."""
     codec = _resolve_codec(codec)
     arr = np.ascontiguousarray(np.asarray(flat_weights, dtype=np.float64))
     blob = codec.encode(arr, baseline=baseline)
-    return (
-        _BROADCAST_HEADER.pack(
-            int(seq), arr.size, codec.codec_id, int(baseline_seq)
-        )
-        + blob
-    )
+    return _BROADCAST_HEADER.pack(int(seq), arr.size, codec.codec_id, int(baseline_seq)) + blob
 
 
 def encode_broadcast_alias(seq: int, num_params: int, alias_of: int) -> bytes:
-    """Header-only BROADCAST: cohort ``seq`` trains/evaluates on the very
-    vector the receiver retains under ``alias_of`` (v7).
-
-    No payload and no codec call on either side; the sender must know
-    the two vectors are bit-identical and that ``alias_of`` is still
-    retained (the coordinator's per-worker mirror answers both).
-    """
-    return _BROADCAST_HEADER.pack(
-        int(seq), int(num_params), _ALIAS_CODEC_ID, int(alias_of)
-    )
+    """Header-only BROADCAST: cohort ``seq`` uses the vector the receiver
+    retains under ``alias_of``, which the sender knows is bit-identical."""
+    return _BROADCAST_HEADER.pack(int(seq), int(num_params), _ALIAS_CODEC_ID, int(alias_of))
 
 
 def broadcast_is_alias(payload: bytes) -> bool:
     """Whether a BROADCAST frame is the alias form, from the header alone."""
-    if len(payload) < _BROADCAST_HEADER.size:
-        raise ProtocolError("truncated BROADCAST payload")
-    return _BROADCAST_HEADER.unpack_from(payload)[2] == _ALIAS_CODEC_ID
+    return _unpack(_BROADCAST_HEADER, payload, "BROADCAST")[2] == _ALIAS_CODEC_ID
 
 
 def decode_broadcast(
-    payload: bytes,
-    baselines: Optional[Mapping[int, np.ndarray]] = None,
+    payload: bytes, baselines: Optional[Mapping[int, np.ndarray]] = None
 ) -> Tuple[int, np.ndarray]:
-    """Inverse of :func:`encode_broadcast` / :func:`encode_broadcast_alias`.
-
-    ``baselines`` maps retained BROADCAST seqs to their weight vectors
-    (what a worker keeps); it is consulted for codecs that need a
-    baseline and for the alias form, and a missing seq raises
-    :class:`ProtocolError` naming the seqs actually retained.  An alias
-    resolves to the *retained array itself*, not a copy: retained
-    vectors are never written.
-    """
-    if len(payload) < _BROADCAST_HEADER.size:
-        raise ProtocolError("truncated BROADCAST payload")
-    seq, count, codec_id, baseline_seq = _BROADCAST_HEADER.unpack_from(payload)
+    """Inverse of both BROADCAST encoders.  ``baselines`` maps retained
+    seqs to their vectors; an alias resolves to the retained array
+    itself, not a copy (retained vectors are never written)."""
+    seq, count, codec_id, baseline_seq = _unpack(_BROADCAST_HEADER, payload, "BROADCAST")
     _check_count(count, "BROADCAST")
     if codec_id == _ALIAS_CODEC_ID:
-        if len(payload) != _BROADCAST_HEADER.size:
-            raise ProtocolError(
-                f"alias BROADCAST carries a "
-                f"{len(payload) - _BROADCAST_HEADER.size}-byte payload"
-            )
-        if baselines is None or baseline_seq not in baselines:
-            have = sorted(baselines) if baselines else []
-            raise ProtocolError(
-                f"alias BROADCAST names seq {baseline_seq} but the "
-                f"retained BROADCASTs are {have}"
-            )
-        weights = baselines[baseline_seq]
+        extra = len(payload) - _BROADCAST_HEADER.size
+        if extra:
+            raise ProtocolError(f"alias BROADCAST carries a {extra}-byte payload")
+        weights = _retained(baselines, baseline_seq, "alias BROADCAST names")
         if weights.size != count:
             raise ProtocolError(
                 f"alias BROADCAST claims {count} weight values but the "
@@ -909,11 +531,8 @@ def decode_broadcast(
     baseline = _lookup_baseline(codec, baseline_seq, baselines, "BROADCAST")
     try:
         # A view, not a slice: the codec reads the frame's own buffer.
-        weights = codec.decode(
-            memoryview(payload)[_BROADCAST_HEADER.size :],
-            count,
-            baseline=baseline,
-        )
+        tail = memoryview(payload)[_BROADCAST_HEADER.size :]
+        weights = codec.decode(tail, count, baseline=baseline)
     except (CodecError, ValueError) as exc:
         raise ProtocolError(f"malformed BROADCAST payload: {exc}") from exc
     return int(seq), weights
@@ -929,39 +548,20 @@ def encode_update(
     baseline: Optional[np.ndarray] = None,
     baseline_seq: int = 0,
 ) -> bytes:
-    """One trained client's result, weights encoded through a codec.
-
-    For the ``delta`` codec the natural baseline is the BROADCAST the
-    client trained from (``baseline_seq == seq``): both peers hold it by
-    construction, even on the very first round.
-    """
+    """One trained client's result.  A ``delta`` update's natural baseline
+    is the BROADCAST it trained from (``baseline_seq == seq``)."""
     codec = _resolve_codec(codec)
     arr = np.ascontiguousarray(np.asarray(flat_weights, dtype=np.float64))
     rng_blob = pickle.dumps(rng_state, protocol=pickle.HIGHEST_PROTOCOL)
-    return (
-        _UPDATE_HEADER.pack(
-            int(seq),
-            int(client_id),
-            int(num_samples),
-            len(rng_blob),
-            codec.codec_id,
-            int(baseline_seq),
-        )
-        + rng_blob
-        + codec.encode(arr, baseline=baseline)
-    )
+    ids = (int(seq), int(client_id), int(num_samples), len(rng_blob))
+    header = _UPDATE_HEADER.pack(*ids, codec.codec_id, int(baseline_seq))
+    return header + rng_blob + codec.encode(arr, baseline=baseline)
 
 
 def update_seq(payload: bytes) -> int:
-    """The cohort seq an UPDATE frame belongs to, from the header alone.
-
-    Lets the coordinator tell a *stale* update (whose delta baseline may
-    already have been evicted) from a live one before attempting the
-    full decode.
-    """
-    if len(payload) < _UPDATE_HEADER.size:
-        raise ProtocolError("truncated UPDATE payload")
-    return int(_UPDATE_HEADER.unpack_from(payload)[0])
+    """An UPDATE's cohort seq from the header alone, so a stale update is
+    told apart before its (maybe evicted) baseline is needed."""
+    return int(_unpack(_UPDATE_HEADER, payload, "UPDATE")[0])
 
 
 def decode_update(
@@ -969,14 +569,10 @@ def decode_update(
     baselines: Optional[Mapping[int, np.ndarray]] = None,
     expected_size: int = -1,
 ) -> Tuple[int, int, int, Optional[dict], np.ndarray]:
-    """Inverse of :func:`encode_update` (same baseline contract as
-    :func:`decode_broadcast`); ``expected_size`` guards the weight count
-    when the caller knows the model's parameter count."""
-    if len(payload) < _UPDATE_HEADER.size:
-        raise ProtocolError("truncated UPDATE payload")
-    seq, client_id, num_samples, rng_len, codec_id, baseline_seq = (
-        _UPDATE_HEADER.unpack_from(payload)
-    )
+    """Inverse of :func:`encode_update`; ``expected_size`` is the model's
+    parameter count, which any codec but ``raw`` needs."""
+    header = _unpack(_UPDATE_HEADER, payload, "UPDATE")
+    seq, client_id, num_samples, rng_len, codec_id, baseline_seq = header
     rng_end = _UPDATE_HEADER.size + rng_len
     if len(payload) < rng_end:
         raise ProtocolError("truncated UPDATE rng-state blob")
@@ -985,16 +581,9 @@ def decode_update(
     except ValueError as exc:
         raise ProtocolError(f"UPDATE: {exc}") from exc
     baseline = _lookup_baseline(codec, baseline_seq, baselines, "UPDATE")
-    if expected_size >= 0:
-        count = expected_size
-    else:
-        remaining = len(payload) - rng_end
-        if codec is not _RAW:
-            raise ProtocolError(
-                f"UPDATE with the {codec.name} codec needs an explicit "
-                "expected weight count"
-            )
-        count = remaining // 8
+    if expected_size < 0 and codec is not _RAW:
+        raise ProtocolError(f"UPDATE: the {codec.name} codec needs an expected weight count")
+    count = expected_size if expected_size >= 0 else (len(payload) - rng_end) // 8
     _check_count(count, "UPDATE")
     try:
         view = memoryview(payload)

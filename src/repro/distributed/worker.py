@@ -25,9 +25,9 @@ its state (clients, workspace, resident eval data) and re-dials the
 coordinator, presenting its ``worker_id`` + ``session_token`` in the
 HELLO's ``resume`` field.  Within the coordinator's grace window the
 session resumes -- the coordinator replays authoritative client RNG
-state via a fresh ASSIGN and re-dispatches the in-flight round's
-outstanding jobs -- so a transient network blip costs a retransmit, not
-a permanent retirement.  A REJECTed resume (grace expired, token
+state via a fresh ASSIGN_SHARD (ASSIGN for a hand-built dict pool) and
+re-dispatches the in-flight round's outstanding jobs -- so a transient
+network blip costs a retransmit, not a permanent retirement.  A REJECTed resume (grace expired, token
 mismatch) exits with :data:`EXIT_REJECTED`, the v3 behaviour.
 
 Weight transport is codec-pluggable (v4): broadcasts decode through the

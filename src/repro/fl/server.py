@@ -200,15 +200,14 @@ class FLServer:
         epochs = {cid: self.epochs_for(cid, round_idx) for cid in plan.clients}
         if self.latency_sampler is not None:
             # v2: one round-addressed stream, two vectorised noise blocks,
-            # read off the store's columns -- the server builds no client
-            # (bit-identical to sample_cohort over materialised clients).
-            ids, latencies = self.latency_sampler.sample_population_columns(
+            # read off the store's columns -- the server builds no client.
+            ids, latencies = self.latency_sampler.sample_cohort(
                 self.clients,
+                plan.clients,
                 self.num_params,
                 epochs=epochs,
                 round_idx=round_idx,
                 fault=self.fault,
-                client_ids=plan.clients,
             )
             return dict(zip(ids.tolist(), latencies.tolist()))
         return {

@@ -150,9 +150,8 @@ class SimClient:
         client's private ``_latency_rng``, so draw positions depend on
         how often this client has been sampled.  The cohort-level v2
         path (:class:`~repro.simcluster.latency.CohortLatencySampler`)
-        bypasses ``_latency_rng`` entirely and only shares
-        :meth:`finalize_latency`, so fault semantics stay identical
-        across stream versions.
+        bypasses ``_latency_rng`` entirely and applies ``fault`` the same
+        way, so fault semantics stay identical across stream versions.
         """
         compute = self.latency_model.sample_compute(
             self.num_train_samples, self.spec, epochs=epochs, rng=self._latency_rng
@@ -160,18 +159,8 @@ class SimClient:
         comm = self.comm_model.sample_round_trip(
             num_params, self.spec, rng=self._latency_rng
         )
-        return self.finalize_latency(compute + comm, round_idx=round_idx, fault=fault)
-
-    def finalize_latency(
-        self,
-        latency: float,
-        round_idx: int = 0,
-        fault: Optional[FaultInjector] = None,
-    ) -> float:
-        """Apply fault injection to a sampled latency (shared v1/v2 tail)."""
-        if fault is not None:
-            latency = fault.apply(self.client_id, round_idx, latency)
-        return latency
+        latency = compute + comm
+        return latency if fault is None else fault.apply(self.client_id, round_idx, latency)
 
     def mean_response_latency(self, num_params: int, epochs: int = 1) -> float:
         """Noise-free expected latency (used by the estimator tests)."""

@@ -34,8 +34,9 @@ reproducibility, so the switch is explicit and versioned:
   vectorised :meth:`LatencyModel.sample_compute_cohort` call and its
   comm jitter one
   :meth:`~repro.simcluster.network.CommModel.sample_round_trip_cohort`
-  call.  Draws depend only on ``(seed, round, cohort order)`` -- never
-  on history -- so rounds can be sampled in any order or replayed.
+  call, both over a population store's columns.  Draws depend only on
+  ``(seed, round, cohort order)`` -- never on history -- so rounds can
+  be sampled in any order or replayed.
 
 v2 is **not** bit-compatible with v1: v1 interleaves per-client streams
 (compute:sub:`i`, comm:sub:`i` from client *i*'s generator) while v2
@@ -51,16 +52,16 @@ the draws are pinned by regression tests
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.rng import RngLike, make_rng
 from repro.simcluster.resources import ResourceSpec
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (client -> latency)
-    from repro.simcluster.client import SimClient
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (population -> latency)
     from repro.simcluster.faults import FaultInjector
+    from repro.simcluster.population import PopulationStore
 
 __all__ = [
     "LatencyModel",
@@ -143,54 +144,21 @@ class LatencyModel:
     def sample_compute_cohort(
         self,
         num_samples: Union[Sequence[int], np.ndarray],
-        specs: Sequence[ResourceSpec],
+        cpu_fractions: Union[Sequence[float], np.ndarray],
         epochs: Union[int, Sequence[int], np.ndarray] = 1,
         rng: RngLike = None,
     ) -> np.ndarray:
         """Draw a whole cohort's compute latencies in one vectorised pass.
 
-        Equivalent to calling :meth:`sample_compute` once per client with
-        the *same* generator, but the log-normal noise for every client is
-        drawn in a single NumPy call.  numpy's ``Generator.normal`` fills
-        an array from the same bitstream positions the scalar calls would
-        consume, so the per-client draws are **bit-identical** to the loop
-        version (pinned by a regression test) -- this is purely a
-        throughput lever for cohort-scale simulation.
+        Takes the ``num_samples`` and ``cpu_fraction`` columns (the
+        population store's structure-of-arrays layout).  Equivalent to
+        calling :meth:`sample_compute` once per client with the *same*
+        generator: numpy's ``Generator.normal`` fills an array from the
+        bitstream positions the scalar calls would consume, so the draws
+        are **bit-identical** to the loop (pinned by a regression test).
 
         ``epochs`` may be a scalar or one value per client.  Returns an
         array of shape ``(len(num_samples),)``.
-        """
-        ns = np.asarray(num_samples, dtype=np.float64)
-        if ns.ndim != 1:
-            raise ValueError(f"num_samples must be 1-D, got shape {ns.shape}")
-        if np.any(ns < 0):
-            raise ValueError("num_samples must be non-negative")
-        if len(specs) != ns.size:
-            raise ValueError(
-                f"got {len(specs)} resource specs for {ns.size} clients"
-            )
-        eps = np.broadcast_to(
-            np.asarray(epochs, dtype=np.float64), ns.shape
-        )
-        if np.any(eps <= 0):
-            raise ValueError("epochs must be positive")
-        cpu = np.asarray([spec.cpu_fraction for spec in specs], dtype=np.float64)
-        return self._compute_cohort_from_columns(ns, cpu, eps, rng)
-
-    def sample_compute_cohort_columns(
-        self,
-        num_samples: Union[Sequence[int], np.ndarray],
-        cpu_fractions: Union[Sequence[float], np.ndarray],
-        epochs: Union[int, Sequence[int], np.ndarray] = 1,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Column twin of :meth:`sample_compute_cohort`.
-
-        Takes the ``cpu_fraction`` column directly (the population
-        store's structure-of-arrays layout) instead of a list of
-        :class:`ResourceSpec` objects, consuming the identical bitstream
-        positions -- the noise block is one ``normal`` call either way,
-        so draws are bit-identical to the spec-list path.
         """
         ns = np.asarray(num_samples, dtype=np.float64)
         if ns.ndim != 1:
@@ -205,15 +173,6 @@ class LatencyModel:
         eps = np.broadcast_to(np.asarray(epochs, dtype=np.float64), ns.shape)
         if np.any(eps <= 0):
             raise ValueError("epochs must be positive")
-        return self._compute_cohort_from_columns(ns, cpu, eps, rng)
-
-    def _compute_cohort_from_columns(
-        self,
-        ns: np.ndarray,
-        cpu: np.ndarray,
-        eps: np.ndarray,
-        rng: RngLike,
-    ) -> np.ndarray:
         # Same association order as the scalar path:
         # ((epochs * samples) * cost) / cpu, then + base_overhead.
         work = self.base_overhead + (eps * ns * self.cost_per_sample / cpu)
@@ -235,13 +194,8 @@ class CohortLatencySampler:
     round coordinate and the cohort order, never of sampling history.
 
     Within a round the draw order is fixed: one compute-noise block for
-    the whole cohort (cohort order), then one comm-jitter block.  When
-    every cohort member shares an identical (frozen, value-equal)
-    :class:`LatencyModel` / :class:`~repro.simcluster.network.CommModel`
-    each block is a single vectorised NumPy call; heterogeneous cohorts
-    fall back to scalar draws from the *same* stream in the *same*
-    two-block order, so the fallback is bit-identical whenever the
-    models happen to be equal (pinned by regression test).
+    the whole cohort (cohort order), then one comm-jitter block, each a
+    single vectorised NumPy call over the store's columns.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -264,92 +218,25 @@ class CohortLatencySampler:
 
     def sample_cohort(
         self,
-        clients: Sequence["SimClient"],
+        store: "PopulationStore",
+        client_ids: Union[Sequence[int], np.ndarray],
         num_params: int,
         epochs: Union[int, Mapping[int, int]] = 1,
         round_idx: int = 0,
         fault: Optional["FaultInjector"] = None,
-    ) -> Dict[int, float]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Sample the full response latency of every client in the cohort.
 
-        ``epochs`` is a scalar or a ``{client_id: epochs}`` mapping.
-        Returns ``{client_id: latency_seconds}`` in cohort order, with
-        ``fault`` applied per client exactly as the v1 path does.
+        Reads the store's columns and builds no client: the store holds
+        one latency and one comm model for the whole population.
+        ``client_ids`` orders the cohort; ids are *global*, reaching the
+        columns through the store's rows, so a shard store reads its own
+        clients and an id it does not hold raises ``KeyError``.
+        ``epochs`` is a scalar or a ``{client_id: epochs}`` mapping, and
+        ``fault`` is applied per client.  Returns ``(ids, latencies)`` as
+        two aligned arrays.
         """
-        if not clients:
-            return {}
-        rng = self.stream_for(round_idx)
-        if isinstance(epochs, Mapping):
-            eps = [int(epochs[c.client_id]) for c in clients]
-        else:
-            eps = [int(epochs)] * len(clients)
-        samples = [c.num_train_samples for c in clients]
-        specs = [c.spec for c in clients]
-
-        # Block 1: compute noise, whole cohort.
-        lat_models = [c.latency_model for c in clients]
-        if all(m == lat_models[0] for m in lat_models):
-            compute = lat_models[0].sample_compute_cohort(
-                samples, specs, epochs=eps, rng=rng
-            )
-        else:
-            compute = np.asarray(
-                [
-                    m.sample_compute(s, sp, epochs=e, rng=rng)
-                    for m, s, sp, e in zip(lat_models, samples, specs, eps)
-                ],
-                dtype=np.float64,
-            )
-
-        # Block 2: comm jitter, whole cohort.
-        comm_models = [c.comm_model for c in clients]
-        if all(m == comm_models[0] for m in comm_models):
-            comm = comm_models[0].sample_round_trip_cohort(
-                num_params, specs, rng=rng
-            )
-        else:
-            comm = np.asarray(
-                [
-                    m.sample_round_trip(num_params, sp, rng=rng)
-                    for m, sp in zip(comm_models, specs)
-                ],
-                dtype=np.float64,
-            )
-
-        out: Dict[int, float] = {}
-        for client, latency in zip(clients, compute + comm):
-            out[client.client_id] = client.finalize_latency(
-                float(latency), round_idx=round_idx, fault=fault
-            )
-        return out
-
-    def sample_population_columns(
-        self,
-        store,
-        num_params: int,
-        epochs: Union[int, Mapping[int, int]] = 1,
-        round_idx: int = 0,
-        fault: Optional["FaultInjector"] = None,
-        client_ids: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`sample_cohort` straight off a population store's columns.
-
-        ``store`` is a :class:`~repro.simcluster.population.PopulationStore`
-        (duck-typed to avoid an import cycle); ``client_ids`` restricts
-        and orders the cohort (default: every client, in row order).
-        Returns ``(ids, latencies)`` as two aligned arrays.  The store
-        holds one shared latency/comm model for the whole population, so
-        the draw is always the vectorised two-block path -- bit-identical
-        to materialising those clients and calling :meth:`sample_cohort`,
-        without building a single object.  Ids are *global*: they reach
-        the columns through the store's rows, so a shard store reads its
-        own clients, and an id the store does not hold raises
-        ``KeyError``.
-        """
-        if client_ids is None:
-            ids = store.client_ids
-        else:
-            ids = np.asarray(client_ids, dtype=np.int64)
+        ids = np.asarray(client_ids, dtype=np.int64)
         if ids.size == 0:
             return ids, np.empty(0, dtype=np.float64)
         rows = store._rows(ids)
@@ -360,18 +247,17 @@ class CohortLatencySampler:
             )
         else:
             eps = int(epochs)
-        compute = store.latency_model.sample_compute_cohort_columns(
+        compute = store.latency_model.sample_compute_cohort(
             store.num_train_samples[rows],
             store.cpu_fraction[rows],
             epochs=eps,
             rng=rng,
         )
-        comm = store.comm_model.sample_round_trip_cohort_columns(
+        comm = store.comm_model.sample_round_trip_cohort(
             num_params, store.bandwidth_mbps[rows], rng=rng
         )
         total = compute + comm
         if fault is not None:
-            # Same per-client tail as SimClient.finalize_latency.
             total = np.asarray(
                 [
                     fault.apply(cid, round_idx, latency)

@@ -9,7 +9,6 @@ affine link model, applied once per direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,35 +66,20 @@ class CommModel:
         return base * float(np.exp(make_rng(rng).normal(0.0, self.jitter_sigma)))
 
     def sample_round_trip_cohort(
-        self, num_params: int, specs: Sequence[ResourceSpec], rng: RngLike = None
-    ) -> np.ndarray:
-        """Draw a whole cohort's transfer times in one vectorised pass.
-
-        The comm twin of
-        :meth:`repro.simcluster.latency.LatencyModel.sample_compute_cohort`:
-        the jitter for every client is drawn in a single ``normal(size=n)``
-        call, which consumes the same bitstream positions as ``n`` scalar
-        :meth:`sample_round_trip` calls against the same generator, so the
-        per-client values are bit-identical to the scalar loop (pinned by
-        a regression test).  Returns shape ``(len(specs),)``.
-        """
-        bandwidth = np.asarray(
-            [spec.bandwidth_mbps for spec in specs], dtype=np.float64
-        )
-        return self.sample_round_trip_cohort_columns(num_params, bandwidth, rng)
-
-    def sample_round_trip_cohort_columns(
         self,
         num_params: int,
         bandwidth_mbps: "np.ndarray",
         rng: RngLike = None,
     ) -> np.ndarray:
-        """Column twin of :meth:`sample_round_trip_cohort`.
+        """Draw a whole cohort's transfer times in one vectorised pass.
 
-        Takes the ``bandwidth_mbps`` column directly (the population
-        store's structure-of-arrays layout); the jitter block is one
-        ``normal(size=n)`` call either way, so draws are bit-identical
-        to the spec-list path.
+        The comm twin of
+        :meth:`repro.simcluster.latency.LatencyModel.sample_compute_cohort`,
+        over the ``bandwidth_mbps`` column: the jitter for every client is
+        one ``normal(size=n)`` call, which consumes the same bitstream
+        positions as ``n`` scalar :meth:`sample_round_trip` calls against
+        the same generator, so the values are bit-identical to the scalar
+        loop (pinned by a regression test).  Returns shape ``(n,)``.
         """
         if num_params < 0:
             raise ValueError(f"num_params must be non-negative, got {num_params}")

@@ -73,7 +73,7 @@ def profile_clients(
         :class:`~repro.simcluster.population.PopulationStore`.  With the
         v2 cohort stream the whole campaign is vectorised off the
         metadata columns
-        (:meth:`~repro.simcluster.latency.CohortLatencySampler.sample_population_columns`)
+        (:meth:`~repro.simcluster.latency.CohortLatencySampler.sample_cohort`)
         and never materialises a single client; with the v1 per-client
         stream, clients are materialised on demand (O(N); the store's
         RNG-state ledger keeps the draws exact when N exceeds the cache).
@@ -131,13 +131,13 @@ def profile_clients(
     for r in range(sync_rounds):
         round_idx = -1 - int(round_offset) - r
         if latency_sampler is not None:
-            _, observed[:, r] = latency_sampler.sample_population_columns(
+            _, observed[:, r] = latency_sampler.sample_cohort(
                 clients,
+                ids,
                 num_params,
                 epochs=epochs,
                 round_idx=round_idx,
                 fault=fault,
-                client_ids=ids,
             )
         else:
             # v1 per-client streams live on the materialised objects; the

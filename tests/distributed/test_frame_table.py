@@ -1,0 +1,263 @@
+"""The frame table: codecs checked against the rows they interpret.
+
+Every ``json`` and ``pickle`` row of ``proto.FRAMES`` is exercised
+through its own ``encode_*`` / ``decode_*`` entry points, with
+hypothesis strategies built from the row's field kinds:
+
+* valid values round-trip, and re-encoding the decoded values gives the
+  same bytes;
+* a field holding a value of the wrong type, a missing key, and a
+  payload that is not an object each raise ``ProtocolError`` naming the
+  frame.
+
+The strategy builder knows each field kind by name; a row naming a kind
+it does not know fails here, so no frame type can be added unfuzzed.
+"""
+
+import json
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from repro.config import TrainingConfig
+from repro.distributed import protocol as proto
+
+#: The rows the two interpreters encode and decode.
+ROWS = [spec for spec in proto.FRAMES if spec.layout in ("json", "pickle")]
+
+_SCALARS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False),
+    "str": st.text(max_size=8),
+}
+
+
+def _json_except(*types):
+    """JSON values of any type but ``types``: scalars, lists, objects."""
+    scalars = [s for name, s in _SCALARS.items() if name not in types]
+    if "list" not in types:
+        scalars.append(st.lists(st.integers(), max_size=2))
+    if "object" not in types:
+        scalars.append(st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+    return st.one_of(scalars)
+
+
+json_values = st.recursive(
+    st.one_of(list(_SCALARS.values())),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+int_pairs = st.tuples(st.integers(0, 2**40), st.integers(1, 2**40)).map(
+    lambda p: (p[0], p[0] + p[1])
+)
+
+#: Field kind -> the values an encoder takes for it.  Pairs are drawn as
+#: ``0 <= a < b`` so EVAL_MODEL's row check holds.
+VALID = {
+    "int": st.integers(),
+    "str": st.text(max_size=12),
+    "float?": st.none() | st.floats(allow_nan=False),
+    "int?": st.none() | st.integers(),
+    "str?": st.none() | st.text(max_size=12),
+    "[int]": st.lists(st.integers(), max_size=6),
+    "[[int, int]]": st.lists(int_pairs, max_size=4),
+    "JSON object": st.dictionaries(st.text(max_size=6), json_values, max_size=4),
+    "{worker_id, token}?": st.none() | st.tuples(st.integers(), st.text(max_size=12)),
+    "bytes": st.binary(max_size=64),
+    "ndarray": arrays(
+        st.sampled_from([np.float64, np.int64, np.float32]),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        elements={"allow_nan": False},
+    ),
+    "dict": st.dictionaries(st.integers(0, 99), st.text(max_size=4) | st.none(), max_size=4),
+    "any": st.none() | st.builds(TrainingConfig, lr=st.floats(1e-4, 1.0)),
+}
+
+#: Field kind -> values of the wrong type for it, as they arrive in a
+#: payload (JSON values for json rows, Python objects for pickle rows).
+#: ``any`` has no wrong value.
+WRONG = {
+    "int": _json_except("int"),
+    "str": _json_except("str"),
+    "float?": _json_except("float", "null"),
+    "int?": _json_except("int", "null"),
+    "str?": _json_except("str", "null"),
+    "[int]": _json_except("list")
+    | st.lists(st.booleans() | st.floats() | st.text(max_size=2), min_size=1, max_size=3),
+    "[[int, int]]": _json_except("list")
+    | st.sampled_from([[1], [[1]], [[1, 2, 3]], [[1, True]], [[1.0, 2]], [[1, "2"]]]),
+    "JSON object": _json_except("object"),
+    "{worker_id, token}?": _json_except("object", "null")
+    | st.sampled_from(
+        [{}, {"worker_id": "1", "token": "t"}, {"worker_id": 1, "token": 2},
+         {"worker_id": True, "token": "t"}]
+    ),
+    "bytes": st.text(max_size=4) | st.integers() | st.none() | st.just(bytearray(b"x")),
+    "ndarray": st.lists(st.integers(), max_size=3) | st.none() | st.just(np.int64(3)),
+    "dict": st.lists(st.integers(), max_size=3) | st.none() | st.text(max_size=3),
+    "any": None,
+}
+
+
+def _strategy(table, kind):
+    if kind not in table:
+        pytest.fail(f"no strategy for field kind {kind!r}: teach this file the kind")
+    return table[kind]
+
+
+def _codec(spec):
+    name = spec.type.name.lower()
+    return getattr(proto, "encode_" + name), getattr(proto, "decode_" + name)
+
+
+def _values(spec, decoded):
+    """A decoder's result as the encoder's argument list."""
+    names = [name for name, _ in spec.fields]
+    if isinstance(decoded, dict):
+        values = [decoded.get(name) for name in names]
+    elif isinstance(decoded, tuple):
+        values = list(decoded)
+    else:
+        values = [decoded]
+    return [
+        (v["worker_id"], v["token"]) if name == "resume" and v is not None else v
+        for (name, _), v in zip(spec.fields, values)
+    ]
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    return a == b
+
+
+def _load(spec, payload):
+    return json.loads(payload) if spec.layout == "json" else pickle.loads(payload)
+
+
+def _dump(spec, obj):
+    if spec.layout == "json":
+        return json.dumps(obj).encode("utf-8")
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _draw_frame(spec, data):
+    """Valid field values for ``spec`` and their encoded payload."""
+    values = [data.draw(_strategy(VALID, kind), label=name) for name, kind in spec.fields]
+    encode, _ = _codec(spec)
+    try:
+        payload = encode(*values)
+    except ValueError:  # the row's cross-field check refused the draw
+        assume(False)
+    return values, payload
+
+
+def _malformed(spec):
+    return pytest.raises(proto.ProtocolError, match=f"malformed {spec.type.name} payload")
+
+
+def test_every_row_kind_has_strategies():
+    kinds = {kind for spec in ROWS for _, kind in spec.fields}
+    assert kinds <= set(VALID), f"unknown field kinds {sorted(kinds - set(VALID))}"
+    assert kinds <= set(WRONG), f"unknown field kinds {sorted(kinds - set(WRONG))}"
+
+
+def test_rows_cover_the_message_types_once():
+    assert [spec.type for spec in proto.FRAMES] == list(proto.MsgType)
+    for spec in ROWS:
+        encode, decode = _codec(spec)
+        assert callable(encode) and callable(decode)
+
+
+@pytest.mark.parametrize("spec", ROWS, ids=lambda spec: spec.type.name)
+class TestRowProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_valid_values_round_trip_byte_for_byte(self, spec, data):
+        values, payload = _draw_frame(spec, data)
+        encode, decode = _codec(spec)
+        back = _values(spec, decode(payload))
+        assert len(back) == len(values)
+        assert all(_same(a, b) for a, b in zip(values, back))
+        assert encode(*back) == payload
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_wrong_typed_field_is_a_protocol_error(self, spec, data):
+        _, payload = _draw_frame(spec, data)
+        name, kind = data.draw(st.sampled_from(spec.fields), label="field")
+        wrong = _strategy(WRONG, kind)
+        assume(wrong is not None)
+        obj = _load(spec, payload)
+        obj[name] = data.draw(wrong, label="wrong value")
+        with _malformed(spec):
+            _codec(spec)[1](_dump(spec, obj))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_missing_key_is_a_protocol_error(self, spec, data):
+        _, payload = _draw_frame(spec, data)
+        name, kind = data.draw(st.sampled_from(spec.fields), label="field")
+        obj = _load(spec, payload)
+        obj.pop(name, None)
+        decode = _codec(spec)[1]
+        if name == "resume" or name in dict(spec.defaults):
+            decode(_dump(spec, obj))  # optional, or filled by a default
+        else:
+            with _malformed(spec):
+                decode(_dump(spec, obj))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_payload_that_is_not_an_object_is_a_protocol_error(self, spec, data):
+        obj = data.draw(_json_except("object") | st.lists(json_values, max_size=3))
+        with _malformed(spec):
+            _codec(spec)[1](_dump(spec, obj))
+
+
+class TestTypedFields:
+    """Decoding checks JSON types exactly: each of these payloads used to
+    decode, cast into a value the peer never sent."""
+
+    @pytest.mark.parametrize(
+        "decode,payload",
+        [
+            # was {"version": 7, "capacity": 1, "pid": 1}
+            (proto.decode_hello, b'{"version": "7", "capacity": true, "pid": 1.9}'),
+            (proto.decode_hello, b'{"version": 7, "capacity": true, "pid": 1}'),
+            (proto.decode_hello, b'{"version": 7, "capacity": 1, "pid": 1.9}'),
+            # was (2, [1, 1])
+            (proto.decode_eval, b'{"seq": "2", "clients": [1.7, true]}'),
+            (proto.decode_eval, b'{"seq": 2, "clients": [1, true]}'),
+            # was (1, 0, 0.5, None)
+            (
+                proto.decode_eval_result,
+                b'{"seq": 1, "client_id": 0, "accuracy": "0.5", "error": null}',
+            ),
+            # was model_signature "12"
+            (
+                proto.decode_welcome,
+                b'{"version": 7, "worker_id": 0, "model_signature": 12, "num_params": 3}',
+            ),
+        ],
+    )
+    def test_a_wrong_json_type_is_not_cast(self, decode, payload):
+        frame = decode.__name__[len("decode_"):].upper()
+        with pytest.raises(proto.ProtocolError, match=f"malformed {frame} payload"):
+            decode(payload)
+
+    def test_the_right_json_types_still_decode(self):
+        assert proto.decode_hello(b'{"version": 7, "capacity": 2, "pid": 9}') == {
+            "version": 7, "capacity": 2, "pid": 9,
+        }
+        assert proto.decode_eval(b'{"seq": 2, "clients": [1, 7]}') == (2, [1, 7])
+        assert proto.decode_eval_result(
+            b'{"seq": 1, "client_id": 0, "accuracy": 0.5, "error": null}'
+        ) == (1, 0, 0.5, None)

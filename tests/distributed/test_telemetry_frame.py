@@ -98,10 +98,10 @@ class TestEndToEndCollection:
         assert received[proto.MsgType.BYE] == 2
         assert ex.bytes_received_by_type[proto.MsgType.UPDATE] > 0
 
-    def test_malformed_summary_never_fails_shutdown(self):
-        """Feed the reader a TELEMETRY frame that does not decode; the
-        reader must keep serving (BYE still routes) and no summary is
-        recorded."""
+    def _feed_reader(self, frames):
+        """Run the coordinator's reader for worker 0 over a socketpair, send
+        ``frames`` and a BYE from the worker side; return the executor's
+        summaries and the handle's once the BYE has routed."""
         import socket
         import threading
 
@@ -117,18 +117,37 @@ class TestEndToEndCollection:
         )
         t.start()
         try:
-            worker_side.send(proto.MsgType.TELEMETRY, b"not json at all")
-            valid = proto.encode_telemetry(0, {"train_requests": 1})
-            worker_side.send(proto.MsgType.TELEMETRY, valid)
+            for payload in frames:
+                worker_side.send(proto.MsgType.TELEMETRY, payload)
             worker_side.send(proto.MsgType.BYE)
-            # BYE must still route to the event queue despite the bad frame
+            # BYE must still route to the event queue after any TELEMETRY
             wid, _gen, msg_type, _ = ex._events.get(timeout=5.0)
             assert (wid, msg_type) == (0, proto.MsgType.BYE)
             t.join(timeout=5.0)
-            # the bad frame was dropped; the good one right after it stuck
-            assert ex.worker_summaries == {0: {"train_requests": 1}}
-            assert handle.summary == {"train_requests": 1}
+            return ex.worker_summaries, handle.summary
         finally:
             worker_side.close()
             coord_side.close()
             ex.close()
+
+    def test_malformed_summary_never_fails_shutdown(self):
+        """Feed the reader a TELEMETRY frame that does not decode; the
+        reader must keep serving (BYE still routes) and no summary is
+        recorded."""
+        valid = proto.encode_telemetry(0, {"train_requests": 1})
+        summaries, summary = self._feed_reader([b"not json at all", valid])
+        # the bad frame was dropped; the good one right after it stuck
+        assert summaries == {0: {"train_requests": 1}}
+        assert summary == {"train_requests": 1}
+
+    def test_summary_is_filed_under_the_sending_connection(self):
+        """A summary claiming another worker's id cannot overwrite that
+        worker's entry: it is dropped like an undecodable one."""
+        forged = proto.encode_telemetry(5, {"train_requests": 99})
+        summaries, summary = self._feed_reader([forged])
+        assert summaries == {}
+        assert summary is None
+        own = proto.encode_telemetry(0, {"train_requests": 2})
+        summaries, summary = self._feed_reader([own, forged])
+        assert summaries == {0: {"train_requests": 2}}
+        assert summary == {"train_requests": 2}

@@ -98,27 +98,28 @@ def test_latency_monotone_in_samples(n1, n2, cpu):
 
 
 class TestCohortSampling:
-    """The vectorised cohort path must be bit-identical to the loop."""
+    """The vectorised cohort path, over the ``num_samples`` and
+    ``cpu_fraction`` columns, must be bit-identical to the loop."""
 
     def _cohort(self, k, seed=0):
         rng = np.random.default_rng(seed)
         ns = rng.integers(0, 2000, size=k).tolist()
         cpus = (0.1 + 3.9 * rng.random(size=k)).tolist()
         eps = rng.integers(1, 4, size=k).tolist()
-        return ns, [spec(c) for c in cpus], eps
+        return ns, cpus, eps
 
     def test_bit_identical_to_scalar_loop(self):
         m = LatencyModel(cost_per_sample=0.013, base_overhead=0.4, noise_sigma=0.08)
-        ns, specs, eps = self._cohort(23, seed=5)
+        ns, cpus, eps = self._cohort(23, seed=5)
         loop_rng = np.random.default_rng(77)
         loop = np.array(
             [
-                m.sample_compute(ns[i], specs[i], epochs=eps[i], rng=loop_rng)
+                m.sample_compute(ns[i], spec(cpus[i]), epochs=eps[i], rng=loop_rng)
                 for i in range(len(ns))
             ]
         )
         vec = m.sample_compute_cohort(
-            ns, specs, epochs=eps, rng=np.random.default_rng(77)
+            ns, cpus, epochs=eps, rng=np.random.default_rng(77)
         )
         assert loop.tobytes() == vec.tobytes()
 
@@ -126,31 +127,31 @@ class TestCohortSampling:
     @given(k=st.integers(1, 40), seed=st.integers(0, 1000))
     def test_bit_identical_property(self, k, seed):
         m = LatencyModel(cost_per_sample=0.005, base_overhead=0.5, noise_sigma=0.05)
-        ns, specs, eps = self._cohort(k, seed=seed)
+        ns, cpus, eps = self._cohort(k, seed=seed)
         loop_rng = np.random.default_rng(seed + 1)
         loop = np.array(
             [
-                m.sample_compute(ns[i], specs[i], epochs=eps[i], rng=loop_rng)
+                m.sample_compute(ns[i], spec(cpus[i]), epochs=eps[i], rng=loop_rng)
                 for i in range(k)
             ]
         )
         vec = m.sample_compute_cohort(
-            ns, specs, epochs=eps, rng=np.random.default_rng(seed + 1)
+            ns, cpus, epochs=eps, rng=np.random.default_rng(seed + 1)
         )
         assert loop.tobytes() == vec.tobytes()
 
     def test_scalar_epochs_broadcast(self):
         m = LatencyModel(noise_sigma=0.0)
-        ns, specs, _ = self._cohort(5, seed=3)
-        vec = m.sample_compute_cohort(ns, specs, epochs=2)
-        loop = [m.sample_compute(n, s, epochs=2) for n, s in zip(ns, specs)]
+        ns, cpus, _ = self._cohort(5, seed=3)
+        vec = m.sample_compute_cohort(ns, cpus, epochs=2)
+        loop = [m.sample_compute(n, spec(c), epochs=2) for n, c in zip(ns, cpus)]
         np.testing.assert_array_equal(vec, np.array(loop))
 
     def test_deterministic_when_sigma_zero(self):
         m = LatencyModel(cost_per_sample=0.01, base_overhead=0.2, noise_sigma=0.0)
-        ns, specs, _ = self._cohort(4, seed=9)
-        a = m.sample_compute_cohort(ns, specs)
-        b = m.sample_compute_cohort(ns, specs)
+        ns, cpus, _ = self._cohort(4, seed=9)
+        a = m.sample_compute_cohort(ns, cpus)
+        b = m.sample_compute_cohort(ns, cpus)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_cohort(self):
@@ -161,8 +162,8 @@ class TestCohortSampling:
     def test_validation(self):
         m = LatencyModel()
         with pytest.raises(ValueError, match="non-negative"):
-            m.sample_compute_cohort([-1], [spec(1.0)])
+            m.sample_compute_cohort([-1], [1.0])
         with pytest.raises(ValueError, match="epochs"):
-            m.sample_compute_cohort([10], [spec(1.0)], epochs=0)
-        with pytest.raises(ValueError, match="resource specs"):
-            m.sample_compute_cohort([10, 20], [spec(1.0)])
+            m.sample_compute_cohort([10], [1.0], epochs=0)
+        with pytest.raises(ValueError, match="cpu_fractions shape"):
+            m.sample_compute_cohort([10, 20], [1.0])

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-* within v2, the vectorised cohort draw is bit-identical to a scalar
-  two-block loop over the same round stream (homogeneous or not);
+* within v2, the vectorised draw off a store's columns is
+  bit-identical to a scalar two-block loop over the same round stream;
 * draws are addressable -- a pure function of (seed, round, cohort
   order) -- so rounds replay identically in any sampling order;
 * v2 is a *versioned break* from v1: the same federation seeded the
@@ -20,7 +20,6 @@ from repro.config import TrainingConfig
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_mlp
-from repro.simcluster.client import SimClient
 from repro.simcluster.latency import (
     CohortLatencySampler,
     LatencyModel,
@@ -28,43 +27,40 @@ from repro.simcluster.latency import (
 )
 from repro.simcluster.network import CommModel
 from repro.simcluster.population import PopulationStore
-from repro.simcluster.resources import ResourceSpec
 from repro.tifl.profiler import profile_clients
 from tests.conftest import DropoutInjector, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
 
-def make_noisy_client(cid, seed=0, sigma=0.05, jitter=0.02, cpu=1.0, n=30):
-    data = make_tiny_dataset(n=n, seed=seed + 1000 * cid)
-    return SimClient(
-        client_id=cid,
-        data=data,
-        spec=ResourceSpec(cpu_fraction=cpu, group=0),
-        latency_model=LatencyModel(noise_sigma=sigma),
-        comm_model=CommModel(jitter_sigma=jitter),
-        holdout_fraction=0.2,
-        rng=seed + cid,
-    )
+def make_cohort(n=5, seed=0, sigma=0.05, jitter=0.02):
+    """Clients ``0..n-1`` with 30 samples each (24 train) and a full CPU,
+    as a store holding the default latency and comm models with noise."""
+    store = make_test_population(n, seed=seed)
+    store.latency_model = LatencyModel(noise_sigma=sigma)
+    store.comm_model = CommModel(jitter_sigma=jitter)
+    return store
 
 
-def make_cohort(n=5, **kwargs):
-    return [make_noisy_client(cid, **kwargs) for cid in range(n)]
+def draw(sampler, store, num_params, **kw):
+    """``sample_cohort`` over all of ``store``'s clients, as ``{id: latency}``."""
+    ids, latencies = sampler.sample_cohort(store, store.client_ids, num_params, **kw)
+    return dict(zip(ids.tolist(), latencies.tolist()))
 
 
 class TestStreamAddressing:
     def test_same_round_same_draws(self):
         cohort = make_cohort()
         sampler = CohortLatencySampler(seed=42)
-        a = sampler.sample_cohort(cohort, 1000, epochs=1, round_idx=3)
-        b = sampler.sample_cohort(cohort, 1000, epochs=1, round_idx=3)
+        a = draw(sampler, cohort, 1000, epochs=1, round_idx=3)
+        b = draw(sampler, cohort, 1000, epochs=1, round_idx=3)
         assert a == b
 
     def test_different_rounds_different_draws(self):
         cohort = make_cohort()
         sampler = CohortLatencySampler(seed=42)
-        a = sampler.sample_cohort(cohort, 1000, epochs=1, round_idx=0)
-        b = sampler.sample_cohort(cohort, 1000, epochs=1, round_idx=1)
+        a = draw(sampler, cohort, 1000, epochs=1, round_idx=0)
+        b = draw(sampler, cohort, 1000, epochs=1, round_idx=1)
         assert a != b
 
     def test_sampling_order_is_irrelevant(self):
@@ -73,10 +69,10 @@ class TestStreamAddressing:
         s1 = CohortLatencySampler(seed=7)
         s2 = CohortLatencySampler(seed=7)
         forward = [
-            s1.sample_cohort(cohort, 500, epochs=1, round_idx=r) for r in range(4)
+            draw(s1, cohort, 500, epochs=1, round_idx=r) for r in range(4)
         ]
         backward = [
-            s2.sample_cohort(cohort, 500, epochs=1, round_idx=r)
+            draw(s2, cohort, 500, epochs=1, round_idx=r)
             for r in reversed(range(4))
         ]
         assert forward == list(reversed(backward))
@@ -85,56 +81,51 @@ class TestStreamAddressing:
         """Training round r and profiling round -1-r must not collide."""
         sampler = CohortLatencySampler(seed=0)
         cohort = make_cohort()
-        train0 = sampler.sample_cohort(cohort, 500, epochs=1, round_idx=0)
-        prof0 = sampler.sample_cohort(cohort, 500, epochs=1, round_idx=-1)
+        train0 = draw(sampler, cohort, 500, epochs=1, round_idx=0)
+        prof0 = draw(sampler, cohort, 500, epochs=1, round_idx=-1)
         assert train0 != prof0
 
     def test_empty_cohort(self):
-        assert CohortLatencySampler().sample_cohort([], 100) == {}
+        ids, latencies = CohortLatencySampler().sample_cohort(make_cohort(2), [], 100)
+        assert ids.size == 0 and latencies.size == 0
+
+
+def scalar_two_block(sampler, cohort, num_params, round_idx, epochs=None, fault=None):
+    """The scalar reference over materialised clients: same stream, same
+    two-block draw order, then ``fault`` per client."""
+    rng = sampler.stream_for(round_idx)
+    eps = epochs or {c.client_id: 1 for c in cohort}
+    compute = [
+        c.latency_model.sample_compute(
+            c.num_train_samples, c.spec, epochs=eps[c.client_id], rng=rng
+        )
+        for c in cohort
+    ]
+    comm = [
+        c.comm_model.sample_round_trip(num_params, c.spec, rng=rng)
+        for c in cohort
+    ]
+    return {
+        c.client_id: comp + cm if fault is None else fault.apply(c.client_id, round_idx, comp + cm)
+        for c, comp, cm in zip(cohort, compute, comm)
+    }
 
 
 class TestVectorisedScalarEquivalence:
-    def _scalar_two_block(self, sampler, cohort, num_params, round_idx):
-        """The scalar reference: same stream, same two-block draw order."""
-        rng = sampler.stream_for(round_idx)
-        compute = [
-            c.latency_model.sample_compute(
-                c.num_train_samples, c.spec, epochs=1, rng=rng
-            )
-            for c in cohort
-        ]
-        comm = [
-            c.comm_model.sample_round_trip(num_params, c.spec, rng=rng)
-            for c in cohort
-        ]
-        return {
-            c.client_id: comp + cm for c, comp, cm in zip(cohort, compute, comm)
-        }
-
-    def test_homogeneous_cohort_matches_scalar_loop(self):
-        cohort = make_cohort(n=7)
+    def test_cohort_matches_scalar_loop(self):
+        store = make_cohort(n=7)
         sampler = CohortLatencySampler(seed=11)
-        vectorised = sampler.sample_cohort(cohort, 2000, epochs=1, round_idx=5)
-        scalar = self._scalar_two_block(sampler, cohort, 2000, 5)
-        assert vectorised == scalar
-
-    def test_heterogeneous_cohort_matches_scalar_loop(self):
-        """Mixed latency models fall back to scalar draws on the same
-        stream in the same two-block order."""
-        cohort = make_cohort(n=4)
-        odd = make_noisy_client(99, sigma=0.2, jitter=0.1, cpu=0.5)
-        cohort.append(odd)
-        sampler = CohortLatencySampler(seed=13)
-        vectorised = sampler.sample_cohort(cohort, 800, epochs=1, round_idx=2)
-        scalar = self._scalar_two_block(sampler, cohort, 800, 2)
+        vectorised = draw(sampler, store, 2000, epochs=1, round_idx=5)
+        cohort = [store.materialize(c) for c in range(7)]
+        scalar = scalar_two_block(sampler, cohort, 2000, 5)
         assert vectorised == scalar
 
     def test_epochs_mapping_respected(self):
         cohort = make_cohort(n=3)
         sampler = CohortLatencySampler(seed=3)
-        eps = {c.client_id: 1 + c.client_id for c in cohort}
-        varied = sampler.sample_cohort(cohort, 100, epochs=eps, round_idx=0)
-        flat = sampler.sample_cohort(cohort, 100, epochs=1, round_idx=0)
+        eps = {c: 1 + c for c in cohort}
+        varied = draw(sampler, cohort, 100, epochs=eps, round_idx=0)
+        flat = draw(sampler, cohort, 100, epochs=1, round_idx=0)
         # client 0 trains 1 epoch in both; the others train longer
         assert varied[0] == flat[0]
         assert varied[1] > flat[1] and varied[2] > flat[2]
@@ -147,7 +138,7 @@ class TestVersioning:
         decision -- this test failing is the tripwire."""
         cohort = make_cohort(n=3)
         sampler = CohortLatencySampler(seed=123)
-        got = sampler.sample_cohort(cohort, 1000, epochs=1, round_idx=0)
+        got = draw(sampler, cohort, 1000, epochs=1, round_idx=0)
         expected = {
             0: 0.6574361694025254,
             1: 0.6928042842875741,
@@ -161,15 +152,12 @@ class TestVersioning:
 
     def test_v2_differs_from_v1(self):
         """The versioned break: same clients, same seeds, different draws."""
-        cohort = make_cohort(n=4, seed=5)
+        store = make_cohort(n=4, seed=5)
         v1 = {
-            c.client_id: c.response_latency(1000, epochs=1, round_idx=0)
-            for c in cohort
+            c: store.materialize(c).response_latency(1000, epochs=1, round_idx=0)
+            for c in range(4)
         }
-        fresh = make_cohort(n=4, seed=5)  # v1 above advanced the streams
-        v2 = CohortLatencySampler(seed=5).sample_cohort(
-            fresh, 1000, epochs=1, round_idx=0
-        )
+        v2 = draw(CohortLatencySampler(seed=5), store, 1000, epochs=1, round_idx=0)
         assert set(v1) == set(v2)
         assert all(v1[cid] != v2[cid] for cid in v1)
 
@@ -191,9 +179,7 @@ class TestFaultsAndServers:
         cohort = make_cohort(n=3)
         fault = DropoutInjector(always_drop={1}, rng=0)
         sampler = CohortLatencySampler(seed=1)
-        lats = sampler.sample_cohort(
-            cohort, 100, epochs=1, round_idx=0, fault=fault
-        )
+        lats = draw(sampler, cohort, 100, epochs=1, round_idx=0, fault=fault)
         assert not np.isfinite(lats[1])
         assert np.isfinite(lats[0]) and np.isfinite(lats[2])
 
@@ -223,8 +209,8 @@ class TestFaultsAndServers:
 
     def test_fl_server_draws_cohort_latencies_off_the_columns(self):
         """The select stage builds no client: its latencies equal
-        ``sample_cohort`` over the same cohort materialised from a twin
-        store, in cohort order, faults included."""
+        ``sample_cohort`` over the same cohort of a twin store, in cohort
+        order, faults included."""
         kw = dict(cpus=[1.0, 0.5] * 4, noise_sigma=0.2)
         clients, twin = make_test_population(8, **kw), make_test_population(8, **kw)
         sampler = CohortLatencySampler(seed=5)
@@ -245,14 +231,15 @@ class TestFaultsAndServers:
         ) as server:
             for r in range(4):
                 ctx = server._stage_select(r)
-                cohort = [twin.materialize(int(c)) for c in ctx.plan.clients]
-                assert ctx.latencies == sampler.sample_cohort(
-                    cohort,
+                ids, latencies = sampler.sample_cohort(
+                    twin,
+                    ctx.plan.clients,
                     server.num_params,
                     epochs=TRAIN.epochs,
                     round_idx=r,
                     fault=twin_fault,
                 )
+                assert ctx.latencies == dict(zip(ids.tolist(), latencies.tolist()))
                 assert list(ctx.latencies) == [int(c) for c in ctx.plan.clients]
         assert clients.materialize_count == 0
 
@@ -346,9 +333,8 @@ class TestFaultsAndServers:
 class TestPopulationColumns:
     @pytest.mark.parametrize("with_fault", [False, True])
     def test_columns_dict_and_materialised_cohort_agree(self, with_fault):
-        """One population draw in its two forms: aligned columns, and
-        ``sample_cohort`` over the same clients materialised -- same
-        order, same bits."""
+        """The column draw equals the scalar reference over the same
+        clients materialised -- same order, same bits, faults included."""
         store = make_test_population(8, cpus=[1.0, 0.5] * 4, noise_sigma=0.2)
         ids = np.array([6, 1, 3, 0])
         sampler = CohortLatencySampler(seed=13)
@@ -357,22 +343,22 @@ class TestPopulationColumns:
             return DropoutInjector(always_drop={3}, drop_prob=0.3, rng=4) if with_fault else None
 
         kw = dict(epochs={6: 1, 1: 2, 3: 1, 0: 3}, round_idx=-2)
-        got_ids, latencies = sampler.sample_population_columns(
-            store, 500, fault=fault(), client_ids=ids, **kw
-        )
+        got_ids, latencies = sampler.sample_cohort(store, ids, 500, fault=fault(), **kw)
         np.testing.assert_array_equal(got_ids, ids)
         assert latencies.dtype == np.float64 and latencies.shape == ids.shape
         as_dict = dict(zip(ids.tolist(), latencies.tolist()))
         cohort = [store.materialize(int(c)) for c in ids]
-        assert as_dict == sampler.sample_cohort(cohort, 500, fault=fault(), **kw)
+        assert as_dict == scalar_two_block(
+            sampler, cohort, 500, kw["round_idx"], kw["epochs"], fault()
+        )
         assert list(as_dict) == [c.client_id for c in cohort]
         if with_fault:
             assert as_dict[3] == float("inf")
 
     def test_empty_selection(self):
         store = make_test_population(2)
-        ids, latencies = CohortLatencySampler(seed=1).sample_population_columns(
-            store, 10, client_ids=np.empty(0, dtype=np.int64)
+        ids, latencies = CohortLatencySampler(seed=1).sample_cohort(
+            store, np.empty(0, dtype=np.int64), 10
         )
         assert ids.size == 0 and latencies.size == 0
 
@@ -387,15 +373,12 @@ class TestPopulationColumns:
         shard = PopulationStore.from_columns(full.shard([9, 2, 5]))
         sampler = CohortLatencySampler(seed=3)
         ids = np.array([9, 2, 5])
-        _, expected = sampler.sample_population_columns(full, 500, client_ids=ids)
-        got_ids, got = sampler.sample_population_columns(shard, 500, client_ids=ids)
+        _, expected = sampler.sample_cohort(full, ids, 500)
+        got_ids, got = sampler.sample_cohort(shard, ids, 500)
         np.testing.assert_array_equal(got_ids, ids)
         assert got.tolist() == expected.tolist()
         cohort = [full.materialize(int(c)) for c in ids]
-        assert dict(zip(ids.tolist(), got.tolist())) == sampler.sample_cohort(cohort, 500)
-        # The default cohort is the shard's own clients, in row order.
-        default_ids, _ = sampler.sample_population_columns(shard, 500)
-        np.testing.assert_array_equal(default_ids, [2, 5, 9])
+        assert dict(zip(ids.tolist(), got.tolist())) == scalar_two_block(sampler, cohort, 500, 0)
         for foreign in ([1], [-1]):
             with pytest.raises(KeyError):
-                sampler.sample_population_columns(shard, 500, client_ids=foreign)
+                sampler.sample_cohort(shard, foreign, 500)

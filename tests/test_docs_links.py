@@ -130,6 +130,43 @@ def test_codec_flags_name_real_codecs():
     assert all(tuple(choices.split(",")) == CODEC_NAMES for choices in spelled)
 
 
+#: ``docs/architecture.md``'s frame table, between its two markers.
+FRAME_TABLE = re.compile(r"<!-- frame table: rendered from FRAMES -->\n(.*?)<!-- end -->", re.S)
+
+
+def render_frame_table():
+    """``protocol.FRAMES`` as the markdown table ``docs/architecture.md``
+    prints, then the count of pickle sites on the wire."""
+    import struct
+
+    from repro.distributed.protocol import FRAMES
+
+    lines = ["| type | frame | direction | layout | fields | purpose |", "|---" * 6 + "|"]
+    pickled = []
+    for spec in FRAMES:
+        if spec.layout == "struct":  # header fields hold struct codes
+            fields = [(name, f"u{8 * struct.calcsize(code)}") for name, code in spec.fields]
+        else:
+            fields = list(spec.fields)
+        cell = ", ".join(f"`{name}` {kind}" for name, kind in fields + list(spec.tail)) or "—"
+        lines.append(
+            f"| {spec.type.value} | {spec.type.name} | {spec.direction} | {spec.layout} "
+            f"| {cell} | {spec.purpose} |"
+        )
+        if spec.layout == "pickle":
+            pickled.append(spec.type.name)
+        pickled += [f"{spec.type.name}'s `{name}`" for name, how in spec.tail if how == "pickle"]
+    lines += ["", f"Pickle sites on the wire: **{len(pickled)}** ({', '.join(pickled)})."]
+    return "\n".join(lines) + "\n"
+
+
+def test_frame_table_is_rendered_from_the_rows():
+    blocks = FRAME_TABLE.findall((REPO_ROOT / "docs" / "architecture.md").read_text())
+    assert len(blocks) == 1, "docs/architecture.md must hold one rendered frame table"
+    expected = render_frame_table()
+    assert blocks[0] == expected, "the frame table in docs/architecture.md is stale:\n" + expected
+
+
 #: Where a public name may find its user.
 CENSUS_ROOTS = ("src", "benchmarks", "examples", "perf")
 #: A ``perf/`` string naming what it wraps: ``"module:attr.path"`` or a

@@ -181,7 +181,7 @@ class TestColumnarCampaign:
         for r in range(sync_rounds):
             kw = dict(epochs=1, round_idx=-1 - 4 - r, fault=inj)
             if sampler is not None:
-                got, lats = sampler.sample_population_columns(pool, 100, client_ids=ids, **kw)
+                got, lats = sampler.sample_cohort(pool, ids, 100, **kw)
                 rounds.append(dict(zip(got.tolist(), lats.tolist())))
             else:
                 rounds.append(
