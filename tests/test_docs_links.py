@@ -7,7 +7,9 @@ not exist.  This is the CI docs gate: renaming or deleting a module,
 test file or script without updating the documents -- or the workflow
 steps -- that name it breaks here, not in a reader's browser or on the
 runner.  The same goes for a removed backend or codec: every name a
-recipe hands to ``--executor`` or ``--codec`` must still be one.
+recipe hands to ``--executor`` or ``--codec`` must still be one, and
+``docs/architecture.md``'s frame table must be the rendering of the
+protocol's frame rows.
 
 The same file holds the census of public names: every public
 module-level ``def`` / ``class`` and every public method under
@@ -21,6 +23,7 @@ code with a test attached.
 
 import ast
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -137,8 +140,6 @@ FRAME_TABLE = re.compile(r"<!-- frame table: rendered from FRAMES -->\n(.*?)<!--
 def render_frame_table():
     """``protocol.FRAMES`` as the markdown table ``docs/architecture.md``
     prints, then the count of pickle sites on the wire."""
-    import struct
-
     from repro.distributed.protocol import FRAMES
 
     lines = ["| type | frame | direction | layout | fields | purpose |", "|---" * 6 + "|"]
