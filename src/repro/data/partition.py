@@ -18,16 +18,24 @@ within range, and cover the requested fraction of the dataset.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import weakref
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.rng import RngLike, make_rng
 
+if TYPE_CHECKING:
+    from repro.experiments.scenarios import PoolRecipe
+    from repro.simcluster.population import SeedAddress
+
 __all__ = [
     "FederatedData",
+    "SeededRows",
     "partition_iid",
     "partition_shards",
     "partition_noniid_classes",
@@ -36,21 +44,54 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
+class SeededRows:
+    """A row rule that stores no rows: client ``cid`` owns a sorted draw
+    of ``sizes[cid]`` distinct rows of a ``pool_size``-row pool, from the
+    generator seeded by ``address.child(cid)``.  Indexing it gives the
+    same array a stored list would, so a population of any size costs
+    one column."""
+
+    sizes: np.ndarray
+    address: SeedAddress
+    pool_size: int
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, cid: int) -> np.ndarray:
+        r = make_rng(self.address.child(cid))
+        return np.sort(r.choice(self.pool_size, size=int(self.sizes[cid]), replace=False))
+
+
 @dataclass
 class FederatedData:
     """A federated view: shared train/test pools plus per-client indices.
 
     ``client_indices[i]`` selects client ``i``'s local samples from
-    ``train``.  ``test`` is the global held-out set used for the reported
-    accuracy; per-tier test sets are derived later from client-local
-    held-out slices (see :class:`repro.tifl.server.TiFLServer`).
+    ``train``: a list of index arrays, or a :class:`SeededRows` rule.
+    ``test`` is the global held-out set used for the reported accuracy;
+    per-tier test sets are derived later from client-local held-out
+    slices (see :class:`repro.tifl.server.TiFLServer`).
+
+    ``client_rows`` is the dataset provider every scenario hands its
+    :class:`~repro.simcluster.population.PopulationStore`, so this is
+    what a store shard pickles.  With a ``recipe`` (a
+    :class:`~repro.experiments.scenarios.PoolRecipe` that draws
+    ``train``) it pickles as the recipe, the sha256 of ``train`` and the
+    row rule, and the unpickling process re-derives the pool (see
+    :func:`_federation_from_recipe`); the test set stays behind.  A
+    federation built by hand has no recipe and pickles its arrays.
     """
 
     train: Dataset
     test: Dataset
-    client_indices: List[np.ndarray]
+    client_indices: Sequence[np.ndarray]
+    recipe: Optional[PoolRecipe] = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.client_indices, SeededRows):
+            return
         self.client_indices = [
             np.asarray(ix, dtype=np.int64) for ix in self.client_indices
         ]
@@ -70,7 +111,70 @@ class FederatedData:
 
     def client_sizes(self) -> np.ndarray:
         """Per-client sample counts (the ``s_c`` weights of Alg. 1)."""
+        if isinstance(self.client_indices, SeededRows):
+            return self.client_indices.sizes
         return np.array([ix.size for ix in self.client_indices], dtype=np.int64)
+
+    @functools.cached_property
+    def pool_digest(self) -> str:
+        """sha256 of ``train``: computed when the federation is first
+        pickled, never at build time."""
+        return _dataset_digest(self.train)
+
+    def __reduce_ex__(self, protocol):
+        if self.recipe is None:
+            return super().__reduce_ex__(protocol)
+        return _federation_from_recipe, (self.recipe, self.pool_digest, self.client_indices)
+
+
+def _dataset_digest(data: Dataset) -> str:
+    """sha256 over a dataset's sample and label bytes."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(data.x))
+    h.update(np.ascontiguousarray(data.y))
+    return h.hexdigest()
+
+
+#: Pools re-derived in this process, by ``(recipe, digest)``: every shard
+#: unpickled here -- the first pin, a re-deal, a resumed session -- shares
+#: one pool, which lives as long as some federation holds it.
+_DERIVED_POOLS: "weakref.WeakValueDictionary[Tuple[PoolRecipe, str], Dataset]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _federation_from_recipe(
+    recipe: PoolRecipe, digest: str, client_indices: Sequence[np.ndarray]
+) -> FederatedData:
+    """Unpickle a :class:`FederatedData`: re-derive its pool.
+
+    Pickled bytes come from a peer, so a recipe whose pool would not fit
+    in one frame (``MAX_FRAME_PAYLOAD``) is refused before anything is
+    allocated, and a pool whose bytes do not hash to ``digest`` is
+    refused after the draw.  Both raise ``ValueError``, which a worker
+    reports as a ``ProtocolError``.  The test set is not re-derived: the
+    result's is empty.
+    """
+    from repro.distributed.transport import MAX_FRAME_PAYLOAD
+
+    if recipe.nbytes > MAX_FRAME_PAYLOAD:
+        raise ValueError(
+            f"pool recipe describes {recipe.nbytes} bytes, more than one "
+            f"frame carries ({MAX_FRAME_PAYLOAD})"
+        )
+    key = (recipe, digest)
+    pool = _DERIVED_POOLS.get(key)
+    if pool is None:
+        pool, _ = recipe.draw()
+        if _dataset_digest(pool) != digest:
+            raise ValueError(
+                f"pool digest mismatch: recipe {recipe} does not derive the "
+                f"pool with sha256 {digest}"
+            )
+        _DERIVED_POOLS[key] = pool
+    fed = FederatedData(pool, pool.subset([]), client_indices, recipe)
+    fed.__dict__["pool_digest"] = digest  # verified above
+    return fed
 
 
 def _check_args(n: int, num_clients: int) -> None:

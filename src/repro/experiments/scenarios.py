@@ -7,6 +7,15 @@ clients, a model, and test data.  Everything is reproducible from
 ``(config, seed)`` -- the runner rebuilds a fresh scenario per policy so
 competing policies see *identical* clients, data, and latency statistics.
 
+The three public builders -- partitioned benchmarks, LEAF / FEMNIST and
+the population scale -- only differ in how they draw the data and the
+resource columns.  Each draws its pool from a :class:`PoolRecipe`, wraps
+pool, test set and client rows in one
+:class:`~repro.data.partition.FederatedData` (whose ``client_rows`` is
+the store's dataset provider, pickled as the recipe), records its knobs
+in a :class:`ScenarioConfig`, and hands both to one assembler, which
+builds the model, the latency/comm models and the store from that record.
+
 Default sizes are scaled down from the paper (8x8 images, linear/MLP
 surrogate models, thousands rather than tens of thousands of samples) so
 the complete figure suite replays in seconds; every knob accepts
@@ -15,20 +24,13 @@ paper-scale values.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
-import weakref
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import (
-    PAPER_FEMNIST_TRAINING,
-    PAPER_SYNTHETIC_TRAINING,
-    TrainingConfig,
-)
+from repro.config import PAPER_FEMNIST_TRAINING, PAPER_SYNTHETIC_TRAINING, TrainingConfig
 from repro.data import (
     Dataset,
     FederatedData,
@@ -42,8 +44,9 @@ from repro.data import (
     partition_quantity_skew,
     partition_shards,
 )
+from repro.data.partition import SeededRows
 from repro.data.validation import check_partition
-from repro.nn import Sequential, build_linear, build_mlp, build_model
+from repro.nn import Sequential, build_model
 from repro.rng import RngLike, make_rng, spawn
 from repro.simcluster import (
     CASE_STUDY_CPU_GROUPS,
@@ -54,11 +57,7 @@ from repro.simcluster import (
     ResourceSpec,
     assign_resource_groups,
 )
-from repro.simcluster.population import (
-    DEFAULT_CACHE_SIZE,
-    PopulationStore,
-    SeedAddress,
-)
+from repro.simcluster.population import DEFAULT_CACHE_SIZE, PopulationStore, SeedAddress
 
 __all__ = [
     "ScenarioConfig",
@@ -66,7 +65,6 @@ __all__ = [
     "build_scenario",
     "build_leaf_scenario",
     "build_population_scenario",
-    "PooledDatasetProvider",
     "PoolRecipe",
 ]
 
@@ -80,33 +78,16 @@ _DATASETS = {
 #: Latency calibration per dataset: single-CPU seconds per sample, chosen so
 #: the simulated CPU-group spread reproduces the paper's speedup magnitudes
 #: (heavier models => higher per-sample cost).
-_COST_PER_SAMPLE = {
-    "mnist": 0.005,
-    "fmnist": 0.005,
-    "cifar10": 0.010,
-    "femnist": 0.008,
-}
+_COST_PER_SAMPLE = {"mnist": 0.005, "fmnist": 0.005, "cifar10": 0.010, "femnist": 0.008}
 
+#: CPU groups per resource profile; ``heterogeneous`` is the paper's five
+#: groups for the dataset (``build_scenario`` resolves it).
 _RESOURCE_PROFILES = {
-    "heterogeneous": None,  # resolved per dataset below
+    "heterogeneous": None,
     "homogeneous": (2.0,),
     "case_study": CASE_STUDY_CPU_GROUPS,
 }
-
-
-def _default_cpu_groups(dataset: str, profile: str) -> Tuple[float, ...]:
-    if profile == "homogeneous":
-        return (2.0,)
-    if profile == "case_study":
-        return tuple(CASE_STUDY_CPU_GROUPS)
-    if profile == "heterogeneous":
-        if dataset in ("mnist", "fmnist"):
-            return tuple(MNIST_CPU_GROUPS)
-        return tuple(CIFAR_CPU_GROUPS)
-    raise ValueError(
-        f"unknown resource profile {profile!r}; "
-        f"use one of {sorted(_RESOURCE_PROFILES)}"
-    )
+_DISTRIBUTIONS = ("iid", "noniid", "shards", "quantity", "quantity_noniid")
 
 
 @dataclass(frozen=True)
@@ -158,13 +139,7 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown dataset {self.dataset!r}; use one of {sorted(_DATASETS)}"
             )
-        if self.data_distribution not in (
-            "iid",
-            "noniid",
-            "shards",
-            "quantity",
-            "quantity_noniid",
-        ):
+        if self.data_distribution not in _DISTRIBUTIONS:
             raise ValueError(
                 f"unknown data_distribution {self.data_distribution!r}"
             )
@@ -194,24 +169,21 @@ class Scenario:
 
     ``clients`` is the lazy
     :class:`~repro.simcluster.population.PopulationStore` servers take
-    (``clients[cid]`` materialises a :class:`SimClient`).  ``fed`` is
-    ``None`` for pool-backed population scenarios, which carry their
-    shared test set in ``test`` instead.
+    (``clients[cid]`` materialises a :class:`SimClient`); ``fed`` holds
+    the pool, the global test set and every client's rows.  ``config``
+    records the values the scenario was built with.
     """
 
     config: ScenarioConfig
     clients: PopulationStore
     model: Sequential
-    fed: Optional[FederatedData]
+    fed: FederatedData
     training: TrainingConfig
     latency_model: LatencyModel
     comm_model: CommModel
-    test: Optional[Dataset] = None
 
     @property
     def test_data(self) -> Dataset:
-        if self.test is not None:
-            return self.test
         return self.fed.test
 
     @property
@@ -260,76 +232,81 @@ def _partition(
     return out
 
 
-def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
-    """Build a scenario: dataset -> partition -> client store -> model."""
-    base = make_rng(seed)
-    data_rng, part_rng, model_rng, client_seed_rng = spawn(base, 4)
-
-    factory = _DATASETS[cfg.dataset]
-    train, test = factory(
-        train_size=cfg.train_size,
-        test_size=cfg.test_size,
-        shape=cfg.shape,
-        difficulty_override=cfg.difficulty,
-        rng=data_rng,
-    )
-    client_indices = _partition(cfg, train.y, part_rng)
-    require_cover = cfg.data_distribution != "quantity_noniid"
-    check_partition(
-        client_indices, len(train), require_cover=require_cover
-    )
-    fed = FederatedData(train=train, test=test, client_indices=client_indices)
-
-    num_classes = train.num_classes
-    if cfg.model == "linear":
-        model = build_linear(cfg.shape, num_classes, rng=model_rng)
-    elif cfg.model == "mlp":
-        model = build_mlp(cfg.shape, num_classes, hidden=cfg.mlp_hidden, rng=model_rng)
-    else:
-        model = build_model(
-            cfg.model, input_shape=cfg.shape, num_classes=num_classes, rng=model_rng
-        )
-
-    cpu_groups = cfg.cpu_groups or _default_cpu_groups(
-        cfg.dataset, cfg.resource_profile
-    )
-    specs = assign_resource_groups(
-        cfg.num_clients,
-        cpu_groups,
-        shuffle=cfg.shuffle_resources,
-        rng=client_seed_rng,
-    )
+def _assemble(
+    cfg: ScenarioConfig,
+    fed: FederatedData,
+    columns: Tuple[Sequence[float], Sequence[float], Sequence[int]],
+    model_rng: np.random.Generator,
+    client_seed_rng: np.random.Generator,
+    cache_size: int,
+) -> Scenario:
+    """The tail every builder shares: model, latency/comm models, store
+    and :class:`Scenario`, all read off ``cfg``, so the record is what
+    was built.  ``columns`` are the per-client CPU fractions, bandwidths
+    and resource groups."""
+    hidden = {"hidden": cfg.mlp_hidden} if cfg.model == "mlp" else {}
+    model = build_model(cfg.model, cfg.shape, fed.train.num_classes, model_rng, **hidden)
     latency_model = LatencyModel(
         cost_per_sample=cfg.cost_per_sample or _COST_PER_SAMPLE[cfg.dataset],
         base_overhead=cfg.base_overhead,
         noise_sigma=cfg.noise_sigma,
     )
     comm_model = CommModel()
+    cpu_fraction, bandwidth_mbps, group = columns
     # The store captures client_seed_rng's spawn coordinates: clients[cid]
-    # seeds from the child spawn(client_seed_rng, N)[cid] would get.  Its
-    # cache holds a whole paper-shape federation, so v1 profiling never
-    # sees an eviction.
+    # seeds from the child spawn(client_seed_rng, N)[cid] would get.
+    # Value draws (a resource shuffle, the population's columns) leave
+    # them unmoved; a builder's own spawn is counted in them.
     clients = PopulationStore(
         num_samples=fed.client_sizes(),
-        cpu_fraction=[s.cpu_fraction for s in specs],
-        bandwidth_mbps=[s.bandwidth_mbps for s in specs],
-        group=[s.group for s in specs],
+        cpu_fraction=cpu_fraction,
+        bandwidth_mbps=bandwidth_mbps,
+        group=group,
         dataset_for=fed.client_rows,
         latency_model=latency_model,
         comm_model=comm_model,
         holdout_fraction=cfg.holdout_fraction,
         seed_rng=client_seed_rng,
-        cache_size=max(DEFAULT_CACHE_SIZE, cfg.num_clients),
+        cache_size=cache_size,
     )
-    return Scenario(
-        config=cfg,
-        clients=clients,
-        model=model,
-        fed=fed,
-        training=cfg.resolved_training(),
-        latency_model=latency_model,
-        comm_model=comm_model,
+    return Scenario(cfg, clients, model, fed, cfg.resolved_training(), latency_model, comm_model)
+
+
+def _spec_columns(specs: Sequence[ResourceSpec]) -> Tuple[list, list, list]:
+    """``assign_resource_groups`` output as the store's three columns."""
+    return (
+        [s.cpu_fraction for s in specs],
+        [s.bandwidth_mbps for s in specs],
+        [s.group for s in specs],
     )
+
+
+#: ``build_mlp``'s default width: what ``model="mlp"`` has always meant
+#: in the LEAF and population builders, which take no width.
+_BUILDER_MLP_HIDDEN = (64,)
+
+
+def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
+    """Build a scenario: dataset -> partition -> client store -> model."""
+    data_rng, part_rng, model_rng, client_seed_rng = spawn(make_rng(seed), 4)
+    address = SeedAddress.capture(data_rng)
+    recipe = PoolRecipe(cfg.dataset, cfg.shape, cfg.train_size, address, difficulty=cfg.difficulty)
+    train, test = recipe.draw(cfg.test_size)
+    client_indices = _partition(cfg, train.y, part_rng)
+    require_cover = cfg.data_distribution != "quantity_noniid"
+    check_partition(client_indices, len(train), require_cover=require_cover)
+    fed = FederatedData(train, test, client_indices, recipe)
+
+    cpu_groups = cfg.cpu_groups or _RESOURCE_PROFILES[cfg.resource_profile]
+    if cpu_groups is None:
+        cpu_groups = MNIST_CPU_GROUPS if cfg.dataset in ("mnist", "fmnist") else CIFAR_CPU_GROUPS
+    specs = assign_resource_groups(
+        cfg.num_clients, cpu_groups, shuffle=cfg.shuffle_resources, rng=client_seed_rng
+    )
+    # The store's cache holds a whole paper-shape federation, so v1
+    # profiling never sees an eviction.
+    cache_size = max(DEFAULT_CACHE_SIZE, cfg.num_clients)
+    return _assemble(cfg, fed, _spec_columns(specs), model_rng, client_seed_rng, cache_size)
 
 
 def build_leaf_scenario(
@@ -359,91 +336,70 @@ def build_leaf_scenario(
     divisible the last ``num_clients % len(cpu_groups)`` clients join the
     final group.
     """
-    base = make_rng(seed)
-    data_rng, model_rng, client_seed_rng = spawn(base, 3)
-    fed = make_femnist_leaf(
-        num_clients=num_clients,
-        shape=shape,
-        num_classes=num_classes,
-        scale=sample_scale,
-        rng=data_rng,
-    )
-    if model == "linear":
-        net = build_linear(shape, num_classes, rng=model_rng)
-    elif model == "mlp":
-        net = build_mlp(shape, num_classes, rng=model_rng)
-    else:
-        net = build_model(
-            model, input_shape=shape, num_classes=num_classes, rng=model_rng
-        )
+    data_rng, model_rng, client_seed_rng = spawn(make_rng(seed), 3)
+    address = SeedAddress.capture(data_rng)
+    fed = make_femnist_leaf(num_clients, shape, num_classes, scale=sample_scale, rng=data_rng)
+    leaf = dict(writers=num_clients, num_classes=num_classes, scale=sample_scale)
+    fed.recipe = PoolRecipe(_LEAF, shape, len(fed.train), address, **leaf)
 
-    groups = list(cpu_groups)
-    divisible = (num_clients // len(groups)) * len(groups)
-    specs = assign_resource_groups(
-        divisible, groups, shuffle=True, rng=client_seed_rng
-    )
+    groups = tuple(cpu_groups)
+    divisible = num_clients - num_clients % len(groups)
+    specs = assign_resource_groups(divisible, groups, shuffle=True, rng=client_seed_rng)
     # Remainder clients (182 % 5 = 2) join the slowest group.
-    for _ in range(num_clients - divisible):
-        specs.append(
-            ResourceSpec(cpu_fraction=groups[-1], group=len(groups) - 1)
-        )
+    specs += [ResourceSpec(groups[-1], group=len(groups) - 1)] * (num_clients - divisible)
 
-    latency_model = LatencyModel(
-        cost_per_sample=cost_per_sample,
-        base_overhead=base_overhead,
-        noise_sigma=noise_sigma,
-    )
-    comm_model = CommModel()
-    # Seeded and sized as in build_scenario; the shuffle above drew
-    # values only, so the spawn coordinates captured here are unmoved.
-    clients = PopulationStore(
-        num_samples=fed.client_sizes(),
-        cpu_fraction=[s.cpu_fraction for s in specs],
-        bandwidth_mbps=[s.bandwidth_mbps for s in specs],
-        group=[s.group for s in specs],
-        dataset_for=fed.client_rows,
-        latency_model=latency_model,
-        comm_model=comm_model,
-        holdout_fraction=holdout_fraction,
-        seed_rng=client_seed_rng,
-        cache_size=max(DEFAULT_CACHE_SIZE, num_clients),
-    )
     cfg = ScenarioConfig(
         dataset="femnist",
         num_clients=num_clients,
         clients_per_round=clients_per_round,
-        resource_profile="heterogeneous",
+        cpu_groups=groups,
         shape=shape,
+        train_size=len(fed.train),
+        test_size=len(fed.test),
         model=model,
+        mlp_hidden=_BUILDER_MLP_HIDDEN,
+        training=training,
+        cost_per_sample=cost_per_sample,
+        base_overhead=base_overhead,
+        noise_sigma=noise_sigma,
+        holdout_fraction=holdout_fraction,
+        shuffle_resources=True,
     )
-    return Scenario(
-        config=cfg,
-        clients=clients,
-        model=net,
-        fed=fed,
-        training=training or PAPER_FEMNIST_TRAINING,
-        latency_model=latency_model,
-        comm_model=comm_model,
-    )
+    cache_size = max(DEFAULT_CACHE_SIZE, num_clients)
+    return _assemble(cfg, fed, _spec_columns(specs), model_rng, client_seed_rng, cache_size)
+
+
+#: ``PoolRecipe.dataset`` of the LEAF draw (:func:`make_femnist_leaf`).
+_LEAF = "femnist-leaf"
 
 
 @dataclass(frozen=True)
 class PoolRecipe:
     """A synthetic ``(pool, test)`` draw as a frozen, hashable value.
 
-    A named factory's output is a pure function of its name, the sample
-    ``shape``, the pool ``size`` and the seed sequence of the fresh
-    generator it draws from, so the recipe records exactly those (the
-    sequence as its :class:`SeedAddress`) and :meth:`draw` makes the same
-    bytes in any process.  The pool is drawn before the test set, so it
-    does not depend on ``test_size``: a process that needs only the pool
-    draws it with none.
+    ``dataset`` names a ``_DATASETS`` factory, which draws ``size`` pool
+    rows of ``shape`` at ``difficulty`` (``None``: the factory's own), or
+    is ``"femnist-leaf"``: :func:`make_femnist_leaf` over ``writers``
+    writers and ``num_classes`` classes at sample ``scale``, whose pool
+    size ``size`` records.  Either draw is a pure function of these
+    fields and the seed sequence of the fresh generator it draws from
+    (its :class:`SeedAddress`), so :meth:`draw` makes the same bytes in
+    any process.  The pool is drawn before the test set, so it does not
+    depend on ``test_size``: a process that needs only the pool draws it
+    with none.
     """
 
     dataset: str
     shape: Tuple[int, ...]
     size: int
     seed: SeedAddress
+    difficulty: Optional[float] = None
+    writers: int = 0
+    num_classes: int = 0
+    scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
 
     @property
     def nbytes(self) -> int:
@@ -452,99 +408,16 @@ class PoolRecipe:
 
     def draw(self, test_size: int = 0) -> Tuple[Dataset, Dataset]:
         """The ``(pool, test)`` pair the recipe describes."""
-        return _DATASETS[self.dataset](
-            train_size=self.size,
-            test_size=test_size,
-            shape=self.shape,
-            rng=self.seed.sequence(),
-        )
-
-
-def _dataset_digest(data: Dataset) -> str:
-    """sha256 over a dataset's sample and label bytes."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(data.x))
-    h.update(np.ascontiguousarray(data.y))
-    return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class PooledDatasetProvider:
-    """Picklable per-client dataset provider over a shared sample pool.
-
-    The population scenario's dataset rule -- "client ``cid`` owns a
-    sorted, seed-addressed sample of the shared pool" -- as a frozen
-    dataclass instead of a closure, so a :class:`PopulationStore` shard
-    can carry it across a process boundary (``ASSIGN_SHARD`` /
-    ``Process`` arguments) and a worker materialises the exact same
-    datasets the coordinator would.
-
-    The pool travels as its :class:`PoolRecipe`,
-    not as data: the provider pickles to ``(recipe, sha256 of the
-    pool)`` plus its columns, and unpickling re-derives the pool once per
-    process (see :func:`_provider_from_recipe`).
-    """
-
-    pool: Dataset
-    num_samples: np.ndarray
-    data_address: SeedAddress
-    recipe: PoolRecipe
-
-    def __call__(self, cid: int) -> Tuple[Dataset, np.ndarray]:
-        r = make_rng(self.data_address.child(cid))
-        size = int(self.num_samples[cid])
-        return self.pool, np.sort(r.choice(self.recipe.size, size=size, replace=False))
-
-    @functools.cached_property
-    def pool_digest(self) -> str:
-        return _dataset_digest(self.pool)
-
-    def __reduce__(self):
-        return (
-            _provider_from_recipe,
-            (self.recipe, self.pool_digest, self.num_samples, self.data_address),
-        )
-
-
-#: Pools re-derived in this process, by ``(recipe, digest)``: every shard
-#: unpickled here -- the first pin, a re-deal, a resumed session -- shares
-#: one pool, which lives as long as some provider holds it.
-_DERIVED_POOLS: "weakref.WeakValueDictionary[Tuple[PoolRecipe, str], Dataset]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def _provider_from_recipe(
-    recipe: PoolRecipe, digest: str, num_samples: np.ndarray, data_address: SeedAddress
-) -> PooledDatasetProvider:
-    """Unpickle a :class:`PooledDatasetProvider`: re-derive its pool.
-
-    Pickled bytes come from a peer, so a recipe whose pool would not fit
-    in one frame (``MAX_FRAME_PAYLOAD``) is refused before anything is
-    allocated, and a pool whose bytes do not hash to ``digest`` is
-    refused after the draw.  Both raise ``ValueError``, which a worker
-    reports as a ``ProtocolError``.
-    """
-    from repro.distributed.transport import MAX_FRAME_PAYLOAD
-
-    if recipe.nbytes > MAX_FRAME_PAYLOAD:
-        raise ValueError(
-            f"pool recipe describes {recipe.nbytes} bytes, more than one "
-            f"frame carries ({MAX_FRAME_PAYLOAD})"
-        )
-    key = (recipe, digest)
-    pool = _DERIVED_POOLS.get(key)
-    if pool is None:
-        pool, _ = recipe.draw()
-        if _dataset_digest(pool) != digest:
-            raise ValueError(
-                f"pool digest mismatch: recipe {recipe} does not derive the "
-                f"pool with sha256 {digest}"
+        rng = self.seed.sequence()
+        if self.dataset == _LEAF:
+            fed = make_femnist_leaf(
+                self.writers, self.shape, self.num_classes, test_size=test_size,
+                scale=self.scale, rng=rng,
             )
-        _DERIVED_POOLS[key] = pool
-    provider = PooledDatasetProvider(pool, num_samples, data_address, recipe)
-    provider.__dict__["pool_digest"] = digest  # verified above
-    return provider
+            return fed.train, fed.test
+        return _DATASETS[self.dataset](
+            self.size, test_size, self.shape, difficulty_override=self.difficulty, rng=rng
+        )
 
 
 def build_population_scenario(
@@ -579,7 +452,8 @@ def build_population_scenario(
     ``heavy_tailed=True`` draws CPU fractions and bandwidths from
     log-normal distributions (right-skewed, like real device fleets)
     and buckets them into ``num_groups`` capacity quantiles (group 0 =
-    fastest, mirroring the paper's ordering).  Pair with
+    fastest, mirroring the paper's ordering); ``False`` gives every
+    client 2 CPUs and 100 Mbps, the ``homogeneous`` profile.  Pair with
     :class:`~repro.simcluster.population.DiurnalSchedule` via
     ``scenario.clients.attach_diurnal(clock, schedule)`` for
     availability churn.
@@ -590,38 +464,17 @@ def build_population_scenario(
             f"samples_range must satisfy 1 <= lo <= hi <= pool_size, "
             f"got {samples_range} with pool_size={pool_size}"
         )
-    base = make_rng(seed)
-    data_rng, model_rng, client_seed_rng = spawn(base, 3)
-
-    # The pool is built from its recipe, which is how it travels: a
-    # worker re-derives these exact bytes instead of receiving them.
-    recipe = PoolRecipe(
-        "mnist", tuple(int(s) for s in shape), int(pool_size), SeedAddress.capture(data_rng)
-    )
+    data_rng, model_rng, client_seed_rng = spawn(make_rng(seed), 3)
+    recipe = PoolRecipe("mnist", shape, int(pool_size), SeedAddress.capture(data_rng))
     pool, test = recipe.draw(test_size)
-    num_classes = pool.num_classes
-    if model == "linear":
-        net = build_linear(shape, num_classes, rng=model_rng)
-    elif model == "mlp":
-        net = build_mlp(shape, num_classes, rng=model_rng)
-    else:
-        net = build_model(
-            model, input_shape=shape, num_classes=num_classes, rng=model_rng
-        )
 
     # Columns: one vectorised draw each (value draws leave the spawn
-    # counter alone, so the capture below stays addressable).
-    num_samples = client_seed_rng.integers(
-        lo, hi, size=num_clients, endpoint=True
-    )
+    # counter alone, so the store's capture stays addressable).
+    num_samples = client_seed_rng.integers(lo, hi, size=num_clients, endpoint=True)
     if heavy_tailed:
-        cpu = np.clip(
-            client_seed_rng.lognormal(0.0, 1.0, size=num_clients), 0.05, 16.0
-        )
+        cpu = np.clip(client_seed_rng.lognormal(0.0, 1.0, size=num_clients), 0.05, 16.0)
         bandwidth = np.clip(
-            client_seed_rng.lognormal(np.log(100.0), 0.75, size=num_clients),
-            1.0,
-            1000.0,
+            client_seed_rng.lognormal(np.log(100.0), 0.75, size=num_clients), 1.0, 1000.0
         )
         edges = np.quantile(cpu, np.linspace(0.0, 1.0, num_groups + 1)[1:-1])
         # group 0 = fastest quantile, like assign_resource_groups.
@@ -635,54 +488,22 @@ def build_population_scenario(
     # of client_seed_rng), then client seeds are captured on top -- both
     # lazily addressable, neither allocates N generators.
     (data_seed_parent,) = spawn(client_seed_rng, 1)
-    data_address = SeedAddress.capture(data_seed_parent)
-
-    dataset_for = PooledDatasetProvider(
-        pool=pool,
-        num_samples=num_samples,
-        data_address=data_address,
-        recipe=recipe,
-    )
-
-    latency_model = LatencyModel(
-        cost_per_sample=cost_per_sample,
-        base_overhead=base_overhead,
-        noise_sigma=noise_sigma,
-    )
-    comm_model = CommModel()
-    store = PopulationStore(
-        num_samples=num_samples,
-        cpu_fraction=cpu,
-        bandwidth_mbps=bandwidth,
-        group=group,
-        dataset_for=dataset_for,
-        latency_model=latency_model,
-        comm_model=comm_model,
-        holdout_fraction=holdout_fraction,
-        seed_rng=client_seed_rng,
-        cache_size=cache_size,
-    )
+    rows = SeededRows(num_samples, SeedAddress.capture(data_seed_parent), recipe.size)
     cfg = ScenarioConfig(
         dataset="mnist",
         num_clients=num_clients,
         clients_per_round=clients_per_round,
-        resource_profile="heterogeneous",
+        resource_profile="heterogeneous" if heavy_tailed else "homogeneous",
         shape=shape,
         train_size=pool_size,
         test_size=test_size,
         model=model,
+        mlp_hidden=_BUILDER_MLP_HIDDEN,
+        training=training,
         cost_per_sample=cost_per_sample,
         base_overhead=base_overhead,
         noise_sigma=noise_sigma,
         holdout_fraction=holdout_fraction,
     )
-    return Scenario(
-        config=cfg,
-        clients=store,
-        model=net,
-        fed=None,
-        training=training or cfg.resolved_training(),
-        latency_model=latency_model,
-        comm_model=comm_model,
-        test=test,
-    )
+    fed = FederatedData(pool, test, rows, recipe)
+    return _assemble(cfg, fed, (cpu, bandwidth, group), model_rng, client_seed_rng, cache_size)

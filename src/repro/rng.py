@@ -52,15 +52,19 @@ def spawn(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
     return [np.random.default_rng(s) for s in seeds]
 
 
-def derive(seed: RngLike, *keys: int) -> np.random.Generator:
-    """Derive a generator from ``seed`` and an integer key path.
+def derive(seed: int, *keys: int) -> np.random.Generator:
+    """Derive a generator from an integer ``seed`` and an integer key path.
 
     Useful for addressable streams, e.g. ``derive(seed, round_idx,
     client_id)`` always yields the same stream for the same coordinates
-    regardless of evaluation order.
+    regardless of evaluation order.  ``seed`` may be a Python or numpy
+    integer; anything else (``None``, a ``Generator``, a
+    ``SeedSequence``) raises ``TypeError`` rather than silently sharing
+    one stream.
     """
-    base = seed if isinstance(seed, int) else 0
-    ss = np.random.SeedSequence(entropy=base, spawn_key=tuple(int(k) for k in keys))
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"derive needs an integer seed, got {type(seed).__name__}")
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in keys))
     return np.random.default_rng(ss)
 
 

@@ -18,9 +18,9 @@ module provides both with plain, dependency-free formats:
   format is what it does **not** contain -- no per-client
   :class:`~repro.simcluster.client.SimClient` pickles, so shipping a
   100k-client slice costs a handful of numpy buffers, not 100k object
-  graphs, and no sample pool that can be re-derived: a
-  :class:`~repro.experiments.scenarios.PooledDatasetProvider` pickles as
-  its pool's recipe and digest.
+  graphs, and no sample pool: every scenario's provider is
+  :meth:`~repro.data.partition.FederatedData.client_rows`, which pickles
+  as its pool's recipe, digest and row rule.
 
 The raw byte pair below is the *identity* codec of the weight-transport
 layer in :mod:`repro.codec` (``raw`` / ``delta``); the frame headers
@@ -104,10 +104,9 @@ def shard_to_bytes(shard: PopulationShard) -> bytes:
     order, then a pickled tail holding the dataset provider, the
     latency/comm models, and the authoritative RNG snapshots.  Columns
     dominate the size: ~40 bytes/client regardless of dataset size.  A
-    provider with a recipe (the population scenario's pool) pickles as
-    that recipe plus a sha256 of the pool, and the reader re-derives the
-    pool; one without (``FederatedData.client_rows``) carries its
-    arrays.
+    scenario's provider pickles as its pool's recipe, the pool's sha256
+    and the clients' rows (8 bytes a row, or one size column for the
+    population's seeded rows), and the reader re-derives the pool.
     """
     cols = [
         np.ascontiguousarray(getattr(shard, name)) for name in _SHARD_COLUMNS
@@ -147,10 +146,11 @@ def shard_from_bytes(payload: bytes) -> PopulationShard:
     """Inverse of :func:`shard_to_bytes` (any bytes-like ``payload``).
 
     Every part is read through one view of ``payload``: slicing the
-    pickled tail out would copy it, and for a provider without a recipe
-    it is most of the blob.  Unpickling a recipe provider re-derives its
-    pool (once per process) and raises ``ValueError`` when the recipe is
-    larger than a frame or its pool does not match the digest.
+    pickled tail out would copy it, and for a hand-built federation
+    (no recipe) it is most of the blob.  Unpickling a recipe provider
+    re-derives its pool (once per process) and raises ``ValueError``
+    when the recipe is larger than a frame or its pool does not match
+    the digest.
     """
     view = memoryview(payload)
     if view[:4] != _SHARD_MAGIC:

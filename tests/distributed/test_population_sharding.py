@@ -2,11 +2,11 @@
 
 The tentpole contract under test: the coordinator ships *store shards*
 (ASSIGN_SHARD column slices), never pickled clients, and the pool inside
-them as its recipe, never its arrays; per-round frames reference client
-ids only; the coordinator materialises no client on the cohort latency
-stream and at most the cohorts on the per-client one; and a worker
-killed mid-round or between rounds has its slice
-re-dealt with authoritative RNG snapshots, keeping the history
+them -- whichever builder drew it -- as its recipe, never its arrays;
+per-round frames reference client ids only; the coordinator materialises
+no client on the cohort latency stream and at most the cohorts on the
+per-client one; and a worker killed mid-round or between rounds has its
+slice re-dealt with authoritative RNG snapshots, keeping the history
 bit-identical to the serial store path.
 """
 
@@ -28,7 +28,12 @@ from repro.distributed import (
 )
 from repro.distributed import protocol as proto
 from repro.distributed import transport
-from repro.experiments.scenarios import build_population_scenario
+from repro.experiments.scenarios import (
+    ScenarioConfig,
+    build_leaf_scenario,
+    build_population_scenario,
+    build_scenario,
+)
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.rng import derive
@@ -236,14 +241,44 @@ def small_store(seed):
     )
 
 
+def small_paper(seed):
+    """A partitioned federation over a 3.1 MB pool (and a 150 KB test set)."""
+    cfg = ScenarioConfig(
+        dataset="cifar10",
+        num_clients=10,
+        clients_per_round=3,
+        data_distribution="noniid",
+        train_size=2000,
+        test_size=100,
+        shape=(8, 8, 3),
+    )
+    return build_scenario(cfg, seed=seed)
+
+
+def small_leaf(seed):
+    """A LEAF federation over a ~1.7 MB pool and its 3 MB test set."""
+    return build_leaf_scenario(num_clients=20, clients_per_round=3, shape=(8, 8, 3), seed=seed)
+
+
+#: The three builders, each at a shape whose pool dwarfs its recipe.
+FEDERATIONS = pytest.mark.parametrize(
+    "build", [small_paper, small_leaf, small_store], ids=["paper", "leaf", "population"]
+)
+
+
 class TestPoolRecipe:
-    """The pool travels as its recipe and is re-derived on the far side."""
+    """Every builder's pool travels as its recipe and is re-derived on the
+    far side: the store's provider is ``fed.client_rows`` for all three."""
 
-    def test_provider_pickles_to_its_recipe(self):
-        provider = small_store(seed=3).population._dataset_for
-        assert provider.pool.x.nbytes > 12 * 64 * 1024
-        assert len(pickle.dumps(provider, protocol=pickle.HIGHEST_PROTOCOL)) < 64 * 1024
+    @FEDERATIONS
+    def test_provider_pickles_to_its_recipe(self, build):
+        scn = build(seed=3)
+        assert scn.clients._dataset_for == scn.fed.client_rows
+        assert scn.fed.train.x.nbytes > 12 * 64 * 1024
+        blob = pickle.dumps(scn.clients._dataset_for, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < 64 * 1024
 
+    @FEDERATIONS
     @pytest.mark.parametrize(
         "make_seed",
         [
@@ -253,29 +288,35 @@ class TestPoolRecipe:
         ],
         ids=["int", "list-seeded", "array-seeded"],
     )
-    def test_rederived_pool_is_byte_equal_to_the_coordinators(self, make_seed):
+    def test_rederived_pool_is_byte_equal_to_the_coordinators(self, build, make_seed):
         """Whatever the seed -- a list or array one leaves a sequence
-        entropy in the recipe -- the shard ships and re-derives the pool."""
-        store = small_store(seed=make_seed()).population
-        pool = store._dataset_for.pool
+        entropy in the recipe -- the shard ships and re-derives the pool,
+        and every client's rows in it."""
+        scn = build(seed=make_seed())
+        store, pool = scn.clients, scn.fed.train
         far = shard_from_bytes(shard_to_bytes(store.shard([9, 2, 5])))
-        assert far.dataset_for.pool is not pool
-        assert_bits_equal(far.dataset_for.pool.x, pool.x)
-        assert_bits_equal(far.dataset_for.pool.y, pool.y)
-        assert far.dataset_for.pool.num_classes == pool.num_classes
+        far_pool = far.dataset_for.__self__.train
+        assert far_pool is not pool
+        assert_bits_equal(far_pool.x, pool.x)
+        assert_bits_equal(far_pool.y, pool.y)
+        assert far_pool.num_classes == pool.num_classes
+        for cid in (9, 2, 5):
+            assert_bits_equal(far.dataset_for(cid)[1], store._dataset_for(cid)[1])
         assert far.seed_address == store.seed_address
 
-    def test_shards_unpickled_in_one_process_share_one_pool(self):
+    @FEDERATIONS
+    def test_shards_unpickled_in_one_process_share_one_pool(self, build):
         """The first pin and a later re-deal re-derive the pool once."""
-        store = small_store(seed=4).population
+        store = build(seed=4).clients
         first = shard_from_bytes(shard_to_bytes(store.shard([0, 1, 2])))
         redealt = shard_from_bytes(shard_to_bytes(store.shard([7, 8])))
-        assert first.dataset_for.pool is redealt.dataset_for.pool
+        assert first.dataset_for.__self__.train is redealt.dataset_for.__self__.train
 
-    def test_tampered_digest_is_a_protocol_error(self):
-        scn = small_store(seed=5)
+    @FEDERATIONS
+    def test_tampered_digest_is_a_protocol_error(self, build):
+        scn = build(seed=5)
         store = scn.population
-        digest = store._dataset_for.pool_digest.encode()
+        digest = scn.fed.pool_digest.encode()
         blob = shard_to_bytes(store.shard([0, 1, 2]))
         assert blob.count(digest) == 1
         agent = WorkerAgent("unused", 1, log=io.StringIO())
@@ -293,10 +334,11 @@ class TestPoolRecipe:
         assign(blob)
         assert list(agent._clients) == [0, 1, 2]
 
-    def test_oversized_recipe_is_refused_before_it_allocates(self, monkeypatch):
-        provider = small_store(seed=6).population._dataset_for
-        blob = pickle.dumps(provider)
-        monkeypatch.setattr(transport, "MAX_FRAME_PAYLOAD", provider.recipe.nbytes - 1)
+    @FEDERATIONS
+    def test_oversized_recipe_is_refused_before_it_allocates(self, build, monkeypatch):
+        fed = build(seed=6).fed
+        blob = pickle.dumps(fed.client_rows)
+        monkeypatch.setattr(transport, "MAX_FRAME_PAYLOAD", fed.recipe.nbytes - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="more than one frame"):
@@ -304,10 +346,50 @@ class TestPoolRecipe:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < provider.recipe.nbytes // 10
+        assert peak < fed.recipe.nbytes // 10
         monkeypatch.undo()
-        huge = dataclasses.replace(
-            provider, recipe=dataclasses.replace(provider.recipe, size=10**12)
-        )
+        huge = dataclasses.replace(fed, recipe=dataclasses.replace(fed.recipe, size=10**12))
         with pytest.raises(ValueError, match="more than one frame"):
             pickle.loads(pickle.dumps(huge))
+
+
+def run_federation(executor, scn, seed, rounds=ROUNDS):
+    """``scn`` through FLServer; returns the history and, on a distributed
+    executor, each worker's ASSIGN_SHARD bytes (read before it closes)."""
+    with FLServer(
+        clients=scn.clients,
+        model=scn.model,
+        selector=RandomSelector(scn.clients_per_round, rng=derive(seed, 101)),
+        test_data=scn.test_data,
+        training=scn.training,
+        rng=derive(seed, 202),
+        executor=executor,
+    ) as server:
+        history = server.run(rounds)
+        handles = getattr(executor, "_handles", {}).values()
+        kind = int(proto.MsgType.ASSIGN_SHARD)
+        shard_bytes = [h.conn.bytes_sent_by_type.get(kind, 0) for h in handles]
+    return history, shard_bytes
+
+
+class TestPaperFederationsOnTheWire:
+    """The partitioned and LEAF builders over 2 real loopback workers: the
+    history matches serial and each worker's shard is columns, rows and
+    a recipe -- never the pool or the test set."""
+
+    @pytest.mark.parametrize("build", [small_paper, small_leaf], ids=["paper", "leaf"])
+    def test_matches_serial_and_ships_no_pool(self, build):
+        ref_history, _ = run_federation("serial", build(seed=21), seed=21)
+
+        ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
+        procs = spawn_local_workers(ex.listen(), 2)
+        try:
+            history, shard_bytes = run_federation(ex, build(seed=21), seed=21)
+        finally:
+            ex.close()
+            codes = terminate_workers(procs)
+
+        assert codes == [0, 0]
+        assert fingerprint(history) == fingerprint(ref_history)
+        assert len(shard_bytes) == 2
+        assert all(0 < b < 256 * 1024 for b in shard_bytes), shard_bytes

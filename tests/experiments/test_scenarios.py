@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.config import PAPER_SYNTHETIC_TRAINING
 from repro.data.validation import classes_per_client
 from repro.experiments.scenarios import (
     ScenarioConfig,
     build_leaf_scenario,
+    build_population_scenario,
     build_scenario,
 )
+from repro.simcluster import CIFAR_CPU_GROUPS
 
 
 def small(**kw):
@@ -131,3 +134,44 @@ class TestLeafScenario:
         assert scn.clients.num_train_samples.std() > 0
         client = scn.clients[0]
         assert len(client.train_data) == scn.clients.num_train_samples[0]
+
+
+class TestConfigRecordsWhatWasBuilt:
+    """``Scenario.config`` is what ``run_metadata(config=...)`` stamps
+    into a trace: every knob a builder took lands in it as built."""
+
+    def test_leaf_knobs(self):
+        scn = build_leaf_scenario(
+            num_clients=20, sample_scale=0.1, holdout_fraction=0.3,
+            cost_per_sample=0.02, seed=0,
+        )
+        cfg = scn.config
+        assert cfg.holdout_fraction == scn.clients.holdout_fraction == 0.3
+        assert cfg.cost_per_sample == scn.latency_model.cost_per_sample == 0.02
+        assert cfg.train_size == len(scn.fed.train) == 443
+        assert cfg.test_size == len(scn.test_data) == 2000
+        assert cfg.cpu_groups == tuple(CIFAR_CPU_GROUPS)
+        assert cfg.shuffle_resources
+
+    @pytest.mark.parametrize(
+        "heavy_tailed, profile", [(True, "heterogeneous"), (False, "homogeneous")]
+    )
+    def test_population_profile_matches_its_columns(self, heavy_tailed, profile):
+        scn = build_population_scenario(
+            num_clients=50, clients_per_round=5, heavy_tailed=heavy_tailed, seed=0
+        )
+        assert scn.config.resource_profile == profile
+        assert (len(set(scn.clients.cpu_fraction)) == 1) == (not heavy_tailed)
+        assert scn.config.train_size == len(scn.fed.train)
+        assert scn.config.test_size == len(scn.test_data)
+
+    def test_training_is_recorded(self):
+        training = PAPER_SYNTHETIC_TRAINING.with_(codec="delta")
+        for scn in (
+            build_leaf_scenario(num_clients=10, sample_scale=0.1, training=training, seed=0),
+            build_population_scenario(
+                num_clients=50, clients_per_round=5, training=training, seed=0
+            ),
+        ):
+            assert scn.config.training == training
+            assert scn.config.resolved_training() == scn.training == training

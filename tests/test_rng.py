@@ -69,6 +69,27 @@ class TestDerive:
     def test_distinct_seeds_distinct_streams(self):
         assert derive(1, 0).random() != derive(2, 0).random()
 
+    def test_numpy_integer_seed_is_its_value(self):
+        """``run_policies`` seeds repeats ``seed + i``; a numpy-integer
+        seed must give each repeat its own stream, the Python int's."""
+        assert derive(np.int64(5), 101).random() == derive(5, 101).random()
+        assert derive(np.int32(6), 101).random() != derive(0, 101).random()
+
+    def test_python_int_streams_are_pinned(self):
+        # SeedSequence(entropy=5, spawn_key=(101,)): the stream every
+        # runner selector has drawn from.
+        ss = np.random.SeedSequence(entropy=5, spawn_key=(101,))
+        assert derive(5, 101).random() == np.random.default_rng(ss).random()
+
+    @pytest.mark.parametrize(
+        "seed",
+        [None, np.random.default_rng(5), np.random.SeedSequence(5), 5.0],
+        ids=["none", "generator", "seed-sequence", "float"],
+    )
+    def test_non_integer_seed_is_a_type_error(self, seed):
+        with pytest.raises(TypeError, match="integer seed"):
+            derive(seed, 101)
+
 
 class TestChoice:
     def test_distinct_selection(self):
