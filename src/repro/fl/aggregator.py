@@ -41,13 +41,20 @@ def fedavg(
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError("all weight vectors must be 1-D and equal length")
-    s = np.asarray(sizes, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError(f"client sizes must be non-negative, got {sizes}")
+    s = _checked_sizes(sizes)
     total = s.sum()
     if total <= 0:
         raise ValueError("total sample count must be positive")
     return (s[:, None] * w).sum(axis=0) / total
+
+
+def _checked_sizes(sizes: Sequence[float]) -> np.ndarray:
+    """``sizes`` as float64, refusing NaN, infinite and negative counts
+    (any of them turns the weighted mean into NaN)."""
+    s = np.asarray(sizes, dtype=np.float64)
+    if not np.isfinite(s).all() or np.any(s < 0):
+        raise ValueError(f"client sizes must be finite and non-negative, got {sizes}")
+    return s
 
 
 class HierarchicalAggregator:
@@ -77,6 +84,7 @@ class HierarchicalAggregator:
             raise ValueError(
                 f"got {len(weights)} weight vectors but {len(sizes)} sizes"
             )
+        _checked_sizes(sizes)
         child_means: List[np.ndarray] = []
         child_sizes: List[float] = []
         for shard in self.shard(len(weights)):

@@ -45,6 +45,12 @@ class TestFedAvg:
         with pytest.raises(ValueError, match="non-negative"):
             fedavg([rng.standard_normal(3), rng.standard_normal(3)], [1, -1])
 
+    @pytest.mark.parametrize("sizes", [[np.nan], [np.inf, 1.0], [1.0, -np.inf], [2.0, np.nan]])
+    def test_non_finite_size_raises(self, rng, sizes):
+        ws = [rng.standard_normal(3) for _ in sizes]
+        with pytest.raises(ValueError, match="finite"):
+            fedavg(ws, sizes)
+
 
 class TestHierarchical:
     def test_matches_flat_aggregation(self, rng):
@@ -67,6 +73,13 @@ class TestHierarchical:
     def test_invalid_children(self):
         with pytest.raises(ValueError):
             HierarchicalAggregator(0)
+
+    @pytest.mark.parametrize("children", [1, 2, 5])
+    @pytest.mark.parametrize("sizes", [[np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]])
+    def test_non_finite_size_raises(self, rng, children, sizes):
+        ws = [rng.standard_normal(3) for _ in sizes]
+        with pytest.raises(ValueError, match="finite"):
+            HierarchicalAggregator(children).aggregate(ws, sizes)
 
 
 # ---------------------------------------------------------------------------
