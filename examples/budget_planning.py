@@ -42,7 +42,9 @@ def main() -> None:
     profiling = profile_clients(
         scenario.clients, scenario.model.num_params(), sync_rounds=3
     )
-    lats = build_tiers(profiling.mean_latencies, num_tiers=5).mean_latencies
+    lats = build_tiers(
+        profiling.client_ids, profiling.mean_latencies, num_tiers=5
+    ).mean_latencies
     print("profiled tier latencies [s]:", np.round(lats, 3).tolist())
 
     uniform_cost = estimate_training_time(lats, [0.2] * 5, ROUNDS)

@@ -37,10 +37,10 @@ def main() -> None:
     profiling = profile_clients(
         scenario.clients, scenario.model.num_params(), sync_rounds=3
     )
-    assignment = build_tiers(profiling.mean_latencies, num_tiers=5)
+    assignment = build_tiers(profiling.client_ids, profiling.mean_latencies, num_tiers=5)
     print("Profiled tier table (Sec. 4.2):")
     print(assignment.describe())
-    print(f"dropouts excluded: {profiling.dropouts or 'none'}\n")
+    print(f"dropouts excluded: {profiling.dropouts.tolist() or 'none'}\n")
 
     # -- step 3: static policies, measured vs estimated ----------------
     rows = []

@@ -50,7 +50,7 @@ def main() -> None:
     profiling = profile_clients(
         scenario.clients, scenario.model.num_params(), sync_rounds=3
     )
-    assignment = build_tiers(profiling.mean_latencies, num_tiers=5)
+    assignment = build_tiers(profiling.client_ids, profiling.mean_latencies, num_tiers=5)
     lats = assignment.mean_latencies
     print("profiled tier latencies [s]:", np.round(lats, 3).tolist(), "\n")
 

@@ -298,7 +298,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     profiling = profile_clients(
         scenario.clients, scenario.model.num_params(), sync_rounds=args.sync_rounds
     )
-    assignment = build_tiers(profiling.mean_latencies, num_tiers=args.num_tiers)
+    assignment = build_tiers(
+        profiling.client_ids, profiling.mean_latencies, num_tiers=args.num_tiers
+    )
     print(assignment.describe())
     family = MNIST_POLICIES if args.dataset in ("mnist", "fmnist") else CIFAR_POLICIES
     rows = []

@@ -144,7 +144,7 @@ def run_policy(
         tier_latencies=server.assignment.mean_latencies,
         tier_sizes=server.assignment.sizes,
         tier_probs=np.asarray(probs, dtype=np.float64),
-        dropouts=list(server.profiling.dropouts),
+        dropouts=server.profiling.dropouts.tolist(),
     )
 
 

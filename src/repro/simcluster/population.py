@@ -545,10 +545,10 @@ class PopulationStore(Mapping):
     # tiering
     # ------------------------------------------------------------------
     def set_tier_assignment(self, assignment) -> None:
-        """Write a :class:`~repro.tifl.tiering.TierAssignment` into the column."""
+        """Write a :class:`~repro.tifl.tiering.TierAssignment`'s ``ids`` /
+        ``tier`` columns into the column (untiered clients read -1)."""
         self.tier.fill(-1)
-        for t in assignment.tiers:
-            self.tier[self._rows(t.client_ids)] = t.index
+        self.tier[self._rows(assignment.ids)] = assignment.tier
 
     # ------------------------------------------------------------------
     # availability churn

@@ -16,8 +16,8 @@ exposes :meth:`~repro.tifl.server.TiFLServer.reprofile` for exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,29 +28,37 @@ from repro.simcluster.population import PopulationStore
 __all__ = ["ProfilingResult", "profile_clients"]
 
 
-@dataclass
+@dataclass(eq=False)
 class ProfilingResult:
-    """Outcome of one profiling campaign.
+    """Outcome of one profiling campaign, held as aligned columns.
 
     Attributes
     ----------
-    mean_latencies:
-        Mean observed response latency per responsive client (seconds);
+    client_ids / mean_latencies:
+        The responsive clients' ids (int64, in profiling order) and each
+        one's mean observed response latency in seconds (float64);
         timed-out rounds contribute ``Tmax``.
     dropouts:
-        Clients excluded for timing out in every profiling round.
+        Ascending int64 ids of the clients excluded for timing out in
+        every profiling round.
     profiling_time:
         Simulated wall-clock cost of the campaign
         (``sync_rounds * min(max observed, Tmax)`` -- each profiling round
         waits for the slowest responder or the deadline).
+    profiled_ids / raw_latencies:
+        Every profiled id (responsive or not, in profiling order) and the
+        ``(profiled, sync_rounds)`` float64 matrix of its per-round
+        latencies, capped at ``Tmax`` (``inf`` where it never answered).
     """
 
-    mean_latencies: Dict[int, float]
-    dropouts: List[int]
+    client_ids: np.ndarray
+    mean_latencies: np.ndarray
+    dropouts: np.ndarray
     sync_rounds: int
     tmax: float
-    profiling_time: float = 0.0
-    raw_latencies: Dict[int, List[float]] = field(default_factory=dict)
+    profiling_time: float
+    profiled_ids: np.ndarray
+    raw_latencies: np.ndarray
 
 
 def profile_clients(
@@ -112,15 +120,19 @@ def profile_clients(
         never re-draws) an earlier campaign's noise.
     client_ids:
         Profile these ids instead of the whole population
-        (re-profiling passes the non-excluded ids).
+        (re-profiling passes the non-excluded ids); each id once.
     """
     ids = (
         clients.client_ids
         if client_ids is None
-        else np.asarray(client_ids, dtype=np.int64)
+        else np.array(client_ids, dtype=np.int64)
     )
     if ids.size == 0:
         raise ValueError("cannot profile an empty client pool")
+    if client_ids is not None and np.unique(ids).size != ids.size:
+        # A repeated id would draw that client's latency stream twice per
+        # round and keep only one of the rows.
+        raise ValueError("client_ids must not repeat an id")
     if sync_rounds <= 0:
         raise ValueError(f"sync_rounds must be positive, got {sync_rounds}")
     if tmax is not None and tmax <= 0:
@@ -172,15 +184,15 @@ def profile_clients(
     chargeable = np.isfinite(charged)
     for i in np.flatnonzero(kept & ~chargeable.all(axis=1)):
         means[i] = charged[i][chargeable[i]].mean()
-    mean_latencies = dict(zip(ids[kept].tolist(), means[kept].tolist()))
-    dropouts = sorted(ids[~kept].tolist())
-    if not mean_latencies:
+    if not kept.any():
         raise RuntimeError("every client was classified as a dropout")
     return ProfilingResult(
-        mean_latencies=mean_latencies,
-        dropouts=dropouts,
+        client_ids=ids[kept],
+        mean_latencies=means[kept],
+        dropouts=np.sort(ids[~kept]),
         sync_rounds=sync_rounds,
         tmax=deadline,
         profiling_time=profiling_time,
-        raw_latencies=dict(zip(ids.tolist(), capped.tolist())),
+        profiled_ids=ids,
+        raw_latencies=capped,
     )

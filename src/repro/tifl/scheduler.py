@@ -91,12 +91,9 @@ class TierScheduler(ClientSelector):
         # one boolean availability mask: O(pool) vectorised work per pool
         # change instead of O(pool) Python set/loop work per round, which
         # is what keeps tier selection flat when the population hits 10^6.
-        self._members = [
-            np.asarray(t.client_ids, dtype=np.int64) for t in assignment.tiers
-        ]
-        self._id_bound = 1 + int(
-            max(int(m.max()) for m in self._members if m.size)
-        )
+        # The tiers' own read-only, ascending int64 arrays, shared as is.
+        self._members = [t.client_ids for t in assignment.tiers]
+        self._id_bound = 1 + int(assignment.ids[-1])
         # Last read-only pool, its per-tier members, eligibility (_tier_pools).
         self._pools_of: tuple = (None, None, None)
 

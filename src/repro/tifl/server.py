@@ -10,7 +10,7 @@ evaluated on every tier's held-out data after each round to maintain the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -113,6 +113,7 @@ class TiFLServer(FLServer):
         )
         self._profiled_rounds += self.profiling.sync_rounds
         self.assignment: TierAssignment = build_tiers(
+            self.profiling.client_ids,
             self.profiling.mean_latencies,
             num_tiers=num_tiers,
             method=tiering_method,
@@ -161,7 +162,7 @@ class TiFLServer(FLServer):
             latency_stream=latency_sampler,
             **server_kwargs,
         )
-        if self.profiling.dropouts:
+        if self.profiling.dropouts.size:
             self.exclude_clients(self.profiling.dropouts)
         if charge_profiling:
             self.clock.advance(self.profiling.profiling_time)
@@ -201,7 +202,7 @@ class TiFLServer(FLServer):
         return self.scheduler.policy
 
     # ------------------------------------------------------------------
-    def _eligible_tier_members(self) -> List[int]:
+    def _eligible_tier_members(self) -> np.ndarray:
         """Tier members with usable holdouts, warn-logging the rest once.
 
         Clients with empty holdouts cannot contribute a signal; they are
@@ -209,34 +210,30 @@ class TiFLServer(FLServer):
         member lacks a holdout is simply absent from the result), and the
         exclusion is logged once per run rather than silently skipped.
         """
-        eligible: List[int] = []
-        no_holdout: List[int] = []
         # Read the precomputed holdout-size column instead of
-        # materialising every tier member.  Per-tier member order is the
-        # eval request order (and hence any executor-side batching).
-        excluded = np.fromiter(self.excluded, dtype=np.int64)
-        for tier in self.assignment.tiers:
-            members = np.asarray(tier.client_ids, dtype=np.int64)
-            members = members[~np.isin(members, excluded)]
-            has_holdout = self.clients.holdout_size[members] > 0
-            eligible.extend(int(c) for c in members[has_holdout])
-            no_holdout.extend(int(c) for c in members[~has_holdout])
-        if no_holdout and not self._warned_empty_holdouts:
+        # materialising every tier member.  Tier by tier, in member order:
+        # that is the eval request order (and hence any executor-side
+        # batching).
+        members = np.concatenate([t.client_ids for t in self.assignment.tiers])
+        members = members[~np.isin(members, np.fromiter(self.excluded, dtype=np.int64))]
+        has_holdout = self.clients.holdout_size[members] > 0
+        no_holdout = members[~has_holdout]
+        if no_holdout.size and not self._warned_empty_holdouts:
             self._warned_empty_holdouts = True
             logger.warning(
                 "tier evaluation: %d client(s) have no holdout data and are "
                 "excluded from the per-tier accuracy means for this run: %s "
                 "(construct clients with holdout_fraction > 0 to include them)",
-                len(no_holdout),
-                sorted(no_holdout),
+                no_holdout.size,
+                np.sort(no_holdout).tolist(),
             )
-        return eligible
+        return members[has_holdout]
 
     def _tier_means(self, accs: Dict[int, float]) -> Dict[int, float]:
         """Pool per-client accuracies into per-tier means ``A_t^r``."""
         out: Dict[int, float] = {}
         for tier in self.assignment.tiers:
-            member_accs = [accs[cid] for cid in tier.client_ids if cid in accs]
+            member_accs = [accs[cid] for cid in tier.client_ids.tolist() if cid in accs]
             if member_accs:
                 out[tier.index] = float(np.mean(member_accs))
         return out
@@ -256,7 +253,7 @@ class TiFLServer(FLServer):
         if flat_weights is None:
             flat_weights = self.global_weights
         accs = self.executor.evaluate_cohort(
-            [EvalRequest(cid) for cid in self._eligible_tier_members()],
+            [EvalRequest(cid) for cid in self._eligible_tier_members().tolist()],
             flat_weights,
         )
         return self._tier_means(accs)
@@ -308,11 +305,12 @@ class TiFLServer(FLServer):
         )
         self._profiled_rounds += self.profiling.sync_rounds
         new_assignment = build_tiers(
+            self.profiling.client_ids,
             self.profiling.mean_latencies,
             num_tiers=self._num_tiers_requested,
             method=self._tiering_method,
         )
-        if self.profiling.dropouts:
+        if self.profiling.dropouts.size:
             self.exclude_clients(self.profiling.dropouts)
 
         old_policy = self.scheduler.policy

@@ -24,46 +24,78 @@ Invariants (property-tested):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
 __all__ = ["Tier", "TierAssignment", "build_tiers"]
 
 
-@dataclass(frozen=True)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Tier:
-    """One latency tier."""
+    """One latency tier.
+
+    ``client_ids`` is a read-only, strictly ascending int64 array (any
+    id sequence is accepted and converted).  Tiers compare by identity:
+    equality over an id array has no single truth value.
+    """
 
     index: int
-    client_ids: Tuple[int, ...]
+    client_ids: np.ndarray
     mean_latency: float
     min_latency: float
     max_latency: float
 
+    def __post_init__(self) -> None:
+        ids = np.asarray(self.client_ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ValueError(f"tier {self.index} client ids must be 1-D")
+        if ids.flags.writeable:
+            ids = _read_only(ids.copy())
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError(f"tier {self.index} client ids must be strictly ascending")
+        object.__setattr__(self, "client_ids", ids)
+
     @property
     def size(self) -> int:
-        return len(self.client_ids)
+        return int(self.client_ids.size)
 
 
-@dataclass
+@dataclass(eq=False)
 class TierAssignment:
-    """The full tiering: an ordered list of tiers plus lookup tables."""
+    """The full tiering: an ordered list of tiers plus a lookup table.
+
+    The lookup is two read-only columns sorted by client id: ``ids``
+    (every tiered client once) and ``tier`` (its tier index), so a
+    tiering holds two int64 words per client and no per-client object.
+    """
 
     tiers: List[Tier]
-    _client_tier: Dict[int, int] = field(default_factory=dict, repr=False)
+    ids: np.ndarray = field(init=False, repr=False)
+    tier: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.tiers:
             raise ValueError("a tier assignment needs at least one tier")
-        self._client_tier = {}
         for t in self.tiers:
             if t.size == 0:
                 raise ValueError(f"tier {t.index} is empty")
-            for cid in t.client_ids:
-                if cid in self._client_tier:
-                    raise ValueError(f"client {cid} assigned to multiple tiers")
-                self._client_tier[cid] = t.index
+        ids = np.concatenate([t.client_ids for t in self.tiers])
+        tier = np.repeat(
+            np.array([t.index for t in self.tiers], dtype=np.int64), self.sizes
+        )
+        order = np.argsort(ids, kind="stable")
+        ids, tier = ids[order], tier[order]
+        repeated = ids[1:] == ids[:-1]
+        if repeated.any():
+            cid = int(ids[1:][repeated][0])
+            raise ValueError(f"client {cid} assigned to multiple tiers")
+        self.ids, self.tier = _read_only(ids), _read_only(tier)
         means = [t.mean_latency for t in self.tiers]
         if any(b < a for a, b in zip(means, means[1:])):
             raise ValueError(f"tier mean latencies must be non-decreasing: {means}")
@@ -83,9 +115,12 @@ class TierAssignment:
 
     def tier_of(self, client_id: int) -> int:
         """Tier index of ``client_id`` (KeyError for unknown/dropout)."""
-        return self._client_tier[client_id]
+        i = int(np.searchsorted(self.ids, client_id))
+        if i == self.ids.size or self.ids[i] != client_id:
+            raise KeyError(client_id)
+        return int(self.tier[i])
 
-    def members(self, tier_index: int) -> Tuple[int, ...]:
+    def members(self, tier_index: int) -> np.ndarray:
         return self.tiers[tier_index].client_ids
 
     def describe(self) -> str:
@@ -112,7 +147,8 @@ def _bin_edges(
 
 
 def build_tiers(
-    mean_latencies: Dict[int, float],
+    client_ids: np.ndarray,
+    mean_latencies: np.ndarray,
     num_tiers: int = 5,
     method: str = "quantile",
 ) -> TierAssignment:
@@ -120,8 +156,12 @@ def build_tiers(
 
     Parameters
     ----------
-    mean_latencies:
-        Per-client mean profiled latency (dropouts already removed).
+    client_ids / mean_latencies:
+        Aligned columns: each responsive client's id (dropouts already
+        removed; every id once, in any order) and its mean profiled
+        latency -- a :class:`~repro.tifl.profiler.ProfilingResult`'s
+        ``client_ids`` / ``mean_latencies``.  The split reads them in
+        ascending-id order.
     num_tiers:
         Requested tier count ``m``; the paper uses 5 throughout.  Bins
         left empty by the histogram are discarded, so fewer tiers may be
@@ -133,18 +173,27 @@ def build_tiers(
     """
     if num_tiers <= 0:
         raise ValueError(f"num_tiers must be positive, got {num_tiers}")
-    if not mean_latencies:
+    ids = np.asarray(client_ids, dtype=np.int64)
+    lats = np.asarray(mean_latencies, dtype=np.float64)
+    if ids.ndim != 1 or ids.shape != lats.shape:
+        raise ValueError(
+            f"client_ids {ids.shape} and mean_latencies {lats.shape} must be "
+            "aligned 1-D columns"
+        )
+    if ids.size == 0:
         raise ValueError("cannot tier an empty latency table")
-    if any(not np.isfinite(v) or v < 0 for v in mean_latencies.values()):
+    if not np.isfinite(lats).all() or np.any(lats < 0):
         raise ValueError("latencies must be finite and non-negative")
 
-    ids = np.array(sorted(mean_latencies), dtype=np.int64)
-    lats = np.array([mean_latencies[int(c)] for c in ids])
+    order = np.argsort(ids, kind="stable")
+    ids, lats = ids[order], lats[order]
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("every client id must appear once")
 
     if np.isclose(lats.min(), lats.max()):
         tier = Tier(
             index=0,
-            client_ids=tuple(int(c) for c in ids),
+            client_ids=_read_only(ids),
             mean_latency=float(lats.mean()),
             min_latency=float(lats.min()),
             max_latency=float(lats.max()),
@@ -160,11 +209,10 @@ def build_tiers(
         mask = bins == b
         if not mask.any():
             continue
-        members = ids[mask]
         tiers.append(
             Tier(
                 index=len(tiers),
-                client_ids=tuple(int(c) for c in members),
+                client_ids=_read_only(ids[mask]),
                 mean_latency=float(lats[mask].mean()),
                 min_latency=float(lats[mask].min()),
                 max_latency=float(lats[mask].max()),

@@ -18,13 +18,14 @@ class TestBasicProfiling:
     def test_all_clients_profiled(self):
         clients = make_pool([4.0, 1.0, 0.25])
         result = profile_clients(clients, num_params=100, sync_rounds=3)
-        assert sorted(result.mean_latencies) == [0, 1, 2]
-        assert result.dropouts == []
+        assert result.client_ids.tolist() == [0, 1, 2]
+        assert result.dropouts.tolist() == []
 
     def test_latency_ordering_follows_cpu(self):
         clients = make_pool([4.0, 1.0, 0.25])
         result = profile_clients(clients, num_params=100, sync_rounds=3)
-        lats = [result.mean_latencies[i] for i in range(3)]
+        assert result.client_ids.tolist() == [0, 1, 2]
+        lats = result.mean_latencies
         assert lats[0] < lats[1] < lats[2]
 
     def test_mean_matches_expectation_no_noise(self):
@@ -42,7 +43,9 @@ class TestBasicProfiling:
     def test_raw_latencies_recorded(self):
         clients = make_pool([1.0, 1.0])
         result = profile_clients(clients, num_params=100, sync_rounds=5)
-        assert all(len(v) == 5 for v in result.raw_latencies.values())
+        assert result.profiled_ids.tolist() == [0, 1]
+        assert result.raw_latencies.shape == (2, 5)
+        assert result.raw_latencies.dtype == np.float64
 
     def test_invalid_args(self):
         clients = make_pool([1.0])
@@ -53,14 +56,27 @@ class TestBasicProfiling:
         with pytest.raises(ValueError):
             profile_clients(clients, 100, tmax=-1.0)
 
+    @pytest.mark.parametrize("stream", ["per-client", "cohort"])
+    def test_repeated_id_rejected(self, stream):
+        """A repeated id would draw that client's stream twice per round
+        and keep one row: its mean and its next draw would both move."""
+        from repro.simcluster.latency import CohortLatencySampler
+
+        clients = make_pool([4.0, 1.0, 0.25, 0.5], noise=0.3)
+        sampler = CohortLatencySampler(seed=1) if stream == "cohort" else None
+        with pytest.raises(ValueError, match="repeat"):
+            profile_clients(clients, 100, latency_sampler=sampler, client_ids=[0, 3, 3])
+        with pytest.raises(ValueError, match="repeat"):
+            profile_clients(clients, 100, latency_sampler=sampler, client_ids=np.array([3, 1, 3]))
+
 
 class TestDropoutExclusion:
     def test_unresponsive_client_excluded(self):
         clients = make_pool([1.0, 1.0, 1.0])
         fault = DropoutInjector(always_drop={1})
         result = profile_clients(clients, num_params=100, fault=fault)
-        assert result.dropouts == [1]
-        assert 1 not in result.mean_latencies
+        assert result.dropouts.tolist() == [1]
+        assert result.client_ids.tolist() == [0, 2]
 
     def test_intermittent_dropout_kept(self):
         """A client that responds in at least one round stays in the pool."""
@@ -70,7 +86,7 @@ class TestDropoutExclusion:
             clients, num_params=100, sync_rounds=20, fault=fault
         )
         # with p=0.4 over 20 rounds, all-dropout probability is ~1e-8
-        assert result.dropouts == []
+        assert result.dropouts.tolist() == []
 
     def test_all_dropouts_raise(self):
         clients = make_pool([1.0, 1.0])
@@ -89,7 +105,7 @@ class TestFiniteTmax:
         assert fast_lat < tmax  # sanity: fast client meets the deadline
         result = profile_clients(clients, num_params=100, tmax=tmax, sync_rounds=3)
         # client 1 timed out every round -> dropout (paper's rule)
-        assert result.dropouts == [1]
+        assert result.dropouts.tolist() == [1]
 
     def test_paper_rule_partial_timeouts(self):
         """Timed-out rounds contribute Tmax to a surviving client's mean."""
@@ -102,7 +118,7 @@ class TestFiniteTmax:
         result = profile_clients(
             clients, num_params=100, tmax=base * 2, sync_rounds=3, fault=fault
         )
-        assert result.dropouts == []
+        assert result.dropouts.tolist() == []
 
     def test_profiling_time_capped_by_tmax(self):
         clients = make_pool([4.0, 0.01])
@@ -114,7 +130,8 @@ class TestDeterminism:
     def test_same_seed_same_profile(self):
         a = profile_clients(make_pool([1.0, 0.5], noise=0.1, seed=3), 100)
         b = profile_clients(make_pool([1.0, 0.5], noise=0.1, seed=3), 100)
-        assert a.mean_latencies == b.mean_latencies
+        np.testing.assert_array_equal(a.client_ids, b.client_ids)
+        np.testing.assert_array_equal(a.mean_latencies, b.mean_latencies)
 
 
 # ----------------------------------------------------------------------
@@ -190,17 +207,20 @@ class TestColumnarCampaign:
         deadline = float("inf") if tmax is None else tmax
         means, dropouts, profiling_time, raw = reference_profile(rounds, deadline)
 
-        assert list(result.mean_latencies.items()) == list(means.items())
-        assert result.dropouts == dropouts
+        assert result.client_ids.tolist() == list(means)
+        assert result.mean_latencies.tolist() == list(means.values())
+        assert result.dropouts.tolist() == dropouts
         assert result.profiling_time == profiling_time
-        assert list(result.raw_latencies.items()) == list(raw.items())
-        assert {type(k) for k in result.mean_latencies} == {int}
-        assert {type(v) for v in result.mean_latencies.values()} == {float}
-        assert {type(v) for lats in result.raw_latencies.values() for v in lats} == {float}
-        assert all(type(c) is int for c in result.dropouts)
+        assert result.profiled_ids.tolist() == list(raw)
+        assert result.raw_latencies.tolist() == list(raw.values())
+        assert result.client_ids.dtype == result.dropouts.dtype == np.int64
+        assert result.profiled_ids.dtype == np.int64
+        assert result.mean_latencies.dtype == result.raw_latencies.dtype == np.float64
+        assert result.raw_latencies.shape == (ids.size, sync_rounds)
         if fault == "intermittent" and tmax is None:
             # the per-row fallback ran: some kept client missed a round
-            assert any(np.inf in result.raw_latencies[c] for c in means)
+            kept = np.isin(result.profiled_ids, result.client_ids)
+            assert np.isinf(result.raw_latencies[kept]).any()
         if fault == "slowdown" and tmax is not None:
             assert dropouts == [1, 5]  # timed out in every round
 

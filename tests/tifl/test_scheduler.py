@@ -18,13 +18,8 @@ from tests.conftest import make_test_population
 
 
 def make_assignment(per_tier=6, tiers=3):
-    lats = {}
-    cid = 0
-    for base in np.linspace(1.0, 10.0, tiers):
-        for _ in range(per_tier):
-            lats[cid] = float(base)
-            cid += 1
-    return build_tiers(lats, num_tiers=tiers)
+    lats = np.repeat(np.linspace(1.0, 10.0, tiers), per_tier)
+    return build_tiers(np.arange(lats.size), lats, num_tiers=tiers)
 
 
 def all_clients(assignment):
@@ -154,7 +149,8 @@ class TestPoolMemo:
         store.attach_diurnal(
             clock, DiurnalSchedule(period=8.0, duty_cycle=0.5, num_phases=4)
         )
-        asg = build_tiers({cid: 1.0 + cid % 3 for cid in range(24)}, num_tiers=3)
+        ids = np.arange(24)
+        asg = build_tiers(ids, 1.0 + ids % 3, num_tiers=3)
         policy = StaticTierPolicy([0.5, 0.3, 0.2])
         memoised = TierScheduler(asg, policy, 3, rng=7)
         excluded = set()

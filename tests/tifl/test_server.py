@@ -78,6 +78,39 @@ class TestConstruction:
         server = make_tifl(policy=pol)
         assert server.tier_policy is pol
 
+    def test_profiling_and_tiering_stay_columnar(self):
+        """Set-up over a 10^4-client store keeps id / latency / tier
+        columns (~80 B per client: the campaign matrix, the responsive
+        ids and means, the tier members and the lookup columns), not
+        per-client dicts, lists and tuples (~440 B per client)."""
+        import gc
+        import tracemalloc
+
+        from repro.experiments.scenarios import build_population_scenario
+
+        n = 10_000
+        scn = build_population_scenario(num_clients=n, clients_per_round=10, seed=41)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            server = TiFLServer(
+                clients=scn.clients,
+                model=scn.model,
+                test_data=scn.test_data,
+                clients_per_round=10,
+                training=scn.training,
+                latency_stream="cohort",
+                rng=42,
+            )
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        with server:
+            assert server.assignment.ids.size == n
+        assert retained / n < 150
+
 
 class TestRounds:
     def test_cohort_always_single_tier(self):
