@@ -82,7 +82,9 @@ class TestConstruction:
         """Set-up over a 10^4-client store keeps id / latency / tier
         columns (~80 B per client: the campaign matrix, the responsive
         ids and means, the tier members and the lookup columns), not
-        per-client dicts, lists and tuples (~440 B per client)."""
+        per-client dicts, lists and tuples (~440 B per client).  The gate
+        sits below the ~140 B that one more ``{cid: tier}`` dict would
+        reach."""
         import gc
         import tracemalloc
 
@@ -109,7 +111,7 @@ class TestConstruction:
             tracemalloc.stop()
         with server:
             assert server.assignment.ids.size == n
-        assert retained / n < 150
+        assert retained / n < 110
 
 
 class TestRounds:
