@@ -108,11 +108,13 @@
 
 from __future__ import annotations
 
+import os
 import queue as queue_mod
 import secrets
 import socket
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -137,6 +139,20 @@ from repro.simcluster.client import ClientUpdate
 from repro.simcluster.population import PopulationStore
 
 __all__ = ["DistributedExecutor"]
+
+#: Every listening socket this process opened.  A child forked from here
+#: (a local worker) closes its copies: an open copy would keep accepting
+#: connections after the coordinator closed the listener.
+_LISTENERS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+
+def _close_inherited_listeners() -> None:
+    for sock in list(_LISTENERS):
+        sock.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_inherited_listeners)
 
 #: A train job is ``(client_id, epochs)``, an eval job a client id, an
 #: eval-model job a ``(start, end)`` shard.
@@ -382,6 +398,7 @@ class DistributedExecutor(ClientExecutor):
             sock.bind((host, port))
             sock.listen(max(self.workers, 8))
             self._listener = sock
+            _LISTENERS.add(sock)
             bound_host, bound_port = sock.getsockname()[:2]
             self._bound_endpoint = f"{bound_host}:{bound_port}"
         return self._bound_endpoint  # type: ignore[return-value]

@@ -1,46 +1,67 @@
-"""Helpers for launching worker agents as local subprocesses.
+"""Helpers for launching worker agents as local processes.
 
 Production deployments start ``python -m repro.cli worker`` on each node
 themselves; these helpers cover the *loopback* topology -- real worker
 processes, real TCP sockets, one machine -- used by the equivalence
 tests and the ``loopback_*`` workloads of ``perf/``.
+
+A local worker is forked from the coordinator (spawned where ``fork``
+is unavailable) and runs the ``worker`` command in the child, so it
+reaches HELLO without paying for an interpreter and its imports.  It
+still gets everything over TCP, like a remote worker: the inherited
+memory only makes its pool re-derivation a memo hit.  The child closes
+its copy of the coordinator's listener (an at-fork hook in
+:mod:`repro.distributed.coordinator`), starts with telemetry off and an
+empty registry, and freezes the inherited objects out of the garbage
+collector's reach.
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro import telemetry
+
 __all__ = ["spawn_local_workers", "terminate_workers"]
 
 
-def _worker_env() -> dict:
-    """Subprocess environment with the repro package importable."""
-    import repro
+def _run_worker(argv: List[str], stderr_path: Optional[str]) -> None:
+    """Child body: ``python -m repro.cli worker <argv>`` in this process.
 
-    env = os.environ.copy()
-    src_dir = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_dir if not existing else src_dir + os.pathsep + existing
-    return env
+    ``stderr_path`` (a log file or the null device) replaces fd 2;
+    ``None`` keeps the parent's.  ``sys.stderr`` is rebound to fd 2
+    either way, as a fresh interpreter's would be.
+    """
+    gc.freeze()
+    telemetry.reset()
+    if stderr_path is not None:
+        fd = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        os.dup2(fd, 2)
+        os.close(fd)
+    sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
+    from repro.cli import main
+
+    sys.exit(main(["worker", *argv]))
 
 
 def spawn_local_workers(
     endpoint: str,
     num_workers: int,
     capacities: Optional[Sequence[int]] = None,
-    python: str = sys.executable,
     stderr=subprocess.DEVNULL,
     log_dir: Optional[str] = None,
-) -> List[subprocess.Popen]:
+) -> List[mp.Process]:
     """Start ``num_workers`` agents pointed at ``endpoint``.
 
     ``capacities`` optionally sets a per-worker ``--capacity``; pass
-    ``stderr=None`` to see worker logs on the parent's stderr.
+    ``stderr=None`` to see worker logs on the parent's stderr (the
+    default, ``subprocess.DEVNULL``, discards them).
 
     ``log_dir`` (or the ``REPRO_WORKER_LOG_DIR`` environment variable,
     which CI sets so worker logs can be uploaded as artifacts when the
@@ -54,46 +75,45 @@ def spawn_local_workers(
         raise ValueError(
             f"got {len(capacities)} capacities for {num_workers} workers"
         )
+    if stderr not in (None, subprocess.DEVNULL):
+        raise ValueError("stderr must be None or subprocess.DEVNULL")
     if log_dir is None:
         log_dir = os.environ.get("REPRO_WORKER_LOG_DIR") or None
     if log_dir is not None:
         os.makedirs(log_dir, exist_ok=True)
-    env = _worker_env()
-    procs: List[subprocess.Popen] = []
+    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+    procs: List[mp.Process] = []
     for i in range(num_workers):
-        cmd = [python, "-m", "repro.cli", "worker", "--connect", endpoint]
+        argv = ["--connect", endpoint]
         if capacities is not None:
-            cmd += ["--capacity", str(capacities[i])]
+            argv += ["--capacity", str(capacities[i])]
         if log_dir is not None:
-            with open(Path(log_dir) / f"worker-{i}.log", "ab") as log_file:
-                # Popen duplicates the fd; closing our handle right after
-                # keeps the parent's descriptor table bounded.
-                procs.append(subprocess.Popen(cmd, env=env, stderr=log_file))
+            stderr_path = str(Path(log_dir) / f"worker-{i}.log")
         else:
-            procs.append(subprocess.Popen(cmd, env=env, stderr=stderr))
+            stderr_path = None if stderr is None else os.devnull
+        # Daemonic: a worker never outlives the process that forked it.
+        proc = ctx.Process(target=_run_worker, args=(argv, stderr_path), daemon=True)
+        proc.start()
+        procs.append(proc)
     return procs
 
 
-def terminate_workers(
-    procs: Sequence[subprocess.Popen], timeout: float = 5.0
-) -> List[int]:
-    """Reap worker subprocesses; returns their exit codes.
+def terminate_workers(procs: Sequence[mp.Process], timeout: float = 5.0) -> List[int]:
+    """Reap worker processes; returns their exit codes.
 
     Workers that received SHUTDOWN exit on their own; anything still
     alive is terminated (then killed) so a failed test can never leak
-    processes.
+    processes.  Codes read like ``Popen.returncode``: the worker's exit
+    status, or ``-signal`` for a worker a signal ended.
     """
     codes: List[int] = []
     for proc in procs:
-        try:
-            codes.append(proc.wait(timeout=timeout))
-            continue
-        except subprocess.TimeoutExpired:
-            pass
-        proc.terminate()
-        try:
-            codes.append(proc.wait(timeout=timeout))
-        except subprocess.TimeoutExpired:
-            proc.send_signal(signal.SIGKILL)
-            codes.append(proc.wait(timeout=timeout))
+        proc.join(timeout)
+        if proc.exitcode is None:
+            proc.terminate()
+            proc.join(timeout)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join(timeout)
+        codes.append(proc.exitcode)
     return codes

@@ -425,9 +425,15 @@ class PoolRecipe:
         process shares them: each policy a ``compare`` rebuilds from
         ``(config, seed)``, and each shard unpickled here.  A miss draws
         both; the pool is drawn first, so its bytes do not depend on
-        ``test_size``.
+        ``test_size``.  A hit on the pool alone needs no draw when
+        ``test_size`` is 0: the empty test set is built beside it.
         """
         pool, test = _DRAWN.get(self), _DRAWN.get((self, test_size))
+        if pool is not None and test is None and test_size == 0:
+            # What ``_draw(0)`` returns beside the pool, without the draw.
+            x, y = np.empty((0, *self.shape)), np.empty(0, dtype=np.int64)
+            empty = Dataset(x, y, pool.num_classes, f"{self.dataset}-test")
+            test = _DRAWN[(self, 0)] = _read_only(empty)
         if pool is None or test is None:
             fresh_pool, fresh_test = self._draw(test_size)
             if pool is None:

@@ -19,7 +19,9 @@ stopwatches.
 Thread-safety: one process-wide lock guards registry mutation; spans
 may close from any thread (the coordinator's reader threads).
 Fork-safety: a forked child inherits the registry but the trace writer
-drops its writes (see :class:`~repro.telemetry.trace.TraceWriter`).
+drops its writes (see :class:`~repro.telemetry.trace.TraceWriter`), and
+the child gets a fresh registry lock -- the inherited one may be held by
+a parent thread that does not exist in the child.
 """
 
 from __future__ import annotations
@@ -326,6 +328,14 @@ class _State:
 
 
 _STATE = _State()
+
+
+def _new_lock_after_fork() -> None:
+    _STATE.lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lock_after_fork)
 
 
 def enabled() -> bool:

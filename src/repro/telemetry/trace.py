@@ -25,8 +25,9 @@ schema; CI validates the trace a loopback smoke run produces, and the
 rather than mis-summarizing them.
 
 The writer is thread-safe and fork-safe: a forked child (the process
-executor's workers) inherits the file object but silently drops writes,
-so one process -- the one that called ``configure`` -- owns the file.
+executor's workers, local TCP workers) inherits the file object but
+silently drops writes and never flushes it, so one process -- the one
+that called ``configure`` -- owns the file.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ SCHEMA_VERSION = 1
 
 _EVENT_KINDS = ("meta", "span", "metric")
 _METRIC_KINDS = ("counter", "gauge", "histogram")
+
+#: Trace files a forked child closed: never finalised in the child.
+_FORKED_HANDLES: List[Any] = []
 
 
 def _json_default(obj: Any) -> Any:
@@ -144,13 +148,20 @@ class TraceWriter:
                 self._fh.flush()
 
     def close(self) -> None:
+        if os.getpid() != self._pid:
+            # A forked copy: its buffer holds the owner's pending lines,
+            # which finalising the handle would write a second time, and
+            # its lock may be held by an owner thread that is not here.
+            # Keep the handle alive until this process exits.
+            _FORKED_HANDLES.append(self._fh)
+            self._closed = True
+            return
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if os.getpid() == self._pid:
-                self._fh.flush()
-                self._fh.close()
+            self._fh.flush()
+            self._fh.close()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Set
 
 import numpy as np
@@ -18,6 +20,17 @@ from repro.simcluster.latency import LatencyModel
 from repro.simcluster.network import CommModel
 from repro.simcluster.population import PopulationStore
 from repro.simcluster.resources import ResourceSpec
+
+
+def subprocess_env() -> dict:
+    """A fresh interpreter's environment with the repro package importable."""
+    import repro
+
+    env = os.environ.copy()
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_dir if not existing else src_dir + os.pathsep + existing
+    return env
 
 
 @pytest.fixture

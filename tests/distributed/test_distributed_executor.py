@@ -1,9 +1,11 @@
 """Loopback integration tests for the distributed executor.
 
-Real worker subprocesses (``python -m repro.cli worker``), real TCP
-sockets on 127.0.0.1, real training -- and the same bar the in-process
-backends clear: global weights bit-identical to the serial schedule,
-including across a worker killed with SIGKILL mid-run.
+Real worker processes (forked by ``spawn_local_workers``, each running
+the ``worker`` command), real TCP sockets on 127.0.0.1, real training --
+and the same bar the in-process backends clear: global weights
+bit-identical to the serial schedule, including across a worker killed
+with SIGKILL mid-run.  ``test_launch.py`` runs the fresh-interpreter
+``python -m repro.cli worker`` a remote node starts.
 """
 
 import os
@@ -38,7 +40,7 @@ def make_pool(num_clients=6, seed=7):
 
 
 def start_distributed(pool, model, num_workers, capacities=None, **kwargs):
-    """A bound, listening coordinator plus its spawned worker subprocesses."""
+    """A bound, listening coordinator plus its spawned worker processes."""
     opts = dict(FAST_TIMEOUTS)
     opts.update(kwargs)
     ex = DistributedExecutor(workers=num_workers, **opts)

@@ -40,6 +40,7 @@ from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.rng import derive
 from repro.serialization import shard_from_bytes, shard_to_bytes
+from repro.simcluster.population import SeedAddress
 from tests.conftest import assert_bits_equal
 
 FAST_TIMEOUTS = dict(accept_timeout=60.0, result_timeout=90.0)
@@ -340,6 +341,44 @@ class TestPoolRecipe:
             assign(blob.replace(digest, b"0" * len(digest)))
         assign(blob)
         assert list(agent._clients) == [0, 1, 2]
+
+    @pytest.mark.parametrize("build", [small_paper, small_store], ids=["paper", "population"])
+    def test_unpickled_where_built_draws_nothing(self, build, monkeypatch):
+        """The memo holds the pool, so an unpickle beside it draws no
+        pool and no empty test set -- and the digest check still refuses
+        a tampered pool on that hit.  (The LEAF builder draws outside the
+        memo, so its first unpickle draws.)"""
+        scn = build(seed=6)
+        draws = []
+        real_draw = scenarios.PoolRecipe._draw
+
+        def counting_draw(recipe, test_size):
+            draws.append(test_size)
+            return real_draw(recipe, test_size)
+
+        monkeypatch.setattr(scenarios.PoolRecipe, "_draw", counting_draw)
+        blob = pickle.dumps(scn.fed, protocol=pickle.HIGHEST_PROTOCOL)
+        far = pickle.loads(blob)
+        assert draws == []
+        assert far.train is scn.fed.train and len(far.test) == 0
+        digest = scn.fed.pool_digest.encode()
+        assert blob.count(digest) == 1
+        with pytest.raises(ValueError, match="digest mismatch"):
+            pickle.loads(blob.replace(digest, b"0" * len(digest)))
+        assert draws == []
+
+    @pytest.mark.parametrize("dataset", sorted(scenarios._DATASETS) + [scenarios._LEAF])
+    def test_memo_hit_builds_the_empty_test_set_a_draw_makes(self, dataset, monkeypatch):
+        monkeypatch.setattr(scenarios, "_DRAWN", weakref.WeakValueDictionary())
+        seed = SeedAddress.capture(np.random.default_rng(1))
+        recipe = scenarios.PoolRecipe(dataset, (4, 4, 1), 64, seed, writers=5, num_classes=10)
+        pool, _ = recipe.draw(16)  # the pool is memoised, the empty test set is not
+        hit_pool, hit = recipe.draw()
+        _, drawn = recipe._draw(0)
+        assert hit_pool is pool
+        assert (hit.name, hit.num_classes) == (drawn.name, drawn.num_classes)
+        assert_bits_equal(hit.x, drawn.x)
+        assert_bits_equal(hit.y, drawn.y)
 
     @FEDERATIONS
     def test_oversized_recipe_is_refused_before_it_allocates(self, build, monkeypatch):

@@ -189,8 +189,6 @@ CENSUS_ALLOWLIST = {
         "test hook: forces cold re-materialisation under the pins",
     "src/repro/simcluster/population.py:PopulationStore.set_available":
         "the one public writer behind the read-only availability column",
-    "src/repro/telemetry/core.py:reset":
-        "test hook: a clean registry for each telemetry test",
     "src/repro/telemetry/core.py:span_records":
         "test hook: the recorded spans a telemetry test reads",
     "src/repro/telemetry/core.py:clear_spans":

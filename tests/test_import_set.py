@@ -1,8 +1,9 @@
 """What a cold process loads: numpy and the package, nothing else.
 
-Every CLI call, test / bench child and TCP worker pays for whatever
-``import repro`` pulls in, and a worker pays it on the coordinator's
-critical path (registration waits for it).  These are import-*set*
+Every CLI call, test / bench child and remote TCP worker pays for
+whatever ``import repro`` pulls in, and a remote worker pays it on the
+coordinator's critical path (registration waits for it; local workers
+are forked with the imports done).  These are import-*set*
 tests, not timing tests: each runs a fresh interpreter and reads
 ``sys.modules``, so a heavy import that creeps back to module scope
 fails here in seconds and by name.
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.distributed.launch import _worker_env
+from tests.conftest import subprocess_env
 
 #: Runs in the child: import ``argv[1]``, optionally run ``argv[2]``,
 #: report the third-party top-level packages and ``repro`` subpackages
@@ -39,7 +40,7 @@ print(json.dumps({"third_party": sorted(third_party), "repro": sorted(repro)}))
 def _loaded(module, then=None):
     argv = [sys.executable, "-c", _PROBE, module] + ([then] if then else [])
     out = subprocess.run(
-        argv, env=_worker_env(), capture_output=True, text=True, timeout=120
+        argv, env=subprocess_env(), capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
