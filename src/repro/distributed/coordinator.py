@@ -23,12 +23,14 @@
   :func:`repro.execution.pool.absorb_rng_state` applies to the
   coordinator's authoritative client pool immediately.
 * **One collector, one queue.**  A training cohort, an evaluation
-  cohort and a sharded model evaluation each open an :class:`_InFlight`
-  batch and drive it with :meth:`DistributedExecutor._collect`, the one
-  event loop; only the result handler differs.  The executor has one
-  batch in flight, so the per-worker reader threads post every result
-  frame and every loss / resume / ``BYE`` / ``REJECT`` event once, onto
-  the one event queue that loop drains.
+  cohort and a sharded model evaluation are built, merged and assembled
+  by :class:`repro.execution.pool.PoolExecutor`, which the ``process``
+  pool shares; this backend supplies the pipe,
+  :meth:`DistributedExecutor._run`: one :class:`_InFlight` batch driven
+  by :meth:`DistributedExecutor._collect`, the one event loop.  The
+  executor has one batch in flight, so the per-worker reader threads
+  post every result frame and every loss / resume / ``BYE`` /
+  ``REJECT`` event once, onto the one event queue that loop drains.
 * **Codec-pluggable weight transport (v4).**  BROADCAST and UPDATE
   payloads travel through the :mod:`repro.codec` codec named by
   ``TrainingConfig.codec``: ``raw`` (bit-exact float64, the default),
@@ -116,7 +118,6 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -126,16 +127,9 @@ from repro.codec import get_codec
 from repro.distributed import protocol as proto
 from repro.distributed.transport import Connection, ConnectionClosed, FrameError
 from repro.distributed.worker import BROADCAST_RETAIN
-from repro.execution.base import (
-    ClientExecutor,
-    EvalRequest,
-    ExecutorError,
-    TrainRequest,
-    order_updates,
-)
-from repro.execution.pool import absorb_rng_state, deal, group_by_owner, owned_by
+from repro.execution.base import ExecutorError
+from repro.execution.pool import OnResult, PoolExecutor, deal, group_by_owner, owned_by
 from repro.serialization import shard_to_bytes
-from repro.simcluster.client import ClientUpdate
 from repro.simcluster.population import PopulationStore
 
 __all__ = ["DistributedExecutor"]
@@ -278,7 +272,7 @@ class _InFlight:
         return True
 
 
-class DistributedExecutor(ClientExecutor):
+class DistributedExecutor(PoolExecutor):
     """Train cohorts across worker agents connected over TCP.
 
     Parameters
@@ -350,7 +344,6 @@ class DistributedExecutor(ClientExecutor):
         self._listener: Optional[socket.socket] = None
         self._bound_endpoint: Optional[str] = None
         self._handles: Dict[int, _WorkerHandle] = {}
-        self._owner: Dict[int, int] = {}  # client_id -> worker_id
         # Every result frame and every loss/resume event, from every
         # reader thread: ``(worker_id, gen, msg_type, payload)``, ``gen``
         # being the connection generation the event was observed on.
@@ -414,12 +407,6 @@ class DistributedExecutor(ClientExecutor):
     @property
     def num_workers_started(self) -> int:
         return sum(1 for h in self._handles.values() if h.alive)
-
-    def owner_of(self, client_id: int) -> int:
-        """Worker id a client is currently pinned to."""
-        if not self._assigned:
-            raise ExecutorError("executor not started yet")
-        return self._owner[client_id]
 
     def worker_pid(self, worker_id: int) -> int:
         """OS pid the worker advertised at registration (for tooling/tests)."""
@@ -757,39 +744,26 @@ class DistributedExecutor(ClientExecutor):
                 ),
             )
 
-    def bind_eval_data(self, x, y) -> None:
-        """Ship the server-held eval set to every worker, exactly once.
+    def _eval_holders(self) -> List[int]:
+        """Every live worker: the eval set travels as one BIND_EVAL frame
+        per worker right after ASSIGN, or -- bound after the workers
+        registered -- here, before its first sharded pass."""
+        if not self._eval_shipped:
+            blob = proto.encode_bind_eval(*self._eval_data)
+            for wid in self._live_ids():
+                try:
+                    self._handles[wid].conn.send(proto.MsgType.BIND_EVAL, blob)
+                except OSError:
+                    # The worker is dying; the death event surfaces through
+                    # the collector.  Survivors still hold the data.
+                    pass
+            self._eval_shipped = True
+        return self._live_ids()
 
-        Before the workers register, the set is staged and travels as one
-        BIND_EVAL frame per worker right after ASSIGN; bound afterwards,
-        it ships immediately.  Re-binding the same arrays is a no-op;
-        re-binding different data after the shipment is an error (the
-        ship-once invariant -- workers hold exactly one resident copy;
-        the only re-send is the replay to a resumed worker, which
-        restores that same copy).
-        """
-        if self._bound_eval_data_matches(x, y):
-            return
-        if self._eval_shipped:
-            raise ExecutorError(
-                "distributed executor already shipped an eval set to its "
-                "workers; create a fresh executor to bind different data"
-            )
-        super().bind_eval_data(x, y)
-        if self._assigned:
-            self._ship_eval_data()
-
-    def _ship_eval_data(self) -> None:
-        assert self._eval_data is not None
-        blob = proto.encode_bind_eval(*self._eval_data)
-        for wid in self._live_ids():
-            try:
-                self._handles[wid].conn.send(proto.MsgType.BIND_EVAL, blob)
-            except OSError:
-                # The worker is dying; the death event surfaces through
-                # the collector.  Survivors still hold the data.
-                pass
-        self._eval_shipped = True
+    def _eval_copy_shipped(self) -> bool:
+        """Set once BIND_EVAL went out; the only re-send is the replay to
+        a resumed worker, which restores that same copy."""
+        return self._eval_shipped
 
     def _ensure_started(self) -> None:
         if self._assigned:
@@ -1281,28 +1255,30 @@ class DistributedExecutor(ClientExecutor):
     def _decode_result(
         self, msg_type: int, payload: bytes, state: _InFlight
     ) -> Optional[tuple]:
-        """Decode one result frame; raises :class:`proto.ProtocolError`
-        when it is malformed.
+        """Decode one result frame to ``(seq, key, value, error)``; raises
+        :class:`proto.ProtocolError` when it is malformed.
 
-        A worker's delta UPDATE names the broadcast it trained from
+        The key is a client id, or an eval shard's ``(start, end)``; an
+        UPDATE's value is ``(weights, num_samples, rng_state)``.  A
+        worker's delta UPDATE names the broadcast it trained from
         (``baseline_seq == seq``), which is ``state.weights`` whichever
         connection carried it -- so the decode needs no per-worker
         mirror.  ``None`` means a stale UPDATE (an abandoned cohort's,
         whose baseline may be gone): dropped undecoded.
         """
         if msg_type == proto.MsgType.TRAINFAIL:
-            return proto.decode_trainfail(payload)
+            seq, cid, tb = proto.decode_trainfail(payload)
+            return seq, cid, None, tb
         if msg_type == proto.MsgType.EVAL_RESULT:
             return proto.decode_eval_result(payload)
         if msg_type == proto.MsgType.EVAL_MODEL_RESULT:
-            return proto.decode_eval_model_result(payload)
+            seq, a, b, correct, err = proto.decode_eval_model_result(payload)
+            return seq, (a, b), correct, err
         if proto.update_seq(payload) != state.seq:
-            # Stale result from an abandoned cohort (see the equivalent
-            # note in ProcessExecutor._train_cohort).
-            return None
+            return None  # stale: an abandoned cohort's
         collect = telemetry.enabled()
         t0 = time.perf_counter() if collect else 0.0
-        decoded = proto.decode_update(
+        seq, cid, n_samples, rng_state, w = proto.decode_update(
             payload,
             baselines={state.seq: state.weights},
             expected_size=self._num_params,
@@ -1311,7 +1287,7 @@ class DistributedExecutor(ClientExecutor):
             telemetry.observe(
                 "codec.decode_s", time.perf_counter() - t0, codec=self.codec.name
             )
-        return decoded
+        return seq, cid, (w, n_samples, rng_state), None
 
     # ------------------------------------------------------------------
     # the round
@@ -1396,102 +1372,30 @@ class DistributedExecutor(ClientExecutor):
                 else:
                     self._handle_worker_death(wid, state, unexpected)
 
-    def _train_cohort(
+    def _run(
         self,
+        kind: str,
         round_idx: int,
-        requests: Sequence[TrainRequest],
-        global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]],
-    ) -> List[ClientUpdate]:
-        jobs = [(req.client_id, req.epochs) for req in requests]
-        state = self._initial_dispatch(
-            "train", round_idx, global_weights, group_by_owner(jobs, self._owner, itemgetter(0))
-        )
-        updates: List[ClientUpdate] = []
-        failures: List[str] = []
+        weights: np.ndarray,
+        per_worker: Dict[int, List[_Job]],
+        what: str,
+        on_result: OnResult,
+    ) -> None:
+        """One batch over TCP: :meth:`_initial_dispatch`, then
+        :meth:`_collect` until every job settled.  Only a key's first
+        result reaches ``on_result`` (a reassignment race may compute it
+        twice, bit-identically), under the lock a resume holds; a merged
+        UPDATE then calls :meth:`_on_update_received`."""
+        state = self._initial_dispatch(kind, round_idx, weights, per_worker)
 
-        def on_result(wid: int, msg_type: int, decoded: tuple) -> None:
-            cid = decoded[1]
-            if not state.settle(cid):
-                return
-            if msg_type == proto.MsgType.TRAINFAIL:
-                failures.append(f"client {cid} (worker {wid}):\n{decoded[2]}")
-                return
-            _seq, _cid, n_samples, rng_state, w = decoded
-            absorb_rng_state(self._clients, cid, rng_state)
-            updates.append(self._stamp(cid, w, n_samples, latencies))
-            self._on_update_received(wid, cid)
+        def settle(wid: int, msg_type: int, decoded: tuple) -> None:
+            _seq, key, value, error = decoded
+            if state.settle(key):
+                on_result(wid, key, value, error)
+                if msg_type == proto.MsgType.UPDATE:
+                    self._on_update_received(wid, key)
 
-        self._collect(state, "client update(s)", on_result)
-        self._raise_failures("client training failed on worker agent(s)", failures)
-        return order_updates(updates, requests)
-
-    def _evaluate_cohort(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> Dict[int, float]:
-        """Batched holdout evaluation with the same failover as training.
-
-        Weights reach the workers through the same BROADCAST frame the
-        training path uses (and therefore the same codec); each owning
-        worker answers one EVAL_RESULT per client.  Evaluation is pure,
-        so a dead worker's unfinished jobs are simply re-dispatched to
-        whoever inherits its clients -- no RNG state replay is needed
-        and duplicates are merged first-wins (copies are bit-identical).
-        """
-        ids = [req.client_id for req in requests]
-        state = self._initial_dispatch("eval", 0, flat_weights, group_by_owner(ids, self._owner))
-        accs: Dict[int, float] = {}
-        failures: List[str] = []
-
-        def on_result(wid: int, _msg_type: int, decoded: tuple) -> None:
-            _seq, cid, acc, err = decoded
-            if not state.settle(cid):
-                return
-            if err is not None:
-                failures.append(f"client {cid} (worker {wid}):\n{err}")
-            else:
-                accs[cid] = acc
-
-        self._collect(state, "evaluation result(s)", on_result)
-        self._raise_failures("client evaluation failed on worker agent(s)", failures)
-        return {cid: accs[cid] for cid in ids}
-
-    # ------------------------------------------------------------------
-    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
-        """Every live worker, when this dataset was shipped via
-        :meth:`bind_eval_data` (one BIND_EVAL frame per worker);
-        anything else evaluates serially in the coordinator process."""
-        if not self._bound_eval_data_matches(x, y):
-            return 0
-        self._ensure_started()
-        return len(self._live_ids()) if self._eval_shipped else 0
-
-    def _count_sharded(
-        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
-    ) -> int:
-        """Shard over the workers' resident eval set.  A worker lost
-        mid-pass has its shards re-dealt over the survivors (shard
-        counting is pure, so replays merge first-wins)."""
-        state = self._initial_dispatch(
-            "eval_model", 0, flat_weights, group_by_owner(bounds, deal(bounds, self._live_ids()))
-        )
-        counts: List[int] = []
-        failures: List[str] = []
-
-        def on_result(wid: int, _msg_type: int, decoded: tuple) -> None:
-            _seq, a, b, shard_correct, err = decoded
-            if not state.settle((a, b)):
-                return
-            if err is not None:
-                failures.append(f"shard [{a}:{b}] (worker {wid}):\n{err}")
-            else:
-                counts.append(shard_correct)
-
-        self._collect(state, "evaluation shard(s)", on_result)
-        self._raise_failures("global evaluation failed on worker agent(s)", failures)
-        return sum(counts)
+        self._collect(state, what, settle)
 
     # ------------------------------------------------------------------
     def _emit_wire_metrics(self) -> None:
@@ -1506,11 +1410,7 @@ class DistributedExecutor(ClientExecutor):
         )
         for name, table in tables:
             for key, value in table.items():
-                try:
-                    label = proto.MsgType(key).name
-                except ValueError:
-                    label = str(key)
-                telemetry.count(name, value, msg_type=label)
+                telemetry.count(name, value, msg_type=proto.frame_name(key))
         for how, value in self.broadcast_stats.items():
             telemetry.count(f"wire.broadcast_{how}", value)
         for wid, summary in sorted(self._worker_summaries.items()):

@@ -6,14 +6,15 @@ processes, real TCP sockets, one machine -- used by the equivalence
 tests and the ``loopback_*`` workloads of ``perf/``.
 
 A local worker is forked from the coordinator (spawned where ``fork``
-is unavailable) and runs the ``worker`` command in the child, so it
-reaches HELLO without paying for an interpreter and its imports.  It
-still gets everything over TCP, like a remote worker: the inherited
-memory only makes its pool re-derivation a memo hit.  The child closes
-its copy of the coordinator's listener (an at-fork hook in
-:mod:`repro.distributed.coordinator`), starts with telemetry off and an
-empty registry, and freezes the inherited objects out of the garbage
-collector's reach.
+is unavailable: :func:`repro.execution.pool.worker_context`, which the
+``process`` pool starts its workers in too) and runs the ``worker``
+command in the child, so it reaches HELLO without paying for an
+interpreter and its imports.  It still gets everything over TCP, like a
+remote worker: the inherited memory only makes its pool re-derivation a
+memo hit.  The child closes its copy of the coordinator's listener (an
+at-fork hook in :mod:`repro.distributed.coordinator`), starts with
+telemetry off and an empty registry, and freezes the inherited objects
+out of the garbage collector's reach.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro import telemetry
+from repro.execution.pool import worker_context
 
 __all__ = ["spawn_local_workers", "terminate_workers"]
 
@@ -81,7 +83,7 @@ def spawn_local_workers(
         log_dir = os.environ.get("REPRO_WORKER_LOG_DIR") or None
     if log_dir is not None:
         os.makedirs(log_dir, exist_ok=True)
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+    ctx = worker_context()
     procs: List[mp.Process] = []
     for i in range(num_workers):
         argv = ["--connect", endpoint]

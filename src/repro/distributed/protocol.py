@@ -61,6 +61,15 @@ class MsgType(IntEnum):
     ASSIGN_SHARD = 19
 
 
+def frame_name(type_byte: int) -> str:
+    """A frame type byte's :class:`MsgType` name, or the number itself
+    for a byte no member claims (the label per-frame-type tallies use)."""
+    try:
+        return MsgType(type_byte).name
+    except ValueError:
+        return str(type_byte)
+
+
 class ProtocolError(RuntimeError):
     """A peer sent something the protocol does not allow."""
 

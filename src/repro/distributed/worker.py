@@ -6,14 +6,14 @@ of its own -- everything (clients, model shell, training hyperparameters)
 arrives over the wire, so a fleet of identical agents can serve any
 federation.
 
-Determinism mirrors :func:`repro.execution.process._worker_main` because
-both run the same worker ops (:func:`repro.execution.pool.train_client`,
-:func:`repro.execution.base.evaluate_holdouts`,
-:func:`repro.execution.base.count_correct`): each TRAIN message builds
-one optimizer factory for the round, clients train sequentially in
-dispatch order inside the single workspace model, and every UPDATE ships
-the client's advanced training-RNG state back so the coordinator's pool
-remains the single source of truth.
+Determinism is the ``process`` pool's because its workers run the same
+worker ops: a TRAIN frame is served by
+:func:`repro.execution.pool.serve_train` (one optimizer factory for the
+round, clients trained in dispatch order inside the single workspace
+model), an EVAL frame by :func:`repro.execution.base.evaluate_holdouts`
+and an EVAL_MODEL frame by :func:`repro.execution.pool.count_shards`.
+Every UPDATE ships the client's advanced training-RNG state back so the
+coordinator's pool remains the single source of truth.
 
 A dedicated reader thread answers PING with PONG even while a long
 local pass is running, so a busy worker is never mistaken for a dead
@@ -56,7 +56,6 @@ import socket
 import sys
 import threading
 import time
-import traceback
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
@@ -66,8 +65,8 @@ from repro.codec import get_codec
 from repro.config import TrainingConfig
 from repro.distributed import protocol as proto
 from repro.distributed.transport import Connection, ConnectionClosed, FrameError
-from repro.execution.base import count_correct, evaluate_holdouts
-from repro.execution.pool import train_client
+from repro.execution.base import evaluate_holdouts
+from repro.execution.pool import count_shards, serve_train
 from repro.nn.model import Sequential
 from repro.serialization import shard_from_bytes
 from repro.simcluster.population import PopulationStore, ShardClients
@@ -400,7 +399,6 @@ class WorkerAgent:
     def _handle_train(self, conn: Connection, payload: bytes) -> None:
         seq, round_idx, jobs = proto.decode_train(payload)
         global_flat = self._weights_for(seq, "TRAIN", [cid for cid, _ in jobs])
-        factory = self._training.optimizer_factory(round_idx)
         # Updates travel through the configured codec; for delta the
         # baseline is the broadcast this cohort trains from -- both
         # peers hold it by construction, first round included.
@@ -408,33 +406,24 @@ class WorkerAgent:
         baseline = global_flat if codec.requires_baseline else None
         baseline_seq = seq if codec.requires_baseline else 0
         self._stats["train_requests"] += 1
-        for client_id, epochs in jobs:
-            try:
-                w, num_samples, state = train_client(
-                    self._clients[client_id],
-                    self._workspace,
-                    global_flat,
-                    factory,
-                    self._training,
-                    epochs,
-                )
-                t0 = time.perf_counter()
-                frame = proto.encode_update(
-                    seq, client_id, num_samples, state, w,
-                    codec=codec, baseline=baseline,
-                    baseline_seq=baseline_seq,
-                )
-                self._stats["codec_encode_s"] += time.perf_counter() - t0
-                self._stats["clients_trained"] += 1
-                conn.send(proto.MsgType.UPDATE, frame)
-            except Exception:
-                # Per-client guard mirrors the process backend: a plain
-                # training failure is reported and the worker lives on;
-                # KeyboardInterrupt/SystemExit deliberately propagate.
-                conn.send(
-                    proto.MsgType.TRAINFAIL,
-                    proto.encode_trainfail(seq, client_id, traceback.format_exc()),
-                )
+
+        def reply(client_id, w, num_samples, state) -> None:
+            t0 = time.perf_counter()
+            frame = proto.encode_update(
+                seq, client_id, num_samples, state, w,
+                codec=codec, baseline=baseline, baseline_seq=baseline_seq,
+            )
+            self._stats["codec_encode_s"] += time.perf_counter() - t0
+            self._stats["clients_trained"] += 1
+            conn.send(proto.MsgType.UPDATE, frame)
+
+        def fail(client_id, tb) -> None:
+            conn.send(proto.MsgType.TRAINFAIL, proto.encode_trainfail(seq, client_id, tb))
+
+        serve_train(
+            self._clients, self._workspace, global_flat, self._training, round_idx, jobs,
+            reply, fail,
+        )
 
     def _handle_eval(self, conn: Connection, payload: bytes) -> None:
         """Evaluate owned clients' holdouts against the matching BROADCAST."""
@@ -469,12 +458,7 @@ class WorkerAgent:
                 )
         # One weight load per EVAL_MODEL frame, one result frame per shard
         # (a failure fails the frame's shards together).
-        error = None
-        try:
-            counts = count_correct(self._workspace, x, y, shards, eval_flat)
-        except Exception:
-            counts, error = [None] * len(shards), traceback.format_exc()
-        for (a, b), correct in zip(shards, counts):
+        for (a, b), correct, error in count_shards(self._workspace, x, y, shards, eval_flat):
             conn.send(
                 proto.MsgType.EVAL_MODEL_RESULT,
                 proto.encode_eval_model_result(seq, a, b, correct, error),
@@ -483,18 +467,6 @@ class WorkerAgent:
     # ------------------------------------------------------------------
     # telemetry summary
     # ------------------------------------------------------------------
-    @staticmethod
-    def _name_keyed(by_type: Dict[int, int]) -> Dict[str, int]:
-        """Re-key a per-frame-type tally from type bytes to frame names."""
-        out: Dict[str, int] = {}
-        for key, value in by_type.items():
-            try:
-                name = proto.MsgType(key).name
-            except ValueError:
-                name = str(key)
-            out[name] = value
-        return out
-
     def _telemetry_summary(self, conn: Connection) -> Dict[str, object]:
         """The compact per-worker summary shipped on the TELEMETRY frame.
 
@@ -504,12 +476,13 @@ class WorkerAgent:
         """
         summary: Dict[str, object] = dict(self._stats)
         summary["pid"] = os.getpid()
-        summary["frames_sent"] = self._name_keyed(conn.frames_sent)
-        summary["frames_received"] = self._name_keyed(conn.frames_received)
-        summary["bytes_sent"] = self._name_keyed(conn.bytes_sent_by_type)
-        summary["bytes_received"] = self._name_keyed(
-            conn.bytes_received_by_type
-        )
+        for key, by_type in (
+            ("frames_sent", conn.frames_sent),
+            ("frames_received", conn.frames_received),
+            ("bytes_sent", conn.bytes_sent_by_type),
+            ("bytes_received", conn.bytes_received_by_type),
+        ):
+            summary[key] = {proto.frame_name(t): n for t, n in by_type.items()}
         return summary
 
     # ------------------------------------------------------------------

@@ -95,13 +95,12 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.config import TrainingConfig
-from repro.execution.pool import train_client
 from repro.nn.model import Sequential
 from repro.simcluster.client import ClientUpdate, SimClient
 
@@ -113,6 +112,7 @@ __all__ = [
     "order_updates",
     "EVAL_BATCH",
     "eval_shard_bounds",
+    "train_client",
     "evaluate_holdouts",
     "count_correct",
 ]
@@ -150,6 +150,39 @@ def eval_shard_bounds(
         for s in range(shards)
     ]
     return [(a, b) for a, b in bounds if a < b]
+
+
+def train_client(
+    client: SimClient,
+    workspace: Sequential,
+    global_flat: np.ndarray,
+    factory: Callable,
+    training: TrainingConfig,
+    epochs: int,
+) -> Tuple[np.ndarray, int, Optional[dict]]:
+    """One client's local pass in ``workspace``, from ``global_flat``.
+
+    The only :meth:`SimClient.train` call site under ``repro.execution``
+    and ``repro.distributed`` (its evaluation twins are
+    :func:`evaluate_holdouts` and :func:`count_correct`).  Returns
+    ``(weights, num_train_samples, train_rng_state)``.  The state is the
+    client's advanced shuffle-stream position (``None`` for a client
+    without one): a pinned worker ships it home with the update so the
+    parent pool stays the single source of truth and the same clients
+    can later be reused with any backend, re-shipped after a worker loss
+    or resumed without replaying streams.
+    """
+    weights = client.train(
+        workspace,
+        global_flat,
+        factory,
+        batch_size=training.batch_size,
+        epochs=epochs,
+        prox_mu=training.prox_mu,
+    )
+    rng = getattr(client, "_train_rng", None)
+    state = rng.bit_generator.state if rng is not None else None
+    return weights, client.num_train_samples, state
 
 
 def evaluate_holdouts(
@@ -197,9 +230,9 @@ def count_correct(
     ``(x, y)``: one load, one count per bound.
 
     The server-held-dataset twin of :func:`evaluate_holdouts` and the
-    only shard-scoring loop in the package: a ``process`` worker's
-    ``"eval_model"`` task and a distributed worker's EVAL_MODEL frame
-    both run it on shards :func:`eval_shard_bounds` cut.
+    only shard-scoring loop in the package: both pools' workers run it,
+    through :func:`repro.execution.pool.count_shards`, on shards
+    :func:`eval_shard_bounds` cut.
     Raises whatever the load or a forward pass raises; one worker's
     shards share a model and a dataset, so they fail together.
     """
@@ -269,10 +302,11 @@ class ClientExecutor:
     model and training config, then :meth:`train_cohort` every round, and
     finally :meth:`close`.  Backends allocate their worker resources
     lazily on the first cohort, so constructing an executor is free.
-    Every operation defaults to the in-server serial pass; a backend with
-    workers overrides the ``_train_cohort`` / ``_evaluate_cohort`` /
-    ``_eval_shard_workers`` + ``_count_sharded`` hooks behind the public
-    entry points.
+    Every operation defaults to the in-server serial pass behind the
+    ``_train_cohort`` / ``_evaluate_cohort`` / ``_eval_shard_workers`` +
+    ``_count_sharded`` hooks.  The two worker pools override them once,
+    in :class:`repro.execution.pool.PoolExecutor`, and supply only their
+    pipe, :meth:`PoolExecutor._run <repro.execution.pool.PoolExecutor._run>`.
     """
 
     name: str = "abstract"
@@ -488,7 +522,9 @@ class ClientExecutor:
         :func:`evaluate_holdouts` every worker runs over its share."""
         ids = [req.client_id for req in requests]
         accuracies, failures = evaluate_holdouts(self._model, self._clients, ids, flat_weights)
-        self._raise_eval_failures(failures)
+        self._raise_failures(
+            "client evaluation failed", [f"client {cid}:\n{tb}" for cid, tb in failures.items()]
+        )
         return accuracies
 
     @staticmethod
@@ -497,12 +533,6 @@ class ClientExecutor:
         per-shard failure in one :class:`ExecutorError` (no-op when none)."""
         if failures:
             raise ExecutorError(f"{what}:\n" + "\n".join(failures))
-
-    @classmethod
-    def _raise_eval_failures(cls, failures: Mapping[int, str]) -> None:
-        cls._raise_failures(
-            "client evaluation failed", [f"client {cid}:\n{tb}" for cid, tb in failures.items()]
-        )
 
     def evaluate_model(
         self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray

@@ -11,7 +11,7 @@ Design (the memory / determinism contract):
   serial schedule -- the property that makes the process backend
   bit-identical to :class:`repro.execution.serial.SerialExecutor`.  Each
   update ships the advanced RNG state back
-  (:func:`repro.execution.pool.train_client` reads it,
+  (:func:`repro.execution.base.train_client` reads it,
   :func:`repro.execution.pool.absorb_rng_state` writes it into the
   parent's pool), so the parent pool remains the single source of truth
   and can later be reused with any backend or a fresh executor.
@@ -64,51 +64,43 @@ Design (the memory / determinism contract):
   pass (``repro.execution.base.eval_shard_bounds``), bit-identical to
   it.  Data bound *after* the workers started cannot be mapped into
   them and falls back to the in-server serial pass.
-* **Cohort-granular evaluation.**  ``evaluate_cohort`` broadcasts
-  through the shared segment; each tasked worker loads the weights
-  into its replica **once**, scores its pinned share of the cohort with
-  :func:`repro.execution.base.evaluate_holdouts` and answers with
-  **one** reply per ``(worker, seq)`` carrying every accuracy and every
-  per-client traceback (``evaluate_model`` shards answer the same way:
-  one load, one summed count).  The parent drains one reply per tasked
-  worker and discards a reply from an abandoned seq whole.
-* **One result queue.**  Training results and evaluation replies share
-  one queue and one drain (:meth:`ProcessExecutor._drain`): a message
-  from an abandoned (timed-out) seq of *any* kind is dropped, and every
-  ``"ok"`` -- stale ones included -- still frees its return slot.
+* **One shared half, one pipe.**  Jobs, merging and failures are
+  :class:`repro.execution.pool.PoolExecutor`'s; a worker serves a train
+  order with :func:`repro.execution.pool.serve_train`, an eval order
+  with :func:`repro.execution.base.evaluate_holdouts` and an eval-model
+  order with :func:`repro.execution.pool.count_shards` (both of which
+  load the weights into the replica once per order).  Every reply is
+  ``(kind, seq, worker, [(key, value, error), ...])``: one per trained
+  client, one per worker for an evaluation.
+* **One result queue.**  Every kind of reply shares one queue and one
+  drain (:meth:`ProcessExecutor._run`): a reply from an abandoned
+  (timed-out) seq of *any* kind is dropped whole, and every trained
+  update -- stale ones included -- still frees its return slot.
 * **Deterministic merge.**  Results arrive in completion order and are
   reordered into request order before the server ever sees them.
 
-The start method defaults to ``fork`` where available (cheap: the client
-datasets are shared copy-on-write) and falls back to ``spawn``.
+Workers start in :func:`repro.execution.pool.worker_context`: ``fork``
+where available (the client datasets are shared copy-on-write), else
+``spawn``.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import pickle
 import queue as queue_mod
 import time
-import traceback
-from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro import telemetry
 from repro.config import TrainingConfig
-from repro.execution.base import (
-    ClientExecutor,
-    EvalRequest,
-    ExecutorError,
-    TrainRequest,
-    count_correct,
-    evaluate_holdouts,
-    order_updates,
+from repro.execution.base import ExecutorError, evaluate_holdouts
+from repro.execution.pool import (
+    OnResult, PoolExecutor, count_shards, deal, group_by_owner, serve_train, worker_context,
 )
-from repro.execution.pool import absorb_rng_state, deal, group_by_owner, train_client
 from repro.nn.model import Sequential
-from repro.simcluster.client import ClientUpdate, SimClient
+from repro.simcluster.client import SimClient
 from repro.simcluster.population import (
     PopulationShard,
     PopulationStore,
@@ -116,8 +108,6 @@ from repro.simcluster.population import (
 )
 
 __all__ = ["ProcessExecutor"]
-
-_Job = Tuple[int, int]  # (client_id, epochs)
 
 
 def _worker_main(
@@ -133,7 +123,8 @@ def _worker_main(
     task_q,
     result_q,
 ) -> None:
-    """Worker loop: train/evaluate pinned clients against shared weights."""
+    """Worker loop: serve each ``(kind, seq, round_idx, share)`` order
+    against the shared weights until the ``None`` sentinel."""
     if isinstance(clients, PopulationShard):
         # Sharded pool: column slice in, lazy local store out.
         pool = ShardClients()
@@ -142,59 +133,38 @@ def _worker_main(
     global_flat = np.frombuffer(shared_weights, dtype=np.float64, count=num_params)
     slot_view = np.frombuffer(return_slot, dtype=np.float64, count=num_params)
     eval_x = eval_y = None
-    if eval_data is not None:
-        x_buf, x_dtype, x_shape, y_buf, y_dtype, y_shape = eval_data
-        eval_x = np.frombuffer(x_buf, dtype=x_dtype).reshape(x_shape)
-        eval_y = np.frombuffer(y_buf, dtype=y_dtype).reshape(y_shape)
+    if eval_data is not None:  # ((buffer, dtype, shape), (...)) for x, y
+        eval_x, eval_y = (np.frombuffer(b, dtype=d).reshape(shape) for b, d, shape in eval_data)
     while True:
         blob = task_q.get()
         if blob is None:
             break
-        msg = pickle.loads(blob)
-        kind = msg[0]
+        kind, seq, round_idx, share = pickle.loads(blob)
+
+        def post(results) -> None:
+            _ship(result_q, (kind, seq, worker_id, results))
+
         if kind == "train":
-            _, seq, round_idx, jobs = msg
-            factory = training.optimizer_factory(round_idx)
-            for client_id, epochs in jobs:
-                try:
-                    # The advanced training-RNG state ships home with the
-                    # update (see ``train_client``).
-                    w, num_samples, state = train_client(
-                        clients[client_id], workspace, global_flat, factory, training, epochs
-                    )
-                    # Shared-memory return: wait until the parent freed
-                    # this worker's slot, write the weights, then post
-                    # metadata only.  The parent releases the slot for
-                    # every "ok" it drains -- stale ones included -- so
-                    # this acquire can never deadlock a live parent.
-                    slot_free.acquire()
-                    slot_view[: w.size] = w
-                    _ship(
-                        result_q,
-                        ("ok", seq, worker_id, client_id, num_samples, state),
-                    )
-                except Exception:
-                    # Exception, not BaseException: a Ctrl-C delivered to
-                    # the process group must kill the worker loop (the
-                    # parent then reports dead workers), not be reported
-                    # as a per-client training failure.
-                    _ship(
-                        result_q,
-                        ("err", seq, worker_id, client_id, traceback.format_exc()),
-                    )
+
+            def reply(cid, w, num_samples, state) -> None:
+                # Shared-memory return: wait until the parent freed this
+                # worker's slot, write the weights, then post metadata
+                # only.  The parent frees the slot for every trained
+                # update it drains -- stale ones included -- so this
+                # acquire can never deadlock a live parent.
+                slot_free.acquire()
+                slot_view[: w.size] = w
+                post([(cid, (num_samples, state), None)])
+
+            serve_train(
+                clients, workspace, global_flat, training, round_idx, share,
+                reply, lambda cid, tb: post([(cid, None, tb)]),
+            )
         elif kind == "eval":
-            _, seq, client_ids = msg
-            accs, failed = evaluate_holdouts(workspace, clients, client_ids, global_flat)
-            failures = [f"client {cid}:\n{tb}" for cid, tb in failed.items()]
-            _ship(result_q, (seq, accs, failures))
-        elif kind == "eval_model":
-            _, seq, bounds = msg
-            correct, failures = 0, []
-            try:
-                correct = sum(count_correct(workspace, eval_x, eval_y, bounds, global_flat))
-            except Exception:
-                failures.append(f"shards {bounds}:\n{traceback.format_exc()}")
-            _ship(result_q, (seq, correct, failures))
+            accs, failed = evaluate_holdouts(workspace, clients, share, global_flat)
+            post([(cid, accs.get(cid), failed.get(cid)) for cid in share])
+        else:
+            post(count_shards(workspace, eval_x, eval_y, share, global_flat))
 
 
 def _ship(q, msg) -> int:
@@ -209,25 +179,20 @@ def _ship(q, msg) -> int:
     return len(blob)
 
 
-class ProcessExecutor(ClientExecutor):
+class ProcessExecutor(PoolExecutor):
     """Train the cohort across persistent, client-pinned worker processes.
 
     ``result_timeout`` bounds *accumulated idle poll time*: only the
     seconds the parent spent blocked on an empty result queue while
-    collecting one cohort count (:meth:`_next_result`), so workers that
-    keep delivering never time out, however long the cohort runs.  The
+    collecting one batch count (:meth:`_run`), so workers that keep
+    delivering never time out, however long the cohort runs.  The
     distributed coordinator's parameter of the same name is instead a
     wall-clock deadline for the whole cohort.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        start_method: Optional[str] = None,
-        result_timeout: float = 600.0,
-    ) -> None:
+    def __init__(self, workers: int = 2, result_timeout: float = 600.0) -> None:
         super().__init__()
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -235,10 +200,8 @@ class ProcessExecutor(ClientExecutor):
             raise ValueError(f"result_timeout must be positive, got {result_timeout}")
         self.workers = int(workers)
         self.result_timeout = float(result_timeout)
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(start_method)
-        self._procs: List[mp.process.BaseProcess] = []
+        self._ctx = worker_context()
+        self._procs: List = []
         self._task_qs: List = []
         self._result_q = None
         self._shared = None
@@ -246,8 +209,7 @@ class ProcessExecutor(ClientExecutor):
         self._return_slots: List = []
         self._slot_free: List = []
         self._num_params = 0
-        self._owner: Dict[int, int] = {}  # client_id -> worker index
-        self._seq = 0  # cohort sequence number; guards against stale results
+        self._seq = 0  # batch sequence number; guards against stale results
         # IPC accounting: what the equivalent of "bytes on the wire" is
         # for this backend -- the recurring per-round payloads
         # (``bytes_shipped`` says how), which at a fixed cohort must not
@@ -263,12 +225,6 @@ class ProcessExecutor(ClientExecutor):
     def num_workers_started(self) -> int:
         return len(self._procs)
 
-    def owner_of(self, client_id: int) -> int:
-        """Worker index a client is pinned to (stable for the run)."""
-        if not self._started():
-            raise ExecutorError("executor not started yet")
-        return self._owner[client_id]
-
     @property
     def bytes_shipped(self) -> int:
         """Cumulative recurring IPC bytes (excludes one-time shard ship).
@@ -281,23 +237,13 @@ class ProcessExecutor(ClientExecutor):
         """
         return self._ipc_bytes
 
-    def bind_eval_data(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Map the eval set into shared memory for the (future) workers.
+    def _eval_holders(self) -> List[int]:
+        """Every worker, when the eval set was mapped into shared memory
+        before they forked; data bound after start cannot be mapped."""
+        return list(range(len(self._procs))) if self._eval_arrays is not None else []
 
-        Must be called before the first cohort to enable sharding: the
-        shared mapping is passed to the workers when they fork.  Binding
-        after start keeps ``evaluate_model`` correct (in-server serial
-        pass) but cannot shard; re-binding different data once the
-        workers hold a shared copy is an error (ship-once invariant).
-        """
-        if self._bound_eval_data_matches(x, y):
-            return
-        if self._eval_arrays is not None:
-            raise ExecutorError(
-                "process executor already shares an eval set with its "
-                "workers; create a fresh executor to bind different data"
-            )
-        super().bind_eval_data(x, y)
+    def _eval_copy_shipped(self) -> bool:
+        return self._eval_arrays is not None
 
     def _ensure_started(self) -> None:
         if not self._procs:
@@ -316,20 +262,8 @@ class ProcessExecutor(ClientExecutor):
         eval_blob = None
         if self._eval_data is not None:
             # Ship-once: one shared copy, mapped by every worker at fork.
-            x = np.ascontiguousarray(self._eval_data[0])
-            y = np.ascontiguousarray(self._eval_data[1])
-            x_buf = self._ctx.RawArray("b", max(x.nbytes, 1))
-            np.frombuffer(x_buf, dtype=x.dtype, count=x.size).reshape(x.shape)[
-                ...
-            ] = x
-            y_buf = self._ctx.RawArray("b", max(y.nbytes, 1))
-            np.frombuffer(y_buf, dtype=y.dtype, count=y.size).reshape(y.shape)[
-                ...
-            ] = y
-            eval_blob = (
-                x_buf, str(x.dtype), x.shape, y_buf, str(y.dtype), y.shape,
-            )
-            self._eval_arrays = eval_blob
+            x, y = self._eval_data
+            eval_blob = self._eval_arrays = (self._share(x), self._share(y))
         procs, task_qs, return_slots, slot_free_sems = [], [], [], []
         for wid in range(n_workers):
             if isinstance(clients, PopulationStore):
@@ -369,6 +303,13 @@ class ProcessExecutor(ClientExecutor):
         self._slot_free = slot_free_sems
         self._procs = procs
 
+    def _share(self, a: np.ndarray):
+        """A shared-memory copy of ``a`` as ``(buffer, dtype, shape)``."""
+        a = np.ascontiguousarray(a)
+        buf = self._ctx.RawArray("b", max(a.nbytes, 1))
+        np.frombuffer(buf, dtype=a.dtype, count=a.size).reshape(a.shape)[...] = a
+        return buf, str(a.dtype), a.shape
+
     def _write_segment(self, flat_weights: np.ndarray) -> None:
         """One write into the shared segment, visible to every worker
         before its task message arrives (queue send orders it)."""
@@ -386,148 +327,80 @@ class ProcessExecutor(ClientExecutor):
         self._ipc_bytes += int(w.nbytes)
         return w
 
-    def _next_result(self, waited_box: List[float]):
-        """One result-queue read with dead-worker and timeout checks.
+    def _next_result(self, poll: float):
+        """One result-queue read: the reply, or ``None`` after ``poll``
+        idle seconds -- unless a worker died, which fails the batch.
 
         With telemetry on, the blocking ``get`` is observed as this
         backend's queue wait: how long the parent sat idle before a
         worker produced the next result.
         """
-        poll = min(1.0, self.result_timeout)
         collect = telemetry.enabled()
         t0 = time.perf_counter() if collect else 0.0
         try:
             blob = self._result_q.get(timeout=poll)
-            if collect:
-                telemetry.observe(
-                    "executor.queue_wait_s",
-                    time.perf_counter() - t0,
-                    backend=self.name,
-                )
-            self._ipc_bytes += len(blob)
-            return pickle.loads(blob)
         except queue_mod.Empty:
-            # Short poll interval so a dead worker (OOM-kill, factory
-            # error escaping the per-client try) fails the round in
-            # seconds, not after the full result_timeout.
-            waited_box[0] += poll
+            # Short polls, so a dead worker (OOM-kill, factory error
+            # escaping the per-client guard) fails the batch in seconds,
+            # not after the full result_timeout.
             dead = [p.name for p in self._procs if not p.is_alive()]
             if dead:
                 raise ExecutorError(f"worker process(es) died mid-round: {dead}")
-            if waited_box[0] >= self.result_timeout:
-                raise ExecutorError("timed out waiting for client results")
             return None
+        if collect:
+            telemetry.observe(
+                "executor.queue_wait_s", time.perf_counter() - t0, backend=self.name
+            )
+        self._ipc_bytes += len(blob)
+        return pickle.loads(blob)
 
-    def _submit(self, flat_weights: np.ndarray, kind: str, per_worker, *head) -> int:
-        """Allocate a seq, publish the weights and task each worker with
-        ``(kind, seq, *head, its share)``; returns the seq to drain."""
-        self._seq += 1
-        self._write_segment(flat_weights)
-        for wid, share in per_worker.items():
-            self._ipc_bytes += _ship(self._task_qs[wid], (kind, self._seq, *head, share))
-        return self._seq
-
-    def _drain(self, seq: int, expected: int):
-        """Yield ``(msg, weights)`` for the ``expected`` results batch
-        ``seq`` is owed, in arrival order (``weights`` is the copied-out
-        return slot of an ``"ok"``, else ``None``).
-
-        The queue carries every task kind, so anything may precede the
-        live batch's results: a message from another seq belongs to an
-        abandoned (timed-out) batch -- a worker was slow, not dead -- and
-        is dropped whole.  The slot is copied out and released for
-        *every* ``"ok"``, stale ones included, or the worker that
-        produced it deadlocks on its next acquire.
-        """
-        waited = [0.0]
-        while expected:
-            msg = self._next_result(waited)
-            if msg is None:
-                continue
-            # Train results lead with their kind, eval replies with seq.
-            trained = isinstance(msg[0], str)
-            weights = self._copy_out_slot(msg[2]) if msg[0] == "ok" else None
-            if (msg[1] if trained else msg[0]) != seq:
-                continue
-            expected -= 1
-            yield msg, weights
-
-    # ------------------------------------------------------------------
-    def _train_cohort(
+    def _run(
         self,
+        kind: str,
         round_idx: int,
-        requests: Sequence[TrainRequest],
-        global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]],
-    ) -> List[ClientUpdate]:
-        jobs: List[_Job] = [(req.client_id, req.epochs) for req in requests]
-        per_worker = group_by_owner(jobs, self._owner, key=itemgetter(0))
-        seq = self._submit(global_weights, "train", per_worker, round_idx)
+        weights: np.ndarray,
+        per_worker: Dict[int, list],
+        what: str,
+        on_result: OnResult,
+    ) -> None:
+        """Publish ``weights`` in the shared segment, task each worker with
+        ``(kind, seq, round_idx, its share)`` and drain one result per job.
 
-        updates: List[ClientUpdate] = []
-        failures: List[str] = []
-        # NOTE: a client whose "ok" was dropped as stale still advanced
-        # its pinned training RNG for the abandoned pass, so a
-        # timeout-retry is *correct* (right weights merged, right order)
-        # but not bit-identical to an untimed-out serial run -- same as a
-        # physical testbed re-running a client.
-        for msg, w in self._drain(seq, len(requests)):
-            if msg[0] == "ok":
-                _, _, _, cid, n_samples, rng_state = msg
-                absorb_rng_state(self._clients, cid, rng_state)
-                updates.append(self._stamp(cid, w, n_samples, latencies))
-            else:
-                _, _, _, cid, tb = msg
-                failures.append(f"client {cid}:\n{tb}")
-        self._raise_failures("client training failed in worker process", failures)
-        return order_updates(updates, requests)
-
-    # ------------------------------------------------------------------
-    def _evaluate_cohort(
-        self,
-        requests: Sequence[EvalRequest],
-        flat_weights: np.ndarray,
-    ) -> Dict[int, float]:
-        ids = [req.client_id for req in requests]
-        per_worker = group_by_owner(ids, self._owner)
-        seq = self._submit(flat_weights, "eval", per_worker)
-        accs: Dict[int, float] = {}
-        for worker_accs in self._drain_eval(seq, len(per_worker), "client"):
-            accs.update(worker_accs)
-        return {cid: accs[cid] for cid in ids}
-
-    def _drain_eval(self, seq: int, expected: int, what: str) -> List:
-        """Collect the one reply each of ``expected`` tasked workers owes
-        evaluation ``seq``; returns their payloads in arrival order.
-
-        Failures are raised only after every reply is in, so the queue
-        is left empty for the next call.
+        The queue carries every kind, so anything may precede the live
+        batch's replies: a reply from another seq belongs to an abandoned
+        (timed-out) batch -- a worker was slow, not dead -- and is dropped
+        whole.  A trained update's slot is copied out and released by the
+        *reply's* kind, whatever batch is live, or the worker that wrote
+        it deadlocks on its next acquire.  A client whose update was
+        dropped as stale still advanced its pinned RNG, so a retry after a
+        timeout is correct but not bit-identical to an untimed-out serial
+        run -- as on a testbed that re-runs a client.
         """
-        payloads: List = []
-        failures: List[str] = []
-        for (_, payload, worker_failures), _ in self._drain(seq, expected):
-            payloads.append(payload)
-            failures += worker_failures
-        self._raise_failures(f"{what} evaluation failed in worker process", failures)
-        return payloads
-
-    # ------------------------------------------------------------------
-    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
-        """Every worker, when it maps exactly this dataset: shipped by
-        :meth:`bind_eval_data` before the workers started.  Anything
-        else (unbound data, post-start binding) takes the serial
-        in-server path."""
-        if not self._bound_eval_data_matches(x, y):
-            return 0
-        self._ensure_started()
-        return len(self._procs) if self._eval_arrays is not None else 0
-
-    def _count_sharded(
-        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
-    ) -> int:
-        per_worker = group_by_owner(bounds, deal(bounds, range(len(self._procs))))
-        seq = self._submit(flat_weights, "eval_model", per_worker)
-        return sum(self._drain_eval(seq, len(per_worker), "global"))
+        self._seq += 1
+        self._write_segment(weights)
+        for wid, share in per_worker.items():
+            self._ipc_bytes += _ship(self._task_qs[wid], (kind, self._seq, round_idx, share))
+        expected = sum(len(share) for share in per_worker.values())
+        poll = min(1.0, self.result_timeout)
+        idle = 0.0
+        while expected:
+            msg = self._next_result(poll)
+            if msg is None:
+                idle += poll
+                if idle >= self.result_timeout:
+                    raise ExecutorError(f"timed out waiting for {expected} {what}")
+                continue
+            reply_kind, seq, wid, results = msg
+            if reply_kind == "train":
+                results = [
+                    (cid, value if error is not None else (self._copy_out_slot(wid), *value), error)
+                    for cid, value, error in results
+                ]
+            if seq != self._seq:
+                continue
+            for key, value, error in results:
+                expected -= 1
+                on_result(wid, key, value, error)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -560,7 +433,6 @@ class ProcessExecutor(ClientExecutor):
         self._eval_arrays = None
         self._return_slots = []
         self._slot_free = []
-        self._owner = {}
 
     def __del__(self) -> None:  # pragma: no cover - safety net
         try:

@@ -8,6 +8,7 @@ training never perturbs the training trajectory, and the TiFL tier
 evaluation built on top keeps its denominator semantics.
 """
 
+import contextlib
 import logging
 import multiprocessing
 import time
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
+from repro.distributed import spawn_local_workers, terminate_workers
 from repro.execution import (
     EvalRequest,
     ExecutorError,
@@ -33,6 +35,25 @@ from repro.tifl.server import TiFLServer
 from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
+
+#: The two tests that share a ``multiprocessing`` object with forked workers.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="shares an Event / Value with the workers through fork",
+)
+
+
+@contextlib.contextmanager
+def open_executor(backend, workers):
+    """``create_executor(backend, workers)``; a ``distributed`` one is
+    served by ``workers`` local agents."""
+    ex = create_executor(backend, workers=workers)
+    procs = spawn_local_workers(ex.listen(), workers) if backend == "distributed" else []
+    try:
+        yield ex
+    finally:
+        ex.close()
+        terminate_workers(procs)
 
 
 def make_pool(num_clients=6, seed=7):
@@ -189,12 +210,13 @@ class TestCohortGranularEval:
                 ex.evaluate_cohort([EvalRequest(c) for c in sorted(pool)], flat)
                 assert weight_loads.value == calls
 
+    @needs_fork
     def test_process_loads_once_per_worker_per_task(self, weight_loads):
         pool = make_pool(num_clients=6)
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
         flat = model.get_flat_weights()
         test = make_tiny_dataset(n=1100, seed=5)  # 5 eval batches
-        with ProcessExecutor(workers=2, start_method="fork") as ex:
+        with ProcessExecutor(workers=2) as ex:
             ex.bind(pool, model, TRAIN)
             ex.bind_eval_data(test.x, test.y)
             ex.evaluate_cohort([EvalRequest(c) for c in sorted(pool)], flat)
@@ -215,11 +237,12 @@ class TestCohortGranularEval:
             assert client.evaluate(model, flat) == accs[cid]
 
     @pytest.mark.parametrize(
-        "backend,workers", [("serial", 1), ("process", 2)]
+        "backend,workers", [("serial", 1), ("process", 2), ("distributed", 2)]
     )
     def test_one_empty_holdout_fails_the_batch_by_name(self, backend, workers):
-        """The bad client is named, every other client was still scored
-        (nothing left queued), and the executor keeps working."""
+        """The bad client is named -- with its worker, on a pool -- every
+        other client was still scored (nothing left queued), and the
+        executor keeps working."""
         pool = make_pool(num_clients=5)
         pool[5] = make_holdoutless_client(5)
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
@@ -228,12 +251,14 @@ class TestCohortGranularEval:
         with SerialExecutor() as serial:
             serial.bind(dict(pool), model, TRAIN)
             ref = serial.evaluate_cohort(good, flat)
-        with create_executor(backend, workers=workers) as ex:
+        with open_executor(backend, workers) as ex:
             ex.bind(pool, model, TRAIN)
             with pytest.raises(ExecutorError, match="client 5:") as excinfo:
                 ex.evaluate_cohort(good[:3] + [EvalRequest(5)] + good[3:], flat)
             assert "no holdout" in str(excinfo.value)
             assert "client 4:" not in str(excinfo.value)
+            if backend != "serial":
+                assert f"client 5: (worker {ex.owner_of(5)})\n" in str(excinfo.value)
             if backend == "process":
                 assert ex._result_q.empty()
             assert ex.evaluate_cohort(good, flat) == ref
@@ -250,8 +275,8 @@ class TestCohortGranularEval:
         with ProcessExecutor(workers=2, result_timeout=30.0) as ex:
             ex.bind(pool, model, TRAIN)
             ref = ex.evaluate_cohort(requests, flat)
-            stale = {cid: -1.0 for cid in pool}
-            _ship(ex._result_q, (ex._seq, stale, ["client 0:\nstale"]))
+            stale = [(cid, -1.0, None) for cid in pool] + [(0, None, "stale")]
+            _ship(ex._result_q, ("eval", ex._seq, 0, stale))
             deadline = time.monotonic() + 10.0
             while ex._result_q.empty():  # until the feeder flushed it
                 assert time.monotonic() < deadline
@@ -261,6 +286,7 @@ class TestCohortGranularEval:
 
 
 class TestProcessSharedResultQueue:
+    @needs_fork
     def test_eval_after_an_abandoned_train_cohort_drops_its_stale_oks(self, monkeypatch):
         """Train results and eval replies share one queue.  A cohort
         abandoned mid-drain (idle timeout) leaves "ok"s behind a slow
@@ -268,17 +294,17 @@ class TestProcessSharedResultQueue:
         their return slots -- worker 1 cannot reach its eval task until
         client 3's slot is released for client 5 -- and score exactly
         what serial scores.  Training afterwards must not deadlock."""
-        import repro.execution.process as process_mod
+        import repro.execution.pool as pool_mod
 
         gate = multiprocessing.get_context("fork").Event()
-        real = process_mod.train_client
+        real = pool_mod.train_client
 
         def gated(client, *args):
             if client.client_id == 3:
                 gate.wait(30.0)
             return real(client, *args)
 
-        monkeypatch.setattr(process_mod, "train_client", gated)
+        monkeypatch.setattr(pool_mod, "train_client", gated)
         pool = make_pool(num_clients=6)
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
         flat = model.get_flat_weights()
@@ -287,7 +313,7 @@ class TestProcessSharedResultQueue:
         with SerialExecutor() as serial:
             serial.bind(make_pool(num_clients=6), model, TRAIN)
             ref = serial.evaluate_cohort(evals, flat)
-        with ProcessExecutor(workers=2, start_method="fork", result_timeout=0.5) as ex:
+        with ProcessExecutor(workers=2, result_timeout=0.5) as ex:
             ex.bind(pool, model, TRAIN)
             with pytest.raises(ExecutorError, match="timed out"):
                 ex.train_cohort(0, train, flat)  # 0, 2, 4 and 1 drained; 3 and 5 not
@@ -354,7 +380,8 @@ class TestProcessShardedEvalModel:
             ex.bind_eval_data(bound.x, bound.y)
             assert ex.evaluate_model(flat, other.x, other.y) == direct_other
 
-    def test_rebinding_different_data_after_ship_raises(self):
+    @pytest.mark.parametrize("backend", ["process", "distributed"])
+    def test_rebinding_different_data_after_ship_raises(self, backend):
         pool = {
             c.client_id: c
             for c in [make_test_client(client_id=i, seed=7) for i in range(4)]
@@ -362,7 +389,7 @@ class TestProcessShardedEvalModel:
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
         test = make_tiny_dataset(n=600, seed=5)
         other = make_tiny_dataset(n=600, seed=6)
-        with create_executor("process", workers=2) as ex:
+        with open_executor(backend, 2) as ex:
             ex.bind(pool, model, TRAIN)
             ex.bind_eval_data(test.x, test.y)
             ex.evaluate_model(model.get_flat_weights(), test.x, test.y)

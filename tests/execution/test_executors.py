@@ -243,7 +243,7 @@ class TestMergeOrder:
     def test_process_request_order_under_reversed_completion(self, monkeypatch):
         """One slow client per worker, the first-requested the slowest:
         results reach the parent's queue last-requested first."""
-        import repro.execution.process as process_mod
+        import repro.execution.pool as pool_mod
 
         arrived = []
 
@@ -251,7 +251,7 @@ class TestMergeOrder:
             arrived.extend(u.client_id for u in updates)
             return order_updates(updates, requests)
 
-        monkeypatch.setattr(process_mod, "order_updates", recording_order_updates)
+        monkeypatch.setattr(pool_mod, "order_updates", recording_order_updates)
         n = 4
         clients = {
             cid: _SlowFakeClient(cid, delay=0.05 * (n - cid)) for cid in range(n)
