@@ -34,7 +34,6 @@ from repro.config import (
 )
 from repro.execution import (
     ClientExecutor,
-    ProcessExecutor,
     SerialExecutor,
     create_executor,
 )
@@ -51,7 +50,7 @@ from repro.tifl import (
 
 __version__ = "1.0.0"
 
-_LAZY_DISTRIBUTED = ("DistributedExecutor", "WorkerAgent")
+_LAZY_DISTRIBUTED = ("DistributedExecutor", "ProcessExecutor", "WorkerAgent")
 
 
 def __getattr__(name: str):

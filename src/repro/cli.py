@@ -150,23 +150,26 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                    choices=list(EXECUTOR_BACKENDS),
                    help="client-training backend.  serial, process and "
                         "distributed are bit-identical to each other "
-                        "(process adds concurrency, distributed "
-                        "spans machines); batched fuses each homogeneous "
+                        "(process forks local workers, distributed "
+                        "drives workers that connect over TCP); batched "
+                        "fuses each homogeneous "
                         "cohort group into one stacked tensor program -- "
                         "fastest on one core, but a separate numerics "
                         "stream (accuracy-equivalent, not bit-identical; "
                         "see docs/numerics.md)")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker count for the process executor, or "
-                        "how many agents must join a distributed run")
+                   help="how many local workers the process executor "
+                        "forks, or how many agents must join a "
+                        "distributed run")
     p.add_argument("--connect", default=None, metavar="HOST:PORT",
                    help="distributed executor endpoint: the coordinator "
                         "listens here and workers connect to it")
     p.add_argument("--codec", default="raw", choices=list(CODEC_NAMES),
-                   help="weight-transport codec on the distributed wire "
-                        "(both lossless and bit-identical to serial; delta "
-                        "cuts steady-state bytes/round ~30%% on a "
-                        "converging run).  In-process executors ignore it")
+                   help="weight-transport codec on the process and "
+                        "distributed wire (both lossless and bit-identical "
+                        "to serial; delta cuts steady-state bytes/round "
+                        "~30%% on a converging run).  serial and batched "
+                        "ignore it")
     p.add_argument("--reconnect-grace", type=float, default=0.0,
                    metavar="SECONDS",
                    help="let a worker whose TCP connection drops resume "

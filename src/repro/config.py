@@ -83,10 +83,10 @@ class TrainingConfig:
     codec:
         Weight-transport codec (``"raw" | "delta"``, see
         :mod:`repro.codec`) used wherever weight vectors cross a machine
-        boundary -- today the distributed backend's BROADCAST/UPDATE
-        frames.  Both are lossless and bit-identical to in-process
-        execution.  In-process backends pass weights by reference or
-        shared memory and ignore the codec.
+        boundary -- the BROADCAST/UPDATE frames of the ``process`` and
+        ``distributed`` pools.  Both are lossless and bit-identical to
+        serial execution; serial and batched pass weights by reference
+        and ignore the codec.
     """
 
     optimizer: str = "rmsprop"

@@ -19,6 +19,7 @@ within range, and cover the requested fraction of the dataset.
 from __future__ import annotations
 
 import hashlib
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -77,7 +78,7 @@ class FederatedData:
     :class:`~repro.simcluster.population.PopulationStore`, so this is
     what a store shard pickles.  With a ``recipe`` (a
     :class:`~repro.experiments.scenarios.PoolRecipe` that draws
-    ``train``) it pickles as the recipe, the sha256 of ``train`` and the
+    ``train``) it pickles as the recipe, the digest of ``train`` and the
     row rule, and the unpickling process draws the pool through the
     recipe's per-process memo (see :func:`_federation_from_recipe`); the
     test set stays behind.  A federation built by hand has no recipe and
@@ -116,8 +117,9 @@ class FederatedData:
 
     @property
     def pool_digest(self) -> str:
-        """sha256 of ``train``: computed when the federation is first
-        pickled, never at build time, and once per pool object."""
+        """The digest of ``train`` (:func:`_pool_digest`): computed when
+        the federation is first pickled, never at build time, and once per
+        pool object."""
         return _pool_digest(self.train)
 
     def __reduce_ex__(self, protocol):
@@ -126,19 +128,26 @@ class FederatedData:
         return _federation_from_recipe, (self.recipe, self.pool_digest, self.client_indices)
 
 
-#: sha256 per pool object.  Recipe pools are read-only, so every
+#: Digest per pool object.  Recipe pools are read-only, so every
 #: federation and every shard that shares one hashes it once.
 _DIGESTS: "weakref.WeakKeyDictionary[Dataset, str]" = weakref.WeakKeyDictionary()
 
 
 def _pool_digest(pool: Dataset) -> str:
-    """sha256 over a pool's sample and label bytes, cached per object."""
+    """sha256 over the sha256s of a pool's sample bytes, in two halves,
+    and its label bytes, cached per object.  The halves hash in two
+    threads (``hashlib`` releases the interpreter lock), so a second
+    core halves the wait a ``process`` pool's set-up spends here."""
     digest = _DIGESTS.get(pool)
     if digest is None:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(pool.x))
-        h.update(np.ascontiguousarray(pool.y))
-        digest = _DIGESTS[pool] = h.hexdigest()
+        x, y = (np.ascontiguousarray(a).reshape(-1).view(np.uint8) for a in (pool.x, pool.y))
+        first, second = hashlib.sha256(), hashlib.sha256()
+        thread = threading.Thread(target=first.update, args=(x[: x.size // 2],))
+        thread.start()
+        second.update(x[x.size // 2 :])
+        thread.join()
+        parts = first.digest() + second.digest() + hashlib.sha256(y).digest()
+        digest = _DIGESTS[pool] = hashlib.sha256(parts).hexdigest()
     return digest
 
 

@@ -25,8 +25,9 @@ Three mechanisms carry that promise across machine boundaries:
 2. *Pinned RNG streams.*  Every client is pinned to one worker
    (capacity-weighted round-robin over sorted client ids), so its
    training RNG stream advances in exactly one address space, in the
-   order the coordinator dispatches -- the same invariant
-   :class:`repro.execution.process.ProcessExecutor` maintains.  Each
+   order the coordinator dispatches -- the local ``process`` pool
+   (:class:`~repro.distributed.launch.ProcessExecutor`) is this same
+   coordinator over forked socketpair workers.  Each
    UPDATE ships the advanced RNG state back, keeping the coordinator's
    client pool the single source of truth.
 3. *State-replaying failover.*  When a worker dies mid-round, its
@@ -50,7 +51,7 @@ happens; heartbeats distinguish busy workers from dead ones.
 """
 
 from repro.distributed.coordinator import DistributedExecutor
-from repro.distributed.launch import spawn_local_workers, terminate_workers
+from repro.distributed.launch import ProcessExecutor, spawn_local_workers, terminate_workers
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     MsgType,
@@ -62,6 +63,7 @@ from repro.distributed.worker import WorkerAgent
 
 __all__ = [
     "DistributedExecutor",
+    "ProcessExecutor",
     "WorkerAgent",
     "spawn_local_workers",
     "terminate_workers",

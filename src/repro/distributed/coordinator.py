@@ -1,111 +1,46 @@
-"""The coordinator side: a :class:`ClientExecutor` over TCP workers.
+"""The coordinator side: a :class:`ClientExecutor` over worker agents.
 
-:class:`DistributedExecutor` satisfies the PR 1 execution contract
-(:mod:`repro.execution.base`) with worker *processes on other machines*:
+:class:`DistributedExecutor` satisfies the execution contract
+(:mod:`repro.execution.base`) with worker *processes*: agents that dial
+its TCP listener (``distributed``), or -- through
+:class:`repro.distributed.launch.ProcessExecutor` -- agents it forks
+itself, one socketpair each (``process``).  ``docs/architecture.md``
+("Pool core", "Population sharding", "The wire protocol") is the design
+reference; the invariants the code below keeps:
 
-* **Registration.**  :meth:`listen` binds the endpoint; the executor
-  then waits (lazily, on the first cohort) until ``workers`` agents have
-  completed the versioned handshake.  Each worker advertises a
-  ``capacity`` used as its weight when clients are pinned.
-* **Pinning.**  The sorted client-id list is dealt round-robin over a
-  capacity-weighted worker cycle by :func:`repro.execution.pool.deal`
-  -- the function the ``process`` backend pins with, so every client's
-  training RNG stream advances in exactly one address space.  Cohorts,
-  eval shards and a dead worker's jobs are bucketed per owner by
-  :func:`repro.execution.pool.group_by_owner`.
-* **Rounds.**  The global flat weight vector reaches each participating
-  worker once per round -- encoded once and fanned out, or not sent at
-  all when the worker already holds it (see below); jobs are
-  dispatched per worker;
-  updates stream back in completion order and are reordered into
-  request order before the server sees them.  Every update carries the
-  client's advanced RNG state, which
-  :func:`repro.execution.pool.absorb_rng_state` applies to the
-  coordinator's authoritative client pool immediately.
-* **One collector, one queue.**  A training cohort, an evaluation
-  cohort and a sharded model evaluation are built, merged and assembled
-  by :class:`repro.execution.pool.PoolExecutor`, which the ``process``
-  pool shares; this backend supplies the pipe,
-  :meth:`DistributedExecutor._run`: one :class:`_InFlight` batch driven
-  by :meth:`DistributedExecutor._collect`, the one event loop.  The
-  executor has one batch in flight, so the per-worker reader threads
-  post every result frame and every loss / resume / ``BYE`` /
-  ``REJECT`` event once, onto the one event queue that loop drains.
-* **Codec-pluggable weight transport (v4).**  BROADCAST and UPDATE
-  payloads travel through the :mod:`repro.codec` codec named by
-  ``TrainingConfig.codec``: ``raw`` (bit-exact float64, the default),
-  ``delta`` (lossless ULP-delta against the last broadcast the worker
-  retains -- the coordinator mirrors each worker's retained-BROADCAST
-  cache per connection, so encoder and decoder always agree on the
-  baseline).  When no shared
-  baseline exists -- first broadcast on a connection, or right after a
-  reconnect -- the coordinator falls back to ``raw`` for that frame;
-  the codec id in the header keeps every frame self-describing.
-* **Encode once, alias when resident (v7).**  Each cohort seq holds one
-  read-only copy of its weight vector, shared by every per-worker
-  mirror.  A BROADCAST frame is encoded once per ``(seq, codec,
-  baseline_seq)`` and the same bytes go to every worker whose mirror
-  names that baseline; a worker whose mirror lags (it sat out a round)
-  gets its own encode.  When the vector is bit-identical to the newest
-  one a worker retains -- the training broadcast that follows a global
-  evaluation of the same weights -- the coordinator sends a header-only
-  *alias* frame instead, for any codec: no payload, no codec call on
-  either side.  The always-on ``wire.broadcast_encodes`` /
-  ``wire.broadcast_frames_reused`` / ``wire.broadcast_aliases``
-  counters say which path each broadcast took.
-* **Population sharding (v6).**  When the bound pool is a
-  :class:`~repro.simcluster.population.PopulationStore` (every pool a
-  server binds), pinning ships each worker an ASSIGN_SHARD *column
-  slice*
-  (:func:`repro.serialization.shard_to_bytes`: numpy buffers +
-  ``SeedAddress`` coordinates + authoritative RNG snapshots -- never
-  pickled ``SimClient`` graphs) instead of a pickled client dict.
-  Workers rebuild a local store shard and materialise clients lazily
-  under their own bounded LRU; the coordinator absorbs every UPDATE's
-  shipped-back RNG state into the store's ledger without materialising
-  the client, so neither side ever holds O(population) objects and the
-  steady-state wire cost is O(cohort).
-* **Worker loss.**  A dead worker (EOF, send failure, or heartbeat
-  silence) has its pinned clients re-dealt over the survivors and
-  re-shipped *with their current RNG state*; its unfinished jobs for the
-  in-flight round are re-dispatched.  Because a client's state only
-  advances when its UPDATE has been merged, replayed work is bit-identical
-  to the serial schedule -- the worker-kill equivalence test in
-  ``tests/distributed`` enforces this.  Retire-and-re-pin is idempotent
-  and serialised by a lock against a resume arriving on the accept
-  thread, so a death observed twice never double-ships.
-* **Reconnect-and-resume (v4).**  With ``reconnect_grace > 0`` a lost
-  *connection* is not a lost worker: the handle is parked in a ``lost``
-  state and the worker may re-dial within the grace window, presenting
-  the session token issued in its WELCOME.  On a valid resume the
-  coordinator re-pins the worker's clients by re-shipping them with the
-  authoritative RNG state (an ASSIGN), re-ships the resident eval set,
-  clears the delta-baseline mirror (the next broadcast is a raw
-  resync), and wakes any in-flight collector to re-dispatch the
-  worker's outstanding jobs -- including any whose result was read off
-  the old connection but not merged before the re-ship was built (the
-  collector drops those).  A window that expires -- or an unknown /
-  mismatched token -- falls back to the retire path above, exactly the
-  pre-v4 behaviour.  ``reconnect_grace=0`` (default) disables parking.
-* **Liveness.**  The coordinator PINGs quiet workers while waiting;
-  workers answer PONG from a dedicated thread even mid-training, so
-  only a truly hung or killed process trips the heartbeat limit.
-* **Telemetry (v5).**  When :mod:`repro.telemetry` is enabled the
-  coordinator records cohort spans (``executor.train_cohort`` etc. with
-  ``backend="distributed"``), codec encode/decode histograms, heartbeat
-  round-trip times, and worker lifecycle counters
-  (``distributed.worker_lost/resumed/retired``).  Per-frame-type wire
-  tallies come free from :class:`~repro.distributed.transport.Connection`
-  and are folded into ``wire.*`` counters at :meth:`close`; each worker
-  additionally ships a compact summary on the v5 TELEMETRY frame
-  (between SHUTDOWN and BYE), exposed via :attr:`worker_summaries` and
-  turned into ``distributed.worker.busy_s`` gauges.  All of it is
-  observational: with telemetry disabled no extra clock reads or
-  branches touch the dispatch path.
-* **Resident eval set (v3).**  The server-held eval set ships once per
-  worker (BIND_EVAL), after which
-  :meth:`DistributedExecutor.evaluate_model` shards across workers on
-  the same 256-sample boundaries as the process backend -- bit-exact.
+* **Registration.**  Every connection, accepted or paired, passes one
+  versioned handshake (:meth:`DistributedExecutor._register`); each
+  worker advertises a ``capacity`` used as its weight when clients are
+  pinned.
+* **Pinning.**  The sorted client ids are dealt round-robin over a
+  capacity-weighted worker cycle (:func:`repro.execution.pool.deal`),
+  so every client's training RNG stream advances in exactly one
+  address space; every UPDATE carries the advanced state back, and
+  :func:`repro.execution.pool.absorb_rng_state` makes it authoritative
+  at once.  A store pool ships each worker an ASSIGN_SHARD column slice,
+  never ``SimClient`` pickles.
+* **One collector.**  :meth:`DistributedExecutor._run` is one
+  :class:`_InFlight` batch driven by :meth:`DistributedExecutor._collect`;
+  per-worker reader threads post every result frame and every loss /
+  resume / ``BYE`` / ``REJECT`` event once onto the one event queue.
+* **Weights.**  A cohort seq's vector is encoded once per ``(codec,
+  baseline_seq)`` and fanned out, or aliased by a header-only frame when
+  the worker already retains it; each connection mirrors the worker's
+  retained BROADCASTs, so delta and alias frames always name a vector
+  the worker holds.
+* **Worker loss.**  A dead worker (EOF, send failure, heartbeat silence)
+  has its clients re-dealt over the survivors and re-shipped with their
+  ledger RNG state, and its unfinished jobs re-dispatched: a client's
+  state only advances once its UPDATE is merged, so the replay is
+  bit-identical to the serial schedule.  With ``reconnect_grace > 0`` a
+  lost TCP connection is parked instead and may resume with its session
+  token (re-ship, raw resync, re-dispatch); retire-and-re-pin and
+  resume are serialised by one lock.
+* **Telemetry.**  Observational only: cohort spans, codec timings,
+  heartbeat RTTs, lifecycle counters, per-frame-type wire tallies
+  folded at :meth:`close`, and each worker's TELEMETRY summary
+  (:attr:`worker_summaries`).  Disabled, it adds no clock read to the
+  dispatch path.
 """
 
 from __future__ import annotations
@@ -134,19 +69,21 @@ from repro.simcluster.population import PopulationStore
 
 __all__ = ["DistributedExecutor"]
 
-#: Every listening socket this process opened.  A child forked from here
-#: (a local worker) closes its copies: an open copy would keep accepting
-#: connections after the coordinator closed the listener.
-_LISTENERS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+#: Every coordinator-side socket this process opened: listeners, accepted
+#: connections and local socketpair ends.  A child forked from here (a
+#: local worker) closes its copies: an open copy of a listener would keep
+#: accepting after the coordinator closed it, and an open copy of a
+#: connection would hide a dead coordinator or sibling from its peer's EOF.
+COORDINATOR_SOCKETS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
 
 
-def _close_inherited_listeners() -> None:
-    for sock in list(_LISTENERS):
+def _close_inherited_sockets() -> None:
+    for sock in list(COORDINATOR_SOCKETS):
         sock.close()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_close_inherited_listeners)
+    os.register_at_fork(after_in_child=_close_inherited_sockets)
 
 #: A train job is ``(client_id, epochs)``, an eval job a client id, an
 #: eval-model job a ``(start, end)`` shard.
@@ -230,6 +167,8 @@ class _InFlight:
 
     ``done`` holds the keys already merged -- a client id, or an eval
     shard's ``(start, end)`` -- which :meth:`settle` dedupes through.
+    Each worker's jobs are held by key, so settling one costs a dict
+    pop per worker, whatever the batch size.
     """
 
     def __init__(
@@ -241,22 +180,43 @@ class _InFlight:
         self.weights.setflags(write=False)
         self.frames: Dict[Tuple[int, int], bytes] = {}
         self.kind = kind  # "train" | "eval" | "eval_model"
-        self.pending: Dict[int, List[_Job]] = {}
+        self._jobs: Dict[int, Dict[Hashable, _Job]] = {}
         self.broadcasted: Set[int] = set()
         self.dispatch_gen: Dict[int, int] = {}
         self.done: Set[Hashable] = set()
+
+    @property
+    def pending(self) -> Dict[int, List[_Job]]:
+        """Worker id -> its outstanding jobs in dispatch order (a copy)."""
+        return {wid: list(jobs.values()) for wid, jobs in self._jobs.items()}
+
+    @pending.setter
+    def pending(self, per_worker: Mapping[int, Sequence[_Job]]) -> None:
+        self._jobs = {}
+        for wid, jobs in per_worker.items():
+            self.add(wid, jobs)
+
+    def add(self, wid: int, jobs: Sequence[_Job]) -> None:
+        """Make ``jobs`` outstanding on worker ``wid``."""
+        mine = self._jobs.setdefault(wid, {})
+        for job in jobs:
+            mine[self.key_of(job)] = job
+
+    def take(self, wid: int) -> List[_Job]:
+        """Remove and return worker ``wid``'s outstanding jobs."""
+        return list(self._jobs.pop(wid, {}).values())
 
     def key_of(self, job: _Job) -> Hashable:
         """What a result names a job by: its client, else the job itself."""
         return job[0] if self.kind == "train" else job
 
     def outstanding(self) -> int:
-        return sum(len(jobs) for jobs in self.pending.values())
+        return sum(len(jobs) for jobs in self._jobs.values())
 
     def settle(self, key: Hashable) -> bool:
         """Record the result for ``key``; ``True`` when it is the first.
 
-        Clears the job from *every* worker's pending list: a dead
+        Clears the job from *every* worker's pending jobs: a dead
         worker's in-flight result can land after its job was already
         reassigned, and the replica's copy must not keep the batch open.
         A second result for the same key is a duplicate from such a
@@ -264,8 +224,8 @@ class _InFlight:
         state, so the copies are bit-identical -- and only the first is
         merged.
         """
-        for wid, jobs in self.pending.items():
-            self.pending[wid] = [j for j in jobs if self.key_of(j) != key]
+        for jobs in self._jobs.values():
+            jobs.pop(key, None)
         if key in self.done:
             return False
         self.done.add(key)
@@ -289,8 +249,6 @@ class DistributedExecutor(PoolExecutor):
         Per-cohort ceiling on waiting for results: a *wall-clock
         deadline* for the whole batch, fixed when it is dispatched, so a
         cohort still making progress when it passes fails.
-        (``ProcessExecutor.result_timeout`` instead counts only
-        accumulated idle poll time.)
     heartbeat_interval / heartbeat_misses:
         A worker silent for ``interval`` seconds is PINGed; silent for
         ``interval * misses`` seconds it is declared dead and its clients
@@ -364,7 +322,6 @@ class DistributedExecutor(PoolExecutor):
         self._closed_bytes_received_by_type: Dict[int, int] = {}
         # worker_id -> the summary its TELEMETRY frame carried.
         self._worker_summaries: Dict[int, Dict[str, object]] = {}
-        self._eval_shipped = False
         # How each BROADCAST left: a fresh encode, a cached frame fanned
         # out again, or a header-only alias.  Always on (plain ints).
         self._broadcast_stats = {"encodes": 0, "frames_reused": 0, "aliases": 0}
@@ -391,7 +348,7 @@ class DistributedExecutor(PoolExecutor):
             sock.bind((host, port))
             sock.listen(max(self.workers, 8))
             self._listener = sock
-            _LISTENERS.add(sock)
+            COORDINATOR_SOCKETS.add(sock)
             bound_host, bound_port = sock.getsockname()[:2]
             self._bound_endpoint = f"{bound_host}:{bound_port}"
         return self._bound_endpoint  # type: ignore[return-value]
@@ -544,8 +501,35 @@ class DistributedExecutor(PoolExecutor):
             pass
         conn.close()
 
-    def _accept_workers(self) -> None:
-        """Block until ``self.workers`` agents have registered."""
+    def _register(self, sock: socket.socket) -> bool:
+        """Handshake a fresh connection on ``sock`` and welcome its agent
+        as the next worker id; ``False`` when it was refused or vanished."""
+        COORDINATOR_SOCKETS.add(sock)
+        conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
+        hello = self._handshake(conn)
+        if hello is None:
+            return False
+        if hello.get("resume") is not None:
+            self._reject(conn, "no session to resume: registration is open")
+            return False
+        wid = len(self._handles)
+        handle = _WorkerHandle(wid, conn, hello["capacity"], hello["pid"])
+        try:
+            self._welcome(conn, handle)
+        except OSError:
+            # Peer vanished between HELLO and WELCOME.
+            conn.close()
+            return False
+        self._handles[wid] = handle
+        return True
+
+    def _register_workers(self) -> None:
+        """Block until ``self.workers`` agents dialled in and registered.
+
+        A refused or vanished peer is skipped: one flaky connection must
+        not abort the whole registration window.
+        """
+        self.listen()
         assert self._listener is not None
         deadline = time.monotonic() + self.accept_timeout
         while len(self._handles) < self.workers:
@@ -560,24 +544,7 @@ class DistributedExecutor(PoolExecutor):
                 sock, _addr = self._listener.accept()
             except socket.timeout:
                 continue
-            conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
-            hello = self._handshake(conn)
-            if hello is None:
-                continue
-            if hello.get("resume") is not None:
-                self._reject(conn, "no session to resume: registration is open")
-                continue
-            wid = len(self._handles)
-            handle = _WorkerHandle(wid, conn, hello["capacity"], hello["pid"])
-            try:
-                self._welcome(conn, handle)
-            except OSError:
-                # Peer vanished between HELLO and WELCOME: skip it and
-                # keep accepting -- one flaky connection must not abort
-                # the whole registration window.
-                conn.close()
-                continue
-            self._handles[wid] = handle
+            self._register(sock)
 
     def _accept_loop(self) -> None:
         """Post-registration accept thread: resume handshakes only.
@@ -596,6 +563,7 @@ class DistributedExecutor(PoolExecutor):
                 continue
             except OSError:
                 return  # listener closed under us: shutting down
+            COORDINATOR_SOCKETS.add(sock)
             conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
             hello = self._handshake(conn)
             if hello is None:
@@ -760,19 +728,13 @@ class DistributedExecutor(PoolExecutor):
             self._eval_shipped = True
         return self._live_ids()
 
-    def _eval_copy_shipped(self) -> bool:
-        """Set once BIND_EVAL went out; the only re-send is the replay to
-        a resumed worker, which restores that same copy."""
-        return self._eval_shipped
-
     def _ensure_started(self) -> None:
         if self._assigned:
             return
         clients = self._require_bound()
         self._signature = proto.model_signature(self._model)
         self._num_params = self._model.num_params()
-        self.listen()
-        self._accept_workers()
+        self._register_workers()
 
         ids = sorted(clients)
         self._owner = deal(ids, self._worker_cycle(sorted(self._handles)))
@@ -783,11 +745,13 @@ class DistributedExecutor(PoolExecutor):
             else None
         )
         for wid, handle in sorted(self._handles.items()):
+            # The eval set first: the worker's reader takes it in while
+            # its main thread is still idle, not busy rebuilding a shard.
+            if eval_blob is not None:
+                handle.conn.send(proto.MsgType.BIND_EVAL, eval_blob)
             self._send_assignment(
                 handle.conn, owned_ids.get(wid, []), model=self._model
             )
-            if eval_blob is not None:
-                handle.conn.send(proto.MsgType.BIND_EVAL, eval_blob)
             handle.reader = threading.Thread(
                 target=self._reader, args=(handle, handle.gen), daemon=True,
                 name=f"repro-dist-reader-{wid}",
@@ -795,11 +759,12 @@ class DistributedExecutor(PoolExecutor):
             handle.reader.start()
         if eval_blob is not None:
             self._eval_shipped = True
-        # Keep accepting after registration closes: resumes arrive here.
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name="repro-dist-accept"
-        )
-        self._accept_thread.start()
+        if self._listener is not None:
+            # Keep accepting after registration closes: resumes arrive here.
+            self._accept_thread = threading.Thread(
+                target=self._accept_loop, daemon=True, name="repro-dist-accept"
+            )
+            self._accept_thread.start()
         self._assigned = True
 
     def _reader(self, handle: _WorkerHandle, gen: int) -> None:
@@ -1164,7 +1129,7 @@ class DistributedExecutor(PoolExecutor):
         being resident everywhere).
         """
         self._retire_and_reassign(wid, reason)
-        outstanding = state.pending.pop(wid, [])
+        outstanding = state.take(wid)
         state.dispatch_gen.pop(wid, None)
         if not outstanding:
             return
@@ -1181,10 +1146,10 @@ class DistributedExecutor(PoolExecutor):
         by_target = group_by_owner(outstanding, owner, key=state.key_of)
         for target in sorted(by_target):
             jobs = by_target[target]
-            # Recorded in `pending` BEFORE the send: if the send fails,
-            # the recursion below pops the target's whole pending list
+            # Recorded as pending BEFORE the send: if the send fails,
+            # the recursion below takes the target's whole pending list
             # (these jobs included) and moves it on -- nothing is lost.
-            state.pending.setdefault(target, []).extend(jobs)
+            state.add(target, jobs)
             self._dispatch_or_fail_over(target, state, jobs, " during reassignment")
 
     def _redispatch_after_resume(self, wid: int, state: _InFlight) -> None:
@@ -1217,10 +1182,10 @@ class DistributedExecutor(PoolExecutor):
         """
         now = time.monotonic()
         dead: List[Tuple[int, str]] = []
-        for wid in list(state.pending):
+        for wid, jobs in state.pending.items():
             handle = self._handles[wid]
             if handle.state == "retired":
-                if state.pending.get(wid):
+                if jobs:
                     # Jobs stranded on a worker another collector retired
                     # (e.g. it was retired between this collector's
                     # owner-map read and its dispatch): redistribute.
@@ -1254,8 +1219,9 @@ class DistributedExecutor(PoolExecutor):
 
     def _decode_result(
         self, msg_type: int, payload: bytes, state: _InFlight
-    ) -> Optional[tuple]:
-        """Decode one result frame to ``(seq, key, value, error)``; raises
+    ) -> Optional[Tuple[int, List[tuple]]]:
+        """Decode one result frame to ``(seq, [(key, value, error), ...])``
+        -- one entry per unit it answers; raises
         :class:`proto.ProtocolError` when it is malformed.
 
         The key is a client id, or an eval shard's ``(start, end)``; an
@@ -1268,12 +1234,13 @@ class DistributedExecutor(PoolExecutor):
         """
         if msg_type == proto.MsgType.TRAINFAIL:
             seq, cid, tb = proto.decode_trainfail(payload)
-            return seq, cid, None, tb
+            return seq, [(cid, None, tb)]
         if msg_type == proto.MsgType.EVAL_RESULT:
-            return proto.decode_eval_result(payload)
+            seq, ids, accs, errors = proto.decode_eval_result(payload)
+            return seq, list(zip(ids, accs, errors))
         if msg_type == proto.MsgType.EVAL_MODEL_RESULT:
             seq, a, b, correct, err = proto.decode_eval_model_result(payload)
-            return seq, (a, b), correct, err
+            return seq, [((a, b), correct, err)]
         if proto.update_seq(payload) != state.seq:
             return None  # stale: an abandoned cohort's
         collect = telemetry.enabled()
@@ -1287,7 +1254,7 @@ class DistributedExecutor(PoolExecutor):
             telemetry.observe(
                 "codec.decode_s", time.perf_counter() - t0, codec=self.codec.name
             )
-        return seq, cid, (w, n_samples, rng_state), None
+        return seq, [(cid, (w, n_samples, rng_state), None)]
 
     # ------------------------------------------------------------------
     # the round
@@ -1296,7 +1263,7 @@ class DistributedExecutor(PoolExecutor):
         """Test hook: called after each merged update (no-op)."""
 
     def _collect(
-        self, state: _InFlight, what: str, on_result: Callable[[int, int, tuple], None]
+        self, state: _InFlight, what: str, on_result: Callable[[int, int, List[tuple]], None]
     ) -> None:
         """Drive ``state`` until no job is outstanding: the one event loop.
 
@@ -1308,7 +1275,7 @@ class DistributedExecutor(PoolExecutor):
         one read off a connection that a resume has since replaced is a
         straggler from a forgotten pass: dropped, settling nothing, its
         sender untouched.  One for the live seq reaches
-        ``on_result(worker_id, msg_type, decoded)`` if its type may
+        ``on_result(worker_id, msg_type, entries)`` if its type may
         settle this kind of batch; otherwise -- like any unknown frame,
         and any result or ``REJECT`` frame that does not decode -- it
         retires its sender as a protocol violation, and the sender's jobs
@@ -1368,7 +1335,7 @@ class DistributedExecutor(PoolExecutor):
                 if decoded is None or decoded[0] != state.seq:
                     continue
                 if msg_type in _RESULT_FRAMES[state.kind]:
-                    on_result(wid, msg_type, decoded)
+                    on_result(wid, msg_type, decoded[1])
                 else:
                     self._handle_worker_death(wid, state, unexpected)
 
@@ -1381,19 +1348,19 @@ class DistributedExecutor(PoolExecutor):
         what: str,
         on_result: OnResult,
     ) -> None:
-        """One batch over TCP: :meth:`_initial_dispatch`, then
-        :meth:`_collect` until every job settled.  Only a key's first
-        result reaches ``on_result`` (a reassignment race may compute it
-        twice, bit-identically), under the lock a resume holds; a merged
-        UPDATE then calls :meth:`_on_update_received`."""
+        """One batch: :meth:`_initial_dispatch`, then :meth:`_collect`
+        until every job settled.  Only a key's first result reaches
+        ``on_result`` (a reassignment race may compute it twice,
+        bit-identically), under the lock a resume holds; a merged UPDATE
+        then calls :meth:`_on_update_received`."""
         state = self._initial_dispatch(kind, round_idx, weights, per_worker)
 
-        def settle(wid: int, msg_type: int, decoded: tuple) -> None:
-            _seq, key, value, error = decoded
-            if state.settle(key):
-                on_result(wid, key, value, error)
-                if msg_type == proto.MsgType.UPDATE:
-                    self._on_update_received(wid, key)
+        def settle(wid: int, msg_type: int, entries: List[tuple]) -> None:
+            for key, value, error in entries:
+                if state.settle(key):
+                    on_result(wid, key, value, error)
+                    if msg_type == proto.MsgType.UPDATE:
+                        self._on_update_received(wid, key)
 
         self._collect(state, what, settle)
 

@@ -1,20 +1,25 @@
-"""Helpers for launching worker agents as local processes.
+"""Local worker processes: the ``process`` pool and the loopback helpers.
 
-Production deployments start ``python -m repro.cli worker`` on each node
-themselves; these helpers cover the *loopback* topology -- real worker
-processes, real TCP sockets, one machine -- used by the equivalence
-tests and the ``loopback_*`` workloads of ``perf/``.
+Both fork their workers from the coordinator (spawn them where ``fork``
+is unavailable: :func:`worker_context`), so a worker reaches HELLO
+without paying for an interpreter and its imports, and both run the one
+:class:`~repro.distributed.worker.WorkerAgent` in the child.  The child
+closes every coordinator-side socket it inherited (an at-fork hook in
+:mod:`repro.distributed.coordinator`), starts with telemetry off and an
+empty registry, and freezes the inherited objects out of the garbage
+collector's reach.  What differs is the pipe:
 
-A local worker is forked from the coordinator (spawned where ``fork``
-is unavailable: :func:`repro.execution.pool.worker_context`, which the
-``process`` pool starts its workers in too) and runs the ``worker``
-command in the child, so it reaches HELLO without paying for an
-interpreter and its imports.  It still gets everything over TCP, like a
-remote worker: the inherited memory only makes its pool re-derivation a
-memo hit.  The child closes its copy of the coordinator's listener (an
-at-fork hook in :mod:`repro.distributed.coordinator`), starts with
-telemetry off and an empty registry, and freezes the inherited objects
-out of the garbage collector's reach.
+* :class:`ProcessExecutor` (``--executor process``) hands each child one
+  end of a ``socket.socketpair()`` and registers the other through the
+  coordinator's one handshake path.  There is no listening socket, so
+  nothing else on the machine can register, and no resume: a dead local
+  worker's clients are re-dealt over the survivors.
+* :func:`spawn_local_workers` runs the ``worker`` command in the child
+  against a TCP endpoint, the *loopback* topology of the equivalence
+  tests and the ``loopback_*`` workloads of ``perf/``: it gets
+  everything over TCP, like a remote worker (production deployments
+  start ``python -m repro.cli worker`` on each node themselves), and the
+  inherited memory only makes its pool re-derivation a memo hit.
 """
 
 from __future__ import annotations
@@ -22,15 +27,29 @@ from __future__ import annotations
 import gc
 import multiprocessing as mp
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro import telemetry
-from repro.execution.pool import worker_context
+from repro.distributed import protocol as proto
+from repro.distributed.coordinator import COORDINATOR_SOCKETS, DistributedExecutor
+from repro.distributed.transport import Connection
+from repro.distributed.worker import WorkerAgent
+from repro.execution.base import ExecutorError
+from repro.serialization import shard_to_bytes
+from repro.simcluster.population import PopulationStore
 
-__all__ = ["spawn_local_workers", "terminate_workers"]
+__all__ = ["ProcessExecutor", "spawn_local_workers", "terminate_workers"]
+
+
+def worker_context():
+    """The ``multiprocessing`` context local workers start in: ``fork``
+    where available (cheap: the parent's data is shared copy-on-write),
+    else ``spawn``."""
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
 
 def _run_worker(argv: List[str], stderr_path: Optional[str]) -> None:
@@ -50,6 +69,72 @@ def _run_worker(argv: List[str], stderr_path: Optional[str]) -> None:
     from repro.cli import main
 
     sys.exit(main(["worker", *argv]))
+
+
+class _PairedAgent(WorkerAgent):
+    """A worker agent on one end of a socketpair: nothing to dial, and a
+    lost connection ends it (``reconnect_grace=0``)."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__("", 0, reconnect_grace=0.0, log=open(os.devnull, "w"))
+        self._sock = sock
+
+    def _connect(self, timeout: Optional[float] = None) -> Connection:
+        return Connection(self._sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
+
+
+def _run_paired(sock: socket.socket) -> None:
+    """Child body of a :class:`ProcessExecutor` worker."""
+    gc.freeze()
+    telemetry.reset()
+    sys.exit(_PairedAgent(sock).run())
+
+
+class ProcessExecutor(DistributedExecutor):
+    """Train cohorts across local worker processes, one socketpair each.
+
+    The coordinator is :class:`DistributedExecutor`'s -- same frames,
+    pinning, collector, codec, eval-set shipping and re-deal of a dead
+    worker's clients -- over ``min(workers, clients)`` children forked
+    at the first cohort.  ``result_timeout`` is the wall-clock deadline
+    of one cohort.
+    """
+
+    name = "process"
+
+    def __init__(self, workers: int = 2, result_timeout: float = 600.0) -> None:
+        super().__init__(workers=workers, result_timeout=result_timeout)
+        self._procs: List[mp.process.BaseProcess] = []
+
+    def _register_workers(self) -> None:
+        clients = self._require_bound()
+        if isinstance(clients, PopulationStore):
+            # A shard frame carries its pool's digest, which the worker
+            # checks on decode: hashing once here, before the fork, leaves
+            # every child the cached digest instead of its own re-hash.
+            shard_to_bytes(clients.shard(clients.client_ids[:1]))
+        ctx = worker_context()
+        ends = []
+        for wid in range(min(self.workers, len(clients))):
+            ours, theirs = socket.socketpair()
+            # In the set before the fork: every later child closes it.
+            COORDINATOR_SOCKETS.add(ours)
+            proc = ctx.Process(
+                target=_run_paired, args=(theirs,), daemon=True, name=f"repro-exec-{wid}"
+            )
+            proc.start()
+            theirs.close()
+            self._procs.append(proc)
+            ends.append(ours)
+        # Registered after every fork, so the children boot in parallel.
+        for sock in ends:
+            if not self._register(sock):
+                raise ExecutorError(f"a local {self.name} worker failed its handshake")
+
+    def close(self) -> None:
+        super().close()
+        terminate_workers(self._procs)
+        self._procs = []
 
 
 def spawn_local_workers(

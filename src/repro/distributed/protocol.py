@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pickle
 import struct
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from repro.nn.model import Sequential
 
 #: Bump on any wire-incompatible change: the handshake REJECTs a peer of
 #: another version by name (history: ``docs/architecture.md``).
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: Largest payload a connection accepts until HELLO/WELCOME has succeeded
 #: (both peers): the receiver allocates at the header's announcement, so
@@ -35,6 +36,12 @@ HANDSHAKE_MAX_PAYLOAD = 4096
 
 #: Cap on the weight count a BROADCAST/UPDATE header may claim, checked before allocating.
 MAX_WEIGHT_COUNT = (1 << 30) // 8
+
+#: What a BIND_EVAL array may be: its dtype by code (1-based, little-endian
+#: on the wire), at most this many dimensions and this many bytes.
+ARRAY_DTYPES = tuple(np.dtype(d) for d in ("<f8", "<f4", "<i8", "<i4", "u1", "?"))
+MAX_ARRAY_NDIM = 8
+MAX_ARRAY_BYTES = 1 << 30
 
 
 class MsgType(IntEnum):
@@ -114,6 +121,13 @@ def _ints(value: Any) -> bool:
     return type(value) is list and all(type(x) is int for x in value)
 
 
+def _list_of(kind: _Kind) -> _Kind:
+    return _Kind(
+        lambda v: [kind.cast(x) for x in v],
+        lambda v: type(v) is list and all(kind.valid(x) for x in v),
+    )
+
+
 def _mapping(value: Any) -> dict:
     if not isinstance(value, Mapping):
         raise ValueError(f"expected a mapping, got {type(value).__name__}")
@@ -121,7 +135,7 @@ def _mapping(value: Any) -> dict:
 
 
 _DICT = _Kind(_mapping, lambda v: type(v) is dict)
-#: The closed set of field kinds; the last four travel in pickle rows only.
+#: The closed set of field kinds; the last three travel in pickle rows only.
 _KINDS: Dict[str, _Kind] = {
     "int": _Kind(int, lambda v: type(v) is int),
     "str": _Kind(str, lambda v: type(v) is str),
@@ -129,6 +143,8 @@ _KINDS: Dict[str, _Kind] = {
     "int?": _or_none(int),
     "str?": _or_none(str),
     "[int]": _Kind(lambda v: [int(x) for x in v], _ints),
+    "[float?]": _list_of(_or_none(float)),
+    "[str?]": _list_of(_or_none(str)),
     "[[int, int]]": _Kind(
         lambda v: [[int(a), int(b)] for a, b in v],
         lambda v: type(v) is list and all(_ints(p) and len(p) == 2 for p in v),
@@ -144,7 +160,6 @@ _KINDS: Dict[str, _Kind] = {
         optional=True,
     ),
     "bytes": _Kind(bytes, lambda v: type(v) is bytes),
-    "ndarray": _Kind(np.ascontiguousarray, lambda v: type(v) is np.ndarray),
     "dict": _DICT,
     "any": _Kind(lambda v: v, lambda v: True),
 }
@@ -179,9 +194,21 @@ def _one_of(a: str, b: str) -> Callable[[Dict[str, Any]], Optional[str]]:
     )
 
 
+def _eval_results(v: Dict[str, Any]) -> Optional[str]:
+    """EVAL_RESULT's rule: parallel lists, one accuracy or error per client."""
+    ids, accs, errors = v["client_ids"], v["accuracies"], v["errors"]
+    if not len(ids) == len(accs) == len(errors):
+        return f"list lengths differ: {len(ids)} / {len(accs)} / {len(errors)}"
+    return next(
+        (f"client {cid}: exactly one of accuracy / error must be given"
+         for cid, acc, err in zip(ids, accs, errors) if (acc is None) == (err is None)),
+        None,
+    )
+
+
 _CONFIG = (("training", "any"), ("signature", "str"), ("model", "any"))
 
-#: Every frame type of protocol v7, in type-byte order.
+#: Every frame type of protocol v8, in type-byte order.
 # fmt: off
 FRAMES: Tuple[FrameSpec, ...] = (
     FrameSpec(
@@ -231,12 +258,15 @@ FRAMES: Tuple[FrameSpec, ...] = (
         "evaluate these clients' holdouts on the weights of BROADCAST `seq`"),
     FrameSpec(
         MsgType.EVAL_RESULT, "w→c", "json",
-        (("seq", "int"), ("client_id", "int"), ("accuracy", "float?"), ("error", "str?")),
-        "one client's holdout accuracy, or its traceback",
-        check=_one_of("accuracy", "error")),
+        (("seq", "int"), ("client_ids", "[int]"), ("accuracies", "[float?]"),
+         ("errors", "[str?]")),
+        "one EVAL order's answer: per client its holdout accuracy, or its traceback",
+        check=_eval_results),
     FrameSpec(
-        MsgType.BIND_EVAL, "c→w", "pickle", (("x", "ndarray"), ("y", "ndarray")),
-        "the server-held eval set, shipped once per worker"),
+        MsgType.BIND_EVAL, "c→w", "struct",
+        (("x_dtype", "H"), ("x_ndim", "H"), ("y_dtype", "H"), ("y_ndim", "H")),
+        "the server-held eval set, shipped once per worker; dtypes from a fixed list",
+        tail=(("shapes", "u64 per dimension"), ("x", "raw"), ("y", "raw"))),
     FrameSpec(
         MsgType.EVAL_MODEL, "c→w", "json", (("seq", "int"), ("shards", "[[int, int]]")),
         "evaluate BROADCAST `seq` on `[start, end)` row ranges of the resident eval set",
@@ -377,13 +407,16 @@ def decode_eval(payload: bytes) -> Tuple[int, List[int]]:
 
 
 def encode_eval_result(
-    seq: int, client_id: int, accuracy: Optional[float], error: Optional[str] = None
+    seq: int, client_ids: Sequence[int], accuracies: Sequence[Optional[float]],
+    errors: Sequence[Optional[str]],
 ) -> bytes:
-    """A float's repr round-trips binary64, so the accuracy arrives bit-identical."""
-    return _encode_json(MsgType.EVAL_RESULT, seq, client_id, accuracy, error)
+    """A float's repr round-trips binary64, so each accuracy arrives bit-identical."""
+    return _encode_json(MsgType.EVAL_RESULT, seq, client_ids, accuracies, errors)
 
 
-def decode_eval_result(payload: bytes) -> Tuple[int, int, Optional[float], Optional[str]]:
+def decode_eval_result(
+    payload: bytes,
+) -> Tuple[int, List[int], List[Optional[float]], List[Optional[str]]]:
     return tuple(_decode_json(MsgType.EVAL_RESULT, payload).values())
 
 
@@ -414,14 +447,6 @@ def decode_telemetry(payload: bytes) -> Tuple[int, Dict[str, Any]]:
     return tuple(_decode_json(MsgType.TELEMETRY, payload).values())
 
 
-def encode_bind_eval(x: np.ndarray, y: np.ndarray) -> bytes:
-    return _encode_pickle(MsgType.BIND_EVAL, x, y)
-
-
-def decode_bind_eval(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    return tuple(_decode_pickle(MsgType.BIND_EVAL, payload).values())
-
-
 def encode_assign(
     clients: Dict[int, Any], training: TrainingConfig, signature: str, model: Any = None
 ) -> bytes:
@@ -442,6 +467,70 @@ def encode_assign_shard(
 
 def decode_assign_shard(payload: bytes) -> Dict[str, Any]:
     return _decode_pickle(MsgType.ASSIGN_SHARD, payload)
+
+
+# --- BIND_EVAL: two arrays as raw buffers -----------------------------
+_BIND_EVAL_HEADER = _SPEC[MsgType.BIND_EVAL].header
+
+
+def _wire_array(a: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``a`` as the contiguous little-endian array the wire carries, and
+    its dtype code."""
+    a = np.ascontiguousarray(a)
+    wire = a.dtype if a.dtype.byteorder == "|" else a.dtype.newbyteorder("<")
+    if wire not in ARRAY_DTYPES:
+        raise ValueError(f"BIND_EVAL cannot carry dtype {a.dtype}")
+    if not 1 <= a.ndim <= MAX_ARRAY_NDIM:
+        raise ValueError(f"BIND_EVAL cannot carry a {a.ndim}-dimensional array")
+    return a.astype(wire, copy=False), ARRAY_DTYPES.index(wire) + 1
+
+
+def encode_bind_eval(x: np.ndarray, y: np.ndarray) -> bytes:
+    """The header, every dimension of ``x`` then ``y`` as u64, then the
+    two arrays' bytes: no pickle, one copy of the data."""
+    (x, x_code), (y, y_code) = _wire_array(x), _wire_array(y)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"x holds {x.shape[0]} rows but y holds {y.shape[0]}")
+    header = _BIND_EVAL_HEADER.pack(x_code, x.ndim, y_code, y.ndim)
+    shapes = struct.pack(f"!{x.ndim + y.ndim}Q", *x.shape, *y.shape)
+    return b"".join((header, shapes, x.reshape(-1).view(np.uint8), y.reshape(-1).view(np.uint8)))
+
+
+def decode_bind_eval(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_bind_eval`: read-only views of the frame's
+    own buffer.  Every dtype code, rank and byte size is checked against
+    the allowlist, the caps and the tail before any array exists."""
+    header = _unpack(_BIND_EVAL_HEADER, payload, "BIND_EVAL")
+    codes, ranks = header[0::2], header[1::2]
+    for code, rank in zip(codes, ranks):
+        if not 1 <= code <= len(ARRAY_DTYPES):
+            raise ProtocolError(f"BIND_EVAL names unknown dtype code {code}")
+        if not 1 <= rank <= MAX_ARRAY_NDIM:
+            raise ProtocolError(f"BIND_EVAL array rank {rank} outside 1..{MAX_ARRAY_NDIM}")
+    dims = struct.Struct(f"!{sum(ranks)}Q")
+    offset = _BIND_EVAL_HEADER.size + dims.size
+    if len(payload) < offset:
+        raise ProtocolError("truncated BIND_EVAL shapes")
+    flat = dims.unpack_from(payload, _BIND_EVAL_HEADER.size)
+    shapes = (flat[: ranks[0]], flat[ranks[0] :])
+    if shapes[0][0] != shapes[1][0]:
+        raise ProtocolError(f"BIND_EVAL x holds {shapes[0][0]} rows but y holds {shapes[1][0]}")
+    dtypes = [ARRAY_DTYPES[code - 1] for code in codes]
+    sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in zip(shapes, dtypes)]
+    if max(sizes) > MAX_ARRAY_BYTES:
+        raise ProtocolError(f"BIND_EVAL array claims {max(sizes)} bytes, over {MAX_ARRAY_BYTES}")
+    if offset + sum(sizes) != len(payload):
+        raise ProtocolError(
+            f"BIND_EVAL shapes describe {offset + sum(sizes)} bytes but the frame holds "
+            f"{len(payload)}"
+        )
+    arrays = []
+    for shape, dtype, size in zip(shapes, dtypes, sizes):
+        a = np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
+        a.setflags(write=False)
+        arrays.append(a)
+        offset += size
+    return arrays[0], arrays[1]
 
 
 # --- BROADCAST / UPDATE: the binary hot path ---------------------------

@@ -1,19 +1,20 @@
 """The worker side: a standalone agent process that trains pinned clients.
 
 Launched as ``python -m repro.cli worker --connect HOST:PORT`` on any
-machine that can reach the coordinator.  The agent owns no configuration
-of its own -- everything (clients, model shell, training hyperparameters)
-arrives over the wire, so a fleet of identical agents can serve any
-federation.
+machine that can reach the coordinator, or forked by the ``process``
+pool onto one end of a socketpair (:mod:`repro.distributed.launch`).
+The agent owns no configuration of its own -- everything (clients,
+model shell, training hyperparameters) arrives over the wire, so a
+fleet of identical agents can serve any federation.
 
-Determinism is the ``process`` pool's because its workers run the same
-worker ops: a TRAIN frame is served by
-:func:`repro.execution.pool.serve_train` (one optimizer factory for the
-round, clients trained in dispatch order inside the single workspace
-model), an EVAL frame by :func:`repro.execution.base.evaluate_holdouts`
-and an EVAL_MODEL frame by :func:`repro.execution.pool.count_shards`.
-Every UPDATE ships the client's advanced training-RNG state back so the
-coordinator's pool remains the single source of truth.
+A TRAIN frame is served by :func:`repro.execution.pool.serve_train`
+(one optimizer factory for the round, clients trained in dispatch order
+inside the single workspace model), an EVAL frame by
+:func:`repro.execution.base.evaluate_holdouts` (answered by one
+EVAL_RESULT) and an EVAL_MODEL frame by
+:func:`repro.execution.pool.count_shards`.  Every UPDATE ships the
+client's advanced training-RNG state back so the coordinator's pool
+remains the single source of truth.
 
 A dedicated reader thread answers PING with PONG even while a long
 local pass is running, so a busy worker is never mistaken for a dead
@@ -430,16 +431,16 @@ class WorkerAgent:
         seq, client_ids = proto.decode_eval(payload)
         global_flat = self._weights_for(seq, "EVAL", client_ids)
         self._stats["eval_requests"] += 1
-        # One weight load per EVAL frame; the wire stays one EVAL_RESULT
-        # frame per client (v7), sent once the whole share is scored.
+        # One weight load per EVAL frame and one EVAL_RESULT frame back
+        # (v8), sent once the whole share is scored.
         accs, failures = evaluate_holdouts(self._workspace, self._clients, client_ids, global_flat)
-        for client_id in client_ids:
-            conn.send(
-                proto.MsgType.EVAL_RESULT,
-                proto.encode_eval_result(
-                    seq, client_id, accs.get(client_id), failures.get(client_id)
-                ),
-            )
+        conn.send(
+            proto.MsgType.EVAL_RESULT,
+            proto.encode_eval_result(
+                seq, client_ids, [accs.get(c) for c in client_ids],
+                [failures.get(c) for c in client_ids],
+            ),
+        )
 
     def _handle_eval_model(self, conn: Connection, payload: bytes) -> None:
         """Count correct predictions over shards of the resident eval set."""

@@ -15,10 +15,10 @@ the same cohort and global weights they produce bit-identical updates in
 the same deterministic order, so switching between them never changes a
 training trajectory -- only its wall-clock time.
 
-The ``distributed`` backend (:mod:`repro.distributed`) extends the same
-contract across machines: a coordinator executor drives worker agent
-processes over TCP.  It is registered here by name but imported lazily,
-so in-process users never pay for the networking stack.
+``process`` and ``distributed`` are one coordinator
+(:mod:`repro.distributed`) over forked socketpair workers or TCP ones,
+registered here by name but imported lazily: serial users never pay for
+the networking stack.
 
 The ``batched`` backend (:mod:`repro.execution.batched`) trains each
 homogeneous cohort group as one stacked tensor program -- a separate
@@ -41,7 +41,6 @@ from repro.execution.base import (
     order_updates,
 )
 from repro.execution.batched import BatchedExecutor
-from repro.execution.process import ProcessExecutor
 from repro.execution.serial import SerialExecutor
 
 __all__ = [
@@ -75,23 +74,35 @@ def create_executor(
     ``workers`` must be >= 1 (the constructors raise otherwise -- a typo'd
     worker count should fail loudly, not degrade to serial speed).
     ``endpoint`` is the ``host:port`` the ``distributed`` coordinator
-    listens on (ignored by the in-process backends).
+    listens on (ignored by every other backend).
     """
     if backend == "serial":
         return SerialExecutor()
-    if backend == "process":
-        return ProcessExecutor(workers=workers)
     if backend == "batched":
         return BatchedExecutor(workers=workers)
+    # The pools are imported lazily: the networking stack is only needed
+    # when one is actually requested.
+    if backend == "process":
+        from repro.distributed.launch import ProcessExecutor
+
+        return ProcessExecutor(workers=workers)
     if backend == "distributed":
-        # Imported lazily: the networking stack is only needed when the
-        # distributed backend is actually requested.
         from repro.distributed.coordinator import DistributedExecutor
 
         return DistributedExecutor(workers=workers, endpoint=endpoint)
     raise ValueError(
         f"unknown executor backend {backend!r}; expected one of {EXECUTOR_BACKENDS}"
     )
+
+
+def __getattr__(name: str):
+    # ``ProcessExecutor`` lives with the coordinator it extends; loaded on
+    # first use, like create_executor("process") (tests/test_import_set.py).
+    if name == "ProcessExecutor":
+        from repro.distributed.launch import ProcessExecutor
+
+        return ProcessExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def resolve_executor(

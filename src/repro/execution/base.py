@@ -3,17 +3,18 @@
 The FL servers in :mod:`repro.fl` delegate the *real* work of a round --
 running every selected client's local gradient-descent pass -- to a
 :class:`ClientExecutor`.  Four backends implement the contract -- the
-in-server pass, one pool design over two pipes, and the stacked program:
+in-server pass, one pool coordinator over two pipes, and the stacked
+program:
 
 * :class:`repro.execution.serial.SerialExecutor` -- the seed behaviour:
   clients train one after another inside the server's own model shell.
-* :class:`repro.execution.process.ProcessExecutor` -- persistent worker
-  processes; every client is *pinned* to one worker so its training RNG
-  stream lives (and advances) in exactly one place, and the global flat
-  weight vector is broadcast through read-only shared memory.
-* :class:`repro.distributed.coordinator.DistributedExecutor` -- the same
-  contract across machines: worker agents over TCP (versioned protocol,
-  client pinning, reconnect-and-resume).
+* :class:`repro.distributed.coordinator.DistributedExecutor` -- worker
+  agents over TCP (versioned protocol, reconnect-and-resume); every
+  client is *pinned* to one worker so its training RNG stream lives (and
+  advances) in exactly one place.
+* :class:`repro.distributed.launch.ProcessExecutor` -- the same
+  coordinator over local worker processes it forks, one socketpair
+  each.
 * :class:`repro.execution.batched.BatchedExecutor` -- the whole cohort
   as one stacked tensor program (leading client axis, one batched GEMM
   per layer per step).  **Not** part of the bit-identity family: it is
@@ -60,8 +61,8 @@ accuracies are per client and bit-identical to**
 :meth:`SimClient.evaluate <repro.simcluster.client.SimClient.evaluate>`.
 Every backend runs the one per-client loop in :func:`evaluate_holdouts`
 -- serial and batched over the whole cohort in the bound model shell,
-a process worker over its pinned share of the cohort (one queue reply
-per ``(worker, seq)``), a distributed worker over one EVAL frame -- so a
+a pool worker over its pinned share of the cohort (one EVAL frame in,
+one EVAL_RESULT frame back) -- so a
 holdout is scored by the same kernels on the same batch shapes
 everywhere; per-client evaluation is pure (no RNG advances, no state
 mutates), and ``tests/execution/test_eval_executors.py`` enforces the
@@ -72,8 +73,8 @@ datasets (the global test set) go through :meth:`ClientExecutor.
 evaluate_model`; backends whose workers hold local model replicas may
 shard that pass, provided the result stays bit-identical to one serial
 ``Sequential.evaluate`` call.  :meth:`ClientExecutor.bind_eval_data`
-ships a server-held eval set to the workers **once** (shared memory on
-the process backend, a BIND_EVAL frame on the distributed backend), so
+ships a server-held eval set to the workers **once** (a BIND_EVAL frame
+per pool worker), so
 later ``evaluate_model`` calls on those exact arrays can shard across
 workers instead of evaluating in the server process.
 
@@ -82,12 +83,10 @@ Weight-transport codecs
 ``TrainingConfig.codec`` names the :mod:`repro.codec` codec weight
 vectors travel through wherever they cross a *machine* boundary; the
 bound codec is exposed to backends as :attr:`ClientExecutor.codec`.
-Only the distributed backend actually encodes: serial passes
-arrays by reference, and the process backend moves them through shared
-memory -- in-process transports have no wire, so encoding them would
-add CPU without removing a single copy.  Both codecs (``raw``,
-``delta``) are lossless, so the distributed backend stays inside the
-determinism contract above whichever one a run names.
+Only the two pools encode (their BROADCAST / UPDATE frames); serial and
+batched pass arrays by reference.  Both codecs (``raw``, ``delta``) are
+lossless, so a pool stays inside the determinism contract above
+whichever one a run names.
 """
 
 from __future__ import annotations
@@ -412,8 +411,8 @@ class ClientExecutor:
         """The bound :class:`repro.codec.WeightCodec` weight vectors use
         on machine-boundary transports (``TrainingConfig.codec``).
 
-        In-process backends ignore it (see the module docstring); the
-        distributed backend encodes every BROADCAST/UPDATE through it.
+        Serial and batched ignore it (see the module docstring); both
+        pools encode every BROADCAST/UPDATE through it.
         ``raw`` until the executor is bound.
         """
         from repro.codec import get_codec
@@ -583,9 +582,8 @@ class ClientExecutor:
         After binding, :meth:`evaluate_model` calls that pass these exact
         arrays (identity, not equality -- recognising the bound set must
         cost nothing) may shard the pass across workers.  The default
-        just remembers the arrays; the process backend maps them into
-        shared memory when its workers fork, and the distributed
-        coordinator ships one BIND_EVAL frame per worker.  Re-binding the
+        just remembers the arrays; a pool coordinator ships one
+        BIND_EVAL frame per worker.  Re-binding the
         *same* arrays is a no-op; re-binding different data after workers
         already hold a copy is an error on those backends (ship-once is
         the invariant that makes the per-round sharding free).

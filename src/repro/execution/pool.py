@@ -1,10 +1,11 @@
 """The transport-agnostic worker-pool core.
 
-The ``process`` and ``distributed`` backends are two transports (shared
-memory + queues, framed TCP) over one scheme: deal the sorted client ids
-over the workers, group each cohort by owner, train every client where
-it is pinned and write its advanced training-RNG state back into the
-authoritative pool.  What does not depend on the pipe lives here, once:
+The ``process`` and ``distributed`` backends are one coordinator over
+two pipes (forked socketpair workers, TCP workers) and one scheme: deal
+the sorted client ids over the workers, group each cohort by owner,
+train every client where it is pinned and write its advanced
+training-RNG state back into the authoritative pool.  What does not
+depend on the wire lives here, once:
 
 * **worker ops** -- :func:`serve_train` (one train order: one optimizer
   factory, then :func:`repro.execution.base.train_client` per job under
@@ -15,19 +16,17 @@ authoritative pool.  What does not depend on the pipe lives here, once:
 * **directory** -- :func:`owned_by` and :func:`absorb_rng_state`;
 * **executor half** -- :class:`PoolExecutor`: build the jobs, group them
   by owner, merge results, stamp, raise the failures and return in
-  request order.  A backend supplies its pipe, :meth:`PoolExecutor._run`,
-  and two hooks on the resident eval set.
+  request order.  The coordinator supplies the wire, ``_run``, and the
+  eval-set hook ``_eval_holders``.
 
-It imports the executor contract (:mod:`repro.execution.base`) and
-neither backend.  What stays per pipe is the collector:
-``ProcessExecutor._run`` drains one result queue, and
-``DistributedExecutor._run`` drives ``repro.distributed.coordinator._InFlight``
-with ``DistributedExecutor._collect``.
+It imports the executor contract (:mod:`repro.execution.base`) and no
+backend: ``DistributedExecutor._run`` drives
+``repro.distributed.coordinator._InFlight`` with
+``DistributedExecutor._collect`` for both pools.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import traceback
 from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -49,7 +48,7 @@ from repro.simcluster.client import ClientUpdate, SimClient
 from repro.simcluster.population import PopulationStore
 
 __all__ = [
-    "PoolExecutor", "serve_train", "count_shards", "worker_context",
+    "PoolExecutor", "serve_train", "count_shards",
     "deal", "group_by_owner", "owned_by", "absorb_rng_state",
 ]
 
@@ -65,14 +64,6 @@ _KINDS = {
 }
 
 
-def worker_context():
-    """The ``multiprocessing`` context local workers start in: ``fork``
-    where available (cheap: the parent's data is shared copy-on-write),
-    else ``spawn``.  The ``process`` pool and ``spawn_local_workers``
-    both start theirs here."""
-    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-
-
 def serve_train(
     clients: Mapping[int, SimClient], workspace: Sequential, global_flat: np.ndarray,
     training: TrainingConfig, round_idx: int, jobs: Iterable[Tuple[int, int]],
@@ -82,8 +73,8 @@ def serve_train(
     each ``(client_id, epochs)`` job in order, answered with
     ``reply(client_id, weights, num_samples, rng_state)``.
 
-    The reply runs inside the per-client guard, so a failed slot write or
-    encode is that client's failure, ``fail(client_id, traceback)``, and
+    The reply runs inside the per-client guard, so a failed encode or
+    send is that client's failure, ``fail(client_id, traceback)``, and
     the worker lives on.  The guard is ``Exception``, not
     ``BaseException``: a Ctrl-C must end the worker, not read as a
     training failure.
@@ -117,9 +108,9 @@ def count_shards(
 def deal(sorted_ids: Iterable[Hashable], cycle: Sequence[int]) -> Dict[Hashable, int]:
     """Deal ``sorted_ids`` round-robin over ``cycle``: id -> owner.
 
-    ``cycle`` lists one slot per unit of worker capacity, so the
-    ``process`` pin is ``range(workers)`` and a capacity-2 TCP worker
-    appears twice in a row.  The same function pins the population,
+    ``cycle`` lists one slot per unit of worker capacity, so a pool of
+    capacity-1 workers pins over ``range(workers)`` and a capacity-2
+    worker appears twice in a row.  The same function pins the population,
     spreads eval-model shards and re-deals a dead worker's orphans over
     the survivors (ids that are not passed in never move).
     """
@@ -167,38 +158,26 @@ def absorb_rng_state(
 
 
 class PoolExecutor(ClientExecutor):
-    """The executor half both worker pools share.
+    """The executor half of the worker pool.
 
     Every operation is *build the jobs -> group them by owner ->*
     :meth:`_run` *-> assemble*: values merge as they arrive (a trained
     update's RNG state is absorbed at once), captured failures are raised
     together once the batch is done, each naming its worker, and updates
-    return in request order.  A backend fills ``_owner`` (client id ->
-    worker id) when its workers start and supplies :meth:`_run` plus the
-    two eval-set hooks.
+    return in request order.  The coordinator
+    (:class:`repro.distributed.coordinator.DistributedExecutor`) fills
+    ``_owner`` (client id -> worker id) when its workers start and
+    supplies the wire, ``_run(kind, round_idx, weights, per_worker, what,
+    on_result)``, and ``_eval_holders()``, the workers holding the bound
+    eval set (shipping it first if it is not, which sets
+    ``_eval_shipped``; the only re-send is the replay to a resumed
+    worker, which restores that same copy).
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._owner: Dict[int, int] = {}
-
-    def _run(
-        self, kind: str, round_idx: int, weights: np.ndarray, per_worker: Dict[int, list],
-        what: str, on_result: OnResult,
-    ) -> None:
-        """The pipe: send each worker its ``kind`` order (``"train"``,
-        ``"eval"``, ``"eval_model"``) over ``weights``, then call
-        ``on_result`` once per job; a timeout names the outstanding
-        ``what``."""
-        raise NotImplementedError
-
-    def _eval_holders(self) -> List[int]:
-        """The workers holding the eval set :meth:`bind_eval_data` bound."""
-        raise NotImplementedError
-
-    def _eval_copy_shipped(self) -> bool:
-        """Whether workers already hold a copy of the bound eval set."""
-        raise NotImplementedError
+        self._eval_shipped = False
 
     def owner_of(self, client_id: int) -> int:
         """Worker a client is currently pinned to."""
@@ -212,7 +191,7 @@ class PoolExecutor(ClientExecutor):
         invariant that makes the per-round sharding free)."""
         if self._bound_eval_data_matches(x, y):
             return
-        if self._eval_copy_shipped():
+        if self._eval_shipped:
             raise ExecutorError(
                 f"{self.name} executor already shipped an eval set to its "
                 "workers; create a fresh executor to bind different data"

@@ -11,9 +11,8 @@ phase                 contract
                       timing.  Reads selector state and the latency RNG
                       streams; both advance in strict round order.
 ``broadcast``         ``broadcast_weights`` -- the exact weight vector the
-                      cohort trains from (the executor transports it:
-                      shared memory on the process backend, a BROADCAST
-                      frame on the wire).
+                      cohort trains from (a pool executor ships it as
+                      a BROADCAST frame).
 ``train``             ``updates`` -- one :class:`ClientUpdate` per kept
                       client, in request order (the executor contract).
 ``aggregate``         ``eval_weights`` (the post-round global weights;

@@ -158,7 +158,7 @@ class FLServer:
         )
         self.executor.bind(self.clients, self.model, self.training)
         # Ship-once: the global test set becomes resident in the workers
-        # (shared memory / BIND_EVAL), so evaluate_model can shard there.
+        # (one BIND_EVAL frame each), so evaluate_model can shard there.
         self.executor.bind_eval_data(self.test_data.x, self.test_data.y)
 
     # ------------------------------------------------------------------
@@ -267,8 +267,8 @@ class FLServer:
     def _stage_broadcast(self, ctx: RoundContext) -> None:
         """Broadcast phase: fix the weights the cohort trains from.
 
-        The executor performs the physical transport (shared memory /
-        BROADCAST frame) inside ``train_cohort``; this stage pins the
+        The executor performs the physical transport (a BROADCAST
+        frame on a pool) inside ``train_cohort``; this stage pins the
         contract that round ``r`` trains from the pre-round vector.
         """
         ctx.broadcast_weights = self.global_weights

@@ -14,6 +14,7 @@ produces.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ TEST_SET = make_tiny_dataset(n=600, seed=5)
 #: A result frame of each kind, for a seq of the caller's choosing.
 RESULTS = {
     "train": lambda seq: (MT.UPDATE, proto.encode_update(seq, 0, 1, None, np.zeros(3))),
-    "eval": lambda seq: (MT.EVAL_RESULT, proto.encode_eval_result(seq, 0, 0.5)),
+    "eval": lambda seq: (MT.EVAL_RESULT, proto.encode_eval_result(seq, [0], [0.5], [None])),
     "eval_model": lambda seq: (
         MT.EVAL_MODEL_RESULT, proto.encode_eval_model_result(seq, 0, 512, 1)
     ),
@@ -62,7 +63,7 @@ KINDS = {
 GARBLED = {
     "train": (MT.TRAINFAIL, b'{"seq": "x", "client_id": 0, "traceback": ""}'),
     "eval": (
-        MT.EVAL_RESULT, b'{"seq": 1, "client_id": [0], "accuracy": 0.5, "error": null}'
+        MT.EVAL_RESULT, b'{"seq": 1, "client_ids": [[0]], "accuracies": [0.5], "errors": [null]}'
     ),
     "eval_model": (MT.EVAL_MODEL_RESULT, b"not json"),
 }
@@ -74,7 +75,8 @@ def _retagged(msg_type, payload, seq):
         _seq, cid, n, rng_state, w = proto.decode_update(payload)
         return proto.encode_update(seq, cid, n, rng_state, np.zeros_like(w))
     if msg_type == MT.EVAL_RESULT:
-        return proto.encode_eval_result(seq, proto.decode_eval_result(payload)[1], -1.0)
+        ids = proto.decode_eval_result(payload)[1]
+        return proto.encode_eval_result(seq, ids, [-1.0] * len(ids), [None] * len(ids))
     _seq, a, b, _correct, _err = proto.decode_eval_model_result(payload)
     return proto.encode_eval_model_result(seq, a, b, 0)
 
@@ -236,6 +238,50 @@ class TestCollectorContract:
             assert str(excinfo.value) == f"timed out after 0s waiting for {harness.unit}"
         finally:
             harness.ex.close()
+
+
+#: Batched EVAL_RESULTs (v8) for the live seq that break the row's rules.
+MALFORMED_EVAL_RESULTS = {
+    "list lengths differ": lambda seq, ids: {
+        "seq": seq, "client_ids": ids, "accuracies": [0.5] * len(ids), "errors": [None],
+    },
+    "an entry has both": lambda seq, ids: {
+        "seq": seq, "client_ids": ids, "accuracies": [0.5] * len(ids),
+        "errors": ["boom"] + [None] * (len(ids) - 1),
+    },
+    "an entry has neither": lambda seq, ids: {
+        "seq": seq, "client_ids": ids, "accuracies": [None] + [0.5] * (len(ids) - 1),
+        "errors": [None] * len(ids),
+    },
+    "the seq is not an int": lambda seq, ids: {
+        "seq": str(seq), "client_ids": ids, "accuracies": [0.5] * len(ids),
+        "errors": [None] * len(ids),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EVAL_RESULTS))
+def test_a_malformed_batched_eval_result_retires_its_sender(case):
+    """Worker 1 answers its EVAL order with one EVAL_RESULT that breaks
+    the row: it is retired, worker 0 inherits its clients and jobs, and
+    the cohort still scores exactly what serial scores."""
+
+    def replies(ex, wid, frames):
+        if wid == 0:
+            return frames
+        ids = proto.decode_eval_result(frames[0][1])[1]
+        payload = json.dumps(MALFORMED_EVAL_RESULTS[case](ex._seq, ids)).encode()
+        return [(MT.EVAL_RESULT, payload)]
+
+    harness = _Harness("eval", replies, result_timeout=30.0)
+    ex = harness.ex
+    try:
+        assert harness.run() == harness.serial_reference()
+        assert ex._handles[1].state == "retired"
+        assert ex._handles[0].state == "up"
+        assert len(harness.orders_sent_to(0)) == 2
+    finally:
+        ex.close()
 
 
 class TestReaderPostsOnce:

@@ -42,25 +42,25 @@ class TestEvalCodecs:
     def test_eval_result_accuracy_round_trips_float64_exactly(self):
         # an awkward, non-representable-in-decimal accuracy
         acc = float(np.float64(2.0) / 3.0)
-        seq, cid, got, err = proto.decode_eval_result(
-            proto.encode_eval_result(5, 12, acc)
+        seq, cids, got, errs = proto.decode_eval_result(
+            proto.encode_eval_result(5, [12], [acc], [None])
         )
-        assert (seq, cid, err) == (5, 12, None)
-        assert got == acc  # bit-exact through the JSON text
+        assert (seq, cids, errs) == (5, [12], [None])
+        assert got == [acc]  # bit-exact through the JSON text
 
     def test_eval_result_error_round_trip(self):
-        seq, cid, acc, err = proto.decode_eval_result(
-            proto.encode_eval_result(2, 9, None, "Traceback: boom")
+        seq, cids, accs, errs = proto.decode_eval_result(
+            proto.encode_eval_result(2, [9], [None], ["Traceback: boom"])
         )
-        assert (seq, cid, acc) == (2, 9, None)
-        assert "boom" in err
+        assert (seq, cids, accs) == (2, [9], [None])
+        assert "boom" in errs[0]
 
     def test_eval_result_requires_exactly_one_of_accuracy_error(self):
         with pytest.raises(ValueError, match="exactly one"):
-            proto.encode_eval_result(1, 1, None, None)
+            proto.encode_eval_result(1, [1], [None], [None])
         with pytest.raises(ValueError, match="exactly one"):
-            proto.encode_eval_result(1, 1, 0.5, "also an error")
-        bad = b'{"seq": 1, "client_id": 1, "accuracy": null, "error": null}'
+            proto.encode_eval_result(1, [1], [0.5], ["also an error"])
+        bad = b'{"seq": 1, "client_ids": [1], "accuracies": [null], "errors": [null]}'
         with pytest.raises(proto.ProtocolError, match="exactly one"):
             proto.decode_eval_result(bad)
 
@@ -70,13 +70,14 @@ class TestEvalCodecs:
 
 
 class TestVersioning:
-    def test_protocol_version_is_7(self):
-        """v7 made the delta payload plane-wise and added the alias
-        BROADCAST (v6 added the ASSIGN_SHARD frame; v5 the worker
-        TELEMETRY frame; v4 widened the BROADCAST/UPDATE headers and
-        added resumable sessions); regressing the constant would let
-        workers join that feed the plane table to zlib."""
-        assert proto.PROTOCOL_VERSION == 7
+    def test_protocol_version_is_8(self):
+        """v8 answers an EVAL order with one EVAL_RESULT and ships
+        BIND_EVAL as raw buffers (v7 made the delta payload plane-wise
+        and added the alias BROADCAST; v6 added the ASSIGN_SHARD frame;
+        v5 the worker TELEMETRY frame; v4 widened the BROADCAST/UPDATE
+        headers and added resumable sessions); regressing the constant
+        would let workers join that answer per client."""
+        assert proto.PROTOCOL_VERSION == 8
         assert proto.MsgType.EVAL == 13
         assert proto.MsgType.EVAL_RESULT == 14
         assert proto.MsgType.BIND_EVAL == 15
@@ -106,19 +107,19 @@ class TestVersioning:
         worker_side.close()
         ex.close()
 
-    def test_v6_worker_is_rejected_naming_6_and_7(self):
-        """The worker one release behind: it would inflate a plane table
-        as zlib and has no alias form, so it never gets past HELLO."""
+    def test_v7_worker_is_rejected_naming_7_and_8(self):
+        """The worker one release behind: it would answer an EVAL order
+        per client and unpickle BIND_EVAL, so it never gets past HELLO."""
         ex = DistributedExecutor(workers=1)
         a, b = socket.socketpair()
         coord_side, worker_side = Connection(a), Connection(b)
-        worker_side.send(proto.MsgType.HELLO, proto.encode_hello(6, 1, 123))
+        worker_side.send(proto.MsgType.HELLO, proto.encode_hello(7, 1, 123))
         assert ex._handshake(coord_side) is None
         msg_type, payload = worker_side.recv(timeout=5.0)
         assert msg_type == proto.MsgType.REJECT
         reason = proto.decode_reject(payload)
-        assert "worker speaks v6" in reason
-        assert "coordinator requires v7" in reason
+        assert "worker speaks v7" in reason
+        assert "coordinator requires v8" in reason
         worker_side.close()
         ex.close()
 
@@ -190,13 +191,11 @@ class TestWorkerLoadsOncePerFrame:
         conn = _RecordingConn()
         agent._handle_eval(conn, proto.encode_eval(3, [2, 4, 0, 3, 1]))
         assert len(self.loads) == 1
-        assert [t for t, _ in conn.sent] == [proto.MsgType.EVAL_RESULT] * 5
-        results = [proto.decode_eval_result(p) for _, p in conn.sent]
-        assert [(seq, cid) for seq, cid, _, _ in results] == [
-            (3, 2), (3, 4), (3, 0), (3, 3), (3, 1)
-        ]
+        assert [t for t, _ in conn.sent] == [proto.MsgType.EVAL_RESULT]
+        seq, cids, accs, errs = proto.decode_eval_result(conn.sent[0][1])
+        assert (seq, cids) == (3, [2, 4, 0, 3, 1])
         scratch = build_mlp((4, 4, 1), 3, hidden=(8,), rng=1)
-        for _, cid, acc, err in results:
+        for cid, acc, err in zip(cids, accs, errs):
             if cid == 4:  # the empty holdout fails alone, by traceback
                 assert acc is None and "no holdout" in err
             else:

@@ -17,11 +17,9 @@ it does not know fails here, so no frame type can be added unfuzzed.
 import json
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.config import TrainingConfig
 from repro.distributed import protocol as proto
@@ -58,6 +56,16 @@ int_pairs = st.tuples(st.integers(0, 2**40), st.integers(1, 2**40)).map(
     lambda p: (p[0], p[0] + p[1])
 )
 
+#: Per example, which entries of a batch failed: its length is the one
+#: length of every list field the example draws, so EVAL_RESULT's
+#: parallel lists line up and each entry holds an accuracy or an error.
+_batch = st.shared(st.lists(st.booleans(), max_size=6), key="batch")
+
+
+def _per_entry(ok, failed):
+    return _batch.flatmap(lambda mask: st.tuples(*[failed if f else ok for f in mask]).map(list))
+
+
 #: Field kind -> the values an encoder takes for it.  Pairs are drawn as
 #: ``0 <= a < b`` so EVAL_MODEL's row check holds.
 VALID = {
@@ -66,16 +74,13 @@ VALID = {
     "float?": st.none() | st.floats(allow_nan=False),
     "int?": st.none() | st.integers(),
     "str?": st.none() | st.text(max_size=12),
-    "[int]": st.lists(st.integers(), max_size=6),
+    "[int]": _per_entry(st.integers(), st.integers()),
+    "[float?]": _per_entry(st.floats(allow_nan=False), st.none()),
+    "[str?]": _per_entry(st.none(), st.text(max_size=12)),
     "[[int, int]]": st.lists(int_pairs, max_size=4),
     "JSON object": st.dictionaries(st.text(max_size=6), json_values, max_size=4),
     "{worker_id, token}?": st.none() | st.tuples(st.integers(), st.text(max_size=12)),
     "bytes": st.binary(max_size=64),
-    "ndarray": arrays(
-        st.sampled_from([np.float64, np.int64, np.float32]),
-        st.tuples(st.integers(0, 3), st.integers(0, 3)),
-        elements={"allow_nan": False},
-    ),
     "dict": st.dictionaries(st.integers(0, 99), st.text(max_size=4) | st.none(), max_size=4),
     "any": st.none() | st.builds(TrainingConfig, lr=st.floats(1e-4, 1.0)),
 }
@@ -91,6 +96,10 @@ WRONG = {
     "str?": _json_except("str", "null"),
     "[int]": _json_except("list")
     | st.lists(st.booleans() | st.floats() | st.text(max_size=2), min_size=1, max_size=3),
+    "[float?]": _json_except("list")
+    | st.lists(st.booleans() | st.integers() | st.text(max_size=2), min_size=1, max_size=3),
+    "[str?]": _json_except("list")
+    | st.lists(st.booleans() | st.integers() | st.floats(), min_size=1, max_size=3),
     "[[int, int]]": _json_except("list")
     | st.sampled_from([[1], [[1]], [[1, 2, 3]], [[1, True]], [[1.0, 2]], [[1, "2"]]]),
     "JSON object": _json_except("object"),
@@ -100,7 +109,6 @@ WRONG = {
          {"worker_id": True, "token": "t"}]
     ),
     "bytes": st.text(max_size=4) | st.integers() | st.none() | st.just(bytearray(b"x")),
-    "ndarray": st.lists(st.integers(), max_size=3) | st.none() | st.just(np.int64(3)),
     "dict": st.lists(st.integers(), max_size=3) | st.none() | st.text(max_size=3),
     "any": None,
 }
@@ -130,12 +138,6 @@ def _values(spec, decoded):
         (v["worker_id"], v["token"]) if name == "resume" and v is not None else v
         for (name, _), v in zip(spec.fields, values)
     ]
-
-
-def _same(a, b):
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-    return a == b
 
 
 def _load(spec, payload):
@@ -185,7 +187,7 @@ class TestRowProperties:
         encode, decode = _codec(spec)
         back = _values(spec, decode(payload))
         assert len(back) == len(values)
-        assert all(_same(a, b) for a, b in zip(values, back))
+        assert back == values
         assert encode(*back) == payload
 
     @settings(max_examples=40, deadline=None)
@@ -236,10 +238,10 @@ class TestTypedFields:
             # was (2, [1, 1])
             (proto.decode_eval, b'{"seq": "2", "clients": [1.7, true]}'),
             (proto.decode_eval, b'{"seq": 2, "clients": [1, true]}'),
-            # was (1, 0, 0.5, None)
+            # was (1, [0], [0.5], [None])
             (
                 proto.decode_eval_result,
-                b'{"seq": 1, "client_id": 0, "accuracy": "0.5", "error": null}',
+                b'{"seq": 1, "client_ids": [0], "accuracies": ["0.5"], "errors": [null]}',
             ),
             # was model_signature "12"
             (
@@ -259,5 +261,5 @@ class TestTypedFields:
         }
         assert proto.decode_eval(b'{"seq": 2, "clients": [1, 7]}') == (2, [1, 7])
         assert proto.decode_eval_result(
-            b'{"seq": 1, "client_id": 0, "accuracy": 0.5, "error": null}'
-        ) == (1, 0, 0.5, None)
+            b'{"seq": 1, "client_ids": [0], "accuracies": [0.5], "errors": [null]}'
+        ) == (1, [0], [0.5], [None])

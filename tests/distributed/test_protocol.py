@@ -8,6 +8,7 @@ mismatches are *rejected*, never silently tolerated.
 
 import json
 import socket
+import struct
 import threading
 import time
 import tracemalloc
@@ -242,7 +243,7 @@ JSON_DECODERS = {
     proto.decode_train: ("seq", "round_idx", "jobs"),
     proto.decode_trainfail: ("seq", "client_id", "traceback"),
     proto.decode_eval: ("seq", "clients"),
-    proto.decode_eval_result: ("seq", "client_id", "accuracy", "error"),
+    proto.decode_eval_result: ("seq", "client_ids", "accuracies", "errors"),
     proto.decode_eval_model: ("seq", "shards"),
     proto.decode_eval_model_result: ("seq", "start", "end", "correct", "error"),
     proto.decode_telemetry: ("worker_id", "summary"),
@@ -302,7 +303,7 @@ class TestCodecs:
             (proto.decode_eval_model, b'{"seq": 1, "shards": [[0, null]]}'),
             (
                 proto.decode_eval_result,
-                b'{"seq": 1, "client_id": 0, "accuracy": "high", "error": null}',
+                b'{"seq": 1, "client_ids": [0], "accuracies": ["high"], "errors": [null]}',
             ),
             (
                 proto.decode_eval_model_result,
@@ -664,3 +665,67 @@ class TestHandshakeRejection:
             agent._verify_assignment(other, agent._expected_signature)
         # The matching pair passes.
         agent._verify_assignment(model, agent._expected_signature)
+
+
+# ----------------------------------------------------------------------
+# BIND_EVAL (v8): a struct header, u64 dimensions, then raw buffers
+# ----------------------------------------------------------------------
+def _bind_eval_frame(codes=(1, 3), shapes=((2, 3), (2,)), tail=None):
+    """A BIND_EVAL payload built by hand: dtype codes, dimensions, and a
+    tail of the right size for them unless ``tail`` says otherwise."""
+    (x_code, y_code), (x_shape, y_shape) = codes, shapes
+    header = struct.pack("!HHHH", x_code, len(x_shape), y_code, len(y_shape))
+    dims = struct.pack(f"!{len(x_shape) + len(y_shape)}Q", *x_shape, *y_shape)
+    if tail is None:
+        tail = 6 * 8 + 2 * 8
+    return header + dims + bytes(tail)
+
+
+class TestBindEval:
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (np.arange(6, dtype=np.float64).reshape(2, 3), np.array([0, 1])),
+            (np.full((3, 2, 2, 1), 0.25, dtype=np.float32), np.array([2, 0, 1], dtype=np.int32)),
+            (np.zeros((0, 4), dtype=np.uint8), np.zeros(0, dtype=bool)),
+        ],
+    )
+    def test_round_trip_is_exact_and_zero_copy(self, x, y):
+        payload = bytearray(proto.encode_bind_eval(x, y))
+        got_x, got_y = proto.decode_bind_eval(payload)
+        for want, got in ((x, got_x), (y, got_y)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        if x.size:  # a view of the frame's own buffer, not a copy
+            assert np.shares_memory(got_x, np.frombuffer(payload, dtype=np.uint8))
+
+    def test_the_right_frame_decodes(self):
+        x, y = proto.decode_bind_eval(_bind_eval_frame())
+        assert x.shape == (2, 3) and x.dtype == np.float64
+        assert y.shape == (2,) and y.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "payload,reason",
+        [
+            (b"\x00\x01\x00", "truncated BIND_EVAL"),
+            (_bind_eval_frame(codes=(0, 3)), "unknown dtype code 0"),
+            (_bind_eval_frame(codes=(1, 99)), "unknown dtype code 99"),
+            (_bind_eval_frame(shapes=((), (2,)), tail=16), "rank 0"),
+            (_bind_eval_frame(shapes=((1,) * 9, (1,)), tail=16), "rank 9"),
+            (_bind_eval_frame()[:20], "truncated BIND_EVAL shapes"),
+            (_bind_eval_frame(shapes=((2, 3), (3,)), tail=72), "2 rows but y holds 3"),
+            (_bind_eval_frame(tail=63), "describe"),
+            (_bind_eval_frame(tail=65), "describe"),
+            (_bind_eval_frame(shapes=((1 << 40, 1 << 20), (1 << 40,)), tail=8), "over"),
+        ],
+    )
+    def test_a_malformed_header_is_refused_before_any_array(self, payload, reason):
+        with pytest.raises(proto.ProtocolError, match=reason):
+            proto.decode_bind_eval(payload)
+
+    def test_an_unlisted_dtype_does_not_encode(self):
+        with pytest.raises(ValueError, match="dtype"):
+            proto.encode_bind_eval(np.zeros((2, 2), dtype=np.complex128), np.zeros(2))
+        with pytest.raises(ValueError, match="rows"):
+            proto.encode_bind_eval(np.zeros((2, 2)), np.zeros(3))

@@ -1,4 +1,4 @@
-"""Golden bytes of every protocol v7 frame type.
+"""Golden bytes of every protocol v8 frame type.
 
 Each pin is a whole frame as it crosses the socket -- the transport's
 ``(length, type byte)`` header followed by the payload a ``proto.encode_*``
@@ -106,11 +106,15 @@ FRAMES = {
     "eval": lambda: _wire(T.EVAL, proto.encode_eval(4, [3, 1, 2])),
     "eval_empty": lambda: _wire(T.EVAL, proto.encode_eval(5, [])),
     "eval_result_accuracy": lambda: _wire(
-        T.EVAL_RESULT, proto.encode_eval_result(4, 3, 0.8125)
+        T.EVAL_RESULT, proto.encode_eval_result(4, [3], [0.8125], [None])
     ),
     "eval_result_error": lambda: _wire(
-        T.EVAL_RESULT, proto.encode_eval_result(4, 1, None, error=TRACEBACK)
+        T.EVAL_RESULT, proto.encode_eval_result(4, [1], [None], [TRACEBACK])
     ),
+    "eval_result_batch": lambda: _wire(
+        T.EVAL_RESULT, proto.encode_eval_result(4, [3, 1], [0.8125, None], [None, TRACEBACK])
+    ),
+    "eval_result_empty": lambda: _wire(T.EVAL_RESULT, proto.encode_eval_result(5, [], [], [])),
     "bind_eval": lambda: _wire(
         T.BIND_EVAL,
         proto.encode_bind_eval(
@@ -149,7 +153,7 @@ FRAMES = {
     ),
 }
 
-#: Recorded at protocol v7.
+#: Recorded at protocol v7; EVAL_RESULT and BIND_EVAL re-recorded at v8.
 PINS = {
     "hello": "0000002a017b2276657273696f6e223a20372c20226361706163697479223a20322c2022706964223a20343234327d",
     "hello_resume": "0000005b017b2276657273696f6e223a20372c20226361706163697479223a20312c2022706964223a2033313333372c2022726573756d65223a207b22776f726b65725f6964223a20332c2022746f6b656e223a2022746f6b2d616263227d7d",
@@ -177,10 +181,12 @@ PINS = {
     "bye": "000000000c",
     "eval": "000000200d7b22736571223a20342c2022636c69656e7473223a205b332c20312c20325d7d",
     "eval_empty": "000000190d7b22736571223a20352c2022636c69656e7473223a205b5d7d",
-    "eval_result_accuracy": "0000003d0e7b22736571223a20342c2022636c69656e745f6964223a20332c20226163637572616379223a20302e383132352c20226572726f72223a206e756c6c7d",
-    "eval_result_error": "sha256:fb98184754372b485037bf90aeda62beef7518b0b52b33d1055d60abf0c9f35a",
-    "bind_eval": "sha256:9507792ae5125ecfd7918e0e11fc81c6efcbf225373e93fc9a322eed4668034d",
-    "bind_eval_images": "sha256:75122494d5bffb938f632366d6738b33ebdeaffd5c9481b41fd9fae2c1ed6f5b",
+    "eval_result_accuracy": "000000470e7b22736571223a20342c2022636c69656e745f696473223a205b335d2c202261636375726163696573223a205b302e383132355d2c20226572726f7273223a205b6e756c6c5d7d",
+    "eval_result_error": "sha256:2fb982b718664543ad05a7a7752db04e86fdad8d0b1319e8f12867ffd55ea049",
+    "eval_result_batch": "sha256:8cd414f1ce397053da5e5e4cf1fddb72d5ab49b6867f7684011476eca919cb05",
+    "eval_result_empty": "0000003c0e7b22736571223a20352c2022636c69656e745f696473223a205b5d2c202261636375726163696573223a205b5d2c20226572726f7273223a205b5d7d",
+    "bind_eval": "000000600f00010002000300010000000000000002000000000000000300000000000000020000000000000000000000000000f03f000000000000004000000000000008400000000000001040000000000000144000000000000000000100000000000000",
+    "bind_eval_images": "000000480f0002000400030001000000000000000100000000000000020000000000000002000000000000000100000000000000010000803e0000803e0000803e0000803e0200000000000000",
     "eval_model": "0000002a107b22736571223a20372c2022736861726473223a205b5b302c2035305d2c205b35302c203130305d5d7d",
     "eval_model_one": "0000001e107b22736571223a20382c2022736861726473223a205b5b302c20315d5d7d",
     "eval_model_result_correct": "0000003f117b22736571223a20372c20227374617274223a20302c2022656e64223a2035302c2022636f7272656374223a2034312c20226572726f72223a206e756c6c7d",
@@ -197,6 +203,10 @@ def _digest(wire):
 @pytest.mark.parametrize("name", sorted(FRAMES))
 def test_frame_bytes_are_pinned(name):
     assert _digest(FRAMES[name]()) == PINS[name]
+
+
+def test_the_pins_are_of_protocol_v8():
+    assert proto.PROTOCOL_VERSION == 8
 
 
 def test_every_frame_type_is_pinned():

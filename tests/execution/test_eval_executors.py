@@ -11,7 +11,6 @@ evaluation built on top keeps its denominator semantics.
 import contextlib
 import logging
 import multiprocessing
-import time
 
 import numpy as np
 import pytest
@@ -101,8 +100,8 @@ class TestEvalEquivalence:
     def test_train_eval_interleaving_keeps_training_bit_identical(self):
         """An eval between training cohorts must not perturb the training
         trajectory (eval is pure: no RNG advances, no state mutates) --
-        and on the process backend the shared-memory return slots must
-        survive the interleaving."""
+        and on the process backend the broadcasts each kind of order
+        retains must survive the interleaving."""
 
         def run(backend, workers, with_eval):
             pool = make_pool(seed=3)
@@ -259,14 +258,15 @@ class TestCohortGranularEval:
             assert "client 4:" not in str(excinfo.value)
             if backend != "serial":
                 assert f"client 5: (worker {ex.owner_of(5)})\n" in str(excinfo.value)
-            if backend == "process":
-                assert ex._result_q.empty()
+            if backend != "serial":
+                assert ex._events.empty()
             assert ex.evaluate_cohort(good, flat) == ref
 
     def test_process_discards_a_stale_batch_reply_whole(self):
         """A reply for an abandoned seq carries many clients' results;
-        none of them may leak into the evaluation that follows."""
-        from repro.execution.process import _ship
+        none of them may leak into the evaluation that follows, and its
+        sender is not retired for it."""
+        from repro.distributed import protocol as proto
 
         pool = make_pool(num_clients=6)
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
@@ -275,25 +275,25 @@ class TestCohortGranularEval:
         with ProcessExecutor(workers=2, result_timeout=30.0) as ex:
             ex.bind(pool, model, TRAIN)
             ref = ex.evaluate_cohort(requests, flat)
-            stale = [(cid, -1.0, None) for cid in pool] + [(0, None, "stale")]
-            _ship(ex._result_q, ("eval", ex._seq, 0, stale))
-            deadline = time.monotonic() + 10.0
-            while ex._result_q.empty():  # until the feeder flushed it
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
+            ids = sorted(pool)
+            stale = proto.encode_eval_result(
+                ex._seq, ids + [0], [-1.0] * len(ids) + [None], [None] * len(ids) + ["stale"]
+            )
+            # As worker 0's reader thread would post it, on its live connection.
+            ex._events.put((0, ex._handles[0].gen, proto.MsgType.EVAL_RESULT, stale))
             assert ex.evaluate_cohort(requests, flat) == ref
-            assert ex._result_q.empty()
+            assert ex._events.empty()
+            assert ex.num_workers_started == 2
 
 
 class TestProcessSharedResultQueue:
     @needs_fork
     def test_eval_after_an_abandoned_train_cohort_drops_its_stale_oks(self, monkeypatch):
-        """Train results and eval replies share one queue.  A cohort
-        abandoned mid-drain (idle timeout) leaves "ok"s behind a slow
-        worker; the evaluation that follows must drop them *and* free
-        their return slots -- worker 1 cannot reach its eval task until
-        client 3's slot is released for client 5 -- and score exactly
-        what serial scores.  Training afterwards must not deadlock."""
+        """Train results and eval replies share one event queue.  A cohort
+        abandoned mid-collect (its deadline passed) leaves updates behind
+        a slow worker; the evaluation that follows must drop them -- its
+        sender is slow, not faulty -- and score exactly what serial
+        scores.  Training afterwards works."""
         import repro.execution.pool as pool_mod
 
         gate = multiprocessing.get_context("fork").Event()
@@ -320,7 +320,8 @@ class TestProcessSharedResultQueue:
             ex.result_timeout = 30.0
             gate.set()
             assert ex.evaluate_cohort(evals, flat) == ref
-            assert ex._result_q.empty()
+            assert ex._events.empty()
+            assert ex.num_workers_started == 2
             updates = ex.train_cohort(1, train, flat)
             assert [u.client_id for u in updates] == sorted(pool)
 

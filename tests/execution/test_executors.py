@@ -8,6 +8,8 @@ propagation out of worker processes, and the removal of the ``thread``
 backend (PR 20).
 """
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -291,6 +293,46 @@ class TestProcessBackend:
             )
             assert ex.num_workers_started == 2
 
+    def test_started_pool_listens_nowhere_and_matches_serial_under_spawn(self, monkeypatch):
+        """The local pool registers its workers over socketpairs: no
+        listening socket (``endpoint is None``), so nothing else on the
+        machine can join it.  Workers started with ``spawn`` -- no
+        inherited memory, only what crossed the pair -- still train
+        bit-identically to serial."""
+        import multiprocessing
+
+        import repro.distributed.launch as launch
+
+        monkeypatch.setattr(launch, "worker_context", lambda: multiprocessing.get_context("spawn"))
+        weights = {}
+        for backend in ("serial", "process"):
+            with make_server(backend, 2, num_clients=4, per_round=4) as server:
+                server.run(2)
+                weights[backend] = server.global_weights.copy()
+                if backend == "process":
+                    assert server.executor.num_workers_started == 2
+                    assert server.executor.endpoint is None
+                    assert server.executor._listener is None
+        assert np.array_equal(weights["serial"], weights["process"])
+
+    def test_a_killed_worker_is_re_dealt_bit_identically(self):
+        """A local worker SIGKILLed between rounds is retired and its
+        clients are re-dealt over the survivor with their RNG state: the
+        run goes on and stays bit-identical to serial."""
+
+        def run(backend):
+            with make_server(backend, 2, num_clients=6, per_round=4) as server:
+                server.run_round(0)
+                if backend == "process":
+                    os.kill(server.executor.worker_pid(0), signal.SIGKILL)
+                for r in range(1, 4):
+                    server.run_round(r)
+                if backend == "process":
+                    assert server.executor.num_workers_started == 1
+                return server.global_weights.copy()
+
+        assert np.array_equal(run("serial"), run("process"))
+
     def test_worker_failure_surfaces_as_executor_error(self):
         clients = {0: _FailingClient(0)}
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
@@ -330,9 +372,9 @@ class TestProcessBackend:
         self, latency_stream
     ):
         """Workers hold column shards, so a round's tasks and results name
-        client ids only: at a fixed 20-client cohort the recurring IPC
+        client ids only: at a fixed 20-client cohort the recurring wire
         bytes per round are the same at 10^3 and 10^5 clients (only the
-        pickled width of larger ids differs), the history equals the
+        encoded width of larger ids differs), the history equals the
         serial store run's at each size, and the parent materialises the
         cohorts on the per-client stream (each client owns its latency
         RNG), never the population, and no client at all on the cohort
@@ -356,7 +398,10 @@ class TestProcessBackend:
             ) as server:
                 for r in range(rounds):
                     server.run_round(r)
-                    shipped.append(getattr(server.executor, "bytes_shipped", 0))
+                    ex = server.executor
+                    shipped.append(
+                        getattr(ex, "bytes_sent", 0) + getattr(ex, "bytes_received", 0)
+                    )
             # Round 0 absorbs worker start-up; the rest is the steady state.
             steady = (shipped[-1] - shipped[0]) / (rounds - 1)
             return server.history.records, steady, scn.population.materialize_count
