@@ -17,6 +17,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from repro import telemetry
 from repro.distributed import (
     DistributedExecutor,
@@ -132,3 +134,52 @@ def test_cli_worker_processes_match_serial():
                 proc.wait()
     assert [proc.returncode for proc in procs] == [EXIT_OK, EXIT_OK]
     assert fingerprint(history) == fingerprint(ref_history)
+
+
+#: Runs in a child interpreter: a ``process`` pool trains one cohort,
+#: prints its workers' pids and waits to be killed.
+_POOL_COORDINATOR = """
+import sys, time
+from repro.execution import ProcessExecutor, TrainRequest
+from repro.nn import build_mlp
+from tests.distributed.test_distributed_executor import TRAIN, make_pool
+
+pool = make_pool(num_clients=4)
+model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+ex = ProcessExecutor(workers=2)
+ex.bind(pool, model, TRAIN)
+ex.train_cohort(0, [TrainRequest(c) for c in sorted(pool)], model.get_flat_weights())
+print(" ".join(str(ex.worker_pid(w)) for w in range(2)), flush=True)
+time.sleep(120)
+"""
+
+
+def _exited(pid):
+    """Gone, or a zombie nobody reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_local_pool_workers_exit_when_their_coordinator_dies():
+    """Each forked worker closes every coordinator-side socketpair end it
+    inherited -- its own and its elder sibling's -- so a SIGKILLed
+    coordinator reads as EOF in both and neither outlives it."""
+    env = subprocess_env()
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _POOL_COORDINATOR], env=env, stdout=subprocess.PIPE, text=True
+    )
+    try:
+        pids = [int(p) for p in coordinator.stdout.readline().split()]
+        assert len(pids) == 2 and not any(_exited(pid) for pid in pids)
+    finally:
+        coordinator.kill()
+        coordinator.wait(timeout=30)
+    deadline = time.monotonic() + 30.0
+    while not all(_exited(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert all(_exited(pid) for pid in pids)

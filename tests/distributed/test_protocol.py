@@ -719,6 +719,10 @@ class TestBindEval:
             (_bind_eval_frame(tail=65), "describe"),
             (_bind_eval_frame(shapes=((1 << 40, 1 << 20), (1 << 40,)), tail=8), "over"),
         ],
+        ids=[
+            "truncated-header", "dtype-0", "dtype-99", "rank-0", "rank-9", "truncated-shapes",
+            "rows-differ", "tail-short", "tail-long", "over-cap",
+        ],
     )
     def test_a_malformed_header_is_refused_before_any_array(self, payload, reason):
         with pytest.raises(proto.ProtocolError, match=reason):
