@@ -199,11 +199,10 @@ def _eval_results(v: Dict[str, Any]) -> Optional[str]:
     ids, accs, errors = v["client_ids"], v["accuracies"], v["errors"]
     if not len(ids) == len(accs) == len(errors):
         return f"list lengths differ: {len(ids)} / {len(accs)} / {len(errors)}"
-    return next(
-        (f"client {cid}: exactly one of accuracy / error must be given"
-         for cid, acc, err in zip(ids, accs, errors) if (acc is None) == (err is None)),
-        None,
-    )
+    for cid, acc, err in zip(ids, accs, errors):
+        if (acc is None) == (err is None):
+            return f"client {cid}: exactly one of accuracy / error must be given"
+    return None
 
 
 _CONFIG = (("training", "any"), ("signature", "str"), ("model", "any"))
@@ -407,7 +406,9 @@ def decode_eval(payload: bytes) -> Tuple[int, List[int]]:
 
 
 def encode_eval_result(
-    seq: int, client_ids: Sequence[int], accuracies: Sequence[Optional[float]],
+    seq: int,
+    client_ids: Sequence[int],
+    accuracies: Sequence[Optional[float]],
     errors: Sequence[Optional[str]],
 ) -> bytes:
     """A float's repr round-trips binary64, so each accuracy arrives bit-identical."""

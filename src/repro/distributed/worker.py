@@ -434,12 +434,11 @@ class WorkerAgent:
         # One weight load per EVAL frame and one EVAL_RESULT frame back
         # (v8), sent once the whole share is scored.
         accs, failures = evaluate_holdouts(self._workspace, self._clients, client_ids, global_flat)
+        accuracies = [accs.get(c) for c in client_ids]
+        errors = [failures.get(c) for c in client_ids]
         conn.send(
             proto.MsgType.EVAL_RESULT,
-            proto.encode_eval_result(
-                seq, client_ids, [accs.get(c) for c in client_ids],
-                [failures.get(c) for c in client_ids],
-            ),
+            proto.encode_eval_result(seq, client_ids, accuracies, errors),
         )
 
     def _handle_eval_model(self, conn: Connection, payload: bytes) -> None:

@@ -240,23 +240,13 @@ class TestCollectorContract:
             harness.ex.close()
 
 
-#: Batched EVAL_RESULTs (v8) for the live seq that break the row's rules.
+#: Batched EVAL_RESULTs (v8) for the live seq that break the row's rules:
+#: ``(live seq, share size) -> (seq, accuracies, errors)``.
 MALFORMED_EVAL_RESULTS = {
-    "list lengths differ": lambda seq, ids: {
-        "seq": seq, "client_ids": ids, "accuracies": [0.5] * len(ids), "errors": [None],
-    },
-    "an entry has both": lambda seq, ids: {
-        "seq": seq, "client_ids": ids, "accuracies": [0.5] * len(ids),
-        "errors": ["boom"] + [None] * (len(ids) - 1),
-    },
-    "an entry has neither": lambda seq, ids: {
-        "seq": seq, "client_ids": ids, "accuracies": [None] + [0.5] * (len(ids) - 1),
-        "errors": [None] * len(ids),
-    },
-    "the seq is not an int": lambda seq, ids: {
-        "seq": str(seq), "client_ids": ids, "accuracies": [0.5] * len(ids),
-        "errors": [None] * len(ids),
-    },
+    "list lengths differ": lambda seq, n: (seq, [0.5] * n, [None]),
+    "an entry has both": lambda seq, n: (seq, [0.5] * n, ["boom"] + [None] * (n - 1)),
+    "an entry has neither": lambda seq, n: (seq, [None] + [0.5] * (n - 1), [None] * n),
+    "the seq is not an int": lambda seq, n: (str(seq), [0.5] * n, [None] * n),
 }
 
 
@@ -270,8 +260,9 @@ def test_a_malformed_batched_eval_result_retires_its_sender(case):
         if wid == 0:
             return frames
         ids = proto.decode_eval_result(frames[0][1])[1]
-        payload = json.dumps(MALFORMED_EVAL_RESULTS[case](ex._seq, ids)).encode()
-        return [(MT.EVAL_RESULT, payload)]
+        seq, accs, errors = MALFORMED_EVAL_RESULTS[case](ex._seq, len(ids))
+        payload = {"seq": seq, "client_ids": ids, "accuracies": accs, "errors": errors}
+        return [(MT.EVAL_RESULT, json.dumps(payload).encode())]
 
     harness = _Harness("eval", replies, result_timeout=30.0)
     ex = harness.ex

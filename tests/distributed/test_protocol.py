@@ -681,6 +681,21 @@ def _bind_eval_frame(codes=(1, 3), shapes=((2, 3), (2,)), tail=None):
     return header + dims + bytes(tail)
 
 
+#: A malformed BIND_EVAL payload and what its refusal names.
+MALFORMED_BIND_EVAL = {
+    "truncated-header": (b"\x00\x01\x00", "truncated BIND_EVAL"),
+    "dtype-0": (_bind_eval_frame(codes=(0, 3)), "unknown dtype code 0"),
+    "dtype-99": (_bind_eval_frame(codes=(1, 99)), "unknown dtype code 99"),
+    "rank-0": (_bind_eval_frame(shapes=((), (2,)), tail=16), "rank 0"),
+    "rank-9": (_bind_eval_frame(shapes=((1,) * 9, (1,)), tail=16), "rank 9"),
+    "truncated-shapes": (_bind_eval_frame()[:20], "truncated BIND_EVAL shapes"),
+    "rows-differ": (_bind_eval_frame(shapes=((2, 3), (3,)), tail=72), "2 rows but y holds 3"),
+    "tail-short": (_bind_eval_frame(tail=63), "describe"),
+    "tail-long": (_bind_eval_frame(tail=65), "describe"),
+    "over-cap": (_bind_eval_frame(shapes=((1 << 40, 1 << 20), (1 << 40,)), tail=8), "over"),
+}
+
+
 class TestBindEval:
     @pytest.mark.parametrize(
         "x,y",
@@ -706,23 +721,7 @@ class TestBindEval:
         assert y.shape == (2,) and y.dtype == np.int64
 
     @pytest.mark.parametrize(
-        "payload,reason",
-        [
-            (b"\x00\x01\x00", "truncated BIND_EVAL"),
-            (_bind_eval_frame(codes=(0, 3)), "unknown dtype code 0"),
-            (_bind_eval_frame(codes=(1, 99)), "unknown dtype code 99"),
-            (_bind_eval_frame(shapes=((), (2,)), tail=16), "rank 0"),
-            (_bind_eval_frame(shapes=((1,) * 9, (1,)), tail=16), "rank 9"),
-            (_bind_eval_frame()[:20], "truncated BIND_EVAL shapes"),
-            (_bind_eval_frame(shapes=((2, 3), (3,)), tail=72), "2 rows but y holds 3"),
-            (_bind_eval_frame(tail=63), "describe"),
-            (_bind_eval_frame(tail=65), "describe"),
-            (_bind_eval_frame(shapes=((1 << 40, 1 << 20), (1 << 40,)), tail=8), "over"),
-        ],
-        ids=[
-            "truncated-header", "dtype-0", "dtype-99", "rank-0", "rank-9", "truncated-shapes",
-            "rows-differ", "tail-short", "tail-long", "over-cap",
-        ],
+        "payload,reason", list(MALFORMED_BIND_EVAL.values()), ids=list(MALFORMED_BIND_EVAL)
     )
     def test_a_malformed_header_is_refused_before_any_array(self, payload, reason):
         with pytest.raises(proto.ProtocolError, match=reason):

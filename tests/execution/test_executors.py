@@ -399,9 +399,7 @@ class TestProcessBackend:
                 for r in range(rounds):
                     server.run_round(r)
                     ex = server.executor
-                    shipped.append(
-                        getattr(ex, "bytes_sent", 0) + getattr(ex, "bytes_received", 0)
-                    )
+                    shipped.append(getattr(ex, "bytes_sent", 0) + getattr(ex, "bytes_received", 0))
             # Round 0 absorbs worker start-up; the rest is the steady state.
             steady = (shipped[-1] - shipped[0]) / (rounds - 1)
             return server.history.records, steady, scn.population.materialize_count
