@@ -365,6 +365,24 @@ class TestProcessShardedEvalModel:
             # exists; this simply must stay correct and bit-exact).
             assert ex.evaluate_model(flat, test.x, test.y) == direct
 
+    def test_data_bound_after_start_ships_before_its_first_pass(self):
+        """Bound after the workers started, the eval set ships lazily -- one
+        BIND_EVAL per worker before the first sharded pass -- and the pass
+        stays bit-identical to one serial evaluate."""
+        from repro.distributed import MsgType
+
+        pool = make_pool(num_clients=4)
+        model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
+        test = make_tiny_dataset(n=1100, seed=5)  # 5 shardable batches
+        flat = model.get_flat_weights()
+        direct = model.evaluate(test.x, test.y)
+        with create_executor("process", workers=2) as ex:
+            ex.bind(pool, model, TRAIN)
+            ex.train_cohort(0, [TrainRequest(c) for c in sorted(pool)], flat)
+            ex.bind_eval_data(test.x, test.y)
+            assert ex.evaluate_model(flat, test.x, test.y) == direct
+            assert ex.frames_sent_by_type[int(MsgType.BIND_EVAL)] == 2
+
     def test_unbound_data_falls_back_to_serial_pass(self):
         pool = {
             c.client_id: c
