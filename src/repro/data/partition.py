@@ -176,8 +176,8 @@ def _federation_from_recipe(
     pool, empty_test = recipe.draw()
     if _pool_digest(pool) != digest:
         raise ValueError(
-            f"pool digest mismatch: recipe {recipe} does not derive the "
-            f"pool with sha256 {digest}"
+            f"pool digest mismatch: recipe {recipe} does not derive a "
+            f"pool whose digest (_pool_digest) is {digest}"
         )
     return FederatedData(pool, empty_test, client_indices, recipe)
 

@@ -1,15 +1,16 @@
 """The coordinator side: a :class:`ClientExecutor` over worker agents.
 
-:class:`DistributedExecutor` satisfies the execution contract
-(:mod:`repro.execution.base`) with worker *processes*: agents that dial
-its TCP listener (``distributed``), or -- through
-:class:`repro.distributed.launch.ProcessExecutor` -- agents it forks
-itself, one socketpair each (``process``).  ``docs/architecture.md``
+:class:`PoolExecutor` satisfies the execution contract
+(:mod:`repro.execution.base`) with worker *processes*; its two backends
+differ only in how the agents connect: :class:`DistributedExecutor`
+(``distributed``) accepts agents that dial its TCP listener, and
+:class:`repro.distributed.launch.ProcessExecutor` (``process``) forks
+them itself, one socketpair each.  ``docs/architecture.md``
 ("Pool core", "Population sharding", "The wire protocol") is the design
 reference; the invariants the code below keeps:
 
 * **Registration.**  Every connection, accepted or paired, passes one
-  versioned handshake (:meth:`DistributedExecutor._register`); each
+  versioned handshake (:meth:`PoolExecutor._register`); each
   worker advertises a ``capacity`` used as its weight when clients are
   pinned.
 * **Pinning.**  The sorted client ids are dealt round-robin over a
@@ -19,8 +20,8 @@ reference; the invariants the code below keeps:
   :func:`repro.execution.pool.absorb_rng_state` makes it authoritative
   at once.  A store pool ships each worker an ASSIGN_SHARD column slice,
   never ``SimClient`` pickles.
-* **One collector.**  :meth:`DistributedExecutor._run` is one
-  :class:`_InFlight` batch driven by :meth:`DistributedExecutor._collect`;
+* **One collector.**  :meth:`PoolExecutor._run` is one
+  :class:`_InFlight` batch driven by :meth:`PoolExecutor._collect`;
   per-worker reader threads post every result frame and every loss /
   resume / ``BYE`` / ``REJECT`` event once onto the one event queue.
 * **Weights.**  A cohort seq's vector is encoded once per ``(codec,
@@ -53,6 +54,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,12 +64,19 @@ from repro.codec import get_codec
 from repro.distributed import protocol as proto
 from repro.distributed.transport import Connection, ConnectionClosed, FrameError
 from repro.distributed.worker import BROADCAST_RETAIN
-from repro.execution.base import ExecutorError
-from repro.execution.pool import OnResult, PoolExecutor, deal, group_by_owner, owned_by
+from repro.execution.base import (
+    ClientExecutor,
+    EvalRequest,
+    ExecutorError,
+    TrainRequest,
+    order_updates,
+)
+from repro.execution.pool import absorb_rng_state, deal, group_by_owner, owned_by
 from repro.serialization import shard_to_bytes
+from repro.simcluster.client import ClientUpdate
 from repro.simcluster.population import PopulationStore
 
-__all__ = ["DistributedExecutor"]
+__all__ = ["PoolExecutor", "DistributedExecutor"]
 
 #: Every coordinator-side socket this process opened: listeners, accepted
 #: connections and local socketpair ends.  A child forked from here (a
@@ -103,6 +112,20 @@ _RESULT_FRAMES = {
     "eval_model": (proto.MsgType.EVAL_MODEL_RESULT,),
 }
 _RESULT_TYPES = frozenset(t for types in _RESULT_FRAMES.values() for t in types)
+
+#: The per-frame-type tallies a :class:`Connection` keeps.
+_TALLIES = ("frames_sent", "frames_received", "bytes_sent_by_type", "bytes_received_by_type")
+
+#: ``on_result(worker_id, key, value, error)``: one job's result, keyed
+#: by client id (train, eval) or ``(start, end)`` shard (eval model).
+OnResult = Callable[[int, Hashable, object, Optional[str]], None]
+
+#: Per batch kind: the unit a timeout counts, and what a failure failed at.
+_KINDS = {
+    "train": ("client update(s)", "client training failed"),
+    "eval": ("evaluation result(s)", "client evaluation failed"),
+    "eval_model": ("evaluation shard(s)", "global evaluation failed"),
+}
 
 
 class _WorkerHandle:
@@ -232,19 +255,25 @@ class _InFlight:
         return True
 
 
-class DistributedExecutor(PoolExecutor):
-    """Train cohorts across worker agents connected over TCP.
+class PoolExecutor(ClientExecutor):
+    """Train cohorts across registered worker agents: the coordinator
+    both worker pools share.
+
+    Every operation is *build the jobs -> group them by owner ->*
+    :meth:`_run` *-> assemble*: values merge as they arrive (a trained
+    update's RNG state is absorbed at once), captured failures are raised
+    together once the batch is done, each naming its worker, and updates
+    return in request order.  A subclass supplies only how its workers
+    connect, :meth:`_register_workers`, which hands each connected socket
+    to :meth:`_register` (the one handshake):
+    :class:`DistributedExecutor` accepts them on a TCP listener,
+    :class:`repro.distributed.launch.ProcessExecutor` forks them, one
+    socketpair each.
 
     Parameters
     ----------
     workers:
         How many worker agents must register before the first cohort runs.
-    endpoint:
-        ``"host:port"`` to listen on; port ``0`` picks an ephemeral port
-        (read the bound address back from :attr:`endpoint` after
-        :meth:`listen`).
-    accept_timeout:
-        Seconds to wait for all workers to register.
     result_timeout:
         Per-cohort ceiling on waiting for results: a *wall-clock
         deadline* for the whole batch, fixed when it is dispatched, so a
@@ -253,11 +282,6 @@ class DistributedExecutor(PoolExecutor):
         A worker silent for ``interval`` seconds is PINGed; silent for
         ``interval * misses`` seconds it is declared dead and its clients
         are reassigned.
-    reconnect_grace:
-        Seconds a worker whose TCP connection dropped may take to
-        reconnect-and-resume (see the module docstring) before it is
-        retired and its clients reassigned.  ``0`` (default) retires on
-        the first loss, the pre-v4 behaviour.
     max_frame_payload:
         Optional cap on incoming frame payloads (rejects corrupt length
         headers early; see :mod:`repro.distributed.transport`).  It
@@ -265,42 +289,34 @@ class DistributedExecutor(PoolExecutor):
         accepts :data:`~repro.distributed.protocol.HANDSHAKE_MAX_PAYLOAD`.
     """
 
-    name = "distributed"
-
     def __init__(
         self,
         workers: int = 2,
-        endpoint: Optional[str] = None,
-        accept_timeout: float = 60.0,
         result_timeout: float = 600.0,
         heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 5,
-        reconnect_grace: float = 0.0,
         max_frame_payload: Optional[int] = None,
     ) -> None:
         super().__init__()
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if accept_timeout <= 0 or result_timeout <= 0:
-            raise ValueError("accept_timeout and result_timeout must be positive")
+        if result_timeout <= 0:
+            raise ValueError("result_timeout must be positive")
         if heartbeat_interval <= 0 or heartbeat_misses < 1:
             raise ValueError("heartbeat_interval/misses must be positive")
-        if reconnect_grace < 0:
-            raise ValueError(
-                f"reconnect_grace must be >= 0, got {reconnect_grace}"
-            )
         self.workers = int(workers)
-        self._requested_endpoint = endpoint or "127.0.0.1:0"
-        proto.parse_endpoint(self._requested_endpoint)  # validate early
-        self.accept_timeout = float(accept_timeout)
         self.result_timeout = float(result_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_misses = int(heartbeat_misses)
-        self.reconnect_grace = float(reconnect_grace)
+        # Only a listener can take a resume, so only DistributedExecutor
+        # parks a lost connection (see its ``reconnect_grace``).
+        self.reconnect_grace = 0.0
         self.max_frame_payload = max_frame_payload
 
-        self._listener: Optional[socket.socket] = None
-        self._bound_endpoint: Optional[str] = None
+        # Client id -> worker id, dealt when the workers start.
+        self._owner: Dict[int, int] = {}
+        # Set once every worker holds the bound eval set (see _eval_holders).
+        self._eval_shipped = False
         self._handles: Dict[int, _WorkerHandle] = {}
         # Every result frame and every loss/resume event, from every
         # reader thread: ``(worker_id, gen, msg_type, payload)``, ``gen``
@@ -312,52 +328,101 @@ class DistributedExecutor(PoolExecutor):
         self._assigned = False
         self._signature: Optional[str] = None
         self._num_params = 0
-        self._closed_bytes_sent = 0
-        self._closed_bytes_received = 0
-        # Per-frame-type tallies folded from closed connections, keyed
-        # by the type byte (live connections are summed on read).
-        self._closed_frames_sent: Dict[int, int] = {}
-        self._closed_frames_received: Dict[int, int] = {}
-        self._closed_bytes_sent_by_type: Dict[int, int] = {}
-        self._closed_bytes_received_by_type: Dict[int, int] = {}
+        # Byte totals and per-frame-type tallies (keyed by the type byte)
+        # folded from closed connections; live ones are summed on read.
+        self._closed_bytes = {"bytes_sent": 0, "bytes_received": 0}
+        self._closed_tallies: Dict[str, Dict[int, int]] = {attr: {} for attr in _TALLIES}
         # worker_id -> the summary its TELEMETRY frame carried.
         self._worker_summaries: Dict[int, Dict[str, object]] = {}
         # How each BROADCAST left: a fresh encode, a cached frame fanned
         # out again, or a header-only alias.  Always on (plain ints).
         self._broadcast_stats = {"encodes": 0, "frames_reused": 0, "aliases": 0}
-        self._accept_thread: Optional[threading.Thread] = None
         # Serialises retire-and-re-pin and resume; RLock because a failed
         # re-ship recurses onto the next survivor.
         self._death_lock = threading.RLock()
 
     # ------------------------------------------------------------------
+    # the executor contract: build the jobs, _run them, assemble
+    # ------------------------------------------------------------------
+    def owner_of(self, client_id: int) -> int:
+        """Worker a client is currently pinned to."""
+        if not self._started():
+            raise ExecutorError("executor not started yet")
+        return self._owner[client_id]
+
+    def bind_eval_data(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Bind the server-held eval set; it ships to the workers once, and
+        re-binding different data after that is an error (the ship-once
+        invariant that makes the per-round sharding free)."""
+        if self._bound_eval_data_matches(x, y):
+            return
+        if self._eval_shipped:
+            raise ExecutorError(
+                f"{self.name} executor already shipped an eval set to its "
+                "workers; create a fresh executor to bind different data"
+            )
+        super().bind_eval_data(x, y)
+
+    def _gather(
+        self, kind: str, round_idx: int, weights: np.ndarray, per_worker: Dict[int, list],
+        merge: Callable[[Hashable, object], None] = lambda key, value: None,
+    ) -> Dict[Hashable, object]:
+        """:meth:`_run` one batch: every value by key in arrival order,
+        each passed to ``merge(key, value)`` as it arrives."""
+        what, failed = _KINDS[kind]
+        values: Dict[Hashable, object] = {}
+        failures: List[str] = []
+
+        def on_result(wid: int, key: Hashable, value: object, error: Optional[str]) -> None:
+            if error is None:
+                values[key] = value
+                merge(key, value)
+            else:
+                unit = f"shard [{key[0]}:{key[1]}]" if kind == "eval_model" else f"client {key}"
+                failures.append(f"{unit}: (worker {wid})\n{error}")
+
+        self._run(kind, round_idx, weights, per_worker, what, on_result)
+        self._raise_failures(f"{failed} on {self.name} worker(s)", failures)
+        return values
+
+    def _train_cohort(
+        self, round_idx: int, requests: Sequence[TrainRequest], global_weights: np.ndarray,
+        latencies: Optional[Mapping[int, float]],
+    ) -> List[ClientUpdate]:
+        jobs = [(req.client_id, req.epochs) for req in requests]
+        trained = self._gather(
+            "train", round_idx, global_weights, group_by_owner(jobs, self._owner, itemgetter(0)),
+            # On arrival: a resume or re-deal mid-cohort re-ships the RNG
+            # ledger as merged so far.
+            lambda cid, value: absorb_rng_state(self._clients, cid, value[2]),
+        )
+        updates = [self._stamp(cid, w, n, latencies) for cid, (w, n, _) in trained.items()]
+        return order_updates(updates, requests)
+
+    def _evaluate_cohort(
+        self, requests: Sequence[EvalRequest], flat_weights: np.ndarray
+    ) -> Dict[int, float]:
+        ids = [req.client_id for req in requests]
+        accs = self._gather("eval", 0, flat_weights, group_by_owner(ids, self._owner))
+        return {cid: accs[cid] for cid in ids}
+
+    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
+        """Every worker holding exactly this dataset, shipped by
+        :meth:`bind_eval_data`; anything else takes the serial pass."""
+        if not self._bound_eval_data_matches(x, y):
+            return 0
+        self._ensure_started()
+        return len(self._eval_holders())
+
+    def _count_sharded(
+        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
+    ) -> int:
+        per_worker = group_by_owner(bounds, deal(bounds, self._eval_holders()))
+        return sum(self._gather("eval_model", 0, flat_weights, per_worker).values())
+
+    # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def listen(self) -> str:
-        """Bind and listen on the endpoint; returns the bound ``host:port``.
-
-        Idempotent.  Call this *before* launching workers when using an
-        ephemeral port (``:0``) so they have a real address to connect to.
-        """
-        if self._closed:
-            raise ExecutorError("distributed executor used after close()")
-        if self._listener is None:
-            host, port = proto.parse_endpoint(self._requested_endpoint)
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, port))
-            sock.listen(max(self.workers, 8))
-            self._listener = sock
-            COORDINATOR_SOCKETS.add(sock)
-            bound_host, bound_port = sock.getsockname()[:2]
-            self._bound_endpoint = f"{bound_host}:{bound_port}"
-        return self._bound_endpoint  # type: ignore[return-value]
-
-    @property
-    def endpoint(self) -> Optional[str]:
-        """The bound ``host:port`` (``None`` before :meth:`listen`)."""
-        return self._bound_endpoint
-
     def _started(self) -> bool:
         return self._assigned
 
@@ -372,21 +437,16 @@ class DistributedExecutor(PoolExecutor):
     # ------------------------------------------------------------------
     # byte accounting (closed connections' totals + every live one's)
     # ------------------------------------------------------------------
-    @property
-    def bytes_sent(self) -> int:
-        return self._closed_bytes_sent + sum(
-            h.conn.bytes_sent for h in self._handles.values() if h.alive
+    def _total(self, attr: str) -> int:
+        """``bytes_sent`` or ``bytes_received`` over every connection,
+        closed and live."""
+        return self._closed_bytes[attr] + sum(
+            getattr(h.conn, attr) for h in self._handles.values() if h.alive
         )
 
-    @property
-    def bytes_received(self) -> int:
-        return self._closed_bytes_received + sum(
-            h.conn.bytes_received for h in self._handles.values() if h.alive
-        )
-
-    def _by_type(self, closed: Dict[int, int], attr: str) -> Dict[int, int]:
+    def _by_type(self, attr: str) -> Dict[int, int]:
         """Closed-connection tallies plus every live connection's."""
-        total = dict(closed)
+        total = dict(self._closed_tallies[attr])
         for h in self._handles.values():
             if h.alive:
                 for key, value in getattr(h.conn, attr).items():
@@ -395,23 +455,19 @@ class DistributedExecutor(PoolExecutor):
 
     @property
     def frames_sent_by_type(self) -> Dict[int, int]:
-        return self._by_type(self._closed_frames_sent, "frames_sent")
+        return self._by_type("frames_sent")
 
     @property
     def frames_received_by_type(self) -> Dict[int, int]:
-        return self._by_type(self._closed_frames_received, "frames_received")
+        return self._by_type("frames_received")
 
     @property
     def bytes_sent_by_type(self) -> Dict[int, int]:
-        return self._by_type(
-            self._closed_bytes_sent_by_type, "bytes_sent_by_type"
-        )
+        return self._by_type("bytes_sent_by_type")
 
     @property
     def bytes_received_by_type(self) -> Dict[int, int]:
-        return self._by_type(
-            self._closed_bytes_received_by_type, "bytes_received_by_type"
-        )
+        return self._by_type("bytes_received_by_type")
 
     @property
     def broadcast_stats(self) -> Dict[str, int]:
@@ -439,46 +495,27 @@ class DistributedExecutor(PoolExecutor):
         try:
             msg_type, payload = conn.recv(timeout=10.0)
             if msg_type != proto.MsgType.HELLO:
-                conn.send(
-                    proto.MsgType.REJECT,
-                    proto.encode_reject(f"expected HELLO, got type {msg_type}"),
-                )
-                conn.close()
+                self._reject(conn, f"expected HELLO, got type {msg_type}")
                 return None
             hello = proto.decode_hello(payload)
-        except (
-            proto.ProtocolError,
-            ConnectionClosed,
-            FrameError,
-            OSError,
-            socket.timeout,
-        ) as exc:
-            # FrameError included: a non-protocol peer (port scanner,
-            # stray HTTP probe) announces a garbage frame length; it
-            # must be rejected here, not allowed to kill the accept
-            # thread and silently disable reconnect-and-resume.
-            try:
-                conn.send(proto.MsgType.REJECT, proto.encode_reject(str(exc)))
-            except OSError:
-                pass
-            conn.close()
+        except (proto.ProtocolError, FrameError, OSError) as exc:
+            # OSError covers a timeout and ConnectionClosed.  FrameError
+            # included: a non-protocol peer (port scanner, stray HTTP
+            # probe) announces a garbage frame length; it must be rejected
+            # here, not allowed to kill the accept thread and silently
+            # disable reconnect-and-resume.
+            self._reject(conn, str(exc))
             return None
         if hello["version"] != proto.PROTOCOL_VERSION:
-            try:
-                # Name BOTH peer versions so the operator reading either
-                # side's log knows exactly which binary to upgrade; the
-                # worker logs this reason before exiting.
-                conn.send(
-                    proto.MsgType.REJECT,
-                    proto.encode_reject(
-                        f"protocol version mismatch: worker speaks "
-                        f"v{hello['version']}, coordinator requires "
-                        f"v{proto.PROTOCOL_VERSION}"
-                    ),
-                )
-            except OSError:
-                pass
-            conn.close()
+            # Name BOTH peer versions so the operator reading either
+            # side's log knows exactly which binary to upgrade; the
+            # worker logs this reason before exiting.
+            self._reject(
+                conn,
+                f"protocol version mismatch: worker speaks "
+                f"v{hello['version']}, coordinator requires "
+                f"v{proto.PROTOCOL_VERSION}",
+            )
             return None
         return hello
 
@@ -524,144 +561,8 @@ class DistributedExecutor(PoolExecutor):
         return True
 
     def _register_workers(self) -> None:
-        """Block until ``self.workers`` agents dialled in and registered.
-
-        A refused or vanished peer is skipped: one flaky connection must
-        not abort the whole registration window.
-        """
-        self.listen()
-        assert self._listener is not None
-        deadline = time.monotonic() + self.accept_timeout
-        while len(self._handles) < self.workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ExecutorError(
-                    f"only {len(self._handles)}/{self.workers} workers "
-                    f"registered within {self.accept_timeout:.0f}s"
-                )
-            self._listener.settimeout(min(remaining, 1.0))
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            self._register(sock)
-
-    def _accept_loop(self) -> None:
-        """Post-registration accept thread: resume handshakes only.
-
-        Runs until :meth:`close`.  Fresh registrations are refused (the
-        client pinning is fixed for the federation's lifetime); a HELLO
-        with a valid ``resume`` token revives a parked worker.
-        """
-        listener = self._listener
-        assert listener is not None
-        while not self._closed:
-            listener.settimeout(1.0)
-            try:
-                sock, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed under us: shutting down
-            COORDINATOR_SOCKETS.add(sock)
-            conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
-            hello = self._handshake(conn)
-            if hello is None:
-                continue
-            resume = hello.get("resume")
-            if resume is None:
-                self._reject(
-                    conn,
-                    "federation already running: clients are pinned, new "
-                    "workers cannot join mid-run",
-                )
-                continue
-            self._try_resume(conn, resume)  # type: ignore[arg-type]
-
-    def _try_resume(self, conn: Connection, resume: Mapping[str, object]) -> None:
-        """Resume a parked worker on a fresh connection (or refuse).
-
-        Under ``_death_lock`` so it can never interleave with a
-        retire-and-reassign observing the same worker.  On success the
-        worker's clients are re-shipped with the coordinator's
-        authoritative RNG state (the replay that keeps a re-trained job
-        bit-identical), the resident eval set is re-shipped, the delta
-        baseline mirror is cleared (next broadcast resyncs raw) and a
-        resume event wakes the collector to re-dispatch outstanding
-        jobs.
-        """
-        wid = int(resume["worker_id"])  # type: ignore[arg-type]
-        token = str(resume["token"])
-        if self.reconnect_grace <= 0:
-            # Pre-v4 semantics on request: a lost connection is a lost
-            # worker, full stop -- even one that re-dials instantly.
-            self._reject(
-                conn,
-                f"worker {wid} cannot resume: this coordinator runs with "
-                "reconnect_grace=0 (resume disabled)",
-            )
-            return
-        with self._death_lock:
-            handle = self._handles.get(wid)
-            if handle is None or handle.state == "retired":
-                self._reject(
-                    conn,
-                    f"worker {wid} cannot resume: unknown or already retired "
-                    "(grace window expired?)",
-                )
-                return
-            if not secrets.compare_digest(token, handle.token):
-                self._reject(conn, f"worker {wid} resume token mismatch")
-                return
-            if (
-                handle.state == "lost"
-                and handle.lost_at is not None
-                and time.monotonic() - handle.lost_at > self.reconnect_grace
-            ):
-                # Expired but not yet observed by a collector: refuse the
-                # resume; the next collector pass retires and reassigns.
-                self._reject(
-                    conn,
-                    f"worker {wid} reconnect grace of "
-                    f"{self.reconnect_grace:.0f}s expired",
-                )
-                return
-            if handle.state == "up":
-                # The worker noticed the drop before we did: the old
-                # connection is a zombie.  Fold and replace it; stale
-                # events from its reader are gen-filtered.
-                self._fold_and_close(handle)
-            try:
-                self._welcome(conn, handle)
-                # RNG replay: the coordinator pool/store ledger is
-                # authoritative (synced on every merged UPDATE), so this
-                # overwrites whatever half-trained state the worker kept.
-                self._send_assignment(conn, owned_by(self._owner, wid))
-                if self._eval_shipped and self._eval_data is not None:
-                    conn.send(
-                        proto.MsgType.BIND_EVAL,
-                        proto.encode_bind_eval(*self._eval_data),
-                    )
-            except OSError:
-                conn.close()
-                if handle.state == "up":
-                    handle.state = "lost"
-                    handle.lost_at = time.monotonic()
-                return
-            with handle.lock:
-                handle.conn = conn
-                handle.baselines.clear()
-            handle.state = "up"
-            handle.lost_at = None
-            handle.gen += 1
-            handle.last_seen = time.monotonic()
-            handle.reader = threading.Thread(
-                target=self._reader, args=(handle, handle.gen), daemon=True,
-                name=f"repro-dist-reader-{wid}.{handle.gen}",
-            )
-            handle.reader.start()
-        telemetry.count("distributed.worker_resumed", 1)
-        self._events.put((wid, handle.gen, _EVT_RESUMED, None))
+        """Connect ``self.workers`` agents, each through :meth:`_register`."""
+        raise NotImplementedError
 
     def _worker_cycle(self, worker_ids: Sequence[int]) -> List[int]:
         """Capacity-weighted deal cycle (a capacity-2 worker appears twice)."""
@@ -699,22 +600,18 @@ class DistributedExecutor(PoolExecutor):
                 telemetry.count("wire.shard_redeals", 1)
             conn.send(
                 proto.MsgType.ASSIGN_SHARD,
-                proto.encode_assign_shard(
-                    blob, self._training, self._signature, model=model
-                ),
+                proto.encode_assign_shard(blob, self._training, self._signature, model=model),
             )
         else:
             owned = {cid: self._clients[cid] for cid in owned_ids}
             conn.send(
                 proto.MsgType.ASSIGN,
-                proto.encode_assign(
-                    owned, self._training, self._signature, model=model
-                ),
+                proto.encode_assign(owned, self._training, self._signature, model=model),
             )
 
     def _eval_holders(self) -> List[int]:
         """Every live worker: the eval set travels as one BIND_EVAL frame
-        per worker right after ASSIGN, or -- bound after the workers
+        per worker ahead of its ASSIGN, or -- bound after the workers
         registered -- here, before its first sharded pass."""
         if not self._eval_shipped:
             blob = proto.encode_bind_eval(*self._eval_data)
@@ -759,12 +656,6 @@ class DistributedExecutor(PoolExecutor):
             handle.reader.start()
         if eval_blob is not None:
             self._eval_shipped = True
-        if self._listener is not None:
-            # Keep accepting after registration closes: resumes arrive here.
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, daemon=True, name="repro-dist-accept"
-            )
-            self._accept_thread.start()
         self._assigned = True
 
     def _reader(self, handle: _WorkerHandle, gen: int) -> None:
@@ -829,11 +720,8 @@ class DistributedExecutor(PoolExecutor):
         re-ships every owned client and re-dispatches the pending jobs.
         Empty means the federation is truly out of workers.
         """
-        up = self._live_ids()
-        if up:
-            return up
         now = time.monotonic()
-        return sorted(
+        return self._live_ids() or sorted(
             wid
             for wid, h in self._handles.items()
             if h.state == "lost"
@@ -841,21 +729,23 @@ class DistributedExecutor(PoolExecutor):
             and now - h.lost_at <= self.reconnect_grace
         )
 
+    def _heirs(self, wid: int, reason: str) -> List[int]:
+        """:meth:`_reassign_candidates` for ``wid``'s work, or
+        ``ExecutorError`` naming its ``reason`` when there are none."""
+        heirs = self._reassign_candidates()
+        if not heirs:
+            raise ExecutorError(
+                f"all {self.name} workers are gone (last failure: worker {wid}: {reason})"
+            )
+        return heirs
+
     def _fold_and_close(self, handle: _WorkerHandle) -> None:
         """Fold a connection's byte counters into the totals and close it."""
         conn = handle.conn
-        self._closed_bytes_sent += conn.bytes_sent
-        self._closed_bytes_received += conn.bytes_received
-        for closed, live in (
-            (self._closed_frames_sent, conn.frames_sent),
-            (self._closed_frames_received, conn.frames_received),
-            (self._closed_bytes_sent_by_type, conn.bytes_sent_by_type),
-            (
-                self._closed_bytes_received_by_type,
-                conn.bytes_received_by_type,
-            ),
-        ):
-            for key, value in live.items():
+        for attr in self._closed_bytes:
+            self._closed_bytes[attr] += getattr(conn, attr)
+        for attr, closed in self._closed_tallies.items():
+            for key, value in getattr(conn, attr).items():
                 closed[key] = closed.get(key, 0) + value
         conn.close()
 
@@ -921,12 +811,7 @@ class DistributedExecutor(PoolExecutor):
             # Counted here, not in _retire: close() retires every handle
             # on a normal shutdown, which is not a failure.
             telemetry.count("distributed.worker_retired", 1)
-            survivors = self._reassign_candidates()
-            if not survivors:
-                raise ExecutorError(
-                    f"all distributed workers are gone (last failure: worker "
-                    f"{wid}: {reason})"
-                )
+            survivors = self._heirs(wid, reason)
             orphans = owned_by(self._owner, wid)
             if not orphans:
                 return
@@ -1133,15 +1018,10 @@ class DistributedExecutor(PoolExecutor):
         state.dispatch_gen.pop(wid, None)
         if not outstanding:
             return
-        candidates = self._reassign_candidates()
-        if not candidates:
-            # _retire_and_reassign only raises for the FIRST collector to
-            # observe the terminal death; a second collector with its own
-            # outstanding jobs must fail the same way, not spin.
-            raise ExecutorError(
-                f"all distributed workers are gone (last failure: worker "
-                f"{wid}: {reason})"
-            )
+        # _retire_and_reassign only raises for the FIRST collector to
+        # observe the terminal death; a second collector with its own
+        # outstanding jobs must fail the same way, not spin.
+        candidates = self._heirs(wid, reason)
         owner = deal(outstanding, candidates) if state.kind == "eval_model" else self._owner
         by_target = group_by_owner(outstanding, owner, key=state.key_of)
         for target in sorted(by_target):
@@ -1410,18 +1290,254 @@ class DistributedExecutor(PoolExecutor):
         for handle in self._handles.values():
             if handle.reader is not None:
                 handle.reader.join(timeout=2.0)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
         self._handles = {}
         self._owner = {}
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
 
     def __del__(self) -> None:  # pragma: no cover - safety net
         try:
-            if not self._closed and (self._handles or self._listener):
+            if not self._closed:
                 self.close()
         except Exception:
             pass
+
+
+class DistributedExecutor(PoolExecutor):
+    """Train cohorts across worker agents that dial in over TCP.
+
+    Takes :class:`PoolExecutor`'s parameters, plus:
+
+    endpoint:
+        ``"host:port"`` to listen on; port ``0`` picks an ephemeral port
+        (read the bound address back from :attr:`endpoint` after
+        :meth:`listen`).
+    accept_timeout:
+        Seconds to wait for all workers to register.
+    reconnect_grace:
+        Seconds a worker whose TCP connection dropped may take to
+        reconnect-and-resume (see the module docstring) before it is
+        retired and its clients reassigned.  ``0`` (default) retires on
+        the first loss, the pre-v4 behaviour.
+
+    Its wire is read off :attr:`bytes_sent` and :attr:`bytes_received`
+    (and the per-frame-type tallies).
+    """
+
+    name = "distributed"
+
+    def __init__(
+        self,
+        workers: int = 2,
+        endpoint: Optional[str] = None,
+        accept_timeout: float = 60.0,
+        result_timeout: float = 600.0,
+        heartbeat_interval: float = 2.0,
+        heartbeat_misses: int = 5,
+        reconnect_grace: float = 0.0,
+        max_frame_payload: Optional[int] = None,
+    ) -> None:
+        super().__init__(
+            workers, result_timeout, heartbeat_interval, heartbeat_misses, max_frame_payload
+        )
+        if accept_timeout <= 0:
+            raise ValueError("accept_timeout must be positive")
+        if reconnect_grace < 0:
+            raise ValueError(f"reconnect_grace must be >= 0, got {reconnect_grace}")
+        self._requested_endpoint = endpoint or "127.0.0.1:0"
+        proto.parse_endpoint(self._requested_endpoint)  # validate early
+        self.accept_timeout = float(accept_timeout)
+        self.reconnect_grace = float(reconnect_grace)
+        self._listener: Optional[socket.socket] = None
+        self._bound_endpoint: Optional[str] = None
+        self._accept_thread: Optional[threading.Thread] = None
+
+    def listen(self) -> str:
+        """Bind and listen on the endpoint; returns the bound ``host:port``.
+
+        Idempotent.  Call this *before* launching workers when using an
+        ephemeral port (``:0``) so they have a real address to connect to.
+        """
+        if self._closed:
+            raise ExecutorError("distributed executor used after close()")
+        if self._listener is None:
+            host, port = proto.parse_endpoint(self._requested_endpoint)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
+            sock.listen(max(self.workers, 8))
+            self._listener = sock
+            COORDINATOR_SOCKETS.add(sock)
+            bound_host, bound_port = sock.getsockname()[:2]
+            self._bound_endpoint = f"{bound_host}:{bound_port}"
+        return self._bound_endpoint  # type: ignore[return-value]
+
+    @property
+    def endpoint(self) -> Optional[str]:
+        """The bound ``host:port`` (``None`` before :meth:`listen`)."""
+        return self._bound_endpoint
+
+    @property
+    def bytes_sent(self) -> int:
+        return self._total("bytes_sent")
+
+    @property
+    def bytes_received(self) -> int:
+        return self._total("bytes_received")
+
+    def _register_workers(self) -> None:
+        """Block until ``self.workers`` agents dialled in and registered.
+
+        A refused or vanished peer is skipped: one flaky connection must
+        not abort the whole registration window.
+        """
+        self.listen()
+        assert self._listener is not None
+        deadline = time.monotonic() + self.accept_timeout
+        while len(self._handles) < self.workers:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ExecutorError(
+                    f"only {len(self._handles)}/{self.workers} workers "
+                    f"registered within {self.accept_timeout:.0f}s"
+                )
+            self._listener.settimeout(min(remaining, 1.0))
+            try:
+                sock, _addr = self._listener.accept()
+            except socket.timeout:
+                continue
+            self._register(sock)
+
+    def _accept_loop(self) -> None:
+        """Post-registration accept thread: resume handshakes only.
+
+        Runs until :meth:`close`.  Fresh registrations are refused (the
+        client pinning is fixed for the federation's lifetime); a HELLO
+        with a valid ``resume`` token revives a parked worker.
+        """
+        listener = self._listener
+        assert listener is not None
+        while not self._closed:
+            listener.settimeout(1.0)
+            try:
+                sock, _addr = listener.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return  # listener closed under us: shutting down
+            COORDINATOR_SOCKETS.add(sock)
+            conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
+            hello = self._handshake(conn)
+            if hello is None:
+                continue
+            resume = hello.get("resume")
+            if resume is None:
+                self._reject(
+                    conn,
+                    "federation already running: clients are pinned, new "
+                    "workers cannot join mid-run",
+                )
+                continue
+            self._try_resume(conn, resume)  # type: ignore[arg-type]
+
+    def _try_resume(self, conn: Connection, resume: Mapping[str, object]) -> None:
+        """Resume a parked worker on a fresh connection (or refuse).
+
+        Under ``_death_lock`` so it can never interleave with a
+        retire-and-reassign observing the same worker.  On success the
+        worker's clients are re-shipped with the coordinator's
+        authoritative RNG state (the replay that keeps a re-trained job
+        bit-identical), the resident eval set is re-shipped, the delta
+        baseline mirror is cleared (next broadcast resyncs raw) and a
+        resume event wakes the collector to re-dispatch outstanding
+        jobs.
+        """
+        wid = int(resume["worker_id"])  # type: ignore[arg-type]
+        token = str(resume["token"])
+        if self.reconnect_grace <= 0:
+            # Pre-v4 semantics on request: a lost connection is a lost
+            # worker, full stop -- even one that re-dials instantly.
+            self._reject(
+                conn,
+                f"worker {wid} cannot resume: this coordinator runs with "
+                "reconnect_grace=0 (resume disabled)",
+            )
+            return
+        with self._death_lock:
+            handle = self._handles.get(wid)
+            if handle is None or handle.state == "retired":
+                self._reject(
+                    conn,
+                    f"worker {wid} cannot resume: unknown or already retired "
+                    "(grace window expired?)",
+                )
+                return
+            if not secrets.compare_digest(token, handle.token):
+                self._reject(conn, f"worker {wid} resume token mismatch")
+                return
+            if (
+                handle.state == "lost"
+                and handle.lost_at is not None
+                and time.monotonic() - handle.lost_at > self.reconnect_grace
+            ):
+                # Expired but not yet observed by a collector: refuse the
+                # resume; the next collector pass retires and reassigns.
+                self._reject(
+                    conn,
+                    f"worker {wid} reconnect grace of "
+                    f"{self.reconnect_grace:.0f}s expired",
+                )
+                return
+            if handle.state == "up":
+                # The worker noticed the drop before we did: the old
+                # connection is a zombie.  Fold and replace it; stale
+                # events from its reader are gen-filtered.
+                self._fold_and_close(handle)
+            try:
+                self._welcome(conn, handle)
+                # RNG replay: the coordinator pool/store ledger is
+                # authoritative (synced on every merged UPDATE), so this
+                # overwrites whatever half-trained state the worker kept.
+                self._send_assignment(conn, owned_by(self._owner, wid))
+                if self._eval_shipped and self._eval_data is not None:
+                    conn.send(
+                        proto.MsgType.BIND_EVAL,
+                        proto.encode_bind_eval(*self._eval_data),
+                    )
+            except OSError:
+                conn.close()
+                if handle.state == "up":
+                    handle.state = "lost"
+                    handle.lost_at = time.monotonic()
+                return
+            with handle.lock:
+                handle.conn = conn
+                handle.baselines.clear()
+            handle.state = "up"
+            handle.lost_at = None
+            handle.gen += 1
+            handle.last_seen = time.monotonic()
+            handle.reader = threading.Thread(
+                target=self._reader, args=(handle, handle.gen), daemon=True,
+                name=f"repro-dist-reader-{wid}.{handle.gen}",
+            )
+            handle.reader.start()
+        telemetry.count("distributed.worker_resumed", 1)
+        self._events.put((wid, handle.gen, _EVT_RESUMED, None))
+
+    def _ensure_started(self) -> None:
+        if self._assigned:
+            return
+        super()._ensure_started()
+        # Keep accepting after registration closes: resumes arrive here.
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True, name="repro-dist-accept"
+        )
+        self._accept_thread.start()
+
+    def close(self) -> None:
+        super().close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)
+            self._accept_thread = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None

@@ -35,11 +35,11 @@ from typing import List, Optional, Sequence
 
 from repro import telemetry
 from repro.distributed import protocol as proto
-from repro.distributed.coordinator import COORDINATOR_SOCKETS, DistributedExecutor
+from repro.data.partition import FederatedData
+from repro.distributed.coordinator import COORDINATOR_SOCKETS, PoolExecutor
 from repro.distributed.transport import Connection
 from repro.distributed.worker import WorkerAgent
 from repro.execution.base import ExecutorError
-from repro.serialization import shard_to_bytes
 from repro.simcluster.population import PopulationStore
 
 __all__ = ["ProcessExecutor", "spawn_local_workers", "terminate_workers"]
@@ -90,14 +90,15 @@ def _run_paired(sock: socket.socket) -> None:
     sys.exit(_PairedAgent(sock).run())
 
 
-class ProcessExecutor(DistributedExecutor):
+class ProcessExecutor(PoolExecutor):
     """Train cohorts across local worker processes, one socketpair each.
 
-    The coordinator is :class:`DistributedExecutor`'s -- same frames,
-    pinning, collector, codec, eval-set shipping and re-deal of a dead
-    worker's clients -- over ``min(workers, clients)`` children forked
-    at the first cohort.  ``result_timeout`` is the wall-clock deadline
-    of one cohort.
+    The coordinator is :class:`~repro.distributed.coordinator.PoolExecutor`
+    -- the frames, pinning, collector, codec, eval-set shipping and
+    re-deal of a dead worker's clients that ``distributed`` runs -- over
+    ``min(workers, clients)`` children forked at the first cohort.
+    ``result_timeout`` is the wall-clock deadline of one cohort.  What
+    crosses the pairs is read off :attr:`bytes_shipped`.
     """
 
     name = "process"
@@ -106,13 +107,21 @@ class ProcessExecutor(DistributedExecutor):
         super().__init__(workers=workers, result_timeout=result_timeout)
         self._procs: List[mp.process.BaseProcess] = []
 
+    @property
+    def bytes_shipped(self) -> int:
+        """Frame bytes sent to and received from the workers, set-up included."""
+        return self._total("bytes_sent") + self._total("bytes_received")
+
     def _register_workers(self) -> None:
         clients = self._require_bound()
         if isinstance(clients, PopulationStore):
-            # A shard frame carries its pool's digest, which the worker
-            # checks on decode: hashing once here, before the fork, leaves
-            # every child the cached digest instead of its own re-hash.
-            shard_to_bytes(clients.shard(clients.client_ids[:1]))
+            # A recipe federation's shard frame carries its pool's digest,
+            # which the worker checks on decode: hashing once here, before
+            # the fork, leaves every child the cached digest instead of its
+            # own re-hash.
+            fed = getattr(clients.shard(clients.client_ids[:1]).dataset_for, "__self__", None)
+            if isinstance(fed, FederatedData) and fed.recipe is not None:
+                fed.pool_digest
         ctx = worker_context()
         ends = []
         for wid in range(min(self.workers, len(clients))):

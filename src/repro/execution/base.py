@@ -304,8 +304,8 @@ class ClientExecutor:
     Every operation defaults to the in-server serial pass behind the
     ``_train_cohort`` / ``_evaluate_cohort`` / ``_eval_shard_workers`` +
     ``_count_sharded`` hooks.  The two worker pools override them once,
-    in :class:`repro.execution.pool.PoolExecutor`, and supply only their
-    pipe, :meth:`PoolExecutor._run <repro.execution.pool.PoolExecutor._run>`.
+    in :class:`repro.distributed.coordinator.PoolExecutor`, and differ
+    only in how their workers connect (forked socketpairs, TCP).
     """
 
     name: str = "abstract"

@@ -1,11 +1,12 @@
 """The transport-agnostic worker-pool core.
 
-The ``process`` and ``distributed`` backends are one coordinator over
-two pipes (forked socketpair workers, TCP workers) and one scheme: deal
-the sorted client ids over the workers, group each cohort by owner,
-train every client where it is pinned and write its advanced
-training-RNG state back into the authoritative pool.  What does not
-depend on the wire lives here, once:
+The ``process`` and ``distributed`` backends are one coordinator
+(:class:`repro.distributed.coordinator.PoolExecutor`) over two pipes
+(forked socketpair workers, TCP workers) and one scheme: deal the
+sorted client ids over the workers, group each cohort by owner, train
+every client where it is pinned and write its advanced training-RNG
+state back into the authoritative pool.  The pieces both sides of the
+wire call live here, once:
 
 * **worker ops** -- :func:`serve_train` (one train order: one optimizer
   factory, then :func:`repro.execution.base.train_client` per job under
@@ -13,55 +14,28 @@ depend on the wire lives here, once:
   failure captured); the holdout twin is
   :func:`repro.execution.base.evaluate_holdouts`;
 * **partitioner** -- :func:`deal` and :func:`group_by_owner`;
-* **directory** -- :func:`owned_by` and :func:`absorb_rng_state`;
-* **executor half** -- :class:`PoolExecutor`: build the jobs, group them
-  by owner, merge results, stamp, raise the failures and return in
-  request order.  The coordinator supplies the wire, ``_run``, and the
-  eval-set hook ``_eval_holders``.
+* **directory** -- :func:`owned_by` and :func:`absorb_rng_state`.
 
 It imports the executor contract (:mod:`repro.execution.base`) and no
-backend: ``DistributedExecutor._run`` drives
-``repro.distributed.coordinator._InFlight`` with
-``DistributedExecutor._collect`` for both pools.
+backend, so a worker agent loads it without the coordinator.
 """
 
 from __future__ import annotations
 
 import traceback
-from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import TrainingConfig
-from repro.execution.base import (
-    ClientExecutor,
-    EvalRequest,
-    ExecutorError,
-    TrainRequest,
-    count_correct,
-    order_updates,
-    train_client,
-)
+from repro.execution.base import count_correct, train_client
 from repro.nn.model import Sequential
-from repro.simcluster.client import ClientUpdate, SimClient
+from repro.simcluster.client import SimClient
 from repro.simcluster.population import PopulationStore
 
 __all__ = [
-    "PoolExecutor", "serve_train", "count_shards",
-    "deal", "group_by_owner", "owned_by", "absorb_rng_state",
+    "serve_train", "count_shards", "deal", "group_by_owner", "owned_by", "absorb_rng_state",
 ]
-
-#: ``on_result(worker_id, key, value, error)``: one job's result, keyed
-#: by client id (train, eval) or ``(start, end)`` shard (eval model).
-OnResult = Callable[[int, Hashable, object, Optional[str]], None]
-
-#: Per batch kind: the unit a timeout counts, and what a failure failed at.
-_KINDS = {
-    "train": ("client update(s)", "client training failed"),
-    "eval": ("evaluation result(s)", "client evaluation failed"),
-    "eval_model": ("evaluation shard(s)", "global evaluation failed"),
-}
 
 
 def serve_train(
@@ -155,102 +129,3 @@ def absorb_rng_state(
     rng = getattr(clients[client_id], "_train_rng", None)
     if rng is not None:
         rng.bit_generator.state = state
-
-
-class PoolExecutor(ClientExecutor):
-    """The executor half of the worker pool.
-
-    Every operation is *build the jobs -> group them by owner ->*
-    :meth:`_run` *-> assemble*: values merge as they arrive (a trained
-    update's RNG state is absorbed at once), captured failures are raised
-    together once the batch is done, each naming its worker, and updates
-    return in request order.  The coordinator
-    (:class:`repro.distributed.coordinator.DistributedExecutor`) fills
-    ``_owner`` (client id -> worker id) when its workers start and
-    supplies the wire, ``_run(kind, round_idx, weights, per_worker, what,
-    on_result)``, and ``_eval_holders()``, the workers holding the bound
-    eval set (shipping it first if it is not, which sets
-    ``_eval_shipped``; the only re-send is the replay to a resumed
-    worker, which restores that same copy).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._owner: Dict[int, int] = {}
-        self._eval_shipped = False
-
-    def owner_of(self, client_id: int) -> int:
-        """Worker a client is currently pinned to."""
-        if not self._started():
-            raise ExecutorError("executor not started yet")
-        return self._owner[client_id]
-
-    def bind_eval_data(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Bind the server-held eval set; it ships to the workers once, and
-        re-binding different data after that is an error (the ship-once
-        invariant that makes the per-round sharding free)."""
-        if self._bound_eval_data_matches(x, y):
-            return
-        if self._eval_shipped:
-            raise ExecutorError(
-                f"{self.name} executor already shipped an eval set to its "
-                "workers; create a fresh executor to bind different data"
-            )
-        super().bind_eval_data(x, y)
-
-    def _gather(
-        self, kind: str, round_idx: int, weights: np.ndarray, per_worker: Dict[int, list],
-        merge: Callable[[Hashable, object], None] = lambda key, value: None,
-    ) -> Dict[Hashable, object]:
-        """:meth:`_run` one batch: every value by key in arrival order,
-        each passed to ``merge(key, value)`` as it arrives."""
-        what, failed = _KINDS[kind]
-        values: Dict[Hashable, object] = {}
-        failures: List[str] = []
-
-        def on_result(wid: int, key: Hashable, value: object, error: Optional[str]) -> None:
-            if error is None:
-                values[key] = value
-                merge(key, value)
-            else:
-                unit = f"shard [{key[0]}:{key[1]}]" if kind == "eval_model" else f"client {key}"
-                failures.append(f"{unit}: (worker {wid})\n{error}")
-
-        self._run(kind, round_idx, weights, per_worker, what, on_result)
-        self._raise_failures(f"{failed} on {self.name} worker(s)", failures)
-        return values
-
-    def _train_cohort(
-        self, round_idx: int, requests: Sequence[TrainRequest], global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]],
-    ) -> List[ClientUpdate]:
-        jobs = [(req.client_id, req.epochs) for req in requests]
-        trained = self._gather(
-            "train", round_idx, global_weights, group_by_owner(jobs, self._owner, itemgetter(0)),
-            # On arrival: a resume or re-deal mid-cohort re-ships the RNG
-            # ledger as merged so far.
-            lambda cid, value: absorb_rng_state(self._clients, cid, value[2]),
-        )
-        updates = [self._stamp(cid, w, n, latencies) for cid, (w, n, _) in trained.items()]
-        return order_updates(updates, requests)
-
-    def _evaluate_cohort(
-        self, requests: Sequence[EvalRequest], flat_weights: np.ndarray
-    ) -> Dict[int, float]:
-        ids = [req.client_id for req in requests]
-        accs = self._gather("eval", 0, flat_weights, group_by_owner(ids, self._owner))
-        return {cid: accs[cid] for cid in ids}
-
-    def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
-        """Every worker holding exactly this dataset, shipped by
-        :meth:`bind_eval_data`; anything else takes the serial pass."""
-        if not self._bound_eval_data_matches(x, y):
-            return 0
-        self._ensure_started()
-        return len(self._eval_holders())
-
-    def _count_sharded(
-        self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
-    ) -> int:
-        per_worker = group_by_owner(bounds, deal(bounds, self._eval_holders()))
-        return sum(self._gather("eval_model", 0, flat_weights, per_worker).values())

@@ -104,8 +104,8 @@ def shard_to_bytes(shard: PopulationShard) -> bytes:
     order, then a pickled tail holding the dataset provider, the
     latency/comm models, and the authoritative RNG snapshots.  Columns
     dominate the size: ~40 bytes/client regardless of dataset size.  A
-    scenario's provider pickles as its pool's recipe, the pool's sha256
-    and the clients' rows (8 bytes a row, or one size column for the
+    scenario's provider pickles as its pool's recipe, the pool digest
+    (:func:`repro.data.partition._pool_digest`) and the clients' rows (8 bytes a row, or one size column for the
     population's seeded rows), and the reader re-derives the pool.
     """
     cols = [

@@ -10,6 +10,7 @@ backend (PR 20).
 
 import os
 import signal
+import socket
 import time
 
 import numpy as np
@@ -245,7 +246,7 @@ class TestMergeOrder:
     def test_process_request_order_under_reversed_completion(self, monkeypatch):
         """One slow client per worker, the first-requested the slowest:
         results reach the parent's queue last-requested first."""
-        import repro.execution.pool as pool_mod
+        import repro.distributed.coordinator as coordinator_mod
 
         arrived = []
 
@@ -253,7 +254,7 @@ class TestMergeOrder:
             arrived.extend(u.client_id for u in updates)
             return order_updates(updates, requests)
 
-        monkeypatch.setattr(pool_mod, "order_updates", recording_order_updates)
+        monkeypatch.setattr(coordinator_mod, "order_updates", recording_order_updates)
         n = 4
         clients = {
             cid: _SlowFakeClient(cid, delay=0.05 * (n - cid)) for cid in range(n)
@@ -294,9 +295,9 @@ class TestProcessBackend:
             assert ex.num_workers_started == 2
 
     def test_started_pool_listens_nowhere_and_matches_serial_under_spawn(self, monkeypatch):
-        """The local pool registers its workers over socketpairs: no
-        listening socket (``endpoint is None``), so nothing else on the
-        machine can join it.  Workers started with ``spawn`` -- no
+        """The local pool registers its workers over socketpairs: it has
+        no listener, and every worker connection is a local ``AF_UNIX``
+        pair end, so nothing else on the machine can join it.  Workers started with ``spawn`` -- no
         inherited memory, only what crossed the pair -- still train
         bit-identically to serial."""
         import multiprocessing
@@ -310,9 +311,11 @@ class TestProcessBackend:
                 server.run(2)
                 weights[backend] = server.global_weights.copy()
                 if backend == "process":
-                    assert server.executor.num_workers_started == 2
-                    assert server.executor.endpoint is None
-                    assert server.executor._listener is None
+                    ex = server.executor
+                    assert ex.num_workers_started == 2
+                    assert not hasattr(ex, "listen")
+                    families = {h.conn._sock.family for h in ex._handles.values()}
+                    assert families == {socket.AF_UNIX}
         assert np.array_equal(weights["serial"], weights["process"])
 
     def test_a_killed_worker_is_re_dealt_bit_identically(self):
@@ -372,7 +375,7 @@ class TestProcessBackend:
         self, latency_stream
     ):
         """Workers hold column shards, so a round's tasks and results name
-        client ids only: at a fixed 20-client cohort the recurring wire
+        client ids only: at a fixed 20-client cohort the recurring IPC
         bytes per round are the same at 10^3 and 10^5 clients (only the
         encoded width of larger ids differs), the history equals the
         serial store run's at each size, and the parent materialises the
@@ -398,8 +401,7 @@ class TestProcessBackend:
             ) as server:
                 for r in range(rounds):
                     server.run_round(r)
-                    ex = server.executor
-                    shipped.append(getattr(ex, "bytes_sent", 0) + getattr(ex, "bytes_received", 0))
+                    shipped.append(getattr(server.executor, "bytes_shipped", 0))
             # Round 0 absorbs worker start-up; the rest is the steady state.
             steady = (shipped[-1] - shipped[0]) / (rounds - 1)
             return server.history.records, steady, scn.population.materialize_count

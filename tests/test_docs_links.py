@@ -175,9 +175,9 @@ CENSUS_ROOTS = ("src", "benchmarks", "examples", "perf")
 WRAP_TARGET = re.compile(r"[A-Za-z_][\w.]*(?::[\w.]+)?")
 #: ``path:qualname`` -> why a name only tests use stays public.
 CENSUS_ALLOWLIST = {
-    "src/repro/distributed/coordinator.py:DistributedExecutor.worker_pid":
+    "src/repro/distributed/coordinator.py:PoolExecutor.worker_pid":
         "test hook: the worker process a SIGKILL test kills",
-    "src/repro/execution/pool.py:PoolExecutor.owner_of":
+    "src/repro/distributed/coordinator.py:PoolExecutor.owner_of":
         "test hook: which worker a client is pinned to",
     "src/repro/nn/tensor_ops.py:softmax":
         "reference the softmax cross-entropy gradient is tested against",
