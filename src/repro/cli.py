@@ -33,10 +33,10 @@ coordinator, then one worker agent per node::
     python -m repro.cli worker --connect coord-host:7777   # each worker
 
 Weight-transport codec (``--codec``, see :mod:`repro.codec`): how weight
-vectors travel on the distributed wire.  ``raw`` (default) and ``delta``
-are both lossless -- training stays bit-identical to serial -- with
-``delta`` cutting the steady-state bytes per round by ~30% on a
-converging run.  In-process executors ignore the flag (no wire)::
+vectors reach ``process`` and ``distributed`` workers (``serial`` and
+``batched`` have none).  ``raw`` (default) and ``delta`` are both
+lossless -- training stays bit-identical to serial -- with ``delta``
+cutting the steady-state bytes per round by ~30% on a converging run::
 
     python -m repro.cli run --executor distributed --workers 2 \\
         --connect 0.0.0.0:7777 --codec delta --rounds 60
