@@ -43,10 +43,10 @@ cutting the steady-state bytes per round by ~30% on a converging run::
 
 Reconnect-and-resume (``--reconnect-grace``): with a positive grace
 window on both sides, a worker whose TCP connection drops re-dials the
-coordinator and resumes its session (same pinned clients, RNG state
-replayed, bit-identical history) instead of being permanently retired;
-the retire-and-reassign path remains the fallback once the window
-expires.  The coordinator default is 0 (a lost connection retires the
+coordinator and resumes its session (its outstanding jobs re-dealt,
+each with its client's RNG state, bit-identical history) instead of
+being permanently retired; the retire-and-re-deal path remains the
+fallback once the window expires.  The coordinator default is 0 (a lost connection retires the
 worker immediately); workers retry for 30 s by default, which is
 harmless when the coordinator has resume disabled::
 
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrk.add_argument("--connect", required=True, metavar="HOST:PORT",
                        help="coordinator endpoint to connect to")
     p_wrk.add_argument("--capacity", type=_positive_int, default=1,
-                       help="relative share of clients to pin to this worker")
+                       help="relative share of each batch to deal this worker")
     p_wrk.add_argument("--connect-timeout", type=float, default=30.0,
                        help="seconds to keep retrying the initial connect")
     p_wrk.add_argument("--reconnect-grace", type=float, default=30.0,

@@ -22,26 +22,25 @@ Three mechanisms carry that promise across machine boundaries:
    construction, ~30% fewer steady-state bytes on a converging run);
    no text round-trip, no precision loss, so a broadcast weight vector
    is bit-equal to one passed by reference.
-2. *Pinned RNG streams.*  Every client is pinned to one worker
-   (capacity-weighted round-robin over sorted client ids), so its
-   training RNG stream advances in exactly one address space, in the
-   order the coordinator dispatches -- the local ``process`` pool
+2. *RNG state in every job.*  Every worker holds the whole population
+   and every batch is dealt over the live workers by cost, so a client
+   may train on any worker in any round.  Each TRAIN job carries the
+   client's training-RNG state from the coordinator's ledger, the
+   worker sets the client's stream from it before training, and each
+   UPDATE ships the advanced state back into the ledger -- the single
+   source of truth.  The local ``process`` pool
    (:class:`~repro.distributed.launch.ProcessExecutor`) is this same
-   coordinator over forked socketpair workers.  Each
-   UPDATE ships the advanced RNG state back, keeping the coordinator's
-   client pool the single source of truth.
-3. *State-replaying failover.*  When a worker dies mid-round, its
-   clients are re-shipped to survivors *with their current RNG state*
-   and its unfinished jobs re-dispatched.  A client's state only
-   advances once its update has been merged, so replayed work resumes
-   at exactly the stream position the serial schedule prescribes and
-   the final global weights stay bit-identical (enforced by the
-   worker-kill test in ``tests/distributed``).  With
+   coordinator over forked socketpair workers.
+3. *State-carrying failover.*  When a worker dies mid-round, its
+   unfinished jobs are re-dealt over the survivors.  A client's ledger
+   state only advances once its update has been merged, so replayed
+   work starts at exactly the stream position the serial schedule
+   prescribes and the final global weights stay bit-identical
+   (enforced by the worker-kill test in ``tests/distributed``).  With
    ``reconnect_grace > 0`` a dropped *connection* gets a second chance
    first: the worker re-dials with its session token, the coordinator
-   replays the authoritative RNG state over the new connection, resyncs
-   weights with a raw broadcast and re-dispatches the outstanding jobs
-   -- same bit-identity argument, no retirement (enforced by the
+   resyncs weights with a raw broadcast and re-deals the outstanding
+   jobs -- same bit-identity argument, no retirement (enforced by the
    connection-drop tests in ``tests/distributed/test_reconnect.py``).
 
 Updates are returned in request order -- never completion order -- so

@@ -11,15 +11,17 @@ reference; the invariants the code below keeps:
 
 * **Registration.**  Every connection, accepted or paired, passes one
   versioned handshake (:meth:`PoolExecutor._register`); each
-  worker advertises a ``capacity`` used as its weight when clients are
-  pinned.
-* **Pinning.**  The sorted client ids are dealt round-robin over a
-  capacity-weighted worker cycle (:func:`repro.execution.pool.deal`),
-  so every client's training RNG stream advances in exactly one
-  address space; every UPDATE carries the advanced state back, and
+  worker advertises a ``capacity`` that divides its load when batches
+  are dealt.
+* **No pinning.**  Every worker holds the whole population (a store
+  pool ships one ASSIGN_SHARD of all its columns, never ``SimClient``
+  pickles), and every batch is dealt over the live workers by cost
+  (:func:`repro.execution.pool.balance`).  Each TRAIN job carries its
+  client's RNG state from the ledger
+  (:func:`repro.execution.pool.ledger_state`); every UPDATE carries the
+  advanced state back and
   :func:`repro.execution.pool.absorb_rng_state` makes it authoritative
-  at once.  A store pool ships each worker an ASSIGN_SHARD column slice,
-  never ``SimClient`` pickles.
+  at once, so a client trains the same on whichever worker runs it.
 * **One collector.**  :meth:`PoolExecutor._run` is one
   :class:`_InFlight` batch driven by :meth:`PoolExecutor._collect`;
   per-worker reader threads post every result frame and every loss /
@@ -30,13 +32,12 @@ reference; the invariants the code below keeps:
   retained BROADCASTs, so delta and alias frames always name a vector
   the worker holds.
 * **Worker loss.**  A dead worker (EOF, send failure, heartbeat silence)
-  has its clients re-dealt over the survivors and re-shipped with their
-  ledger RNG state, and its unfinished jobs re-dispatched: a client's
-  state only advances once its UPDATE is merged, so the replay is
-  bit-identical to the serial schedule.  With ``reconnect_grace > 0`` a
-  lost TCP connection is parked instead and may resume with its session
-  token (re-ship, raw resync, re-dispatch); retire-and-re-pin and
-  resume are serialised by one lock.
+  is retired and its unfinished jobs are re-dealt over the survivors: a
+  job carries the ledger state, which only advances once the client's
+  UPDATE is merged, so the replay is bit-identical to the serial
+  schedule.  With ``reconnect_grace > 0`` a lost TCP connection is
+  parked instead and may resume with its session token (raw resync,
+  re-deal); retirement and resume are serialised by one lock.
 * **Telemetry.**  Observational only: cohort spans, codec timings,
   heartbeat RTTs, lifecycle counters, per-frame-type wire tallies
   folded at :meth:`close`, and each worker's TELEMETRY summary
@@ -54,7 +55,6 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -71,7 +71,7 @@ from repro.execution.base import (
     TrainRequest,
     order_updates,
 )
-from repro.execution.pool import absorb_rng_state, deal, group_by_owner, owned_by
+from repro.execution.pool import absorb_rng_state, balance, ledger_state
 from repro.serialization import shard_to_bytes
 from repro.simcluster.client import ClientUpdate
 from repro.simcluster.population import PopulationStore
@@ -94,8 +94,8 @@ def _close_inherited_sockets() -> None:
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_close_inherited_sockets)
 
-#: A train job is ``(client_id, epochs)``, an eval job a client id, an
-#: eval-model job a ``(start, end)`` shard.
+#: A train job is ``(client_id, epochs, rng_state)``, an eval job a client
+#: id, an eval-model job a ``(start, end)`` shard.
 _Job = Hashable
 
 #: Synthetic event-queue marker: a parked worker's connection resumed
@@ -191,7 +191,9 @@ class _InFlight:
     ``done`` holds the keys already merged -- a client id, or an eval
     shard's ``(start, end)`` -- which :meth:`settle` dedupes through.
     Each worker's jobs are held by key, so settling one costs a dict
-    pop per worker, whatever the batch size.
+    pop per worker, whatever the batch size.  ``costs`` holds what each
+    key weighs when it is dealt (:func:`repro.execution.pool.balance`),
+    again after a worker loss or resume.
     """
 
     def __init__(
@@ -207,6 +209,7 @@ class _InFlight:
         self.broadcasted: Set[int] = set()
         self.dispatch_gen: Dict[int, int] = {}
         self.done: Set[Hashable] = set()
+        self.costs: Dict[Hashable, float] = {}
 
     @property
     def pending(self) -> Dict[int, List[_Job]]:
@@ -243,9 +246,9 @@ class _InFlight:
         worker's in-flight result can land after its job was already
         reassigned, and the replica's copy must not keep the batch open.
         A second result for the same key is a duplicate from such a
-        reassignment race -- both workers computed from the same pinned
-        state, so the copies are bit-identical -- and only the first is
-        merged.
+        reassignment race -- both workers trained from the RNG state the
+        job carries, so the copies are bit-identical -- and only the
+        first is merged.
         """
         for jobs in self._jobs.values():
             jobs.pop(key, None)
@@ -259,11 +262,12 @@ class PoolExecutor(ClientExecutor):
     """Train cohorts across registered worker agents: the coordinator
     both worker pools share.
 
-    Every operation is *build the jobs -> group them by owner ->*
-    :meth:`_run` *-> assemble*: values merge as they arrive (a trained
-    update's RNG state is absorbed at once), captured failures are raised
-    together once the batch is done, each naming its worker, and updates
-    return in request order.  A subclass supplies only how its workers
+    Every operation is *build the jobs and their costs ->* :meth:`_run`
+    *-> assemble*: the batch is dealt over the live workers by cost,
+    values merge as they arrive (a trained update's RNG state is
+    absorbed at once), captured failures are raised together once the
+    batch is done, each naming its worker, and updates return in request
+    order.  A subclass supplies only how its workers
     connect, :meth:`_register_workers`, which hands each connected socket
     to :meth:`_register` (the one handshake):
     :class:`DistributedExecutor` accepts them on a TCP listener,
@@ -280,8 +284,8 @@ class PoolExecutor(ClientExecutor):
         cohort still making progress when it passes fails.
     heartbeat_interval / heartbeat_misses:
         A worker silent for ``interval`` seconds is PINGed; silent for
-        ``interval * misses`` seconds it is declared dead and its clients
-        are reassigned.
+        ``interval * misses`` seconds it is declared dead and its jobs
+        are re-dealt.
     max_frame_payload:
         Optional cap on incoming frame payloads (rejects corrupt length
         headers early; see :mod:`repro.distributed.transport`).  It
@@ -313,8 +317,6 @@ class PoolExecutor(ClientExecutor):
         self.reconnect_grace = 0.0
         self.max_frame_payload = max_frame_payload
 
-        # Client id -> worker id, dealt when the workers start.
-        self._owner: Dict[int, int] = {}
         # Set once every worker holds the bound eval set (see _eval_holders).
         self._eval_shipped = False
         self._handles: Dict[int, _WorkerHandle] = {}
@@ -337,19 +339,13 @@ class PoolExecutor(ClientExecutor):
         # How each BROADCAST left: a fresh encode, a cached frame fanned
         # out again, or a header-only alias.  Always on (plain ints).
         self._broadcast_stats = {"encodes": 0, "frames_reused": 0, "aliases": 0}
-        # Serialises retire-and-re-pin and resume; RLock because a failed
-        # re-ship recurses onto the next survivor.
+        # Serialises retirement and resume; RLock because a failed
+        # re-dispatch retires the next survivor under it.
         self._death_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # the executor contract: build the jobs, _run them, assemble
     # ------------------------------------------------------------------
-    def owner_of(self, client_id: int) -> int:
-        """Worker a client is currently pinned to."""
-        if not self._started():
-            raise ExecutorError("executor not started yet")
-        return self._owner[client_id]
-
     def bind_eval_data(self, x: np.ndarray, y: np.ndarray) -> None:
         """Bind the server-held eval set; it ships to the workers once, and
         re-binding different data after that is an error (the ship-once
@@ -364,8 +360,8 @@ class PoolExecutor(ClientExecutor):
         super().bind_eval_data(x, y)
 
     def _gather(
-        self, kind: str, round_idx: int, weights: np.ndarray, per_worker: Dict[int, list],
-        merge: Callable[[Hashable, object], None] = lambda key, value: None,
+        self, kind: str, round_idx: int, weights: np.ndarray, jobs: Sequence[_Job],
+        costs: Sequence[float], merge: Callable[[Hashable, object], None] = lambda key, value: None,
     ) -> Dict[Hashable, object]:
         """:meth:`_run` one batch: every value by key in arrival order,
         each passed to ``merge(key, value)`` as it arrives."""
@@ -381,7 +377,7 @@ class PoolExecutor(ClientExecutor):
                 unit = f"shard [{key[0]}:{key[1]}]" if kind == "eval_model" else f"client {key}"
                 failures.append(f"{unit}: (worker {wid})\n{error}")
 
-        self._run(kind, round_idx, weights, per_worker, what, on_result)
+        self._run(kind, round_idx, weights, jobs, costs, what, on_result)
         self._raise_failures(f"{failed} on {self.name} worker(s)", failures)
         return values
 
@@ -389,11 +385,12 @@ class PoolExecutor(ClientExecutor):
         self, round_idx: int, requests: Sequence[TrainRequest], global_weights: np.ndarray,
         latencies: Optional[Mapping[int, float]],
     ) -> List[ClientUpdate]:
-        jobs = [(req.client_id, req.epochs) for req in requests]
+        ids = [req.client_id for req in requests]
+        jobs = [(req.client_id, req.epochs, ledger_state(self._clients, req.client_id))
+                for req in requests]
+        costs = [n * req.epochs for n, req in zip(self._sizes(ids), requests)]
         trained = self._gather(
-            "train", round_idx, global_weights, group_by_owner(jobs, self._owner, itemgetter(0)),
-            # On arrival: a resume or re-deal mid-cohort re-ships the RNG
-            # ledger as merged so far.
+            "train", round_idx, global_weights, jobs, costs,
             lambda cid, value: absorb_rng_state(self._clients, cid, value[2]),
         )
         updates = [self._stamp(cid, w, n, latencies) for cid, (w, n, _) in trained.items()]
@@ -403,8 +400,17 @@ class PoolExecutor(ClientExecutor):
         self, requests: Sequence[EvalRequest], flat_weights: np.ndarray
     ) -> Dict[int, float]:
         ids = [req.client_id for req in requests]
-        accs = self._gather("eval", 0, flat_weights, group_by_owner(ids, self._owner))
+        accs = self._gather("eval", 0, flat_weights, ids, self._sizes(ids, holdout=True))
         return {cid: accs[cid] for cid in ids}
+
+    def _sizes(self, ids: Sequence[int], holdout: bool = False) -> List[int]:
+        """Per client, the rows its train job reads -- or, ``holdout``,
+        its eval job: what a batch is dealt by."""
+        clients = self._clients
+        if isinstance(clients, PopulationStore):
+            column = clients.holdout_size if holdout else clients.num_train_samples
+            return column[clients._rows(ids)].tolist()
+        return [len(clients[c].holdout) if holdout else clients[c].num_train_samples for c in ids]
 
     def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
         """Every worker holding exactly this dataset, shipped by
@@ -417,8 +423,8 @@ class PoolExecutor(ClientExecutor):
     def _count_sharded(
         self, flat_weights: np.ndarray, x: np.ndarray, y: np.ndarray, bounds: List[Tuple[int, int]]
     ) -> int:
-        per_worker = group_by_owner(bounds, deal(bounds, self._eval_holders()))
-        return sum(self._gather("eval_model", 0, flat_weights, per_worker).values())
+        costs = [b - a for a, b in bounds]
+        return sum(self._gather("eval_model", 0, flat_weights, bounds, costs).values())
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -564,54 +570,33 @@ class PoolExecutor(ClientExecutor):
         """Connect ``self.workers`` agents, each through :meth:`_register`."""
         raise NotImplementedError
 
-    def _worker_cycle(self, worker_ids: Sequence[int]) -> List[int]:
-        """Capacity-weighted deal cycle (a capacity-2 worker appears twice)."""
-        cycle: List[int] = []
-        for wid in worker_ids:
-            cycle.extend([wid] * self._handles[wid].capacity)
-        return cycle
-
     # ------------------------------------------------------------------
-    # assignment shipping: client pickles or store shards (v6)
+    # the one assignment: the whole population, to every worker (v6)
     # ------------------------------------------------------------------
-    def _send_assignment(
-        self,
-        conn: Connection,
-        owned_ids: Sequence[int],
-        model=None,
-        redeal: bool = False,
-    ) -> None:
-        """Ship ownership of ``owned_ids`` over ``conn``.
+    def _assignment(self) -> Tuple[int, bytes]:
+        """The frame every worker starts from: the whole population and
+        the model shell.
 
-        A population store ships one compact ASSIGN_SHARD column slice
-        (O(shard) bytes, no ``SimClient`` pickles); hand-built dict
-        pools keep the pickled-dict ASSIGN.  ``redeal=True`` marks
-        re-ships triggered by a peer's retirement, counted separately so
-        ``cli report`` distinguishes steady-state pinning from churn.  The shard's
-        ``rng_states`` come straight from the store ledger, which every
-        merged UPDATE keeps authoritative -- the property that makes a
-        re-dealt slice replay bit-identically.
+        A population store ships one compact ASSIGN_SHARD of its columns
+        (O(population) bytes, no ``SimClient`` pickles), with the
+        ledger's RNG snapshots; hand-built dict pools keep the
+        pickled-dict ASSIGN.  Built once, sent to each worker.
         """
-        if isinstance(self._clients, PopulationStore):
-            blob = shard_to_bytes(self._clients.shard(owned_ids))
-            telemetry.count("wire.shard_ships", 1)
-            telemetry.count("wire.shard_bytes", len(blob))
-            if redeal:
-                telemetry.count("wire.shard_redeals", 1)
-            conn.send(
-                proto.MsgType.ASSIGN_SHARD,
-                proto.encode_assign_shard(blob, self._training, self._signature, model=model),
+        clients = self._clients
+        if isinstance(clients, PopulationStore):
+            blob = shard_to_bytes(clients.shard(clients.client_ids))
+            telemetry.count("wire.shard_ships", len(self._handles))
+            telemetry.count("wire.shard_bytes", len(blob) * len(self._handles))
+            return proto.MsgType.ASSIGN_SHARD, proto.encode_assign_shard(
+                blob, self._training, self._signature, model=self._model
             )
-        else:
-            owned = {cid: self._clients[cid] for cid in owned_ids}
-            conn.send(
-                proto.MsgType.ASSIGN,
-                proto.encode_assign(owned, self._training, self._signature, model=model),
-            )
+        return proto.MsgType.ASSIGN, proto.encode_assign(
+            dict(clients), self._training, self._signature, model=self._model
+        )
 
     def _eval_holders(self) -> List[int]:
         """Every live worker: the eval set travels as one BIND_EVAL frame
-        per worker ahead of its ASSIGN, or -- bound after the workers
+        per worker ahead of its assignment, or -- bound after the workers
         registered -- here, before its first sharded pass."""
         if not self._eval_shipped:
             blob = proto.encode_bind_eval(*self._eval_data)
@@ -628,14 +613,12 @@ class PoolExecutor(ClientExecutor):
     def _ensure_started(self) -> None:
         if self._assigned:
             return
-        clients = self._require_bound()
+        self._require_bound()
         self._signature = proto.model_signature(self._model)
         self._num_params = self._model.num_params()
         self._register_workers()
 
-        ids = sorted(clients)
-        self._owner = deal(ids, self._worker_cycle(sorted(self._handles)))
-        owned_ids = group_by_owner(ids, self._owner)
+        assignment = self._assignment()
         eval_blob = (
             proto.encode_bind_eval(*self._eval_data)
             if self._eval_data is not None
@@ -646,9 +629,7 @@ class PoolExecutor(ClientExecutor):
             # its main thread is still idle, not busy rebuilding a shard.
             if eval_blob is not None:
                 handle.conn.send(proto.MsgType.BIND_EVAL, eval_blob)
-            self._send_assignment(
-                handle.conn, owned_ids.get(wid, []), model=self._model
-            )
+            handle.conn.send(*assignment)
             handle.reader = threading.Thread(
                 target=self._reader, args=(handle, handle.gen), daemon=True,
                 name=f"repro-dist-reader-{wid}",
@@ -664,8 +645,8 @@ class PoolExecutor(ClientExecutor):
         Every result frame and every death-class event (EOF, REJECT,
         BYE) is posted exactly once, tagged with this connection's
         ``gen``: a stale reader (superseded by a resume) can never park
-        the replacement connection, nor have a result merged that the
-        resume's re-ship did not account for (see :meth:`_collect`).
+        the replacement connection, nor have a result merged from a pass
+        the resume forgot (see :meth:`_collect`).
         """
         conn = handle.conn
         while True:
@@ -710,15 +691,14 @@ class PoolExecutor(ClientExecutor):
         return sorted(wid for wid, h in self._handles.items() if h.alive)
 
     def _reassign_candidates(self) -> List[int]:
-        """Worker ids eligible to inherit clients or shards.
+        """Worker ids a batch's jobs may be dealt to.
 
         Workers that are ``up``; when none are, workers parked ``lost``
         whose reconnect grace window is still open -- a run whose only
         survivors are mid-blip must wait for a resume (or the window's
-        expiry), not abort.  Jobs pinned to a lost candidate simply stay
-        pending: dispatching to it fails and parks, and its resume both
-        re-ships every owned client and re-dispatches the pending jobs.
-        Empty means the federation is truly out of workers.
+        expiry), not abort.  Jobs dealt to a lost candidate simply stay
+        pending: dispatching to it is skipped, and its resume re-deals
+        them.  Empty means the federation is truly out of workers.
         """
         now = time.monotonic()
         return self._live_ids() or sorted(
@@ -729,13 +709,13 @@ class PoolExecutor(ClientExecutor):
             and now - h.lost_at <= self.reconnect_grace
         )
 
-    def _heirs(self, wid: int, reason: str) -> List[int]:
-        """:meth:`_reassign_candidates` for ``wid``'s work, or
-        ``ExecutorError`` naming its ``reason`` when there are none."""
+    def _heirs(self, last_failure: str) -> List[int]:
+        """:meth:`_reassign_candidates`, or ``ExecutorError`` naming the
+        ``last_failure`` when there are none."""
         heirs = self._reassign_candidates()
         if not heirs:
             raise ExecutorError(
-                f"all {self.name} workers are gone (last failure: worker {wid}: {reason})"
+                f"all {self.name} workers are gone (last failure: {last_failure})"
             )
         return heirs
 
@@ -792,16 +772,14 @@ class PoolExecutor(ClientExecutor):
             telemetry.count("distributed.worker_lost", 1)
             return True
 
-    def _retire_and_reassign(self, wid: int, reason: str) -> None:
-        """Retire ``wid``, re-pin and re-ship its clients (idempotent).
+    def _retire_lost_worker(self, wid: int, reason: str) -> None:
+        """Retire ``wid`` after a failure (idempotent); raises when no
+        worker is left to take its jobs.
 
-        The coordinator pool's RNG states are authoritative (synced on
-        every merged UPDATE), so re-shipping a client replays exactly the
-        stream position the serial schedule would be at.  Serialised by
-        ``_death_lock`` against a resume on the accept thread; a death
-        observed twice makes the second call a no-op, and every
-        owner-map mutation happens under the lock.  Raises when no
-        survivors remain.
+        Nothing is re-shipped: every survivor already holds the whole
+        population, and each job carries its client's ledger RNG state.
+        Serialised by ``_death_lock`` against a resume on the accept
+        thread; a death observed twice makes the second call a no-op.
         """
         with self._death_lock:
             handle = self._handles.get(wid)
@@ -811,39 +789,7 @@ class PoolExecutor(ClientExecutor):
             # Counted here, not in _retire: close() retires every handle
             # on a normal shutdown, which is not a failure.
             telemetry.count("distributed.worker_retired", 1)
-            survivors = self._heirs(wid, reason)
-            orphans = owned_by(self._owner, wid)
-            if not orphans:
-                return
-            self._owner.update(deal(orphans, self._worker_cycle(survivors)))
-            # Re-ship every orphaned client (future rounds need the
-            # pinning); model shells already live on the survivors.  For
-            # store-backed pools only the dead worker's id range travels
-            # -- one ASSIGN_SHARD slice per inheritor, with the ledger's
-            # authoritative RNG snapshots.
-            by_target = group_by_owner(orphans, self._owner)
-            for target in sorted(by_target):
-                handle = self._handles[target]
-                if not handle.alive:
-                    # A lost candidate: its resume re-ships every owned
-                    # client (the ones just moved included), so there is
-                    # nothing to send until it comes back.
-                    continue
-                gen = handle.gen
-                try:
-                    self._send_assignment(
-                        handle.conn, by_target[target], redeal=True
-                    )
-                except OSError as exc:
-                    # A transient blip parks the replacement for its own
-                    # resume (which re-ships all owned clients); only
-                    # with resume disabled does the failure cascade into
-                    # retiring it and moving the clients again.
-                    if self._grace_lost(target, gen):
-                        continue
-                    self._retire_and_reassign(
-                        target, f"send failed during reassignment: {exc}"
-                    )
+            self._heirs(f"worker {wid}: {reason}")
 
     # ------------------------------------------------------------------
     # codec-aware broadcast + dispatch
@@ -943,7 +889,10 @@ class PoolExecutor(ClientExecutor):
             if state.kind == "train":
                 handle.conn.send(
                     proto.MsgType.TRAIN,
-                    proto.encode_train(state.seq, state.round_idx, jobs),
+                    proto.encode_train(
+                        state.seq, state.round_idx, [job[:2] for job in jobs],
+                        [(cid, rng) for cid, _, rng in jobs if rng is not None],
+                    ),
                 )
             elif state.kind == "eval":
                 handle.conn.send(
@@ -957,26 +906,37 @@ class PoolExecutor(ClientExecutor):
                 )
             state.dispatch_gen[handle.id] = gen
 
-    def _initial_dispatch(
-        self, kind: str, round_idx: int, weights: np.ndarray, pending: Dict[int, List[_Job]]
-    ) -> _InFlight:
-        """Open a batch: allocate its seq and dispatch ``pending`` (worker
-        id -> jobs) to the pinned workers.
+    def _deal(
+        self, state: _InFlight, jobs: Sequence[_Job], last_failure: str, when: str = ""
+    ) -> None:
+        """Deal ``jobs`` over :meth:`_heirs` by cost and dispatch each
+        worker its share.
 
-        Dispatches from a snapshot: a death during this loop reassigns
-        the dead worker's jobs into ``state.pending`` (and dispatches
-        them), so iterating the live dict would dispatch reassigned jobs
-        a second time -- the duplicate result would be discarded, but a
-        training replica's local RNG streams would advance twice and
-        every later round would silently diverge from the serial
-        schedule.
+        Every share is recorded as pending before any send: a death
+        during this loop re-deals the dead worker's whole pending list
+        (these jobs included), so nothing is lost or sent twice.
         """
+        workers = self._heirs(last_failure)
+        capacities = {wid: self._handles[wid].capacity for wid in workers}
+        by_key = {state.key_of(job): job for job in jobs}
+        keys = list(by_key)
+        dealt = balance(keys, [state.costs[k] for k in keys], workers, capacities)
+        shares = {wid: [by_key[k] for k in dealt[wid]] for wid in sorted(dealt)}
+        for wid, share in shares.items():
+            state.add(wid, share)
+        for wid, share in shares.items():
+            self._dispatch_or_fail_over(wid, state, share, when)
+
+    def _initial_dispatch(
+        self, kind: str, round_idx: int, weights: np.ndarray, jobs: Sequence[_Job],
+        costs: Sequence[float],
+    ) -> _InFlight:
+        """Open a batch: allocate its seq, deal ``jobs`` by ``costs`` over
+        the live workers and dispatch them."""
         self._seq += 1
         state = _InFlight(self._seq, round_idx, weights, kind)
-        state.pending = pending
-        initial = {wid: list(jobs) for wid, jobs in pending.items()}
-        for wid in sorted(initial):
-            self._dispatch_or_fail_over(wid, state, initial[wid])
+        state.costs = {state.key_of(job): cost for job, cost in zip(jobs, costs)}
+        self._deal(state, jobs, "no worker is up")
         return state
 
     def _dispatch_or_fail_over(
@@ -985,11 +945,10 @@ class PoolExecutor(ClientExecutor):
         """Dispatch ``jobs`` to worker ``wid`` unless it is not ``up``.
 
         Not ``up`` means retired by an earlier death handling (its whole
-        pending list was already reassigned and dispatched) or parked
-        lost: its resume -- or its grace expiry through the heartbeat
-        check -- owns these jobs, which stay pending.  A failed send
-        parks the worker the same way, or retires it (grace disabled)
-        and moves the jobs on.
+        pending list was already re-dealt) or parked lost: its resume --
+        or its grace expiry through the heartbeat check -- owns these
+        jobs, which stay pending.  A failed send parks the worker the
+        same way, or retires it (grace disabled) and re-deals the jobs.
         """
         handle = self._handles[wid]
         if not handle.alive:
@@ -1004,55 +963,38 @@ class PoolExecutor(ClientExecutor):
     def _handle_worker_death(
         self, wid: int, state: _InFlight, reason: str
     ) -> None:
-        """Process a worker loss for one collector's in-flight batch.
-
-        Retires + re-pins globally (idempotent -- see
-        :meth:`_retire_and_reassign`), then re-dispatches *this
-        collector's* outstanding jobs for the dead worker to the new
-        owners (training and per-client eval jobs follow the pinning;
-        eval-model shards are re-dealt over the survivors, the eval set
-        being resident everywhere).
-        """
-        self._retire_and_reassign(wid, reason)
+        """Process a worker loss for one collector's in-flight batch:
+        retire it (idempotent -- see :meth:`_retire_lost_worker`), then
+        re-deal *this collector's* outstanding jobs for it over the
+        survivors, which all hold the population and the eval set."""
+        self._retire_lost_worker(wid, reason)
         outstanding = state.take(wid)
         state.dispatch_gen.pop(wid, None)
-        if not outstanding:
-            return
-        # _retire_and_reassign only raises for the FIRST collector to
-        # observe the terminal death; a second collector with its own
-        # outstanding jobs must fail the same way, not spin.
-        candidates = self._heirs(wid, reason)
-        owner = deal(outstanding, candidates) if state.kind == "eval_model" else self._owner
-        by_target = group_by_owner(outstanding, owner, key=state.key_of)
-        for target in sorted(by_target):
-            jobs = by_target[target]
-            # Recorded as pending BEFORE the send: if the send fails,
-            # the recursion below takes the target's whole pending list
-            # (these jobs included) and moves it on -- nothing is lost.
-            state.add(target, jobs)
-            self._dispatch_or_fail_over(target, state, jobs, " during reassignment")
+        if outstanding:
+            # _retire_lost_worker only raises for the FIRST collector to
+            # observe the terminal death; a second collector with its own
+            # outstanding jobs must fail the same way, not spin.
+            self._deal(state, outstanding, f"worker {wid}: {reason}", " during reassignment")
 
     def _redispatch_after_resume(self, wid: int, state: _InFlight) -> None:
-        """Re-send a resumed worker its outstanding jobs for this batch.
+        """Re-deal a resumed worker's outstanding jobs for this batch over
+        the live workers, itself included.
 
         Only when the jobs were dispatched to a *previous* connection
         (``dispatch_gen`` differs): a stale resume event must never
-        double-dispatch jobs the current connection already holds --
-        the duplicate result would be discarded, but the worker's local
-        RNG streams would advance twice and diverge from serial.  The
-        broadcast is re-sent (raw resync: the resume cleared the
-        baseline mirror).
+        double-dispatch jobs the current connection already holds.  The
+        resumed worker's next broadcast is a raw resync (the resume
+        cleared its baseline mirror).
         """
         handle = self._handles.get(wid)
         if handle is None or not handle.alive:
             return
-        jobs = state.pending.get(wid)
-        if not jobs:
-            return
-        if state.dispatch_gen.get(wid) == handle.gen:
+        if not state.pending.get(wid) or state.dispatch_gen.get(wid) == handle.gen:
             return
         state.broadcasted.discard(wid)
-        self._dispatch_or_fail_over(wid, state, list(jobs), " after resume")
+        outstanding = state.take(wid)
+        state.dispatch_gen.pop(wid, None)
+        self._deal(state, outstanding, f"worker {wid} resumed", " after resume")
 
     def _check_heartbeats(self, state: _InFlight) -> List[Tuple[int, str]]:
         """PING quiet busy workers; return those past their limit.
@@ -1067,8 +1009,8 @@ class PoolExecutor(ClientExecutor):
             if handle.state == "retired":
                 if jobs:
                     # Jobs stranded on a worker another collector retired
-                    # (e.g. it was retired between this collector's
-                    # owner-map read and its dispatch): redistribute.
+                    # (e.g. between this collector's deal and its
+                    # dispatch): redistribute.
                     dead.append((wid, "worker already retired"))
                 continue
             if handle.state == "lost":
@@ -1195,10 +1137,9 @@ class PoolExecutor(ClientExecutor):
             unexpected = f"unexpected message type {msg_type}"
             # Merged under the lock a resume holds, and only while the
             # connection the frame was read off is still the worker's: a
-            # resume re-ships the worker's clients from the RNG ledger as
-            # merged *so far*, so a result it overtook in this queue is
-            # training the worker was just told to forget.  Dropped, its
-            # job stays pending and the resume event re-dispatches it.
+            # result a resume overtook in this queue belongs to a pass
+            # the resume forgets.  Dropped, its job stays pending and the
+            # resume event re-deals it.
             with self._death_lock:
                 if gen != self._handles[wid].gen:
                     continue
@@ -1224,16 +1165,17 @@ class PoolExecutor(ClientExecutor):
         kind: str,
         round_idx: int,
         weights: np.ndarray,
-        per_worker: Dict[int, List[_Job]],
+        jobs: Sequence[_Job],
+        costs: Sequence[float],
         what: str,
         on_result: OnResult,
     ) -> None:
         """One batch: :meth:`_initial_dispatch`, then :meth:`_collect`
         until every job settled.  Only a key's first result reaches
-        ``on_result`` (a reassignment race may compute it twice,
+        ``on_result`` (a re-deal race may compute it twice,
         bit-identically), under the lock a resume holds; a merged UPDATE
         then calls :meth:`_on_update_received`."""
-        state = self._initial_dispatch(kind, round_idx, weights, per_worker)
+        state = self._initial_dispatch(kind, round_idx, weights, jobs, costs)
 
         def settle(wid: int, msg_type: int, entries: List[tuple]) -> None:
             for key, value, error in entries:
@@ -1291,7 +1233,6 @@ class PoolExecutor(ClientExecutor):
             if handle.reader is not None:
                 handle.reader.join(timeout=2.0)
         self._handles = {}
-        self._owner = {}
 
     def __del__(self) -> None:  # pragma: no cover - safety net
         try:
@@ -1315,7 +1256,7 @@ class DistributedExecutor(PoolExecutor):
     reconnect_grace:
         Seconds a worker whose TCP connection dropped may take to
         reconnect-and-resume (see the module docstring) before it is
-        retired and its clients reassigned.  ``0`` (default) retires on
+        retired and its jobs re-dealt.  ``0`` (default) retires on
         the first loss, the pre-v4 behaviour.
 
     Its wire is read off :attr:`bytes_sent` and :attr:`bytes_received`
@@ -1410,8 +1351,8 @@ class DistributedExecutor(PoolExecutor):
         """Post-registration accept thread: resume handshakes only.
 
         Runs until :meth:`close`.  Fresh registrations are refused (the
-        client pinning is fixed for the federation's lifetime); a HELLO
-        with a valid ``resume`` token revives a parked worker.
+        worker set is fixed for the federation's lifetime); a HELLO with
+        a valid ``resume`` token revives a parked worker.
         """
         listener = self._listener
         assert listener is not None
@@ -1432,8 +1373,7 @@ class DistributedExecutor(PoolExecutor):
             if resume is None:
                 self._reject(
                     conn,
-                    "federation already running: clients are pinned, new "
-                    "workers cannot join mid-run",
+                    "federation already running: new workers cannot join mid-run",
                 )
                 continue
             self._try_resume(conn, resume)  # type: ignore[arg-type]
@@ -1442,13 +1382,12 @@ class DistributedExecutor(PoolExecutor):
         """Resume a parked worker on a fresh connection (or refuse).
 
         Under ``_death_lock`` so it can never interleave with a
-        retire-and-reassign observing the same worker.  On success the
-        worker's clients are re-shipped with the coordinator's
-        authoritative RNG state (the replay that keeps a re-trained job
-        bit-identical), the resident eval set is re-shipped, the delta
-        baseline mirror is cleared (next broadcast resyncs raw) and a
-        resume event wakes the collector to re-dispatch outstanding
-        jobs.
+        retirement observing the same worker.  On success the resident
+        eval set is re-shipped, the delta baseline mirror is cleared
+        (next broadcast resyncs raw) and a resume event wakes the
+        collector to re-deal outstanding jobs.  The population is not
+        re-shipped: the worker process kept it, and every job carries
+        its client's ledger RNG state.
         """
         wid = int(resume["worker_id"])  # type: ignore[arg-type]
         token = str(resume["token"])
@@ -1479,7 +1418,7 @@ class DistributedExecutor(PoolExecutor):
                 and time.monotonic() - handle.lost_at > self.reconnect_grace
             ):
                 # Expired but not yet observed by a collector: refuse the
-                # resume; the next collector pass retires and reassigns.
+                # resume; the next collector pass retires and re-deals.
                 self._reject(
                     conn,
                     f"worker {wid} reconnect grace of "
@@ -1493,10 +1432,6 @@ class DistributedExecutor(PoolExecutor):
                 self._fold_and_close(handle)
             try:
                 self._welcome(conn, handle)
-                # RNG replay: the coordinator pool/store ledger is
-                # authoritative (synced on every merged UPDATE), so this
-                # overwrites whatever half-trained state the worker kept.
-                self._send_assignment(conn, owned_by(self._owner, wid))
                 if self._eval_shipped and self._eval_data is not None:
                     conn.send(
                         proto.MsgType.BIND_EVAL,

@@ -13,7 +13,7 @@ collector's reach.  What differs is the pipe:
   end of a ``socket.socketpair()`` and registers the other through the
   coordinator's one handshake path.  There is no listening socket, so
   nothing else on the machine can register, and no resume: a dead local
-  worker's clients are re-dealt over the survivors.
+  worker's jobs are re-dealt over the survivors.
 * :func:`spawn_local_workers` runs the ``worker`` command in the child
   against a TCP endpoint, the *loopback* topology of the equivalence
   tests and the ``loopback_*`` workloads of ``perf/``: it gets
@@ -94,8 +94,9 @@ class ProcessExecutor(PoolExecutor):
     """Train cohorts across local worker processes, one socketpair each.
 
     The coordinator is :class:`~repro.distributed.coordinator.PoolExecutor`
-    -- the frames, pinning, collector, codec, eval-set shipping and
-    re-deal of a dead worker's clients that ``distributed`` runs -- over
+    -- the frames, cost-balanced dealing, collector, codec, eval-set
+    shipping and re-deal of a dead worker's jobs that ``distributed``
+    runs -- over
     ``min(workers, clients)`` children forked at the first cohort.
     ``result_timeout`` is the wall-clock deadline of one cohort.  What
     crosses the pairs is read off :attr:`bytes_shipped`.

@@ -27,7 +27,7 @@ from repro.nn.model import Sequential
 
 #: Bump on any wire-incompatible change: the handshake REJECTs a peer of
 #: another version by name (history: ``docs/architecture.md``).
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 
 #: Largest payload a connection accepts until HELLO/WELCOME has succeeded
 #: (both peers): the receiver allocates at the header's announcement, so
@@ -134,6 +134,72 @@ def _mapping(value: Any) -> dict:
     return dict(value)
 
 
+# --- PCG64 states: four checked ints, never a pickle ------------------
+#: A client's train-RNG position on the wire: ``state`` and ``inc`` are
+#: u128 (``inc`` odd, as PCG64 keeps it), ``has_uint32`` is 0 or 1 and
+#: ``uinteger`` a u32.  TRAIN carries it as JSON ints, UPDATE as this
+#: struct; both are checked before numpy sees a value.
+_PCG64_ROW = struct.Struct("!16s16sBI")
+
+
+def _pcg64_problem(row: Sequence[Any]) -> Optional[str]:
+    """What is wrong with a ``(state, inc, has_uint32, uinteger)`` row, if anything."""
+    if len(row) != 4 or not all(type(v) is int for v in row):
+        return f"a PCG64 row is 4 ints, got {list(row)!r}"
+    state, inc, has_uint32, uinteger = row
+    if not (0 <= state < 1 << 128 and 0 <= inc < 1 << 128 and inc & 1):
+        return "PCG64 state and inc must lie in [0, 2**128), inc odd"
+    if has_uint32 not in (0, 1) or not 0 <= uinteger < 1 << 32:
+        return "PCG64 has_uint32 must be 0 or 1, uinteger in [0, 2**32)"
+    return None
+
+
+def _pcg64_row(state: Mapping[str, Any]) -> Tuple[int, int, int, int]:
+    """The four ints of a PCG64 ``bit_generator.state`` (``ValueError``
+    for another generator's)."""
+    if state.get("bit_generator") != "PCG64":
+        raise ValueError(f"a {state.get('bit_generator')} state is not a PCG64 row")
+    inner = state["state"]
+    return int(inner["state"]), int(inner["inc"]), int(state["has_uint32"]), int(state["uinteger"])
+
+
+def _pcg64_state(row: Sequence[int]) -> Dict[str, Any]:
+    """A checked row as the dict numpy's ``bit_generator.state`` takes."""
+    state, inc, has_uint32, uinteger = row
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+
+
+def _pack_pcg64(state: Mapping[str, Any]) -> bytes:
+    s, inc, has_uint32, uinteger = _pcg64_row(state)
+    return _PCG64_ROW.pack(s.to_bytes(16, "big"), inc.to_bytes(16, "big"), has_uint32, uinteger)
+
+
+def _unpack_pcg64(payload: bytes, offset: int, what: str) -> Dict[str, Any]:
+    s, inc, has_uint32, uinteger = _PCG64_ROW.unpack_from(payload, offset)
+    row = (int.from_bytes(s, "big"), int.from_bytes(inc, "big"), has_uint32, uinteger)
+    problem = _pcg64_problem(row)
+    if problem:
+        raise ProtocolError(f"malformed {what} payload: {problem}")
+    return _pcg64_state(row)
+
+
+def _rng_rows(value: Any) -> bool:
+    """TRAIN's ``rng``: ``[client, *PCG64 row]`` rows, one per client at most."""
+    return (
+        type(value) is list
+        and all(
+            type(r) is list and len(r) == 5 and type(r[0]) is int and not _pcg64_problem(r[1:])
+            for r in value
+        )
+        and len({r[0] for r in value}) == len(value)
+    )
+
+
 _DICT = _Kind(_mapping, lambda v: type(v) is dict)
 #: The closed set of field kinds; the last three travel in pickle rows only.
 _KINDS: Dict[str, _Kind] = {
@@ -149,6 +215,11 @@ _KINDS: Dict[str, _Kind] = {
         lambda v: [[int(a), int(b)] for a, b in v],
         lambda v: type(v) is list and all(_ints(p) and len(p) == 2 for p in v),
         lambda v: [(a, b) for a, b in v],
+    ),
+    "[[int, PCG64 row]]": _Kind(
+        lambda v: [[int(cid), *_pcg64_row(state)] for cid, state in v],
+        _rng_rows,
+        lambda v: [(r[0], _pcg64_state(r[1:])) for r in v],
     ),
     "JSON object": _DICT,
     "{worker_id, token}?": _Kind(  # HELLO's `resume`, sent on a reconnect
@@ -205,9 +276,19 @@ def _eval_results(v: Dict[str, Any]) -> Optional[str]:
     return None
 
 
+def _train_rng(v: Dict[str, Any]) -> Optional[str]:
+    """TRAIN's rule: an RNG state only for a client the order trains."""
+    jobs = {job[0] for job in v["jobs"]}
+    return next(
+        (f"an RNG state for client {row[0]}, which has no job" for row in v["rng"]
+         if row[0] not in jobs),
+        None,
+    )
+
+
 _CONFIG = (("training", "any"), ("signature", "str"), ("model", "any"))
 
-#: Every frame type of protocol v8, in type-byte order.
+#: Every frame type of protocol v9, in type-byte order.
 # fmt: off
 FRAMES: Tuple[FrameSpec, ...] = (
     FrameSpec(
@@ -228,7 +309,7 @@ FRAMES: Tuple[FrameSpec, ...] = (
         "refuses a peer, or a frame it cannot serve, and closes the connection"),
     FrameSpec(
         MsgType.ASSIGN, "c→w", "pickle", (("clients", "dict"),) + _CONFIG,
-        "pins pickled clients (data and RNG state); hand-built dict pools only"),
+        "ships every pickled client (data and RNG state); hand-built dict pools only"),
     FrameSpec(
         MsgType.BROADCAST, "c→w", "struct",
         (("seq", "I"), ("num_params", "Q"), ("codec_id", "B"), ("baseline_seq", "I")),
@@ -236,14 +317,17 @@ FRAMES: Tuple[FrameSpec, ...] = (
         tail=(("weights", "codec"),)),
     FrameSpec(
         MsgType.TRAIN, "c→w", "json",
-        (("seq", "int"), ("round_idx", "int"), ("jobs", "[[int, int]]")),
-        "train `(client, epochs)` jobs on the weights of BROADCAST `seq`"),
+        (("seq", "int"), ("round_idx", "int"), ("jobs", "[[int, int]]"),
+         ("rng", "[[int, PCG64 row]]")),
+        "train `(client, epochs)` jobs on the weights of BROADCAST `seq`, each from its "
+        "ledger RNG state in `rng` (none: the stream's first position)",
+        check=_train_rng),
     FrameSpec(
         MsgType.UPDATE, "w→c", "struct",
-        (("seq", "I"), ("client_id", "I"), ("num_samples", "Q"), ("rng_len", "I"),
-         ("codec_id", "B"), ("baseline_seq", "I")),
+        (("seq", "I"), ("client_id", "I"), ("num_samples", "Q"), ("codec_id", "B"),
+         ("baseline_seq", "I"), ("has_rng", "B")),
         "one trained client's weights, with its advanced RNG state",
-        tail=(("rng_state", "pickle"), ("weights", "codec"))),
+        tail=(("rng_state", "PCG64 row if `has_rng`"), ("weights", "codec"))),
     FrameSpec(
         MsgType.TRAINFAIL, "w→c", "json",
         (("seq", "int"), ("client_id", "int"), ("traceback", "str")),
@@ -282,7 +366,7 @@ FRAMES: Tuple[FrameSpec, ...] = (
         "the worker's metrics summary, once before BYE; unknown keys are kept"),
     FrameSpec(
         MsgType.ASSIGN_SHARD, "c→w", "pickle", (("shard", "bytes"),) + _CONFIG,
-        "pins a population-store column slice (a PSH1 blob with RNG snapshots)"),
+        "ships the population store's columns (a PSH1 blob with RNG snapshots)"),
 )
 # fmt: on
 
@@ -381,11 +465,18 @@ def decode_reject(payload: bytes) -> str:
     return _decode_json(MsgType.REJECT, payload)["reason"]
 
 
-def encode_train(seq: int, round_idx: int, jobs: Sequence[Tuple[int, int]]) -> bytes:
-    return _encode_json(MsgType.TRAIN, seq, round_idx, jobs)
+def encode_train(
+    seq: int, round_idx: int, jobs: Sequence[Tuple[int, int]],
+    rng: Sequence[Tuple[int, Mapping[str, Any]]] = (),
+) -> bytes:
+    """``rng`` holds ``(client, PCG64 state)`` for each job whose client
+    the ledger has a position for."""
+    return _encode_json(MsgType.TRAIN, seq, round_idx, jobs, rng)
 
 
-def decode_train(payload: bytes) -> Tuple[int, int, List[Tuple[int, int]]]:
+def decode_train(
+    payload: bytes,
+) -> Tuple[int, int, List[Tuple[int, int]], List[Tuple[int, Dict[str, Any]]]]:
     return tuple(_decode_json(MsgType.TRAIN, payload).values())
 
 
@@ -451,7 +542,7 @@ def decode_telemetry(payload: bytes) -> Tuple[int, Dict[str, Any]]:
 def encode_assign(
     clients: Dict[int, Any], training: TrainingConfig, signature: str, model: Any = None
 ) -> bytes:
-    """Each client carries its data and current RNG state, so a re-ship resumes it exactly."""
+    """Each client carries its data and current RNG state."""
     return _encode_pickle(MsgType.ASSIGN, clients, training, signature, model)
 
 
@@ -651,10 +742,9 @@ def encode_update(
     is the BROADCAST it trained from (``baseline_seq == seq``)."""
     codec = _resolve_codec(codec)
     arr = np.ascontiguousarray(np.asarray(flat_weights, dtype=np.float64))
-    rng_blob = pickle.dumps(rng_state, protocol=pickle.HIGHEST_PROTOCOL)
-    ids = (int(seq), int(client_id), int(num_samples), len(rng_blob))
-    header = _UPDATE_HEADER.pack(*ids, codec.codec_id, int(baseline_seq))
-    return header + rng_blob + codec.encode(arr, baseline=baseline)
+    row = b"" if rng_state is None else _pack_pcg64(rng_state)
+    ids = (int(seq), int(client_id), int(num_samples), codec.codec_id, int(baseline_seq))
+    return _UPDATE_HEADER.pack(*ids, int(bool(row))) + row + codec.encode(arr, baseline=baseline)
 
 
 def update_seq(payload: bytes) -> int:
@@ -671,10 +761,16 @@ def decode_update(
     """Inverse of :func:`encode_update`; ``expected_size`` is the model's
     parameter count, which any codec but ``raw`` needs."""
     header = _unpack(_UPDATE_HEADER, payload, "UPDATE")
-    seq, client_id, num_samples, rng_len, codec_id, baseline_seq = header
-    rng_end = _UPDATE_HEADER.size + rng_len
-    if len(payload) < rng_end:
-        raise ProtocolError("truncated UPDATE rng-state blob")
+    seq, client_id, num_samples, codec_id, baseline_seq, has_rng = header
+    rng_state = None
+    rng_end = _UPDATE_HEADER.size
+    if has_rng not in (0, 1):
+        raise ProtocolError(f"malformed UPDATE payload: has_rng is {has_rng}, not 0 or 1")
+    if has_rng:
+        rng_end += _PCG64_ROW.size
+        if len(payload) < rng_end:
+            raise ProtocolError("truncated UPDATE rng-state row")
+        rng_state = _unpack_pcg64(payload, _UPDATE_HEADER.size, "UPDATE")
     try:
         codec = codec_for_id(codec_id)
     except ValueError as exc:
@@ -685,9 +781,7 @@ def decode_update(
     count = expected_size if expected_size >= 0 else (len(payload) - rng_end) // 8
     _check_count(count, "UPDATE")
     try:
-        view = memoryview(payload)
-        rng_state = pickle.loads(view[_UPDATE_HEADER.size : rng_end])
-        weights = codec.decode(view[rng_end:], count, baseline=baseline)
+        weights = codec.decode(memoryview(payload)[rng_end:], count, baseline=baseline)
     except ProtocolError:
         raise
     except Exception as exc:

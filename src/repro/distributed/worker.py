@@ -1,4 +1,4 @@
-"""The worker side: a standalone agent process that trains pinned clients.
+"""The worker side: a standalone agent process that serves any client.
 
 Launched as ``python -m repro.cli worker --connect HOST:PORT`` on any
 machine that can reach the coordinator, or forked by the ``process``
@@ -7,13 +7,15 @@ The agent owns no configuration of its own -- everything (clients,
 model shell, training hyperparameters) arrives over the wire, so a
 fleet of identical agents can serve any federation.
 
-A TRAIN frame is served by :func:`repro.execution.pool.serve_train`
-(one optimizer factory for the round, clients trained in dispatch order
-inside the single workspace model), an EVAL frame by
-:func:`repro.execution.base.evaluate_holdouts` (answered by one
-EVAL_RESULT) and an EVAL_MODEL frame by
+Every agent holds the whole population (one ASSIGN_SHARD, or ASSIGN for
+a hand-built dict pool), so the coordinator may deal it any client.  A
+TRAIN frame is served by :func:`repro.execution.pool.serve_train` (one
+optimizer factory for the round, clients trained in dispatch order
+inside the single workspace model, each from the RNG state its job
+carries), an EVAL frame by :func:`repro.execution.base.evaluate_holdouts`
+(answered by one EVAL_RESULT) and an EVAL_MODEL frame by
 :func:`repro.execution.pool.count_shards`.  Every UPDATE ships the
-client's advanced training-RNG state back so the coordinator's pool
+client's advanced training-RNG state back so the coordinator's ledger
 remains the single source of truth.
 
 A dedicated reader thread answers PING with PONG even while a long
@@ -25,11 +27,11 @@ Reconnect-and-resume (v4): a worker that loses its TCP connection keeps
 its state (clients, workspace, resident eval data) and re-dials the
 coordinator, presenting its ``worker_id`` + ``session_token`` in the
 HELLO's ``resume`` field.  Within the coordinator's grace window the
-session resumes -- the coordinator replays authoritative client RNG
-state via a fresh ASSIGN_SHARD (ASSIGN for a hand-built dict pool) and
-re-dispatches the in-flight round's outstanding jobs -- so a transient
-network blip costs a retransmit, not a permanent retirement.  A REJECTed resume (grace expired, token
-mismatch) exits with :data:`EXIT_REJECTED`, the v3 behaviour.
+session resumes -- the coordinator re-deals the in-flight batch's
+outstanding jobs, which carry their clients' RNG states -- so a
+transient network blip costs a retransmit, not a permanent retirement.
+A REJECTed resume (grace expired, token mismatch) exits with
+:data:`EXIT_REJECTED`, the v3 behaviour.
 
 Weight transport is codec-pluggable (v4): broadcasts decode through the
 codec named in their header (delta frames resolve against the retained
@@ -58,7 +60,7 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +72,7 @@ from repro.execution.base import evaluate_holdouts
 from repro.execution.pool import count_shards, serve_train
 from repro.nn.model import Sequential
 from repro.serialization import shard_from_bytes
-from repro.simcluster.population import PopulationStore, ShardClients
+from repro.simcluster.population import PopulationStore
 from repro.telemetry.log import stream_logger
 
 __all__ = ["WorkerAgent"]
@@ -100,9 +102,9 @@ class WorkerAgent:
     host / port:
         Coordinator endpoint to connect to.
     capacity:
-        Relative share of clients this worker should be pinned
-        (advertised in the handshake; a capacity-2 worker owns roughly
-        twice the clients of a capacity-1 worker).
+        Relative share of each batch's cost this worker should be dealt
+        (advertised in the handshake; a capacity-2 worker takes about
+        twice the work of a capacity-1 worker).
     connect_timeout / retry_interval:
         The agent retries the initial TCP connect until
         ``connect_timeout`` elapses, so workers may be launched slightly
@@ -171,10 +173,13 @@ class WorkerAgent:
         self._session_token: Optional[str] = None
         self._expected_signature: Optional[str] = None
         self._expected_num_params: Optional[int] = None
-        # Eager federations ship pickled clients into a plain dict;
-        # population-scale ones ship column slices rebuilt into a
-        # ShardClients mapping (one mode per session, never mixed).
-        self._clients: Union[Dict[int, object], ShardClients] = {}
+        # The population, assigned once: a plain dict of pickled clients
+        # (ASSIGN) or a store rebuilt from its columns (ASSIGN_SHARD).
+        self._clients: Optional[Mapping[int, object]] = None
+        # Client id -> its train-RNG position as this worker first found
+        # it, for jobs whose client the ledger has no position for yet
+        # (see repro.execution.pool.serve_train).
+        self._origins: Dict[int, dict] = {}
         self._workspace: Optional[Sequential] = None
         self._training: Optional[TrainingConfig] = None
         # seq -> weights, the last BROADCAST_RETAIN of them.  Doubles as
@@ -287,67 +292,40 @@ class WorkerAgent:
                     f"handshake promised {str(self._expected_signature)[:12]}..."
                 )
 
+    def _take_assignment(
+        self, assignment: Dict[str, object], clients: Mapping[int, object]
+    ) -> None:
+        """Adopt the population, the model shell and the training config:
+        once per session, after the handshake promised the model."""
+        model = assignment["model"]
+        self._verify_assignment(model, assignment["signature"])
+        if self._clients is not None:
+            raise proto.ProtocolError("a second assignment on one session")
+        if model is None:
+            raise proto.ProtocolError("an assignment without the model shell")
+        self._workspace = model
+        self._training = assignment["training"]
+        self._clients = clients
+
     def _handle_assign(self, payload: bytes) -> None:
         assignment = proto.decode_assign(payload)
-        model = assignment["model"]
-        self._verify_assignment(model, assignment["signature"])
-        if model is not None:
-            self._workspace = model
-        if self._workspace is None:
-            raise proto.ProtocolError(
-                "received a model-less ASSIGN before the model shell arrived"
-            )
-        self._training = assignment["training"]
-        if isinstance(self._clients, ShardClients):
-            raise proto.ProtocolError(
-                "eager ASSIGN after ASSIGN_SHARD on the same session"
-            )
-        self._clients.update(assignment["clients"])
-        self._log(
-            f"assigned {len(assignment['clients'])} client(s); "
-            f"now own {sorted(self._clients)}"
-        )
+        self._take_assignment(assignment, assignment["clients"])
+        self._log(f"assigned {len(self._clients)} client(s)")
 
     def _handle_assign_shard(self, payload: bytes) -> None:
-        """Rebuild a population store shard from its column slice (v6).
-
-        The slice arrives once at pin time (and again only for re-deals
-        after a peer's loss); clients materialise lazily under this
-        worker's own bounded LRU, so memory stays O(shard) and the
-        per-round frames keep referencing client ids only.
-        """
+        """Rebuild the population store from its columns (v6): clients
+        materialise lazily under this worker's own bounded LRU, and the
+        per-round frames reference client ids only."""
         assignment = proto.decode_assign_shard(payload)
-        model = assignment["model"]
-        self._verify_assignment(model, assignment["signature"])
-        if model is not None:
-            self._workspace = model
-        if self._workspace is None:
-            raise proto.ProtocolError(
-                "received a model-less ASSIGN_SHARD before the model "
-                "shell arrived"
-            )
-        self._training = assignment["training"]
-        if not isinstance(self._clients, ShardClients):
-            if self._clients:
-                raise proto.ProtocolError(
-                    "ASSIGN_SHARD after eager ASSIGN on the same session"
-                )
-            self._clients = ShardClients()
         try:
             shard = shard_from_bytes(assignment["shard"])
         except Exception as exc:
             raise proto.ProtocolError(
                 f"malformed ASSIGN_SHARD column slice: {exc}"
             ) from exc
-        store = self._clients.add(PopulationStore.from_columns(shard))
+        self._take_assignment(assignment, PopulationStore.from_columns(shard))
         self._stats["shards_received"] += 1
-        ids = store.client_ids
-        self._log(
-            f"assigned store shard of {store.num_clients} client(s) "
-            f"[{int(ids[0])}..{int(ids[-1])}]; now own "
-            f"{len(self._clients)} across "
-            f"{len(self._clients.stores)} shard(s)"
-        )
+        self._log(f"assigned a store of {len(self._clients)} client(s)")
 
     def _store_broadcast(self, payload: bytes) -> None:
         # The retained broadcasts double as the delta-codec baseline
@@ -373,7 +351,7 @@ class WorkerAgent:
 
     def _weights_for(self, seq: int, what: str, client_ids=()):
         """The BROADCAST weights a work order references, once the order is
-        known to be servable: weights retained, ASSIGN seen, clients owned."""
+        known to be servable: weights retained, ASSIGN seen, clients held."""
         if seq not in self._broadcasts:
             have = sorted(self._broadcasts)
             raise proto.ProtocolError(
@@ -384,7 +362,7 @@ class WorkerAgent:
         unknown = [cid for cid in client_ids if cid not in self._clients]
         if unknown:
             raise proto.ProtocolError(
-                f"{what} for clients {unknown} this worker does not own"
+                f"{what} for clients {unknown} this worker does not hold"
             )
         return self._broadcasts[seq]
 
@@ -398,8 +376,9 @@ class WorkerAgent:
         )
 
     def _handle_train(self, conn: Connection, payload: bytes) -> None:
-        seq, round_idx, jobs = proto.decode_train(payload)
+        seq, round_idx, jobs, rng = proto.decode_train(payload)
         global_flat = self._weights_for(seq, "TRAIN", [cid for cid, _ in jobs])
+        states = dict(rng)
         # Updates travel through the configured codec; for delta the
         # baseline is the broadcast this cohort trains from -- both
         # peers hold it by construction, first round included.
@@ -422,12 +401,12 @@ class WorkerAgent:
             conn.send(proto.MsgType.TRAINFAIL, proto.encode_trainfail(seq, client_id, tb))
 
         serve_train(
-            self._clients, self._workspace, global_flat, self._training, round_idx, jobs,
-            reply, fail,
+            self._clients, self._workspace, global_flat, self._training, round_idx,
+            [(cid, epochs, states.get(cid)) for cid, epochs in jobs], reply, fail, self._origins,
         )
 
     def _handle_eval(self, conn: Connection, payload: bytes) -> None:
-        """Evaluate owned clients' holdouts against the matching BROADCAST."""
+        """Evaluate the listed clients' holdouts against the matching BROADCAST."""
         seq, client_ids = proto.decode_eval(payload)
         global_flat = self._weights_for(seq, "EVAL", client_ids)
         self._stats["eval_requests"] += 1

@@ -10,8 +10,9 @@ program:
   clients train one after another inside the server's own model shell.
 * :class:`repro.distributed.coordinator.DistributedExecutor` -- worker
   agents over TCP (versioned protocol, reconnect-and-resume); every
-  client is *pinned* to one worker so its training RNG stream lives (and
-  advances) in exactly one place.
+  batch is dealt over the workers by cost, and every train job carries
+  its client's training-RNG state, so a client trains the same on any
+  worker.
 * :class:`repro.distributed.launch.ProcessExecutor` -- the same
   coordinator over local worker processes it forks, one socketpair
   each.
@@ -61,7 +62,7 @@ accuracies are per client and bit-identical to**
 :meth:`SimClient.evaluate <repro.simcluster.client.SimClient.evaluate>`.
 Every backend runs the one per-client loop in :func:`evaluate_holdouts`
 -- serial and batched over the whole cohort in the bound model shell,
-a pool worker over its pinned share of the cohort (one EVAL frame in,
+a pool worker over its dealt share of the cohort (one EVAL frame in,
 one EVAL_RESULT frame back) -- so a
 holdout is scored by the same kernels on the same batch shapes
 everywhere; per-client evaluation is pure (no RNG advances, no state
@@ -166,10 +167,10 @@ def train_client(
     :func:`evaluate_holdouts` and :func:`count_correct`).  Returns
     ``(weights, num_train_samples, train_rng_state)``.  The state is the
     client's advanced shuffle-stream position (``None`` for a client
-    without one): a pinned worker ships it home with the update so the
-    parent pool stays the single source of truth and the same clients
-    can later be reused with any backend, re-shipped after a worker loss
-    or resumed without replaying streams.
+    without one): a pool worker ships it home with the update so the
+    parent pool stays the single source of truth, the client's next job
+    carries it to whichever worker runs it, and the same clients can
+    later be reused with any backend.
     """
     weights = client.train(
         workspace,

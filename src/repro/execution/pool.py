@@ -2,19 +2,20 @@
 
 The ``process`` and ``distributed`` backends are one coordinator
 (:class:`repro.distributed.coordinator.PoolExecutor`) over two pipes
-(forked socketpair workers, TCP workers) and one scheme: deal the
-sorted client ids over the workers, group each cohort by owner, train
-every client where it is pinned and write its advanced training-RNG
-state back into the authoritative pool.  The pieces both sides of the
-wire call live here, once:
+(forked socketpair workers, TCP workers) and one scheme: every worker
+holds the whole population, every batch is dealt over the live workers
+by cost, and every train job carries its client's training-RNG state
+from the coordinator's ledger, which the advanced state in each merged
+update keeps authoritative.  So a client trains the same on any worker.
+The pieces both sides of the wire call live here, once:
 
 * **worker ops** -- :func:`serve_train` (one train order: one optimizer
-  factory, then :func:`repro.execution.base.train_client` per job under
-  a per-client guard) and :func:`count_shards` (one eval-model order,
-  failure captured); the holdout twin is
-  :func:`repro.execution.base.evaluate_holdouts`;
-* **partitioner** -- :func:`deal` and :func:`group_by_owner`;
-* **directory** -- :func:`owned_by` and :func:`absorb_rng_state`.
+  factory, then :func:`repro.execution.base.train_client` per job from
+  the job's RNG state, under a per-client guard) and
+  :func:`count_shards` (one eval-model order, failure captured); the
+  holdout twin is :func:`repro.execution.base.evaluate_holdouts`;
+* **balancer** -- :func:`balance`;
+* **ledger** -- :func:`ledger_state` and :func:`absorb_rng_state`.
 
 It imports the executor contract (:mod:`repro.execution.base`) and no
 backend, so a worker agent loads it without the coordinator.
@@ -33,19 +34,25 @@ from repro.nn.model import Sequential
 from repro.simcluster.client import SimClient
 from repro.simcluster.population import PopulationStore
 
-__all__ = [
-    "serve_train", "count_shards", "deal", "group_by_owner", "owned_by", "absorb_rng_state",
-]
+__all__ = ["serve_train", "count_shards", "balance", "ledger_state", "absorb_rng_state"]
 
 
 def serve_train(
     clients: Mapping[int, SimClient], workspace: Sequential, global_flat: np.ndarray,
-    training: TrainingConfig, round_idx: int, jobs: Iterable[Tuple[int, int]],
+    training: TrainingConfig, round_idx: int, jobs: Iterable[Tuple[int, int, Optional[dict]]],
     reply: Callable[[int, np.ndarray, int, Optional[dict]], None], fail: Callable[[int, str], None],
+    origins: Dict[int, dict],
 ) -> None:
     """A worker's train order: one optimizer factory for the round, then
-    each ``(client_id, epochs)`` job in order, answered with
-    ``reply(client_id, weights, num_samples, rng_state)``.
+    each ``(client_id, epochs, rng_state)`` job in order, answered with
+    ``reply(client_id, weights, num_samples, advanced_state)``.
+
+    The client's train stream is set to the job's state before it
+    trains, so a worker never trains from a position it advanced
+    itself (a retried job, an update the coordinator never merged).
+    ``None`` means the ledger has no position yet: the stream starts
+    where this worker first found it, which ``origins`` (the worker's,
+    client id -> state) records until the ledger has one.
 
     The reply runs inside the per-client guard, so a failed encode or
     send is that client's failure, ``fail(client_id, traceback)``, and
@@ -54,10 +61,18 @@ def serve_train(
     training failure.
     """
     factory = training.optimizer_factory(round_idx)
-    for client_id, epochs in jobs:
+    for client_id, epochs, state in jobs:
         try:
+            client = clients[client_id]
+            rng = getattr(client, "_train_rng", None)
+            if rng is not None:
+                if state is None:
+                    state = origins.setdefault(client_id, rng.bit_generator.state)
+                else:
+                    origins.pop(client_id, None)
+                rng.bit_generator.state = state
             w, num_samples, state = train_client(
-                clients[client_id], workspace, global_flat, factory, training, epochs
+                client, workspace, global_flat, factory, training, epochs
             )
             reply(client_id, w, num_samples, state)
         except Exception:
@@ -79,36 +94,43 @@ def count_shards(
     return [((a, b), correct, error) for (a, b), correct in zip(bounds, counts)]
 
 
-def deal(sorted_ids: Iterable[Hashable], cycle: Sequence[int]) -> Dict[Hashable, int]:
-    """Deal ``sorted_ids`` round-robin over ``cycle``: id -> owner.
-
-    ``cycle`` lists one slot per unit of worker capacity, so a pool of
-    capacity-1 workers pins over ``range(workers)`` and a capacity-2
-    worker appears twice in a row.  The same function pins the population,
-    spreads eval-model shards and re-deals a dead worker's orphans over
-    the survivors (ids that are not passed in never move).
-    """
-    return {key: cycle[i % len(cycle)] for i, key in enumerate(sorted_ids)}
-
-
-def group_by_owner(
-    items: Iterable, owner: Mapping[Hashable, int], key: Callable = lambda item: item
+def balance(
+    keys: Sequence[Hashable], costs: Sequence[float], workers: Sequence[int],
+    capacities: Mapping[int, int],
 ) -> Dict[int, list]:
-    """Bucket ``items`` by ``owner[key(item)]``.
+    """Deal ``keys`` over ``workers`` by cost: worker id -> its keys.
 
-    Item order is kept inside each bucket and buckets appear in
-    first-seen order, so a request-ordered cohort stays request-ordered
-    per worker.
+    Longest processing time first: the costliest key goes to the worker
+    it leaves least loaded, load being the worker's summed cost over its
+    ``capacities`` entry; ties between keys break by key, between
+    workers by worker id.  A pure function of its inputs, so a fixed
+    cohort always gets the same split.  Each worker's keys keep their
+    order in ``keys``, and workers dealt nothing are absent.
     """
-    groups: Dict[int, list] = {}
-    for item in items:
-        groups.setdefault(owner[key(item)], []).append(item)
-    return groups
+    load = {wid: 0.0 for wid in workers}
+    owner: Dict[Hashable, int] = {}
+    for cost, key in sorted(zip(costs, keys), key=lambda ck: (-ck[0], ck[1])):
+        wid = min(workers, key=lambda w: ((load[w] + cost) / capacities[w], w))
+        load[wid] += cost
+        owner[key] = wid
+    dealt: Dict[int, list] = {}
+    for key in keys:
+        dealt.setdefault(owner[key], []).append(key)
+    return dealt
 
 
-def owned_by(owner: Mapping[int, int], worker_id: int) -> List[int]:
-    """The sorted ids ``worker_id`` currently holds."""
-    return sorted(cid for cid, wid in owner.items() if wid == worker_id)
+def ledger_state(clients: Mapping[int, SimClient], client_id: int) -> Optional[dict]:
+    """The train-RNG position a TRAIN job carries for ``client_id``.
+
+    A population store answers from its ledger without materialising
+    the client (``None``: the stream has not advanced since it was
+    first built); a hand-built dict pool from its live client object
+    (``None``: a client without a stream).
+    """
+    if isinstance(clients, PopulationStore):
+        return clients.rng_state_of(client_id)[0]
+    rng = getattr(clients[client_id], "_train_rng", None)
+    return None if rng is None else rng.bit_generator.state
 
 
 def absorb_rng_state(
@@ -118,8 +140,8 @@ def absorb_rng_state(
 
     A population store takes it into its ledger without materialising
     the client (the parent stays at O(cohort) resident objects, and the
-    next shard (re-)ship carries this position); a hand-built dict pool
-    writes it into the live client object.
+    client's next TRAIN job carries this position); a hand-built dict
+    pool writes it into the live client object.
     """
     if state is None:
         return

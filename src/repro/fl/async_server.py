@@ -155,8 +155,8 @@ class AsyncFLServer:
         while self.updates_applied < num_updates:
             now, client_id, base_version, base_weights = heapq.heappop(heap)
             # The event loop applies one update at a time, but routing the
-            # local pass through the executor keeps the worker-pinned RNG
-            # streams (process backend) consistent with the sync servers.
+            # local pass through the executor keeps the pool backends'
+            # RNG ledger consistent with the sync servers.
             (update,) = self.executor.train_cohort(
                 self.updates_applied,
                 [TrainRequest(client_id, epochs=self.training.epochs)],

@@ -69,7 +69,6 @@ __all__ = [
     "SeedAddress",
     "PopulationStore",
     "PopulationShard",
-    "ShardClients",
     "DiurnalSchedule",
 ]
 
@@ -437,7 +436,7 @@ class PopulationStore(Mapping):
         authoritative RNG snapshots for any member whose streams have
         advanced -- and nothing per-client beyond that: **no**
         :class:`SimClient` is materialised or pickled.  Ids are sorted
-        so a re-dealt shard is deterministic regardless of source order.
+        so a shard is deterministic regardless of source order.
         """
         ids = np.sort(np.asarray(list(client_ids), dtype=np.int64))
         if ids.size == 0:
@@ -632,70 +631,6 @@ class PopulationShard:
     @property
     def num_clients(self) -> int:
         return int(self.client_ids.shape[0])
-
-
-class ShardClients(Mapping):
-    """Worker-side lazy ``Mapping[int, SimClient]`` over shard stores.
-
-    A worker may own several slices over its lifetime: its initial pin
-    plus any ranges re-dealt to it when a peer dies.  Each
-    :meth:`add` keeps the slice as its own :class:`PopulationStore`
-    (later additions win ownership of overlapping ids, which is exactly
-    the re-ship semantics: the newest slice carries the authoritative
-    RNG snapshots).  Lookups materialise lazily in the owning store
-    under its bounded LRU, so worker memory stays O(shard).
-    """
-
-    lazy = True
-
-    def __init__(self) -> None:
-        self._stores: List[PopulationStore] = []
-        self._owner: Dict[int, PopulationStore] = {}
-
-    def add(self, store: PopulationStore) -> PopulationStore:
-        """Register a shard store; its ids now resolve here."""
-        self._stores.append(store)
-        for cid in store.client_ids.tolist():
-            self._owner[int(cid)] = store
-        return store
-
-    @property
-    def stores(self) -> List[PopulationStore]:
-        return list(self._stores)
-
-    @property
-    def materialize_count(self) -> int:
-        return sum(s.materialize_count for s in self._stores)
-
-    @property
-    def resident(self) -> int:
-        return sum(s.resident for s in self._stores)
-
-    def __getitem__(self, client_id: int) -> SimClient:
-        if not isinstance(client_id, (int, np.integer)):
-            raise KeyError(client_id)
-        store = self._owner.get(int(client_id))
-        if store is None:
-            raise KeyError(client_id)
-        return store.materialize(int(client_id))
-
-    def __contains__(self, client_id: object) -> bool:
-        return (
-            isinstance(client_id, (int, np.integer))
-            and int(client_id) in self._owner
-        )
-
-    def __len__(self) -> int:
-        return len(self._owner)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._owner))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardClients(n={len(self)}, shards={len(self._stores)}, "
-            f"resident={self.resident})"
-        )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from repro.distributed import protocol as proto
 from repro.distributed.coordinator import _InFlight, _WorkerHandle
 from repro.distributed.worker import WorkerAgent
 from repro.execution import EvalRequest, ExecutorError, TrainRequest, create_executor
-from repro.execution.pool import deal, owned_by
 from repro.nn import build_mlp
 from tests.conftest import make_test_client, make_tiny_dataset
 from tests.distributed.test_broadcast_fanout import TRAIN, _RecordingConn
@@ -98,7 +97,8 @@ class _AgentConn(_RecordingConn):
 
 
 class _Harness:
-    """Two pinned in-process workers behind one never-listening executor.
+    """Two in-process workers, each holding the pool, behind one
+    never-listening executor.
 
     ``replies(ex, wid, frames)`` turns the frames an agent answered a
     work order with into the ``(msg_type, payload)`` events to queue.
@@ -121,7 +121,7 @@ class _Harness:
         ex.bind_eval_data(TEST_SET.x, TEST_SET.y)
         ex._signature = proto.model_signature(self.model)
         ex._num_params = self.model.num_params()
-        ex._owner = deal(sorted(self.pool), [0, 1])
+        assignment = ex._assignment()
         self.agents = {}
         for wid in (0, 1):
             agent = self.agents[wid] = WorkerAgent("unused", 1, log=io.StringIO())
@@ -129,7 +129,7 @@ class _Harness:
             agent._eval_data = (TEST_SET.x, TEST_SET.y)
             conn = _AgentConn(lambda t, p, wid=wid: self._serve(wid, t, p, replies))
             ex._handles[wid] = _WorkerHandle(wid, conn, 1, 0)
-            ex._send_assignment(conn, owned_by(ex._owner, wid), model=self.model)
+            conn.send(*assignment)
         ex._assigned = ex._eval_shipped = True
         self.weights = self.model.get_flat_weights()
 
@@ -194,11 +194,10 @@ class TestCollectorContract:
             # Stragglers settled nothing and duplicates lost to the first
             # copy: only the workers' own values were merged.
             assert result == harness.serial_reference()
-            # The wrong-kind frame retired its sender; worker 0 inherited
-            # the clients and was sent the outstanding jobs as a second order.
+            # The wrong-kind frame retired its sender; worker 0 was sent
+            # the outstanding jobs as a second order.
             assert ex._handles[1].state == "retired"
             assert ex._handles[0].state == "up"
-            assert set(ex._owner.values()) == {0}
             assert len(harness.orders_sent_to(0)) == 2
             assert len(harness.orders_sent_to(1)) == 1
             # One hook call per merged update, however many copies arrived.

@@ -104,17 +104,24 @@ class TestLoopbackEquivalence:
         # Counters survive close (the benchmark reads them afterwards).
         assert ex.bytes_sent >= sent_before_close
 
-    def test_capacity_weighted_pinning(self):
+    def test_capacity_weights_the_dealt_share(self):
         pool = make_pool(num_clients=6)
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
-        ex, procs = start_distributed(
-            pool, model, num_workers=2, capacities=[2, 1]
-        )
+        trained_by = {}
+
+        class Recording(DistributedExecutor):
+            def _on_update_received(self, worker_id, client_id):
+                trained_by[client_id] = worker_id
+
+        ex = Recording(workers=2, **FAST_TIMEOUTS)
+        ex.bind(pool, model, TRAIN)
+        procs = spawn_local_workers(ex.listen(), 2, capacities=[2, 1])
         try:
-            ex.train_cohort(0, [TrainRequest(0)], model.get_flat_weights())
-            owners = [ex.owner_of(cid) for cid in sorted(pool)]
+            reqs = [TrainRequest(cid) for cid in sorted(pool)]
+            ex.train_cohort(0, reqs, model.get_flat_weights())
+            owners = list(trained_by.values())
             # Workers register in nondeterministic order, so assert the
-            # *shape*: one worker owns 2/3 of the clients, the other 1/3.
+            # *shape*: one worker trains 2/3 of the clients, the other 1/3.
             counts = sorted(owners.count(w) for w in set(owners))
             assert counts == [2, 4]
         finally:

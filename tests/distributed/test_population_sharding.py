@@ -6,8 +6,9 @@ them -- whichever builder drew it -- as its recipe, never its arrays;
 per-round frames reference client ids only; the coordinator materialises
 no client on the cohort latency stream and at most the cohorts on the
 per-client one; and a worker killed mid-round or between rounds has its
-slice re-dealt with authoritative RNG snapshots, keeping the history
-bit-identical to the serial store path.
+jobs re-dealt to the survivor, which holds the whole population and
+trains each from the ledger RNG state its job carries, keeping the
+history bit-identical to the serial store path.
 """
 
 import dataclasses
@@ -161,11 +162,11 @@ class TestShardShipping:
 
 class TestWorkerLossUnderSharding:
     @STREAMS
-    def test_kill_mid_round_redeals_shard_bit_identically(self, latency_stream):
+    def test_kill_mid_round_re_deals_jobs_bit_identically(self, latency_stream):
         """SIGKILL a worker the moment its first update lands: the dead
-        worker's id range is re-dealt as a fresh shard (with the
-        authoritative RNG snapshots) and the history still matches the
-        serial store path bit for bit."""
+        worker's jobs are re-dealt to the survivor, nothing is re-shipped,
+        and the history still matches the serial store path bit for
+        bit."""
 
         class KillOnFirstUpdate(DistributedExecutor):
             def __init__(self, *args, **kwargs):
@@ -194,16 +195,18 @@ class TestWorkerLossUnderSharding:
         assert ex.killed
         # One worker died by SIGKILL, the survivor exited cleanly.
         assert sorted(codes) == [-signal.SIGKILL, 0]
-        # 2 initial shards + at least 1 re-dealt slice to the survivor.
-        assert shard_frames >= 3
+        # One whole-population shard per worker at start-up, no re-ship:
+        # the survivor already holds every client.
+        assert shard_frames == 2
         assert fingerprint(history) == fingerprint(ref_history)
-        # A re-deal is cut from the columns and the ledger: no extra client.
+        # A re-deal reads the ledger, never a client: no extra build.
         assert_coordinator_builds(store, latency_stream)
 
     @STREAMS
-    def test_kill_between_rounds_redeals_shard_bit_identically(self, latency_stream):
-        """SIGKILL between rounds: retire-and-re-pin re-ships only the
-        dead worker's slice; replayed streams keep bit-identity."""
+    def test_kill_between_rounds_re_deals_jobs_bit_identically(self, latency_stream):
+        """SIGKILL between rounds: the survivor is dealt every later
+        cohort whole, each job from its ledger state; bit-identity
+        holds."""
         ref_history, _ = run_population("serial", seed=17, latency_stream=latency_stream)
 
         ex = DistributedExecutor(workers=2, heartbeat_interval=0.5,

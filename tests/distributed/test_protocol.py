@@ -340,10 +340,11 @@ class TestCodecs:
             pass
 
     def test_train_round_trip(self):
-        seq, rnd, jobs = proto.decode_train(
-            proto.encode_train(9, 4, [(3, 1), (1, 2)])
+        state = np.random.default_rng(5).bit_generator.state
+        seq, rnd, jobs, rng = proto.decode_train(
+            proto.encode_train(9, 4, [(3, 1), (1, 2)], [(1, state)])
         )
-        assert (seq, rnd, jobs) == (9, 4, [(3, 1), (1, 2)])
+        assert (seq, rnd, jobs, rng) == (9, 4, [(3, 1), (1, 2)], [(1, state)])
 
     def test_assign_shard_round_trip(self):
         """v6: ASSIGN_SHARD carries an opaque shard blob + signature."""

@@ -1,4 +1,4 @@
-"""Golden bytes of every protocol v8 frame type.
+"""Golden bytes of every protocol v9 frame type.
 
 Each pin is a whole frame as it crosses the socket -- the transport's
 ``(length, type byte)`` header followed by the payload a ``proto.encode_*``
@@ -86,6 +86,9 @@ FRAMES = {
     ),
     "broadcast_alias": lambda: _wire(T.BROADCAST, proto.encode_broadcast_alias(9, 3, 8)),
     "train": lambda: _wire(T.TRAIN, proto.encode_train(9, 4, [(3, 1), (1, 2)])),
+    "train_rng": lambda: _wire(
+        T.TRAIN, proto.encode_train(9, 4, [(3, 1), (1, 2)], [(1, RNG_STATE)])
+    ),
     "train_empty": lambda: _wire(T.TRAIN, proto.encode_train(1, 0, [])),
     "update_raw": lambda: _wire(
         T.UPDATE, proto.encode_update(2, 11, 30, RNG_STATE, WEIGHTS)
@@ -169,10 +172,11 @@ PINS = {
     "broadcast_delta": "0000003d0500000006000000000000000402000000050100000004000000000000000000000000000000000000000000000000000000000000000000000002040001",
     "broadcast_delta_equal": "0000003905000000070000000000000004020000000600000000000000000000000000000000000000000000000000000000000000000000000000000000",
     "broadcast_alias": "00000011050000000900000000000000030000000008",
-    "train": "00000034067b22736571223a20392c2022726f756e645f696478223a20342c20226a6f6273223a205b5b332c20315d2c205b312c20325d5d7d",
-    "train_empty": "00000026067b22736571223a20312c2022726f756e645f696478223a20302c20226a6f6273223a205b5d7d",
-    "update_raw": "sha256:d1e7a920605caca41651a9a4ba698309465549edc668f03e168aa9c91bb5b127",
-    "update_delta": "00000049070000000400000002000000000000001e00000004020000000480054e2e0100000004000000000000000000000000000000000000000000000000000000000000000000000002040001",
+    "train": "0000003f067b22736571223a20392c2022726f756e645f696478223a20342c20226a6f6273223a205b5b332c20315d2c205b312c20325d5d2c2022726e67223a205b5d7d",
+    "train_rng": "sha256:9ea5e7929dd72747d0895c032f099bbfa170e9749749433484e5ffee1075af08",
+    "train_empty": "00000031067b22736571223a20312c2022726f756e645f696478223a20302c20226a6f6273223a205b5d2c2022726e67223a205b5d7d",
+    "update_raw": "0000005307000000020000000b000000000000001e010000000001f38b68fdd16b0f8da7f7267aef605897a7043c160277735a2ed88b8bc66abe1f0000000000000000000000f83f0000000000000080182d4454fb210940",
+    "update_delta": "00000042070000000400000002000000000000001e0200000004000100000004000000000000000000000000000000000000000000000000000000000000000000000002040001",
     "trainfail": "sha256:41b8ee56cc6f32e301e2368885c18dc41f38e88c74d9ffe4a850d24210e0d85e",
     "trainfail_empty": "0000002b087b22736571223a20312c2022636c69656e745f6964223a20302c202274726163656261636b223a2022227d",
     "ping": "0000000009",
@@ -205,8 +209,8 @@ def test_frame_bytes_are_pinned(name):
     assert _digest(FRAMES[name]()) == PINS[name]
 
 
-def test_the_pins_are_of_protocol_v8():
-    assert proto.PROTOCOL_VERSION == 8
+def test_the_pins_are_of_protocol_v9():
+    assert proto.PROTOCOL_VERSION == 9
 
 
 def test_every_frame_type_is_pinned():

@@ -272,15 +272,23 @@ class TestMergeOrder:
 
 
 class TestProcessBackend:
-    def test_clients_pinned_round_robin(self):
+    def test_equal_cost_cohort_alternates_over_the_workers(self):
+        """Clients of one size are dealt in id order, one per worker in
+        turn: the balancer's tie-breaks, by key then worker id."""
         clients = make_pool(num_clients=5, seed=1)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        with ProcessExecutor(workers=2) as ex:
+        trained_by = {}
+
+        class Recording(ProcessExecutor):
+            def _on_update_received(self, worker_id, client_id):
+                trained_by[client_id] = worker_id
+
+        with Recording(workers=2) as ex:
             ex.bind({c.client_id: c for c in clients}, model, TRAIN)
             g = model.get_flat_weights()
             ex.train_cohort(0, [TrainRequest(c.client_id) for c in clients], g)
             assert ex.num_workers_started == 2
-            assert [ex.owner_of(cid) for cid in range(5)] == [0, 1, 0, 1, 0]
+            assert [trained_by[cid] for cid in range(5)] == [0, 1, 0, 1, 0]
 
     def test_worker_count_capped_by_pool_size(self):
         clients = make_pool(num_clients=2, seed=1)

@@ -28,7 +28,6 @@ from repro.simcluster.population import (
     DiurnalSchedule,
     PopulationStore,
     SeedAddress,
-    ShardClients,
 )
 from repro.simcluster.resources import MNIST_CPU_GROUPS, assign_resource_groups
 from repro.tifl.tiering import Tier, TierAssignment
@@ -517,27 +516,3 @@ class TestSharding:
         assert (
             store.materialize(2)._train_rng.bit_generator.state == state
         )
-
-    def test_shard_clients_mapping_and_redeal(self, store_scenario):
-        store = fresh_store(store_scenario.clients, cache_size=8)
-        pool = ShardClients()
-        pool.add(PopulationStore.from_columns(store.shard([0, 2, 4])))
-        assert pool.lazy is True
-        assert len(pool) == 3
-        assert sorted(pool) == [0, 2, 4]
-        assert 2 in pool and 3 not in pool
-        assert pool[4].client_id == 4
-        with pytest.raises(KeyError):
-            pool[3]
-
-        # A re-dealt slice owns overlapping ids: its (fresher) RNG
-        # snapshots win, exactly the worker-loss re-ship semantics.
-        donor = fresh_store(store_scenario.clients, cache_size=8)
-        d = donor.materialize(4)
-        d.epoch_shuffle()
-        advanced = d._train_rng.bit_generator.state
-        redeal = PopulationStore.from_columns(donor.shard([4, 6]))
-        pool.add(redeal)
-        assert len(pool) == 4
-        assert pool[4]._train_rng.bit_generator.state == advanced
-        assert len(pool.stores) == 2

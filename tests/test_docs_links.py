@@ -177,8 +177,6 @@ WRAP_TARGET = re.compile(r"[A-Za-z_][\w.]*(?::[\w.]+)?")
 CENSUS_ALLOWLIST = {
     "src/repro/distributed/coordinator.py:PoolExecutor.worker_pid":
         "test hook: the worker process a SIGKILL test kills",
-    "src/repro/distributed/coordinator.py:PoolExecutor.owner_of":
-        "test hook: which worker a client is pinned to",
     "src/repro/nn/tensor_ops.py:softmax":
         "reference the softmax cross-entropy gradient is tested against",
     "src/repro/nn/tensor_ops.py:log_softmax":
