@@ -46,9 +46,9 @@ window on both sides, a worker whose TCP connection drops re-dials the
 coordinator and resumes its session (its outstanding jobs re-dealt,
 each with its client's RNG state, bit-identical history) instead of
 being permanently retired; the retire-and-re-deal path remains the
-fallback once the window expires.  The coordinator default is 0 (a lost connection retires the
-worker immediately); workers retry for 30 s by default, which is
-harmless when the coordinator has resume disabled::
+fallback once the window expires.  The coordinator default is 0 (a lost
+connection retires the worker immediately); workers retry for 30 s by
+default, which is harmless when the coordinator has resume disabled::
 
     python -m repro.cli run --executor distributed --workers 2 \\
         --connect 0.0.0.0:7777 --reconnect-grace 30 --rounds 60
