@@ -41,19 +41,16 @@ cutting the steady-state bytes per round by ~30% on a converging run::
     python -m repro.cli run --executor distributed --workers 2 \\
         --connect 0.0.0.0:7777 --codec delta --rounds 60
 
-Reconnect-and-resume (``--reconnect-grace``): with a positive grace
-window on both sides, a worker whose TCP connection drops re-dials the
-coordinator and resumes its session (its outstanding jobs re-dealt,
-each with its client's RNG state, bit-identical history) instead of
-being permanently retired; the retire-and-re-deal path remains the
-fallback once the window expires.  The coordinator default is 0 (a lost
-connection retires the worker immediately); workers retry for 30 s by
-default, which is harmless when the coordinator has resume disabled::
+Rejoin: a worker whose connection drops is retired at once and its
+outstanding jobs are re-dealt (each with its client's RNG state, so the
+history stays bit-identical); the agent dials again for up to its
+``--connect-timeout`` and joins as a new worker, as may any fresh
+``worker`` started against a running coordinator.  ``--reconnect-grace``
+is how long a round that has lost its last worker waits for one to join
+(default 0: it fails at once)::
 
     python -m repro.cli run --executor distributed --workers 2 \\
         --connect 0.0.0.0:7777 --reconnect-grace 30 --rounds 60
-    python -m repro.cli worker --connect coord-host:7777 \\
-        --reconnect-grace 30
 
 Observability (see :mod:`repro.telemetry`): ``--trace-out`` records a
 schema-versioned JSONL trace of every phase span, executor timing
@@ -172,10 +169,10 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                         "ignore it")
     p.add_argument("--reconnect-grace", type=float, default=0.0,
                    metavar="SECONDS",
-                   help="let a worker whose TCP connection drops resume "
-                        "its session within this window instead of being "
-                        "retired (0 = retire immediately, the default; "
-                        "distributed executor only)")
+                   help="how long a round that has lost its last worker "
+                        "waits for a worker to join before it fails "
+                        "(0 = fail at once, the default; distributed "
+                        "executor only)")
 
 
 def _make_executor(args: argparse.Namespace):
@@ -414,7 +411,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     agent = WorkerAgent(
         host, port, capacity=args.capacity,
         connect_timeout=args.connect_timeout,
-        reconnect_grace=args.reconnect_grace,
     )
     return agent.run()
 
@@ -473,13 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrk.add_argument("--capacity", type=_positive_int, default=1,
                        help="relative share of each batch to deal this worker")
     p_wrk.add_argument("--connect-timeout", type=float, default=30.0,
-                       help="seconds to keep retrying the initial connect")
-    p_wrk.add_argument("--reconnect-grace", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="after an established connection drops, keep "
-                            "re-dialling the coordinator for this long and "
-                            "resume the session with its token (0 disables "
-                            "reconnection)")
+                       help="seconds to keep dialling the coordinator, at "
+                            "start and after a dropped connection (to "
+                            "rejoin as a new worker)")
     p_wrk.add_argument("--log-level", default="info",
                        choices=["debug", "info", "warning", "error",
                                 "critical"],

@@ -120,7 +120,7 @@ class WeightCodec:
     requires_baseline:
         Whether :meth:`encode` / :meth:`decode` need a baseline vector
         both peers hold.  Callers that have no shared baseline (first
-        round, fresh or resumed connection) must fall back to a codec
+        round, a newly joined worker) must fall back to a codec
         that does not (``raw``).
     """
 

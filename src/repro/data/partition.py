@@ -158,7 +158,7 @@ def _federation_from_recipe(
 
     :meth:`~repro.experiments.scenarios.PoolRecipe.draw` is memoised per
     process, so a shard unpickled where its federation was built, or
-    after another shard of it (a re-deal, a resumed session), shares
+    after another shard of it (a rejoined worker's session), shares
     that pool.  Pickled bytes come from a peer, so a recipe whose pool
     would not fit in one frame (``MAX_FRAME_PAYLOAD``) is refused before
     anything is allocated, and a pool whose bytes do not hash to

@@ -36,12 +36,12 @@ Three mechanisms carry that promise across machine boundaries:
    state only advances once its update has been merged, so replayed
    work starts at exactly the stream position the serial schedule
    prescribes and the final global weights stay bit-identical
-   (enforced by the worker-kill test in ``tests/distributed``).  With
-   ``reconnect_grace > 0`` a dropped *connection* gets a second chance
-   first: the worker re-dials with its session token, the coordinator
-   resyncs weights with a raw broadcast and re-deals the outstanding
-   jobs -- same bit-identity argument, no retirement (enforced by the
-   connection-drop tests in ``tests/distributed/test_reconnect.py``).
+   (enforced by the worker-kill test in ``tests/distributed``).  A
+   dropped *connection* is the same loss: the worker is retired at
+   once, and its agent dials again and joins as a new worker from a
+   clean session -- any agent may join a running federation -- so the
+   same bit-identity argument holds (enforced by the rejoin tests in
+   ``tests/distributed/test_reconnect.py``).
 
 Updates are returned in request order -- never completion order -- so
 FedAvg summation order is preserved; a versioned handshake plus a model

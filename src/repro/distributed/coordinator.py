@@ -25,19 +25,24 @@ reference; the invariants the code below keeps:
 * **One collector.**  :meth:`PoolExecutor._run` is one
   :class:`_InFlight` batch driven by :meth:`PoolExecutor._collect`;
   per-worker reader threads post every result frame and every loss /
-  resume / ``BYE`` / ``REJECT`` event once onto the one event queue.
+  ``BYE`` / ``REJECT`` event once onto the one event queue, and the
+  accept thread posts each mid-run join.  Only the caller's thread --
+  the collector -- changes a worker handle or the batch.
 * **Weights.**  A cohort seq's vector is encoded once per ``(codec,
   baseline_seq)`` and fanned out, or aliased by a header-only frame when
   the worker already retains it; each connection mirrors the worker's
   retained BROADCASTs, so delta and alias frames always name a vector
   the worker holds.
-* **Worker loss.**  A dead worker (EOF, send failure, heartbeat silence)
-  is retired and its unfinished jobs are re-dealt over the survivors: a
-  job carries the ledger state, which only advances once the client's
-  UPDATE is merged, so the replay is bit-identical to the serial
-  schedule.  With ``reconnect_grace > 0`` a lost TCP connection is
-  parked instead and may resume with its session token (raw resync,
-  re-deal); retirement and resume are serialised by one lock.
+* **Worker loss and rejoin.**  A lost connection (EOF, send failure,
+  heartbeat silence) retires its worker at once, and its unfinished jobs
+  are re-dealt over the live workers: a job carries the ledger state,
+  which only advances once the client's UPDATE is merged, so the replay
+  is bit-identical to the serial schedule.  A worker that breaks the
+  protocol is sent REJECT first.  An agent that dials again registers
+  through the same handshake as a new worker, at any time: the accept
+  thread sends it the set-up frames and posts a join, and the collector
+  adds it to the live set.  ``reconnect_grace`` is how long a batch with
+  no live worker left waits for a join before it fails.
 * **Telemetry.**  Observational only: cohort spans, codec timings,
   heartbeat RTTs, lifecycle counters, per-frame-type wire tallies
   folded at :meth:`close`, and each worker's TELEMETRY summary
@@ -49,7 +54,6 @@ from __future__ import annotations
 
 import os
 import queue as queue_mod
-import secrets
 import socket
 import threading
 import time
@@ -98,10 +102,10 @@ if hasattr(os, "register_at_fork"):
 #: id, an eval-model job a ``(start, end)`` shard.
 _Job = Hashable
 
-#: Synthetic event-queue marker: a parked worker's connection resumed
-#: (cannot collide with ``MsgType`` values, which are >= 1, or with
-#: ``None``, which marks a lost connection).
-_EVT_RESUMED = -1
+#: Synthetic event-queue marker: a worker joined mid-run, its handle in
+#: the event's second field (cannot collide with ``MsgType`` values,
+#: which are >= 1, or with ``None``, which marks a lost connection).
+_EVT_JOINED = -1
 
 #: The result frames that may settle a job of each :class:`_InFlight`
 #: kind; any other result frame carrying the live seq is a protocol
@@ -129,17 +133,16 @@ _KINDS = {
 
 
 class _WorkerHandle:
-    """Coordinator-side bookkeeping for one registered worker.
+    """Coordinator-side bookkeeping for one registered worker: one
+    connection, one agent session.
 
-    ``state`` walks ``up -> (lost -> up)* -> retired``: ``lost`` parks a
-    dropped connection for the reconnect grace window, ``retired`` is
-    final.  ``gen`` counts connections (bumped per resume) so events
-    from a stale reader thread can be told from live ones.
-    ``baselines`` mirrors the worker's retained-BROADCAST cache for the
-    *current* connection -- what a delta frame may name as its baseline
-    and what an alias frame may name at all -- and is cleared on every
-    resume (the worker is resynced raw).  Its values are the per-seq
-    read-only vectors of :class:`_InFlight`, shared across workers.
+    ``state`` is ``up`` until the worker is ``retired``, which is final
+    (an agent that dials again registers as a new worker).
+    ``baselines`` mirrors the worker's retained-BROADCAST cache -- what a
+    delta frame may name as its baseline and what an alias frame may
+    name at all; it starts empty, as the agent's session does.  Its
+    values are the per-seq read-only vectors of :class:`_InFlight`,
+    shared across workers.
     """
 
     def __init__(
@@ -149,10 +152,7 @@ class _WorkerHandle:
         self.conn = conn
         self.capacity = capacity
         self.pid = pid
-        self.state = "up"  # "up" | "lost" | "retired"
-        self.gen = 0
-        self.lost_at: Optional[float] = None
-        self.token = secrets.token_hex(16)
+        self.state = "up"  # "up" | "retired"
         self.last_seen = time.monotonic()
         self.reader: Optional[threading.Thread] = None
         #: When the last unanswered PING left (monotonic); the PONG turns
@@ -160,10 +160,6 @@ class _WorkerHandle:
         self.ping_sent_at: Optional[float] = None
         #: The worker's TELEMETRY summary (arrives during shutdown).
         self.summary: Optional[Dict[str, object]] = None
-        # Serialises baseline-cache mutation with the frame send that
-        # must agree with it (a resume on the accept thread swaps the
-        # connection and clears the cache).
-        self.lock = threading.Lock()
         self.baselines: "OrderedDict[int, np.ndarray]" = OrderedDict()
 
     @property
@@ -176,24 +172,23 @@ class _InFlight:
     cohort, or a sharded model evaluation).
 
     ``pending`` maps worker id -> outstanding jobs; ``broadcasted``
-    tracks who already received this seq's weights; ``dispatch_gen``
-    records the connection generation each worker's jobs were last sent
-    on, so a resume re-dispatches exactly when the jobs were sent to a
-    connection that no longer exists.
+    tracks who already received this seq's weights; ``stranded`` holds
+    the jobs no live worker was left to take, since ``stranded_since``,
+    until a join deals them (or ``reconnect_grace`` runs out).
 
     ``weights`` is this seq's one immutable copy of the vector: every
     worker's baseline mirror and every encode read the same array.
     ``frames`` caches the encoded BROADCAST per ``(codec_id,
     baseline_seq)``; a seq names one vector, so the key identifies the
-    bytes, and a resumed worker's empty mirror selects ``(raw, 0)`` --
-    the raw resync can never be served a stale delta frame.
+    bytes, and a new worker's empty mirror selects ``(raw, 0)`` -- its
+    first broadcast can never be served a stale delta frame.
 
     ``done`` holds the keys already merged -- a client id, or an eval
     shard's ``(start, end)`` -- which :meth:`settle` dedupes through.
     Each worker's jobs are held by key, so settling one costs a dict
     pop per worker, whatever the batch size.  ``costs`` holds what each
     key weighs when it is dealt (:func:`repro.execution.pool.balance`),
-    again after a worker loss or resume.
+    again after a worker loss.
     """
 
     def __init__(
@@ -207,7 +202,9 @@ class _InFlight:
         self.kind = kind  # "train" | "eval" | "eval_model"
         self._jobs: Dict[int, Dict[Hashable, _Job]] = {}
         self.broadcasted: Set[int] = set()
-        self.dispatch_gen: Dict[int, int] = {}
+        self.stranded: Dict[Hashable, _Job] = {}
+        self.stranded_since = 0.0
+        self.stranded_by = ""  # the loss that left the jobs stranded
         self.done: Set[Hashable] = set()
         self.costs: Dict[Hashable, float] = {}
 
@@ -237,14 +234,15 @@ class _InFlight:
         return job[0] if self.kind == "train" else job
 
     def outstanding(self) -> int:
-        return sum(len(jobs) for jobs in self._jobs.values())
+        return sum(len(jobs) for jobs in self._jobs.values()) + len(self.stranded)
 
     def settle(self, key: Hashable) -> bool:
         """Record the result for ``key``; ``True`` when it is the first.
 
-        Clears the job from *every* worker's pending jobs: a dead
-        worker's in-flight result can land after its job was already
-        reassigned, and the replica's copy must not keep the batch open.
+        Clears the job from *every* worker's pending jobs, and from the
+        stranded ones: a dead worker's in-flight result can land after
+        its job was already reassigned, and the replica's copy must not
+        keep the batch open.
         A second result for the same key is a duplicate from such a
         reassignment race -- both workers trained from the RNG state the
         job carries, so the copies are bit-identical -- and only the
@@ -252,6 +250,7 @@ class _InFlight:
         """
         for jobs in self._jobs.values():
             jobs.pop(key, None)
+        self.stranded.pop(key, None)
         if key in self.done:
             return False
         self.done.add(key)
@@ -312,22 +311,27 @@ class PoolExecutor(ClientExecutor):
         self.result_timeout = float(result_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_misses = int(heartbeat_misses)
-        # Only a listener can take a resume, so only DistributedExecutor
-        # parks a lost connection (see its ``reconnect_grace``).
+        # Only a listener can take a join, so only DistributedExecutor
+        # waits for one (see its ``reconnect_grace``).
         self.reconnect_grace = 0.0
         self.max_frame_payload = max_frame_payload
 
         # Set once every worker holds the bound eval set (see _eval_holders).
         self._eval_shipped = False
         self._handles: Dict[int, _WorkerHandle] = {}
-        # Every result frame and every loss/resume event, from every
-        # reader thread: ``(worker_id, gen, msg_type, payload)``, ``gen``
-        # being the connection generation the event was observed on.
-        self._events: "queue_mod.Queue[Tuple[int, int, Optional[int], object]]" = (
+        # The id the next registered worker gets: worker ids are never
+        # reused, so a rejoining agent is a new worker.
+        self._next_id = 0
+        # Every result frame and every loss event, from every reader
+        # thread, and every mid-run join: ``(worker_id, handle, msg_type,
+        # payload)``, ``handle`` being the joining one (see _reader).
+        self._events: "queue_mod.Queue[Tuple[int, object, Optional[int], object]]" = (
             queue_mod.Queue()
         )
         self._seq = 0
         self._assigned = False
+        # The assignment frame every worker starts from, built once.
+        self._setup: Optional[Tuple[int, bytes]] = None
         self._signature: Optional[str] = None
         self._num_params = 0
         # Byte totals and per-frame-type tallies (keyed by the type byte)
@@ -339,9 +343,6 @@ class PoolExecutor(ClientExecutor):
         # How each BROADCAST left: a fresh encode, a cached frame fanned
         # out again, or a header-only alias.  Always on (plain ints).
         self._broadcast_stats = {"encodes": 0, "frames_reused": 0, "aliases": 0}
-        # Serialises retirement and resume; RLock because a failed
-        # re-dispatch retires the next survivor under it.
-        self._death_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # the executor contract: build the jobs, _run them, assemble
@@ -488,15 +489,14 @@ class PoolExecutor(ClientExecutor):
         return dict(self._worker_summaries)
 
     # ------------------------------------------------------------------
-    # registration + resume handshakes
+    # registration: one handshake, for every connection
     # ------------------------------------------------------------------
     def _handshake(self, conn: Connection) -> Optional[Dict[str, object]]:
         """Run the coordinator side of the handshake on a new connection.
 
         Returns the decoded HELLO (version-checked) on success; on any
         mismatch sends ``REJECT``, closes the connection and returns
-        ``None``.  The caller decides whether the HELLO registers a
-        fresh worker or resumes a parked one (its ``resume`` key).
+        ``None``.
         """
         try:
             msg_type, payload = conn.recv(timeout=10.0)
@@ -509,7 +509,7 @@ class PoolExecutor(ClientExecutor):
             # included: a non-protocol peer (port scanner, stray HTTP
             # probe) announces a garbage frame length; it must be rejected
             # here, not allowed to kill the accept thread and silently
-            # disable reconnect-and-resume.
+            # stop every later join.
             self._reject(conn, str(exc))
             return None
         if hello["version"] != proto.PROTOCOL_VERSION:
@@ -525,18 +525,6 @@ class PoolExecutor(ClientExecutor):
             return None
         return hello
 
-    def _welcome(self, conn: Connection, handle: _WorkerHandle) -> None:
-        """Send WELCOME: the handshake has succeeded, so the connection
-        leaves the pre-handshake frame cap for ``max_frame_payload``."""
-        conn.send(
-            proto.MsgType.WELCOME,
-            proto.encode_welcome(
-                proto.PROTOCOL_VERSION, handle.id, self._signature,
-                self._num_params, handle.token,
-            ),
-        )
-        conn.max_payload = self.max_frame_payload
-
     def _reject(self, conn: Connection, reason: str) -> None:
         try:
             conn.send(proto.MsgType.REJECT, proto.encode_reject(reason))
@@ -544,55 +532,75 @@ class PoolExecutor(ClientExecutor):
             pass
         conn.close()
 
-    def _register(self, sock: socket.socket) -> bool:
+    def _register(self, sock: socket.socket) -> Optional[_WorkerHandle]:
         """Handshake a fresh connection on ``sock`` and welcome its agent
-        as the next worker id; ``False`` when it was refused or vanished."""
+        as the next worker id; ``None`` when it was refused or vanished.
+
+        The WELCOME ends the handshake, so the connection leaves the
+        pre-handshake frame cap for ``max_frame_payload``.  The caller
+        files the handle: the registration window at once, the accept
+        thread through a join event.
+        """
         COORDINATOR_SOCKETS.add(sock)
         conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
         hello = self._handshake(conn)
         if hello is None:
-            return False
-        if hello.get("resume") is not None:
-            self._reject(conn, "no session to resume: registration is open")
-            return False
-        wid = len(self._handles)
-        handle = _WorkerHandle(wid, conn, hello["capacity"], hello["pid"])
+            return None
+        wid = self._next_id
         try:
-            self._welcome(conn, handle)
+            conn.send(
+                proto.MsgType.WELCOME,
+                proto.encode_welcome(
+                    proto.PROTOCOL_VERSION, wid, self._signature, self._num_params
+                ),
+            )
         except OSError:
             # Peer vanished between HELLO and WELCOME.
             conn.close()
-            return False
-        self._handles[wid] = handle
-        return True
+            return None
+        conn.max_payload = self.max_frame_payload
+        self._next_id += 1
+        return _WorkerHandle(wid, conn, hello["capacity"], hello["pid"])
 
     def _register_workers(self) -> None:
-        """Connect ``self.workers`` agents, each through :meth:`_register`."""
+        """Connect ``self.workers`` agents, each through :meth:`_register`,
+        into :attr:`_handles`."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # the one assignment: the whole population, to every worker (v6)
+    # the set-up: the whole population, to every worker (v6)
     # ------------------------------------------------------------------
     def _assignment(self) -> Tuple[int, bytes]:
         """The frame every worker starts from: the whole population and
         the model shell.
 
         A population store ships one compact ASSIGN_SHARD of its columns
-        (O(population) bytes, no ``SimClient`` pickles), with the
-        ledger's RNG snapshots; hand-built dict pools keep the
-        pickled-dict ASSIGN.  Built once, sent to each worker.
+        (O(population) bytes, no ``SimClient`` pickles); hand-built dict
+        pools keep the pickled-dict ASSIGN.  Every TRAIN job carries its
+        client's RNG position, so nothing in it goes stale: it is built
+        once and sent unchanged to every worker, a later joiner included.
         """
         clients = self._clients
         if isinstance(clients, PopulationStore):
             blob = shard_to_bytes(clients.shard(clients.client_ids))
-            telemetry.count("wire.shard_ships", len(self._handles))
-            telemetry.count("wire.shard_bytes", len(blob) * len(self._handles))
             return proto.MsgType.ASSIGN_SHARD, proto.encode_assign_shard(
                 blob, self._training, self._signature, model=self._model
             )
         return proto.MsgType.ASSIGN, proto.encode_assign(
             dict(clients), self._training, self._signature, model=self._model
         )
+
+    def _send_setup(self, conn: Connection, eval_frame: Optional[bytes]) -> None:
+        """Start a worker's session: the eval set first (the worker's
+        reader takes it in while its main thread is still idle, not busy
+        rebuilding a store), then the assignment."""
+        if eval_frame is not None:
+            conn.send(proto.MsgType.BIND_EVAL, eval_frame)
+        msg_type, payload = self._setup
+        conn.send(msg_type, payload)
+        if msg_type == proto.MsgType.ASSIGN_SHARD:
+            telemetry.count("wire.shard_ships", 1)
+            telemetry.count("wire.shard_bytes", len(payload))
 
     def _eval_holders(self) -> List[int]:
         """Every live worker: the eval set travels as one BIND_EVAL frame
@@ -617,37 +625,30 @@ class PoolExecutor(ClientExecutor):
         self._signature = proto.model_signature(self._model)
         self._num_params = self._model.num_params()
         self._register_workers()
-
-        assignment = self._assignment()
-        eval_blob = (
-            proto.encode_bind_eval(*self._eval_data)
-            if self._eval_data is not None
-            else None
-        )
-        for wid, handle in sorted(self._handles.items()):
-            # The eval set first: the worker's reader takes it in while
-            # its main thread is still idle, not busy rebuilding a shard.
-            if eval_blob is not None:
-                handle.conn.send(proto.MsgType.BIND_EVAL, eval_blob)
-            handle.conn.send(*assignment)
-            handle.reader = threading.Thread(
-                target=self._reader, args=(handle, handle.gen), daemon=True,
-                name=f"repro-dist-reader-{wid}",
-            )
-            handle.reader.start()
-        if eval_blob is not None:
+        self._setup = self._assignment()
+        eval_frame = None
+        if self._eval_data is not None:
+            eval_frame = proto.encode_bind_eval(*self._eval_data)
             self._eval_shipped = True
+        for _wid, handle in sorted(self._handles.items()):
+            self._send_setup(handle.conn, eval_frame)
+            self._start_reader(handle)
         self._assigned = True
 
-    def _reader(self, handle: _WorkerHandle, gen: int) -> None:
-        """Per-connection receive loop posting frames to the event queue.
+    def _start_reader(self, handle: _WorkerHandle) -> None:
+        handle.last_seen = time.monotonic()
+        handle.reader = threading.Thread(
+            target=self._reader, args=(handle,), daemon=True,
+            name=f"repro-dist-reader-{handle.id}",
+        )
+        handle.reader.start()
 
-        Every result frame and every death-class event (EOF, REJECT,
-        BYE) is posted exactly once, tagged with this connection's
-        ``gen``: a stale reader (superseded by a resume) can never park
-        the replacement connection, nor have a result merged from a pass
-        the resume forgot (see :meth:`_collect`).
-        """
+    def _reader(self, handle: _WorkerHandle, tag: object = None) -> None:
+        """Per-connection receive loop: PONG and TELEMETRY are taken in
+        here, and every result frame and every death-class event (EOF,
+        REJECT, BYE) is posted exactly once as ``(worker_id, tag,
+        msg_type, payload)`` -- the shape of every event, whose second
+        field only a join event fills (with the joining handle)."""
         conn = handle.conn
         while True:
             try:
@@ -655,7 +656,7 @@ class PoolExecutor(ClientExecutor):
             except (ConnectionClosed, OSError, FrameError):
                 # A corrupt stream (FrameError) is as dead as a closed one:
                 # report the loss so the round reassigns, never hang.
-                self._events.put((handle.id, gen, None, None))
+                self._events.put((handle.id, tag, None, None))
                 return
             handle.last_seen = time.monotonic()
             if msg_type == proto.MsgType.PONG:
@@ -680,44 +681,20 @@ class PoolExecutor(ClientExecutor):
                     handle.summary = summary
                     self._worker_summaries[handle.id] = summary
                 continue
-            self._events.put((handle.id, gen, msg_type, payload))
+            self._events.put((handle.id, tag, msg_type, payload))
             if msg_type == proto.MsgType.BYE:
                 return
 
     # ------------------------------------------------------------------
-    # worker-loss handling
+    # worker loss and join (the collector's thread only)
     # ------------------------------------------------------------------
     def _live_ids(self) -> List[int]:
         return sorted(wid for wid, h in self._handles.items() if h.alive)
 
-    def _reassign_candidates(self) -> List[int]:
-        """Worker ids a batch's jobs may be dealt to.
-
-        Workers that are ``up``; when none are, workers parked ``lost``
-        whose reconnect grace window is still open -- a run whose only
-        survivors are mid-blip must wait for a resume (or the window's
-        expiry), not abort.  Jobs dealt to a lost candidate simply stay
-        pending: dispatching to it is skipped, and its resume re-deals
-        them.  Empty means the federation is truly out of workers.
-        """
-        now = time.monotonic()
-        return self._live_ids() or sorted(
-            wid
-            for wid, h in self._handles.items()
-            if h.state == "lost"
-            and h.lost_at is not None
-            and now - h.lost_at <= self.reconnect_grace
+    def _gone(self, last_failure: str) -> ExecutorError:
+        return ExecutorError(
+            f"all {self.name} workers are gone (last failure: {last_failure})"
         )
-
-    def _heirs(self, last_failure: str) -> List[int]:
-        """:meth:`_reassign_candidates`, or ``ExecutorError`` naming the
-        ``last_failure`` when there are none."""
-        heirs = self._reassign_candidates()
-        if not heirs:
-            raise ExecutorError(
-                f"all {self.name} workers are gone (last failure: {last_failure})"
-            )
-        return heirs
 
     def _fold_and_close(self, handle: _WorkerHandle) -> None:
         """Fold a connection's byte counters into the totals and close it."""
@@ -731,65 +708,45 @@ class PoolExecutor(ClientExecutor):
 
     def _retire(self, wid: int) -> None:
         handle = self._handles[wid]
-        if handle.state == "retired":
-            return
-        if handle.state == "up":
+        if handle.alive:
             self._fold_and_close(handle)
-        handle.state = "retired"
+            handle.state = "retired"
 
-    def _grace_lost(self, wid: int, gen: object = None) -> bool:
-        """Absorb a connection loss into the grace window.
-
-        Covers both reader loss-events (which carry the connection
-        ``gen``) and send failures (``gen=None`` -- a broken pipe on
-        dispatch is the same drop seen from the other side).  Returns
-        ``True`` when the loss needs no action from the collector
-        (stale event, already parked/retired, or just parked now) --
-        the caller leaves the worker's jobs pending for the resume or
-        the grace expiry; ``False`` when the collector must
-        retire-and-reassign (grace disabled).
-        """
-        with self._death_lock:
-            handle = self._handles.get(wid)
-            if handle is None:
-                return True
-            if handle.state == "retired":
-                # Already retired (a protocol violation, say, whose
-                # connection close then surfaces here), but the batch
-                # may still hold pending jobs for it: let the death
-                # handler run (retire is idempotent, and it
-                # redistributes the outstanding work).
-                return False
-            if isinstance(gen, int) and gen != handle.gen:
-                return True  # stale reader of a superseded connection
-            if handle.state == "lost":
-                return True  # already parked; the window is ticking
-            if self.reconnect_grace <= 0:
-                return False
-            self._fold_and_close(handle)
-            handle.state = "lost"
-            handle.lost_at = time.monotonic()
-            telemetry.count("distributed.worker_lost", 1)
-            return True
-
-    def _retire_lost_worker(self, wid: int, reason: str) -> None:
-        """Retire ``wid`` after a failure (idempotent); raises when no
-        worker is left to take its jobs.
-
-        Nothing is re-shipped: every survivor already holds the whole
-        population, and each job carries its client's ledger RNG state.
-        Serialised by ``_death_lock`` against a resume on the accept
-        thread; a death observed twice makes the second call a no-op.
-        """
-        with self._death_lock:
-            handle = self._handles.get(wid)
-            if handle is None or handle.state == "retired":
-                return
+    def _handle_worker_death(
+        self, wid: int, state: _InFlight, reason: str
+    ) -> None:
+        """Retire ``wid`` (a death observed twice retires it once) and
+        re-deal its outstanding jobs of ``state`` over the live workers,
+        which all hold the population and the eval set.  Nothing is
+        re-shipped: each job carries its client's ledger RNG state."""
+        if self._handles[wid].alive:
             self._retire(wid)
             # Counted here, not in _retire: close() retires every handle
             # on a normal shutdown, which is not a failure.
             telemetry.count("distributed.worker_retired", 1)
-            self._heirs(f"worker {wid}: {reason}")
+        outstanding = state.take(wid)
+        if outstanding:
+            self._deal(state, outstanding, f"worker {wid}: {reason}", " during reassignment")
+
+    def _refuse(self, wid: int, state: _InFlight, reason: str) -> None:
+        """A protocol violation: tell the worker why (its agent exits
+        rather than dial back into the same violation), then retire it."""
+        handle = self._handles[wid]
+        if handle.alive:
+            try:
+                handle.conn.send(proto.MsgType.REJECT, proto.encode_reject(reason))
+            except OSError:
+                pass
+        self._handle_worker_death(wid, state, reason)
+
+    def _join(self, handle: _WorkerHandle, state: _InFlight) -> None:
+        """Add a worker that registered mid-run to the live set; jobs that
+        no live worker was left to take are dealt to it."""
+        self._handles[handle.id] = handle
+        self._start_reader(handle)
+        if state.stranded:
+            jobs, state.stranded = list(state.stranded.values()), {}
+            self._deal(state, jobs, state.stranded_by, " after a join")
 
     # ------------------------------------------------------------------
     # codec-aware broadcast + dispatch
@@ -809,8 +766,8 @@ class PoolExecutor(ClientExecutor):
           and cached on ``state``; every worker whose mirror names the
           same baseline receives the same bytes.  For the delta codec
           the baseline is the mirror's newest entry; with an empty
-          mirror (first send on a connection, post-resume resync) the
-          frame falls back to raw.
+          mirror (a worker's first broadcast) the frame falls back to
+          raw.
         """
         mirror = handle.baselines
         weights = state.weights
@@ -858,9 +815,6 @@ class PoolExecutor(ClientExecutor):
         frames safe: mirror and worker cache see the same insertions in
         the same order with the same retention bound, so any seq the
         coordinator names is still retained by the worker.
-
-        Caller must hold ``handle.lock`` (``_dispatch_to`` does): the
-        baseline mirror and the wire must observe sends in one order.
         """
         frame, retained = self._broadcast_frame(handle, state)
         handle.conn.send(proto.MsgType.BROADCAST, frame)
@@ -873,50 +827,50 @@ class PoolExecutor(ClientExecutor):
     def _dispatch_to(
         self, handle: _WorkerHandle, state: _InFlight, jobs: List[_Job]
     ) -> None:
-        """Send one worker its work order (+ the broadcast, first time).
-
-        Runs under ``handle.lock``: a resume swapping the connection can
-        then never interleave mid-dispatch (which could split the
-        BROADCAST and its work order across two connections), and the
-        ``dispatch_gen`` recorded is exactly the connection every frame
-        of this dispatch went to.
-        """
-        with handle.lock:
-            gen = handle.gen
-            if handle.id not in state.broadcasted:
-                self._send_broadcast(handle, state)
-                state.broadcasted.add(handle.id)
-            if state.kind == "train":
-                handle.conn.send(
-                    proto.MsgType.TRAIN,
-                    proto.encode_train(
-                        state.seq, state.round_idx, [job[:2] for job in jobs],
-                        [(cid, rng) for cid, _, rng in jobs if rng is not None],
-                    ),
-                )
-            elif state.kind == "eval":
-                handle.conn.send(
-                    proto.MsgType.EVAL,
-                    proto.encode_eval(state.seq, jobs),
-                )
-            else:
-                handle.conn.send(
-                    proto.MsgType.EVAL_MODEL,
-                    proto.encode_eval_model(state.seq, jobs),
-                )
-            state.dispatch_gen[handle.id] = gen
+        """Send one worker its work order (+ the broadcast, first time)."""
+        if handle.id not in state.broadcasted:
+            self._send_broadcast(handle, state)
+            state.broadcasted.add(handle.id)
+        if state.kind == "train":
+            handle.conn.send(
+                proto.MsgType.TRAIN,
+                proto.encode_train(
+                    state.seq, state.round_idx, [job[:2] for job in jobs],
+                    [(cid, rng) for cid, _, rng in jobs if rng is not None],
+                ),
+            )
+        elif state.kind == "eval":
+            handle.conn.send(
+                proto.MsgType.EVAL,
+                proto.encode_eval(state.seq, jobs),
+            )
+        else:
+            handle.conn.send(
+                proto.MsgType.EVAL_MODEL,
+                proto.encode_eval_model(state.seq, jobs),
+            )
 
     def _deal(
         self, state: _InFlight, jobs: Sequence[_Job], last_failure: str, when: str = ""
     ) -> None:
-        """Deal ``jobs`` over :meth:`_heirs` by cost and dispatch each
+        """Deal ``jobs`` over the live workers by cost and dispatch each
         worker its share.
 
         Every share is recorded as pending before any send: a death
         during this loop re-deals the dead worker's whole pending list
-        (these jobs included), so nothing is lost or sent twice.
+        (these jobs included), so nothing is lost or sent twice.  With no
+        live worker the batch fails naming ``last_failure`` -- or, with a
+        ``reconnect_grace``, the jobs are stranded until a join.
         """
-        workers = self._heirs(last_failure)
+        workers = self._live_ids()
+        if not workers:
+            if self.reconnect_grace <= 0:
+                raise self._gone(last_failure)
+            if not state.stranded:
+                state.stranded_since = time.monotonic()
+            state.stranded.update((state.key_of(job), job) for job in jobs)
+            state.stranded_by = last_failure
+            return
         capacities = {wid: self._handles[wid].capacity for wid in workers}
         by_key = {state.key_of(job): job for job in jobs}
         keys = list(by_key)
@@ -927,116 +881,37 @@ class PoolExecutor(ClientExecutor):
         for wid, share in shares.items():
             self._dispatch_or_fail_over(wid, state, share, when)
 
-    def _initial_dispatch(
-        self, kind: str, round_idx: int, weights: np.ndarray, jobs: Sequence[_Job],
-        costs: Sequence[float],
-    ) -> _InFlight:
-        """Open a batch: allocate its seq, deal ``jobs`` by ``costs`` over
-        the live workers and dispatch them."""
-        self._seq += 1
-        state = _InFlight(self._seq, round_idx, weights, kind)
-        state.costs = {state.key_of(job): cost for job, cost in zip(jobs, costs)}
-        self._deal(state, jobs, "no worker is up")
-        return state
-
     def _dispatch_or_fail_over(
         self, wid: int, state: _InFlight, jobs: List[_Job], when: str = ""
     ) -> None:
-        """Dispatch ``jobs`` to worker ``wid`` unless it is not ``up``.
-
-        Not ``up`` means retired by an earlier death handling (its whole
-        pending list was already re-dealt) or parked lost: its resume --
-        or its grace expiry through the heartbeat check -- owns these
-        jobs, which stay pending.  A failed send parks the worker the
-        same way, or retires it (grace disabled) and re-deals the jobs.
-        """
+        """Dispatch ``jobs`` to worker ``wid`` unless it was retired
+        meanwhile (its whole pending list, these jobs included, was
+        re-dealt then); a failed send retires it and re-deals them."""
         handle = self._handles[wid]
         if not handle.alive:
             return
-        gen = handle.gen
         try:
             self._dispatch_to(handle, state, jobs)
         except OSError as exc:
-            if not self._grace_lost(wid, gen):
-                self._handle_worker_death(wid, state, f"send failed{when}: {exc}")
-
-    def _handle_worker_death(
-        self, wid: int, state: _InFlight, reason: str
-    ) -> None:
-        """Process a worker loss for one collector's in-flight batch:
-        retire it (idempotent -- see :meth:`_retire_lost_worker`), then
-        re-deal *this collector's* outstanding jobs for it over the
-        survivors, which all hold the population and the eval set."""
-        self._retire_lost_worker(wid, reason)
-        outstanding = state.take(wid)
-        state.dispatch_gen.pop(wid, None)
-        if outstanding:
-            # _retire_lost_worker only raises for the FIRST collector to
-            # observe the terminal death; a second collector with its own
-            # outstanding jobs must fail the same way, not spin.
-            self._deal(state, outstanding, f"worker {wid}: {reason}", " during reassignment")
-
-    def _redispatch_after_resume(self, wid: int, state: _InFlight) -> None:
-        """Re-deal a resumed worker's outstanding jobs for this batch over
-        the live workers, itself included.
-
-        Only when the jobs were dispatched to a *previous* connection
-        (``dispatch_gen`` differs): a stale resume event must never
-        double-dispatch jobs the current connection already holds.  The
-        resumed worker's next broadcast is a raw resync (the resume
-        cleared its baseline mirror).
-        """
-        handle = self._handles.get(wid)
-        if handle is None or not handle.alive:
-            return
-        if not state.pending.get(wid) or state.dispatch_gen.get(wid) == handle.gen:
-            return
-        state.broadcasted.discard(wid)
-        outstanding = state.take(wid)
-        state.dispatch_gen.pop(wid, None)
-        self._deal(state, outstanding, f"worker {wid} resumed", " after resume")
+            self._handle_worker_death(wid, state, f"send failed{when}: {exc}")
 
     def _check_heartbeats(self, state: _InFlight) -> List[Tuple[int, str]]:
-        """PING quiet busy workers; return those past their limit.
-
-        Workers parked ``lost`` are never PINGed (there is no connection
-        to ping) -- they expire when their reconnect grace window does.
-        """
+        """PING quiet busy workers; return those past their limit."""
         now = time.monotonic()
         dead: List[Tuple[int, str]] = []
-        for wid, jobs in state.pending.items():
+        for wid in state.pending:
             handle = self._handles[wid]
-            if handle.state == "retired":
-                if jobs:
-                    # Jobs stranded on a worker another collector retired
-                    # (e.g. between this collector's deal and its
-                    # dispatch): redistribute.
-                    dead.append((wid, "worker already retired"))
-                continue
-            if handle.state == "lost":
-                if (
-                    handle.lost_at is not None
-                    and now - handle.lost_at > self.reconnect_grace
-                ):
-                    dead.append(
-                        (wid,
-                         f"did not reconnect within the "
-                         f"{self.reconnect_grace:.0f}s grace window")
-                    )
-                continue
             silent = now - handle.last_seen
             if silent > self.heartbeat_interval * self.heartbeat_misses:
                 dead.append(
                     (wid, f"no heartbeat for {silent:.1f}s (process hung?)")
                 )
             elif silent > self.heartbeat_interval:
-                gen = handle.gen
                 try:
                     handle.conn.send(proto.MsgType.PING)
                     handle.ping_sent_at = time.monotonic()
                 except OSError as exc:
-                    if not self._grace_lost(wid, gen):
-                        dead.append((wid, f"ping failed: {exc}"))
+                    dead.append((wid, f"ping failed: {exc}"))
         return dead
 
     def _decode_result(
@@ -1090,75 +965,73 @@ class PoolExecutor(ClientExecutor):
         """Drive ``state`` until no job is outstanding: the one event loop.
 
         Owns the ``result_timeout`` deadline (its message names the
-        outstanding ``what``), the heartbeat poll, resume, loss and its
-        grace window, ``BYE`` and ``REJECT``, and decodes each result
-        frame once.  A result frame for another seq -- of any kind, the
-        queue is shared -- is a straggler from an abandoned batch, and
-        one read off a connection that a resume has since replaced is a
-        straggler from a forgotten pass: dropped, settling nothing, its
-        sender untouched.  One for the live seq reaches
-        ``on_result(worker_id, msg_type, entries)`` if its type may
-        settle this kind of batch; otherwise -- like any unknown frame,
-        and any result or ``REJECT`` frame that does not decode -- it
-        retires its sender as a protocol violation, and the sender's jobs
-        are re-dispatched.
+        outstanding ``what``), the heartbeat poll, and the wait for a
+        join while jobs are stranded; each event is taken by
+        :meth:`_apply`.
         """
         deadline = time.monotonic() + self.result_timeout
         while state.outstanding() > 0:
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise ExecutorError(
                     f"timed out after {self.result_timeout:.0f}s waiting for "
                     f"{state.outstanding()} {what}"
                 )
+            if state.stranded and now - state.stranded_since > self.reconnect_grace:
+                raise self._gone(
+                    f"{state.stranded_by}; no worker joined within {self.reconnect_grace:g}s"
+                )
             try:
-                wid, gen, msg_type, payload = self._events.get(timeout=self.heartbeat_interval)
+                event = self._events.get(timeout=self.heartbeat_interval)
             except queue_mod.Empty:
                 for dead_wid, reason in self._check_heartbeats(state):
                     self._handle_worker_death(dead_wid, state, reason)
                 continue
+            self._apply(state, event, on_result)
 
-            if msg_type == _EVT_RESUMED:
-                self._redispatch_after_resume(wid, state)
-                continue
-            if msg_type is None:
-                if not self._grace_lost(wid, gen):
-                    self._handle_worker_death(wid, state, "connection lost")
-                continue
-            if msg_type == proto.MsgType.BYE:
-                self._handle_worker_death(wid, state, "worker exited")
-                continue
-            if msg_type == proto.MsgType.REJECT:
-                try:
-                    reason = f"worker refused to continue: {proto.decode_reject(payload)}"
-                except proto.ProtocolError as exc:
-                    reason = f"malformed REJECT: {exc}"
-                self._handle_worker_death(wid, state, reason)
-                continue
-            unexpected = f"unexpected message type {msg_type}"
-            # Merged under the lock a resume holds, and only while the
-            # connection the frame was read off is still the worker's: a
-            # result a resume overtook in this queue belongs to a pass
-            # the resume forgets.  Dropped, its job stays pending and the
-            # resume event re-deals it.
-            with self._death_lock:
-                if gen != self._handles[wid].gen:
-                    continue
-                if msg_type not in _RESULT_TYPES:
-                    self._handle_worker_death(wid, state, unexpected)
-                    continue
-                try:
-                    decoded = self._decode_result(msg_type, payload, state)
-                except proto.ProtocolError as exc:
-                    self._handle_worker_death(
-                        wid, state, f"malformed {proto.MsgType(msg_type).name}: {exc}"
-                    )
-                    continue
-                if decoded is None or decoded[0] != state.seq:
-                    continue
-                if msg_type in _RESULT_FRAMES[state.kind]:
-                    on_result(wid, msg_type, decoded[1])
-                else:
-                    self._handle_worker_death(wid, state, unexpected)
+    def _apply(
+        self, state: _InFlight, event: tuple, on_result: Callable[[int, int, List[tuple]], None]
+    ) -> None:
+        """Take one event of the queue for ``state``: a join, a loss,
+        ``BYE``, ``REJECT``, or a result frame, decoded once.
+
+        A result frame for another seq -- of any kind, the queue is
+        shared -- is a straggler from an abandoned batch: dropped,
+        settling nothing, its sender untouched.  One for the live seq
+        reaches ``on_result(worker_id, msg_type, entries)`` if its type
+        may settle this kind of batch, whether or not its sender has
+        been retired since (a job settles once, first result wins).
+        Otherwise -- like any unknown frame, and any result frame that
+        does not decode -- its sender is refused as a protocol violation
+        and its jobs are re-dealt.
+        """
+        wid, joined, msg_type, payload = event
+        if msg_type == _EVT_JOINED:
+            self._join(joined, state)
+        elif msg_type is None:
+            self._handle_worker_death(wid, state, "connection lost")
+        elif msg_type == proto.MsgType.BYE:
+            self._handle_worker_death(wid, state, "worker exited")
+        elif msg_type == proto.MsgType.REJECT:
+            try:
+                reason = f"worker refused to continue: {proto.decode_reject(payload)}"
+            except proto.ProtocolError as exc:
+                reason = f"malformed REJECT: {exc}"
+            self._handle_worker_death(wid, state, reason)
+        elif msg_type not in _RESULT_TYPES:
+            self._refuse(wid, state, f"unexpected message type {msg_type}")
+        else:
+            try:
+                decoded = self._decode_result(msg_type, payload, state)
+            except proto.ProtocolError as exc:
+                self._refuse(wid, state, f"malformed {proto.MsgType(msg_type).name}: {exc}")
+                return
+            if decoded is None or decoded[0] != state.seq:
+                return
+            if msg_type in _RESULT_FRAMES[state.kind]:
+                on_result(wid, msg_type, decoded[1])
+            else:
+                self._refuse(wid, state, f"unexpected message type {msg_type}")
 
     def _run(
         self,
@@ -1170,12 +1043,15 @@ class PoolExecutor(ClientExecutor):
         what: str,
         on_result: OnResult,
     ) -> None:
-        """One batch: :meth:`_initial_dispatch`, then :meth:`_collect`
-        until every job settled.  Only a key's first result reaches
-        ``on_result`` (a re-deal race may compute it twice,
-        bit-identically), under the lock a resume holds; a merged UPDATE
-        then calls :meth:`_on_update_received`."""
-        state = self._initial_dispatch(kind, round_idx, weights, jobs, costs)
+        """One batch: take the events queued since the last one (joins,
+        losses, stragglers), deal ``jobs`` by ``costs`` over the live
+        workers, then :meth:`_collect` until every job settled.  Only a
+        key's first result reaches ``on_result`` (a re-deal race may
+        compute it twice, bit-identically); a merged UPDATE then calls
+        :meth:`_on_update_received`."""
+        self._seq += 1
+        state = _InFlight(self._seq, round_idx, weights, kind)
+        state.costs = {state.key_of(job): cost for job, cost in zip(jobs, costs)}
 
         def settle(wid: int, msg_type: int, entries: List[tuple]) -> None:
             for key, value, error in entries:
@@ -1184,6 +1060,9 @@ class PoolExecutor(ClientExecutor):
                     if msg_type == proto.MsgType.UPDATE:
                         self._on_update_received(wid, key)
 
+        while not self._events.empty():
+            self._apply(state, self._events.get_nowait(), settle)
+        self._deal(state, jobs, "no worker is up")
         self._collect(state, what, settle)
 
     # ------------------------------------------------------------------
@@ -1213,6 +1092,12 @@ class PoolExecutor(ClientExecutor):
         if self._closed:
             return
         super().close()
+        # A join no collector took is a worker too: it is shut down alike.
+        while not self._events.empty():
+            _wid, joined, msg_type, _payload = self._events.get_nowait()
+            if msg_type == _EVT_JOINED:
+                self._handles[joined.id] = joined
+                self._start_reader(joined)
         live = [h for h in self._handles.values() if h.alive]
         for handle in live:
             try:
@@ -1254,13 +1139,13 @@ class DistributedExecutor(PoolExecutor):
     accept_timeout:
         Seconds to wait for all workers to register.
     reconnect_grace:
-        Seconds a worker whose TCP connection dropped may take to
-        reconnect-and-resume (see the module docstring) before it is
-        retired and its jobs re-dealt.  ``0`` (default) retires on
-        the first loss, the pre-v4 behaviour.
+        Seconds a batch that has lost its last live worker waits for a
+        worker to join (a dropped agent dialling back, or a new one)
+        before it fails naming the loss.  ``0`` (default) fails at once.
 
-    Its wire is read off :attr:`bytes_sent` and :attr:`bytes_received`
-    (and the per-frame-type tallies).
+    After registration the listener stays open: any agent may join the
+    running federation.  Its wire is read off :attr:`bytes_sent` and
+    :attr:`bytes_received` (and the per-frame-type tallies).
     """
 
     name = "distributed"
@@ -1345,134 +1230,63 @@ class DistributedExecutor(PoolExecutor):
                 sock, _addr = self._listener.accept()
             except socket.timeout:
                 continue
-            self._register(sock)
+            handle = self._register(sock)
+            if handle is not None:
+                self._handles[handle.id] = handle
 
     def _accept_loop(self) -> None:
-        """Post-registration accept thread: resume handshakes only.
+        """Post-registration accept thread: mid-run joins.
 
-        Runs until :meth:`close`.  Fresh registrations are refused (the
-        worker set is fixed for the federation's lifetime); a HELLO with
-        a valid ``resume`` token revives a parked worker.
+        Runs until :meth:`close` closes the listener.  A connection
+        passes the one handshake (:meth:`_register`) and receives the
+        set-up frames; a join event then hands it to the collector.
         """
         listener = self._listener
         assert listener is not None
-        while not self._closed:
-            listener.settimeout(1.0)
+        listener.settimeout(1.0)
+        while True:
             try:
                 sock, _addr = listener.accept()
             except socket.timeout:
                 continue
             except OSError:
                 return  # listener closed under us: shutting down
-            COORDINATOR_SOCKETS.add(sock)
-            conn = Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
-            hello = self._handshake(conn)
-            if hello is None:
+            handle = self._register(sock)
+            if handle is None:
                 continue
-            resume = hello.get("resume")
-            if resume is None:
-                self._reject(
-                    conn,
-                    "federation already running: new workers cannot join mid-run",
-                )
-                continue
-            self._try_resume(conn, resume)  # type: ignore[arg-type]
-
-    def _try_resume(self, conn: Connection, resume: Mapping[str, object]) -> None:
-        """Resume a parked worker on a fresh connection (or refuse).
-
-        Under ``_death_lock`` so it can never interleave with a
-        retirement observing the same worker.  On success the resident
-        eval set is re-shipped, the delta baseline mirror is cleared
-        (next broadcast resyncs raw) and a resume event wakes the
-        collector to re-deal outstanding jobs.  The population is not
-        re-shipped: the worker process kept it, and every job carries
-        its client's ledger RNG state.
-        """
-        wid = int(resume["worker_id"])  # type: ignore[arg-type]
-        token = str(resume["token"])
-        if self.reconnect_grace <= 0:
-            # Pre-v4 semantics on request: a lost connection is a lost
-            # worker, full stop -- even one that re-dials instantly.
-            self._reject(
-                conn,
-                f"worker {wid} cannot resume: this coordinator runs with "
-                "reconnect_grace=0 (resume disabled)",
-            )
-            return
-        with self._death_lock:
-            handle = self._handles.get(wid)
-            if handle is None or handle.state == "retired":
-                self._reject(
-                    conn,
-                    f"worker {wid} cannot resume: unknown or already retired "
-                    "(grace window expired?)",
-                )
-                return
-            if not secrets.compare_digest(token, handle.token):
-                self._reject(conn, f"worker {wid} resume token mismatch")
-                return
-            if (
-                handle.state == "lost"
-                and handle.lost_at is not None
-                and time.monotonic() - handle.lost_at > self.reconnect_grace
-            ):
-                # Expired but not yet observed by a collector: refuse the
-                # resume; the next collector pass retires and re-deals.
-                self._reject(
-                    conn,
-                    f"worker {wid} reconnect grace of "
-                    f"{self.reconnect_grace:.0f}s expired",
-                )
-                return
-            if handle.state == "up":
-                # The worker noticed the drop before we did: the old
-                # connection is a zombie.  Fold and replace it; stale
-                # events from its reader are gen-filtered.
-                self._fold_and_close(handle)
+            eval_frame = None
+            if self._eval_shipped:
+                eval_frame = proto.encode_bind_eval(*self._eval_data)
             try:
-                self._welcome(conn, handle)
-                if self._eval_shipped and self._eval_data is not None:
-                    conn.send(
-                        proto.MsgType.BIND_EVAL,
-                        proto.encode_bind_eval(*self._eval_data),
-                    )
+                self._send_setup(handle.conn, eval_frame)
             except OSError:
-                conn.close()
-                if handle.state == "up":
-                    handle.state = "lost"
-                    handle.lost_at = time.monotonic()
-                return
-            with handle.lock:
-                handle.conn = conn
-                handle.baselines.clear()
-            handle.state = "up"
-            handle.lost_at = None
-            handle.gen += 1
-            handle.last_seen = time.monotonic()
-            handle.reader = threading.Thread(
-                target=self._reader, args=(handle, handle.gen), daemon=True,
-                name=f"repro-dist-reader-{wid}.{handle.gen}",
-            )
-            handle.reader.start()
-        telemetry.count("distributed.worker_resumed", 1)
-        self._events.put((wid, handle.gen, _EVT_RESUMED, None))
+                handle.conn.close()
+                continue
+            telemetry.count("distributed.worker_joined", 1)
+            self._events.put((handle.id, handle, _EVT_JOINED, None))
 
     def _ensure_started(self) -> None:
         if self._assigned:
             return
         super()._ensure_started()
-        # Keep accepting after registration closes: resumes arrive here.
+        # Keep accepting after registration closes: joins arrive here.
         self._accept_thread = threading.Thread(
             target=self._accept_loop, daemon=True, name="repro-dist-accept"
         )
         self._accept_thread.start()
 
     def close(self) -> None:
-        super().close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
+        # Stop accepting first, so no join can be posted after close()
+        # has taken the queued ones.  The shutdown wakes the accept loop
+        # at once; a handshake in progress ends first.
         if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # not every platform shuts a listener down
             self._listener.close()
             self._listener = None
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=15.0)
+            self._accept_thread = None
+        super().close()

@@ -12,8 +12,8 @@ collector's reach.  What differs is the pipe:
 * :class:`ProcessExecutor` (``--executor process``) hands each child one
   end of a ``socket.socketpair()`` and registers the other through the
   coordinator's one handshake path.  There is no listening socket, so
-  nothing else on the machine can register, and no resume: a dead local
-  worker's jobs are re-dealt over the survivors.
+  nothing else on the machine can register, and nothing can join: a dead
+  local worker's jobs are re-dealt over the survivors.
 * :func:`spawn_local_workers` runs the ``worker`` command in the child
   against a TCP endpoint, the *loopback* topology of the equivalence
   tests and the ``loopback_*`` workloads of ``perf/``: it gets
@@ -72,15 +72,18 @@ def _run_worker(argv: List[str], stderr_path: Optional[str]) -> None:
 
 
 class _PairedAgent(WorkerAgent):
-    """A worker agent on one end of a socketpair: nothing to dial, and a
-    lost connection ends it (``reconnect_grace=0``)."""
+    """A worker agent on one end of a socketpair: nothing to dial, so a
+    lost connection ends it (there is no second socket to dial)."""
 
     def __init__(self, sock: socket.socket) -> None:
-        super().__init__("", 0, reconnect_grace=0.0, log=open(os.devnull, "w"))
-        self._sock = sock
+        super().__init__("", 0, log=open(os.devnull, "w"))
+        self._sock: Optional[socket.socket] = sock
 
-    def _connect(self, timeout: Optional[float] = None) -> Connection:
-        return Connection(self._sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
+    def _connect(self) -> Connection:
+        sock, self._sock = self._sock, None
+        if sock is None:
+            raise ConnectionError("the socketpair to the coordinator is gone")
+        return Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
 
 
 def _run_paired(sock: socket.socket) -> None:
@@ -138,8 +141,10 @@ class ProcessExecutor(PoolExecutor):
             ends.append(ours)
         # Registered after every fork, so the children boot in parallel.
         for sock in ends:
-            if not self._register(sock):
+            handle = self._register(sock)
+            if handle is None:
                 raise ExecutorError(f"a local {self.name} worker failed its handshake")
+            self._handles[handle.id] = handle
 
     def close(self) -> None:
         super().close()

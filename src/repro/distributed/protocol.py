@@ -27,7 +27,7 @@ from repro.nn.model import Sequential
 
 #: Bump on any wire-incompatible change: the handshake REJECTs a peer of
 #: another version by name (history: ``docs/architecture.md``).
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 
 #: Largest payload a connection accepts until HELLO/WELCOME has succeeded
 #: (both peers): the receiver allocates at the header's announcement, so
@@ -104,13 +104,11 @@ def model_signature(model: Sequential) -> str:
 class _Kind(NamedTuple):
     """``cast`` is the encoder's coercion (numpy ints encode), ``valid``
     the decoder's exact type test (a bool is not an int, a float is not
-    an int, a str is not a number), ``read`` shapes the decoded value;
-    an ``optional`` field is left out when None."""
+    an int, a str is not a number), ``read`` shapes the decoded value."""
 
     cast: Callable[[Any], Any]
     valid: Callable[[Any], bool]
     read: Callable[[Any], Any] = lambda value: value
-    optional: bool = False
 
 
 def _or_none(of: type) -> _Kind:
@@ -222,14 +220,6 @@ _KINDS: Dict[str, _Kind] = {
         lambda v: [(r[0], _pcg64_state(r[1:])) for r in v],
     ),
     "JSON object": _DICT,
-    "{worker_id, token}?": _Kind(  # HELLO's `resume`, sent on a reconnect
-        lambda v: {"worker_id": int(v[0]), "token": str(v[1])},
-        lambda v: (
-            type(v) is dict and [type(v.get(k)) for k in ("worker_id", "token")] == [int, str]
-        ),
-        lambda v: {"worker_id": v["worker_id"], "token": v["token"]},
-        optional=True,
-    ),
     "bytes": _Kind(bytes, lambda v: type(v) is bytes),
     "dict": _DICT,
     "any": _Kind(lambda v: v, lambda v: True),
@@ -242,8 +232,8 @@ class FrameSpec:
     """One frame type.  ``layout`` is ``empty``, ``json`` / ``pickle`` (an
     object of the ``(name, kind)`` ``fields``, in order) or ``struct`` (a
     big-endian header of ``(name, struct code)`` ``fields``, then the
-    ``(name, encoding)`` ``tail``).  ``defaults`` fill keys a decoder may
-    find absent; ``check``, the cross-field rule, holds on both sides."""
+    ``(name, encoding)`` ``tail``).  ``check``, the cross-field rule,
+    holds on both sides."""
 
     type: MsgType
     direction: str
@@ -251,7 +241,6 @@ class FrameSpec:
     fields: Tuple[Tuple[str, str], ...]
     purpose: str
     tail: Tuple[Tuple[str, str], ...] = ()
-    defaults: Tuple[Tuple[str, Any], ...] = ()
     check: Optional[Callable[[Dict[str, Any]], Optional[str]]] = None
 
     @property
@@ -288,22 +277,20 @@ def _train_rng(v: Dict[str, Any]) -> Optional[str]:
 
 _CONFIG = (("training", "any"), ("signature", "str"), ("model", "any"))
 
-#: Every frame type of protocol v9, in type-byte order.
+#: Every frame type of protocol v10, in type-byte order.
 # fmt: off
 FRAMES: Tuple[FrameSpec, ...] = (
     FrameSpec(
         MsgType.HELLO, "w→c", "json",
-        (("version", "int"), ("capacity", "int"), ("pid", "int"),
-         ("resume", "{worker_id, token}?")),
-        "opens a connection; `resume` names the session a reconnecting worker continues",
+        (("version", "int"), ("capacity", "int"), ("pid", "int")),
+        "opens a connection; every connection registers a new worker",
         check=lambda v: None if v["capacity"] >= 1 else (
             f"capacity must be >= 1, got {v['capacity']}")),
     FrameSpec(
         MsgType.WELCOME, "c→w", "json",
         (("version", "int"), ("worker_id", "int"), ("model_signature", "str"),
-         ("num_params", "int"), ("session_token", "str")),
-        "accepts a worker: its id, the model it commits to, the token a resume presents",
-        defaults=(("session_token", ""),)),
+         ("num_params", "int")),
+        "accepts a worker: its id and the model it commits to"),
     FrameSpec(
         MsgType.REJECT, "c↔w", "json", (("reason", "str"),),
         "refuses a peer, or a frame it cannot serve, and closes the connection"),
@@ -366,7 +353,7 @@ FRAMES: Tuple[FrameSpec, ...] = (
         "the worker's metrics summary, once before BYE; unknown keys are kept"),
     FrameSpec(
         MsgType.ASSIGN_SHARD, "c→w", "pickle", (("shard", "bytes"),) + _CONFIG,
-        "ships the population store's columns (a PSH1 blob with RNG snapshots)"),
+        "ships the population store's columns (a PSH1 blob)"),
 )
 # fmt: on
 
@@ -378,9 +365,7 @@ def _fields_out(msg_type: MsgType, values: Sequence[Any]) -> Dict[str, Any]:
     spec = _SPEC[msg_type]
     obj: Dict[str, Any] = {}
     for (name, kind), value in zip(spec.fields, values):
-        how = _KINDS[kind]
-        if value is not None or not how.optional:
-            obj[name] = how.cast(value)
+        obj[name] = _KINDS[kind].cast(value)
     problem = spec.check and spec.check(obj)
     if problem:
         raise ValueError(problem)
@@ -393,16 +378,12 @@ def _fields_in(msg_type: MsgType, obj: Any) -> Dict[str, Any]:
     what = f"malformed {msg_type.name} payload"
     if type(obj) is not dict:
         raise ProtocolError(f"{what}: {type(obj).__name__}, not an object")
-    for name, value in spec.defaults:
-        obj.setdefault(name, value)
-    missing = [n for n, kind in spec.fields if n not in obj and not _KINDS[kind].optional]
+    missing = [name for name, _ in spec.fields if name not in obj]
     if missing:
         raise ProtocolError(f"{what}: missing keys {missing}")
     out: Dict[str, Any] = {}
     for name, kind in spec.fields:
-        how, value = _KINDS[kind], obj.get(name)
-        if value is None and how.optional:
-            continue
+        how, value = _KINDS[kind], obj[name]
         if not how.valid(value):
             raise ProtocolError(f"{what}: {name} is {type(value).__name__}, not {kind}")
         out[name] = how.read(value)
@@ -437,20 +418,16 @@ def _decode_pickle(msg_type: MsgType, payload: bytes) -> Dict[str, Any]:
 
 
 # --- JSON and pickle entry points: one call into the table each -------
-def encode_hello(
-    version: int, capacity: int, pid: int, resume: Optional[Tuple[int, str]] = None
-) -> bytes:
-    return _encode_json(MsgType.HELLO, version, capacity, pid, resume)
+def encode_hello(version: int, capacity: int, pid: int) -> bytes:
+    return _encode_json(MsgType.HELLO, version, capacity, pid)
 
 
 def decode_hello(payload: bytes) -> Dict[str, Any]:
     return _decode_json(MsgType.HELLO, payload)
 
 
-def encode_welcome(
-    version: int, worker_id: int, model_sig: str, num_params: int, session_token: str = ""
-) -> bytes:
-    return _encode_json(MsgType.WELCOME, version, worker_id, model_sig, num_params, session_token)
+def encode_welcome(version: int, worker_id: int, model_sig: str, num_params: int) -> bytes:
+    return _encode_json(MsgType.WELCOME, version, worker_id, model_sig, num_params)
 
 
 def decode_welcome(payload: bytes) -> Dict[str, Any]:

@@ -23,15 +23,14 @@ local pass is running, so a busy worker is never mistaken for a dead
 one; only a killed or genuinely hung process trips the coordinator's
 heartbeat limit.
 
-Reconnect-and-resume (v4): a worker that loses its TCP connection keeps
-its state (clients, workspace, resident eval data) and re-dials the
-coordinator, presenting its ``worker_id`` + ``session_token`` in the
-HELLO's ``resume`` field.  Within the coordinator's grace window the
-session resumes -- the coordinator re-deals the in-flight batch's
-outstanding jobs, which carry their clients' RNG states -- so a
-transient network blip costs a retransmit, not a permanent retirement.
-A REJECTed resume (grace expired, token mismatch) exits with
-:data:`EXIT_REJECTED`, the v3 behaviour.
+Rejoin (v10): every session starts from nothing -- the store is
+rebuilt from the session's ASSIGN_SHARD, and the retained broadcasts,
+the ``origins`` and the eval set belong to the session.  A worker whose
+session drops dials the coordinator again and registers as a new worker
+(the coordinator has re-dealt the old session's jobs, which carry their
+clients' RNG states).  A REJECT, at the handshake or mid-session (a
+protocol violation the coordinator refused), ends the agent with
+:data:`EXIT_REJECTED` instead.
 
 Weight transport is codec-pluggable (v4): broadcasts decode through the
 codec named in their header (delta frames resolve against the retained
@@ -42,13 +41,12 @@ which both peers hold by construction.  A header-only *alias* BROADCAST
 vector is filed under the new seq too, with no codec call at all.
 
 Telemetry (v5): the agent keeps plain always-on counters (requests
-served, codec encode/decode seconds, busy seconds, reconnects) -- not
+served, codec encode/decode seconds, busy seconds, rejoins) -- not
 the in-process telemetry registry, which belongs to the coordinator's
 process -- and ships them back as one compact TELEMETRY frame after
 SHUTDOWN, before BYE.  Log lines go through
 :func:`repro.telemetry.log.stream_logger`, so every line carries a
-timestamp and the session token that ties it to one coordinator
-incarnation.
+timestamp and the worker id of its session.
 """
 
 from __future__ import annotations
@@ -106,15 +104,9 @@ class WorkerAgent:
         (advertised in the handshake; a capacity-2 worker takes about
         twice the work of a capacity-1 worker).
     connect_timeout / retry_interval:
-        The agent retries the initial TCP connect until
-        ``connect_timeout`` elapses, so workers may be launched slightly
-        before the coordinator listens.
-    reconnect_grace:
-        How long (seconds) to keep re-dialling the coordinator after an
-        established connection drops, presenting the session token for a
-        resume.  ``0`` disables reconnection (a lost connection exits
-        immediately, the pre-v4 behaviour).  The coordinator enforces
-        its own grace window; a worker that outlives it is REJECTed.
+        The agent retries the TCP connect until ``connect_timeout``
+        elapses: at start, so workers may be launched slightly before the
+        coordinator listens, and after a session drops, to rejoin.
     max_frame_payload:
         Optional cap on incoming frame payloads (see
         :mod:`repro.distributed.transport`), in force once WELCOME has
@@ -129,22 +121,16 @@ class WorkerAgent:
         capacity: int = 1,
         connect_timeout: float = 30.0,
         retry_interval: float = 0.2,
-        reconnect_grace: float = 30.0,
         max_frame_payload: Optional[int] = None,
         log=None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if reconnect_grace < 0:
-            raise ValueError(
-                f"reconnect_grace must be >= 0, got {reconnect_grace}"
-            )
         self.host = host
         self.port = int(port)
         self.capacity = int(capacity)
         self.connect_timeout = float(connect_timeout)
         self.retry_interval = float(retry_interval)
-        self.reconnect_grace = float(reconnect_grace)
         self.max_frame_payload = max_frame_payload
         self._log_stream = log if log is not None else sys.stderr
         self._logger = stream_logger(
@@ -163,20 +149,25 @@ class WorkerAgent:
             "broadcasts_received": 0,
             "broadcast_aliases": 0,
             "shards_received": 0,
-            "reconnects": 0,
+            "rejoins": 0,
             "codec_encode_s": 0.0,
             "codec_decode_s": 0.0,
             "busy_s": 0.0,
         }
 
+        self._new_session()
+
+    def _new_session(self) -> None:
+        """Forget everything a session learnt: the next one starts from
+        nothing, whatever the last one held."""
         self.worker_id: Optional[int] = None
-        self._session_token: Optional[str] = None
         self._expected_signature: Optional[str] = None
         self._expected_num_params: Optional[int] = None
-        # The population, assigned once: a plain dict of pickled clients
-        # (ASSIGN) or a store rebuilt from its columns (ASSIGN_SHARD).
+        # The population, assigned once a session: a plain dict of
+        # pickled clients (ASSIGN) or a store rebuilt from its columns
+        # (ASSIGN_SHARD).
         self._clients: Optional[Mapping[int, object]] = None
-        # Client id -> its train-RNG position as this worker first found
+        # Client id -> its train-RNG position as this session first found
         # it, for jobs whose client the ledger has no position for yet
         # (see repro.execution.pool.serve_train).
         self._origins: Dict[int, dict] = {}
@@ -190,14 +181,13 @@ class WorkerAgent:
 
     def _log(self, msg: str) -> None:
         wid = "?" if self.worker_id is None else self.worker_id
-        token = self._session_token[:8] if self._session_token else "-"
-        self._logger.info("[worker %s session=%s] %s", wid, token, msg)
+        self._logger.info("[worker %s] %s", wid, msg)
 
     # ------------------------------------------------------------------
     # connection + handshake
     # ------------------------------------------------------------------
-    def _connect(self, timeout: Optional[float] = None) -> Connection:
-        window = self.connect_timeout if timeout is None else timeout
+    def _connect(self) -> Connection:
+        window = self.connect_timeout
         deadline = time.monotonic() + window
         last_err: Optional[Exception] = None
         while time.monotonic() < deadline:
@@ -215,23 +205,11 @@ class WorkerAgent:
             f"{window:.0f}s: {last_err}"
         )
 
-    def _handshake(self, conn: Connection, resume: bool = False) -> Optional[int]:
-        """HELLO/WELCOME exchange; returns an exit code on failure.
-
-        With ``resume=True`` the HELLO carries this agent's prior
-        ``worker_id`` + session token, asking the coordinator to resume
-        the session instead of registering a fresh worker.
-        """
-        resume_info = None
-        if resume:
-            assert self.worker_id is not None and self._session_token is not None
-            resume_info = (self.worker_id, self._session_token)
+    def _handshake(self, conn: Connection) -> Optional[int]:
+        """HELLO/WELCOME exchange; returns an exit code on failure."""
         conn.send(
             proto.MsgType.HELLO,
-            proto.encode_hello(
-                proto.PROTOCOL_VERSION, self.capacity, os.getpid(),
-                resume=resume_info,
-            ),
+            proto.encode_hello(proto.PROTOCOL_VERSION, self.capacity, os.getpid()),
         )
         try:
             msg_type, payload = conn.recv(timeout=self.connect_timeout)
@@ -252,26 +230,15 @@ class WorkerAgent:
                 f"this worker speaks {proto.PROTOCOL_VERSION}"
             )
             return EXIT_PROTOCOL_ERROR
-        if resume and welcome["worker_id"] != self.worker_id:
-            self._log(
-                f"coordinator resumed the wrong session (worker "
-                f"{welcome['worker_id']}, expected {self.worker_id})"
-            )
-            return EXIT_PROTOCOL_ERROR
         self.worker_id = welcome["worker_id"]
-        self._session_token = welcome["session_token"] or None
         self._expected_signature = welcome["model_signature"]
         self._expected_num_params = welcome["num_params"]
         conn.max_payload = self.max_frame_payload  # handshake done
-        if resume:
-            self._stats["reconnects"] += 1
-            self._log("session resumed with coordinator")
-        else:
-            self._log(
-                f"registered with coordinator (capacity {self.capacity}, "
-                f"model {self._expected_signature[:12]}..., "
-                f"{self._expected_num_params} params)"
-            )
+        self._log(
+            f"registered with coordinator (capacity {self.capacity}, "
+            f"model {self._expected_signature[:12]}..., "
+            f"{self._expected_num_params} params)"
+        )
         return None
 
     # ------------------------------------------------------------------
@@ -330,8 +297,8 @@ class WorkerAgent:
     def _store_broadcast(self, payload: bytes) -> None:
         # The retained broadcasts double as the delta-codec baseline
         # cache and as what an alias frame resolves against; a
-        # re-broadcast of a seq (post-resume raw resync) moves it to the
-        # young end, exactly as the coordinator's mirror does.
+        # re-broadcast of a seq moves it to the young end, exactly as
+        # the coordinator's mirror does.
         alias = proto.broadcast_is_alias(payload)
         t0 = time.perf_counter()
         seq, weights = proto.decode_broadcast(payload, baselines=self._broadcasts)
@@ -491,34 +458,22 @@ class WorkerAgent:
     def run(self) -> int:
         """Connect, register, and serve until shutdown; returns exit code.
 
-        A dropped connection is retried with a resume handshake within
-        ``reconnect_grace`` seconds (state -- clients, workspace,
-        resident eval data, retained broadcasts -- survives in this
-        process); anything the coordinator REJECTs, or a window that
-        closes without reaching it, ends the agent.
+        A welcomed session whose connection drops ends, and the agent
+        dials again (for up to ``connect_timeout``) to register as a new
+        worker from a clean session.  A connection lost before WELCOME, a
+        REJECT, a protocol error or a dial window that closes ends the
+        agent.
         """
-        resume_deadline: Optional[float] = None
         while True:
-            if resume_deadline is None:
-                window = self.connect_timeout
-            else:
-                window = resume_deadline - time.monotonic()
-                if window <= 0:
-                    self._log(
-                        f"reconnect window of {self.reconnect_grace:.0f}s "
-                        "closed without reaching the coordinator"
-                    )
-                    return EXIT_CONNECTION_LOST
             try:
-                conn = self._connect(timeout=window)
+                conn = self._connect()
             except ConnectionError as exc:
                 self._log(str(exc))
                 return EXIT_CONNECTION_LOST
-            code: Optional[int] = None
+            self._new_session()
             try:
-                code = self._handshake(conn, resume=resume_deadline is not None)
+                code = self._handshake(conn)
                 if code is None:
-                    resume_deadline = None  # session (re-)established
                     code = self._serve(conn)
             except (ConnectionClosed, OSError) as exc:
                 self._log(f"connection error: {exc}")
@@ -527,20 +482,15 @@ class WorkerAgent:
                 conn.close()
             if code is not None:
                 return code
-            if self.reconnect_grace <= 0 or self._session_token is None:
-                self._log("coordinator connection lost")
+            if self.worker_id is None:
+                self._log("coordinator connection lost before registration")
                 return EXIT_CONNECTION_LOST
-            if resume_deadline is None:
-                resume_deadline = time.monotonic() + self.reconnect_grace
-                self._log(
-                    f"coordinator connection lost; attempting resume for up "
-                    f"to {self.reconnect_grace:.0f}s"
-                )
+            self._stats["rejoins"] += 1
+            self._log("coordinator connection lost; dialling again to rejoin")
 
     def _serve(self, conn: Connection) -> Optional[int]:
-        """Serve one connection; ``None`` means the connection was lost
-        (the caller decides whether to resume), an int is a final exit
-        code."""
+        """Serve one session; ``None`` means the connection was lost (the
+        caller dials again), an int is a final exit code."""
         inbox: "queue_mod.Queue" = queue_mod.Queue()
         reader = threading.Thread(
             target=self._reader, args=(conn, inbox), daemon=True,
@@ -580,6 +530,11 @@ class WorkerAgent:
                     self._handle_bind_eval(payload)
                 elif msg_type == proto.MsgType.EVAL_MODEL:
                     self._handle_eval_model(conn, payload)
+                elif msg_type == proto.MsgType.REJECT:
+                    # The coordinator refused this worker (a protocol
+                    # violation): dialling back would repeat it.
+                    self._log(f"refused by coordinator: {proto.decode_reject(payload)}")
+                    return EXIT_REJECTED
                 else:
                     raise proto.ProtocolError(
                         f"unexpected message type {msg_type}"

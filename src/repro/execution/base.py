@@ -9,7 +9,7 @@ program:
 * :class:`repro.execution.serial.SerialExecutor` -- the seed behaviour:
   clients train one after another inside the server's own model shell.
 * :class:`repro.distributed.coordinator.DistributedExecutor` -- worker
-  agents over TCP (versioned protocol, reconnect-and-resume); every
+  agents over TCP (versioned protocol, retire-and-rejoin); every
   batch is dealt over the workers by cost, and every train job carries
   its client's training-RNG state, so a client trains the same on any
   worker.

@@ -14,7 +14,7 @@ module provides both with plain, dependency-free formats:
 * :class:`~repro.simcluster.population.PopulationShard` -> compact
   bytes (the ``ASSIGN_SHARD`` payload): a JSON header describing the
   column layout, the raw contiguous column buffers, and a pickled tail
-  for the dataset provider / models / RNG snapshots.  The point of the
+  for the dataset provider and models.  The point of the
   format is what it does **not** contain -- no per-client
   :class:`~repro.simcluster.client.SimClient` pickles, so shipping a
   100k-client slice costs a handful of numpy buffers, not 100k object
@@ -101,8 +101,8 @@ def shard_to_bytes(shard: PopulationShard) -> bytes:
     Layout: ``PSH1`` magic, a length-prefixed JSON header (column dtypes
     and row count, holdout parameters, cache size, seed-address
     coordinates), the five raw contiguous column buffers in declared
-    order, then a pickled tail holding the dataset provider, the
-    latency/comm models, and the authoritative RNG snapshots.  Columns
+    order, then a pickled tail holding the dataset provider and the
+    latency/comm models.  Columns
     dominate the size: ~40 bytes/client regardless of dataset size.  A
     scenario's provider pickles as its pool's recipe, the pool digest
     (:func:`repro.data.partition._pool_digest`) and the clients' rows (8 bytes a row, or one size column for the
@@ -132,7 +132,6 @@ def shard_to_bytes(shard: PopulationShard) -> bytes:
             "dataset_for": shard.dataset_for,
             "latency_model": shard.latency_model,
             "comm_model": shard.comm_model,
-            "rng_states": shard.rng_states,
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
@@ -191,7 +190,6 @@ def shard_from_bytes(payload: bytes) -> PopulationShard:
         latency_model=tail["latency_model"],
         comm_model=tail["comm_model"],
         dataset_for=tail["dataset_for"],
-        rng_states=tail["rng_states"],
         cache_size=int(header["cache_size"]),
     )
 

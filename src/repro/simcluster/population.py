@@ -365,7 +365,7 @@ class PopulationStore(Mapping):
         saved = self._saved_states.pop(cid, None)
         if saved is not None:
             # Entries may be partial: None = that stream never advanced
-            # (or the shipped snapshot left it out) and stays at zero.
+            # and stays at zero.
             client.restore_rng_states(*saved)
         self._cache[cid] = client
         while len(self._cache) > self._cache_size:
@@ -388,7 +388,7 @@ class PopulationStore(Mapping):
         """Authoritative ``(train, latency)`` RNG states for a client.
 
         Resident clients answer from their live generators, evicted ones
-        from the eviction/ship ledger; ``None`` in either slot means that
+        from the eviction ledger; ``None`` in either slot means that
         stream is still at position zero, which :meth:`materialize`
         reproduces from the seed address alone (never-touched: both).
         """
@@ -432,21 +432,16 @@ class PopulationStore(Mapping):
 
         The slice carries everything a worker needs to rebuild a local
         store via :meth:`from_columns` -- numpy column slices, the
-        :class:`SeedAddress`, the dataset provider, and the current
-        authoritative RNG snapshots for any member whose streams have
-        advanced -- and nothing per-client beyond that: **no**
-        :class:`SimClient` is materialised or pickled.  Ids are sorted
-        so a shard is deterministic regardless of source order.
+        :class:`SeedAddress` and the dataset provider -- and nothing
+        per-client beyond that: **no** :class:`SimClient` is
+        materialised or pickled, and no RNG position travels (a pool
+        worker's train job carries its client's).  Ids are sorted so a
+        shard is deterministic regardless of source order.
         """
         ids = np.sort(np.asarray(list(client_ids), dtype=np.int64))
         if ids.size == 0:
             raise ValueError("a shard needs at least one client id")
         rows = self._rows(ids)
-        rng_states: Dict[int, Tuple[Optional[dict], Optional[dict]]] = {}
-        for cid in ids.tolist():
-            states = self.rng_state_of(cid)
-            if states != (None, None):
-                rng_states[cid] = states
         return PopulationShard(
             client_ids=ids,
             num_samples=self.num_samples[rows],
@@ -459,7 +454,6 @@ class PopulationStore(Mapping):
             latency_model=self.latency_model,
             comm_model=self.comm_model,
             dataset_for=self._dataset_for,
-            rng_states=rng_states,
             cache_size=self._cache_size,
         )
 
@@ -470,11 +464,10 @@ class PopulationStore(Mapping):
         """Rebuild a worker-local store from a shipped column slice.
 
         Clients materialise lazily under the worker's own bounded LRU,
-        bit-identical to the coordinator's store: same seed address,
-        same dataset provider, and any shipped RNG snapshots pre-seed
-        the ledger so evicted-then-reshipped streams resume in place.
+        bit-identical to the coordinator's cold clients: same seed
+        address, same dataset provider, every stream at position zero.
         """
-        store = cls(
+        return cls(
             num_samples=shard.num_samples,
             cpu_fraction=shard.cpu_fraction,
             bandwidth_mbps=shard.bandwidth_mbps,
@@ -490,9 +483,6 @@ class PopulationStore(Mapping):
             ),
             client_ids=shard.client_ids,
         )
-        for cid, states in shard.rng_states.items():
-            store._saved_states[int(cid)] = (states[0], states[1])
-        return store
 
     # ------------------------------------------------------------------
     # availability
@@ -609,9 +599,6 @@ class PopulationShard:
     :meth:`PopulationStore.from_columns`; the wire form is
     :func:`repro.serialization.shard_to_bytes` (raw column buffers +
     seed coordinates -- never pickled :class:`SimClient` objects).
-    ``rng_states`` carries authoritative ``(train, latency)`` stream
-    snapshots for members whose streams have advanced; entries may be
-    partial (``None`` = still at position zero for that stream).
     """
 
     client_ids: np.ndarray
@@ -625,7 +612,6 @@ class PopulationShard:
     latency_model: LatencyModel
     comm_model: CommModel
     dataset_for: DatasetProvider
-    rng_states: Dict[int, Tuple[Optional[dict], Optional[dict]]]
     cache_size: int
 
     @property

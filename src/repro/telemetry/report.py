@@ -9,9 +9,11 @@ first -- a malformed file is an error, never a half-summary) and prints:
   bytes/round when round spans are present, and how the BROADCAST
   frames left (freshly encoded / cached frame reused / header-only
   alias);
-* a worker table: per-worker busy seconds, utilization against the
-  trace's wall-clock extent, and lifecycle counts (lost / resumed /
-  retired).
+* a worker table: per-worker busy seconds and utilization against the
+  trace's wall-clock extent;
+* every other counter and gauge, the lifecycle counts
+  (``distributed.worker_retired`` / ``distributed.worker_joined``)
+  among them.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ have put on one worker trains on both, and a client trains on worker 0
 in one round and on worker 1 in the next -- and on both backends and
 both codecs the updates equal serial's bit for bit.  The pool is a
 store, so first trainings carry no state (the ledger has none yet) and
-later ones carry the merged state -- also when a resumed worker is
-dealt again a first job whose result it already sent once.
+later ones carry the merged state -- also on a worker that rejoined
+from a clean session.
 """
 
 import io
@@ -24,7 +24,7 @@ from repro.execution import ProcessExecutor, SerialExecutor, TrainRequest
 from repro.fl.aggregator import fedavg
 from repro.nn import build_mlp
 from tests.conftest import make_test_population
-from tests.distributed.test_reconnect import FAST, ResumeBeforeQueuedUpdatesMerge
+from tests.distributed.test_reconnect import FAST, RejoinBeforeQueuedUpdatesMerge
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 FAST_TIMEOUTS = dict(result_timeout=90.0)
@@ -101,14 +101,15 @@ class TestAnyWorkerTrainsAnyClient:
 
 
 @pytest.mark.parametrize("codec", ["raw", "delta"])
-def test_a_resumed_worker_retrains_a_first_job_from_where_it_found_the_client(codec):
-    """Round 0, the forced resume race: one worker's connection drops
-    with two of its three results unmerged.  They are re-dealt one per
-    worker, so one goes back to the worker that already advanced that
-    client's stream; the job carries no state (the ledger has none), and
-    the worker restarts the stream where it first found it."""
-    cohorts = [list(range(6)), list(range(6))]
-    ex = ResumeBeforeQueuedUpdatesMerge(workers=2, reconnect_grace=30.0, **FAST)
+def test_a_rejoined_worker_trains_first_jobs_from_a_clean_store(codec):
+    """Round 0, the forced rejoin schedule: one worker's connection drops
+    with the cohort's other results queued, which are merged, and its
+    agent rejoins as worker 2 with a store rebuilt from the assignment.
+    Round 1 deals it clients the ledger has no state for yet, whose jobs
+    carry none: it trains them from where its new store found them."""
+    cohorts = [[0, 1, 2], list(range(6))]
+    ex = RejoinBeforeQueuedUpdatesMerge(workers=2, **FAST)
+    ex.queued = 2
     procs = spawn_local_workers(ex.listen(), 2)
     try:
         updates = _train(ex, cohorts, codec)
@@ -116,7 +117,8 @@ def test_a_resumed_worker_retrains_a_first_job_from_where_it_found_the_client(co
     finally:
         ex.close()
         terminate_workers(procs)
-    assert ex.dropped and workers_up == 2
+    assert ex._events.joins == 1 and workers_up == 2
+    assert 2 in {ex.trained_on[(1, cid)] for cid in (3, 4, 5)}
     assert updates == run("serial", cohorts, codec)[0]
 
 

@@ -93,7 +93,7 @@ def _start_agents(ex, count=2):
     host, port = proto.parse_endpoint(ex.listen())
     threads = [
         threading.Thread(
-            target=WorkerAgent(host, port, reconnect_grace=0.0).run,
+            target=WorkerAgent(host, port).run,
             name=f"agent-{i}",
             daemon=True,
         )
@@ -105,8 +105,7 @@ def _start_agents(ex, count=2):
 
 
 def _send(ex, handle, state):
-    with handle.lock:
-        ex._send_broadcast(handle, state)
+    ex._send_broadcast(handle, state)
     msg_type, frame = handle.conn.sent[-1]
     assert msg_type == proto.MsgType.BROADCAST
     return frame
@@ -200,8 +199,9 @@ class TestEncodeOnceFanOut:
         ex.close()
 
     def test_alias_never_sent_on_an_empty_mirror(self):
-        """First round and post-resume: nothing is retained, so the frame
-        carries the vector raw -- whatever the cache holds for the seq."""
+        """First round and a worker that joins mid-cohort: nothing is
+        retained, so the frame carries the vector raw -- whatever the
+        cache holds for the seq."""
         ex, (a, b), w0 = _bound_executor("delta")
         state = _InFlight(1, 0, w0, "train")
         first = _send(ex, a, state)
@@ -213,15 +213,13 @@ class TestEncodeOnceFanOut:
             _send(ex, handle, second)
         third = _InFlight(3, 2, _drift(w0, 2), "train")
         assert _codec_id(_send(ex, a, third)) == get_codec("delta").codec_id
-        # Worker b's connection is resumed mid-cohort: what _try_resume
-        # does to its mirror.  The re-broadcast of seq 3 must be a raw
-        # resync, not the cached delta frame and not an alias.
-        with b.lock:
-            b.baselines.clear()
-        resync = _send(ex, b, third)
-        assert not proto.broadcast_is_alias(resync)
-        assert _codec_id(resync) == get_codec("raw").codec_id
-        seq, back = proto.decode_broadcast(resync)
+        # Worker c joins mid-cohort with an empty mirror.  Its broadcast
+        # of seq 3 must be raw, not the cached delta frame and not an alias.
+        c = _WorkerHandle(2, _RecordingConn(), 1, 0)
+        joined = _send(ex, c, third)
+        assert not proto.broadcast_is_alias(joined)
+        assert _codec_id(joined) == get_codec("raw").codec_id
+        seq, back = proto.decode_broadcast(joined)
         assert seq == 3 and back.tobytes() == third.weights.tobytes()
         ex.close()
 

@@ -70,16 +70,17 @@ class TestEvalCodecs:
 
 
 class TestVersioning:
-    def test_protocol_version_is_9(self):
-        """v9 carries each TRAIN job's RNG state and UPDATE's as checked
-        PCG64 rows (v8 answered an EVAL order with one EVAL_RESULT and
-        shipped BIND_EVAL as raw buffers; v7 made the delta payload
-        plane-wise and added the alias BROADCAST; v6 added the
-        ASSIGN_SHARD frame; v5 the worker TELEMETRY frame; v4 widened
-        the BROADCAST/UPDATE headers and added resumable sessions);
-        regressing the constant would let workers join that train from
-        a stream position they advanced themselves."""
-        assert proto.PROTOCOL_VERSION == 9
+    def test_protocol_version_is_10(self):
+        """v10 drops resumable sessions: HELLO has no ``resume``, WELCOME
+        no session token, and a dropped worker rejoins as a new one (v9
+        carried each TRAIN job's RNG state and UPDATE's as checked PCG64
+        rows; v8 answered an EVAL order with one EVAL_RESULT and shipped
+        BIND_EVAL as raw buffers; v7 made the delta payload plane-wise
+        and added the alias BROADCAST; v6 added the ASSIGN_SHARD frame;
+        v5 the worker TELEMETRY frame; v4 widened the BROADCAST/UPDATE
+        headers and added resumable sessions); regressing the constant
+        would let workers join that still present a resume."""
+        assert proto.PROTOCOL_VERSION == 10
         assert proto.MsgType.EVAL == 13
         assert proto.MsgType.EVAL_RESULT == 14
         assert proto.MsgType.BIND_EVAL == 15
@@ -109,20 +110,20 @@ class TestVersioning:
         worker_side.close()
         ex.close()
 
-    def test_v8_worker_is_rejected_naming_8_and_9(self):
-        """The worker one release behind: it would ignore the RNG states
-        of its TRAIN jobs and pickle its UPDATE's, so it never gets past
+    def test_v9_worker_is_rejected_naming_9_and_10(self):
+        """The worker one release behind: it would try to resume a
+        dropped session instead of rejoining, so it never gets past
         HELLO."""
         ex = DistributedExecutor(workers=1)
         a, b = socket.socketpair()
         coord_side, worker_side = Connection(a), Connection(b)
-        worker_side.send(proto.MsgType.HELLO, proto.encode_hello(8, 1, 123))
+        worker_side.send(proto.MsgType.HELLO, proto.encode_hello(9, 1, 123))
         assert ex._handshake(coord_side) is None
         msg_type, payload = worker_side.recv(timeout=5.0)
         assert msg_type == proto.MsgType.REJECT
         reason = proto.decode_reject(payload)
-        assert "worker speaks v8" in reason
-        assert "coordinator requires v9" in reason
+        assert "worker speaks v9" in reason
+        assert "coordinator requires v10" in reason
         worker_side.close()
         ex.close()
 

@@ -133,7 +133,6 @@ VALID = {
     "[[int, int]]": _pairs,
     "[[int, PCG64 row]]": _pairs.flatmap(_rng_for),
     "JSON object": st.dictionaries(st.text(max_size=6), json_values, max_size=4),
-    "{worker_id, token}?": st.none() | st.tuples(st.integers(), st.text(max_size=12)),
     "bytes": st.binary(max_size=64),
     "dict": st.dictionaries(st.integers(0, 99), st.text(max_size=4) | st.none(), max_size=4),
     "any": st.none() | st.builds(TrainingConfig, lr=st.floats(1e-4, 1.0)),
@@ -162,11 +161,6 @@ WRONG = {
         lambda case: [[-1] + row[1:] if len(row) > 1 else row for row in HOSTILE_RNG[case]]
     ),
     "JSON object": _json_except("object"),
-    "{worker_id, token}?": _json_except("object", "null")
-    | st.sampled_from(
-        [{}, {"worker_id": "1", "token": "t"}, {"worker_id": 1, "token": 2},
-         {"worker_id": True, "token": "t"}]
-    ),
     "bytes": st.text(max_size=4) | st.integers() | st.none() | st.just(bytearray(b"x")),
     "dict": st.lists(st.integers(), max_size=3) | st.none() | st.text(max_size=3),
     "any": None,
@@ -188,15 +182,10 @@ def _values(spec, decoded):
     """A decoder's result as the encoder's argument list."""
     names = [name for name, _ in spec.fields]
     if isinstance(decoded, dict):
-        values = [decoded.get(name) for name in names]
-    elif isinstance(decoded, tuple):
-        values = list(decoded)
-    else:
-        values = [decoded]
-    return [
-        (v["worker_id"], v["token"]) if name == "resume" and v is not None else v
-        for (name, _), v in zip(spec.fields, values)
-    ]
+        return [decoded[name] for name in names]
+    if isinstance(decoded, tuple):
+        return list(decoded)
+    return [decoded]
 
 
 def _load(spec, payload):
@@ -265,15 +254,11 @@ class TestRowProperties:
     @given(data=st.data())
     def test_a_missing_key_is_a_protocol_error(self, spec, data):
         _, payload = _draw_frame(spec, data)
-        name, kind = data.draw(st.sampled_from(spec.fields), label="field")
+        name, _ = data.draw(st.sampled_from(spec.fields), label="field")
         obj = _load(spec, payload)
         obj.pop(name, None)
-        decode = _codec(spec)[1]
-        if name == "resume" or name in dict(spec.defaults):
-            decode(_dump(spec, obj))  # optional, or filled by a default
-        else:
-            with _malformed(spec):
-                decode(_dump(spec, obj))
+        with _malformed(spec):
+            _codec(spec)[1](_dump(spec, obj))
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

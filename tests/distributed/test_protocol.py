@@ -232,13 +232,10 @@ class TestFraming:
 # ----------------------------------------------------------------------
 # codecs
 # ----------------------------------------------------------------------
-#: Every JSON frame decoder, and the keys its payload carries (HELLO's
-#: optional ``resume`` and WELCOME's ``session_token`` included).
+#: Every JSON frame decoder, and the keys its payload carries.
 JSON_DECODERS = {
-    proto.decode_hello: ("version", "capacity", "pid", "resume"),
-    proto.decode_welcome: (
-        "version", "worker_id", "model_signature", "num_params", "session_token",
-    ),
+    proto.decode_hello: ("version", "capacity", "pid"),
+    proto.decode_welcome: ("version", "worker_id", "model_signature", "num_params"),
     proto.decode_reject: ("reason",),
     proto.decode_train: ("seq", "round_idx", "jobs"),
     proto.decode_trainfail: ("seq", "client_id", "traceback"),
@@ -254,11 +251,6 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
-#: A ``resume`` that has the right keys, so its values get cast too.
-KEY_VALUES = {
-    "resume": st.fixed_dictionaries({"worker_id": json_values, "token": json_values})
-    | json_values,
-}
 
 
 class TestCodecs:
@@ -288,11 +280,6 @@ class TestCodecs:
             (proto.decode_hello, b'{"version": "x", "capacity": 1, "pid": 1}'),
             (proto.decode_hello, b'{"version": 7, "capacity": [1], "pid": 1}'),
             (proto.decode_hello, b'{"version": 1e400, "capacity": 1, "pid": 1}'),
-            (
-                proto.decode_hello,
-                b'{"version": 7, "capacity": 1, "pid": 1,'
-                b' "resume": {"worker_id": "a", "token": "t"}}',
-            ),
             (
                 proto.decode_welcome,
                 b'{"version": 7, "worker_id": {}, "model_signature": "s", "num_params": 1}',
@@ -330,10 +317,7 @@ class TestCodecs:
         """Well-formed JSON whose keys hold arbitrary JSON values: the
         decoder returns, or raises ``ProtocolError`` -- nothing else a
         reader thread or the accept loop would not catch."""
-        obj = {
-            key: data.draw(KEY_VALUES.get(key, json_values), label=key)
-            for key in JSON_DECODERS[decode]
-        }
+        obj = {key: data.draw(json_values, label=key) for key in JSON_DECODERS[decode]}
         try:
             decode(json.dumps(obj).encode("utf-8"))
         except proto.ProtocolError:
@@ -585,7 +569,6 @@ class TestHandshakeRejection:
         hello = ex._handshake(coord_side)
         assert hello is not None
         assert (hello["capacity"], hello["pid"]) == (2, 77)
-        assert hello.get("resume") is None
         coord_side.close()
         worker_side.close()
         ex.close()
@@ -605,7 +588,7 @@ class TestHandshakeRejection:
         scanner = socket.create_connection((host, port), timeout=10.0)
         scanner.sendall(FRAME_HEADER.pack(1 << 30, proto.MsgType.HELLO))
         agent = threading.Thread(
-            target=WorkerAgent(host, port, reconnect_grace=0.0).run, daemon=True
+            target=WorkerAgent(host, port).run, daemon=True
         )
         agent.start()
         try:
@@ -647,7 +630,7 @@ class TestHandshakeRejection:
         with conn, Connection(b) as coordinator:
             coordinator.send(
                 proto.MsgType.WELCOME,
-                proto.encode_welcome(proto.PROTOCOL_VERSION, 0, "sig", 163, "token"),
+                proto.encode_welcome(proto.PROTOCOL_VERSION, 0, "sig", 163),
             )
             assert agent._handshake(conn) is None
             assert conn.max_payload == 1 << 22

@@ -113,7 +113,7 @@ class TestEndToEndCollection:
         coord_side, worker_side = Connection(a), Connection(b)
         handle = _WorkerHandle(0, coord_side, capacity=1, pid=123)
         t = threading.Thread(
-            target=ex._reader, args=(handle, handle.gen), daemon=True
+            target=ex._reader, args=(handle,), daemon=True
         )
         t.start()
         try:
@@ -121,7 +121,7 @@ class TestEndToEndCollection:
                 worker_side.send(proto.MsgType.TELEMETRY, payload)
             worker_side.send(proto.MsgType.BYE)
             # BYE must still route to the event queue after any TELEMETRY
-            wid, _gen, msg_type, _ = ex._events.get(timeout=5.0)
+            wid, _tag, msg_type, _ = ex._events.get(timeout=5.0)
             assert (wid, msg_type) == (0, proto.MsgType.BYE)
             t.join(timeout=5.0)
             return ex.worker_summaries, handle.summary

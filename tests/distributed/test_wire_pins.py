@@ -1,4 +1,4 @@
-"""Golden bytes of every protocol v9 frame type.
+"""Golden bytes of every protocol v10 frame type.
 
 Each pin is a whole frame as it crosses the socket -- the transport's
 ``(length, type byte)`` header followed by the payload a ``proto.encode_*``
@@ -47,17 +47,11 @@ def _wire(msg_type, payload=b""):
 #: Pin name -> the frame it pins, built from fixed inputs.
 FRAMES = {
     "hello": lambda: _wire(T.HELLO, proto.encode_hello(7, 2, 4242)),
-    "hello_resume": lambda: _wire(
-        T.HELLO, proto.encode_hello(7, 1, 31337, resume=(3, "tok-abc"))
-    ),
-    "welcome_token": lambda: _wire(
-        T.WELCOME, proto.encode_welcome(7, 3, "ab" * 32, 163, "9f8e7d6c")
-    ),
-    "welcome_no_token": lambda: _wire(T.WELCOME, proto.encode_welcome(7, 0, "sig", 12)),
+    "welcome": lambda: _wire(T.WELCOME, proto.encode_welcome(7, 3, "ab" * 32, 163)),
+    "welcome_short": lambda: _wire(T.WELCOME, proto.encode_welcome(7, 0, "sig", 12)),
     "reject_version": lambda: _wire(
         T.REJECT, proto.encode_reject("worker speaks v6, coordinator requires v7")
     ),
-    "reject_resume": lambda: _wire(T.REJECT, proto.encode_reject("unknown session token")),
     "assign_config": lambda: _wire(
         T.ASSIGN, proto.encode_assign({}, TrainingConfig(lr=0.02), "sig-abc")
     ),
@@ -156,14 +150,12 @@ FRAMES = {
     ),
 }
 
-#: Recorded at protocol v7; EVAL_RESULT and BIND_EVAL re-recorded at v8.
+#: Recorded at protocol v7; EVAL_RESULT and BIND_EVAL re-recorded at v8, WELCOME at v10.
 PINS = {
     "hello": "0000002a017b2276657273696f6e223a20372c20226361706163697479223a20322c2022706964223a20343234327d",
-    "hello_resume": "0000005b017b2276657273696f6e223a20372c20226361706163697479223a20312c2022706964223a2033313333372c2022726573756d65223a207b22776f726b65725f6964223a20332c2022746f6b656e223a2022746f6b2d616263227d7d",
-    "welcome_token": "sha256:ebeab431e242ec52c7b72af826be952c52b12183469fc235471c13e5bc1bf8c9",
-    "welcome_no_token": "0000005f027b2276657273696f6e223a20372c2022776f726b65725f6964223a20302c20226d6f64656c5f7369676e6174757265223a2022736967222c20226e756d5f706172616d73223a2031322c202273657373696f6e5f746f6b656e223a2022227d",
+    "welcome": "sha256:e9e1ba62efd3f8d43b255c266f097b7a66920571bcc87dbc5295b749314b1487",
+    "welcome_short": "0000004a027b2276657273696f6e223a20372c2022776f726b65725f6964223a20302c20226d6f64656c5f7369676e6174757265223a2022736967222c20226e756d5f706172616d73223a2031327d",
     "reject_version": "00000037037b22726561736f6e223a2022776f726b657220737065616b732076362c20636f6f7264696e61746f72207265717569726573207637227d",
-    "reject_resume": "00000023037b22726561736f6e223a2022756e6b6e6f776e2073657373696f6e20746f6b656e227d",
     "assign_config": "sha256:e44c1efce22bcf83c885e031828476f13438a15f9b0d29deaccbcc0f0e4968fe",
     "assign_clients": "00000059048005954e000000000000007d94288c07636c69656e7473947d94284b048c08636c69656e742d34944b094e758c08747261696e696e67944e8c097369676e6174757265948c077369672d646566948c056d6f64656c944e752e",
     "assign_shard_config": "sha256:058a7a68c0699d852e9d24885a019cceaf9d31be27a9afa677bb76bc32282998",
@@ -209,8 +201,8 @@ def test_frame_bytes_are_pinned(name):
     assert _digest(FRAMES[name]()) == PINS[name]
 
 
-def test_the_pins_are_of_protocol_v9():
-    assert proto.PROTOCOL_VERSION == 9
+def test_the_pins_are_of_protocol_v10():
+    assert proto.PROTOCOL_VERSION == 10
 
 
 def test_every_frame_type_is_pinned():

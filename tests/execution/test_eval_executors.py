@@ -281,7 +281,7 @@ class TestCohortGranularEval:
                 ex._seq, ids + [0], [-1.0] * len(ids) + [None], [None] * len(ids) + ["stale"]
             )
             # As worker 0's reader thread would post it, on its live connection.
-            ex._events.put((0, ex._handles[0].gen, proto.MsgType.EVAL_RESULT, stale))
+            ex._events.put((0, None, proto.MsgType.EVAL_RESULT, stale))
             assert ex.evaluate_cohort(requests, flat) == ref
             assert ex._events.empty()
             assert ex.num_workers_started == 2

@@ -84,10 +84,15 @@ class TestParser:
     def test_reconnect_grace_flags_parse(self):
         args = build_parser().parse_args(["run", "--reconnect-grace", "15"])
         assert args.reconnect_grace == 15.0
+        # A worker has one dial window, at start and after a drop.
         args = build_parser().parse_args(
-            ["worker", "--connect", "h:1", "--reconnect-grace", "0"]
+            ["worker", "--connect", "h:1", "--connect-timeout", "5"]
         )
-        assert args.reconnect_grace == 0.0
+        assert args.connect_timeout == 5.0 and not hasattr(args, "reconnect_grace")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["worker", "--connect", "h:1", "--reconnect-grace", "0"]
+            )
 
     def test_population_flag_is_rejected(self):
         """Every scenario is store-backed; the flag that used to pick the
