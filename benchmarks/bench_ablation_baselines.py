@@ -21,8 +21,8 @@ from repro.experiments.analysis import auc_accuracy_over_time
 from repro.experiments.runner import run_policy
 from repro.experiments.scenarios import build_scenario
 from repro.fl.async_server import AsyncFLServer
-from repro.fl.fedprox import make_fedprox_server
 from repro.fl.selection import RandomSelector
+from repro.fl.server import FLServer
 from repro.rng import derive
 
 SEED = 71
@@ -50,13 +50,12 @@ def run_baselines():
 
     # FedProx: vanilla selection + proximal local objective
     scn = build_scenario(cfg, seed=SEED)
-    fedprox = make_fedprox_server(
+    fedprox = FLServer(
         clients=scn.clients,
         model=scn.model,
         selector=RandomSelector(cfg.clients_per_round, rng=derive(SEED, 11)),
         test_data=scn.test_data,
-        training=scn.training,
-        mu=0.01,
+        training=scn.training.with_(prox_mu=0.01),
         rng=derive(SEED, 12),
     )
     out["fedprox"] = fedprox.run(ROUNDS)

@@ -6,7 +6,7 @@ The package is layered bottom-up (see DESIGN.md):
 * :mod:`repro.nn` -- numpy neural-network substrate (layers, optimizers,
   the paper's model architectures),
 * :mod:`repro.data` -- synthetic datasets and federated partitioners
-  (IID, non-IID(k), shards, quantity skew, LEAF-style FEMNIST),
+  (IID, non-IID(k), quantity skew, LEAF-style FEMNIST),
 * :mod:`repro.simcluster` -- the simulated heterogeneous testbed
   (CPU-fraction resources, latency/communication models, clients),
 * :mod:`repro.fl` -- conventional FedAvg federated learning (Alg. 1),
@@ -50,30 +50,12 @@ from repro.tifl import (
 
 __version__ = "1.0.0"
 
-_LAZY_DISTRIBUTED = ("DistributedExecutor", "ProcessExecutor", "WorkerAgent")
-
-
-def __getattr__(name: str):
-    # The networking stack loads only when actually asked for, so plain
-    # `import repro` stays cheap for in-process users (the same reason
-    # repro.execution.create_executor imports the backend lazily, and
-    # repro.tifl.planner imports scipy inside the functions that solve).
-    # tests/test_import_set.py holds both.
-    if name in _LAZY_DISTRIBUTED:
-        import repro.distributed
-
-        return getattr(repro.distributed, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "TrainingConfig",
     "PAPER_SYNTHETIC_TRAINING",
     "PAPER_FEMNIST_TRAINING",
     "ClientExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
-    "DistributedExecutor",
-    "WorkerAgent",
     "create_executor",
     "fedavg",
     "FLServer",

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -90,13 +91,13 @@ from repro.experiments import (
     run_policy,
     speedup_table,
 )
-from repro.experiments.scenarios import build_scenario
-from repro.fl.privacy import (
-    PrivacyGuarantee,
-    tier_sampling_rates,
-    tiered_guarantee,
-    uniform_guarantee,
+from repro.experiments.scenarios import (
+    DATA_DISTRIBUTIONS,
+    DATASETS,
+    RESOURCE_PROFILES,
+    build_scenario,
 )
+from repro.fl.privacy import PrivacyGuarantee, tiered_guarantee, uniform_guarantee
 from repro.tifl import build_tiers, estimate_training_time, profile_clients
 from repro.tifl.policies import CIFAR_POLICIES, MNIST_POLICIES
 
@@ -111,14 +112,13 @@ def _positive_int(value: str) -> int:
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", default="cifar10",
-                   choices=["mnist", "fmnist", "cifar10", "femnist"])
+    p.add_argument("--dataset", default="cifar10", choices=list(DATASETS))
     p.add_argument("--num-clients", type=int, default=50)
     p.add_argument("--clients-per-round", type=int, default=5)
     p.add_argument("--resource-profile", default="heterogeneous",
-                   choices=["heterogeneous", "homogeneous", "case_study"])
+                   choices=list(RESOURCE_PROFILES))
     p.add_argument("--data-distribution", default="iid",
-                   choices=["iid", "noniid", "shards", "quantity", "quantity_noniid"])
+                   choices=list(DATA_DISTRIBUTIONS))
     p.add_argument("--noniid-classes", type=int, default=5)
     p.add_argument("--train-size", type=int, default=2500)
     p.add_argument("--test-size", type=int, default=400)
@@ -211,7 +211,7 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     # commands without executor flags (estimate/privacy) have no codec.
     codec = getattr(args, "codec", "raw")
     if codec != "raw":
-        cfg = cfg.with_(training=cfg.resolved_training().with_(codec=codec))
+        cfg = replace(cfg, training=cfg.resolved_training().with_(codec=codec))
     return cfg
 
 
@@ -322,12 +322,13 @@ def cmd_privacy(args: argparse.Namespace) -> int:
     base = PrivacyGuarantee(eps=args.eps, delta=args.delta)
     q, amp = uniform_guarantee(base, args.cohort, args.pool)
     print(f"uniform: q={q:.4f} -> (eps={amp.eps:.5f}, delta={amp.delta:.2e})")
-    sizes = [args.pool // args.tiers] * args.tiers
+    # Every client lands in a tier: the first `extra` tiers hold one more.
+    base_size, extra = divmod(args.pool, args.tiers)
+    sizes = [base_size + (t < extra) for t in range(args.tiers)]
     rows = []
     for name, probs in CIFAR_POLICIES.items():
         if len(probs) != args.tiers:
             continue
-        rates = tier_sampling_rates(probs, sizes, args.cohort)
         q_max, amp = tiered_guarantee(base, probs, sizes, args.cohort)
         rows.append([name, q_max, amp.eps, f"{amp.delta:.2e}"])
     print(format_table(

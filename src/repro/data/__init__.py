@@ -18,13 +18,12 @@ from repro.data.datasets import (
     make_dataset,
     mnist_like,
 )
-from repro.data.leaf import LeafFederatedData, make_femnist_leaf
+from repro.data.leaf import make_femnist_leaf
 from repro.data.partition import (
     FederatedData,
     partition_iid,
     partition_noniid_classes,
     partition_quantity_skew,
-    partition_shards,
 )
 from repro.data.synthetic import SyntheticSpec, generate_synthetic
 from repro.data.validation import check_partition, partition_class_table
@@ -40,10 +39,8 @@ __all__ = [
     "femnist_like",
     "FederatedData",
     "partition_iid",
-    "partition_shards",
     "partition_noniid_classes",
     "partition_quantity_skew",
-    "LeafFederatedData",
     "make_femnist_leaf",
     "check_partition",
     "partition_class_table",

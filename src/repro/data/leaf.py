@@ -15,14 +15,13 @@ This module reproduces those three properties synthetically:
 * per-writer feature shift applied to the shared class prototypes (the
   writer-style analogue).
 
-The result is a :class:`LeafFederatedData`, a
-:class:`~repro.data.partition.FederatedData` with writer metadata attached.
+The result is a :class:`~repro.data.partition.FederatedData` with one
+client per writer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -31,25 +30,13 @@ from repro.data.partition import FederatedData
 from repro.data.synthetic import SyntheticSpec, class_prototypes, generate_synthetic
 from repro.rng import RngLike, make_rng
 
-__all__ = ["LeafFederatedData", "make_femnist_leaf"]
+__all__ = ["make_femnist_leaf"]
 
 #: Number of clients at LEAF's 0.05 sampling fraction (paper Sec. 5.1).
 PAPER_NUM_CLIENTS = 182
 #: LEAF FEMNIST per-writer sample statistics (train split).
 LEAF_MEAN_SAMPLES = 226.83
 LEAF_STD_SAMPLES = 88.94
-
-
-@dataclass
-class LeafFederatedData(FederatedData):
-    """FederatedData plus writer metadata."""
-
-    writer_shifts: Optional[np.ndarray] = None  # (num_clients, dim)
-
-    def writer_shift(self, cid: int) -> np.ndarray:
-        if self.writer_shifts is None:
-            raise RuntimeError("writer shifts were not recorded")
-        return self.writer_shifts[cid]
 
 
 def _writer_sample_counts(
@@ -76,7 +63,7 @@ def make_femnist_leaf(
     test_size: int = 2000,
     scale: float = 1.0,
     rng: RngLike = None,
-) -> LeafFederatedData:
+) -> FederatedData:
     """Build the synthetic LEAF/FEMNIST federation.
 
     Parameters
@@ -136,6 +123,4 @@ def make_femnist_leaf(
         spec, test_size, g, prototypes=protos, labels=te_labels
     )
     test = Dataset(xte, yte, num_classes, name="femnist-leaf-test")
-    return LeafFederatedData(
-        train=train, test=test, client_indices=client_indices, writer_shifts=shifts
-    )
+    return FederatedData(train=train, test=test, client_indices=client_indices)

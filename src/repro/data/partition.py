@@ -1,11 +1,9 @@
 """Federated partitioners (Section 5.1 "Heterogeneous Data Distribution").
 
 Each partitioner maps a dataset's label vector to a list of per-client
-index arrays.  The four schemes used in the paper:
+index arrays.  The schemes used in the paper:
 
 * :func:`partition_iid` -- uniform random equal split (the IID baseline),
-* :func:`partition_shards` -- McMahan-style sort-by-label sharding (MNIST /
-  FMNIST non-IID: 100 shards, 2 shards per client → ≤ 2 classes each),
 * :func:`partition_noniid_classes` -- every client holds an equal number of
   images from exactly ``k`` classes (CIFAR-10 non-IID(2)/(5)/(10), after
   Zhao et al.),
@@ -37,7 +35,6 @@ __all__ = [
     "FederatedData",
     "SeededRows",
     "partition_iid",
-    "partition_shards",
     "partition_noniid_classes",
     "partition_quantity_skew",
     "partition_dirichlet",
@@ -55,9 +52,6 @@ class SeededRows:
     sizes: np.ndarray
     address: SeedAddress
     pool_size: int
-
-    def __len__(self) -> int:
-        return len(self.sizes)
 
     def __getitem__(self, cid: int) -> np.ndarray:
         r = make_rng(self.address.child(cid))
@@ -99,10 +93,6 @@ class FederatedData:
         for cid, ix in enumerate(self.client_indices):
             if ix.size and (ix.min() < 0 or ix.max() >= n):
                 raise ValueError(f"client {cid} has out-of-range indices")
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.client_indices)
 
     def client_rows(self, cid: int) -> Tuple[Dataset, np.ndarray]:
         """``(train, client_indices[cid])``: the shared pool and client ``cid``'s
@@ -200,40 +190,6 @@ def partition_iid(
     _check_args(labels.shape[0], num_clients)
     order = make_rng(rng).permutation(labels.shape[0])
     return [np.sort(part) for part in np.array_split(order, num_clients)]
-
-
-def partition_shards(
-    labels: np.ndarray,
-    num_clients: int,
-    shards_per_client: int = 2,
-    rng: RngLike = None,
-) -> List[np.ndarray]:
-    """McMahan-style sharding: sort by label, split into equal shards,
-    deal ``shards_per_client`` shards to each client.
-
-    With 100 shards over 10 sorted classes and 2 shards per client, each
-    client sees at most two classes -- the paper's MNIST/FMNIST non-IID
-    setting.
-    """
-    labels = np.asarray(labels)
-    _check_args(labels.shape[0], num_clients)
-    if shards_per_client <= 0:
-        raise ValueError(f"shards_per_client must be positive, got {shards_per_client}")
-    g = make_rng(rng)
-    num_shards = num_clients * shards_per_client
-    if num_shards > labels.shape[0]:
-        raise ValueError(
-            f"{num_shards} shards requested but only {labels.shape[0]} samples"
-        )
-    # Stable sort keeps the within-class sample order random-but-reproducible.
-    by_label = np.argsort(labels, kind="stable")
-    shards = np.array_split(by_label, num_shards)
-    shard_order = g.permutation(num_shards)
-    out = []
-    for c in range(num_clients):
-        picked = shard_order[c * shards_per_client : (c + 1) * shards_per_client]
-        out.append(np.sort(np.concatenate([shards[s] for s in picked])))
-    return out
 
 
 def partition_noniid_classes(

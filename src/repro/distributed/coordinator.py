@@ -430,8 +430,15 @@ class PoolExecutor(ClientExecutor):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _started(self) -> bool:
-        return self._assigned
+    def bind(self, clients, model, training) -> None:
+        if self._assigned and training != self._training:
+            # Started workers hold the config they were assigned with;
+            # accepting a new one would silently diverge from serial.
+            raise ExecutorError(
+                f"{self.name} executor already started with a different "
+                "TrainingConfig; create a fresh executor instead"
+            )
+        super().bind(clients, model, training)
 
     @property
     def num_workers_started(self) -> int:
@@ -1234,16 +1241,17 @@ class DistributedExecutor(PoolExecutor):
             if handle is not None:
                 self._handles[handle.id] = handle
 
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
         """Post-registration accept thread: mid-run joins.
 
         Runs until :meth:`close` closes the listener.  A connection
         passes the one handshake (:meth:`_register`) and receives the
         set-up frames; a join event then hands it to the collector.
+        The listener is handed in, its timeout already set: a
+        :meth:`close` that wins the race against the thread's start has
+        closed it (and cleared ``_listener``), and ``accept`` then fails
+        into the shutdown return below.
         """
-        listener = self._listener
-        assert listener is not None
-        listener.settimeout(1.0)
         while True:
             try:
                 sock, _addr = listener.accept()
@@ -1270,8 +1278,12 @@ class DistributedExecutor(PoolExecutor):
             return
         super()._ensure_started()
         # Keep accepting after registration closes: joins arrive here.
+        listener = self._listener
+        assert listener is not None
+        listener.settimeout(1.0)
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name="repro-dist-accept"
+            target=self._accept_loop, args=(listener,), daemon=True,
+            name="repro-dist-accept",
         )
         self._accept_thread.start()
 

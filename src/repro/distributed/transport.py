@@ -189,10 +189,6 @@ class Connection:
             pass
         self._sock.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __enter__(self) -> "Connection":
         return self
 

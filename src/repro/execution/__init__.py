@@ -17,8 +17,8 @@ training trajectory -- only its wall-clock time.
 
 ``process`` and ``distributed`` are one coordinator
 (:mod:`repro.distributed`) over forked socketpair workers or TCP ones,
-registered here by name but imported lazily: serial users never pay for
-the networking stack.
+registered here by name and imported on first :func:`create_executor`:
+serial users never pay for the networking stack.
 
 The ``batched`` backend (:mod:`repro.execution.batched`) trains each
 homogeneous cohort group as one stacked tensor program -- a separate
@@ -51,7 +51,6 @@ __all__ = [
     "evaluate_holdouts",
     "order_updates",
     "SerialExecutor",
-    "ProcessExecutor",
     "BatchedExecutor",
     "EXECUTOR_BACKENDS",
     "BIT_IDENTICAL_BACKENDS",
@@ -93,16 +92,6 @@ def create_executor(
     raise ValueError(
         f"unknown executor backend {backend!r}; expected one of {EXECUTOR_BACKENDS}"
     )
-
-
-def __getattr__(name: str):
-    # ``ProcessExecutor`` lives with the coordinator it extends; loaded on
-    # first use, like create_executor("process") (tests/test_import_set.py).
-    if name == "ProcessExecutor":
-        from repro.distributed.launch import ProcessExecutor
-
-        return ProcessExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def resolve_executor(

@@ -364,14 +364,6 @@ class ClientExecutor:
                     f"{self.name} executor is already bound to a different "
                     "client pool; create a fresh executor instead"
                 )
-            if self._started() and training != self._training:
-                # Started process workers hold the config they were forked
-                # with; accepting a new one here would silently diverge
-                # from the serial schedule.
-                raise ExecutorError(
-                    f"{self.name} executor already started with a different "
-                    "TrainingConfig; create a fresh executor instead"
-                )
             self._training = training
             return
         self._clients = clients if lazy else dict(clients)
@@ -399,10 +391,6 @@ class ClientExecutor:
             dupes = sorted({c for c in ids if ids.count(c) > 1})
             raise ExecutorError(f"duplicate clients in cohort: {dupes}")
         return clients
-
-    def _started(self) -> bool:
-        """Whether worker resources have been allocated (backend hook)."""
-        return False
 
     def _ensure_started(self) -> None:
         """Allocate worker resources on the first cohort (backend hook)."""

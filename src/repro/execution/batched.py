@@ -96,9 +96,6 @@ class BatchedExecutor(ClientExecutor):
         self._stacks: Dict[int, StackedSequential] = {}
         self._data_cache: "OrderedDict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
 
-    def _started(self) -> bool:
-        return bool(self._stacks)
-
     # ------------------------------------------------------------------
     def _stack_for(self, num_clients: int) -> StackedSequential:
         stack = self._stacks.get(num_clients)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +45,6 @@ from repro.data import (
     partition_iid,
     partition_noniid_classes,
     partition_quantity_skew,
-    partition_shards,
 )
 from repro.data.partition import SeededRows
 from repro.data.validation import check_partition
@@ -71,7 +70,7 @@ __all__ = [
     "PoolRecipe",
 ]
 
-_DATASETS = {
+DATASETS = {
     "mnist": mnist_like,
     "fmnist": fmnist_like,
     "cifar10": cifar10_like,
@@ -85,12 +84,12 @@ _COST_PER_SAMPLE = {"mnist": 0.005, "fmnist": 0.005, "cifar10": 0.010, "femnist"
 
 #: CPU groups per resource profile; ``heterogeneous`` is the paper's five
 #: groups for the dataset (``build_scenario`` resolves it).
-_RESOURCE_PROFILES = {
+RESOURCE_PROFILES = {
     "heterogeneous": None,
     "homogeneous": (2.0,),
     "case_study": CASE_STUDY_CPU_GROUPS,
 }
-_DISTRIBUTIONS = ("iid", "noniid", "shards", "quantity", "quantity_noniid")
+DATA_DISTRIBUTIONS = ("iid", "noniid", "quantity", "quantity_noniid")
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,7 @@ class ScenarioConfig:
         ``case_study`` -- the Section 3.3 allocation.
     data_distribution:
         ``iid`` | ``noniid`` (class-limited, see ``noniid_classes``) |
-        ``shards`` (McMahan 2-shard) | ``quantity`` (10/15/20/25/30%
-        groups) | ``quantity_noniid`` (both).
+        ``quantity`` (10/15/20/25/30% groups) | ``quantity_noniid`` (both).
     model:
         ``linear`` | ``mlp`` | a model-zoo name (``cifar10_cnn`` etc.).
     shape / train_size / test_size / difficulty:
@@ -122,7 +120,6 @@ class ScenarioConfig:
     cpu_groups: Optional[Tuple[float, ...]] = None
     data_distribution: str = "iid"
     noniid_classes: int = 5
-    shards_per_client: int = 2
     quantity_fractions: Tuple[float, ...] = (0.10, 0.15, 0.20, 0.25, 0.30)
     shape: Tuple[int, ...] = (8, 8, 1)
     train_size: int = 4000
@@ -138,15 +135,15 @@ class ScenarioConfig:
     shuffle_resources: bool = False
 
     def __post_init__(self) -> None:
-        if self.dataset not in _DATASETS:
+        if self.dataset not in DATASETS:
             raise ValueError(
-                f"unknown dataset {self.dataset!r}; use one of {sorted(_DATASETS)}"
+                f"unknown dataset {self.dataset!r}; use one of {sorted(DATASETS)}"
             )
-        if self.data_distribution not in _DISTRIBUTIONS:
+        if self.data_distribution not in DATA_DISTRIBUTIONS:
             raise ValueError(
                 f"unknown data_distribution {self.data_distribution!r}"
             )
-        if self.resource_profile not in _RESOURCE_PROFILES:
+        if self.resource_profile not in RESOURCE_PROFILES:
             raise ValueError(
                 f"unknown resource profile {self.resource_profile!r}"
             )
@@ -154,9 +151,6 @@ class ScenarioConfig:
             raise ValueError("num_clients and clients_per_round must be positive")
         if self.clients_per_round > self.num_clients:
             raise ValueError("clients_per_round cannot exceed num_clients")
-
-    def with_(self, **changes) -> "ScenarioConfig":
-        return replace(self, **changes)
 
     def resolved_training(self) -> TrainingConfig:
         if self.training is not None:
@@ -208,8 +202,6 @@ def _partition(
         return partition_noniid_classes(
             labels, cfg.num_clients, cfg.noniid_classes, rng
         )
-    if cfg.data_distribution == "shards":
-        return partition_shards(labels, cfg.num_clients, cfg.shards_per_client, rng)
     if cfg.data_distribution == "quantity":
         return partition_quantity_skew(
             labels, cfg.num_clients, cfg.quantity_fractions, rng
@@ -300,7 +292,7 @@ def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
     check_partition(client_indices, len(train), require_cover=require_cover)
     fed = FederatedData(train, test, client_indices, recipe)
 
-    cpu_groups = cfg.cpu_groups or _RESOURCE_PROFILES[cfg.resource_profile]
+    cpu_groups = cfg.cpu_groups or RESOURCE_PROFILES[cfg.resource_profile]
     if cpu_groups is None:
         cpu_groups = MNIST_CPU_GROUPS if cfg.dataset in ("mnist", "fmnist") else CIFAR_CPU_GROUPS
     specs = assign_resource_groups(
@@ -385,7 +377,7 @@ _LEAF = "femnist-leaf"
 class PoolRecipe:
     """A synthetic ``(pool, test)`` draw as a frozen, hashable value.
 
-    ``dataset`` names a ``_DATASETS`` factory, which draws ``size`` pool
+    ``dataset`` names a ``DATASETS`` factory, which draws ``size`` pool
     rows of ``shape`` at ``difficulty`` (``None``: the factory's own), or
     is ``"femnist-leaf"``: :func:`make_femnist_leaf` over ``writers``
     writers and ``num_classes`` classes at sample ``scale``, whose pool
@@ -449,7 +441,7 @@ class PoolRecipe:
                 scale=self.scale, rng=rng,
             )
             return fed.train, fed.test
-        return _DATASETS[self.dataset](
+        return DATASETS[self.dataset](
             self.size, test_size, self.shape, difficulty_override=self.difficulty, rng=rng
         )
 

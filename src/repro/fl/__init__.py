@@ -2,16 +2,16 @@
 
 Implements the "vanilla" cross-device FL system the paper builds on and
 compares against (Alg. 1 / Bonawitz et al.'s architecture): weighted
-FedAvg aggregation (optionally hierarchical master/child), random client
-selection, the synchronous round loop, training history, baseline
-straggler mitigations (over-selection with discard; FedProx), and the
-Section 4.6 differential-privacy bookkeeping.
+FedAvg aggregation (optionally behind secure-aggregation masks), random
+client selection, the synchronous round loop, training history, baseline
+straggler mitigations (over-selection with discard; FedProx through
+``TrainingConfig.prox_mu``), and the Section 4.6 differential-privacy
+bookkeeping.
 """
 
-from repro.fl.aggregator import HierarchicalAggregator, fedavg
+from repro.fl.aggregator import fedavg
 from repro.fl.async_server import AsyncFLServer, polynomial_staleness_discount
 from repro.fl.engine import RoundContext
-from repro.fl.fedprox import make_fedprox_server
 from repro.fl.secure_agg import PairwiseMasker, SecureAggregator
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.privacy import (
@@ -31,7 +31,6 @@ from repro.fl.server import FLServer
 
 __all__ = [
     "fedavg",
-    "HierarchicalAggregator",
     "ClientSelector",
     "RandomSelector",
     "OverSelector",
@@ -40,7 +39,6 @@ __all__ = [
     "RoundContext",
     "RoundRecord",
     "TrainingHistory",
-    "make_fedprox_server",
     "PrivacyGuarantee",
     "amplify_by_sampling",
     "uniform_guarantee",

@@ -196,14 +196,3 @@ class AsyncFLServer:
         if not self.staleness_log:
             raise ValueError("no updates have been applied yet")
         return float(np.mean(self.staleness_log))
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release executor workers (no-op for the serial backend)."""
-        self.executor.close()
-
-    def __enter__(self) -> "AsyncFLServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -60,10 +60,6 @@ class TrainingHistory:
     # series extractors
     # ------------------------------------------------------------------
     @property
-    def rounds(self) -> np.ndarray:
-        return np.array([r.round_idx for r in self.records], dtype=np.int64)
-
-    @property
     def round_latencies(self) -> np.ndarray:
         return np.array([r.round_latency for r in self.records])
 

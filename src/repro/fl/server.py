@@ -22,7 +22,7 @@ selection-agnostic (the paper's "non-intrusive" claim).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro import telemetry
 from repro.config import PAPER_SYNTHETIC_TRAINING, TrainingConfig
 from repro.data.datasets import Dataset
 from repro.execution import ClientExecutor, TrainRequest, resolve_executor
-from repro.fl.aggregator import HierarchicalAggregator, fedavg
+from repro.fl.aggregator import fedavg
 from repro.fl.engine import RoundContext
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ClientSelector, SelectionPlan
@@ -40,6 +40,9 @@ from repro.simcluster.clock import SimulatedClock
 from repro.simcluster.faults import FaultInjector
 from repro.simcluster.latency import CohortLatencySampler, resolve_latency_stream
 from repro.simcluster.population import PopulationStore
+
+if TYPE_CHECKING:
+    from repro.fl.secure_agg import SecureAggregator
 
 __all__ = ["FLServer"]
 
@@ -67,8 +70,9 @@ class FLServer:
     training:
         Local-training hyperparameters (see :class:`TrainingConfig`).
     aggregator:
-        Optional hierarchical master/child aggregator; flat FedAvg when
-        omitted (both produce identical weights).
+        Optional replacement for flat FedAvg: an object whose
+        ``aggregate(weights, sizes)`` returns the new global vector, such
+        as :class:`~repro.fl.secure_agg.SecureAggregator` (masked sum).
     fault:
         Optional fault injector applied to client response latencies.
     dropout_timeout:
@@ -106,7 +110,7 @@ class FLServer:
         selector: ClientSelector,
         test_data: Dataset,
         training: TrainingConfig = PAPER_SYNTHETIC_TRAINING,
-        aggregator: Optional[HierarchicalAggregator] = None,
+        aggregator: Optional[SecureAggregator] = None,
         fault: Optional[FaultInjector] = None,
         dropout_timeout: Optional[float] = None,
         eval_every: int = 1,

@@ -25,7 +25,7 @@ from repro.nn.losses import (
     proximal_penalty,
     softmax_cross_entropy,
 )
-from repro.nn.metrics import accuracy, top_k_accuracy
+from repro.nn.metrics import top_k_accuracy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Optimizer, RMSprop
 from repro.nn.stacked import StackedSequential
@@ -50,7 +50,6 @@ __all__ = [
     "StackedSequential",
     "softmax_cross_entropy",
     "proximal_penalty",
-    "accuracy",
     "top_k_accuracy",
     "Optimizer",
     "SGD",

@@ -114,14 +114,6 @@ class Layer:
         # or shipped layer starts without them.
         return {**self.__dict__, "grads": {}}
 
-    # -- introspection ------------------------------------------------
-    @property
-    def num_params(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(params={self.num_params})"
-
 
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""

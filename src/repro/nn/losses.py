@@ -22,9 +22,8 @@ __all__ = [
 def _log_softmax_and_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Both over the last axis, from one ``shifted`` / ``exp`` / row sum.
 
-    :func:`~repro.nn.tensor_ops.log_softmax` and
-    :func:`~repro.nn.tensor_ops.softmax` each compute those three on the
-    same operands; sharing them applies the same operations to the same
+    The unfused ``log_softmax`` and ``softmax`` (the references in
+    ``tests/conftest.py``) each compute those three on the same operands; sharing them applies the same operations to the same
     values, so both results keep their bits.  Both are fresh buffers
     the caller may finish in place; ``logits`` is only read.  ndarray
     methods, not ``np.*`` wrappers: on 10-sample batches dispatch dominates.

@@ -4,29 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "top_k_accuracy"]
-
-
-def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy.
-
-    Accepts either ``(n, k)`` logits or ``(n,)`` hard predictions.
-    """
-    arr = np.asarray(logits_or_preds)
-    labels = np.asarray(labels)
-    if arr.ndim == 2:
-        preds = np.argmax(arr, axis=1)
-    elif arr.ndim == 1:
-        preds = arr
-    else:
-        raise ValueError(f"expected 1-D preds or 2-D logits, got shape {arr.shape}")
-    if preds.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"prediction/label count mismatch: {preds.shape[0]} vs {labels.shape[0]}"
-        )
-    if preds.shape[0] == 0:
-        raise ValueError("accuracy of an empty batch is undefined")
-    return float(np.mean(preds == labels))
+__all__ = ["top_k_accuracy"]
 
 
 def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:

@@ -328,10 +328,3 @@ class Sequential:
         """Total scalar parameter count (communication payload size)."""
         return self._flat.size
 
-    def summary(self) -> str:
-        """Human-readable layer table."""
-        lines = [f"Sequential(input={self.input_shape}, output={self.output_shape})"]
-        for i, layer in enumerate(self.layers):
-            lines.append(f"  [{i:2d}] {layer!r}")
-        lines.append(f"  total params: {self.num_params()}")
-        return "\n".join(lines)

@@ -106,10 +106,6 @@ class StackedSequential:
     # ------------------------------------------------------------------
     # weight interface
     # ------------------------------------------------------------------
-    def num_params(self) -> int:
-        """Per-client flat parameter count (matches the template)."""
-        return self._flat.shape[1]
-
     def set_flat_weights(self, flat: np.ndarray) -> None:
         """Load per-client flat vectors ``(C, P)`` -- or one ``(P,)``
         vector broadcast to every client (a round's global broadcast)."""

@@ -25,8 +25,6 @@ import numpy as np
 
 __all__ = [
     "one_hot",
-    "softmax",
-    "log_softmax",
     "pad_nhwc",
     "conv_out_size",
     "im2col",
@@ -50,19 +48,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def pad_nhwc(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:

@@ -55,10 +55,6 @@ class ClientUpdate:
     num_samples: int
     latency: float
 
-    @property
-    def dropped(self) -> bool:
-        return not np.isfinite(self.latency) or self.flat_weights is None
-
 
 class SimClient:
     """One simulated cross-device FL client.

@@ -16,14 +16,14 @@ __all__ = ["FaultInjector", "SlowdownInjector"]
 
 
 class FaultInjector:
-    """Base class: transforms a sampled latency for (client, round)."""
+    """Interface: transforms a sampled latency for (client, round)."""
 
     def apply(self, client_id: int, round_idx: int, latency: float) -> float:
         """Return the possibly-degraded latency.
 
         ``float('inf')`` means the client never responds this round.
         """
-        return latency
+        raise NotImplementedError
 
 
 @dataclass

@@ -487,13 +487,6 @@ class PopulationStore(Mapping):
     # ------------------------------------------------------------------
     # availability
     # ------------------------------------------------------------------
-    @property
-    def available(self) -> np.ndarray:
-        """The availability column, read-only (write via :meth:`set_available`)."""
-        view = self._available.view()
-        view.flags.writeable = False
-        return view
-
     def available_ids(
         self, excluded: Optional[Iterable[int]] = None
     ) -> np.ndarray:
@@ -613,10 +606,6 @@ class PopulationShard:
     comm_model: CommModel
     dataset_for: DatasetProvider
     cache_size: int
-
-    @property
-    def num_clients(self) -> int:
-        return int(self.client_ids.shape[0])
 
 
 @dataclass(frozen=True)

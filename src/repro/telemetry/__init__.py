@@ -38,7 +38,6 @@ from repro.telemetry.core import (
     snapshot,
     span,
     span_records,
-    trace_path,
 )
 from repro.telemetry.trace import (
     TraceWriter,
@@ -69,7 +68,6 @@ __all__ = [
     "snapshot",
     "span",
     "span_records",
-    "trace_path",
     "validate_trace_event",
     "validate_trace_file",
 ]

@@ -12,9 +12,8 @@ clocks touched when tracing is on are ``time.perf_counter`` /
 closed span to a JSONL trace file -- see :mod:`repro.telemetry.trace`);
 :func:`snapshot` renders the registry as a plain dict (embedded in
 :class:`repro.fl.history.TrainingHistory` and runner JSON at run end);
-:func:`span_records` exposes the in-memory span list, which the
-benchmarks read their timings from instead of keeping private
-stopwatches.
+:func:`span_records` exposes the in-memory span list (the telemetry
+tests read it; no benchmark does -- ``perf/`` keeps its own spans).
 
 Thread-safety: one process-wide lock guards registry mutation; spans
 may close from any thread (the coordinator's reader threads).
@@ -53,7 +52,6 @@ __all__ = [
     "flush",
     "span_records",
     "clear_spans",
-    "trace_path",
 ]
 
 #: Default histogram boundaries, tuned for durations in seconds: five
@@ -226,14 +224,8 @@ class _NoopMetric:
     def add(self, n: float = 1.0) -> None:
         pass
 
-    def set(self, v: float) -> None:
-        pass
-
-    def observe(self, v: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
+    # One no-op stands in for every metric kind's update.
+    set = observe = add
 
 
 class _NoopSpan:
@@ -387,12 +379,6 @@ def reset() -> None:
         state.gauges.clear()
         state.histograms.clear()
         state.spans.clear()
-
-
-def trace_path() -> Optional[str]:
-    """Path of the active trace file, or ``None``."""
-    writer = _STATE.writer
-    return writer.path if writer is not None else None
 
 
 # ----------------------------------------------------------------------

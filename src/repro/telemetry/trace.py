@@ -167,68 +167,66 @@ class TraceWriter:
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-def _fail(msg: str) -> None:
-    raise ValueError(f"invalid trace event: {msg}")
+def _not_a_number(value: Any) -> bool:
+    return not isinstance(value, (int, float)) or isinstance(value, bool)
 
 
-def _check_number(event: Dict[str, Any], key: str) -> None:
-    v = event.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _fail(f"{key!r} must be a number, got {v!r}")
+def _problem(event: Any) -> Optional[str]:
+    """The first way ``event`` breaks the schema, or ``None``."""
+    if not isinstance(event, dict):
+        return f"expected an object, got {type(event).__name__}"
+    if event.get("schema") != SCHEMA_VERSION:
+        return f"schema must be {SCHEMA_VERSION}, got {event.get('schema')!r}"
+    kind = event.get("kind")
+    if kind not in _EVENT_KINDS:
+        return f"kind must be one of {_EVENT_KINDS}, got {kind!r}"
+    if _not_a_number(event.get("ts")):
+        return f"'ts' must be a number, got {event.get('ts')!r}"
+    if kind == "meta":
+        if not isinstance(event.get("meta"), dict):
+            return "meta event requires a 'meta' object"
+        return None
+    name = event.get("name")
+    if not isinstance(name, str) or not name:
+        return f"'name' must be a non-empty string, got {name!r}"
+    if kind == "span":
+        if _not_a_number(event.get("dur")):
+            return f"'dur' must be a number, got {event.get('dur')!r}"
+        if event["dur"] < 0:
+            return f"span duration must be >= 0, got {event['dur']}"
+        for key in ("pid", "tid"):
+            if not isinstance(event.get(key), int):
+                return f"span {key!r} must be an integer"
+        if not isinstance(event.get("attrs"), dict):
+            return "span 'attrs' must be an object"
+        return None
+    # kind == "metric"
+    metric = event.get("metric")
+    if metric not in _METRIC_KINDS:
+        return f"metric must be one of {_METRIC_KINDS}, got {metric!r}"
+    labels = event.get("labels")
+    if not isinstance(labels, dict) or any(not isinstance(k, str) for k in labels):
+        return "metric 'labels' must be an object with string keys"
+    value = event.get("value")
+    if metric != "histogram":
+        if _not_a_number(value):
+            return f"{metric} value must be a number, got {value!r}"
+        return None
+    if not isinstance(value, dict):
+        return "histogram value must be an object"
+    for key in ("count", "sum"):
+        if _not_a_number(value.get(key)):
+            return f"histogram value requires numeric {key!r}"
+    if not isinstance(value.get("buckets"), list):
+        return "histogram value requires a 'buckets' list"
+    return None
 
 
 def validate_trace_event(event: Any) -> None:
     """Raise ``ValueError`` unless ``event`` is a valid trace event."""
-    if not isinstance(event, dict):
-        _fail(f"expected an object, got {type(event).__name__}")
-    if event.get("schema") != SCHEMA_VERSION:
-        _fail(
-            f"schema must be {SCHEMA_VERSION}, got {event.get('schema')!r}"
-        )
-    kind = event.get("kind")
-    if kind not in _EVENT_KINDS:
-        _fail(f"kind must be one of {_EVENT_KINDS}, got {kind!r}")
-    _check_number(event, "ts")
-    if kind == "meta":
-        if not isinstance(event.get("meta"), dict):
-            _fail("meta event requires a 'meta' object")
-        return
-    name = event.get("name")
-    if not isinstance(name, str) or not name:
-        _fail(f"'name' must be a non-empty string, got {name!r}")
-    if kind == "span":
-        _check_number(event, "dur")
-        if event["dur"] < 0:
-            _fail(f"span duration must be >= 0, got {event['dur']}")
-        for key in ("pid", "tid"):
-            if not isinstance(event.get(key), int):
-                _fail(f"span {key!r} must be an integer")
-        if not isinstance(event.get("attrs"), dict):
-            _fail("span 'attrs' must be an object")
-        return
-    # kind == "metric"
-    metric = event.get("metric")
-    if metric not in _METRIC_KINDS:
-        _fail(f"metric must be one of {_METRIC_KINDS}, got {metric!r}")
-    labels = event.get("labels")
-    if not isinstance(labels, dict) or any(
-        not isinstance(k, str) for k in labels
-    ):
-        _fail("metric 'labels' must be an object with string keys")
-    value = event.get("value")
-    if metric == "histogram":
-        if not isinstance(value, dict):
-            _fail("histogram value must be an object")
-        for key in ("count", "sum"):
-            if not isinstance(value.get(key), (int, float)) or isinstance(
-                value.get(key), bool
-            ):
-                _fail(f"histogram value requires numeric {key!r}")
-        buckets = value.get("buckets")
-        if not isinstance(buckets, list):
-            _fail("histogram value requires a 'buckets' list")
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(f"{metric} value must be a number, got {value!r}")
+    problem = _problem(event)
+    if problem is not None:
+        raise ValueError(f"invalid trace event: {problem}")
 
 
 def validate_trace_file(path: str) -> Dict[str, int]:

@@ -186,6 +186,21 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax: the reference the fused loss's
+    gradient is tested against."""
+    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable log-softmax: the reference the fused loss is
+    tested against."""
+    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+
 def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
     """Same dtype, shape and bytes: ``-0.0`` differs from ``0.0`` here."""
     assert actual.dtype == expected.dtype and actual.shape == expected.shape

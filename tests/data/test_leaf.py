@@ -15,7 +15,7 @@ def leaf():
 
 class TestStructure:
     def test_client_count(self, leaf):
-        assert leaf.num_clients == 40
+        assert len(leaf.client_indices) == 40
 
     def test_paper_default_is_182(self):
         assert PAPER_NUM_CLIENTS == 182
@@ -27,11 +27,6 @@ class TestStructure:
         assert leaf.train.x.shape[1:] == (28, 28, 1)
         assert leaf.train.num_classes == 62
         assert len(leaf.test) == 200
-
-    def test_writer_shifts_recorded(self, leaf):
-        assert leaf.writer_shifts.shape == (40, 28 * 28)
-        s0 = leaf.writer_shift(0)
-        assert s0.shape == (28 * 28,)
 
 
 class TestSkew:

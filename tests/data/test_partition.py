@@ -10,7 +10,6 @@ from repro.data.partition import (
     partition_iid,
     partition_noniid_classes,
     partition_quantity_skew,
-    partition_shards,
 )
 from repro.data.validation import (
     check_partition,
@@ -44,26 +43,6 @@ class TestIID:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             partition_iid(np.zeros(3, dtype=int), 5)
-
-
-class TestShards:
-    def test_at_most_k_classes(self):
-        """100 shards of sorted labels, 2 per client => <= 2 classes each."""
-        labels = balanced_labels(1000, 10)
-        parts = partition_shards(labels, 50, shards_per_client=2, rng=0)
-        check_partition(parts, 1000)
-        assert (classes_per_client(labels, parts, 10) <= 2).all()
-
-    def test_deterministic(self):
-        labels = balanced_labels(200, 10)
-        a = partition_shards(labels, 20, rng=5)
-        b = partition_shards(labels, 20, rng=5)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa, pb)
-
-    def test_too_many_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            partition_shards(np.zeros(10, dtype=int), 10, shards_per_client=2)
 
 
 class TestNonIIDClasses:
@@ -128,7 +107,7 @@ class TestFederatedData:
         test = make_tiny_dataset(n=9, seed=1)
         parts = partition_iid(train.y, 3, rng=0)
         fed = FederatedData(train=train, test=test, client_indices=parts)
-        assert fed.num_clients == 3
+        assert len(fed.client_indices) == 3
         assert fed.client_sizes().sum() == 30
         pool, rows = fed.client_rows(0)
         assert pool is train and np.array_equal(rows, parts[0])

@@ -17,10 +17,15 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
-from repro.distributed import DistributedExecutor, spawn_local_workers, terminate_workers
+from repro.distributed import (
+    DistributedExecutor,
+    ProcessExecutor,
+    spawn_local_workers,
+    terminate_workers,
+)
 from repro.distributed import protocol as proto
 from repro.distributed.worker import WorkerAgent
-from repro.execution import ProcessExecutor, SerialExecutor, TrainRequest
+from repro.execution import SerialExecutor, TrainRequest
 from repro.fl.aggregator import fedavg
 from repro.nn import build_mlp
 from tests.conftest import make_test_population

@@ -140,7 +140,8 @@ def test_cli_worker_processes_match_serial():
 #: prints its workers' pids and waits to be killed.
 _POOL_COORDINATOR = """
 import sys, time
-from repro.execution import ProcessExecutor, TrainRequest
+from repro.distributed import ProcessExecutor
+from repro.execution import TrainRequest
 from repro.nn import build_mlp
 from tests.distributed.test_distributed_executor import TRAIN, make_pool
 

@@ -370,7 +370,7 @@ class TestPoolRecipe:
             pickle.loads(blob.replace(digest, b"0" * len(digest)))
         assert draws == []
 
-    @pytest.mark.parametrize("dataset", sorted(scenarios._DATASETS) + [scenarios._LEAF])
+    @pytest.mark.parametrize("dataset", sorted(scenarios.DATASETS) + [scenarios._LEAF])
     def test_memo_hit_builds_the_empty_test_set_a_draw_makes(self, dataset, monkeypatch):
         monkeypatch.setattr(scenarios, "_DRAWN", weakref.WeakValueDictionary())
         seed = SeedAddress.capture(np.random.default_rng(1))

@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
-from repro.distributed import spawn_local_workers, terminate_workers
+from repro.distributed import ProcessExecutor, spawn_local_workers, terminate_workers
 from repro.execution import (
     EvalRequest,
     ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     TrainRequest,
     create_executor,

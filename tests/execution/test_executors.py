@@ -18,11 +18,11 @@ import pytest
 
 from repro.config import TrainingConfig
 from repro.fl.aggregator import fedavg
+from repro.distributed import ProcessExecutor
 from repro.execution import (
     BIT_IDENTICAL_BACKENDS,
     EXECUTOR_BACKENDS,
     ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     TrainRequest,
     create_executor,
@@ -146,16 +146,16 @@ class TestBackendEquivalence:
         for backend in ["serial", "process"]:
             clients = make_test_population(5, seed=2)
             model = build_mlp((4, 4, 1), 3, hidden=(6,), rng=2)
-            with AsyncFLServer(
-                clients=clients,
-                model=model,
-                test_data=make_tiny_dataset(n=20, seed=996),
-                concurrency=2,
-                training=TRAIN,
-                rng=4,
-                executor=backend,
-                workers=2,
-            ) as server:
+            with create_executor(backend, workers=2) as executor:
+                server = AsyncFLServer(
+                    clients=clients,
+                    model=model,
+                    test_data=make_tiny_dataset(n=20, seed=996),
+                    concurrency=2,
+                    training=TRAIN,
+                    rng=4,
+                    executor=executor,
+                )
                 server.run(6)
                 results[backend] = server.global_weights.copy()
         assert np.array_equal(results["serial"], results["process"])

@@ -52,12 +52,3 @@ class TestRepeatAveraging:
         text = res.history.summary()
         assert "3 rounds" in text
 
-
-class TestModelSummary:
-    def test_summary_lists_layers_and_params(self):
-        from repro.nn import build_mlp
-
-        m = build_mlp((4, 4, 1), 3, hidden=(8,), rng=0)
-        text = m.summary()
-        assert "Dense" in text
-        assert f"total params: {m.num_params()}" in text

@@ -77,9 +77,6 @@ CASES = {
         small(dataset="cifar10", data_distribution="noniid", shape=(4, 4, 3), model="mlp"),
         seed=2,
     ),
-    "shards": lambda: build_scenario(
-        small(dataset="fmnist", data_distribution="shards"), seed=3
-    ),
     "quantity": lambda: build_scenario(
         small(dataset="femnist", data_distribution="quantity", difficulty=0.3), seed=4
     ),
@@ -180,13 +177,6 @@ PINS = {
         "61e6bf19bd2394fc350232ebc2b8cda9",
         "dbafeed87416e65ffee07e53cc7f77d7",
         "8021037f0663112d459e0a03e8c8d33d",
-    ),
-    "shards": (
-        "4cb525b58d5de29db512b603e604fdb9",
-        "32e628b0c39e63fcc783a34925a8e74c",
-        "6a09ef92ce4d6475562990b41a881df8",
-        "d52b838eb9b86440887276c7ae4adffb",
-        "c6dd0b4afb324fac7a1e2df7c925eb00",
     ),
 }
 

@@ -37,11 +37,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(num_clients=5, clients_per_round=6)
 
-    def test_with_helper(self):
-        cfg = small().with_(dataset="mnist")
-        assert cfg.dataset == "mnist"
-        assert cfg.num_clients == 10
-
     def test_training_defaults(self):
         assert small(dataset="mnist").resolved_training().optimizer == "rmsprop"
         assert small(dataset="femnist").resolved_training().optimizer == "sgd"
@@ -56,7 +51,7 @@ class TestBuildScenario:
         assert len(scn.test_data) == 100
 
     def test_partition_valid_all_distributions(self):
-        for dist in ("iid", "noniid", "shards", "quantity"):
+        for dist in ("iid", "noniid", "quantity"):
             scn = build_scenario(small(data_distribution=dist), seed=1)
             clients = list(scn.clients.values())
             total = sum(len(c.train_data) + len(c.holdout) for c in clients)

@@ -1,11 +1,11 @@
-"""Tests for FedAvg aggregation, including the hierarchical equivalence."""
+"""Tests for FedAvg aggregation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregator import HierarchicalAggregator, fedavg
+from repro.fl.aggregator import fedavg
 
 
 class TestFedAvg:
@@ -52,36 +52,6 @@ class TestFedAvg:
             fedavg(ws, sizes)
 
 
-class TestHierarchical:
-    def test_matches_flat_aggregation(self, rng):
-        ws = [rng.standard_normal(10) for _ in range(9)]
-        sizes = list(rng.integers(1, 50, size=9).astype(float))
-        flat = fedavg(ws, sizes)
-        for children in (1, 2, 3, 5, 9, 12):
-            agg = HierarchicalAggregator(children)
-            np.testing.assert_allclose(
-                agg.aggregate(ws, sizes), flat, rtol=1e-12,
-                err_msg=f"children={children}",
-            )
-
-    def test_shard_covers_all(self):
-        agg = HierarchicalAggregator(3)
-        shards = agg.shard(10)
-        combined = np.sort(np.concatenate(shards))
-        np.testing.assert_array_equal(combined, np.arange(10))
-
-    def test_invalid_children(self):
-        with pytest.raises(ValueError):
-            HierarchicalAggregator(0)
-
-    @pytest.mark.parametrize("children", [1, 2, 5])
-    @pytest.mark.parametrize("sizes", [[np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]])
-    def test_non_finite_size_raises(self, rng, children, sizes):
-        ws = [rng.standard_normal(3) for _ in sizes]
-        with pytest.raises(ValueError, match="finite"):
-            HierarchicalAggregator(children).aggregate(ws, sizes)
-
-
 # ---------------------------------------------------------------------------
 # property-based invariants
 # ---------------------------------------------------------------------------
@@ -104,23 +74,6 @@ def test_fedavg_convexity_property(data):
     stacked = np.stack(ws)
     assert np.all(out >= stacked.min(axis=0) - 1e-9)
     assert np.all(out <= stacked.max(axis=0) + 1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 12),
-    children=st.integers(1, 6),
-    seed=st.integers(0, 10_000),
-)
-def test_hierarchical_equals_flat_property(n, children, seed):
-    rng = np.random.default_rng(seed)
-    ws = [rng.standard_normal(4) for _ in range(n)]
-    sizes = list(rng.integers(1, 30, size=n).astype(float))
-    np.testing.assert_allclose(
-        HierarchicalAggregator(children).aggregate(ws, sizes),
-        fedavg(ws, sizes),
-        rtol=1e-10,
-    )
 
 
 @settings(max_examples=30, deadline=None)

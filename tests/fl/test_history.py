@@ -38,7 +38,7 @@ class TestAppend:
 class TestSeries:
     def test_rounds_and_latencies(self):
         h = sample_history()
-        np.testing.assert_array_equal(h.rounds, np.arange(5))
+        assert [r.round_idx for r in h.records] == list(range(5))
         np.testing.assert_array_equal(h.round_latencies, [2.0] * 5)
 
     def test_total_time(self):

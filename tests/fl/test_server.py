@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import TrainingConfig
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
-from repro.fl.aggregator import HierarchicalAggregator
 from repro.fl.selection import OverSelector, RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_linear
@@ -28,7 +27,6 @@ def make_server(
     fault=None,
     seed=0,
     dropout_timeout=None,
-    aggregator=None,
     eval_every=1,
     training=None,
 ):
@@ -43,7 +41,6 @@ def make_server(
         training=training or TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0),
         fault=fault,
         dropout_timeout=dropout_timeout,
-        aggregator=aggregator,
         eval_every=eval_every,
         rng=seed,
     )
@@ -54,7 +51,7 @@ class TestRoundLoop:
         server = make_server()
         history = server.run(5)
         assert len(history) == 5
-        np.testing.assert_array_equal(history.rounds, np.arange(5))
+        assert [r.round_idx for r in history.records] == list(range(5))
 
     def test_round_latency_is_cohort_max(self):
         """Eq. 1: round latency equals the slowest selected client."""
@@ -97,15 +94,6 @@ class TestRoundLoop:
 
 
 class TestAggregation:
-    def test_hierarchical_matches_flat(self):
-        flat_server = make_server(seed=11)
-        tree_server = make_server(seed=11, aggregator=HierarchicalAggregator(2))
-        flat_server.run(3)
-        tree_server.run(3)
-        np.testing.assert_allclose(
-            flat_server.global_weights, tree_server.global_weights, rtol=1e-9
-        )
-
     def test_unknown_client_raises(self):
         server = make_server()
 

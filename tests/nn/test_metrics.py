@@ -3,30 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.metrics import accuracy, top_k_accuracy
-
-
-class TestAccuracy:
-    def test_from_predictions(self):
-        assert accuracy(np.array([0, 1, 1]), np.array([0, 1, 0])) == pytest.approx(
-            2 / 3
-        )
-
-    def test_from_logits(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert accuracy(logits, np.array([0, 1])) == 1.0
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            accuracy(np.array([0, 1]), np.array([0]))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            accuracy(np.empty(0), np.empty(0))
-
-    def test_bad_ndim_raises(self):
-        with pytest.raises(ValueError):
-            accuracy(np.zeros((2, 2, 2)), np.zeros(2))
+from repro.nn.metrics import top_k_accuracy
 
 
 class TestTopK:
@@ -34,7 +11,7 @@ class TestTopK:
         logits = rng.standard_normal((20, 5))
         labels = rng.integers(0, 5, size=20)
         assert top_k_accuracy(logits, labels, k=1) == pytest.approx(
-            accuracy(logits, labels)
+            np.mean(np.argmax(logits, axis=1) == labels)
         )
 
     def test_k_equals_classes_is_one(self, rng):

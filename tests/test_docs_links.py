@@ -177,10 +177,8 @@ WRAP_TARGET = re.compile(r"[A-Za-z_][\w.]*(?::[\w.]+)?")
 CENSUS_ALLOWLIST = {
     "src/repro/distributed/coordinator.py:PoolExecutor.worker_pid":
         "test hook: the worker process a SIGKILL test kills",
-    "src/repro/nn/tensor_ops.py:softmax":
-        "reference the softmax cross-entropy gradient is tested against",
-    "src/repro/nn/tensor_ops.py:log_softmax":
-        "reference the softmax cross-entropy loss is tested against",
+    "src/repro/simcluster/client.py:SimClient.mean_response_latency":
+        "closed-form reference the profiler and server tests check against",
     "src/repro/simcluster/population.py:PopulationStore.evict_all":
         "test hook: forces cold re-materialisation under the pins",
     "src/repro/simcluster/population.py:PopulationStore.set_available":

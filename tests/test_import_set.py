@@ -58,10 +58,11 @@ def test_a_cold_import_loads_numpy_and_the_package_only(module):
 
 
 def test_import_repro_leaves_the_networking_stack_unloaded():
-    """The promise in ``repro/__init__.py``'s ``__getattr__``."""
+    """The promise in ``repro.execution.create_executor``: the pools load
+    when one is asked for, not before."""
     assert "repro.distributed" not in _loaded("repro")["repro"]
     assert "repro.distributed" in _loaded(
-        "repro", then="sys.modules['repro'].DistributedExecutor"
+        "repro", then="sys.modules['repro'].create_executor('process').close()"
     )["repro"]
 
 

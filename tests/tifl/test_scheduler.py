@@ -165,7 +165,7 @@ class TestPoolMemo:
             rescan = [
                 cid
                 for cid in range(24)
-                if store.available[cid] and cid not in excluded
+                if store._available[cid] and cid not in excluded
             ]
             assert ids.tolist() == rescan
             twin = TierScheduler(
