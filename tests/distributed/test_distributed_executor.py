@@ -301,3 +301,15 @@ class TestLifecycleAndConfig:
         ex.close()
         with pytest.raises(ExecutorError, match="after close"):
             ex.listen()
+
+    def test_accept_loop_returns_on_a_listener_closed_before_it_ran(self):
+        # close() can win the race against the accept thread's start: the
+        # thread then meets a closed listener and must end quietly.
+        import socket
+
+        ex = DistributedExecutor(workers=1)
+        listener = socket.socket()
+        listener.settimeout(1.0)
+        listener.close()
+        assert ex._accept_loop(listener) is None
+        ex.close()

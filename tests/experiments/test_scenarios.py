@@ -6,6 +6,7 @@ import pytest
 from repro.config import PAPER_SYNTHETIC_TRAINING
 from repro.data.validation import classes_per_client
 from repro.experiments.scenarios import (
+    DATA_DISTRIBUTIONS,
     ScenarioConfig,
     build_leaf_scenario,
     build_population_scenario,
@@ -37,6 +38,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(num_clients=5, clients_per_round=6)
 
+    def test_removed_shards_distribution_is_rejected(self):
+        with pytest.raises(ValueError, match="shards"):
+            ScenarioConfig(data_distribution="shards")
+
     def test_training_defaults(self):
         assert small(dataset="mnist").resolved_training().optimizer == "rmsprop"
         assert small(dataset="femnist").resolved_training().optimizer == "sgd"
@@ -57,6 +62,14 @@ class TestBuildScenario:
             total = sum(len(c.train_data) + len(c.holdout) for c in clients)
             assert total == 400
             assert scn.clients.num_samples.sum() == 400
+
+    @pytest.mark.parametrize("dist", DATA_DISTRIBUTIONS)
+    def test_every_declared_distribution_is_deterministic_given_the_seed(self, dist):
+        first = build_scenario(small(data_distribution=dist), seed=3)
+        again = build_scenario(small(data_distribution=dist), seed=3)
+        assert len(first.clients) == 10
+        assert 0 < first.clients.num_samples.sum() <= 400
+        np.testing.assert_array_equal(first.clients.num_samples, again.clients.num_samples)
 
     def test_quantity_noniid_partial_cover(self):
         scn = build_scenario(

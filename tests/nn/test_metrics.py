@@ -31,3 +31,11 @@ class TestTopK:
             top_k_accuracy(logits, np.zeros(5, dtype=int), k=0)
         with pytest.raises(ValueError):
             top_k_accuracy(logits, np.zeros(5, dtype=int), k=4)
+
+    def test_bad_ndim_raises(self):
+        with pytest.raises(ValueError, match="2-D"):
+            top_k_accuracy(np.zeros(4), np.zeros(4, dtype=int), k=1)
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            top_k_accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int), k=1)

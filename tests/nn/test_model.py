@@ -208,6 +208,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\(1,\).*\(6, 16\)"):
             m.evaluate(rng.standard_normal((6, 16)), [1])
 
+    def test_accuracy_is_the_fraction_of_matching_predictions(self, rng):
+        m = tiny_model()
+        x = rng.standard_normal((30, 16))
+        preds = m.predict(x)
+        y = preds.copy()
+        y[:10] = (y[:10] + 1) % 3  # ten of thirty wrong
+        assert m.evaluate(x, y) == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    def test_accuracy_does_not_depend_on_the_batch_size(self, rng, batch_size):
+        m = tiny_model()
+        x, y = rng.standard_normal((20, 16)), rng.integers(0, 3, 20)
+        assert m.evaluate(x, y, batch_size=batch_size) == m.evaluate(x, y)
+
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))

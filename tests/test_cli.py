@@ -203,3 +203,43 @@ def test_privacy_tiers_hold_the_whole_pool(capsys):
     _, uneven = _privacy_rows(capsys, "--pool", "54")
     assert uneven != even
     assert uneven["fast"] == pytest.approx(5 / 11, abs=1e-4)  # 54 = 11+11+11+11+10
+
+
+@pytest.mark.parametrize("pool", [5, 9, 50, 54, 1003])
+def test_privacy_tier_sizes_differ_by_at_most_one(capsys, monkeypatch, pool):
+    import repro.cli as cli
+
+    seen = []
+    real = cli.tiered_guarantee
+
+    def recording(base, probs, sizes, cohort):
+        seen.append(list(sizes))
+        return real(base, probs, sizes, cohort)
+
+    monkeypatch.setattr(cli, "tiered_guarantee", recording)
+    assert main(["privacy", "--tiers", "5", "--pool", str(pool), "--cohort", "1"]) == 0
+    capsys.readouterr()
+    assert seen
+    for sizes in seen:
+        assert len(sizes) == 5
+        assert sum(sizes) == pool
+        assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("flag, attr, choices", [
+    ("--dataset", "dataset", "DATASETS"),
+    ("--resource-profile", "resource_profile", "RESOURCE_PROFILES"),
+    ("--data-distribution", "data_distribution", "DATA_DISTRIBUTIONS"),
+])
+def test_scenario_flags_take_every_choice_the_scenario_module_declares(flag, attr, choices):
+    from repro.experiments import scenarios
+
+    for value in getattr(scenarios, choices):
+        assert getattr(build_parser().parse_args(["run", flag, value]), attr) == value
+
+
+def test_removed_shards_distribution_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["run", "--data-distribution", "shards"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -7,12 +7,23 @@ subprocess must read as reached; one nobody calls must be reported by
 ``path:qualname``; a stale allowlist entry must fail the census.
 """
 
+import os
 import sys
 import textwrap
 
 import pytest
 
-from tests.reach_census import census, definitions, load_hits, problems, record
+from tests.reach_census import (
+    ALLOWLIST,
+    ALLOWLIST_CAP,
+    REPRO,
+    ROOT,
+    census,
+    definitions,
+    load_hits,
+    problems,
+    record,
+)
 
 MODULE = '''
 def forked():
@@ -111,3 +122,49 @@ def test_a_stale_allowlist_entry_fails(recorded, entry):
     assert unreached == []
     assert stale == [entry]
     assert problems(unreached, stale, allow)
+
+
+def test_definitions_name_nested_functions_and_start_at_the_decorator(tmp_path):
+    (tmp_path / "nested.py").write_text(textwrap.dedent('''
+        import functools
+
+
+        class Box:
+            @functools.lru_cache()
+            def size(self):
+                def inner():
+                    return 1
+                return inner()
+
+
+        def todo():
+            """Not yet."""
+            raise NotImplementedError
+    '''))
+    found = {q: (first, last, exempt) for _, q, first, last, exempt in definitions(str(tmp_path))}
+    assert found == {
+        "Box.size": (6, 10, False),
+        "Box.size.<locals>.inner": (8, 9, False),
+        "todo": (13, 15, True),
+    }
+
+
+def test_an_allowlist_over_the_cap_fails():
+    allow = {f"src/pkg/mod.py:f{i}": "a reason" for i in range(ALLOWLIST_CAP + 1)}
+    found = problems([], [], allow)
+    assert len(found) == 1 and f"the cap is {ALLOWLIST_CAP}" in found[0]
+    del allow["src/pkg/mod.py:f0"]
+    assert problems([], [], allow) == []
+
+
+def test_the_allowlist_names_defined_functions_with_reasons():
+    """Statically, without running an entry point: every entry is a
+    function under ``src/repro`` that no rule exempts, and says why."""
+    defined = {
+        f"{os.path.relpath(path, ROOT)}:{qualname}": exempt
+        for path, qualname, _, _, exempt in definitions(REPRO)
+    }
+    assert len(ALLOWLIST) <= ALLOWLIST_CAP
+    for key, reason in ALLOWLIST.items():
+        assert defined.get(key) is False, key
+        assert reason.strip(), key
