@@ -1,7 +1,7 @@
 """repro -- a reproduction of *TiFL: A Tier-based Federated Learning System*
 (Chai et al., HPDC 2020).
 
-The package is layered bottom-up (see DESIGN.md):
+The package is layered bottom-up (see docs/architecture.md, "Layering"):
 
 * :mod:`repro.nn` -- numpy neural-network substrate (layers, optimizers,
   the paper's model architectures),

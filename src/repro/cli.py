@@ -319,18 +319,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_privacy(args: argparse.Namespace) -> int:
-    base = PrivacyGuarantee(eps=args.eps, delta=args.delta)
-    q, amp = uniform_guarantee(base, args.cohort, args.pool)
-    print(f"uniform: q={q:.4f} -> (eps={amp.eps:.5f}, delta={amp.delta:.2e})")
     # Every client lands in a tier: the first `extra` tiers hold one more.
     base_size, extra = divmod(args.pool, args.tiers)
     sizes = [base_size + (t < extra) for t in range(args.tiers)]
     rows = []
-    for name, probs in CIFAR_POLICIES.items():
-        if len(probs) != args.tiers:
-            continue
-        q_max, amp = tiered_guarantee(base, probs, sizes, args.cohort)
-        rows.append([name, q_max, amp.eps, f"{amp.delta:.2e}"])
+    try:
+        base = PrivacyGuarantee(eps=args.eps, delta=args.delta)
+        q, uniform = uniform_guarantee(base, args.cohort, args.pool)
+        for name, probs in CIFAR_POLICIES.items():
+            if len(probs) != args.tiers:
+                continue
+            q_max, amp = tiered_guarantee(base, probs, sizes, args.cohort)
+            rows.append([name, q_max, amp.eps, f"{amp.delta:.2e}"])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"uniform: q={q:.4f} -> (eps={uniform.eps:.5f}, delta={uniform.delta:.2e})")
     print(format_table(
         ["policy", "q_max", "eps/round", "delta/round"], rows, float_fmt="{:.4f}"
     ))
@@ -434,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_executor_args(p_run)
     _add_observability_args(p_run)
     p_run.add_argument("--policy", default="adaptive")
-    p_run.add_argument("--rounds", type=int, default=60)
+    p_run.add_argument("--rounds", type=_positive_int, default=60)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="train several policies")
@@ -443,21 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_args(p_cmp)
     p_cmp.add_argument("--policies", nargs="+",
                        default=["vanilla", "uniform", "adaptive"])
-    p_cmp.add_argument("--rounds", type=int, default=60)
-    p_cmp.add_argument("--repeats", type=int, default=1)
+    p_cmp.add_argument("--rounds", type=_positive_int, default=60)
+    p_cmp.add_argument("--repeats", type=_positive_int, default=1)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_est = sub.add_parser("estimate", help="Eq. 6 training-time estimates")
     _add_scenario_args(p_est)
-    p_est.add_argument("--rounds", type=int, default=500)
-    p_est.add_argument("--num-tiers", type=int, default=5)
+    p_est.add_argument("--rounds", type=_positive_int, default=500)
+    p_est.add_argument("--num-tiers", type=_positive_int, default=5)
     p_est.add_argument("--sync-rounds", type=int, default=3)
     p_est.set_defaults(func=cmd_estimate)
 
     p_priv = sub.add_parser("privacy", help="Sec. 4.6 amplification table")
-    p_priv.add_argument("--pool", type=int, default=50)
-    p_priv.add_argument("--cohort", type=int, default=5)
-    p_priv.add_argument("--tiers", type=int, default=5)
+    p_priv.add_argument("--pool", type=_positive_int, default=50)
+    p_priv.add_argument("--cohort", type=_positive_int, default=5)
+    p_priv.add_argument("--tiers", type=_positive_int, default=5)
     p_priv.add_argument("--eps", type=float, default=0.5)
     p_priv.add_argument("--delta", type=float, default=1e-5)
     p_priv.set_defaults(func=cmd_privacy)
@@ -490,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scl.add_argument("--pool-size", type=_positive_int, default=2048,
                        help="shared synthetic sample pool clients subset")
     p_scl.add_argument("--model", default="linear")
-    p_scl.add_argument("--eval-every", type=int, default=1)
+    p_scl.add_argument("--eval-every", type=_positive_int, default=1)
     p_scl.add_argument("--seed", type=int, default=0)
     p_scl.add_argument("--homogeneous", action="store_true",
                        help="identical capacities instead of the default "

@@ -7,7 +7,7 @@ same label cardinality and tensor shapes, plus controllable class/feature
 structure.  What TiFL's evaluation actually exercises is the *distribution
 of labels, features and quantities across clients* -- which the partitioners
 here control exactly -- rather than the pixel statistics of the original
-images (see DESIGN.md, substitution table).
+images.
 """
 
 from repro.data.datasets import (

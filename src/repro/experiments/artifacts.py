@@ -4,7 +4,7 @@
 writes its rendered tables/series to a text file.  The destination
 defaults to ``benchmarks/results/`` relative to the current working
 directory and can be overridden via the ``REPRO_ARTIFACTS_DIR``
-environment variable.  EXPERIMENTS.md references these files.
+environment variable.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """ASCII table renderers for the benchmark harnesses.
 
 Every benchmark prints its reproduced table/figure rows through these
-helpers so the output format is uniform and diff-able (EXPERIMENTS.md is
-generated from the same strings).
+helpers so the output format is uniform and diff-able.
 """
 
 from __future__ import annotations

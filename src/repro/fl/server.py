@@ -22,7 +22,7 @@ selection-agnostic (the paper's "non-intrusive" claim).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +40,6 @@ from repro.simcluster.clock import SimulatedClock
 from repro.simcluster.faults import FaultInjector
 from repro.simcluster.latency import CohortLatencySampler, resolve_latency_stream
 from repro.simcluster.population import PopulationStore
-
-if TYPE_CHECKING:
-    from repro.fl.secure_agg import SecureAggregator
 
 __all__ = ["FLServer"]
 
@@ -69,10 +66,6 @@ class FLServer:
         Global held-out set for the reported accuracy.
     training:
         Local-training hyperparameters (see :class:`TrainingConfig`).
-    aggregator:
-        Optional replacement for flat FedAvg: an object whose
-        ``aggregate(weights, sizes)`` returns the new global vector, such
-        as :class:`~repro.fl.secure_agg.SecureAggregator` (masked sum).
     fault:
         Optional fault injector applied to client response latencies.
     dropout_timeout:
@@ -110,7 +103,6 @@ class FLServer:
         selector: ClientSelector,
         test_data: Dataset,
         training: TrainingConfig = PAPER_SYNTHETIC_TRAINING,
-        aggregator: Optional[SecureAggregator] = None,
         fault: Optional[FaultInjector] = None,
         dropout_timeout: Optional[float] = None,
         eval_every: int = 1,
@@ -137,7 +129,6 @@ class FLServer:
         self.selector = selector
         self.test_data = test_data
         self.training = training
-        self.aggregator = aggregator
         self.fault = fault
         self.dropout_timeout = dropout_timeout
         self.eval_every = eval_every
@@ -183,19 +174,6 @@ class FLServer:
         self.excluded.update(int(c) for c in client_ids)
         if len(self.available_clients()) == 0:
             raise ValueError("excluding these clients would empty the pool")
-
-    def evaluate_global(self) -> float:
-        """Accuracy of the current global weights on the global test set.
-
-        Routed through the executor's :meth:`~repro.execution.ClientExecutor.
-        evaluate_model` entry point so evaluation uses the same batched
-        machinery as training (backends whose workers hold the bound
-        test set shard it, bit-identically; the rest evaluate in the
-        server process).
-        """
-        return self.executor.evaluate_model(
-            self.global_weights, self.test_data.x, self.test_data.y
-        )
 
     # ------------------------------------------------------------------
     def _measure_latencies(
@@ -301,10 +279,7 @@ class FLServer:
         new_weights: List[np.ndarray] = [u.flat_weights for u in ctx.updates]
         sizes: List[float] = [float(u.num_samples) for u in ctx.updates]
         if new_weights:
-            if self.aggregator is not None:
-                self.global_weights = self.aggregator.aggregate(new_weights, sizes)
-            else:
-                self.global_weights = fedavg(new_weights, sizes)
+            self.global_weights = fedavg(new_weights, sizes)
         # else: fully-dropped round -- weights carry over unchanged
         ctx.eval_weights = self.global_weights
         self.clock.advance(ctx.round_latency)

@@ -6,7 +6,7 @@ and the process configures output exactly once via
 :func:`configure_logging` -- the CLI's ``--log-level`` flag and the
 distributed worker's log-dir redirection both land here, so every line
 in a worker log or a CI artifact carries a timestamp and, for workers,
-the session token that ties the line to one coordinator incarnation.
+the worker id the coordinator gave the current session.
 
 ``configure_logging`` is idempotent: it replaces only the handler it
 installed, so a host application's own logging setup is never clobbered
@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 #: Every configured line: ISO-ish UTC-offset-free timestamp, level,
-#: logger name, message.  Worker lines embed the session token in the
-#: message (see ``repro.distributed.worker``).
+#: logger name, message.  Worker lines embed the session's worker id in
+#: the message (see ``repro.distributed.worker``).
 LOG_FORMAT = "%(asctime)s.%(msecs)03d %(levelname)s %(name)s: %(message)s"
 LOG_DATEFMT = "%Y-%m-%dT%H:%M:%S"
 

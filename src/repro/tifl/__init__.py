@@ -14,11 +14,6 @@ loop.
 from repro.tifl.adaptive import AdaptiveTierPolicy, default_change_probs
 from repro.tifl.credits import allocate_credits
 from repro.tifl.estimator import estimate_training_time, mape
-from repro.tifl.planner import (
-    PlanResult,
-    min_budget_for_fairness,
-    plan_fairest_probs,
-)
 from repro.tifl.policies import (
     CIFAR_POLICIES,
     MNIST_POLICIES,
@@ -47,8 +42,5 @@ __all__ = [
     "allocate_credits",
     "estimate_training_time",
     "mape",
-    "PlanResult",
-    "plan_fairest_probs",
-    "min_budget_for_fairness",
     "TiFLServer",
 ]

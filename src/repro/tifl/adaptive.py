@@ -13,8 +13,7 @@ and only when the *current* tier's accuracy failed to improve over the
 last interval (Alg. 2 line 4).  ``ChangeProbs`` is unspecified in the
 paper beyond "lower accuracy tiers get higher probabilities"; the default
 here sets ``p_t proportional to (1 - A_t)^gamma`` over creditable tiers,
-which satisfies that monotonicity exactly (documented design decision in
-DESIGN.md §5.1).
+which satisfies that monotonicity exactly.
 
 Two small deviations from the paper's pseudo-code, both documented:
 

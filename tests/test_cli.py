@@ -243,3 +243,27 @@ def test_removed_shards_distribution_is_an_invalid_choice(capsys):
         build_parser().parse_args(["run", "--data-distribution", "shards"])
     assert excinfo.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["privacy", "--tiers", "0"],
+    ["privacy", "--pool", "0"],
+    ["privacy", "--cohort", "0"],
+    ["privacy", "--pool", "3", "--tiers", "5"],
+    ["run", "--rounds", "0"],
+    ["compare", "--rounds", "0"],
+    ["compare", "--repeats", "0"],
+    ["estimate", "--rounds", "0"],
+    ["estimate", "--num-tiers", "0"],
+    ["scale", "--eval-every", "0"],
+])
+def test_a_bad_count_exits_2_with_a_message(capsys, argv):
+    """A count the command cannot use is a usage error, not a traceback:
+    argparse rejects a non-positive one, and ``privacy`` reports what the
+    library refuses (a cohort larger than the pool)."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err

@@ -102,6 +102,21 @@ def test_relative_links_resolve(doc):
     assert not broken, f"{doc.name} has dead references:\n" + "\n".join(broken)
 
 
+#: A markdown file a source docstring or comment cites, e.g.
+#: ``docs/numerics.md`` or ``CHANGES.md``; always repo-root-relative.
+SOURCE_MD = re.compile(r"[A-Za-z0-9_\-./]*[A-Za-z0-9_\-]\.md\b")
+
+
+def test_markdown_cited_in_source_resolves():
+    broken = [
+        f"{path.relative_to(REPO_ROOT)}: {target}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for target in SOURCE_MD.findall(path.read_text())
+        if not (REPO_ROOT / target).is_file()
+    ]
+    assert not broken, "src/ cites markdown files that do not exist:\n" + "\n".join(broken)
+
+
 def test_readme_links_the_docs_tree():
     text = (REPO_ROOT / "README.md").read_text()
     for name in ("architecture", "numerics", "benchmarks"):

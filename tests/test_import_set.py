@@ -65,11 +65,3 @@ def test_import_repro_leaves_the_networking_stack_unloaded():
         "repro", then="sys.modules['repro'].create_executor('process').close()"
     )["repro"]
 
-
-def test_the_planner_loads_scipy_on_first_call():
-    pytest.importorskip("scipy")
-    call = (
-        "plan = sys.modules['repro'].tifl.plan_fairest_probs([1.0, 2.0, 3.0], 10, 20.0)\n"
-        "assert plan.feasible and 'scipy' in sys.modules"
-    )
-    assert "scipy" in _loaded("repro", then=call)["third_party"]

@@ -79,6 +79,13 @@ class TestCredits:
             pol.choose_tier(r, all_eligible(2), rng)
         assert pol.credit_refills >= 1
 
+    def test_refill_gives_a_zero_credit_tier_one_credit(self, rng):
+        """A tier that started with no credits still gets one on refill:
+        the only eligible tier is chosen instead of a zero mask."""
+        pol = AdaptiveTierPolicy(2, credits=[0, 3])
+        assert pol.choose_tier(0, np.array([True, False]), rng) == 0
+        assert pol.credit_refills == 1
+
     def test_soft_time_bound(self, rng):
         """Credits cap slow-tier participation (the paper's control knob)."""
         pol = AdaptiveTierPolicy(2, credits=[1000, 3])

@@ -55,6 +55,13 @@ class TestBuildTiers:
         assert asg.num_tiers == 1
         assert asg.tiers[0].size == 8
 
+    def test_latencies_equal_to_rounding_are_one_tier(self):
+        """The single-tier test tolerates float noise (``np.isclose``), so
+        profiled latencies a few ULPs apart do not split into tiers."""
+        asg = build_tiers([0, 1, 2, 3], [1.0, 1.0 + 1e-12, 1.0, 1.0 + 2e-12], 3)
+        assert asg.num_tiers == 1
+        assert asg.tiers[0].size == 4
+
     def test_fewer_clients_than_tiers(self):
         asg = build_tiers([0, 1], [1.0, 5.0], num_tiers=5)
         assert 1 <= asg.num_tiers <= 2
