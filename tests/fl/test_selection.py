@@ -25,6 +25,10 @@ class TestSelectionPlan:
         with pytest.raises(ValueError):
             SelectionPlan(clients=[1, 2], keep=0)
 
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_keep_may_be_one_or_everyone(self, keep):
+        assert SelectionPlan(clients=[1, 2], keep=keep).keep == keep
+
 
 class TestRandomSelector:
     def test_selects_requested_count(self):
@@ -81,3 +85,16 @@ class TestOverSelector:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             OverSelector(5, over_factor=0.9)
+
+    def test_invalid_target(self):
+        with pytest.raises(ValueError, match="target"):
+            OverSelector(0)
+
+    def test_factor_one_is_plain_selection(self):
+        """``over_factor=1`` over-selects nobody: one client, keep one."""
+        plan = OverSelector(1, over_factor=1.0, rng=0).select(0, [7])
+        assert plan.clients == [7] and plan.keep == 1
+
+    def test_pool_of_exactly_the_target(self):
+        plan = OverSelector(5, rng=0).select(0, list(range(5)))
+        assert sorted(plan.clients) == list(range(5)) and plan.keep == 5

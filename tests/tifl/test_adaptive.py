@@ -57,6 +57,23 @@ class TestInitialisation:
         with pytest.raises(ValueError):
             AdaptiveTierPolicy(2, credits=[1, 1], interval=0)
 
+    @pytest.mark.parametrize(
+        "num_tiers, credits, interval, message",
+        [
+            (0, [], 20, "num_tiers"),
+            (-1, [], 20, "num_tiers"),
+            (2, [1, 1], 0, "interval"),
+        ],
+    )
+    def test_each_guard_names_its_argument(self, num_tiers, credits, interval, message):
+        with pytest.raises(ValueError, match=message):
+            AdaptiveTierPolicy(num_tiers, credits=credits, interval=interval)
+
+    def test_smallest_valid_policy(self, rng):
+        """One tier and ``interval=1`` are both legal."""
+        pol = AdaptiveTierPolicy(1, credits=[1], interval=1)
+        assert pol.choose_tier(0, all_eligible(1), rng) == 0
+
 
 class TestCredits:
     def test_choose_decrements_once(self, rng):
@@ -85,6 +102,14 @@ class TestCredits:
         pol = AdaptiveTierPolicy(2, credits=[0, 3])
         assert pol.choose_tier(0, np.array([True, False]), rng) == 0
         assert pol.credit_refills == 1
+
+    def test_refill_adds_the_initial_allocation(self, rng):
+        pol = AdaptiveTierPolicy(2, credits=[1, 3])
+        only_tier_0 = np.array([True, False])
+        pol.choose_tier(0, only_tier_0, rng)
+        pol.choose_tier(1, only_tier_0, rng)  # refill: [0, 3] + [1, 3]
+        assert pol.credit_refills == 1
+        np.testing.assert_array_equal(pol.credits, [0, 6])
 
     def test_soft_time_bound(self, rng):
         """Credits cap slow-tier participation (the paper's control knob)."""
@@ -124,6 +149,102 @@ class TestAccuracyFeedback:
         pol = AdaptiveTierPolicy(2, credits=[1, 1])
         with pytest.raises(KeyError):
             pol.record_tier_accuracies(0, {5: 0.5})
+
+    @pytest.mark.parametrize("tier", [-1, 2])
+    def test_accuracy_for_a_tier_just_out_of_range(self, tier):
+        pol = AdaptiveTierPolicy(2, credits=[1, 1])
+        with pytest.raises(KeyError, match="out of range"):
+            pol.record_tier_accuracies(0, {tier: 0.5})
+
+    def test_default_interval_is_twenty_rounds(self, rng):
+        pol = AdaptiveTierPolicy(2, credits=[100] * 2)
+        for r in range(20):
+            pol.choose_tier(r, all_eligible(2), rng)
+            pol.record_tier_accuracies(r, {0: 0.5, 1: 0.5})
+        assert pol.prob_updates == 0
+        pol.choose_tier(20, all_eligible(2), rng)
+        assert pol.prob_updates == 1
+
+    def test_updates_fire_only_on_interval_boundaries(self, rng):
+        """Stagnant accuracy over rounds 0-9 with ``I=5``: one update, at
+        round 5, not one per round from then on."""
+        pol = AdaptiveTierPolicy(2, credits=[100] * 2, interval=5)
+        for r in range(10):
+            pol.choose_tier(r, all_eligible(2), rng)
+            pol.record_tier_accuracies(r, {0: 0.5, 1: 0.5})
+        assert pol.prob_updates == 1
+
+    def test_improvement_in_the_last_round_counts(self, rng):
+        """``A^r`` is the evaluation at round ``r - 1``: a gain there alone
+        is an improvement, so the probabilities stay put."""
+        pol = AdaptiveTierPolicy(2, credits=[100] * 2, interval=5)
+        for r in range(5):
+            pol.choose_tier(r, all_eligible(2), rng)
+            acc = 0.9 if r == 4 else 0.5
+            pol.record_tier_accuracies(r, {0: acc, 1: acc})
+        pol.choose_tier(5, all_eligible(2), rng)
+        assert pol.prob_updates == 0
+
+    def test_no_update_without_a_baseline_an_interval_ago(self, rng):
+        """Accuracies first logged at round 2: at round 5 there is an
+        ``A^r`` but no ``A^{r-I}``, so nothing is compared."""
+        pol = AdaptiveTierPolicy(2, credits=[100] * 2, interval=5)
+        for r in range(5):
+            pol.choose_tier(r, all_eligible(2), rng)
+            if r >= 2:
+                pol.record_tier_accuracies(r, {0: 0.5, 1: 0.5})
+        pol.choose_tier(5, all_eligible(2), rng)
+        assert pol.prob_updates == 0
+
+    def test_update_reads_only_rounds_before_the_draw(self, rng):
+        """An evaluation logged for the round being drawn is not yet
+        ``A^r``: ChangeProbs sees the vector from the round before."""
+        seen = []
+
+        def record(accs):
+            seen.append(accs.tolist())
+            return np.full(2, 0.5)
+
+        pol = AdaptiveTierPolicy(2, credits=[100] * 2, interval=5, change_probs=record)
+        for r in range(5):
+            pol.choose_tier(r, all_eligible(2), rng)
+            pol.record_tier_accuracies(r, {0: 0.5, 1: 0.5})
+        pol.record_tier_accuracies(5, {0: 0.2, 1: 0.8})
+        pol.choose_tier(5, all_eligible(2), rng)
+        assert seen == [[0.5, 0.5]]
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.5, 0.0], [1.5, -0.5]], ids=["wrong-shape", "negative"])
+    def test_invalid_change_probs_output_raises(self, rng, bad):
+        pol = AdaptiveTierPolicy(
+            2, credits=[100] * 2, interval=2, change_probs=lambda a: np.array(bad)
+        )
+        for r in range(2):
+            pol.choose_tier(r, all_eligible(2), rng)
+            pol.record_tier_accuracies(r, {0: 0.5, 1: 0.5})
+        with pytest.raises(ValueError, match="invalid distribution"):
+            pol.choose_tier(2, all_eligible(2), rng)
+
+    def test_all_zero_change_probs_output_keeps_the_old_probs(self, rng):
+        pol = AdaptiveTierPolicy(
+            2, credits=[100] * 2, interval=2, change_probs=lambda a: np.zeros(2)
+        )
+        for r in range(3):
+            pol.choose_tier(r, all_eligible(2), rng)
+            pol.record_tier_accuracies(r, {0: 0.5, 1: 0.5})
+        np.testing.assert_array_equal(pol.probs, [0.5, 0.5])
+        assert pol.prob_updates == 0
+
+    def test_draws_follow_the_updated_probs(self, rng):
+        """After ChangeProbs puts all mass on tier 0, only tier 0 is drawn."""
+        pol = AdaptiveTierPolicy(
+            2, credits=[100] * 2, interval=2, change_probs=lambda a: np.array([1.0, 0.0])
+        )
+        draws = []
+        for r in range(30):
+            draws.append(pol.choose_tier(r, all_eligible(2), rng))
+            pol.record_tier_accuracies(r, {0: 0.5, 1: 0.5})
+        assert pol.prob_updates >= 1
+        assert set(draws[2:]) == {0}
 
     def test_partial_accuracy_vector_ignored(self, rng):
         """Updates need a full per-tier vector; partial evals are skipped."""

@@ -71,6 +71,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             allocate_credits(3, 10, slack=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"num_tiers": 0}, "num_tiers"),
+            ({"total_rounds": 0}, "total_rounds"),
+            ({"slack": 0.0}, "slack"),
+            ({"min_credits": -1}, "min_credits"),
+        ],
+    )
+    def test_each_boundary_is_refused_by_name(self, kwargs, message):
+        """Each guard refuses its own boundary value.  ``equal`` needs no
+        latencies, so no other check can raise first."""
+        args = {"num_tiers": 3, "total_rounds": 10, "strategy": "equal", **kwargs}
+        with pytest.raises(ValueError, match=message):
+            allocate_credits(**args)
+
+    def test_zero_min_credits_is_allowed(self):
+        """``min_credits`` is a non-negative floor: 0 means "no floor"."""
+        credits = allocate_credits(2, 4, strategy="equal", min_credits=0)
+        np.testing.assert_array_equal(credits, [3, 3])
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -40,6 +40,14 @@ class TestEq6:
         with pytest.raises(ValueError):
             estimate_training_time([1.0], [1.0], 0)
 
+    @pytest.mark.parametrize("lats, probs", [([], []), ([[1.0]], [[1.0]])], ids=["empty", "2-d"])
+    def test_rejects_non_vectors_by_shape(self, lats, probs):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            estimate_training_time(lats, probs, 10)
+
+    def test_zero_latency_tier_is_allowed(self):
+        assert estimate_training_time([0.0, 2.0], [0.5, 0.5], 4) == 4.0
+
 
 class TestScheduleEstimate:
     def test_piecewise_sums(self):
@@ -78,6 +86,12 @@ class TestMape:
         with pytest.raises(ValueError):
             mape(-1.0, 10.0)
 
+    def test_zero_estimate_is_a_full_miss(self):
+        assert mape(0.0, 10.0) == 100.0
+
+    def test_sub_unit_actual_time_is_allowed(self):
+        assert mape(0.75, 0.5) == pytest.approx(50.0)
+
 
 class TestMapeFromHistory:
     def test_deterministic_history_gives_zero(self):
@@ -97,6 +111,14 @@ class TestMapeFromHistory:
                 )
             )
         assert mape_from_history(lats, probs, h) == pytest.approx(0.0, abs=1e-9)
+
+    def test_one_round_history(self):
+        record = RoundRecord(
+            round_idx=0, round_latency=3.0, sim_time=3.0, accuracy=None, selected=(0,)
+        )
+        h = TrainingHistory()
+        h.append(record)
+        assert mape_from_history([2.0], [1.0], h) == pytest.approx(100 / 3)
 
     def test_empty_history_raises(self):
         with pytest.raises(ValueError):

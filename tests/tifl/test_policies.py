@@ -70,6 +70,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_probs([])
 
+    @pytest.mark.parametrize("probs", [[], [[0.5, 0.5]]], ids=["empty", "2-d"])
+    def test_rejects_non_vectors_by_shape(self, probs):
+        """A 2-D table on the simplex is refused for its shape, not passed."""
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            validate_probs(probs)
+
 
 class TestResize:
     def test_identity_when_matching(self):
@@ -90,6 +96,14 @@ class TestResize:
     def test_slow_stays_back_loaded(self):
         q = resize_probs(static_policy_probs("slow"), 3)
         assert q.argmax() == 2
+
+    def test_zero_tiers_refused(self):
+        with pytest.raises(ValueError, match="num_tiers"):
+            resize_probs(static_policy_probs("uniform"), 0)
+
+    def test_unrepresentable_mass_falls_back_to_uniform(self):
+        """[0, 1, 0] sampled at two points sees only the zero endpoints."""
+        np.testing.assert_array_equal(resize_probs([0.0, 1.0, 0.0], 2), [0.5, 0.5])
 
 
 class TestStaticTierPolicy:
@@ -122,6 +136,10 @@ class TestStaticTierPolicy:
         pol = StaticTierPolicy([0.5, 0.5])
         with pytest.raises(ValueError, match="size"):
             pol.choose_tier(0, np.array([True]), rng)
+
+    def test_from_name_defaults_to_the_papers_five_tiers(self):
+        pol = StaticTierPolicy.from_name("random")
+        np.testing.assert_array_equal(pol.probs, static_policy_probs("random"))
 
     def test_from_name_resizes(self):
         pol = StaticTierPolicy.from_name("fast", num_tiers=3)

@@ -80,6 +80,21 @@ class TestSelect:
         with pytest.raises(ValueError):
             TierScheduler(asg, StaticTierPolicy([1 / 3] * 3), 0)
 
+    def test_cohort_of_one(self):
+        asg = make_assignment()
+        sched = TierScheduler(asg, StaticTierPolicy([1 / 3] * 3), 1, rng=0)
+        assert len(sched.select(0, all_clients(asg)).clients) == 1
+
+    @pytest.mark.parametrize("tier", [-1, 3])
+    def test_out_of_range_tier_from_the_policy_is_refused(self, tier):
+        class Rogue(StaticTierPolicy):
+            def choose_tier(self, round_idx, eligible, rng):
+                return tier
+
+        sched = TierScheduler(make_assignment(), Rogue([1 / 3] * 3), 2, rng=0)
+        with pytest.raises(ValueError, match="invalid tier index"):
+            sched.select(0, all_clients(sched.assignment))
+
 
     def test_negative_ids_are_ignored_not_wrapped(self):
         """``mask[[-1]] = True`` used to mark client ``id_bound - 1``

@@ -25,6 +25,10 @@ class TestBuildTiers:
         assert asg.num_tiers == 5
         np.testing.assert_array_equal(asg.sizes, [10] * 5)
 
+    def test_default_is_the_papers_five_tiers(self):
+        asg = build_tiers(*five_group_latencies())
+        assert asg.num_tiers == 5
+
     def test_mean_latencies_increasing(self):
         asg = build_tiers(*five_group_latencies(), num_tiers=5)
         means = asg.mean_latencies
@@ -61,6 +65,20 @@ class TestBuildTiers:
         asg = build_tiers([0, 1, 2, 3], [1.0, 1.0 + 1e-12, 1.0, 1.0 + 2e-12], 3)
         assert asg.num_tiers == 1
         assert asg.tiers[0].size == 4
+
+    def test_single_tier_is_tier_zero(self):
+        asg = build_tiers(np.arange(4), np.full(4, 2.0), num_tiers=3)
+        assert asg.tiers[0].index == 0
+        assert asg.tier_of(3) == 0
+
+    def test_zero_latency_clients_are_tiered(self):
+        asg = build_tiers([0, 1, 2], [0.0, 0.0, 5.0], 2, method="width")
+        assert asg.members(0).tolist() == [0, 1]
+
+    def test_width_bins_split_the_range_evenly(self):
+        """Edges [0, 1.5, 3]: two bins of equal width, two clients each."""
+        asg = build_tiers([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], 2, method="width")
+        assert [t.client_ids.tolist() for t in asg.tiers] == [[0, 1], [2, 3]]
 
     def test_fewer_clients_than_tiers(self):
         asg = build_tiers([0, 1], [1.0, 5.0], num_tiers=5)
@@ -112,6 +130,13 @@ class TestTierAssignment:
         t1 = Tier(1, (2,), 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="non-decreasing"):
             TierAssignment(tiers=[t0, t1])
+
+    def test_equal_means_are_accepted(self):
+        from repro.tifl.tiering import Tier
+
+        t0 = Tier(0, (1,), 2.0, 2.0, 2.0)
+        t1 = Tier(1, (2,), 2.0, 2.0, 2.0)
+        assert TierAssignment(tiers=[t0, t1]).num_tiers == 2
 
     def test_members(self):
         # width split: edges [1, 5, 9] put the two fast clients in tier 0
