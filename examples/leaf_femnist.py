@@ -29,7 +29,8 @@ from repro.tifl.server import TiFLServer
 ROUNDS = 80
 SEED = 31
 # The scaled-down linear surrogate needs a larger step than the paper's
-# SGD(0.004)-on-CNN setting; see DESIGN.md's substitution table.
+# SGD(0.004)-on-CNN setting; the Fig. 9 entry in benchmarks/figures.py
+# makes the same substitution.
 TRAINING = TrainingConfig(optimizer="sgd", lr=0.5, lr_decay=1.0, batch_size=10)
 
 

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional
 
@@ -111,19 +112,55 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _non_negative_float(value: str) -> float:
+    x = float(value)
+    if not x >= 0.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {x}")
+    return x
+
+
+def _fraction(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {x}")
+    return x
+
+
+class _UsageError(Exception):
+    """A flag value the library refused; :func:`main` prints it and
+    returns 2, as argparse does for a value out of its flag's range."""
+
+
+@contextmanager
+def _usage_errors():
+    """Report the ``ValueError`` a command's config, scenario or executor
+    raises while it is built as a usage error, not a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", default="cifar10", choices=list(DATASETS))
-    p.add_argument("--num-clients", type=int, default=50)
-    p.add_argument("--clients-per-round", type=int, default=5)
+    p.add_argument("--num-clients", type=_positive_int, default=50)
+    p.add_argument("--clients-per-round", type=_positive_int, default=5)
     p.add_argument("--resource-profile", default="heterogeneous",
                    choices=list(RESOURCE_PROFILES))
     p.add_argument("--data-distribution", default="iid",
                    choices=list(DATA_DISTRIBUTIONS))
-    p.add_argument("--noniid-classes", type=int, default=5)
-    p.add_argument("--train-size", type=int, default=2500)
-    p.add_argument("--test-size", type=int, default=400)
+    p.add_argument("--noniid-classes", type=_positive_int, default=5)
+    p.add_argument("--train-size", type=_positive_int, default=2500)
+    p.add_argument("--test-size", type=_positive_int, default=400)
     p.add_argument("--model", default="linear")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
@@ -167,7 +204,7 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                         "to serial; delta cuts steady-state bytes/round "
                         "~30%% on a converging run).  serial and batched "
                         "ignore it")
-    p.add_argument("--reconnect-grace", type=float, default=0.0,
+    p.add_argument("--reconnect-grace", type=_non_negative_float, default=0.0,
                    metavar="SECONDS",
                    help="how long a round that has lost its last worker "
                         "waits for a worker to join before it fails "
@@ -181,11 +218,12 @@ def _make_executor(args: argparse.Namespace):
         return args.executor
     from repro.distributed import DistributedExecutor
 
-    executor = DistributedExecutor(
-        workers=args.workers, endpoint=args.connect,
-        reconnect_grace=args.reconnect_grace,
-    )
-    endpoint = executor.listen()
+    with _usage_errors():
+        executor = DistributedExecutor(
+            workers=args.workers, endpoint=args.connect,
+            reconnect_grace=args.reconnect_grace,
+        )
+        endpoint = executor.listen()
     print(
         f"[distributed] coordinator listening on {endpoint}; waiting for "
         f"{args.workers} worker(s) -- start each with: "
@@ -196,17 +234,18 @@ def _make_executor(args: argparse.Namespace):
 
 
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = ScenarioConfig(
-        dataset=args.dataset,
-        num_clients=args.num_clients,
-        clients_per_round=args.clients_per_round,
-        resource_profile=args.resource_profile,
-        data_distribution=args.data_distribution,
-        noniid_classes=args.noniid_classes,
-        train_size=args.train_size,
-        test_size=args.test_size,
-        model=args.model,
-    )
+    with _usage_errors():
+        cfg = ScenarioConfig(
+            dataset=args.dataset,
+            num_clients=args.num_clients,
+            clients_per_round=args.clients_per_round,
+            resource_profile=args.resource_profile,
+            data_distribution=args.data_distribution,
+            noniid_classes=args.noniid_classes,
+            train_size=args.train_size,
+            test_size=args.test_size,
+            model=args.model,
+        )
     # --codec threads through TrainingConfig (what the executors read);
     # commands without executor flags (estimate/privacy) have no codec.
     codec = getattr(args, "codec", "raw")
@@ -294,7 +333,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _scenario_config(args)
-    scenario = build_scenario(cfg, seed=args.seed)
+    with _usage_errors():
+        scenario = build_scenario(cfg, seed=args.seed)
     profiling = profile_clients(
         scenario.clients, scenario.model.num_params(), sync_rounds=args.sync_rounds
     )
@@ -323,7 +363,7 @@ def cmd_privacy(args: argparse.Namespace) -> int:
     base_size, extra = divmod(args.pool, args.tiers)
     sizes = [base_size + (t < extra) for t in range(args.tiers)]
     rows = []
-    try:
+    with _usage_errors():
         base = PrivacyGuarantee(eps=args.eps, delta=args.delta)
         q, uniform = uniform_guarantee(base, args.cohort, args.pool)
         for name, probs in CIFAR_POLICIES.items():
@@ -331,9 +371,6 @@ def cmd_privacy(args: argparse.Namespace) -> int:
                 continue
             q_max, amp = tiered_guarantee(base, probs, sizes, args.cohort)
             rows.append([name, q_max, amp.eps, f"{amp.delta:.2e}"])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"uniform: q={q:.4f} -> (eps={uniform.eps:.5f}, delta={uniform.delta:.2e})")
     print(format_table(
         ["policy", "q_max", "eps/round", "delta/round"], rows, float_fmt="{:.4f}"
@@ -349,14 +386,15 @@ def cmd_scale(args: argparse.Namespace) -> int:
     from repro.rng import derive
     from repro.simcluster.population import DiurnalSchedule
 
-    scn = build_population_scenario(
-        num_clients=args.num_clients,
-        clients_per_round=args.clients_per_round,
-        pool_size=args.pool_size,
-        model=args.model,
-        heavy_tailed=not args.homogeneous,
-        seed=args.seed,
-    )
+    with _usage_errors():
+        scn = build_population_scenario(
+            num_clients=args.num_clients,
+            clients_per_round=args.clients_per_round,
+            pool_size=args.pool_size,
+            model=args.model,
+            heavy_tailed=not args.homogeneous,
+            seed=args.seed,
+        )
     store = scn.clients
     print(
         f"[scale] {store.num_clients} clients as columns; "
@@ -408,11 +446,8 @@ def cmd_scale(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     from repro.distributed import WorkerAgent, parse_endpoint
 
-    try:
+    with _usage_errors():
         host, port = parse_endpoint(args.connect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     agent = WorkerAgent(
         host, port, capacity=args.capacity,
         connect_timeout=args.connect_timeout,
@@ -455,14 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_est)
     p_est.add_argument("--rounds", type=_positive_int, default=500)
     p_est.add_argument("--num-tiers", type=_positive_int, default=5)
-    p_est.add_argument("--sync-rounds", type=int, default=3)
+    p_est.add_argument("--sync-rounds", type=_positive_int, default=3)
     p_est.set_defaults(func=cmd_estimate)
 
     p_priv = sub.add_parser("privacy", help="Sec. 4.6 amplification table")
     p_priv.add_argument("--pool", type=_positive_int, default=50)
     p_priv.add_argument("--cohort", type=_positive_int, default=5)
     p_priv.add_argument("--tiers", type=_positive_int, default=5)
-    p_priv.add_argument("--eps", type=float, default=0.5)
+    p_priv.add_argument("--eps", type=_non_negative_float, default=0.5)
     p_priv.add_argument("--delta", type=float, default=1e-5)
     p_priv.set_defaults(func=cmd_privacy)
 
@@ -473,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coordinator endpoint to connect to")
     p_wrk.add_argument("--capacity", type=_positive_int, default=1,
                        help="relative share of each batch to deal this worker")
-    p_wrk.add_argument("--connect-timeout", type=float, default=30.0,
+    p_wrk.add_argument("--connect-timeout", type=_non_negative_float, default=30.0,
                        help="seconds to keep dialling the coordinator, at "
                             "start and after a dropped connection (to "
                             "rejoin as a new worker)")
@@ -495,15 +530,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared synthetic sample pool clients subset")
     p_scl.add_argument("--model", default="linear")
     p_scl.add_argument("--eval-every", type=_positive_int, default=1)
-    p_scl.add_argument("--seed", type=int, default=0)
+    p_scl.add_argument("--seed", type=_non_negative_int, default=0)
     p_scl.add_argument("--homogeneous", action="store_true",
                        help="identical capacities instead of the default "
                             "heavy-tailed (log-normal) CPU/bandwidth draws")
-    p_scl.add_argument("--diurnal-period", type=float, default=86400.0,
+    p_scl.add_argument("--diurnal-period", type=_non_negative_float, default=86400.0,
                        metavar="SECONDS",
                        help="diurnal availability period (0 disables churn: "
                             "everyone stays available)")
-    p_scl.add_argument("--duty-cycle", type=float, default=0.5,
+    p_scl.add_argument("--duty-cycle", type=_fraction, default=0.5,
                        help="fraction of each period a phase group is online")
     p_scl.add_argument("--diurnal-phases", type=_positive_int, default=24,
                        help="staggered phase groups per period")
@@ -528,7 +563,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.telemetry.log import configure_logging
 
         configure_logging(args.log_level)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

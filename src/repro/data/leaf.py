@@ -37,6 +37,9 @@ PAPER_NUM_CLIENTS = 182
 #: LEAF FEMNIST per-writer sample statistics (train split).
 LEAF_MEAN_SAMPLES = 226.83
 LEAF_STD_SAMPLES = 88.94
+#: Dirichlet concentration of each writer's class distribution; lower =
+#: more skewed (LEAF FEMNIST is mildly skewed).
+CLASS_SKEW_ALPHA = 2.0
 
 
 def _writer_sample_counts(
@@ -54,10 +57,7 @@ def make_femnist_leaf(
     num_clients: int = PAPER_NUM_CLIENTS,
     shape: Tuple[int, ...] = (28, 28, 1),
     num_classes: int = 62,
-    mean_samples: float = LEAF_MEAN_SAMPLES,
-    std_samples: float = LEAF_STD_SAMPLES,
     min_samples: int = 12,
-    class_skew_alpha: float = 2.0,
     writer_style_scale: float = 0.35,
     difficulty: float = 0.40,
     test_size: int = 2000,
@@ -72,9 +72,6 @@ def make_femnist_leaf(
         Multiplies the per-writer sample counts; harnesses use ``scale <<
         1`` (e.g. 0.05) to keep benches fast while preserving the *relative*
         quantity skew across writers.
-    class_skew_alpha:
-        Dirichlet concentration of each writer's class distribution; lower
-        = more skewed.
     writer_style_scale:
         Magnitude of the per-writer feature shift relative to the class
         signal (0 disables feature skew).
@@ -88,9 +85,9 @@ def make_femnist_leaf(
     protos = class_prototypes(spec, g)
 
     counts = _writer_sample_counts(
-        g, num_clients, mean_samples * scale, std_samples * scale, min_samples
+        g, num_clients, LEAF_MEAN_SAMPLES * scale, LEAF_STD_SAMPLES * scale, min_samples
     )
-    class_probs = g.dirichlet(np.full(num_classes, class_skew_alpha), size=num_clients)
+    class_probs = g.dirichlet(np.full(num_classes, CLASS_SKEW_ALPHA), size=num_clients)
     shifts = (
         g.standard_normal((num_clients, spec.dim))
         * writer_style_scale

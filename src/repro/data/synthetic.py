@@ -29,6 +29,10 @@ __all__ = ["SyntheticSpec", "generate_synthetic", "class_prototypes"]
 #: :func:`generate_synthetic` (the pins in
 #: ``tests/data/test_synthetic_pins.py`` straddle it).
 _NOISE_BLOCK_ROWS = 1024
+#: Size of the blur kernel applied to prototypes (images have spatial
+#: correlation; pure white-noise prototypes would be unrealistically easy
+#: for linear models).
+_PROTOTYPE_SMOOTHNESS = 3
 
 
 @dataclass(frozen=True)
@@ -43,16 +47,11 @@ class SyntheticSpec:
         Label cardinality.
     difficulty:
         0 = trivially separable; towards 1 the class signal vanishes.
-    prototype_smoothness:
-        Size of the blur kernel applied to prototypes (images have spatial
-        correlation; pure white-noise prototypes would be unrealistically
-        easy for linear models).
     """
 
     shape: Tuple[int, ...]
     num_classes: int
     difficulty: float = 0.35
-    prototype_smoothness: int = 3
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
@@ -67,17 +66,17 @@ class SyntheticSpec:
         return int(np.prod(self.shape))
 
 
-def _smooth(flat_protos: np.ndarray, shape: Tuple[int, ...], k: int) -> np.ndarray:
+def _smooth(flat_protos: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Box-blur each prototype along its first spatial axis.
 
     A cheap stand-in for spatial correlation; exactness is irrelevant, only
     that nearby pixels co-vary.
     """
-    if k <= 1 or len(shape) < 2:
+    if len(shape) < 2:
         return flat_protos
     c, _ = flat_protos.shape
     imgs = flat_protos.reshape((c,) + shape)
-    kernel = np.ones(k) / k
+    kernel = np.ones(_PROTOTYPE_SMOOTHNESS) / _PROTOTYPE_SMOOTHNESS
     # Convolve along the two leading spatial axes via FFT-free cumsum trick.
     for axis in (1, 2):
         imgs = np.apply_along_axis(
@@ -92,7 +91,7 @@ def class_prototypes(
     """Generate ``(num_classes, dim)`` unit-norm class prototypes."""
     g = make_rng(rng)
     protos = g.standard_normal((spec.num_classes, spec.dim))
-    protos = _smooth(protos, spec.shape, spec.prototype_smoothness)
+    protos = _smooth(protos, spec.shape)
     norms = np.linalg.norm(protos, axis=1, keepdims=True)
     return protos / norms
 

@@ -85,6 +85,9 @@ __all__ = ["WorkerAgent"]
 #: evicted baseline.
 BROADCAST_RETAIN = 8
 
+#: Seconds between two attempts to reach the coordinator.
+RETRY_INTERVAL = 0.2
+
 #: Worker process exit codes (asserted by the test-suite).
 EXIT_OK = 0
 EXIT_CONNECTION_LOST = 1
@@ -103,10 +106,11 @@ class WorkerAgent:
         Relative share of each batch's cost this worker should be dealt
         (advertised in the handshake; a capacity-2 worker takes about
         twice the work of a capacity-1 worker).
-    connect_timeout / retry_interval:
-        The agent retries the TCP connect until ``connect_timeout``
-        elapses: at start, so workers may be launched slightly before the
-        coordinator listens, and after a session drops, to rejoin.
+    connect_timeout:
+        The agent retries the TCP connect every :data:`RETRY_INTERVAL`
+        seconds until ``connect_timeout`` elapses: at start, so workers
+        may be launched slightly before the coordinator listens, and
+        after a session drops, to rejoin.
     max_frame_payload:
         Optional cap on incoming frame payloads (see
         :mod:`repro.distributed.transport`), in force once WELCOME has
@@ -120,7 +124,6 @@ class WorkerAgent:
         port: int,
         capacity: int = 1,
         connect_timeout: float = 30.0,
-        retry_interval: float = 0.2,
         max_frame_payload: Optional[int] = None,
         log=None,
     ) -> None:
@@ -130,7 +133,6 @@ class WorkerAgent:
         self.port = int(port)
         self.capacity = int(capacity)
         self.connect_timeout = float(connect_timeout)
-        self.retry_interval = float(retry_interval)
         self.max_frame_payload = max_frame_payload
         self._log_stream = log if log is not None else sys.stderr
         self._logger = stream_logger(
@@ -199,7 +201,7 @@ class WorkerAgent:
                 return Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
             except OSError as exc:
                 last_err = exc
-                time.sleep(self.retry_interval)
+                time.sleep(RETRY_INTERVAL)
         raise ConnectionError(
             f"could not reach coordinator at {self.host}:{self.port} within "
             f"{window:.0f}s: {last_err}"

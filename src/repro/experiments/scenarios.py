@@ -90,6 +90,9 @@ RESOURCE_PROFILES = {
     "case_study": CASE_STUDY_CPU_GROUPS,
 }
 DATA_DISTRIBUTIONS = ("iid", "noniid", "quantity", "quantity_noniid")
+#: Each client group's share of the data under the ``quantity``
+#: distributions (Sec. 5.1: 10/15/20/25/30%).
+_QUANTITY_FRACTIONS = (0.10, 0.15, 0.20, 0.25, 0.30)
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,6 @@ class ScenarioConfig:
     cpu_groups: Optional[Tuple[float, ...]] = None
     data_distribution: str = "iid"
     noniid_classes: int = 5
-    quantity_fractions: Tuple[float, ...] = (0.10, 0.15, 0.20, 0.25, 0.30)
     shape: Tuple[int, ...] = (8, 8, 1)
     train_size: int = 4000
     test_size: int = 1000
@@ -204,13 +206,13 @@ def _partition(
         )
     if cfg.data_distribution == "quantity":
         return partition_quantity_skew(
-            labels, cfg.num_clients, cfg.quantity_fractions, rng
+            labels, cfg.num_clients, _QUANTITY_FRACTIONS, rng
         )
     # quantity_noniid: class-limited partition, then thin each client to the
     # group quantity share ("shard the dataset unevenly ... and limit the
     # number of classes", Sec. 5.1).
     base = partition_noniid_classes(labels, cfg.num_clients, cfg.noniid_classes, rng)
-    fractions = np.asarray(cfg.quantity_fractions, dtype=np.float64)
+    fractions = np.asarray(_QUANTITY_FRACTIONS, dtype=np.float64)
     num_groups = fractions.size
     if cfg.num_clients % num_groups != 0:
         raise ValueError(

@@ -60,9 +60,8 @@ class AsyncFLServer:
         Number of clients training simultaneously (the async analogue of
         ``|C|``).
     base_mixing:
-        Mixing weight ``a`` for a fresh (staleness-0) update.
-    staleness_power:
-        Exponent of the polynomial staleness discount (0 disables it).
+        Mixing weight ``a`` for a fresh (staleness-0) update; a stale one
+        gets ``a`` times :func:`polynomial_staleness_discount`.
     """
 
     def __init__(
@@ -72,7 +71,6 @@ class AsyncFLServer:
         test_data: Dataset,
         concurrency: int = 5,
         base_mixing: float = 0.5,
-        staleness_power: float = 0.5,
         training: TrainingConfig = PAPER_SYNTHETIC_TRAINING,
         eval_every: int = 1,
         rng: RngLike = None,
@@ -92,7 +90,6 @@ class AsyncFLServer:
         self.test_data = test_data
         self.concurrency = concurrency
         self.base_mixing = base_mixing
-        self.staleness_power = staleness_power
         self.training = training
         self.eval_every = eval_every
         self._rng = make_rng(rng)
@@ -130,11 +127,7 @@ class AsyncFLServer:
         )
 
     def _mixing_weight(self, staleness: int) -> float:
-        if self.staleness_power == 0.0:
-            return self.base_mixing
-        return self.base_mixing * polynomial_staleness_discount(
-            staleness, self.staleness_power
-        )
+        return self.base_mixing * polynomial_staleness_discount(staleness)
 
     def run(self, num_updates: int) -> TrainingHistory:
         """Apply ``num_updates`` asynchronous updates; returns the history.

@@ -39,6 +39,9 @@ __all__ = [
     "compose_advanced",
 ]
 
+#: The ``delta'`` advanced composition spends to buy its sublinear eps.
+DELTA_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class PrivacyGuarantee:
@@ -141,22 +144,18 @@ def compose_basic(per_round: PrivacyGuarantee, rounds: int) -> PrivacyGuarantee:
     )
 
 
-def compose_advanced(
-    per_round: PrivacyGuarantee, rounds: int, delta_slack: float = 1e-6
-) -> PrivacyGuarantee:
+def compose_advanced(per_round: PrivacyGuarantee, rounds: int) -> PrivacyGuarantee:
     """Advanced composition (DRV'10): sublinear eps growth.
 
     ``eps_total = sqrt(2 R ln(1/delta')) eps + R eps (e^eps - 1)``,
-    ``delta_total = R delta + delta'``.
+    ``delta_total = R delta + delta'``, with ``delta'`` = :data:`DELTA_SLACK`.
     """
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
-    if not 0.0 < delta_slack < 1.0:
-        raise ValueError(f"delta_slack must be in (0, 1), got {delta_slack}")
     eps = per_round.eps
     eps_total = float(
-        np.sqrt(2.0 * rounds * np.log(1.0 / delta_slack)) * eps
+        np.sqrt(2.0 * rounds * np.log(1.0 / DELTA_SLACK)) * eps
         + rounds * eps * np.expm1(eps)
     )
-    delta_total = min(1.0, rounds * per_round.delta + delta_slack)
+    delta_total = min(1.0, rounds * per_round.delta + DELTA_SLACK)
     return PrivacyGuarantee(eps=eps_total, delta=delta_total)

@@ -44,7 +44,7 @@ which is why parameter-free layers do not take the flag.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -60,9 +60,6 @@ __all__ = [
     "Flatten",
     "Dropout",
 ]
-
-Initializer = Callable[[np.random.Generator, Tuple[int, ...]], np.ndarray]
-
 
 def _nhwc(shape: Tuple[int, ...]) -> Tuple[int, ...]:
     """``shape`` with its leading axes -- the batch and any client axes
@@ -118,18 +115,11 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""
 
-    def __init__(
-        self,
-        units: int,
-        kernel_init: Initializer = glorot_uniform,
-        bias_init: Initializer = zeros_init,
-    ) -> None:
+    def __init__(self, units: int) -> None:
         super().__init__()
         if units <= 0:
             raise ValueError(f"units must be positive, got {units}")
         self.units = units
-        self._kernel_init = kernel_init
-        self._bias_init = bias_init
         self._x: Optional[np.ndarray] = None
 
     def build(
@@ -140,8 +130,8 @@ class Dense(Layer):
                 f"Dense expects flat input, got shape {input_shape}; add Flatten"
             )
         in_dim = input_shape[0]
-        self.params["W"] = self._kernel_init(rng, (in_dim, self.units))
-        self.params["b"] = self._bias_init(rng, (self.units,))
+        self.params["W"] = glorot_uniform(rng, (in_dim, self.units))
+        self.params["b"] = zeros_init(rng, (self.units,))
         self.built = True
         return (self.units,)
 
@@ -198,8 +188,6 @@ class Conv2D(Layer):
         kernel_size: int,
         stride: int = 1,
         padding: str = "valid",
-        kernel_init: Initializer = glorot_uniform,
-        bias_init: Initializer = zeros_init,
     ) -> None:
         super().__init__()
         if filters <= 0 or kernel_size <= 0 or stride <= 0:
@@ -214,8 +202,6 @@ class Conv2D(Layer):
         self.k = kernel_size
         self.stride = stride
         self.padding = padding
-        self._kernel_init = kernel_init
-        self._bias_init = bias_init
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
     def _pad_amount(self) -> int:
@@ -234,8 +220,8 @@ class Conv2D(Layer):
         pad = self._pad_amount()
         oh = T.conv_out_size(h, self.k, self.stride, pad)
         ow = T.conv_out_size(w, self.k, self.stride, pad)
-        self.params["W"] = self._kernel_init(rng, (self.k, self.k, c, self.filters))
-        self.params["b"] = self._bias_init(rng, (self.filters,))
+        self.params["W"] = glorot_uniform(rng, (self.k, self.k, c, self.filters))
+        self.params["b"] = zeros_init(rng, (self.filters,))
         self.built = True
         return (oh, ow, self.filters)
 

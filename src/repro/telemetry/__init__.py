@@ -23,8 +23,6 @@ worker pair, and the codec registry all report through this package.
 from repro.telemetry.core import (
     DEFAULT_TIME_BUCKETS,
     SCHEMA_VERSION,
-    SpanRecord,
-    clear_spans,
     configure,
     count,
     counter,
@@ -37,7 +35,6 @@ from repro.telemetry.core import (
     shutdown,
     snapshot,
     span,
-    span_records,
 )
 from repro.telemetry.trace import (
     TraceWriter,
@@ -50,9 +47,7 @@ from repro.telemetry.trace import (
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_TIME_BUCKETS",
-    "SpanRecord",
     "TraceWriter",
-    "clear_spans",
     "config_digest",
     "configure",
     "count",
@@ -67,7 +62,6 @@ __all__ = [
     "shutdown",
     "snapshot",
     "span",
-    "span_records",
     "validate_trace_event",
     "validate_trace_file",
 ]

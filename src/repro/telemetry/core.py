@@ -11,9 +11,9 @@ clocks touched when tracing is on are ``time.perf_counter`` /
 :func:`configure` turns collection on (optionally streaming every
 closed span to a JSONL trace file -- see :mod:`repro.telemetry.trace`);
 :func:`snapshot` renders the registry as a plain dict (embedded in
-:class:`repro.fl.history.TrainingHistory` and runner JSON at run end);
-:func:`span_records` exposes the in-memory span list (the telemetry
-tests read it; no benchmark does -- ``perf/`` keeps its own spans).
+:class:`repro.fl.history.TrainingHistory` and runner JSON at run end).
+A closed span is kept only as its name's count and total seconds;
+the trace file, when one is configured, has every span.
 
 Thread-safety: one process-wide lock guards registry mutation; spans
 may close from any thread (the coordinator's reader threads).
@@ -29,7 +29,6 @@ import bisect
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.telemetry.trace import SCHEMA_VERSION, TraceWriter
@@ -37,7 +36,6 @@ from repro.telemetry.trace import SCHEMA_VERSION, TraceWriter
 __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_TIME_BUCKETS",
-    "SpanRecord",
     "configure",
     "shutdown",
     "reset",
@@ -50,8 +48,6 @@ __all__ = [
     "observe",
     "snapshot",
     "flush",
-    "span_records",
-    "clear_spans",
 ]
 
 #: Default histogram boundaries, tuned for durations in seconds: five
@@ -245,19 +241,6 @@ _NOOP_SPAN = _NoopSpan()
 # ----------------------------------------------------------------------
 # spans
 # ----------------------------------------------------------------------
-@dataclass
-class SpanRecord:
-    """One closed span: wall start, monotonic start, duration, origin."""
-
-    name: str
-    ts: float  # wall clock at start (unix seconds)
-    start: float  # perf_counter at start (for intra-process ordering)
-    duration: float
-    pid: int
-    tid: int
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-
 class Span:
     """Context manager measuring one named region; reentrant-safe by
     virtue of being a fresh object per :func:`span` call."""
@@ -277,30 +260,23 @@ class Span:
 
     def __exit__(self, *exc: Any) -> bool:
         duration = time.perf_counter() - self._start
-        record = SpanRecord(
-            name=self.name,
-            ts=self._ts,
-            start=self._start,
-            duration=duration,
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            attrs=self.attrs,
-        )
         state = _STATE
         with state.lock:
             if state.enabled:
-                state.spans.append(record)
+                totals = state.span_totals.setdefault(self.name, [0, 0.0])
+                totals[0] += 1
+                totals[1] += duration
                 writer = state.writer
             else:  # disabled mid-span: drop silently
                 writer = None
         if writer is not None:
             writer.write_span(
-                record.name,
-                record.ts,
-                record.duration,
-                record.attrs,
-                record.pid,
-                record.tid,
+                self.name,
+                self._ts,
+                duration,
+                self.attrs,
+                os.getpid(),
+                threading.get_ident(),
             )
         return False
 
@@ -315,7 +291,8 @@ class _State:
         self.counters: Dict[Tuple[str, _LabelKey], Counter] = {}
         self.gauges: Dict[Tuple[str, _LabelKey], Gauge] = {}
         self.histograms: Dict[Tuple[str, _LabelKey], Histogram] = {}
-        self.spans: List[SpanRecord] = []
+        #: span name -> [count, total seconds], in first-close order.
+        self.span_totals: Dict[str, List[Any]] = {}
         self.writer: Optional[TraceWriter] = None
 
 
@@ -378,7 +355,7 @@ def reset() -> None:
         state.counters.clear()
         state.gauges.clear()
         state.histograms.clear()
-        state.spans.clear()
+        state.span_totals.clear()
 
 
 # ----------------------------------------------------------------------
@@ -439,9 +416,9 @@ def span(name: str, **attrs: Any):
     """A context manager timing one named region.
 
     Disabled telemetry returns a shared no-op singleton: no allocation,
-    no clock read, no RNG interaction.  Enabled telemetry records a
-    :class:`SpanRecord` (and streams a trace event when a trace file is
-    configured) on exit.
+    no clock read, no RNG interaction.  Enabled telemetry adds the
+    duration to its name's rollup (and streams a trace event when a
+    trace file is configured) on exit.
     """
     if not _STATE.enabled:
         return _NOOP_SPAN
@@ -451,26 +428,6 @@ def span(name: str, **attrs: Any):
 # ----------------------------------------------------------------------
 # export
 # ----------------------------------------------------------------------
-def span_records(name: Optional[str] = None) -> List[SpanRecord]:
-    """Closed spans recorded so far (optionally filtered by name).
-
-    Returns a copy; the benchmarks read their timings from here instead
-    of keeping private stopwatches.
-    """
-    state = _STATE
-    with state.lock:
-        if name is None:
-            return list(state.spans)
-        return [s for s in state.spans if s.name == name]
-
-
-def clear_spans() -> None:
-    """Drop recorded spans (metrics stay) -- bench warmup/run separation."""
-    state = _STATE
-    with state.lock:
-        state.spans.clear()
-
-
 def snapshot() -> Dict[str, Any]:
     """Render the registry as a plain JSON-able dict.
 
@@ -492,11 +449,10 @@ def snapshot() -> Dict[str, Any]:
             _render_key(name, labels): h.to_dict()
             for (name, labels), h in sorted(state.histograms.items())
         }
-        rollup: Dict[str, Dict[str, float]] = {}
-        for rec in state.spans:
-            agg = rollup.setdefault(rec.name, {"count": 0, "total_s": 0.0})
-            agg["count"] += 1
-            agg["total_s"] += rec.duration
+        rollup = {
+            name: {"count": n, "total_s": total}
+            for name, (n, total) in state.span_totals.items()
+        }
     return {
         "schema_version": SCHEMA_VERSION,
         "counters": counters,

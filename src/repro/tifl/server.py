@@ -84,7 +84,6 @@ class TiFLServer(FLServer):
         total_rounds: Optional[int] = None,
         adaptive_interval: int = 20,
         credit_strategy: str = "speed_weighted",
-        credit_slack: float = 1.25,
         training: TrainingConfig = PAPER_SYNTHETIC_TRAINING,
         fault: Optional[FaultInjector] = None,
         rng: RngLike = None,
@@ -126,7 +125,6 @@ class TiFLServer(FLServer):
         self._policy_family = policy_family
         self._adaptive_interval = adaptive_interval
         self._credit_strategy = credit_strategy
-        self._credit_slack = credit_slack
         self._total_rounds = total_rounds
         resolved = self._resolve_policy(policy, realised)
 
@@ -181,7 +179,6 @@ class TiFLServer(FLServer):
                 self._total_rounds,
                 strategy=self._credit_strategy,
                 tier_latencies=self.assignment.mean_latencies,
-                slack=self._credit_slack,
             )
             return AdaptiveTierPolicy(
                 realised_tiers,

@@ -62,10 +62,6 @@ ALLOWLIST = {
         "closed-form reference the latency tests check against",
     "src/repro/simcluster/population.py:PopulationStore.evict_all":
         "test hook: forces cold re-materialisation under the pins",
-    "src/repro/telemetry/core.py:span_records":
-        "test hook: the recorded spans a telemetry test reads",
-    "src/repro/telemetry/core.py:clear_spans":
-        "test hook: drops recorded spans between telemetry checks",
     "src/repro/simcluster/population.py:PopulationStore.set_available":
         "test hook: the one writer behind the availability column",
     "src/repro/distributed/protocol.py:encode_trainfail":
@@ -160,7 +156,6 @@ def entry_classes(tmp):
         ],
         "paper": [[
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "--benchmark-disable",
             *sorted(glob.glob(os.path.join(ROOT, "benchmarks", "bench_*.py"))),
         ]],
         "perf": [[sys.executable, os.path.join("perf", "bench.py"), "--smoke",
@@ -177,7 +172,8 @@ def entry_classes(tmp):
             _cli("report", trace, "--validate"),
             _cli("estimate", "--dataset", "mnist", "--rounds", "500"),
             _cli("privacy", "--pool", "50", "--cohort", "5", "--eps", "0.5"),
-            _cli("scale", "--num-clients", "20000", "--rounds", "2"),
+            _cli("scale", "--num-clients", "20000", "--rounds", "2", "--seed", "1",
+                 "--duty-cycle", "0.25"),
         ],
         "faults": [[
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

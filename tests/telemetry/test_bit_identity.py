@@ -77,7 +77,7 @@ def assert_traced_run_matches(backend, tmp_path, workers=2):
     counts = telemetry.validate_trace_file(trace)
     assert counts["span"] > 0
     # the traced run actually recorded the engine phases
-    names = {s.name for s in telemetry.span_records()}
+    names = set(telemetry.snapshot()["spans"])
     assert {"fl.run", "fl.round", "fl.train", "fl.aggregate"} <= names
 
 

@@ -256,11 +256,21 @@ def test_removed_shards_distribution_is_an_invalid_choice(capsys):
     ["estimate", "--rounds", "0"],
     ["estimate", "--num-tiers", "0"],
     ["scale", "--eval-every", "0"],
+    ["estimate", "--sync-rounds", "0"],
+    ["run", "--num-clients", "0"],
+    ["compare", "--clients-per-round", "0"],
+    ["run", "--clients-per-round", "60"],
+    ["run", "--train-size", "0"],
+    ["run", "--seed", "-1"],
+    ["scale", "--pool-size", "4"],
+    ["scale", "--duty-cycle", "0"],
+    ["run", "--executor", "distributed", "--reconnect-grace", "-1"],
 ])
 def test_a_bad_count_exits_2_with_a_message(capsys, argv):
     """A count the command cannot use is a usage error, not a traceback:
-    argparse rejects a non-positive one, and ``privacy`` reports what the
-    library refuses (a cohort larger than the pool)."""
+    argparse rejects a value out of its flag's range, and the command
+    reports what the library refuses while it builds the config, the
+    scenario or the executor (a cohort larger than the pool)."""
     try:
         rc = main(argv)
     except SystemExit as exc:

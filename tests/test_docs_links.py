@@ -22,8 +22,10 @@ code with a test attached.
 """
 
 import ast
+import importlib.util
 import re
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,11 +112,12 @@ SOURCE_MD = re.compile(r"[A-Za-z0-9_\-./]*[A-Za-z0-9_\-]\.md\b")
 def test_markdown_cited_in_source_resolves():
     broken = [
         f"{path.relative_to(REPO_ROOT)}: {target}"
-        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for root in ("src/repro", "benchmarks", "examples")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
         for target in SOURCE_MD.findall(path.read_text())
         if not (REPO_ROOT / target).is_file()
     ]
-    assert not broken, "src/ cites markdown files that do not exist:\n" + "\n".join(broken)
+    assert not broken, "the code cites markdown files that do not exist:\n" + "\n".join(broken)
 
 
 def test_readme_links_the_docs_tree():
@@ -183,6 +186,35 @@ def test_frame_table_is_rendered_from_the_rows():
     assert blocks[0] == expected, "the frame table in docs/architecture.md is stale:\n" + expected
 
 
+#: ``docs/benchmarks.md``'s table of the paper's figure entries.
+FIGURE_TABLE = re.compile(
+    r"<!-- figure table: rendered from FIGURES -->\n(.*?)<!-- end -->", re.S
+)
+
+
+def render_figure_table():
+    """``benchmarks/figures.py``'s ``FIGURES`` as the markdown table
+    ``docs/benchmarks.md`` prints: one row per entry, in registry order."""
+    name = "benchmarks_figures"
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "benchmarks" / "figures.py")
+    figures = importlib.util.module_from_spec(spec)
+    sys.modules[name] = figures  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(figures)
+    finally:
+        del sys.modules[name]
+    lines = ["| test id | artifact | the paper's claim |", "|---|---|---|"]
+    lines += [f"| `{f.name}` | `{f.artifact}.txt` | {f.claim} |" for f in figures.FIGURES]
+    return "\n".join(lines) + "\n"
+
+
+def test_figure_table_is_rendered_from_the_registry():
+    blocks = FIGURE_TABLE.findall((REPO_ROOT / "docs" / "benchmarks.md").read_text())
+    assert len(blocks) == 1, "docs/benchmarks.md must hold one rendered figure table"
+    expected = render_figure_table()
+    assert blocks[0] == expected, "the figure table in docs/benchmarks.md is stale:\n" + expected
+
+
 #: Where a public name may find its user.
 CENSUS_ROOTS = ("src", "benchmarks", "examples", "perf")
 #: A ``perf/`` string naming what it wraps: ``"module:attr.path"`` or a
@@ -198,10 +230,6 @@ CENSUS_ALLOWLIST = {
         "test hook: forces cold re-materialisation under the pins",
     "src/repro/simcluster/population.py:PopulationStore.set_available":
         "the one public writer behind the read-only availability column",
-    "src/repro/telemetry/core.py:span_records":
-        "test hook: the recorded spans a telemetry test reads",
-    "src/repro/telemetry/core.py:clear_spans":
-        "test hook: drops recorded spans between telemetry checks",
 }
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
