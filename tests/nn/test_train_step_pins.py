@@ -15,6 +15,9 @@ The eval-mode logits of the three paper CNNs and one ``MaxPool2D`` /
 ``ReLU`` forward and backward on a tensor full of ties and signed zeros
 are pinned the same way, recorded at ``3324ace`` -- the last tree whose
 ReLU was ``np.where`` and whose pool was ``argmax`` + ``np.add.at``.
+Each CNN's eval logits at a reduced and at the paper's input shape, on
+ragged batches, are pinned at ``f05f890``: one forward over the whole
+batch, the bits any later way of composing that forward must keep.
 """
 
 import hashlib
@@ -176,6 +179,42 @@ def test_eval_logits_are_pinned(name):
     x = make_tiny_dataset(n=n, num_classes=classes, shape=shape, seed=seed).x
     logits = model.forward(x, training=False)
     assert hashlib.sha256(logits.tobytes()).hexdigest() == EVAL_PINNED[name]
+
+
+#: case -> (builder, input shape, classes, batch, seed): each CNN at a
+#: reduced and at the paper's input shape, on batches long enough -- and
+#: ragged enough -- that a forward which splits its batch into
+#: sub-batches must still give the one-batch bits.
+SHAPE_EVAL_CASES = {
+    "mnist_cnn-12x12": (build_mnist_cnn, (12, 12, 1), 10, 100, 41),
+    "mnist_cnn-28x28": (build_mnist_cnn, (28, 28, 1), 10, 21, 42),
+    "cifar10_cnn-16x16": (build_cifar10_cnn, (16, 16, 3), 10, 100, 43),
+    "cifar10_cnn-32x32": (build_cifar10_cnn, (32, 32, 3), 10, 21, 44),
+    "femnist_cnn-14x14": (build_femnist_cnn, (14, 14, 1), 62, 100, 45),
+    "femnist_cnn-28x28": (build_femnist_cnn, (28, 28, 1), 62, 21, 46),
+}
+
+#: case -> sha256 of the eval-mode logits, recorded at f05f890 (one
+#: forward over the whole batch; the same at 1 and 2 BLAS threads).
+SHAPE_EVAL_PINNED = {
+    "mnist_cnn-12x12": "da92f939a0f599e927900f990b97b094de8c15661ede0b38d6162d7cb248cce6",
+    "mnist_cnn-28x28": "ef1309f0a47a4c7e542baf8a80897b286321885047840603543230e63f807273",
+    "cifar10_cnn-16x16": "a9c473cb434ca65b5cf20e0cd630c2eee043119f8c0083435209a3f44ab3f22c",
+    "cifar10_cnn-32x32": "94605f6c1656ddccf1c1699a9f0191f889b77eec6c539072c3b2b65051e1979a",
+    "femnist_cnn-14x14": "db0e99468eeaba17f0f3f788ed360c1aaaf9d9c40e6977d7aafebc3a5297635a",
+    "femnist_cnn-28x28": "a61ca8b8b5610f79e7b0dd3f07bc411cf98405b836988e2fb8f3ac38e857228c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_EVAL_CASES))
+def test_eval_logits_at_reduced_and_paper_shapes_are_pinned(case):
+    builder, shape, classes, n, seed = SHAPE_EVAL_CASES[case]
+    model = builder(input_shape=shape, num_classes=classes, rng=seed)
+    w = model.get_flat_weights()
+    model.set_flat_weights(w + 0.05 * make_rng(seed).standard_normal(w.size))
+    x = make_tiny_dataset(n=n, num_classes=classes, shape=shape, seed=seed).x
+    logits = model.forward(x, training=False)
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == SHAPE_EVAL_PINNED[case]
 
 
 def nhwc(*channels):
