@@ -246,6 +246,7 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
             test_size=args.test_size,
             model=args.model,
         )
+        cfg.check_buildable()
     # --codec threads through TrainingConfig (what the executors read);
     # commands without executor flags (estimate/privacy) have no codec.
     codec = getattr(args, "codec", "raw")

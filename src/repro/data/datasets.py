@@ -148,6 +148,7 @@ def _factory(
         return make_dataset(spec, train_size, test_size, rng=rng, name=name)
 
     build.__name__ = f"{name}_like"
+    build.num_classes = num_classes  # read by ScenarioConfig.check_buildable
     build.__doc__ = (
         f"Synthetic {name.upper()}-like dataset: shape {default_shape}, "
         f"{num_classes} classes, difficulty {difficulty}. "

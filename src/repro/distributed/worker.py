@@ -189,19 +189,24 @@ class WorkerAgent:
     # connection + handshake
     # ------------------------------------------------------------------
     def _connect(self) -> Connection:
+        # At least one dial, whatever the window: a zero window means
+        # "do not retry", not "do not try".  A zero socket timeout would
+        # make the connect non-blocking, so one attempt gets at least
+        # RETRY_INTERVAL.
         window = self.connect_timeout
         deadline = time.monotonic() + window
-        last_err: Optional[Exception] = None
-        while time.monotonic() < deadline:
+        while True:
             try:
                 sock = socket.create_connection(
-                    (self.host, self.port), timeout=window
+                    (self.host, self.port), timeout=max(window, RETRY_INTERVAL)
                 )
                 sock.settimeout(None)
                 return Connection(sock, max_payload=proto.HANDSHAKE_MAX_PAYLOAD)
             except OSError as exc:
                 last_err = exc
-                time.sleep(RETRY_INTERVAL)
+            if time.monotonic() >= deadline:
+                break
+            time.sleep(RETRY_INTERVAL)
         raise ConnectionError(
             f"could not reach coordinator at {self.host}:{self.port} within "
             f"{window:.0f}s: {last_err}"

@@ -101,7 +101,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.config import TrainingConfig
-from repro.nn.model import Sequential
+from repro.nn.model import EVAL_BATCH, Sequential
 from repro.simcluster.client import ClientUpdate, SimClient
 
 __all__ = [
@@ -116,13 +116,6 @@ __all__ = [
     "evaluate_holdouts",
     "count_correct",
 ]
-
-#: Must match the ``batch_size`` default of :meth:`Sequential.evaluate`:
-#: sharded ``evaluate_model`` passes are cut on multiples of this so every
-#: sample sits in the same forward batch it would in a serial pass -- the
-#: property that keeps a sharded result bit-exact.
-EVAL_BATCH = 256
-
 
 def eval_shard_bounds(
     n: int, shards_wanted: int

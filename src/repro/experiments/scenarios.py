@@ -154,6 +154,44 @@ class ScenarioConfig:
         if self.clients_per_round > self.num_clients:
             raise ValueError("clients_per_round cannot exceed num_clients")
 
+    def resolved_cpu_groups(self) -> Tuple[float, ...]:
+        """The CPU groups :func:`build_scenario` deals the clients over."""
+        groups = self.cpu_groups or RESOURCE_PROFILES[self.resource_profile]
+        if groups is None:
+            mnist = self.dataset in ("mnist", "fmnist")
+            groups = MNIST_CPU_GROUPS if mnist else CIFAR_CPU_GROUPS
+        return tuple(groups)
+
+    def check_buildable(self) -> None:
+        """Raise the ``ValueError`` :func:`build_scenario` would raise for
+        this config, before anything is drawn.
+
+        Not part of ``__post_init__``: the LEAF and population builders
+        record configs that ``build_scenario`` could not build (182
+        clients over 5 groups, a pool smaller than the population).
+        """
+        n = self.num_clients
+        if self.train_size < n:
+            raise ValueError(
+                f"cannot split {self.train_size} samples among {n} clients "
+                "(each client needs at least one sample)"
+            )
+        if self.data_distribution in ("noniid", "quantity_noniid"):
+            # The pool's labels cycle through the classes.
+            classes = min(DATASETS[self.dataset].num_classes, self.train_size)
+            if not 1 <= self.noniid_classes <= classes:
+                raise ValueError(
+                    f"classes_per_client must be in [1, {classes}], "
+                    f"got {self.noniid_classes}"
+                )
+        if self.data_distribution in ("quantity", "quantity_noniid"):
+            groups = len(_QUANTITY_FRACTIONS)
+            if n % groups:
+                raise ValueError(f"num_clients={n} not divisible by {groups} quantity groups")
+        groups = len(self.resolved_cpu_groups())
+        if n % groups:
+            raise ValueError(f"num_clients={n} not divisible by {groups} groups")
+
     def resolved_training(self) -> TrainingConfig:
         if self.training is not None:
             return self.training
@@ -285,6 +323,7 @@ _BUILDER_MLP_HIDDEN = (64,)
 
 def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
     """Build a scenario: dataset -> partition -> client store -> model."""
+    cfg.check_buildable()
     data_rng, part_rng, model_rng, client_seed_rng = spawn(make_rng(seed), 4)
     address = SeedAddress.capture(data_rng)
     recipe = PoolRecipe(cfg.dataset, cfg.shape, cfg.train_size, address, difficulty=cfg.difficulty)
@@ -294,11 +333,11 @@ def build_scenario(cfg: ScenarioConfig, seed: RngLike = None) -> Scenario:
     check_partition(client_indices, len(train), require_cover=require_cover)
     fed = FederatedData(train, test, client_indices, recipe)
 
-    cpu_groups = cfg.cpu_groups or RESOURCE_PROFILES[cfg.resource_profile]
-    if cpu_groups is None:
-        cpu_groups = MNIST_CPU_GROUPS if cfg.dataset in ("mnist", "fmnist") else CIFAR_CPU_GROUPS
     specs = assign_resource_groups(
-        cfg.num_clients, cpu_groups, shuffle=cfg.shuffle_resources, rng=client_seed_rng
+        cfg.num_clients,
+        cfg.resolved_cpu_groups(),
+        shuffle=cfg.shuffle_resources,
+        rng=client_seed_rng,
     )
     # The store's cache holds a whole paper-shape federation, so v1
     # profiling never sees an eviction.

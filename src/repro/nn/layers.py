@@ -202,6 +202,8 @@ class Conv2D(Layer):
         self.k = kernel_size
         self.stride = stride
         self.padding = padding
+        #: ``(rows, cols)`` of one sample's ``im2col`` matrix, set by build.
+        self.patch_shape: Optional[Tuple[int, int]] = None
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
     def _pad_amount(self) -> int:
@@ -222,6 +224,7 @@ class Conv2D(Layer):
         ow = T.conv_out_size(w, self.k, self.stride, pad)
         self.params["W"] = glorot_uniform(rng, (self.k, self.k, c, self.filters))
         self.params["b"] = zeros_init(rng, (self.filters,))
+        self.patch_shape = (oh * ow, self.k * self.k * c)
         self.built = True
         return (oh, ow, self.filters)
 

@@ -20,6 +20,16 @@ step over the whole arena, and the flat weight interface is one copy in
 and one copy out.  Nothing may re-bind ``layer.params[name]`` or
 ``layer.grads[name]`` afterwards -- the arena would silently stop seeing
 that tensor; write through the view (``np.copyto``, ``out=``, ``+=``).
+
+An eval-mode forward of a CNN runs its conv *trunk* -- the layers before
+the first :class:`~repro.nn.layers.Dense` -- a block of samples at a
+time, so ``im2col`` never holds more than a few samples' patch matrices
+(:func:`eval_block`), and writes each block's trunk output into one
+array the ``Dense`` head then runs on whole.  The bits are the one-batch
+forward's: the trunk's other layers act per sample, every blocked conv
+GEMM keeps enough rows to stay on the BLAS kernel the whole batch takes,
+and the head's GEMMs keep their row count (``docs/numerics.md``, "Why
+blocked conv inference is bit-identical").
 """
 
 from __future__ import annotations
@@ -28,15 +38,31 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2D, Dense, Layer
 from repro.nn.losses import proximal_penalty, softmax_cross_entropy
 from repro.nn.optimizers import Optimizer
 from repro.rng import RngLike, make_rng
 
-__all__ = ["Sequential", "bind_arena"]
+__all__ = ["Sequential", "bind_arena", "EVAL_BATCH"]
 
 #: The one optimizer-state key of a model: its whole arena.
 ARENA_KEY = ("arena", "flat")
+
+#: Forward batch of :meth:`Sequential.predict` / :meth:`Sequential.evaluate`
+#: by default, and the unit sharded evaluation is cut on
+#: (:func:`repro.execution.base.eval_shard_bounds`): a sample's logits
+#: depend on the forward batch it sits in, so every backend must form
+#: the same batches.
+EVAL_BATCH = 256
+
+#: Bytes of ``im2col`` patch matrix one eval block may build in a conv
+#: layer: a few samples' worth, about the size of a last-level cache.
+EVAL_PATCH_BYTES = 4 * 2**20
+
+#: Fewest rows a blocked conv GEMM may get.  Below a size threshold
+#: OpenBLAS takes another kernel whose rows differ in their last bits
+#: from the large-GEMM kernel's.
+MIN_CONV_ROWS = 64
 
 
 def bind_arena(
@@ -71,6 +97,30 @@ def bind_arena(
 def first_param_index(layers: Sequence[Layer]) -> int:
     """Index of the bottom-most parameterised layer, ``-1`` if there is none."""
     return next((i for i, layer in enumerate(layers) if layer.params), -1)
+
+
+def eval_block(layers: Sequence[Layer]) -> Tuple[int, int]:
+    """``(head, block)``: a built stack's blocked eval forward.
+
+    ``head`` is the index of the first ``Dense`` layer (``len(layers)``
+    if there is none) and ``block`` the samples the trunk before it runs
+    at a time: the largest power of two whose patch matrix, in the
+    trunk's widest conv, fits :data:`EVAL_PATCH_BYTES`, doubled until
+    every conv GEMM of a block has :data:`MIN_CONV_ROWS` rows.  ``block``
+    is ``0`` when the trunk has no ``Conv2D``: nothing is blocked.
+    """
+    head = next((i for i, layer in enumerate(layers) if isinstance(layer, Dense)), len(layers))
+    patches = [layer.patch_shape for layer in layers[:head] if isinstance(layer, Conv2D)]
+    if not patches:
+        return head, 0
+    patch_bytes = max(rows * cols for rows, cols in patches) * 8  # float64
+    fewest_rows = min(rows for rows, _ in patches)
+    block = 1
+    while 2 * block * patch_bytes <= EVAL_PATCH_BYTES:
+        block *= 2
+    while block * fewest_rows < MIN_CONV_ROWS:
+        block *= 2
+    return head, block
 
 
 def _check_batch_size(batch_size: int) -> None:
@@ -113,13 +163,15 @@ class Sequential:
     def _bind(self) -> None:
         self._flat, self._gflat = bind_arena(self.layers)
         self._first_param_idx = first_param_index(self.layers)
+        self._head, self._block = eval_block(self.layers)
 
     def __getstate__(self) -> Dict[str, object]:
         # Each parameter is pickled once, through its layer's view (a
         # view pickles as an independent array); the arenas would only
-        # repeat them, and the index is derived.
+        # repeat them, and the indices are derived.
         state = self.__dict__.copy()
-        del state["_flat"], state["_gflat"], state["_first_param_idx"]
+        for key in ("_flat", "_gflat", "_first_param_idx", "_head", "_block"):
+            del state[key]
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -140,8 +192,28 @@ class Sequential:
                 f"input shape {out.shape} does not match model input "
                 f"{expected} (batch, *input_shape)"
             )
-        for layer in self.layers:
+        layers = self.layers
+        if not training and self._block and out.shape[0] >= 2 * self._block:
+            out = self._trunk_in_blocks(out)
+            layers = layers[self._head :]
+        for layer in layers:
             out = layer.forward(out, training=training)
+        return out
+
+    def _trunk_in_blocks(self, x: np.ndarray) -> np.ndarray:
+        """The eval-mode trunk output of ``x``, ``self._block`` samples at
+        a time from its first row; the last block takes the remainder (up
+        to ``2 * block - 1`` samples), so no block is short."""
+        n, block = x.shape[0], self._block
+        out = None
+        for start in range(0, n - block + 1, block):
+            stop = n if start + 2 * block > n else start + block
+            h = x[start:stop]
+            for layer in self.layers[: self._head]:
+                h = layer.forward(h, training=False)
+            if out is None:
+                out = np.empty((n,) + h.shape[1:])
+            out[start:stop] = h
         return out
 
     def backward(
@@ -236,7 +308,7 @@ class Sequential:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = EVAL_BATCH) -> np.ndarray:
         """Class predictions ``(n,)`` computed in inference mode."""
         _check_batch_size(batch_size)
         preds = []
@@ -247,7 +319,7 @@ class Sequential:
             return np.empty((0,), dtype=np.int64)
         return np.concatenate(preds)
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
+    def evaluate(self, x: np.ndarray, y: np.ndarray, batch_size: int = EVAL_BATCH) -> float:
         """Top-1 accuracy on ``(x, y)``."""
         if x.shape[0] == 0:
             raise ValueError("cannot evaluate on an empty dataset")

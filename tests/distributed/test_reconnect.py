@@ -601,3 +601,25 @@ class TestCleanSessions:
         thread.join(timeout=10.0)
         assert codes == [EXIT_CONNECTION_LOST]
         assert agent.worker_id == 0
+
+    def test_a_zero_dial_window_still_dials_once(self, monkeypatch):
+        """``--connect-timeout 0`` means no retry, not no attempt: the agent
+        dials a closed port once and logs the refusal it got."""
+        from repro.distributed.worker import EXIT_CONNECTION_LOST
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        dials = []
+        dial = socket.create_connection
+
+        def counting(address, *args, **kwargs):
+            dials.append(address)
+            return dial(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting)
+        log = io.StringIO()
+        agent = WorkerAgent("127.0.0.1", port, connect_timeout=0, log=log)
+        assert agent.run() == EXIT_CONNECTION_LOST
+        assert dials == [("127.0.0.1", port)]
+        assert "Connection refused" in log.getvalue()

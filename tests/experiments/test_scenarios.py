@@ -42,6 +42,41 @@ class TestConfig:
         with pytest.raises(ValueError, match="shards"):
             ScenarioConfig(data_distribution="shards")
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(num_clients=7), "num_clients=7 not divisible by 5 groups"),
+            (dict(train_size=5), "cannot split 5 samples among 10 clients"),
+            (
+                dict(dataset="mnist", data_distribution="noniid", noniid_classes=11),
+                r"must be in \[1, 10\], got 11",
+            ),
+            # 40 pool rows hold only 40 of femnist's 62 classes.
+            (
+                dict(
+                    dataset="femnist", data_distribution="noniid", train_size=40, noniid_classes=41
+                ),
+                r"must be in \[1, 40\], got 41",
+            ),
+            (
+                dict(num_clients=12, data_distribution="quantity", resource_profile="homogeneous"),
+                "num_clients=12 not divisible by 5",
+            ),
+        ],
+    )
+    def test_check_buildable_refuses_what_the_build_refuses(self, kw, message, monkeypatch):
+        cfg = small(**kw)
+        with pytest.raises(ValueError, match=message):
+            cfg.check_buildable()
+        # The same refusal, raised by the build steps themselves.
+        monkeypatch.setattr(ScenarioConfig, "check_buildable", lambda self: None)
+        with pytest.raises(ValueError, match=message):
+            build_scenario(cfg, seed=0)
+
+    def test_a_buildable_config_passes_the_check(self):
+        small().check_buildable()
+        small(data_distribution="quantity_noniid", noniid_classes=2).check_buildable()
+
     def test_training_defaults(self):
         assert small(dataset="mnist").resolved_training().optimizer == "rmsprop"
         assert small(dataset="femnist").resolved_training().optimizer == "sgd"

@@ -23,8 +23,10 @@ from repro.nn import (
     build_mnist_cnn,
     softmax_cross_entropy,
 )
+from repro.nn import model as model_module
 from repro.nn import tensor_ops as T
-from tests.conftest import log_softmax, make_tiny_dataset, softmax
+from repro.nn.model import eval_block
+from tests.conftest import assert_bits_equal, log_softmax, make_tiny_dataset, softmax
 
 
 def tiny_model(seed=0, in_dim=16, classes=3):
@@ -373,6 +375,85 @@ class TestArena:
         assert m.backward(g, input_grad=False) is None
         np.testing.assert_array_equal(m._gflat, full)
 
+
+
+# ----------------------------------------------------------------------
+# blocked eval: a CNN's conv trunk runs a few samples at a time
+# ----------------------------------------------------------------------
+def one_batch_logits(model, x):
+    """The eval forward with every layer run once on the whole batch."""
+    for layer in model.layers:
+        x = layer.forward(x, training=False)
+    return x
+
+
+def batch_sizes_seen(layer, monkeypatch):
+    """The batch size of each forward ``layer`` runs from now on."""
+    seen = []
+    forward = layer.forward
+
+    def spy(x, training=False):
+        seen.append(x.shape[0])
+        return forward(x, training=training)
+
+    monkeypatch.setattr(layer, "forward", spy)
+    return seen
+
+
+class TestBlockedEval:
+    @pytest.mark.parametrize(
+        "builder, shape, block",
+        [
+            (build_mnist_cnn, (12, 12, 1), 16),  # cnn_serial's model
+            (build_mnist_cnn, (28, 28, 1), 2),
+            (build_cifar10_cnn, (16, 16, 3), 8),
+            (build_cifar10_cnn, (32, 32, 3), 2),
+            (build_femnist_cnn, (28, 28, 1), 2),
+        ],
+    )
+    def test_the_block_is_read_off_the_built_shapes(self, builder, shape, block):
+        m = builder(input_shape=shape, rng=0)
+        dense = next(i for i, layer in enumerate(m.layers) if isinstance(layer, Dense))
+        assert (m._head, m._block) == (dense, block)
+
+    @pytest.mark.parametrize("name", ["mlp", "linear"])
+    def test_a_model_without_a_conv_is_not_blocked(self, name):
+        assert ZOO[name]()._block == 0
+
+    def test_the_floor_keeps_64_rows_in_every_conv_gemm(self, monkeypatch):
+        # cifar10_cnn at 12x12x3: its last conv has 9 output positions.
+        layers = build_cifar10_cnn(input_shape=(12, 12, 3), rng=0).layers
+        monkeypatch.setattr(model_module, "EVAL_PATCH_BYTES", 1)
+        assert eval_block(layers)[1] == 8  # 8 * 9 = 72 rows; 4 * 9 = 36
+
+    @pytest.mark.parametrize("n, blocks", [(50, [16, 16, 18]), (48, [16, 16, 16]), (31, [31])])
+    def test_blocks_start_at_the_first_row_and_the_last_takes_the_rest(
+        self, n, blocks, monkeypatch, rng
+    ):
+        m = ZOO["mnist_cnn"]()
+        conv = batch_sizes_seen(m.layers[0], monkeypatch)
+        head = batch_sizes_seen(m.layers[m._head], monkeypatch)
+        m.forward(rng.standard_normal((n, 12, 12, 1)), training=False)
+        assert conv == blocks and head == [n]
+
+    def test_a_training_forward_is_not_blocked(self, monkeypatch, rng):
+        m = ZOO["mnist_cnn"]()
+        conv = batch_sizes_seen(m.layers[0], monkeypatch)
+        m.train_step(*batch_for(m, rng, n=50), SGD(lr=0.1))
+        assert conv == [50]
+
+    @pytest.mark.parametrize("n", [1, 17, 33, 50, 100])
+    @pytest.mark.parametrize("name", ["mnist_cnn", "cifar10_cnn", "femnist_cnn"])
+    def test_blocked_logits_equal_the_one_batch_forward(self, name, n, rng):
+        m = ZOO[name]()
+        x = rng.standard_normal((n,) + m.input_shape)
+        assert_bits_equal(m.forward(x, training=False), one_batch_logits(m, x))
+
+    def test_the_block_is_derived_again_not_pickled(self):
+        m = ZOO["mnist_cnn"]()
+        assert "_block" not in m.__getstate__() and "_head" not in m.__getstate__()
+        c = pickle.loads(pickle.dumps(m))
+        assert (c._head, c._block) == (m._head, m._block) == (7, 16)
 
 def textbook_steps(weights, batches, kind, lr, prox_mu):
     """Reference train steps on a ReLU MLP: unfused loss, *full*

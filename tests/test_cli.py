@@ -265,6 +265,10 @@ def test_removed_shards_distribution_is_an_invalid_choice(capsys):
     ["scale", "--pool-size", "4"],
     ["scale", "--duty-cycle", "0"],
     ["run", "--executor", "distributed", "--reconnect-grace", "-1"],
+    ["run", "--num-clients", "7"],
+    ["run", "--num-clients", "10", "--train-size", "5"],
+    ["run", "--dataset", "mnist", "--data-distribution", "noniid", "--noniid-classes", "11"],
+    ["compare", "--num-clients", "7"],
 ])
 def test_a_bad_count_exits_2_with_a_message(capsys, argv):
     """A count the command cannot use is a usage error, not a traceback:
