@@ -95,6 +95,7 @@ from repro.experiments import (
 from repro.experiments.scenarios import (
     DATA_DISTRIBUTIONS,
     DATASETS,
+    MODEL_NAMES,
     RESOURCE_PROFILES,
     build_scenario,
 )
@@ -139,12 +140,13 @@ class _UsageError(Exception):
 
 
 @contextmanager
-def _usage_errors():
-    """Report the ``ValueError`` a command's config, scenario or executor
-    raises while it is built as a usage error, not a traceback."""
+def _usage_errors(*also: type):
+    """Report the ``ValueError`` (or one of ``also``) a command's config,
+    scenario, executor or named file raises while it is built or opened
+    as a usage error, not a traceback."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, *also) as exc:
         raise _UsageError(exc) from None
 
 
@@ -159,7 +161,7 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noniid-classes", type=_positive_int, default=5)
     p.add_argument("--train-size", type=_positive_int, default=2500)
     p.add_argument("--test-size", type=_positive_int, default=400)
-    p.add_argument("--model", default="linear")
+    p.add_argument("--model", default="linear", choices=list(MODEL_NAMES))
     p.add_argument("--seed", type=_non_negative_int, default=0)
 
 
@@ -259,11 +261,12 @@ def _start_tracing(args: argparse.Namespace, cfg: ScenarioConfig) -> bool:
     """Enable telemetry with a trace file when ``--trace-out`` was given."""
     if getattr(args, "trace_out", None) is None:
         return False
-    telemetry.configure(
-        enabled=True,
-        trace_path=args.trace_out,
-        meta=telemetry.run_metadata(config=cfg),
-    )
+    with _usage_errors(OSError):
+        telemetry.configure(
+            enabled=True,
+            trace_path=args.trace_out,
+            meta=telemetry.run_metadata(config=cfg),
+        )
     return True
 
 
@@ -459,7 +462,9 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.telemetry.report import report_main
 
-    print(report_main(args.trace, validate_only=args.validate))
+    with _usage_errors(OSError):
+        text = report_main(args.trace, validate_only=args.validate)
+    print(text)
     return 0
 
 
@@ -529,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scl.add_argument("--rounds", type=_positive_int, default=5)
     p_scl.add_argument("--pool-size", type=_positive_int, default=2048,
                        help="shared synthetic sample pool clients subset")
-    p_scl.add_argument("--model", default="linear")
+    p_scl.add_argument("--model", default="linear", choices=list(MODEL_NAMES))
     p_scl.add_argument("--eval-every", type=_positive_int, default=1)
     p_scl.add_argument("--seed", type=_non_negative_int, default=0)
     p_scl.add_argument("--homogeneous", action="store_true",

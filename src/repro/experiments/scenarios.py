@@ -49,6 +49,7 @@ from repro.data import (
 from repro.data.partition import SeededRows
 from repro.data.validation import check_partition
 from repro.nn import Sequential, build_model
+from repro.nn.zoo import MODEL_NAMES, check_model
 from repro.rng import RngLike, make_rng, spawn
 from repro.simcluster import (
     CASE_STUDY_CPU_GROUPS,
@@ -149,6 +150,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown resource profile {self.resource_profile!r}"
             )
+        if self.model not in MODEL_NAMES:
+            raise ValueError(f"unknown model {self.model!r}; use one of {list(MODEL_NAMES)}")
         if self.num_clients <= 0 or self.clients_per_round <= 0:
             raise ValueError("num_clients and clients_per_round must be positive")
         if self.clients_per_round > self.num_clients:
@@ -164,7 +167,8 @@ class ScenarioConfig:
 
     def check_buildable(self) -> None:
         """Raise the ``ValueError`` :func:`build_scenario` would raise for
-        this config, before anything is drawn.
+        this config, before anything is drawn -- a model whose layers
+        cannot take ``shape`` included, checked without building it.
 
         Not part of ``__post_init__``: the LEAF and population builders
         record configs that ``build_scenario`` could not build (182
@@ -191,6 +195,11 @@ class ScenarioConfig:
         groups = len(self.resolved_cpu_groups())
         if n % groups:
             raise ValueError(f"num_clients={n} not divisible by {groups} groups")
+        classes = DATASETS[self.dataset].num_classes
+        check_model(self.model, self.shape, classes, **self._model_kwargs())
+
+    def _model_kwargs(self) -> dict:
+        return {"hidden": self.mlp_hidden} if self.model == "mlp" else {}
 
     def resolved_training(self) -> TrainingConfig:
         if self.training is not None:
@@ -279,8 +288,8 @@ def _assemble(
     and :class:`Scenario`, all read off ``cfg``, so the record is what
     was built.  ``columns`` are the per-client CPU fractions, bandwidths
     and resource groups."""
-    hidden = {"hidden": cfg.mlp_hidden} if cfg.model == "mlp" else {}
-    model = build_model(cfg.model, cfg.shape, fed.train.num_classes, model_rng, **hidden)
+    classes = fed.train.num_classes
+    model = build_model(cfg.model, cfg.shape, classes, model_rng, **cfg._model_kwargs())
     latency_model = LatencyModel(
         cost_per_sample=cfg.cost_per_sample or _COST_PER_SAMPLE[cfg.dataset],
         base_overhead=cfg.base_overhead,

@@ -22,6 +22,13 @@ def fedavg(
 ) -> np.ndarray:
     """Weighted average of flat weight vectors.
 
+    One running sum in request order, into one output buffer through one
+    scratch vector: ``acc = w_0 s_0``, ``acc += w_c s_c``, ``acc /= total``.
+    For every length ``P >= 2`` this is bit for bit numpy's
+    ``(s[:, None] * np.stack(weights)).sum(axis=0) / total``, which adds
+    the rows of a C-contiguous stack one after another, without the two
+    ``C x P`` temporaries (``docs/numerics.md``, "Aggregation order").
+
     Parameters
     ----------
     weights:
@@ -35,14 +42,20 @@ def fedavg(
         raise ValueError(
             f"got {len(weights)} weight vectors but {len(sizes)} sizes"
         )
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 2:
+    length = np.shape(weights[0])
+    if len(length) != 1 or any(np.shape(w) != length for w in weights):
         raise ValueError("all weight vectors must be 1-D and equal length")
     s = _checked_sizes(sizes)
     total = s.sum()
     if total <= 0:
         raise ValueError("total sample count must be positive")
-    return (s[:, None] * w).sum(axis=0) / total
+    acc = np.multiply(np.asarray(weights[0], dtype=np.float64), s[0])
+    scratch = np.empty_like(acc)
+    for w, size in zip(weights[1:], s[1:]):
+        np.multiply(np.asarray(w, dtype=np.float64), size, out=scratch)
+        acc += scratch
+    acc /= total
+    return acc
 
 
 def _checked_sizes(sizes: Sequence[float]) -> np.ndarray:

@@ -18,7 +18,10 @@ phase                 contract
 ``aggregate``         ``eval_weights`` (the post-round global weights;
                       aggregation produces a fresh vector, never an
                       in-place write), ``sim_time`` (the clock advances
-                      here, in round order).
+                      here, in round order).  Consumes ``updates`` and
+                      ``broadcast_weights``: leaves them ``[]`` and
+                      ``None``, so no client vector and no pre-round
+                      vector outlives the phase.
 ``eval``              ``accuracy`` and subclass extras (TiFL's per-tier
                       accuracies), computed against ``eval_weights``.
 ``record``            ``record`` -- the :class:`RoundRecord`; selector
@@ -46,7 +49,9 @@ class RoundContext:
     """Mutable carrier of one round's state as it moves through phases.
 
     Fields are written by exactly one phase each (see the module
-    docstring's contract table) and read only by later phases.
+    docstring's contract table) and read only by later phases; the
+    aggregate phase also clears the two it consumes (``updates``,
+    ``broadcast_weights``), so eval and record cannot read them.
     """
 
     round_idx: int

@@ -274,10 +274,15 @@ class FLServer:
         ``ctx.eval_weights`` is the post-round global vector the eval
         phase scores: aggregation always produces a *fresh* array (and a
         fully-dropped round carries the previous, never-mutated vector
-        over).
+        over).  The phase consumes ``ctx.updates`` and
+        ``ctx.broadcast_weights``: it empties the one and clears the
+        other, so eval and record run with one global vector alive, not
+        the cohort's ``C`` client vectors beside the pre-round one.
         """
         new_weights: List[np.ndarray] = [u.flat_weights for u in ctx.updates]
         sizes: List[float] = [float(u.num_samples) for u in ctx.updates]
+        ctx.updates = []
+        ctx.broadcast_weights = None
         if new_weights:
             self.global_weights = fedavg(new_weights, sizes)
         # else: fully-dropped round -- weights carry over unchanged

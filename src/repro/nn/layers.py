@@ -83,10 +83,15 @@ class Layer:
     ) -> Tuple[int, ...]:
         """Allocate parameters for ``input_shape`` (sans batch dim).
 
-        Returns the output shape (sans batch dim).  Default: shape-preserving,
-        parameter-free.
+        Returns the output shape (sans batch dim).  Default: parameter-free.
         """
         self.built = True
+        return self.output_shape(input_shape)
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The output shape :meth:`build` returns for ``input_shape``,
+        raising what it would raise, without allocating anything.
+        Default: shape-preserving."""
         return input_shape
 
     # -- compute ------------------------------------------------------
@@ -125,14 +130,17 @@ class Dense(Layer):
     def build(
         self, input_shape: Tuple[int, ...], rng: np.random.Generator
     ) -> Tuple[int, ...]:
+        out = self.output_shape(input_shape)
+        self.params["W"] = glorot_uniform(rng, (input_shape[0], self.units))
+        self.params["b"] = zeros_init(rng, (self.units,))
+        self.built = True
+        return out
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 1:
             raise ValueError(
                 f"Dense expects flat input, got shape {input_shape}; add Flatten"
             )
-        in_dim = input_shape[0]
-        self.params["W"] = glorot_uniform(rng, (in_dim, self.units))
-        self.params["b"] = zeros_init(rng, (self.units,))
-        self.built = True
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -216,16 +224,21 @@ class Conv2D(Layer):
     def build(
         self, input_shape: Tuple[int, ...], rng: np.random.Generator
     ) -> Tuple[int, ...]:
+        oh, ow, f = self.output_shape(input_shape)
+        c = input_shape[2]
+        self.params["W"] = glorot_uniform(rng, (self.k, self.k, c, f))
+        self.params["b"] = zeros_init(rng, (f,))
+        self.patch_shape = (oh * ow, self.k * self.k * c)
+        self.built = True
+        return (oh, ow, f)
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 3:
             raise ValueError(f"Conv2D expects (h, w, c) input, got {input_shape}")
-        h, w, c = input_shape
+        h, w, _ = input_shape
         pad = self._pad_amount()
         oh = T.conv_out_size(h, self.k, self.stride, pad)
         ow = T.conv_out_size(w, self.k, self.stride, pad)
-        self.params["W"] = glorot_uniform(rng, (self.k, self.k, c, self.filters))
-        self.params["b"] = zeros_init(rng, (self.filters,))
-        self.patch_shape = (oh * ow, self.k * self.k * c)
-        self.built = True
         return (oh, ow, self.filters)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -278,15 +291,12 @@ class MaxPool2D(Layer):
         self.stride = stride if stride is not None else pool_size
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
-    def build(
-        self, input_shape: Tuple[int, ...], rng: np.random.Generator
-    ) -> Tuple[int, ...]:
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 3:
             raise ValueError(f"MaxPool2D expects (h, w, c) input, got {input_shape}")
         h, w, c = input_shape
         oh = T.conv_out_size(h, self.k, self.stride, 0)
         ow = T.conv_out_size(w, self.k, self.stride, 0)
-        self.built = True
         return (oh, ow, c)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -322,7 +332,9 @@ class Flatten(Layer):
         self, input_shape: Tuple[int, ...], rng: np.random.Generator
     ) -> Tuple[int, ...]:
         self._sample_ndim = len(input_shape)
-        self.built = True
+        return super().build(input_shape, rng)
+
+    def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (int(np.prod(input_shape)),)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -359,8 +371,7 @@ class Dropout(Layer):
         self, input_shape: Tuple[int, ...], rng: np.random.Generator
     ) -> Tuple[int, ...]:
         self._rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        self.built = True
-        return input_shape
+        return super().build(input_shape, rng)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:

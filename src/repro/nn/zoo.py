@@ -10,9 +10,9 @@ architectures.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
 from repro.nn.model import Sequential
 from repro.rng import RngLike
 
@@ -23,6 +23,8 @@ __all__ = [
     "build_mlp",
     "build_linear",
     "build_model",
+    "check_model",
+    "MODEL_NAMES",
 ]
 
 
@@ -36,23 +38,23 @@ def build_mnist_cnn(
     3x3 conv(32) + ReLU, 3x3 conv(64) + ReLU, 2x2 max-pool, dropout 0.25,
     dense(128) + ReLU, dropout 0.5, dense(num_classes).
     """
-    return Sequential(
-        [
-            Conv2D(32, 3),
-            ReLU(),
-            Conv2D(64, 3),
-            ReLU(),
-            MaxPool2D(2),
-            Dropout(0.25),
-            Flatten(),
-            Dense(128),
-            ReLU(),
-            Dropout(0.5),
-            Dense(num_classes),
-        ],
-        input_shape=input_shape,
-        rng=rng,
-    )
+    return Sequential(_mnist_cnn_layers(num_classes), input_shape=input_shape, rng=rng)
+
+
+def _mnist_cnn_layers(num_classes: int) -> List[Layer]:
+    return [
+        Conv2D(32, 3),
+        ReLU(),
+        Conv2D(64, 3),
+        ReLU(),
+        MaxPool2D(2),
+        Dropout(0.25),
+        Flatten(),
+        Dense(128),
+        ReLU(),
+        Dropout(0.5),
+        Dense(num_classes),
+    ]
 
 
 def build_cifar10_cnn(
@@ -66,28 +68,28 @@ def build_cifar10_cnn(
     by 2x2 max-pool and dropout 0.25, ending in dense(512) + ReLU and the
     classifier head.
     """
-    return Sequential(
-        [
-            Conv2D(32, 3, padding="same"),
-            ReLU(),
-            Conv2D(32, 3),
-            ReLU(),
-            MaxPool2D(2),
-            Dropout(0.25),
-            Conv2D(64, 3, padding="same"),
-            ReLU(),
-            Conv2D(64, 3),
-            ReLU(),
-            MaxPool2D(2),
-            Dropout(0.25),
-            Flatten(),
-            Dense(512),
-            ReLU(),
-            Dense(num_classes),
-        ],
-        input_shape=input_shape,
-        rng=rng,
-    )
+    return Sequential(_cifar10_cnn_layers(num_classes), input_shape=input_shape, rng=rng)
+
+
+def _cifar10_cnn_layers(num_classes: int) -> List[Layer]:
+    return [
+        Conv2D(32, 3, padding="same"),
+        ReLU(),
+        Conv2D(32, 3),
+        ReLU(),
+        MaxPool2D(2),
+        Dropout(0.25),
+        Conv2D(64, 3, padding="same"),
+        ReLU(),
+        Conv2D(64, 3),
+        ReLU(),
+        MaxPool2D(2),
+        Dropout(0.25),
+        Flatten(),
+        Dense(512),
+        ReLU(),
+        Dense(num_classes),
+    ]
 
 
 def build_femnist_cnn(
@@ -96,22 +98,22 @@ def build_femnist_cnn(
     rng: RngLike = None,
 ) -> Sequential:
     """LEAF's standard FEMNIST model: two 5x5 conv blocks + dense(2048)."""
-    return Sequential(
-        [
-            Conv2D(32, 5, padding="same"),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(64, 5, padding="same"),
-            ReLU(),
-            MaxPool2D(2),
-            Flatten(),
-            Dense(2048),
-            ReLU(),
-            Dense(num_classes),
-        ],
-        input_shape=input_shape,
-        rng=rng,
-    )
+    return Sequential(_femnist_cnn_layers(num_classes), input_shape=input_shape, rng=rng)
+
+
+def _femnist_cnn_layers(num_classes: int) -> List[Layer]:
+    return [
+        Conv2D(32, 5, padding="same"),
+        ReLU(),
+        MaxPool2D(2),
+        Conv2D(64, 5, padding="same"),
+        ReLU(),
+        MaxPool2D(2),
+        Flatten(),
+        Dense(2048),
+        ReLU(),
+        Dense(num_classes),
+    ]
 
 
 def build_mlp(
@@ -125,14 +127,20 @@ def build_mlp(
 
     Accepts image-shaped or flat inputs (a Flatten is always prepended).
     """
-    layers = [Flatten()]
+    return Sequential(_mlp_layers(num_classes, hidden, dropout), input_shape=input_shape, rng=rng)
+
+
+def _mlp_layers(
+    num_classes: int, hidden: Sequence[int] = (64,), dropout: float = 0.0
+) -> List[Layer]:
+    layers: List[Layer] = [Flatten()]
     for width in hidden:
         layers.append(Dense(int(width)))
         layers.append(ReLU())
         if dropout > 0.0:
             layers.append(Dropout(dropout))
     layers.append(Dense(num_classes))
-    return Sequential(layers, input_shape=input_shape, rng=rng)
+    return layers
 
 
 def build_linear(
@@ -141,9 +149,11 @@ def build_linear(
     rng: RngLike = None,
 ) -> Sequential:
     """Multinomial logistic regression -- the fastest surrogate."""
-    return Sequential(
-        [Flatten(), Dense(num_classes)], input_shape=input_shape, rng=rng
-    )
+    return Sequential(_linear_layers(num_classes), input_shape=input_shape, rng=rng)
+
+
+def _linear_layers(num_classes: int) -> List[Layer]:
+    return [Flatten(), Dense(num_classes)]
 
 
 _BUILDERS = {
@@ -151,6 +161,17 @@ _BUILDERS = {
     "cifar10_cnn": build_cifar10_cnn,
     "femnist_cnn": build_femnist_cnn,
 }
+#: Each registry name's layer stack, given its class count (and the MLP's
+#: ``hidden`` / ``dropout``): what :func:`check_model` walks.
+_LAYERS = {
+    "linear": _linear_layers,
+    "mlp": _mlp_layers,
+    "mnist_cnn": _mnist_cnn_layers,
+    "cifar10_cnn": _cifar10_cnn_layers,
+    "femnist_cnn": _femnist_cnn_layers,
+}
+#: Every name :func:`build_model` builds.
+MODEL_NAMES = tuple(_LAYERS)
 
 
 def build_model(
@@ -182,7 +203,21 @@ def build_model(
         if input_shape is None or num_classes is None:
             raise ValueError("linear requires input_shape and num_classes")
         return build_linear(input_shape, num_classes, rng=rng)
-    raise KeyError(
-        f"unknown model {name!r}; available: "
-        f"{sorted(_BUILDERS) + ['mlp', 'linear']}"
-    )
+    raise KeyError(_unknown(name))
+
+
+def check_model(
+    name: str, input_shape: Tuple[int, ...], num_classes: int, **kwargs
+) -> None:
+    """Raise what ``build_model(name, input_shape, num_classes, **kwargs)``
+    would raise for its layer shapes, without allocating a parameter: each
+    layer's :meth:`~repro.nn.layers.Layer.output_shape` in turn."""
+    if name not in _LAYERS:
+        raise KeyError(_unknown(name))
+    shape = tuple(int(s) for s in input_shape)
+    for layer in _LAYERS[name](num_classes, **kwargs):
+        shape = layer.output_shape(shape)
+
+
+def _unknown(name: str) -> str:
+    return f"unknown model {name!r}; available: {list(MODEL_NAMES)}"

@@ -330,9 +330,13 @@ def configure(
             _flush_locked(state)
             state.writer.close()
             state.writer = None
+        # Open the file first: a path that cannot be written leaves
+        # collection as it was.
+        writer = (
+            TraceWriter(trace_path, meta=meta) if enabled and trace_path is not None else None
+        )
         state.enabled = bool(enabled)
-        if enabled and trace_path is not None:
-            state.writer = TraceWriter(trace_path, meta=meta)
+        state.writer = writer
 
 
 def shutdown() -> None:

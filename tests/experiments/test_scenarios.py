@@ -5,13 +5,16 @@ import pytest
 
 from repro.config import PAPER_SYNTHETIC_TRAINING
 from repro.data.validation import classes_per_client
+from repro.experiments import scenarios
 from repro.experiments.scenarios import (
     DATA_DISTRIBUTIONS,
+    MODEL_NAMES,
     ScenarioConfig,
     build_leaf_scenario,
     build_population_scenario,
     build_scenario,
 )
+from repro.nn import Sequential
 from repro.simcluster import CIFAR_CPU_GROUPS
 
 
@@ -42,6 +45,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="shards"):
             ScenarioConfig(data_distribution="shards")
 
+    def test_unknown_model_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown model 'resnet50'"):
+            ScenarioConfig(model="resnet50")
+
     @pytest.mark.parametrize(
         "kw, message",
         [
@@ -62,6 +69,10 @@ class TestConfig:
                 dict(num_clients=12, data_distribution="quantity", resource_profile="homogeneous"),
                 "num_clients=12 not divisible by 5",
             ),
+            # The CLI's 8x8 input leaves cifar10_cnn's second pool a 1x1 map.
+            (dict(model="cifar10_cnn", shape=(8, 8, 1)), "non-positive output size: input=1 kernel=2"),
+            (dict(model="mnist_cnn"), "non-positive output size: input=2 kernel=3"),
+            (dict(model="femnist_cnn", shape=(8, 8)), r"Conv2D expects \(h, w, c\) input"),
         ],
     )
     def test_check_buildable_refuses_what_the_build_refuses(self, kw, message, monkeypatch):
@@ -76,6 +87,20 @@ class TestConfig:
     def test_a_buildable_config_passes_the_check(self):
         small().check_buildable()
         small(data_distribution="quantity_noniid", noniid_classes=2).check_buildable()
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_the_model_check_builds_nothing_and_the_build_builds_once(self, model, monkeypatch):
+        cfg = small(model=model, shape=(12, 12, 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(Sequential, "__init__", None)  # building a model raises TypeError
+            cfg.check_buildable()
+        calls = []
+        real = scenarios.build_model
+        monkeypatch.setattr(
+            scenarios, "build_model", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw)
+        )
+        build_scenario(cfg, seed=0)
+        assert calls == [model]
 
     def test_training_defaults(self):
         assert small(dataset="mnist").resolved_training().optimizer == "rmsprop"

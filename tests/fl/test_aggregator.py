@@ -1,11 +1,19 @@
 """Tests for FedAvg aggregation."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import TrainingConfig
 from repro.fl.aggregator import fedavg
+from repro.fl.selection import RandomSelector
+from repro.fl.server import FLServer
+from repro.nn import build_linear
+from tests.conftest import make_test_population, make_tiny_dataset
 
 
 class TestFedAvg:
@@ -50,6 +58,66 @@ class TestFedAvg:
         ws = [rng.standard_normal(3) for _ in sizes]
         with pytest.raises(ValueError, match="finite"):
             fedavg(ws, sizes)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [np.zeros(3), np.zeros(4)],
+            [np.zeros(4), np.zeros(3)],
+            [np.zeros((2, 3)), np.zeros((2, 3))],
+            [np.zeros(3), np.zeros((1, 3))],
+            [np.float64(1.0), np.float64(2.0)],
+        ],
+        ids=["ragged", "ragged-shorter-later", "2-d", "2-d-later", "scalars"],
+    )
+    def test_vectors_of_other_shapes_raise_by_their_own_message(self, weights):
+        with pytest.raises(ValueError, match="all weight vectors must be 1-D and equal length"):
+            fedavg(weights, [1.0] * len(weights))
+
+
+class TestAggregationMemory:
+    """What aggregation keeps alive: the running sum's two vectors
+    inside :func:`fedavg`, and no client vector past the aggregate
+    phase of a round."""
+
+    def test_fedavg_peaks_below_three_vectors(self, rng):
+        length = 2**18
+        weights = list(rng.standard_normal((8, length)))
+        sizes = [float(s) for s in range(1, 9)]
+        tracemalloc.start()
+        try:
+            fedavg(weights, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and one scratch vector; a stacked sum needs ~2*C*P*8
+        assert peak < 3 * length * 8
+
+    def test_a_round_keeps_no_client_vector_past_aggregation(self):
+        server = FLServer(
+            clients=make_test_population(6, seed=0),
+            model=build_linear((4, 4, 1), 3, rng=0),
+            selector=RandomSelector(3, rng=0),
+            test_data=make_tiny_dataset(n=30, seed=999),
+            training=TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0),
+            rng=0,
+        )
+        consumed, alive_at_eval = [], []
+        train, evaluate = server._stage_train, server._stage_eval
+
+        def stage_train(ctx):
+            refs = [weakref.ref(ctx.broadcast_weights)]
+            train(ctx)
+            refs += [weakref.ref(u.flat_weights) for u in ctx.updates]
+            consumed.append(refs)
+
+        def stage_eval(ctx):
+            alive_at_eval.append([ref() is not None for ref in consumed[-1]])
+            evaluate(ctx)
+
+        server._stage_train, server._stage_eval = stage_train, stage_eval
+        server.run(3)
+        assert alive_at_eval == [[False] * 4] * 3
 
 
 # ---------------------------------------------------------------------------

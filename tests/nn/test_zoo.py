@@ -12,6 +12,7 @@ from repro.nn import (
     build_mnist_cnn,
     build_model,
 )
+from repro.nn.zoo import MODEL_NAMES, check_model
 
 
 class TestPaperArchitectures:
@@ -82,3 +83,21 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown model"):
             build_model("resnet50")
+
+
+def _outcome(call):
+    try:
+        call()
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES + ("resnet50",))
+@pytest.mark.parametrize("shape", [(28, 28, 1), (8, 8, 1), (4, 4, 1), (2, 2, 1), (64,)])
+def test_check_model_raises_what_the_build_raises(name, shape):
+    """The shape walk behind ``ScenarioConfig.check_buildable`` refuses
+    exactly the (model, shape) pairs the build refuses, by the same error."""
+    kwargs = {"hidden": (8,)} if name == "mlp" else {}
+    built = _outcome(lambda: build_model(name, shape, 10, rng=0, **kwargs))
+    assert _outcome(lambda: check_model(name, shape, 10, **kwargs)) == built

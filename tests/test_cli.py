@@ -230,6 +230,7 @@ def test_privacy_tier_sizes_differ_by_at_most_one(capsys, monkeypatch, pool):
     ("--dataset", "dataset", "DATASETS"),
     ("--resource-profile", "resource_profile", "RESOURCE_PROFILES"),
     ("--data-distribution", "data_distribution", "DATA_DISTRIBUTIONS"),
+    ("--model", "model", "MODEL_NAMES"),
 ])
 def test_scenario_flags_take_every_choice_the_scenario_module_declares(flag, attr, choices):
     from repro.experiments import scenarios
@@ -269,12 +270,26 @@ def test_removed_shards_distribution_is_an_invalid_choice(capsys):
     ["run", "--num-clients", "10", "--train-size", "5"],
     ["run", "--dataset", "mnist", "--data-distribution", "noniid", "--noniid-classes", "11"],
     ["compare", "--num-clients", "7"],
+    ["run", "--model", "foo"],
+    ["compare", "--model", "foo"],
+    ["estimate", "--model", "foo"],
+    ["scale", "--model", "foo", "--num-clients", "100", "--clients-per-round", "5",
+     "--pool-size", "200"],
+    ["run", "--model", "cifar10_cnn", "--num-clients", "10", "--clients-per-round", "2",
+     "--train-size", "200", "--test-size", "60"],
+    ["report", "{tmp}/missing.jsonl"],
+    ["report", "{tmp}/not-json.jsonl"],
+    ["report", "--validate", "{tmp}/not-json.jsonl"],
+    ["run", "--trace-out", "{tmp}/missing/t.jsonl"],
 ])
-def test_a_bad_count_exits_2_with_a_message(capsys, argv):
+def test_a_bad_count_exits_2_with_a_message(capsys, tmp_path, argv):
     """A count the command cannot use is a usage error, not a traceback:
     argparse rejects a value out of its flag's range, and the command
     reports what the library refuses while it builds the config, the
-    scenario or the executor (a cohort larger than the pool)."""
+    scenario or the executor (a cohort larger than the pool), and a file
+    it cannot open or read."""
+    (tmp_path / "not-json.jsonl").write_text("not json\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
     try:
         rc = main(argv)
     except SystemExit as exc:
