@@ -38,23 +38,7 @@ def build_mnist_cnn(
     3x3 conv(32) + ReLU, 3x3 conv(64) + ReLU, 2x2 max-pool, dropout 0.25,
     dense(128) + ReLU, dropout 0.5, dense(num_classes).
     """
-    return Sequential(_mnist_cnn_layers(num_classes), input_shape=input_shape, rng=rng)
-
-
-def _mnist_cnn_layers(num_classes: int) -> List[Layer]:
-    return [
-        Conv2D(32, 3),
-        ReLU(),
-        Conv2D(64, 3),
-        ReLU(),
-        MaxPool2D(2),
-        Dropout(0.25),
-        Flatten(),
-        Dense(128),
-        ReLU(),
-        Dropout(0.5),
-        Dense(num_classes),
-    ]
+    return Sequential(_layers("mnist_cnn", num_classes), input_shape=input_shape, rng=rng)
 
 
 def build_cifar10_cnn(
@@ -68,28 +52,7 @@ def build_cifar10_cnn(
     by 2x2 max-pool and dropout 0.25, ending in dense(512) + ReLU and the
     classifier head.
     """
-    return Sequential(_cifar10_cnn_layers(num_classes), input_shape=input_shape, rng=rng)
-
-
-def _cifar10_cnn_layers(num_classes: int) -> List[Layer]:
-    return [
-        Conv2D(32, 3, padding="same"),
-        ReLU(),
-        Conv2D(32, 3),
-        ReLU(),
-        MaxPool2D(2),
-        Dropout(0.25),
-        Conv2D(64, 3, padding="same"),
-        ReLU(),
-        Conv2D(64, 3),
-        ReLU(),
-        MaxPool2D(2),
-        Dropout(0.25),
-        Flatten(),
-        Dense(512),
-        ReLU(),
-        Dense(num_classes),
-    ]
+    return Sequential(_layers("cifar10_cnn", num_classes), input_shape=input_shape, rng=rng)
 
 
 def build_femnist_cnn(
@@ -98,22 +61,7 @@ def build_femnist_cnn(
     rng: RngLike = None,
 ) -> Sequential:
     """LEAF's standard FEMNIST model: two 5x5 conv blocks + dense(2048)."""
-    return Sequential(_femnist_cnn_layers(num_classes), input_shape=input_shape, rng=rng)
-
-
-def _femnist_cnn_layers(num_classes: int) -> List[Layer]:
-    return [
-        Conv2D(32, 5, padding="same"),
-        ReLU(),
-        MaxPool2D(2),
-        Conv2D(64, 5, padding="same"),
-        ReLU(),
-        MaxPool2D(2),
-        Flatten(),
-        Dense(2048),
-        ReLU(),
-        Dense(num_classes),
-    ]
+    return Sequential(_layers("femnist_cnn", num_classes), input_shape=input_shape, rng=rng)
 
 
 def build_mlp(
@@ -127,20 +75,8 @@ def build_mlp(
 
     Accepts image-shaped or flat inputs (a Flatten is always prepended).
     """
-    return Sequential(_mlp_layers(num_classes, hidden, dropout), input_shape=input_shape, rng=rng)
-
-
-def _mlp_layers(
-    num_classes: int, hidden: Sequence[int] = (64,), dropout: float = 0.0
-) -> List[Layer]:
-    layers: List[Layer] = [Flatten()]
-    for width in hidden:
-        layers.append(Dense(int(width)))
-        layers.append(ReLU())
-        if dropout > 0.0:
-            layers.append(Dropout(dropout))
-    layers.append(Dense(num_classes))
-    return layers
+    layers = _layers("mlp", num_classes, hidden, dropout)
+    return Sequential(layers, input_shape=input_shape, rng=rng)
 
 
 def build_linear(
@@ -149,11 +85,7 @@ def build_linear(
     rng: RngLike = None,
 ) -> Sequential:
     """Multinomial logistic regression -- the fastest surrogate."""
-    return Sequential(_linear_layers(num_classes), input_shape=input_shape, rng=rng)
-
-
-def _linear_layers(num_classes: int) -> List[Layer]:
-    return [Flatten(), Dense(num_classes)]
+    return Sequential(_layers("linear", num_classes), input_shape=input_shape, rng=rng)
 
 
 _BUILDERS = {
@@ -161,17 +93,75 @@ _BUILDERS = {
     "cifar10_cnn": build_cifar10_cnn,
     "femnist_cnn": build_femnist_cnn,
 }
-#: Each registry name's layer stack, given its class count (and the MLP's
-#: ``hidden`` / ``dropout``): what :func:`check_model` walks.
-_LAYERS = {
-    "linear": _linear_layers,
-    "mlp": _mlp_layers,
-    "mnist_cnn": _mnist_cnn_layers,
-    "cifar10_cnn": _cifar10_cnn_layers,
-    "femnist_cnn": _femnist_cnn_layers,
-}
 #: Every name :func:`build_model` builds.
-MODEL_NAMES = tuple(_LAYERS)
+MODEL_NAMES = ("linear", "mlp", "mnist_cnn", "cifar10_cnn", "femnist_cnn")
+_UNKNOWN = "unknown model {!r}; available: " + str(list(MODEL_NAMES))
+
+
+def _layers(
+    name: str, num_classes: int, hidden: Sequence[int] = (64,), dropout: float = 0.0
+) -> List[Layer]:
+    """The unbuilt layer stack of the model ``name`` (``hidden`` and
+    ``dropout`` shape the MLP only): what the builders build and
+    :func:`check_model` walks."""
+    if name == "mnist_cnn":
+        return [
+            Conv2D(32, 3),
+            ReLU(),
+            Conv2D(64, 3),
+            ReLU(),
+            MaxPool2D(2),
+            Dropout(0.25),
+            Flatten(),
+            Dense(128),
+            ReLU(),
+            Dropout(0.5),
+            Dense(num_classes),
+        ]
+    if name == "cifar10_cnn":
+        return [
+            Conv2D(32, 3, padding="same"),
+            ReLU(),
+            Conv2D(32, 3),
+            ReLU(),
+            MaxPool2D(2),
+            Dropout(0.25),
+            Conv2D(64, 3, padding="same"),
+            ReLU(),
+            Conv2D(64, 3),
+            ReLU(),
+            MaxPool2D(2),
+            Dropout(0.25),
+            Flatten(),
+            Dense(512),
+            ReLU(),
+            Dense(num_classes),
+        ]
+    if name == "femnist_cnn":
+        return [
+            Conv2D(32, 5, padding="same"),
+            ReLU(),
+            MaxPool2D(2),
+            Conv2D(64, 5, padding="same"),
+            ReLU(),
+            MaxPool2D(2),
+            Flatten(),
+            Dense(2048),
+            ReLU(),
+            Dense(num_classes),
+        ]
+    if name == "mlp":
+        layers: List[Layer] = [Flatten()]
+        for width in hidden:
+            layers.append(Dense(int(width)))
+            layers.append(ReLU())
+            if dropout > 0.0:
+                layers.append(Dropout(dropout))
+        layers.append(Dense(num_classes))
+        return layers
+    if name == "linear":
+        return [Flatten(), Dense(num_classes)]
+    raise KeyError(_UNKNOWN.format(name))
 
 
 def build_model(
@@ -203,7 +193,7 @@ def build_model(
         if input_shape is None or num_classes is None:
             raise ValueError("linear requires input_shape and num_classes")
         return build_linear(input_shape, num_classes, rng=rng)
-    raise KeyError(_unknown(name))
+    raise KeyError(_UNKNOWN.format(name))
 
 
 def check_model(
@@ -212,12 +202,6 @@ def check_model(
     """Raise what ``build_model(name, input_shape, num_classes, **kwargs)``
     would raise for its layer shapes, without allocating a parameter: each
     layer's :meth:`~repro.nn.layers.Layer.output_shape` in turn."""
-    if name not in _LAYERS:
-        raise KeyError(_unknown(name))
     shape = tuple(int(s) for s in input_shape)
-    for layer in _LAYERS[name](num_classes, **kwargs):
+    for layer in _layers(name, num_classes, **kwargs):
         shape = layer.output_shape(shape)
-
-
-def _unknown(name: str) -> str:
-    return f"unknown model {name!r}; available: {list(MODEL_NAMES)}"

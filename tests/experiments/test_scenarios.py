@@ -70,7 +70,10 @@ class TestConfig:
                 "num_clients=12 not divisible by 5",
             ),
             # The CLI's 8x8 input leaves cifar10_cnn's second pool a 1x1 map.
-            (dict(model="cifar10_cnn", shape=(8, 8, 1)), "non-positive output size: input=1 kernel=2"),
+            (
+                dict(model="cifar10_cnn", shape=(8, 8, 1)),
+                "non-positive output size: input=1 kernel=2",
+            ),
             (dict(model="mnist_cnn"), "non-positive output size: input=2 kernel=3"),
             (dict(model="femnist_cnn", shape=(8, 8)), r"Conv2D expects \(h, w, c\) input"),
         ],
