@@ -17,14 +17,6 @@ Examples::
     python -m repro.cli estimate --dataset mnist --rounds 500
     python -m repro.cli privacy --pool 50 --cohort 5 --eps 0.5
 
-Cohort-batched training (``--executor batched``, see
-:mod:`repro.execution.batched`): train each homogeneous cohort group as
-one stacked tensor program -- the fastest single-core backend, but a
-separate versioned numerics stream (accuracy-equivalent to serial, not
-bit-identical; see ``docs/numerics.md``)::
-
-    python -m repro.cli run --executor batched --rounds 60
-
 Multi-node training (see :mod:`repro.distributed`): start the
 coordinator, then one worker agent per node::
 
@@ -33,8 +25,8 @@ coordinator, then one worker agent per node::
     python -m repro.cli worker --connect coord-host:7777   # each worker
 
 Weight-transport codec (``--codec``, see :mod:`repro.codec`): how weight
-vectors reach ``process`` and ``distributed`` workers (``serial`` and
-``batched`` have none).  ``raw`` (default) and ``delta`` are both
+vectors reach ``process`` and ``distributed`` workers (``serial`` has
+none).  ``raw`` (default) and ``delta`` are both
 lossless -- training stays bit-identical to serial -- with ``delta``
 cutting the steady-state bytes per round by ~30% on a converging run::
 
@@ -187,12 +179,7 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                    help="client-training backend.  serial, process and "
                         "distributed are bit-identical to each other "
                         "(process forks local workers, distributed "
-                        "drives workers that connect over TCP); batched "
-                        "fuses each homogeneous "
-                        "cohort group into one stacked tensor program -- "
-                        "fastest on one core, but a separate numerics "
-                        "stream (accuracy-equivalent, not bit-identical; "
-                        "see docs/numerics.md)")
+                        "drives workers that connect over TCP)")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="how many local workers the process executor "
                         "forks, or how many agents must join a "
@@ -204,8 +191,7 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
                    help="weight-transport codec on the process and "
                         "distributed wire (both lossless and bit-identical "
                         "to serial; delta cuts steady-state bytes/round "
-                        "~30%% on a converging run).  serial and batched "
-                        "ignore it")
+                        "~30%% on a converging run).  serial ignores it")
     p.add_argument("--reconnect-grace", type=_non_negative_float, default=0.0,
                    metavar="SECONDS",
                    help="how long a round that has lost its last worker "

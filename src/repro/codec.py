@@ -28,8 +28,8 @@ The codec layer deliberately handles *payloads only*.  Who chose the
 codec, which baseline sequence number it refers to, and how baselines
 are retained per peer is the transport's business
 (:mod:`repro.distributed.protocol` carries ``codec_id`` +
-``baseline_seq`` in its v4 frame headers; the serial and batched
-executors pass arrays by reference and never encode at all -- see
+``baseline_seq`` in its v4 frame headers; the serial executor passes
+arrays by reference and never encodes at all -- see
 :mod:`repro.execution.base`).
 
 Registry: :func:`get_codec` by name, :func:`codec_for_id` by the wire

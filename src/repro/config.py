@@ -25,7 +25,7 @@ __all__ = [
 #: Every client-execution backend, by name.  Defined in this leaf module
 #: because :class:`TrainingConfig` validates against it at import time;
 #: :mod:`repro.execution` re-exports the same object and builds them.
-EXECUTOR_BACKENDS = ("serial", "process", "distributed", "batched")
+EXECUTOR_BACKENDS = ("serial", "process", "distributed")
 
 
 def parse_endpoint(endpoint: str) -> "tuple[str, int]":
@@ -70,11 +70,8 @@ class TrainingConfig:
         :data:`EXECUTOR_BACKENDS`, see :mod:`repro.execution`) and its
         worker count.  Servers use these unless an explicit executor is
         passed to them.  ``serial``, ``process`` and ``distributed`` are
-        bit-identical to each other; ``batched`` trains each
-        homogeneous cohort group as one stacked tensor program and is a
-        separate versioned numerics stream (accuracy-equivalent, not
-        bit-identical -- see ``docs/numerics.md``).  ``workers`` is
-        meaningless to ``serial`` and ``batched`` (both single-process).
+        bit-identical to each other.  ``workers`` is meaningless to
+        ``serial`` (single-process).
     endpoint:
         ``host:port`` the ``distributed`` coordinator listens on (worker
         agents connect to it); ignored by the in-process backends.
@@ -85,8 +82,8 @@ class TrainingConfig:
         :mod:`repro.codec`) used wherever weight vectors cross a machine
         boundary -- the BROADCAST/UPDATE frames of the ``process`` and
         ``distributed`` pools.  Both are lossless and bit-identical to
-        serial execution; serial and batched pass weights by reference
-        and ignore the codec.
+        serial execution; serial passes weights by reference and ignores
+        the codec.
     """
 
     optimizer: str = "rmsprop"

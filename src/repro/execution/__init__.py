@@ -9,7 +9,7 @@ directly:
 >>> from repro.execution import create_executor
 >>> executor = create_executor("process", workers=4)
 
-The v1 backends (serial / process / distributed) satisfy the
+Every backend (serial / process / distributed) satisfies the
 determinism contract documented in :mod:`repro.execution.base`: given
 the same cohort and global weights they produce bit-identical updates in
 the same deterministic order, so switching between them never changes a
@@ -19,12 +19,6 @@ training trajectory -- only its wall-clock time.
 (:mod:`repro.distributed`) over forked socketpair workers or TCP ones,
 registered here by name and imported on first :func:`create_executor`:
 serial users never pay for the networking stack.
-
-The ``batched`` backend (:mod:`repro.execution.batched`) trains each
-homogeneous cohort group as one stacked tensor program -- a separate
-**versioned numerics stream**: results match serial to accuracy
-tolerance (gated by golden-value tests), not to the bit, because
-stacked matmuls reassociate float64 sums.  See ``docs/numerics.md``.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from repro.execution.base import (
     evaluate_holdouts,
     order_updates,
 )
-from repro.execution.batched import BatchedExecutor
 from repro.execution.serial import SerialExecutor
 
 __all__ = [
@@ -51,18 +44,10 @@ __all__ = [
     "evaluate_holdouts",
     "order_updates",
     "SerialExecutor",
-    "BatchedExecutor",
     "EXECUTOR_BACKENDS",
-    "BIT_IDENTICAL_BACKENDS",
     "create_executor",
     "resolve_executor",
 ]
-
-#: The v1 numerics stream: backends whose trained weights are
-#: bit-identical to serial by contract (the CI hard gate).  ``batched``
-#: is deliberately absent -- it is a separate versioned numerics stream
-#: gated by accuracy tolerance instead (see docs/numerics.md).
-BIT_IDENTICAL_BACKENDS = ("serial", "process", "distributed")
 
 
 def create_executor(
@@ -70,28 +55,28 @@ def create_executor(
 ) -> ClientExecutor:
     """Instantiate a backend by name (one of :data:`EXECUTOR_BACKENDS`).
 
-    ``workers`` must be >= 1 (the constructors raise otherwise -- a typo'd
-    worker count should fail loudly, not degrade to serial speed).
+    ``workers`` must be >= 1 for every backend, ``serial`` included (a
+    typo'd worker count should fail loudly, not degrade to serial speed).
     ``endpoint`` is the ``host:port`` the ``distributed`` coordinator
     listens on (ignored by every other backend).
     """
+    if backend not in EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"unknown executor backend {backend!r}; expected one of {EXECUTOR_BACKENDS}"
+        )
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     if backend == "serial":
         return SerialExecutor()
-    if backend == "batched":
-        return BatchedExecutor(workers=workers)
     # The pools are imported lazily: the networking stack is only needed
     # when one is actually requested.
     if backend == "process":
         from repro.distributed.launch import ProcessExecutor
 
         return ProcessExecutor(workers=workers)
-    if backend == "distributed":
-        from repro.distributed.coordinator import DistributedExecutor
+    from repro.distributed.coordinator import DistributedExecutor
 
-        return DistributedExecutor(workers=workers, endpoint=endpoint)
-    raise ValueError(
-        f"unknown executor backend {backend!r}; expected one of {EXECUTOR_BACKENDS}"
-    )
+    return DistributedExecutor(workers=workers, endpoint=endpoint)
 
 
 def resolve_executor(

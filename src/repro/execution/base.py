@@ -2,9 +2,8 @@
 
 The FL servers in :mod:`repro.fl` delegate the *real* work of a round --
 running every selected client's local gradient-descent pass -- to a
-:class:`ClientExecutor`.  Four backends implement the contract -- the
-in-server pass, one pool coordinator over two pipes, and the stacked
-program:
+:class:`ClientExecutor`.  Three backends implement the contract -- the
+in-server pass and one pool coordinator over two pipes:
 
 * :class:`repro.execution.serial.SerialExecutor` -- the seed behaviour:
   clients train one after another inside the server's own model shell.
@@ -16,11 +15,6 @@ program:
 * :class:`repro.distributed.launch.ProcessExecutor` -- the same
   coordinator over local worker processes it forks, one socketpair
   each.
-* :class:`repro.execution.batched.BatchedExecutor` -- the whole cohort
-  as one stacked tensor program (leading client axis, one batched GEMM
-  per layer per step).  **Not** part of the bit-identity family: it is
-  a separate versioned numerics stream, accuracy-equivalent to serial
-  (see its module docstring and ``docs/numerics.md``).
 
 Determinism contract
 --------------------
@@ -28,7 +22,7 @@ Determinism contract
 **request order** -- never in completion order.  The server builds the
 request list deterministically (from the cohort the selector and the
 latency model produced), so the FedAvg summation order -- and therefore
-the global weights -- are bit-identical across the three v1 backends
+the global weights -- are bit-identical across the three backends
 (serial/process/distributed).  The equivalence test in
 ``tests/execution/test_executors.py`` enforces this.
 
@@ -46,11 +40,6 @@ is what every equivalence test uses.  The strict ``xfail``
 ``tests/execution/test_executors.py`` pins the divergence until the mask
 stream moves into the client (ROADMAP open item 3).
 
-The ``batched`` backend honours the same request-order and
-RNG-consumption contract but is bit-equal only within its own stream; it
-is gated by the tolerance tests in
-``tests/execution/test_batched_executor.py`` instead.
-
 Batched evaluation
 ------------------
 The cohort, not the client, is the unit of evaluation work.
@@ -61,7 +50,7 @@ evaluation loads the model once per worker and replies once per worker;
 accuracies are per client and bit-identical to**
 :meth:`SimClient.evaluate <repro.simcluster.client.SimClient.evaluate>`.
 Every backend runs the one per-client loop in :func:`evaluate_holdouts`
--- serial and batched over the whole cohort in the bound model shell,
+-- serial over the whole cohort in the bound model shell,
 a pool worker over its dealt share of the cohort (one EVAL frame in,
 one EVAL_RESULT frame back) -- so a
 holdout is scored by the same kernels on the same batch shapes
@@ -84,8 +73,8 @@ Weight-transport codecs
 ``TrainingConfig.codec`` names the :mod:`repro.codec` codec weight
 vectors travel through wherever they cross a *machine* boundary; the
 bound codec is exposed to backends as :attr:`ClientExecutor.codec`.
-Only the two pools encode (their BROADCAST / UPDATE frames); serial and
-batched pass arrays by reference.  Both codecs (``raw``, ``delta``) are
+Only the two pools encode (their BROADCAST / UPDATE frames); serial
+passes arrays by reference.  Both codecs (``raw``, ``delta``) are
 lossless, so a pool stays inside the determinism contract above
 whichever one a run names.
 """
@@ -335,7 +324,7 @@ class ClientExecutor:
         copied into a dict: copying would materialise the whole population,
         which is exactly what the store exists to avoid.  Lazy rebinds
         compare by identity for the same reason.  Backends that look
-        clients up per cohort (serial, batched) therefore stay
+        clients up per cohort (serial) therefore stay
         O(cohort); the process and distributed backends ship *store
         shards* to their workers (columns + seed coordinates, rebuilt
         and materialised lazily on the worker side), so they too stay
@@ -373,7 +362,7 @@ class ClientExecutor:
 
     def _check_requests(
         self, requests: Sequence[Union[TrainRequest, EvalRequest]]
-    ) -> Mapping[int, SimClient]:
+    ) -> None:
         """Bound / known / no-duplicates precondition shared by every backend."""
         clients = self._require_bound()
         unknown = [r.client_id for r in requests if r.client_id not in clients]
@@ -383,7 +372,6 @@ class ClientExecutor:
         if len(set(ids)) != len(ids):
             dupes = sorted({c for c in ids if ids.count(c) > 1})
             raise ExecutorError(f"duplicate clients in cohort: {dupes}")
-        return clients
 
     def _ensure_started(self) -> None:
         """Allocate worker resources on the first cohort (backend hook)."""
@@ -393,7 +381,7 @@ class ClientExecutor:
         """The bound :class:`repro.codec.WeightCodec` weight vectors use
         on machine-boundary transports (``TrainingConfig.codec``).
 
-        Serial and batched ignore it (see the module docstring); both
+        Serial ignores it (see the module docstring); both
         pools encode every BROADCAST/UPDATE through it.
         ``raw`` until the executor is bound.
         """
@@ -499,7 +487,7 @@ class ClientExecutor:
         self, requests: Sequence[EvalRequest], flat_weights: np.ndarray
     ) -> Dict[int, float]:
         """Backend hook; default: the whole cohort in the calling process
-        on the bound model shell (serial and batched), through the same
+        on the bound model shell (serial), through the same
         :func:`evaluate_holdouts` every worker runs over its share."""
         ids = [req.client_id for req in requests]
         accuracies, failures = evaluate_holdouts(self._model, self._clients, ids, flat_weights)

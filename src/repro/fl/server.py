@@ -82,8 +82,8 @@ class FLServer:
         :data:`~repro.execution.EXECUTOR_BACKENDS` or a ready
         :class:`~repro.execution.ClientExecutor`) and worker count.
         ``None`` defers to ``training.executor`` / ``training.workers``.
-        The v1 backends are bit-identical (see :mod:`repro.execution`);
-        the parallel ones only change wall-clock time.  Call :meth:`close`
+        Every backend is bit-identical (see :mod:`repro.execution`); the
+        parallel ones only change wall-clock time.  Call :meth:`close`
         (or use the server as a context manager) to release workers.
     latency_stream:
         Versioned latency-RNG design (see :mod:`repro.simcluster.latency`).

@@ -28,7 +28,6 @@ from repro.nn.losses import (
 from repro.nn.metrics import top_k_accuracy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Optimizer, RMSprop
-from repro.nn.stacked import StackedSequential
 from repro.nn.zoo import (
     build_cifar10_cnn,
     build_femnist_cnn,
@@ -47,7 +46,6 @@ __all__ = [
     "Flatten",
     "Dropout",
     "Sequential",
-    "StackedSequential",
     "softmax_cross_entropy",
     "proximal_penalty",
     "top_k_accuracy",

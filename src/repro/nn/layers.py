@@ -14,23 +14,6 @@ optimizer reads the arena, not the dict.  A layer used without a model
 has no views to write through and allocates its gradient buffers on its
 first ``backward`` (:meth:`Layer._grad`).
 
-Stacked mode: leading client axes
----------------------------------
-Each layer has one ``forward`` / ``backward``, and it reads any leading
-axes in front of the batch axis from its input.  That is how
-:class:`repro.nn.stacked.StackedSequential` runs a cohort of ``C``
-clients as one program: activations are ``(C, batch, ...)`` and the
-parameters of a stacked instance carry the same leading axis
-(``(C,) + param.shape``, views of a ``(C, P)`` arena), so ``C``
-independent per-client layers advance in one call.  ``Conv2D`` and
-``MaxPool2D`` fold the leading axes into the NHWC batch around the
-per-sample ``im2col`` / ``col2im`` / pool kernels, and ``ReLU`` /
-``Dropout`` are elementwise, so all of those are exact per client.
-``Dense`` and the conv GEMM map onto numpy's batched ``matmul``, whose
-reduction order may differ from ``C`` per-client GEMMs -- why the
-``batched`` executor is its own versioned numerics stream (see
-``docs/numerics.md``).
-
 Discarded input gradients
 -------------------------
 ``backward`` of a parameterised layer takes
@@ -43,7 +26,6 @@ which is why parameter-free layers do not take the flag.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -60,14 +42,6 @@ __all__ = [
     "Flatten",
     "Dropout",
 ]
-
-def _nhwc(shape: Tuple[int, ...]) -> Tuple[int, ...]:
-    """``shape`` with its leading axes -- the batch and any client axes
-    in front of it -- merged into one NHWC batch axis.  The spatial
-    kernels act per sample, so running them on the merged batch is
-    exactly running them per client."""
-    return (math.prod(shape[:-3]),) + shape[-3:]
-
 
 class Layer:
     """Base class: parameter bookkeeping plus the fwd/bwd contract."""
@@ -144,10 +118,9 @@ class Dense(Layer):
         return (self.units,)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # Stacked: x (C, n, in) @ W (C, in, units), one batched GEMM.
         self._x = x if training else None
         out = x @ self.params["W"]
-        out += self.params["b"][..., None, :]
+        out += self.params["b"]
         return out
 
     def backward(
@@ -155,9 +128,9 @@ class Dense(Layer):
     ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
-        np.matmul(self._x.swapaxes(-1, -2), grad, out=self._grad("W"))
-        np.sum(grad, axis=-2, out=self._grad("b"))
-        return grad @ self.params["W"].swapaxes(-1, -2) if input_grad else None
+        np.matmul(self._x.T, grad, out=self._grad("W"))
+        np.sum(grad, axis=0, out=self._grad("b"))
+        return grad @ self.params["W"].T if input_grad else None
 
 
 class ReLU(Layer):
@@ -242,17 +215,12 @@ class Conv2D(Layer):
         return (oh, ow, self.filters)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # Stacked: each client's (n * oh * ow, K) patch rows against its
-        # own (K, filters) kernel, one batched GEMM.
-        lead, f = x.shape[:-4], self.filters
-        cols, (oh, ow) = T.im2col(
-            x.reshape(_nhwc(x.shape)), self.k, self.k, self.stride, self._pad_amount()
-        )
-        cols = cols.reshape(lead + (-1, cols.shape[-1]))
-        out = cols @ self.params["W"].reshape(lead + (-1, f))
-        out += self.params["b"][..., None, :]
+        f = self.filters
+        cols, (oh, ow) = T.im2col(x, self.k, self.k, self.stride, self._pad_amount())
+        out = cols @ self.params["W"].reshape(-1, f)
+        out += self.params["b"]
         self._cache = (cols, x.shape) if training else None
-        return out.reshape(x.shape[:-3] + (oh, ow, f))
+        return out.reshape(x.shape[0], oh, ow, f)
 
     def backward(
         self, grad: np.ndarray, input_grad: bool = True
@@ -260,22 +228,13 @@ class Conv2D(Layer):
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         cols, x_shape = self._cache
-        mat = x_shape[:-4] + (-1, self.filters)
-        g = grad.reshape(mat)
-        np.matmul(cols.swapaxes(-1, -2), g, out=self._grad("W").reshape(mat))
-        np.sum(g, axis=-2, out=self._grad("b"))
+        g = grad.reshape(-1, self.filters)
+        np.matmul(cols.T, g, out=self._grad("W").reshape(-1, self.filters))
+        np.sum(g, axis=0, out=self._grad("b"))
         if not input_grad:
             return None
-        dcols = g @ self.params["W"].reshape(mat).swapaxes(-1, -2)
-        dx = T.col2im(
-            dcols.reshape(-1, dcols.shape[-1]),
-            _nhwc(x_shape),
-            self.k,
-            self.k,
-            self.stride,
-            self._pad_amount(),
-        )
-        return dx.reshape(x_shape)
+        dcols = g @ self.params["W"].reshape(-1, self.filters).T
+        return T.col2im(dcols, x_shape, self.k, self.k, self.stride, self._pad_amount())
 
 
 class MaxPool2D(Layer):
@@ -300,48 +259,34 @@ class MaxPool2D(Layer):
         return (oh, ow, c)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        xf = x.reshape(_nhwc(x.shape))
         if training:
-            out, arg = T.pool2d_forward(xf, self.k, self.k, self.stride)
+            out, arg = T.pool2d_forward(x, self.k, self.k, self.stride)
             self._cache = (arg, x.shape)
         else:
-            out = T.pool2d_max(xf, self.k, self.k, self.stride)
+            out = T.pool2d_max(x, self.k, self.k, self.stride)
             self._cache = None
-        return out.reshape(x.shape[:-3] + out.shape[1:])
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         arg, x_shape = self._cache
-        dx = T.pool2d_backward(
-            grad.reshape(arg.shape), arg, _nhwc(x_shape), self.k, self.k, self.stride
-        )
-        return dx.reshape(x_shape)
+        return T.pool2d_backward(grad, arg, x_shape, self.k, self.k, self.stride)
 
 
 class Flatten(Layer):
-    """Collapse the sample dims it was built for into one; any axes in
-    front of them (the batch, and a stack's client axis) are kept."""
+    """Collapse all non-batch dims into one."""
 
     def __init__(self) -> None:
         super().__init__()
-        self._sample_ndim: Optional[int] = None
         self._shape: Optional[Tuple[int, ...]] = None
-
-    def build(
-        self, input_shape: Tuple[int, ...], rng: np.random.Generator
-    ) -> Tuple[int, ...]:
-        self._sample_ndim = len(input_shape)
-        return super().build(input_shape, rng)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return (int(np.prod(input_shape)),)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if self._sample_ndim is None:
-            raise RuntimeError("Flatten used before build()")
         self._shape = x.shape
-        return x.reshape(x.shape[: x.ndim - self._sample_ndim] + (-1,))
+        return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._shape is None:
@@ -353,10 +298,7 @@ class Dropout(Layer):
     """Inverted dropout: active only when ``training=True``.
 
     The mask stream comes from the generator supplied at build time (one
-    child stream per layer), keeping runs reproducible.  A mask is one
-    draw of the input's shape, so a stacked layer draws one mask for the
-    whole ``(C, batch, ...)`` tensor from its own stream: stacked masks
-    are not bit-aligned with per-client draws (``docs/numerics.md``).
+    child stream per layer), keeping runs reproducible.
     """
 
     def __init__(self, rate: float) -> None:

@@ -7,7 +7,7 @@ FedProx local objective used as a baseline in the related-work comparison.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -38,41 +38,38 @@ def _log_softmax_and_softmax(logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray
 
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
-) -> Tuple[Union[float, np.ndarray], np.ndarray]:
+) -> Tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its gradient w.r.t. ``logits``.
 
     Parameters
     ----------
     logits:
-        ``(..., n, num_classes)`` raw scores: a batch of ``n``, behind
-        any leading axes (a stack's client axis).
+        ``(n, num_classes)`` raw scores.
     labels:
-        ``(..., n)`` integer class labels, ``logits``' shape minus the
-        class axis.
+        ``(n,)`` integer class labels.
 
     Returns
     -------
     (loss, grad):
-        The mean loss over each batch -- a scalar for ``(n, k)`` logits,
-        one per leading index otherwise, so the clients of a stack never
-        mix -- and the ``(p - y) / n`` gradient, shaped like ``logits``.
+        The mean loss over the batch and the ``(p - y) / n`` gradient,
+        shaped like ``logits``.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim < 2:
-        raise ValueError(f"logits must be at least 2-D, got shape {logits.shape}")
+    if logits.ndim != 2:
+        raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
     labels = np.asarray(labels)
-    if labels.shape != logits.shape[:-1]:
+    if labels.shape != logits.shape[:1]:
         raise ValueError(
             f"labels of shape {labels.shape} do not match logits of shape "
-            f"{logits.shape}: expected labels of shape {logits.shape[:-1]}"
+            f"{logits.shape}: expected labels of shape {logits.shape[:1]}"
         )
-    n, k = logits.shape[-2:]
+    n, k = logits.shape
     if n == 0:
         raise ValueError("cannot compute a loss over an empty batch")
-    y = one_hot(labels.reshape(-1), k).reshape(logits.shape)
+    y = one_hot(labels, k)
     lsm, grad = _log_softmax_and_softmax(logits)
     lsm *= y
-    loss = -lsm.sum(axis=(-2, -1)) / n
+    loss = -lsm.sum() / n
     grad -= y
     grad /= n
     return loss, grad

@@ -65,38 +65,28 @@ EVAL_PATCH_BYTES = 4 * 2**20
 MIN_CONV_ROWS = 64
 
 
-def bind_arena(
-    layers: Sequence[Layer], lead: Tuple[int, ...] = ()
-) -> Tuple[np.ndarray, np.ndarray]:
+def bind_arena(layers: Sequence[Layer]) -> Tuple[np.ndarray, np.ndarray]:
     """Move ``layers``' parameters into one array; returns it and its gradient twin.
 
-    Both are ``lead + (P,)`` float64, parameters laid out in
-    ``get_weights()`` order along the last axis.  Each ``params[name]``
-    (shape ``s`` going in) is replaced by a ``lead + s`` view holding its
-    values -- broadcast over ``lead``, which is how a stacked cohort
-    starts as ``C`` copies of its template -- and ``grads[name]`` by the
-    matching view of the zeroed gradient array.  Splitting the last axis
-    of a slice never copies, so every view aliases its arena.
+    Both are ``(P,)`` float64, parameters laid out in ``get_weights()``
+    order.  Each ``params[name]`` is replaced by a view of the same shape
+    holding its values, and ``grads[name]`` by the matching view of the
+    zeroed gradient array.  Reshaping a slice of a 1-D array never
+    copies, so every view aliases its arena.
     """
     slots = [(layer, name) for layer in layers for name in sorted(layer.params)]
     total = sum(layer.params[name].size for layer, name in slots)
-    flat = np.empty(lead + (total,), dtype=np.float64)
+    flat = np.empty(total, dtype=np.float64)
     gflat = np.zeros_like(flat)
     offset = 0
     for layer, name in slots:
         value = layer.params[name]
         stop = offset + value.size
-        shape = lead + value.shape
-        layer.params[name] = flat[..., offset:stop].reshape(shape)
+        layer.params[name] = flat[offset:stop].reshape(value.shape)
         np.copyto(layer.params[name], value)
-        layer.grads[name] = gflat[..., offset:stop].reshape(shape)
+        layer.grads[name] = gflat[offset:stop].reshape(value.shape)
         offset = stop
     return flat, gflat
-
-
-def first_param_index(layers: Sequence[Layer]) -> int:
-    """Index of the bottom-most parameterised layer, ``-1`` if there is none."""
-    return next((i for i, layer in enumerate(layers) if layer.params), -1)
 
 
 def eval_block(layers: Sequence[Layer]) -> Tuple[int, int]:
@@ -162,7 +152,10 @@ class Sequential:
 
     def _bind(self) -> None:
         self._flat, self._gflat = bind_arena(self.layers)
-        self._first_param_idx = first_param_index(self.layers)
+        # The bottom-most parameterised layer, -1 if there is none.
+        self._first_param_idx = next(
+            (i for i, layer in enumerate(self.layers) if layer.params), -1
+        )
         self._head, self._block = eval_block(self.layers)
 
     def __getstate__(self) -> Dict[str, object]:

@@ -10,24 +10,18 @@ lives in the optimizer, keyed, not in the model, so it survives the
 weight swaps the federated server performs between rounds; ``update``
 serves any ``(key, param, grad)`` triple, contiguous or not.
 
-One calling convention, two arena shapes
-----------------------------------------
-:class:`~repro.nn.model.Sequential` passes a ``(P,)`` arena,
-:class:`repro.nn.stacked.StackedSequential` a ``(C, P)`` one, a row per
-client.  Neither needs a variant of its own because every update rule
-here is strictly **elementwise**: SGD velocity, RMSprop's
-squared-gradient average and the parameter updates themselves never
-reduce across any axis.  An element's result therefore depends on
+Elementwise update rules
+------------------------
+Every update rule here is strictly **elementwise**: SGD velocity,
+RMSprop's squared-gradient average and the parameter updates themselves
+never reduce across any axis.  An element's result therefore depends on
 nothing but its own history -- not on which key it is filed under, how
 the array around it is shaped, or where a block boundary falls -- so the
-arena pass is bit-identical to per-tensor updates, and row ``c`` of a
-stacked state array evolves bit-identically to the state a private
-per-client optimizer would hold (``C`` independent optimizers in one
-instance).  Keep it that way: an update rule that mixed elements (e.g. a
-global-norm clip) would silently couple layers, and clients in stacked
-mode, and must grow an explicit reduction first.  The independence
-property is hypothesis-tested in ``tests/nn/test_stacked.py``; the arena
-pass against per-tensor updates in ``tests/nn/test_model.py``.
+arena pass is bit-identical to per-tensor updates.  Keep it that way: an
+update rule that mixed elements (e.g. a global-norm clip) would silently
+couple layers, and must grow an explicit reduction first.  The property
+is hypothesis-tested in ``tests/nn/test_optimizers.py``; the arena pass
+against per-tensor updates in ``tests/nn/test_model.py``.
 """
 
 from __future__ import annotations
@@ -77,10 +71,10 @@ class SGD(Optimizer):
     def update(self, key: ParamKey, param: np.ndarray, grad: np.ndarray) -> None:
         # In-place ufuncs with a per-key scratch buffer: an arena is
         # updated every step, and allocating a fresh temporary of its
-        # size each call costs more than the arithmetic (multi-MB for a
-        # stacked cohort).  Operand order matches the textbook
-        # ``v = momentum * v - lr * grad; param += v`` exactly (only
-        # commutative swaps), so results stay bit-identical to it.
+        # size each call costs more than the arithmetic.  Operand order
+        # matches the textbook ``v = momentum * v - lr * grad; param += v``
+        # exactly (only commutative swaps), so results stay bit-identical
+        # to it.
         tmp = self._scratch.get(key)
         if tmp is None or tmp.shape != param.shape:
             tmp = np.empty_like(param)

@@ -6,15 +6,6 @@ gradient reduce to dense GEMMs -- the single most effective vectorisation
 for conv nets in pure numpy (one matmul instead of a quadruple Python
 loop).  Shapes follow the NHWC convention used throughout the package:
 ``(batch, height, width, channels)``.
-
-Stacked kernels
----------------
-There are none: the cohort-batched program of
-:class:`repro.nn.stacked.StackedSequential` runs these same kernels.
-Its layers read the leading client axis from their input and fold it
-into the NHWC batch before calling ``im2col`` / ``col2im`` / the pool
-kernels (which act per sample, so the fold is exact), and the loss
-one-hot encodes the flattened labels (:mod:`repro.nn.layers`).
 """
 
 from __future__ import annotations

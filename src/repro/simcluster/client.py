@@ -218,18 +218,6 @@ class SimClient:
             )
         return workspace.get_flat_weights()
 
-    def epoch_shuffle(self) -> np.ndarray:
-        """Draw one epoch's shuffle permutation from this client's train RNG.
-
-        The cohort-batched executor's hook into the private
-        ``_train_rng``: one ``permutation(num_train_samples)`` per local
-        epoch is exactly what :meth:`train` consumes via ``fit_epoch``,
-        so a batched round advances this client's RNG to the same state a
-        serial round would -- mixing executors across rounds never
-        desynchronises shuffle streams.
-        """
-        return self._train_rng.permutation(self.num_train_samples)
-
     def evaluate(self, workspace: Sequential, flat_weights: np.ndarray) -> float:
         """Accuracy of ``flat_weights`` on this client's local holdout.
 

@@ -89,6 +89,12 @@ def make_test_client(
     )
 
 
+def advance_train_stream(client: SimClient) -> np.ndarray:
+    """Draw what one local epoch of :meth:`SimClient.train` draws from
+    the client's train stream -- one shuffle permutation -- and return it."""
+    return client._train_rng.permutation(client.num_train_samples)
+
+
 def make_test_population(
     num_clients: int,
     cpus=None,

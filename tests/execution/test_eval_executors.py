@@ -197,7 +197,7 @@ class TestCohortGranularEval:
     """The cohort is the unit of evaluation work: one weight load per
     workspace per call, accuracies unchanged."""
 
-    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_in_server_backends_load_once_per_cohort(self, backend, weight_loads):
         pool = make_pool(num_clients=7)
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)

@@ -20,7 +20,6 @@ from repro.config import TrainingConfig
 from repro.fl.aggregator import fedavg
 from repro.distributed import ProcessExecutor
 from repro.execution import (
-    BIT_IDENTICAL_BACKENDS,
     EXECUTOR_BACKENDS,
     ExecutorError,
     SerialExecutor,
@@ -448,6 +447,27 @@ class TestProcessBackend:
                 with pytest.raises(ExecutorError, match="unknown"):
                     ex.train_cohort(0, [TrainRequest(99)], model.get_flat_weights())
 
+    def test_empty_cohort_returns_no_updates_by_every_backend(self):
+        clients = make_pool(num_clients=2, seed=1)
+        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
+        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
+            with make() as ex:
+                ex.bind({c.client_id: c for c in clients}, model, TRAIN)
+                assert ex.train_cohort(0, [], model.get_flat_weights()) == []
+
+    def test_latencies_are_stamped_onto_updates_by_every_backend(self):
+        clients = make_pool(num_clients=3, seed=1)
+        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
+        latencies = {c.client_id: 0.5 + c.client_id for c in clients}
+        requests = [TrainRequest(cid) for cid in (2, 0, 1)]
+        for make in (SerialExecutor, lambda: ProcessExecutor(2)):
+            with make() as ex:
+                ex.bind({c.client_id: c for c in clients}, model, TRAIN)
+                updates = ex.train_cohort(
+                    0, requests, model.get_flat_weights(), latencies=latencies
+                )
+            assert [u.latency for u in updates] == [2.5, 0.5, 1.5]
+
 
 class TestFactoryAndConfig:
     def test_create_executor_names(self):
@@ -455,10 +475,14 @@ class TestFactoryAndConfig:
         assert isinstance(create_executor("process", workers=3), ProcessExecutor)
         with pytest.raises(ValueError, match="unknown executor"):
             create_executor("gpu")
-        with pytest.raises(ValueError, match="workers"):
-            create_executor("process", workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            create_executor("process", workers=-4)
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_every_backend_rejects_fewer_than_one_worker(self, backend, workers):
+        # serial has no workers to size, but a typo'd count must still
+        # fail loudly rather than quietly run serial.
+        with pytest.raises(ValueError, match="workers must be positive"):
+            create_executor(backend, workers=workers)
 
     def test_one_spelling_of_the_backend_list(self):
         """``TrainingConfig`` and ``create_executor`` accept exactly the
@@ -467,8 +491,8 @@ class TestFactoryAndConfig:
         import repro.config
 
         assert EXECUTOR_BACKENDS is repro.config.EXECUTOR_BACKENDS
-        assert len(EXECUTOR_BACKENDS) == 4
-        assert BIT_IDENTICAL_BACKENDS == ("serial", "process", "distributed")
+        # Every backend is bit-identical to serial by contract.
+        assert EXECUTOR_BACKENDS == ("serial", "process", "distributed")
         for backend in EXECUTOR_BACKENDS:
             assert TrainingConfig(executor=backend).executor == backend
             create_executor(backend, workers=2).close()
@@ -479,8 +503,8 @@ class TestFactoryAndConfig:
                 create_executor(backend)
 
     def test_thread_backend_is_gone(self):
-        """PR 20 removed it with no shim: each way in names the four
-        backends that are left (the CLI's is in tests/test_cli.py)."""
+        """Removed with no shim: each way in names the backends that
+        are left (the CLI's is in tests/test_cli.py)."""
         for construct in (
             lambda: TrainingConfig(executor="thread"),
             lambda: create_executor("thread"),
@@ -490,6 +514,20 @@ class TestFactoryAndConfig:
             assert all(name in str(excinfo.value) for name in EXECUTOR_BACKENDS)
         with pytest.raises(ImportError):
             from repro import ThreadExecutor  # noqa: F401
+
+    def test_batched_backend_is_gone(self):
+        """Removed with its stacked program, no shim: the name is refused
+        like any unknown backend, and neither module imports."""
+        for construct in (
+            lambda: TrainingConfig(executor="batched"),
+            lambda: create_executor("batched"),
+        ):
+            with pytest.raises(ValueError, match="serial"):
+                construct()
+        with pytest.raises(ImportError):
+            import repro.execution.batched  # noqa: F401
+        with pytest.raises(ImportError):
+            import repro.nn.stacked  # noqa: F401
 
     def test_duplicate_requests_rejected_by_every_backend(self):
         clients = make_pool(num_clients=2, seed=1)

@@ -16,7 +16,7 @@ from repro.execution.pool import (
 )
 from repro.experiments.scenarios import build_population_scenario
 from repro.nn import build_mlp
-from tests.conftest import make_test_client
+from tests.conftest import advance_train_stream, make_test_client
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -115,7 +115,7 @@ class TestWorkerOpAndLedger:
         donor = build_population_scenario(
             num_clients=20, clients_per_round=5, seed=11
         ).population.materialize(3)
-        donor.epoch_shuffle()
+        advance_train_stream(donor)
         state = donor._train_rng.bit_generator.state
         before = store.materialize_count
         absorb_rng_state(store, 3, state)
@@ -127,7 +127,7 @@ class TestWorkerOpAndLedger:
     def test_absorb_writes_an_eager_pool_in_place(self):
         pool = {0: make_test_client(client_id=0, seed=5)}
         donor = make_test_client(client_id=0, seed=5)
-        donor.epoch_shuffle()
+        advance_train_stream(donor)
         state = donor._train_rng.bit_generator.state
         absorb_rng_state(pool, 0, state)
         assert pool[0]._train_rng.bit_generator.state == state
@@ -137,7 +137,7 @@ class TestWorkerOpAndLedger:
         assert ledger_state(store, 3) is None  # never advanced: nothing to carry
         pool = {0: make_test_client(client_id=0, seed=5)}
         assert ledger_state(pool, 0) == pool[0]._train_rng.bit_generator.state
-        pool[0].epoch_shuffle()
+        advance_train_stream(pool[0])
         absorb_rng_state(store, 3, pool[0]._train_rng.bit_generator.state)
         assert ledger_state(store, 3) == pool[0]._train_rng.bit_generator.state
 
@@ -170,7 +170,7 @@ class TestServeTrain:
     def test_a_carried_state_wins_over_the_local_copy(self):
         here, there = (make_test_client(client_id=4, seed=9) for _ in range(2))
         state = here._train_rng.bit_generator.state
-        here.epoch_shuffle()  # this worker's copy ran ahead
+        advance_train_stream(here)  # this worker's copy ran ahead
         ours = self._serve({4: here}, [(4, 2, state)], {})
         theirs = self._serve({4: there}, [(4, 2, state)], {})
         assert ours == theirs

@@ -103,12 +103,6 @@ class TestLossPins:
             "38acaa7f20016b94140b5c9fbc5088d1",
         ),
     }
-    STACKED = (
-        "0x1.43f970447fc49p+2",
-        "0x1.5e05656d56bf6p+9",
-        "0x1.6e0fda2054808p+2",
-        "d12332005f48eb19ba447cdd38a04446",
-    )
 
     @pytest.mark.parametrize("name", sorted(pin_cases()))
     def test_serial(self, name):
@@ -118,21 +112,6 @@ class TestLossPins:
         assert isinstance(loss, float)
         assert (loss.hex(), grad_digest(grad)) == self.SERIAL[name]
         np.testing.assert_array_equal(logits, before)  # caller's buffer untouched
-
-    def test_stacked_twin(self):
-        cases = pin_cases()
-        logits = np.stack(
-            [cases["n7"][0], cases["logits_pm700"][0], cases["n10"][0][:7]]
-        )
-        labels = np.stack(
-            [cases["n7"][1], cases["logits_pm700"][1], np.full(7, 9)]
-        )
-        before = logits.copy()
-        losses, grad = softmax_cross_entropy(logits, labels)
-        assert losses.shape == (3,) and grad.shape == logits.shape
-        observed = tuple(float(v).hex() for v in losses) + (grad_digest(grad),)
-        assert observed == self.STACKED
-        np.testing.assert_array_equal(logits, before)
 
 
 class TestProximalPenalty:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.optimizers import SGD, RMSprop
 
@@ -98,3 +100,100 @@ class TestDecaySchedule:
             SGD(lr=0.1, decay=0.0)
         with pytest.raises(ValueError):
             SGD(lr=0.1, decay=1.5)
+
+
+def make_optimizer(kind):
+    if kind == "sgd":
+        return SGD(lr=0.05)
+    if kind == "momentum":
+        return SGD(lr=0.05, momentum=0.9)
+    return RMSprop(lr=0.01, decay=1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.integers(min_value=2, max_value=5),
+    steps=st.integers(min_value=1, max_value=4),
+    opt_kind=st.sampled_from(["sgd", "momentum", "rmsprop"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_one_update_over_an_array_equals_private_updates_of_its_rows(
+    rows, steps, opt_kind, seed
+):
+    # Update rules are elementwise, so row ``r`` of an array updated
+    # under one key evolves *bit-identically* to the same row updated
+    # alone by an optimizer of its own -- what lets a model update its
+    # whole arena in one pass.
+    rng = np.random.default_rng(seed)
+    whole = rng.standard_normal((rows, 3, 4))
+    parts = [whole[r].copy() for r in range(rows)]
+    shared = make_optimizer(opt_kind)
+    privates = [make_optimizer(opt_kind) for _ in range(rows)]
+    for _ in range(steps):
+        grads = rng.standard_normal((rows, 3, 4))
+        shared.update(("w",), whole, grads)
+        for r in range(rows):
+            privates[r].update(("w",), parts[r], grads[r])
+    for r in range(rows):
+        np.testing.assert_array_equal(whole[r], parts[r])
+
+
+class TestOptimizerRewrites:
+    """The in-place and blocked update rules are bit-identical to their
+    textbook forms."""
+
+    @staticmethod
+    def reference_rmsprop(param, grad, s, lr, rho, eps):
+        s[:] = rho * s + (1.0 - rho) * grad * grad
+        param -= lr * grad / (np.sqrt(s) + eps)
+
+    def test_blocked_rmsprop_matches_reference_across_block_boundary(self, rng):
+        # Larger than RMSprop.BLOCK so the blocked loop takes multiple
+        # iterations, including a ragged tail.
+        size = 2 * RMSprop.BLOCK + 17
+        param = rng.standard_normal(size)
+        ref_param = param.copy()
+        ref_s = np.zeros(size)
+        opt = RMSprop(lr=0.01, decay=1.0)
+        for _ in range(3):
+            grad = rng.standard_normal(size)
+            opt.update(("w",), param, grad)
+            self.reference_rmsprop(ref_param, grad, ref_s, 0.01, opt.rho, opt.eps)
+        np.testing.assert_array_equal(param, ref_param)
+        np.testing.assert_array_equal(opt._sq_avg[("w",)], ref_s)
+
+    def test_rmsprop_non_contiguous_fallback_writes_back(self, rng):
+        base = rng.standard_normal(64)
+        param = base[::2]  # non-contiguous view
+        assert not param.flags.c_contiguous
+        ref_param = param.copy()
+        ref_s = np.zeros(param.size)
+        grad = rng.standard_normal(param.size)
+        opt = RMSprop(lr=0.01, decay=1.0)
+        opt.update(("w",), param, grad)
+        self.reference_rmsprop(ref_param, grad, ref_s, 0.01, opt.rho, opt.eps)
+        np.testing.assert_array_equal(param, ref_param)
+        np.testing.assert_array_equal(base[::2], param)  # view was written back
+
+    def test_sgd_momentum_matches_textbook_form(self, rng):
+        param = rng.standard_normal((5, 7))
+        ref_param = param.copy()
+        ref_v = np.zeros_like(param)
+        opt = SGD(lr=0.05, momentum=0.9)
+        for _ in range(4):
+            grad = rng.standard_normal((5, 7))
+            opt.update(("w",), param, grad)
+            ref_v[:] = 0.9 * ref_v - 0.05 * grad
+            ref_param += ref_v
+        np.testing.assert_array_equal(param, ref_param)
+
+    def test_scratch_reallocates_on_shape_change(self, rng):
+        # The same key may see differently shaped params; the scratch
+        # buffer must follow.
+        opt = SGD(lr=0.1)
+        a = rng.standard_normal((2, 3))
+        opt.update(("w",), a, np.ones((2, 3)))
+        b = rng.standard_normal((4, 3))
+        before = b.copy()
+        opt.update(("w",), b, np.ones((4, 3)))
+        np.testing.assert_allclose(b, before - 0.1)

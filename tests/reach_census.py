@@ -56,6 +56,8 @@ ALLOWLIST = {
         "perf/spans.py wraps it; ROADMAP item 1 retires that target",
     "src/repro/simcluster/client.py:SimClient.mean_response_latency":
         "closed-form reference the profiler and server tests check against",
+    "src/repro/simcluster/client.py:SimClient.train_data":
+        "the gathered train split the materialise and train-step pins hash",
     "src/repro/simcluster/latency.py:LatencyModel.mean_compute":
         "closed-form reference the latency tests check against",
     "src/repro/simcluster/network.py:CommModel.mean_round_trip":
@@ -68,8 +70,6 @@ ALLOWLIST = {
         "a worker's failed train job; test_distributed_executor.py raises one",
     "src/repro/distributed/worker.py:WorkerAgent._handle_train.<locals>.fail":
         "a worker's failed train job; test_distributed_executor.py raises one",
-    "src/repro/execution/batched.py:BatchedExecutor._anchor_weights":
-        "FedProx on the batched backend; test_batched_executor.py checks it",
     "src/repro/fl/server.py:FLServer.exclude_clients":
         "Sec. 4.2 profiling dropouts; no entry's federation has one",
     "src/repro/tifl/scheduler.py:TierPolicy.record_tier_accuracies":
@@ -165,7 +165,6 @@ def entry_classes(tmp):
             _cli("run", *_SMALL),
             _cli("compare", *_SMALL),
             _cli("run", "--executor", "process", "--workers", "2", *_SMALL),
-            _cli("run", "--executor", "batched", *_SMALL),
             _distributed_run,
             _cli("run", *_SMALL, "--trace-out", trace),
             _cli("report", trace),

@@ -31,7 +31,7 @@ from repro.simcluster.population import (
 )
 from repro.simcluster.resources import MNIST_CPU_GROUPS, assign_resource_groups
 from repro.tifl.tiering import Tier, TierAssignment
-from tests.conftest import make_test_population
+from tests.conftest import advance_train_stream, make_test_population
 
 NUM_CLIENTS = 20  # divisible by the 5 resource groups
 
@@ -212,7 +212,7 @@ class TestLRUEviction:
         for cid, advance in steps:
             a, b = tiny.materialize(cid), roomy.materialize(cid)
             if advance:
-                assert np.array_equal(a.epoch_shuffle(), b.epoch_shuffle())
+                assert np.array_equal(advance_train_stream(a), advance_train_stream(b))
         # Every touched client's streams ended at the same position.
         for cid in {cid for cid, _ in steps}:
             assert_clients_identical(tiny.materialize(cid), roomy.materialize(cid))
@@ -220,7 +220,7 @@ class TestLRUEviction:
     def test_evict_all_snapshots_states(self, store_scenario):
         store = fresh_store(store_scenario.clients, cache_size=8)
         client = store.materialize(0)
-        first = client.epoch_shuffle()
+        first = advance_train_stream(client)
         state = client._train_rng.bit_generator.state
         store.evict_all()
         assert store.resident == 0
@@ -228,7 +228,7 @@ class TestLRUEviction:
         assert again is not client
         assert again._train_rng.bit_generator.state == state
         # The stream continued, it did not replay.
-        assert not np.array_equal(again.epoch_shuffle(), first)
+        assert not np.array_equal(advance_train_stream(again), first)
 
     def test_cache_bound_is_respected(self, store_scenario):
         store = fresh_store(store_scenario.clients, cache_size=3)
@@ -481,7 +481,7 @@ class TestSharding:
         assert store.rng_state_of(2) == (None, None)
         donor = fresh_store(store_scenario.clients, cache_size=4)
         d = donor.materialize(2)
-        d.epoch_shuffle()
+        advance_train_stream(d)
         state = d._train_rng.bit_generator.state
         before = store.materialize_count
         store.restore_rng_state(2, train_state=state)

@@ -43,6 +43,12 @@ class TestParser:
         assert "invalid choice: 'thread'" in err
         assert all(backend in err for backend in EXECUTOR_BACKENDS)
 
+    def test_removed_batched_executor_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--executor", "batched"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
+
     def test_estimate_does_not_register_executor_flags(self):
         """`estimate` never trains, so accepting --executor/--workers there
         would be a silently-ignored lie."""

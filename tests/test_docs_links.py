@@ -226,6 +226,8 @@ CENSUS_ALLOWLIST = {
         "test hook: the worker process a SIGKILL test kills",
     "src/repro/simcluster/client.py:SimClient.mean_response_latency":
         "closed-form reference the profiler and server tests check against",
+    "src/repro/simcluster/client.py:SimClient.train_data":
+        "the gathered train split the materialise and train-step pins hash",
     "src/repro/simcluster/population.py:PopulationStore.evict_all":
         "test hook: forces cold re-materialisation under the pins",
     "src/repro/simcluster/population.py:PopulationStore.set_available":
