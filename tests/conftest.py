@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from repro.data.datasets import Dataset
 from repro.data.partition import FederatedData
 from repro.data.synthetic import SyntheticSpec, generate_synthetic
+from repro.distributed import spawn_local_workers, terminate_workers
+from repro.execution import create_executor
 from repro.rng import RngLike, make_rng
 from repro.simcluster.client import SimClient
 from repro.simcluster.faults import FaultInjector
@@ -31,6 +34,19 @@ def subprocess_env() -> dict:
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src_dir if not existing else src_dir + os.pathsep + existing
     return env
+
+
+@contextlib.contextmanager
+def open_executor(backend: str, workers: int):
+    """``create_executor(backend, workers)``; a ``distributed`` one is
+    served by ``workers`` local agents."""
+    ex = create_executor(backend, workers=workers)
+    procs = spawn_local_workers(ex.listen(), workers) if backend == "distributed" else []
+    try:
+        yield ex
+    finally:
+        ex.close()
+        terminate_workers(procs)
 
 
 @pytest.fixture

@@ -1,14 +1,13 @@
 """Tests for batched evaluation through the execution backends.
 
 The acceptance bar of the eval overhaul: ``evaluate_cohort`` /
-``evaluate_model`` produce **bit-identical** accuracies on the serial
-and process backends (the distributed backend clears the same
-bar in ``tests/distributed/test_eval.py``), interleaving eval with
-training never perturbs the training trajectory, and the TiFL tier
-evaluation built on top keeps its denominator semantics.
+``evaluate_model`` produce **bit-identical** accuracies on every
+backend (the distributed backend's single-bind eval shipping is
+tested further in ``tests/distributed/test_eval.py``), interleaving
+eval with training never perturbs the training trajectory, and the
+TiFL tier evaluation built on top keeps its denominator semantics.
 """
 
-import contextlib
 import logging
 import multiprocessing
 
@@ -16,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
-from repro.distributed import ProcessExecutor, spawn_local_workers, terminate_workers
+from repro.distributed import ProcessExecutor
 from repro.execution import (
+    EXECUTOR_BACKENDS,
     EvalRequest,
     ExecutorError,
     SerialExecutor,
@@ -30,7 +30,12 @@ from repro.fl.aggregator import fedavg
 from repro.nn import build_mlp
 from repro.nn.model import Sequential
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
+from tests.conftest import (
+    make_test_client,
+    make_test_population,
+    make_tiny_dataset,
+    open_executor,
+)
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
 
@@ -39,19 +44,6 @@ needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="shares an Event / Value with the workers through fork",
 )
-
-
-@contextlib.contextmanager
-def open_executor(backend, workers):
-    """``create_executor(backend, workers)``; a ``distributed`` one is
-    served by ``workers`` local agents."""
-    ex = create_executor(backend, workers=workers)
-    procs = spawn_local_workers(ex.listen(), workers) if backend == "distributed" else []
-    try:
-        yield ex
-    finally:
-        ex.close()
-        terminate_workers(procs)
 
 
 def make_pool(num_clients=6, seed=7):
@@ -80,35 +72,41 @@ def make_holdoutless_client(client_id, seed=3, cpu=1.0):
     )
 
 
+#: Every backend that is not the serial reference.
+WORKER_BACKENDS = [b for b in EXECUTOR_BACKENDS if b != "serial"]
+
+
 class TestEvalEquivalence:
-    def test_eval_bit_identical_across_backends(self):
+    @pytest.mark.parametrize("backend", WORKER_BACKENDS)
+    def test_eval_bit_identical_across_backends(self, backend):
         results = {}
-        for backend, workers in [("serial", 1), ("process", 2)]:
+        for name in ("serial", backend):
             pool = make_pool()
             model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
-            with create_executor(backend, workers=workers) as ex:
+            with open_executor(name, 2) as ex:
                 ex.bind(pool, model, TRAIN)
-                results[backend] = ex.evaluate_cohort(
+                results[name] = ex.evaluate_cohort(
                     [EvalRequest(cid) for cid in sorted(pool)],
                     model.get_flat_weights(),
                 )
-        assert results["serial"] == results["process"]
-        assert list(results["serial"]) == sorted(make_pool())  # request order
+        assert results["serial"] == results[backend]
+        assert list(results[backend]) == sorted(make_pool())  # request order
         assert all(0.0 <= a <= 1.0 for a in results["serial"].values())
 
-    def test_train_eval_interleaving_keeps_training_bit_identical(self):
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_train_eval_interleaving_keeps_training_bit_identical(self, backend):
         """An eval between training cohorts must not perturb the training
         trajectory (eval is pure: no RNG advances, no state mutates) --
-        and on the process backend the broadcasts each kind of order
+        and on a backend with workers the broadcasts each kind of order
         retains must survive the interleaving."""
 
-        def run(backend, workers, with_eval):
+        def run(name, with_eval):
             pool = make_pool(seed=3)
             model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=3)
             g = model.get_flat_weights()
             reqs = [TrainRequest(cid) for cid in sorted(pool)]
             evals = [EvalRequest(cid) for cid in sorted(pool)]
-            with create_executor(backend, workers=workers) as ex:
+            with open_executor(name, 2) as ex:
                 ex.bind(pool, model, TRAIN)
                 for r in range(3):
                     ups = ex.train_cohort(r, reqs, g)
@@ -120,60 +118,68 @@ class TestEvalEquivalence:
                         ex.evaluate_cohort(evals, g)
             return g
 
-        ref = run("serial", 1, with_eval=False)
-        for backend, workers in [("serial", 1), ("process", 2)]:
-            assert np.array_equal(ref, run(backend, workers, with_eval=True)), (
-                f"{backend} training diverged when interleaved with eval"
-            )
+        ref = run("serial", with_eval=False)
+        assert np.array_equal(ref, run(backend, with_eval=True)), (
+            f"{backend} training diverged when interleaved with eval"
+        )
 
-    def test_evaluate_model_matches_direct_evaluation(self):
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_evaluate_model_matches_direct_evaluation(self, backend):
+        """Over bound, shardable data: the serial pass on ``serial``, a
+        pass split over two workers on the others."""
         pool = make_pool()
         model = build_mlp((4, 4, 1), 3, hidden=(8,), rng=7)
-        test = make_tiny_dataset(n=40, seed=123)
+        test = make_tiny_dataset(n=2 * EVAL_BATCH + 40, seed=123)
         flat = model.get_flat_weights()
         model.set_flat_weights(flat)
         direct = model.evaluate(test.x, test.y)
-        for backend, workers in [("serial", 1), ("process", 2)]:
-            with create_executor(backend, workers=workers) as ex:
-                ex.bind(pool, model, TRAIN)
-                assert ex.evaluate_model(flat, test.x, test.y) == direct
+        with open_executor(backend, 2) as ex:
+            ex.bind(pool, model, TRAIN)
+            ex.bind_eval_data(test.x, test.y)
+            assert ex.evaluate_model(flat, test.x, test.y) == direct
 
 
+@pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
 class TestEvalContract:
-    def test_unknown_and_duplicate_eval_requests_rejected(self):
+    def test_unknown_and_duplicate_eval_requests_rejected(self, backend):
         pool = make_pool(num_clients=2)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
-            with make() as ex:
-                ex.bind(pool, model, TRAIN)
-                with pytest.raises(ExecutorError, match="unknown"):
-                    ex.evaluate_cohort([EvalRequest(99)], model.get_flat_weights())
-                with pytest.raises(ExecutorError, match="duplicate"):
-                    ex.evaluate_cohort(
-                        [EvalRequest(0), EvalRequest(0)], model.get_flat_weights()
-                    )
+        with open_executor(backend, 1) as ex:
+            ex.bind(pool, model, TRAIN)
+            ex.evaluate_cohort([EvalRequest(0)], model.get_flat_weights())
+            with pytest.raises(ExecutorError, match="unknown"):
+                ex.evaluate_cohort([EvalRequest(99)], model.get_flat_weights())
+            with pytest.raises(ExecutorError, match="duplicate"):
+                ex.evaluate_cohort([EvalRequest(0), EvalRequest(0)], model.get_flat_weights())
 
-    def test_empty_request_list_returns_empty(self):
+    def test_empty_request_list_returns_empty(self, backend):
         pool = make_pool(num_clients=2)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        with SerialExecutor() as ex:
+        with open_executor(backend, 1) as ex:
             ex.bind(pool, model, TRAIN)
             assert ex.evaluate_cohort([], model.get_flat_weights()) == {}
+            ex.evaluate_cohort([EvalRequest(0)], model.get_flat_weights())
+            assert ex.evaluate_cohort([], model.get_flat_weights()) == {}
 
-    def test_eval_before_bind_raises(self):
-        with pytest.raises(ExecutorError, match="before bind"):
-            SerialExecutor().evaluate_cohort([EvalRequest(0)], np.zeros(1))
+    def test_eval_before_bind_and_after_close_raises(self, backend):
+        pool = make_pool(num_clients=2)
+        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
+        with open_executor(backend, 1) as ex:
+            with pytest.raises(ExecutorError, match="before bind"):
+                ex.evaluate_cohort([EvalRequest(0)], np.zeros(1))
+            ex.bind(pool, model, TRAIN)
+            ex.evaluate_cohort([EvalRequest(0)], model.get_flat_weights())
+            ex.close()
+            with pytest.raises(ExecutorError, match="after close"):
+                ex.evaluate_cohort([EvalRequest(0)], model.get_flat_weights())
 
-    def test_empty_holdout_surfaces_as_executor_error(self):
+    def test_empty_holdout_surfaces_as_executor_error(self, backend):
         pool = {i: make_holdoutless_client(i) for i in range(2)}
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
-            with make() as ex:
-                ex.bind(pool, model, TRAIN)
-                with pytest.raises(ExecutorError, match="no holdout"):
-                    ex.evaluate_cohort(
-                        [EvalRequest(0)], model.get_flat_weights()
-                    )
+        with open_executor(backend, 1) as ex:
+            ex.bind(pool, model, TRAIN)
+            with pytest.raises(ExecutorError, match="no holdout"):
+                ex.evaluate_cohort([EvalRequest(0)], model.get_flat_weights())
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Tests for the pluggable client-execution backends.
 
-The load-bearing guarantee: the serial and process backends produce
-**bit-identical** global weights and training histories, so choosing a
-backend is purely a wall-clock decision.  Plus unit tests for client
-pinning, deterministic merge order under shuffled completion, failure
+The load-bearing guarantee: every backend produces **bit-identical**
+global weights, training histories and client train streams to the
+serial schedule, so choosing a backend is purely a wall-clock decision.
+Plus the executor contract each backend keeps (request order,
+precondition errors, latency stamping), unit tests for client pinning,
+deterministic merge order under shuffled completion, failure
 propagation out of worker processes, and the removal of the ``thread``
-backend (PR 20).
+and ``batched`` backends.
 """
 
 import os
@@ -38,9 +40,19 @@ from repro.nn.model import Sequential
 from repro.rng import derive
 from repro.simcluster.client import ClientUpdate
 from repro.tifl.server import TiFLServer
-from tests.conftest import make_test_client, make_test_population, make_tiny_dataset
+from tests.conftest import (
+    advance_train_stream,
+    make_test_client,
+    make_test_population,
+    make_tiny_dataset,
+    open_executor,
+)
 
 TRAIN = TrainingConfig(optimizer="rmsprop", lr=0.05, lr_decay=0.99)
+
+
+#: Every backend that is not the serial reference.
+WORKER_BACKENDS = [b for b in EXECUTOR_BACKENDS if b != "serial"]
 
 
 def make_pool(num_clients=6, seed=7):
@@ -81,13 +93,15 @@ def assert_histories_identical(a, b, backend):
 
 
 class TestBackendEquivalence:
-    """Serial and process runs must be bit-for-bit identical."""
+    """Every backend's runs must be bit-for-bit identical to serial's."""
 
-    def test_all_backends_bit_identical(self):
+    @pytest.mark.parametrize("backend", WORKER_BACKENDS)
+    def test_all_backends_bit_identical(self, backend):
         ref_weights, ref_history = run_training("serial", 1)
-        weights, history = run_training("process", 2)
-        assert np.array_equal(ref_weights, weights), "process backend diverged from serial"
-        assert_histories_identical(ref_history, history, "process")
+        with open_executor(backend, 2) as executor:
+            weights, history = run_training(executor, None)
+        assert np.array_equal(ref_weights, weights), f"{backend} backend diverged from serial"
+        assert_histories_identical(ref_history, history, backend)
 
     def test_process_backend_multi_epoch_and_shuffles(self):
         """Worker-pinned RNG streams must track the serial schedule even
@@ -427,46 +441,127 @@ class TestProcessBackend:
         assert per_round[1_000] > 0
         assert per_round[100_000] == pytest.approx(per_round[1_000], rel=0.01)
 
-    def test_closed_executor_refuses_further_work(self):
-        clients = make_pool(num_clients=2, seed=1)
-        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
-            ex = make()
-            ex.bind({c.client_id: c for c in clients}, model, TRAIN)
+
+def bound_pool(num_clients=3, seed=1, sizes=None):
+    """``{cid: client}``; ``sizes`` cycles the clients' sample counts."""
+    return {
+        i: make_test_client(
+            client_id=i, seed=seed, n=30 if sizes is None else sizes[i % len(sizes)]
+        )
+        for i in range(num_clients)
+    }
+
+
+def small_model(seed=1):
+    return build_mlp((4, 4, 1), 3, hidden=(4,), rng=seed)
+
+
+@pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+class TestEveryBackendContract:
+    """The :class:`ClientExecutor` contract, held alike by each backend.
+    Each test trains one cohort first where it can, so a backend with
+    workers is checked started, not only at its front door."""
+
+    def test_unknown_client_rejected(self, backend):
+        model = small_model()
+        with open_executor(backend, 1) as ex:
+            ex.bind(bound_pool(num_clients=2), model, TRAIN)
+            ex.train_cohort(0, [TrainRequest(0)], model.get_flat_weights())
+            with pytest.raises(ExecutorError, match="unknown"):
+                ex.train_cohort(1, [TrainRequest(99)], model.get_flat_weights())
+
+    def test_duplicate_clients_rejected(self, backend):
+        model = small_model()
+        with open_executor(backend, 1) as ex:
+            ex.bind(bound_pool(num_clients=2), model, TRAIN)
+            ex.train_cohort(0, [TrainRequest(0)], model.get_flat_weights())
+            with pytest.raises(ExecutorError, match="duplicate clients"):
+                ex.train_cohort(1, [TrainRequest(0), TrainRequest(0)], model.get_flat_weights())
+
+    def test_empty_cohort_returns_no_updates(self, backend):
+        model = small_model()
+        with open_executor(backend, 1) as ex:
+            ex.bind(bound_pool(num_clients=2), model, TRAIN)
+            assert ex.train_cohort(0, [], model.get_flat_weights()) == []
+            ex.train_cohort(0, [TrainRequest(1)], model.get_flat_weights())
+            assert ex.train_cohort(1, [], model.get_flat_weights()) == []
+
+    def test_use_before_bind_and_after_close(self, backend):
+        model = small_model()
+        with open_executor(backend, 1) as ex:
+            with pytest.raises(ExecutorError, match="before bind"):
+                ex.train_cohort(0, [TrainRequest(0)], np.zeros(1))
+            ex.bind(bound_pool(num_clients=2), model, TRAIN)
             ex.train_cohort(0, [TrainRequest(0)], model.get_flat_weights())
             ex.close()
             with pytest.raises(ExecutorError, match="after close"):
                 ex.train_cohort(1, [TrainRequest(0)], model.get_flat_weights())
 
-    def test_unknown_client_rejected_by_every_backend(self):
-        clients = make_pool(num_clients=2, seed=1)
-        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
-            with make() as ex:
-                ex.bind({c.client_id: c for c in clients}, model, TRAIN)
-                with pytest.raises(ExecutorError, match="unknown"):
-                    ex.train_cohort(0, [TrainRequest(99)], model.get_flat_weights())
+    def test_latencies_are_stamped_onto_updates(self, backend):
+        model = small_model()
+        latencies = {cid: 0.5 + cid for cid in range(3)}
+        with open_executor(backend, 2) as ex:
+            ex.bind(bound_pool(num_clients=3), model, TRAIN)
+            updates = ex.train_cohort(
+                0,
+                [TrainRequest(cid) for cid in (2, 0, 1)],
+                model.get_flat_weights(),
+                latencies=latencies,
+            )
+        assert [u.latency for u in updates] == [2.5, 0.5, 1.5]
 
-    def test_empty_cohort_returns_no_updates_by_every_backend(self):
-        clients = make_pool(num_clients=2, seed=1)
-        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
-            with make() as ex:
-                ex.bind({c.client_id: c for c in clients}, model, TRAIN)
-                assert ex.train_cohort(0, [], model.get_flat_weights()) == []
+    def test_updates_follow_request_order_with_mixed_sample_counts(self, backend):
+        pool = bound_pool(num_clients=6, sizes=(30, 20))
+        model = small_model()
+        order = [3, 0, 5, 2, 1, 4]
+        with open_executor(backend, 2) as ex:
+            ex.bind(pool, model, TRAIN)
+            updates = ex.train_cohort(
+                0, [TrainRequest(cid) for cid in order], model.get_flat_weights()
+            )
+        assert [u.client_id for u in updates] == order
+        assert [u.num_samples for u in updates] == [pool[cid].num_train_samples for cid in order]
 
-    def test_latencies_are_stamped_onto_updates_by_every_backend(self):
-        clients = make_pool(num_clients=3, seed=1)
-        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        latencies = {c.client_id: 0.5 + c.client_id for c in clients}
-        requests = [TrainRequest(cid) for cid in (2, 0, 1)]
-        for make in (SerialExecutor, lambda: ProcessExecutor(2)):
-            with make() as ex:
-                ex.bind({c.client_id: c for c in clients}, model, TRAIN)
-                updates = ex.train_cohort(
-                    0, requests, model.get_flat_weights(), latencies=latencies
-                )
-            assert [u.latency for u in updates] == [2.5, 0.5, 1.5]
+
+#: name -> (requests, training config, sample counts cycled over the pool).
+COHORT_CASES = {
+    "one_epoch": ([TrainRequest(cid) for cid in range(4)], TRAIN, None),
+    "multi_epoch": (
+        [TrainRequest(0, epochs=2), TrainRequest(1), TrainRequest(2, epochs=3)],
+        TRAIN,
+        None,
+    ),
+    "mixed_sample_counts": (
+        [TrainRequest(cid) for cid in (3, 0, 2, 1)],
+        TRAIN,
+        (30, 20, 25),
+    ),
+    "fedprox": ([TrainRequest(cid) for cid in range(4)], TRAIN.with_(prox_mu=0.1), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COHORT_CASES))
+@pytest.mark.parametrize("backend", WORKER_BACKENDS)
+def test_cohort_is_bit_identical_to_serial(backend, case):
+    """One cohort on a fresh pool: the same updates, bit for bit, as the
+    serial schedule -- and every client's train stream left where serial
+    leaves it, so switching backend between rounds never desyncs one."""
+    requests, training, sizes = COHORT_CASES[case]
+    pools, updates = {}, {}
+    for name in ("serial", backend):
+        pools[name] = bound_pool(num_clients=4, seed=11, sizes=sizes)
+        model = small_model(seed=11)
+        with open_executor(name, 2) as ex:
+            ex.bind(pools[name], model, training)
+            updates[name] = ex.train_cohort(0, requests, model.get_flat_weights())
+    for ref, got in zip(updates["serial"], updates[backend]):
+        assert (got.client_id, got.num_samples) == (ref.client_id, ref.num_samples)
+        np.testing.assert_array_equal(got.flat_weights, ref.flat_weights)
+    for cid in sorted(pools["serial"]):
+        np.testing.assert_array_equal(
+            advance_train_stream(pools[backend][cid]),
+            advance_train_stream(pools["serial"][cid]),
+        )
 
 
 class TestFactoryAndConfig:
@@ -529,19 +624,6 @@ class TestFactoryAndConfig:
         with pytest.raises(ImportError):
             import repro.nn.stacked  # noqa: F401
 
-    def test_duplicate_requests_rejected_by_every_backend(self):
-        clients = make_pool(num_clients=2, seed=1)
-        model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
-        for make in (SerialExecutor, lambda: ProcessExecutor(1)):
-            with make() as ex:
-                ex.bind({c.client_id: c for c in clients}, model, TRAIN)
-                with pytest.raises(ExecutorError, match="duplicate clients"):
-                    ex.train_cohort(
-                        0,
-                        [TrainRequest(0), TrainRequest(0)],
-                        model.get_flat_weights(),
-                    )
-
     def test_started_executor_rejects_new_training_config(self):
         clients = make_pool(num_clients=2, seed=1)
         model = build_mlp((4, 4, 1), 3, hidden=(4,), rng=1)
@@ -583,10 +665,6 @@ class TestFactoryAndConfig:
             TrainingConfig(executor="quantum")
         with pytest.raises(ValueError, match="workers"):
             TrainingConfig(workers=0)
-
-    def test_unbound_executor_raises(self):
-        with pytest.raises(ExecutorError, match="before bind"):
-            SerialExecutor().train_cohort(0, [TrainRequest(0)], np.zeros(1))
 
     def test_rebind_to_other_pool_raises_even_before_start(self):
         clients = make_pool(num_clients=2, seed=1)

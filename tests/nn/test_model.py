@@ -12,7 +12,9 @@ from repro.nn import (
     SGD,
     Conv2D,
     Dense,
+    Dropout,
     Flatten,
+    MaxPool2D,
     ReLU,
     RMSprop,
     Sequential,
@@ -175,6 +177,42 @@ class TestTraining:
         m1.fit_epoch(data.x, data.y, SGD(lr=0.1), 8, rng=3)
         m2.fit_epoch(data.x, data.y, SGD(lr=0.1), 8, rng=3)
         np.testing.assert_array_equal(m1.get_flat_weights(), m2.get_flat_weights())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [None, np.array([7, 2, 11, 0, 5, 9, 3], dtype=np.int64)],
+        ids=["all_rows", "row_subset"],
+    )
+    def test_fit_epoch_is_train_steps_over_its_shuffled_batches(self, rows):
+        """One epoch is one permutation of the stream, cut into batches in
+        order; over ``rows`` it gathers what training on an ``x[rows]``
+        copy would, bit for bit."""
+        data = make_tiny_dataset(n=12)
+        m = build_mlp(data.x.shape[1:], 3, hidden=(8,), rng=4)
+        ref = copy.deepcopy(m)
+        loss = m.fit_epoch(data.x, data.y, RMSprop(lr=0.01), 3, rng=5, rows=rows)
+        x, y = (data.x, data.y) if rows is None else (data.x[rows], data.y[rows])
+        order = np.random.default_rng(5).permutation(len(y))
+        opt = RMSprop(lr=0.01)
+        losses = [
+            ref.train_step(x[order[i : i + 3]], y[order[i : i + 3]], opt)
+            for i in range(0, len(y), 3)
+        ]
+        assert loss == float(np.mean(losses))
+        np.testing.assert_array_equal(m.get_flat_weights(), ref.get_flat_weights())
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_fit_epoch_rejects_a_non_positive_batch_size(self, batch_size):
+        data = make_tiny_dataset(n=12)
+        m = build_mlp(data.x.shape[1:], 3, hidden=(8,), rng=4)
+        with pytest.raises(ValueError, match="batch_size"):
+            m.fit_epoch(data.x, data.y, SGD(lr=0.1), batch_size)
+
+    def test_fit_epoch_over_no_rows_raises(self):
+        data = make_tiny_dataset(n=12)
+        m = build_mlp(data.x.shape[1:], 3, hidden=(8,), rng=4)
+        with pytest.raises(ValueError, match="empty"):
+            m.fit_epoch(data.x, data.y, SGD(lr=0.1), 4, rows=np.zeros(0, dtype=np.int64))
 
 
 class TestEvaluate:
@@ -375,6 +413,83 @@ class TestArena:
         assert m.backward(g, input_grad=False) is None
         np.testing.assert_array_equal(m._gflat, full)
 
+# ----------------------------------------------------------------------
+# the samples of a batch are independent
+# ----------------------------------------------------------------------
+#: Dropout-free models: a training forward draws no mask, so one sample
+#: at a time reproduces what the batch sees.
+DETERMINISTIC = {
+    "mlp": lambda: build_mlp((4, 4, 1), 3, hidden=(8,), rng=2),
+    "cnn": lambda: Sequential(
+        [Conv2D(4, 3), ReLU(), MaxPool2D(2), Flatten(), Dense(3)],
+        input_shape=(6, 6, 1),
+        rng=2,
+    ),
+}
+
+# Few distinct values, both zeros among them: most pool windows hold a tie.
+TIE_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+
+
+class TestSampleIndependence:
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_eval_logits_match_one_sample_passes(self, name, rng):
+        m = ZOO[name]()
+        x, _ = batch_for(m, rng, n=5)
+        logits = m.forward(x)
+        for i in range(len(x)):
+            np.testing.assert_allclose(
+                logits[i], m.forward(x[i : i + 1])[0], rtol=1e-12, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("name", sorted(DETERMINISTIC))
+    def test_batch_gradient_is_the_mean_of_one_sample_gradients(self, name, rng):
+        """The loss is a batch mean, so its gradient -- every parameter's
+        and each input row's -- is the mean of the samples' own."""
+        m = DETERMINISTIC[name]()
+        x, y = batch_for(m, rng, n=5)
+        loss, g = softmax_cross_entropy(m.forward(x, training=True), y)
+        dx = m.backward(g)
+        batch_grad = m._gflat.copy()
+        losses, grads = [], []
+        for i in range(len(x)):
+            loss_i, g_i = softmax_cross_entropy(
+                m.forward(x[i : i + 1], training=True), y[i : i + 1]
+            )
+            dx_i = m.backward(g_i)
+            np.testing.assert_allclose(dx[i], dx_i[0] / len(x), rtol=1e-12, atol=1e-14)
+            losses.append(float(loss_i))
+            grads.append(m._gflat.copy())
+        np.testing.assert_allclose(float(loss), np.mean(losses), rtol=1e-12)
+        np.testing.assert_allclose(batch_grad, np.mean(grads, axis=0), rtol=1e-10, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        h=st.integers(1, 4),
+        w=st.integers(1, 4),
+        ch=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_parameter_free_layers_treat_each_sample_alone(self, n, h, w, ch, data):
+        # One batch call of a parameter-free layer is n one-sample
+        # calls, byte for byte, forward (train and eval) and backward;
+        # MaxPool2D includes overlapping windows (stride < k).
+        k = data.draw(st.integers(1, min(h, w)), label="k")
+        stride = data.draw(st.integers(1, 4), label="stride")
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = g.choice(TIE_VALUES, size=(n, h, w, ch))
+        for layer in (ReLU(), MaxPool2D(k, stride), Flatten(), Dropout(0.0)):
+            layer.build((h, w, ch), g)
+            evaluated = layer.forward(x, training=False)
+            out = layer.forward(x, training=True)
+            grad = g.choice(TIE_VALUES, size=out.shape)
+            dx = layer.backward(grad)
+            for i in range(n):
+                one = slice(i, i + 1)
+                assert_bits_equal(layer.forward(x[one], training=False), evaluated[one])
+                assert_bits_equal(layer.forward(x[one], training=True), out[one])
+                assert_bits_equal(layer.backward(grad[one]), dx[one])
 
 
 # ----------------------------------------------------------------------
