@@ -161,6 +161,12 @@ def spawn_local_workers(
 ) -> List[mp.Process]:
     """Start ``num_workers`` agents pointed at ``endpoint``.
 
+    ``endpoint`` is already listening (a coordinator's
+    :meth:`~repro.distributed.coordinator.DistributedExecutor.listen`),
+    so each agent dials it once (``--connect-timeout 0``) and rejoins
+    with one dial: an agent refused by a coordinator that closed before
+    it dialled exits at once instead of retrying for 30 s.
+
     ``capacities`` optionally sets a per-worker ``--capacity``; pass
     ``stderr=None`` to see worker logs on the parent's stderr (the
     default, ``subprocess.DEVNULL``, discards them).
@@ -186,7 +192,7 @@ def spawn_local_workers(
     ctx = worker_context()
     procs: List[mp.Process] = []
     for i in range(num_workers):
-        argv = ["--connect", endpoint]
+        argv = ["--connect", endpoint, "--connect-timeout", "0"]
         if capacities is not None:
             argv += ["--capacity", str(capacities[i])]
         if log_dir is not None:

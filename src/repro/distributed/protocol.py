@@ -24,6 +24,7 @@ import numpy as np
 from repro.codec import CodecError, WeightCodec, codec_for_id, get_codec
 from repro.config import TrainingConfig, parse_endpoint  # noqa: F401 (re-exported)
 from repro.nn.model import Sequential
+from repro.rng import PCG64_ROW, pack_pcg64, pcg64_row, pcg64_state, unpack_pcg64
 
 #: Bump on any wire-incompatible change: the handshake REJECTs a peer of
 #: another version by name (history: ``docs/architecture.md``).
@@ -133,11 +134,9 @@ def _mapping(value: Any) -> dict:
 
 
 # --- PCG64 states: four checked ints, never a pickle ------------------
-#: A client's train-RNG position on the wire: ``state`` and ``inc`` are
-#: u128 (``inc`` odd, as PCG64 keeps it), ``has_uint32`` is 0 or 1 and
-#: ``uinteger`` a u32.  TRAIN carries it as JSON ints, UPDATE as this
-#: struct; both are checked before numpy sees a value.
-_PCG64_ROW = struct.Struct("!16s16sBI")
+# A client's train-RNG position on the wire: TRAIN carries it as JSON
+# ints, UPDATE as the ``repro.rng.PCG64_ROW`` struct; both are checked
+# before numpy sees a value.
 
 
 def _pcg64_problem(row: Sequence[Any]) -> Optional[str]:
@@ -152,38 +151,12 @@ def _pcg64_problem(row: Sequence[Any]) -> Optional[str]:
     return None
 
 
-def _pcg64_row(state: Mapping[str, Any]) -> Tuple[int, int, int, int]:
-    """The four ints of a PCG64 ``bit_generator.state`` (``ValueError``
-    for another generator's)."""
-    if state.get("bit_generator") != "PCG64":
-        raise ValueError(f"a {state.get('bit_generator')} state is not a PCG64 row")
-    inner = state["state"]
-    return int(inner["state"]), int(inner["inc"]), int(state["has_uint32"]), int(state["uinteger"])
-
-
-def _pcg64_state(row: Sequence[int]) -> Dict[str, Any]:
-    """A checked row as the dict numpy's ``bit_generator.state`` takes."""
-    state, inc, has_uint32, uinteger = row
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
-    }
-
-
-def _pack_pcg64(state: Mapping[str, Any]) -> bytes:
-    s, inc, has_uint32, uinteger = _pcg64_row(state)
-    return _PCG64_ROW.pack(s.to_bytes(16, "big"), inc.to_bytes(16, "big"), has_uint32, uinteger)
-
-
-def _unpack_pcg64(payload: bytes, offset: int, what: str) -> Dict[str, Any]:
-    s, inc, has_uint32, uinteger = _PCG64_ROW.unpack_from(payload, offset)
-    row = (int.from_bytes(s, "big"), int.from_bytes(inc, "big"), has_uint32, uinteger)
+def _checked_pcg64(payload: bytes, offset: int, what: str) -> Dict[str, Any]:
+    row = unpack_pcg64(payload, offset)
     problem = _pcg64_problem(row)
     if problem:
         raise ProtocolError(f"malformed {what} payload: {problem}")
-    return _pcg64_state(row)
+    return pcg64_state(row)
 
 
 def _rng_rows(value: Any) -> bool:
@@ -215,9 +188,9 @@ _KINDS: Dict[str, _Kind] = {
         lambda v: [(a, b) for a, b in v],
     ),
     "[[int, PCG64 row]]": _Kind(
-        lambda v: [[int(cid), *_pcg64_row(state)] for cid, state in v],
+        lambda v: [[int(cid), *pcg64_row(state)] for cid, state in v],
         _rng_rows,
-        lambda v: [(r[0], _pcg64_state(r[1:])) for r in v],
+        lambda v: [(r[0], pcg64_state(r[1:])) for r in v],
     ),
     "JSON object": _DICT,
     "bytes": _Kind(bytes, lambda v: type(v) is bytes),
@@ -719,7 +692,7 @@ def encode_update(
     is the BROADCAST it trained from (``baseline_seq == seq``)."""
     codec = _resolve_codec(codec)
     arr = np.ascontiguousarray(np.asarray(flat_weights, dtype=np.float64))
-    row = b"" if rng_state is None else _pack_pcg64(rng_state)
+    row = b"" if rng_state is None else pack_pcg64(rng_state)
     ids = (int(seq), int(client_id), int(num_samples), codec.codec_id, int(baseline_seq))
     return _UPDATE_HEADER.pack(*ids, int(bool(row))) + row + codec.encode(arr, baseline=baseline)
 
@@ -744,10 +717,10 @@ def decode_update(
     if has_rng not in (0, 1):
         raise ProtocolError(f"malformed UPDATE payload: has_rng is {has_rng}, not 0 or 1")
     if has_rng:
-        rng_end += _PCG64_ROW.size
+        rng_end += PCG64_ROW.size
         if len(payload) < rng_end:
             raise ProtocolError("truncated UPDATE rng-state row")
-        rng_state = _unpack_pcg64(payload, _UPDATE_HEADER.size, "UPDATE")
+        rng_state = _checked_pcg64(payload, _UPDATE_HEADER.size, "UPDATE")
     try:
         codec = codec_for_id(codec_id)
     except ValueError as exc:

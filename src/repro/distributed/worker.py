@@ -110,7 +110,11 @@ class WorkerAgent:
         The agent retries the TCP connect every :data:`RETRY_INTERVAL`
         seconds until ``connect_timeout`` elapses: at start, so workers
         may be launched slightly before the coordinator listens, and
-        after a session drops, to rejoin.
+        after a session drops, to rejoin.  It then waits as long for
+        the WELCOME; ``0`` dials once and waits for the WELCOME without
+        a deadline (a coordinator welcomes queued agents when it opens
+        registration at its first cohort, and one that closes instead
+        resets the connection).
     max_frame_payload:
         Optional cap on incoming frame payloads (see
         :mod:`repro.distributed.transport`), in force once WELCOME has
@@ -219,7 +223,7 @@ class WorkerAgent:
             proto.encode_hello(proto.PROTOCOL_VERSION, self.capacity, os.getpid()),
         )
         try:
-            msg_type, payload = conn.recv(timeout=self.connect_timeout)
+            msg_type, payload = conn.recv(timeout=self.connect_timeout or None)
         except FrameError as exc:
             # Whatever listens there does not speak the protocol.
             self._log(f"handshake reply is not a protocol frame: {exc}")

@@ -11,15 +11,31 @@ the mechanism NumPy recommends for parallel / multi-actor simulations.  Each
 simulated client, the server, the profiler and the latency model all receive
 their own stream, so adding or removing one consumer never perturbs the
 draws seen by another (a property the test-suite checks).
+
+A PCG64 stream position also has one byte form, :data:`PCG64_ROW`: the
+wire's UPDATE frame carries a trained client's train-stream position in
+it, and the population store's eviction ledger keeps every evicted
+client's positions in it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+import struct
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "derive", "RngLike"]
+__all__ = [
+    "make_rng",
+    "spawn",
+    "derive",
+    "RngLike",
+    "PCG64_ROW",
+    "pcg64_row",
+    "pcg64_state",
+    "pack_pcg64",
+    "unpack_pcg64",
+]
 
 RngLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
 
@@ -82,3 +98,43 @@ def choice_without_replacement(
             f"cannot select {k} clients from a pool of size {len(pool)}"
         )
     return rng.choice(np.asarray(pool), size=k, replace=False)
+
+
+# --- PCG64 positions as bytes ------------------------------------------
+#: One PCG64 position, 37 bytes: ``state`` and ``inc`` as big-endian
+#: u128 (``inc`` odd, as PCG64 keeps it), ``has_uint32`` a u8 (0 or 1)
+#: and ``uinteger`` a u32.  All zeros is no PCG64 state (``inc`` even).
+PCG64_ROW = struct.Struct("!16s16sBI")
+
+
+def pcg64_row(state: Mapping[str, Any]) -> Tuple[int, int, int, int]:
+    """The four ints ``(state, inc, has_uint32, uinteger)`` of a PCG64
+    ``bit_generator.state`` (``ValueError`` for another generator's)."""
+    if state.get("bit_generator") != "PCG64":
+        raise ValueError(f"a {state.get('bit_generator')} state is not a PCG64 row")
+    inner = state["state"]
+    return int(inner["state"]), int(inner["inc"]), int(state["has_uint32"]), int(state["uinteger"])
+
+
+def pcg64_state(row: Sequence[int]) -> Dict[str, Any]:
+    """A row's four ints as the dict numpy's ``bit_generator.state`` takes."""
+    state, inc, has_uint32, uinteger = row
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
+
+
+def pack_pcg64(state: Mapping[str, Any]) -> bytes:
+    """A PCG64 ``bit_generator.state`` as its :data:`PCG64_ROW` bytes."""
+    s, inc, has_uint32, uinteger = pcg64_row(state)
+    return PCG64_ROW.pack(s.to_bytes(16, "big"), inc.to_bytes(16, "big"), has_uint32, uinteger)
+
+
+def unpack_pcg64(buf, offset: int = 0) -> Tuple[int, int, int, int]:
+    """The four ints of the :data:`PCG64_ROW` at ``offset`` of ``buf``,
+    unchecked: bytes from a peer go through the wire's own check."""
+    s, inc, has_uint32, uinteger = PCG64_ROW.unpack_from(buf, offset)
+    return int.from_bytes(s, "big"), int.from_bytes(inc, "big"), has_uint32, uinteger

@@ -29,7 +29,8 @@ from the provider's ``(pool, indices)``, the holdout re-drawn identically
 -- and restores the snapshots, so stream *positions* survive: a client
 trained in round 3, evicted, and re-selected in round 90 shuffles its
 data exactly as if it had stayed resident.  The state ledger is
-O(touched clients) small dicts, never whole clients.
+O(touched clients) entries of one ``bytes`` object each (a 37-byte
+:data:`~repro.rng.PCG64_ROW` per stream), never whole clients.
 
 Availability lives in a boolean column driven by
 :class:`DiurnalSchedule` events on the event-queue
@@ -59,7 +60,7 @@ from typing import (
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.rng import make_rng
+from repro.rng import PCG64_ROW, make_rng, pack_pcg64, pcg64_state, unpack_pcg64
 from repro.simcluster.client import SimClient
 from repro.simcluster.latency import LatencyModel
 from repro.simcluster.network import CommModel
@@ -81,6 +82,25 @@ DatasetProvider = Callable[[int], Tuple[Dataset, np.ndarray]]
 # Default LRU capacity: generous for any realistic cohort (paper cohorts
 # are tens of clients) while keeping resident memory O(cohort).
 DEFAULT_CACHE_SIZE = 256
+
+RngStates = Tuple[Optional[dict], Optional[dict]]
+
+# A ledger entry is the train stream's PCG64 row, then the latency
+# stream's when it has been drawn.  An unadvanced train slot beside a
+# recorded latency one is the all-zero row, which no PCG64 state packs to.
+_NO_ROW = bytes(PCG64_ROW.size)
+
+
+def _pack_states(train: Optional[dict], latency: Optional[dict]) -> bytes:
+    head = _NO_ROW if train is None else pack_pcg64(train)
+    return head if latency is None else head + pack_pcg64(latency)
+
+
+def _unpack_states(entry: bytes) -> RngStates:
+    size = PCG64_ROW.size
+    train = None if entry.startswith(_NO_ROW) else pcg64_state(unpack_pcg64(entry))
+    latency = pcg64_state(unpack_pcg64(entry, size)) if len(entry) > size else None
+    return train, latency
 
 
 @dataclass(frozen=True)
@@ -252,7 +272,8 @@ class PopulationStore(Mapping):
         self._dataset_for = dataset_for
         self._cache_size = int(cache_size)
         self._cache: "OrderedDict[int, SimClient]" = OrderedDict()
-        self._saved_states: Dict[int, Tuple[dict, dict]] = {}
+        # Evicted clients' stream positions, packed by _pack_states.
+        self._saved_states: Dict[int, bytes] = {}
         self._materialize_count = 0
         self._phase_index: List[np.ndarray] = []
 
@@ -366,25 +387,23 @@ class PopulationStore(Mapping):
         if saved is not None:
             # Entries may be partial: None = that stream never advanced
             # and stays at zero.
-            client.restore_rng_states(*saved)
+            client.restore_rng_states(*_unpack_states(saved))
         self._cache[cid] = client
         while len(self._cache) > self._cache_size:
             old_cid, old = self._cache.popitem(last=False)
-            self._saved_states[old_cid] = old.rng_states()
+            self._saved_states[old_cid] = _pack_states(*old.rng_states())
         return client
 
     def evict_all(self) -> None:
         """Flush the cache, snapshotting every resident RNG state."""
         while self._cache:
             cid, client = self._cache.popitem(last=False)
-            self._saved_states[cid] = client.rng_states()
+            self._saved_states[cid] = _pack_states(*client.rng_states())
 
     # ------------------------------------------------------------------
     # RNG-state ledger (authoritative stream positions, no clients)
     # ------------------------------------------------------------------
-    def rng_state_of(
-        self, client_id: int
-    ) -> Tuple[Optional[dict], Optional[dict]]:
+    def rng_state_of(self, client_id: int) -> RngStates:
         """Authoritative ``(train, latency)`` RNG states for a client.
 
         Resident clients answer from their live generators, evicted ones
@@ -396,7 +415,8 @@ class PopulationStore(Mapping):
         client = self._cache.get(cid)
         if client is not None:
             return client.rng_states()
-        return self._saved_states.get(cid, (None, None))
+        saved = self._saved_states.get(cid)
+        return (None, None) if saved is None else _unpack_states(saved)
 
     def restore_rng_state(
         self,
@@ -418,11 +438,11 @@ class PopulationStore(Mapping):
         if client is not None:
             client.restore_rng_states(train_state, latency_state)
             return
-        prev = self._saved_states.get(cid, (None, None))
-        self._saved_states[cid] = (
-            train_state if train_state is not None else prev[0],
-            latency_state if latency_state is not None else prev[1],
-        )
+        prev_train, prev_latency = self.rng_state_of(cid)
+        train_state = prev_train if train_state is None else train_state
+        latency_state = prev_latency if latency_state is None else latency_state
+        if train_state is not None or latency_state is not None:
+            self._saved_states[cid] = _pack_states(train_state, latency_state)
 
     # ------------------------------------------------------------------
     # sharding (worker-side population slices)

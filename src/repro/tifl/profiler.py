@@ -45,10 +45,6 @@ class ProfilingResult:
         Simulated wall-clock cost of the campaign
         (``sync_rounds * min(max observed, Tmax)`` -- each profiling round
         waits for the slowest responder or the deadline).
-    profiled_ids / raw_latencies:
-        Every profiled id (responsive or not, in profiling order) and the
-        ``(profiled, sync_rounds)`` float64 matrix of its per-round
-        latencies, capped at ``Tmax`` (``inf`` where it never answered).
     """
 
     client_ids: np.ndarray
@@ -57,8 +53,6 @@ class ProfilingResult:
     sync_rounds: int
     tmax: float
     profiling_time: float
-    profiled_ids: np.ndarray
-    raw_latencies: np.ndarray
 
 
 def profile_clients(
@@ -86,7 +80,8 @@ def profile_clients(
         stream, clients are materialised on demand (O(N); the store's
         RNG-state ledger keeps the draws exact when N exceeds the cache).
         Either way the campaign is held as one C-contiguous
-        ``(clients, rounds)`` matrix and reduced column-wise.  The
+        ``(clients, rounds)`` matrix, capped and charged in place, and
+        reduced row-wise.  The
         layout is part of the numerics: a row-wise mean over it sums
         each row exactly as that client's own 1-D ``.mean()`` would,
         while the transposed ``(rounds, clients)`` / ``axis=0`` form
@@ -161,12 +156,13 @@ def profile_clients(
                 )
                 for cid in ids.tolist()
             ]
-    capped = np.minimum(observed, deadline)
-    finite = np.isfinite(capped)
+    # One matrix throughout: capped at the deadline, then charged, in place.
+    np.minimum(observed, deadline, out=observed)
+    finite = np.isfinite(observed)
     # Each profiling round waits for its slowest responder.
     profiling_time = 0.0
     for r in range(sync_rounds):
-        responded = capped[finite[:, r], r]
+        responded = observed[finite[:, r], r]
         if responded.size:
             profiling_time += float(responded.max())
 
@@ -174,16 +170,16 @@ def profile_clients(
     # round hit the deadline -- i.e. its accumulated RT equals
     # sync_rounds * Tmax -- and kept when some round beat it.  With no
     # deadline that degenerates to "produced a finite response once".
-    kept = (finite & (capped < deadline)).any(axis=1)
+    kept = (finite & (observed < deadline)).any(axis=1)
     # Timed-out rounds contribute Tmax to the mean, per the paper.
-    charged = np.where(finite, capped, deadline)
-    means = charged.mean(axis=1)
-    # With no deadline a round without a response has nothing to charge
-    # and leaves the mean: those rows (rare -- dropouts and faulted
-    # clients) are averaged one by one over what is left.
-    chargeable = np.isfinite(charged)
-    for i in np.flatnonzero(kept & ~chargeable.all(axis=1)):
-        means[i] = charged[i][chargeable[i]].mean()
+    np.copyto(observed, deadline, where=~finite)
+    means = observed.mean(axis=1)
+    if deadline == float("inf"):
+        # With no deadline a round without a response has nothing to
+        # charge and leaves the mean: those rows (rare -- dropouts and
+        # faulted clients) are averaged one by one over what is left.
+        for i in np.flatnonzero(kept & ~finite.all(axis=1)):
+            means[i] = observed[i][finite[i]].mean()
     if not kept.any():
         raise RuntimeError("every client was classified as a dropout")
     return ProfilingResult(
@@ -193,6 +189,4 @@ def profile_clients(
         sync_rounds=sync_rounds,
         tmax=deadline,
         profiling_time=profiling_time,
-        profiled_ids=ids,
-        raw_latencies=capped,
     )

@@ -70,12 +70,12 @@ def _run_distributed(codec, seed=21, workers=2):
 
 
 class TestDeltaEquivalence:
-    def test_delta_bit_identical_across_all_four_backends(self):
+    def test_delta_bit_identical_on_every_backend(self):
         """A multi-round run under ``codec='delta'`` produces the exact
-        serial-raw weights on every v1 backend: serial and process
-        ignore the codec (weights never hit a wire), the distributed
-        backend encodes every BROADCAST/UPDATE through it and must
-        decode bit-exactly."""
+        serial-raw weights on every backend: serial has no wire and
+        ignores the codec, while process (over its socketpairs) and
+        distributed (over loopback TCP) encode every BROADCAST/UPDATE
+        through it and must decode bit-exactly."""
         with create_executor("serial") as ref_ex:
             reference = _run_rounds(ref_ex, _train_config("raw"))
 
@@ -83,7 +83,7 @@ class TestDeltaEquivalence:
             with create_executor(backend, workers=2) as ex:
                 weights = _run_rounds(ex, _train_config("delta"))
             assert np.array_equal(reference, weights), (
-                f"{backend} backend perturbed by a codec it must ignore"
+                f"{backend} backend under the delta codec differs from serial raw"
             )
 
         weights, _ = _run_distributed("delta")

@@ -32,6 +32,7 @@ from repro.distributed import protocol as proto
 from repro.distributed import worker as worker_mod
 from repro.distributed.worker import WorkerAgent
 from repro.nn import build_mlp
+from repro.rng import PCG64_ROW
 from tests.conftest import make_test_client
 
 #: The rows the two interpreters encode and decode.
@@ -376,7 +377,7 @@ class TestPCG64Rows:
         header = proto._UPDATE_HEADER
         state = np.random.default_rng(2).bit_generator.state
         frame = bytearray(proto.encode_update(3, 1, 30, state, np.zeros(0)))
-        row = proto._PCG64_ROW
+        row = PCG64_ROW
         fields = list(row.unpack_from(frame, header.size))
         if field == "inc":
             fields[1] = value

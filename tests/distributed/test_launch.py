@@ -64,6 +64,19 @@ def test_forked_worker_does_not_keep_the_listener_open():
     assert codes == [EXIT_CONNECTION_LOST]
 
 
+def test_workers_of_a_coordinator_closed_before_its_first_cohort_exit_at_once():
+    """The agents dial once: whether the close reset their queued
+    connection or refused their dial, each exits on its own (code 1)
+    instead of retrying a refused endpoint until it is terminated."""
+    ex = DistributedExecutor(workers=2, **FAST_TIMEOUTS)
+    procs = spawn_local_workers(ex.listen(), 2)
+    ex.close()
+    start = time.monotonic()
+    codes = terminate_workers(procs)
+    assert time.monotonic() - start < 2.0
+    assert codes == [EXIT_CONNECTION_LOST, EXIT_CONNECTION_LOST]
+
+
 def test_traced_run_writes_the_coordinators_lines_only(tmp_path):
     """Telemetry on in the coordinator, with trace lines still buffered
     when the workers fork: the file holds each of them once and spans

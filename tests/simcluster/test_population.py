@@ -16,11 +16,11 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
-from repro.rng import make_rng, spawn
+from repro.rng import PCG64_ROW, make_rng, spawn
 from repro.serialization import shard_from_bytes, shard_to_bytes
 from repro.simcluster.client import SimClient
 from repro.simcluster.clock import SimulatedClock
@@ -235,6 +235,66 @@ class TestLRUEviction:
         for cid in range(10):
             store.materialize(cid)
         assert store.resident == 3
+
+
+def draw(gen: np.random.Generator, bits: int) -> float:
+    """One 64-bit draw, or one 32-bit draw (which buffers or spends the
+    other half of a 64-bit output: ``has_uint32`` flips)."""
+    return float(gen.random(dtype=np.float32 if bits == 32 else np.float64))
+
+
+class TestPackedLedger:
+    """An evicted client's positions are one ``bytes`` entry of PCG64
+    rows, read back as the dicts the generators gave."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cid=st.integers(min_value=0, max_value=NUM_CLIENTS - 1),
+        draws=st.lists(
+            st.tuples(st.sampled_from(["_train_rng", "_latency_rng"]), st.sampled_from([32, 64])),
+            max_size=9,
+        ),
+    )
+    @example(cid=3, draws=[("_train_rng", 32), ("_latency_rng", 64), ("_latency_rng", 32)])
+    @example(cid=4, draws=[("_train_rng", 32), ("_train_rng", 32), ("_latency_rng", 32)])
+    def test_mixed_width_draws_survive_eviction(self, store_scenario, cid, draws):
+        store = fresh_store(store_scenario.clients, cache_size=1)
+        client = store.materialize(cid)
+        for stream, bits in draws:
+            draw(getattr(client, stream), bits)
+        live = client.rng_states()
+        twins = {
+            "_train_rng": np.random.default_rng(0),
+            "_latency_rng": np.random.default_rng(client._latency_seed),
+        }
+        twins["_train_rng"].bit_generator.state = live[0]
+        if live[1] is not None:
+            twins["_latency_rng"].bit_generator.state = live[1]
+
+        store.materialize((cid + 1) % NUM_CLIENTS)  # evicts cid
+        entry = store._saved_states[cid]
+        assert type(entry) is bytes
+        assert len(entry) == PCG64_ROW.size * (1 if live[1] is None else 2)
+        assert store.rng_state_of(cid) == live
+
+        again = store.materialize(cid)
+        assert again is not client and again.rng_states() == live
+        for stream, bits in draws + [(s, b) for s in twins for b in (32, 64, 32)]:
+            assert draw(getattr(again, stream), bits) == draw(twins[stream], bits)
+
+    def test_partial_entries_keep_their_none_slots(self, store_scenario):
+        store = fresh_store(store_scenario.clients, cache_size=4)
+        donor = fresh_store(store_scenario.clients, cache_size=4).materialize(5)
+        draw(donor._train_rng, 32)
+        draw(donor._latency_rng, 32)
+        train, latency = donor.rng_states()
+        store.restore_rng_state(5, latency_state=latency)
+        assert store.rng_state_of(5) == (None, latency)
+        store.restore_rng_state(5, train_state=train)
+        assert store.rng_state_of(5) == (train, latency)
+        store.restore_rng_state(6)
+        assert store.rng_state_of(6) == (None, None) and 6 not in store._saved_states
+        assert store.materialize(5).rng_states() == (train, latency)
 
 
 class TestLazyMapping:
