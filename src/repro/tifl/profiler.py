@@ -81,8 +81,8 @@ def profile_clients(
         RNG-state ledger keeps the draws exact when N exceeds the cache).
         Either way the campaign is held as one C-contiguous
         ``(clients, rounds)`` matrix, capped and charged in place, and
-        reduced row-wise.  The
-        layout is part of the numerics: a row-wise mean over it sums
+        reduced row-wise.  The layout is part of the numerics: a
+        row-wise mean over it sums
         each row exactly as that client's own 1-D ``.mean()`` would,
         while the transposed ``(rounds, clients)`` / ``axis=0`` form
         does not from 8 rounds up (pairwise summation) -- pinned in
