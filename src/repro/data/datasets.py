@@ -62,9 +62,9 @@ class Dataset:
 
     def subset(self, indices: np.ndarray, name: Optional[str] = None) -> "Dataset":
         """The rows at integer ``indices``, gathered into fresh, writable
-        buffers -- a copy even of a read-only pool.  A client gathers
-        only its holdout this way; its train split stays rows of the
-        pool (:class:`~repro.simcluster.client.SimClient`)."""
+        buffers -- a copy even of a read-only pool.  A client keeps
+        rows and gathers its holdout this way only while scoring it
+        (:class:`~repro.simcluster.client.SimClient`)."""
         idx = row_indices(indices)
         return Dataset(self.x[idx], self.y[idx], self.num_classes, name or self.name)
 

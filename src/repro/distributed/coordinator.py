@@ -59,7 +59,9 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -73,12 +75,16 @@ from repro.execution.base import (
     EvalRequest,
     ExecutorError,
     TrainRequest,
+    fold,
     order_updates,
 )
 from repro.execution.pool import absorb_rng_state, balance, ledger_state
 from repro.serialization import shard_to_bytes
 from repro.simcluster.client import ClientUpdate
 from repro.simcluster.population import PopulationStore
+
+if TYPE_CHECKING:
+    from repro.fl.aggregator import FedAvgAccumulator
 
 __all__ = ["PoolExecutor", "DistributedExecutor"]
 
@@ -384,7 +390,7 @@ class PoolExecutor(ClientExecutor):
 
     def _train_cohort(
         self, round_idx: int, requests: Sequence[TrainRequest], global_weights: np.ndarray,
-        latencies: Optional[Mapping[int, float]],
+        latencies: Optional[Mapping[int, float]], accumulator: Optional[FedAvgAccumulator],
     ) -> List[ClientUpdate]:
         ids = [req.client_id for req in requests]
         jobs = [(req.client_id, req.epochs, ledger_state(self._clients, req.client_id))
@@ -395,7 +401,9 @@ class PoolExecutor(ClientExecutor):
             lambda cid, value: absorb_rng_state(self._clients, cid, value[2]),
         )
         updates = [self._stamp(cid, w, n, latencies) for cid, (w, n, _) in trained.items()]
-        return order_updates(updates, requests)
+        # The reorder buffer is the whole cohort: nothing is added before
+        # every update has arrived.
+        return [fold(u, accumulator) for u in order_updates(updates, requests)]
 
     def _evaluate_cohort(
         self, requests: Sequence[EvalRequest], flat_weights: np.ndarray
@@ -411,7 +419,8 @@ class PoolExecutor(ClientExecutor):
         if isinstance(clients, PopulationStore):
             column = clients.holdout_size if holdout else clients.num_train_samples
             return column[clients._rows(ids)].tolist()
-        return [len(clients[c].holdout) if holdout else clients[c].num_train_samples for c in ids]
+        return [clients[c].num_holdout_samples if holdout else clients[c].num_train_samples
+                for c in ids]
 
     def _eval_shard_workers(self, x: np.ndarray, y: np.ndarray) -> int:
         """Every worker holding exactly this dataset, shipped by

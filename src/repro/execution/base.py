@@ -24,7 +24,11 @@ request list deterministically (from the cohort the selector and the
 latency model produced), so the FedAvg summation order -- and therefore
 the global weights -- are bit-identical across the three backends
 (serial/process/distributed).  The equivalence test in
-``tests/execution/test_executors.py`` enforces this.
+``tests/execution/test_executors.py`` enforces this.  A synchronous
+round passes a :class:`~repro.fl.aggregator.FedAvgAccumulator`, and the
+backend adds each vector to it in that same order instead of returning
+it (:func:`fold`); ``tests/execution/test_fold.py`` checks the folded
+mean against the returned vectors on every backend.
 
 One exception: a ``Dropout`` layer's mask stream lives in the
 *workspace*, not in the client.  The serial pass draws every client's
@@ -84,7 +88,9 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -93,12 +99,16 @@ from repro.config import TrainingConfig
 from repro.nn.model import EVAL_BATCH, Sequential
 from repro.simcluster.client import ClientUpdate, SimClient
 
+if TYPE_CHECKING:  # repro.fl imports this package: no runtime import back
+    from repro.fl.aggregator import FedAvgAccumulator
+
 __all__ = [
     "TrainRequest",
     "EvalRequest",
     "ClientExecutor",
     "ExecutorError",
     "order_updates",
+    "fold",
     "EVAL_BATCH",
     "eval_shard_bounds",
     "train_client",
@@ -253,6 +263,18 @@ class EvalRequest:
     client_id: int
 
 
+def fold(
+    update: ClientUpdate, accumulator: Optional[FedAvgAccumulator]
+) -> ClientUpdate:
+    """Add ``update``'s vector to ``accumulator`` and drop it from the
+    update, which keeps its scalars; without an accumulator, ``update``
+    as it is.  Callers pass updates in request order."""
+    if accumulator is not None:
+        accumulator.add(update.flat_weights, update.num_samples)
+        update.flat_weights = None
+    return update
+
+
 def order_updates(
     updates: Sequence[ClientUpdate], requests: Sequence[TrainRequest]
 ) -> List[ClientUpdate]:
@@ -398,12 +420,18 @@ class ClientExecutor:
         requests: Sequence[TrainRequest],
         global_weights: np.ndarray,
         latencies: Optional[Mapping[int, float]] = None,
+        accumulator: Optional[FedAvgAccumulator] = None,
     ) -> List[ClientUpdate]:
         """Train every requested client from ``global_weights``.
 
         Returns updates in request order (see module docstring).
         ``latencies`` optionally stamps each update with the simulated
-        response latency the server already measured.
+        response latency the server already measured.  With an
+        ``accumulator``, each update's vector is added to it in request
+        order as soon as it is next in order, and the returned updates
+        carry ``flat_weights=None``: the serial pass adds each client
+        before it trains the next, a pool once its reorder buffer holds
+        the whole cohort.
 
         The one cohort entry path: precondition check, empty-cohort
         return, lazy start and the ``executor.train_cohort`` span happen
@@ -419,7 +447,9 @@ class ClientExecutor:
             round=round_idx,
             clients=len(requests),
         ):
-            return self._train_cohort(round_idx, requests, global_weights, latencies)
+            return self._train_cohort(
+                round_idx, requests, global_weights, latencies, accumulator
+            )
 
     def _train_cohort(
         self,
@@ -427,11 +457,14 @@ class ClientExecutor:
         requests: Sequence[TrainRequest],
         global_weights: np.ndarray,
         latencies: Optional[Mapping[int, float]],
+        accumulator: Optional[FedAvgAccumulator],
     ) -> List[ClientUpdate]:
         """Backend hook: train a checked, non-empty cohort.  Default: the
         serial schedule -- one client after another in the bound model
         shell, the reference every backend with workers is tested against
-        (each pass timed as ``executor.client_train_s``)."""
+        (each pass timed as ``executor.client_train_s``).  With an
+        ``accumulator`` a client's vector is folded before the next
+        client trains, so the pass holds the sum and one vector."""
         factory = self._training.optimizer_factory(round_idx)
         collect = telemetry.enabled()
         # Materialise the whole cohort before the first pass, so the train
@@ -456,7 +489,8 @@ class ClientExecutor:
                     time.perf_counter() - t0,
                     backend=self.name,
                 )
-            updates.append(self._stamp(req.client_id, w, num_samples, latencies))
+            updates.append(fold(self._stamp(req.client_id, w, num_samples, latencies), accumulator))
+            del w  # once folded, the next client trains beside the sum alone
         return updates
 
     def evaluate_cohort(

@@ -14,14 +14,18 @@ phase                 contract
                       cohort trains from (a pool executor ships it as
                       a BROADCAST frame).
 ``train``             ``updates`` -- one :class:`ClientUpdate` per kept
-                      client, in request order (the executor contract).
+                      client, in request order (the executor contract),
+                      each with ``flat_weights=None``: its vector went
+                      into ``folded``, the round's
+                      :class:`~repro.fl.aggregator.FedAvgAccumulator`,
+                      as the executor handed it over.
 ``aggregate``         ``eval_weights`` (the post-round global weights;
                       aggregation produces a fresh vector, never an
                       in-place write), ``sim_time`` (the clock advances
-                      here, in round order).  Consumes ``updates`` and
-                      ``broadcast_weights``: leaves them ``[]`` and
-                      ``None``, so no client vector and no pre-round
-                      vector outlives the phase.
+                      here, in round order).  Consumes ``updates``,
+                      ``folded`` and ``broadcast_weights``: leaves them
+                      ``[]``, ``None`` and ``None``, so neither the sum
+                      nor the pre-round vector outlives the phase.
 ``eval``              ``accuracy`` and subclass extras (TiFL's per-tier
                       accuracies), computed against ``eval_weights``.
 ``record``            ``record`` -- the :class:`RoundRecord`; selector
@@ -37,6 +41,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.fl.aggregator import FedAvgAccumulator
 from repro.fl.history import RoundRecord
 from repro.fl.selection import SelectionPlan
 from repro.simcluster.client import ClientUpdate
@@ -50,8 +55,9 @@ class RoundContext:
 
     Fields are written by exactly one phase each (see the module
     docstring's contract table) and read only by later phases; the
-    aggregate phase also clears the two it consumes (``updates``,
-    ``broadcast_weights``), so eval and record cannot read them.
+    aggregate phase also clears the three it consumes (``updates``,
+    ``folded``, ``broadcast_weights``), so eval and record cannot read
+    them.
     """
 
     round_idx: int
@@ -65,6 +71,7 @@ class RoundContext:
     broadcast_weights: Optional[np.ndarray] = None
     # -- train ---------------------------------------------------------
     updates: List[ClientUpdate] = field(default_factory=list)
+    folded: Optional[FedAvgAccumulator] = None
     # -- aggregate -----------------------------------------------------
     eval_weights: Optional[np.ndarray] = None
     sim_time: float = 0.0

@@ -7,8 +7,9 @@ contract between stages)::
     for r in range(N):
         ctx = select(r)        # cohort + simulated latencies (line 3)
         broadcast(ctx)         # fix the weights the cohort trains from
-        train(ctx)             # executor trains the cohort (lines 4-7)
-        aggregate(ctx)         # w_{r+1} = fedavg(updates); clock += Eq. 1
+        train(ctx)             # executor trains the cohort (lines 4-7),
+                               # folding each update into FedAvg's sum
+        aggregate(ctx)         # w_{r+1} = fedavg(sum); clock += Eq. 1
         eval(ctx)              # accuracy of the post-round snapshot
         record(ctx)            # history append + selector feedback
 
@@ -30,7 +31,7 @@ from repro import telemetry
 from repro.config import PAPER_SYNTHETIC_TRAINING, TrainingConfig
 from repro.data.datasets import Dataset
 from repro.execution import ClientExecutor, TrainRequest, resolve_executor
-from repro.fl.aggregator import fedavg
+from repro.fl.aggregator import FedAvgAccumulator
 from repro.fl.engine import RoundContext
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.selection import ClientSelector, SelectionPlan
@@ -44,6 +45,15 @@ from repro.simcluster.population import PopulationStore
 __all__ = ["FLServer"]
 
 EpochsFor = Callable[[int, int], int]  # (client_id, round_idx) -> local epochs
+
+
+def fedavg(folded: FedAvgAccumulator) -> np.ndarray:
+    """Alg. 1 line 8 for a round whose train phase folded every update
+    into ``folded``: the weighted mean, as a fresh vector.
+
+    The aggregate phase's one aggregation call (``fl.aggregate`` in a
+    ``perf/`` trace); the additions ran inside ``train_cohort``."""
+    return folded.mean()
 
 
 class FLServer:
@@ -257,15 +267,17 @@ class FLServer:
 
     def _stage_train(self, ctx: RoundContext) -> None:
         """Train phase (lines 4-7 of Alg. 1): the executor trains the
-        cohort (possibly in parallel) and hands updates back in request
-        order, so the FedAvg summation is bit-identical across backends."""
+        cohort (possibly in parallel) and folds each update into a fresh
+        accumulator in request order, so the FedAvg summation is
+        bit-identical across backends and no update's vector is kept."""
         requests = [
             TrainRequest(cid, epochs=self.epochs_for(cid, ctx.round_idx))
             for cid in ctx.kept
         ]
+        ctx.folded = FedAvgAccumulator()
         ctx.updates = self.executor.train_cohort(
             ctx.round_idx, requests, ctx.broadcast_weights,
-            latencies=ctx.latencies,
+            latencies=ctx.latencies, accumulator=ctx.folded,
         )
 
     def _stage_aggregate(self, ctx: RoundContext) -> None:
@@ -274,17 +286,14 @@ class FLServer:
         ``ctx.eval_weights`` is the post-round global vector the eval
         phase scores: aggregation always produces a *fresh* array (and a
         fully-dropped round carries the previous, never-mutated vector
-        over).  The phase consumes ``ctx.updates`` and
-        ``ctx.broadcast_weights``: it empties the one and clears the
-        other, so eval and record run with one global vector alive, not
-        the cohort's ``C`` client vectors beside the pre-round one.
+        over).  The phase consumes ``ctx.updates``, ``ctx.folded`` and
+        ``ctx.broadcast_weights``, so eval and record run with one global
+        vector alive, not the pre-round one beside it.
         """
-        new_weights: List[np.ndarray] = [u.flat_weights for u in ctx.updates]
-        sizes: List[float] = [float(u.num_samples) for u in ctx.updates]
-        ctx.updates = []
-        ctx.broadcast_weights = None
-        if new_weights:
-            self.global_weights = fedavg(new_weights, sizes)
+        folded, trained = ctx.folded, bool(ctx.updates)
+        ctx.updates, ctx.folded, ctx.broadcast_weights = [], None, None
+        if trained:
+            self.global_weights = fedavg(folded)
         # else: fully-dropped round -- weights carry over unchanged
         ctx.eval_weights = self.global_weights
         self.clock.advance(ctx.round_latency)

@@ -6,8 +6,8 @@ and accuracies, never samples -- plus a resource spec and its own RNG
 streams.  In memory the data is shared: every client of a federation
 indexes one read-only pool per recipe per process
 (:meth:`~repro.experiments.scenarios.PoolRecipe.draw`), holding int64
-train rows into it and a gathered copy of its holdout.  Training is
-*real* (numpy gradient descent on the local data);
+train and holdout rows into it; neither split is ever kept gathered.
+Training is *real* (numpy gradient descent on the local data);
 the response latency is *simulated* from the resource spec via
 :class:`~repro.simcluster.latency.LatencyModel` +
 :class:`~repro.simcluster.network.CommModel`.
@@ -82,9 +82,9 @@ class SimClient:
         indices: Optional[np.ndarray] = None,
     ) -> None:
         # With ``indices`` the local dataset is rows ``indices`` of ``data``;
-        # without, every row.  It is never gathered whole: the holdout is
-        # one gather (every evaluation scores all of it) and the train
-        # split stays rows of ``data``, gathered a minibatch at a time.
+        # without, every row.  It is never kept gathered: both splits stay
+        # rows of ``data``, the holdout gathered whole each time it is
+        # scored and the train split a minibatch at a time.
         if indices is not None:
             indices = row_indices(indices)
         n = len(data) if indices is None else len(indices)
@@ -111,13 +111,12 @@ class SimClient:
         holdout_size = max(min_holdout, int(round(n * holdout_fraction)))
         holdout_size = min(holdout_size, n - 1) if n > 1 else 0
         if holdout_size > 0:
-            holdout_rows, self._train_rows = data.split_rows(
+            self._holdout_rows, self._train_rows = data.split_rows(
                 holdout_size, self._train_rng, indices
             )
         else:
-            holdout_rows = np.empty(0, dtype=np.int64)
+            self._holdout_rows = np.empty(0, dtype=np.int64)
             self._train_rows = np.arange(n, dtype=np.int64) if indices is None else indices
-        self.holdout = data.subset(holdout_rows, self._name)
 
     @cached_property
     def _latency_rng(self) -> np.random.Generator:
@@ -147,12 +146,25 @@ class SimClient:
         return len(self._train_rows)
 
     @property
+    def num_holdout_samples(self) -> int:
+        """The holdout's size, counted from its rows (no gather)."""
+        return len(self._holdout_rows)
+
+    @property
     def train_data(self) -> Dataset:
         """The train split, gathered from the pool on each access.
 
         :meth:`train` never builds it: it gathers each minibatch from
         the pool by row."""
         return self._pool.subset(self._train_rows, self._name)
+
+    @property
+    def holdout(self) -> Dataset:
+        """The local holdout, gathered from the pool on each access.
+
+        :meth:`score_holdout` gathers it once per score and drops it, so
+        a resident client holds its holdout rows, not the samples."""
+        return self._pool.subset(self._holdout_rows, self._name)
 
     def response_latency(
         self,
@@ -231,16 +243,17 @@ class SimClient:
 
     def score_holdout(self, workspace: Sequential) -> float:
         """Holdout accuracy of the weights ``workspace`` already holds."""
-        if len(self.holdout) == 0:
+        if self.num_holdout_samples == 0:
             raise RuntimeError(
                 f"client {self.client_id} has no holdout data; construct it "
                 "with holdout_fraction > 0 to use per-tier evaluation"
             )
-        return workspace.evaluate(self.holdout.x, self.holdout.y)
+        holdout = self.holdout
+        return workspace.evaluate(holdout.x, holdout.y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SimClient(id={self.client_id}, train={self.num_train_samples}, "
-            f"holdout={len(self.holdout)}, cpu={self.spec.cpu_fraction}, "
+            f"holdout={self.num_holdout_samples}, cpu={self.spec.cpu_fraction}, "
             f"group={self.spec.group})"
         )

@@ -76,7 +76,7 @@ __all__ = [
 # ``cid -> (pool, indices)``: a client's local data is rows ``indices``
 # (int64) of a read-only ``Dataset`` all clients share -- one pool per
 # recipe per process.  Nobody builds that subset: a materialised client
-# gathers its holdout and keeps its train split as rows of the pool.
+# keeps both its holdout and its train split as rows of the pool.
 DatasetProvider = Callable[[int], Tuple[Dataset, np.ndarray]]
 
 # Default LRU capacity: generous for any realistic cohort (paper cohorts

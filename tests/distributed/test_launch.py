@@ -48,8 +48,9 @@ def test_forked_worker_does_not_keep_the_listener_open():
         # Readable means a connection waits in the accept queue.
         readable, _, _ = select.select([ex._listener], [], [], 30.0)
         assert readable, "the worker never connected"
-        # Let it send HELLO: a reset that lands before then puts it back
-        # in its 30 s connect-retry loop instead of ending it.
+        # Let it send HELLO before the close.  A local agent dials once,
+        # so a reset that lands earlier ends it the same way (connection
+        # lost): the wait only fixes which path the close takes.
         time.sleep(0.5)
     finally:
         ex.close()

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TrainingConfig
-from repro.fl.aggregator import fedavg
+from repro.fl.aggregator import FedAvgAccumulator, fedavg
 from repro.fl.selection import RandomSelector
 from repro.fl.server import FLServer
 from repro.nn import build_linear
-from tests.conftest import make_test_population, make_tiny_dataset
+from repro.simcluster.client import SimClient
+from tests.conftest import assert_bits_equal, make_test_population, make_tiny_dataset
 
 
 class TestFedAvg:
@@ -75,10 +76,51 @@ class TestFedAvg:
             fedavg(weights, [1.0] * len(weights))
 
 
+class TestFedAvgAccumulator:
+    """What :func:`fedavg` over a list does not show: the accumulator
+    across calls.  Its sizes, shapes and bits are checked through
+    :func:`fedavg` above and ``tests/fl/test_fedavg_pins.py``."""
+
+    def test_mean_hands_over_its_buffer_and_empties(self, rng):
+        w = rng.standard_normal(4)
+        acc = FedAvgAccumulator()
+        acc.add(w, 2)
+        out = acc.mean()
+        assert not np.shares_memory(out, w)
+        with pytest.raises(ValueError, match="at least one"):
+            acc.mean()
+
+    def test_an_added_vector_is_not_written(self, rng):
+        ws = [rng.standard_normal(4) for _ in range(3)]
+        before = [w.copy() for w in ws]
+        acc = FedAvgAccumulator()
+        for w in ws:
+            acc.add(w, 3)
+        acc.mean()
+        for w, b in zip(ws, before):
+            assert_bits_equal(w, b)
+
+
+
+def track_client_vectors(monkeypatch):
+    """Weak refs to every vector :meth:`SimClient.train` returns, in
+    call order (a list the caller reads as training goes)."""
+    refs = []
+    train = SimClient.train
+
+    def tracked(self, *args, **kwargs):
+        weights = train(self, *args, **kwargs)
+        refs.append(weakref.ref(weights))
+        return weights
+
+    monkeypatch.setattr(SimClient, "train", tracked)
+    return refs
+
+
 class TestAggregationMemory:
-    """What aggregation keeps alive: the running sum's two vectors
-    inside :func:`fedavg`, and no client vector past the aggregate
-    phase of a round."""
+    """What aggregation keeps alive: the running sum and one product
+    inside :func:`fedavg`, one client vector at a time while a serial
+    round trains, and none past the aggregate phase."""
 
     def test_fedavg_peaks_below_three_vectors(self, rng):
         length = 2**18
@@ -90,10 +132,11 @@ class TestAggregationMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output and one scratch vector; a stacked sum needs ~2*C*P*8
+        # the output and one product; a stacked sum needs ~2*C*P*8
         assert peak < 3 * length * 8
 
-    def test_a_round_keeps_no_client_vector_past_aggregation(self):
+    def test_a_round_keeps_no_client_vector_past_aggregation(self, monkeypatch):
+        trained = track_client_vectors(monkeypatch)
         server = FLServer(
             clients=make_test_population(6, seed=0),
             model=build_linear((4, 4, 1), 3, rng=0),
@@ -107,8 +150,9 @@ class TestAggregationMemory:
 
         def stage_train(ctx):
             refs = [weakref.ref(ctx.broadcast_weights)]
+            start = len(trained)
             train(ctx)
-            refs += [weakref.ref(u.flat_weights) for u in ctx.updates]
+            refs += trained[start:]
             consumed.append(refs)
 
         def stage_eval(ctx):
@@ -118,6 +162,38 @@ class TestAggregationMemory:
         server._stage_train, server._stage_eval = stage_train, stage_eval
         server.run(3)
         assert alive_at_eval == [[False] * 4] * 3
+
+    def test_a_serial_round_holds_at_most_two_client_vectors(self, monkeypatch):
+        """Each update folds into the sum before the next client trains:
+        a round of 10 holds the one being trained and at most one more,
+        where a round that returns its cohort holds all 10 at the
+        aggregate phase."""
+        trained = track_client_vectors(monkeypatch)
+        server = FLServer(
+            clients=make_test_population(10, seed=1),
+            model=build_linear((4, 4, 1), 3, rng=1),
+            selector=RandomSelector(10, rng=1),
+            test_data=make_tiny_dataset(n=30, seed=999),
+            training=TrainingConfig(optimizer="sgd", lr=0.1, lr_decay=1.0),
+            executor="serial",
+            rng=1,
+        )
+        alive = []
+        train_client, aggregate = SimClient.train, server._stage_aggregate
+
+        def count_then_train(client, *args, **kwargs):
+            alive.append(1 + sum(ref() is not None for ref in trained))
+            return train_client(client, *args, **kwargs)
+
+        def count_then_aggregate(ctx):
+            alive.append(sum(ref() is not None for ref in trained))
+            aggregate(ctx)
+
+        monkeypatch.setattr(SimClient, "train", count_then_train)
+        server._stage_aggregate = count_then_aggregate
+        server.run(2)
+        assert len(trained) == 20 and len(alive) == 22
+        assert max(alive) <= 2, alive
 
 
 # ---------------------------------------------------------------------------

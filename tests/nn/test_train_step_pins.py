@@ -6,10 +6,10 @@ compares ``sha256(get_flat_weights())`` plus every returned loss (as
 whose train step ran per ``(layer, param)`` key with allocating
 gradients and a full backward.  ``perf/``'s digests cover RMSprop on
 three models only; the SGD-momentum and FedProx branches have no other
-literal pin.  Like the golden values of
-``tests/execution/test_batched_executor.py`` the literals are those of
-this image's BLAS; a train-step rewrite has to reproduce them bit for
-bit (``docs/numerics.md``, "Why the arena is bit-identical").
+literal pin.  The literals are those of the OpenBLAS build they were
+recorded on (0.3.31, under numpy 2.4); a train-step rewrite has to
+reproduce them bit for bit (``docs/numerics.md``, "Why the arena is
+bit-identical").
 
 The eval-mode logits of the three paper CNNs and one ``MaxPool2D`` /
 ``ReLU`` forward and backward on a tensor full of ties and signed zeros
